@@ -61,6 +61,9 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 	if dirty == nil || dirty.Len() == 0 {
 		return nil, fmt.Errorf("core: empty input table")
 	}
+	if err := CheckFusionWidth(dirty.Schema, rs); err != nil {
+		return nil, err
+	}
 	st := Stats{Tuples: dirty.Len()}
 	var ix *index.Index
 	if opts.Materialize {

@@ -303,21 +303,45 @@ func TestMaxRuneLen(t *testing.T) {
 	}
 }
 
-func TestStateKey(t *testing.T) {
+// TestStateTable: the search memo tells states apart by mask and by
+// assignment (absent ≠ empty value), prunes a revisit that is no better,
+// and survives growing past its initial capacity and being reset.
+func TestStateTable(t *testing.T) {
 	x := newFx("A", "B")
-	f := x.fuser([]version{{pos: x.pos(rules.MustParseStrings("FD: A -> B")[0]), ids: []uint32{0, 0}}}, nil, 10)
-	key := func(mask int, a assignment) string { return string(f.stateKey(mask, a)) }
+	attrs := []int{0, 1}
+	var st stateTable
+	st.reset(2 + len(attrs))
 	a1 := x.assign(map[string]string{"A": "x"})
 	a2 := x.assign(map[string]string{"A": "x", "B": "y"})
-	if key(1, a1) == key(1, a2) {
-		t.Error("different assignments share a state key")
+	if !st.improve(1, a1, attrs, 0.5) || !st.improve(1, a2, attrs, 0.5) {
+		t.Error("different assignments share a state")
 	}
-	if key(1, a1) == key(2, a1) {
-		t.Error("different masks share a state key")
+	if !st.improve(2, a1, attrs, 0.5) || !st.improve(1<<40, a1, attrs, 0.5) {
+		t.Error("different masks share a state")
 	}
 	// Absent attribute vs empty value must be distinguishable.
-	if key(1, x.assign(map[string]string{"A": ""})) == key(1, x.assign(nil)) {
+	if !st.improve(4, x.assign(map[string]string{"A": ""}), attrs, 0.5) || !st.improve(4, x.assign(nil), attrs, 0.5) {
 		t.Error("empty value collides with absent attribute")
+	}
+	if st.improve(1, a1, attrs, 0.5) || st.improve(1, a1, attrs, 0.4) {
+		t.Error("a revisit with no better score must be pruned")
+	}
+	if !st.improve(1, a1, attrs, 0.6) || st.improve(1, a1, attrs, 0.6) {
+		t.Error("a better score must reopen the state once")
+	}
+	for m := uint64(100); m < 400; m++ { // grows several times
+		if !st.improve(m, a2, attrs, 0.1) {
+			t.Fatalf("fresh state %d reported as seen", m)
+		}
+	}
+	for m := uint64(100); m < 400; m++ {
+		if st.improve(m, a2, attrs, 0.1) {
+			t.Fatalf("state %d lost in growth", m)
+		}
+	}
+	st.reset(2 + len(attrs))
+	if !st.improve(1, a1, attrs, 0.1) {
+		t.Error("reset kept an entry")
 	}
 }
 

@@ -81,8 +81,6 @@ type verInfo struct {
 type deltaBlock struct {
 	rule  *rules.Rule
 	block *index.Block // post AGP + learn + RSC
-	fb    *FusionBlock
-	cands *blockCands
 	// vers maps tuple ID → its version facts, for the cheap pre/post rebuild
 	// comparison that bounds re-fusion.
 	vers map[int]verInfo
@@ -103,10 +101,10 @@ type blockFrag struct {
 
 // tupleState is one tuple's cached fusion outcome.
 type tupleState struct {
-	values     []string // fused (repaired) values, schema order
-	changes    int
-	failed     bool
-	conflicted bool
+	values []string // fused (repaired) values, schema order
+	// res is the fusion accounting; a conflicted tuple's fusion read global
+	// state (candidates, domain sizes) and must re-run on every Apply.
+	res fuseResult
 }
 
 // DeltaCleaner incrementally re-cleans a mutating table. It is not safe for
@@ -126,11 +124,13 @@ type DeltaCleaner struct {
 	encRows [][]uint32
 	rowPos  map[int]int // tuple ID → position in tuples/encRows
 
-	blocks      []*deltaBlock
-	posPerBlock [][]int
-	needed      []bool // schema positions any rule touches
-	domain      []int  // distinct-value counts for needed positions
-	fused       map[int]*tupleState
+	blocks []*deltaBlock
+	// plan is the fusion context the blocks feed: cleanBlock refreshes its
+	// block entries, Load/Apply its domain sizes. fuser is the one search
+	// engine every re-fusion reuses.
+	plan  *fusionPlan
+	fuser *fuser
+	fused map[int]*tupleState
 
 	// Incremental duplicate detection: each tuple's fused row reduced to an
 	// interned ID-sequence key, refreshed only when the tuple re-fuses, so
@@ -160,6 +160,9 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 			return nil, err
 		}
 	}
+	if err := CheckFusionWidth(schema, rs); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	opts.Trace = nil
 	dict := intern.NewDict()
@@ -171,21 +174,21 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		pool:   distance.NewPool(opts.Metric, dict),
 		rowPos: make(map[int]int),
 		fused:  make(map[int]*tupleState),
-		needed: make([]bool, schema.Len()),
 
 		dedupDict: intern.NewDict(),
 		rowKeys:   make(map[int]uint32),
 	}
-	d.posPerBlock = make([][]int, len(rs))
+	posPerBlock := make([][]int, len(rs))
 	for ri, r := range rs {
 		attrs := r.Attrs()
 		pos := make([]int, len(attrs))
 		for i, a := range attrs {
 			pos[i] = schema.MustIndex(a)
-			d.needed[pos[i]] = true
 		}
-		d.posPerBlock[ri] = pos
+		posPerBlock[ri] = pos
 	}
+	d.plan = newFusionPlan(dict, schema, posPerBlock, opts)
+	d.fuser = newFuser(d.plan)
 	return d, nil
 }
 
@@ -226,7 +229,7 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 		}
 		d.blocks[ri] = db
 	}
-	d.recomputeDomains()
+	d.plan.countDomains(d.encRows)
 	for _, t := range d.tuples {
 		d.fuseOne(t.ID)
 	}
@@ -324,11 +327,11 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 	// Conflicted tuples read global candidate sets and domain sizes, both of
 	// which any mutation may have shifted — always re-fuse them.
 	for id, ts := range d.fused {
-		if ts.conflicted {
+		if ts.res.conflicted != 0 {
 			refuse[id] = struct{}{}
 		}
 	}
-	d.recomputeDomains()
+	d.plan.countDomains(d.encRows)
 
 	ids := make([]int, 0, len(refuse))
 	for id := range refuse {
@@ -496,8 +499,8 @@ func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 			}
 		}
 	}
-	db.fb = fb
-	db.cands = buildBlockCands(fb, d.posPerBlock[ri])
+	d.plan.blocks[ri] = fb
+	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
 	db.vers = make(map[int]verInfo, len(fb.Versions))
 	for id, p := range fb.Versions {
 		db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
@@ -523,47 +526,13 @@ func blockSummaries(b *index.Block) []index.PieceSummary {
 	return out
 }
 
-// recomputeDomains refreshes the distinct-value counts fusion's observation
-// model reads, over the columns any rule touches.
-func (d *DeltaCleaner) recomputeDomains() {
-	width := d.schema.Len()
-	d.domain = make([]int, width)
-	var seen map[uint32]struct{}
-	for p := 0; p < width; p++ {
-		if !d.needed[p] {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[uint32]struct{}, len(d.encRows))
-		} else {
-			clear(seen)
-		}
-		for _, row := range d.encRows {
-			seen[row[p]] = struct{}{}
-		}
-		d.domain[p] = len(seen)
-	}
-}
-
 // fuseOne re-runs fusion for one tuple against the current blocks and caches
 // the outcome.
 func (d *DeltaCleaner) fuseOne(id int) {
 	pos := d.rowPos[id]
-	fbs := make([]*FusionBlock, len(d.blocks))
-	cands := make([]*blockCands, len(d.blocks))
-	for i, db := range d.blocks {
-		fbs[i] = db.fb
-		cands[i] = db.cands
-	}
 	t := d.tuples[pos].Clone()
-	changes, failed := fuseTuple(t, d.encRows[pos], d.dict, d.schema,
-		fbs, d.posPerBlock, cands, d.domain, d.opts)
-	d.fused[id] = &tupleState{
-		values:     t.Values,
-		changes:    changes,
-		failed:     failed,
-		conflicted: d.conflicted(id),
-	}
+	res := d.fuser.fuse(t, d.encRows[pos], nil)
+	d.fused[id] = &tupleState{values: t.Values, res: res}
 	d.rowKeys[id] = d.rowKey(t.Values)
 }
 
@@ -577,34 +546,6 @@ func (d *DeltaCleaner) rowKey(vals []string) uint32 {
 		d.keyScratch = append(d.keyScratch, d.dedupDict.Intern(v))
 	}
 	return d.dedupDict.Seq(d.keyScratch)
-}
-
-// conflicted mirrors the fuser's pairwise conflict check over the tuple's
-// current versions: true means its fusion reads global state (candidates,
-// domain sizes) and must re-run on every Apply.
-func (d *DeltaCleaner) conflicted(id int) bool {
-	type ver struct {
-		pos []int
-		ids []uint32
-	}
-	var vs []ver
-	for bi, db := range d.blocks {
-		if p, ok := db.fb.Versions[id]; ok {
-			vs = append(vs, ver{pos: d.posPerBlock[bi], ids: p.ValueIDs()})
-		}
-	}
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			for ai, pa := range vs[i].pos {
-				for aj, pb := range vs[j].pos {
-					if pa == pb && vs[i].ids[ai] != vs[j].ids[aj] {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
 }
 
 // appliesVals mirrors rulePlan.appliesTo over display values: every rule
@@ -639,7 +580,7 @@ func (d *DeltaCleaner) ruleDirtyOnUpdate(r *rules.Rule, ri int, old, new []strin
 	if !oldIn {
 		return false
 	}
-	for _, p := range d.posPerBlock[ri] {
+	for _, p := range d.plan.posPerBlock[ri] {
 		if old[p] != new[p] {
 			return true
 		}
@@ -670,10 +611,9 @@ func (d *DeltaCleaner) assemble() *Result {
 	repaired := dataset.NewTable(d.schema)
 	for _, t := range d.tuples {
 		ts := d.fused[t.ID]
-		st.FSCRCellChanges += ts.changes
-		if ts.failed {
-			st.FusionFailures++
-		}
+		st.FSCRCellChanges += ts.res.changes
+		st.FusionFailures += ts.res.failed
+		st.FusionTruncated += ts.res.truncated
 		repaired.Tuples = append(repaired.Tuples, &dataset.Tuple{ID: t.ID, Values: ts.values})
 	}
 	res := &Result{Repaired: repaired, Stats: st}

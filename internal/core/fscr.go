@@ -1,8 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,6 +28,7 @@ const unsetID = ^uint32(0)
 // version is one tuple's cleaned piece from one block (a data version).
 type version struct {
 	blockIdx int
+	comp     int // the block's fusion component (fusionPlan.compOf)
 	rule     *rules.Rule
 	pos      []int // schema positions of the rule's attrs (reason+result)
 	ids      []uint32
@@ -44,32 +46,6 @@ func newAssignment(width int) assignment {
 		a[i] = unsetID
 	}
 	return a
-}
-
-func (a assignment) clone() assignment {
-	out := make(assignment, len(a))
-	copy(out, a)
-	return out
-}
-
-// conflictsWith returns the schema positions on which the assignment
-// disagrees with the (pos, ids) piece.
-func (a assignment) conflictsWith(pos []int, ids []uint32) []int {
-	var out []int
-	for i, p := range pos {
-		if v := a[p]; v != unsetID && v != ids[i] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// absorb merges the piece into the assignment (caller must have resolved
-// conflicts first).
-func (a assignment) absorb(pos []int, ids []uint32) {
-	for i, p := range pos {
-		a[p] = ids[i]
-	}
 }
 
 // FusionBlock is one block's stage-I output as consumed by FSCR: the winner
@@ -217,14 +193,192 @@ func fscr(dirty *dataset.Table, ix *index.Index, opts Options, st *Stats) *datas
 	return RunFSCREncoded(dirty, ix.Encoded(), fusionBlocksFromIndex(ix), opts, st)
 }
 
+// maxComponentVersions bounds the versions one conflicted search can order:
+// the consumed set is one bit per version in a uint64 mask.
+const maxComponentVersions = 64
+
+// FusionWidthError reports a rule set FSCR cannot search: more than
+// maxComponentVersions rules are linked through shared attributes, so one
+// tuple's conflicted component could outgrow the search's version mask.
+type FusionWidthError struct {
+	Rules int // rules in the widest attribute-connected component
+}
+
+func (e *FusionWidthError) Error() string {
+	return fmt.Sprintf("core: fscr: %d rules are linked through shared attributes; the fusion search orders at most %d versions per component",
+		e.Rules, maxComponentVersions)
+}
+
+// CheckFusionWidth returns a *FusionWidthError when rs links more rules into
+// one attribute-connected component than the fusion search can order. Clean,
+// NewDeltaCleaner and the distributed executor call it before any work;
+// attributes the schema lacks are left for rule validation to report.
+func CheckFusionWidth(schema *dataset.Schema, rs []*rules.Rule) error {
+	posPerRule := make([][]int, len(rs))
+	for ri, r := range rs {
+		for _, a := range r.Attrs() {
+			if p, ok := schema.Index(a); ok {
+				posPerRule[ri] = append(posPerRule[ri], p)
+			}
+		}
+	}
+	compOf, compAttrs := fusionComponents(posPerRule, schema.Len())
+	sizes := make([]int, len(compAttrs))
+	widest := 0
+	for _, c := range compOf {
+		sizes[c]++
+		widest = max(widest, sizes[c])
+	}
+	if widest > maxComponentVersions {
+		return &FusionWidthError{Rules: widest}
+	}
+	return nil
+}
+
+// fusionComponents partitions blocks into connected components of the
+// "shares a schema position" relation. Versions from different components
+// pin disjoint attributes, so they can neither conflict nor constrain each
+// other's replacement candidates, and the fusion score factorises over
+// components. compOf maps block → component (numbered by first block);
+// compAttrs lists each component's schema positions in ascending order.
+func fusionComponents(posPerBlock [][]int, width int) (compOf []int, compAttrs [][]int) {
+	parent := make([]int, len(posPerBlock))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	owner := make([]int, width) // first block seen on each position, +1
+	for bi, pos := range posPerBlock {
+		for _, p := range pos {
+			if owner[p] == 0 {
+				owner[p] = bi + 1
+				continue
+			}
+			// Root at the smaller index so components number by first block.
+			a, b := find(owner[p]-1), find(bi)
+			if a < b {
+				parent[b] = a
+			} else {
+				parent[a] = b
+			}
+		}
+	}
+	compOf = make([]int, len(posPerBlock))
+	for bi := range posPerBlock {
+		root := find(bi)
+		if root == bi {
+			compOf[bi] = len(compAttrs)
+			compAttrs = append(compAttrs, nil)
+		} else {
+			compOf[bi] = compOf[root]
+		}
+	}
+	for p, o := range owner {
+		if o != 0 {
+			c := compOf[o-1]
+			compAttrs[c] = append(compAttrs[c], p)
+		}
+	}
+	return compOf, compAttrs
+}
+
+// fusionPlan is what every fusion of one run reads and none writes: the
+// blocks with their schema positions and replacement candidates, the
+// observation model's domain sizes, and the component partition. One plan
+// serves all of a run's fusers (DeltaCleaner: all of its re-fusions, with
+// blocks, candidates and domainSize refreshed in place between Applies).
+type fusionPlan struct {
+	dict        *intern.Dict
+	schema      *dataset.Schema
+	blocks      []*FusionBlock
+	posPerBlock [][]int
+	candidates  []*blockCands
+	// domainSize holds distinct-value counts per schema position, for the
+	// observation model: a replacement error lands on one specific value out
+	// of |domain|−1 alternatives, so changing a large-domain cell (e.g.
+	// Model) explains the observed tuple less well than changing a
+	// small-domain cell (e.g. Make) — exactly the asymmetry that
+	// disambiguates which side of a version conflict was corrupted. penalty
+	// is the per-changed-cell factor ε/(1−ε) of the minimality prior.
+	domainSize []int
+	penalty    float64
+	maxStates  int
+	compOf     []int
+	compAttrs  [][]int
+}
+
+func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]int, opts Options) *fusionPlan {
+	pl := &fusionPlan{
+		dict:        dict,
+		schema:      schema,
+		blocks:      make([]*FusionBlock, len(posPerBlock)),
+		posPerBlock: posPerBlock,
+		candidates:  make([]*blockCands, len(posPerBlock)),
+		domainSize:  make([]int, schema.Len()),
+		penalty:     opts.changePenalty(),
+		maxStates:   opts.MaxFusionStates,
+	}
+	pl.compOf, pl.compAttrs = fusionComponents(posPerBlock, schema.Len())
+	return pl
+}
+
+// countDomains refreshes domainSize from the encoded rows, over the
+// positions any block touches. Distinct IDs ≡ distinct values.
+func (pl *fusionPlan) countDomains(rows [][]uint32) {
+	var seen map[uint32]struct{}
+	for _, attrs := range pl.compAttrs {
+		for _, p := range attrs {
+			if seen == nil {
+				seen = make(map[uint32]struct{}, len(rows))
+			} else {
+				clear(seen)
+			}
+			for _, row := range rows {
+				seen[row[p]] = struct{}{}
+			}
+			pl.domainSize[p] = len(seen)
+		}
+	}
+}
+
+// planFusion builds the plan of one whole-table run over blocks, whose
+// pieces and the encoded rows share dict.
+func planFusion(dict *intern.Dict, schema *dataset.Schema, rows [][]uint32, blocks []*FusionBlock, opts Options) *fusionPlan {
+	posPerBlock := make([][]int, len(blocks))
+	for bi, fb := range blocks {
+		pos := make([]int, len(fb.Attrs))
+		for i, a := range fb.Attrs {
+			pos[i] = schema.MustIndex(a)
+		}
+		posPerBlock[bi] = pos
+	}
+	pl := newFusionPlan(dict, schema, posPerBlock, opts)
+	pl.countDomains(rows)
+	for bi, fb := range blocks {
+		pl.blocks[bi] = fb
+		pl.candidates[bi] = buildBlockCands(fb, posPerBlock[bi])
+	}
+	return pl
+}
+
 // RunFSCR fuses each tuple's per-block cleaned versions into the single
 // assignment with the maximal fusion score (the product of the merged
 // pieces' weights, Eq. 5, combined with the minimality/observation prior),
 // resolving conflicts by substituting the highest-weight non-conflicting
 // piece from the conflicting block. The repaired table (same tuple IDs as
-// the input) is returned; st (optional) accumulates cell-change and failure
-// counts, and opts.Trace records per-tuple fusion outcomes. Tuples fuse
-// independently and run in parallel.
+// the input) is returned; st (optional) accumulates cell-change, failure and
+// truncation counts, and opts.Trace records per-tuple fusion outcomes in
+// tuple order. Tuples fuse independently and run in parallel.
+//
+// A tuple with more than 64 versions in one conflicted component cannot be
+// searched and is counted as both a failure and a truncation; callers that
+// take rule sets from outside run CheckFusionWidth first.
 func RunFSCR(dirty *dataset.Table, blocks []*FusionBlock, opts Options, st *Stats) *dataset.Table {
 	return RunFSCREncoded(dirty, nil, blocks, opts, st)
 }
@@ -251,46 +405,7 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 		// Submit never ran, so an empty/misaligned encoding re-encodes here.)
 		enc = dataset.Encode(dirty, dict)
 	}
-	schema := repaired.Schema
-	width := schema.Len()
-
-	// Distinct-value counts per rule attribute, for the observation model:
-	// a replacement error lands on one specific value out of |domain|−1
-	// alternatives, so changing a large-domain cell (e.g. Model) explains
-	// the observed tuple less well than changing a small-domain cell (e.g.
-	// Make) — exactly the asymmetry that disambiguates which side of a
-	// version conflict was corrupted. Distinct IDs ≡ distinct values.
-	domainSize := make([]int, width)
-	posPerBlock := make([][]int, len(blocks))
-	needed := make([]bool, width)
-	for bi, fb := range blocks {
-		pos := make([]int, len(fb.Attrs))
-		for i, a := range fb.Attrs {
-			pos[i] = schema.MustIndex(a)
-			needed[pos[i]] = true
-		}
-		posPerBlock[bi] = pos
-	}
-	var seen map[uint32]struct{}
-	for p := 0; p < width; p++ {
-		if !needed[p] {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[uint32]struct{}, len(enc.Rows))
-		} else {
-			clear(seen)
-		}
-		for _, row := range enc.Rows {
-			seen[row[p]] = struct{}{}
-		}
-		domainSize[p] = len(seen)
-	}
-
-	candidates := make([]*blockCands, len(blocks))
-	for bi, fb := range blocks {
-		candidates[bi] = buildBlockCands(fb, posPerBlock[bi])
-	}
+	pl := planFusion(dict, repaired.Schema, enc.Rows, blocks, opts)
 
 	par := opts.Parallelism
 	if par <= 0 {
@@ -299,169 +414,311 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 	if par < 1 {
 		par = 1
 	}
-	var (
-		wg          sync.WaitGroup
-		statsMu     sync.Mutex
-		cellChanges int
-		failures    int
-	)
 	chunk := (len(repaired.Tuples) + par - 1) / par
 	if chunk < 1 {
 		chunk = 1
 	}
-	for lo := 0; lo < len(repaired.Tuples); lo += chunk {
-		hi := lo + chunk
-		if hi > len(repaired.Tuples) {
-			hi = len(repaired.Tuples)
-		}
+	nChunks := (len(repaired.Tuples) + chunk - 1) / chunk
+	// Each chunk sums into its own slot and (when tracing) records into its
+	// own slice; appending those in chunk order keeps Trace.FSCR in tuple
+	// order however the goroutines were scheduled.
+	totals := make([]fuseResult, nChunks)
+	outcomes := make([][]FusionOutcome, nChunks)
+	var wg sync.WaitGroup
+	for ci := 0; ci < nChunks; ci++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(ci int) {
 			defer wg.Done()
-			localChanges, localFailures := 0, 0
-			for i := lo; i < hi; i++ {
-				c, f := fuseTuple(repaired.Tuples[i], enc.Rows[i], dict, schema,
-					blocks, posPerBlock, candidates, domainSize, opts)
-				localChanges += c
-				if f {
-					localFailures++
-				}
+			lo := ci * chunk
+			hi := min(lo+chunk, len(repaired.Tuples))
+			f := newFuser(pl)
+			var trace *[]FusionOutcome
+			if opts.Trace != nil {
+				trace = &outcomes[ci]
 			}
-			statsMu.Lock()
-			cellChanges += localChanges
-			failures += localFailures
-			statsMu.Unlock()
-		}(lo, hi)
+			for i := lo; i < hi; i++ {
+				totals[ci].add(f.fuse(repaired.Tuples[i], enc.Rows[i], trace))
+			}
+		}(ci)
 	}
 	wg.Wait()
-	st.FSCRCellChanges += cellChanges
-	st.FusionFailures += failures
-	mFSCRCellChanges.Add(int64(cellChanges))
-	mFSCRConflicts.Add(int64(failures))
+	var total fuseResult
+	for ci := range totals {
+		total.add(totals[ci])
+		opts.Trace.addFusions(outcomes[ci])
+	}
+	st.FSCRCellChanges += total.changes
+	st.FusionFailures += total.failed
+	st.FusionTruncated += total.truncated
+	mFSCRCellChanges.Add(int64(total.changes))
+	mFSCRConflicts.Add(int64(total.failed))
+	mFSCRTruncated.Add(int64(total.truncated))
 	return repaired
 }
 
-// fuseTuple runs the fusion for one tuple, applying the winning assignment
-// in place. dirtyRow is the tuple's observed values as IDs in the blocks'
-// dictionary. Returns the number of changed cells and whether fusion
-// failed.
-func fuseTuple(t *dataset.Tuple, dirtyRow []uint32, dict *intern.Dict, schema *dataset.Schema,
-	blocks []*FusionBlock, posPerBlock [][]int, candidates []*blockCands,
-	domainSize []int, opts Options) (int, bool) {
-	var versions []version
-	for bi, fb := range blocks {
+// fuseResult is one tuple's fusion accounting (or a sum of them): cells
+// changed, and 0/1 flags for "every order failed", "the search hit
+// MaxFusionStates" and "some versions conflicted".
+type fuseResult struct {
+	changes, failed, truncated, conflicted int
+}
+
+func (r *fuseResult) add(o fuseResult) {
+	r.changes += o.changes
+	r.failed += o.failed
+	r.truncated += o.truncated
+	r.conflicted += o.conflicted
+}
+
+// fuser runs Alg. 2 for one tuple at a time and owns every buffer the
+// search writes, so a warm fuser allocates nothing per tuple or per explored
+// state. One fuser serves one goroutine.
+//
+// A tuple's versions are split by fusion component. A component whose
+// versions agree pairwise is their union with f = Π weights, whatever the
+// order. A conflicted component runs the memoised permutation search, which
+// keeps one working assignment: absorbing a version saves the IDs it
+// overwrites on an undo stack and the caller restores them after the
+// recursive call. The tuple's result is the union of the components' best
+// assignments, the product of their scores, and a failure if any failed.
+type fuser struct {
+	*fusionPlan
+	dirtyRow []uint32 // the tuple's observed value IDs per position
+
+	versions []version  // the tuple's versions in block order
+	comp     []version  // the versions of the component being fused
+	merged   assignment // the search's working fusion; all unset between searches
+	best     assignment // the tuple's winning fusion, filled per component
+	undo     []uint32   // IDs overwritten by the absorbs on the current path
+	// conflict flags the schema positions on which any explored state
+	// disagreed with a version; conflicted says any flag is set.
+	conflict   []bool
+	conflicted bool
+	truncated  bool
+
+	// Per search: the component's positions, the all-consumed mask, the
+	// states entered so far, and the best complete order (penalized and raw
+	// Eq. 5 score; found = some order completed).
+	attrs   []int
+	full    uint64
+	states  int
+	bestF   float64
+	bestRaw float64
+	found   bool
+	visited stateTable
+}
+
+func newFuser(pl *fusionPlan) *fuser {
+	width := pl.schema.Len()
+	return &fuser{
+		fusionPlan: pl,
+		merged:     newAssignment(width),
+		best:       newAssignment(width),
+		conflict:   make([]bool, width),
+	}
+}
+
+// fuse runs the fusion for one tuple, applying the winning assignment in
+// place. dirtyRow is the tuple's observed values as IDs in the blocks'
+// dictionary. trace, when non-nil, is appended the tuple's outcome — built
+// only then, since it costs attribute-name slices and two sorts.
+func (f *fuser) fuse(t *dataset.Tuple, dirtyRow []uint32, trace *[]FusionOutcome) fuseResult {
+	f.versions = f.versions[:0]
+	for bi, fb := range f.blocks {
 		p, ok := fb.Versions[t.ID]
 		if !ok {
 			continue
 		}
-		versions = append(versions, version{
+		f.versions = append(f.versions, version{
 			blockIdx: bi,
+			comp:     f.compOf[bi],
 			rule:     fb.Rule,
-			pos:      posPerBlock[bi],
+			pos:      f.posPerBlock[bi],
 			ids:      p.ValueIDs(),
 			kid:      p.KeyID(),
 			weight:   p.Weight,
 		})
 	}
-	if len(versions) == 0 {
-		return 0, false
+	if len(f.versions) == 0 {
+		return fuseResult{}
 	}
-	f := newFuser(versions, candidates, opts.MaxFusionStates, schema.Len())
-	f.penalty = opts.changePenalty()
-	f.domainSize = domainSize
+	var out *FusionOutcome
+	if trace != nil {
+		*trace = append(*trace, FusionOutcome{TupleID: t.ID})
+		out = &(*trace)[len(*trace)-1]
+	}
 	f.dirtyRow = dirtyRow
-	f.dict = dict
-	f.schema = schema
-	best, fscore, conflictPos := f.run()
-
-	outcome := FusionOutcome{TupleID: t.ID, FScore: fscore}
-	for _, p := range conflictPos {
-		outcome.ConflictAttrs = append(outcome.ConflictAttrs, schema.Attr(p))
+	raw, ok := f.run()
+	var res fuseResult
+	if f.truncated {
+		res.truncated = 1
 	}
-	sort.Strings(outcome.ConflictAttrs)
-	if best == nil {
-		outcome.Failed = true
-		opts.Trace.addFusion(outcome)
-		return 0, true
+	if f.conflicted {
+		res.conflicted = 1
 	}
-	changes := 0
-	for pos, id := range best {
+	if out != nil {
+		for p, hit := range f.conflict {
+			if hit {
+				out.ConflictAttrs = append(out.ConflictAttrs, f.schema.Attr(p))
+			}
+		}
+		sort.Strings(out.ConflictAttrs)
+	}
+	if !ok {
+		res.failed = 1
+		if out != nil {
+			out.Failed = true
+		}
+		return res
+	}
+	for pos, id := range f.best {
 		if id == unsetID || dirtyRow[pos] == id {
 			continue
 		}
-		val := dict.Value(id)
-		outcome.Changed = append(outcome.Changed, CellChange{Attr: schema.Attr(pos), Old: t.Values[pos], New: val})
+		val := f.dict.Value(id)
+		if out != nil {
+			out.Changed = append(out.Changed, CellChange{Attr: f.schema.Attr(pos), Old: t.Values[pos], New: val})
+		}
 		t.Values[pos] = val
-		changes++
+		res.changes++
 	}
-	sort.Slice(outcome.Changed, func(i, j int) bool { return outcome.Changed[i].Attr < outcome.Changed[j].Attr })
-	opts.Trace.addFusion(outcome)
-	return changes, false
+	if out != nil {
+		out.FScore = raw
+		sort.Slice(out.Changed, func(i, j int) bool { return out.Changed[i].Attr < out.Changed[j].Attr })
+	}
+	return res
 }
 
-// fuser performs the memoized permutation search of Alg. 2 for one tuple.
-type fuser struct {
-	versions   []version
-	candidates []*blockCands
-	maxStates  int
-	// penalty is the per-changed-cell factor ε/(1−ε) of the minimality
-	// prior; dirtyRow holds the tuple's observed value IDs per position;
-	// domainSize holds distinct-value counts for the observation model.
-	penalty    float64
-	dirtyRow   []uint32
-	domainSize []int
-	dict       *intern.Dict
-	schema     *dataset.Schema
-
-	states    int
-	visited   map[string]float64 // state key → best f reaching it
-	bestF     float64            // penalized score of the best fusion
-	bestRaw   float64            // raw Eq. 5 f-score of the best fusion
-	best      assignment
-	conflicts map[int]struct{}
-	// attrOrder is the sorted union of the versions' schema positions, fixed
-	// at construction so state keys never re-sort per memo probe.
-	attrOrder []int
-	width     int
-	keyBuf    []byte
+// run fuses f.versions component by component into f.best and returns the
+// fusion's raw Eq. 5 score; ok is false when some component's every order
+// failed (fusion score 0). f.conflict, f.conflicted and f.truncated describe
+// the search afterwards.
+func (f *fuser) run() (raw float64, ok bool) {
+	for i := range f.best {
+		f.best[i] = unsetID
+	}
+	if f.conflicted {
+		clear(f.conflict)
+	}
+	f.conflicted, f.truncated = false, false
+	raw, ok = 1, true
+	for c, attrs := range f.compAttrs {
+		f.comp = f.comp[:0]
+		for i := range f.versions {
+			if f.versions[i].comp == c {
+				f.comp = append(f.comp, f.versions[i])
+			}
+		}
+		if len(f.comp) == 0 {
+			continue
+		}
+		score, agreed := f.union()
+		if !agreed {
+			for _, p := range attrs {
+				f.best[p] = unsetID
+			}
+			f.attrs = attrs
+			score = f.search()
+			if !f.found {
+				ok = false
+				continue // keep going: the trace lists every component's conflicts
+			}
+		}
+		raw *= score
+	}
+	if !ok {
+		raw = 0
+	}
+	return raw, ok
 }
 
-func newFuser(versions []version, candidates []*blockCands, maxStates, width int) *fuser {
-	posSet := make(map[int]struct{})
-	for _, v := range versions {
-		for _, p := range v.pos {
-			posSet[p] = struct{}{}
+// union is the fast path: it absorbs the component's versions into f.best
+// in order and reports whether they all agreed. A pair of versions that
+// disagrees on a position shows up as a mismatch against the union so far,
+// because every earlier writer of that position agreed on it.
+func (f *fuser) union() (score float64, agreed bool) {
+	score = 1
+	for i := range f.comp {
+		v := &f.comp[i]
+		for k, p := range v.pos {
+			if have := f.best[p]; have != unsetID && have != v.ids[k] {
+				return 0, false
+			}
+			f.best[p] = v.ids[k]
+		}
+		score *= v.weight
+	}
+	return score, true
+}
+
+// search explores the fusion orders of the conflicted component in f.comp
+// (positions f.attrs), leaves the best complete fusion in f.best and returns
+// its raw score; f.found is false when every order failed. At most
+// maxStates states are entered per search; beyond that the best fusion found
+// so far stands and the tuple is flagged truncated.
+func (f *fuser) search() float64 {
+	f.conflicted = true
+	f.states, f.bestF, f.bestRaw, f.found = 0, 0, 0, false
+	if len(f.comp) > maxComponentVersions {
+		f.truncated = true
+		return 0
+	}
+	f.full = ^uint64(0) >> uint(64-len(f.comp))
+	f.visited.reset(2 + len(f.attrs))
+	for i := range f.comp {
+		v := &f.comp[i]
+		mark := f.absorb(v.pos, v.ids)
+		f.extend(v.weight, 1<<uint(i))
+		f.restore(v.pos, mark)
+	}
+	return f.bestRaw
+}
+
+// absorb merges the piece into the working fusion (the caller has resolved
+// conflicts first) and returns the undo mark to hand to restore.
+func (f *fuser) absorb(pos []int, ids []uint32) int {
+	mark := len(f.undo)
+	for i, p := range pos {
+		f.undo = append(f.undo, f.merged[p])
+		f.merged[p] = ids[i]
+	}
+	return mark
+}
+
+// restore undoes the absorb that returned mark.
+func (f *fuser) restore(pos []int, mark int) {
+	for i, p := range pos {
+		f.merged[p] = f.undo[mark+i]
+	}
+	f.undo = f.undo[:mark]
+}
+
+// conflicts reports whether the working fusion disagrees with the (pos,
+// ids) piece, flagging every position it disagrees on.
+func (f *fuser) conflicts(pos []int, ids []uint32) bool {
+	any := false
+	for i, p := range pos {
+		if v := f.merged[p]; v != unsetID && v != ids[i] {
+			f.conflict[p] = true
+			any = true
 		}
 	}
-	attrOrder := make([]int, 0, len(posSet))
-	for p := range posSet {
-		attrOrder = append(attrOrder, p)
-	}
-	sort.Ints(attrOrder)
-	return &fuser{
-		versions:   versions,
-		candidates: candidates,
-		maxStates:  maxStates,
-		penalty:    1,
-		visited:    make(map[string]float64),
-		conflicts:  make(map[int]struct{}),
-		attrOrder:  attrOrder,
-		width:      width,
-	}
+	return any
 }
 
-// penalized applies the minimality prior: each attribute the fusion would
-// change relative to the observed tuple costs a factor of
+// penalized applies the minimality prior to the working fusion: each
+// attribute it would change relative to the observed tuple costs a factor of
 // ε/(1−ε) · 1/(|domain|−1) — the likelihood that corruption of the fused
 // (hypothesized clean) value produced exactly the observed dirty value.
 // Constants shared by all fusions of the same tuple cancel, so only changed
 // cells contribute.
-func (f *fuser) penalized(merged assignment, raw float64) float64 {
+func (f *fuser) penalized(raw float64) float64 {
 	if f.penalty >= 1 {
 		return raw
 	}
 	out := raw
-	for _, pos := range f.attrOrder {
-		id := merged[pos]
+	for _, pos := range f.attrs {
+		id := f.merged[pos]
 		if id == unsetID || id == f.dirtyRow[pos] {
 			continue
 		}
@@ -473,89 +730,38 @@ func (f *fuser) penalized(merged assignment, raw float64) float64 {
 	return out
 }
 
-// run explores fusion orders and returns the best assignment, its f-score,
-// and the set of schema positions on which conflicts were detected. A nil
-// assignment means every order failed (fusion score 0).
-func (f *fuser) run() (assignment, float64, []int) {
-	// Fast path: if no pair of versions conflicts, every order yields the
-	// same union with f = Π weights.
-	if !f.anyPairConflicts() {
-		merged := newAssignment(f.width)
-		score := 1.0
-		for _, v := range f.versions {
-			merged.absorb(v.pos, v.ids)
-			score *= v.weight
-		}
-		return merged, score, nil
-	}
-
-	for i := range f.versions {
-		v := f.versions[i]
-		merged := newAssignment(f.width)
-		merged.absorb(v.pos, v.ids)
-		f.extend(merged, v.weight, 1<<uint(i))
-	}
-	var pos []int
-	for p := range f.conflicts {
-		pos = append(pos, p)
-	}
-	sort.Ints(pos)
-	if f.best == nil {
-		return nil, 0, pos
-	}
-	return f.best, f.bestRaw, pos
-}
-
-func (f *fuser) anyPairConflicts() bool {
-	for i := 0; i < len(f.versions); i++ {
-		for j := i + 1; j < len(f.versions); j++ {
-			vi, vj := f.versions[i], f.versions[j]
-			for ai, pa := range vi.pos {
-				for aj, pb := range vj.pos {
-					if pa == pb && vi.ids[ai] != vj.ids[aj] {
-						return true
-					}
-				}
+// extend is GetFusionT: f.merged holds the fusion so far, fscore its score,
+// mask the consumed versions of f.comp.
+func (f *fuser) extend(fscore float64, mask uint64) {
+	if mask == f.full {
+		if p := f.penalized(fscore); p > f.bestF {
+			f.bestF, f.bestRaw, f.found = p, fscore, true
+			for _, pos := range f.attrs {
+				f.best[pos] = f.merged[pos]
 			}
-		}
-	}
-	return false
-}
-
-// extend is GetFusionT: merged holds the fusion so far, fscore its score,
-// mask the consumed versions.
-func (f *fuser) extend(merged assignment, fscore float64, mask int) {
-	if mask == (1<<uint(len(f.versions)))-1 {
-		if p := f.penalized(merged, fscore); p > f.bestF {
-			f.bestF = p
-			f.bestRaw = fscore
-			f.best = merged.clone()
 		}
 		return
 	}
 	if f.states >= f.maxStates {
+		f.truncated = true
 		return
 	}
-	buf := f.stateKey(mask, merged)
-	if prev, ok := f.visited[string(buf)]; ok && fscore <= prev {
-		return // alloc-free probe: the conversion stays inside the index expression
+	if !f.visited.improve(mask, f.merged, f.attrs, fscore) {
+		return
 	}
-	f.visited[string(buf)] = fscore
 	f.states++
 
-	for j := range f.versions {
-		if mask&(1<<uint(j)) != 0 {
+	for j := range f.comp {
+		bit := uint64(1) << uint(j)
+		if mask&bit != 0 {
 			continue
 		}
-		vj := f.versions[j]
+		vj := &f.comp[j]
 		ids, weight := vj.ids, vj.weight
-		if conf := merged.conflictsWith(vj.pos, ids); len(conf) > 0 {
-			for _, p := range conf {
-				f.conflicts[p] = struct{}{}
-			}
+		if f.conflicts(vj.pos, ids) {
 			// Replacement: highest-weight piece from block Bj that does not
 			// conflict with the fusion so far.
-			repl, ok := f.candidates[vj.blockIdx].find(merged, vj.kid)
+			repl, ok := f.candidates[vj.blockIdx].find(f.merged, vj.kid)
 			if !ok {
 				// A CFD version is conditional: when the fusion so far
 				// contradicts the pattern constants, the rule simply no
@@ -564,17 +770,16 @@ func (f *fuser) extend(merged assignment, fscore float64, mask int) {
 				// a value erroneously replaced INTO a CFD pattern (e.g.
 				// Make ← "acura") could never be repaired: the CFD block
 				// holds no candidates outside its pattern.
-				if f.cfdVacuous(vj, merged) {
-					f.extend(merged, fscore, mask|1<<uint(j))
+				if f.cfdVacuous(vj) {
+					f.extend(fscore, mask|bit)
 				}
 				continue // this order fails (f-score 0)
 			}
-			ids = repl.ids
-			weight = repl.weight
+			ids, weight = repl.ids, repl.weight
 		}
-		next := merged.clone()
-		next.absorb(vj.pos, ids)
-		f.extend(next, fscore*weight, mask|1<<uint(j))
+		mark := f.absorb(vj.pos, ids)
+		f.extend(fscore*weight, mask|bit)
+		f.restore(vj.pos, mark)
 	}
 }
 
@@ -582,7 +787,7 @@ func (f *fuser) extend(merged assignment, fscore float64, mask int) {
 // reason pattern is contradicted by the fusion so far — in that case the
 // rule does not apply to the fused tuple and the version carries no
 // information.
-func (f *fuser) cfdVacuous(v version, merged assignment) bool {
+func (f *fuser) cfdVacuous(v *version) bool {
 	if v.rule == nil || v.rule.Kind != rules.CFD {
 		return false
 	}
@@ -592,7 +797,7 @@ func (f *fuser) cfdVacuous(v version, merged assignment) bool {
 			continue
 		}
 		anyConst = true
-		got := merged[f.schema.MustIndex(pat.Attr)]
+		got := f.merged[f.schema.MustIndex(pat.Attr)]
 		if got == unsetID {
 			return false // undetermined → cannot declare vacuous
 		}
@@ -603,29 +808,79 @@ func (f *fuser) cfdVacuous(v version, merged assignment) bool {
 	return anyConst
 }
 
-// stateKey identifies a search state: the consumed-version mask plus the
-// merged assignment rendered over the fuser's fixed attribute order (a
-// presence byte per attribute disambiguates absent from any value ID). The
-// key is built into a reusable buffer; only map insertion materializes it.
-func (f *fuser) stateKey(mask int, merged assignment) []byte {
-	need := 8 + len(f.attrOrder)*5
-	if cap(f.keyBuf) < need {
-		f.keyBuf = make([]byte, 0, need)
+// stateTable is the search's memo: for each (consumed mask, fusion over the
+// component's positions) state, the best score that reached it. It is an
+// open-addressing table over fixed-width integer keys stored back to back,
+// so entering a state allocates nothing once the table has grown to the
+// largest search its fuser has seen.
+type stateTable struct {
+	slots  []uint32  // entry index + 1, 0 = empty; len is a power of two
+	keys   []uint32  // entry i's key is keys[i*kw : (i+1)*kw]
+	scores []float64 // entry i's best score
+	kw     int       // key width: 2 mask words + one ID per position
+}
+
+// reset empties the table for a search whose keys are kw words wide.
+func (t *stateTable) reset(kw int) {
+	if len(t.scores) > 0 {
+		clear(t.slots)
 	}
-	b := f.keyBuf[:0]
-	var mb [8]byte
-	binary.LittleEndian.PutUint64(mb[:], uint64(mask))
-	b = append(b, mb[:]...)
-	for _, pos := range f.attrOrder {
-		if id := merged[pos]; id != unsetID {
-			var ib [4]byte
-			binary.LittleEndian.PutUint32(ib[:], id)
-			b = append(b, 1)
-			b = append(b, ib[:]...)
-		} else {
-			b = append(b, 0)
+	t.keys, t.scores, t.kw = t.keys[:0], t.scores[:0], kw
+}
+
+// improve records that score reached the state and reports whether the
+// search should go on from it: true for a state not seen before or reached
+// with a strictly better score than before.
+func (t *stateTable) improve(mask uint64, merged assignment, attrs []int, score float64) bool {
+	if 2*(len(t.scores)+1) > len(t.slots) {
+		t.grow()
+	}
+	// Write the key where a new entry's would go; it stays only if new.
+	at := len(t.keys)
+	t.keys = append(t.keys, uint32(mask), uint32(mask>>32))
+	for _, p := range attrs {
+		t.keys = append(t.keys, merged[p])
+	}
+	key := t.keys[at:]
+	for i := hashWords(key) & uint64(len(t.slots)-1); ; i = (i + 1) & uint64(len(t.slots)-1) {
+		e := t.slots[i]
+		if e == 0 {
+			t.slots[i] = uint32(len(t.scores)) + 1
+			t.scores = append(t.scores, score)
+			return true
+		}
+		if slices.Equal(t.keys[int(e-1)*t.kw:int(e)*t.kw], key) {
+			t.keys = t.keys[:at]
+			if score <= t.scores[e-1] {
+				return false
+			}
+			t.scores[e-1] = score
+			return true
 		}
 	}
-	f.keyBuf = b
-	return b
+}
+
+// grow doubles the slot array and re-seats every entry.
+func (t *stateTable) grow() {
+	n := 2 * len(t.slots)
+	if n == 0 {
+		n = 64
+	}
+	t.slots = make([]uint32, n)
+	for e := range t.scores {
+		i := hashWords(t.keys[e*t.kw:(e+1)*t.kw]) & uint64(n-1)
+		for t.slots[i] != 0 {
+			i = (i + 1) & uint64(n-1)
+		}
+		t.slots[i] = uint32(e) + 1
+	}
+}
+
+func hashWords(ws []uint32) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, w := range ws {
+		h = (h ^ uint64(w)) * 0xFF51AFD7ED558CCD
+		h ^= h >> 32
+	}
+	return h
 }

@@ -39,10 +39,14 @@ type Options struct {
 	MergeCapRatio float64
 	// Learn configures the per-block MLN weight learner.
 	Learn mln.LearnOptions
-	// MaxFusionStates caps the FSCR permutation search per tuple. The
+	// MaxFusionStates caps the FSCR permutation search per conflicted
+	// component of a tuple: rules that share no attribute (directly or
+	// through other rules) cannot conflict, so a tuple's versions are fused
+	// one such component at a time and each search gets the full cap. The
 	// recursion of Alg. 2 is O(m!·m); the memoized search never revisits a
 	// (consumed-set, assignment) state and aborts at the cap, falling back
-	// to the best fusion found so far. Default 4096.
+	// to the best fusion found so far — Stats.FusionTruncated counts the
+	// tuples this happened to. Default 4096.
 	MaxFusionStates int
 	// Parallelism bounds the goroutines used for block-level stage-I
 	// cleaning. Default: number of CPUs.
@@ -147,6 +151,7 @@ type Stats struct {
 	RSCRepairs        int // pieces rewritten by RSC
 	FSCRCellChanges   int // cells changed during fusion (vs dirty input)
 	FusionFailures    int // tuples whose every fusion order conflicted out
+	FusionTruncated   int // tuples whose fusion search hit MaxFusionStates
 	DuplicatesRemoved int
 	LearnIterations   int
 }
@@ -166,6 +171,7 @@ func (s *Stats) Add(o Stats) {
 	s.RSCRepairs += o.RSCRepairs
 	s.FSCRCellChanges += o.FSCRCellChanges
 	s.FusionFailures += o.FusionFailures
+	s.FusionTruncated += o.FusionTruncated
 	s.DuplicatesRemoved += o.DuplicatesRemoved
 	s.LearnIterations += o.LearnIterations
 }

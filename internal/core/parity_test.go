@@ -200,8 +200,9 @@ func runParityCaseMode(t *testing.T, cfg parityConfig, materialize bool) parityG
 		}
 		return g.RSC[i].GroupKey < g.RSC[j].GroupKey
 	})
+	// No sort: FSCR records in table order on every run, and the generated
+	// tables number their tuples in table order.
 	g.FSCR = append(g.FSCR, tr.FSCR...)
-	sort.SliceStable(g.FSCR, func(i, j int) bool { return g.FSCR[i].TupleID < g.FSCR[j].TupleID })
 	return g
 }
 

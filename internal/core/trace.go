@@ -20,7 +20,7 @@ type Trace struct {
 	AGP []AGPMerge
 	// RSC lists every piece rewrite.
 	RSC []RSCRepair
-	// FSCR lists the fusion outcome per tuple.
+	// FSCR lists the fusion outcome per tuple, in table order.
 	FSCR []FusionOutcome
 }
 
@@ -111,11 +111,11 @@ func (tr *Trace) addRSC(r RSCRepair) {
 	tr.mu.Unlock()
 }
 
-func (tr *Trace) addFusion(f FusionOutcome) {
-	if tr == nil {
+func (tr *Trace) addFusions(fs []FusionOutcome) {
+	if tr == nil || len(fs) == 0 {
 		return
 	}
 	tr.mu.Lock()
-	tr.FSCR = append(tr.FSCR, f)
+	tr.FSCR = append(tr.FSCR, fs...)
 	tr.mu.Unlock()
 }

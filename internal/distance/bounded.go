@@ -23,10 +23,12 @@ func intBound(f float64) int {
 }
 
 // editScratch holds the reusable state of one edit-distance computation: the
-// two DP rows and the rune buffers non-ASCII inputs decode into.
+// two DP rows, the rune buffers non-ASCII inputs decode into, and the
+// bit-parallel kernel's per-byte match table (all zero between calls).
 type editScratch struct {
 	rows   []int
 	ra, rb []rune
+	peq    [128]uint64
 }
 
 var editPool = sync.Pool{New: func() interface{} { return &editScratch{} }}
@@ -134,8 +136,14 @@ func runesDP(ra, rb []rune, maxDist int, rows []int) (int, []int) {
 	return lenOrBound(prev[len(rb)], maxDist), rows
 }
 
+// maxBitParallel is the longest pattern the bit-parallel kernel handles: one
+// DP column lives in one machine word.
+const maxBitParallel = 64
+
 // editBytes is editCore's fast path for all-ASCII inputs: bytes are runes,
-// so the DP indexes the strings directly with no decode step.
+// so the kernels index the strings directly with no decode step. A shorter
+// operand of at most 64 bytes runs the bit-parallel kernel; longer ones keep
+// the row DP. Both honour the same contract, so the split is invisible.
 func editBytes(a, b string, maxDist int, s *editScratch) int {
 	if len(a) < len(b) {
 		a, b = b, a
@@ -146,6 +154,58 @@ func editBytes(a, b string, maxDist int, s *editScratch) int {
 	if len(b) == 0 {
 		return lenOrBound(len(a), maxDist)
 	}
+	if len(b) <= maxBitParallel {
+		return editBytesBits(a, b, maxDist, &s.peq)
+	}
+	return editBytesDP(a, b, maxDist, s)
+}
+
+// editBytesBits is the Myers/Hyyrö bit-parallel global edit distance of the
+// ASCII strings text and pat, 1 ≤ len(pat) ≤ 64 and len(pat) ≤ len(text): bit
+// i of pv/mv says column cell i+1 is one more/less than cell i, so one text byte
+// advances the whole DP column in a dozen word operations. score tracks the
+// column's last cell, D[len(pat)][j]. Each remaining text byte can lower
+// that cell by at most one, which gives the early exit its bound. peq must
+// be all zero on entry and is zeroed again (by re-walking pat) on return.
+func editBytesBits(text, pat string, maxDist int, peq *[128]uint64) int {
+	for i := 0; i < len(pat); i++ {
+		peq[pat[i]] |= 1 << uint(i)
+	}
+	m, n := len(pat), len(text)
+	last := uint64(1) << uint(m-1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := m
+	for j := 0; j < n; j++ {
+		eq := peq[text[j]]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		if score-(n-1-j) > maxDist {
+			score = maxDist + 1
+			break
+		}
+		// Global distance: row 0 grows by one per text byte, so a set bit
+		// shifts into the horizontal-plus vector.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	for i := 0; i < len(pat); i++ {
+		peq[pat[i]] = 0
+	}
+	return score
+}
+
+// editBytesDP is the bounded two-row DP over ASCII strings with
+// len(a) ≥ len(b) ≥ 1: the path for operands too long for one word.
+func editBytesDP(a, b string, maxDist int, s *editScratch) int {
 	rows := s.grow(len(b))
 	prev, cur := rows[:len(b)+1], rows[len(b)+1:]
 	for j := range prev {

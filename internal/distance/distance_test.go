@@ -2,6 +2,8 @@ package distance
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +79,102 @@ func TestEditDistanceBoundedAgreesWithExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkEditKernels pits every kernel that can take the pair against the rune
+// row DP, under the "exact when ≤ bound, bound+1 otherwise" contract.
+func checkEditKernels(t testing.TB, a, b string, bound int) {
+	t.Helper()
+	var s editScratch
+	ra, rb := []rune(a), []rune(b)
+	exact, _ := runesDP(ra, rb, maxEditBound, nil)
+	want := lenOrBound(exact, bound)
+	if got := EditDistanceBounded(a, b, bound); got != want {
+		t.Fatalf("EditDistanceBounded(%q,%q,%d) = %d, want %d", a, b, bound, got, want)
+	}
+	if got := EditDistance(a, b); got != exact {
+		t.Fatalf("EditDistance(%q,%q) = %d, want %d", a, b, got, exact)
+	}
+	if !isASCII(a) || !isASCII(b) {
+		// Mixed or non-ASCII pairs must take the rune path: their bytes are
+		// not runes, and the bit-parallel match table has no row for them.
+		if got := editCore(a, b, bound, &s); got != want {
+			t.Fatalf("editCore(%q,%q,%d) = %d, want %d", a, b, bound, got, want)
+		}
+		return
+	}
+	long, short := a, b
+	if len(long) < len(short) {
+		long, short = short, long
+	}
+	if got := editBytes(a, b, bound, &s); got != want {
+		t.Fatalf("editBytes(%q,%q,%d) = %d, want %d", a, b, bound, got, want)
+	}
+	if len(short) == 0 || len(long)-len(short) > bound {
+		return // answered by the prefilters, before any kernel
+	}
+	if got := editBytesDP(long, short, bound, &s); got != want {
+		t.Fatalf("editBytesDP(%q,%q,%d) = %d, want %d", long, short, bound, got, want)
+	}
+	if len(short) <= maxBitParallel {
+		if got := editBytesBits(long, short, bound, &s.peq); got != want {
+			t.Fatalf("editBytesBits(%q,%q,%d) = %d, want %d", long, short, bound, got, want)
+		}
+		if s.peq != [128]uint64{} {
+			t.Fatalf("editBytesBits(%q,%q,%d) left its match table dirty", long, short, bound)
+		}
+	}
+}
+
+// TestEditKernelsAgree walks the bit-parallel kernel's edges — pattern
+// lengths 1, 63, 64 (one full word) and 65 (first length on the row DP),
+// bounds 0, 1 and len — over random edits of random ASCII strings, plus
+// pairs with a non-ASCII operand that must fall back to the rune path.
+func TestEditKernelsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	const alphabet = "abcdeABC 01-~"
+	random := func(n int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
+		}
+		return sb.String()
+	}
+	mutate := func(s string, edits int) string {
+		b := []byte(s)
+		for ; edits > 0; edits-- {
+			switch i := rng.Intn(len(b) + 1); {
+			case i == len(b) || rng.Intn(3) == 0:
+				b = append(b[:i], append([]byte{alphabet[rng.Intn(len(alphabet))]}, b[i:]...)...)
+			case rng.Intn(2) == 0 && len(b) > 1:
+				b = append(b[:i], b[i+1:]...)
+			default:
+				b[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		return string(b)
+	}
+	for _, n := range []int{1, 2, 7, 31, 63, 64, 65, 100} {
+		for rep := 0; rep < 40; rep++ {
+			a := random(n)
+			for _, b := range []string{mutate(a, rng.Intn(4)), mutate(a, n), random(n), random(1 + rng.Intn(2*n))} {
+				for _, bound := range []int{0, 1, 2, n / 2, n, len(b), maxEditBound} {
+					checkEditKernels(t, a, b, bound)
+					checkEditKernels(t, b, a, bound)
+				}
+			}
+		}
+	}
+	for _, pair := range [][2]string{
+		{"münchen", "munchen"}, {"munchen", "münchen"}, {"東京都", "tokyo"},
+		{strings.Repeat("a", 63) + "é", strings.Repeat("a", 64)},
+		{strings.Repeat("é", 64), strings.Repeat("é", 63) + "e"},
+		{"\x80", "a"}, {"a\xff", "a"},
+	} {
+		for _, bound := range []int{0, 1, 64} {
+			checkEditKernels(t, pair[0], pair[1], bound)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ type Evaluator struct {
 	kind int
 	memo map[uint64]float64
 	info []idInfo
-	rows []int // DP scratch for Levenshtein
+	edit editScratch // Levenshtein kernel scratch, kept across calls
 }
 
 const (
@@ -153,18 +153,15 @@ func (e *Evaluator) compute(a, b uint32, maxDist int) float64 {
 	}
 }
 
-// editDistance is the bounded Levenshtein DP over prepared per-ID forms,
-// reusing the evaluator's row scratch.
+// editDistance is the bounded Levenshtein distance over prepared per-ID
+// forms, reusing the evaluator's kernel scratch.
 func (e *Evaluator) editDistance(a, b uint32, maxDist int) int {
 	ia, ib := e.prep(a), e.prep(b)
 	if ia.ascii && ib.ascii {
-		s := editScratch{rows: e.rows}
-		d := editBytes(e.dict.Value(a), e.dict.Value(b), maxDist, &s)
-		e.rows = s.rows
-		return d
+		return editBytes(e.dict.Value(a), e.dict.Value(b), maxDist, &e.edit)
 	}
-	d, rows := runesDP(e.runesOf(a, ia), e.runesOf(b, ib), maxDist, e.rows)
-	e.rows = rows
+	d, rows := runesDP(e.runesOf(a, ia), e.runesOf(b, ib), maxDist, e.edit.rows)
+	e.edit.rows = rows
 	return d
 }
 

@@ -3,6 +3,7 @@ package distance
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mlnclean/internal/intern"
@@ -175,19 +176,23 @@ func FuzzEditDistanceBoundedConsistent(f *testing.F) {
 	f.Add("abc", "abd", 5)
 	f.Add("", "xyz", 1)
 	f.Add("münchen", "munchen", 2)
+	// The bit-parallel kernel's edges: pattern lengths 1, 63, 64 and 65
+	// (the first on the row DP) at bounds 0, 1 and len, and pairs with one
+	// non-ASCII operand, which must fall back to the rune DP.
+	for _, n := range []int{1, 63, 64, 65} {
+		a := strings.Repeat("ab", n)[:n]
+		b := "b" + a[1:]
+		for _, bound := range []int{0, 1, n} {
+			f.Add(a, b, bound)
+			f.Add(a, a+"x", bound)
+			f.Add(a[:n-1]+"é", a, bound)
+		}
+	}
 	f.Fuzz(func(t *testing.T, a, b string, bound int) {
-		if bound < 0 || bound > 64 || len(a) > 64 || len(b) > 64 {
+		if bound < 0 || bound > 160 || len(a) > 160 || len(b) > 160 {
 			t.Skip()
 		}
-		exact := EditDistance(a, b)
-		got := EditDistanceBounded(a, b, bound)
-		if exact <= bound {
-			if got != exact {
-				t.Fatalf("EditDistanceBounded(%q,%q,%d) = %d, want %d", a, b, bound, got, exact)
-			}
-		} else if got != bound+1 {
-			t.Fatalf("EditDistanceBounded(%q,%q,%d) = %d, want %d", a, b, bound, got, bound+1)
-		}
+		checkEditKernels(t, a, b, bound)
 	})
 }
 

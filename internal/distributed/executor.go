@@ -155,6 +155,9 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("distributed: no rules")
 	}
+	if err := core.CheckFusionWidth(schema, rs); err != nil {
+		return nil, err
+	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 1024
 	}
