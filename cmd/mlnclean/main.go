@@ -6,8 +6,9 @@
 //	mlnclean -input dirty.csv -rules rules.txt -output clean.csv [flags]
 //
 // With -workers N (N > 1) the distributed executor of §6 cleans the table
-// on a concurrent worker pool: Algorithm 3 partitioning, per-worker
-// cleaning with the Eq. 6 weight merge, and a global gather. -transport
+// on a concurrent worker pool: Algorithm 3 partitioning in its online form
+// (the CSV streams through it), per-worker cleaning with the Eq. 6 weight
+// merge, and a global gather. -transport
 // selects how coordinator and workers exchange messages (chan: in-process
 // channels; gob: every message round-trips through its serialized wire
 // form; http: the gob framing over a real loopback HTTP listener).
@@ -46,7 +47,6 @@ type runConfig struct {
 	seed                     int64
 	noPlanner                bool
 	showPlan                 bool
-	materialize              bool
 }
 
 func main() {
@@ -64,7 +64,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "partition centroid seed (distributed only)")
 	flag.BoolVar(&cfg.noPlanner, "no-planner", false, "disable the selectivity-driven rule planner (declared-order full scans)")
 	flag.BoolVar(&cfg.showPlan, "show-plan", false, "print the rule planner's per-rule scan choices to stderr")
-	flag.BoolVar(&cfg.materialize, "materialize", false, "disable the streaming pipeline: slurp the CSV, build the full index, then clean (identical output solo; with -workers > 1 it also swaps the online partitioner for the exact Algorithm 3, which may partition — and so clean — differently)")
 	flag.Parse()
 	if cfg.input == "" || cfg.rulesPath == "" {
 		flag.Usage()
@@ -91,7 +90,6 @@ func run(cfg runConfig) error {
 		Metric:         distance.ByName(cfg.metricName),
 		KeepDuplicates: cfg.keepDups,
 		DisablePlanner: cfg.noPlanner,
-		Materialize:    cfg.materialize,
 	}
 	start := time.Now()
 	var (
@@ -110,29 +108,15 @@ func run(cfg runConfig) error {
 			Transport: factory,
 			BatchSize: cfg.batchSize,
 		}
-		var res *distributed.Result
-		if cfg.materialize {
-			// Escape hatch: slurp the table, partition with the exact
-			// Algorithm 3, materialized pipeline on every worker.
-			dirty, err := dataset.ReadCSVFile(cfg.input)
-			if err != nil {
-				return err
-			}
-			res, err = distributed.Clean(dirty, rs, dopts)
-			if err != nil {
-				return err
-			}
-		} else {
-			// Default: stream the CSV straight into the executor's online
-			// partitioner — the raw table is never materialized here.
-			stream, err := dataset.StreamCSVFile(cfg.input)
-			if err != nil {
-				return err
-			}
-			res, err = distributed.CleanStream(context.Background(), stream, rs, dopts)
-			if err != nil {
-				return err
-			}
+		// Stream the CSV straight into the executor's online partitioner —
+		// the raw table is never held here.
+		stream, err := dataset.StreamCSVFile(cfg.input)
+		if err != nil {
+			return err
+		}
+		res, err := distributed.CleanStream(context.Background(), stream, rs, dopts)
+		if err != nil {
+			return err
 		}
 		clean = res.Clean
 		stats = res.Stats
@@ -143,31 +127,19 @@ func run(cfg runConfig) error {
 				res.WallTime.Round(time.Millisecond), res.ClusterTime().Round(time.Millisecond))
 		}
 	} else {
-		var res *core.Result
-		if cfg.materialize {
-			dirty, err := dataset.ReadCSVFile(cfg.input)
-			if err != nil {
-				return err
-			}
-			res, err = core.Clean(dirty, rs, coreOpts)
-			if err != nil {
-				return err
-			}
-		} else {
-			// Default: chunked CSV→Encode ingest (one pass, values interned
-			// while parsing), then the streaming stage-I pipeline.
-			stream, err := dataset.StreamCSVFile(cfg.input)
-			if err != nil {
-				return err
-			}
-			dirty, enc, err := dataset.EncodeStream(stream, nil)
-			if err != nil {
-				return err
-			}
-			res, err = core.CleanEncoded(context.Background(), dirty, enc, rs, coreOpts)
-			if err != nil {
-				return err
-			}
+		// Chunked CSV→Encode ingest (one pass, values interned while
+		// parsing), then the block-streaming pipeline.
+		stream, err := dataset.StreamCSVFile(cfg.input)
+		if err != nil {
+			return err
+		}
+		dirty, enc, err := dataset.EncodeStream(stream, nil)
+		if err != nil {
+			return err
+		}
+		res, err := core.CleanEncoded(context.Background(), dirty, enc, rs, coreOpts)
+		if err != nil {
+			return err
 		}
 		clean = res.Clean
 		stats = res.Stats

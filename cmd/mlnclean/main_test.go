@@ -53,13 +53,10 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunMaterializeParity runs the CLI once through the streaming default
-// and once through the -materialize escape hatch. Solo the two must produce
-// identical output files. Distributed they may differ — -materialize also
-// swaps the online streaming partitioner for the exact Algorithm 3, and
-// partition boundaries shape the per-worker cleaning — but each mode must be
-// deterministic: the same invocation twice gives the same bytes.
-func TestRunMaterializeParity(t *testing.T) {
+// TestRunDeterministic runs the same CLI invocation twice, solo and through
+// the distributed executor's online partitioner: the same invocation must
+// give the same bytes.
+func TestRunDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	input := filepath.Join(dir, "dirty.csv")
 	rulesPath := filepath.Join(dir, "rules.txt")
@@ -83,16 +80,16 @@ func TestRunMaterializeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	render := func(workers int, materialize bool, out string) string {
+	out := filepath.Join(dir, "out.csv")
+	render := func(workers int) string {
 		t.Helper()
 		cfg := runConfig{
 			input: input, rulesPath: rulesPath, output: out,
 			tau: 1, metricName: "levenshtein",
 			workers: workers, transport: "chan", batchSize: 2, seed: 1,
-			materialize: materialize,
 		}
 		if err := run(cfg); err != nil {
-			t.Fatalf("run (workers=%d, materialize=%v): %v", workers, materialize, err)
+			t.Fatalf("run (workers=%d): %v", workers, err)
 		}
 		b, err := os.ReadFile(out)
 		if err != nil {
@@ -100,18 +97,9 @@ func TestRunMaterializeParity(t *testing.T) {
 		}
 		return string(b)
 	}
-	out := filepath.Join(dir, "out.csv")
 	for _, workers := range []int{1, 2} {
-		stream := render(workers, false, out)
-		if again := render(workers, false, out); again != stream {
-			t.Errorf("workers=%d: streaming run is nondeterministic", workers)
-		}
-		mat := render(workers, true, out)
-		if again := render(workers, true, out); again != mat {
-			t.Errorf("workers=%d: materialized run is nondeterministic", workers)
-		}
-		if workers == 1 && stream != mat {
-			t.Errorf("solo: streaming and -materialize outputs differ:\nstream:\n%s\nmat:\n%s", stream, mat)
+		if first, again := render(workers), render(workers); again != first {
+			t.Errorf("workers=%d: run is nondeterministic:\nfirst:\n%s\nagain:\n%s", workers, first, again)
 		}
 	}
 }

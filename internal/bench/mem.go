@@ -1,14 +1,9 @@
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"mlnclean/internal/core"
-	"mlnclean/internal/datagen"
-	"mlnclean/internal/errgen"
 )
 
 // MemProfile records the heap footprint of one measured run.
@@ -68,63 +63,4 @@ func MeasureMem(fn func() error) (MemProfile, error) {
 		PeakHeapBytes:   peak.Load(),
 		TotalAllocBytes: after.TotalAlloc - before.TotalAlloc,
 	}, err
-}
-
-// streamMemoryMults are the table-growth factors StreamMemory measures; the
-// last one is the "≥10× the benchmark scale" point of the bounded-memory
-// acceptance target.
-var streamMemoryMults = []int{1, 4, 10}
-
-// StreamMemory measures the stage-I working set of the streaming pipeline
-// against the materialized escape hatch across growing CAR tables: the
-// streaming peak should grow sublinearly in the table (dictionary + a
-// bounded window of in-flight blocks), while the materialized peak carries
-// every block's full pre-RSC piece set at once.
-func StreamMemory(sc Scale) (*Report, error) {
-	r := &Report{
-		Name:    "stream-memory",
-		Title:   "Streaming pipeline peak heap vs table size (CAR)",
-		Columns: []string{"rows", "stream-peak", "stream-ms", "mat-peak", "mat-ms"},
-		Notes: []string{
-			"peak heap = ReadMemStats HeapAlloc high-water, 2ms sampler, GC-settled floor",
-			"stream = default pipeline (block iterator, fused AGP/learn/RSC); mat = Options.Materialize",
-			"the input table is resident in both modes; streaming bounds the pipeline working set on top of it",
-		},
-	}
-	for _, mult := range streamMemoryMults {
-		rows := sc.CARRows * mult
-		truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: rows, Seed: sc.Seed})
-		if err != nil {
-			return nil, err
-		}
-		inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: sc.Seed})
-		if err != nil {
-			return nil, err
-		}
-		profile := func(materialize bool) (MemProfile, time.Duration, error) {
-			start := time.Now()
-			mp, err := MeasureMem(func() error {
-				_, err := core.Clean(inj.Dirty, rs, core.Options{Tau: sc.CARTau, Materialize: materialize})
-				return err
-			})
-			return mp, time.Since(start), err
-		}
-		smp, sdur, err := profile(false)
-		if err != nil {
-			return nil, err
-		}
-		mmp, mdur, err := profile(true)
-		if err != nil {
-			return nil, err
-		}
-		r.AddRow(fmt.Sprintf("%d", rows),
-			fmtBytes(smp.PeakHeapBytes), fmt.Sprintf("%d", sdur.Milliseconds()),
-			fmtBytes(mmp.PeakHeapBytes), fmt.Sprintf("%d", mdur.Milliseconds()))
-	}
-	return r, nil
-}
-
-// fmtBytes renders a byte count as MiB with one decimal.
-func fmtBytes(b uint64) string {
-	return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
 }

@@ -65,64 +65,42 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 		return nil, err
 	}
 	st := Stats{Tuples: dirty.Len()}
-	var ix *index.Index
-	if opts.Materialize {
-		// Escape hatch: full index first, then one block-parallel pass per
-		// stage — the pre-streaming pipeline, kept for comparison.
-		var err error
-		ix, err = index.BuildConfigured(dirty, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: enc})
-		if err != nil {
-			return nil, err
-		}
-		// Record why the planner ordered evaluation the way it did; the CLI
-		// and /v1/stats surface these lines.
-		opts.Trace.SetPlan(ix.Plan().Choices())
-		mCleans.Inc()
-		mTuples.Add(int64(dirty.Len()))
-
-		// Stage I: clean each block's data version independently (§5.1).
-		if err := StageAGP(ctx, ix, opts, &st); err != nil {
-			return nil, err
-		}
-		if err := StageLearn(ctx, ix, opts, &st); err != nil {
-			return nil, err
-		}
-		if err := StageRSC(ctx, ix, opts, &st); err != nil {
-			return nil, err
-		}
-	} else {
-		// Default: stream blocks from the iterator through the fused
-		// AGP → learn → RSC workers; memory stays bounded by the window of
-		// in-flight blocks instead of every block's full piece set.
-		var err error
-		ix, err = streamStageI(ctx, dirty, enc, rs, opts, &st)
-		if err != nil {
-			return nil, err
-		}
-		mCleans.Inc()
-		mTuples.Add(int64(dirty.Len()))
-	}
-	st.Blocks = len(ix.Blocks)
-	for _, b := range ix.Blocks {
-		st.Groups += len(b.Groups)
-	}
-
-	// Stage II: fuse versions, then drop duplicates.
-	if err := ctx.Err(); err != nil {
+	// Stage I: blocks stream from the iterator through AGP → learn → RSC, each
+	// block's data version cleaned independently (§5.1).
+	ix, err := streamStage(ctx, dirty, enc, rs, opts, phaseAll, &st)
+	if err != nil {
 		return nil, err
 	}
-	repaired := fscr(dirty, ix, opts, &st)
-	res := &Result{Repaired: repaired, Index: ix, Stats: st}
-	if opts.KeepDuplicates {
-		res.Clean = repaired.Clone()
-		return res, nil
-	}
-	clean, dups := dedup(repaired)
-	res.Clean = clean
-	res.Duplicates = dups
-	for _, d := range dups {
-		res.Stats.DuplicatesRemoved += len(d) - 1
-	}
-	mDuplicatesRemoved.Add(int64(res.Stats.DuplicatesRemoved))
+	// Record why the planner ordered evaluation the way it did; the CLI and
+	// /v1/stats surface these lines.
+	opts.Trace.SetPlan(ix.Plan().Choices())
+	mCleans.Inc()
+	mTuples.Add(int64(dirty.Len()))
+
+	res := &Result{Index: ix}
+	res.Repaired, res.Clean, res.Duplicates = StageII(dirty, ix.Encoded(), FusionBlocksFromIndex(ix), opts, &st)
+	res.Stats = st
 	return res, nil
+}
+
+// StageII is the pipeline's second stage over stage-I output, shared by the
+// stand-alone cleaner and the distributed gather (§6: "conflicts and
+// duplicates are eliminated in the same way"): FSCR fuses every tuple's
+// versions starting from its dirty row, then exact duplicates are removed
+// unless opts.KeepDuplicates. It returns the repaired table (input tuple IDs
+// preserved), the deduplicated table and the duplicate sets, and adds the
+// fusion and duplicate counters to st. enc follows RunFSCREncoded's contract.
+func StageII(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) (repaired, clean *dataset.Table, dups [][]int) {
+	repaired = RunFSCREncoded(dirty, enc, blocks, opts, st)
+	if opts.KeepDuplicates {
+		return repaired, repaired.Clone(), nil
+	}
+	clean, dups = Dedup(repaired)
+	removed := 0
+	for _, d := range dups {
+		removed += len(d) - 1
+	}
+	st.DuplicatesRemoved += removed
+	mDuplicatesRemoved.Add(int64(removed))
+	return repaired, clean, dups
 }

@@ -155,7 +155,7 @@ func TestDedup(t *testing.T) {
 	tb.MustAppend("x", "1")
 	tb.MustAppend("y", "2")
 	tb.MustAppend("x", "1")
-	out, dups := dedup(tb)
+	out, dups := Dedup(tb)
 	if out.Len() != 2 {
 		t.Fatalf("deduped len = %d", out.Len())
 	}

@@ -5,20 +5,13 @@ import (
 	"mlnclean/internal/intern"
 )
 
-// dedup removes exact-duplicate tuples (identical on every attribute) from
+// Dedup removes exact-duplicate tuples (identical on every attribute) from
 // the repaired table, keeping the lowest-ID representative of each
 // duplicate set (§5.2: after FSCR, MLNClean automatically detects and
 // removes duplicate tuples). Row identity is an interned ID-sequence key,
 // not a joined string, so values containing the key separator cannot alias
 // two distinct rows. Returns the deduplicated table and the duplicate sets
 // (each with ≥ 2 members, representative first).
-func dedup(tb *dataset.Table) (*dataset.Table, [][]int) {
-	return Dedup(tb)
-}
-
-// Dedup is the exported form of the pipeline's duplicate elimination; the
-// distributed gather step removes duplicates with exactly the same
-// semantics.
 func Dedup(tb *dataset.Table) (*dataset.Table, [][]int) {
 	out := dataset.NewTable(tb.Schema)
 	dict := intern.NewDict()

@@ -22,9 +22,9 @@ import (
 //     of untouched rules are byte-identical and reused as-is.
 //   - Dirty blocks are rebuilt by the fixed-order single-block scan
 //     (index.BuildBlockFor — identical content to a full build, per the
-//     planner's order invariance) and re-cleaned through the same per-block
-//     stage-I primitives the batch pipeline uses (AGP → weight learning →
-//     RSC), so per-block results cannot drift from a from-scratch run.
+//     planner's order invariance) and re-cleaned by the same runBlock the
+//     batch drivers schedule (AGP → weight learning → RSC), so per-block
+//     results cannot drift from a from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity + learned weight, both fixed-width) before and after
 //     the rebuild: a tuple whose versions are bit-identical fuses to the
@@ -87,16 +87,12 @@ type deltaBlock struct {
 	// summaries is the block's post-stage-I piece summary run (the weight
 	// vector fragment used for repair attribution).
 	summaries []index.PieceSummary
-	frag      blockFrag
+	// res is the block's contribution to the run Stats, kept so the whole
+	// Stats can be recomposed without touching clean blocks.
+	res blockResult
 	// memo carries AGP nearest-target decisions across rebuilds of this
 	// block, so a re-clean only re-scores against the groups that moved.
 	memo *agpMemo
-}
-
-// blockFrag is one block's contribution to the run Stats, kept so the whole
-// Stats can be recomposed without touching clean blocks.
-type blockFrag struct {
-	groups, abnormal, abnormalPieces, promotions, learnIters, rscRepairs int
 }
 
 // tupleState is one tuple's cached fusion outcome.
@@ -145,9 +141,10 @@ type DeltaCleaner struct {
 }
 
 // NewDeltaCleaner prepares an engine for the schema and rule set. Options
-// follow Clean's defaults; Trace and Materialize are ignored (the engine is
-// its own pipeline shape), and fusion runs with the same τ, metric, priors,
-// and duplicate handling as the batch run it must stay byte-identical to.
+// follow Clean's defaults; Trace is ignored (blocks and fusion outcomes are
+// reused across calls, so a per-call trace would only ever be partial), and
+// fusion runs with the same τ, metric, priors, and duplicate handling as the
+// batch run it must stay byte-identical to.
 func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*DeltaCleaner, error) {
 	if schema == nil || schema.Len() == 0 {
 		return nil, fmt.Errorf("core: delta: empty schema")
@@ -465,40 +462,22 @@ func (d *DeltaCleaner) view() *dataset.Table {
 func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 	enc := &dataset.Encoded{Dict: d.dict, Rows: d.encRows}
 	b := index.BuildBlockFor(d.view(), enc, d.rs[ri])
-	ev := d.pool.Get()
 	if db.memo == nil {
 		db.memo = &agpMemo{}
 	}
-	ab, abp, promos := agp(ri, b, d.opts.Tau, ev, d.opts.MergeCapRatio, d.opts.AGPStrategy, db.memo, nil)
-	iters, err := learnBlockWeights(b, d.opts.Learn)
-	if err != nil {
-		d.pool.Put(ev)
-		return err
-	}
-	repairs := rsc(ri, b, ev, nil)
+	ev := d.pool.Get()
+	res := runBlock(ri, b, ev, d.opts, phaseAll, db.memo)
 	d.pool.Put(ev)
-
-	mAbnormalGroups.Add(int64(ab))
-	mAGPPromotions.Add(int64(promos))
-	mAGPMerges.Add(int64(ab - promos))
-	mLearnIterations.Add(int64(iters))
-	mRSCRewrites.Add(int64(repairs))
-
-	db.block = b
-	db.frag = blockFrag{
-		groups: len(b.Groups), abnormal: ab, abnormalPieces: abp,
-		promotions: promos, learnIters: iters, rscRepairs: repairs,
+	if res.err != nil {
+		return res.err
 	}
-	db.summaries = blockSummaries(b)
-	fb := &FusionBlock{Rule: b.Rule, Attrs: b.Rule.Attrs(), Versions: make(map[int]*index.Piece)}
-	for _, g := range b.Groups {
-		for _, p := range g.Pieces {
-			fb.Candidates = append(fb.Candidates, p)
-			for _, id := range p.TupleIDs {
-				fb.Versions[id] = p
-			}
-		}
-	}
+	// Only the instruments are wanted here: assemble recomposes the Stats
+	// from every block's res, rebuilt or not.
+	fold([]blockResult{res}, phaseAll, new(Stats))
+
+	db.block, db.res = b, res
+	db.summaries = b.PieceSummaries()
+	fb := fusionBlockOf(b)
 	d.plan.blocks[ri] = fb
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
 	db.vers = make(map[int]verInfo, len(fb.Versions))
@@ -506,24 +485,6 @@ func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 		db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
 	}
 	return nil
-}
-
-// blockSummaries mirrors Index.PieceSummaries for a single block.
-func blockSummaries(b *index.Block) []index.PieceSummary {
-	var out []index.PieceSummary
-	for _, g := range b.Groups {
-		for _, p := range g.Pieces {
-			vals := p.Values()
-			out = append(out, index.PieceSummary{
-				RuleID: b.Rule.ID,
-				Key:    dataset.JoinKey(vals),
-				Values: vals,
-				Count:  p.Count(),
-				Weight: p.Weight,
-			})
-		}
-	}
-	return out
 }
 
 // fuseOne re-runs fusion for one tuple against the current blocks and caches
@@ -595,12 +556,8 @@ func (d *DeltaCleaner) ruleDirtyOnUpdate(r *rules.Rule, ri int, old, new []strin
 func (d *DeltaCleaner) assemble() *Result {
 	st := Stats{Tuples: len(d.tuples), Blocks: len(d.blocks)}
 	for _, db := range d.blocks {
-		st.Groups += db.frag.groups
-		st.AbnormalGroups += db.frag.abnormal
-		st.AbnormalPieces += db.frag.abnormalPieces
-		st.AGPPromotions += db.frag.promotions
-		st.LearnIterations += db.frag.learnIters
-		st.RSCRepairs += db.frag.rscRepairs
+		st.Groups += len(db.block.Groups)
+		st.addBlock(&db.res)
 	}
 	// Result rows alias the fused value slices: a tuple's slice is written
 	// once by its fuseOne and replaced wholesale (never edited in place) on

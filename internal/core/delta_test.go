@@ -9,10 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"mlnclean/internal/dataset"
 	"mlnclean/internal/datagen"
+	"mlnclean/internal/dataset"
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/index"
+	"mlnclean/internal/obs"
 	"mlnclean/internal/rules"
 )
 
@@ -235,7 +236,10 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 
 // TestDeltaReuse pins the point of the tentpole: a single-cell update on an
 // attribute only one rule covers rebuilds exactly that rule's block and
-// re-fuses only a sliver of the table.
+// re-fuses only a sliver of the table. The rebuild goes through runBlock
+// like any other driver, so it must show up in the stage-I instruments a
+// served PUT is diagnosed from: one observation per phase, one per block,
+// and no block left counted as in flight.
 func TestDeltaReuse(t *testing.T) {
 	dirty, rs := carDirty(t, 300, 5)
 	eng, err := NewDeltaCleaner(dirty.Schema, rs, Options{})
@@ -249,12 +253,25 @@ func TestDeltaReuse(t *testing.T) {
 	modelPos := dirty.Schema.MustIndex("Model")
 	vals := append([]string(nil), dirty.Tuples[10].Values...)
 	vals[modelPos] = "delta-model"
+	stageHists := map[string]*obs.Histogram{"agp": mStageAGP, "learn": mStageLearn, "rsc": mStageRSC, "block": mBlockSeconds}
+	before := make(map[string]int64)
+	for name, h := range stageHists {
+		before[name] = h.Count()
+	}
 	_, ds, err := eng.Apply([]Mutation{{Op: DeltaPut, Row: dirty.Tuples[10].ID, Values: vals}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds.DirtyBlocks != 1 || ds.ReusedBlocks != len(rs)-1 {
 		t.Fatalf("expected exactly one dirty block, got %+v", ds)
+	}
+	for name, h := range stageHists {
+		if got := h.Count() - before[name]; got != 1 {
+			t.Errorf("%s histogram advanced by %d observations for one rebuilt block, want 1", name, got)
+		}
+	}
+	if n := mBlocksInFlight.Value(); n != 0 {
+		t.Errorf("blocks_inflight = %d after Apply, want 0", n)
 	}
 	if ds.ReusedTuples == 0 {
 		t.Fatalf("expected cached fusion reuse, got %+v", ds)

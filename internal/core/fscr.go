@@ -60,29 +60,28 @@ type FusionBlock struct {
 	Candidates []*index.Piece
 }
 
-// fusionBlocksFromIndex extracts stage-I results from a cleaned index.
-func fusionBlocksFromIndex(ix *index.Index) []*FusionBlock {
-	blocks := make([]*FusionBlock, len(ix.Blocks))
-	for bi, b := range ix.Blocks {
-		fb := &FusionBlock{Rule: b.Rule, Attrs: b.Rule.Attrs(), Versions: make(map[int]*index.Piece)}
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				fb.Candidates = append(fb.Candidates, p)
-				for _, id := range p.TupleIDs {
-					fb.Versions[id] = p
-				}
+// fusionBlockOf is one cleaned block's stage-I output as FSCR input.
+func fusionBlockOf(b *index.Block) *FusionBlock {
+	fb := &FusionBlock{Rule: b.Rule, Attrs: b.Rule.Attrs(), Versions: make(map[int]*index.Piece)}
+	for _, g := range b.Groups {
+		for _, p := range g.Pieces {
+			fb.Candidates = append(fb.Candidates, p)
+			for _, id := range p.TupleIDs {
+				fb.Versions[id] = p
 			}
 		}
-		blocks[bi] = fb
 	}
-	return blocks
+	return fb
 }
 
 // FusionBlocksFromIndex exposes a cleaned index's stage-I output as FSCR
-// inputs. Clean composes it internally; the distributed gather and the
-// pipeline benchmarks build on it directly.
+// inputs, one FusionBlock per block.
 func FusionBlocksFromIndex(ix *index.Index) []*FusionBlock {
-	return fusionBlocksFromIndex(ix)
+	blocks := make([]*FusionBlock, len(ix.Blocks))
+	for bi, b := range ix.Blocks {
+		blocks[bi] = fusionBlockOf(b)
+	}
+	return blocks
 }
 
 // fusionDict returns the shared dictionary of the blocks' pieces, or nil
@@ -185,12 +184,6 @@ func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, boo
 		}
 	}
 	return candEntry{}, false
-}
-
-// fscr runs fusion-score conflict resolution (Alg. 2) over the whole table,
-// reusing the index's already-encoded rows.
-func fscr(dirty *dataset.Table, ix *index.Index, opts Options, st *Stats) *dataset.Table {
-	return RunFSCREncoded(dirty, ix.Encoded(), fusionBlocksFromIndex(ix), opts, st)
 }
 
 // maxComponentVersions bounds the versions one conflicted search can order:

@@ -739,7 +739,7 @@ func haiFusion(tb testing.TB) (*dataset.Table, *dataset.Encoded, *fusionPlan) {
 		}
 	}
 	enc := ix.Encoded()
-	return inj.Dirty.Clone(), enc, planFusion(ix.Dict(), inj.Dirty.Schema, enc.Rows, fusionBlocksFromIndex(ix), opts)
+	return inj.Dirty.Clone(), enc, planFusion(ix.Dict(), inj.Dirty.Schema, enc.Rows, FusionBlocksFromIndex(ix), opts)
 }
 
 // TestFuseTupleAllocFree: a warm fuser fuses the costliest conflicted

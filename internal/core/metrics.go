@@ -13,7 +13,7 @@ import (
 // accumulate into the same series, which is what a per-node scrape wants.
 var (
 	mStageAGP = obs.Default().Histogram("mlnclean_core_stage_seconds",
-		"Wall time of one pipeline stage over the whole index.", obs.DefBuckets, obs.L("stage", "agp"))
+		"Busy time of one stage-I phase summed over the blocks of one driver call; for fscr, wall time of one fusion pass.", obs.DefBuckets, obs.L("stage", "agp"))
 	mStageLearn = obs.Default().Histogram("mlnclean_core_stage_seconds",
 		"", obs.DefBuckets, obs.L("stage", "learn"))
 	mStageRSC = obs.Default().Histogram("mlnclean_core_stage_seconds",
@@ -21,7 +21,7 @@ var (
 	mStageFSCR = obs.Default().Histogram("mlnclean_core_stage_seconds",
 		"", obs.DefBuckets, obs.L("stage", "fscr"))
 	mBlockSeconds = obs.Default().Histogram("mlnclean_core_block_seconds",
-		"Per-block wall time inside a stage-I phase.", obs.DefBuckets)
+		"Time one block spent in its stage-I phases, one observation per runBlock call.", obs.DefBuckets)
 	mCleans = obs.Default().Counter("mlnclean_core_cleans_total",
 		"Completed end-to-end cleaning runs.")
 	mTuples = obs.Default().Counter("mlnclean_core_tuples_total",
@@ -63,15 +63,15 @@ var (
 	mDeltaSeconds = obs.Default().Histogram("mlnclean_core_delta_apply_seconds",
 		"Wall time of one incremental mutation batch, mutation to new result.", obs.DefBuckets)
 
-	// The mlnclean_mem_* family makes the bounded-memory behavior of the
-	// streaming pipeline observable live: how many blocks are in flight, how
-	// often the evaluator pool recycles, and the process's live heap.
+	// The mlnclean_mem_* family makes the pipeline's memory behavior
+	// observable live: how many blocks are being cleaned, how often the
+	// evaluator pool recycles, and the process's live heap.
 	mPoolHits = obs.Default().Counter("mlnclean_mem_pool_hits_total",
 		"Distance-evaluator checkouts served by a recycled evaluator.")
 	mPoolMisses = obs.Default().Counter("mlnclean_mem_pool_misses_total",
 		"Distance-evaluator checkouts that constructed a fresh evaluator.")
 	mBlocksInFlight = obs.Default().Gauge("mlnclean_mem_blocks_inflight",
-		"Blocks built by the streaming pipeline but not yet fully cleaned.")
+		"Blocks inside the stage-I block pipeline (runBlock) right now.")
 )
 
 func init() {
@@ -85,7 +85,7 @@ func init() {
 }
 
 // recordPoolStats folds one evaluator pool's hit/miss counts into the
-// process-wide mem family after a stage or streaming run finishes with it.
+// process-wide mem family after a scheduler run finishes with it.
 func recordPoolStats(p *distance.Pool) {
 	h, m := p.Stats()
 	mPoolHits.Add(h)

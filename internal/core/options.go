@@ -70,14 +70,6 @@ type Options struct {
 	// rule order. The planner never changes the cleaning outcome (only
 	// evaluation order), so this is a comparison/debugging switch.
 	DisablePlanner bool
-	// Materialize disables the streaming stage-I pipeline: the MLN index is
-	// fully built before any cleaning starts and AGP, weight learning, and
-	// RSC each run as their own block-parallel pass over it. The default
-	// (streaming) pipeline pulls blocks from an iterator and fuses the three
-	// phases per block, so at most a window of blocks carries its full
-	// pre-RSC piece set at once. Output is identical either way; this is the
-	// escape hatch and comparison switch.
-	Materialize bool
 	// Trace, when non-nil, collects the per-phase decisions needed by the
 	// component metrics of §7.3 (Precision/Recall-A/R/F, #dag).
 	Trace *Trace

@@ -151,38 +151,40 @@ type parityGolden struct {
 	FSCR       []FusionOutcome
 }
 
-// runParityCase executes the pipeline for one configuration and canonicalizes
-// the trace (block-parallel stages append in nondeterministic order; sorting
-// by stable per-phase identities restores a canonical view).
-func runParityCase(t *testing.T, cfg parityConfig) parityGolden {
-	return runParityCaseMode(t, cfg, false)
-}
-
-// runParityCaseMode is runParityCase with the pipeline mode explicit:
-// materialize=false is the streaming default, materialize=true the
-// slurp-then-clean escape hatch. Both must match the goldens and each other.
-func runParityCaseMode(t *testing.T, cfg parityConfig, materialize bool) parityGolden {
-	t.Helper()
-	dirty := parityTable(cfg)
-	rs := parityRules(parityCityPool[0])
+// parityInputs builds one configuration's dirty table, rules and options; the
+// returned trace is the one the options record into.
+func parityInputs(cfg parityConfig) (*dataset.Table, []*rules.Rule, Options, *Trace) {
 	tr := &Trace{}
-	opts := Options{
+	return parityTable(cfg), parityRules(parityCityPool[0]), Options{
 		Tau:         cfg.Tau,
 		TauSet:      true,
 		Metric:      distance.ByName(cfg.Metric),
 		AGPStrategy: cfg.Strategy,
 		Trace:       tr,
-		Materialize: materialize,
-	}
+	}, tr
+}
+
+// runParityCase executes the pipeline (Clean: the fused, block-streaming
+// driver) for one configuration.
+func runParityCase(t *testing.T, cfg parityConfig) parityGolden {
+	t.Helper()
+	dirty, rs, opts, tr := parityInputs(cfg)
 	res, err := Clean(dirty, rs, opts)
 	if err != nil {
 		t.Fatalf("%s: Clean: %v", cfg.Name, err)
 	}
-	g := parityGolden{Name: cfg.Name, Stats: res.Stats, Duplicates: res.Duplicates}
-	for _, tp := range res.Repaired.Tuples {
+	return newParityGolden(cfg.Name, res.Repaired, res.Clean, res.Duplicates, res.Stats, tr)
+}
+
+// newParityGolden serializes one run's outcome and canonicalizes the trace
+// (block-parallel stages append in nondeterministic order; sorting by stable
+// per-phase identities restores a canonical view).
+func newParityGolden(name string, repaired, clean *dataset.Table, dups [][]int, st Stats, tr *Trace) parityGolden {
+	g := parityGolden{Name: name, Stats: st, Duplicates: dups}
+	for _, tp := range repaired.Tuples {
 		g.Repaired = append(g.Repaired, append([]string(nil), tp.Values...))
 	}
-	for _, tp := range res.Clean.Tuples {
+	for _, tp := range clean.Tuples {
 		g.CleanIDs = append(g.CleanIDs, tp.ID)
 		g.Clean = append(g.Clean, append([]string(nil), tp.Values...))
 	}

@@ -14,10 +14,13 @@ import (
 	"mlnclean/internal/rules"
 )
 
-// --- forEachBlock worker pool -------------------------------------------
+// --- stage-I scheduler ---------------------------------------------------
 
-func poolIndex(t *testing.T, blocks int) *index.Index {
-	t.Helper()
+// schedSource opens a fresh block source of one kind over a table whose
+// rule set yields `blocks` identical blocks.
+type schedSource func(t *testing.T, blocks int) (dict *intern.Dict, n int, next blockSource)
+
+func schedInputs(blocks int) (*dataset.Table, []*rules.Rule) {
 	tb := dataset.NewTable(dataset.MustSchema("A", "B"))
 	tb.MustAppend("x", "1")
 	tb.MustAppend("x", "2")
@@ -25,70 +28,92 @@ func poolIndex(t *testing.T, blocks int) *index.Index {
 	for i := range rs {
 		rs[i] = rules.MustParseStrings("FD: A -> B")[0]
 	}
-	ix, err := index.Build(tb, rs)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return ix
+	return tb, rs
 }
 
-// TestForEachBlockVisitsAll: the bounded pool must visit every block
-// exactly once regardless of the parallelism setting.
-func TestForEachBlockVisitsAll(t *testing.T) {
-	for _, par := range []int{1, 2, 7, 64} {
-		ix := poolIndex(t, 9)
-		visited := make([]int, len(ix.Blocks))
-		err := forEachBlock(context.Background(), ix, Options{Parallelism: par}, func(bi int, b *index.Block) error {
-			visited[bi]++ // distinct bi per call; each index written once
-			return nil
-		})
+// schedSources are the two sources a driver can hand the scheduler: blocks
+// built lazily by an iterator, and the blocks of an already-built index.
+var schedSources = map[string]schedSource{
+	"iterator": func(t *testing.T, blocks int) (*intern.Dict, int, blockSource) {
+		t.Helper()
+		tb, rs := schedInputs(blocks)
+		it, err := index.NewBlockIterator(tb, rs, index.BuildConfig{})
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("NewBlockIterator: %v", err)
 		}
-		for bi, n := range visited {
-			if n != 1 {
-				t.Errorf("par=%d: block %d visited %d times", par, bi, n)
-			}
+		return it.Index().Dict(), it.Len(), it.Next
+	},
+	"built": func(t *testing.T, blocks int) (*intern.Dict, int, blockSource) {
+		t.Helper()
+		tb, rs := schedInputs(blocks)
+		ix, err := index.Build(tb, rs)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
 		}
-	}
+		return ix.Dict(), len(ix.Blocks), builtBlocks(ix)
+	},
 }
 
-// TestForEachBlockFirstErrorWins: when several blocks fail, the error
-// reported is the one with the lowest block index — independent of the
-// scheduling order the pool ran them in.
-func TestForEachBlockFirstErrorWins(t *testing.T) {
-	ix := poolIndex(t, 16)
-	for _, par := range []int{1, 4} {
-		err := forEachBlock(context.Background(), ix, Options{Parallelism: par}, func(bi int, b *index.Block) error {
-			if bi >= 3 {
-				return fmt.Errorf("block %d failed", bi)
+// TestSchedule runs the scheduler's contract against both block sources:
+// every block is visited exactly once whatever the parallelism; of several
+// failing blocks the lowest block index's error is reported, independent of
+// the order the pool ran them in; and a context cancelled mid-run skips the
+// blocks not yet started and returns the context's error.
+func TestSchedule(t *testing.T) {
+	for name, open := range schedSources {
+		t.Run(name+"/visits-all", func(t *testing.T) {
+			for _, par := range []int{1, 2, 7, 64} {
+				dict, n, next := open(t, 9)
+				visited := make([]int, n)
+				results, err := schedule(context.Background(), dict, n, next, Options{Parallelism: par}, func(bi int, b *index.Block, ev *distance.Evaluator) blockResult {
+					if b == nil || ev == nil {
+						t.Errorf("par=%d: block %d ran without a block or an evaluator", par, bi)
+					}
+					visited[bi]++ // distinct bi per call; each index written once
+					return blockResult{repairs: bi}
+				})
+				if err != nil {
+					t.Fatalf("par=%d: %v", par, err)
+				}
+				for bi, v := range visited {
+					if v != 1 || results[bi].repairs != bi {
+						t.Errorf("par=%d: block %d visited %d times, result %+v", par, bi, v, results[bi])
+					}
+				}
 			}
-			return nil
 		})
-		if err == nil || err.Error() != "block 3 failed" {
-			t.Errorf("par=%d: err = %v, want block 3's error", par, err)
-		}
-	}
-}
-
-// TestForEachBlockCancelSkips: blocks not yet started when the context is
-// cancelled are skipped, and the stage reports the context error.
-func TestForEachBlockCancelSkips(t *testing.T) {
-	ix := poolIndex(t, 32)
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := 0
-	err := forEachBlock(ctx, ix, Options{Parallelism: 1}, func(bi int, b *index.Block) error {
-		ran++
-		if ran == 2 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran >= len(ix.Blocks) {
-		t.Errorf("ran all %d blocks despite cancellation", ran)
+		t.Run(name+"/first-error-wins", func(t *testing.T) {
+			for _, par := range []int{1, 4} {
+				dict, n, next := open(t, 16)
+				_, err := schedule(context.Background(), dict, n, next, Options{Parallelism: par}, func(bi int, _ *index.Block, _ *distance.Evaluator) blockResult {
+					if bi >= 3 {
+						return blockResult{err: fmt.Errorf("block %d failed", bi)}
+					}
+					return blockResult{}
+				})
+				if err == nil || err.Error() != "block 3 failed" {
+					t.Errorf("par=%d: err = %v, want block 3's error", par, err)
+				}
+			}
+		})
+		t.Run(name+"/cancel-skips", func(t *testing.T) {
+			dict, n, next := open(t, 32)
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := 0
+			_, err := schedule(ctx, dict, n, next, Options{Parallelism: 1}, func(int, *index.Block, *distance.Evaluator) blockResult {
+				ran++
+				if ran == 2 {
+					cancel()
+				}
+				return blockResult{}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if ran >= n {
+				t.Errorf("ran all %d blocks despite cancellation", ran)
+			}
+		})
 	}
 }
 
@@ -238,7 +263,7 @@ func TestPermutedOrderDeterminism(t *testing.T) {
 		if err := StageRSC(ctx, ix, opts, &st); err != nil {
 			t.Fatalf("RSC: %v", err)
 		}
-		return fscr(tb, ix, opts, &st)
+		return RunFSCREncoded(tb, ix.Encoded(), FusionBlocksFromIndex(ix), opts, &st)
 	}
 
 	want := dumpTable(run(false, 0))

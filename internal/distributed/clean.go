@@ -185,11 +185,7 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 	start := time.Now()
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	metric := opts.Core.Metric
-	if metric == nil {
-		metric = defaultMetric()
-	}
-	parts, distTime, heapTime, err := PartitionTimed(dirty, opts.Workers, metric, rng)
+	parts, distTime, heapTime, err := PartitionTimed(dirty, opts.Workers, metricOf(opts.Core), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -316,32 +312,12 @@ func mergeWeights(indexes []*index.Index) {
 	}
 }
 
-// fusionBlocks converts a worker's cleaned index into FSCR inputs.
-func fusionBlocks(ix *index.Index) []*core.FusionBlock {
-	blocks := make([]*core.FusionBlock, len(ix.Blocks))
-	for bi, b := range ix.Blocks {
-		fb := &core.FusionBlock{Rule: b.Rule, Attrs: b.Rule.Attrs(), Versions: make(map[int]*index.Piece)}
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				fb.Candidates = append(fb.Candidates, p)
-				for _, id := range p.TupleIDs {
-					fb.Versions[id] = p
-				}
-			}
-		}
-		blocks[bi] = fb
+// metricOf is the distance the partitioners measure with: the run's
+// configured metric, or the default core.Options applies when none is set
+// (Levenshtein, the paper's).
+func metricOf(o core.Options) distance.Metric {
+	if o.Metric != nil {
+		return o.Metric
 	}
-	return blocks
+	return distance.Levenshtein{}
 }
-
-// Dedup removes exact-duplicate tuples, keeping the lowest-ID
-// representative; exported for the gather step and tests. It is the
-// stand-alone pipeline's duplicate elimination (interned, collision-free
-// row identity).
-func Dedup(tb *dataset.Table) (*dataset.Table, [][]int) {
-	return core.Dedup(tb)
-}
-
-// defaultMetric returns the metric used when none is configured
-// (Levenshtein, the paper's default).
-func defaultMetric() distance.Metric { return distance.Levenshtein{} }

@@ -132,7 +132,7 @@ func TestDedupProperties(t *testing.T) {
 	f := func(seed int64, rowsRaw uint8) bool {
 		rows := int(rowsRaw%50) + 1
 		tb := randomTable(seed, rows)
-		out, dups := Dedup(tb)
+		out, dups := core.Dedup(tb)
 
 		// Member groups partition the input IDs: collect them from the
 		// output representatives plus the reported duplicate sets.
@@ -182,7 +182,7 @@ func TestDedupProperties(t *testing.T) {
 		}
 
 		// Idempotence: deduplicating the output changes nothing.
-		again, dups2 := Dedup(out)
+		again, dups2 := core.Dedup(out)
 		if len(dups2) != 0 || again.Len() != out.Len() {
 			return false
 		}
@@ -234,7 +234,7 @@ func TestDedupKeepsLowestID(t *testing.T) {
 	tb.MustAppend("x")
 	tb.MustAppend("x")
 	tb.MustAppend("y")
-	out, dups := Dedup(tb)
+	out, dups := core.Dedup(tb)
 	if out.Len() != 2 || out.Tuples[0].ID != 0 {
 		t.Errorf("dedup result: %v", out)
 	}

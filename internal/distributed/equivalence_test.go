@@ -1,6 +1,8 @@
 package distributed
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
 	"mlnclean/internal/core"
@@ -69,6 +71,40 @@ func TestConcurrentEquivalence(t *testing.T) {
 		if q.Recall < qs.Recall-tol {
 			t.Errorf("k=%d: recall %.3f more than %.2f below stand-alone %.3f", k, q.Recall, tol, qs.Recall)
 		}
+	}
+}
+
+// TestStreamOneWorkerMatchesSolo: with one worker the partition is the whole
+// table and the Eq. 6 merge is the identity, so CleanStream must return the
+// stand-alone pipeline's table — and therefore its Stats: every counter,
+// and in particular the three fusion counters, which describe the gather
+// pass whose table is returned and not the workers' discarded local passes.
+func TestStreamOneWorkerMatchesSolo(t *testing.T) {
+	_, dirty, rs := equivalenceFixture(t)
+	solo, err := core.Clean(dirty, rs, core.Options{Tau: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := dirty.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := dataset.StreamCSV(&csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := CleanStream(context.Background(), stream, rs, Options{Workers: 1, Seed: 1, Core: core.Options{Tau: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := solo.Repaired.Diff(dist.Repaired); len(d) != 0 {
+		t.Fatalf("k=1 repaired table differs from stand-alone: %d cells, first %v", len(d), d[0])
+	}
+	if solo.Stats.FSCRCellChanges == 0 {
+		t.Fatal("fixture fuses nothing; the comparison below would be vacuous")
+	}
+	if dist.Stats != solo.Stats {
+		t.Errorf("k=1 Stats differ from stand-alone:\n dist %+v\n solo %+v", dist.Stats, solo.Stats)
 	}
 }
 

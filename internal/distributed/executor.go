@@ -161,10 +161,7 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 1024
 	}
-	metric := opts.Core.Metric
-	if metric == nil {
-		metric = defaultMetric()
-	}
+	metric := metricOf(opts.Core)
 	factory := opts.Transport
 	if factory == nil {
 		factory = NewChanTransport
@@ -681,25 +678,15 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// worker's stage-I repairs, and fusing from the per-part FSCR outputs
 	// would move the observation baseline of the minimality prior, letting
 	// compounding double-fusions through. The per-part FSCR outputs remain
-	// what each worker would ship alone (and what WorkerTimes measures).
+	// what each worker would ship alone (and what WorkerTimes measures); the
+	// run's fusion and duplicate counters come from this pass alone, the one
+	// whose table is returned.
 	t0 = time.Now()
 	blocks := unionWireBlocks(frs, ex.rs, ex.dict)
-	var gatherStats core.Stats
 	// The gather rows were interned at Submit; hand them to FSCR instead of
 	// re-encoding the whole accumulated dataset on the finish path.
 	enc := &dataset.Encoded{Dict: ex.dict, Rows: ex.gatherIDs}
-	repaired := core.RunFSCREncoded(dirty, enc, blocks, ex.opts.Core, &gatherStats)
-	res.Repaired = repaired
-	res.Stats.FSCRCellChanges += gatherStats.FSCRCellChanges
-	if ex.opts.Core.KeepDuplicates {
-		res.Clean = repaired.Clone()
-	} else {
-		clean, dups := Dedup(repaired)
-		res.Clean = clean
-		for _, d := range dups {
-			res.Stats.DuplicatesRemoved += len(d) - 1
-		}
-	}
+	res.Repaired, res.Clean, _ = core.StageII(dirty, enc, blocks, ex.opts.Core, &res.Stats)
 	if !ex.opts.Core.DisablePlanner {
 		// Render the plan the run's statistics imply. The gather dictionary
 		// has observed every tuple by now (Submit observes at ingest; the
@@ -1085,10 +1072,10 @@ func (h *heartbeater) stop() {
 // Ingest is bounded: each TupleBatch is interned on arrival (the partition
 // table's values alias the dictionary's canonical strings, so the worker
 // holds one copy of every distinct value and never the raw batch slices),
-// and stage I streams blocks from an iterator unless Materialize crossed
-// the wire. Recovery replays a partition's batches in their original order
-// onto a fresh incarnation, so the incremental encoding — value IDs minted
-// in row-major first-sight order — is byte-identical across re-leases.
+// and stage I streams blocks from an iterator. Recovery replays a
+// partition's batches in their original order onto a fresh incarnation, so
+// the incremental encoding — value IDs minted in row-major first-sight
+// order — is byte-identical across re-leases.
 func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, optsFromInit bool) {
 	var (
 		schema    *dataset.Schema
@@ -1158,34 +1145,13 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, opt
 			default:
 				tb = senc.Table()
 				stats.Tuples = tb.Len()
+				// Blocks stream from the iterator with AGP and learning run per
+				// block; RSC waits for the merged weights, as the protocol
+				// requires.
 				var err error
-				if opts.Materialize {
-					// Escape hatch: full index, then one block-parallel pass
-					// per phase — the pre-streaming worker pipeline.
-					if ix, err = index.BuildConfigured(tb, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: senc.Encoded()}); err != nil {
-						reply.Err = err.Error()
-						break
-					}
-					stats.Blocks = len(ix.Blocks)
-					if err := core.StageAGP(ctx, ix, opts, &stats); err != nil {
-						reply.Err = err.Error()
-						break
-					}
-					if !msg.SkipLearn {
-						if err := core.StageLearn(ctx, ix, opts, &stats); err != nil {
-							reply.Err = err.Error()
-							break
-						}
-					}
-				} else {
-					// Default: stream blocks from the iterator with AGP and
-					// learning fused per block; RSC waits for the merged
-					// weights, as the protocol requires.
-					if ix, err = core.StreamAGPLearn(ctx, tb, senc.Encoded(), rs, opts, &stats, !msg.SkipLearn); err != nil {
-						reply.Err = err.Error()
-						break
-					}
-					stats.Blocks = len(ix.Blocks)
+				if ix, err = core.StreamAGPLearn(ctx, tb, senc.Encoded(), rs, opts, &stats, !msg.SkipLearn); err != nil {
+					reply.Err = err.Error()
+					break
 				}
 				if !msg.SkipLearn {
 					reply.Summaries = ix.PieceSummaries()
@@ -1210,13 +1176,12 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, opt
 				tr.ToCoordinator(FusionResult{Worker: w, Partition: partition, Epoch: epoch, Err: err.Error()})
 				return
 			}
-			for _, b := range ix.Blocks {
-				stats.Groups += len(b.Groups)
-			}
 			// The local FSCR output is what this worker would ship alone; the
 			// coordinator re-derives the final table globally, so the local
-			// pass contributes its (timed) cost, as on the real cluster.
-			core.RunFSCREncoded(tb, ix.Encoded(), fusionBlocks(ix), opts, &stats)
+			// pass contributes its (timed) cost, as on the real cluster, and
+			// nothing else: its fusion counters describe a table nobody is
+			// handed, so they stay out of the shipped Stats.
+			core.RunFSCREncoded(tb, ix.Encoded(), core.FusionBlocksFromIndex(ix), opts, nil)
 			tr.ToCoordinator(FusionResult{
 				Worker:    w,
 				Partition: partition,

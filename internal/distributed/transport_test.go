@@ -1,6 +1,8 @@
 package distributed
 
 import (
+	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -41,6 +43,64 @@ func TestMessageGobRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip of %T diverged:\n sent %#v\n got  %#v", m, m, got)
 		}
+	}
+}
+
+// oldInitFrame is EncodeMessage(Init{…}) as produced by the build before
+// WireCoreOptions lost its Materialize field (the frame carries
+// Materialize: true): what a coordinator one release behind still sends.
+const oldInitFrame = "" +
+	"ff9b1000226d6c6e636c65616e2f696e7465726e616c2f646973747269627574" +
+	"65642e496e69747f03010104496e697401ff800001080106576f726b65720104" +
+	"000109506172746974696f6e010400010545706f6368010400010b4865617274" +
+	"626561744e53010400010b536368656d61417474727301ff8200010552756c65" +
+	"7301ff8a0001044f70747301ff8c0001074861734f707473010200000016ff81" +
+	"020101085b5d737472696e6701ff8200010c000025ff89020101165b5d646973" +
+	"74726962757465642e5769726552756c6501ff8a0001ff8400003eff83030101" +
+	"085769726552756c6501ff8400010401024944010c0001044b696e6401040001" +
+	"06526561736f6e01ff88000106526573756c7401ff8800000028ff8702010119" +
+	"5b5d64697374726962757465642e576972655061747465726e01ff880001ff86" +
+	"000033ff850301010b576972655061747465726e01ff86000103010441747472" +
+	"010c000105436f6e7374010c0001024f70010c000000fff7ff8b0301010f5769" +
+	"7265436f72654f7074696f6e7301ff8c00010e01035461750104000106546175" +
+	"53657401020001064d6574726963010c00010b41475053747261746567790104" +
+	"00010d4d65726765436170526174696f010800010f4d6178467573696f6e5374" +
+	"61746573010400010f4d696e696d616c6974795072696f7201080001124d696e" +
+	"696d616c6974795072696f72536574010200010e4b6565704475706c69636174" +
+	"6573010200010e44697361626c65506c616e6e6572010200010b4d6174657269" +
+	"616c697a65010200010b506172616c6c656c69736d01040001054c6561726e01" +
+	"ff8e00010552756e4944010c0000005cff8d0301010c4c6561726e4f7074696f" +
+	"6e7301ff8e00010501084d617849746572730104000109546f6c6572616e6365" +
+	"010800010744616d70696e67010800010a5072696f725369676d610108000107" +
+	"4d61785374657001080000004aff804701020102010401fc7735940001020141" +
+	"01420101010272310201010141000101010142000001010401010106636f7369" +
+	"6e650701010101060100010772756e2d6f6c6400010100"
+
+// TestDecodeInitWithRemovedField: gob matches struct fields by name and
+// skips the ones the receiver no longer has, so an Init from a peer that
+// still ships WireCoreOptions.Materialize decodes with every surviving
+// field intact. A worker must not reject (or misread) such a lease.
+func TestDecodeInitWithRemovedField(t *testing.T) {
+	frame, err := hex.DecodeString(oldInitFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(frame, []byte("Materialize")) {
+		t.Fatal("fixture no longer carries the removed field")
+	}
+	got, err := DecodeMessage(frame)
+	if err != nil {
+		t.Fatalf("old Init frame no longer decodes: %v", err)
+	}
+	want := Init{
+		Worker: 1, Partition: 1, Epoch: 2, HeartbeatNS: 1e9,
+		SchemaAttrs: []string{"A", "B"},
+		Rules:       []WireRule{{ID: "r1", Reason: []WirePattern{{Attr: "A"}}, Result: []WirePattern{{Attr: "B"}}}},
+		Opts:        WireCoreOptions{Tau: 2, TauSet: true, Metric: "cosine", DisablePlanner: true, Parallelism: 3, RunID: "run-old"},
+		HasOpts:     true,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("old Init frame decoded as\n %#v\nwant\n %#v", got, want)
 	}
 }
 

@@ -79,13 +79,8 @@ type WireCoreOptions struct {
 	// a worker must not plan its partition scan when the coordinator's run
 	// has the planner off.
 	DisablePlanner bool
-	// Materialize crosses so the coordinator's escape hatch reaches the
-	// workers: with it set they build their full partition index before any
-	// cleaning instead of streaming blocks from the iterator. Output is
-	// identical either way; older peers decode it as false (streaming).
-	Materialize bool
-	Parallelism int
-	Learn       mln.LearnOptions
+	Parallelism    int
+	Learn          mln.LearnOptions
 	// RunID correlates worker-side log lines with the coordinator's run.
 	// Purely observational — decoding it as empty (older peers) is fine.
 	RunID string
@@ -104,7 +99,6 @@ func coreOptsToWire(o core.Options) WireCoreOptions {
 		MinimalityPriorSet: o.MinimalityPriorSet,
 		KeepDuplicates:     o.KeepDuplicates,
 		DisablePlanner:     o.DisablePlanner,
-		Materialize:        o.Materialize,
 		Parallelism:        o.Parallelism,
 		Learn:              o.Learn,
 		RunID:              o.RunID,
@@ -124,7 +118,6 @@ func coreOptsFromWire(w WireCoreOptions) core.Options {
 		MinimalityPriorSet: w.MinimalityPriorSet,
 		KeepDuplicates:     w.KeepDuplicates,
 		DisablePlanner:     w.DisablePlanner,
-		Materialize:        w.Materialize,
 		Parallelism:        w.Parallelism,
 		Learn:              w.Learn,
 		RunID:              w.RunID,

@@ -642,17 +642,30 @@ type PieceSummary struct {
 func (ix *Index) PieceSummaries() []PieceSummary {
 	var out []PieceSummary
 	for _, b := range ix.Blocks {
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				vals := p.Values()
-				out = append(out, PieceSummary{
-					RuleID: b.Rule.ID,
-					Key:    dataset.JoinKey(vals),
-					Values: vals,
-					Count:  p.Count(),
-					Weight: p.Weight,
-				})
-			}
+		out = b.appendSummaries(out)
+	}
+	return out
+}
+
+// PieceSummaries is Index.PieceSummaries for one block: the slice a full
+// index would contribute for it, in group/piece order.
+func (b *Block) PieceSummaries() []PieceSummary {
+	return b.appendSummaries(nil)
+}
+
+// appendSummaries appends the block's summaries to out, so the whole-index
+// vector is built in one slice instead of being copied together per block.
+func (b *Block) appendSummaries(out []PieceSummary) []PieceSummary {
+	for _, g := range b.Groups {
+		for _, p := range g.Pieces {
+			vals := p.Values()
+			out = append(out, PieceSummary{
+				RuleID: b.Rule.ID,
+				Key:    dataset.JoinKey(vals),
+				Values: vals,
+				Count:  p.Count(),
+				Weight: p.Weight,
+			})
 		}
 	}
 	return out

@@ -20,15 +20,19 @@ func TestConcurrentHammer(t *testing.T) {
 	const perWorker = 2000
 
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Re-request instruments by name from every goroutine to
-			// exercise get-or-create under contention.
+			// Re-request instruments by name from every goroutine, all at
+			// once, to exercise get-or-create under contention: the first
+			// registration of a series must build its instrument exactly once.
+			<-start
 			c := r.Counter("hammer_total", "hammered events")
 			g := r.Gauge("hammer_inflight", "in flight")
 			h := r.Histogram("hammer_seconds", "latencies", DefBuckets)
+			r.GaugeFunc("hammer_live", "re-bound by every goroutine", func() float64 { return 1 })
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
@@ -37,6 +41,7 @@ func TestConcurrentHammer(t *testing.T) {
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
 
 	if got := r.Counter("hammer_total", "").Value(); got != workers*perWorker {

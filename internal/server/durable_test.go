@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -623,5 +625,55 @@ func TestEvictionTombstoneNoResurrection(t *testing.T) {
 	}
 	if _, err := m4.Get(s4.ID); err != nil {
 		t.Fatalf("session evicted though its tombstone never hit disk: %v", err)
+	}
+}
+
+// oldCreateRecord is encodeRecord(recCreate{…}) as produced by the build
+// before CreateRequest lost its Materialize field (the record carries
+// Materialize: true): a frame sitting in the WAL of any deployment that
+// ever created a session with "materialize" set.
+const oldCreateRecord = "" +
+	"611000226d6c6e636c65616e2f696e7465726e616c2f7365727665722e726563" +
+	"4372656174657f0301010972656343726561746501ff8000010401024944010c" +
+	"00010352657101ff8200010743726561746564010400010552756e4944010c00" +
+	"0000ffbbff810301010d4372656174655265717565737401ff8200010c010552" +
+	"756c6573010c000105417474727301ff84000107576f726b6572730104000109" +
+	"5472616e73706f7274010c000109426174636853697a65010400010453656564" +
+	"010400010354617501040001064d6574726963010c00010e4b6565704475706c" +
+	"696361746573010200010e44697361626c65506c616e6e6572010200010b4d61" +
+	"74657269616c697a65010200010c467265736857656967687473010200000016" +
+	"ff83020101085b5d737472696e6701ff8400010c00003dff803a0108732d3030" +
+	"3030303701010a46443a2041202d3e2042010201410142010404040401010100" +
+	"01f82f2f39fc6c540000010772756e2d6f6c6400"
+
+// TestReplayCreateWithRemovedField: old WALs must keep opening. gob matches
+// fields by name and skips the ones the receiver no longer has, so a logged
+// create that still carries CreateRequest.Materialize replays into today's
+// request with every surviving field intact.
+func TestReplayCreateWithRemovedField(t *testing.T) {
+	frame, err := hex.DecodeString(oldCreateRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(frame, []byte("Materialize")) {
+		t.Fatal("fixture no longer carries the removed field")
+	}
+	rec, err := decodeRecord(frame)
+	if err != nil {
+		t.Fatalf("old create record no longer decodes: %v", err)
+	}
+	want := recCreate{
+		ID:      "s-000007",
+		Req:     CreateRequest{Rules: "FD: A -> B", Attrs: []string{"A", "B"}, Workers: 2, Tau: 2, FreshWeights: true},
+		Created: 1700000000000000000,
+		RunID:   "run-old",
+	}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("old create record decoded as\n %#v\nwant\n %#v", rec, want)
+	}
+	st := newReplayState()
+	st.apply(rec)
+	if snap := st.Sessions["s-000007"]; snap == nil || !reflect.DeepEqual(snap.Req, want.Req) || st.Seq != 7 {
+		t.Errorf("replay of the old create left %+v (seq %d)", snap, st.Seq)
 	}
 }

@@ -81,12 +81,6 @@ type CreateRequest struct {
 	// Not part of the weights fingerprint for the same reason — the learner
 	// sees identical groups either way.
 	DisablePlanner bool `json:"disable_planner,omitempty"`
-	// Materialize disables the streaming worker pipeline: each worker builds
-	// its full partition index before any cleaning instead of streaming
-	// blocks from an iterator with fused AGP + learning. Output is identical
-	// either way (comparison and escape hatch); not part of the weights
-	// fingerprint because the learner sees identical groups either way.
-	Materialize bool `json:"materialize,omitempty"`
 	// FreshWeights opts out of the weight cache: the session relearns from
 	// its own tuples even when a cached vector exists. Cached weights are
 	// learned from whatever data previous sessions streamed, so clients
@@ -751,7 +745,6 @@ func executorOptions(req CreateRequest, workers int, factory distributed.Transpo
 			Metric:         metricFor(req.Metric),
 			KeepDuplicates: req.KeepDuplicates,
 			DisablePlanner: req.DisablePlanner,
-			Materialize:    req.Materialize,
 		},
 	}
 	if opts.Seed == 0 {
