@@ -6,16 +6,12 @@
 //	benchrunner -list
 //	benchrunner -exp fig6-car
 //	benchrunner -exp all -scale small
-//	benchrunner -exp all -scale small -json BENCH_2026-07-30.json
+//	benchrunner -exp all -scale small -json reports.json
 //
-// With -json the reports are additionally written to the named file as one
-// JSON document; CI runs this on every push and uploads the BENCH_*.json
-// artifact, so report trajectories can be diffed across commits. Every run
-// is wrapped in a heap sampler, so each report also records its peak heap
-// and total allocations (cmd/benchdiff gates on both time and memory).
-// -metrics-dump additionally embeds the final process-wide metrics registry
-// snapshot (per-stage latency quantiles, counters) in the document, giving
-// each benchmark artifact a profile of where its time actually went.
+// With -json the report rows are additionally written to the named file as
+// one JSON document. benchrunner is the fidelity printer — what the pipeline
+// repairs, as the paper's figures and tables; what it costs is measured by
+// the repository benchmark (bash benchmark/run.sh), not here.
 package main
 
 import (
@@ -26,28 +22,13 @@ import (
 	"time"
 
 	"mlnclean/internal/bench"
-	"mlnclean/internal/obs"
 )
-
-// jsonReport is the machine-readable form of one experiment run. The memory
-// fields come from a heap sampler wrapped around the run (see bench.MeasureMem):
-// peak_heap_bytes is the HeapAlloc high-water while the experiment executed,
-// total_alloc_bytes the cumulative allocation it performed. benchdiff gates on
-// both elapsed and peak heap.
-type jsonReport struct {
-	*bench.Report
-	ElapsedMS int64 `json:"elapsed_ms"`
-	bench.MemProfile
-}
 
 // jsonDoc is the top-level -json document.
 type jsonDoc struct {
-	GeneratedAt time.Time    `json:"generated_at"`
-	Scale       string       `json:"scale"`
-	Reports     []jsonReport `json:"reports"`
-	// Metrics is the final registry snapshot (-metrics-dump): every series
-	// the runs populated, histograms summarized as count/sum/p50/p90/p99.
-	Metrics []obs.Snapshot `json:"metrics,omitempty"`
+	GeneratedAt time.Time       `json:"generated_at"`
+	Scale       string          `json:"scale"`
+	Reports     []*bench.Report `json:"reports"`
 }
 
 func main() {
@@ -56,7 +37,6 @@ func main() {
 		scale    = flag.String("scale", "default", "dataset scale: small|default|large")
 		list     = flag.Bool("list", false, "list available experiments")
 		jsonPath = flag.String("json", "", "also write the reports to this file as JSON")
-		dump     = flag.Bool("metrics-dump", false, "embed the final metrics-registry snapshot in the -json document")
 	)
 	flag.Parse()
 	if *list {
@@ -81,25 +61,14 @@ func main() {
 	doc := jsonDoc{GeneratedAt: time.Now().UTC(), Scale: sc.Label}
 	for _, name := range names {
 		start := time.Now()
-		var report *bench.Report
-		mem, err := bench.MeasureMem(func() error {
-			var err error
-			report, err = bench.Run(name, sc)
-			return err
-		})
+		report, err := bench.Run(name, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
 		report.Fprint(os.Stdout)
-		fmt.Printf("(%s scale, took %v, peak heap %.1fMiB)\n\n",
-			sc.Label, elapsed.Round(time.Millisecond), float64(mem.PeakHeapBytes)/(1<<20))
-		doc.Reports = append(doc.Reports, jsonReport{Report: report, ElapsedMS: elapsed.Milliseconds(), MemProfile: mem})
-	}
-	if *dump {
-		// Snapshot after every run so the dump covers all of them.
-		doc.Metrics = obs.Default().Snapshot()
+		fmt.Printf("(%s scale, took %v)\n\n", sc.Label, time.Since(start).Round(time.Millisecond))
+		doc.Reports = append(doc.Reports, report)
 	}
 	if *jsonPath != "" {
 		b, err := json.MarshalIndent(doc, "", "  ")

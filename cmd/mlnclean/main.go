@@ -45,7 +45,6 @@ type runConfig struct {
 	transport                string
 	batchSize                int
 	seed                     int64
-	noPlanner                bool
 	showPlan                 bool
 }
 
@@ -62,7 +61,6 @@ func main() {
 	flag.StringVar(&cfg.transport, "transport", "chan", "distributed transport: chan|gob|http")
 	flag.IntVar(&cfg.batchSize, "batch", 1024, "tuples per distributed partition shipment")
 	flag.Int64Var(&cfg.seed, "seed", 1, "partition centroid seed (distributed only)")
-	flag.BoolVar(&cfg.noPlanner, "no-planner", false, "disable the selectivity-driven rule planner (declared-order full scans)")
 	flag.BoolVar(&cfg.showPlan, "show-plan", false, "print the rule planner's per-rule scan choices to stderr")
 	flag.Parse()
 	if cfg.input == "" || cfg.rulesPath == "" {
@@ -89,7 +87,6 @@ func run(cfg runConfig) error {
 		Tau:            cfg.tau,
 		Metric:         distance.ByName(cfg.metricName),
 		KeepDuplicates: cfg.keepDups,
-		DisablePlanner: cfg.noPlanner,
 	}
 	start := time.Now()
 	var (
@@ -165,10 +162,6 @@ func run(cfg runConfig) error {
 // evaluation was ordered the way it was — when asked for.
 func printPlan(cfg runConfig, lines []string) {
 	if !cfg.showPlan {
-		return
-	}
-	if len(lines) == 0 {
-		fmt.Fprintln(os.Stderr, "plan: (planner disabled)")
 		return
 	}
 	for _, l := range lines {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"mlnclean/internal/core"
@@ -159,9 +158,9 @@ func AblationAGPStrategy(sc Scale) (*Report, error) {
 }
 
 // AblationPlanner compares stage I (index construction + AGP, the phases
-// whose scan order the selectivity planner controls) with the planner on
-// and off — and verifies, every time it runs, that the two runs repair the
-// table identically: the planner reorders work, never outcomes.
+// whose scan order the selectivity planner controls) over a planned and a
+// fixed-order index build, and prints the plan. That the two builds clean
+// identically is asserted by tests, not here (see the closing note).
 func AblationPlanner(sc Scale) (*Report, error) {
 	r := &Report{
 		Name:    "ablation-planner",
@@ -178,51 +177,38 @@ func AblationPlanner(sc Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		stageI := func(fixed bool) (time.Duration, error) {
-			opts := core.Options{Tau: ds.Tau, DisablePlanner: fixed}
-			var total time.Duration
+		// stageI returns the mean build+AGP time and the last build's index.
+		stageI := func(fixed bool) (time.Duration, *index.Index, error) {
+			opts := core.Options{Tau: ds.Tau}
+			var (
+				total time.Duration
+				ix    *index.Index
+			)
 			for i := 0; i < reps; i++ {
 				t0 := time.Now()
-				ix, err := index.BuildConfigured(inj.Dirty, ds.Rules, index.BuildConfig{FixedOrder: fixed})
+				var err error
+				ix, err = index.BuildConfigured(inj.Dirty, ds.Rules, index.BuildConfig{FixedOrder: fixed})
 				if err != nil {
-					return 0, err
+					return 0, nil, err
 				}
 				var st core.Stats
 				if err := core.StageAGP(context.Background(), ix, opts, &st); err != nil {
-					return 0, err
+					return 0, nil, err
 				}
 				total += time.Since(t0)
 			}
-			return total / reps, nil
+			return total / reps, ix, nil
 		}
-		planned, err := stageI(false)
+		planned, ix, err := stageI(false)
 		if err != nil {
 			return nil, err
 		}
-		fixed, err := stageI(true)
+		fixed, _, err := stageI(true)
 		if err != nil {
 			return nil, err
-		}
-		// Outcome invariance check: end-to-end repairs must be identical.
-		resP, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau})
-		if err != nil {
-			return nil, err
-		}
-		resF, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau, DisablePlanner: true})
-		if err != nil {
-			return nil, err
-		}
-		for i, t := range resP.Repaired.Tuples {
-			ft := resF.Repaired.Tuples[i]
-			for j, v := range t.Values {
-				if v != ft.Values[j] {
-					return nil, fmt.Errorf("bench: planner changed repairs on %s (tuple %d attr %d: %q vs %q)",
-						dsName, t.ID, j, v, ft.Values[j])
-				}
-			}
 		}
 		scans := ""
-		for i, c := range resP.Index.Plan().Choices() {
+		for i, c := range ix.Plan().Choices() {
 			if i > 0 {
 				scans += " "
 			}
@@ -231,6 +217,6 @@ func AblationPlanner(sc Scale) (*Report, error) {
 		r.AddRow(dsName, planned.Round(time.Millisecond).String(), fixed.Round(time.Millisecond).String(), scans)
 	}
 	r.Notes = append(r.Notes,
-		"planned and fixed-order runs are verified byte-identical on every execution of this experiment")
+		"planned == fixed-order is asserted by index.TestPlannedBuildEquivalence (block contents) and core.TestFusedStagedParity (repairs, Stats and traces end to end)")
 	return r, nil
 }

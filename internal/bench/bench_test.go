@@ -17,7 +17,6 @@ func TestRegistryComplete(t *testing.T) {
 		"table5", "table6",
 		"ablation-minimality", "ablation-mergecap", "ablation-weightmerge",
 		"ablation-agp", "ablation-planner",
-		"incremental",
 	}
 	for _, name := range want {
 		if _, ok := Registry[name]; !ok {

@@ -1,77 +1,12 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"mlnclean/internal/core"
-	"mlnclean/internal/dataset"
 	"mlnclean/internal/distributed"
 )
-
-// BenchmarkExecutorScale measures the real concurrent executor (not the
-// ideal-cluster model) over the worker-count sweep of Table 6: measured
-// wall time is the benchmark metric, with the modeled cluster time attached
-// as a custom metric for comparison.
-func BenchmarkExecutorScale(b *testing.B) {
-	ds, err := Small.Generate("tpch")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj, err := injectFor(ds, Small, 0.05, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var clusterNS float64
-			for i := 0; i < b.N; i++ {
-				res, err := distributed.Clean(inj.Dirty, ds.Rules, distributed.Options{
-					Workers: workers,
-					Seed:    Small.Seed,
-					Core:    core.Options{Tau: ds.Tau},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				clusterNS += float64(res.ClusterTime().Nanoseconds())
-			}
-			b.ReportMetric(clusterNS/float64(b.N), "cluster-ns/op")
-		})
-	}
-}
-
-// BenchmarkExecutorTransport compares the in-process channel transport with
-// the gob transport, which serializes every message — the upper bound a
-// same-host RPC transport would add in marshalling cost.
-func BenchmarkExecutorTransport(b *testing.B) {
-	ds, err := Small.Generate("tpch")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj, err := injectFor(ds, Small, 0.05, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, factory := range map[string]distributed.TransportFactory{
-		"chan": distributed.NewChanTransport,
-		"gob":  distributed.NewGobTransport,
-	} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := distributed.Clean(inj.Dirty, ds.Rules, distributed.Options{
-					Workers:   4,
-					Seed:      Small.Seed,
-					Core:      core.Options{Tau: ds.Tau},
-					Transport: factory,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkExecutorRecovery measures the fault-tolerance layer's cost: a
 // run that loses one worker mid-stage-I (detected by heartbeat timeout,
@@ -112,50 +47,5 @@ func BenchmarkExecutorRecovery(b *testing.B) {
 			}
 			b.ReportMetric(lost/float64(b.N), "workers-lost/op")
 		})
-	}
-}
-
-// BenchmarkExecutorSubmit measures the streaming ingest path: the table
-// flows through Executor.Submit in 512-row batches.
-func BenchmarkExecutorSubmit(b *testing.B) {
-	ds, err := Small.Generate("tpch")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj, err := injectFor(ds, Small, 0.05, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batchRows = 512
-	batches := make([]*dataset.Table, 0, inj.Dirty.Len()/batchRows+1)
-	for lo := 0; lo < inj.Dirty.Len(); lo += batchRows {
-		hi := lo + batchRows
-		if hi > inj.Dirty.Len() {
-			hi = inj.Dirty.Len()
-		}
-		batch := dataset.NewTable(inj.Dirty.Schema)
-		for _, t := range inj.Dirty.Tuples[lo:hi] {
-			batch.MustAppend(t.Values...)
-		}
-		batches = append(batches, batch)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex, err := distributed.NewExecutor(inj.Dirty.Schema, ds.Rules, distributed.Options{
-			Workers: 4,
-			Seed:    Small.Seed,
-			Core:    core.Options{Tau: ds.Tau},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range batches {
-			if err := ex.Submit(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := ex.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -65,11 +65,6 @@ type Options struct {
 	MinimalityPriorSet bool
 	// KeepDuplicates skips the final duplicate-elimination step.
 	KeepDuplicates bool
-	// DisablePlanner turns off the selectivity-driven rule planner: the MLN
-	// index is built by the fixed-order row scan and stage-I blocks run in
-	// rule order. The planner never changes the cleaning outcome (only
-	// evaluation order), so this is a comparison/debugging switch.
-	DisablePlanner bool
 	// Trace, when non-nil, collects the per-phase decisions needed by the
 	// component metrics of §7.3 (Precision/Recall-A/R/F, #dag).
 	Trace *Trace

@@ -226,7 +226,7 @@ func stageI(ctx context.Context, dict *intern.Dict, n int, next blockSource, opt
 // finished index and sets st's block and group counts, which are final once
 // AGP has run (neither learning nor RSC adds or removes a group).
 func streamStage(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, ph phases, st *Stats) (*index.Index, error) {
-	it, err := index.NewBlockIterator(dirty, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: enc})
+	it, err := index.NewBlockIterator(dirty, rs, index.BuildConfig{Encoded: enc})
 	if err != nil {
 		return nil, err
 	}

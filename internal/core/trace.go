@@ -13,8 +13,7 @@ import (
 type Trace struct {
 	mu sync.Mutex
 	// Plan records the selectivity planner's per-rule choices (scan shape,
-	// predicate order, and why) for the run's index build. Empty when the
-	// planner was disabled.
+	// predicate order, and why) for the run's index build.
 	Plan []plan.Choice
 	// AGP lists every abnormal-group decision.
 	AGP []AGPMerge

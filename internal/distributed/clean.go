@@ -127,7 +127,7 @@ type Result struct {
 	// Plan lists the selectivity planner's per-rule choices as rendered
 	// plan-dump lines, derived coordinator-side from the gather dictionary's
 	// column statistics (the same greedy planner each worker applies to its
-	// partition). Empty when the planner is disabled.
+	// partition).
 	Plan []string
 	// Stats aggregates the worker pipelines' stats.
 	Stats core.Stats

@@ -687,15 +687,12 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// re-encoding the whole accumulated dataset on the finish path.
 	enc := &dataset.Encoded{Dict: ex.dict, Rows: ex.gatherIDs}
 	res.Repaired, res.Clean, _ = core.StageII(dirty, enc, blocks, ex.opts.Core, &res.Stats)
-	if !ex.opts.Core.DisablePlanner {
-		// Render the plan the run's statistics imply. The gather dictionary
-		// has observed every tuple by now (Submit observes at ingest; the
-		// batch path's gather FSCR re-encode observes the full table), so
-		// this is the whole-dataset view of the per-partition plans the
-		// workers derived.
-		for _, c := range plan.New(ex.rs, ex.schema, ex.dict).Choices() {
-			res.Plan = append(res.Plan, c.String())
-		}
+	// Render the plan the run's statistics imply. The gather dictionary has
+	// observed every tuple by now (Submit observes at ingest; the batch
+	// path's gather FSCR re-encode observes the full table), so this is the
+	// whole-dataset view of the per-partition plans the workers derived.
+	for _, c := range plan.New(ex.rs, ex.schema, ex.dict).Choices() {
+		res.Plan = append(res.Plan, c.String())
 	}
 	res.GatherTime += time.Since(t0)
 	res.WallTime = time.Since(ex.createdAt)

@@ -47,8 +47,9 @@ func TestMessageGobRoundTrip(t *testing.T) {
 }
 
 // oldInitFrame is EncodeMessage(Init{…}) as produced by the build before
-// WireCoreOptions lost its Materialize field (the frame carries
-// Materialize: true): what a coordinator one release behind still sends.
+// WireCoreOptions lost its Materialize and DisablePlanner fields (the frame
+// carries both, set to true): what a coordinator a release or two behind
+// still sends.
 const oldInitFrame = "" +
 	"ff9b1000226d6c6e636c65616e2f696e7465726e616c2f646973747269627574" +
 	"65642e496e69747f03010104496e697401ff800001080106576f726b65720104" +
@@ -78,15 +79,18 @@ const oldInitFrame = "" +
 
 // TestDecodeInitWithRemovedField: gob matches struct fields by name and
 // skips the ones the receiver no longer has, so an Init from a peer that
-// still ships WireCoreOptions.Materialize decodes with every surviving
-// field intact. A worker must not reject (or misread) such a lease.
+// still ships WireCoreOptions.Materialize and .DisablePlanner decodes with
+// every surviving field intact. A worker must not reject (or misread) such a
+// lease.
 func TestDecodeInitWithRemovedField(t *testing.T) {
 	frame, err := hex.DecodeString(oldInitFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(frame, []byte("Materialize")) {
-		t.Fatal("fixture no longer carries the removed field")
+	for _, removed := range []string{"Materialize", "DisablePlanner"} {
+		if !bytes.Contains(frame, []byte(removed)) {
+			t.Fatalf("fixture no longer carries the removed field %s", removed)
+		}
 	}
 	got, err := DecodeMessage(frame)
 	if err != nil {
@@ -96,7 +100,7 @@ func TestDecodeInitWithRemovedField(t *testing.T) {
 		Worker: 1, Partition: 1, Epoch: 2, HeartbeatNS: 1e9,
 		SchemaAttrs: []string{"A", "B"},
 		Rules:       []WireRule{{ID: "r1", Reason: []WirePattern{{Attr: "A"}}, Result: []WirePattern{{Attr: "B"}}}},
-		Opts:        WireCoreOptions{Tau: 2, TauSet: true, Metric: "cosine", DisablePlanner: true, Parallelism: 3, RunID: "run-old"},
+		Opts:        WireCoreOptions{Tau: 2, TauSet: true, Metric: "cosine", Parallelism: 3, RunID: "run-old"},
 		HasOpts:     true,
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -75,12 +75,8 @@ type WireCoreOptions struct {
 	MinimalityPrior    float64
 	MinimalityPriorSet bool
 	KeepDuplicates     bool
-	// DisablePlanner crosses so coordinator and workers plan identically:
-	// a worker must not plan its partition scan when the coordinator's run
-	// has the planner off.
-	DisablePlanner bool
-	Parallelism    int
-	Learn          mln.LearnOptions
+	Parallelism        int
+	Learn              mln.LearnOptions
 	// RunID correlates worker-side log lines with the coordinator's run.
 	// Purely observational — decoding it as empty (older peers) is fine.
 	RunID string
@@ -98,7 +94,6 @@ func coreOptsToWire(o core.Options) WireCoreOptions {
 		MinimalityPrior:    o.MinimalityPrior,
 		MinimalityPriorSet: o.MinimalityPriorSet,
 		KeepDuplicates:     o.KeepDuplicates,
-		DisablePlanner:     o.DisablePlanner,
 		Parallelism:        o.Parallelism,
 		Learn:              o.Learn,
 		RunID:              o.RunID,
@@ -117,7 +112,6 @@ func coreOptsFromWire(w WireCoreOptions) core.Options {
 		MinimalityPrior:    w.MinimalityPrior,
 		MinimalityPriorSet: w.MinimalityPriorSet,
 		KeepDuplicates:     w.KeepDuplicates,
-		DisablePlanner:     w.DisablePlanner,
 		Parallelism:        w.Parallelism,
 		Learn:              w.Learn,
 		RunID:              w.RunID,

@@ -435,8 +435,8 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Snapshot is one series' state in a JSON-friendly shape (benchrunner's
-// -metrics-dump; benchdiff can diff stage-level timings from it).
+// Snapshot is one series' state in a JSON-friendly shape; the repository
+// benchmark reads its per-layer counters and histogram sums from it.
 type Snapshot struct {
 	Name   string `json:"name"`
 	Labels string `json:"labels,omitempty"`

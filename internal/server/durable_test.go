@@ -629,9 +629,10 @@ func TestEvictionTombstoneNoResurrection(t *testing.T) {
 }
 
 // oldCreateRecord is encodeRecord(recCreate{…}) as produced by the build
-// before CreateRequest lost its Materialize field (the record carries
-// Materialize: true): a frame sitting in the WAL of any deployment that
-// ever created a session with "materialize" set.
+// before CreateRequest lost its Materialize and DisablePlanner fields (the
+// record carries both, set to true): a frame sitting in the WAL of any
+// deployment that ever created a session with "materialize" or
+// "disable_planner" set.
 const oldCreateRecord = "" +
 	"611000226d6c6e636c65616e2f696e7465726e616c2f7365727665722e726563" +
 	"4372656174657f0301010972656343726561746501ff8000010401024944010c" +
@@ -642,21 +643,23 @@ const oldCreateRecord = "" +
 	"010400010354617501040001064d6574726963010c00010e4b6565704475706c" +
 	"696361746573010200010e44697361626c65506c616e6e6572010200010b4d61" +
 	"74657269616c697a65010200010c467265736857656967687473010200000016" +
-	"ff83020101085b5d737472696e6701ff8400010c00003dff803a0108732d3030" +
-	"3030303701010a46443a2041202d3e2042010201410142010404040401010100" +
-	"01f82f2f39fc6c540000010772756e2d6f6c6400"
+	"ff83020101085b5d737472696e6701ff8400010c00003fff803c0108732d3030" +
+	"3030303701010a46443a2041202d3e2042010201410142010404040301010101" +
+	"010001f82f2f39fc6c540000010772756e2d6f6c6400"
 
 // TestReplayCreateWithRemovedField: old WALs must keep opening. gob matches
 // fields by name and skips the ones the receiver no longer has, so a logged
-// create that still carries CreateRequest.Materialize replays into today's
-// request with every surviving field intact.
+// create that still carries CreateRequest.Materialize and .DisablePlanner
+// replays into today's request with every surviving field intact.
 func TestReplayCreateWithRemovedField(t *testing.T) {
 	frame, err := hex.DecodeString(oldCreateRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(frame, []byte("Materialize")) {
-		t.Fatal("fixture no longer carries the removed field")
+	for _, removed := range []string{"Materialize", "DisablePlanner"} {
+		if !bytes.Contains(frame, []byte(removed)) {
+			t.Fatalf("fixture no longer carries the removed field %s", removed)
+		}
 	}
 	rec, err := decodeRecord(frame)
 	if err != nil {

@@ -6,20 +6,19 @@ import (
 	"time"
 
 	"mlnclean/internal/core"
-	"mlnclean/internal/tstore"
 )
 
 // Incremental serving: once a session is done, its result is no longer frozen
-// — tuple PUT/DELETE mutations fold into an indexed tuple store and a delta
-// re-cleaning engine, and every mutation mints a new result version. Version
-// 1 is the batch run's result exactly as before; version N+1 is the cleaned
-// table after the first N mutations, defined as the single-node pipeline over
-// the mutated input (so it is transport-independent and, because the delta
-// engine is parity-anchored to core.Clean, byte-identical to a from-scratch
-// re-clean). Only the mutation log is durable; the store, engine, and version
-// cache are rebuilt deterministically on first use after a restart, so every
-// acknowledged version re-serves byte-identically without ever being
-// persisted itself.
+// — tuple PUT/DELETE mutations fold into a delta re-cleaning engine, which
+// owns the current table, and every mutation mints a new result version.
+// Version 1 is the batch run's result exactly as before; version N+1 is the
+// cleaned table after the first N mutations, defined as the single-node
+// pipeline over the mutated input (so it is transport-independent and, because
+// the delta engine is parity-anchored to core.Clean, byte-identical to a
+// from-scratch re-clean). Only the mutation log is durable; the engine, the
+// dense-id high-water mark and the version cache are rebuilt deterministically
+// on first use after a restart, so every acknowledged version re-serves
+// byte-identically without ever being persisted itself.
 
 // versionEntry is one materialized result version (version index i+2).
 type versionEntry struct {
@@ -36,8 +35,8 @@ const (
 )
 
 // Mutate applies one tuple mutation to a done session: validates it against
-// the current table, logs it (the durability point), folds it into the store
-// and delta engine, and returns the new version number and its entry.
+// the current table, logs it (the durability point), folds it into the delta
+// engine, and returns the new version number and its entry.
 //
 // Error mapping: ErrInvalid for semantically bad input (arity, out-of-range
 // row), ErrNotFound for deleting an absent row, ErrDurability when the WAL
@@ -63,15 +62,16 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntr
 		}
 		// Any live row may be replaced; the only insertable fresh id is the
 		// next dense one, so row ids stay gapless-by-construction and a typo'd
-		// id cannot silently grow the table.
-		if row < 0 || row > s.store.NextRow() {
-			return 0, nil, fmt.Errorf("%w: row %d out of range [0, %d]", ErrInvalid, row, s.store.NextRow())
+		// id cannot silently grow the table. This is an API policy — the
+		// engine itself accepts any non-negative row.
+		if row < 0 || row > s.nextRow {
+			return 0, nil, fmt.Errorf("%w: row %d out of range [0, %d]", ErrInvalid, row, s.nextRow)
 		}
 	case mutDelete:
-		if !s.store.Has(row) {
+		if !s.delta.Has(row) {
 			return 0, nil, fmt.Errorf("%w: session %s has no row %d", ErrNotFound, s.ID, row)
 		}
-		if s.store.Len() == 1 {
+		if s.delta.Len() == 1 {
 			return 0, nil, fmt.Errorf("server: session %s: deleting row %d would empty the table", s.ID, row)
 		}
 	default:
@@ -134,44 +134,32 @@ func (s *Session) Versioned(v int) (*versionEntry, error) {
 }
 
 // ensureDeltaLocked brings the incremental state current with the mutation
-// log: on first use it mounts the tuple store over the session's streamed
-// input and seeds the delta engine with a full solo clean, then (every call)
-// replays any logged-but-unmaterialized mutations. After a restart this is
-// where acknowledged versions are recomputed — the engine is deterministic,
-// so they come back byte-identical. Caller holds s.mu.
+// log: on first use it seeds the delta engine with a full solo clean of the
+// session's streamed input, then (every call) replays any logged-but-
+// unmaterialized mutations. After a restart this is where acknowledged
+// versions are recomputed — the engine is deterministic, so they come back
+// byte-identical. Caller holds s.mu.
 func (s *Session) ensureDeltaLocked() error {
-	if s.store == nil {
+	if s.delta == nil {
 		base, err := preRepairTable(s.schema, s.batches)
 		if err != nil {
 			return err
-		}
-		// Volatile mount: the session WAL is the manager's single durability
-		// authority and already logs the mutation sequence; a second log under
-		// the store would just duplicate it.
-		store, _, err := tstore.Open(s.schema, nil, tstore.Options{})
-		if err != nil {
-			return err
-		}
-		for _, t := range base.Tuples {
-			if err := store.Put(t.ID, t.Values); err != nil {
-				return fmt.Errorf("server: session %s: seed tuple store: %w", s.ID, err)
-			}
 		}
 		eng, err := core.NewDeltaCleaner(s.schema, s.model.Rules, s.coreOpts)
 		if err != nil {
 			return err
 		}
-		if _, err := eng.Load(store.Table()); err != nil {
+		if _, err := eng.Load(base); err != nil {
 			return fmt.Errorf("server: session %s: seed delta engine: %w", s.ID, err)
 		}
-		s.store = store
 		s.delta = eng
+		s.nextRow = base.Len() // preRepairTable numbers rows 0..n-1
 	}
 	return s.catchUpLocked()
 }
 
 // catchUpLocked materializes one version per unapplied mutation-log record.
-// Caller holds s.mu; the store and engine exist.
+// Caller holds s.mu; the engine exists.
 func (s *Session) catchUpLocked() error {
 	for len(s.versions) < len(s.mutLog) {
 		rec := s.mutLog[len(s.versions)]
@@ -188,20 +176,14 @@ func (s *Session) catchUpLocked() error {
 		if err != nil {
 			return err
 		}
-		switch rec.Op {
-		case mutPut:
-			err = s.store.Put(rec.Row, rec.Values)
-		case mutDelete:
-			err = s.store.Delete(rec.Row)
-		}
-		if err != nil {
-			return fmt.Errorf("server: session %s: tuple store diverged from engine: %w", s.ID, err)
+		if rec.Op == mutPut && rec.Row >= s.nextRow {
+			s.nextRow = rec.Row + 1
 		}
 		s.versions = append(s.versions, &versionEntry{
 			res:     res,
 			delta:   *ds,
 			repairs: computeRepairsTable(s.schema, s.delta.Table(), res.Repaired, s.model.Rules, s.delta.Weights()),
-			tuples:  s.store.Len(),
+			tuples:  s.delta.Len(),
 		})
 	}
 	return nil

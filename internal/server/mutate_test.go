@@ -274,17 +274,24 @@ func TestMutationSequenceParity(t *testing.T) {
 						t.Fatalf("restart: repairs version %d diverges (status %d)", v, code)
 					}
 				}
+				// The replay rebuilt the dense-id high-water mark: one past it
+				// is still out of range, the mark itself still insertable.
+				if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, next+1), MutateRequest{Values: randomValues()}, nil); code != http.StatusUnprocessableEntity {
+					t.Fatalf("post-restart PUT past the high-water id %d: status %d, want 422", next, code)
+				}
 				// And the restarted session keeps accepting mutations.
-				row, vals := anyKey(mirror, rng), randomValues()
-				var ack MutateResponse
-				if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row), MutateRequest{Values: vals}, &ack); code != http.StatusOK {
-					t.Fatalf("post-restart mutation: status %d", code)
+				for i, row := range []int{next, anyKey(mirror, rng)} {
+					vals := randomValues()
+					var ack MutateResponse
+					if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row), MutateRequest{Values: vals}, &ack); code != http.StatusOK {
+						t.Fatalf("post-restart mutation of row %d: status %d", row, code)
+					}
+					mirror[row] = append([]string(nil), vals...)
+					if ack.Version != 2+steps+i || ack.Tuples != len(mirror) {
+						t.Fatalf("post-restart ack = %+v, want version %d tuples %d", ack, 2+steps+i, len(mirror))
+					}
+					assertVersionParity(t, c2, info.ID, ack.Version, schema, mirror, rs)
 				}
-				mirror[row] = append([]string(nil), vals...)
-				if ack.Version != 2+steps {
-					t.Fatalf("post-restart version = %d, want %d", ack.Version, 2+steps)
-				}
-				assertVersionParity(t, c2, info.ID, ack.Version, schema, mirror, rs)
 			})
 		}
 	}
@@ -373,6 +380,32 @@ func TestMutateStatusCodes(t *testing.T) {
 	}
 	st, env = doEnvelope(c, "POST", "/v1/sessions/"+info.ID+"/rollback", nil)
 	check(http.StatusConflict, codeConflict, st, env, "rollback after mutation")
+
+	// Dense-id policy: a PUT may replace any live row or insert at the
+	// high-water id — one past the largest row id ever stored, which a delete
+	// does not lower — and nowhere else.
+	n := dirty.Len()
+	mutate := func(method string, row, wantTuples int, label string) {
+		t.Helper()
+		var body any
+		if method == "PUT" {
+			body = MutateRequest{Values: goodRow}
+		}
+		var ack MutateResponse
+		if code := c.do(method, fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row), body, &ack); code != http.StatusOK || ack.Tuples != wantTuples {
+			t.Fatalf("%s: status %d tuples %d, want 200 with %d tuples", label, code, ack.Tuples, wantTuples)
+		}
+	}
+	mutate("DELETE", n-1, n-1, "delete the last row")
+	mutate("PUT", n, n, "insert at the high-water id after deleting below it")
+	st, env = doEnvelope(c, "PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, n+2), MutateRequest{Values: goodRow})
+	check(http.StatusUnprocessableEntity, codeInvalid, st, env, "row beyond the high-water id")
+	mutate("PUT", n-1, n+1, "revive a deleted row")
+	for row := n; row > 0; row-- { // rows 0..n are live; deleting row leaves rows 0..row-1
+		mutate("DELETE", row, row, "delete down to one tuple")
+	}
+	st, env = doEnvelope(c, "DELETE", "/v1/sessions/"+info.ID+"/tuples/0", nil)
+	check(http.StatusConflict, codeConflict, st, env, "delete the only tuple")
 
 	// And the mirror image: a rolled-back session refuses mutations.
 	rb := createSession(c, req)

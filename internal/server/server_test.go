@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -79,8 +80,9 @@ func (c *client) do(method, path string, body, out any) int {
 }
 
 // runSession drives one full session over HTTP: create, stream the table in
-// batches, clean, poll, fetch the result.
-func (c *client) runSession(req CreateRequest, dirty *dataset.Table, batches int) (SessionInfo, ResultResponse) {
+// batches, clean, poll, fetch the result. req is the create body: a
+// CreateRequest, or anything that marshals to one.
+func (c *client) runSession(req any, dirty *dataset.Table, batches int) (SessionInfo, ResultResponse) {
 	c.t.Helper()
 	var info SessionInfo
 	if code := c.do("POST", "/v1/sessions", req, &info); code != http.StatusCreated {
@@ -190,6 +192,18 @@ func TestServeHospitalEndToEnd(t *testing.T) {
 	}
 	if stats.Cache.WeightHits != 1 || stats.Cache.WeightMisses != 1 {
 		t.Errorf("weight counters = %d hits / %d misses, want 1/1", stats.Cache.WeightHits, stats.Cache.WeightMisses)
+	}
+
+	// A create body from an older client, still carrying fields the API has
+	// since dropped, is accepted and cleans exactly like the body without
+	// them (unknown JSON fields are ignored).
+	_, res3 := c.runSession(struct {
+		CreateRequest
+		DisablePlanner bool `json:"disable_planner"`
+		Materialize    bool `json:"materialize"`
+	}{req, true, true}, dirty, 2)
+	if !reflect.DeepEqual(res3.IDs, res2.IDs) || !reflect.DeepEqual(res3.Rows, res2.Rows) || !reflect.DeepEqual(res3.Stats, res2.Stats) {
+		t.Errorf("create body with removed fields cleaned differently:\ngot  %+v\nwant %+v", res3.Stats, res2.Stats)
 	}
 
 	// Same rules but a different learning configuration must NOT be served

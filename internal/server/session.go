@@ -14,7 +14,6 @@ import (
 	"mlnclean/internal/index"
 	"mlnclean/internal/intern"
 	"mlnclean/internal/obs"
-	"mlnclean/internal/tstore"
 	"mlnclean/internal/wal"
 )
 
@@ -75,12 +74,6 @@ type CreateRequest struct {
 	Metric string `json:"metric,omitempty"`
 	// KeepDuplicates skips duplicate elimination in the result.
 	KeepDuplicates bool `json:"keep_duplicates,omitempty"`
-	// DisablePlanner turns off the selectivity-driven rule planner, forcing
-	// declared-order full scans during index construction (comparison and
-	// debugging switch; the planner never changes outcomes, only scan order).
-	// Not part of the weights fingerprint for the same reason — the learner
-	// sees identical groups either way.
-	DisablePlanner bool `json:"disable_planner,omitempty"`
 	// FreshWeights opts out of the weight cache: the session relearns from
 	// its own tuples even when a cached vector exists. Cached weights are
 	// learned from whatever data previous sessions streamed, so clients
@@ -149,12 +142,14 @@ type Session struct {
 
 	// Incremental serving state, live once the session is done and mutated.
 	// mutLog is the durable mutation sequence (restored from the WAL);
-	// store/delta/versions are volatile caches rebuilt from batches + mutLog
+	// delta/nextRow/versions are volatile state rebuilt from batches + mutLog
 	// on first use — the engine replay is deterministic, so result versions
 	// re-serve byte-identically after a restart.
 	coreOpts core.Options       // solo pipeline options the delta engine runs under
-	store    *tstore.Store      // indexed tuple store mirroring the current table
-	delta    *core.DeltaCleaner // incremental re-cleaning engine
+	delta    *core.DeltaCleaner // incremental re-cleaning engine; owns the current table
+	// nextRow is the dense-id high-water mark: one past the largest row id
+	// ever stored (not max(live id)+1), the only fresh id a PUT may insert at.
+	nextRow  int
 	mutLog   []recMutation
 	versions []*versionEntry // entry i serves result version i+2
 }
@@ -744,7 +739,6 @@ func executorOptions(req CreateRequest, workers int, factory distributed.Transpo
 			Tau:            req.Tau,
 			Metric:         metricFor(req.Metric),
 			KeepDuplicates: req.KeepDuplicates,
-			DisablePlanner: req.DisablePlanner,
 		},
 	}
 	if opts.Seed == 0 {

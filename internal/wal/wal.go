@@ -18,8 +18,8 @@
 // segments after it in sequence order; the first partial, corrupt, or
 // invalid frame truncates the log there (the file is physically shortened so
 // later appends land after the last valid frame) and everything beyond it is
-// dropped. Appends are fsynced before they return (unless Options.NoSync),
-// so an acknowledged record survives any crash the filesystem survives.
+// dropped. Appends are fsynced before they return, so an acknowledged record
+// survives any crash the filesystem survives.
 package wal
 
 import (
@@ -86,10 +86,6 @@ type Options struct {
 	// bytes (default 4 MiB). Compaction removes whole segments, so smaller
 	// segments mean tighter space reuse at the cost of more files.
 	SegmentSize int64
-	// NoSync skips the per-append fsync. Only for benchmarks and bulk
-	// loads that re-derive lost tail records; the durability contract —
-	// acknowledged means replayable — requires the default sync-per-append.
-	NoSync bool
 	// Validate, when non-nil, vets every replayed record payload; a payload
 	// it rejects truncates the log at that frame, exactly like a checksum
 	// mismatch. Callers pass their record decoder so a frame that is
@@ -285,8 +281,8 @@ func Open(fs FS, o Options) (*Log, *Recovery, error) {
 }
 
 // Append durably adds one record. The record is on stable storage when
-// Append returns nil (unless Options.NoSync); on error the log is broken and
-// the record must be considered unacknowledged.
+// Append returns nil; on error the log is broken and the record must be
+// considered unacknowledged.
 func (l *Log) Append(payload []byte) error {
 	t0 := time.Now()
 	l.mu.Lock()
@@ -311,14 +307,12 @@ func (l *Log) Append(payload []byte) error {
 		l.broken = fmt.Errorf("wal: append (wrote %d of %d bytes): %w", n, len(l.buf), err)
 		return l.broken
 	}
-	if !l.o.NoSync {
-		ts := time.Now()
-		if err := l.f.Sync(); err != nil {
-			l.broken = fmt.Errorf("wal: fsync: %w", err)
-			return l.broken
-		}
-		mFsyncSeconds.ObserveSince(ts)
+	ts := time.Now()
+	if err := l.f.Sync(); err != nil {
+		l.broken = fmt.Errorf("wal: fsync: %w", err)
+		return l.broken
 	}
+	mFsyncSeconds.ObserveSince(ts)
 	l.size += int64(len(l.buf))
 	mAppends.Inc()
 	mAppendBytes.Add(int64(len(l.buf)))
@@ -328,10 +322,8 @@ func (l *Log) Append(payload []byte) error {
 
 // rotateLocked closes the active segment (synced) and opens seq fresh.
 func (l *Log) rotateLocked(seq int) error {
-	if !l.o.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync on rotate: %w", err)
-		}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync on rotate: %w", err)
 	}
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
