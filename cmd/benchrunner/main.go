@@ -1,5 +1,6 @@
 // Command benchrunner regenerates the paper's tables and figures as text
-// reports (see DESIGN.md §3 for the experiment index).
+// reports (-list prints the experiment index; README › Deviations from the
+// paper says where the reproduction departs from the paper's setup).
 //
 // Usage:
 //

@@ -11,10 +11,10 @@ import (
 )
 
 // The ablation experiments quantify the documented interpretation choices
-// this reproduction adds on top of the paper's letter (DESIGN.md §2):
-// the FSCR minimality/observation prior, the AGP merge-distance cap, and
-// the Eq. 6 weight merge (the last is the paper's own mechanism, ablated to
-// show why it exists).
+// this reproduction adds on top of the paper's letter (README › Deviations
+// from the paper): the FSCR minimality/observation prior, the AGP
+// merge-distance cap, and the Eq. 6 weight merge (the last is the paper's
+// own mechanism, ablated to show why it exists).
 
 // AblationMinimality compares FSCR with and without the minimality /
 // observation prior (ε = 0.05 vs disabled) on CAR and HAI at 5% errors.
@@ -46,7 +46,7 @@ func AblationMinimality(sc Scale) (*Report, error) {
 		r.AddRow(dsName, f3(qw.F1), f3(qo.F1))
 	}
 	r.Notes = append(r.Notes,
-		"without the prior, Eq. 5 alone decides identity-steal conflicts near-randomly (DESIGN.md §2)")
+		"without the prior, Eq. 5 alone decides identity-steal conflicts near-randomly (README › Deviations from the paper)")
 	return r, nil
 }
 
@@ -119,41 +119,6 @@ func AblationWeightMerge(sc Scale) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"per-part weights are unreliable for fragmented groups (§6); Eq. 6 pools their support")
-	return r, nil
-}
-
-// AblationAGPStrategy compares the paper's nearest-group AGP merge policy
-// against the support-biased variant (the paper's §8 future-work
-// direction) on CAR and HAI at 5% errors.
-func AblationAGPStrategy(sc Scale) (*Report, error) {
-	r := &Report{
-		Name:    "ablation-agp",
-		Title:   "Ablation: AGP merge-target strategy (5% errors)",
-		Columns: []string{"dataset", "F1 nearest (paper)", "F1 support-biased"},
-	}
-	for _, dsName := range []string{"car", "hai"} {
-		ds, err := sc.Generate(dsName)
-		if err != nil {
-			return nil, err
-		}
-		inj, err := injectFor(ds, sc, 0.05, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		nearest, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau})
-		if err != nil {
-			return nil, err
-		}
-		biased, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau, AGPStrategy: core.AGPSupportBiased})
-		if err != nil {
-			return nil, err
-		}
-		qn := eval.RepairQuality(ds.Truth, inj.Dirty, nearest.Repaired)
-		qb := eval.RepairQuality(ds.Truth, inj.Dirty, biased.Repaired)
-		r.AddRow(dsName, f3(qn.F1), f3(qb.F1))
-	}
-	r.Notes = append(r.Notes,
-		"support bias prefers well-supported merge targets among comparably close groups (§8 future work)")
 	return r, nil
 }
 

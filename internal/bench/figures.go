@@ -245,6 +245,6 @@ func Fig15(sc Scale, dsName string) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"paper shape: F1 stays high with <3% drop across the sweep; runtime grows with error rate",
-		"cluster time = partition + max(worker) + gather (ideal-cluster model; see DESIGN.md)")
+		"cluster time = partition + max(worker) + gather (ideal-cluster model; see README › Deviations from the paper)")
 	return r, nil
 }

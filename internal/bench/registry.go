@@ -46,7 +46,6 @@ func buildRegistry() map[string]Experiment {
 	add("ablation-minimality", "FSCR minimality/observation prior on vs off", AblationMinimality)
 	add("ablation-mergecap", "AGP merge-distance cap vs unconditional merge", AblationMergeCap)
 	add("ablation-weightmerge", "Eq. 6 weight merge on vs off (distributed)", AblationWeightMerge)
-	add("ablation-agp", "AGP merge-target strategy: nearest vs support-biased", AblationAGPStrategy)
 	add("ablation-planner", "selectivity-driven rule planner: planned vs fixed-order build (stage I)", AblationPlanner)
 	return reg
 }

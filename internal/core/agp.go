@@ -17,19 +17,16 @@ import (
 // piece KeyID ⇒ same value IDs ⇒ same distances), and its best target
 // survived unchanged. A reusable decision then only has to beat the
 // targets that were added or changed since — every unchanged target
-// already lost to it, and the full scan's (score, key) minimum is
+// already lost to it, and the full scan's (distance, key) minimum is
 // scan-order independent, so challenging the delta reproduces the full
 // scan's choice exactly. Batch callers pass nil and take the plain scan.
 type agpMemo struct {
-	run     int
-	fresh   int                  // run whose normal flow last completed
-	targets map[string]agpTarget // normal-group key → identity, as of `fresh`
-	best    map[string]agpBest   // abnormal-group key → decision
-}
-
-type agpTarget struct {
-	kid      uint32 // γ⋆ piece KeyID — fixes the target's value IDs
-	discount float64
+	run   int
+	fresh int // run whose normal flow last completed
+	// targets maps a normal-group key to its γ⋆ piece KeyID — which fixes
+	// the target's value IDs — as of `fresh`.
+	targets map[string]uint32
+	best    map[string]agpBest // abnormal-group key → decision
 }
 
 type agpBest struct {
@@ -37,7 +34,6 @@ type agpBest struct {
 	srcKid uint32
 	key    string // best target's group key
 	d      float64
-	score  float64
 }
 
 // agp runs Abnormal Group Processing (§5.1.1) on one block: groups whose
@@ -55,7 +51,7 @@ type agpBest struct {
 //
 // Returns the number of abnormal groups detected, the total γ count inside
 // them (#dag), and the number of promotions (0 or 1).
-func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, strategy AGPStrategy, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions int) {
+func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions int) {
 	if memo != nil {
 		memo.run++
 	}
@@ -108,37 +104,31 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 	// Deterministic processing order.
 	sort.Slice(abnormalGroups, func(i, j int) bool { return abnormalGroups[i].Key < abnormalGroups[j].Key })
 
-	// Precompute γ⋆ IDs (and, for the support-biased strategy, the support
-	// discount) of normal groups once.
+	// Precompute γ⋆ IDs of normal groups once.
 	type target struct {
-		g        *index.Group
-		ids      []uint32
-		discount float64 // ln(e + tuple count); 1 under AGPNearest
+		g   *index.Group
+		ids []uint32
 	}
 	targets := make([]target, len(normalGroups))
 	for i, g := range normalGroups {
-		discount := 1.0
-		if strategy == AGPSupportBiased {
-			discount = math.Log(math.E + float64(g.TupleCount()))
-		}
-		targets[i] = target{g: g, ids: g.Star().ValueIDs(), discount: discount}
+		targets[i] = target{g: g, ids: g.Star().ValueIDs()}
 	}
 
 	// With a fresh memo, work out which targets moved since the previous
-	// rebuild (added, removed, or different γ⋆/discount) and index the rest.
+	// rebuild (added, removed, or different γ⋆) and index the rest.
 	var changed map[string]bool
 	var targetIdx map[string]int
 	if memo != nil && promotions == 0 {
-		curr := make(map[string]agpTarget, len(targets))
+		curr := make(map[string]uint32, len(targets))
 		targetIdx = make(map[string]int, len(targets))
 		for i := range targets {
-			curr[targets[i].g.Key] = agpTarget{kid: targets[i].g.Star().KeyID(), discount: targets[i].discount}
+			curr[targets[i].g.Key] = targets[i].g.Star().KeyID()
 			targetIdx[targets[i].g.Key] = i
 		}
 		if memo.fresh == memo.run-1 {
 			changed = make(map[string]bool)
-			for k, ct := range curr {
-				if pt, ok := memo.targets[k]; !ok || pt != ct {
+			for k, kid := range curr {
+				if prev, ok := memo.targets[k]; !ok || prev != kid {
 					changed[k] = true
 				}
 			}
@@ -155,7 +145,7 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		}
 	}
 	// Indices of moved targets, in scan order — sources with a reusable
-	// decision score only these.
+	// decision measure only these.
 	var changedIdx []int
 	if changed != nil {
 		for i := range targets {
@@ -172,13 +162,12 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		}
 		sids := star.ValueIDs()
 		best := -1
-		bestD := math.Inf(1)     // raw distance of the best target
-		bestScore := math.Inf(1) // discounted score of the best target
+		bestD := math.Inf(1) // distance of the best target
 		cached := false
 		if changed != nil {
 			if e, ok := memo.best[src.Key]; ok && e.run == memo.run-1 && e.srcKid == star.KeyID() && !changed[e.key] {
 				if i, ok := targetIdx[e.key]; ok {
-					best, bestD, bestScore = i, e.d, e.score
+					best, bestD = i, e.d
 					cached = true
 				}
 			}
@@ -192,22 +181,13 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 			if cached {
 				i = changedIdx[j]
 			}
-			// The bounded scan can only prune on the raw distance; the
-			// discount (≥ 1) only shrinks scores.
-			bound := bestScore * targets[i].discount
-			if math.IsInf(bound, 1) {
-				bound = math.Inf(1)
-			}
-			d := ev.ValuesBounded(sids, targets[i].ids, bound)
-			score := d / targets[i].discount
-			// Order independence: strictly better score wins; an exact score
+			d := ev.ValuesBounded(sids, targets[i].ids, bestD)
+			// Order independence: strictly nearer wins; an exact distance
 			// tie falls to the explicit key comparison, never to the scan
-			// order of targets. A candidate whose true score ties bestScore
-			// has d == bound exactly, which the bounded evaluator returns
-			// exactly (it only clips strictly past the bound), so clipping
-			// cannot hide a tie.
-			if score < bestScore || (score == bestScore && best >= 0 && targets[i].g.Key < targets[best].g.Key) {
-				bestScore = score
+			// order of targets. The bounded evaluator returns a distance
+			// equal to its bound exactly (it only clips strictly past it),
+			// so clipping cannot hide a tie.
+			if d < bestD || (d == bestD && best >= 0 && targets[i].g.Key < targets[best].g.Key) {
 				bestD = d
 				best = i
 			}
@@ -215,7 +195,7 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		if memo != nil && promotions == 0 && best >= 0 {
 			memo.best[src.Key] = agpBest{
 				run: memo.run, srcKid: star.KeyID(),
-				key: targets[best].g.Key, d: bestD, score: bestScore,
+				key: targets[best].g.Key, d: bestD,
 			}
 		}
 		abnormal++

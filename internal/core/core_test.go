@@ -345,36 +345,25 @@ func TestStateTable(t *testing.T) {
 	}
 }
 
-// TestAGPSupportBiasedStrategy: with two equidistant normal targets, the
-// support-biased strategy merges into the better-supported one, while the
-// paper's nearest policy tie-breaks lexicographically.
-func TestAGPSupportBiasedStrategy(t *testing.T) {
-	build := func() *dataset.Table {
-		tb := dataset.NewTable(dataset.MustSchema("A", "B"))
-		// Two normal groups at edit distance 1 from the abnormal key
-		// "corex": "corea" (2 tuples) and "corez" (9 tuples; later key).
-		tb.MustAppend("corea", "v")
-		tb.MustAppend("corea", "v")
-		for i := 0; i < 9; i++ {
-			tb.MustAppend("corez", "v")
-		}
-		tb.MustAppend("corex", "v") // abnormal singleton
-		return tb
+// TestAGPEquidistantTieBreak: with two equidistant normal targets the merge
+// goes to the lexicographically smaller group key, whatever their support.
+func TestAGPEquidistantTieBreak(t *testing.T) {
+	tb := dataset.NewTable(dataset.MustSchema("A", "B"))
+	// Two normal groups at edit distance 1 from the abnormal key
+	// "corex": "corea" (2 tuples) and "corez" (9 tuples; later key).
+	tb.MustAppend("corea", "v")
+	tb.MustAppend("corea", "v")
+	for i := 0; i < 9; i++ {
+		tb.MustAppend("corez", "v")
 	}
+	tb.MustAppend("corex", "v") // abnormal singleton
 	rs := rules.MustParseStrings("FD: A -> B")
 
-	trNearest := &Trace{}
-	if _, err := Clean(build(), rs, Options{Tau: 1, Trace: trNearest, KeepDuplicates: true}); err != nil {
+	tr := &Trace{}
+	if _, err := Clean(tb, rs, Options{Tau: 1, Trace: tr, KeepDuplicates: true}); err != nil {
 		t.Fatal(err)
 	}
-	trBiased := &Trace{}
-	if _, err := Clean(build(), rs, Options{Tau: 1, AGPStrategy: AGPSupportBiased, Trace: trBiased, KeepDuplicates: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := trNearest.AGP[0].TargetKey; got != dataset.JoinKey([]string{"corea"}) {
-		t.Errorf("nearest strategy merged into %q, want corea (lexicographic tie-break)", got)
-	}
-	if got := trBiased.AGP[0].TargetKey; got != dataset.JoinKey([]string{"corez"}) {
-		t.Errorf("support-biased strategy merged into %q, want corez (9 tuples)", got)
+	if got := tr.AGP[0].TargetKey; got != dataset.JoinKey([]string{"corea"}) {
+		t.Errorf("merged into %q, want corea (lexicographic tie-break)", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // optimization of the grouped likelihood — competing γs are the ones inside
 // the same group. Weights are written into Piece.Weight. Returns the number
 // of Newton iterations performed.
-func learnBlockWeights(b *index.Block, opts mln.LearnOptions) (int, error) {
+func learnBlockWeights(b *index.Block) (int, error) {
 	pieces := b.Pieces()
 	if len(pieces) == 0 {
 		return 0, nil
@@ -32,7 +32,7 @@ func learnBlockWeights(b *index.Block, opts mln.LearnOptions) (int, error) {
 		groups = append(groups, idx)
 	}
 	priors := mln.PriorWeights(counts)
-	res, err := mln.LearnWeights(groups, counts, priors, opts)
+	weights, iters, err := mln.LearnWeights(groups, counts, priors)
 	if err != nil {
 		return 0, err
 	}
@@ -51,22 +51,22 @@ func learnBlockWeights(b *index.Block, opts mln.LearnOptions) (int, error) {
 		}
 		maxW := math.Inf(-1)
 		for _, p := range g.Pieces {
-			if w := res.Weights[pos[p]]; w > maxW {
+			if w := weights[pos[p]]; w > maxW {
 				maxW = w
 			}
 		}
 		var z float64
 		for _, p := range g.Pieces {
-			z += math.Exp(res.Weights[pos[p]] - maxW)
+			z += math.Exp(weights[pos[p]] - maxW)
 		}
 		for _, p := range g.Pieces {
-			p.Weight = math.Exp(res.Weights[pos[p]]-maxW) / z
+			p.Weight = math.Exp(weights[pos[p]]-maxW) / z
 			if p.Weight < minPieceWeight {
 				p.Weight = minPieceWeight
 			}
 		}
 	}
-	return res.Iterations, nil
+	return iters, nil
 }
 
 // minPieceWeight is the positive floor applied to learned piece weights so

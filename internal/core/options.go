@@ -4,10 +4,7 @@
 // conflict resolution (FSCR), and duplicate elimination.
 package core
 
-import (
-	"mlnclean/internal/distance"
-	"mlnclean/internal/mln"
-)
+import "mlnclean/internal/distance"
 
 // Options configures a cleaning run.
 type Options struct {
@@ -21,11 +18,6 @@ type Options struct {
 	// Metric is the string distance used by AGP and RSC. Default Levenshtein
 	// (§7.1); Cosine reproduces Table 5.
 	Metric distance.Metric
-	// AGPStrategy selects the abnormal-group merge-target policy. The paper
-	// merges into the nearest normal group and names better strategies as
-	// its main future work (§8); AGPSupportBiased is this repository's
-	// exploration of that direction (ablated in BenchmarkAblationAGP).
-	AGPStrategy AGPStrategy
 	// MergeCapRatio bounds AGP merges: an abnormal group only merges into
 	// its nearest normal group when their γ⋆ distance is at most this
 	// fraction of the γ⋆ value length. Error-born groups sit very close to
@@ -33,12 +25,10 @@ type Options struct {
 	// groups — common when the distributed partitioner fragments a dataset —
 	// are far from every other group (~40%+). The paper merges
 	// unconditionally and flags abnormal-group identification as its main
-	// future work (§5.1.1, §8); the cap is our answer, ablated in
-	// BenchmarkAblationMergeCap. Default 0.4; values ≥ 1 restore the paper's
-	// unconditional merge.
+	// future work (§5.1.1, §8); the cap is our answer, ablated by the
+	// ablation-mergecap experiment. Default 0.4; values ≥ 1 restore the
+	// paper's unconditional merge.
 	MergeCapRatio float64
-	// Learn configures the per-block MLN weight learner.
-	Learn mln.LearnOptions
 	// MaxFusionStates caps the FSCR permutation search per conflicted
 	// component of a tuple: rules that share no attribute (directly or
 	// through other rules) cannot conflict, so a tuple's versions are fused
@@ -57,8 +47,9 @@ type Options struct {
 	// the principle of minimality the paper bakes into the reliability score
 	// (§1, Def. 2) carried into stage II; it deterministically resolves
 	// "identity steal" ties where the fusion score alone is ambiguous
-	// (see DESIGN.md). Set to 0.5 to disable (a change then costs nothing);
-	// default 0.05, the enterprise error rate the paper cites (§7.1).
+	// (see README › Deviations from the paper). Set to 0.5 to disable (a
+	// change then costs nothing); default 0.05, the enterprise error rate
+	// the paper cites (§7.1).
 	MinimalityPrior float64
 	// MinimalityPriorSet honours a zero MinimalityPrior (treated as 0.05
 	// otherwise).
@@ -101,21 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// AGPStrategy enumerates abnormal-group merge-target policies.
-type AGPStrategy int
-
-const (
-	// AGPNearest is the paper's policy: merge into the normal group whose
-	// γ⋆ is closest (§5.1.1).
-	AGPNearest AGPStrategy = iota
-	// AGPSupportBiased scores targets by distance / ln(e + tuple count):
-	// among comparably close targets the better-supported group wins, which
-	// resists merging into another error-born group. This implements the
-	// "more sophisticated strategies to process abnormal groups" the paper
-	// defers to future work (§8).
-	AGPSupportBiased
-)
 
 // changePenalty is the multiplicative cost of one changed cell under the
 // minimality prior: ε/(1−ε). A prior of 0 disables minimality (factor 1)

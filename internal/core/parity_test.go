@@ -4,8 +4,8 @@ package core
 // in testdata/parity_golden.json were captured from the pre-refactor,
 // string-keyed pipeline (PR 3 state) and pin its exact repairs, Stats, and
 // Trace on generated tables — including multi-rune/UTF-8 values — across
-// metrics, τ values, and AGP strategies. The interned pipeline must stay
-// byte-identical. Regenerate with
+// metrics and τ values. The interned pipeline must stay byte-identical.
+// Regenerate with
 //
 //	go test ./internal/core -run TestParityGolden -update
 //
@@ -42,20 +42,18 @@ var parityNotePool = []string{
 }
 
 type parityConfig struct {
-	Name     string
-	Seed     int64
-	Rows     int
-	Rate     float64
-	Metric   string
-	Tau      int
-	Strategy AGPStrategy
+	Name   string
+	Seed   int64
+	Rows   int
+	Rate   float64
+	Metric string
+	Tau    int
 }
 
 func parityConfigs() []parityConfig {
 	return []parityConfig{
 		{Name: "lev-tau1", Seed: 11, Rows: 180, Rate: 0.12, Metric: "levenshtein", Tau: 1},
 		{Name: "lev-tau2", Seed: 12, Rows: 220, Rate: 0.18, Metric: "levenshtein", Tau: 2},
-		{Name: "lev-biased", Seed: 13, Rows: 200, Rate: 0.15, Metric: "levenshtein", Tau: 2, Strategy: AGPSupportBiased},
 		{Name: "cos-tau1", Seed: 14, Rows: 180, Rate: 0.12, Metric: "cosine", Tau: 1},
 		{Name: "cos-tau2", Seed: 15, Rows: 240, Rate: 0.20, Metric: "cosine", Tau: 2},
 		{Name: "lev-dense", Seed: 16, Rows: 300, Rate: 0.25, Metric: "levenshtein", Tau: 1},
@@ -156,11 +154,10 @@ type parityGolden struct {
 func parityInputs(cfg parityConfig) (*dataset.Table, []*rules.Rule, Options, *Trace) {
 	tr := &Trace{}
 	return parityTable(cfg), parityRules(parityCityPool[0]), Options{
-		Tau:         cfg.Tau,
-		TauSet:      true,
-		Metric:      distance.ByName(cfg.Metric),
-		AGPStrategy: cfg.Strategy,
-		Trace:       tr,
+		Tau:    cfg.Tau,
+		TauSet: true,
+		Metric: distance.ByName(cfg.Metric),
+		Trace:  tr,
 	}, tr
 }
 

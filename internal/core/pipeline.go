@@ -78,11 +78,11 @@ func runBlock(bi int, b *index.Block, ev *distance.Evaluator, opts Options, ph p
 		return d
 	}
 	if ph&phaseAGP != 0 {
-		r.abnormal, r.abnormalPieces, r.promotions = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, opts.AGPStrategy, memo, opts.Trace)
+		r.abnormal, r.abnormalPieces, r.promotions = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, memo, opts.Trace)
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
-		if r.learnIters, r.err = learnBlockWeights(b, opts.Learn); r.err != nil {
+		if r.learnIters, r.err = learnBlockWeights(b); r.err != nil {
 			return r
 		}
 		r.learn = lap()

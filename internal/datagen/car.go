@@ -49,7 +49,7 @@ var CARSchema = []string{
 // acura row every Doors error outside acura rows would be provably
 // unrepairable — inconsistent with the paper's reported F1 ≈ 0.96. We
 // therefore include the embedded FD Make, Type ⇒ Doors alongside the
-// published pattern row (see DESIGN.md).
+// published pattern row (see README › Deviations from the paper).
 func CARRules() []*rules.Rule {
 	return rules.MustParseStrings(
 		"CFD: Make=acura, Type -> Doors",

@@ -3,7 +3,8 @@
 // rules), CAR (sparse used-vehicle data with a CFD and an FD), and TPC-H (a
 // customer ⋈ lineitem projection with one FD). Real dumps are not
 // redistributable; the generators reproduce the schema, the rule set, and
-// the density characteristics the experiments depend on (see DESIGN.md).
+// the density characteristics the experiments depend on (see README ›
+// Deviations from the paper).
 package datagen
 
 import (

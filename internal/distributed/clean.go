@@ -148,7 +148,7 @@ type Result struct {
 // host with at least k free cores the model approximates the paper's
 // Fig. 15 / Table 6 scaling shape, on smaller hosts it understates the
 // ideal-cluster speedup. WallTime is the measured concurrent counterpart.
-// See DESIGN.md's substitution table.
+// See README › Deviations from the paper.
 func (r *Result) ClusterTime() time.Duration {
 	var maxW time.Duration
 	for _, w := range r.WorkerTimes {
@@ -288,28 +288,6 @@ func workerTauOpts(o core.Options, workers int) core.Options {
 	o.Tau = scaled
 	o.TauSet = true
 	return o
-}
-
-// mergeWeights applies Eq. 6 across a set of worker indexes: every piece
-// with the same rule and the same values gets the support-weighted mean of
-// its per-part learned weights. It is the in-process composition of the
-// executor's exchange — extract summaries, reduce, apply — kept for tests
-// and callers holding indexes directly.
-func mergeWeights(indexes []*index.Index) {
-	per := make([][]index.PieceSummary, 0, len(indexes))
-	for _, ix := range indexes {
-		if ix == nil {
-			continue
-		}
-		per = append(per, ix.PieceSummaries())
-	}
-	merged := reducePieceWeights(per)
-	for _, ix := range indexes {
-		if ix == nil {
-			continue
-		}
-		ix.ApplyPieceWeights(merged)
-	}
 }
 
 // metricOf is the distance the partitioners measure with: the run's

@@ -97,6 +97,21 @@ func TestPartitionDeterminism(t *testing.T) {
 	}
 }
 
+// mergeWeights applies Eq. 6 across a set of worker indexes: every piece
+// with the same rule and the same values gets the support-weighted mean of
+// its per-part learned weights. It is the in-process composition of the
+// executor's exchange — extract summaries, reduce, apply.
+func mergeWeights(indexes []*index.Index) {
+	per := make([][]index.PieceSummary, 0, len(indexes))
+	for _, ix := range indexes {
+		per = append(per, ix.PieceSummaries())
+	}
+	merged := reducePieceWeights(per)
+	for _, ix := range indexes {
+		ix.ApplyPieceWeights(merged)
+	}
+}
+
 func TestMergeWeightsEq6(t *testing.T) {
 	// Two "workers" hold the same γ with different weights and supports:
 	// the merged weight is the support-weighted mean (Eq. 6).

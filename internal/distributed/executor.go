@@ -718,7 +718,10 @@ func (ex *Executor) gatherReplies(ph gatherPhase, skipLearn bool, merged []index
 		ex.parts[p].lastSeen = now
 	}
 	detect := ex.workerTimeout > 0
-	tick := ex.detectTick()
+	var tick time.Duration // 0 blocks: with detection off there is nothing to poll for
+	if detect {
+		tick = ex.detectTick()
+	}
 	for n > 0 {
 		// Scan every iteration, not just on receive timeouts: surviving
 		// workers' heartbeats keep the receive loop busy, and a dead
@@ -728,13 +731,7 @@ func (ex *Executor) gatherReplies(ph gatherPhase, skipLearn bool, merged []index
 				return err
 			}
 		}
-		var m Message
-		var err error
-		if detect {
-			m, err = ex.tr.CoordinatorRecvDeadline(tick)
-		} else {
-			m, err = ex.tr.CoordinatorRecv()
-		}
+		m, err := ex.tr.CoordinatorRecvDeadline(tick)
 		if err == ErrTimeout {
 			continue
 		}

@@ -142,8 +142,6 @@ func NewFaultTransport(inner TransportFactory, plan FaultPlan) TransportFactory 
 	}
 }
 
-func (t *faultTransport) ToWorker(w int, m Message) error { return t.inner.ToWorker(w, m) }
-
 func (t *faultTransport) ToWorkerDeadline(w int, m Message, d time.Duration) error {
 	return t.inner.ToWorkerDeadline(w, m, d)
 }
@@ -178,8 +176,6 @@ func (t *faultTransport) ToCoordinator(m Message) error {
 	}
 	return t.inner.ToCoordinator(m)
 }
-
-func (t *faultTransport) CoordinatorRecv() (Message, error) { return t.inner.CoordinatorRecv() }
 
 func (t *faultTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error) {
 	return t.inner.CoordinatorRecvDeadline(d)

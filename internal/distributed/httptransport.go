@@ -239,10 +239,6 @@ func (t *httpTransport) handleSend(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (t *httpTransport) ToWorker(w int, m Message) error {
-	return t.ToWorkerDeadline(w, m, 0)
-}
-
 func (t *httpTransport) ToWorkerDeadline(w int, m Message, d time.Duration) error {
 	ch, err := t.inboxes.get(w)
 	if err != nil {
@@ -281,10 +277,6 @@ func (t *httpTransport) ToCoordinator(m Message) error {
 	case <-t.done:
 		return errTransportClosed
 	}
-}
-
-func (t *httpTransport) CoordinatorRecv() (Message, error) {
-	return t.CoordinatorRecvDeadline(0)
 }
 
 func (t *httpTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error) {
@@ -410,16 +402,8 @@ func (t *httpWorkerTransport) ToCoordinator(m Message) error {
 	return nil
 }
 
-func (t *httpWorkerTransport) ToWorker(int, Message) error {
-	return fmt.Errorf("distributed: ToWorker on worker-side http transport")
-}
-
 func (t *httpWorkerTransport) ToWorkerDeadline(int, Message, time.Duration) error {
 	return fmt.Errorf("distributed: ToWorker on worker-side http transport")
-}
-
-func (t *httpWorkerTransport) CoordinatorRecv() (Message, error) {
-	return nil, fmt.Errorf("distributed: CoordinatorRecv on worker-side http transport")
 }
 
 func (t *httpWorkerTransport) CoordinatorRecvDeadline(time.Duration) (Message, error) {
@@ -469,11 +453,9 @@ func ServeHTTPWorker(ctx context.Context, base string) error {
 // a TransportFactory that cannot listen still satisfies the interface.
 type failedTransport struct{ err error }
 
-func (t *failedTransport) ToWorker(int, Message) error                            { return t.err }
 func (t *failedTransport) ToWorkerDeadline(int, Message, time.Duration) error     { return t.err }
 func (t *failedTransport) WorkerRecv(int) (Message, error)                        { return nil, t.err }
 func (t *failedTransport) ToCoordinator(Message) error                            { return t.err }
-func (t *failedTransport) CoordinatorRecv() (Message, error)                      { return nil, t.err }
 func (t *failedTransport) CoordinatorRecvDeadline(time.Duration) (Message, error) { return nil, t.err }
 func (t *failedTransport) AddWorker() (int, error)                                { return 0, t.err }
 func (t *failedTransport) Close() error                                           { return nil }

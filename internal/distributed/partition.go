@@ -9,13 +9,13 @@
 // are plain serializable data, so an RPC transport can replace the
 // in-process one without touching the pipeline.
 //
-// Substitution note (see DESIGN.md): the paper deploys on an 11-node Spark
-// cluster; here each "worker" is a goroutine running the stand-alone
-// pipeline over its partition. Reported cluster time uses the ideal-cluster
-// model max(worker times) + partition + gather, which approximates the
-// scaling shape of Fig. 15 / Table 6 when the host has at least k free
-// cores (see Result.ClusterTime); Result.WallTime is the measured
-// concurrent counterpart.
+// Substitution note (see README › Deviations from the paper): the paper
+// deploys on an 11-node Spark cluster; here each "worker" is a goroutine
+// running the stand-alone pipeline over its partition. Reported cluster
+// time uses the ideal-cluster model max(worker times) + partition + gather,
+// which approximates the scaling shape of Fig. 15 / Table 6 when the host
+// has at least k free cores (see Result.ClusterTime); Result.WallTime is the
+// measured concurrent counterpart.
 package distributed
 
 import (

@@ -15,25 +15,22 @@ import (
 // through its gob wire framing, and HTTPTransport (httptransport.go) moves
 // the same framing over real HTTP so workers can run out of process.
 //
-// The deadline variants and AddWorker are the fault-tolerance surface: the
+// The deadlines and AddWorker are the fault-tolerance surface: the
 // coordinator bounds every send and gather receive so a dead worker cannot
 // wedge it, and grows the transport by a fresh slot when it re-dispatches a
 // dead worker's partition (fresh slots never share an inbox with a stale
 // incarnation, so no epoch can steal another's messages).
 type Transport interface {
-	// ToWorker delivers m to worker slot w's inbox.
-	ToWorker(w int, m Message) error
-	// ToWorkerDeadline is ToWorker bounded by d (d <= 0 blocks like
-	// ToWorker); it returns ErrTimeout when the inbox stays full for d.
+	// ToWorkerDeadline delivers m to worker slot w's inbox, waiting at most
+	// d for room (d <= 0 blocks); it returns ErrTimeout when the inbox
+	// stays full for d.
 	ToWorkerDeadline(w int, m Message, d time.Duration) error
 	// WorkerRecv blocks until the next coordinator message for slot w.
 	WorkerRecv(w int) (Message, error)
 	// ToCoordinator delivers a worker reply to the coordinator.
 	ToCoordinator(m Message) error
-	// CoordinatorRecv blocks until the next worker reply.
-	CoordinatorRecv() (Message, error)
-	// CoordinatorRecvDeadline is CoordinatorRecv bounded by d (d <= 0
-	// blocks); it returns ErrTimeout when no reply arrives within d.
+	// CoordinatorRecvDeadline waits at most d for the next worker reply
+	// (d <= 0 blocks); it returns ErrTimeout when none arrives within d.
 	CoordinatorRecvDeadline(d time.Duration) (Message, error)
 	// AddWorker grows the transport by one fresh worker slot (recovery
 	// re-dispatch) and returns its id.
@@ -178,10 +175,6 @@ func NewChanTransport(workers int) Transport {
 	}
 }
 
-func (t *chanTransport) ToWorker(w int, m Message) error {
-	return t.ToWorkerDeadline(w, m, 0)
-}
-
 func (t *chanTransport) ToWorkerDeadline(w int, m Message, d time.Duration) error {
 	ch, err := t.inboxes.get(w)
 	if err != nil {
@@ -200,10 +193,6 @@ func (t *chanTransport) WorkerRecv(w int) (Message, error) {
 
 func (t *chanTransport) ToCoordinator(m Message) error {
 	return sendInbox(t.up, m, t.done, 0)
-}
-
-func (t *chanTransport) CoordinatorRecv() (Message, error) {
-	return recvInbox(t.up, t.done, 0)
 }
 
 func (t *chanTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error) {
@@ -245,10 +234,6 @@ func NewGobTransport(workers int) Transport {
 	}
 }
 
-func (t *gobTransport) ToWorker(w int, m Message) error {
-	return t.ToWorkerDeadline(w, m, 0)
-}
-
 func (t *gobTransport) ToWorkerDeadline(w int, m Message, d time.Duration) error {
 	ch, err := t.inboxes.get(w)
 	if err != nil {
@@ -279,10 +264,6 @@ func (t *gobTransport) ToCoordinator(m Message) error {
 		return err
 	}
 	return sendInbox(t.up, b, t.done, 0)
-}
-
-func (t *gobTransport) CoordinatorRecv() (Message, error) {
-	return t.CoordinatorRecvDeadline(0)
 }
 
 func (t *gobTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error) {

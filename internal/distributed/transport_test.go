@@ -46,10 +46,12 @@ func TestMessageGobRoundTrip(t *testing.T) {
 	}
 }
 
-// oldInitFrame is EncodeMessage(Init{…}) as produced by the build before
-// WireCoreOptions lost its Materialize and DisablePlanner fields (the frame
-// carries both, set to true): what a coordinator a release or two behind
-// still sends.
+// oldInitFrame is EncodeMessage(Init{…}) as a coordinator a few releases
+// behind still sends it: WireCoreOptions there carries Materialize,
+// DisablePlanner, the AGP merge-strategy selector and the nested Learn
+// struct of learner options, all since removed, and the frame sets every one
+// of them (true, true, 1, Learn.MaxIters = 7). Encoded by the last build
+// that had the latter two, with the two older bool fields put back.
 const oldInitFrame = "" +
 	"ff9b1000226d6c6e636c65616e2f696e7465726e616c2f646973747269627574" +
 	"65642e496e69747f03010104496e697401ff800001080106576f726b65720104" +
@@ -73,21 +75,21 @@ const oldInitFrame = "" +
 	"ff8e00010552756e4944010c0000005cff8d0301010c4c6561726e4f7074696f" +
 	"6e7301ff8e00010501084d617849746572730104000109546f6c6572616e6365" +
 	"010800010744616d70696e67010800010a5072696f725369676d610108000107" +
-	"4d61785374657001080000004aff804701020102010401fc7735940001020141" +
+	"4d61785374657001080000004eff804b01020102010401fc7735940001020141" +
 	"01420101010272310201010141000101010142000001010401010106636f7369" +
-	"6e650701010101060100010772756e2d6f6c6400010100"
+	"6e65010206010101010601010e00010772756e2d6f6c6400010100"
 
 // TestDecodeInitWithRemovedField: gob matches struct fields by name and
-// skips the ones the receiver no longer has, so an Init from a peer that
-// still ships WireCoreOptions.Materialize and .DisablePlanner decodes with
-// every surviving field intact. A worker must not reject (or misread) such a
-// lease.
+// skips the ones the receiver no longer has — a scalar or, for Learn, a
+// whole nested sub-message — so an Init from a peer that still ships them
+// decodes with every surviving field intact. A worker must not reject (or
+// misread) such a lease.
 func TestDecodeInitWithRemovedField(t *testing.T) {
 	frame, err := hex.DecodeString(oldInitFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, removed := range []string{"Materialize", "DisablePlanner"} {
+	for _, removed := range []string{"Materialize", "DisablePlanner", "AGPStrategy", "Learn", "MaxIters"} {
 		if !bytes.Contains(frame, []byte(removed)) {
 			t.Fatalf("fixture no longer carries the removed field %s", removed)
 		}
@@ -147,7 +149,7 @@ func TestGobTransportMatchesChan(t *testing.T) {
 func TestChanTransportClose(t *testing.T) {
 	for name, factory := range map[string]TransportFactory{"chan": NewChanTransport, "gob": NewGobTransport} {
 		tr := factory(2)
-		if err := tr.ToWorker(1, StartStageI{Worker: 1}); err != nil {
+		if err := tr.ToWorkerDeadline(1, StartStageI{Worker: 1}, 0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if m, err := tr.WorkerRecv(1); err != nil {
@@ -155,7 +157,7 @@ func TestChanTransportClose(t *testing.T) {
 		} else if _, isStart := m.(StartStageI); !isStart {
 			t.Fatalf("%s: got %T", name, m)
 		}
-		if err := tr.ToWorker(5, StartStageI{}); err == nil {
+		if err := tr.ToWorkerDeadline(5, StartStageI{}, 0); err == nil {
 			t.Errorf("%s: out-of-range worker should fail", name)
 		}
 		if err := tr.Close(); err != nil {
@@ -164,7 +166,7 @@ func TestChanTransportClose(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatalf("%s: double close: %v", name, err)
 		}
-		if _, err := tr.CoordinatorRecv(); err == nil {
+		if _, err := tr.CoordinatorRecvDeadline(0); err == nil {
 			t.Errorf("%s: recv after close should fail", name)
 		}
 		if err := tr.ToCoordinator(StartStageI{}); err == nil {

@@ -8,7 +8,6 @@ import (
 	"mlnclean/internal/core"
 	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
-	"mlnclean/internal/mln"
 	"mlnclean/internal/rules"
 )
 
@@ -69,14 +68,12 @@ type WireCoreOptions struct {
 	Tau                int
 	TauSet             bool
 	Metric             string
-	AGPStrategy        int
 	MergeCapRatio      float64
 	MaxFusionStates    int
 	MinimalityPrior    float64
 	MinimalityPriorSet bool
 	KeepDuplicates     bool
 	Parallelism        int
-	Learn              mln.LearnOptions
 	// RunID correlates worker-side log lines with the coordinator's run.
 	// Purely observational — decoding it as empty (older peers) is fine.
 	RunID string
@@ -88,14 +85,12 @@ func coreOptsToWire(o core.Options) WireCoreOptions {
 		Tau:                o.Tau,
 		TauSet:             o.TauSet,
 		Metric:             distance.MetricName(o.Metric),
-		AGPStrategy:        int(o.AGPStrategy),
 		MergeCapRatio:      o.MergeCapRatio,
 		MaxFusionStates:    o.MaxFusionStates,
 		MinimalityPrior:    o.MinimalityPrior,
 		MinimalityPriorSet: o.MinimalityPriorSet,
 		KeepDuplicates:     o.KeepDuplicates,
 		Parallelism:        o.Parallelism,
-		Learn:              o.Learn,
 		RunID:              o.RunID,
 	}
 }
@@ -106,14 +101,12 @@ func coreOptsFromWire(w WireCoreOptions) core.Options {
 		Tau:                w.Tau,
 		TauSet:             w.TauSet,
 		Metric:             distance.ByName(w.Metric),
-		AGPStrategy:        core.AGPStrategy(w.AGPStrategy),
 		MergeCapRatio:      w.MergeCapRatio,
 		MaxFusionStates:    w.MaxFusionStates,
 		MinimalityPrior:    w.MinimalityPrior,
 		MinimalityPriorSet: w.MinimalityPriorSet,
 		KeepDuplicates:     w.KeepDuplicates,
 		Parallelism:        w.Parallelism,
-		Learn:              w.Learn,
 		RunID:              w.RunID,
 	}
 }

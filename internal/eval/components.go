@@ -51,11 +51,11 @@ func trueReasonKey(truth *dataset.Table, r *rules.Rule, tupleIDs []int) string {
 // AGPQualityFromTrace computes Precision-A / Recall-A / #dag.
 //
 // Ground-truth definitions (the extended abstract does not spell them out;
-// see DESIGN.md): a group of the dirty index is *really abnormal* when its
-// observed reason key differs from the majority clean reason key of its
-// member tuples — i.e. the group only exists because reason-part values were
-// corrupted. A detected abnormal group is *correctly merged* when its AGP
-// target group's key equals that majority clean key.
+// see README › Deviations from the paper): a group of the dirty index is
+// *really abnormal* when its observed reason key differs from the majority
+// clean reason key of its member tuples — i.e. the group only exists because
+// reason-part values were corrupted. A detected abnormal group is *correctly
+// merged* when its AGP target group's key equals that majority clean key.
 func AGPQualityFromTrace(tr *core.Trace, truth, dirty *dataset.Table, rs []*rules.Rule) (AGPQuality, error) {
 	var q AGPQuality
 

@@ -43,7 +43,6 @@ type Piece struct {
 	ids     []uint32 // reason then result value IDs
 	nReason int
 	kid     uint32 // sequence key of ids (minted at construction)
-	gkid    uint32 // sequence key of the reason prefix
 }
 
 // NewPiece interns the given reason/result values into dict and returns the
@@ -64,14 +63,12 @@ func NewPiece(r *rules.Rule, dict *intern.Dict, reason, result []string) *Piece 
 // mints the piece's sequence keys. Key minting mutates the dictionary, so
 // pieces are only created in serial phases (Build, the wire gather).
 func newPieceIDs(r *rules.Rule, dict *intern.Dict, ids []uint32, nReason int) *Piece {
-	gkid := dict.Seq(ids[:nReason])
 	return &Piece{
 		Rule:    r,
 		dict:    dict,
 		ids:     ids,
 		nReason: nReason,
-		gkid:    gkid,
-		kid:     dict.Extend(gkid, ids[nReason:]),
+		kid:     dict.Extend(dict.Seq(ids[:nReason]), ids[nReason:]),
 	}
 }
 
@@ -81,9 +78,6 @@ func (p *Piece) Dict() *intern.Dict { return p.dict }
 // ValueIDs returns the piece's interned value IDs, reason first. Callers
 // must not mutate the slice.
 func (p *Piece) ValueIDs() []uint32 { return p.ids }
-
-// ReasonIDs returns the interned IDs of the reason part.
-func (p *Piece) ReasonIDs() []uint32 { return p.ids[:p.nReason] }
 
 // Reason returns the decoded reason values.
 func (p *Piece) Reason() []string { return p.decode(p.ids[:p.nReason]) }
@@ -109,10 +103,6 @@ func (p *Piece) Count() int { return len(p.TupleIDs) }
 // full value-ID sequence. Two pieces of the same dictionary are
 // value-identical iff their KeyIDs are equal.
 func (p *Piece) KeyID() uint32 { return p.kid }
-
-// GroupKeyID is the fixed-width identity of the piece's native group (its
-// reason-ID sequence).
-func (p *Piece) GroupKeyID() uint32 { return p.gkid }
 
 // Key renders the piece's identity as a joined display string (traces, wire
 // summaries, tie-breaking). Not collision-free — see dataset.JoinKey.
@@ -354,20 +344,10 @@ type BuildConfig struct {
 // Build constructs the MLN index over the table for the rule set: one block
 // per rule (O(|B|·|T|), §4), one group per distinct reason key, one piece
 // per distinct reason+result combination. The table is dictionary-encoded
-// into a fresh dictionary first; use BuildWithDict to share one. Blocks are
-// scanned under the selectivity plan derived from the encode-time column
-// statistics (internal/plan).
+// into a fresh dictionary first. Blocks are scanned under the selectivity
+// plan derived from the encode-time column statistics (internal/plan).
 func Build(tb *dataset.Table, rs []*rules.Rule) (*Index, error) {
 	return BuildConfigured(tb, rs, BuildConfig{})
-}
-
-// BuildWithDict is Build over a caller-supplied dictionary (nil for a fresh
-// one): long-lived holders (a serving session, the distributed gather) pass
-// their own so values interned at ingest are shared across phases. The
-// per-tuple scan hashes fixed-width sequence keys only — no joined strings,
-// no per-tuple allocations beyond the deduplicated pieces themselves.
-func BuildWithDict(tb *dataset.Table, rs []*rules.Rule, dict *intern.Dict) (*Index, error) {
-	return BuildConfigured(tb, rs, BuildConfig{Dict: dict})
 }
 
 // BuildConfigured is the fully parameterized Build: a BlockIterator drained
@@ -520,7 +500,7 @@ func (bb *blockBuilder) newPiece(row []uint32, gk uint32) *Piece {
 	for _, pos := range pl.resultPos {
 		ids = append(ids, row[pos])
 	}
-	return &Piece{Rule: bb.b.Rule, dict: bb.d, ids: ids, nReason: nReason, gkid: gk, kid: bb.d.Extend(gk, ids[nReason:])}
+	return &Piece{Rule: bb.b.Rule, dict: bb.d, ids: ids, nReason: nReason, kid: bb.d.Extend(gk, ids[nReason:])}
 }
 
 // restoreFirstSightOrder re-sorts the block's groups into the order a

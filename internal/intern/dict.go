@@ -1,12 +1,12 @@
 // Package intern provides the shared value dictionary the cleaning pipeline
 // is keyed on: every distinct cell value is encoded to a dense uint32 ID at
 // ingest, and composite keys (a rule's reason or reason+result projection)
-// reduce to a single fixed-width ID by hash-consing (ID, ID) pairs — the
-// same left-fold trick internal/mln's ground store uses for atoms. Hashing
-// a piece or group identity therefore costs one small map probe per
-// attribute over comparable integer keys instead of building a joined
-// string, and it is immune to the separator-collision class that plagues
-// dataset.JoinKey (values containing the 0x1f byte).
+// reduce to a single fixed-width ID by hash-consing (ID, ID) pairs in a
+// left fold over the sequence. Hashing a piece or group identity therefore
+// costs one small map probe per attribute over comparable integer keys
+// instead of building a joined string, and it is immune to the
+// separator-collision class that plagues dataset.JoinKey (values containing
+// the 0x1f byte).
 //
 // The dictionary also accumulates per-column statistics (Stats) as rows are
 // encoded — cell counts, distinct-ID cardinality, and exact per-ID

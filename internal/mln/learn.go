@@ -1,3 +1,9 @@
+// Package mln is MLNClean's Markov-logic weight learner (§5.1.2, Eq. 3–4):
+// every distinct piece of data γ of the two-layer index is a ground MLN rule
+// (Table 3), the γs of one group compete, and damped diagonal Newton — the
+// optimizer Tuffy uses — assigns each γ the weight the reliability score
+// (Def. 2) and the fusion score (Eq. 5) consume. The index is the grounding
+// and the pipeline runs no inference over it, so learning is all there is.
 package mln
 
 import (
@@ -5,50 +11,25 @@ import (
 	"math"
 )
 
-// LearnOptions configures the diagonal-Newton weight learner.
-type LearnOptions struct {
-	// MaxIters bounds the Newton iterations (default 100).
-	MaxIters int
-	// Tolerance stops the loop once the max absolute weight change falls
-	// below it (default 1e-6).
-	Tolerance float64
-	// Damping is added to the Hessian diagonal for numerical stability
-	// (default 1e-3). Larger damping ⇒ smaller, safer steps.
-	Damping float64
-	// PriorSigma is the std-dev of the Gaussian prior centred on the initial
-	// weights (default 2.0). The prior both regularizes and pins the
-	// per-group shift invariance of the softmax likelihood.
-	PriorSigma float64
-	// MaxStep clips each per-weight Newton step (default 2.0).
-	MaxStep float64
-}
-
-func (o LearnOptions) withDefaults() LearnOptions {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 100
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
-	}
-	if o.Damping <= 0 {
-		o.Damping = 1e-3
-	}
-	if o.PriorSigma <= 0 {
-		o.PriorSigma = 2.0
-	}
-	if o.MaxStep <= 0 {
-		o.MaxStep = 2.0
-	}
-	return o
-}
-
-// LearnResult reports learner diagnostics.
-type LearnResult struct {
-	Weights    []float64
-	Iterations int
-	LogLik     float64
-	Converged  bool
-}
+// The diagonal-Newton learner's settings. They are constants because no
+// caller ever needed a second value; the parity goldens pin their effect.
+const (
+	// maxIters bounds the Newton sweeps.
+	maxIters = 100
+	// tolerance stops the loop once the max absolute weight change of a
+	// sweep falls below it.
+	tolerance = 1e-6
+	// damping is added to the Hessian diagonal for numerical stability.
+	// Larger damping ⇒ smaller, safer steps.
+	damping = 1e-3
+	// priorSigma is the std-dev of the Gaussian prior centred on the initial
+	// weights. The prior both regularizes and pins the per-group shift
+	// invariance of the softmax likelihood.
+	priorSigma = 2.0
+	invSigma2  = 1 / (priorSigma * priorSigma)
+	// maxStep clips each per-weight Newton step.
+	maxStep = 2.0
+)
 
 // LearnWeights fits ground-clause weights by maximizing the grouped softmax
 // log-likelihood with a damped diagonal-Newton update — the optimizer family
@@ -67,34 +48,33 @@ type LearnResult struct {
 //
 // init supplies the starting (and prior-centre) weights; pass the Eq. 4
 // priors w⁰ = c(γ)/Σc. groups must partition 0..len(counts)-1; indices may
-// appear in at most one group.
-func LearnWeights(groups [][]int, counts []float64, init []float64, opts LearnOptions) (LearnResult, error) {
-	o := opts.withDefaults()
+// appear in at most one group. Returns the learned weights and the number
+// of sweeps performed (maxIters when the tolerance was never reached).
+func LearnWeights(groups [][]int, counts []float64, init []float64) (weights []float64, iterations int, err error) {
 	n := len(counts)
 	if len(init) != n {
-		return LearnResult{}, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
+		return nil, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
 	}
 	seen := make([]bool, n)
 	for _, g := range groups {
 		for _, i := range g {
 			if i < 0 || i >= n {
-				return LearnResult{}, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
+				return nil, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
 			}
 			if seen[i] {
-				return LearnResult{}, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
+				return nil, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
 			}
 			seen[i] = true
 		}
 	}
 	for i, c := range counts {
 		if c < 0 {
-			return LearnResult{}, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
+			return nil, 0, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
 		}
 	}
 
 	w := make([]float64, n)
 	copy(w, init)
-	invSigma2 := 1 / (o.PriorSigma * o.PriorSigma)
 
 	maxGroup := 0
 	for _, g := range groups {
@@ -104,8 +84,8 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, opts LearnOp
 	}
 	probs := make([]float64, maxGroup)
 
-	res := LearnResult{Weights: w}
-	for iter := 1; iter <= o.MaxIters; iter++ {
+	for iterations < maxIters {
+		iterations++
 		maxDelta := 0.0
 		for _, g := range groups {
 			if len(g) < 2 {
@@ -128,12 +108,12 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, opts LearnOp
 				softmaxInto(probs[:len(g)], w, g)
 				p := probs[k]
 				grad := counts[i] - total*p - (w[i]-init[i])*invSigma2
-				hess := total*p*(1-p) + invSigma2 + o.Damping
+				hess := total*p*(1-p) + invSigma2 + damping
 				step := grad / hess
-				if step > o.MaxStep {
-					step = o.MaxStep
-				} else if step < -o.MaxStep {
-					step = -o.MaxStep
+				if step > maxStep {
+					step = maxStep
+				} else if step < -maxStep {
+					step = -maxStep
 				}
 				w[i] += step
 				if d := math.Abs(step); d > maxDelta {
@@ -141,14 +121,11 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, opts LearnOp
 				}
 			}
 		}
-		res.Iterations = iter
-		if maxDelta < o.Tolerance {
-			res.Converged = true
+		if maxDelta < tolerance {
 			break
 		}
 	}
-	res.LogLik = groupedLogLik(groups, counts, w, init, invSigma2)
-	return res, nil
+	return w, iterations, nil
 }
 
 // softmaxInto writes softmax(w[idx]) into dst (len(dst) == len(idx)),
@@ -168,34 +145,6 @@ func softmaxInto(dst []float64, w []float64, idx []int) {
 	for k := range dst {
 		dst[k] /= z
 	}
-}
-
-func groupedLogLik(groups [][]int, counts, w, init []float64, invSigma2 float64) float64 {
-	ll := 0.0
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
-		}
-		maxW := math.Inf(-1)
-		for _, i := range g {
-			if w[i] > maxW {
-				maxW = w[i]
-			}
-		}
-		var z float64
-		for _, i := range g {
-			z += math.Exp(w[i] - maxW)
-		}
-		logZ := math.Log(z) + maxW
-		for _, i := range g {
-			ll += counts[i] * (w[i] - logZ)
-		}
-	}
-	for i := range w {
-		d := w[i] - init[i]
-		ll -= d * d * invSigma2 / 2
-	}
-	return ll
 }
 
 // PriorWeights computes the Eq. 4 priors: w⁰ᵢ = c(γᵢ) / Σⱼ c(γⱼ) over all
