@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"mlnclean/internal/distance"
@@ -10,30 +12,166 @@ import (
 
 // agpMemo carries nearest-target decisions across successive rebuilds of
 // the same rule block (the DeltaCleaner's case: one mutation dirties a
-// block whose group structure barely moves). A source's cached decision is
-// reusable when three things hold: the cache is fresh (the immediately
-// preceding rebuild wrote it — run stamps enforce this, so a rebuild the
-// source sat out invalidates it), the source's γ⋆ is bit-identical (same
-// piece KeyID ⇒ same value IDs ⇒ same distances), and its best target
-// survived unchanged. A reusable decision then only has to beat the
-// targets that were added or changed since — every unchanged target
-// already lost to it, and the full scan's (distance, key) minimum is
-// scan-order independent, so challenging the delta reproduces the full
-// scan's choice exactly. Batch callers pass nil and take the plain scan.
+// block whose group structure barely moves). It holds what the immediately
+// preceding rebuild decided and nothing older: every rebuild empties it and
+// only one that goes on to search fills it again, so a rebuild a source sat
+// out leaves no decision for it and a session fed ever-new typos does not
+// grow it. A source's cached decision is reusable when its γ⋆ is
+// bit-identical (same piece KeyID ⇒ same value IDs ⇒ same distances) and its
+// best target survived unchanged. It then only has to beat the targets that
+// were added or changed since — every unchanged target already lost to it,
+// and the (distance, key) minimum does not depend on the order targets are
+// measured in, so challenging the delta reproduces the full search's choice
+// exactly. Batch callers pass nil and search every source.
 type agpMemo struct {
-	run   int
-	fresh int // run whose normal flow last completed
-	// targets maps a normal-group key to its γ⋆ piece KeyID — which fixes
-	// the target's value IDs — as of `fresh`.
+	// targets maps a normal-group key to its γ⋆ piece KeyID, which fixes
+	// the target's value IDs.
 	targets map[string]uint32
 	best    map[string]agpBest // abnormal-group key → decision
 }
 
 type agpBest struct {
-	run    int
 	srcKid uint32
 	key    string // best target's group key
 	d      float64
+}
+
+// agpTarget is one normal group and its γ⋆, taken once per block.
+type agpTarget struct {
+	g   *index.Group
+	kid uint32   // γ⋆'s piece KeyID
+	ids []uint32 // γ⋆'s value IDs
+}
+
+// agpSearch finds the nearest target of one source at a time without
+// measuring every target. A source and a target that share the value ID at
+// m of the source's k positions differ in k−m attributes, and each differing
+// attribute costs at least the evaluator's MinDistinct, so the targets are
+// measured class by class — m = k−1 shared positions, then k−2, … down to 0,
+// the class of every target the source shares nothing with — and the search
+// stops before a class whose lower bound (k−m)·δ the running best is already
+// strictly under: nothing left can win, or even tie into the key comparison.
+// Where the bound says nothing (δ = 0: cosine or a custom metric; targets of
+// ragged arity; a best no better than k·δ) every class is entered, which is
+// the plain scan over all targets.
+//
+// The classes come from per-position postings over the targets' value IDs,
+// built when the first source searches: a rebuild whose sources all reuse a
+// memoized decision never pays for them.
+type agpSearch struct {
+	ev      *distance.Evaluator
+	targets []agpTarget
+
+	built bool
+	arity int          // the targets' common γ⋆ arity; −1 when they differ
+	post  []agpPosting // arity runs of len(targets), each sorted by (id, target)
+	// shared[t] counts the positions at which target t holds the current
+	// source's value; touched lists the targets with a non-zero count.
+	shared  []int32
+	touched []int32
+
+	pairs     int // γ⋆ pairs measured
+	fullScans int // sources that went on to the targets sharing nothing
+}
+
+type agpPosting struct {
+	id     uint32
+	target int32
+}
+
+func (s *agpSearch) build() {
+	s.built = true
+	n := len(s.targets)
+	s.shared = make([]int32, n)
+	s.arity = len(s.targets[0].ids)
+	for i := range s.targets {
+		if len(s.targets[i].ids) != s.arity {
+			s.arity = -1
+			return
+		}
+	}
+	s.post = make([]agpPosting, s.arity*n)
+	for p := 0; p < s.arity; p++ {
+		run := s.post[p*n : (p+1)*n]
+		for i := range s.targets {
+			run[i] = agpPosting{id: s.targets[i].ids[p], target: int32(i)}
+		}
+		slices.SortFunc(run, func(a, b agpPosting) int {
+			return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.target, b.target))
+		})
+	}
+}
+
+// challenge measures target i against the running best and returns the
+// better of the two. Strictly nearer wins; an exact distance tie falls to
+// the explicit key comparison, never to the order targets are measured in.
+// The bounded evaluator returns a distance equal to its bound exactly (it
+// only clips strictly past it), so clipping cannot hide a tie.
+func (s *agpSearch) challenge(sids []uint32, i, best int, bestD float64) (int, float64) {
+	s.pairs++
+	d := s.ev.ValuesBounded(sids, s.targets[i].ids, bestD)
+	if d < bestD || (d == bestD && best >= 0 && s.targets[i].g.Key < s.targets[best].g.Key) {
+		return i, d
+	}
+	return best, bestD
+}
+
+// nearest returns the (distance, key) minimum over all targets: the source's
+// nearest target, ties to the smaller group key, and its distance.
+func (s *agpSearch) nearest(sids []uint32) (best int, bestD float64) {
+	best, bestD = -1, math.Inf(1)
+	k, n := len(sids), len(s.targets)
+	// δ: what any one differing attribute of this source costs at least.
+	delta := 0.0
+	if k > 0 {
+		delta = s.ev.MinDistinct(sids[0])
+		for _, id := range sids[1:] {
+			delta = min(delta, s.ev.MinDistinct(id))
+		}
+	}
+	if delta > 0 {
+		if !s.built {
+			s.build()
+		}
+		if k != s.arity {
+			delta = 0
+		}
+	}
+	if delta > 0 {
+		for p, id := range sids {
+			run := s.post[p*n : (p+1)*n]
+			at, _ := slices.BinarySearchFunc(run, id, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
+			for ; at < n && run[at].id == id; at++ {
+				t := run[at].target
+				if s.shared[t] == 0 {
+					s.touched = append(s.touched, t)
+				}
+				s.shared[t]++
+			}
+		}
+	}
+	for m := k; m >= 0 && !(bestD < float64(k-m)*delta); m-- {
+		if m > 0 {
+			for _, t := range s.touched {
+				if s.shared[t] == int32(m) {
+					best, bestD = s.challenge(sids, int(t), best, bestD)
+				}
+			}
+			continue
+		}
+		s.fullScans++
+		for i := 0; i < n; i++ {
+			// (shared does not exist until a source with a bound built it.)
+			if len(s.touched) == 0 || s.shared[i] == 0 {
+				best, bestD = s.challenge(sids, i, best, bestD)
+			}
+		}
+	}
+	for _, t := range s.touched {
+		s.shared[t] = 0
+	}
+	s.touched = s.touched[:0]
+	return best, bestD
 }
 
 // agp runs Abnormal Group Processing (§5.1.1) on one block: groups whose
@@ -43,20 +181,24 @@ type agpBest struct {
 // tuples). If the block has no normal group, the largest group is promoted
 // so merging remains well-defined.
 //
-// The O(abnormal×normal) scan runs entirely over interned value IDs through
-// the block's distance evaluator: per-pair results are memoized
-// symmetrically (γ⋆ values repeat across sources) and the per-pair DP is
-// bounded by the running best, so hopeless targets abandon early. A non-nil
-// memo further reduces repeat rebuilds to the changed targets only.
+// The nearest-group search runs entirely over interned value IDs through
+// the block's distance evaluator: agpSearch measures only the targets that
+// can still win, per-pair results are memoized symmetrically (γ⋆ values
+// repeat across sources) and the per-pair DP is bounded by the running
+// best, so hopeless targets abandon early. A non-nil memo further reduces
+// repeat rebuilds to the changed targets only.
 //
 // Returns the number of abnormal groups detected, the total γ count inside
-// them (#dag), and the number of promotions (0 or 1).
-func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions int) {
+// them (#dag), the number of promotions (0 or 1), and what the search cost:
+// γ⋆ pairs measured and sources that had to scan the targets they share no
+// value with.
+func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
+	var prev agpMemo // what the previous rebuild left, if it searched
 	if memo != nil {
-		memo.run++
+		prev, *memo = *memo, agpMemo{}
 	}
 	if len(b.Groups) <= 1 {
-		return 0, 0, 0
+		return
 	}
 	var abnormalGroups, normalGroups []*index.Group
 	for _, g := range b.Groups {
@@ -67,7 +209,7 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		}
 	}
 	if len(abnormalGroups) == 0 {
-		return 0, 0, 0
+		return
 	}
 	if len(normalGroups) == 0 {
 		// Promote the largest abnormal group (ties: lexicographic key) to
@@ -97,61 +239,54 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		sort.Ints(promo.SourceTuples)
 		tr.addAGP(promo)
 		if len(abnormalGroups) == 0 {
-			return 0, 0, promotions
+			return
 		}
 	}
 
 	// Deterministic processing order.
 	sort.Slice(abnormalGroups, func(i, j int) bool { return abnormalGroups[i].Key < abnormalGroups[j].Key })
 
-	// Precompute γ⋆ IDs of normal groups once.
-	type target struct {
-		g   *index.Group
-		ids []uint32
-	}
-	targets := make([]target, len(normalGroups))
+	targets := make([]agpTarget, len(normalGroups))
 	for i, g := range normalGroups {
-		targets[i] = target{g: g, ids: g.Star().ValueIDs()}
+		star := g.Star()
+		targets[i] = agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()}
 	}
+	search := agpSearch{ev: ev, targets: targets}
 
-	// With a fresh memo, work out which targets moved since the previous
-	// rebuild (added, removed, or different γ⋆) and index the rest.
+	// With the previous rebuild's memo, work out which targets moved since
+	// (added, removed, or different γ⋆) and index the rest.
 	var changed map[string]bool
 	var targetIdx map[string]int
+	var reusable map[string]agpBest // the previous rebuild's decisions
 	if memo != nil && promotions == 0 {
-		curr := make(map[string]uint32, len(targets))
+		memo.targets = make(map[string]uint32, len(targets))
+		memo.best = make(map[string]agpBest, len(abnormalGroups))
 		targetIdx = make(map[string]int, len(targets))
 		for i := range targets {
-			curr[targets[i].g.Key] = targets[i].g.Star().KeyID()
+			memo.targets[targets[i].g.Key] = targets[i].kid
 			targetIdx[targets[i].g.Key] = i
 		}
-		if memo.fresh == memo.run-1 {
+		if prev.targets != nil {
+			reusable = prev.best
 			changed = make(map[string]bool)
-			for k, kid := range curr {
-				if prev, ok := memo.targets[k]; !ok || prev != kid {
+			for k, kid := range memo.targets {
+				if was, ok := prev.targets[k]; !ok || was != kid {
 					changed[k] = true
 				}
 			}
-			for k := range memo.targets {
-				if _, ok := curr[k]; !ok {
+			for k := range prev.targets {
+				if _, ok := memo.targets[k]; !ok {
 					changed[k] = true // removed: any decision pointing here rescans
 				}
 			}
-		}
-		memo.targets = curr
-		memo.fresh = memo.run
-		if memo.best == nil {
-			memo.best = make(map[string]agpBest)
 		}
 	}
 	// Indices of moved targets, in scan order — sources with a reusable
 	// decision measure only these.
 	var changedIdx []int
-	if changed != nil {
-		for i := range targets {
-			if changed[targets[i].g.Key] {
-				changedIdx = append(changedIdx, i)
-			}
+	for i := range targets {
+		if changed[targets[i].g.Key] {
+			changedIdx = append(changedIdx, i)
 		}
 	}
 
@@ -161,42 +296,21 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 			continue
 		}
 		sids := star.ValueIDs()
-		best := -1
-		bestD := math.Inf(1) // distance of the best target
-		cached := false
-		if changed != nil {
-			if e, ok := memo.best[src.Key]; ok && e.run == memo.run-1 && e.srcKid == star.KeyID() && !changed[e.key] {
-				if i, ok := targetIdx[e.key]; ok {
-					best, bestD = i, e.d
-					cached = true
-				}
+		var best int
+		var bestD float64 // distance of the best target
+		if e, ok := reusable[src.Key]; ok && e.srcKid == star.KeyID() && !changed[e.key] {
+			// Every unchanged target lost to the cached decision last
+			// rebuild; only the moved ones can challenge it. (A key that
+			// did not move is a key of this rebuild, so the lookup hits.)
+			best, bestD = targetIdx[e.key], e.d
+			for _, i := range changedIdx {
+				best, bestD = search.challenge(sids, i, best, bestD)
 			}
-		}
-		scan := len(targets)
-		if cached {
-			scan = len(changedIdx) // every other target lost to the cached decision last rebuild
-		}
-		for j := 0; j < scan; j++ {
-			i := j
-			if cached {
-				i = changedIdx[j]
-			}
-			d := ev.ValuesBounded(sids, targets[i].ids, bestD)
-			// Order independence: strictly nearer wins; an exact distance
-			// tie falls to the explicit key comparison, never to the scan
-			// order of targets. The bounded evaluator returns a distance
-			// equal to its bound exactly (it only clips strictly past it),
-			// so clipping cannot hide a tie.
-			if d < bestD || (d == bestD && best >= 0 && targets[i].g.Key < targets[best].g.Key) {
-				bestD = d
-				best = i
-			}
+		} else {
+			best, bestD = search.nearest(sids)
 		}
 		if memo != nil && promotions == 0 && best >= 0 {
-			memo.best[src.Key] = agpBest{
-				run: memo.run, srcKid: star.KeyID(),
-				key: targets[best].g.Key, d: bestD,
-			}
+			memo.best[src.Key] = agpBest{srcKid: star.KeyID(), key: targets[best].g.Key, d: bestD}
 		}
 		abnormal++
 		abnormalPieces += len(src.Pieces)
@@ -216,7 +330,7 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		}
 		tr.addAGP(merge)
 	}
-	return abnormal, abnormalPieces, promotions
+	return abnormal, abnormalPieces, promotions, search.pairs, search.fullScans
 }
 
 // maxRuneLen returns the larger total rune length of the two value-ID

@@ -13,23 +13,27 @@ import (
 // the same group. Weights are written into Piece.Weight. Returns the number
 // of Newton iterations performed.
 func learnBlockWeights(b *index.Block) (int, error) {
-	pieces := b.Pieces()
-	if len(pieces) == 0 {
+	n := 0
+	for _, g := range b.Groups {
+		n += len(g.Pieces)
+	}
+	if n == 0 {
 		return 0, nil
 	}
-	counts := make([]float64, len(pieces))
-	pos := make(map[*index.Piece]int, len(pieces))
-	for i, p := range pieces {
-		counts[i] = float64(p.Count())
-		pos[p] = i
+	// Candidates are numbered group by group, so each group's competing γs
+	// are one run of consecutive indices: a sub-slice of members[i] = i.
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
 	}
+	counts := make([]float64, 0, n)
 	groups := make([][]int, 0, len(b.Groups))
 	for _, g := range b.Groups {
-		idx := make([]int, 0, len(g.Pieces))
+		first := len(counts)
 		for _, p := range g.Pieces {
-			idx = append(idx, pos[p])
+			counts = append(counts, float64(p.Count()))
 		}
-		groups = append(groups, idx)
+		groups = append(groups, members[first:len(counts)])
 	}
 	priors := mln.PriorWeights(counts)
 	weights, iters, err := mln.LearnWeights(groups, counts, priors)
@@ -43,24 +47,26 @@ func learnBlockWeights(b *index.Block) (int, error) {
 	// on each piece is the in-group softmax probability: exp-normalized over
 	// the competing γs of its group. An uncontested γ (singleton group) is
 	// certainly clean under its rule and gets weight 1.
-	for gi, g := range b.Groups {
-		_ = gi
-		if len(g.Pieces) == 1 {
+	for _, g := range b.Groups {
+		ws := weights[:len(g.Pieces)]
+		weights = weights[len(g.Pieces):]
+		if len(ws) == 1 {
 			g.Pieces[0].Weight = 1
 			continue
 		}
 		maxW := math.Inf(-1)
-		for _, p := range g.Pieces {
-			if w := weights[pos[p]]; w > maxW {
+		for _, w := range ws {
+			if w > maxW {
 				maxW = w
 			}
 		}
 		var z float64
-		for _, p := range g.Pieces {
-			z += math.Exp(weights[pos[p]] - maxW)
+		for k, w := range ws {
+			ws[k] = math.Exp(w - maxW)
+			z += ws[k]
 		}
-		for _, p := range g.Pieces {
-			p.Weight = math.Exp(weights[pos[p]]-maxW) / z
+		for k, p := range g.Pieces {
+			p.Weight = ws[k] / z
 			if p.Weight < minPieceWeight {
 				p.Weight = minPieceWeight
 			}

@@ -32,6 +32,10 @@ var (
 		"Abnormal groups merged into a normal group.")
 	mAGPPromotions = obs.Default().Counter("mlnclean_core_agp_promotions_total",
 		"Abnormal groups promoted to normal (no merge target).")
+	mAGPPairs = obs.Default().Counter("mlnclean_core_agp_pairs_total",
+		"γ⋆ pairs AGP's nearest-group search measured.")
+	mAGPFullScans = obs.Default().Counter("mlnclean_core_agp_full_scans_total",
+		"Abnormal groups whose search had to go on to the normal groups they share no value with.")
 	mRSCRewrites = obs.Default().Counter("mlnclean_core_rsc_rewrites_total",
 		"Pieces rewritten by reliability-score cleaning.")
 	mLearnIterations = obs.Default().Counter("mlnclean_core_learn_iterations_total",

@@ -57,6 +57,7 @@ const (
 // phases report, the busy time each took, and the learner's error if any.
 type blockResult struct {
 	abnormal, abnormalPieces, promotions int
+	agpPairs, agpFullScans               int
 	learnIters, repairs                  int
 	agp, learn, rsc                      time.Duration
 	err                                  error
@@ -78,7 +79,7 @@ func runBlock(bi int, b *index.Block, ev *distance.Evaluator, opts Options, ph p
 		return d
 	}
 	if ph&phaseAGP != 0 {
-		r.abnormal, r.abnormalPieces, r.promotions = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, memo, opts.Trace)
+		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, memo, opts.Trace)
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
@@ -182,6 +183,8 @@ func fold(results []blockResult, ph phases, st *Stats) {
 		mAGPPromotions.Add(int64(r.promotions))
 		// Every abnormal group is either merged away or promoted in place.
 		mAGPMerges.Add(int64(r.abnormal - r.promotions))
+		mAGPPairs.Add(int64(r.agpPairs))
+		mAGPFullScans.Add(int64(r.agpFullScans))
 		mLearnIterations.Add(int64(r.learnIters))
 		mRSCRewrites.Add(int64(r.repairs))
 		agpTime += r.agp

@@ -1,19 +1,23 @@
 package distance
 
 import (
+	"slices"
+	"unicode/utf8"
+
 	"mlnclean/internal/intern"
 )
 
 // Evaluator computes metric distances over interned value IDs: the
 // γ-to-γ distance of Def. 2 without ever re-materializing strings on the
 // hot path. It memoizes exact pair distances under a symmetric key (AGP's
-// O(abnormal×normal) scan and RSC's pairwise matrices revisit the same γ⋆
+// nearest-group search and RSC's pairwise matrices revisit the same γ⋆
 // value pairs constantly) and precomputes per-ID derived data lazily: rune
 // buffers for Levenshtein (with an ASCII marker so pure-byte values never
 // decode at all) and sorted bigram frequency vectors for cosine.
 //
 // An Evaluator is NOT safe for concurrent use; the block-parallel stages
-// create one per block. The dictionary is only read.
+// keep one per worker goroutine for the worker's lifetime. The dictionary is
+// only read.
 type Evaluator struct {
 	m    Metric
 	dict *intern.Dict
@@ -33,6 +37,7 @@ const (
 type idInfo struct {
 	prepared bool
 	ascii    bool
+	lossy    bool // decodes to U+FFFD somewhere, as a different string can too
 	runeLen  int32
 	runes    []rune  // decoded form; for ASCII values only filled on demand
 	grams    []gram  // cosine: sorted bigram vector
@@ -84,6 +89,7 @@ func (e *Evaluator) prep(id uint32) *idInfo {
 	} else {
 		in.runes = appendRunes(nil, s)
 		in.runeLen = int32(len(in.runes))
+		in.lossy = slices.Contains(in.runes, utf8.RuneError)
 	}
 	if e.kind == kindCos {
 		in.grams, in.norm2 = bigramVector(s)
@@ -93,6 +99,20 @@ func (e *Evaluator) prep(id uint32) *idInfo {
 
 // RuneLen returns the rune count of the interned value.
 func (e *Evaluator) RuneLen(id uint32) int { return int(e.prep(id).runeLen) }
+
+// MinDistinct returns a lower bound on Pair(id, other) over every other ≠
+// id: what an attribute costs at least once two γs differ in it. The
+// dictionary mints one ID per distinct string, so under Levenshtein a
+// different ID is a different string, at least one edit away — except from a
+// value holding U+FFFD or bytes that decode to it, which a different string
+// can match rune for rune. Cosine (distinct strings can share a bigram
+// vector) and custom metrics promise nothing.
+func (e *Evaluator) MinDistinct(id uint32) float64 {
+	if e.kind == kindLev && !e.prep(id).lossy {
+		return 1
+	}
+	return 0
+}
 
 func pairKey(a, b uint32) uint64 {
 	if a > b {

@@ -29,6 +29,37 @@ func randomValues(rng *rand.Rand, n int) []string {
 	return out
 }
 
+// TestMinDistinctIsALowerBound: MinDistinct(id) never exceeds the distance
+// from id to any other interned value — including values that differ as
+// strings but decode to the same runes — and is positive for every
+// Levenshtein value that decodes losslessly, which is what AGP prunes on.
+func TestMinDistinctIsALowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := append(randomValues(rng, 40), "\xff", "\xfe", "\ufffd", "a\xffb", "a\xfeb", "a\ufffdb")
+	for _, m := range []Metric{Levenshtein{}, Cosine{}} {
+		t.Run(m.Name(), func(t *testing.T) {
+			dict := intern.NewDict()
+			ids := make([]uint32, len(vals))
+			for i, v := range vals {
+				ids[i] = dict.Intern(v)
+			}
+			e := NewEvaluator(m, dict)
+			for i, a := range ids {
+				lb := e.MinDistinct(a)
+				_, lev := m.(Levenshtein)
+				if want := lev && !strings.ContainsRune(vals[i], '\ufffd'); (lb > 0) != want {
+					t.Errorf("MinDistinct(%q) = %v, want positive: %v", vals[i], lb, want)
+				}
+				for j, b := range ids {
+					if a != b && e.Pair(a, b) < lb {
+						t.Errorf("Pair(%q,%q) = %v under MinDistinct %v", vals[i], vals[j], e.Pair(a, b), lb)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestEvaluatorMatchesMetric asserts the interned evaluator agrees exactly
 // with the string Metric implementations — bit for bit, including bounded
 // early exits staying on the correct side of the bound.

@@ -7,8 +7,10 @@
 package mln
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The diagonal-Newton learner's settings. They are constants because no
@@ -76,48 +78,97 @@ func LearnWeights(groups [][]int, counts []float64, init []float64) (weights []f
 	w := make([]float64, n)
 	copy(w, init)
 
-	maxGroup := 0
-	for _, g := range groups {
-		if len(g) > maxGroup {
-			maxGroup = len(g)
-		}
+	// The softmax state of every group that learns, kept across updates and
+	// across sweeps: ex[j] = exp(w[j] − top) for each member j, top the
+	// group's largest weight, pre the sum of the terms before the member
+	// being updated. A group's weights are written only by its own updates
+	// (the partition check above), so between two of them exactly one term
+	// changes — unless the largest weight moved, which rebases all of them.
+	// Either way every term is what a from-scratch softmax over the current
+	// weights computes (same operands) and z adds them up in member order,
+	// so the learned weights do not depend on the reuse.
+	type groupState struct {
+		members         []int
+		total, top, pre float64
 	}
-	probs := make([]float64, maxGroup)
+	live := make([]groupState, 0, len(groups))
+	ex := make([]float64, n)
+	for _, g := range groups {
+		if len(g) < 2 {
+			// A singleton group's softmax is degenerate (p=1); only the
+			// prior acts, so the weight stays at its prior centre.
+			continue
+		}
+		total := 0.0
+		for _, i := range g {
+			total += counts[i]
+		}
+		if total == 0 {
+			continue
+		}
+		top := maxWeight(w, g)
+		expTerms(ex, w, g, top)
+		live = append(live, groupState{members: g, total: total, top: top})
+	}
+	// Longest first: the groups that have a k-th member are then a prefix.
+	slices.SortFunc(live, func(a, b groupState) int { return cmp.Compare(len(b.members), len(a.members)) })
 
 	for iterations < maxIters {
 		iterations++
 		maxDelta := 0.0
-		for _, g := range groups {
-			if len(g) < 2 {
-				// A singleton group's softmax is degenerate (p=1); only the
-				// prior acts, so the weight stays at its prior centre.
-				continue
+		// Coordinate-descent Newton: each single-weight update sees its
+		// group's current distribution. Updating all weights of a group from
+		// one stale distribution makes opposing steps compound (the softmax
+		// is shift-invariant) and the sweep oscillates. Within a group the
+		// updates run in member order; across groups nothing is shared but
+		// maxDelta, so a sweep updates the k-th member of every group before
+		// any (k+1)-th: one update is a single chain of dependent
+		// exp/add/divide, and neighbours from different groups overlap.
+		active := len(live)
+		for k := 0; active > 0; k++ {
+			for active > 0 && len(live[active-1].members) <= k {
+				active--
 			}
-			total := 0.0
-			for _, i := range g {
-				total += counts[i]
-			}
-			if total == 0 {
-				continue
-			}
-			// Coordinate-descent Newton: refresh the group's softmax before
-			// each single-weight update. Updating all weights of a group
-			// from one stale distribution makes opposing steps compound
-			// (the softmax is shift-invariant) and the sweep oscillates.
-			for k, i := range g {
-				softmaxInto(probs[:len(g)], w, g)
-				p := probs[k]
-				grad := counts[i] - total*p - (w[i]-init[i])*invSigma2
-				hess := total*p*(1-p) + invSigma2 + damping
+			for gi := range live[:active] {
+				g := &live[gi]
+				i := g.members[k]
+				if k == 0 {
+					g.pre = 0
+				}
+				z := g.pre
+				for _, j := range g.members[k:] {
+					z += ex[j]
+				}
+				p := ex[i] / z
+				grad := counts[i] - g.total*p - (w[i]-init[i])*invSigma2
+				hess := g.total*p*(1-p) + invSigma2 + damping
 				step := grad / hess
 				if step > maxStep {
 					step = maxStep
 				} else if step < -maxStep {
 					step = -maxStep
 				}
+				wasTop := w[i] == g.top
 				w[i] += step
 				if d := math.Abs(step); d > maxDelta {
 					maxDelta = d
+				}
+				top := g.top
+				if w[i] > top {
+					top = w[i]
+				} else if wasTop {
+					top = maxWeight(w, g.members)
+				}
+				if top == g.top {
+					ex[i] = math.Exp(w[i] - top)
+					g.pre += ex[i]
+					continue
+				}
+				g.top = top
+				expTerms(ex, w, g.members, top)
+				g.pre = 0
+				for _, j := range g.members[:k+1] {
+					g.pre += ex[j]
 				}
 			}
 		}
@@ -128,23 +179,23 @@ func LearnWeights(groups [][]int, counts []float64, init []float64) (weights []f
 	return w, iterations, nil
 }
 
-// softmaxInto writes softmax(w[idx]) into dst (len(dst) == len(idx)),
-// allocating nothing — the Newton sweep calls it once per weight update.
-func softmaxInto(dst []float64, w []float64, idx []int) {
-	maxW := math.Inf(-1)
+// expTerms sets ex[j] = exp(w[j] − top) for every j of idx: the terms of the
+// group's softmax, shifted by its largest weight.
+func expTerms(ex, w []float64, idx []int, top float64) {
+	for _, j := range idx {
+		ex[j] = math.Exp(w[j] - top)
+	}
+}
+
+// maxWeight returns the largest of w over idx.
+func maxWeight(w []float64, idx []int) float64 {
+	top := math.Inf(-1)
 	for _, i := range idx {
-		if w[i] > maxW {
-			maxW = w[i]
+		if w[i] > top {
+			top = w[i]
 		}
 	}
-	var z float64
-	for k, i := range idx {
-		dst[k] = math.Exp(w[i] - maxW)
-		z += dst[k]
-	}
-	for k := range dst {
-		dst[k] /= z
-	}
+	return top
 }
 
 // PriorWeights computes the Eq. 4 priors: w⁰ᵢ = c(γᵢ) / Σⱼ c(γⱼ) over all

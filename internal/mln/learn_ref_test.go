@@ -1,0 +1,168 @@
+package mln
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refLearnWeights is the learner as it was before the softmax state was kept
+// across updates: a from-scratch softmax over the whole group before every
+// single-weight update. It is the oracle LearnWeights must match bit for bit.
+// Inputs are assumed valid.
+func refLearnWeights(groups [][]int, counts []float64, init []float64) ([]float64, int) {
+	w := make([]float64, len(counts))
+	copy(w, init)
+	maxGroup := 0
+	for _, g := range groups {
+		maxGroup = max(maxGroup, len(g))
+	}
+	probs := make([]float64, maxGroup)
+	iterations := 0
+	for iterations < maxIters {
+		iterations++
+		maxDelta := 0.0
+		for _, g := range groups {
+			if len(g) < 2 {
+				continue
+			}
+			total := 0.0
+			for _, i := range g {
+				total += counts[i]
+			}
+			if total == 0 {
+				continue
+			}
+			for k, i := range g {
+				refSoftmaxInto(probs[:len(g)], w, g)
+				p := probs[k]
+				grad := counts[i] - total*p - (w[i]-init[i])*invSigma2
+				hess := total*p*(1-p) + invSigma2 + damping
+				step := grad / hess
+				if step > maxStep {
+					step = maxStep
+				} else if step < -maxStep {
+					step = -maxStep
+				}
+				w[i] += step
+				if d := math.Abs(step); d > maxDelta {
+					maxDelta = d
+				}
+			}
+		}
+		if maxDelta < tolerance {
+			break
+		}
+	}
+	return w, iterations
+}
+
+func refSoftmaxInto(dst []float64, w []float64, idx []int) {
+	maxW := math.Inf(-1)
+	for _, i := range idx {
+		if w[i] > maxW {
+			maxW = w[i]
+		}
+	}
+	var z float64
+	for k, i := range idx {
+		dst[k] = math.Exp(w[i] - maxW)
+		z += dst[k]
+	}
+	for k := range dst {
+		dst[k] /= z
+	}
+}
+
+// checkAgainstRef fails unless LearnWeights returns the reference's sweep
+// count and, bit for bit, its weights. It returns the sweep count.
+func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
+	t.Helper()
+	want, wantIters := refLearnWeights(groups, counts, init)
+	got, iters, err := LearnWeights(groups, counts, init)
+	if err != nil {
+		t.Fatalf("LearnWeights: %v", err)
+	}
+	if iters != wantIters {
+		t.Fatalf("sweeps = %d, reference %d", iters, wantIters)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("weight %d = %x (%v), reference %x (%v)", i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+	return iters
+}
+
+func TestLearnWeightsMatchesReferenceCases(t *testing.T) {
+	cases := []struct {
+		name   string
+		groups [][]int
+		counts []float64
+		init   []float64 // nil: the Eq. 4 priors
+		capped bool      // must run into the sweep bound unconverged
+	}{
+		{name: "tied maxima", groups: [][]int{{0, 1, 2}}, counts: []float64{5, 5, 1}, init: []float64{0.7, 0.7, 0.1}},
+		// The largest weight belongs to the least supported member: its first
+		// update steps it down past another, so the group rebases.
+		{name: "max steps down below another", groups: [][]int{{0, 1, 2}}, counts: []float64{1, 9, 4}, init: []float64{3, 2.5, 0}},
+		{name: "all-equal counts", groups: [][]int{{0, 1, 2, 3}}, counts: []float64{3, 3, 3, 3}},
+		{name: "zero-count group beside a live one", groups: [][]int{{0, 1}, {2, 3}}, counts: []float64{0, 0, 4, 1}},
+		{name: "singletons", groups: [][]int{{0}, {1}, {2, 3}}, counts: []float64{7, 2, 6, 1}},
+		{name: "uncovered candidate", groups: [][]int{{0, 2}}, counts: []float64{3, 9, 1}},
+		{name: "interleaved members", groups: [][]int{{4, 0, 2}, {3, 1}}, counts: []float64{1, 8, 2, 1, 30}},
+		{name: "signed zero weights", groups: [][]int{{0, 1}}, counts: []float64{2, 1}, init: []float64{math.Copysign(0, -1), 0}},
+		{name: "sweep cap", groups: [][]int{{0, 1, 2, 3, 4, 5}}, counts: []float64{4000, 900, 70, 5, 1, 1}, capped: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			init := tc.init
+			if init == nil {
+				init = PriorWeights(tc.counts)
+			}
+			iters := checkAgainstRef(t, tc.groups, tc.counts, init)
+			if tc.capped && iters != maxIters {
+				t.Errorf("converged in %d sweeps; the case is meant to hit the %d-sweep bound", iters, maxIters)
+			}
+		})
+	}
+}
+
+func TestLearnWeightsMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for round := 0; round < 300; round++ {
+		n := 1 + rng.Intn(60)
+		perm := rng.Perm(n)
+		var groups [][]int
+		for len(perm) > 0 {
+			size := 1 + rng.Intn(8)
+			if rng.Intn(10) == 0 {
+				size = 1 + rng.Intn(40) // one long group among short ones
+			}
+			size = min(size, len(perm))
+			groups = append(groups, perm[:size])
+			perm = perm[size:]
+		}
+		counts := make([]float64, n)
+		for i := range counts {
+			switch rng.Intn(4) {
+			case 0:
+				counts[i] = float64(rng.Intn(3)) // zeros and ties
+			case 1:
+				counts[i] = float64(1 + rng.Intn(2000))
+			default:
+				counts[i] = float64(1 + rng.Intn(12))
+			}
+		}
+		init := PriorWeights(counts)
+		if round%3 == 0 {
+			// Coarse starting weights: ties for the largest, and maxima that
+			// sit on weakly supported members and have to come down.
+			for i := range init {
+				init[i] = float64(rng.Intn(5)) / 2
+			}
+		}
+		checkAgainstRef(t, groups, counts, init)
+	}
+}
