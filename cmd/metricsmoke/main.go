@@ -37,7 +37,6 @@ import (
 var requiredPrefixes = []string{
 	"mlnserve_http_",
 	"mlnserve_sessions_",
-	"mlnserve_cache_",
 	"mlnserve_cleans_",
 	"mlnclean_core_",
 	"mlnclean_index_",
@@ -235,7 +234,7 @@ func waitHealthy(base string, wait time.Duration) error {
 }
 
 // driveSession runs one tiny clean end to end: enough to move the http,
-// session, cache, core, plan, index, and executor families.
+// session, core, plan, index, and executor families.
 func driveSession(base string) error {
 	var sess struct {
 		ID string `json:"id"`

@@ -1,8 +1,8 @@
 // Command mlnserve is the long-running MLNClean cleaning service: an
 // HTTP/JSON session API (create session → stream tuple batches → trigger
 // clean → poll → fetch repairs) over the distributed executor, with a
-// bounded session manager (idle eviction, backpressure) and a model cache
-// that amortizes rule parsing and Eq. 6 weight learning across requests.
+// bounded session manager (idle eviction, backpressure). Every session
+// learns its weights from its own tuples.
 //
 // Usage:
 //
@@ -20,14 +20,13 @@
 //
 // -data-dir enables durability: every session mutation is written to a
 // write-ahead log under the directory before it is acknowledged, and a
-// restart on the same directory replays it — sessions resume, completed
-// results re-serve byte-identically, learned weight vectors warm the model
-// cache. The recovery summary (sessions replayed / tombstoned / truncated
-// bytes) is logged on startup; graceful shutdown flushes and fsyncs the
-// log before exit.
+// restart on the same directory replays it — sessions resume, interrupted
+// cleans restart, completed results re-serve byte-identically. The recovery
+// summary (sessions replayed / tombstoned / truncated bytes) is logged on
+// startup; graceful shutdown flushes and fsyncs the log before exit.
 //
 // Observability: GET /metrics on the main address serves the process-wide
-// Prometheus exposition (HTTP, session, cache, core-stage, executor, and WAL
+// Prometheus exposition (HTTP, session, core-stage, executor, and WAL
 // families — see the README's Observability section). -debug-addr starts a
 // second loopback-intended listener serving net/http/pprof (profiles, heap,
 // goroutine dumps); it is off by default and should never face the network.
@@ -108,7 +107,7 @@ func run(addr, debugAddr string, cfg server.ManagerConfig) error {
 	if rec := srv.Recovery(); rec != nil {
 		slog.Info("mlnserve: recovered write-ahead log", "dir", cfg.DataDir,
 			"sessions_replayed", rec.SessionsReplayed, "sessions_tombstoned", rec.SessionsTombstoned,
-			"cleans_restarted", rec.CleansRestarted, "weight_vectors", rec.WeightVectors,
+			"cleans_restarted", rec.CleansRestarted,
 			"records", rec.Records, "truncated_bytes", rec.TruncatedBytes)
 	}
 	httpSrv := &http.Server{

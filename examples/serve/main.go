@@ -6,11 +6,10 @@
 // version, re-cleaned incrementally (the delta summary shows how many rule
 // blocks and tuples were reused); old versions stay addressable via
 // ?version=N and the trail pages with limit/cursor. A second session over
-// the same rules demonstrates the model cache: the learned Eq. 6 weights are
-// preset and weight learning is skipped. Each round also pulls the repair
-// audit trail (cell, old value, new value, attributed rule and weight), and
-// the final session is rolled back — the pre-repair table restored from the
-// server's log — before it is closed.
+// the same table learns its own weights and serves the same result; it is
+// the one rolled back — the pre-repair table restored from the server's log
+// — before it is closed. Each round also pulls the repair audit trail (cell,
+// old value, new value, attributed rule and weight).
 //
 // Against a real daemon the same requests work verbatim — set BASE:
 //
@@ -86,7 +85,7 @@ func main() {
 			Attrs: dirty.Schema.Attrs(),
 			Tau:   2,
 		}, &info)
-		fmt.Printf("round %d: session %s (weights cached: %v)\n", round, info.ID, info.WeightsCached)
+		fmt.Printf("round %d: session %s\n", round, info.ID)
 
 		// 2. Stream the table in three batches.
 		per := (dirty.Len() + 2) / 3
@@ -191,13 +190,6 @@ func main() {
 
 		del(base + "/v1/sessions/" + info.ID)
 	}
-
-	var stats server.StatsResponse
-	get(base+"/v1/stats", &stats)
-	fmt.Printf("\nmodel cache: %d models, rule hits/misses %d/%d, weight hits/misses %d/%d\n",
-		stats.Cache.Models, stats.Cache.RuleHits, stats.Cache.RuleMisses,
-		stats.Cache.WeightHits, stats.Cache.WeightMisses)
-	fmt.Println("→ round 2 skipped parsing and weight learning entirely.")
 }
 
 // scrapeMetrics pulls /metrics and prints a few series that tell the

@@ -11,7 +11,6 @@ import (
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
-	"mlnclean/internal/intern"
 	"mlnclean/internal/rules"
 )
 
@@ -33,21 +32,6 @@ type Options struct {
 	Transport TransportFactory
 	// BatchSize is the tuple count per partition shipment (default 1024).
 	BatchSize int
-	// PresetWeights, when non-empty, is a previously learned Eq. 6 weight
-	// vector for this rule set (see Result.MergedWeights): the workers skip
-	// weight learning entirely and the vector is broadcast verbatim — the
-	// serving model cache's fast path. Pieces absent from the vector keep
-	// their Eq. 4 prior weights.
-	PresetWeights []index.PieceSummary
-	// Dict is the coordinator-side value dictionary: streamed tuples are
-	// interned into it at Submit, the streaming partitioner computes
-	// centroid distances over it, and the gather FSCR interns the workers'
-	// wire pieces into it. Nil means a fresh per-run dictionary; the serving
-	// layer passes a per-session dictionary derived from the model cache's
-	// frozen vocabulary so repeat workloads skip re-interning. Workers keep
-	// their own dictionaries (built locally from their partitions) — the
-	// wire stays strings either way.
-	Dict *intern.Dict
 	// HeartbeatInterval is how often each worker beacons liveness to the
 	// coordinator (default 1s). Negative disables heartbeats — and with it
 	// failure detection, unless WorkerTimeout is explicitly set positive
@@ -119,10 +103,9 @@ type Result struct {
 	// stage-I/II work re-run, without changing the output (learning stats
 	// and timings may differ — a stage-II recovery skips re-learning).
 	WorkersLost int
-	// MergedWeights is the Eq. 6 weight vector the run broadcast: the reduce
-	// result, or Options.PresetWeights when those were supplied. Cache it
-	// (keyed by rules.CanonicalHash) to skip weight learning on repeat
-	// workloads over the same rule set.
+	// MergedWeights is the Eq. 6 weight vector the run broadcast (the reduce
+	// result; nil under SkipWeightMerge). The serving layer attributes each
+	// repair to a rule and weight from it.
 	MergedWeights []index.PieceSummary
 	// Plan lists the selectivity planner's per-rule choices as rendered
 	// plan-dump lines, derived coordinator-side from the gather dictionary's

@@ -166,10 +166,7 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 	if factory == nil {
 		factory = NewChanTransport
 	}
-	dict := opts.Dict
-	if dict == nil {
-		dict = intern.NewDict()
-	}
+	dict := intern.NewDict()
 	if opts.RunID == "" {
 		opts.RunID = obs.NewRunID()
 	}
@@ -461,7 +458,7 @@ func (ex *Executor) shipBatched(p int, b TupleBatch) error {
 	ex.parts[p].batches = append(ex.parts[p].batches, b)
 	err := ex.shipChunks(p, b)
 	if err == ErrTimeout && ex.workerTimeout > 0 {
-		err = ex.recoverPartition(p, phaseIngest, false, nil)
+		err = ex.recoverPartition(p, phaseIngest, nil)
 	}
 	if err != nil {
 		ex.fail(err)
@@ -575,20 +572,19 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		}
 	}()
 
-	skipLearn := len(ex.opts.PresetWeights) > 0
 	for p := range ex.parts {
-		err := ex.sendLease(p, StartStageI{SkipLearn: skipLearn})
+		err := ex.sendLease(p, StartStageI{})
 		if err == ErrTimeout && ex.workerTimeout > 0 {
 			// The worker stopped draining its inbox before the stage even
 			// started — a death shipBatched happened not to observe.
-			err = ex.recoverPartition(p, phaseStageI, skipLearn, nil)
+			err = ex.recoverPartition(p, phaseStageI, nil)
 		}
 		if err != nil {
 			return nil, ex.runErr(err)
 		}
 	}
 	sums := make([]WeightSummaries, ex.k)
-	err := ex.gatherReplies(phaseStageI, skipLearn, nil, func(p int, m Message) (bool, error) {
+	err := ex.gatherReplies(phaseStageI, nil, func(p int, m Message) (bool, error) {
 		ws, isWS := m.(WeightSummaries)
 		if !isWS {
 			return false, fmt.Errorf("distributed: protocol: expected WeightSummaries, got %T", m)
@@ -605,15 +601,10 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// Eq. 6: reduce the workers' piece summaries to support-weighted mean
 	// weights — w(γ) = Σ nᵢ·wᵢ / Σ nᵢ — so sparse local evidence borrows
 	// support from the other parts. A pure reduce over shipped summaries:
-	// no worker index state is touched from the coordinator. With preset
-	// weights (the serving model cache) the workers skipped learning and the
-	// cached vector is broadcast verbatim.
+	// no worker index state is touched from the coordinator.
 	t0 := time.Now()
 	var merged []index.PieceSummary
-	switch {
-	case skipLearn:
-		merged = ex.opts.PresetWeights
-	case !ex.opts.SkipWeightMerge:
+	if !ex.opts.SkipWeightMerge {
 		per := make([][]index.PieceSummary, ex.k)
 		for w := range sums {
 			per[w] = sums[w].Summaries
@@ -625,7 +616,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	for p := range ex.parts {
 		err := ex.sendLease(p, MergedWeights{Merged: merged})
 		if err == ErrTimeout && ex.workerTimeout > 0 {
-			err = ex.recoverPartition(p, phaseStageII, skipLearn, merged)
+			err = ex.recoverPartition(p, phaseStageII, merged)
 		}
 		if err != nil {
 			return nil, ex.runErr(err)
@@ -633,7 +624,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	}
 
 	frs := make([]FusionResult, ex.k)
-	err = ex.gatherReplies(phaseStageII, skipLearn, merged, func(p int, m Message) (bool, error) {
+	err = ex.gatherReplies(phaseStageII, merged, func(p int, m Message) (bool, error) {
 		switch msg := m.(type) {
 		case WeightSummaries:
 			// A partition recovered mid-stage-II re-runs stage I first; its
@@ -709,7 +700,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 // whether its partition completed the phase; a reply carrying a worker
 // error aborts the run — worker pipelines are deterministic, so an error
 // would only recur on a re-dispatch.
-func (ex *Executor) gatherReplies(ph gatherPhase, skipLearn bool, merged []index.PieceSummary, handle func(p int, m Message) (bool, error)) error {
+func (ex *Executor) gatherReplies(ph gatherPhase, merged []index.PieceSummary, handle func(p int, m Message) (bool, error)) error {
 	pending := make([]bool, ex.k)
 	n := ex.k
 	now := time.Now()
@@ -727,7 +718,7 @@ func (ex *Executor) gatherReplies(ph gatherPhase, skipLearn bool, merged []index
 		// workers' heartbeats keep the receive loop busy, and a dead
 		// partition must not hide behind its peers' liveness.
 		if detect {
-			if err := ex.scanForDead(ph, skipLearn, merged, pending); err != nil {
+			if err := ex.scanForDead(ph, merged, pending); err != nil {
 				return err
 			}
 		}
@@ -739,7 +730,7 @@ func (ex *Executor) gatherReplies(ph gatherPhase, skipLearn bool, merged []index
 			return ex.runErr(err)
 		}
 		if hb, isHB := m.(Heartbeat); isHB {
-			if err := ex.noteHeartbeat(hb, ph, skipLearn, merged, pending); err != nil {
+			if err := ex.noteHeartbeat(hb, ph, merged, pending); err != nil {
 				return err
 			}
 			continue
@@ -832,7 +823,7 @@ func (ex *Executor) detectTick() time.Duration {
 // transport than the coordinator has received lost one in flight, and the
 // partition is re-dispatched immediately instead of waiting out the full
 // silence timeout.
-func (ex *Executor) noteHeartbeat(hb Heartbeat, ph gatherPhase, skipLearn bool, merged []index.PieceSummary, pending []bool) error {
+func (ex *Executor) noteHeartbeat(hb Heartbeat, ph gatherPhase, merged []index.PieceSummary, pending []bool) error {
 	if hb.Partition < 0 || hb.Partition >= ex.k {
 		return nil
 	}
@@ -842,7 +833,7 @@ func (ex *Executor) noteHeartbeat(hb Heartbeat, ph gatherPhase, skipLearn bool, 
 	}
 	lease.noteAlive()
 	if ex.workerTimeout > 0 && pending[hb.Partition] && hb.Sent > lease.replies {
-		return ex.recoverPartition(hb.Partition, ph, skipLearn, merged)
+		return ex.recoverPartition(hb.Partition, ph, merged)
 	}
 	return nil
 }
@@ -854,13 +845,13 @@ func (ex *Executor) noteHeartbeat(hb Heartbeat, ph gatherPhase, skipLearn bool, 
 // strand the only dispatched epoch on the slot a late worker will claim —
 // such a run blocks until workers appear, exactly as before the
 // fault-tolerance layer.
-func (ex *Executor) scanForDead(ph gatherPhase, skipLearn bool, merged []index.PieceSummary, pending []bool) error {
+func (ex *Executor) scanForDead(ph gatherPhase, merged []index.PieceSummary, pending []bool) error {
 	now := time.Now()
 	for p, lease := range ex.parts {
 		if !pending[p] || (!lease.seen && !ex.spawnLocal) || now.Sub(lease.lastSeen) <= ex.workerTimeout {
 			continue
 		}
-		if err := ex.recoverPartition(p, ph, skipLearn, merged); err != nil {
+		if err := ex.recoverPartition(p, ph, merged); err != nil {
 			return err
 		}
 	}
@@ -875,7 +866,7 @@ func (ex *Executor) scanForDead(ph gatherPhase, skipLearn bool, merged []index.P
 // because its original summaries were (unless the run never merged —
 // SkipWeightMerge — where the local learning must be reproduced instead).
 // The output stays byte-identical to a no-failure run either way.
-func (ex *Executor) recoverPartition(p int, ph gatherPhase, skipLearn bool, merged []index.PieceSummary) error {
+func (ex *Executor) recoverPartition(p int, ph gatherPhase, merged []index.PieceSummary) error {
 	if ex.WorkersLost() >= ex.maxRecoveries {
 		return fmt.Errorf("distributed: partition %d lost its worker with the recovery budget (%d) spent", p, ex.maxRecoveries)
 	}
@@ -894,12 +885,12 @@ func (ex *Executor) recoverPartition(p int, ph gatherPhase, skipLearn bool, merg
 	if ex.spawnLocal {
 		ex.spawnWorker(slot)
 	}
-	err = ex.replayPartition(p, ph, skipLearn, merged)
+	err = ex.replayPartition(p, ph, merged)
 	if errors.Is(err, ErrTimeout) && ex.workerTimeout > 0 {
 		// The replacement itself stopped draining mid-replay — another
 		// death, which spends more budget on yet another slot (the budget
 		// check above bounds the recursion).
-		return ex.recoverPartition(p, ph, skipLearn, merged)
+		return ex.recoverPartition(p, ph, merged)
 	}
 	if err != nil {
 		return ex.runErr(err)
@@ -926,7 +917,7 @@ func (ex *Executor) recoverPartition(p int, ph gatherPhase, skipLearn bool, merg
 // spare within SendTimeout, or the replay fails — blocking indefinitely
 // here would stall failure detection for every other partition, so the
 // indefinite late-attach grace applies only to never-dispatched epochs.
-func (ex *Executor) replayPartition(p int, ph gatherPhase, skipLearn bool, merged []index.PieceSummary) error {
+func (ex *Executor) replayPartition(p int, ph gatherPhase, merged []index.PieceSummary) error {
 	lease := ex.parts[p]
 	slot := lease.slot
 	if err := ex.sendLease(p, ex.initFor(p)); err != nil {
@@ -940,11 +931,8 @@ func (ex *Executor) replayPartition(p int, ph gatherPhase, skipLearn bool, merge
 	if ph == phaseIngest {
 		return nil // StartStageI has not been reached yet; finish sends it
 	}
-	replaySkipLearn := skipLearn
-	if ph == phaseStageII && !ex.opts.SkipWeightMerge {
-		replaySkipLearn = true
-	}
-	if err := ex.sendLease(p, StartStageI{SkipLearn: replaySkipLearn}); err != nil {
+	skipLearn := ph == phaseStageII && !ex.opts.SkipWeightMerge
+	if err := ex.sendLease(p, StartStageI{SkipLearn: skipLearn}); err != nil {
 		return replayErr(p, slot, err)
 	}
 	if ph == phaseStageII {

@@ -122,11 +122,10 @@ type TupleBatch struct {
 }
 
 // StartStageI signals that the worker's partition is complete. SkipLearn
-// tells the worker the coordinator already holds a learned weight vector for
-// this rule set (the serving model cache, or a recovery re-dispatch after
-// the Eq. 6 merge already ran): the worker runs AGP but skips weight
-// learning, replies with empty summaries, and waits for the weights to
-// arrive as MergedWeights.
+// tells the worker the coordinator already holds the run's merged weight
+// vector (a recovery re-dispatch after the Eq. 6 merge already ran): the
+// worker runs AGP but skips weight learning, replies with empty summaries,
+// and waits for the weights to arrive as MergedWeights.
 type StartStageI struct {
 	Worker    int
 	Epoch     int

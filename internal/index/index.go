@@ -652,9 +652,9 @@ func (b *Block) appendSummaries(out []PieceSummary) []PieceSummary {
 }
 
 // CopySummaries returns an independent copy of a summary vector, including
-// each summary's Values slice. Holders of long-lived weight vectors (the
-// serving model cache, Result.MergedWeights) copy on hand-off so later
-// mutation by one party cannot corrupt another's view.
+// each summary's Values slice. Holders of long-lived weight vectors
+// (Result.MergedWeights) copy on hand-off so later mutation by one party
+// cannot corrupt another's view.
 func CopySummaries(ws []PieceSummary) []PieceSummary {
 	if ws == nil {
 		return nil

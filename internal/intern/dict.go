@@ -15,9 +15,7 @@
 //
 // A Dict is NOT safe for concurrent mutation. The pipeline confines writes
 // to serial phases (table encoding, index construction, wire-piece
-// interning); the parallel stage-I/II loops only read. Long-lived holders
-// (the serving model cache) snapshot a Dict into an immutable Frozen base
-// that any number of derived Dicts may share concurrently.
+// interning); the parallel stage-I/II loops only read.
 package intern
 
 // pairTag marks sequence nodes: value IDs live below 1<<31, pair nodes
@@ -25,69 +23,18 @@ package intern
 // without colliding with any longer sequence.
 const pairTag = 1 << 31
 
-// Frozen is an immutable Dict snapshot: a base vocabulary (value IDs
-// 0..Len-1 and the sequence nodes minted so far) that derived Dicts extend
-// without copying. Safe for concurrent use by any number of readers and
-// derived Dicts.
-//
-// A Frozen also carries the column statistics (Stats) its Dict accumulated
-// before freezing. The snapshot is immutable: concurrent readers may call
-// Stats() and its read methods freely, and a derived Dict starts from its
-// own deep copy, so no observation ever flows back into the base.
-type Frozen struct {
-	ids    map[string]uint32
-	vals   []string
-	pairs  map[[2]uint32]uint32
-	nPairs uint32
-	stats  *Stats
-}
-
-// Stats returns the column statistics frozen with the snapshot. Never nil;
-// a base that observed no table reports zero rows for every column. The
-// returned Stats must be treated as read-only.
-func (f *Frozen) Stats() *Stats {
-	if f == nil || f.stats == nil {
-		return &Stats{}
-	}
-	return f.stats
-}
-
-// Len returns the number of values in the frozen base.
-func (f *Frozen) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.vals)
-}
-
 // Dict interns strings to dense uint32 IDs and sequences of IDs to single
-// fixed-width keys. The zero Dict is not usable; construct with NewDict or
-// NewDictWithBase.
+// fixed-width keys. The zero Dict is not usable; construct with NewDict.
 type Dict struct {
-	base   *Frozen
-	ids    map[string]uint32
-	vals   []string // local values; global ID = base.Len() + local index
-	pairs  map[[2]uint32]uint32
-	nPairs uint32 // next local pair ordinal (global ordinal = base.nPairs + n)
-	stats  *Stats
+	ids   map[string]uint32
+	vals  []string
+	pairs map[[2]uint32]uint32
+	stats *Stats
 }
 
 // NewDict creates an empty dictionary.
 func NewDict() *Dict {
 	return &Dict{ids: make(map[string]uint32), pairs: make(map[[2]uint32]uint32)}
-}
-
-// NewDictWithBase creates a dictionary layered over an immutable base: IDs
-// assigned by the base stay valid, values already in the base intern to
-// their base ID without new allocation, and new values extend the ID space
-// locally. Many Dicts may share one base concurrently.
-func NewDictWithBase(f *Frozen) *Dict {
-	d := NewDict()
-	d.base = f
-	if f != nil && f.stats != nil {
-		d.stats = f.stats.clone()
-	}
-	return d
 }
 
 // Stats returns the dictionary's column-statistics accumulator (created on
@@ -102,20 +49,15 @@ func (d *Dict) Stats() *Stats {
 	return d.stats
 }
 
-// Len returns the number of distinct values interned (base + local).
-func (d *Dict) Len() int { return d.base.Len() + len(d.vals) }
+// Len returns the number of distinct values interned.
+func (d *Dict) Len() int { return len(d.vals) }
 
 // Intern returns the dense ID of s, assigning the next ID on first sight.
 func (d *Dict) Intern(s string) uint32 {
-	if d.base != nil {
-		if id, ok := d.base.ids[s]; ok {
-			return id
-		}
-	}
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
-	id := uint32(d.base.Len() + len(d.vals))
+	id := uint32(len(d.vals))
 	if id >= pairTag {
 		// Value IDs and pair nodes must stay in disjoint ranges or sequence
 		// keys lose injectivity; fail loudly instead of corrupting identity.
@@ -128,41 +70,21 @@ func (d *Dict) Intern(s string) uint32 {
 
 // Lookup returns the ID of s without inserting.
 func (d *Dict) Lookup(s string) (uint32, bool) {
-	if d.base != nil {
-		if id, ok := d.base.ids[s]; ok {
-			return id, true
-		}
-	}
 	id, ok := d.ids[s]
 	return id, ok
 }
 
 // Value returns the string with the given ID. Only valid for IDs returned
-// by Intern/Lookup on this Dict (or its base).
-func (d *Dict) Value(id uint32) string {
-	if n := uint32(d.base.Len()); id < n {
-		return d.base.vals[id]
-	} else {
-		return d.vals[id-n]
-	}
-}
+// by Intern/Lookup on this Dict.
+func (d *Dict) Value(id uint32) string { return d.vals[id] }
 
 // pair hash-conses one (node, node) combination into a tagged sequence node.
 func (d *Dict) pair(a, b uint32) uint32 {
 	k := [2]uint32{a, b}
-	if d.base != nil {
-		if id, ok := d.base.pairs[k]; ok {
-			return id
-		}
-	}
 	if id, ok := d.pairs[k]; ok {
 		return id
 	}
-	var baseN uint32
-	if d.base != nil {
-		baseN = d.base.nPairs
-	}
-	ord := baseN + d.nPairs
+	ord := uint32(len(d.pairs))
 	if ord >= emptySeq&^pairTag {
 		// Pair ordinals must stay below the reserved empty-sequence slot (and
 		// within the tagged range); fail loudly rather than alias sequences.
@@ -170,19 +92,12 @@ func (d *Dict) pair(a, b uint32) uint32 {
 	}
 	id := pairTag | ord
 	d.pairs[k] = id
-	d.nPairs++
 	return id
 }
 
 // lookupPair resolves an existing pair node, or reports absence.
 func (d *Dict) lookupPair(a, b uint32) (uint32, bool) {
-	k := [2]uint32{a, b}
-	if d.base != nil {
-		if id, ok := d.base.pairs[k]; ok {
-			return id, true
-		}
-	}
-	id, ok := d.pairs[k]
+	id, ok := d.pairs[[2]uint32{a, b}]
 	return id, ok
 }
 
@@ -235,42 +150,4 @@ func (d *Dict) LookupSeq(ids []uint32) (uint32, bool) {
 		}
 	}
 	return n, true
-}
-
-// Freeze snapshots the dictionary into an immutable base for derived Dicts.
-// The receiver must not be mutated afterwards (hand it off or discard it);
-// the snapshot shares no mutable state with future derived Dicts.
-func (d *Dict) Freeze() *Frozen {
-	f := &Frozen{
-		ids:    make(map[string]uint32, d.Len()),
-		vals:   make([]string, 0, d.Len()),
-		pairs:  make(map[[2]uint32]uint32, len(d.pairs)+mapLen(d.base)),
-		nPairs: d.nPairs,
-	}
-	if d.base != nil {
-		f.vals = append(f.vals, d.base.vals...)
-		for s, id := range d.base.ids {
-			f.ids[s] = id
-		}
-		for k, id := range d.base.pairs {
-			f.pairs[k] = id
-		}
-		f.nPairs += d.base.nPairs
-	}
-	f.vals = append(f.vals, d.vals...)
-	for s, id := range d.ids {
-		f.ids[s] = id
-	}
-	for k, id := range d.pairs {
-		f.pairs[k] = id
-	}
-	f.stats = d.stats.clone()
-	return f
-}
-
-func mapLen(f *Frozen) int {
-	if f == nil {
-		return 0
-	}
-	return len(f.pairs)
 }

@@ -72,42 +72,6 @@ func TestLookupSeqNeverInserts(t *testing.T) {
 	}
 }
 
-func TestFrozenBase(t *testing.T) {
-	base := NewDict()
-	baseWords := []string{"alpha", "beta", "gamma"}
-	var baseIDs []uint32
-	for _, w := range baseWords {
-		baseIDs = append(baseIDs, base.Intern(w))
-	}
-	seqKey := base.Seq(baseIDs[:2])
-	f := base.Freeze()
-
-	// Two derived dicts extend independently but agree on base IDs.
-	d1, d2 := NewDictWithBase(f), NewDictWithBase(f)
-	for i, w := range baseWords {
-		if d1.Intern(w) != baseIDs[i] || d2.Intern(w) != baseIDs[i] {
-			t.Errorf("base value %q re-interned to a new ID", w)
-		}
-	}
-	if k, ok := d1.LookupSeq(baseIDs[:2]); !ok || k != seqKey {
-		t.Errorf("base sequence key not visible through derived dict: %d,%v", k, ok)
-	}
-	n1 := d1.Intern("delta")
-	n2 := d2.Intern("epsilon")
-	if n1 != uint32(f.Len()) || n2 != uint32(f.Len()) {
-		t.Errorf("local IDs should start at base length %d: got %d, %d", f.Len(), n1, n2)
-	}
-	if d1.Value(n1) != "delta" || d2.Value(n2) != "epsilon" {
-		t.Error("derived dicts mixed up local values")
-	}
-	// New pair nodes in separate derived dicts may share ordinals — they are
-	// dict-local — but must not collide with base pair nodes.
-	k1 := d1.Seq([]uint32{baseIDs[0], n1})
-	if k1 == seqKey {
-		t.Error("derived sequence key collided with base sequence key")
-	}
-}
-
 // TestSeqRandomizedInjective hammers the fold with random sequences and
 // verifies key equality exactly tracks sequence equality.
 func TestSeqRandomizedInjective(t *testing.T) {

@@ -10,8 +10,7 @@ package intern
 // Stats follows the same concurrency contract as the Dict that owns it:
 // writes (Observe) are confined to the serial encode phases, and once the
 // pipeline fans out into the parallel stage-I/II loops the structure is only
-// read. A Stats reached through Frozen is immutable: derived Dicts observe
-// into their own copy, never through the base.
+// read.
 type Stats struct {
 	cols []colStats
 }
@@ -75,21 +74,4 @@ func (s *Stats) Freq(col int, id uint32) int {
 		return 0
 	}
 	return s.cols[col].freq[id]
-}
-
-// clone deep-copies the accumulator so the copy can diverge from the
-// original.
-func (s *Stats) clone() *Stats {
-	if s == nil || len(s.cols) == 0 {
-		return &Stats{}
-	}
-	out := &Stats{cols: make([]colStats, len(s.cols))}
-	for i, c := range s.cols {
-		freq := make(map[uint32]int, len(c.freq))
-		for id, n := range c.freq {
-			freq[id] = n
-		}
-		out.cols[i] = colStats{rows: c.rows, freq: freq}
-	}
-	return out
 }

@@ -51,45 +51,3 @@ func TestStatsNilSafe(t *testing.T) {
 		t.Error("nil Stats readers must return zero")
 	}
 }
-
-// TestStatsFreezeIsolation pins the planner's immutability contract: a
-// Frozen's statistics are a snapshot, and a derived dictionary observes into
-// its own copy — never through the base.
-func TestStatsFreezeIsolation(t *testing.T) {
-	d := NewDict()
-	id := d.Intern("a")
-	d.Stats().Observe(0, id)
-	f := d.Freeze()
-
-	// Mutating the original dictionary's stats after Freeze must not show
-	// through the frozen snapshot.
-	d.Stats().Observe(0, d.Intern("b"))
-	if got := f.Stats().Distinct(0); got != 1 {
-		t.Errorf("frozen Distinct(0) = %d after post-freeze observe, want 1", got)
-	}
-
-	// A derived dictionary starts from the frozen counters and diverges
-	// independently.
-	d2 := NewDictWithBase(f)
-	if got := d2.Stats().Rows(0); got != 1 {
-		t.Fatalf("derived Rows(0) = %d, want 1 (inherited)", got)
-	}
-	d2.Stats().Observe(0, d2.Intern("c"))
-	if got := d2.Stats().Distinct(0); got != 2 {
-		t.Errorf("derived Distinct(0) = %d, want 2", got)
-	}
-	if got := f.Stats().Distinct(0); got != 1 {
-		t.Errorf("frozen Distinct(0) = %d after derived observe, want 1", got)
-	}
-}
-
-func TestFrozenStatsNilSafe(t *testing.T) {
-	f := NewDict().Freeze()
-	if f.Stats() == nil {
-		t.Fatal("Frozen.Stats must never return nil")
-	}
-	var none *Frozen
-	if none.Stats() == nil {
-		t.Fatal("nil Frozen.Stats must return an empty Stats, not nil")
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"mlnclean/internal/core"
-	"mlnclean/internal/index"
 	"mlnclean/internal/wal"
 )
 
@@ -18,9 +17,8 @@ import (
 // replayState and rebuilds the live world from it: open sessions get fresh
 // executors re-fed their logged batches (batch boundaries preserved, so the
 // streaming partitioner sees the identical shipment sequence), interrupted
-// cleans restart, completed results re-serve byte-identically without an
-// executor, and logged weight vectors warm the model cache so repeat
-// workloads skip learning — the PR 3 cache-hit behavior, now crash-proof.
+// cleans restart, and completed results re-serve byte-identically without an
+// executor.
 //
 // Record order is the source of truth: a tombstone is logged before the
 // session disappears from the manager, so an acknowledged eviction or DELETE
@@ -53,8 +51,9 @@ type recBatch struct {
 type recCleanStart struct{ ID string }
 
 // recCleanDone is the completed run, denormalized to exactly what the
-// result endpoint serves, so a restart re-serves it byte-identically
-// without recomputing anything.
+// result and repairs endpoints serve, so a restart re-serves both
+// byte-identically without recomputing anything. One record, so a crash
+// keeps the result and its audit trail or neither.
 type recCleanDone struct {
 	ID          string
 	Attrs       []string
@@ -64,27 +63,28 @@ type recCleanDone struct {
 	Workers     int
 	WorkersLost int
 	WallMS      int64
-	Cached      bool
-	// Plan is the run's rendered planner choices; old logs decode it empty,
-	// matching a planner-less run. Restart re-serves it byte-identically.
+	// Plan is the run's rendered planner choices; logs that predate it decode
+	// it empty. Restart re-serves it byte-identically.
 	Plan []string
+	// Repairs is the run's ordered audit trail. Logs written before the
+	// completion became one record decode it nil and carry the trail in a
+	// recRepairs that follows.
+	Repairs []Repair
 }
 
-// recRepairs is the run's ordered repair log (audit trail).
+// recRepairs is the audit trail as older builds logged it: a second record
+// after recCleanDone. No longer written; still folded on replay.
 type recRepairs struct {
 	ID      string
 	Repairs []Repair
 }
 
-// recWeights is a learned Eq. 6 weight vector keyed by the canonical rules
-// hash and the learning-options fingerprint; replay re-interns RulesText and
-// stores the vector, warm-starting the model cache.
-type recWeights struct {
-	RulesHash   string
-	RulesText   string
-	Fingerprint string
-	Summaries   []index.PieceSummary
-}
+// recWeights is the learned weight vector older builds logged for a model
+// cache that no longer exists. Never written and ignored by apply, but it
+// must stay registered: decodeRecord is the log's Validate hook, so an
+// unknown record kind would truncate an old log at its first weight vector
+// and drop every session logged after it. gob skips the fields.
+type recWeights struct{}
 
 // recMutation is one acknowledged tuple mutation (PUT or DELETE of a row)
 // against a done session. Replay re-applies the sequence through the delta
@@ -168,7 +168,6 @@ type replayState struct {
 	Seq        int // highest session sequence number ever issued
 	Order      []string
 	Sessions   map[string]*sessSnap
-	Weights    []recWeights
 	Tombstones int
 }
 
@@ -202,6 +201,9 @@ func (st *replayState) apply(rec Record) {
 	case recCleanDone:
 		if s := st.Sessions[r.ID]; s != nil {
 			done := r
+			// The trail lives in sessSnap.Repairs (where old snapshots and
+			// recRepairs put it), not twice in the snapshot.
+			s.Repairs, done.Repairs = r.Repairs, nil
 			s.Done = &done
 			s.Cleaning = false
 		}
@@ -209,13 +211,6 @@ func (st *replayState) apply(rec Record) {
 		if s := st.Sessions[r.ID]; s != nil {
 			s.Repairs = r.Repairs
 		}
-	case recWeights:
-		for _, w := range st.Weights {
-			if w.RulesHash == r.RulesHash && w.Fingerprint == r.Fingerprint {
-				return
-			}
-		}
-		st.Weights = append(st.Weights, r)
 	case recMutation:
 		if s := st.Sessions[r.ID]; s != nil {
 			s.Mutations = append(s.Mutations, r)
@@ -331,8 +326,6 @@ type RecoverySummary struct {
 	SessionsFailed int `json:"sessions_failed,omitempty"`
 	// CleansRestarted counts interrupted runs replay started over.
 	CleansRestarted int `json:"cleans_restarted"`
-	// WeightVectors counts learned weight vectors warmed into the cache.
-	WeightVectors int `json:"weight_vectors"`
 	// Records is the number of log records replayed (snapshot excluded).
 	Records int `json:"records"`
 	// TruncatedBytes is the corrupt/torn tail recovery cut off, zero for a
@@ -341,8 +334,8 @@ type RecoverySummary struct {
 }
 
 func (r *RecoverySummary) String() string {
-	return fmt.Sprintf("sessions replayed=%d tombstoned=%d cleans restarted=%d weight vectors=%d records=%d truncated bytes=%d",
-		r.SessionsReplayed, r.SessionsTombstoned, r.CleansRestarted, r.WeightVectors, r.Records, r.TruncatedBytes)
+	return fmt.Sprintf("sessions replayed=%d tombstoned=%d cleans restarted=%d records=%d truncated bytes=%d",
+		r.SessionsReplayed, r.SessionsTombstoned, r.CleansRestarted, r.Records, r.TruncatedBytes)
 }
 
 // openWAL opens (or disables) durability for a manager config: an injected

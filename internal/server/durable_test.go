@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -120,13 +122,68 @@ func getRepairs(c *client, id string) RepairsResponse {
 	return reps
 }
 
+// driveUnderFault drives a new session, which must get the id wantID, as far
+// as a failing log lets it — past the fault the log is fail-stop and every
+// durable call answers 500 — and reports what was acknowledged: the create,
+// how many batches, and the clean (waited for: done is served from memory
+// even when its record could not be logged).
+func driveUnderFault(c *client, req CreateRequest, wantID string, batches [][][]string) (created bool, acked int, cleaned bool) {
+	c.t.Helper()
+	var info SessionInfo
+	if code := c.do("POST", "/v1/sessions", req, &info); code != http.StatusCreated {
+		return false, 0, false
+	}
+	if info.ID != wantID {
+		c.t.Fatalf("session ids drifted: %s, want %s", info.ID, wantID)
+	}
+	for _, rows := range batches {
+		if code := c.do("POST", "/v1/sessions/"+wantID+"/tuples", TuplesRequest{Rows: rows}, nil); code != http.StatusOK {
+			return true, acked, false
+		}
+		acked++
+	}
+	if code := c.do("POST", "/v1/sessions/"+wantID+"/clean", nil, nil); code != http.StatusAccepted {
+		return true, acked, false
+	}
+	pollDone(c, wantID)
+	return true, acked, true
+}
+
+// resumeSession drives a recovered session on to done from wherever the log
+// left it: an open session is fed the batches past the boundary its surviving
+// tuples end on and cleaned, a restarted clean is waited for, a done session
+// is left alone. It returns the status found before resuming.
+func resumeSession(c *client, id string, batches [][][]string) SessionInfo {
+	c.t.Helper()
+	var found SessionInfo
+	if code := c.do("GET", "/v1/sessions/"+id, nil, &found); code != http.StatusOK {
+		c.t.Fatalf("recovered session %s: status %d", id, code)
+	}
+	if found.State == StateOpen {
+		k, rows := 0, 0
+		for k < len(batches) && rows < found.Tuples {
+			rows += len(batches[k])
+			k++
+		}
+		if rows != found.Tuples {
+			c.t.Fatalf("recovered tuple count %d is not a batch boundary", found.Tuples)
+		}
+		submitBatches(c, id, batches[k:])
+		startClean(c, id)
+	}
+	if found.State != StateDone {
+		pollDone(c, id)
+	}
+	return found
+}
+
 // TestServeRestartEndToEnd is the happy-path durability contract over a real
 // directory: stream the hospital workload, shut down gracefully, restart on
 // the same data dir, and require the completed session to re-serve its
 // result and audit trail byte-identically, an open session to resume where
-// it stopped, a deleted session to stay gone, and a repeat workload to run
-// with zero learning iterations off the replayed weight vector. The small
-// SnapshotEvery forces several compactions, so replay exercises the
+// it stopped, a deleted session to stay gone, and the resumed and repeated
+// workloads to learn their own weights and serve the first run's bytes. The
+// small SnapshotEvery forces several compactions, so replay exercises the
 // snapshot-plus-tail path, not just raw records.
 func TestServeRestartEndToEnd(t *testing.T) {
 	dirty, rs, rulesText := hospitalFixture(t)
@@ -175,8 +232,8 @@ func TestServeRestartEndToEnd(t *testing.T) {
 	if rec == nil {
 		t.Fatal("restart on a populated data dir reports no recovery")
 	}
-	if rec.SessionsReplayed != 2 || rec.SessionsTombstoned != 1 || rec.WeightVectors != 1 || rec.CleansRestarted != 0 {
-		t.Fatalf("recovery = %+v, want 2 replayed / 1 tombstoned / 1 weight vector / 0 restarted cleans", rec)
+	if rec.SessionsReplayed != 2 || rec.SessionsTombstoned != 1 || rec.CleansRestarted != 0 {
+		t.Fatalf("recovery = %+v, want 2 replayed / 1 tombstoned / 0 restarted cleans", rec)
 	}
 	if rec.TruncatedBytes != 0 {
 		t.Fatalf("graceful shutdown left %d truncated bytes", rec.TruncatedBytes)
@@ -198,8 +255,7 @@ func TestServeRestartEndToEnd(t *testing.T) {
 	}
 
 	// The open session picks up exactly where it stopped and, resumed with
-	// the remaining batches, produces the canonical result — warm-started
-	// from the replayed weight vector, so zero learning iterations.
+	// the remaining batches, learns and serves what the uninterrupted run did.
 	var bInfo SessionInfo
 	if code := c2.do("GET", "/v1/sessions/"+b.ID, nil, &bInfo); code != http.StatusOK {
 		t.Fatalf("restored open session: status %d", code)
@@ -209,14 +265,9 @@ func TestServeRestartEndToEnd(t *testing.T) {
 	}
 	submitBatches(c2, b.ID, batches[1:])
 	startClean(c2, b.ID)
-	if info := pollDone(c2, b.ID); !info.WeightsCached {
-		t.Error("resumed session did not warm-start from the replayed weight vector")
-	}
+	pollDone(c2, b.ID)
 	resB := getResult(c2, b.ID)
-	assertResultEquals(t, resB, want.Clean)
-	if resB.Stats.LearnIterations != 0 {
-		t.Errorf("warm restart still learned (%d iterations)", resB.Stats.LearnIterations)
-	}
+	assertSameClean(t, "resumed session", resB, resA)
 
 	// /stats surfaces the recovery summary.
 	var stats StatsResponse
@@ -235,20 +286,13 @@ func TestServeRestartEndToEnd(t *testing.T) {
 		t.Errorf("double close after replay: status %d, want 404", code)
 	}
 
-	// Warm-data-dir repeat workload: a brand-new session over the same rules
-	// and options is cache-served end to end.
+	// Repeat workload on the restarted server: a brand-new session over the
+	// same rules, options and table.
 	d := createSession(c2, req)
-	if !d.WeightsCached {
-		t.Error("fresh session on a warm data dir did not get cached weights")
-	}
 	submitBatches(c2, d.ID, batches)
 	startClean(c2, d.ID)
 	pollDone(c2, d.ID)
-	resD := getResult(c2, d.ID)
-	assertResultEquals(t, resD, want.Clean)
-	if resD.Stats.LearnIterations != 0 {
-		t.Errorf("repeat workload learned (%d iterations) despite the warm data dir", resD.Stats.LearnIterations)
-	}
+	assertSameClean(t, "repeat session after restart", getResult(c2, d.ID), resA)
 
 	ts2.Close()
 	srv2.Shutdown()
@@ -280,7 +324,7 @@ func TestServeRestartEndToEnd(t *testing.T) {
 // every acknowledged mutation survives the crash — the completed session
 // re-serves byte-identically, the deleted session never resurrects, no
 // acked tuple batch is lost — and whatever prefix the session under fire
-// recovered to can be driven to the canonical result.
+// recovered to can be driven to the uninterrupted run's result and trail.
 func TestServeCrashRecoveryChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos grid is not short")
@@ -299,11 +343,12 @@ func TestServeCrashRecoveryChaos(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) {
 				t.Parallel()
 				// Record appends, in order: the doomed session's create and
-				// tombstone (writes 1-2), then session a end to end (3-10:
-				// create, three batches, clean start, done, repairs, weights).
-				// The trigger lands inside session b's range (11-16), so
-				// everything before it is acked and must survive any crash.
-				at := 11 + int(seed%6)
+				// tombstone (writes 1-2), then session a end to end (3-8:
+				// create, three batches, clean start, completion). The trigger
+				// lands inside session b's range (9-14, its completion record
+				// included), so everything before it is acked and must survive
+				// any crash.
+				at := 9 + int(seed%6)
 				fs := wal.NewMemFS(wal.FaultPlan{Seed: seed, Mode: mode, AtWrite: at, AtSync: at})
 				cfg := ManagerConfig{WALFS: fs, SnapshotEvery: 1 << 20}
 				srv1 := newTestServer(t, cfg)
@@ -326,31 +371,13 @@ func TestServeCrashRecoveryChaos(t *testing.T) {
 				repsA := getRepairs(c1, a.ID)
 
 				// Session b: the one under fire. Drive it best-effort and
-				// record which mutations were acknowledged — past the fault
-				// the log is fail-stop and every durable mutation answers 500.
+				// record which mutations were acknowledged.
 				const bID = "s-000003" // third create on this manager
-				created, acked, cleanAcked := false, 0, false
+				created, acked, cleanAcked := driveUnderFault(c1, req, bID, batches)
 				var resB *ResultResponse
-				var bInfo SessionInfo
-				if code := c1.do("POST", "/v1/sessions", req, &bInfo); code == http.StatusCreated {
-					created = true
-					if bInfo.ID != bID {
-						t.Fatalf("session ids drifted: %s, want %s", bInfo.ID, bID)
-					}
-					for _, rows := range batches {
-						if code := c1.do("POST", "/v1/sessions/"+bID+"/tuples", TuplesRequest{Rows: rows}, nil); code != http.StatusOK {
-							break
-						}
-						acked++
-					}
-					if acked == len(batches) {
-						if code := c1.do("POST", "/v1/sessions/"+bID+"/clean", nil, nil); code == http.StatusAccepted {
-							cleanAcked = true
-							pollDone(c1, bID) // done is observable even if its record could not be logged
-							r := getResult(c1, bID)
-							resB = &r
-						}
-					}
+				if cleanAcked {
+					r := getResult(c1, bID)
+					resB = &r
 				}
 
 				// Crash: volatile bytes are dropped (or torn, mode depending)
@@ -387,22 +414,18 @@ func TestServeCrashRecoveryChaos(t *testing.T) {
 
 				// Session b recovered to its acked prefix (plus at most the
 				// one in-flight record a torn tail may have completed).
-				// Wherever it landed, drive it on to the canonical result.
-				var final ResultResponse
-				var info SessionInfo
-				code := c2.do("GET", "/v1/sessions/"+bID, nil, &info)
-				switch code {
-				case http.StatusNotFound:
+				// Wherever it landed, drive it on: it must learn and serve
+				// what the uninterrupted session a did, trail included.
+				finalID, restoredDone := bID, false
+				if code := c2.do("GET", "/v1/sessions/"+bID, nil, nil); code == http.StatusNotFound {
 					if created {
 						t.Fatalf("acked session %s lost after %v crash", bID, mode)
 					}
 					// The create never acked; run the workload from scratch.
-					nb := createSession(c2, req)
-					submitBatches(c2, nb.ID, batches)
-					startClean(c2, nb.ID)
-					pollDone(c2, nb.ID)
-					final = getResult(c2, nb.ID)
-				case http.StatusOK:
+					finalID = createSession(c2, req).ID
+					resumeSession(c2, finalID, batches)
+				} else {
+					info := resumeSession(c2, bID, batches)
 					ackedRows := 0
 					for _, rows := range batches[:acked] {
 						ackedRows += len(rows)
@@ -410,43 +433,207 @@ func TestServeCrashRecoveryChaos(t *testing.T) {
 					if info.Tuples < ackedRows {
 						t.Fatalf("acked rows lost: recovered %d tuples, acked %d", info.Tuples, ackedRows)
 					}
-					if info.State == StateOpen {
-						// Resume from the batch boundary the survivors end on.
-						k, rows := 0, 0
-						for k < len(batches) && rows < info.Tuples {
-							rows += len(batches[k])
-							k++
-						}
-						if rows != info.Tuples {
-							t.Fatalf("recovered tuple count %d is not a batch boundary", info.Tuples)
-						}
-						submitBatches(c2, bID, batches[k:])
-						startClean(c2, bID)
-					}
-					if info.State != StateDone {
-						pollDone(c2, bID)
-					}
-					final = getResult(c2, bID)
-				default:
-					t.Fatalf("recovered session %s: status %d", bID, code)
+					restoredDone = info.State == StateDone
 				}
+				final := getResult(c2, finalID)
 				assertResultEquals(t, final, want.Clean)
-				if !final.WeightsCached {
-					t.Error("recovered run did not reuse the replayed weight vector")
+				assertSameClean(t, "recovered run", final, resA)
+				if trail := getRepairs(c2, finalID); !reflect.DeepEqual(trail.Repairs, repsA.Repairs) {
+					t.Errorf("recovered run's audit trail has %d repairs, the uninterrupted run's %d", len(trail.Repairs), len(repsA.Repairs))
 				}
-				if final.Stats.LearnIterations != 0 {
-					t.Errorf("recovered run relearned (%d iterations)", final.Stats.LearnIterations)
-				}
-				// When the completed run's record itself survived (no clean
-				// was restarted), the response must be byte-identical to the
-				// one served before the crash.
-				if resB != nil && cleanAcked && code == http.StatusOK && info.State == StateDone && rec.CleansRestarted == 0 {
+				// When the completion record itself survived (no clean was
+				// restarted), the response must be byte-identical to the one
+				// served before the crash.
+				if resB != nil && restoredDone && rec.CleansRestarted == 0 {
 					if !reflect.DeepEqual(*resB, final) {
 						t.Errorf("logged result not byte-identical to the pre-crash response:\n got %+v\nwant %+v", final, *resB)
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestCleanCompletionAtomic sweeps an fsync failure across every sync of one
+// session's life — create, three batches, clean start, completion — and
+// crashes after each. A completed clean is one record, so after the restart
+// the session is either not done, and finishes to the reference result, or
+// done with the reference result and the reference audit trail: never a done
+// session whose trail was lost between two records.
+func TestCleanCompletionAtomic(t *testing.T) {
+	dirty, _, rulesText := hospitalFixture(t)
+	batches := splitRows(dirty, 3)
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2, Seed: 1}
+
+	// The reference: the same session on a server without a log.
+	ref := newTestServer(t, ManagerConfig{})
+	defer ref.Shutdown()
+	tsRef := httptest.NewServer(ref)
+	defer tsRef.Close()
+	cRef := &client{t: t, base: tsRef.URL}
+	refID := createSession(cRef, req).ID
+	resumeSession(cRef, refID, batches)
+	wantRes, wantTrail := getResult(cRef, refID), getRepairs(cRef, refID)
+	if len(wantTrail.Repairs) == 0 {
+		t.Fatal("hospital run produced no repairs to audit")
+	}
+
+	const life = 6 // syncs in the session's life; life+1 never fires (control)
+	for at := 1; at <= life+1; at++ {
+		t.Run(fmt.Sprintf("sync=%d", at), func(t *testing.T) {
+			fs := wal.NewMemFS(wal.FaultPlan{Mode: wal.FaultSyncError, AtSync: at})
+			cfg := ManagerConfig{WALFS: fs}
+			srv1 := newTestServer(t, cfg)
+			ts1 := httptest.NewServer(srv1)
+			c1 := &client{t: t, base: ts1.URL}
+
+			const id = "s-000001"
+			driveUnderFault(c1, req, id, batches)
+			ts1.Close()
+			fs.Crash()
+			srv1.Shutdown()
+
+			srv2 := newTestServer(t, cfg)
+			defer srv2.Shutdown()
+			ts2 := httptest.NewServer(srv2)
+			defer ts2.Close()
+			c2 := &client{t: t, base: ts2.URL}
+			rec := srv2.Recovery()
+
+			finalID := id
+			if code := c2.do("GET", "/v1/sessions/"+id, nil, nil); code == http.StatusNotFound {
+				if at != 1 {
+					t.Fatalf("acked session lost (fault at sync %d)", at)
+				}
+				finalID = createSession(c2, req).ID // the create itself never became durable
+			}
+			found := resumeSession(c2, finalID, batches)
+			if at <= life && found.State == StateDone {
+				t.Errorf("session restored done although sync %d of %d failed", at, life)
+			}
+			if at == life && rec.CleansRestarted != 1 {
+				t.Errorf("completion record lost, but recovery restarted %d cleans, want 1", rec.CleansRestarted)
+			}
+			if at > life && (found.State != StateDone || rec.Records != life || rec.CleansRestarted != 0) {
+				t.Errorf("fault-free life: restored %s from %d records with %d cleans restarted, want done from %d records",
+					found.State, rec.Records, rec.CleansRestarted, life)
+			}
+			assertSameClean(t, "recovered session", getResult(c2, finalID), wantRes)
+			if trail := getRepairs(c2, finalID); !reflect.DeepEqual(trail.Repairs, wantTrail.Repairs) {
+				t.Errorf("recovered session (found %s) serves %d repairs, want the reference trail of %d",
+					found.State, len(trail.Repairs), len(wantTrail.Repairs))
+			}
+		})
+	}
+}
+
+// TestReplayOldLogWithWeights: a data directory written by the build that
+// still had the model cache (testdata/wal-pr19: generated by running that
+// build's server over a real directory) keeps opening. The snapshot carries
+// session Z done, with its trail beside the result and a weight vector in
+// replayState.Weights; the segment after it logs session A as create, two
+// batches, clean start, done, repairs, weights, then session B's create and
+// first batch. The weight records are decoded and ignored — an unregistered
+// kind would fail the Validate hook and truncate the log at A's vector,
+// dropping B — and the next compaction writes a snapshot without the vectors.
+func TestReplayOldLogWithWeights(t *testing.T) {
+	const (
+		fixture = "testdata/wal-pr19"
+		snapZ   = "wal-00000001.snap"
+		segAB   = "wal-00000002.log"
+		vectorZ = "tau=1,metric=levenshtein" // fingerprint: only a weight vector carries it
+		vectorA = "tau=2,metric=levenshtein"
+	)
+	dir := t.TempDir()
+	for _, name := range []string{snapZ, segAB} {
+		b, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holds := func(name, what string) bool {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Contains(b, []byte(what))
+	}
+	if !holds(segAB, "recWeights") || !holds(segAB, vectorA) || !holds(snapZ, vectorZ) {
+		t.Fatal("fixture no longer carries the weight vectors it exists for")
+	}
+	var want struct {
+		ZResult  ResultResponse  `json:"z_result"`
+		ZRepairs RepairsResponse `json:"z_repairs"`
+		AResult  ResultResponse  `json:"a_result"`
+		ARepairs RepairsResponse `json:"a_repairs"`
+	}
+	b, err := os.ReadFile(filepath.Join(fixture, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	const z, a, open = "s-000001", "s-000002", "s-000003"
+	checkDone := func(c *client) {
+		t.Helper()
+		for _, s := range []struct {
+			id    string
+			res   ResultResponse
+			trail RepairsResponse
+		}{{z, want.ZResult, want.ZRepairs}, {a, want.AResult, want.ARepairs}} {
+			if got := getResult(c, s.id); !reflect.DeepEqual(got, s.res) {
+				t.Errorf("%s result differs from what the old build served:\n got %+v\nwant %+v", s.id, got, s.res)
+			}
+			if got := getRepairs(c, s.id); !reflect.DeepEqual(got, s.trail) || len(got.Repairs) == 0 {
+				t.Errorf("%s audit trail differs from what the old build served:\n got %+v\nwant %+v", s.id, got, s.trail)
+			}
+		}
+	}
+
+	// SnapshotEvery 1: the first append after the replay compacts.
+	cfg := ManagerConfig{DataDir: dir, SnapshotEvery: 1}
+	srv1 := newTestServer(t, cfg)
+	rec := srv1.Recovery()
+	if rec.TruncatedBytes != 0 || rec.SessionsReplayed != 3 || rec.Records != 9 || rec.CleansRestarted != 0 {
+		t.Fatalf("recovery of the old log = %+v, want 3 sessions from 9 records, nothing truncated", rec)
+	}
+	ts1 := httptest.NewServer(srv1)
+	c1 := &client{t: t, base: ts1.URL}
+	checkDone(c1)
+	var info SessionInfo
+	if code := c1.do("GET", "/v1/sessions/"+open, nil, &info); code != http.StatusOK || info.State != StateOpen || info.Tuples != 5 {
+		t.Fatalf("session logged after the weight vector: status %d, %+v; want open with 5 tuples", code, info)
+	}
+	submitBatches(c1, open, [][][]string{{{"boaz", "al"}}})
+	ts1.Close()
+	srv1.Shutdown()
+
+	names, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(names) != 1 || filepath.Base(names[0]) == snapZ {
+		t.Fatalf("snapshots after the forced compaction: %v (%v), want one new file", names, err)
+	}
+	for _, gone := range []string{vectorZ, vectorA, "recWeights", "Summaries"} {
+		if holds(filepath.Base(names[0]), gone) {
+			t.Errorf("the new snapshot still carries %q", gone)
+		}
+	}
+
+	// The compacted directory serves the same sessions.
+	srv2 := newTestServer(t, cfg)
+	defer srv2.Shutdown()
+	if rec := srv2.Recovery(); rec.TruncatedBytes != 0 || rec.SessionsReplayed != 3 {
+		t.Fatalf("recovery of the compacted log = %+v, want 3 sessions, nothing truncated", rec)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	c2 := &client{t: t, base: ts2.URL}
+	checkDone(c2)
+	if code := c2.do("GET", "/v1/sessions/"+open, nil, &info); code != http.StatusOK || info.State != StateOpen || info.Tuples != 6 {
+		t.Fatalf("open session after compaction: status %d, %+v; want open with 6 tuples", code, info)
 	}
 }
 

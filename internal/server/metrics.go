@@ -96,7 +96,7 @@ func instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // bindGauges (re-)binds the point-in-time GaugeFuncs to this Server's
-// manager and cache. GaugeFunc registration is latest-wins by design, so
+// manager. GaugeFunc registration is latest-wins by design, so
 // tests constructing many Servers always scrape the newest one's state.
 func bindGauges(s *Server) {
 	reg := obs.Default()
@@ -114,29 +114,8 @@ func bindGauges(s *Server) {
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("mlnserve_cache_models",
-		"Interned rule-set models resident in the cache.", func() float64 {
-			return float64(s.cache.Stats().Models)
-		})
-	reg.GaugeFunc("mlnserve_cache_rule_hit_ratio",
-		"Rule-set cache hits over lookups (0 before any lookup).", func() float64 {
-			st := s.cache.Stats()
-			return ratio(st.RuleHits, st.RuleMisses)
-		})
-	reg.GaugeFunc("mlnserve_cache_weight_hit_ratio",
-		"Weight-vector cache hits over lookups (0 before any lookup).", func() float64 {
-			st := s.cache.Stats()
-			return ratio(st.WeightHits, st.WeightMisses)
-		})
 	reg.GaugeFunc("mlnserve_uptime_seconds",
 		"Seconds since this server was constructed.", func() float64 {
 			return time.Since(s.started).Seconds()
 		})
-}
-
-func ratio(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }

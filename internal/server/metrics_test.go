@@ -51,7 +51,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mlnserve_sessions_created_total",
 		"mlnserve_cleans_completed_total",
 		"mlnserve_sessions_live",
-		"mlnserve_cache_models",
 		"mlnserve_uptime_seconds",
 		"mlnclean_core_stage_seconds_count",
 		"mlnclean_executor_runs_total",

@@ -145,7 +145,7 @@ func (s *Session) ensureDeltaLocked() error {
 		if err != nil {
 			return err
 		}
-		eng, err := core.NewDeltaCleaner(s.schema, s.model.Rules, s.coreOpts)
+		eng, err := core.NewDeltaCleaner(s.schema, s.rules, s.coreOpts)
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func (s *Session) catchUpLocked() error {
 		s.versions = append(s.versions, &versionEntry{
 			res:     res,
 			delta:   *ds,
-			repairs: computeRepairsTable(s.schema, s.delta.Table(), res.Repaired, s.model.Rules, s.delta.Weights()),
+			repairs: computeRepairsTable(s.schema, s.delta.Table(), res.Repaired, s.rules, s.delta.Weights()),
 			tuples:  s.delta.Len(),
 		})
 	}

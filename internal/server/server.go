@@ -1,3 +1,10 @@
+// Package server is mlnserve's long-running cleaning service: an HTTP/JSON
+// session API (create session → stream tuple batches → trigger clean → poll
+// → fetch repairs) layered on the distributed Executor, with a session
+// manager (bounded concurrency, idle eviction, per-session cancellation).
+// Every session parses its own rules and learns its weights from its own
+// tuples, so a served result is a function of that session's request and
+// tuples alone.
 package server
 
 import (
@@ -26,7 +33,7 @@ import (
 //	GET    /v1/sessions/{id}/repairs        repair audit trail (?version=N&limit=&cursor=)
 //	POST   /v1/sessions/{id}/rollback       restore pre-repair values
 //	DELETE /v1/sessions/{id}                close the session (204; second call 404)
-//	GET    /v1/stats                        sessions + model-cache counters
+//	GET    /v1/stats                        sessions, uptime, build, recovery summary
 //	GET    /healthz                         liveness
 //	GET    /metrics                         Prometheus text exposition
 //
@@ -48,26 +55,23 @@ import (
 // their audit trails) re-serve byte-identically, closed or evicted sessions
 // stay gone.
 
-// Server is the serving subsystem: a session manager plus a model cache
-// behind an http.Handler.
+// Server is the serving subsystem: a session manager behind an
+// http.Handler.
 type Server struct {
 	mgr     *Manager
-	cache   *ModelCache
 	mux     *http.ServeMux
 	started time.Time
 }
 
-// New builds a Server over a fresh manager and model cache, replaying the
-// write-ahead log first when the config enables durability.
+// New builds a Server over a fresh manager, replaying the write-ahead log
+// first when the config enables durability.
 func New(cfg ManagerConfig) (*Server, error) {
-	cache := NewModelCache()
-	mgr, err := NewManager(cfg, cache)
+	mgr, err := NewManager(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		mgr:     mgr,
-		cache:   cache,
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
@@ -104,9 +108,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Manager exposes the session manager (for shutdown and tests).
 func (s *Server) Manager() *Manager { return s.mgr }
-
-// Cache exposes the model cache (for tests and stats).
-func (s *Server) Cache() *ModelCache { return s.cache }
 
 // Recovery reports what startup replayed from the data directory; nil when
 // durability is off.
@@ -253,7 +254,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if err := sess.Clean(s.cache); err != nil {
+	if err := sess.Clean(); err != nil {
 		writeSessionError(w, err)
 		return
 	}
@@ -276,16 +277,15 @@ type ResultResponse struct {
 	// and were recovered from mid-run (the result is unaffected — recovery
 	// re-runs the lost partitions deterministically). Versions ≥ 2 are
 	// computed by the in-process delta engine: one worker, nothing lost.
-	Workers       int   `json:"workers"`
-	WorkersLost   int   `json:"workers_lost"`
-	WeightsCached bool  `json:"weights_cached"`
-	WallMS        int64 `json:"wall_ms"`
+	Workers     int   `json:"workers"`
+	WorkersLost int   `json:"workers_lost"`
+	WallMS      int64 `json:"wall_ms"`
 	// RolledBack marks that the session's repairs were reverted: Rows/IDs
 	// are the original streamed values, not the cleaned output.
 	RolledBack bool `json:"rolled_back,omitempty"`
 	// Plan lists the selectivity planner's per-rule scan choices as rendered
 	// plan-dump lines (why each rule's evaluation was ordered the way it
-	// was); empty when the run disabled the planner.
+	// was); version 1 only.
 	Plan []string `json:"plan,omitempty"`
 	// Delta reports how much of version N-1's work this version reused;
 	// absent on version 1.
@@ -368,24 +368,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeSessionError(w, err)
 		return
 	}
-	info := sess.Info()
 	serve := res.Clean
 	rolled := false
 	if tb := sess.Restored(); tb != nil {
 		serve, rolled = tb, true
 	}
 	resp := ResultResponse{
-		Version:       1,
-		Attrs:         serve.Schema.Attrs(),
-		Rows:          make([][]string, serve.Len()),
-		IDs:           make([]int, serve.Len()),
-		Stats:         res.Stats,
-		Workers:       res.Workers,
-		WorkersLost:   res.WorkersLost,
-		WeightsCached: info.WeightsCached,
-		WallMS:        res.WallTime.Milliseconds(),
-		RolledBack:    rolled,
-		Plan:          res.Plan,
+		Version:     1,
+		Attrs:       serve.Schema.Attrs(),
+		Rows:        make([][]string, serve.Len()),
+		IDs:         make([]int, serve.Len()),
+		Stats:       res.Stats,
+		Workers:     res.Workers,
+		WorkersLost: res.WorkersLost,
+		WallMS:      res.WallTime.Milliseconds(),
+		RolledBack:  rolled,
+		Plan:        res.Plan,
 	}
 	for i, t := range serve.Tuples {
 		resp.Rows[i] = t.Values
@@ -612,7 +610,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 type StatsResponse struct {
 	Sessions    []SessionInfo `json:"sessions"`
 	MaxSessions int           `json:"max_sessions"`
-	Cache       CacheStats    `json:"cache"`
 	// UptimeSeconds is the age of this server instance.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Build identifies the running binary.
@@ -656,7 +653,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Sessions:      s.mgr.List(),
 		MaxSessions:   s.mgr.cfg.MaxSessions,
-		Cache:         s.cache.Stats(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Build:         buildInfo(),
 		Recovery:      s.mgr.Recovery(),

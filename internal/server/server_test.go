@@ -22,11 +22,18 @@ import (
 // a dirtied copy, the Table 4 rule set, and its parseable text form.
 func hospitalFixture(t *testing.T) (*dataset.Table, []*rules.Rule, string) {
 	t.Helper()
+	return hospitalFixtureSeed(t, 11)
+}
+
+// hospitalFixtureSeed is hospitalFixture with the error injection's seed
+// chosen: the same ground truth and rules, a different dirty table per seed.
+func hospitalFixtureSeed(t *testing.T, errSeed int64) (*dataset.Table, []*rules.Rule, string) {
+	t.Helper()
 	truth, rs, err := datagen.HAI(datagen.HAIConfig{Providers: 40, Measures: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: 11})
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: errSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +145,8 @@ func (c *client) runSession(req any, dirty *dataset.Table, batches int) (Session
 // TestServeHospitalEndToEnd starts the server on a random port, streams the
 // hospital example through a session in multiple batches, and requires
 // repairs identical to the batch CLI path (core.Clean). A second session
-// over the same rules must hit the model cache — weights preset, learning
-// skipped — and still produce identical repairs.
+// over the same rules and table learns its own weights and serves the same
+// rows, ids and stats.
 func TestServeHospitalEndToEnd(t *testing.T) {
 	dirty, rs, rulesText := hospitalFixture(t)
 
@@ -164,35 +171,13 @@ func TestServeHospitalEndToEnd(t *testing.T) {
 		Seed:    1,
 	}
 
-	info, res := c.runSession(req, dirty, 3)
-	if info.WeightsCached {
-		t.Error("first session claims cached weights")
-	}
+	_, res := c.runSession(req, dirty, 3)
 	assertResultEquals(t, res, want.Clean)
 
-	// Second run, same rules: the model cache must supply the weights.
-	info2, res2 := c.runSession(req, dirty, 2)
-	if !info2.WeightsCached {
-		t.Error("second session did not hit the weight cache")
-	}
-	if !res2.WeightsCached {
-		t.Error("second result not marked cache-served")
-	}
-	assertResultEquals(t, res2, want.Clean)
-	if res2.Stats.LearnIterations != 0 {
-		t.Errorf("cache-served run still learned (%d iterations)", res2.Stats.LearnIterations)
-	}
-
-	var stats StatsResponse
-	if code := c.do("GET", "/v1/stats", nil, &stats); code != http.StatusOK {
-		t.Fatalf("stats: status %d", code)
-	}
-	if stats.Cache.RuleHits < 1 {
-		t.Errorf("cache rule hits = %d, want ≥ 1", stats.Cache.RuleHits)
-	}
-	if stats.Cache.WeightHits != 1 || stats.Cache.WeightMisses != 1 {
-		t.Errorf("weight counters = %d hits / %d misses, want 1/1", stats.Cache.WeightHits, stats.Cache.WeightMisses)
-	}
+	// Second run, same rules and table: it learns again and serves the same
+	// bytes.
+	_, res2 := c.runSession(req, dirty, 2)
+	assertSameClean(t, "second session", res2, res)
 
 	// A create body from an older client, still carrying fields the API has
 	// since dropped, is accepted and cleans exactly like the body without
@@ -202,24 +187,63 @@ func TestServeHospitalEndToEnd(t *testing.T) {
 		DisablePlanner bool `json:"disable_planner"`
 		Materialize    bool `json:"materialize"`
 	}{req, true, true}, dirty, 2)
-	if !reflect.DeepEqual(res3.IDs, res2.IDs) || !reflect.DeepEqual(res3.Rows, res2.Rows) || !reflect.DeepEqual(res3.Stats, res2.Stats) {
-		t.Errorf("create body with removed fields cleaned differently:\ngot  %+v\nwant %+v", res3.Stats, res2.Stats)
+	assertSameClean(t, "create body with removed fields", res3, res2)
+}
+
+// assertSameClean requires two results to carry the same rows, ids and
+// stats, and the run behind them to have learned its weights.
+func assertSameClean(t *testing.T, what string, got, want ResultResponse) {
+	t.Helper()
+	if !reflect.DeepEqual(got.IDs, want.IDs) {
+		t.Errorf("%s: ids differ", what)
+	}
+	cells := 0
+	for i := 0; i < len(got.Rows) && i < len(want.Rows); i++ {
+		for j := range want.Rows[i] {
+			if got.Rows[i][j] != want.Rows[i][j] {
+				cells++
+			}
+		}
+	}
+	if cells > 0 || len(got.Rows) != len(want.Rows) {
+		t.Errorf("%s: %d cells differ (%d rows, want %d)", what, cells, len(got.Rows), len(want.Rows))
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("%s: stats differ:\ngot  %+v\nwant %+v", what, got.Stats, want.Stats)
+	}
+	if got.Stats.LearnIterations == 0 {
+		t.Errorf("%s: the run learned nothing (0 iterations)", what)
+	}
+}
+
+// TestSessionHistoryIndependent: what a session serves is a function of its
+// own request and tuples. Session B cleans the same bytes whether it is the
+// first session a server ever saw or follows session A — a different dirty
+// table under the same rules and options — and whether or not its create
+// body sets the retired fresh_weights field.
+func TestSessionHistoryIndependent(t *testing.T) {
+	tableA, _, rulesText := hospitalFixtureSeed(t, 11)
+	tableB, _, _ := hospitalFixtureSeed(t, 12)
+	req := CreateRequest{Rules: rulesText, Attrs: tableA.Schema.Attrs(), Tau: 2, Seed: 1}
+	serve := func() *client {
+		srv := newTestServer(t, ManagerConfig{})
+		t.Cleanup(srv.Shutdown)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return &client{t: t, base: ts.URL}
 	}
 
-	// Same rules but a different learning configuration must NOT be served
-	// from the weight cache — those weights were learned under another τ.
-	reqTau := req
-	reqTau.Tau = 4
-	var info3 SessionInfo
-	if code := c.do("POST", "/v1/sessions", reqTau, &info3); code != http.StatusCreated {
-		t.Fatalf("create tau=4 session: status %d", code)
-	}
-	if info3.WeightsCached {
-		t.Error("weights leaked across differing options (tau=4 session claims cached weights)")
-	}
-	if code := c.do("DELETE", "/v1/sessions/"+info3.ID, nil, nil); code != http.StatusNoContent {
-		t.Fatalf("delete: status %d", code)
-	}
+	_, want := serve().runSession(req, tableB, 3)
+
+	used := serve()
+	used.runSession(req, tableA, 3)
+	_, got := used.runSession(req, tableB, 3)
+	assertSameClean(t, "B after A", got, want)
+
+	fresh := req
+	fresh.FreshWeights = true
+	_, got = used.runSession(fresh, tableB, 3)
+	assertSameClean(t, "B with fresh_weights", got, want)
 }
 
 func assertResultEquals(t *testing.T, got ResultResponse, want *dataset.Table) {

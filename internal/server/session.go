@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"strings"
 	"sync"
 	"time"
 
@@ -11,9 +12,8 @@ import (
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
 	"mlnclean/internal/distributed"
-	"mlnclean/internal/index"
-	"mlnclean/internal/intern"
 	"mlnclean/internal/obs"
+	"mlnclean/internal/rules"
 	"mlnclean/internal/wal"
 )
 
@@ -74,40 +74,12 @@ type CreateRequest struct {
 	Metric string `json:"metric,omitempty"`
 	// KeepDuplicates skips duplicate elimination in the result.
 	KeepDuplicates bool `json:"keep_duplicates,omitempty"`
-	// FreshWeights opts out of the weight cache: the session relearns from
-	// its own tuples even when a cached vector exists. Cached weights are
-	// learned from whatever data previous sessions streamed, so clients
-	// cleaning a different dataset under the same rules and options set
-	// this to trade the learning cost for history independence.
+	// FreshWeights is accepted and has no effect: every session learns from its own tuples.
 	FreshWeights bool `json:"fresh_weights,omitempty"`
 }
 
-// weightsFingerprint identifies the learning configuration a weight vector
-// was produced under: anything that changes what the learner sees — τ and
-// the metric shape grouping/AGP, worker count and seed shape the partitions,
-// batch size shifts the streaming centroid draw. Weights cached under one
-// fingerprint are never replayed into a session with another. Every field
-// is normalized to its effective default first, so "tau omitted" and
-// "tau:1" share a cache slot.
-func (r CreateRequest) weightsFingerprint(workers int) string {
-	tau := r.Tau
-	if tau <= 0 {
-		tau = 1 // core.Options default (TauSet is not exposed over the API)
-	}
-	seed := r.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	batch := r.BatchSize
-	if batch <= 0 {
-		batch = 1024 // distributed.Options default
-	}
-	return fmt.Sprintf("tau=%d,metric=%s,workers=%d,seed=%d,batch=%d",
-		tau, distance.MetricName(metricFor(r.Metric)), workers, seed, batch)
-}
-
-// Session is one client's cleaning conversation: a schema, an interned
-// model, and a live executor accumulating streamed tuples until Clean.
+// Session is one client's cleaning conversation: a schema, a parsed rule
+// set, and a live executor accumulating streamed tuples until Clean.
 //
 // A session restored from the WAL in StateDone has no executor (ex is nil,
 // cancel a no-op): the logged result re-serves as-is and the session accepts
@@ -121,12 +93,10 @@ type Session struct {
 
 	mu        sync.Mutex
 	state     SessionState
-	model     *Model
-	fp        string // weight-cache fingerprint of this session's options
-	rulesText string // original rules source, for the weight-vector WAL record
+	rules     []*rules.Rule
+	rulesHash string // rules.CanonicalHash of the rule set
 	schema    *dataset.Schema
 	workers   int
-	cached    bool // run started with cached weights (learning skipped)
 	ex        *distributed.Executor
 	cancel    context.CancelFunc
 	tuples    int
@@ -163,22 +133,20 @@ type SessionInfo struct {
 	ID string `json:"id"`
 	// RunID is the correlation tag the session's executor run (and its log
 	// lines) carry; stable across restarts of a durable server.
-	RunID         string       `json:"run_id"`
-	State         SessionState `json:"state"`
-	RulesHash     string       `json:"rules_hash"`
-	Workers       int          `json:"workers"`
-	WorkersLost   int          `json:"workers_lost"`
-	Tuples        int          `json:"tuples"`
-	WeightsCached bool         `json:"weights_cached"`
-	Repairs       int          `json:"repairs,omitempty"`
-	RolledBack    bool         `json:"rolled_back,omitempty"`
+	RunID       string       `json:"run_id"`
+	State       SessionState `json:"state"`
+	RulesHash   string       `json:"rules_hash"`
+	Workers     int          `json:"workers"`
+	WorkersLost int          `json:"workers_lost"`
+	Tuples      int          `json:"tuples"`
+	Repairs     int          `json:"repairs,omitempty"`
+	RolledBack  bool         `json:"rolled_back,omitempty"`
 	// Versions is the number of result versions the session serves: 1 for
 	// the batch clean, plus one per applied tuple mutation. Zero until the
 	// session is done.
 	Versions int `json:"versions,omitempty"`
 	// Plan lists the rule planner's per-rule scan choices (rendered
-	// plan-dump lines) once the run completes; empty while cleaning or when
-	// the planner was disabled.
+	// plan-dump lines) once the run completes; empty until then.
 	Plan       []string  `json:"plan,omitempty"`
 	CreatedAt  time.Time `json:"created_at"`
 	LastUsedAt time.Time `json:"last_used_at"`
@@ -194,18 +162,17 @@ func (s *Session) Info() SessionInfo {
 		lost = s.ex.WorkersLost()
 	}
 	info := SessionInfo{
-		ID:            s.ID,
-		RunID:         s.runID,
-		State:         s.state,
-		RulesHash:     s.model.Hash,
-		Workers:       s.workers,
-		WorkersLost:   lost,
-		Tuples:        s.tuples,
-		WeightsCached: s.cached,
-		Repairs:       len(s.repairs),
-		RolledBack:    s.rolled != nil,
-		CreatedAt:     s.created,
-		LastUsedAt:    s.lastUsed,
+		ID:          s.ID,
+		RunID:       s.runID,
+		State:       s.state,
+		RulesHash:   s.rulesHash,
+		Workers:     s.workers,
+		WorkersLost: lost,
+		Tuples:      s.tuples,
+		Repairs:     len(s.repairs),
+		RolledBack:  s.rolled != nil,
+		CreatedAt:   s.created,
+		LastUsedAt:  s.lastUsed,
 	}
 	if s.res != nil {
 		info.Plan = s.res.Plan
@@ -255,7 +222,7 @@ func (s *Session) Submit(rows [][]string) error {
 
 // Clean starts the cleaning run asynchronously; poll Info until the state
 // leaves StateCleaning, then fetch Result.
-func (s *Session) Clean(cache *ModelCache) error {
+func (s *Session) Clean() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != StateOpen {
@@ -271,7 +238,7 @@ func (s *Session) Clean(cache *ModelCache) error {
 	s.lastUsed = time.Now()
 	mCleansStarted.Inc()
 	slog.Info("server: clean started",
-		"session", s.ID, "run", s.runID, "tuples", s.tuples, "workers", s.workers, "cached_weights", s.cached)
+		"session", s.ID, "run", s.runID, "tuples", s.tuples, "workers", s.workers)
 	go func() {
 		t0 := time.Now()
 		res, err := s.ex.Run()
@@ -285,20 +252,15 @@ func (s *Session) Clean(cache *ModelCache) error {
 			slog.Warn("server: clean failed", "session", s.ID, "run", s.runID, "err", err)
 			return
 		}
-		// Compute the audit trail and log the completion — result, repairs,
-		// and (when this run learned) the weight vector — before the done
+		// Compute the audit trail and log the completion — result and trail
+		// in one record, so a crash keeps both or neither — before the done
 		// state becomes observable: a poller that saw "done" must find the
-		// result after a crash.
-		reps := computeRepairs(s.schema, s.batches, res.Repaired, s.model.Rules, res.MergedWeights)
-		s.wal.append(resultRecord(s, res))
-		s.wal.append(recRepairs{ID: s.ID, Repairs: reps})
-		if !s.cached && len(res.MergedWeights) > 0 {
-			s.wal.append(recWeights{
-				RulesHash:   s.model.Hash,
-				RulesText:   s.rulesText,
-				Fingerprint: s.fp,
-				Summaries:   index.CopySummaries(res.MergedWeights),
-			})
+		// result after a crash. A completion that could not be logged is
+		// still served from memory; after a restart the clean runs again
+		// from the logged batches and reproduces the same bytes.
+		reps := computeRepairs(s.schema, s.batches, res.Repaired, s.rules, res.MergedWeights)
+		if err := s.wal.append(resultRecord(s, res, reps)); err != nil {
+			slog.Warn("server: clean completion not logged", "session", s.ID, "run", s.runID, "err", err)
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -306,9 +268,6 @@ func (s *Session) Clean(cache *ModelCache) error {
 		s.state = StateDone
 		s.res = res
 		s.repairs = reps
-		if !s.cached {
-			cache.StoreWeights(s.model, s.fp, res.MergedWeights)
-		}
 		mCleansDone.Inc()
 		slog.Info("server: clean done",
 			"session", s.ID, "run", s.runID, "rows", res.Clean.Len(), "repairs", len(reps),
@@ -318,8 +277,8 @@ func (s *Session) Clean(cache *ModelCache) error {
 }
 
 // resultRecord denormalizes a completed run into its WAL record: exactly
-// what the result endpoint serves.
-func resultRecord(s *Session, res *distributed.Result) recCleanDone {
+// what the result and repairs endpoints serve.
+func resultRecord(s *Session, res *distributed.Result, reps []Repair) recCleanDone {
 	rec := recCleanDone{
 		ID:          s.ID,
 		Attrs:       res.Clean.Schema.Attrs(),
@@ -329,8 +288,8 @@ func resultRecord(s *Session, res *distributed.Result) recCleanDone {
 		Workers:     res.Workers,
 		WorkersLost: res.WorkersLost,
 		WallMS:      res.WallTime.Milliseconds(),
-		Cached:      s.cached,
 		Plan:        res.Plan,
+		Repairs:     reps,
 	}
 	for i, t := range res.Clean.Tuples {
 		rec.Rows[i] = append([]string(nil), t.Values...)
@@ -435,9 +394,9 @@ type ManagerConfig struct {
 	TransportFor func(name string) (distributed.TransportFactory, error)
 	// DataDir enables durability: every session mutation is written to a
 	// write-ahead log under this directory before it is acknowledged, and a
-	// restart on the same directory replays it — sessions rebuilt, model
-	// cache warmed, completed results re-served byte-identically. Empty
-	// (and WALFS nil) means in-memory only, the pre-durability behavior.
+	// restart on the same directory replays it — sessions rebuilt, completed
+	// results re-served byte-identically. Empty (and WALFS nil) means
+	// in-memory only, the pre-durability behavior.
 	DataDir string
 	// WALFS overrides the log's filesystem (tests inject the fault-injecting
 	// crash-simulating wal.MemFS). Takes precedence over DataDir.
@@ -479,10 +438,9 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 // Manager owns the live sessions: bounded creation, lookup, idle eviction,
 // and shutdown. All methods are safe for concurrent use.
 type Manager struct {
-	cfg   ManagerConfig
-	cache *ModelCache
-	wal   *walStore // nil when durability is off
-	rec   *RecoverySummary
+	cfg ManagerConfig
+	wal *walStore // nil when durability is off
+	rec *RecoverySummary
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -493,15 +451,13 @@ type Manager struct {
 	sweepDone chan struct{}
 }
 
-// NewManager starts a session manager (and its eviction sweeper) over the
-// given model cache. With durability configured (DataDir or WALFS) it first
-// replays the write-ahead log: rebuilds logged sessions, warms the model
-// cache with logged weight vectors, restarts interrupted cleans, and
-// positions the log for appending.
-func NewManager(cfg ManagerConfig, cache *ModelCache) (*Manager, error) {
+// NewManager starts a session manager (and its eviction sweeper). With
+// durability configured (DataDir or WALFS) it first replays the write-ahead
+// log: rebuilds logged sessions, restarts interrupted cleans, and positions
+// the log for appending.
+func NewManager(cfg ManagerConfig) (*Manager, error) {
 	m := &Manager{
 		cfg:       cfg.withDefaults(),
-		cache:     cache,
 		sessions:  make(map[string]*Session),
 		stopSweep: make(chan struct{}),
 		sweepDone: make(chan struct{}),
@@ -553,16 +509,8 @@ func (m *Manager) replay(fs wal.FS) error {
 	}
 	sum := &RecoverySummary{
 		SessionsTombstoned: st.Tombstones,
-		WeightVectors:      len(st.Weights),
 		Records:            len(rec.Records),
 		TruncatedBytes:     rec.TruncatedBytes,
-	}
-	// Warm the model cache: repeat workloads (and restarted cleans below)
-	// start from the logged weight vectors and skip learning.
-	for _, w := range st.Weights {
-		if model, _, err := m.cache.Intern(w.RulesText); err == nil {
-			m.cache.StoreWeights(model, w.Fingerprint, w.Summaries)
-		}
 	}
 	m.seq = st.Seq
 	var restart []*Session
@@ -588,7 +536,7 @@ func (m *Manager) replay(fs wal.FS) error {
 	// Restart interrupted cleans from their logged batches. The re-logged
 	// clean-start record is idempotent under replay.
 	for _, s := range restart {
-		if err := s.Clean(m.cache); err == nil {
+		if err := s.Clean(); err == nil {
 			sum.CleansRestarted++
 		}
 	}
@@ -600,7 +548,7 @@ func (m *Manager) replay(fs wal.FS) error {
 // (boundaries preserved); done sessions carry the logged result directly and
 // need no executor.
 func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
-	model, _, err := m.cache.Intern(snap.Req.Rules)
+	rs, err := rules.ParseList(strings.NewReader(snap.Req.Rules))
 	if err != nil {
 		return nil, err
 	}
@@ -620,9 +568,8 @@ func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 	s := &Session{
 		ID:        id,
 		runID:     runID,
-		model:     model,
-		fp:        snap.Req.weightsFingerprint(workers),
-		rulesText: snap.Req.Rules,
+		rules:     rs,
+		rulesHash: rules.CanonicalHash(rs),
 		schema:    schema,
 		workers:   workers,
 		batches:   snap.Batches,
@@ -647,7 +594,6 @@ func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 		}
 		s.state = StateDone
 		s.res = res
-		s.cached = done.Cached
 		s.lostDone = done.WorkersLost
 		s.cancel = func() {}
 		return s, nil
@@ -659,12 +605,8 @@ func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var preset []index.PieceSummary
-	if !snap.Req.FreshWeights {
-		preset = m.cache.TakeWeights(model, s.fp)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := distributed.NewExecutorContext(ctx, schema, model.Rules, executorOptions(snap.Req, workers, factory, preset, model, m.cfg, runID))
+	ex, err := distributed.NewExecutorContext(ctx, schema, rs, executorOptions(snap.Req, workers, factory, m.cfg, runID))
 	if err != nil {
 		cancel()
 		return nil, err
@@ -683,7 +625,6 @@ func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 		}
 	}
 	s.state = StateOpen
-	s.cached = len(preset) > 0
 	s.ex = ex
 	s.cancel = cancel
 	return s, nil
@@ -720,21 +661,15 @@ func resultFromRecord(rec *recCleanDone) (*distributed.Result, error) {
 // request — shared by Create and WAL replay, which must configure the
 // executor identically for the replayed run to be deterministic (runID is
 // exempt: it only tags log lines, never the outcome).
-func executorOptions(req CreateRequest, workers int, factory distributed.TransportFactory, preset []index.PieceSummary, model *Model, cfg ManagerConfig, runID string) distributed.Options {
+func executorOptions(req CreateRequest, workers int, factory distributed.TransportFactory, cfg ManagerConfig, runID string) distributed.Options {
 	opts := distributed.Options{
 		Workers:           workers,
 		RunID:             runID,
 		Seed:              req.Seed,
 		Transport:         factory,
 		BatchSize:         req.BatchSize,
-		PresetWeights:     preset,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		WorkerTimeout:     cfg.WorkerTimeout,
-		// Per-session dictionary over the model's frozen vocabulary: the
-		// coordinator interns streamed tuples into it (partitioning + gather
-		// FSCR); values already named by the model's rules or cached weight
-		// vectors resolve to base IDs without per-session re-interning.
-		Dict: intern.NewDictWithBase(model.Vocabulary()),
 		Core: core.Options{
 			Tau:            req.Tau,
 			Metric:         metricFor(req.Metric),
@@ -760,20 +695,23 @@ func soloCoreOptions(req CreateRequest) core.Options {
 	}
 }
 
-// Create opens a new session: interns the rule set, validates it against the
-// schema, and starts an executor seeded with cached weights when the model
-// has them. Returns ErrBusy at the session cap. With durability on, the
-// session is acknowledged only after its create record is on disk.
+// Create opens a new session: parses the rule set, validates it against the
+// schema, and starts an executor. Returns ErrBusy at the session cap. With
+// durability on, the session is acknowledged only after its create record
+// is on disk.
 func (m *Manager) Create(req CreateRequest) (*Session, error) {
-	model, _, err := m.cache.Intern(req.Rules)
+	rs, err := rules.ParseList(strings.NewReader(req.Rules))
 	if err != nil {
 		return nil, err
+	}
+	if len(rs) == 0 {
+		return nil, fmt.Errorf("server: empty rule set")
 	}
 	schema, err := dataset.NewSchema(req.Attrs...)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range model.Rules {
+	for _, r := range rs {
 		if err := r.Validate(schema); err != nil {
 			return nil, err
 		}
@@ -786,13 +724,8 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := req.weightsFingerprint(workers)
-	var preset []index.PieceSummary
-	if !req.FreshWeights {
-		preset = m.cache.TakeWeights(model, fp)
-	}
 	runID := obs.NewRunID()
-	opts := executorOptions(req, workers, factory, preset, model, m.cfg, runID)
+	opts := executorOptions(req, workers, factory, m.cfg, runID)
 
 	m.mu.Lock()
 	if m.closed {
@@ -810,7 +743,7 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	m.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := distributed.NewExecutorContext(ctx, schema, model.Rules, opts)
+	ex, err := distributed.NewExecutorContext(ctx, schema, rs, opts)
 	if err != nil {
 		cancel()
 		m.mu.Lock()
@@ -823,12 +756,10 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 		ID:        id,
 		runID:     runID,
 		state:     StateOpen,
-		model:     model,
-		fp:        fp,
-		rulesText: req.Rules,
+		rules:     rs,
+		rulesHash: rules.CanonicalHash(rs),
 		schema:    schema,
 		workers:   workers,
-		cached:    len(preset) > 0,
 		ex:        ex,
 		cancel:    cancel,
 		created:   now,
@@ -860,7 +791,7 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	m.mu.Unlock()
 	mSessionsCreated.Inc()
 	slog.Info("server: session created",
-		"session", id, "run", runID, "rules_hash", model.Hash, "workers", workers, "cached_weights", s.cached)
+		"session", id, "run", runID, "rules_hash", s.rulesHash, "workers", workers)
 	return s, nil
 }
 

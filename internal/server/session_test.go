@@ -20,7 +20,7 @@ func testCreateReq() CreateRequest {
 // sweeping delays, cleaned up with the test.
 func newTestManager(t *testing.T, cfg ManagerConfig) *Manager {
 	t.Helper()
-	m, err := NewManager(cfg, NewModelCache())
+	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := m.cache
-	if err := s.Clean(cache); err == nil {
+	if err := s.Clean(); err == nil {
 		t.Error("clean with zero tuples should fail")
 	}
 	if err := s.Submit([][]string{{"a"}}); err == nil {
@@ -120,7 +119,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err := s.Submit([][]string{{"boaz", "al"}, {"boaz", "al"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Clean(cache); err != nil {
+	if err := s.Clean(); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the async run, then check post-run transitions.
@@ -137,76 +136,11 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err := s.Submit([][]string{{"x", "y"}}); err == nil {
 		t.Error("submit after clean should fail")
 	}
-	if err := s.Clean(cache); err == nil {
+	if err := s.Clean(); err == nil {
 		t.Error("second clean should fail")
 	}
 	if _, err := s.Result(); err != nil {
 		t.Fatalf("result = %v", err)
-	}
-}
-
-// TestWeightsFingerprint: omitted fields and their explicit defaults share
-// a cache slot; any effective difference gets its own.
-func TestWeightsFingerprint(t *testing.T) {
-	base := CreateRequest{}
-	if base.weightsFingerprint(2) != (CreateRequest{Tau: 1, Metric: "levenshtein", Seed: 1, BatchSize: 1024}).weightsFingerprint(2) {
-		t.Error("defaults and explicit defaults should share a fingerprint")
-	}
-	distinct := []CreateRequest{
-		{Tau: 4},
-		{Metric: "cosine"},
-		{Seed: 9},
-		{BatchSize: 64},
-	}
-	seen := map[string]bool{base.weightsFingerprint(2): true}
-	for i, r := range distinct {
-		fp := r.weightsFingerprint(2)
-		if seen[fp] {
-			t.Errorf("request %d collides with an earlier fingerprint: %s", i, fp)
-		}
-		seen[fp] = true
-	}
-	if base.weightsFingerprint(2) == base.weightsFingerprint(4) {
-		t.Error("worker count should be part of the fingerprint")
-	}
-}
-
-// TestFreshWeightsOptOut: fresh_weights forces relearning even when the
-// cache holds a vector for the configuration.
-func TestFreshWeightsOptOut(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{})
-	run := func(req CreateRequest) *Session {
-		t.Helper()
-		s, err := m.Create(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Submit([][]string{{"boaz", "al"}, {"boaz", "ai"}, {"boaz", "al"}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Clean(m.cache); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for s.Info().State == StateCleaning {
-			if time.Now().After(deadline) {
-				t.Fatal("run never completed")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		m.Close(s.ID)
-		return s
-	}
-	req := testCreateReq()
-	if s := run(req); s.Info().WeightsCached {
-		t.Error("first run claims cached weights")
-	}
-	if s := run(req); !s.Info().WeightsCached {
-		t.Error("second run should be cache-served")
-	}
-	req.FreshWeights = true
-	if s := run(req); s.Info().WeightsCached {
-		t.Error("fresh_weights run must not be cache-served")
 	}
 }
 
