@@ -9,10 +9,14 @@ import (
 	"mlnclean/internal/rules"
 )
 
-// Result is the output of a cleaning run.
+// Result is the output of a cleaning run. Results are read-only: Clean
+// shares its tuples with Repaired (and a DeltaCleaner's successive Results
+// share the tuples no mutation re-fused), so a caller that wants to edit one
+// clones it first.
 type Result struct {
 	// Clean is the final cleaned dataset (duplicates removed unless
-	// Options.KeepDuplicates).
+	// Options.KeepDuplicates): the surviving tuples of Repaired themselves,
+	// not copies.
 	Clean *dataset.Table
 	// Repaired is the cleaned table before duplicate elimination; it has
 	// exactly the input's tuple IDs, which evaluation code diffs against
@@ -88,14 +92,21 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 // duplicates are eliminated in the same way"): FSCR fuses every tuple's
 // versions starting from its dirty row, then exact duplicates are removed
 // unless opts.KeepDuplicates. It returns the repaired table (input tuple IDs
-// preserved), the deduplicated table and the duplicate sets, and adds the
-// fusion and duplicate counters to st. enc follows RunFSCREncoded's contract.
+// preserved), the deduplicated table — whose tuples are the repaired table's
+// — and the duplicate sets, and adds the fusion and duplicate counters to st.
+// enc follows RunFSCREncoded's contract. From FSCR's search to the row set
+// the tail works on value IDs; the only strings touched are the repaired
+// table's cells.
 func StageII(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) (repaired, clean *dataset.Table, dups [][]int) {
-	repaired = RunFSCREncoded(dirty, enc, blocks, opts, st)
-	if opts.KeepDuplicates {
-		return repaired, repaired.Clone(), nil
+	repaired, rows := runFSCR(dirty, enc, blocks, opts, st)
+	switch {
+	case opts.KeepDuplicates:
+		return repaired, &dataset.Table{Schema: repaired.Schema, Tuples: repaired.Tuples}, nil
+	case rows == nil:
+		clean, dups = Dedup(repaired)
+	default:
+		clean, dups = dedupRows(repaired, rows, hashWords)
 	}
-	clean, dups = Dedup(repaired)
 	removed := 0
 	for _, d := range dups {
 		removed += len(d) - 1

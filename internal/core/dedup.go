@@ -1,40 +1,85 @@
 package core
 
 import (
+	"slices"
+
 	"mlnclean/internal/dataset"
-	"mlnclean/internal/intern"
 )
 
 // Dedup removes exact-duplicate tuples (identical on every attribute) from
 // the repaired table, keeping the lowest-ID representative of each
 // duplicate set (§5.2: after FSCR, MLNClean automatically detects and
-// removes duplicate tuples). Row identity is an interned ID-sequence key,
-// not a joined string, so values containing the key separator cannot alias
-// two distinct rows. Returns the deduplicated table and the duplicate sets
-// (each with ≥ 2 members, representative first).
+// removes duplicate tuples). Row identity is a sequence of value IDs, not a
+// joined string, so values containing the key separator cannot alias two
+// distinct rows. Returns the deduplicated table, whose tuples are tb's own,
+// and the duplicate sets (each with ≥ 2 members, representative first).
+//
+// This is the string entry to dedupRows, for a table that arrives without
+// encoded rows; StageII hands FSCR's rows over directly.
 func Dedup(tb *dataset.Table) (*dataset.Table, [][]int) {
-	out := dataset.NewTable(tb.Schema)
-	dict := intern.NewDict()
-	members := make(map[uint32][]int) // row key → all tuple IDs
-	var order []uint32
-	var ids []uint32
-	for _, t := range tb.Tuples {
-		ids = ids[:0]
+	flat := make([]uint32, 0, len(tb.Tuples)*tb.Schema.Len()) // one array unless a row is over-long
+	rows := make([][]uint32, len(tb.Tuples))
+	ids := make(map[string]uint32)
+	for i, t := range tb.Tuples {
+		at := len(flat)
 		for _, v := range t.Values {
-			ids = append(ids, dict.Intern(v))
+			id, ok := ids[v]
+			if !ok {
+				id = uint32(len(ids))
+				ids[v] = id
+			}
+			flat = append(flat, id)
 		}
-		k := dict.Seq(ids)
-		if _, ok := members[k]; !ok {
-			order = append(order, k)
-			out.Tuples = append(out.Tuples, t.Clone())
-		}
-		members[k] = append(members[k], t.ID)
+		rows[i] = flat[at:len(flat):len(flat)]
 	}
+	return dedupRows(tb, rows, hashWords)
+}
+
+// dupHit records that row dup repeats the earlier row first.
+type dupHit struct{ first, dup int32 }
+
+// dedupRows is the one duplicate elimination: rows[i] is tb.Tuples[i] as
+// value IDs of any one dictionary, and two tuples are duplicates iff their
+// rows are equal word for word (so rows of unequal length never are). The
+// rows seen so far live in an open-addressing set of row indices keyed by
+// hash; a probe hit is confirmed by comparing the rows, so hash only decides
+// how far a probe walks. Survivors are tb's tuples, in table order; sets are
+// ordered by their representative, members in table order.
+func dedupRows(tb *dataset.Table, rows [][]uint32, hash func([]uint32) uint64) (*dataset.Table, [][]int) {
+	size := 16
+	for size < 2*len(rows) {
+		size *= 2
+	}
+	mask := uint64(size - 1)
+	slots := make([]int32, size) // index + 1 of the first row with this content; 0 = empty
+	clean := &dataset.Table{Schema: tb.Schema, Tuples: make([]*dataset.Tuple, 0, len(rows))}
+	var hits []dupHit
+	for i, row := range rows {
+		for s := hash(row) & mask; ; s = (s + 1) & mask {
+			first := slots[s]
+			if first == 0 {
+				slots[s] = int32(i) + 1
+				clean.Tuples = append(clean.Tuples, tb.Tuples[i])
+				break
+			}
+			if slices.Equal(rows[first-1], row) {
+				hits = append(hits, dupHit{first: first - 1, dup: int32(i)})
+				break
+			}
+		}
+	}
+	// hits are in table order; a stable sort by representative groups each
+	// set's members without disturbing that order.
+	slices.SortStableFunc(hits, func(a, b dupHit) int { return int(a.first - b.first) })
+	flat := make([]int, 0, 2*len(hits)) // every set's IDs back to back; sets ≤ hits
 	var dups [][]int
-	for _, k := range order {
-		if ids := members[k]; len(ids) > 1 {
-			dups = append(dups, ids)
+	for i := 0; i < len(hits); {
+		first, start := hits[i].first, len(flat)
+		flat = append(flat, tb.Tuples[first].ID)
+		for ; i < len(hits) && hits[i].first == first; i++ {
+			flat = append(flat, tb.Tuples[hits[i].dup].ID)
 		}
+		dups = append(dups, flat[start:len(flat):len(flat)])
 	}
-	return out, dups
+	return clean, dups
 }

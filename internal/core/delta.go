@@ -97,7 +97,11 @@ type deltaBlock struct {
 
 // tupleState is one tuple's cached fusion outcome.
 type tupleState struct {
-	values []string // fused (repaired) values, schema order
+	// tuple is the fused (repaired) tuple and row its value IDs in the
+	// engine's dictionary. Both are written once by fuseOne and replaced
+	// wholesale on re-fuse, never edited, so Results can share them.
+	tuple *dataset.Tuple
+	row   []uint32
 	// res is the fusion accounting; a conflicted tuple's fusion read global
 	// state (candidates, domain sizes) and must re-run on every Apply.
 	res fuseResult
@@ -127,15 +131,6 @@ type DeltaCleaner struct {
 	plan  *fusionPlan
 	fuser *fuser
 	fused map[int]*tupleState
-
-	// Incremental duplicate detection: each tuple's fused row reduced to an
-	// interned ID-sequence key, refreshed only when the tuple re-fuses, so
-	// assemble's dedup pass is one map lookup per row instead of re-hashing
-	// every cell. The dict only grows (old values stay interned); that creep
-	// is bounded by the value universe the table has ever fused to.
-	dedupDict  *intern.Dict
-	rowKeys    map[int]uint32
-	keyScratch []uint32
 
 	loaded bool
 }
@@ -171,9 +166,6 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		pool:   distance.NewPool(opts.Metric, dict),
 		rowPos: make(map[int]int),
 		fused:  make(map[int]*tupleState),
-
-		dedupDict: intern.NewDict(),
-		rowKeys:   make(map[int]uint32),
 	}
 	posPerBlock := make([][]int, len(rs))
 	for ri, r := range rs {
@@ -290,7 +282,6 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 			d.encRows = append(d.encRows[:pos], d.encRows[pos+1:]...)
 			d.reindex()
 			delete(d.fused, m.Row)
-			delete(d.rowKeys, m.Row)
 		}
 	}
 
@@ -493,20 +484,7 @@ func (d *DeltaCleaner) fuseOne(id int) {
 	pos := d.rowPos[id]
 	t := d.tuples[pos].Clone()
 	res := d.fuser.fuse(t, d.encRows[pos], nil)
-	d.fused[id] = &tupleState{values: t.Values, res: res}
-	d.rowKeys[id] = d.rowKey(t.Values)
-}
-
-// rowKey interns a fused row into its ID-sequence key. Keys from the
-// engine's persistent dict number differently than a fresh Dedup pass's
-// would, but equality is all dedup reads — identical rows intern to the
-// same key in any dict.
-func (d *DeltaCleaner) rowKey(vals []string) uint32 {
-	d.keyScratch = d.keyScratch[:0]
-	for _, v := range vals {
-		d.keyScratch = append(d.keyScratch, d.dedupDict.Intern(v))
-	}
-	return d.dedupDict.Seq(d.keyScratch)
+	d.fused[id] = &tupleState{tuple: t, row: d.fuser.fusedRow(d.encRows[pos], res), res: res}
 }
 
 // appliesVals mirrors rulePlan.appliesTo over display values: every rule
@@ -559,47 +537,27 @@ func (d *DeltaCleaner) assemble() *Result {
 		st.Groups += len(db.block.Groups)
 		st.addBlock(&db.res)
 	}
-	// Result rows alias the fused value slices: a tuple's slice is written
-	// once by its fuseOne and replaced wholesale (never edited in place) on
-	// re-fuse, so rows handed out here stay stable across later Applies.
-	// Callers treat Results as immutable — the serving layer re-serializes
-	// them verbatim — so sharing is safe and saves a full table copy per
-	// version.
-	repaired := dataset.NewTable(d.schema)
-	for _, t := range d.tuples {
+	// Results share the cached fused tuples (see tupleState): callers treat
+	// Results as immutable — the serving layer re-serializes them verbatim —
+	// so sharing is safe and saves a full table copy per version.
+	repaired := &dataset.Table{Schema: d.schema, Tuples: make([]*dataset.Tuple, len(d.tuples))}
+	rows := make([][]uint32, len(d.tuples))
+	for i, t := range d.tuples {
 		ts := d.fused[t.ID]
 		st.FSCRCellChanges += ts.res.changes
 		st.FusionFailures += ts.res.failed
 		st.FusionTruncated += ts.res.truncated
-		repaired.Tuples = append(repaired.Tuples, &dataset.Tuple{ID: t.ID, Values: ts.values})
+		repaired.Tuples[i], rows[i] = ts.tuple, ts.row
 	}
 	res := &Result{Repaired: repaired, Stats: st}
 	if d.opts.KeepDuplicates {
-		res.Clean = repaired.Clone()
+		res.Clean = &dataset.Table{Schema: d.schema, Tuples: repaired.Tuples}
 		return res
 	}
-	// Same algorithm as Dedup, but over the cached per-tuple row keys —
-	// identical grouping (keys agree iff the rows agree cell for cell) and
-	// identical ordering (repaired is in ascending tuple-ID order, as a
-	// from-scratch pass would see it), without re-interning every cell.
-	// Clean's representatives alias Repaired's tuples, like the rows above.
-	clean := dataset.NewTable(d.schema)
-	members := make(map[uint32][]int, len(repaired.Tuples))
-	var order []uint32
-	for _, t := range repaired.Tuples {
-		k := d.rowKeys[t.ID]
-		if _, ok := members[k]; !ok {
-			order = append(order, k)
-			clean.Tuples = append(clean.Tuples, t)
-		}
-		members[k] = append(members[k], t.ID)
-	}
-	res.Clean = clean
-	for _, k := range order {
-		if ids := members[k]; len(ids) > 1 {
-			res.Duplicates = append(res.Duplicates, ids)
-			res.Stats.DuplicatesRemoved += len(ids) - 1
-		}
+	// repaired is in ascending tuple-ID order, as a from-scratch pass sees it.
+	res.Clean, res.Duplicates = dedupRows(repaired, rows, hashWords)
+	for _, ids := range res.Duplicates {
+		res.Stats.DuplicatesRemoved += len(ids) - 1
 	}
 	return res
 }

@@ -304,6 +304,10 @@ type fusionPlan struct {
 	maxStates  int
 	compOf     []int
 	compAttrs  [][]int
+	// seen[id] == seenGen marks value id as counted for countDomains' current
+	// position; bumping the generation empties the set without a sweep.
+	seen    []uint32
+	seenGen uint32
 }
 
 func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]int, opts Options) *fusionPlan {
@@ -322,20 +326,27 @@ func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]in
 }
 
 // countDomains refreshes domainSize from the encoded rows, over the
-// positions any block touches. Distinct IDs ≡ distinct values.
+// positions any block touches. Distinct IDs ≡ distinct values, and IDs are
+// dense below dict.Len(), so a position's count is one stamp per cell.
 func (pl *fusionPlan) countDomains(rows [][]uint32) {
-	var seen map[uint32]struct{}
+	if n := pl.dict.Len(); len(pl.seen) < n {
+		pl.seen = append(pl.seen, make([]uint32, n-len(pl.seen))...)
+	}
 	for _, attrs := range pl.compAttrs {
 		for _, p := range attrs {
-			if seen == nil {
-				seen = make(map[uint32]struct{}, len(rows))
-			} else {
-				clear(seen)
+			pl.seenGen++
+			if pl.seenGen == 0 { // wrapped: old stamps could alias the new generation
+				clear(pl.seen)
+				pl.seenGen = 1
 			}
+			n := 0
 			for _, row := range rows {
-				seen[row[p]] = struct{}{}
+				if id := row[p]; pl.seen[id] != pl.seenGen {
+					pl.seen[id] = pl.seenGen
+					n++
+				}
 			}
-			pl.domainSize[p] = len(seen)
+			pl.domainSize[p] = n
 		}
 	}
 }
@@ -381,15 +392,25 @@ func RunFSCR(dirty *dataset.Table, blocks []*FusionBlock, opts Options, st *Stat
 // the index's encoding; the distributed gather reuses the rows interned at
 // Submit). A nil or foreign-dictionary enc is re-encoded.
 func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) *dataset.Table {
+	repaired, _ := runFSCR(dirty, enc, blocks, opts, st)
+	return repaired
+}
+
+// runFSCR is the one FSCR loop. Besides the repaired table it returns that
+// table's encoded rows in the pieces' dictionary, for duplicate elimination:
+// a tuple fusion left alone keeps its observed row, a changed tuple gets a
+// fresh one, and each row is as long as its tuple. rows is nil when no block
+// holds a piece (there is no dictionary to encode into).
+func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) (repaired *dataset.Table, rows [][]uint32) {
 	opts = opts.withDefaults()
 	defer mStageFSCR.ObserveSince(time.Now())
 	if st == nil {
 		st = &Stats{}
 	}
-	repaired := dirty.Clone()
+	repaired = dirty.Clone()
 	dict := fusionDict(blocks)
 	if dict == nil {
-		return repaired // no pieces anywhere: nothing to fuse
+		return repaired, nil // no pieces anywhere: nothing to fuse
 	}
 	if enc == nil || enc.Dict != dict || len(enc.Rows) != len(dirty.Tuples) {
 		// Encode the observed (dirty) rows into the pieces' dictionary before
@@ -399,6 +420,7 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 		enc = dataset.Encode(dirty, dict)
 	}
 	pl := planFusion(dict, repaired.Schema, enc.Rows, blocks, opts)
+	rows = make([][]uint32, len(enc.Rows))
 
 	par := opts.Parallelism
 	if par <= 0 {
@@ -430,7 +452,12 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 				trace = &outcomes[ci]
 			}
 			for i := lo; i < hi; i++ {
-				totals[ci].add(f.fuse(repaired.Tuples[i], enc.Rows[i], trace))
+				t := repaired.Tuples[i]
+				res := f.fuse(t, enc.Rows[i], trace)
+				totals[ci].add(res)
+				// Encoded rows are schema-wide even under a short tuple, whose
+				// padding must not take part in row identity.
+				rows[i] = f.fusedRow(enc.Rows[i], res)[:len(t.Values)]
 			}
 		}(ci)
 	}
@@ -446,7 +473,7 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 	mFSCRCellChanges.Add(int64(total.changes))
 	mFSCRConflicts.Add(int64(total.failed))
 	mFSCRTruncated.Add(int64(total.truncated))
-	return repaired
+	return repaired, rows
 }
 
 // fuseResult is one tuple's fusion accounting (or a sum of them): cells
@@ -580,6 +607,22 @@ func (f *fuser) fuse(t *dataset.Tuple, dirtyRow []uint32, trace *[]FusionOutcome
 		sort.Slice(out.Changed, func(i, j int) bool { return out.Changed[i].Attr < out.Changed[j].Attr })
 	}
 	return res
+}
+
+// fusedRow is the repaired ID row of the tuple fuse just returned res for:
+// dirtyRow itself when fusion changed no cell, else a copy with the winning
+// IDs applied — every one of them a piece value, so already in the dictionary.
+func (f *fuser) fusedRow(dirtyRow []uint32, res fuseResult) []uint32 {
+	if res.changes == 0 {
+		return dirtyRow
+	}
+	row := slices.Clone(dirtyRow)
+	for pos, id := range f.best {
+		if id != unsetID {
+			row[pos] = id
+		}
+	}
+	return row
 }
 
 // run fuses f.versions component by component into f.best and returns the

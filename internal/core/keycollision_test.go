@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mlnclean/internal/dataset"
@@ -10,7 +11,8 @@ import (
 // TestDedupSeparatorCollision: two DISTINCT rows whose full-row joined keys
 // collide (a value contains the 0x1f separator) must both survive duplicate
 // elimination, while true duplicates are still removed. The string-keyed
-// dedup conflated the former; row identity is an interned sequence now.
+// dedup conflated the former; row identity is a sequence of value IDs now,
+// on the pipeline's own rows (Clean) and through the string entry (Dedup).
 func TestDedupSeparatorCollision(t *testing.T) {
 	sep := "\x1f"
 	tb := dataset.NewTable(dataset.MustSchema("A", "B"))
@@ -30,5 +32,9 @@ func TestDedupSeparatorCollision(t *testing.T) {
 	}
 	if res.Stats.DuplicatesRemoved != 1 {
 		t.Errorf("DuplicatesRemoved = %d, want 1", res.Stats.DuplicatesRemoved)
+	}
+	clean, dups := Dedup(res.Repaired)
+	if clean.Len() != 2 || !reflect.DeepEqual(dups, res.Duplicates) {
+		t.Errorf("Dedup(Repaired): %d rows, sets %v; the pipeline kept 2 rows, sets %v", clean.Len(), dups, res.Duplicates)
 	}
 }

@@ -170,11 +170,23 @@ func (tb *Table) ByID(id int) *Tuple {
 	return nil
 }
 
-// Clone returns a deep copy of the table sharing the (immutable) schema.
+// Clone returns a deep copy of the table sharing the (immutable) schema. The
+// copy's tuples and values are carved from one exactly-sized array each, so
+// a clone costs the same few allocations whatever the row count; appending to
+// one tuple's Values reallocates instead of writing into its neighbour.
 func (tb *Table) Clone() *Table {
+	cells := 0
+	for _, t := range tb.Tuples {
+		cells += len(t.Values)
+	}
+	tuples := make([]Tuple, len(tb.Tuples))
+	vals := make([]string, cells)
 	out := &Table{Schema: tb.Schema, Tuples: make([]*Tuple, len(tb.Tuples))}
 	for i, t := range tb.Tuples {
-		out.Tuples[i] = t.Clone()
+		n := copy(vals, t.Values)
+		tuples[i] = Tuple{ID: t.ID, Values: vals[:n:n]}
+		vals = vals[n:]
+		out.Tuples[i] = &tuples[i]
 	}
 	return out
 }

@@ -132,10 +132,16 @@ func TestTableByID(t *testing.T) {
 func TestTableCloneIsDeep(t *testing.T) {
 	tb := NewTable(MustSchema("A"))
 	tb.MustAppend("x")
+	tb.MustAppend("z")
 	cl := tb.Clone()
 	cl.Tuples[0].Values[0] = "y"
 	if tb.Tuples[0].Values[0] != "x" {
 		t.Error("Clone must deep-copy tuples")
+	}
+	// The clone's values share one array: growing a tuple must leave it.
+	_ = append(cl.Tuples[0].Values, "w")
+	if cl.Tuples[1].Values[0] != "z" {
+		t.Error("appending to a cloned tuple's Values wrote into its neighbour")
 	}
 }
 

@@ -132,10 +132,14 @@ func ReadAll(s RowStream) (*Table, error) {
 	}
 }
 
-// encChunkRows sizes the StreamEncoder's flat ID backing chunks: large
-// enough to amortize allocation, small enough that a part-filled tail chunk
-// wastes little.
-const encChunkRows = 4096
+// encChunkRows caps the StreamEncoder's backing chunks and encMinChunkRows
+// is the first one: a chunk holds half as many rows as the table already
+// does, within those limits, so allocation is amortized and a part-filled
+// tail chunk wastes at most a third of a small table.
+const (
+	encChunkRows    = 4096
+	encMinChunkRows = 256
+)
 
 // StreamEncoder builds a Table and its dictionary-encoded companion
 // incrementally, one row at a time. It replicates Encode exactly — value IDs
@@ -150,7 +154,10 @@ type StreamEncoder struct {
 	st     *intern.Stats
 	tb     *Table
 	enc    *Encoded
-	chunk  []uint32 // current flat backing chunk, carved per row
+	// The current backing chunks, carved per row and exhausted together.
+	ids    []uint32
+	vals   []string
+	tuples []Tuple
 }
 
 // NewStreamEncoder creates an encoder over the schema, interning into dict
@@ -182,20 +189,26 @@ func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
 	if len(values) != width {
 		return nil, fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), width)
 	}
-	if len(se.chunk) < width {
-		se.chunk = make([]uint32, encChunkRows*width)
+	if len(se.tuples) == 0 {
+		n := min(max(len(se.tb.Tuples)/2, encMinChunkRows), encChunkRows)
+		se.ids = make([]uint32, n*width)
+		se.vals = make([]string, n*width)
+		se.tuples = make([]Tuple, n)
 	}
-	row := se.chunk[:width:width]
-	se.chunk = se.chunk[width:]
-	vals := make([]string, width)
+	row := se.ids[:width:width]
+	se.ids = se.ids[width:]
+	vals := se.vals[:width:width]
+	se.vals = se.vals[width:]
 	for j, v := range values {
-		id := se.dict.Intern(v)
-		row[j] = id
+		vid := se.dict.Intern(v)
+		row[j] = vid
 		// The canonical interned string: identical bytes, shared backing.
-		vals[j] = se.dict.Value(id)
+		vals[j] = se.dict.Value(vid)
 	}
 	se.st.ObserveRow(row)
-	t := &Tuple{ID: id, Values: vals}
+	t := &se.tuples[0]
+	se.tuples = se.tuples[1:]
+	t.ID, t.Values = id, vals
 	se.tb.Tuples = append(se.tb.Tuples, t)
 	se.enc.Rows = append(se.enc.Rows, row)
 	return t, nil

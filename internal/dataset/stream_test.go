@@ -3,6 +3,7 @@ package dataset
 import (
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -139,5 +140,64 @@ func TestEncodeStreamRaggedRowPropagates(t *testing.T) {
 	}
 	if _, _, err := EncodeStream(s, nil); err == nil {
 		t.Fatal("want ragged-row error, got nil")
+	}
+}
+
+// sliceStream yields n generated rows over a three-attribute schema, with
+// repeating and fresh values mixed so IDs are shared across chunk edges.
+type sliceStream struct {
+	schema *Schema
+	i, n   int
+	row    []string
+}
+
+func (s *sliceStream) Schema() *Schema { return s.schema }
+
+func (s *sliceStream) Next() ([]string, error) {
+	if s.i == s.n {
+		return nil, io.EOF
+	}
+	s.row = append(s.row[:0], "k"+strconv.Itoa(s.i%7), "v"+strconv.Itoa(s.i), "")
+	s.i++
+	return s.row, nil
+}
+
+// TestStreamEncoderChunkBoundaries: the encoder carves tuples, value slices
+// and ID rows out of shared chunks. Tables ending just before, on and just
+// after a chunk edge — the first chunk's, and several later ones in a table
+// spanning three full-size chunks — encode bit-identically to ReadAll +
+// Encode, and no tuple's slices can grow into its neighbour's.
+func TestStreamEncoderChunkBoundaries(t *testing.T) {
+	schema := MustSchema("K", "V", "E")
+	for _, n := range []int{encMinChunkRows - 1, encMinChunkRows, encMinChunkRows + 1, 3*encChunkRows + 1} {
+		want, err := ReadAll(&sliceStream{schema: schema, n: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEnc := Encode(want, nil)
+		got, gotEnc, err := EncodeStream(&sliceStream{schema: schema, n: n}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != n || len(gotEnc.Rows) != n {
+			t.Fatalf("n=%d: %d tuples, %d encoded rows", n, got.Len(), len(gotEnc.Rows))
+		}
+		for i, tu := range got.Tuples {
+			if tu.ID != want.Tuples[i].ID || !reflect.DeepEqual(tu.Values, want.Tuples[i].Values) {
+				t.Fatalf("n=%d: tuple %d = %+v, want %+v", n, i, tu, want.Tuples[i])
+			}
+			if !reflect.DeepEqual(gotEnc.Rows[i], wantEnc.Rows[i]) {
+				t.Fatalf("n=%d: encoded row %d = %v, want %v", n, i, gotEnc.Rows[i], wantEnc.Rows[i])
+			}
+		}
+		for i, tu := range got.Tuples {
+			_ = append(tu.Values, "overflow")
+			_ = append(gotEnc.Rows[i], ^uint32(0))
+		}
+		for i, tu := range got.Tuples {
+			if !reflect.DeepEqual(tu.Values, want.Tuples[i].Values) || !reflect.DeepEqual(gotEnc.Rows[i], wantEnc.Rows[i]) {
+				t.Fatalf("n=%d: appending to a neighbour rewrote tuple %d: %v %v", n, i, tu.Values, gotEnc.Rows[i])
+			}
+		}
 	}
 }

@@ -283,6 +283,38 @@ func TestDistributedMatchesStandaloneQuality(t *testing.T) {
 	}
 }
 
+// TestCleanAliasesRepaired: the gather ends in the same stage II as the
+// stand-alone cleaner, so every tuple of Clean is the tuple of Repaired with
+// the same ID — the same object — with and without KeepDuplicates.
+func TestCleanAliasesRepaired(t *testing.T) {
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 200, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := errgen.InjectDuplicates(truth, errgen.DuplicateConfig{Rate: 0.1, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keep := range []bool{false, true} {
+		res, err := Clean(dup.Dirty, rs, Options{Workers: 2, Seed: 1, Core: core.Options{KeepDuplicates: keep}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := res.Clean.Len() == res.Repaired.Len(); kept != keep {
+			t.Fatalf("keep=%v: %d clean of %d repaired tuples", keep, res.Clean.Len(), res.Repaired.Len())
+		}
+		byID := make(map[int]*dataset.Tuple, res.Repaired.Len())
+		for _, tu := range res.Repaired.Tuples {
+			byID[tu.ID] = tu
+		}
+		for i, tu := range res.Clean.Tuples {
+			if byID[tu.ID] != tu {
+				t.Fatalf("keep=%v: Clean.Tuples[%d] (tuple %d) is not Repaired's tuple", keep, i, tu.ID)
+			}
+		}
+	}
+}
+
 func TestDistributedValidation(t *testing.T) {
 	if _, err := Clean(nil, nil, Options{}); err == nil {
 		t.Error("nil table should fail")
