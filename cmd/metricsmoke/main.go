@@ -55,6 +55,9 @@ var mustGrow = []string{
 	"mlnserve_sessions_created_total",
 	"mlnserve_cleans_completed_total",
 	"mlnclean_executor_runs_total",
+	// The coordinator's own phase: a session's clean must have timed its
+	// ingest (executor creation until stage I is dispatched).
+	"mlnclean_executor_ingest_seconds_count",
 	`mlnclean_core_stage_seconds_count{stage="agp"}`,
 	"mlnclean_index_builds_total",
 	"mlnclean_wal_appends_total",

@@ -33,15 +33,31 @@ const (
 	kindOther
 )
 
-// idInfo caches what a metric needs about one interned value.
+// idInfo caches what a metric needs about one interned value. The table is
+// indexed by value ID and grown to the highest ID touched, so a slot is 16
+// bytes: whatever needs a slice lives behind ext, which an ASCII value under
+// a non-cosine metric never allocates.
 type idInfo struct {
 	prepared bool
 	ascii    bool
 	lossy    bool // decodes to U+FFFD somewhere, as a different string can too
 	runeLen  int32
-	runes    []rune  // decoded form; for ASCII values only filled on demand
-	grams    []gram  // cosine: sorted bigram vector
-	norm2    float64 // cosine: squared vector norm (an exact integer)
+	ext      *idExt
+}
+
+// idExt is the out-of-line part of an idInfo.
+type idExt struct {
+	runes []rune  // decoded form; for ASCII values only filled on demand
+	grams []gram  // cosine: sorted bigram vector
+	norm2 float64 // cosine: squared vector norm (an exact integer)
+}
+
+// more returns the slot's out-of-line part, allocating it on first use.
+func (in *idInfo) more() *idExt {
+	if in.ext == nil {
+		in.ext = &idExt{}
+	}
+	return in.ext
 }
 
 // gram is one character bigram (two runes packed) with its count.
@@ -87,12 +103,14 @@ func (e *Evaluator) prep(id uint32) *idInfo {
 		in.ascii = true
 		in.runeLen = int32(len(s))
 	} else {
-		in.runes = appendRunes(nil, s)
-		in.runeLen = int32(len(in.runes))
-		in.lossy = slices.Contains(in.runes, utf8.RuneError)
+		x := in.more()
+		x.runes = appendRunes(nil, s)
+		in.runeLen = int32(len(x.runes))
+		in.lossy = slices.Contains(x.runes, utf8.RuneError)
 	}
 	if e.kind == kindCos {
-		in.grams, in.norm2 = bigramVector(s)
+		x := in.more()
+		x.grams, x.norm2 = bigramVector(s)
 	}
 	return in
 }
@@ -134,6 +152,17 @@ func (e *Evaluator) Pair(a, b uint32) float64 {
 	d := e.compute(a, b, maxEditBound)
 	e.memo[k] = d
 	return d
+}
+
+// Exact is Pair without the memo, neither read nor filled: for a caller
+// that keeps each result in a table of its own (the streaming partitioner's
+// per-value centroid distances) and would only leave entries behind that
+// nobody looks up again.
+func (e *Evaluator) Exact(a, b uint32) float64 {
+	if a == b {
+		return 0
+	}
+	return e.compute(a, b, maxEditBound)
 }
 
 // PairBounded returns the exact distance when it is ≤ bound, and some value
@@ -189,22 +218,23 @@ func (e *Evaluator) editDistance(a, b uint32, maxDist int) int {
 // (and caches) its runes only when paired with a non-ASCII counterpart; the
 // ascii marker stays set, so later all-ASCII pairs keep the byte fast path.
 func (e *Evaluator) runesOf(id uint32, in *idInfo) []rune {
-	if in.runes == nil {
-		in.runes = appendRunes(nil, e.dict.Value(id))
+	x := in.more()
+	if x.runes == nil {
+		x.runes = appendRunes(nil, e.dict.Value(id))
 	}
-	return in.runes
+	return x.runes
 }
 
 // cosine computes 1 − cos over the prepared sorted bigram vectors. Counts
 // are small integers, so dot products and norms are exact and the result is
 // bit-identical to the map-based cosineDistance.
 func (e *Evaluator) cosine(a, b uint32) float64 {
-	ia, ib := e.prep(a), e.prep(b)
-	if len(ia.grams) == 0 || len(ib.grams) == 0 {
+	xa, xb := e.prep(a).ext, e.prep(b).ext
+	if len(xa.grams) == 0 || len(xb.grams) == 0 {
 		return 1
 	}
 	var dot float64
-	ga, gb := ia.grams, ib.grams
+	ga, gb := xa.grams, xb.grams
 	i, j := 0, 0
 	for i < len(ga) && j < len(gb) {
 		switch {
@@ -218,7 +248,7 @@ func (e *Evaluator) cosine(a, b uint32) float64 {
 			j++
 		}
 	}
-	return cosineFromParts(dot, ia.norm2, ib.norm2)
+	return cosineFromParts(dot, xa.norm2, xb.norm2)
 }
 
 // ValuesBounded is the γ-to-γ distance over ID slices: the attribute-wise

@@ -3,8 +3,10 @@ package distance
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mlnclean/internal/intern"
 )
@@ -86,7 +88,48 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 					}
 				}
 			}
+			// Exact is the same number without the memo: a fresh evaluator
+			// (so ASCII values meet their non-ASCII partners unprepared, in
+			// either order) answers alike and remembers nothing.
+			fresh := NewEvaluator(m, dict)
+			for i := range vals {
+				for j := range vals {
+					if got, want := fresh.Exact(ids[i], ids[j]), m.Distance(vals[i], vals[j]); got != want {
+						t.Fatalf("Exact(%q,%q) = %v, want %v", vals[i], vals[j], got, want)
+					}
+				}
+			}
+			if len(fresh.memo) != 0 {
+				t.Errorf("Exact left %d memo entries", len(fresh.memo))
+			}
 		})
+	}
+}
+
+// TestEvaluatorSlotSize: the per-ID table is grown to the highest ID an
+// evaluator touches, so its slot stays at 16 bytes and an evaluator that
+// only ever prepares one high ID allocates the table and little else.
+func TestEvaluatorSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(idInfo{}); got > 16 {
+		t.Errorf("idInfo is %d bytes, want ≤ 16", got)
+	}
+	const high = 50_000
+	dict := intern.NewDict()
+	for i := 0; i <= high; i++ {
+		dict.Intern(fmt.Sprintf("v%d", i))
+	}
+	for _, m := range []Metric{Levenshtein{}, Cosine{}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := NewEvaluator(m, dict)
+		d := e.Pair(high, high-1)
+		runtime.ReadMemStats(&after)
+		if want := m.Distance(dict.Value(high), dict.Value(high-1)); d != want {
+			t.Errorf("%s: Pair = %v, want %v", m.Name(), d, want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: preparing ID %d allocated %d bytes, want ≤ 1 MiB", m.Name(), high, got)
+		}
 	}
 }
 

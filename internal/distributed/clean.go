@@ -219,30 +219,25 @@ func CleanStream(ctx context.Context, stream dataset.RowStream, rs []*rules.Rule
 	if err != nil {
 		return nil, err
 	}
-	batch := dataset.NewTable(stream.Schema())
-	for {
+	// Rows go straight into the executor's encoder; a flush every batchSize
+	// rows is a Submit of that batch without the table in between (Run
+	// flushes the tail).
+	for n := 1; ; n++ {
 		row, err := stream.Next()
 		if err == io.EOF {
 			break
+		}
+		if err == nil {
+			_, err = ex.senc.Append(row)
 		}
 		if err != nil {
 			ex.Close()
 			return nil, err
 		}
-		if _, err := batch.Append(row...); err != nil {
-			ex.Close()
-			return nil, err
-		}
-		if batch.Len() >= batchSize {
-			if err := ex.Submit(batch); err != nil {
+		if n%batchSize == 0 {
+			if err := ex.flush(); err != nil {
 				return nil, err
 			}
-			batch = dataset.NewTable(stream.Schema())
-		}
-	}
-	if batch.Len() > 0 {
-		if err := ex.Submit(batch); err != nil {
-			return nil, err
 		}
 	}
 	res, err := ex.Run()

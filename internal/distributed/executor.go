@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -57,23 +58,27 @@ type Executor struct {
 	opts   Options
 	k      int
 	tr     Transport
-	metric distance.Metric
 	rng    *rand.Rand
 
-	// gather accumulates every submitted tuple (re-IDed sequentially); the
-	// global FSCR fuses from these original dirty values. Partitions are
-	// never materialized coordinator-side — batches ship as they arrive.
-	// gatherIDs is the dictionary-encoded companion (one ID row per gather
-	// tuple): the streaming partitioner computes centroid distances over
-	// interned IDs with memoization, and the gather FSCR reuses the same
-	// dictionary for the wire pieces.
-	gather    *dataset.Table
-	gatherIDs [][]uint32
+	// senc accumulates every submitted tuple (re-IDed sequentially) and its
+	// dictionary-encoded row; the global FSCR fuses from these original dirty
+	// values, and reuses the same dictionary for the wire pieces. Partitions
+	// are never materialized coordinator-side — batches ship as they arrive.
+	senc      *dataset.StreamEncoder
 	dict      *intern.Dict
 	ev        *distance.Evaluator
 	centroids [][]uint32
 	loads     []int
 	shipped   int // gather tuples already assigned and shipped
+
+	// The streaming partitioner's distance table. Centroids are fixed once
+	// drawn, so the distance from a value to centroid w's cell in the value's
+	// own column is a function of (value ID, w): centDist holds k slots per
+	// value ID, measured when the ID is first met, and centHome the column
+	// (+1) they were measured against. A value met again in another column is
+	// the evaluator's business (Pair, memoized).
+	centHome []int32
+	centDist []float64
 
 	// Fault-tolerance state: one lease per logical partition, the worker
 	// bootstrap needed to replay an Init, and the detection budget.
@@ -161,7 +166,6 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 1024
 	}
-	metric := metricOf(opts.Core)
 	factory := opts.Transport
 	if factory == nil {
 		factory = NewChanTransport
@@ -180,11 +184,10 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		opts:      opts,
 		k:         k,
 		tr:        factory(k),
-		metric:    metric,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
-		gather:    dataset.NewTable(schema),
+		senc:      dataset.NewStreamEncoder(schema, dict),
 		dict:      dict,
-		ev:        distance.NewEvaluator(metric, dict),
+		ev:        distance.NewEvaluator(metricOf(opts.Core), dict),
 		loads:     make([]int, k),
 		stop:      make(chan struct{}),
 		createdAt: time.Now(),
@@ -341,11 +344,9 @@ func workerCoreOpts(o core.Options, workers int) core.Options {
 	return o
 }
 
-// Submit streams one batch of dirty tuples into the executor, assigning each
-// tuple to a partition online and shipping the assignments immediately.
-// Tuples are re-IDed sequentially across batches. Deterministic given the
-// seed and the batch sequence.
-func (ex *Executor) Submit(batch *dataset.Table) error {
+// accepting reports why the executor takes no more input: a recorded
+// failure, a cancelled context, or a run already finished.
+func (ex *Executor) accepting() error {
 	if ex.err != nil {
 		return ex.err
 	}
@@ -356,31 +357,40 @@ func (ex *Executor) Submit(batch *dataset.Table) error {
 	if ex.finished {
 		return fmt.Errorf("distributed: executor already ran")
 	}
+	return nil
+}
+
+// Submit streams one batch of dirty tuples into the executor, assigning each
+// tuple to a partition online and shipping the assignments immediately.
+// Tuples are re-IDed sequentially across batches. Deterministic given the
+// seed and the batch sequence.
+func (ex *Executor) Submit(batch *dataset.Table) error {
+	if err := ex.accepting(); err != nil {
+		return err
+	}
 	if batch == nil || batch.Len() == 0 {
 		return nil
 	}
 	if !batch.Schema.Equal(ex.schema) {
 		return fmt.Errorf("distributed: batch schema does not match executor schema")
 	}
-	ex.drainLiveness()
-	st := ex.dict.Stats()
 	for _, t := range batch.Tuples {
-		vals := make([]string, len(t.Values))
-		ids := make([]uint32, len(t.Values))
-		for i, v := range t.Values {
-			ids[i] = ex.dict.Intern(v)
-			// The canonical interned string: identical bytes, shared backing,
-			// so the gather copy holds one string per distinct value instead
-			// of retaining every submitted batch's allocations.
-			vals[i] = ex.dict.Value(ids[i])
+		if _, err := ex.senc.Append(t.Values); err != nil {
+			ex.fail(err) // part of the batch is in: not what the caller thinks it holds
+			return ex.err
 		}
-		// Observe column statistics at ingest so the coordinator can report
-		// the plan its workers derive from the same distribution.
-		st.ObserveRow(ids)
-		ex.gather.Tuples = append(ex.gather.Tuples, &dataset.Tuple{ID: len(ex.gather.Tuples), Values: vals})
-		ex.gatherIDs = append(ex.gatherIDs, ids)
 	}
-	if ex.centroids == nil && ex.gather.Len() < ex.k {
+	return ex.flush()
+}
+
+// flush assigns and ships the tuples appended to senc since the last flush,
+// once there are enough of them to draw centroids from.
+func (ex *Executor) flush() error {
+	if err := ex.accepting(); err != nil {
+		return err
+	}
+	ex.drainLiveness()
+	if ex.centroids == nil && ex.senc.Table().Len() < ex.k {
 		return nil // keep buffering until k centroid candidates exist
 	}
 	return ex.assignAndShip()
@@ -389,13 +399,14 @@ func (ex *Executor) Submit(batch *dataset.Table) error {
 // assignAndShip assigns every not-yet-shipped gather tuple to a partition
 // and ships the new assignments, one TupleBatch per worker.
 func (ex *Executor) assignAndShip() error {
-	if ex.shipped >= ex.gather.Len() {
+	tuples, rows := ex.senc.Table().Tuples, ex.senc.Encoded().Rows
+	if ex.shipped >= len(rows) {
 		return nil
 	}
 	if ex.centroids == nil {
 		// Draw centroids from the tuples seen so far (the streaming analogue
 		// of Algorithm 3's random distinct centroids).
-		n := ex.gather.Len()
+		n := len(rows)
 		kk := ex.k
 		if kk > n {
 			kk = n
@@ -403,23 +414,20 @@ func (ex *Executor) assignAndShip() error {
 		perm := ex.rng.Perm(n)
 		ex.centroids = make([][]uint32, ex.k)
 		for i := 0; i < kk; i++ {
-			ex.centroids[i] = ex.gatherIDs[perm[i]]
+			ex.centroids[i] = rows[perm[i]]
 		}
 		for i := kk; i < ex.k; i++ {
 			ex.centroids[i] = ex.centroids[0] // degenerate: fewer tuples than workers
 		}
 	}
+	t0 := time.Now()
+	dists := ex.centroidDistances(rows[ex.shipped:])
+	t1 := time.Now()
+	ex.distTime += t1.Sub(t0)
 	batches := make([]TupleBatch, ex.k)
-	dists := make([]float64, ex.k)
-	for ; ex.shipped < ex.gather.Len(); ex.shipped++ {
-		t := ex.gather.Tuples[ex.shipped]
-		row := ex.gatherIDs[ex.shipped]
-		t0 := time.Now()
-		for w := 0; w < ex.k; w++ {
-			dists[w] = ex.ev.Values(row, ex.centroids[w])
-		}
-		ex.distTime += time.Since(t0)
-		t0 = time.Now()
+	for ; ex.shipped < len(rows); ex.shipped++ {
+		d := dists[:ex.k]
+		dists = dists[ex.k:]
 		// Running capacity ⌈(assigned+1)/k⌉ keeps partitions balanced; at
 		// least one worker is always under it.
 		capacity := (ex.shipped + ex.k) / ex.k
@@ -428,15 +436,16 @@ func (ex *Executor) assignAndShip() error {
 			if ex.loads[w] >= capacity {
 				continue
 			}
-			if best == -1 || dists[w] < dists[best] {
+			if best == -1 || d[w] < d[best] {
 				best = w
 			}
 		}
 		ex.loads[best]++
+		t := tuples[ex.shipped]
 		batches[best].IDs = append(batches[best].IDs, t.ID)
 		batches[best].Rows = append(batches[best].Rows, t.Values)
-		ex.assignTime += time.Since(t0)
 	}
+	ex.assignTime += time.Since(t1)
 	for p := range batches {
 		if len(batches[p].IDs) == 0 {
 			continue
@@ -446,6 +455,51 @@ func (ex *Executor) assignAndShip() error {
 		}
 	}
 	return nil
+}
+
+// valuesBound is where Evaluator.Values stops summing; centroidDistances
+// stops there too, so a custom metric's huge distance yields the same bits.
+const valuesBound = math.MaxInt32
+
+// centroidDistances returns each row's distance to every centroid, k per
+// row: bit for bit ev.Values(row, centroid) — the same exact per-cell
+// distances summed in attribute order — read from the distance table.
+func (ex *Executor) centroidDistances(rows [][]uint32) []float64 {
+	k := ex.k
+	dists := make([]float64, len(rows)*k)
+	out := dists
+	if n := ex.dict.Len(); n > len(ex.centHome) {
+		n = max(n, 2*len(ex.centHome))
+		ex.centHome = append(make([]int32, 0, n), ex.centHome...)[:n]
+		ex.centDist = append(make([]float64, 0, n*k), ex.centDist...)[:n*k]
+	}
+	for _, row := range rows {
+		for j, id := range row {
+			if ex.centHome[id] != 0 {
+				continue
+			}
+			ex.centHome[id] = int32(j) + 1
+			for w, c := range ex.centroids {
+				ex.centDist[int(id)*k+w] = ex.ev.Exact(id, c[j])
+			}
+		}
+		for w, c := range ex.centroids {
+			var sum float64
+			for j, id := range row {
+				if ex.centHome[id] == int32(j)+1 {
+					sum += ex.centDist[int(id)*k+w]
+				} else {
+					sum += ex.ev.Pair(id, c[j])
+				}
+				if sum > valuesBound {
+					break
+				}
+			}
+			out[w] = sum
+		}
+		out = out[k:]
+	}
+	return dists
 }
 
 // shipBatched records partition p's assignment (for recovery replay) and
@@ -490,17 +544,10 @@ func (ex *Executor) shipChunks(p int, b TupleBatch) error {
 // Run completes a streaming ingest: flushes any buffered tuples, drives the
 // workers through both stages, and gathers the result.
 func (ex *Executor) Run() (*Result, error) {
-	if ex.err != nil {
-		return nil, ex.err
+	if err := ex.accepting(); err != nil {
+		return nil, err
 	}
-	if err := ex.ctx.Err(); err != nil {
-		ex.fail(err)
-		return nil, ex.err
-	}
-	if ex.finished {
-		return nil, fmt.Errorf("distributed: executor already ran")
-	}
-	if ex.gather.Len() == 0 {
+	if ex.senc.Table().Len() == 0 {
 		ex.fail(fmt.Errorf("distributed: empty input table"))
 		return nil, ex.err
 	}
@@ -512,7 +559,7 @@ func (ex *Executor) Run() (*Result, error) {
 		PartitionDistTime: ex.distTime,
 		PartitionHeapTime: ex.assignTime,
 	}
-	return ex.finish(ex.gather, res)
+	return ex.finish(ex.senc.Table(), res)
 }
 
 // fail records the first error and tears the transport down so every worker
@@ -583,6 +630,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 			return nil, ex.runErr(err)
 		}
 	}
+	mIngestSeconds.ObserveSince(ex.createdAt)
 	sums := make([]WeightSummaries, ex.k)
 	err := ex.gatherReplies(phaseStageI, nil, func(p int, m Message) (bool, error) {
 		ws, isWS := m.(WeightSummaries)
@@ -676,8 +724,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	blocks := unionWireBlocks(frs, ex.rs, ex.dict)
 	// The gather rows were interned at Submit; hand them to FSCR instead of
 	// re-encoding the whole accumulated dataset on the finish path.
-	enc := &dataset.Encoded{Dict: ex.dict, Rows: ex.gatherIDs}
-	res.Repaired, res.Clean, _ = core.StageII(dirty, enc, blocks, ex.opts.Core, &res.Stats)
+	res.Repaired, res.Clean, _ = core.StageII(dirty, ex.senc.Encoded(), blocks, ex.opts.Core, &res.Stats)
 	// Render the plan the run's statistics imply. The gather dictionary has
 	// observed every tuple by now (Submit observes at ingest; the batch
 	// path's gather FSCR re-encode observes the full table), so this is the

@@ -9,6 +9,8 @@ var (
 		"End-to-end wall time of a distributed run (partitioning through gather).", obs.DefBuckets)
 	mBatchSendSeconds = obs.Default().Histogram("mlnclean_executor_batch_send_seconds",
 		"Per-chunk coordinator-to-worker batch send latency.", obs.DefBuckets)
+	mIngestSeconds = obs.Default().Histogram("mlnclean_executor_ingest_seconds",
+		"Coordinator ingest time: executor creation until every partition's stage I is dispatched (intern + partition + ship).", obs.DefBuckets)
 	mGatherSeconds = obs.Default().Histogram("mlnclean_executor_gather_seconds",
 		"Coordinator gather time (Eq. 6 reduce + global FSCR + dedup).", obs.DefBuckets)
 	mWorkerStageI = obs.Default().Histogram("mlnclean_executor_worker_stage_seconds",

@@ -161,13 +161,10 @@ func PartitionTimed(tb *dataset.Table, k int, metric distance.Metric, rng *rand.
 		// re-homing the evictee; otherwise re-home the newcomer (Alg. 3,
 		// lines 10–14).
 		evict := t
-		evictD := bestD
 		if top := heaps[best][0]; bestD < top.dist {
 			evict = top.tuple
 			heap.Pop(&heaps[best])
 			heap.Push(&heaps[best], partEntry{tuple: t, dist: bestD})
-			evictD = dist(evict, best)
-			_ = evictD
 		}
 		p := closestNotFull(evict)
 		if p < 0 {

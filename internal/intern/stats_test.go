@@ -51,3 +51,28 @@ func TestStatsNilSafe(t *testing.T) {
 		t.Error("nil Stats readers must return zero")
 	}
 }
+
+// TestStatsSpillOnlySharedIDs: an ID counts in its flat slot for as long as
+// it stays in one column — no map exists until some ID shows up in a second
+// column, and then the map holds that (column, ID) alone.
+func TestStatsSpillOnlySharedIDs(t *testing.T) {
+	var st Stats
+	st.ObserveRow([]uint32{0, 1})
+	st.ObserveRow([]uint32{2, 1})
+	st.Observe(0, 900) // far past the IDs seen so far
+	if st.spill != nil {
+		t.Fatalf("single-column IDs spilled: %v", st.spill)
+	}
+	st.Observe(1, 0)
+	st.Observe(1, 0)
+	if len(st.spill) != 1 || st.spill[[2]uint32{1, 0}] != 2 {
+		t.Fatalf("spill = %v, want only (column 1, ID 0) ×2", st.spill)
+	}
+	if st.Freq(0, 0) != 1 || st.Freq(1, 0) != 2 || st.Freq(1, 1) != 2 || st.Freq(0, 900) != 1 || st.Freq(1, 900) != 0 {
+		t.Errorf("Freq wrong after spill: (0,0)=%d (1,0)=%d (1,1)=%d (0,900)=%d (1,900)=%d",
+			st.Freq(0, 0), st.Freq(1, 0), st.Freq(1, 1), st.Freq(0, 900), st.Freq(1, 900))
+	}
+	if st.Distinct(0) != 3 || st.Distinct(1) != 2 {
+		t.Errorf("Distinct = %d/%d, want 3/2", st.Distinct(0), st.Distinct(1))
+	}
+}
