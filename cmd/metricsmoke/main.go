@@ -6,7 +6,7 @@
 //   - the exposition carries at least -min-series distinct series,
 //   - no counter or histogram series moved backwards between the scrapes,
 //   - the session's work actually surfaced (sessions-created, cleans-
-//     completed, and executor-runs counters strictly increased).
+//     completed, and delta-loads counters strictly increased).
 //
 // Usage:
 //
@@ -41,30 +41,23 @@ var requiredPrefixes = []string{
 	"mlnclean_core_",
 	"mlnclean_index_",
 	"mlnclean_plan_",
-	"mlnclean_executor_",
-	"mlnclean_transport_",
 	"mlnclean_wal_",
 	"mlnclean_mem_",
 }
 
-// mustGrow are the series one driven session must strictly increase. The
-// session's workers run the stage pipeline directly (core.Clean is the
-// stand-alone CLI entry point), so the core family is checked through its
-// stage histogram, not the cleans counter.
+// mustGrow are the series one driven session must strictly increase. A
+// session's clean is the delta engine's Load, which runs the block pipeline
+// itself (core.Clean is the stand-alone CLI entry point), so the core family
+// is checked through the loads counter and the stage histogram, not the
+// cleans counter. It builds its blocks one rule at a time and keeps one
+// evaluator pool for the session's life, so neither a whole-index build nor
+// a pool miss is counted for it.
 var mustGrow = []string{
 	"mlnserve_sessions_created_total",
 	"mlnserve_cleans_completed_total",
-	"mlnclean_executor_runs_total",
-	// The coordinator's own phase: a session's clean must have timed its
-	// ingest (executor creation until stage I is dispatched).
-	"mlnclean_executor_ingest_seconds_count",
+	"mlnclean_core_delta_loads_total",
 	`mlnclean_core_stage_seconds_count{stage="agp"}`,
-	"mlnclean_index_builds_total",
 	"mlnclean_wal_appends_total",
-	// Every stage allocates evaluator pools fresh per clean, so the first
-	// Get of each worker is a miss: a driven session must record misses
-	// even when it is too small for any pooled reuse (hits may stay 0).
-	"mlnclean_mem_pool_misses_total",
 }
 
 func main() {
@@ -237,7 +230,7 @@ func waitHealthy(base string, wait time.Duration) error {
 }
 
 // driveSession runs one tiny clean end to end: enough to move the http,
-// session, core, plan, index, and executor families.
+// session, core and WAL families.
 func driveSession(base string) error {
 	var sess struct {
 		ID string `json:"id"`

@@ -1,22 +1,19 @@
 // Command mlnserve is the long-running MLNClean cleaning service: an
 // HTTP/JSON session API (create session → stream tuple batches → trigger
-// clean → poll → fetch repairs) over the distributed executor, with a
-// bounded session manager (idle eviction, backpressure). Every session
-// learns its weights from its own tuples.
+// clean → poll → fetch repairs → mutate tuples) over the incremental engine
+// (core.DeltaCleaner), with a bounded session manager (idle eviction,
+// backpressure). Every result version a session serves is core.Clean of that
+// version's tuples.
 //
 // Usage:
 //
-//	mlnserve [-addr :7700] [-max-sessions 16] [-idle-timeout 10m] [-workers 2]
-//	         [-heartbeat 1s] [-worker-timeout 10s] [-data-dir /var/lib/mlnserve]
-//	         [-debug-addr :6060] [-log-format text|json] [-log-level info]
+//	mlnserve [-addr :7700] [-max-sessions 16] [-idle-timeout 10m]
+//	         [-data-dir /var/lib/mlnserve] [-debug-addr :6060]
+//	         [-log-format text|json] [-log-level info]
 //
 // -addr :0 binds an OS-chosen free port; the daemon always logs the
 // resolved listen address on startup, so scripted runs (CI smokes, local
-// walkthroughs) never collide with an already-taken port. -heartbeat and
-// -worker-timeout tune session executors' failure detection: a session
-// survives a worker death — the lost partition is re-dispatched and the
-// run completes with the same output, surfacing a workers_lost counter in
-// its poll status.
+// walkthroughs) never collide with an already-taken port.
 //
 // -data-dir enables durability: every session mutation is written to a
 // write-ahead log under the directory before it is acknowledged, and a
@@ -26,14 +23,13 @@
 // startup; graceful shutdown flushes and fsyncs the log before exit.
 //
 // Observability: GET /metrics on the main address serves the process-wide
-// Prometheus exposition (HTTP, session, core-stage, executor, and WAL
+// Prometheus exposition (HTTP, session, core-stage, delta-engine, and WAL
 // families — see the README's Observability section). -debug-addr starts a
 // second loopback-intended listener serving net/http/pprof (profiles, heap,
 // goroutine dumps); it is off by default and should never face the network.
 // Logs are structured (log/slog): -log-format picks text or json,
 // -log-level one of debug, info, warn, error. Every session line carries the
-// session id and its run id, which the executor also stamps on coordinator-
-// and worker-side lines, so one clean's logs join across processes.
+// session id and its run id.
 //
 // Walkthrough (see the README's Serving section for the full curl script):
 //
@@ -44,7 +40,8 @@
 //	curl -s localhost:7700/metrics
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight HTTP requests
-// drain, every session's executor is cancelled, and the process exits.
+// drain, the log is flushed, and the process exits; a clean still in flight
+// is dropped and runs again after a restart on the same -data-dir.
 package main
 
 import (
@@ -67,16 +64,13 @@ import (
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":7700", "listen address (:0 picks a free port; the resolved address is logged)")
-		maxSessions   = flag.Int("max-sessions", 16, "concurrent session cap (backpressure past it)")
-		idleTimeout   = flag.Duration("idle-timeout", 10*time.Minute, "evict sessions idle this long")
-		workers       = flag.Int("workers", 2, "default executor workers per session")
-		heartbeat     = flag.Duration("heartbeat", 0, "executor worker heartbeat interval (0 = default 1s, negative disables)")
-		workerTimeout = flag.Duration("worker-timeout", 0, "declare an executor worker dead after this much silence (0 = default 10s, negative disables recovery)")
-		dataDir       = flag.String("data-dir", "", "write-ahead-log directory; enables durable sessions and crash recovery (empty = in-memory only)")
-		debugAddr     = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off; keep it loopback)")
-		logFormat     = flag.String("log-format", "text", "log output format: text|json")
-		logLevel      = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
+		addr        = flag.String("addr", ":7700", "listen address (:0 picks a free port; the resolved address is logged)")
+		maxSessions = flag.Int("max-sessions", 16, "concurrent session cap (backpressure past it)")
+		idleTimeout = flag.Duration("idle-timeout", 10*time.Minute, "evict sessions idle this long")
+		dataDir     = flag.String("data-dir", "", "write-ahead-log directory; enables durable sessions and crash recovery (empty = in-memory only)")
+		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off; keep it loopback)")
+		logFormat   = flag.String("log-format", "text", "log output format: text|json")
+		logLevel    = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	)
 	flag.Parse()
 	logger, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -86,12 +80,9 @@ func main() {
 	}
 	slog.SetDefault(logger)
 	cfg := server.ManagerConfig{
-		MaxSessions:       *maxSessions,
-		IdleTimeout:       *idleTimeout,
-		DefaultWorkers:    *workers,
-		HeartbeatInterval: *heartbeat,
-		WorkerTimeout:     *workerTimeout,
-		DataDir:           *dataDir,
+		MaxSessions: *maxSessions,
+		IdleTimeout: *idleTimeout,
+		DataDir:     *dataDir,
 	}
 	if err := run(*addr, *debugAddr, cfg); err != nil {
 		slog.Error("mlnserve: fatal", "err", err)

@@ -43,7 +43,7 @@ func main() {
 	if base == "" {
 		// A real deployment runs `mlnserve`; here the handler serves
 		// loopback on port 0.
-		srv, err := server.New(server.ManagerConfig{DefaultWorkers: 2})
+		srv, err := server.New(server.ManagerConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func main() {
 
 		// 6. Mutate (first round): replace one tuple and delete another.
 		// Every acknowledged mutation re-cleans incrementally and mints the
-		// next result version; version 1 keeps serving the batch result.
+		// next result version; version 1 keeps serving the clean.
 		if round == 1 {
 			freshest := append([]string(nil), dirty.Tuples[0].Values...)
 			var ack server.MutateResponse
@@ -157,7 +157,7 @@ func main() {
 			fmt.Printf("  DELETE tuple 7 -> session now serves %d versions\n", info.Versions)
 
 			// Versions are immutable: the delta-cleaned latest and the
-			// original batch result are both one GET away.
+			// original clean are both one GET away.
 			var latest, v1 server.ResultResponse
 			get(base+"/v1/sessions/"+info.ID+"/result", &latest)
 			get(base+"/v1/sessions/"+info.ID+"/result?version=1", &v1)
@@ -193,7 +193,7 @@ func main() {
 }
 
 // scrapeMetrics pulls /metrics and prints a few series that tell the
-// mid-clean story: the cleaning gauge, the executor's run counter, and how
+// mid-clean story: the cleaning gauge, the engine's load counter, and how
 // much stage work the process has accumulated.
 func scrapeMetrics(base string) {
 	resp, err := http.Get(base + "/metrics")
@@ -211,7 +211,7 @@ func scrapeMetrics(base string) {
 			"mlnserve_sessions_live ",
 			"mlnserve_sessions_cleaning ",
 			"mlnserve_http_in_flight ",
-			"mlnclean_executor_runs_total ",
+			"mlnclean_core_delta_loads_total ",
 			`mlnclean_core_stage_seconds_count{stage="agp"}`,
 		} {
 			if strings.HasPrefix(line, prefix) {

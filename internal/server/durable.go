@@ -11,14 +11,15 @@ import (
 )
 
 // The manager's durability boundary. Every session mutation is one WAL
-// record — plain old data, gob-framed exactly like the executor's wire
-// messages — appended (and fsynced) before the mutation is acknowledged to
-// the client. On restart the manager replays snapshot + records into a
-// replayState and rebuilds the live world from it: open sessions get fresh
-// executors re-fed their logged batches (batch boundaries preserved, so the
-// streaming partitioner sees the identical shipment sequence), interrupted
-// cleans restart, and completed results re-serve byte-identically without an
-// executor.
+// record — plain old data, gob-framed — appended (and fsynced) before the
+// mutation is acknowledged to the client. On restart the manager replays
+// snapshot + records into a replayState and rebuilds the live world from it:
+// open sessions get their logged batches back, interrupted cleans restart,
+// and completed results re-serve byte-identically without cleaning anything.
+//
+// Fields a record or the create request once had (the executor's workers,
+// plan, seed, ...) are still in old logs: gob matches fields by name and skips
+// the ones the receiving struct no longer has, so those logs keep replaying.
 //
 // Record order is the source of truth: a tombstone is logged before the
 // session disappears from the manager, so an acknowledged eviction or DELETE
@@ -28,8 +29,7 @@ import (
 type Record interface{ isRecord() }
 
 // recCreate opens a session: its id plus the full create request, which is
-// everything needed to rebuild the executor (rules text, schema, workers,
-// transport, seed, τ, metric, ...).
+// everything needed to rebuild it (rules text, schema, τ, metric, ...).
 type recCreate struct {
 	ID      string
 	Req     CreateRequest
@@ -39,7 +39,7 @@ type recCreate struct {
 	RunID string
 }
 
-// recBatch is one Submit: one executor shipment, boundaries preserved.
+// recBatch is one Submit.
 type recBatch struct {
 	ID   string
 	Rows [][]string
@@ -55,17 +55,12 @@ type recCleanStart struct{ ID string }
 // byte-identically without recomputing anything. One record, so a crash
 // keeps the result and its audit trail or neither.
 type recCleanDone struct {
-	ID          string
-	Attrs       []string
-	Rows        [][]string
-	IDs         []int
-	Stats       core.Stats
-	Workers     int
-	WorkersLost int
-	WallMS      int64
-	// Plan is the run's rendered planner choices; logs that predate it decode
-	// it empty. Restart re-serves it byte-identically.
-	Plan []string
+	ID     string
+	Attrs  []string
+	Rows   [][]string
+	IDs    []int
+	Stats  core.Stats
+	WallMS int64
 	// Repairs is the run's ordered audit trail. Logs written before the
 	// completion became one record decode it nil and carry the trail in a
 	// recRepairs that follows.
@@ -321,8 +316,8 @@ type RecoverySummary struct {
 	// SessionsTombstoned counts sessions the log ended (closed or evicted)
 	// and replay therefore did not resurrect.
 	SessionsTombstoned int `json:"sessions_tombstoned"`
-	// SessionsFailed counts logged sessions whose executor could not be
-	// rebuilt (e.g. an unknown transport after a config change).
+	// SessionsFailed counts logged sessions that could not be rebuilt (e.g.
+	// rules this build's parser or fusion-width check rejects).
 	SessionsFailed int `json:"sessions_failed,omitempty"`
 	// CleansRestarted counts interrupted runs replay started over.
 	CleansRestarted int `json:"cleans_restarted"`

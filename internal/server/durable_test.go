@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -192,7 +194,7 @@ func TestServeRestartEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := splitRows(dirty, 3)
-	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2, Seed: 1}
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2}
 	cfg := ManagerConfig{DataDir: t.TempDir(), SnapshotEvery: 4}
 
 	srv1 := newTestServer(t, cfg)
@@ -335,7 +337,7 @@ func TestServeCrashRecoveryChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := splitRows(dirty, 3)
-	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2, Seed: 1}
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2}
 
 	modes := []wal.FaultMode{wal.FaultNone, wal.FaultShortWrite, wal.FaultSyncError, wal.FaultTornTail, wal.FaultBitFlip}
 	for _, mode := range modes {
@@ -463,7 +465,7 @@ func TestServeCrashRecoveryChaos(t *testing.T) {
 func TestCleanCompletionAtomic(t *testing.T) {
 	dirty, _, rulesText := hospitalFixture(t)
 	batches := splitRows(dirty, 3)
-	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2, Seed: 1}
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2}
 
 	// The reference: the same session on a server without a log.
 	ref := newTestServer(t, ManagerConfig{})
@@ -527,6 +529,81 @@ func TestCleanCompletionAtomic(t *testing.T) {
 	}
 }
 
+// sessionLog is a slog.Handler that forwards "<message> <session id>" of
+// every record to a channel: how a test learns that a session's clean
+// goroutine, which nothing joins, has ended and which way.
+type sessionLog chan string
+
+func (sessionLog) Enabled(context.Context, slog.Level) bool { return true }
+func (sessionLog) WithAttrs([]slog.Attr) slog.Handler       { panic("unused") }
+func (sessionLog) WithGroup(string) slog.Handler            { panic("unused") }
+func (h sessionLog) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "session" {
+			h <- r.Message + " " + a.Value.String()
+		}
+		return a.Key != "session"
+	})
+	return nil
+}
+
+// TestCloseWhileCleaning: a DELETE that lands while the clean is running is
+// acknowledged, and the clean drops its result when it finds the session
+// closed: nothing is published, no completion record follows the tombstone
+// into the log, and a restart does not bring the session back.
+func TestCloseWhileCleaning(t *testing.T) {
+	dirty, _, rulesText := carFixture(t, 6000, 5) // a clean of ≈ 50 ms
+	batches := splitRows(dirty, 3)
+	// Room for every line the session logs in its life, so the handler never
+	// blocks the server on a test that has stopped listening.
+	events := make(sessionLog, 256)
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(events))
+
+	fs := wal.NewMemFS(wal.FaultPlan{})
+	cfg := ManagerConfig{WALFS: fs}
+	srv1 := newTestServer(t, cfg)
+	ts1 := httptest.NewServer(srv1)
+	c1 := &client{t: t, base: ts1.URL}
+	id := createSession(c1, CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs()}).ID
+	submitBatches(c1, id, batches)
+	startClean(c1, id)
+	var st SessionInfo
+	if code := c1.do("GET", "/v1/sessions/"+id, nil, &st); code != http.StatusOK || st.State != StateCleaning {
+		t.Fatalf("status right after the clean started: %d, state %q; want cleaning", code, st.State)
+	}
+	if code := c1.do("DELETE", "/v1/sessions/"+id, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("DELETE while cleaning: status %d, want 204", code)
+	}
+	deadline := time.After(30 * time.Second)
+	for ended := false; !ended; {
+		select {
+		case ev := <-events:
+			switch ev {
+			case "server: clean dropped, session closed " + id:
+				ended = true
+			case "server: clean done " + id, "server: clean failed " + id:
+				t.Fatalf("the closed session's clean ended with %q, want it dropped", ev)
+			}
+		case <-deadline:
+			t.Fatal("the closed session's clean never ended")
+		}
+	}
+	ts1.Close()
+	srv1.Shutdown()
+
+	srv2 := newTestServer(t, cfg)
+	defer srv2.Shutdown()
+	rec := srv2.Recovery()
+	// create, the batches, clean start, tombstone — and no completion.
+	if want := 3 + len(batches); rec.Records != want || rec.SessionsReplayed != 0 || rec.SessionsTombstoned != 1 || rec.CleansRestarted != 0 {
+		t.Fatalf("recovery = %+v, want %d records, one tombstoned session, nothing replayed or restarted", rec, want)
+	}
+	if _, err := srv2.Manager().Get(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("closed session restored after the restart: %v", err)
+	}
+}
+
 // TestReplayOldLogWithWeights: a data directory written by the build that
 // still had the model cache (testdata/wal-pr19: generated by running that
 // build's server over a real directory) keeps opening. The snapshot carries
@@ -563,6 +640,14 @@ func TestReplayOldLogWithWeights(t *testing.T) {
 	}
 	if !holds(segAB, "recWeights") || !holds(segAB, vectorA) || !holds(snapZ, vectorZ) {
 		t.Fatal("fixture no longer carries the weight vectors it exists for")
+	}
+	// It was also written while a session ran on the executor: its create
+	// requests and completion records carry fields both have since lost, and
+	// must replay all the same.
+	for _, removed := range []string{"WorkersLost", "Plan", "Seed"} {
+		if !holds(segAB, removed) || !holds(snapZ, removed) {
+			t.Fatalf("fixture no longer carries the removed field %s", removed)
+		}
 	}
 	var want struct {
 		ZResult  ResultResponse  `json:"z_result"`
@@ -643,7 +728,7 @@ func TestReplayOldLogWithWeights(t *testing.T) {
 func TestRollbackGoldenParity(t *testing.T) {
 	dirty, _, rulesText := hospitalFixture(t)
 	batches := splitRows(dirty, 3)
-	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2, Seed: 1}
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Tau: 2}
 	cfg := ManagerConfig{DataDir: t.TempDir()}
 
 	srv := newTestServer(t, cfg)

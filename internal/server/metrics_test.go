@@ -53,7 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mlnserve_sessions_live",
 		"mlnserve_uptime_seconds",
 		"mlnclean_core_stage_seconds_count",
-		"mlnclean_executor_runs_total",
+		"mlnclean_core_delta_loads_total",
 		"# TYPE mlnserve_http_request_seconds histogram",
 		"# HELP mlnserve_sessions_created_total",
 	} {

@@ -6,26 +6,77 @@ import (
 	"time"
 
 	"mlnclean/internal/core"
+	"mlnclean/internal/dataset"
 )
 
-// Incremental serving: once a session is done, its result is no longer frozen
-// — tuple PUT/DELETE mutations fold into a delta re-cleaning engine, which
-// owns the current table, and every mutation mints a new result version.
-// Version 1 is the batch run's result exactly as before; version N+1 is the
-// cleaned table after the first N mutations, defined as the single-node
-// pipeline over the mutated input (so it is transport-independent and, because
-// the delta engine is parity-anchored to core.Clean, byte-identical to a
-// from-scratch re-clean). Only the mutation log is durable; the engine, the
-// dense-id high-water mark and the version cache are rebuilt deterministically
-// on first use after a restart, so every acknowledged version re-serves
-// byte-identically without ever being persisted itself.
+// Result versions. A session runs on one engine: the clean is
+// DeltaCleaner.Load of the streamed tuples and mints version 1; once the
+// session is done, tuple PUT/DELETE mutations are Apply, and each mints the
+// next version. Version N+1 is the cleaned table after the first N
+// mutations, and — the delta engine being parity-anchored to core.Clean —
+// every version, 1 included, is byte-identical to a from-scratch clean of its
+// input table: a pure function of (rules, options, tuples). Of the versions
+// only the first is logged (so a done session re-serves without cleaning);
+// the mutation log is durable, and the loaded engine, the dense-id
+// high-water mark and versions ≥ 2 are rebuilt deterministically on first use
+// after a restart, so every acknowledged version re-serves byte-identically.
 
-// versionEntry is one materialized result version (version index i+2).
+// versionEntry is one materialized result version.
 type versionEntry struct {
-	res     *core.Result
-	delta   core.DeltaStats
+	clean   *dataset.Table
+	stats   core.Stats
 	repairs []Repair
-	tuples  int // live rows in the mutated input table
+	tuples  int // live rows in the version's input table
+	// delta is the Apply that minted the version; nil on version 1, which
+	// carries the clean's wall time instead.
+	delta  *core.DeltaStats
+	wallMS int64
+}
+
+// record denormalizes version 1 into its WAL record: exactly what the result
+// and repairs endpoints serve.
+func (v *versionEntry) record(id string) recCleanDone {
+	rows, ids := rowsAndIDs(v.clean)
+	return recCleanDone{
+		ID:      id,
+		Attrs:   v.clean.Schema.Attrs(),
+		Rows:    rows,
+		IDs:     ids,
+		Stats:   v.stats,
+		WallMS:  v.wallMS,
+		Repairs: v.repairs,
+	}
+}
+
+// rowsAndIDs is a table as the wire and the log carry it: each tuple's values
+// (shared, not copied) and its id.
+func rowsAndIDs(tb *dataset.Table) ([][]string, []int) {
+	rows, ids := make([][]string, tb.Len()), make([]int, tb.Len())
+	for i, t := range tb.Tuples {
+		rows[i], ids[i] = t.Values, t.ID
+	}
+	return rows, ids
+}
+
+// versionFromRecord rebuilds version 1 from its log record; repairs is the
+// trail as the replay fold holds it, tuples the session's streamed row count.
+func versionFromRecord(rec *recCleanDone, repairs []Repair, tuples int) (*versionEntry, error) {
+	schema, err := dataset.NewSchema(rec.Attrs...)
+	if err != nil {
+		return nil, err
+	}
+	if len(rec.Rows) != len(rec.IDs) {
+		return nil, fmt.Errorf("server: result record: %d rows, %d ids", len(rec.Rows), len(rec.IDs))
+	}
+	tb := dataset.NewTable(schema)
+	for i, row := range rec.Rows {
+		t, err := tb.Append(row...)
+		if err != nil {
+			return nil, err
+		}
+		t.ID = rec.IDs[i]
+	}
+	return &versionEntry{clean: tb, stats: rec.Stats, repairs: repairs, tuples: tuples, wallMS: rec.WallMS}, nil
 }
 
 // mutOps are the recMutation op names.
@@ -45,6 +96,9 @@ const (
 func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return 0, nil, ErrNotFound
+	}
 	if s.state != StateDone {
 		return 0, nil, fmt.Errorf("server: session %s is %s, cannot mutate tuples", s.ID, s.state)
 	}
@@ -93,8 +147,8 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntr
 		return 0, nil, fmt.Errorf("server: session %s: apply acknowledged mutation: %w", s.ID, err)
 	}
 	s.lastUsed = time.Now()
-	version := 1 + len(s.versions)
-	entry := s.versions[len(s.versions)-1]
+	version := len(s.versions)
+	entry := s.versions[version-1]
 	mMutations.Inc()
 	slog.Info("server: tuple mutation applied",
 		"session", s.ID, "run", s.runID, "op", op, "row", row, "version", version,
@@ -114,55 +168,51 @@ func (s *Session) LatestVersion() int {
 	return 1 + len(s.mutLog)
 }
 
-// Versioned returns result version v (v ≥ 2; version 1 is the batch result,
-// served off the legacy path). ErrNotFound past the newest version.
+// Versioned returns result version v; ErrNotFound past the newest version,
+// the run's error for a failed session.
 func (s *Session) Versioned(v int) (*versionEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != StateDone {
+	switch s.state {
+	case StateDone:
+	case StateFailed:
+		return nil, s.runErr
+	default:
 		return nil, fmt.Errorf("server: session %s is %s, result not ready", s.ID, s.state)
 	}
-	if v < 2 || v > 1+len(s.mutLog) {
+	if v < 1 || v > 1+len(s.mutLog) {
 		return nil, fmt.Errorf("%w: session %s has no result version %d (latest %d)",
 			ErrNotFound, s.ID, v, 1+len(s.mutLog))
 	}
-	if err := s.ensureDeltaLocked(); err != nil {
-		return nil, err
+	if v > 1 {
+		if err := s.ensureDeltaLocked(); err != nil {
+			return nil, err
+		}
 	}
 	s.lastUsed = time.Now()
-	return s.versions[v-2], nil
+	return s.versions[v-1], nil
 }
 
-// ensureDeltaLocked brings the incremental state current with the mutation
-// log: on first use it seeds the delta engine with a full solo clean of the
-// session's streamed input, then (every call) replays any logged-but-
-// unmaterialized mutations. After a restart this is where acknowledged
-// versions are recomputed — the engine is deterministic, so they come back
-// byte-identical. Caller holds s.mu.
+// ensureDeltaLocked brings the engine current with the mutation log. In a
+// session cleaned by this process that is a no-op (Mutate keeps it current).
+// After a restart it is where the engine is loaded — one full clean of the
+// logged batches, its result discarded: version 1 stays the logged record —
+// and every logged mutation replayed; the engine is deterministic, so the
+// acknowledged versions come back byte-identical. Caller holds s.mu.
 func (s *Session) ensureDeltaLocked() error {
-	if s.delta == nil {
-		base, err := preRepairTable(s.schema, s.batches)
-		if err != nil {
-			return err
+	if !s.loaded {
+		if _, err := s.loadEngine(); err != nil {
+			return fmt.Errorf("server: session %s: load delta engine: %w", s.ID, err)
 		}
-		eng, err := core.NewDeltaCleaner(s.schema, s.rules, s.coreOpts)
-		if err != nil {
-			return err
-		}
-		if _, err := eng.Load(base); err != nil {
-			return fmt.Errorf("server: session %s: seed delta engine: %w", s.ID, err)
-		}
-		s.delta = eng
-		s.nextRow = base.Len() // preRepairTable numbers rows 0..n-1
 	}
 	return s.catchUpLocked()
 }
 
 // catchUpLocked materializes one version per unapplied mutation-log record.
-// Caller holds s.mu; the engine exists.
+// Caller holds s.mu; the engine is loaded.
 func (s *Session) catchUpLocked() error {
-	for len(s.versions) < len(s.mutLog) {
-		rec := s.mutLog[len(s.versions)]
+	for len(s.versions) <= len(s.mutLog) {
+		rec := s.mutLog[len(s.versions)-1]
 		var mut core.Mutation
 		switch rec.Op {
 		case mutPut:
@@ -180,10 +230,11 @@ func (s *Session) catchUpLocked() error {
 			s.nextRow = rec.Row + 1
 		}
 		s.versions = append(s.versions, &versionEntry{
-			res:     res,
-			delta:   *ds,
+			clean:   res.Clean,
+			stats:   res.Stats,
 			repairs: computeRepairsTable(s.schema, s.delta.Table(), res.Repaired, s.rules, s.delta.Weights()),
 			tuples:  s.delta.Len(),
+			delta:   ds,
 		})
 	}
 	return nil

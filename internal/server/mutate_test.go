@@ -21,10 +21,10 @@ import (
 )
 
 // The serving-layer half of the incremental parity contract: every result
-// version a session acknowledges must equal a from-scratch solo clean of the
-// mutated input (table, stats, and independently recomputed repair
-// attribution), and must re-serve byte-identically after a restart on the
-// same data directory.
+// version a session serves — version 1, the clean, included — must equal a
+// from-scratch solo clean of that version's input (table, stats, and
+// independently recomputed repair attribution), and must re-serve
+// byte-identically after a restart on the same data directory.
 
 // carFixture builds a seeded dirty CAR workload plus its rules text.
 func carFixture(t *testing.T, rows int, seed int64) (*dataset.Table, []*rules.Rule, string) {
@@ -118,14 +118,18 @@ func assertVersionParity(t *testing.T, c *client, id string, version int, schema
 	if code := c.do("GET", fmt.Sprintf("/v1/sessions/%s/result?version=%d", id, version), nil, &res); code != http.StatusOK {
 		t.Fatalf("result version %d: status %d", version, code)
 	}
-	if res.Version != version || res.Workers != 1 || res.WorkersLost != 0 || res.WallMS != 0 {
-		t.Fatalf("version %d metadata = %+v, want deterministic solo metadata", version, res)
+	if res.Version != version || res.RolledBack {
+		t.Fatalf("version %d metadata = %+v", version, res)
 	}
-	if res.Delta == nil {
-		t.Fatalf("version %d has no delta summary", version)
-	}
-	if res.Delta.DirtyBlocks+res.Delta.ReusedBlocks != len(rs) {
-		t.Fatalf("version %d delta blocks %+v do not partition %d rules", version, res.Delta, len(rs))
+	// Version 1 is the clean: a wall time, no delta. Every later one is an
+	// Apply: a delta summary whose blocks partition the rules, no wall time.
+	if version == 1 {
+		if res.Delta != nil {
+			t.Fatalf("version 1 carries a delta summary %+v", res.Delta)
+		}
+	} else if res.WallMS != 0 || res.Delta == nil || res.Delta.DirtyBlocks+res.Delta.ReusedBlocks != len(rs) {
+		t.Fatalf("version %d: wall_ms %d, delta %+v; want 0 and blocks that partition %d rules",
+			version, res.WallMS, res.Delta, len(rs))
 	}
 	if got, wantN := len(res.Rows), want.Clean.Len(); got != wantN {
 		t.Fatalf("version %d: %d rows, want %d", version, got, wantN)
@@ -153,147 +157,190 @@ func assertVersionParity(t *testing.T, c *client, id string, version int, schema
 	}
 }
 
-// TestMutationSequenceParity drives randomized tuple mutations (updates,
-// inserts, deletes) through the HTTP API and checks every minted version
-// against an independent full re-clean — then restarts the server on the same
-// (in-memory) data directory and requires every version to re-serve
-// byte-identically before accepting further mutations. CHAOS_SEEDS widens the
-// grid in CI.
+// TestMutationSequenceParity cleans a session and drives randomized tuple
+// mutations (updates, inserts, deletes) through the HTTP API, checking every
+// version, the clean's included, against an independent full clean of its
+// table — then restarts the server on the same (in-memory) data directory and
+// requires every version to re-serve byte-identically before accepting
+// further mutations. CHAOS_SEEDS widens the grid in CI.
 func TestMutationSequenceParity(t *testing.T) {
-	seeds := chaosSeeds(t)
-	for si, seed := range seeds {
-		transports := []string{"chan"}
-		if si == 0 {
-			transports = append(transports, "gob")
-		}
-		for _, transport := range transports {
-			t.Run(fmt.Sprintf("seed=%d/transport=%s", seed, transport), func(t *testing.T) {
-				dirty, rs, rulesText := carFixture(t, 120, seed)
-				schema := dirty.Schema
-				fs := wal.NewMemFS(wal.FaultPlan{})
-				cfg := ManagerConfig{WALFS: fs, SnapshotEvery: 4}
+	for _, seed := range chaosSeeds(t) {
+		// The create body still names a worker count and a transport; both are
+		// ignored (and the subtest keeps its name from when they were not).
+		t.Run(fmt.Sprintf("seed=%d/transport=chan", seed), func(t *testing.T) {
+			dirty, rs, rulesText := carFixture(t, 120, seed)
+			schema := dirty.Schema
+			fs := wal.NewMemFS(wal.FaultPlan{})
+			cfg := ManagerConfig{WALFS: fs, SnapshotEvery: 4}
 
-				srv1 := newTestServer(t, cfg)
-				ts1 := httptest.NewServer(srv1)
-				c1 := &client{t: t, base: ts1.URL}
-				req := CreateRequest{Rules: rulesText, Attrs: schema.Attrs(), Workers: 2, Transport: transport, Seed: 1}
-				info := createSession(c1, req)
-				submitBatches(c1, info.ID, splitRows(dirty, 3))
-				startClean(c1, info.ID)
-				pollDone(c1, info.ID)
+			srv1 := newTestServer(t, cfg)
+			ts1 := httptest.NewServer(srv1)
+			c1 := &client{t: t, base: ts1.URL}
+			req := CreateRequest{Rules: rulesText, Attrs: schema.Attrs(), Workers: 2, Transport: "chan"}
+			info := createSession(c1, req)
+			submitBatches(c1, info.ID, splitRows(dirty, 3))
+			startClean(c1, info.ID)
+			pollDone(c1, info.ID)
 
-				mirror := make(map[int][]string, dirty.Len())
-				for i, tp := range dirty.Tuples {
-					mirror[i] = append([]string(nil), tp.Values...)
-				}
-				next := dirty.Len()
-				rng := rand.New(rand.NewSource(seed * 131))
-				randomValues := func() []string {
-					vals := make([]string, schema.Len())
-					for j := range vals {
-						if rng.Intn(8) == 0 {
-							vals[j] = fmt.Sprintf("nv-%d-%d", j, rng.Intn(50))
-						} else {
-							vals[j] = mirror[anyKey(mirror, rng)][j]
-						}
-					}
-					return vals
-				}
-
-				const steps = 8
-				for step := 1; step <= steps; step++ {
-					var (
-						op   string
-						row  int
-						vals []string
-					)
-					switch {
-					case len(mirror) > 5 && rng.Intn(4) == 0:
-						op, row = mutDelete, anyKey(mirror, rng)
-					case rng.Intn(2) == 0:
-						op, row, vals = mutPut, anyKey(mirror, rng), randomValues()
-					default:
-						op, row, vals = mutPut, next, randomValues()
-					}
-					var ack MutateResponse
-					path := fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row)
-					var code int
-					if op == mutPut {
-						code = c1.do("PUT", path, MutateRequest{Values: vals}, &ack)
+			mirror := make(map[int][]string, dirty.Len())
+			for i, tp := range dirty.Tuples {
+				mirror[i] = append([]string(nil), tp.Values...)
+			}
+			assertVersionParity(t, c1, info.ID, 1, schema, mirror, rs)
+			next := dirty.Len()
+			rng := rand.New(rand.NewSource(seed * 131))
+			randomValues := func() []string {
+				vals := make([]string, schema.Len())
+				for j := range vals {
+					if rng.Intn(8) == 0 {
+						vals[j] = fmt.Sprintf("nv-%d-%d", j, rng.Intn(50))
 					} else {
-						code = c1.do("DELETE", path, nil, &ack)
+						vals[j] = mirror[anyKey(mirror, rng)][j]
 					}
-					if code != http.StatusOK {
-						t.Fatalf("step %d: %s row %d: status %d", step, op, row, code)
-					}
-					if op == mutPut {
-						mirror[row] = append([]string(nil), vals...)
-						if row == next {
-							next++
-						}
-					} else {
-						delete(mirror, row)
-					}
-					if ack.Version != 1+step || ack.Tuples != len(mirror) {
-						t.Fatalf("step %d ack = %+v, want version %d tuples %d", step, ack, 1+step, len(mirror))
-					}
-					assertVersionParity(t, c1, info.ID, ack.Version, schema, mirror, rs)
 				}
+				return vals
+			}
 
-				var st SessionInfo
-				if code := c1.do("GET", "/v1/sessions/"+info.ID, nil, &st); code != http.StatusOK || st.Versions != 1+steps {
-					t.Fatalf("status versions = %d (code %d), want %d", st.Versions, code, 1+steps)
+			const steps = 8
+			for step := 1; step <= steps; step++ {
+				var (
+					op   string
+					row  int
+					vals []string
+				)
+				switch {
+				case len(mirror) > 5 && rng.Intn(4) == 0:
+					op, row = mutDelete, anyKey(mirror, rng)
+				case rng.Intn(2) == 0:
+					op, row, vals = mutPut, anyKey(mirror, rng), randomValues()
+				default:
+					op, row, vals = mutPut, next, randomValues()
 				}
-
-				// Capture every version's bytes, restart on the same FS, and
-				// require identical re-serving — the mutation log replayed
-				// through the deterministic engine, no versions persisted.
-				type raw struct{ result, repairs []byte }
-				raws := make([]raw, 0, 1+steps)
-				for v := 1; v <= 1+steps; v++ {
-					_, rb := rawGet(t, c1.base, fmt.Sprintf("/v1/sessions/%s/result?version=%d", info.ID, v))
-					_, pb := rawGet(t, c1.base, fmt.Sprintf("/v1/sessions/%s/repairs?version=%d", info.ID, v))
-					raws = append(raws, raw{result: rb, repairs: pb})
+				var ack MutateResponse
+				path := fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row)
+				var code int
+				if op == mutPut {
+					code = c1.do("PUT", path, MutateRequest{Values: vals}, &ack)
+				} else {
+					code = c1.do("DELETE", path, nil, &ack)
 				}
-				ts1.Close()
-				srv1.Shutdown()
-
-				srv2 := newTestServer(t, cfg)
-				defer srv2.Shutdown()
-				ts2 := httptest.NewServer(srv2)
-				defer ts2.Close()
-				c2 := &client{t: t, base: ts2.URL}
-				for v := 1; v <= 1+steps; v++ {
-					code, rb := rawGet(t, c2.base, fmt.Sprintf("/v1/sessions/%s/result?version=%d", info.ID, v))
-					if code != http.StatusOK || !bytes.Equal(rb, raws[v-1].result) {
-						t.Fatalf("restart: result version %d diverges (status %d):\ngot  %s\nwant %s",
-							v, code, rb, raws[v-1].result)
-					}
-					code, pb := rawGet(t, c2.base, fmt.Sprintf("/v1/sessions/%s/repairs?version=%d", info.ID, v))
-					if code != http.StatusOK || !bytes.Equal(pb, raws[v-1].repairs) {
-						t.Fatalf("restart: repairs version %d diverges (status %d)", v, code)
-					}
+				if code != http.StatusOK {
+					t.Fatalf("step %d: %s row %d: status %d", step, op, row, code)
 				}
-				// The replay rebuilt the dense-id high-water mark: one past it
-				// is still out of range, the mark itself still insertable.
-				if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, next+1), MutateRequest{Values: randomValues()}, nil); code != http.StatusUnprocessableEntity {
-					t.Fatalf("post-restart PUT past the high-water id %d: status %d, want 422", next, code)
-				}
-				// And the restarted session keeps accepting mutations.
-				for i, row := range []int{next, anyKey(mirror, rng)} {
-					vals := randomValues()
-					var ack MutateResponse
-					if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row), MutateRequest{Values: vals}, &ack); code != http.StatusOK {
-						t.Fatalf("post-restart mutation of row %d: status %d", row, code)
-					}
+				if op == mutPut {
 					mirror[row] = append([]string(nil), vals...)
-					if ack.Version != 2+steps+i || ack.Tuples != len(mirror) {
-						t.Fatalf("post-restart ack = %+v, want version %d tuples %d", ack, 2+steps+i, len(mirror))
+					if row == next {
+						next++
 					}
-					assertVersionParity(t, c2, info.ID, ack.Version, schema, mirror, rs)
+				} else {
+					delete(mirror, row)
 				}
-			})
-		}
+				if ack.Version != 1+step || ack.Tuples != len(mirror) {
+					t.Fatalf("step %d ack = %+v, want version %d tuples %d", step, ack, 1+step, len(mirror))
+				}
+				assertVersionParity(t, c1, info.ID, ack.Version, schema, mirror, rs)
+			}
+
+			var st SessionInfo
+			if code := c1.do("GET", "/v1/sessions/"+info.ID, nil, &st); code != http.StatusOK || st.Versions != 1+steps {
+				t.Fatalf("status versions = %d (code %d), want %d", st.Versions, code, 1+steps)
+			}
+
+			// Capture every version's bytes, restart on the same FS, and
+			// require identical re-serving — the mutation log replayed
+			// through the deterministic engine, no versions persisted.
+			type raw struct{ result, repairs []byte }
+			raws := make([]raw, 0, 1+steps)
+			for v := 1; v <= 1+steps; v++ {
+				_, rb := rawGet(t, c1.base, fmt.Sprintf("/v1/sessions/%s/result?version=%d", info.ID, v))
+				_, pb := rawGet(t, c1.base, fmt.Sprintf("/v1/sessions/%s/repairs?version=%d", info.ID, v))
+				raws = append(raws, raw{result: rb, repairs: pb})
+			}
+			ts1.Close()
+			srv1.Shutdown()
+
+			srv2 := newTestServer(t, cfg)
+			defer srv2.Shutdown()
+			ts2 := httptest.NewServer(srv2)
+			defer ts2.Close()
+			c2 := &client{t: t, base: ts2.URL}
+			for v := 1; v <= 1+steps; v++ {
+				code, rb := rawGet(t, c2.base, fmt.Sprintf("/v1/sessions/%s/result?version=%d", info.ID, v))
+				if code != http.StatusOK || !bytes.Equal(rb, raws[v-1].result) {
+					t.Fatalf("restart: result version %d diverges (status %d):\ngot  %s\nwant %s",
+						v, code, rb, raws[v-1].result)
+				}
+				code, pb := rawGet(t, c2.base, fmt.Sprintf("/v1/sessions/%s/repairs?version=%d", info.ID, v))
+				if code != http.StatusOK || !bytes.Equal(pb, raws[v-1].repairs) {
+					t.Fatalf("restart: repairs version %d diverges (status %d)", v, code)
+				}
+			}
+			// The replay rebuilt the dense-id high-water mark: one past it
+			// is still out of range, the mark itself still insertable.
+			if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, next+1), MutateRequest{Values: randomValues()}, nil); code != http.StatusUnprocessableEntity {
+				t.Fatalf("post-restart PUT past the high-water id %d: status %d, want 422", next, code)
+			}
+			// And the restarted session keeps accepting mutations.
+			for i, row := range []int{next, anyKey(mirror, rng)} {
+				vals := randomValues()
+				var ack MutateResponse
+				if code := c2.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/%d", info.ID, row), MutateRequest{Values: vals}, &ack); code != http.StatusOK {
+					t.Fatalf("post-restart mutation of row %d: status %d", row, code)
+				}
+				mirror[row] = append([]string(nil), vals...)
+				if ack.Version != 2+steps+i || ack.Tuples != len(mirror) {
+					t.Fatalf("post-restart ack = %+v, want version %d tuples %d", ack, 2+steps+i, len(mirror))
+				}
+				assertVersionParity(t, c2, info.ID, ack.Version, schema, mirror, rs)
+			}
+		})
+	}
+}
+
+// TestNoOpPutKeepsTheTable: a PUT of a row's own values changes nothing, so
+// the version it mints is version 1 again — rows, ids, stats and audit trail —
+// with no rule block rebuilt and every tuple accounted for as re-fused or
+// reused. It holds only because versions 1 and 2 come off the same engine.
+func TestNoOpPutKeepsTheTable(t *testing.T) {
+	for _, fx := range []struct {
+		name    string
+		tau     int
+		fixture func() (*dataset.Table, []*rules.Rule, string)
+	}{
+		{"hospital", 2, func() (*dataset.Table, []*rules.Rule, string) { return hospitalFixture(t) }},
+		{"car-2k", 1, func() (*dataset.Table, []*rules.Rule, string) { return carFixture(t, 2000, 42) }},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			dirty, rs, rulesText := fx.fixture()
+			srv := newTestServer(t, ManagerConfig{})
+			defer srv.Shutdown()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			c := &client{t: t, base: ts.URL}
+			id := createSession(c, CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Tau: fx.tau}).ID
+			submitBatches(c, id, splitRows(dirty, 3))
+			startClean(c, id)
+			pollDone(c, id)
+			v1, trail1 := getResult(c, id), getRepairs(c, id)
+
+			var ack MutateResponse
+			if code := c.do("PUT", "/v1/sessions/"+id+"/tuples/0", MutateRequest{Values: dirty.Tuples[0].Values}, &ack); code != http.StatusOK {
+				t.Fatalf("no-op PUT: status %d", code)
+			}
+			if d := ack.Delta; ack.Version != 2 || ack.Tuples != dirty.Len() || d.DirtyBlocks != 0 ||
+				d.ReusedBlocks != len(rs) || d.RefusedTuples+d.ReusedTuples != dirty.Len() {
+				t.Fatalf("no-op PUT ack = %+v (delta %+v), want version 2 over %d tuples with all %d blocks reused",
+					ack, *ack.Delta, dirty.Len(), len(rs))
+			}
+			v2, trail2 := getResult(c, id), getRepairs(c, id)
+			if v2.Version != 2 || trail2.Version != 2 {
+				t.Fatalf("latest result/trail are versions %d/%d, want 2", v2.Version, trail2.Version)
+			}
+			assertSameClean(t, "version 2 after a no-op PUT", v2, v1)
+			if !reflect.DeepEqual(trail2.Repairs, trail1.Repairs) {
+				t.Errorf("a no-op PUT changed the audit trail: %d repairs, version 1 had %d", len(trail2.Repairs), len(trail1.Repairs))
+			}
+		})
 	}
 }
 
@@ -322,7 +369,7 @@ func TestMutateStatusCodes(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &client{t: t, base: ts.URL}
-	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Seed: 1}
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1}
 	info := createSession(c, req)
 	submitBatches(c, info.ID, splitRows(dirty, 2))
 
@@ -438,7 +485,7 @@ func TestRepairsPagination(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &client{t: t, base: ts.URL}
-	info := createSession(c, CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1, Seed: 1})
+	info := createSession(c, CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Workers: 1})
 	submitBatches(c, info.ID, splitRows(dirty, 2))
 	startClean(c, info.ID)
 	pollDone(c, info.ID)

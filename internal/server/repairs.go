@@ -11,11 +11,11 @@ import (
 
 // Repair is one applied cell change in the audit trail: which tuple and
 // attribute, the dirty and repaired values, and the rule (with its learned
-// Eq. 6 weight) the change is attributed to. Repairs are ordered by tuple
+// weight) the change is attributed to. Repairs are ordered by tuple
 // then schema column, so the trail reads top-to-bottom like the table.
 //
 // Attribution is a projection lookup: the repaired row projected onto a
-// candidate rule's attributes must match a piece in the run's merged weight
+// candidate rule's attributes must match a piece in the version's weight
 // vector — the repair moved the tuple into that piece — and among matching
 // rules the heaviest piece wins (ties break on rule id for determinism). A
 // repair no piece explains (an RSC distance-repair, for instance) carries an
@@ -29,44 +29,18 @@ type Repair struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// computeRepairs diffs the session's streamed input against the repaired
-// table (pre-dedup, tuple IDs are stream positions) and attributes each
-// changed cell.
-func computeRepairs(schema *dataset.Schema, batches [][][]string, repaired *dataset.Table, rs []*rules.Rule, merged []index.PieceSummary) []Repair {
-	if repaired == nil {
-		return nil
-	}
-	var flat [][]string
-	for _, b := range batches {
-		flat = append(flat, b...)
-	}
-	orig := make(map[int][]string, len(flat))
-	for i, row := range flat {
-		orig[i] = row
-	}
-	return repairsAgainst(schema, orig, repaired, rs, merged)
-}
-
-// computeRepairsTable diffs a mutated input table against its re-cleaned
-// output — the versioned-result flavor of computeRepairs, where tuple IDs are
-// store row ids (with gaps from deletes) rather than stream positions.
-func computeRepairsTable(schema *dataset.Schema, dirty, repaired *dataset.Table, rs []*rules.Rule, merged []index.PieceSummary) []Repair {
-	if repaired == nil {
-		return nil
-	}
-	orig := make(map[int][]string, dirty.Len())
+// computeRepairsTable diffs a version's input table against its repaired output
+// (pre-dedup, so both carry the same tuple IDs: stream positions at first,
+// store row ids with gaps once tuples are deleted) and attributes each changed
+// cell.
+func computeRepairsTable(schema *dataset.Schema, dirty, repaired *dataset.Table, rs []*rules.Rule, weights []index.PieceSummary) []Repair {
+	origRows := make(map[int][]string, dirty.Len())
 	for _, t := range dirty.Tuples {
-		orig[t.ID] = t.Values
+		origRows[t.ID] = t.Values
 	}
-	return repairsAgainst(schema, orig, repaired, rs, merged)
-}
-
-// repairsAgainst diffs the repaired table against the original rows (keyed by
-// tuple ID) and attributes each changed cell.
-func repairsAgainst(schema *dataset.Schema, origRows map[int][]string, repaired *dataset.Table, rs []*rules.Rule, merged []index.PieceSummary) []Repair {
-	weightOf := make(map[string]float64, len(merged))
-	for i := range merged {
-		s := &merged[i]
+	weightOf := make(map[string]float64, len(weights))
+	for i := range weights {
+		s := &weights[i]
 		weightOf[s.RuleID+"\x1f"+dataset.JoinKey(s.IdentityValues())] = s.Weight
 	}
 	attrs := schema.Attrs()

@@ -1,10 +1,10 @@
 // Package server is mlnserve's long-running cleaning service: an HTTP/JSON
 // session API (create session → stream tuple batches → trigger clean → poll
-// → fetch repairs) layered on the distributed Executor, with a session
-// manager (bounded concurrency, idle eviction, per-session cancellation).
-// Every session parses its own rules and learns its weights from its own
-// tuples, so a served result is a function of that session's request and
-// tuples alone.
+// → fetch repairs → mutate tuples) layered on core.DeltaCleaner, with a
+// session manager (bounded concurrency, idle eviction). Every session parses
+// its own rules and learns its weights from its own tuples, so every result
+// version it serves is core.Clean of that version's table: a function of the
+// session's request and tuples alone.
 package server
 
 import (
@@ -42,7 +42,7 @@ import (
 // state), invalid (422, well-formed but semantically bad input), busy (429,
 // at the session cap, with Retry-After), durability/internal (500).
 //
-// Versioning: a done session's result is version 1; every acknowledged tuple
+// Versioning: a done session's clean is version 1; every acknowledged tuple
 // mutation mints the next version. GET result/repairs serve the latest
 // version by default and any older one via ?version=N — versions are
 // immutable and re-serve byte-identically, including after a restart on the
@@ -193,8 +193,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, codeDurability, err)
 			return
 		}
-		// Unparseable rules, a bad schema, an unknown transport: the request
-		// was decodable but unusable.
+		// Unparseable rules, a bad schema, a rule naming no schema attribute:
+		// the request was decodable but unusable.
 		writeError(w, http.StatusUnprocessableEntity, codeInvalid, err)
 		return
 	}
@@ -263,9 +263,9 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 
 // ResultResponse is the cleaned table plus run metadata.
 type ResultResponse struct {
-	// Version identifies which result this is: 1 for the batch run, one more
-	// per applied tuple mutation. A given version always serves the same
-	// bytes, including after a restart.
+	// Version identifies which result this is: 1 for the clean, one more per
+	// applied tuple mutation. A given version always serves the same bytes,
+	// including after a restart.
 	Version int        `json:"version"`
 	Attrs   []string   `json:"attrs"`
 	Rows    [][]string `json:"rows"`
@@ -273,20 +273,11 @@ type ResultResponse struct {
 	// duplicates).
 	IDs   []int      `json:"ids"`
 	Stats core.Stats `json:"stats"`
-	// Workers is the run's worker count; WorkersLost how many of them died
-	// and were recovered from mid-run (the result is unaffected — recovery
-	// re-runs the lost partitions deterministically). Versions ≥ 2 are
-	// computed by the in-process delta engine: one worker, nothing lost.
-	Workers     int   `json:"workers"`
-	WorkersLost int   `json:"workers_lost"`
-	WallMS      int64 `json:"wall_ms"`
+	// WallMS is the clean's wall time; version 1 only.
+	WallMS int64 `json:"wall_ms"`
 	// RolledBack marks that the session's repairs were reverted: Rows/IDs
 	// are the original streamed values, not the cleaned output.
 	RolledBack bool `json:"rolled_back,omitempty"`
-	// Plan lists the selectivity planner's per-rule scan choices as rendered
-	// plan-dump lines (why each rule's evaluation was ordered the way it
-	// was); version 1 only.
-	Plan []string `json:"plan,omitempty"`
 	// Delta reports how much of version N-1's work this version reused;
 	// absent on version 1.
 	Delta *DeltaSummary `json:"delta,omitempty"`
@@ -300,7 +291,10 @@ type DeltaSummary struct {
 	ReusedTuples  int `json:"reused_tuples"`
 }
 
-func deltaSummary(d core.DeltaStats) *DeltaSummary {
+func deltaSummary(d *core.DeltaStats) *DeltaSummary {
+	if d == nil {
+		return nil
+	}
 	return &DeltaSummary{
 		DirtyBlocks:   d.DirtyBlocks,
 		ReusedBlocks:  d.ReusedBlocks,
@@ -310,15 +304,15 @@ func deltaSummary(d core.DeltaStats) *DeltaSummary {
 }
 
 // version resolves the ?version query parameter against a session: absent
-// means latest, 1 is the batch result, anything non-integer or < 1 is 422
-// (the 404 for a too-new version comes later, from Versioned). Writes the
-// error itself; ok reports whether to proceed.
+// means latest, anything non-integer or < 1 is 422 (the 404 for a too-new
+// version comes later, from Versioned). Writes the error itself; ok reports
+// whether to proceed.
 func (s *Server) version(w http.ResponseWriter, r *http.Request, sess *Session) (int, bool) {
 	q := r.URL.Query().Get("version")
 	if q == "" {
 		v := sess.LatestVersion()
 		if v == 0 {
-			v = 1 // not done yet: fall through to the legacy path's 409
+			v = 1 // not done yet: Versioned answers the 409
 		}
 		return v, true
 	}
@@ -340,56 +334,28 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if v >= 2 {
-		entry, err := sess.Versioned(v)
-		if err != nil {
-			writeSessionError(w, err)
-			return
-		}
-		serve := entry.res.Clean
-		resp := ResultResponse{
-			Version: v,
-			Attrs:   serve.Schema.Attrs(),
-			Rows:    make([][]string, serve.Len()),
-			IDs:     make([]int, serve.Len()),
-			Stats:   entry.res.Stats,
-			Workers: 1,
-			Delta:   deltaSummary(entry.delta),
-		}
-		for i, t := range serve.Tuples {
-			resp.Rows[i] = t.Values
-			resp.IDs[i] = t.ID
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	res, err := sess.Result()
+	entry, err := sess.Versioned(v)
 	if err != nil {
 		writeSessionError(w, err)
 		return
 	}
-	serve := res.Clean
-	rolled := false
+	// A rolled-back session has no mutations: v is 1 and it serves the
+	// restored table in the clean's place.
+	serve, rolled := entry.clean, false
 	if tb := sess.Restored(); tb != nil {
 		serve, rolled = tb, true
 	}
-	resp := ResultResponse{
-		Version:     1,
-		Attrs:       serve.Schema.Attrs(),
-		Rows:        make([][]string, serve.Len()),
-		IDs:         make([]int, serve.Len()),
-		Stats:       res.Stats,
-		Workers:     res.Workers,
-		WorkersLost: res.WorkersLost,
-		WallMS:      res.WallTime.Milliseconds(),
-		RolledBack:  rolled,
-		Plan:        res.Plan,
-	}
-	for i, t := range serve.Tuples {
-		resp.Rows[i] = t.Values
-		resp.IDs[i] = t.ID
-	}
-	writeJSON(w, http.StatusOK, resp)
+	rows, ids := rowsAndIDs(serve)
+	writeJSON(w, http.StatusOK, ResultResponse{
+		Version:    v,
+		Attrs:      serve.Schema.Attrs(),
+		Rows:       rows,
+		IDs:        ids,
+		Stats:      entry.stats,
+		WallMS:     entry.wallMS,
+		RolledBack: rolled,
+		Delta:      deltaSummary(entry.delta),
+	})
 }
 
 // RepairsResponse is one page of the session's ordered repair audit trail.
@@ -440,24 +406,13 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var reps []Repair
-	var rolled bool
-	if v >= 2 {
-		entry, err := sess.Versioned(v)
-		if err != nil {
-			writeSessionError(w, err)
-			return
-		}
-		reps = entry.repairs
-	} else {
-		var err error
-		reps, rolled, err = sess.Repairs()
-		if err != nil {
-			writeSessionError(w, err)
-			return
-		}
+	entry, err := sess.Versioned(v)
+	if err != nil {
+		writeSessionError(w, err)
+		return
 	}
-	resp := RepairsResponse{Session: sess.ID, Version: v, Total: len(reps), RolledBack: rolled}
+	reps := entry.repairs
+	resp := RepairsResponse{Session: sess.ID, Version: v, Total: len(reps), RolledBack: sess.Restored() != nil}
 	// Window the trail: cursor past the end is an empty page, not an error
 	// (the client walked off the tail); a full page that ends short of the
 	// total links the next one.
@@ -577,18 +532,14 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		writeSessionError(w, err)
 		return
 	}
-	resp := RollbackResponse{
+	rows, ids := rowsAndIDs(tb)
+	writeJSON(w, http.StatusOK, RollbackResponse{
 		Session:  sess.ID,
 		Reverted: reverted,
 		Attrs:    tb.Schema.Attrs(),
-		Rows:     make([][]string, tb.Len()),
-		IDs:      make([]int, tb.Len()),
-	}
-	for i, t := range tb.Tuples {
-		resp.Rows[i] = t.Values
-		resp.IDs[i] = t.ID
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Rows:     rows,
+		IDs:      ids,
+	})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {

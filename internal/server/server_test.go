@@ -13,7 +13,6 @@ import (
 	"mlnclean/internal/core"
 	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
-	"mlnclean/internal/distributed"
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/rules"
 )
@@ -168,7 +167,6 @@ func TestServeHospitalEndToEnd(t *testing.T) {
 		Attrs:   dirty.Schema.Attrs(),
 		Workers: 1,
 		Tau:     2,
-		Seed:    1,
 	}
 
 	_, res := c.runSession(req, dirty, 3)
@@ -188,6 +186,17 @@ func TestServeHospitalEndToEnd(t *testing.T) {
 		Materialize    bool `json:"materialize"`
 	}{req, true, true}, dirty, 2)
 	assertSameClean(t, "create body with removed fields", res3, res2)
+
+	// Likewise the executor's knobs, whatever they say: a session has no
+	// workers, transport, partition seed or shipment size for them to set.
+	_, res4 := c.runSession(map[string]any{
+		"rules": rulesText, "attrs": dirty.Schema.Attrs(), "tau": 2,
+		"workers": 7, "transport": "bogus", "seed": 9, "batch_size": 3,
+	}, dirty, 2)
+	res2.WallMS, res4.WallMS = 0, 0
+	if !reflect.DeepEqual(res4, res2) {
+		t.Errorf("create body with executor fields serves a different result:\n got %+v\nwant %+v", res4, res2)
+	}
 }
 
 // assertSameClean requires two results to carry the same rows, ids and
@@ -224,7 +233,7 @@ func assertSameClean(t *testing.T, what string, got, want ResultResponse) {
 func TestSessionHistoryIndependent(t *testing.T) {
 	tableA, _, rulesText := hospitalFixtureSeed(t, 11)
 	tableB, _, _ := hospitalFixtureSeed(t, 12)
-	req := CreateRequest{Rules: rulesText, Attrs: tableA.Schema.Attrs(), Tau: 2, Seed: 1}
+	req := CreateRequest{Rules: rulesText, Attrs: tableA.Schema.Attrs(), Tau: 2}
 	serve := func() *client {
 		srv := newTestServer(t, ManagerConfig{})
 		t.Cleanup(srv.Shutdown)
@@ -305,98 +314,5 @@ func TestServeBackpressureHTTP(t *testing.T) {
 	// Result before cleaning is a state conflict → 409.
 	if code := c.do("GET", "/v1/sessions/"+info2.ID+"/result", nil, nil); code != http.StatusConflict {
 		t.Fatalf("early result: status %d, want 409", code)
-	}
-}
-
-// TestSessionSurvivesWorkerDeath: a session whose executor loses workers
-// mid-clean recovers without the client noticing beyond the workers_lost
-// counter — the run completes, the result matches an undisturbed session,
-// and both the poll status and the result surface the losses.
-func TestSessionSurvivesWorkerDeath(t *testing.T) {
-	dirty, _, rulesText := hospitalFixture(t)
-
-	faulty := newTestServer(t, ManagerConfig{
-		HeartbeatInterval: 20 * time.Millisecond,
-		WorkerTimeout:     250 * time.Millisecond,
-		TransportFor: func(name string) (distributed.TransportFactory, error) {
-			inner, err := distributed.TransportByName(name)
-			if err != nil {
-				return nil, err
-			}
-			return distributed.NewFaultTransport(inner, distributed.FaultPlan{
-				Seed:    5,
-				Crashes: []distributed.Crash{{Slot: 0, AtSend: 1}, {Slot: 1, AtRecv: 3}},
-			}), nil
-		},
-	})
-	defer faulty.Shutdown()
-	tsF := httptest.NewServer(faulty)
-	defer tsF.Close()
-
-	healthy := newTestServer(t, ManagerConfig{})
-	defer healthy.Shutdown()
-	tsH := httptest.NewServer(healthy)
-	defer tsH.Close()
-
-	req := CreateRequest{
-		Rules:   rulesText,
-		Attrs:   dirty.Schema.Attrs(),
-		Workers: 2,
-		Tau:     2,
-		Seed:    1,
-	}
-	_, want := (&client{t: t, base: tsH.URL}).runSession(req, dirty, 2)
-	c := &client{t: t, base: tsF.URL}
-	_, res := c.runSession(req, dirty, 2)
-
-	if res.WorkersLost == 0 {
-		t.Fatal("scripted worker crashes but result reports workers_lost = 0")
-	}
-	if len(res.Rows) != len(want.Rows) {
-		t.Fatalf("recovered session returned %d rows, healthy %d", len(res.Rows), len(want.Rows))
-	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			if res.Rows[i][j] != want.Rows[i][j] {
-				t.Fatalf("row %d col %d: recovered %q != healthy %q", i, j, res.Rows[i][j], want.Rows[i][j])
-			}
-		}
-	}
-
-	// The poll status carries the counter too: a fresh faulted session
-	// polled mid-clean (or after) reports its losses.
-	var info SessionInfo
-	if code := c.do("POST", "/v1/sessions", req, &info); code != http.StatusCreated {
-		t.Fatalf("create session: status %d", code)
-	}
-	rows := make([][]string, 0, dirty.Len())
-	for _, tp := range dirty.Tuples {
-		rows = append(rows, tp.Values)
-	}
-	if code := c.do("POST", "/v1/sessions/"+info.ID+"/tuples", TuplesRequest{Rows: rows}, nil); code != http.StatusOK {
-		t.Fatalf("stream tuples: status %d", code)
-	}
-	if code := c.do("POST", "/v1/sessions/"+info.ID+"/clean", nil, nil); code != http.StatusAccepted {
-		t.Fatalf("clean: status %d", code)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st SessionInfo
-		if code := c.do("GET", "/v1/sessions/"+info.ID, nil, &st); code != http.StatusOK {
-			t.Fatalf("poll: status %d", code)
-		}
-		if st.State == StateDone {
-			if st.WorkersLost == 0 {
-				t.Error("done session poll reports workers_lost = 0 after scripted crashes")
-			}
-			break
-		}
-		if st.State == StateFailed {
-			t.Fatalf("session failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("faulted session never finished")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"mlnclean/internal/core"
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
-	"mlnclean/internal/distributed"
 	"mlnclean/internal/obs"
 	"mlnclean/internal/rules"
 	"mlnclean/internal/wal"
@@ -60,94 +58,78 @@ type CreateRequest struct {
 	Rules string `json:"rules"`
 	// Attrs is the table schema, in column order.
 	Attrs []string `json:"attrs"`
-	// Workers is the executor's worker count (default: manager config).
+	// Workers is accepted and never read; ROADMAP item 9b deletes it.
 	Workers int `json:"workers,omitempty"`
-	// Transport selects the executor transport: chan|gob|http (default chan).
+	// Transport is accepted and never read; ROADMAP item 9b deletes it.
 	Transport string `json:"transport,omitempty"`
-	// BatchSize is the tuples per partition shipment (default 1024).
-	BatchSize int `json:"batch_size,omitempty"`
-	// Seed fixes the partition centroid draw (default 1).
-	Seed int64 `json:"seed,omitempty"`
 	// Tau is the AGP threshold τ (default 1).
 	Tau int `json:"tau,omitempty"`
 	// Metric names the distance metric: levenshtein|cosine.
 	Metric string `json:"metric,omitempty"`
 	// KeepDuplicates skips duplicate elimination in the result.
 	KeepDuplicates bool `json:"keep_duplicates,omitempty"`
-	// FreshWeights is accepted and has no effect: every session learns from its own tuples.
+	// FreshWeights is accepted and never read (every session learns from its
+	// own tuples); ROADMAP item 9b deletes it.
 	FreshWeights bool `json:"fresh_weights,omitempty"`
 }
 
 // Session is one client's cleaning conversation: a schema, a parsed rule
-// set, and a live executor accumulating streamed tuples until Clean.
-//
-// A session restored from the WAL in StateDone has no executor (ex is nil,
-// cancel a no-op): the logged result re-serves as-is and the session accepts
-// no further tuples, so nothing needs workers.
+// set, the streamed tuples, and the one engine every result version of the
+// session comes from — Clean is DeltaCleaner.Load of the tuples, a tuple
+// mutation is Apply.
 type Session struct {
 	ID string
-	// runID correlates the session's executor run across coordinator- and
-	// worker-side log lines (and the /metrics story); generated at create,
-	// persisted in the WAL, never an input to the cleaning outcome.
+	// runID correlates the session's log lines; generated at create, persisted
+	// in the WAL, never an input to the cleaning outcome.
 	runID string
 
 	mu        sync.Mutex
 	state     SessionState
+	closed    bool // set by close; an in-flight clean drops its result on it
 	rules     []*rules.Rule
 	rulesHash string // rules.CanonicalHash of the rule set
 	schema    *dataset.Schema
-	workers   int
-	ex        *distributed.Executor
-	cancel    context.CancelFunc
 	tuples    int
 	batches   [][][]string // streamed rows, per Submit call (audit + replay)
 	created   time.Time
 	lastUsed  time.Time
-	res       *distributed.Result
 	runErr    error
-	repairs   []Repair
 	rolled    *dataset.Table // pre-repair table, non-nil once rolled back
-	lostDone  int            // WorkersLost of a WAL-restored result (ex == nil)
 	wal       *walStore      // nil when durability is off
 
-	// Incremental serving state, live once the session is done and mutated.
-	// mutLog is the durable mutation sequence (restored from the WAL);
-	// delta/nextRow/versions are volatile state rebuilt from batches + mutLog
-	// on first use — the engine replay is deterministic, so result versions
-	// re-serve byte-identically after a restart.
-	coreOpts core.Options       // solo pipeline options the delta engine runs under
-	delta    *core.DeltaCleaner // incremental re-cleaning engine; owns the current table
+	// delta is built (empty) at create, so a rule set it cannot run fails the
+	// create; loaded says it holds the table. A done session restored from the
+	// WAL serves version 1 off the logged record and loads lazily, on the
+	// first call that needs the engine (ensureDeltaLocked).
+	delta  *core.DeltaCleaner
+	loaded bool
 	// nextRow is the dense-id high-water mark: one past the largest row id
 	// ever stored (not max(live id)+1), the only fresh id a PUT may insert at.
-	nextRow  int
+	nextRow int
+	// mutLog is the durable mutation sequence (restored from the WAL).
+	// versions[i] serves result version i+1: entry 0 is the clean, entry i the
+	// table after the first i mutations — rebuilt from batches + mutLog after
+	// a restart, byte-identically, because the engine is deterministic.
 	mutLog   []recMutation
-	versions []*versionEntry // entry i serves result version i+2
+	versions []*versionEntry
 }
 
 // SessionInfo is a session's externally visible status snapshot.
-// WorkersLost counts executor workers declared dead and recovered from so
-// far — a session survives worker deaths (the partition is re-dispatched
-// and the run continues), and the counter updates live while the session
-// cleans, so pollers can watch a degraded-but-recovering run.
 type SessionInfo struct {
 	ID string `json:"id"`
-	// RunID is the correlation tag the session's executor run (and its log
-	// lines) carry; stable across restarts of a durable server.
-	RunID       string       `json:"run_id"`
-	State       SessionState `json:"state"`
-	RulesHash   string       `json:"rules_hash"`
-	Workers     int          `json:"workers"`
-	WorkersLost int          `json:"workers_lost"`
-	Tuples      int          `json:"tuples"`
-	Repairs     int          `json:"repairs,omitempty"`
-	RolledBack  bool         `json:"rolled_back,omitempty"`
+	// RunID is the correlation tag the session's log lines carry; stable
+	// across restarts of a durable server.
+	RunID     string       `json:"run_id"`
+	State     SessionState `json:"state"`
+	RulesHash string       `json:"rules_hash"`
+	Tuples    int          `json:"tuples"`
+	// Repairs is the length of version 1's audit trail.
+	Repairs    int  `json:"repairs,omitempty"`
+	RolledBack bool `json:"rolled_back,omitempty"`
 	// Versions is the number of result versions the session serves: 1 for
-	// the batch clean, plus one per applied tuple mutation. Zero until the
-	// session is done.
-	Versions int `json:"versions,omitempty"`
-	// Plan lists the rule planner's per-rule scan choices (rendered
-	// plan-dump lines) once the run completes; empty until then.
-	Plan       []string  `json:"plan,omitempty"`
+	// the clean, plus one per applied tuple mutation. Zero until the session
+	// is done.
+	Versions   int       `json:"versions,omitempty"`
 	CreatedAt  time.Time `json:"created_at"`
 	LastUsedAt time.Time `json:"last_used_at"`
 	Error      string    `json:"error,omitempty"`
@@ -157,27 +139,18 @@ type SessionInfo struct {
 func (s *Session) Info() SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lost := s.lostDone
-	if s.ex != nil {
-		lost = s.ex.WorkersLost()
-	}
 	info := SessionInfo{
-		ID:          s.ID,
-		RunID:       s.runID,
-		State:       s.state,
-		RulesHash:   s.rulesHash,
-		Workers:     s.workers,
-		WorkersLost: lost,
-		Tuples:      s.tuples,
-		Repairs:     len(s.repairs),
-		RolledBack:  s.rolled != nil,
-		CreatedAt:   s.created,
-		LastUsedAt:  s.lastUsed,
-	}
-	if s.res != nil {
-		info.Plan = s.res.Plan
+		ID:         s.ID,
+		RunID:      s.runID,
+		State:      s.state,
+		RulesHash:  s.rulesHash,
+		Tuples:     s.tuples,
+		RolledBack: s.rolled != nil,
+		CreatedAt:  s.created,
+		LastUsedAt: s.lastUsed,
 	}
 	if s.state == StateDone {
+		info.Repairs = len(s.versions[0].repairs)
 		info.Versions = 1 + len(s.mutLog)
 	}
 	if s.runErr != nil {
@@ -186,29 +159,24 @@ func (s *Session) Info() SessionInfo {
 	return info
 }
 
-// Submit appends one batch of rows to the session's executor. Only valid
-// while the session is open.
+// Submit appends one batch of rows to the session. Only valid while the
+// session is open.
 func (s *Session) Submit(rows [][]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrNotFound
+	}
 	if s.state != StateOpen {
 		return fmt.Errorf("server: session %s is %s, not accepting tuples", s.ID, s.state)
 	}
-	batch := dataset.NewTable(s.schema)
-	for i, row := range rows {
-		if _, err := batch.Append(row...); err != nil {
-			return fmt.Errorf("%w: batch row %d: %v", ErrBadInput, i, err)
-		}
-	}
-	if err := s.ex.Submit(batch); err != nil {
-		return err
-	}
 	// Copy the rows before logging/retaining: the client's decoder owns the
-	// originals. One record per Submit keeps batch boundaries, which the
-	// streaming partitioner's capacity growth is sensitive to — replay must
-	// ship the executor the identical shipment sequence.
+	// originals.
 	kept := make([][]string, len(rows))
 	for i, row := range rows {
+		if len(row) != s.schema.Len() {
+			return fmt.Errorf("%w: batch row %d has %d values, schema has %d", ErrBadInput, i, len(row), s.schema.Len())
+		}
 		kept[i] = append([]string(nil), row...)
 	}
 	if err := s.wal.append(recBatch{ID: s.ID, Rows: kept}); err != nil {
@@ -221,10 +189,13 @@ func (s *Session) Submit(rows [][]string) error {
 }
 
 // Clean starts the cleaning run asynchronously; poll Info until the state
-// leaves StateCleaning, then fetch Result.
+// leaves StateCleaning, then fetch the result.
 func (s *Session) Clean() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrNotFound
+	}
 	if s.state != StateOpen {
 		return fmt.Errorf("server: session %s is %s, cannot clean", s.ID, s.state)
 	}
@@ -237,77 +208,70 @@ func (s *Session) Clean() error {
 	s.state = StateCleaning
 	s.lastUsed = time.Now()
 	mCleansStarted.Inc()
-	slog.Info("server: clean started",
-		"session", s.ID, "run", s.runID, "tuples", s.tuples, "workers", s.workers)
-	go func() {
-		t0 := time.Now()
-		res, err := s.ex.Run()
-		if err != nil {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			s.lastUsed = time.Now()
-			s.state = StateFailed
-			s.runErr = err
-			mCleansFailed.Inc()
-			slog.Warn("server: clean failed", "session", s.ID, "run", s.runID, "err", err)
-			return
-		}
-		// Compute the audit trail and log the completion — result and trail
-		// in one record, so a crash keeps both or neither — before the done
-		// state becomes observable: a poller that saw "done" must find the
-		// result after a crash. A completion that could not be logged is
-		// still served from memory; after a restart the clean runs again
-		// from the logged batches and reproduces the same bytes.
-		reps := computeRepairs(s.schema, s.batches, res.Repaired, s.rules, res.MergedWeights)
-		if err := s.wal.append(resultRecord(s, res, reps)); err != nil {
-			slog.Warn("server: clean completion not logged", "session", s.ID, "run", s.runID, "err", err)
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.lastUsed = time.Now()
-		s.state = StateDone
-		s.res = res
-		s.repairs = reps
-		mCleansDone.Inc()
-		slog.Info("server: clean done",
-			"session", s.ID, "run", s.runID, "rows", res.Clean.Len(), "repairs", len(reps),
-			"workers_lost", res.WorkersLost, "wall", time.Since(t0).Round(time.Millisecond))
-	}()
+	slog.Info("server: clean started", "session", s.ID, "run", s.runID, "tuples", s.tuples)
+	go s.runClean()
 	return nil
 }
 
-// resultRecord denormalizes a completed run into its WAL record: exactly
-// what the result and repairs endpoints serve.
-func resultRecord(s *Session, res *distributed.Result, reps []Repair) recCleanDone {
-	rec := recCleanDone{
-		ID:          s.ID,
-		Attrs:       res.Clean.Schema.Attrs(),
-		Rows:        make([][]string, res.Clean.Len()),
-		IDs:         make([]int, res.Clean.Len()),
-		Stats:       res.Stats,
-		Workers:     res.Workers,
-		WorkersLost: res.WorkersLost,
-		WallMS:      res.WallTime.Milliseconds(),
-		Plan:        res.Plan,
-		Repairs:     reps,
-	}
-	for i, t := range res.Clean.Tuples {
-		rec.Rows[i] = append([]string(nil), t.Values...)
-		rec.IDs[i] = t.ID
-	}
-	return rec
-}
-
-// Repairs returns the completed run's ordered audit trail and whether the
-// session has been rolled back.
-func (s *Session) Repairs() ([]Repair, bool, error) {
+// runClean is the body of a clean: load the engine with the streamed tuples
+// — nothing else touches it or the batches while the session is cleaning —
+// and publish the result as version 1.
+func (s *Session) runClean() {
+	t0 := time.Now()
+	v1, err := s.loadEngine()
+	wall := time.Since(t0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != StateDone {
-		return nil, false, fmt.Errorf("server: session %s is %s, repairs not ready", s.ID, s.state)
+	if s.closed {
+		// Closed (or shut down) mid-run: the result has no session to go to.
+		// After a shutdown, the restart runs the clean again from the log.
+		slog.Info("server: clean dropped, session closed", "session", s.ID, "run", s.runID)
+		return
 	}
 	s.lastUsed = time.Now()
-	return s.repairs, s.rolled != nil, nil
+	if err != nil {
+		s.state = StateFailed
+		s.runErr = err
+		mCleansFailed.Inc()
+		slog.Warn("server: clean failed", "session", s.ID, "run", s.runID, "err", err)
+		return
+	}
+	// Log the completion — result and trail in one record, so a crash keeps
+	// both or neither — before the done state becomes observable: a poller
+	// that saw "done" must find the result after a crash. A completion that
+	// could not be logged is still served from memory; after a restart the
+	// clean runs again from the logged batches and reproduces the same bytes.
+	v1.wallMS = wall.Milliseconds()
+	if err := s.wal.append(v1.record(s.ID)); err != nil {
+		slog.Warn("server: clean completion not logged", "session", s.ID, "run", s.runID, "err", err)
+	}
+	s.state = StateDone
+	s.versions = []*versionEntry{v1}
+	mCleansDone.Inc()
+	slog.Info("server: clean done",
+		"session", s.ID, "run", s.runID, "rows", v1.clean.Len(), "repairs", len(v1.repairs),
+		"wall", wall.Round(time.Millisecond))
+}
+
+// loadEngine runs the one full clean of a session's life — DeltaCleaner.Load
+// over the streamed tuples, rows numbered by stream position — and returns
+// it as version 1. The caller holds s.mu or is the session's clean.
+func (s *Session) loadEngine() (*versionEntry, error) {
+	base, err := preRepairTable(s.schema, s.batches)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.delta.Load(base)
+	if err != nil {
+		return nil, err
+	}
+	s.loaded, s.nextRow = true, base.Len()
+	return &versionEntry{
+		clean:   res.Clean,
+		stats:   res.Stats,
+		repairs: computeRepairsTable(s.schema, base, res.Repaired, s.rules, s.delta.Weights()),
+		tuples:  base.Len(),
+	}, nil
 }
 
 // Rollback restores the pre-repair table from the session's logged batches:
@@ -319,8 +283,9 @@ func (s *Session) Rollback() (*dataset.Table, int, error) {
 	if s.state != StateDone {
 		return nil, 0, fmt.Errorf("server: session %s is %s, cannot roll back", s.ID, s.state)
 	}
+	reverted := len(s.versions[0].repairs)
 	if s.rolled != nil {
-		return s.rolled, len(s.repairs), nil
+		return s.rolled, reverted, nil
 	}
 	if len(s.mutLog) > 0 {
 		// The audit trail rollback restores predates the mutations; reverting
@@ -336,7 +301,7 @@ func (s *Session) Rollback() (*dataset.Table, int, error) {
 	}
 	s.rolled = tb
 	s.lastUsed = time.Now()
-	return tb, len(s.repairs), nil
+	return tb, reverted, nil
 }
 
 // Restored returns the pre-repair table when the session has been rolled
@@ -347,26 +312,12 @@ func (s *Session) Restored() *dataset.Table {
 	return s.rolled
 }
 
-// Result returns the completed run, or an error describing the session's
-// actual state.
-func (s *Session) Result() (*distributed.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.state {
-	case StateDone:
-		s.lastUsed = time.Now()
-		return s.res, nil
-	case StateFailed:
-		return nil, s.runErr
-	default:
-		return nil, fmt.Errorf("server: session %s is %s, result not ready", s.ID, s.state)
-	}
-}
-
-// close cancels the session's executor context; the executor's watcher tears
-// the transport down and the worker goroutines drain out. Idempotent.
+// close marks the session closed: it accepts nothing more, and a clean still
+// in flight drops its result instead of logging or publishing it. Idempotent.
 func (s *Session) close() {
-	s.cancel()
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 }
 
 // ManagerConfig bounds the session manager.
@@ -380,18 +331,8 @@ type ManagerConfig struct {
 	// SweepInterval is how often the eviction sweep runs. Default
 	// IdleTimeout/4, floored at 100ms.
 	SweepInterval time.Duration
-	// DefaultWorkers is the executor worker count when a session does not
-	// choose one. Default 2.
+	// DefaultWorkers is accepted and never read; ROADMAP item 9b deletes it.
 	DefaultWorkers int
-	// HeartbeatInterval/WorkerTimeout tune session executors' failure
-	// detection (see distributed.Options); zero keeps the executor
-	// defaults, negative disables the respective mechanism.
-	HeartbeatInterval time.Duration
-	WorkerTimeout     time.Duration
-	// TransportFor resolves a session's transport name; nil uses
-	// distributed.TransportByName. Tests swap in fault-injecting wrappers
-	// to exercise sessions surviving worker deaths.
-	TransportFor func(name string) (distributed.TransportFactory, error)
 	// DataDir enables durability: every session mutation is written to a
 	// write-ahead log under this directory before it is acknowledged, and a
 	// restart on the same directory replays it — sessions rebuilt, completed
@@ -422,12 +363,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 		if c.SweepInterval < 100*time.Millisecond {
 			c.SweepInterval = 100 * time.Millisecond
 		}
-	}
-	if c.DefaultWorkers <= 0 {
-		c.DefaultWorkers = 2
-	}
-	if c.TransportFor == nil {
-		c.TransportFor = distributed.TransportByName
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 256
@@ -543,190 +478,85 @@ func (m *Manager) replay(fs wal.FS) error {
 	return nil
 }
 
-// restore rebuilds one session from its folded log state. Open and
-// mid-clean sessions get a fresh executor re-fed the logged batches
-// (boundaries preserved); done sessions carry the logged result directly and
-// need no executor.
+// restore rebuilds one session from its folded log state. An open or
+// mid-clean session needs only its batches; a done one serves version 1 off
+// the logged record, whatever engine wrote it.
 func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
-	rs, err := rules.ParseList(strings.NewReader(snap.Req.Rules))
+	s, err := newSession(snap.RunID, snap.Req)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := dataset.NewSchema(snap.Req.Attrs...)
-	if err != nil {
-		return nil, err
-	}
-	workers := snap.Req.Workers
-	if workers <= 0 {
-		workers = m.cfg.DefaultWorkers
-	}
-	now := time.Now()
-	runID := snap.RunID
-	if runID == "" {
-		runID = obs.NewRunID() // pre-run-ID log: tag the restored session afresh
-	}
-	s := &Session{
-		ID:        id,
-		runID:     runID,
-		rules:     rs,
-		rulesHash: rules.CanonicalHash(rs),
-		schema:    schema,
-		workers:   workers,
-		batches:   snap.Batches,
-		repairs:   snap.Repairs,
-		created:   time.Unix(0, snap.Created),
-		lastUsed:  now,
-		coreOpts:  soloCoreOptions(snap.Req),
-		mutLog:    snap.Mutations,
-	}
+	s.ID = id
+	s.created = time.Unix(0, snap.Created)
+	s.batches = snap.Batches
+	s.mutLog = snap.Mutations
 	for _, b := range snap.Batches {
 		s.tuples += len(b)
 	}
 	if snap.RolledBack {
-		if s.rolled, err = preRepairTable(schema, snap.Batches); err != nil {
+		if s.rolled, err = preRepairTable(s.schema, snap.Batches); err != nil {
 			return nil, err
 		}
 	}
-	if done := snap.Done; done != nil {
-		res, err := resultFromRecord(done)
+	if snap.Done != nil {
+		v1, err := versionFromRecord(snap.Done, snap.Repairs, s.tuples)
 		if err != nil {
 			return nil, err
 		}
 		s.state = StateDone
-		s.res = res
-		s.lostDone = done.WorkersLost
-		s.cancel = func() {}
-		return s, nil
+		s.versions = []*versionEntry{v1}
 	}
-
-	// Open (or interrupted mid-clean): rebuild the executor exactly like
-	// Create, replaying the logged batches shipment by shipment.
-	factory, err := m.cfg.TransportFor(snap.Req.Transport)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := distributed.NewExecutorContext(ctx, schema, rs, executorOptions(snap.Req, workers, factory, m.cfg, runID))
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	for bi, b := range snap.Batches {
-		batch := dataset.NewTable(schema)
-		for _, row := range b {
-			if _, err := batch.Append(row...); err != nil {
-				cancel()
-				return nil, fmt.Errorf("server: replay session %s batch %d: %w", id, bi, err)
-			}
-		}
-		if err := ex.Submit(batch); err != nil {
-			cancel()
-			return nil, fmt.Errorf("server: replay session %s batch %d: %w", id, bi, err)
-		}
-	}
-	s.state = StateOpen
-	s.ex = ex
-	s.cancel = cancel
 	return s, nil
 }
 
-// resultFromRecord rebuilds a servable result from its log record.
-func resultFromRecord(rec *recCleanDone) (*distributed.Result, error) {
-	schema, err := dataset.NewSchema(rec.Attrs...)
-	if err != nil {
-		return nil, err
-	}
-	if len(rec.Rows) != len(rec.IDs) {
-		return nil, fmt.Errorf("server: result record: %d rows, %d ids", len(rec.Rows), len(rec.IDs))
-	}
-	tb := dataset.NewTable(schema)
-	for i, row := range rec.Rows {
-		t, err := tb.Append(row...)
-		if err != nil {
-			return nil, err
-		}
-		t.ID = rec.IDs[i]
-	}
-	return &distributed.Result{
-		Clean:       tb,
-		Workers:     rec.Workers,
-		WorkersLost: rec.WorkersLost,
-		WallTime:    time.Duration(rec.WallMS) * time.Millisecond,
-		Plan:        rec.Plan,
-		Stats:       rec.Stats,
-	}, nil
-}
-
-// executorOptions derives a session executor's options from its create
-// request — shared by Create and WAL replay, which must configure the
-// executor identically for the replayed run to be deterministic (runID is
-// exempt: it only tags log lines, never the outcome).
-func executorOptions(req CreateRequest, workers int, factory distributed.TransportFactory, cfg ManagerConfig, runID string) distributed.Options {
-	opts := distributed.Options{
-		Workers:           workers,
-		RunID:             runID,
-		Seed:              req.Seed,
-		Transport:         factory,
-		BatchSize:         req.BatchSize,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		WorkerTimeout:     cfg.WorkerTimeout,
-		Core: core.Options{
-			Tau:            req.Tau,
-			Metric:         metricFor(req.Metric),
-			KeepDuplicates: req.KeepDuplicates,
-		},
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return opts
-}
-
-// soloCoreOptions derives the options the session's delta engine cleans
-// under: the request's pipeline knobs that shape outcomes (τ, metric,
-// duplicate handling), without the transport-shaped ones. Result versions ≥2
-// are defined as the single-node pipeline over the mutated table, so every
-// transport serves the same bytes.
-func soloCoreOptions(req CreateRequest) core.Options {
-	return core.Options{
-		Tau:            req.Tau,
-		Metric:         metricFor(req.Metric),
-		KeepDuplicates: req.KeepDuplicates,
-	}
-}
-
-// Create opens a new session: parses the rule set, validates it against the
-// schema, and starts an executor. Returns ErrBusy at the session cap. With
-// durability on, the session is acknowledged only after its create record
-// is on disk.
-func (m *Manager) Create(req CreateRequest) (*Session, error) {
+// newSession parses and validates a create request into an open, empty
+// session, its ID left to the caller — shared by Create and WAL replay. The
+// engine holds no data yet, but building it is what rejects a rule set,
+// schema or fusion width the pipeline cannot run. An empty runID (a new
+// session, or a log that predates run ids) is replaced by a fresh one.
+func newSession(runID string, req CreateRequest) (*Session, error) {
 	rs, err := rules.ParseList(strings.NewReader(req.Rules))
 	if err != nil {
 		return nil, err
-	}
-	if len(rs) == 0 {
-		return nil, fmt.Errorf("server: empty rule set")
 	}
 	schema, err := dataset.NewSchema(req.Attrs...)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rs {
-		if err := r.Validate(schema); err != nil {
-			return nil, err
-		}
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = m.cfg.DefaultWorkers
-	}
-	factory, err := m.cfg.TransportFor(req.Transport)
+	// The request's pipeline knobs that shape outcomes: τ, metric, duplicate
+	// handling. Every version is core.Clean of its table under these.
+	eng, err := core.NewDeltaCleaner(schema, rs, core.Options{
+		Tau:            req.Tau,
+		Metric:         metricFor(req.Metric),
+		KeepDuplicates: req.KeepDuplicates,
+	})
 	if err != nil {
 		return nil, err
 	}
-	runID := obs.NewRunID()
-	opts := executorOptions(req, workers, factory, m.cfg, runID)
+	if runID == "" {
+		runID = obs.NewRunID()
+	}
+	now := time.Now()
+	return &Session{
+		runID:     runID,
+		state:     StateOpen,
+		rules:     rs,
+		rulesHash: rules.CanonicalHash(rs),
+		schema:    schema,
+		created:   now,
+		lastUsed:  now,
+		delta:     eng,
+	}, nil
+}
 
+// Create opens a new session: parses the rule set and validates it against
+// the schema. Returns ErrBusy at the session cap. With durability on, the
+// session is acknowledged only after its create record is on disk.
+func (m *Manager) Create(req CreateRequest) (*Session, error) {
+	s, err := newSession("", req)
+	if err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -738,39 +568,14 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	}
 	m.seq++
 	id := fmt.Sprintf("s-%06d", m.seq)
-	// Reserve the slot before the (potentially slow) executor spin-up.
+	// Reserve the slot, then fsync the create record outside the lock.
 	m.sessions[id] = nil
 	m.mu.Unlock()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	ex, err := distributed.NewExecutorContext(ctx, schema, rs, opts)
-	if err != nil {
-		cancel()
-		m.mu.Lock()
-		delete(m.sessions, id)
-		m.mu.Unlock()
-		return nil, err
-	}
-	now := time.Now()
-	s := &Session{
-		ID:        id,
-		runID:     runID,
-		state:     StateOpen,
-		rules:     rs,
-		rulesHash: rules.CanonicalHash(rs),
-		schema:    schema,
-		workers:   workers,
-		ex:        ex,
-		cancel:    cancel,
-		created:   now,
-		lastUsed:  now,
-		wal:       m.wal,
-		coreOpts:  soloCoreOptions(req),
-	}
+	s.ID, s.wal = id, m.wal
 	// Log the create before the session becomes reachable: an acknowledged
 	// session id must survive a crash.
-	if err := s.wal.append(recCreate{ID: id, Req: req, Created: now.UnixNano(), RunID: runID}); err != nil {
-		cancel()
+	if err := s.wal.append(recCreate{ID: id, Req: req, Created: s.created.UnixNano(), RunID: s.runID}); err != nil {
 		m.mu.Lock()
 		delete(m.sessions, id)
 		m.mu.Unlock()
@@ -778,20 +583,17 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	}
 	m.mu.Lock()
 	if _, reserved := m.sessions[id]; !reserved || m.closed {
-		// The reservation was swept away by Shutdown (or an explicit Close)
-		// while the executor was spinning up. The create was already logged;
-		// tombstone it (best-effort) so the unacknowledged session does not
-		// resurrect on replay.
+		// The reservation was swept away by Shutdown while the create was
+		// being logged. Tombstone it (best-effort) so the unacknowledged
+		// session does not resurrect on replay.
 		m.mu.Unlock()
-		cancel()
 		s.wal.append(recTombstone{ID: id})
 		return nil, fmt.Errorf("server: manager shut down")
 	}
 	m.sessions[id] = s
 	m.mu.Unlock()
 	mSessionsCreated.Inc()
-	slog.Info("server: session created",
-		"session", id, "run", runID, "rules_hash", s.rulesHash, "workers", workers)
+	slog.Info("server: session created", "session", id, "run", s.runID, "rules_hash", s.rulesHash)
 	return s, nil
 }
 

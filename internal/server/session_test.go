@@ -64,7 +64,7 @@ func TestManagerDoubleClose(t *testing.T) {
 	if _, err := m.Get(s.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get after close = %v, want ErrNotFound", err)
 	}
-	// Submitting to a closed session's executor must fail, not hang.
+	// A closed session accepts nothing more.
 	if err := s.Submit([][]string{{"a", "b"}}); err == nil {
 		t.Error("submit to closed session succeeded")
 	}
@@ -139,7 +139,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err := s.Clean(); err == nil {
 		t.Error("second clean should fail")
 	}
-	if _, err := s.Result(); err != nil {
+	if _, err := s.Versioned(1); err != nil {
 		t.Fatalf("result = %v", err)
 	}
 }
@@ -150,7 +150,6 @@ func TestManagerCreateValidation(t *testing.T) {
 		{Rules: "garbage", Attrs: []string{"A", "B"}},
 		{Rules: testRules, Attrs: nil},
 		{Rules: "FD: Nope -> ST", Attrs: []string{"CT", "ST"}}, // rule attr not in schema
-		{Rules: testRules, Attrs: []string{"CT", "ST"}, Transport: "bogus"},
 	}
 	for i, req := range bad {
 		if _, err := m.Create(req); err == nil {
