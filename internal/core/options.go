@@ -59,9 +59,9 @@ type Options struct {
 	// Trace, when non-nil, collects the per-phase decisions needed by the
 	// component metrics of §7.3 (Precision/Recall-A/R/F, #dag).
 	Trace *Trace
-	// RunID is an opaque correlation tag carried through logs, wire options,
-	// and session records so one clean can be traced across coordinator,
-	// workers, and WAL replays. It must never influence the cleaning outcome.
+	// RunID is an opaque correlation tag the distributed executor stamps on
+	// its workers' options so one clean's log lines join across coordinator
+	// and workers. It must never influence the cleaning outcome.
 	RunID string
 }
 

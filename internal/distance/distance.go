@@ -194,19 +194,6 @@ func ByName(name string) Metric {
 	}
 }
 
-// MetricName is the inverse of ByName for the built-in metrics: it returns
-// the flag/wire name of m. Wrapped or custom metrics have no wire name and
-// map to "levenshtein", the default — callers shipping a metric across a
-// process boundary (distributed Init, the serving API) only transmit names.
-func MetricName(m Metric) string {
-	switch m.(type) {
-	case Cosine:
-		return "cosine"
-	default:
-		return "levenshtein"
-	}
-}
-
 // Values returns the attribute-wise sum of metric distances between two
 // equal-length value slices. This is the γ-to-γ distance used by AGP and RSC
 // (Def. 2): each attribute contributes independently, so a one-character typo

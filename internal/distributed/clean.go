@@ -10,7 +10,6 @@ import (
 	"mlnclean/internal/core"
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
-	"mlnclean/internal/index"
 	"mlnclean/internal/rules"
 )
 
@@ -41,12 +40,9 @@ type Options struct {
 	// WorkerTimeout is how long the coordinator tolerates silence from a
 	// pending partition's worker while gathering before declaring it dead
 	// and re-dispatching the partition onto a fresh worker slot (default
-	// 10s; negative disables failure detection and recovery). With
-	// remotely attaching workers the clock for a partition starts at its
-	// worker's first sign of life, so a run still blocks — as before —
-	// for a fleet that has not attached yet. Note sends stay bounded by
-	// SendTimeout independently: to restore the old block-forever
-	// behavior completely, set both negative.
+	// 10s; negative disables failure detection and recovery). Note sends
+	// stay bounded by SendTimeout independently: to block forever on a
+	// stuck worker, set both negative.
 	WorkerTimeout time.Duration
 	// SendTimeout bounds every coordinator→worker send; it only trips when
 	// a peer stops draining its inbox entirely (default 1m; negative
@@ -57,11 +53,6 @@ type Options struct {
 	// cluster converges on an error instead of recovering forever (default
 	// 4 + 2·Workers).
 	MaxRecoveries int
-	// RunID is an opaque correlation tag stamped on the run's log lines and
-	// shipped to workers through WireCoreOptions, so coordinator- and
-	// worker-side lines of one clean can be joined. Empty means the executor
-	// generates one. Never influences the cleaning outcome.
-	RunID string
 }
 
 // Result is the distributed cleaning output.
@@ -103,10 +94,6 @@ type Result struct {
 	// stage-I/II work re-run, without changing the output (learning stats
 	// and timings may differ — a stage-II recovery skips re-learning).
 	WorkersLost int
-	// MergedWeights is the Eq. 6 weight vector the run broadcast (the reduce
-	// result; nil under SkipWeightMerge). The serving layer attributes each
-	// repair to a rule and weight from it.
-	MergedWeights []index.PieceSummary
 	// Plan lists the selectivity planner's per-rule choices as rendered
 	// plan-dump lines, derived coordinator-side from the gather dictionary's
 	// column statistics (the same greedy planner each worker applies to its
@@ -114,8 +101,8 @@ type Result struct {
 	Plan []string
 	// Stats aggregates the worker pipelines' stats.
 	Stats core.Stats
-	// RunID is the correlation tag the run was executed under (generated if
-	// Options.RunID was empty).
+	// RunID is the correlation tag the executor minted for the run; the
+	// coordinator's and the workers' log lines carry it.
 	RunID string
 }
 

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mlnclean/internal/core"
@@ -35,13 +34,13 @@ import (
 // partition is never lost with its worker. While gathering it watches
 // per-worker heartbeats (and reply-count gaps, which expose replies lost in
 // flight); a partition whose worker goes silent past Options.WorkerTimeout
-// is re-leased under a bumped epoch to a fresh worker slot — a respawned
-// goroutine for in-process transports, a newly claimable slot for remote
-// HTTP workers — and its Init/TupleBatch/StartStageI (and, mid-stage-II,
-// MergedWeights) sequence is replayed. Because the per-partition pipeline is
-// deterministic and the Eq. 6 merge is a pure reduce over per-partition
-// summaries, a recovered run's output is byte-identical to the no-failure
-// run; stale-epoch replies from falsely-declared-dead workers are discarded.
+// is re-leased under a bumped epoch to a fresh worker slot served by a
+// respawned goroutine, and its Init/TupleBatch/StartStageI (and,
+// mid-stage-II, MergedWeights) sequence is replayed. Because the
+// per-partition pipeline is deterministic and the Eq. 6 merge is a pure
+// reduce over per-partition summaries, a recovered run's output is
+// byte-identical to the no-failure run; stale-epoch replies from
+// falsely-declared-dead workers are discarded.
 //
 // Two ingestion paths share the runtime:
 //
@@ -83,17 +82,15 @@ type Executor struct {
 	// Fault-tolerance state: one lease per logical partition, the worker
 	// bootstrap needed to replay an Init, and the detection budget.
 	parts         []*partitionLease
-	wtr           Transport // transport locally spawned workers talk through
-	spawnLocal    bool
+	wtr           Transport // transport the spawned workers talk through
 	wopts         core.Options
 	attrs         []string
 	wireRules     []WireRule
-	wireOpts      WireCoreOptions
 	hbInterval    time.Duration
 	workerTimeout time.Duration
 	sendTimeout   time.Duration
 	maxRecoveries int
-	lost          atomic.Int64 // recoveries so far; also the budget counter
+	lost          int // recoveries so far; also the budget counter
 
 	distTime   time.Duration
 	assignTime time.Duration
@@ -110,10 +107,7 @@ type Executor struct {
 // partition, under which epoch, and everything needed to re-dispatch it:
 // the recorded batches, the last sign of life, and how many protocol
 // replies the current epoch has delivered. seen records whether the current
-// epoch's worker ever showed a sign of life — for remote transports the
-// silence clock must not start before a worker has attached at all, or a
-// late-starting mlnworker fleet would be declared dead while the original
-// slots still hold the only dispatched epochs.
+// epoch's worker has shown a sign of life yet.
 type partitionLease struct {
 	slot     int
 	epoch    int
@@ -171,12 +165,9 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		factory = NewChanTransport
 	}
 	dict := intern.NewDict()
-	if opts.RunID == "" {
-		opts.RunID = obs.NewRunID()
-	}
-	// The run ID rides inside the core options so it reaches workers through
-	// WireCoreOptions without a protocol change.
-	opts.Core.RunID = opts.RunID
+	// The run ID rides inside the core options so the workers' log lines
+	// carry it too.
+	opts.Core.RunID = obs.NewRunID()
 	ex := &Executor{
 		ctx:       ctx,
 		schema:    schema,
@@ -236,31 +227,18 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		}
 	}()
 	ex.wopts = workerCoreOpts(opts.Core, k)
-	// A transport may override where its workers run: chan/gob workers talk
-	// to the coordinator value directly, the loopback HTTP transport hands
-	// out a client bound to its URL, and a remote coordinator returns nil —
-	// its workers attach from other processes.
-	ex.wtr = Transport(ex.tr)
-	ex.spawnLocal = true
+	// A transport may override what its workers talk through: chan/gob
+	// workers use the coordinator value directly, the loopback HTTP transport
+	// hands out a client bound to its URL.
+	ex.wtr = ex.tr
 	if d, ok := ex.tr.(workerHoster); ok {
-		if wt := d.LocalWorkerTransport(); wt != nil {
-			ex.wtr = wt
-		} else {
-			ex.spawnLocal = false
-		}
+		ex.wtr = d.LocalWorkerTransport()
 	}
-	if ex.spawnLocal {
-		for w := 0; w < k; w++ {
-			ex.spawnWorker(w)
-		}
+	for w := 0; w < k; w++ {
+		ex.spawnWorker(w)
 	}
 	ex.attrs = schema.Attrs()
 	ex.wireRules = rulesToWire(rs)
-	// Out-of-process workers get τ scaled for partition-local group sizes
-	// like local ones, but NOT the local CPU-split Parallelism — that was
-	// derived from this host's core count, while a remote worker should
-	// default to its own.
-	ex.wireOpts = coreOptsToWire(workerTauOpts(opts.Core, k))
 	ex.parts = make([]*partitionLease, k)
 	for p := range ex.parts {
 		ex.parts[p] = &partitionLease{slot: p}
@@ -282,12 +260,12 @@ const (
 	defaultSendTimeout       = 1 * time.Minute
 )
 
-// spawnWorker starts a local worker goroutine serving slot w.
+// spawnWorker starts a worker goroutine serving slot w.
 func (ex *Executor) spawnWorker(w int) {
 	ex.workerWG.Add(1)
 	go func() {
 		defer ex.workerWG.Done()
-		workerMain(ex.ctx, ex.wtr, w, ex.wopts, false)
+		workerMain(ex.ctx, ex.wtr, w, ex.wopts)
 	}()
 }
 
@@ -301,8 +279,6 @@ func (ex *Executor) initFor(p int) Init {
 		HeartbeatNS: int64(ex.hbInterval),
 		SchemaAttrs: ex.attrs,
 		Rules:       ex.wireRules,
-		Opts:        ex.wireOpts,
-		HasOpts:     true,
 	}
 }
 
@@ -319,13 +295,6 @@ func (ex *Executor) sendLease(p int, m Message) error {
 		m = msg
 	}
 	return ex.tr.ToWorkerDeadline(lease.slot, m, ex.sendTimeout)
-}
-
-// WorkersLost reports how many workers the run has declared dead and
-// re-dispatched so far. Safe to call concurrently with a run (the serving
-// layer polls it while a session cleans).
-func (ex *Executor) WorkersLost() int {
-	return int(ex.lost.Load())
 }
 
 // workerCoreOpts derives the per-worker pipeline options: τ scaled to
@@ -659,7 +628,6 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		}
 		merged = reducePieceWeights(per)
 	}
-	res.MergedWeights = index.CopySummaries(merged)
 	res.GatherTime += time.Since(t0)
 	for p := range ex.parts {
 		err := ex.sendLease(p, MergedWeights{Merged: merged})
@@ -707,8 +675,8 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		mWorkerStageI.ObserveDuration(res.WorkerStageITimes[w])
 		mWorkerStageII.ObserveDuration(res.WorkerStageIITimes[w])
 	}
-	res.WorkersLost = ex.WorkersLost()
-	res.RunID = ex.opts.RunID
+	res.WorkersLost = ex.lost
+	res.RunID = ex.opts.Core.RunID
 
 	// Gather (§6: "conflicts and duplicates are eliminated in the same way
 	// to stand-alone MLNClean"): run a global conflict resolution over the
@@ -782,12 +750,6 @@ func (ex *Executor) gatherReplies(ph gatherPhase, merged []index.PieceSummary, h
 			}
 			continue
 		}
-		if at, isAt := m.(WorkerAttached); isAt {
-			// A remote worker claimed this slot: start its silence clock, so
-			// a worker that dies before its first beacon is still detected.
-			ex.noteAttached(at.Worker)
-			continue
-		}
 		p, epoch, werr, isReply := replyLease(m)
 		if !isReply {
 			return fmt.Errorf("distributed: protocol: unexpected %T", m)
@@ -813,11 +775,11 @@ func (ex *Executor) gatherReplies(ph gatherPhase, merged []index.PieceSummary, h
 	return nil
 }
 
-// drainLiveness consumes buffered upward liveness traffic (heartbeats,
-// attach signals) without blocking. The gather loop is the upward queue's
-// only steady consumer, so a long ingest would otherwise saturate it —
-// blocking worker beacon goroutines and, on remote transports, the /send
-// handlers — right when a mid-ingest recovery may need the queue moving.
+// drainLiveness consumes buffered upward liveness traffic (heartbeats)
+// without blocking. The gather loop is the upward queue's only steady
+// consumer, so a long ingest would otherwise saturate it — blocking worker
+// beacon goroutines and, over HTTP, the /send handlers — right when a
+// mid-ingest recovery may need the queue moving.
 // Protocol replies cannot legally arrive before StartStageI; anything
 // unexpected is dropped here and the gather loop enforces the protocol.
 func (ex *Executor) drainLiveness() {
@@ -826,27 +788,11 @@ func (ex *Executor) drainLiveness() {
 		if err != nil {
 			return // empty (ErrTimeout) or closed — real errors surface later
 		}
-		switch msg := m.(type) {
-		case Heartbeat:
-			if msg.Partition >= 0 && msg.Partition < ex.k {
-				lease := ex.parts[msg.Partition]
-				if msg.Epoch == lease.epoch {
-					lease.noteAlive()
-				}
+		if hb, isHB := m.(Heartbeat); isHB && hb.Partition >= 0 && hb.Partition < ex.k {
+			lease := ex.parts[hb.Partition]
+			if hb.Epoch == lease.epoch {
+				lease.noteAlive()
 			}
-		case WorkerAttached:
-			ex.noteAttached(msg.Worker)
-		}
-	}
-}
-
-// noteAttached starts the silence clock of the lease held by a
-// just-claimed slot.
-func (ex *Executor) noteAttached(slot int) {
-	for _, lease := range ex.parts {
-		if lease.slot == slot && !lease.seen {
-			lease.lastSeen = time.Now()
-			lease.seen = true
 		}
 	}
 }
@@ -886,16 +832,11 @@ func (ex *Executor) noteHeartbeat(hb Heartbeat, ph gatherPhase, merged []index.P
 }
 
 // scanForDead re-dispatches every pending partition whose worker has been
-// silent past the timeout. With remotely attaching workers (nothing spawned
-// locally), a lease whose epoch never showed a sign of life is exempt: the
-// worker fleet may simply not have attached yet, and re-dispatching would
-// strand the only dispatched epoch on the slot a late worker will claim —
-// such a run blocks until workers appear, exactly as before the
-// fault-tolerance layer.
+// silent past the timeout.
 func (ex *Executor) scanForDead(ph gatherPhase, merged []index.PieceSummary, pending []bool) error {
 	now := time.Now()
 	for p, lease := range ex.parts {
-		if !pending[p] || (!lease.seen && !ex.spawnLocal) || now.Sub(lease.lastSeen) <= ex.workerTimeout {
+		if !pending[p] || now.Sub(lease.lastSeen) <= ex.workerTimeout {
 			continue
 		}
 		if err := ex.recoverPartition(p, ph, merged); err != nil {
@@ -914,24 +855,22 @@ func (ex *Executor) scanForDead(ph gatherPhase, merged []index.PieceSummary, pen
 // SkipWeightMerge — where the local learning must be reproduced instead).
 // The output stays byte-identical to a no-failure run either way.
 func (ex *Executor) recoverPartition(p int, ph gatherPhase, merged []index.PieceSummary) error {
-	if ex.WorkersLost() >= ex.maxRecoveries {
+	if ex.lost >= ex.maxRecoveries {
 		return fmt.Errorf("distributed: partition %d lost its worker with the recovery budget (%d) spent", p, ex.maxRecoveries)
 	}
 	slot, err := ex.tr.AddWorker()
 	if err != nil {
 		return ex.runErr(err)
 	}
-	ex.lost.Add(1)
+	ex.lost++
 	mLeaseReplays.Inc()
 	lease := ex.parts[p]
 	lease.slot, lease.epoch, lease.replies = slot, lease.epoch+1, 0
 	lease.lastSeen, lease.seen = time.Now(), false
 	slog.Warn("distributed: worker declared dead, re-leasing partition",
-		"run", ex.opts.RunID, "partition", p, "slot", slot, "epoch", lease.epoch,
-		"recoveries", ex.WorkersLost(), "budget", ex.maxRecoveries)
-	if ex.spawnLocal {
-		ex.spawnWorker(slot)
-	}
+		"run", ex.opts.Core.RunID, "partition", p, "slot", slot, "epoch", lease.epoch,
+		"recoveries", ex.lost, "budget", ex.maxRecoveries)
+	ex.spawnWorker(slot)
 	err = ex.replayPartition(p, ph, merged)
 	if errors.Is(err, ErrTimeout) && ex.workerTimeout > 0 {
 		// The replacement itself stopped draining mid-replay — another
@@ -942,10 +881,10 @@ func (ex *Executor) recoverPartition(p int, ph gatherPhase, merged []index.Piece
 	if err != nil {
 		return ex.runErr(err)
 	}
-	// The replay may have blocked long enough (up to SendTimeout waiting
-	// for a spare) for the other workers' beacons to pile up unread — the
-	// gather loop is the upward queue's consumer and it was here, not
-	// there. Give every live lease a fresh window so queued-but-unread
+	// The replay may have blocked long enough (up to SendTimeout per send)
+	// for the other workers' beacons to pile up unread — the gather loop is
+	// the upward queue's consumer and it was here, not there. Give every
+	// live lease a fresh window so queued-but-unread
 	// liveness is not misread as silence and cascaded into bogus
 	// recoveries; a genuinely dead peer just takes one extra timeout to
 	// catch.
@@ -959,11 +898,9 @@ func (ex *Executor) recoverPartition(p int, ph gatherPhase, merged []index.Piece
 }
 
 // replayPartition re-sends partition p's protocol history to its current
-// lease, up to the point phase ph has reached. The replay is bounded by the
-// send deadline: a remote recovery slot must be claimed (and drained) by a
-// spare within SendTimeout, or the replay fails — blocking indefinitely
-// here would stall failure detection for every other partition, so the
-// indefinite late-attach grace applies only to never-dispatched epochs.
+// lease, up to the point phase ph has reached. Every send is bounded by the
+// send deadline: blocking indefinitely here would stall failure detection
+// for every other partition.
 func (ex *Executor) replayPartition(p int, ph gatherPhase, merged []index.PieceSummary) error {
 	lease := ex.parts[p]
 	slot := lease.slot
@@ -1017,11 +954,11 @@ func (ex *Executor) runErr(err error) error {
 	return err
 }
 
-// workerHoster is implemented by transports that decide where their workers
-// live. LocalWorkerTransport returns the transport executor-spawned worker
-// goroutines must use (the loopback HTTP transport hands out a client bound
-// to its URL so every message really crosses the wire), or nil when the
-// workers attach from other processes and the executor must not spawn any.
+// workerHoster is implemented by transports whose workers do not talk
+// through the coordinator value. LocalWorkerTransport returns the transport
+// the executor's worker goroutines must use instead (the loopback HTTP
+// transport hands out a client bound to its URL so every message really
+// crosses the wire).
 type workerHoster interface {
 	LocalWorkerTransport() Transport
 }
@@ -1055,9 +992,8 @@ func (h *heartbeater) start(tr Transport, slot, partition, epoch int, interval t
 	quit := make(chan struct{})
 	h.quit = quit
 	go func() {
-		// Beacon immediately: the sooner the coordinator sees this lease
-		// alive, the narrower the window in which a crash reads as
-		// "never attached" rather than "died".
+		// Beacon immediately, so the coordinator sees this lease alive
+		// without waiting out the first interval.
 		tr.ToCoordinator(Heartbeat{Worker: slot, Partition: partition, Epoch: epoch})
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
@@ -1094,9 +1030,7 @@ func (h *heartbeater) stop() {
 // stage I on StartStageI, apply the merged weights and run stage II on
 // MergedWeights, then exit. Messages stamped with an epoch other than the
 // adopted lease's are discarded — they belong to a lease this incarnation
-// does not hold. With optsFromInit (out-of-process workers) the pipeline
-// options are reconstructed from the Init message instead of the opts
-// argument.
+// does not hold.
 //
 // Ingest is bounded: each TupleBatch is interned on arrival (the partition
 // table's values alias the dictionary's canonical strings, so the worker
@@ -1105,7 +1039,7 @@ func (h *heartbeater) stop() {
 // partition's batches in their original order onto a fresh incarnation, so
 // the incremental encoding — value IDs minted in row-major first-sight
 // order — is byte-identical across re-leases.
-func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, optsFromInit bool) {
+func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
 	var (
 		schema    *dataset.Schema
 		rs        []*rules.Rule
@@ -1134,9 +1068,6 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, opt
 			inited, partition, epoch = true, msg.Partition, msg.Epoch
 			schema, rs, senc, tb, ix, initErr, ingestErr = nil, nil, nil, nil, nil, nil, nil
 			stats = core.Stats{}
-			if optsFromInit && msg.HasOpts {
-				opts = coreOptsFromWire(msg.Opts)
-			}
 			slog.Debug("distributed: worker adopted lease",
 				"run", opts.RunID, "slot", w, "partition", partition, "epoch", epoch)
 			if s, err := dataset.NewSchema(msg.SchemaAttrs...); err != nil {
@@ -1150,6 +1081,10 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, opt
 			hb.start(tr, w, partition, epoch, time.Duration(msg.HeartbeatNS))
 		case TupleBatch:
 			if !inited || msg.Epoch != epoch || senc == nil || ingestErr != nil {
+				continue
+			}
+			if len(msg.IDs) != len(msg.Rows) {
+				ingestErr = fmt.Errorf("protocol: TupleBatch with %d IDs for %d rows", len(msg.IDs), len(msg.Rows))
 				continue
 			}
 			for i, row := range msg.Rows {

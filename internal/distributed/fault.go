@@ -186,17 +186,13 @@ func (t *faultTransport) AddWorker() (int, error) { return t.inner.AddWorker() }
 func (t *faultTransport) Close() error { return t.inner.Close() }
 
 // LocalWorkerTransport keeps the wrapper composable with worker-hosting
-// transports: fault-wrap whatever the inner transport hands its local
-// workers (sharing this transport's fault state), or nil when workers
-// attach remotely. Non-hosting transports (chan/gob) let their workers talk
-// through the coordinator value, i.e. this wrapper itself.
+// transports: fault-wrap whatever the inner transport hands its workers
+// (sharing this transport's fault state). Non-hosting transports (chan/gob)
+// let their workers talk through the coordinator value, i.e. this wrapper
+// itself.
 func (t *faultTransport) LocalWorkerTransport() Transport {
 	if h, ok := t.inner.(workerHoster); ok {
-		wt := h.LocalWorkerTransport()
-		if wt == nil {
-			return nil
-		}
-		return &faultTransport{inner: wt, st: t.st}
+		return &faultTransport{inner: h.LocalWorkerTransport(), st: t.st}
 	}
 	return t
 }

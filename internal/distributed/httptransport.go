@@ -3,35 +3,26 @@ package distributed
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"sync"
 	"time"
-
-	"mlnclean/internal/core"
 )
 
 // The HTTP transport moves the executor's messages over real HTTP on the
-// gob wire framing (EncodeMessage/DecodeMessage), making the distributed
-// executor genuinely distributable: workers long-poll the coordinator for
-// their inbox and POST replies back, so a worker may live in any process
-// that can reach the coordinator's listener.
+// gob wire framing (EncodeMessage/DecodeMessage): workers long-poll the
+// coordinator for their inbox and POST replies back. The coordinator binds
+// to loopback and the executor's worker goroutines each talk to it through
+// a real HTTP client, so every message crosses a socket — the
+// process-boundary proof the benchmark cross-checks (chan == gob == http).
 //
 // Coordinator endpoints:
 //
-//	POST /claim             → {"worker":w,"workers":k}; each id handed out once
 //	GET  /recv?worker=w     → next gob-framed message for worker w (long poll;
 //	                          410 Gone once the transport is closed)
 //	POST /send              → gob-framed worker reply (204)
-//
-// NewHTTPTransport (flag name "http") binds to loopback and spawns its
-// workers in-process, each talking to the coordinator through a real HTTP
-// client — every message crosses the wire, the serving default.
-// NewRemoteHTTPTransport binds to a chosen address and spawns nothing;
-// workers attach from other processes with ServeHTTPWorker (cmd/mlnworker).
 
 // httpTransport is the coordinator side: gob-framed per-worker inboxes plus
 // the shared upward queue, exposed over an HTTP listener.
@@ -44,124 +35,43 @@ type httpTransport struct {
 	srv *http.Server
 	url string
 
-	claimMu   sync.Mutex
-	nextClaim int
-
 	// redeliver holds, per worker slot, messages whose HTTP delivery failed
 	// mid-write (client dropped the long poll as the coordinator dequeued).
 	// They are served before the inbox channel so delivery order holds and
 	// a flaky connection cannot permanently lose a protocol message.
 	redeliverMu sync.Mutex
 	redeliver   map[int][][]byte
-
-	localWorkers bool
 }
 
-// NewHTTPTransport builds the loopback HTTP transport for k workers: the
-// coordinator listens on a random 127.0.0.1 port and the executor's locally
-// spawned workers connect back over real HTTP.
+// NewHTTPTransport builds the loopback HTTP transport (flag name "http") for
+// k workers: the coordinator listens on a random 127.0.0.1 port and the
+// executor's workers connect back over real HTTP.
 func NewHTTPTransport(workers int) Transport {
-	t, err := newHTTPTransport(workers, "127.0.0.1:0", true)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		// Match the TransportFactory signature: surface the listen failure
 		// through the first transport operation instead of panicking.
-		return &failedTransport{err: err}
-	}
-	return t
-}
-
-// NewRemoteHTTPTransport returns a factory for a coordinator listening on
-// addr whose workers attach from other processes via ServeHTTPWorker. The
-// executor spawns no local workers; the run blocks until k workers have
-// claimed slots and drained their inboxes.
-//
-// Fault model: transient connection failures heal (client retries + the
-// coordinator's redeliver queue); a permanently lost worker process is
-// detected by the executor's heartbeat timeout, which adds a fresh claimable
-// slot (AddWorker) and replays the dead worker's partition onto it — a spare
-// or reconnecting mlnworker picks the slot up and the run completes.
-func NewRemoteHTTPTransport(addr string) TransportFactory {
-	return func(workers int) Transport {
-		t, err := newHTTPTransport(workers, addr, false)
-		if err != nil {
-			return &failedTransport{err: err}
-		}
-		return t
-	}
-}
-
-func newHTTPTransport(workers int, addr string, localWorkers bool) (*httpTransport, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("distributed: http transport listen %s: %w", addr, err)
+		return &failedTransport{err: fmt.Errorf("distributed: http transport listen: %w", err)}
 	}
 	t := &httpTransport{
-		inboxes:      newInboxSet[[]byte](workers),
-		up:           make(chan []byte, 4*workers),
-		done:         make(chan struct{}),
-		url:          "http://" + ln.Addr().String(),
-		redeliver:    make(map[int][][]byte),
-		localWorkers: localWorkers,
+		inboxes:   newInboxSet[[]byte](workers),
+		up:        make(chan []byte, 4*workers),
+		done:      make(chan struct{}),
+		url:       "http://" + ln.Addr().String(),
+		redeliver: make(map[int][][]byte),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /claim", t.handleClaim)
 	mux.HandleFunc("GET /recv", t.handleRecv)
 	mux.HandleFunc("POST /send", t.handleSend)
 	t.srv = &http.Server{Handler: mux}
 	go t.srv.Serve(ln)
-	return t, nil
+	return t
 }
 
-// CoordinatorURL returns the base URL workers attach to.
-func (t *httpTransport) CoordinatorURL() string { return t.url }
-
-// LocalWorkerTransport implements workerHoster: loopback transports hand the
-// executor an HTTP client bound to their URL; remote transports return nil
-// so the executor spawns no workers.
+// LocalWorkerTransport implements workerHoster: the executor's workers get
+// an HTTP client bound to the coordinator's URL.
 func (t *httpTransport) LocalWorkerTransport() Transport {
-	if !t.localWorkers {
-		return nil
-	}
-	return NewHTTPWorkerTransport(t.url)
-}
-
-func (t *httpTransport) handleClaim(w http.ResponseWriter, r *http.Request) {
-	// The slot count is read under claimMu so a claim racing AddWorker (a
-	// recovery re-dispatch opening a slot) cannot see the pre-growth length
-	// and bounce a spare with a spurious conflict.
-	t.claimMu.Lock()
-	slots := t.inboxes.len()
-	id := t.nextClaim
-	if id < slots {
-		t.nextClaim++
-	}
-	t.claimMu.Unlock()
-	if id >= slots {
-		http.Error(w, "all worker slots claimed", http.StatusConflict)
-		return
-	}
-	// Tell the coordinator the slot is live before the worker even speaks:
-	// a claimed-then-crashed worker must be detectable by silence, while an
-	// unclaimed slot must never time out (the fleet may just be late). The
-	// handler must not block on a full upward queue (recovery depends on
-	// spares being able to claim at any moment), but the signal must not be
-	// lost either — a worker that dies before its first beacon would
-	// otherwise stay exempt from detection forever — so a full queue hands
-	// delivery to a goroutine that waits the congestion out.
-	if b, err := EncodeMessage(WorkerAttached{Worker: id}); err == nil {
-		select {
-		case t.up <- b:
-		default:
-			go func() {
-				select {
-				case t.up <- b:
-				case <-t.done:
-				}
-			}()
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"worker": id, "workers": slots})
+	return newHTTPWorkerTransport(t.url)
 }
 
 func (t *httpTransport) handleRecv(w http.ResponseWriter, r *http.Request) {
@@ -287,19 +197,12 @@ func (t *httpTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error
 	return DecodeMessage(b)
 }
 
-// AddWorker appends a fresh claimable slot: the next /claim hands it to a
-// spare or reconnecting worker process, which then drains the replayed
-// partition from its inbox. The growth happens under claimMu so a claim
-// racing it sees either the pre- or post-growth slot count consistently
-// (handleClaim reads the count under the same lock).
 func (t *httpTransport) AddWorker() (int, error) {
 	select {
 	case <-t.done:
 		return 0, errTransportClosed
 	default:
 	}
-	t.claimMu.Lock()
-	defer t.claimMu.Unlock()
 	return t.inboxes.add(), nil
 }
 
@@ -320,11 +223,11 @@ type httpWorkerTransport struct {
 	cancel context.CancelFunc
 }
 
-// NewHTTPWorkerTransport returns the worker-side transport for a coordinator
-// at base (e.g. "http://10.0.0.5:7701"). Long polls have no client timeout:
+// newHTTPWorkerTransport returns the worker-side transport for a coordinator
+// at base (e.g. "http://127.0.0.1:7701"). Long polls have no client timeout:
 // a worker may legitimately wait minutes for MergedWeights while the slowest
 // peer learns; Close aborts any in-flight request.
-func NewHTTPWorkerTransport(base string) Transport {
+func newHTTPWorkerTransport(base string) Transport {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &httpWorkerTransport{
 		base:   base,
@@ -418,35 +321,6 @@ func (t *httpWorkerTransport) Close() error {
 	t.cancel()
 	t.client.CloseIdleConnections()
 	return nil
-}
-
-// ServeHTTPWorker attaches one worker to the coordinator at base: it claims
-// the next free worker slot and runs the standard worker loop over HTTP,
-// reconstructing its pipeline options from the Init message. It returns when
-// the run completes, ctx is cancelled, or the coordinator goes away.
-func ServeHTTPWorker(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/claim", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("distributed: claim worker slot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("distributed: claim worker slot: %s", resp.Status)
-	}
-	var claim struct{ Worker, Workers int }
-	if err := json.NewDecoder(resp.Body).Decode(&claim); err != nil {
-		return fmt.Errorf("distributed: claim worker slot: %w", err)
-	}
-	tr := NewHTTPWorkerTransport(base)
-	defer tr.Close()
-	stop := context.AfterFunc(ctx, func() { tr.Close() })
-	defer stop()
-	workerMain(ctx, tr, claim.Worker, core.Options{}, true)
-	return ctx.Err()
 }
 
 // failedTransport reports a construction error through every operation, so

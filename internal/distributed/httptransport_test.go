@@ -1,9 +1,7 @@
 package distributed
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"mlnclean/internal/core"
 )
@@ -38,200 +36,5 @@ func TestHTTPTransportEquivalence(t *testing.T) {
 		if d := got.Repaired.Diff(again.Repaired); len(d) != 0 {
 			t.Errorf("k=%d: http output not deterministic: %d cells differ", k, len(d))
 		}
-	}
-}
-
-// TestHTTPTransportRemoteWorkers: a coordinator with no local workers is
-// driven entirely by workers that attach through ServeHTTPWorker — the
-// out-of-process deployment shape, here exercised from extra goroutines.
-// The attached workers reconstruct their pipeline options from the Init
-// message (optsFromInit), so this also covers the wire-options path.
-func TestHTTPTransportRemoteWorkers(t *testing.T) {
-	_, dirty, rs := equivalenceFixture(t)
-	const k = 2
-	opts := Options{Workers: k, Seed: 1, Core: core.Options{Tau: 2}}
-
-	ref, err := Clean(dirty, rs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var coordURL = make(chan string, 1)
-	opts.Transport = func(workers int) Transport {
-		tr := NewRemoteHTTPTransport("127.0.0.1:0")(workers)
-		coordURL <- tr.(*httpTransport).CoordinatorURL()
-		return tr
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type cleanOut struct {
-		res *Result
-		err error
-	}
-	done := make(chan cleanOut, 1)
-	go func() {
-		res, err := Clean(dirty, rs, opts)
-		done <- cleanOut{res, err}
-	}()
-
-	url := <-coordURL
-	for w := 0; w < k; w++ {
-		go ServeHTTPWorker(ctx, url)
-	}
-
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if d := out.res.Repaired.Diff(ref.Repaired); len(d) != 0 {
-		t.Errorf("remote-worker output differs from local: %d cells, first %+v", len(d), d[0])
-	}
-
-	// Claiming beyond k slots must be refused.
-	if err := ServeHTTPWorker(ctx, url); err == nil {
-		t.Error("claim after run completed should fail (transport closed or slots exhausted)")
-	}
-}
-
-// dropFirstSummaries swallows partition 0's first stage-I reply at the
-// coordinator boundary — a reply lost in flight from a worker that believes
-// it delivered. Only the coordinator goroutine touches the flag.
-type dropFirstSummaries struct {
-	Transport
-	dropped bool
-}
-
-func (t *dropFirstSummaries) CoordinatorRecvDeadline(d time.Duration) (Message, error) {
-	m, err := t.Transport.CoordinatorRecvDeadline(d)
-	if err != nil {
-		return m, err
-	}
-	if ws, ok := m.(WeightSummaries); ok && !t.dropped && ws.Partition == 0 && ws.Epoch == 0 {
-		t.dropped = true
-		return nil, ErrTimeout
-	}
-	return m, nil
-}
-
-// LocalWorkerTransport keeps the wrapped transport remote: the executor
-// must not spawn local workers for it.
-func (t *dropFirstSummaries) LocalWorkerTransport() Transport { return nil }
-
-// TestHTTPTransportRemoteWorkerRecovery: when a remote worker's stage-I
-// reply is lost, the heartbeat reply-count gap exposes it; the coordinator
-// opens a fresh claimable slot and replays the partition, and a spare
-// worker that keeps retrying /claim — the mlnworker -loop reconnect shape —
-// picks it up. The worker left holding the stale lease never receives
-// another message for it and drains out at close. The recovered output is
-// identical to an undisturbed local run.
-func TestHTTPTransportRemoteWorkerRecovery(t *testing.T) {
-	dirty, rs := chaosFixture(t)
-	const k = 2
-	base := chaosOpts(k)
-
-	ref, err := Clean(dirty, rs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := base
-	coordURL := make(chan string, 1)
-	opts.Transport = func(workers int) Transport {
-		tr := NewRemoteHTTPTransport("127.0.0.1:0")(workers)
-		coordURL <- tr.(*httpTransport).CoordinatorURL()
-		return &dropFirstSummaries{Transport: tr}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type cleanOut struct {
-		res *Result
-		err error
-	}
-	done := make(chan cleanOut, 1)
-	go func() {
-		res, err := Clean(dirty, rs, opts)
-		done <- cleanOut{res, err}
-	}()
-
-	// Three attach-loops for two primary slots: two serve the run, the
-	// third backs off on claim conflicts until the recovery slot opens.
-	url := <-coordURL
-	for i := 0; i < 3; i++ {
-		go func() {
-			for ctx.Err() == nil {
-				ServeHTTPWorker(ctx, url)
-				select {
-				case <-time.After(25 * time.Millisecond):
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if out.res.WorkersLost != 1 {
-		t.Fatalf("WorkersLost = %d, want exactly 1 (the lost stage-I reply)", out.res.WorkersLost)
-	}
-	if d := out.res.Repaired.Diff(ref.Repaired); len(d) != 0 {
-		t.Errorf("recovered remote run differs from local reference: %d cells, first %+v", len(d), d[0])
-	}
-}
-
-// TestHTTPTransportRemoteLateAttach: a remote fleet attaching well after
-// WorkerTimeout must not be declared dead — the silence clock for a
-// partition starts at its worker's first sign of life, so the run simply
-// blocks until the workers appear and then completes undisturbed.
-func TestHTTPTransportRemoteLateAttach(t *testing.T) {
-	dirty, rs := chaosFixture(t)
-	const k = 2
-	base := chaosOpts(k)
-	base.WorkerTimeout = 100 * time.Millisecond
-
-	ref, err := Clean(dirty, rs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts := base
-	coordURL := make(chan string, 1)
-	opts.Transport = func(workers int) Transport {
-		tr := NewRemoteHTTPTransport("127.0.0.1:0")(workers)
-		coordURL <- tr.(*httpTransport).CoordinatorURL()
-		return tr
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type cleanOut struct {
-		res *Result
-		err error
-	}
-	done := make(chan cleanOut, 1)
-	go func() {
-		res, err := Clean(dirty, rs, opts)
-		done <- cleanOut{res, err}
-	}()
-
-	url := <-coordURL
-	time.Sleep(4 * base.WorkerTimeout) // several timeouts elapse unattached
-	for w := 0; w < k; w++ {
-		go ServeHTTPWorker(ctx, url)
-	}
-
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if out.res.WorkersLost != 0 {
-		t.Fatalf("late-attaching fleet was declared dead: WorkersLost = %d", out.res.WorkersLost)
-	}
-	if d := out.res.Repaired.Diff(ref.Repaired); len(d) != 0 {
-		t.Errorf("late-attach run differs from local reference: %d cells, first %+v", len(d), d[0])
 	}
 }

@@ -13,7 +13,7 @@ import (
 // is free to marshal it across a process boundary — ChanTransport passes
 // values in-process, GobTransport additionally round-trips every message
 // through its gob wire framing, and HTTPTransport (httptransport.go) moves
-// the same framing over real HTTP so workers can run out of process.
+// the same framing over loopback HTTP.
 //
 // The deadlines and AddWorker are the fault-tolerance surface: the
 // coordinator bounds every send and gather receive so a dead worker cannot
@@ -92,12 +92,6 @@ func (s *inboxSet[T]) add() int {
 	defer s.mu.Unlock()
 	s.down = append(s.down, make(chan T, 64))
 	return len(s.down) - 1
-}
-
-func (s *inboxSet[T]) len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.down)
 }
 
 // sendInbox delivers v to ch honoring the transport's done channel and an

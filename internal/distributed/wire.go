@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"mlnclean/internal/core"
-	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
 	"mlnclean/internal/rules"
 )
@@ -39,11 +38,9 @@ import (
 // falsely-declared-dead worker's late replies are inert.
 type Message interface{ isMessage() }
 
-// Init bootstraps a worker with the table schema, the rule set, and (when
-// HasOpts) the serializable pipeline options the coordinator derived for its
-// workers. Locally spawned workers receive their options in-process and may
-// ignore the wire copy (which cannot carry custom Metric implementations or
-// a Trace); out-of-process workers reconstruct core.Options from it.
+// Init bootstraps a worker with the table schema and the rule set; the
+// pipeline options reach a worker in-process (core.Options carries a Metric
+// implementation and a Trace, which have no wire form).
 //
 // Partition and Epoch are the lease: Worker is the physical slot the message
 // routes to, Partition the logical partition the slot now owns, and Epoch
@@ -57,58 +54,6 @@ type Init struct {
 	HeartbeatNS int64
 	SchemaAttrs []string
 	Rules       []WireRule
-	Opts        WireCoreOptions
-	HasOpts     bool
-}
-
-// WireCoreOptions is the serializable subset of core.Options shipped to
-// out-of-process workers. Metric crosses as its ByName flag name; Trace does
-// not cross at all.
-type WireCoreOptions struct {
-	Tau                int
-	TauSet             bool
-	Metric             string
-	MergeCapRatio      float64
-	MaxFusionStates    int
-	MinimalityPrior    float64
-	MinimalityPriorSet bool
-	KeepDuplicates     bool
-	Parallelism        int
-	// RunID correlates worker-side log lines with the coordinator's run.
-	// Purely observational — decoding it as empty (older peers) is fine.
-	RunID string
-}
-
-// coreOptsToWire projects the serializable fields of o.
-func coreOptsToWire(o core.Options) WireCoreOptions {
-	return WireCoreOptions{
-		Tau:                o.Tau,
-		TauSet:             o.TauSet,
-		Metric:             distance.MetricName(o.Metric),
-		MergeCapRatio:      o.MergeCapRatio,
-		MaxFusionStates:    o.MaxFusionStates,
-		MinimalityPrior:    o.MinimalityPrior,
-		MinimalityPriorSet: o.MinimalityPriorSet,
-		KeepDuplicates:     o.KeepDuplicates,
-		Parallelism:        o.Parallelism,
-		RunID:              o.RunID,
-	}
-}
-
-// coreOptsFromWire reconstructs core.Options on an out-of-process worker.
-func coreOptsFromWire(w WireCoreOptions) core.Options {
-	return core.Options{
-		Tau:                w.Tau,
-		TauSet:             w.TauSet,
-		Metric:             distance.ByName(w.Metric),
-		MergeCapRatio:      w.MergeCapRatio,
-		MaxFusionStates:    w.MaxFusionStates,
-		MinimalityPrior:    w.MinimalityPrior,
-		MinimalityPriorSet: w.MinimalityPriorSet,
-		KeepDuplicates:     w.KeepDuplicates,
-		Parallelism:        w.Parallelism,
-		RunID:              w.RunID,
-	}
 }
 
 // TupleBatch ships one batch of partition tuples to a worker. IDs are the
@@ -179,15 +124,6 @@ type Heartbeat struct {
 	Sent      int
 }
 
-// WorkerAttached is an upward transport-level signal that slot Worker was
-// claimed by a remote worker process. It starts the slot's silence clock:
-// with remotely attaching workers the coordinator must not time out a slot
-// nobody has claimed yet (the fleet may just be late), but once claimed, a
-// worker that dies even before its first heartbeat must still be detected.
-type WorkerAttached struct {
-	Worker int
-}
-
 // WireFusionBlock is one rule's post-RSC pieces; block order matches the
 // rule order of Init.
 type WireFusionBlock struct {
@@ -224,7 +160,6 @@ func (WeightSummaries) isMessage() {}
 func (MergedWeights) isMessage()   {}
 func (FusionResult) isMessage()    {}
 func (Heartbeat) isMessage()       {}
-func (WorkerAttached) isMessage()  {}
 
 func init() {
 	gob.Register(Init{})
@@ -234,7 +169,6 @@ func init() {
 	gob.Register(MergedWeights{})
 	gob.Register(FusionResult{})
 	gob.Register(Heartbeat{})
-	gob.Register(WorkerAttached{})
 }
 
 // EncodeMessage frames a message for the wire. Serialized sizes feed the

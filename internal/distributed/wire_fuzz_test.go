@@ -1,8 +1,12 @@
 package distributed
 
 import (
+	"context"
+	"strings"
 	"testing"
+	"time"
 
+	"mlnclean/internal/core"
 	"mlnclean/internal/index"
 )
 
@@ -44,4 +48,41 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
 		}
 	})
+}
+
+// TestWorkerRejectsMismatchedBatch: a TupleBatch that decodes but carries
+// fewer IDs than rows must not take the worker down (FuzzDecodeMessage's
+// promise covers only the decoder): the worker records it as an ingest
+// error and answers StartStageI with it, so the run fails cleanly.
+func TestWorkerRejectsMismatchedBatch(t *testing.T) {
+	tr := NewChanTransport(1)
+	defer tr.Close()
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		workerMain(context.Background(), tr, 0, core.Options{})
+	}()
+	for _, m := range []Message{
+		Init{SchemaAttrs: []string{"A", "B"},
+			Rules: []WireRule{{ID: "r", Reason: []WirePattern{{Attr: "A"}}, Result: []WirePattern{{Attr: "B"}}}}},
+		TupleBatch{IDs: []int{1}, Rows: [][]string{{"x", "y"}, {"z", "w"}}},
+		StartStageI{},
+	} {
+		if err := tr.ToWorkerDeadline(0, m, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := tr.CoordinatorRecvDeadline(5 * time.Second)
+	if err != nil {
+		t.Fatalf("no reply from the worker: %v", err)
+	}
+	ws, ok := m.(WeightSummaries)
+	if !ok || !strings.Contains(ws.Err, "TupleBatch") {
+		t.Fatalf("reply = %#v, want WeightSummaries with a TupleBatch error", m)
+	}
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker still running after reporting its error")
+	}
 }

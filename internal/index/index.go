@@ -652,9 +652,8 @@ func (b *Block) appendSummaries(out []PieceSummary) []PieceSummary {
 }
 
 // CopySummaries returns an independent copy of a summary vector, including
-// each summary's Values slice. Holders of long-lived weight vectors
-// (Result.MergedWeights) copy on hand-off so later mutation by one party
-// cannot corrupt another's view.
+// each summary's Values slice: a vector handed to another goroutine is
+// copied so later mutation by one party cannot corrupt the other's view.
 func CopySummaries(ws []PieceSummary) []PieceSummary {
 	if ws == nil {
 		return nil
