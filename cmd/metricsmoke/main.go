@@ -40,7 +40,6 @@ var requiredPrefixes = []string{
 	"mlnserve_cleans_",
 	"mlnclean_core_",
 	"mlnclean_index_",
-	"mlnclean_plan_",
 	"mlnclean_wal_",
 	"mlnclean_mem_",
 }

@@ -45,7 +45,6 @@ type runConfig struct {
 	transport                string
 	batchSize                int
 	seed                     int64
-	showPlan                 bool
 }
 
 func main() {
@@ -61,7 +60,6 @@ func main() {
 	flag.StringVar(&cfg.transport, "transport", "chan", "distributed transport: chan|gob|http")
 	flag.IntVar(&cfg.batchSize, "batch", 1024, "tuples per distributed partition shipment")
 	flag.Int64Var(&cfg.seed, "seed", 1, "partition centroid seed (distributed only)")
-	flag.BoolVar(&cfg.showPlan, "show-plan", false, "print the rule planner's per-rule scan choices to stderr")
 	flag.Parse()
 	if cfg.input == "" || cfg.rulesPath == "" {
 		flag.Usage()
@@ -74,6 +72,10 @@ func main() {
 }
 
 func run(cfg runConfig) error {
+	metric, err := distance.ByName(cfg.metricName)
+	if err != nil {
+		return err
+	}
 	rf, err := os.Open(cfg.rulesPath)
 	if err != nil {
 		return err
@@ -85,7 +87,7 @@ func run(cfg runConfig) error {
 	}
 	coreOpts := core.Options{
 		Tau:            cfg.tau,
-		Metric:         distance.ByName(cfg.metricName),
+		Metric:         metric,
 		KeepDuplicates: cfg.keepDups,
 	}
 	start := time.Now()
@@ -117,7 +119,6 @@ func run(cfg runConfig) error {
 		}
 		clean = res.Clean
 		stats = res.Stats
-		printPlan(cfg, res.Plan)
 		if cfg.verbose {
 			fmt.Fprintf(os.Stderr, "distributed: %d workers (%s transport), parts=%v, wall=%v, modeled cluster=%v\n",
 				res.Workers, cfg.transport, res.PartSizes,
@@ -140,11 +141,6 @@ func run(cfg runConfig) error {
 		}
 		clean = res.Clean
 		stats = res.Stats
-		lines := make([]string, 0, len(res.Index.Plan().Choices()))
-		for _, c := range res.Index.Plan().Choices() {
-			lines = append(lines, c.String())
-		}
-		printPlan(cfg, lines)
 	}
 	if cfg.verbose {
 		fmt.Fprintf(os.Stderr, "cleaned %d tuples with %d rules in %v\n", stats.Tuples, len(rs), time.Since(start).Round(time.Millisecond))
@@ -156,15 +152,4 @@ func run(cfg runConfig) error {
 		return clean.WriteCSV(os.Stdout)
 	}
 	return clean.WriteCSVFile(cfg.output)
-}
-
-// printPlan dumps the rule planner's per-rule scan choices — why each rule's
-// evaluation was ordered the way it was — when asked for.
-func printPlan(cfg runConfig, lines []string) {
-	if !cfg.showPlan {
-		return
-	}
-	for _, l := range lines {
-		fmt.Fprintf(os.Stderr, "plan: %s\n", l)
-	}
 }

@@ -207,4 +207,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run(runConfig{input: input, rulesPath: badRules, tau: 1, metricName: "levenshtein", workers: 1}); err == nil {
 		t.Error("broken rules should fail")
 	}
+	// The metric name is checked before any file is read.
+	err := run(runConfig{input: input, rulesPath: badRules, tau: 1, metricName: "cosin", workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "levenshtein") || !strings.Contains(err.Error(), "cosine") {
+		t.Errorf("misspelled metric: err = %v, want an error naming levenshtein and cosine", err)
+	}
 }

@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"context"
 	"time"
 
 	"mlnclean/internal/core"
 	"mlnclean/internal/distributed"
 	"mlnclean/internal/eval"
-	"mlnclean/internal/index"
 )
 
 // The ablation experiments quantify the documented interpretation choices
@@ -119,69 +117,5 @@ func AblationWeightMerge(sc Scale) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"per-part weights are unreliable for fragmented groups (§6); Eq. 6 pools their support")
-	return r, nil
-}
-
-// AblationPlanner compares stage I (index construction + AGP, the phases
-// whose scan order the selectivity planner controls) over a planned and a
-// fixed-order index build, and prints the plan. That the two builds clean
-// identically is asserted by tests, not here (see the closing note).
-func AblationPlanner(sc Scale) (*Report, error) {
-	r := &Report{
-		Name:    "ablation-planner",
-		Title:   "Ablation: selectivity-driven rule planner (5% errors)",
-		Columns: []string{"dataset", "stage-I planned", "stage-I fixed", "plan"},
-	}
-	const reps = 3
-	for _, dsName := range []string{"car", "hai"} {
-		ds, err := sc.Generate(dsName)
-		if err != nil {
-			return nil, err
-		}
-		inj, err := injectFor(ds, sc, 0.05, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		// stageI returns the mean build+AGP time and the last build's index.
-		stageI := func(fixed bool) (time.Duration, *index.Index, error) {
-			opts := core.Options{Tau: ds.Tau}
-			var (
-				total time.Duration
-				ix    *index.Index
-			)
-			for i := 0; i < reps; i++ {
-				t0 := time.Now()
-				var err error
-				ix, err = index.BuildConfigured(inj.Dirty, ds.Rules, index.BuildConfig{FixedOrder: fixed})
-				if err != nil {
-					return 0, nil, err
-				}
-				var st core.Stats
-				if err := core.StageAGP(context.Background(), ix, opts, &st); err != nil {
-					return 0, nil, err
-				}
-				total += time.Since(t0)
-			}
-			return total / reps, ix, nil
-		}
-		planned, ix, err := stageI(false)
-		if err != nil {
-			return nil, err
-		}
-		fixed, _, err := stageI(true)
-		if err != nil {
-			return nil, err
-		}
-		scans := ""
-		for i, c := range ix.Plan().Choices() {
-			if i > 0 {
-				scans += " "
-			}
-			scans += c.Scan
-		}
-		r.AddRow(dsName, planned.Round(time.Millisecond).String(), fixed.Round(time.Millisecond).String(), scans)
-	}
-	r.Notes = append(r.Notes,
-		"planned == fixed-order is asserted by index.TestPlannedBuildEquivalence (block contents) and core.TestFusedStagedParity (repairs, Stats and traces end to end)")
 	return r, nil
 }

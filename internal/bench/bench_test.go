@@ -16,7 +16,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig14-car", "fig14-hai", "fig15-hai", "fig15-tpch",
 		"table5", "table6",
 		"ablation-minimality", "ablation-mergecap", "ablation-weightmerge",
-		"ablation-planner",
 	}
 	for _, name := range want {
 		if _, ok := Registry[name]; !ok {

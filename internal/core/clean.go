@@ -75,9 +75,6 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 	if err != nil {
 		return nil, err
 	}
-	// Record why the planner ordered evaluation the way it did; the CLI and
-	// /v1/stats surface these lines.
-	opts.Trace.SetPlan(ix.Plan().Choices())
 	mCleans.Inc()
 	mTuples.Add(int64(dirty.Len()))
 

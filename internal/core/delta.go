@@ -20,11 +20,10 @@ import (
 //     rule applies and on the row's projection onto the rule's attributes.
 //     A mutation dirties exactly the rules for which either changed; blocks
 //     of untouched rules are byte-identical and reused as-is.
-//   - Dirty blocks are rebuilt by the fixed-order single-block scan
-//     (index.BuildBlockFor — identical content to a full build, per the
-//     planner's order invariance) and re-cleaned by the same runBlock the
-//     batch drivers schedule (AGP → weight learning → RSC), so per-block
-//     results cannot drift from a from-scratch run.
+//   - Dirty blocks are rebuilt by the single-block scan (index.BuildBlockFor
+//     — the scan a full build runs, so identical content) and re-cleaned by
+//     the same runBlock the batch drivers schedule (AGP → weight learning →
+//     RSC), so per-block results cannot drift from a from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity + learned weight, both fixed-width) before and after
 //     the rebuild: a tuple whose versions are bit-identical fuses to the
@@ -264,7 +263,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 				d.encRows[pos] = d.encode(vals)
 			} else {
 				for ri, r := range d.rs {
-					if d.appliesVals(r, vals) {
+					if r.AppliesToValues(d.schema, vals) {
 						dirty[ri] = true
 					}
 				}
@@ -274,7 +273,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		case DeltaDelete:
 			old := d.tuples[pos].Values
 			for ri, r := range d.rs {
-				if d.appliesVals(r, old) {
+				if r.AppliesToValues(d.schema, old) {
 					dirty[ri] = true
 				}
 			}
@@ -487,32 +486,12 @@ func (d *DeltaCleaner) fuseOne(id int) {
 	d.fused[id] = &tupleState{tuple: t, row: d.fuser.fusedRow(d.encRows[pos], res), res: res}
 }
 
-// appliesVals mirrors rulePlan.appliesTo over display values: every rule
-// applies except a constant-bearing CFD none of whose constant patterns
-// match the row.
-func (d *DeltaCleaner) appliesVals(r *rules.Rule, vals []string) bool {
-	if r.Kind != rules.CFD {
-		return true
-	}
-	anyConst := false
-	for _, p := range r.Reason {
-		if p.Const == "" {
-			continue
-		}
-		anyConst = true
-		if vals[d.schema.MustIndex(p.Attr)] == p.Const {
-			return true
-		}
-	}
-	return !anyConst
-}
-
 // ruleDirtyOnUpdate reports whether replacing old with new changes rule r's
 // block: membership flipped, or a member's projection onto the rule's
 // attributes moved.
 func (d *DeltaCleaner) ruleDirtyOnUpdate(r *rules.Rule, ri int, old, new []string) bool {
-	oldIn := d.appliesVals(r, old)
-	newIn := d.appliesVals(r, new)
+	oldIn := r.AppliesToValues(d.schema, old)
+	newIn := r.AppliesToValues(d.schema, new)
 	if oldIn != newIn {
 		return true
 	}

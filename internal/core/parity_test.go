@@ -152,11 +152,15 @@ type parityGolden struct {
 // parityInputs builds one configuration's dirty table, rules and options; the
 // returned trace is the one the options record into.
 func parityInputs(cfg parityConfig) (*dataset.Table, []*rules.Rule, Options, *Trace) {
+	metric, err := distance.ByName(cfg.Metric)
+	if err != nil {
+		panic(err)
+	}
 	tr := &Trace{}
 	return parityTable(cfg), parityRules(parityCityPool[0]), Options{
 		Tau:    cfg.Tau,
 		TauSet: true,
-		Metric: distance.ByName(cfg.Metric),
+		Metric: metric,
 		Trace:  tr,
 	}, tr
 }

@@ -21,7 +21,7 @@ import (
 //
 //	CleanEncoded            iterator (lazy, rule order)   AGP|Learn|RSC
 //	StreamAGPLearn (worker) iterator                      AGP[|Learn]
-//	StageAGP/Learn/RSC      built index (planned order)   one phase each
+//	StageAGP/Learn/RSC      built index (rule order)      one phase each
 //	DeltaCleaner.cleanBlock one rebuilt block, no pool    AGP|Learn|RSC
 //
 // The distributed protocol (§6) differs from the solo one only by the Eq. 6
@@ -39,9 +39,10 @@ import (
 // dictionary's value table, which is append-complete before the first block
 // is built.
 //
-// Output does not depend on the driver: blocks are built in rule order
-// either way, the phases are block-independent, and cross-block evaluator
-// reuse only ever returns exact memoized distances (see distance.Pool).
+// Output does not depend on the driver: blocks are built and handed to the
+// pool in rule order either way, the phases are block-independent, and
+// cross-block evaluator reuse only ever returns exact memoized distances
+// (see distance.Pool).
 
 // phases is the set of per-block phases a driver asks runBlock for.
 type phases uint8
@@ -100,17 +101,16 @@ func runBlock(bi int, b *index.Block, ev *distance.Evaluator, opts Options, ph p
 // ok=false once exhausted. schedule calls it from one goroutine only.
 type blockSource func() (bi int, b *index.Block, ok bool)
 
-// builtBlocks is the source over an already-built index: its blocks in the
-// planned scheduling order (heaviest first), so the longest block never
-// starts last.
+// builtBlocks is the source over an already-built index: its blocks in rule
+// order, the order the iterator yields them in.
 func builtBlocks(ix *index.Index) blockSource {
-	order := ix.BlockOrder()
+	next := 0
 	return func() (int, *index.Block, bool) {
-		if len(order) == 0 {
+		if next == len(ix.Blocks) {
 			return 0, nil, false
 		}
-		bi := order[0]
-		order = order[1:]
+		bi := next
+		next++
 		return bi, ix.Blocks[bi], true
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"mlnclean/internal/plan"
-)
+import "sync"
 
 // Trace records the decisions of each pipeline phase so the component
 // accuracy metrics of §7.3 can be computed against ground truth by
@@ -12,9 +8,6 @@ import (
 // cleaner performs.
 type Trace struct {
 	mu sync.Mutex
-	// Plan records the selectivity planner's per-rule choices (scan shape,
-	// predicate order, and why) for the run's index build.
-	Plan []plan.Choice
 	// AGP lists every abnormal-group decision.
 	AGP []AGPMerge
 	// RSC lists every piece rewrite.
@@ -80,16 +73,6 @@ type CellChange struct {
 	Attr string
 	Old  string
 	New  string
-}
-
-// SetPlan records the planner's choices for the run.
-func (tr *Trace) SetPlan(cs []plan.Choice) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.Plan = cs
-	tr.mu.Unlock()
 }
 
 func (tr *Trace) addAGP(m AGPMerge) {

@@ -24,13 +24,11 @@ func Encode(tb *Table, dict *intern.Dict) *Encoded {
 	enc := &Encoded{Dict: dict, Rows: make([][]uint32, len(tb.Tuples))}
 	width := tb.Schema.Len()
 	flat := make([]uint32, len(tb.Tuples)*width) // one backing array, no per-row alloc
-	st := dict.Stats()
 	for i, t := range tb.Tuples {
 		row := flat[i*width : (i+1)*width : (i+1)*width]
 		for j, v := range t.Values {
 			row[j] = dict.Intern(v)
 		}
-		st.ObserveRow(row[:len(t.Values)])
 		enc.Rows[i] = row
 	}
 	return enc

@@ -143,15 +143,14 @@ const (
 
 // StreamEncoder builds a Table and its dictionary-encoded companion
 // incrementally, one row at a time. It replicates Encode exactly — value IDs
-// are assigned in row-major first-sight order and per-column statistics are
-// observed per row — so feeding the same rows yields a bit-identical
-// Encoded. Unlike ReadCSV+Encode, the raw strings are never duplicated: each
-// tuple's values alias the dictionary's canonical strings, so a table
-// ingested through the encoder holds one copy of every distinct value.
+// are assigned in row-major first-sight order — so feeding the same rows
+// yields a bit-identical Encoded. Unlike ReadCSV+Encode, the raw strings are
+// never duplicated: each tuple's values alias the dictionary's canonical
+// strings, so a table ingested through the encoder holds one copy of every
+// distinct value.
 type StreamEncoder struct {
 	schema *Schema
 	dict   *intern.Dict
-	st     *intern.Stats
 	tb     *Table
 	enc    *Encoded
 	// The current backing chunks, carved per row and exhausted together.
@@ -169,7 +168,6 @@ func NewStreamEncoder(schema *Schema, dict *intern.Dict) *StreamEncoder {
 	return &StreamEncoder{
 		schema: schema,
 		dict:   dict,
-		st:     dict.Stats(),
 		tb:     NewTable(schema),
 		enc:    &Encoded{Dict: dict},
 	}
@@ -205,7 +203,6 @@ func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
 		// The canonical interned string: identical bytes, shared backing.
 		vals[j] = se.dict.Value(vid)
 	}
-	se.st.ObserveRow(row)
 	t := &se.tuples[0]
 	se.tuples = se.tuples[1:]
 	t.ID, t.Values = id, vals

@@ -5,6 +5,7 @@
 package distance
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -183,14 +184,17 @@ func bigramVector(s string) ([]gram, float64) {
 	return gs, n2
 }
 
-// ByName returns the metric with the given name, defaulting to Levenshtein
-// for unknown names.
-func ByName(name string) Metric {
+// ByName returns the metric with the given name, case-insensitively; the
+// empty name means Levenshtein. Any other name is an error that lists the
+// valid ones.
+func ByName(name string) (Metric, error) {
 	switch strings.ToLower(name) {
+	case "", "levenshtein":
+		return Levenshtein{}, nil
 	case "cosine":
-		return Cosine{}
+		return Cosine{}, nil
 	default:
-		return Levenshtein{}
+		return nil, fmt.Errorf("distance: unknown metric %q (want levenshtein or cosine)", name)
 	}
 }
 

@@ -239,14 +239,27 @@ func TestCosineSingleRune(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if ByName("cosine").Name() != "cosine" {
-		t.Error("ByName(cosine)")
+	for name, want := range map[string]string{
+		"cosine":      "cosine",
+		"COSINE":      "cosine",
+		"levenshtein": "levenshtein",
+		"Levenshtein": "levenshtein",
+		"":            "levenshtein",
+	} {
+		m, err := ByName(name)
+		if err != nil || m.Name() != want {
+			t.Errorf("ByName(%q) = %v, %v; want %s", name, m, err, want)
+		}
 	}
-	if ByName("levenshtein").Name() != "levenshtein" {
-		t.Error("ByName(levenshtein)")
-	}
-	if ByName("unknown").Name() != "levenshtein" {
-		t.Error("unknown should default to levenshtein")
+	for _, name := range []string{"cosin", "unknown", "jaccard"} {
+		m, err := ByName(name)
+		if err == nil || m != nil {
+			t.Errorf("ByName(%q) = %v, %v; want an error", name, m, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "levenshtein") || !strings.Contains(msg, "cosine") {
+			t.Errorf("ByName(%q) error %q does not name the valid metrics", name, msg)
+		}
 	}
 }
 

@@ -94,11 +94,6 @@ type Result struct {
 	// stage-I/II work re-run, without changing the output (learning stats
 	// and timings may differ — a stage-II recovery skips re-learning).
 	WorkersLost int
-	// Plan lists the selectivity planner's per-rule choices as rendered
-	// plan-dump lines, derived coordinator-side from the gather dictionary's
-	// column statistics (the same greedy planner each worker applies to its
-	// partition).
-	Plan []string
 	// Stats aggregates the worker pipelines' stats.
 	Stats core.Stats
 	// RunID is the correlation tag the executor minted for the run; the

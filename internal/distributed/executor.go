@@ -19,7 +19,6 @@ import (
 	"mlnclean/internal/index"
 	"mlnclean/internal/intern"
 	"mlnclean/internal/obs"
-	"mlnclean/internal/plan"
 	"mlnclean/internal/rules"
 )
 
@@ -693,13 +692,6 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// The gather rows were interned at Submit; hand them to FSCR instead of
 	// re-encoding the whole accumulated dataset on the finish path.
 	res.Repaired, res.Clean, _ = core.StageII(dirty, ex.senc.Encoded(), blocks, ex.opts.Core, &res.Stats)
-	// Render the plan the run's statistics imply. The gather dictionary has
-	// observed every tuple by now (Submit observes at ingest; the batch
-	// path's gather FSCR re-encode observes the full table), so this is the
-	// whole-dataset view of the per-partition plans the workers derived.
-	for _, c := range plan.New(ex.rs, ex.schema, ex.dict).Choices() {
-		res.Plan = append(res.Plan, c.String())
-	}
 	res.GatherTime += time.Since(t0)
 	res.WallTime = time.Since(ex.createdAt)
 	ok = true

@@ -18,7 +18,6 @@ import (
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/intern"
 	"mlnclean/internal/obs"
-	"mlnclean/internal/plan"
 	"mlnclean/internal/rules"
 )
 
@@ -248,25 +247,29 @@ type Index struct {
 	Blocks []*Block
 	table  *dataset.Table
 	enc    *dataset.Encoded
-	plan   *plan.Plan
 }
 
-// Plan returns the evaluation plan the index was built under, or nil when
-// the planner was disabled (BuildConfig.FixedOrder).
-func (ix *Index) Plan() *plan.Plan { return ix.plan }
+// ScanChoice reports how one block was built. Scan is always "full-scan":
+// every block is one pass over all rows.
+type ScanChoice struct {
+	RuleID string
+	Scan   string
+}
 
-// BlockOrder returns the stage-I scheduling order of the blocks: descending
-// estimated cost (longest-processing-time-first) when a plan exists, block
-// order otherwise.
-func (ix *Index) BlockOrder() []int {
-	if ix.plan != nil && len(ix.plan.Rules) == len(ix.Blocks) {
-		return ix.plan.BlockOrder()
+type scanReport []ScanChoice
+
+// Choices returns the report's entries, one per block in rule order.
+func (r scanReport) Choices() []ScanChoice { return r }
+
+// Plan reports one full-scan choice per block built so far, in rule order.
+// It exists only for the benchmark adapter's plan.full_scan_rules count;
+// dropping that read (ROADMAP item 9c) deletes it and ScanChoice.
+func (ix *Index) Plan() scanReport {
+	r := make(scanReport, len(ix.Blocks))
+	for i, b := range ix.Blocks {
+		r[i] = ScanChoice{RuleID: b.Rule.ID, Scan: "full-scan"}
 	}
-	order := make([]int, len(ix.Blocks))
-	for i := range order {
-		order[i] = i
-	}
-	return order
+	return r
 }
 
 // Table returns the dirty table the index was built over.
@@ -326,26 +329,17 @@ func (pl *rulePlan) appliesTo(row []uint32) bool {
 
 // BuildConfig parameterizes index construction.
 type BuildConfig struct {
-	// Dict is the dictionary to encode into (nil for a fresh one).
-	Dict *intern.Dict
-	// FixedOrder disables the selectivity planner: every block is built by
-	// the fixed-order row scan and Index.Plan() returns nil. A planned build
-	// produces an identical index — selectivity changes evaluation order,
-	// never outcome — so this exists for comparison benchmarks and as an
-	// escape hatch.
-	FixedOrder bool
 	// Encoded supplies a pre-encoded companion of the table (streaming
 	// ingest encodes during CSV parsing). It must be row-aligned with the
-	// table and is adopted as the index's encoding; Dict is ignored in its
-	// favor. Nil means the table is encoded here.
+	// table and is adopted as the index's encoding. Nil means the table is
+	// encoded here, into a fresh dictionary.
 	Encoded *dataset.Encoded
 }
 
 // Build constructs the MLN index over the table for the rule set: one block
 // per rule (O(|B|·|T|), §4), one group per distinct reason key, one piece
 // per distinct reason+result combination. The table is dictionary-encoded
-// into a fresh dictionary first. Blocks are scanned under the selectivity
-// plan derived from the encode-time column statistics (internal/plan).
+// into a fresh dictionary first, and each block is one pass over all rows.
 func Build(tb *dataset.Table, rs []*rules.Rule) (*Index, error) {
 	return BuildConfigured(tb, rs, BuildConfig{})
 }
@@ -365,133 +359,54 @@ func BuildConfigured(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Ind
 	}
 }
 
-// BuildBlockFor rebuilds one rule's block over the table by the fixed-order
-// row scan, without constructing a full Index. The incremental delta engine
-// uses it to re-derive only the blocks a mutation dirtied. enc must be
-// row-aligned with tb and the block is encoded into enc's dictionary; the
-// resulting block is identical to the one a full build (planned or not)
-// produces over the same table, per the planner's order-invariance.
+// BuildBlockFor builds one rule's block over the table in one pass over the
+// rows: groups in first-sight order, pieces in first-sight order within their
+// group, tuple lists in row order. enc must be row-aligned with tb and the
+// block is encoded into enc's dictionary. A BlockIterator builds every block
+// this way; the incremental delta engine calls it directly to re-derive only
+// the blocks a mutation dirtied.
 func BuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Block {
-	return buildBlock(tb, enc, enc.Dict, r, nil, nil)
-}
-
-// buildBlock constructs one rule's block under its plan choice. Whatever the
-// scan shape, the resulting block is identical to the fixed-order scan's:
-// group and piece identities are minted from declared-order folds, tuple
-// lists stay ascending in scan position, and the pivot-join path restores
-// first-sight group order afterwards.
-func buildBlock(tb *dataset.Table, enc *dataset.Encoded, d *intern.Dict, r *rules.Rule, choice *plan.RulePlan, post *postings) *Block {
-	bb := &blockBuilder{
-		b:    &Block{Rule: r},
-		tb:   tb,
-		enc:  enc,
-		d:    d,
-		pl:   planRule(r, tb.Schema, d),
-		gMap: make(map[uint32]*Group),
-		// Pieces are probed on (reason fold, result fold): for the common
-		// single-reason/single-result rule shape that is one map access per
-		// tuple with zero sequence-node minting; the dictionary-global
-		// sequence keys are minted only when a piece is first seen.
-		pMap: make(map[[2]uint32]*Piece, len(tb.Tuples)/4+8),
-	}
-	scan := plan.FullScan
-	if choice != nil {
-		scan = choice.Scan
-	}
-	switch scan {
-	case plan.PostingUnion:
-		// Candidate rows are exactly the rows appliesTo accepts (the union
-		// of constant-ID posting lists), ascending, so the filter is skipped.
-		for _, ti := range post.union(choice.ConstPos, choice.ConstIDs) {
-			bb.add(int(ti), false)
+	b := &Block{Rule: r}
+	d := enc.Dict
+	pl := planRule(r, tb.Schema, d)
+	gMap := make(map[uint32]*Group)
+	// Pieces are probed on (reason fold, result fold): for the common
+	// single-reason/single-result rule shape that is one map access per
+	// tuple with zero sequence-node minting; the dictionary-global sequence
+	// keys are minted only when a piece is first seen.
+	pMap := make(map[[2]uint32]*Piece, len(tb.Tuples)/4+8)
+	for ti, t := range tb.Tuples {
+		row := enc.Rows[ti]
+		if !pl.appliesTo(row) {
+			continue
 		}
-	case plan.PivotJoin:
-		// Visit rows one pivot posting list at a time. All rows of a group
-		// share the pivot value, so each group lives inside one list; a
-		// singleton list is a complete group and skips every map probe.
-		// PivotJoin is only planned for constant-free rules, so appliesTo
-		// always holds.
-		c := post.column(choice.Pivot)
-		for _, vid := range c.order {
-			if list := c.rows[vid]; len(list) == 1 {
-				bb.addSingleton(int(list[0]))
-			} else {
-				for _, ti := range list {
-					bb.add(int(ti), false)
-				}
-			}
+		gk := row[pl.reasonPos[0]]
+		for _, pos := range pl.reasonPos[1:] {
+			gk = d.Fold(gk, row[pos])
 		}
-		bb.restoreFirstSightOrder()
-	default:
-		for ti := range tb.Tuples {
-			bb.add(ti, true)
+		rk := row[pl.resultPos[0]]
+		for _, pos := range pl.resultPos[1:] {
+			rk = d.Fold(rk, row[pos])
 		}
-	}
-	return bb.b
-}
-
-// blockBuilder accumulates one block during a (possibly planned) scan.
-type blockBuilder struct {
-	b      *Block
-	tb     *dataset.Table
-	enc    *dataset.Encoded
-	d      *intern.Dict
-	pl     rulePlan
-	gMap   map[uint32]*Group
-	pMap   map[[2]uint32]*Piece
-	firsts []int // scan position each group was first seen at, aligned with b.Groups
-}
-
-// add folds row ti into the block, creating its piece/group on first sight.
-func (bb *blockBuilder) add(ti int, checkApplies bool) {
-	row := bb.enc.Rows[ti]
-	pl, d := &bb.pl, bb.d
-	if checkApplies && !pl.appliesTo(row) {
-		return
-	}
-	gk := row[pl.reasonPos[0]]
-	for _, pos := range pl.reasonPos[1:] {
-		gk = d.Fold(gk, row[pos])
-	}
-	rk := row[pl.resultPos[0]]
-	for _, pos := range pl.resultPos[1:] {
-		rk = d.Fold(rk, row[pos])
-	}
-	p, ok := bb.pMap[[2]uint32{gk, rk}]
-	if !ok {
-		p = bb.newPiece(row, gk)
-		bb.pMap[[2]uint32{gk, rk}] = p
-		g, ok := bb.gMap[gk]
+		p, ok := pMap[[2]uint32{gk, rk}]
 		if !ok {
-			g = &Group{Key: dataset.JoinKey(p.Reason()), id: gk}
-			bb.gMap[gk] = g
-			bb.b.Groups = append(bb.b.Groups, g)
-			bb.firsts = append(bb.firsts, ti)
+			p = pl.newPiece(r, d, row, gk)
+			pMap[[2]uint32{gk, rk}] = p
+			g, ok := gMap[gk]
+			if !ok {
+				g = &Group{Key: dataset.JoinKey(p.Reason()), id: gk}
+				gMap[gk] = g
+				b.Groups = append(b.Groups, g)
+			}
+			g.Pieces = append(g.Pieces, p)
 		}
-		g.Pieces = append(g.Pieces, p)
+		p.TupleIDs = append(p.TupleIDs, t.ID)
 	}
-	p.TupleIDs = append(p.TupleIDs, bb.tb.Tuples[ti].ID)
+	return b
 }
 
-// addSingleton folds a row that is alone in its pivot posting list: its
-// group and piece cannot recur, so both are constructed directly without
-// touching the probe maps (or minting the result-only fold).
-func (bb *blockBuilder) addSingleton(ti int) {
-	row := bb.enc.Rows[ti]
-	pl, d := &bb.pl, bb.d
-	gk := row[pl.reasonPos[0]]
-	for _, pos := range pl.reasonPos[1:] {
-		gk = d.Fold(gk, row[pos])
-	}
-	p := bb.newPiece(row, gk)
-	p.TupleIDs = []int{bb.tb.Tuples[ti].ID}
-	g := &Group{Key: dataset.JoinKey(p.Reason()), id: gk, Pieces: []*Piece{p}}
-	bb.b.Groups = append(bb.b.Groups, g)
-	bb.firsts = append(bb.firsts, ti)
-}
-
-func (bb *blockBuilder) newPiece(row []uint32, gk uint32) *Piece {
-	pl := &bb.pl
+// newPiece mints the piece of an encoded row whose reason fold is gk.
+func (pl *rulePlan) newPiece(r *rules.Rule, d *intern.Dict, row []uint32, gk uint32) *Piece {
 	nReason := len(pl.reasonPos)
 	ids := make([]uint32, 0, nReason+len(pl.resultPos))
 	for _, pos := range pl.reasonPos {
@@ -500,89 +415,7 @@ func (bb *blockBuilder) newPiece(row []uint32, gk uint32) *Piece {
 	for _, pos := range pl.resultPos {
 		ids = append(ids, row[pos])
 	}
-	return &Piece{Rule: bb.b.Rule, dict: bb.d, ids: ids, nReason: nReason, kid: bb.d.Extend(gk, ids[nReason:])}
-}
-
-// restoreFirstSightOrder re-sorts the block's groups into the order a
-// fixed-order scan would have created them (ascending first-seen row). Each
-// row belongs to exactly one group per rule, so first-seen positions are
-// unique and the order is total. Pieces within a group never need fixing:
-// a group's rows all live in one pivot list, which is scanned ascending.
-func (bb *blockBuilder) restoreFirstSightOrder() {
-	order := make([]int, len(bb.b.Groups))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return bb.firsts[order[a]] < bb.firsts[order[b]] })
-	sorted := make([]*Group, len(order))
-	for i, j := range order {
-		sorted[i] = bb.b.Groups[j]
-	}
-	bb.b.Groups = sorted
-}
-
-// postings lazily materializes per-column posting lists over the encoded
-// rows: for each value ID of a column, the ascending row positions holding
-// it, plus the IDs in first-sight order. Built once per column per Build
-// call and shared by every rule that scans via postings.
-type postings struct {
-	enc  *dataset.Encoded
-	cols []*colPostings
-}
-
-type colPostings struct {
-	order []uint32 // value IDs in first-sight row order
-	rows  map[uint32][]int32
-}
-
-func (ps *postings) column(pos int) *colPostings {
-	if c := ps.cols[pos]; c != nil {
-		return c
-	}
-	c := &colPostings{rows: make(map[uint32][]int32)}
-	for ti, row := range ps.enc.Rows {
-		id := row[pos]
-		list, ok := c.rows[id]
-		if !ok {
-			c.order = append(c.order, id)
-		}
-		c.rows[id] = append(list, int32(ti))
-	}
-	ps.cols[pos] = c
-	return c
-}
-
-// union returns the ascending, deduplicated union of the posting lists for
-// the given (column, value ID) pairs.
-func (ps *postings) union(poss []int, ids []uint32) []int32 {
-	var lists [][]int32
-	for i, pos := range poss {
-		if list := ps.column(pos).rows[ids[i]]; len(list) > 0 {
-			lists = append(lists, list)
-		}
-	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]int32, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	dedup := out[:1]
-	for _, v := range out[1:] {
-		if v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	return &Piece{Rule: r, dict: d, ids: ids, nReason: nReason, kid: d.Extend(gk, ids[nReason:])}
 }
 
 // Assignments maps every covered tuple ID to its current group, per block.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,90 @@ func sampleRules(t *testing.T) []*rules.Rule {
 		"DC: not(PN(t)=PN(t') and ST(t)!=ST(t'))",
 		"CFD: HN=ELIZA, CT=BOAZ -> PN=2567688400",
 	)
+}
+
+// dumpIndex renders an index's observable structure — block, group, and
+// piece order, decoded identities, and supporting tuples — so two builds
+// can be compared byte-for-byte. The raw hash-consed IDs are deliberately
+// omitted: they are minted in first-encounter order across the dictionary,
+// while everything the pipeline's output depends on (decoded values,
+// group/piece order, tuple membership) must match.
+func dumpIndex(ix *Index) string {
+	var sb strings.Builder
+	for bi, b := range ix.Blocks {
+		fmt.Fprintf(&sb, "block %d rule %s\n", bi, b.Rule.ID)
+		for gi, g := range b.Groups {
+			fmt.Fprintf(&sb, "  group %d key=%q\n", gi, g.Key)
+			for pi, p := range g.Pieces {
+				fmt.Fprintf(&sb, "    piece %d key=%q tuples=%v\n", pi, p.Key(), p.TupleIDs)
+			}
+		}
+	}
+	return sb.String()
+}
+
+// plannedRules mixes the rule shapes a build meets: a multi-attribute FD
+// over a near-unique attribute, a CFD with a rare constant, and a
+// single-attribute FD.
+func plannedRules(t *testing.T) []*rules.Rule {
+	t.Helper()
+	return rules.MustParseStrings(
+		"FD: CT, PN -> ST",
+		"CFD: HN=ELIZA, CT -> PN",
+		"FD: CT -> ST",
+	)
+}
+
+// plannedTable generates a table for plannedRules: PN is near-unique, CT has
+// a handful of values, HN=ELIZA is rare.
+func plannedTable(t *testing.T) *dataset.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	tb := dataset.NewTable(dataset.MustSchema("HN", "CT", "ST", "PN"))
+	cities := []string{"DOTHAN", "BOAZ", "MOBILE", "AUBURN"}
+	for i := 0; i < 120; i++ {
+		hn := "OTHER"
+		if i%40 == 0 {
+			hn = "ELIZA"
+		}
+		ct := cities[rng.Intn(len(cities))]
+		st := "AL"
+		if rng.Intn(10) == 0 {
+			st = "AK"
+		}
+		pn := fmt.Sprintf("33479%05d", rng.Intn(90)) // duplicates exist
+		tb.MustAppend(hn, ct, st, pn)
+	}
+	return tb
+}
+
+// TestPlanReportsFullScan: every block is one pass over all rows, and Plan
+// says so — one full-scan choice per rule, in rule order, whether the index
+// came from BuildConfigured or a drained iterator — the rare CFD constant
+// included, the one rule where a narrower scan looks tempting.
+func TestPlanReportsFullScan(t *testing.T) {
+	rs := plannedRules(t)
+	built, err := BuildConfigured(plannedTable(t), rs, BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := NewBlockIterator(plannedTable(t), rs, BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+	}
+	for name, ix := range map[string]*Index{"built": built, "iterated": it.Index()} {
+		cs := ix.Plan().Choices()
+		if len(cs) != len(rs) {
+			t.Fatalf("%s: %d choices, want one per rule (%d)", name, len(cs), len(rs))
+		}
+		for i, c := range cs {
+			if c.RuleID != rs[i].ID || c.Scan != "full-scan" {
+				t.Errorf("%s: choice %d = {%s %s}, want {%s full-scan}", name, i, c.RuleID, c.Scan, rs[i].ID)
+			}
+		}
+	}
 }
 
 func TestBuildShape(t *testing.T) {

@@ -4,86 +4,45 @@ import (
 	"testing"
 
 	"mlnclean/internal/dataset"
-	"mlnclean/internal/plan"
 )
 
 // TestIteratorMatchesBuild: draining a BlockIterator yields byte-for-byte
-// the index BuildConfigured produces, planned and fixed-order alike.
+// the index BuildConfigured produces.
 func TestIteratorMatchesBuild(t *testing.T) {
 	rs := plannedRules(t)
-	for _, cfg := range []BuildConfig{{}, {FixedOrder: true}} {
-		built, err := BuildConfigured(plannedTable(t), rs, cfg)
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		it, err := NewBlockIterator(plannedTable(t), rs, cfg)
-		if err != nil {
-			t.Fatalf("iterator: %v", err)
-		}
-		if it.Len() != len(rs) {
-			t.Fatalf("Len = %d, want %d", it.Len(), len(rs))
-		}
-		n := 0
-		for {
-			bi, b, ok := it.Next()
-			if !ok {
-				break
-			}
-			if bi != n {
-				t.Fatalf("block index %d out of order (want %d)", bi, n)
-			}
-			if b.Rule.ID != rs[n].ID {
-				t.Fatalf("block %d rule %s, want %s", bi, b.Rule.ID, rs[n].ID)
-			}
-			n++
-		}
-		if n != len(rs) {
-			t.Fatalf("iterator yielded %d blocks, want %d", n, len(rs))
-		}
-		if _, _, ok := it.Next(); ok {
-			t.Fatal("Next after exhaustion must report done")
-		}
-		if di, db := dumpIndex(it.Index()), dumpIndex(built); di != db {
-			t.Errorf("iterated index differs from built (FixedOrder=%v):\n--- built ---\n%s--- iterated ---\n%s",
-				cfg.FixedOrder, db, di)
-		}
+	built, err := BuildConfigured(plannedTable(t), rs, BuildConfig{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
 	}
-}
-
-// TestIteratorReleasesPostings: once no remaining rule scans a column via
-// postings, its list is dropped — the pushdown scan state shrinks as blocks
-// are yielded instead of persisting until the last rule.
-func TestIteratorReleasesPostings(t *testing.T) {
-	rs := plannedRules(t)
 	it, err := NewBlockIterator(plannedTable(t), rs, BuildConfig{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("iterator: %v", err)
 	}
-	p := it.Index().Plan()
-	if p == nil {
-		t.Fatal("planned iterator must carry a plan")
+	if it.Len() != len(rs) {
+		t.Fatalf("Len = %d, want %d", it.Len(), len(rs))
 	}
-	// plannedRules plan: rule 0 pivot-joins, rule 1 posting-unions, rule 2
-	// full-scans — so after rule 1 every posting list must be gone.
-	if p.Rules[0].Scan != plan.PivotJoin || p.Rules[1].Scan != plan.PostingUnion {
-		t.Skipf("plan shapes changed (%v, %v); release assertion not applicable",
-			p.Rules[0].Scan, p.Rules[1].Scan)
-	}
-	it.Next() // rule 0: builds + releases the pivot column
-	for pos, c := range it.post.cols {
-		if c != nil && it.colUses[pos] <= 0 {
-			t.Errorf("column %d postings retained with no remaining uses", pos)
+	n := 0
+	for {
+		bi, b, ok := it.Next()
+		if !ok {
+			break
 		}
-	}
-	it.Next() // rule 1: releases the constant columns
-	for pos, c := range it.post.cols {
-		if c != nil {
-			t.Errorf("column %d postings retained after the last postings-scanning rule", pos)
+		if bi != n {
+			t.Fatalf("block index %d out of order (want %d)", bi, n)
 		}
+		if b.Rule.ID != rs[n].ID {
+			t.Fatalf("block %d rule %s, want %s", bi, b.Rule.ID, rs[n].ID)
+		}
+		n++
 	}
-	it.Next()
+	if n != len(rs) {
+		t.Fatalf("iterator yielded %d blocks, want %d", n, len(rs))
+	}
 	if _, _, ok := it.Next(); ok {
-		t.Fatal("iterator should be exhausted")
+		t.Fatal("Next after exhaustion must report done")
+	}
+	if di, db := dumpIndex(it.Index()), dumpIndex(built); di != db {
+		t.Errorf("iterated index differs from built:\n--- built ---\n%s--- iterated ---\n%s", db, di)
 	}
 }
 

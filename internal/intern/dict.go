@@ -8,11 +8,6 @@
 // separator-collision class that plagues dataset.JoinKey (values containing
 // the 0x1f byte).
 //
-// The dictionary also accumulates per-column statistics (Stats) as rows are
-// encoded — cell counts, distinct-ID cardinality, and exact per-ID
-// frequencies — which the rule planner (internal/plan) ranks predicates by,
-// so selectivity planning needs no separate stats-collection pass.
-//
 // A Dict is NOT safe for concurrent mutation. The pipeline confines writes
 // to serial phases (table encoding, index construction, wire-piece
 // interning); the parallel stage-I/II loops only read.
@@ -29,24 +24,11 @@ type Dict struct {
 	ids   map[string]uint32
 	vals  []string
 	pairs map[[2]uint32]uint32
-	stats *Stats
 }
 
 // NewDict creates an empty dictionary.
 func NewDict() *Dict {
 	return &Dict{ids: make(map[string]uint32), pairs: make(map[[2]uint32]uint32)}
-}
-
-// Stats returns the dictionary's column-statistics accumulator (created on
-// first use). dataset.Encode observes every cell it interns, so by the time
-// an index is built the accumulator holds the exact per-column cardinalities
-// and value frequencies of the encoded tables. Writes follow the Dict's
-// confinement rules; the parallel stages only read.
-func (d *Dict) Stats() *Stats {
-	if d.stats == nil {
-		d.stats = &Stats{}
-	}
-	return d.stats
 }
 
 // Len returns the number of distinct values interned.

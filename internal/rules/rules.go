@@ -170,6 +170,11 @@ func (r *Rule) Attrs() []string {
 //     because it matches the HN constant, while t1/t2 (HN=ALABAMA) do not
 //     match any constant and are excluded.
 func (r *Rule) AppliesTo(tb *dataset.Table, t *dataset.Tuple) bool {
+	return r.AppliesToValues(tb.Schema, t.Values)
+}
+
+// AppliesToValues is AppliesTo over one row's values in schema order.
+func (r *Rule) AppliesToValues(schema *dataset.Schema, vals []string) bool {
 	if r.Kind != CFD {
 		return true
 	}
@@ -179,7 +184,7 @@ func (r *Rule) AppliesTo(tb *dataset.Table, t *dataset.Tuple) bool {
 			continue
 		}
 		anyConst = true
-		if tb.Cell(t, p.Attr) == p.Const {
+		if vals[schema.MustIndex(p.Attr)] == p.Const {
 			return true
 		}
 	}

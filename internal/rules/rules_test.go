@@ -86,6 +86,25 @@ func TestCFDAppliesTo(t *testing.T) {
 	if !varCFD.AppliesTo(tb, tb.Tuples[2]) {
 		t.Error("variable-only CFD should apply to all tuples")
 	}
+	// The value form agrees with AppliesTo on every rule and row, and reads
+	// only the slice it is given.
+	for _, r := range []*Rule{cfd, fd, varCFD} {
+		for i, tp := range tb.Tuples {
+			vals := append([]string(nil), tp.Values...)
+			if got, want := r.AppliesToValues(tb.Schema, vals), r.AppliesTo(tb, tp); got != want {
+				t.Errorf("rule %s row %d: AppliesToValues = %v, AppliesTo = %v", r.ID, i, got, want)
+			}
+		}
+	}
+	acura := append([]string(nil), tb.Tuples[2].Values...)
+	acura[tb.Schema.MustIndex("Make")] = "acura"
+	if !cfd.AppliesToValues(tb.Schema, acura) {
+		t.Error("a row rewritten to Make=acura should be in the CFD block")
+	}
+	acura[tb.Schema.MustIndex("Make")] = "Acura"
+	if cfd.AppliesToValues(tb.Schema, acura) {
+		t.Error("constant matching is exact: Make=Acura is not acura")
+	}
 }
 
 func TestCFDViolates(t *testing.T) {

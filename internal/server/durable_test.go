@@ -952,3 +952,91 @@ func TestReplayCreateWithRemovedField(t *testing.T) {
 		t.Errorf("replay of the old create left %+v (seq %d)", snap, st.Seq)
 	}
 }
+
+// TestCreateUnknownMetric: a create naming a metric that does not exist is
+// 422 invalid and logs nothing, so no restart can bring the session back; a
+// create record logged before that check existed — which was acknowledged
+// and cleaned under Levenshtein — still restores, and still cleans exactly
+// as a Levenshtein session does.
+func TestCreateUnknownMetric(t *testing.T) {
+	dirty, _, rulesText := hospitalFixture(t)
+	batches := splitRows(dirty, 2)
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Tau: 2}
+	// cleaned uploads the fixture to session id on srv, cleans it, and
+	// returns version 1's rows, ids and stats.
+	cleaned := func(srv *Server, id string) ResultResponse {
+		t.Helper()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		c := &client{t: t, base: ts.URL}
+		submitBatches(c, id, batches)
+		startClean(c, id)
+		pollDone(c, id)
+		res := getResult(c, id)
+		return ResultResponse{Rows: res.Rows, IDs: res.IDs, Stats: res.Stats}
+	}
+	// cleanedAs creates a session under metric on a fresh, volatile server
+	// and returns what cleaned makes of it.
+	cleanedAs := func(metric string) ResultResponse {
+		t.Helper()
+		srv := newTestServer(t, ManagerConfig{})
+		defer srv.Shutdown()
+		r := req
+		r.Metric = metric
+		s, err := srv.Manager().Create(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cleaned(srv, s.ID)
+	}
+
+	fs := wal.NewMemFS(wal.FaultPlan{})
+	srv := newTestServer(t, ManagerConfig{WALFS: fs})
+	ts := httptest.NewServer(srv)
+	c := &client{t: t, base: ts.URL}
+	misspelled := req
+	misspelled.Metric = "cosin"
+	code, env := doEnvelope(c, "POST", "/v1/sessions", misspelled)
+	if code != http.StatusUnprocessableEntity || env.Error.Code != codeInvalid ||
+		!strings.Contains(env.Error.Message, "levenshtein") || !strings.Contains(env.Error.Message, "cosine") {
+		t.Fatalf("create with metric %q: status %d, %+v; want 422 invalid naming the valid metrics", misspelled.Metric, code, env)
+	}
+	ts.Close()
+	srv.Shutdown()
+	srv = newTestServer(t, ManagerConfig{WALFS: fs})
+	if rec := srv.Recovery(); rec.Records != 0 || rec.SessionsReplayed != 0 {
+		t.Fatalf("recovery after a rejected create = %+v, want an empty log", rec)
+	}
+	srv.Shutdown()
+
+	// The record as a build without the check logged it.
+	fs = wal.NewMemFS(wal.FaultPlan{})
+	lg, _, err := wal.Open(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := encodeRecord(recCreate{ID: "s-000001", Req: misspelled, Created: 1700000000000000000, RunID: "run-old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv = newTestServer(t, ManagerConfig{WALFS: fs})
+	defer srv.Shutdown()
+	if rec := srv.Recovery(); rec.SessionsReplayed != 1 || rec.SessionsFailed != 0 {
+		t.Fatalf("recovery of the logged %q create = %+v, want it replayed", misspelled.Metric, rec)
+	}
+	got := cleaned(srv, "s-000001")
+
+	lev := cleanedAs("levenshtein")
+	if !reflect.DeepEqual(got, lev) {
+		t.Errorf("restored %q session does not clean as Levenshtein:\n got %+v\nwant %+v", misspelled.Metric, got.Stats, lev.Stats)
+	}
+	if reflect.DeepEqual(cleanedAs("cosine"), lev) {
+		t.Error("cosine and Levenshtein clean the fixture identically; the comparison above proves nothing")
+	}
+}

@@ -549,10 +549,14 @@ func newSession(runID string, req CreateRequest) (*Session, error) {
 	}, nil
 }
 
-// Create opens a new session: parses the rule set and validates it against
-// the schema. Returns ErrBusy at the session cap. With durability on, the
-// session is acknowledged only after its create record is on disk.
+// Create opens a new session: checks the metric name, parses the rule set
+// and validates it against the schema. Returns ErrBusy at the session cap.
+// With durability on, the session is acknowledged only after its create
+// record is on disk.
 func (m *Manager) Create(req CreateRequest) (*Session, error) {
+	if _, err := distance.ByName(req.Metric); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
 	s, err := newSession("", req)
 	if err != nil {
 		return nil, err
@@ -742,10 +746,13 @@ func (m *Manager) Shutdown() {
 	m.wal.close()
 }
 
-// metricFor resolves a metric name, defaulting like the CLI does.
+// metricFor resolves a create request's metric name. Create rejects an
+// unknown name before logging it, but a create record logged before that
+// check may carry one: it was acknowledged and cleaned under Levenshtein, so
+// it replays that way.
 func metricFor(name string) distance.Metric {
-	if name == "" {
-		name = "levenshtein"
+	if m, err := distance.ByName(name); err == nil {
+		return m
 	}
-	return distance.ByName(name)
+	return distance.Levenshtein{}
 }

@@ -150,6 +150,7 @@ func TestManagerCreateValidation(t *testing.T) {
 		{Rules: "garbage", Attrs: []string{"A", "B"}},
 		{Rules: testRules, Attrs: nil},
 		{Rules: "FD: Nope -> ST", Attrs: []string{"CT", "ST"}}, // rule attr not in schema
+		{Rules: testRules, Attrs: []string{"CT", "ST"}, Metric: "cosin"},
 	}
 	for i, req := range bad {
 		if _, err := m.Create(req); err == nil {
