@@ -22,8 +22,8 @@ import (
 // from-scratch Clean of the same table — tables, duplicates, stats, and the
 // piece-weight vector repair attribution reads.
 
-// deltaSeeds mirrors the chaos suites' seed knob so CI's chaos job widens
-// the randomized mutation grid with CHAOS_SEEDS.
+// deltaSeeds mirrors the WAL and server chaos suites' seed knob so CI's
+// chaos job widens the randomized mutation grid with CHAOS_SEEDS.
 func deltaSeeds(t *testing.T) []int64 {
 	t.Helper()
 	env := os.Getenv("CHAOS_SEEDS")

@@ -20,7 +20,7 @@ import (
 // picks a block source and a phase mask:
 //
 //	CleanEncoded            iterator (lazy, rule order)   AGP|Learn|RSC
-//	StreamAGPLearn (worker) iterator                      AGP[|Learn]
+//	StreamAGPLearn (worker) iterator                      AGP|Learn
 //	StageAGP/Learn/RSC      built index (rule order)      one phase each
 //	DeltaCleaner.cleanBlock one rebuilt block, no pool    AGP|Learn|RSC
 //
@@ -245,17 +245,13 @@ func streamStage(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded
 }
 
 // StreamAGPLearn is the distributed worker's stage I: the index is built
-// block by block with AGP and (when learn is true) weight learning run on
-// each block as it appears. RSC is NOT run — the distributed protocol puts
-// the Eq. 6 weight merge between learning and RSC, so the worker calls
-// StageRSC once the merged weights have arrived. Output is byte-identical to
-// BuildConfigured followed by StageAGP and StageLearn.
-func StreamAGPLearn(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, st *Stats, learn bool) (*index.Index, error) {
-	ph := phaseAGP
-	if learn {
-		ph |= phaseLearn
-	}
-	return streamStage(ctx, dirty, enc, rs, opts.withDefaults(), ph, st)
+// block by block with AGP and weight learning run on each block as it
+// appears. RSC is NOT run — the distributed protocol puts the Eq. 6 weight
+// merge between learning and RSC, so the worker calls StageRSC once the
+// merged weights have arrived. Output is byte-identical to BuildConfigured
+// followed by StageAGP and StageLearn.
+func StreamAGPLearn(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, st *Stats) (*index.Index, error) {
+	return streamStage(ctx, dirty, enc, rs, opts.withDefaults(), phaseAGP|phaseLearn, st)
 }
 
 // The Stage* functions run one phase over every block of a built index, so

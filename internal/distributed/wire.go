@@ -16,75 +16,47 @@ import (
 // framing an RPC transport would use, and GobTransport exercises it on every
 // message in-process.
 //
-// Protocol, per worker slot w (coordinator → worker unless noted):
+// Protocol, per worker slot w (coordinator → worker unless noted). Slot w
+// serves partition w for the whole run:
 //
-//	Init            schema + rules + partition lease; sent once, first
+//	Init            schema + rules; sent once, first
 //	TupleBatch      0+ partition shipments (streamed, batched)
 //	StartStageI     partition complete → worker builds its index, runs
 //	                AGP + weight learning, replies with WeightSummaries (↑)
 //	MergedWeights   the Eq. 6 reduce result → worker applies it, runs
 //	                RSC + its local FSCR, replies with FusionResult (↑)
 //	                and terminates
-//	Heartbeat       (↑) periodic liveness beacon while the worker holds a
-//	                lease; carries the count of protocol replies sent so the
-//	                coordinator can detect a lost reply
 //
-// Fault tolerance: Init leases one logical partition to one physical worker
-// slot under an epoch. When the coordinator declares a worker dead it bumps
-// the partition's epoch and replays the full Init/TupleBatch/StartStageI
-// (and, mid-stage-II, MergedWeights) sequence onto a fresh slot; workers
-// silently discard messages from epochs other than their lease's, and the
-// coordinator discards replies stamped with a stale epoch, so a
-// falsely-declared-dead worker's late replies are inert.
+// Nothing is re-sent: a worker that fails ends the run (see Executor).
 type Message interface{ isMessage() }
 
-// Init bootstraps a worker with the table schema and the rule set; the
+// Init bootstraps worker Worker with the table schema and the rule set; the
 // pipeline options reach a worker in-process (core.Options carries a Metric
 // implementation and a Trace, which have no wire form).
-//
-// Partition and Epoch are the lease: Worker is the physical slot the message
-// routes to, Partition the logical partition the slot now owns, and Epoch
-// the lease generation (0 on first dispatch, incremented per re-dispatch
-// after a failure). HeartbeatNS > 0 asks the worker to emit a Heartbeat at
-// that interval while it holds the lease.
 type Init struct {
 	Worker      int
-	Partition   int
-	Epoch       int
-	HeartbeatNS int64
 	SchemaAttrs []string
 	Rules       []WireRule
 }
 
 // TupleBatch ships one batch of partition tuples to a worker. IDs are the
-// tuples' global table IDs; Rows the values in schema order. Epoch must
-// match the worker's current lease or the batch is discarded.
+// tuples' global table IDs; Rows the values in schema order.
 type TupleBatch struct {
 	Worker int
-	Epoch  int
 	IDs    []int
 	Rows   [][]string
 }
 
-// StartStageI signals that the worker's partition is complete. SkipLearn
-// tells the worker the coordinator already holds the run's merged weight
-// vector (a recovery re-dispatch after the Eq. 6 merge already ran): the
-// worker runs AGP but skips weight learning, replies with empty summaries,
-// and waits for the weights to arrive as MergedWeights.
+// StartStageI signals that the worker's partition is complete.
 type StartStageI struct {
-	Worker    int
-	Epoch     int
-	SkipLearn bool
+	Worker int
 }
 
 // WeightSummaries is the worker's reply after AGP + weight learning: one
 // Eq. 6 summary per piece of its local index, plus the measured stage time.
-// A non-empty Err aborts the run. Partition/Epoch echo the worker's lease;
-// the coordinator discards stale-epoch replies.
+// A non-empty Err aborts the run.
 type WeightSummaries struct {
 	Worker    int
-	Partition int
-	Epoch     int
 	Summaries []index.PieceSummary
 	ElapsedNS int64
 	Err       string
@@ -94,7 +66,6 @@ type WeightSummaries struct {
 // empty Merged list (SkipWeightMerge) leaves local weights untouched.
 type MergedWeights struct {
 	Worker int
-	Epoch  int
 	Merged []index.PieceSummary
 }
 
@@ -103,25 +74,11 @@ type MergedWeights struct {
 // the measured RSC + local-FSCR time. A non-empty Err aborts the run.
 type FusionResult struct {
 	Worker    int
-	Partition int
-	Epoch     int
 	PartSize  int
 	Blocks    []WireFusionBlock
 	Stats     core.Stats
 	ElapsedNS int64
 	Err       string
-}
-
-// Heartbeat is a worker's periodic liveness beacon while it holds a lease.
-// Sent is the count of protocol replies the worker has successfully handed
-// to its transport this incarnation: a Sent greater than the count of
-// replies the coordinator has received exposes a reply lost in flight, so
-// detection does not have to wait for a full silence timeout.
-type Heartbeat struct {
-	Worker    int
-	Partition int
-	Epoch     int
-	Sent      int
 }
 
 // WireFusionBlock is one rule's post-RSC pieces; block order matches the
@@ -159,7 +116,6 @@ func (StartStageI) isMessage()     {}
 func (WeightSummaries) isMessage() {}
 func (MergedWeights) isMessage()   {}
 func (FusionResult) isMessage()    {}
-func (Heartbeat) isMessage()       {}
 
 func init() {
 	gob.Register(Init{})
@@ -168,7 +124,6 @@ func init() {
 	gob.Register(WeightSummaries{})
 	gob.Register(MergedWeights{})
 	gob.Register(FusionResult{})
-	gob.Register(Heartbeat{})
 }
 
 // EncodeMessage frames a message for the wire. Serialized sizes feed the

@@ -17,16 +17,15 @@ import (
 // explore the interesting prefix space.
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := []Message{
-		Init{Worker: 1, Partition: 1, Epoch: 2, HeartbeatNS: 1e9,
-			SchemaAttrs: []string{"A", "B"},
-			Rules:       []WireRule{{ID: "r", Kind: 1, Reason: []WirePattern{{Attr: "A"}}, Result: []WirePattern{{Attr: "B"}}}}},
-		TupleBatch{Worker: 0, Epoch: 1, IDs: []int{1, 2}, Rows: [][]string{{"x", "y"}, {"z", "w"}}},
-		StartStageI{Worker: 3, Epoch: 1, SkipLearn: true},
-		WeightSummaries{Worker: 2, Partition: 2, Epoch: 0, Summaries: []index.PieceSummary{{RuleID: "r", Key: "k", Count: 2, Weight: 0.5}}},
-		MergedWeights{Worker: 1, Epoch: 3, Merged: []index.PieceSummary{{RuleID: "r", Key: "k", Count: 1, Weight: 1}}},
-		FusionResult{Worker: 0, Partition: 0, Epoch: 1, PartSize: 4,
+		Init{Worker: 1, SchemaAttrs: []string{"A", "B"},
+			Rules: []WireRule{{ID: "r", Kind: 1, Reason: []WirePattern{{Attr: "A"}}, Result: []WirePattern{{Attr: "B"}}}}},
+		TupleBatch{Worker: 0, IDs: []int{1, 2}, Rows: [][]string{{"x", "y"}, {"z", "w"}}},
+		StartStageI{Worker: 3},
+		WeightSummaries{Worker: 2, Summaries: []index.PieceSummary{{RuleID: "r", Key: "k", Count: 2, Weight: 0.5}}},
+		MergedWeights{Worker: 1, Merged: []index.PieceSummary{{RuleID: "r", Key: "k", Count: 1, Weight: 1}}},
+		FusionResult{Worker: 0, PartSize: 4,
 			Blocks: []WireFusionBlock{{Pieces: []WirePiece{{Reason: []string{"a"}, Result: []string{"b"}, TupleIDs: []int{1}, Weight: 0.25}}}}},
-		Heartbeat{Worker: 5, Partition: 3, Epoch: 2, Sent: 1},
+		FusionResult{Worker: 1, Err: "protocol: MergedWeights before stage I"},
 	}
 	for _, m := range seeds {
 		b, err := EncodeMessage(m)
@@ -72,7 +71,10 @@ func TestWorkerRejectsMismatchedBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := tr.CoordinatorRecvDeadline(5 * time.Second)
+	// Closing the transport bounds the wait for a reply.
+	stop := time.AfterFunc(5*time.Second, func() { tr.Close() })
+	defer stop.Stop()
+	m, err := tr.CoordinatorRecv()
 	if err != nil {
 		t.Fatalf("no reply from the worker: %v", err)
 	}

@@ -25,7 +25,7 @@ import (
 
 // chaosSeeds returns the fault-plan seeds the crash-recovery suite runs
 // under: a small default locally, widened in CI via CHAOS_SEEDS=1,7,13,29
-// (the same knob internal/distributed's chaos suite uses).
+// (the same knob the WAL chaos grid and core's delta parity suite use).
 func chaosSeeds(t *testing.T) []int64 {
 	t.Helper()
 	env := os.Getenv("CHAOS_SEEDS")

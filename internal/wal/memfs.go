@@ -14,9 +14,8 @@ import (
 // open handles, after which the surviving durable state can be reopened —
 // the substrate the crash-recovery chaos suite drives the Log through.
 //
-// Faults are scripted by a seeded FaultPlan, in the style of
-// distributed.NewFaultTransport: deterministic trigger points, seeded
-// randomness for the shape of the damage.
+// Faults are scripted by a seeded FaultPlan: deterministic trigger points,
+// seeded randomness for the shape of the damage.
 type MemFS struct {
 	mu     sync.Mutex
 	files  map[string]*memFile
