@@ -389,8 +389,8 @@ func RunFSCR(dirty *dataset.Table, blocks []*FusionBlock, opts Options, st *Stat
 
 // RunFSCREncoded is RunFSCR for callers that already hold the dirty table's
 // encoded rows in the pieces' dictionary (the stand-alone pipeline reuses
-// the index's encoding; the distributed gather reuses the rows interned at
-// Submit). A nil or foreign-dictionary enc is re-encoded.
+// the index's encoding; the distributed gather reuses the rows its executor
+// interned before shipping). A nil or foreign-dictionary enc is re-encoded.
 func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) *dataset.Table {
 	repaired, _ := runFSCR(dirty, enc, blocks, opts, st)
 	return repaired
@@ -415,8 +415,8 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	if enc == nil || enc.Dict != dict || len(enc.Rows) != len(dirty.Tuples) {
 		// Encode the observed (dirty) rows into the pieces' dictionary before
 		// the parallel loop — the only phase that may grow the dictionary.
-		// (The distributed batch path hands the gather an executor whose
-		// Submit never ran, so an empty/misaligned encoding re-encodes here.)
+		// (RunFSCR callers pass no encoding; every pipeline, the distributed
+		// gather included, hands over rows already in the pieces' dictionary.)
 		enc = dataset.Encode(dirty, dict)
 	}
 	pl := planFusion(dict, repaired.Schema, enc.Rows, blocks, opts)

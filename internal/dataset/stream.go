@@ -183,10 +183,44 @@ func (se *StreamEncoder) Append(values []string) (*Tuple, error) {
 // workers preserve the coordinator's global tuple IDs across the wire while
 // still ingesting batches through the encoder.
 func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
-	width := se.schema.Len()
-	if len(values) != width {
-		return nil, fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), width)
+	if len(values) != se.schema.Len() {
+		return nil, fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), se.schema.Len())
 	}
+	t, row := se.next(id)
+	for j, v := range values {
+		row[j] = se.dict.Intern(v)
+		// The canonical interned string: identical bytes, shared backing.
+		t.Values[j] = se.dict.Value(row[j])
+	}
+	return t, nil
+}
+
+// AppendEncoded is AppendID for a row already encoded in the encoder's
+// dictionary: the IDs are copied, and the tuple's values alias the
+// dictionary's strings as AppendID's do. Every ID must be below Dict().Len().
+// The distributed workers ingest the coordinator's ID rows this way, after
+// translating them into their own dictionary.
+func (se *StreamEncoder) AppendEncoded(id int, ids []uint32) (*Tuple, error) {
+	if len(ids) != se.schema.Len() {
+		return nil, fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(ids), se.schema.Len())
+	}
+	for _, vid := range ids {
+		if int(vid) >= se.dict.Len() {
+			return nil, fmt.Errorf("dataset: value ID %d is not in the dictionary (%d values)", vid, se.dict.Len())
+		}
+	}
+	t, row := se.next(id)
+	copy(row, ids)
+	for j, vid := range ids {
+		t.Values[j] = se.dict.Value(vid)
+	}
+	return t, nil
+}
+
+// next carves one tuple and its encoded row from the backing chunks,
+// appends both, and returns them for the caller to fill.
+func (se *StreamEncoder) next(id int) (*Tuple, []uint32) {
+	width := se.schema.Len()
 	if len(se.tuples) == 0 {
 		n := min(max(len(se.tb.Tuples)/2, encMinChunkRows), encChunkRows)
 		se.ids = make([]uint32, n*width)
@@ -195,20 +229,13 @@ func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
 	}
 	row := se.ids[:width:width]
 	se.ids = se.ids[width:]
-	vals := se.vals[:width:width]
-	se.vals = se.vals[width:]
-	for j, v := range values {
-		vid := se.dict.Intern(v)
-		row[j] = vid
-		// The canonical interned string: identical bytes, shared backing.
-		vals[j] = se.dict.Value(vid)
-	}
 	t := &se.tuples[0]
 	se.tuples = se.tuples[1:]
-	t.ID, t.Values = id, vals
+	t.ID, t.Values = id, se.vals[:width:width]
+	se.vals = se.vals[width:]
 	se.tb.Tuples = append(se.tb.Tuples, t)
 	se.enc.Rows = append(se.enc.Rows, row)
-	return t, nil
+	return t, row
 }
 
 // Table returns the accumulated table. Valid at any point; rows appended

@@ -124,7 +124,7 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 	start := time.Now()
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	parts, distTime, heapTime, err := PartitionTimed(dirty, opts.Workers, metricOf(opts.Core), rng)
+	parts, distTime, heapTime, err := partition(dirty, opts.Workers, metricOf(opts.Core), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +133,21 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 	if err != nil {
 		return nil, err
 	}
-	for w, p := range parts {
-		batch := TupleBatch{IDs: make([]int, p.Len()), Rows: make([][]string, p.Len())}
-		for i, t := range p.Tuples {
-			batch.IDs[i] = t.ID
-			batch.Rows[i] = t.Values
+	// The table goes through the executor's encoder, as streamed tuples do:
+	// parts ship as rows of its value IDs, and the gather fuses from them.
+	for _, t := range dirty.Tuples {
+		if _, err := ex.senc.AppendID(t.ID, t.Values); err != nil {
+			return nil, ex.fail(err)
 		}
-		if err := ex.shipBatched(w, batch); err != nil {
+	}
+	rows := ex.senc.Encoded().Rows
+	for w, part := range parts {
+		ids := make([]int, len(part))
+		partRows := make([][]uint32, len(part))
+		for i, pos := range part {
+			ids[i], partRows[i] = dirty.Tuples[pos].ID, rows[pos]
+		}
+		if err := ex.shipBatched(w, ids, partRows); err != nil {
 			return nil, err
 		}
 	}

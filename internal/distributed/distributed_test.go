@@ -14,6 +14,7 @@ import (
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/eval"
 	"mlnclean/internal/index"
+	"mlnclean/internal/intern"
 	"mlnclean/internal/rules"
 )
 
@@ -100,15 +101,34 @@ func TestPartitionDeterminism(t *testing.T) {
 // mergeWeights applies Eq. 6 across a set of worker indexes: every piece
 // with the same rule and the same values gets the support-weighted mean of
 // its per-part learned weights. It is the in-process composition of the
-// executor's exchange — extract summaries, reduce, apply.
-func mergeWeights(indexes []*index.Index) {
-	per := make([][]index.PieceSummary, 0, len(indexes))
-	for _, ix := range indexes {
-		per = append(per, ix.PieceSummaries())
+// executor's exchange — each index's values mapped to one coordinator
+// dictionary, summaries extracted, reduced, applied.
+func mergeWeights(t *testing.T, indexes []*index.Index) {
+	t.Helper()
+	var rs []*rules.Rule
+	for _, b := range indexes[0].Blocks {
+		rs = append(rs, b.Rule)
 	}
-	merged := reducePieceWeights(per)
-	for _, ix := range indexes {
-		ix.ApplyPieceWeights(merged)
+	dict := intern.NewDict()
+	wds := make([]*workerDict, len(indexes))
+	per := make([][]RuleWeights, len(indexes))
+	for w, ix := range indexes {
+		wd := &workerDict{dict: ix.Dict()}
+		for l := 0; l < ix.Dict().Len(); l++ {
+			c := dict.Intern(ix.Dict().Value(uint32(l)))
+			if n := int(c) + 1; n > len(wd.local) {
+				wd.local = append(wd.local, make([]uint32, n-len(wd.local))...)
+			}
+			wd.local[c] = uint32(l) + 1
+			wd.coord = append(wd.coord, c)
+		}
+		wds[w], per[w] = wd, wd.summaries(ix)
+	}
+	merged := reducePieceWeights(per, rs, dict)
+	for w, ix := range indexes {
+		if err := wds[w].applyWeights(ix, merged); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -130,7 +150,7 @@ func TestMergeWeightsEq6(t *testing.T) {
 	}
 	ix1 := mk(3, 0.9) // n=3, w=0.9
 	ix2 := mk(1, 0.1) // n=1, w=0.1
-	mergeWeights([]*index.Index{ix1, ix2})
+	mergeWeights(t, []*index.Index{ix1, ix2})
 	want := (3*0.9 + 1*0.1) / 4
 	for _, ix := range []*index.Index{ix1, ix2} {
 		got := ix.Blocks[0].Groups[0].Pieces[0].Weight
@@ -229,7 +249,7 @@ func TestMergeWeightsProperty(t *testing.T) {
 		n1, n2 := int(n1Raw%40)+1, int(n2Raw%40)+1
 		w1, w2 := float64(w1Raw)/65535, float64(w2Raw)/65535
 		ix1, ix2 := mk(n1, w1), mk(n2, w2)
-		mergeWeights([]*index.Index{ix1, ix2})
+		mergeWeights(t, []*index.Index{ix1, ix2})
 		want := (float64(n1)*w1 + float64(n2)*w2) / float64(n1+n2)
 		for _, ix := range []*index.Index{ix1, ix2} {
 			got := ix.Blocks[0].Groups[0].Pieces[0].Weight

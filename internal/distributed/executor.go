@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -52,16 +51,19 @@ type Executor struct {
 	tr     Transport
 	rng    *rand.Rand
 
-	// senc accumulates every submitted tuple (re-IDed sequentially) and its
-	// dictionary-encoded row; the global FSCR fuses from these original dirty
-	// values, and reuses the same dictionary for the wire pieces. Partitions
-	// are never materialized coordinator-side — batches ship as they arrive.
+	// senc accumulates every tuple of the run and its dictionary-encoded
+	// row; the global FSCR fuses from these original dirty values. dict is
+	// the run's value-ID space: batches ship rows in it and workers answer
+	// in it. Partitions are never materialized coordinator-side — batches
+	// ship as they arrive.
 	senc      *dataset.StreamEncoder
 	dict      *intern.Dict
 	ev        *distance.Evaluator
 	centroids [][]uint32
 	loads     []int
-	shipped   int // gather tuples already assigned and shipped
+	shipped   int      // gather tuples already assigned and shipped
+	sent      [][]bool // per worker: sent[w][id] once id's string went to w
+	fresh     []uint32 // tupleBatch's scratch: the batch's first-sent IDs
 
 	// The streaming partitioner's distance table. Centroids are fixed once
 	// drawn, so the distance from a value to centroid w's cell in the value's
@@ -141,6 +143,7 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		dict:      dict,
 		ev:        distance.NewEvaluator(metricOf(opts.Core), dict),
 		loads:     make([]int, k),
+		sent:      make([][]bool, k),
 		stop:      make(chan struct{}),
 		createdAt: time.Now(),
 	}
@@ -285,7 +288,8 @@ func (ex *Executor) assignAndShip() error {
 	dists := ex.centroidDistances(rows[ex.shipped:])
 	t1 := time.Now()
 	ex.distTime += t1.Sub(t0)
-	batches := make([]TupleBatch, ex.k)
+	ids := make([][]int, ex.k)
+	assigned := make([][][]uint32, ex.k)
 	for ; ex.shipped < len(rows); ex.shipped++ {
 		d := dists[:ex.k]
 		dists = dists[ex.k:]
@@ -302,16 +306,12 @@ func (ex *Executor) assignAndShip() error {
 			}
 		}
 		ex.loads[best]++
-		t := tuples[ex.shipped]
-		batches[best].IDs = append(batches[best].IDs, t.ID)
-		batches[best].Rows = append(batches[best].Rows, t.Values)
+		ids[best] = append(ids[best], tuples[ex.shipped].ID)
+		assigned[best] = append(assigned[best], rows[ex.shipped])
 	}
 	ex.assignTime += time.Since(t1)
-	for p := range batches {
-		if len(batches[p].IDs) == 0 {
-			continue
-		}
-		if err := ex.shipBatched(p, batches[p]); err != nil {
+	for p := range ids {
+		if err := ex.shipBatched(p, ids[p], assigned[p]); err != nil {
 			return err
 		}
 	}
@@ -363,19 +363,52 @@ func (ex *Executor) centroidDistances(rows [][]uint32) []float64 {
 	return dists
 }
 
-// shipBatched sends partition p's assignment to its worker in BatchSize
-// chunks. A failed send ends the run.
-func (ex *Executor) shipBatched(p int, b TupleBatch) error {
+// shipBatched sends partition p's assignment — the tuples' IDs and encoded
+// rows — to its worker in BatchSize chunks. A failed send ends the run.
+func (ex *Executor) shipBatched(p int, ids []int, rows [][]uint32) error {
 	size := ex.opts.BatchSize
-	for lo := 0; lo < len(b.IDs); lo += size {
-		hi := min(lo+size, len(b.IDs))
+	for lo := 0; lo < len(ids); lo += size {
+		hi := min(lo+size, len(ids))
 		t0 := time.Now()
-		if err := ex.tr.ToWorkerDeadline(p, TupleBatch{Worker: p, IDs: b.IDs[lo:hi], Rows: b.Rows[lo:hi]}, sendBound); err != nil {
+		if err := ex.tr.ToWorkerDeadline(p, ex.tupleBatch(p, ids[lo:hi], rows[lo:hi]), sendBound); err != nil {
 			return ex.fail(err)
 		}
 		mBatchSendSeconds.ObserveSince(t0)
 	}
 	return nil
+}
+
+// tupleBatch builds worker p's TupleBatch for the given tuples: their rows
+// flattened, and the strings of the value IDs p meets in them for the first
+// time, in the order it meets them.
+func (ex *Executor) tupleBatch(p int, ids []int, rows [][]uint32) TupleBatch {
+	b := TupleBatch{Worker: p, IDs: ids, Rows: make([]uint32, 0, len(rows)*ex.schema.Len())}
+	sent := ex.sent[p]
+	if n := ex.dict.Len(); len(sent) < n {
+		sent = append(sent, make([]bool, n-len(sent))...)
+		ex.sent[p] = sent
+	}
+	fresh, size := ex.fresh[:0], 0
+	for _, row := range rows {
+		b.Rows = append(b.Rows, row...)
+		for _, id := range row {
+			if !sent[id] {
+				sent[id] = true
+				fresh = append(fresh, id)
+				size += len(ex.dict.Value(id))
+			}
+		}
+	}
+	ex.fresh = fresh
+	var delta strings.Builder
+	delta.Grow(size)
+	b.DeltaEnds = make([]int, len(fresh))
+	for i, id := range fresh {
+		delta.WriteString(ex.dict.Value(id))
+		b.DeltaEnds[i] = delta.Len()
+	}
+	b.Delta = delta.String()
+	return b
 }
 
 // Run completes a streaming ingest: flushes any buffered tuples, drives the
@@ -458,6 +491,9 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		if !ok {
 			return fmt.Errorf("distributed: protocol: expected WeightSummaries, got %T", m)
 		}
+		if err := ex.checkSummaries(ws.Rules); err != nil {
+			return fmt.Errorf("distributed: protocol: WeightSummaries from partition %d: %w", p, err)
+		}
 		sums[p] = ws
 		return nil
 	})
@@ -470,17 +506,17 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// support from the other parts. A pure reduce over shipped summaries:
 	// no worker index state is touched from the coordinator.
 	t0 := time.Now()
-	var merged []index.PieceSummary
+	var merged []RuleWeights
 	if !ex.opts.SkipWeightMerge {
-		per := make([][]index.PieceSummary, ex.k)
+		per := make([][]RuleWeights, ex.k)
 		for w := range sums {
-			per[w] = sums[w].Summaries
+			per[w] = sums[w].Rules
 		}
-		merged = reducePieceWeights(per)
+		merged = reducePieceWeights(per, ex.rs, ex.dict)
 	}
 	res.GatherTime += time.Since(t0)
 	for w := 0; w < ex.k; w++ {
-		if err := ex.tr.ToWorkerDeadline(w, MergedWeights{Worker: w, Merged: merged}, sendBound); err != nil {
+		if err := ex.tr.ToWorkerDeadline(w, MergedWeights{Worker: w, Rules: merged}, sendBound); err != nil {
 			return nil, ex.fail(err)
 		}
 	}
@@ -490,6 +526,9 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		fr, ok := m.(FusionResult)
 		if !ok {
 			return fmt.Errorf("distributed: protocol: expected FusionResult, got %T", m)
+		}
+		if err := ex.checkBlocks(fr.Blocks); err != nil {
+			return fmt.Errorf("distributed: protocol: FusionResult from partition %d: %w", p, err)
 		}
 		frs[p] = fr
 		return nil
@@ -525,8 +564,8 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// whose table is returned.
 	t0 = time.Now()
 	blocks := unionWireBlocks(frs, ex.rs, ex.dict)
-	// The gather rows were interned at Submit; hand them to FSCR instead of
-	// re-encoding the whole accumulated dataset on the finish path.
+	// The gather rows were interned before shipping; hand them to FSCR
+	// instead of re-encoding the whole dataset on the finish path.
 	res.Repaired, res.Clean, _ = core.StageII(dirty, ex.senc.Encoded(), blocks, ex.opts.Core, &res.Stats)
 	res.GatherTime += time.Since(t0)
 	res.WallTime = time.Since(ex.createdAt)
@@ -534,6 +573,43 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	mRunSeconds.ObserveDuration(time.Since(ex.createdAt))
 	mGatherSeconds.ObserveDuration(res.GatherTime)
 	return res, nil
+}
+
+// checkSummaries reports why a worker's Eq. 6 record is not one column set
+// per rule in the run's value IDs.
+func (ex *Executor) checkSummaries(rws []RuleWeights) error {
+	if len(rws) != len(ex.rs) {
+		return fmt.Errorf("%d rules, want %d", len(rws), len(ex.rs))
+	}
+	for ri := range rws {
+		if err := rws[ri].check(arity(ex.rs[ri])); err != nil {
+			return fmt.Errorf("rule %d: %w", ri, err)
+		}
+		if err := checkIDs(rws[ri].IDs, ex.dict.Len()); err != nil {
+			return fmt.Errorf("rule %d: %w", ri, err)
+		}
+	}
+	return nil
+}
+
+// checkBlocks reports why a worker's post-RSC blocks are not one block per
+// rule of pieces in the run's value IDs.
+func (ex *Executor) checkBlocks(bs []WireFusionBlock) error {
+	if len(bs) != len(ex.rs) {
+		return fmt.Errorf("%d blocks for %d rules", len(bs), len(ex.rs))
+	}
+	for bi, b := range bs {
+		a := arity(ex.rs[bi])
+		for _, wp := range b.Pieces {
+			if len(wp.Values) != a {
+				return fmt.Errorf("block %d: piece of %d values, rule has %d", bi, len(wp.Values), a)
+			}
+			if err := checkIDs(wp.Values, ex.dict.Len()); err != nil {
+				return fmt.Errorf("block %d: %w", bi, err)
+			}
+		}
+	}
+	return nil
 }
 
 // gather blocks until every partition has replied, handing each reply to
@@ -596,14 +672,16 @@ type workerLink interface {
 // and run stage II on MergedWeights, then exit. It returns nil once its
 // final reply is sent, and the reason for any other exit.
 //
-// Ingest is bounded: each TupleBatch is interned on arrival (the partition
-// table's values alias the dictionary's canonical strings, so the worker
-// holds one copy of every distinct value and never the raw batch slices),
-// and stage I streams blocks from an iterator.
+// Ingest is bounded: each TupleBatch is translated into the worker's own
+// value IDs on arrival (the partition table's values alias the delta
+// strings its dictionary holds, one copy of every distinct value), and
+// stage I streams blocks from an iterator. Every reply names values by the
+// coordinator's IDs.
 func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) error {
 	var (
 		schema    *dataset.Schema
 		rs        []*rules.Rule
+		wd        *workerDict
 		senc      *dataset.StreamEncoder
 		initErr   error
 		ingestErr error
@@ -624,22 +702,14 @@ func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) er
 				initErr = err
 			} else {
 				schema, rs = s, r
-				senc = dataset.NewStreamEncoder(schema, nil)
+				wd = newWorkerDict()
+				senc = dataset.NewStreamEncoder(schema, wd.dict)
 			}
 		case TupleBatch:
 			if senc == nil || ingestErr != nil {
 				continue
 			}
-			if len(msg.IDs) != len(msg.Rows) {
-				ingestErr = fmt.Errorf("protocol: TupleBatch with %d IDs for %d rows", len(msg.IDs), len(msg.Rows))
-				continue
-			}
-			for i, row := range msg.Rows {
-				if _, err := senc.AppendID(msg.IDs[i], row); err != nil {
-					ingestErr = err
-					break
-				}
-			}
+			ingestErr = wd.ingest(senc, msg)
 		case StartStageI:
 			t0 := time.Now()
 			reply := WeightSummaries{Worker: w}
@@ -661,7 +731,7 @@ func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) er
 					reply.Err = err.Error()
 					break
 				}
-				reply.Summaries = ix.PieceSummaries()
+				reply.Rules = wd.summaries(ix)
 			}
 			reply.ElapsedNS = time.Since(t0).Nanoseconds()
 			if err := tr.ToCoordinator(reply); err != nil {
@@ -677,7 +747,10 @@ func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) er
 				return err
 			}
 			t0 := time.Now()
-			ix.ApplyPieceWeights(msg.Merged)
+			if err := wd.applyWeights(ix, msg.Rules); err != nil {
+				tr.ToCoordinator(FusionResult{Worker: w, Err: err.Error()})
+				return err
+			}
 			if err := core.StageRSC(ctx, ix, opts, &stats); err != nil {
 				tr.ToCoordinator(FusionResult{Worker: w, Err: err.Error()})
 				return err
@@ -691,7 +764,7 @@ func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) er
 			return tr.ToCoordinator(FusionResult{
 				Worker:    w,
 				PartSize:  tb.Len(),
-				Blocks:    blocksToWire(ix),
+				Blocks:    wd.blocks(ix),
 				Stats:     stats,
 				ElapsedNS: time.Since(t0).Nanoseconds(),
 			})
@@ -699,84 +772,64 @@ func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) er
 	}
 }
 
-// reducePieceWeights is the coordinator half of Eq. 6: fold every worker's
-// piece summaries (in worker order, for deterministic float accumulation)
-// into support-weighted mean weights, emitted sorted by (rule, identity).
-func reducePieceWeights(perWorker [][]index.PieceSummary) []index.PieceSummary {
-	// A single worker's summaries are already the merged vector; returning
-	// them verbatim keeps k=1 bit-identical to the stand-alone pipeline
+// reducePieceWeights is the coordinator half of Eq. 6: per rule, fold every
+// worker's pieces (in worker order, for deterministic float accumulation)
+// into support-weighted mean weights, keyed on the pieces' value-ID
+// sequences in dict and emitted in first-seen order.
+func reducePieceWeights(perWorker [][]RuleWeights, rs []*rules.Rule, dict *intern.Dict) []RuleWeights {
+	// A single worker's pieces are already the merged vector; returning them
+	// verbatim keeps k=1 bit-identical to the stand-alone pipeline
 	// ((n·w)/n can differ from w in the last ulp).
 	if len(perWorker) == 1 {
-		return index.CopySummaries(perWorker[0])
+		return perWorker[0]
 	}
-	type agg struct {
-		ruleID, key string
-		values      []string
-		sumNW, sumN float64
-	}
-	byKey := make(map[string]*agg)
-	var order []string
-	for _, sums := range perWorker {
-		for _, s := range sums {
-			k := summaryAggKey(&s)
-			a := byKey[k]
-			if a == nil {
-				a = &agg{ruleID: s.RuleID, key: s.Key, values: s.IdentityValues()}
-				byKey[k] = a
-				order = append(order, k)
+	out := make([]RuleWeights, len(rs))
+	at := make(map[uint32]int)
+	for ri, r := range rs {
+		a := arity(r)
+		clear(at)
+		var ids []uint32
+		var sumNW, sumN []float64
+		for _, ws := range perWorker {
+			rw := &ws[ri]
+			for i, w := range rw.Weights {
+				piece := rw.IDs[i*a : (i+1)*a]
+				key := dict.Seq(piece)
+				j, ok := at[key]
+				if !ok {
+					j = len(sumN)
+					at[key] = j
+					ids = append(ids, piece...)
+					sumNW = append(sumNW, 0)
+					sumN = append(sumN, 0)
+				}
+				n := float64(rw.Counts[i])
+				sumNW[j] += n * w
+				sumN[j] += n
 			}
-			n := float64(s.Count)
-			a.sumNW += n * s.Weight
-			a.sumN += n
 		}
-	}
-	sort.Strings(order)
-	out := make([]index.PieceSummary, 0, len(order))
-	for _, k := range order {
-		a := byKey[k]
-		if a.sumN <= 0 {
-			continue
+		// Pieces without support are dropped; ids compacts in place.
+		m := RuleWeights{IDs: ids[:0], Counts: make([]int, 0, len(sumN)), Weights: make([]float64, 0, len(sumN))}
+		for j, n := range sumN {
+			if n <= 0 {
+				continue
+			}
+			m.IDs = append(m.IDs, ids[j*a:(j+1)*a]...)
+			m.Counts = append(m.Counts, int(n))
+			m.Weights = append(m.Weights, sumNW[j]/n)
 		}
-		out = append(out, index.PieceSummary{
-			RuleID: a.ruleID,
-			Key:    a.key,
-			Values: a.values,
-			Count:  int(a.sumN),
-			Weight: a.sumNW / a.sumN,
-		})
+		out[ri] = m
 	}
 	return out
 }
 
-// summaryAggKey renders a summary's (rule, values) identity as a
-// collision-free string key: the rule ID and each value are
-// length-prefixed, so no component containing separator or digit bytes can
-// alias a differently-split identity the way a plain join would.
-func summaryAggKey(s *index.PieceSummary) string {
-	var b strings.Builder
-	vals := s.IdentityValues()
-	n := len(s.RuleID) + 8
-	for _, v := range vals {
-		n += len(v) + 8
-	}
-	b.Grow(n)
-	fmt.Fprintf(&b, "%d:", len(s.RuleID))
-	b.WriteString(s.RuleID)
-	for _, v := range vals {
-		fmt.Fprintf(&b, "\x00%d:", len(v))
-		b.WriteString(v)
-	}
-	return b.String()
-}
-
 // unionWireBlocks builds global FSCR inputs from every worker's shipped
 // blocks: per rule, the tuple→piece assignments of all workers plus the
-// union of their candidate pieces (deduplicated by interned identity,
-// keeping the merged weight). Wire pieces arrive as strings (the transports
-// are untouched by the dictionary encoding); the coordinator interns them
-// locally into dict, the same dictionary the gather FSCR encodes the dirty
-// rows into. Workers are folded in index order so candidate order is
-// deterministic regardless of message arrival order.
+// union of their candidate pieces (deduplicated by identity, keeping the
+// merged weight). Wire pieces name values by dict's IDs, the dictionary the
+// gather FSCR's dirty rows are encoded in, and each becomes a piece as is;
+// the blocks were checked on receipt. Workers are folded in index order so
+// candidate order is deterministic regardless of message arrival order.
 func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict) []*core.FusionBlock {
 	blocks := make([]*core.FusionBlock, len(rs))
 	seen := make([]map[uint32]struct{}, len(rs))
@@ -785,13 +838,10 @@ func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict) []
 		seen[ri] = make(map[uint32]struct{})
 	}
 	for _, fr := range frs {
-		for bi := range fr.Blocks {
-			if bi >= len(blocks) {
-				continue
-			}
+		for bi, wb := range fr.Blocks {
 			fb := blocks[bi]
-			for _, wp := range fr.Blocks[bi].Pieces {
-				p := index.NewPiece(rs[bi], dict, wp.Reason, wp.Result)
+			for _, wp := range wb.Pieces {
+				p := index.NewPieceIDs(rs[bi], dict, wp.Values, len(rs[bi].Reason))
 				p.TupleIDs = wp.TupleIDs
 				p.Weight = wp.Weight
 				if _, dup := seen[bi][p.KeyID()]; !dup {

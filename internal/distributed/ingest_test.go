@@ -31,14 +31,20 @@ type refAssign struct {
 	centroids [][]uint32
 	loads     []int
 	shipped   int
-	parts     [][]TupleBatch // per partition, one entry per shipment
+	parts     [][]refBatch // per partition, one entry per shipment
+}
+
+// refBatch is one shipment of the oracle: tuple IDs and their values.
+type refBatch struct {
+	IDs  []int
+	Rows [][]string
 }
 
 func newRefAssign(k int, metric distance.Metric, seed int64) *refAssign {
 	dict := intern.NewDict()
 	return &refAssign{
 		k: k, dict: dict, ev: distance.NewEvaluator(metric, dict),
-		rng: rand.New(rand.NewSource(seed)), loads: make([]int, k), parts: make([][]TupleBatch, k),
+		rng: rand.New(rand.NewSource(seed)), loads: make([]int, k), parts: make([][]refBatch, k),
 	}
 }
 
@@ -78,7 +84,7 @@ func (r *refAssign) assignAndShip() {
 			r.centroids[i] = r.centroids[0]
 		}
 	}
-	batches := make([]TupleBatch, r.k)
+	batches := make([]refBatch, r.k)
 	dists := make([]float64, r.k)
 	for ; r.shipped < len(r.tuples); r.shipped++ {
 		t := r.tuples[r.shipped]
@@ -137,8 +143,41 @@ func loggedExecutor(t *testing.T, schema *dataset.Schema, rs []*rules.Rule, opts
 	return ex, log
 }
 
-// checkAgainstRef compares what the executor shipped, and every gathered
-// tuple's centroid distances, with the oracle's.
+// decodeShipment reads a TupleBatch back into values through the
+// coordinator's dictionary, and checks its delta: the strings of the value
+// IDs the partition meets for the first time, in the order it meets them.
+// sent holds the IDs the partition was shipped before.
+func decodeShipment(t *testing.T, label string, dict *intern.Dict, width int, b TupleBatch, sent map[uint32]bool) [][]string {
+	t.Helper()
+	if len(b.Rows) != len(b.IDs)*width {
+		t.Fatalf("%s: %d value IDs for %d tuples of %d values", label, len(b.Rows), len(b.IDs), width)
+	}
+	rows := make([][]string, len(b.IDs))
+	var delta []string
+	for i := range rows {
+		for _, id := range b.Rows[i*width : (i+1)*width] {
+			rows[i] = append(rows[i], dict.Value(id))
+			if !sent[id] {
+				sent[id] = true
+				delta = append(delta, dict.Value(id))
+			}
+		}
+	}
+	var got []string
+	start := 0
+	for _, end := range b.DeltaEnds {
+		got = append(got, b.Delta[start:end])
+		start = end
+	}
+	if !reflect.DeepEqual(got, delta) || start != len(b.Delta) {
+		t.Fatalf("%s: delta %q (%d bytes), want %q", label, got, len(b.Delta), delta)
+	}
+	return rows
+}
+
+// checkAgainstRef compares what the executor shipped, decoded through its
+// dictionary, and every gathered tuple's centroid distances, with the
+// oracle's.
 func checkAgainstRef(t *testing.T, label string, ex *Executor, log *shipLog, ref *refAssign, metric distance.Metric) {
 	t.Helper()
 	if !reflect.DeepEqual(ex.loads, ref.loads) {
@@ -151,10 +190,12 @@ func checkAgainstRef(t *testing.T, label string, ex *Executor, log *shipLog, ref
 		if len(sent) != len(ref.parts[p]) {
 			t.Fatalf("%s: partition %d got %d shipments, oracle %d", label, p, len(sent), len(ref.parts[p]))
 		}
+		seen := make(map[uint32]bool)
 		for i, b := range sent {
 			want := ref.parts[p][i]
-			if !reflect.DeepEqual(b.IDs, want.IDs) || !reflect.DeepEqual(b.Rows, want.Rows) {
-				t.Fatalf("%s: partition %d shipment %d:\n got %v %q\nwant %v %q", label, p, i, b.IDs, b.Rows, want.IDs, want.Rows)
+			rows := decodeShipment(t, label, ex.dict, ex.schema.Len(), b, seen)
+			if !reflect.DeepEqual(b.IDs, want.IDs) || !reflect.DeepEqual(rows, want.Rows) {
+				t.Fatalf("%s: partition %d shipment %d:\n got %v %q\nwant %v %q", label, p, i, b.IDs, rows, want.IDs, want.Rows)
 			}
 		}
 	}
@@ -345,4 +386,170 @@ func BenchmarkSubmitTPCH(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dirty.Len()), "ns/row")
+}
+
+// stringIngest is a worker's ingest as it was before the ID wire: the
+// partition's rows, by value, through StreamEncoder.AppendID into a fresh
+// dictionary.
+func stringIngest(t *testing.T, schema *dataset.Schema, batches []refBatch) *dataset.StreamEncoder {
+	t.Helper()
+	senc := dataset.NewStreamEncoder(schema, nil)
+	for _, b := range batches {
+		for i, row := range b.Rows {
+			if _, err := senc.AppendID(b.IDs[i], row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return senc
+}
+
+// checkWorkerIngest feeds partition p's recorded shipments, each through the
+// gob framing, to the worker's ingest and compares the dictionary, table
+// and encoded rows it builds with want's, ID for ID.
+func checkWorkerIngest(t *testing.T, label string, schema *dataset.Schema, sent []TupleBatch, want *dataset.StreamEncoder) {
+	t.Helper()
+	wd := newWorkerDict()
+	got := dataset.NewStreamEncoder(schema, wd.dict)
+	for _, b := range sent {
+		frame, err := EncodeMessage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := DecodeMessage(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wd.ingest(got, m.(TupleBatch)); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	if got.Dict().Len() != want.Dict().Len() {
+		t.Fatalf("%s: %d local values, string ingest %d", label, got.Dict().Len(), want.Dict().Len())
+	}
+	for i := 0; i < want.Dict().Len(); i++ {
+		if g, w := got.Dict().Value(uint32(i)), want.Dict().Value(uint32(i)); g != w {
+			t.Fatalf("%s: local ID %d is %q, string ingest %q", label, i, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.Encoded().Rows, want.Encoded().Rows) {
+		t.Fatalf("%s: encoded rows differ from string ingest", label)
+	}
+	if d := got.Table().Diff(want.Table()); got.Table().Len() != want.Table().Len() || len(d) != 0 {
+		t.Fatalf("%s: table differs from string ingest", label)
+	}
+	for i, tu := range got.Table().Tuples {
+		if tu.ID != want.Table().Tuples[i].ID {
+			t.Fatalf("%s: tuple %d has ID %d, string ingest %d", label, i, tu.ID, want.Table().Tuples[i].ID)
+		}
+	}
+}
+
+// TestWorkerLocalIDsMatchStringIngest: a worker ingesting its partition off
+// the ID wire mints exactly the local IDs — and so builds exactly the
+// dictionary, table and encoded rows — that encoding the same partition
+// rows by value does, for both entry points (Clean's Algorithm 3 and
+// Submit's online partitioner), k ∈ {1, 2, 4}, on HAI and TPC-H.
+func TestWorkerLocalIDsMatchStringIngest(t *testing.T) {
+	_, hai, haiRules := equivalenceFixture(t)
+	tpch, tpchRules := tpchRows(t)
+	for _, ds := range []struct {
+		name  string
+		dirty *dataset.Table
+		rs    []*rules.Rule
+	}{{"hai", hai, haiRules}, {"tpch", tpch, tpchRules}} {
+		if testing.Short() && ds.name == "tpch" {
+			continue
+		}
+		for _, k := range []int{1, 2, 4} {
+			// Submit: the online partitioner's shipments, against the
+			// oracle's partition rows.
+			label := fmt.Sprintf("%s submit k=%d", ds.name, k)
+			ex, log := loggedExecutor(t, ds.dirty.Schema, ds.rs, Options{Workers: k, Seed: 1})
+			ref := newRefAssign(k, distance.Levenshtein{}, 1)
+			submitBatches(t, ex, ds.dirty, 1024)
+			for lo := 0; lo < ds.dirty.Len(); lo += 1024 {
+				var rows [][]string
+				for _, tp := range ds.dirty.Tuples[lo:min(lo+1024, ds.dirty.Len())] {
+					rows = append(rows, tp.Values)
+				}
+				ref.submit(rows)
+			}
+			checkAgainstRef(t, label, ex, log, ref, distance.Levenshtein{})
+			ex.Close()
+			for p := range log.sent {
+				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), ds.dirty.Schema, log.sent[p], stringIngest(t, ds.dirty.Schema, ref.parts[p]))
+			}
+
+			// Clean: Algorithm 3's parts, in heap order.
+			label = fmt.Sprintf("%s clean k=%d", ds.name, k)
+			log = &shipLog{}
+			opts := Options{Workers: k, Seed: 1, Transport: func(n int) Transport {
+				log.Transport, log.sent = NewChanTransport(n), make([][]TupleBatch, n)
+				return log
+			}}
+			if _, err := Clean(ds.dirty, ds.rs, opts); err != nil {
+				t.Fatal(err)
+			}
+			parts, _, _, err := partition(ds.dirty, k, distance.Levenshtein{}, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, part := range parts {
+				var b refBatch
+				for _, pos := range part {
+					b.IDs = append(b.IDs, ds.dirty.Tuples[pos].ID)
+					b.Rows = append(b.Rows, ds.dirty.Tuples[pos].Values)
+				}
+				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), ds.dirty.Schema, log.sent[p], stringIngest(t, ds.dirty.Schema, []refBatch{b}))
+			}
+		}
+	}
+}
+
+// BenchmarkWireRoundTrip is the wire codec alone: one partition's share of
+// the 12k-row TPC-H table (2 workers, 1,024-row shipments) — its
+// TupleBatches and its FusionResult — each through EncodeMessage and
+// DecodeMessage. wire-B/op is the frames' total size.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	dirty, rs := tpchRows(b)
+	log := &shipLog{}
+	var msgs []Message
+	opts := Options{Workers: 2, Seed: 1, Transport: func(k int) Transport {
+		log.Transport, log.sent = NewChanTransport(k), make([][]TupleBatch, k)
+		return &tamperReplies{Transport: log, tamper: func(m Message) Message {
+			if fr, ok := m.(FusionResult); ok && fr.Worker == 0 {
+				msgs = append(msgs, fr)
+			}
+			return m
+		}}
+	}}
+	ex, err := NewExecutor(dirty.Schema, rs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	submitBatches(b, ex, dirty, 1024)
+	if _, err := ex.Run(); err != nil {
+		b.Fatal(err)
+	}
+	for _, tb := range log.sent[0] {
+		msgs = append(msgs, tb)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	size := 0
+	for i := 0; i < b.N; i++ {
+		size = 0
+		for _, m := range msgs {
+			frame, err := EncodeMessage(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := DecodeMessage(frame); err != nil {
+				b.Fatal(err)
+			}
+			size += len(frame)
+		}
+	}
+	b.ReportMetric(float64(size), "wire-B/op")
 }

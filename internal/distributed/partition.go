@@ -31,11 +31,11 @@ import (
 	"mlnclean/internal/distance"
 )
 
-// partEntry is one tuple in a partition's max-heap, keyed by the distance
-// to the partition centroid.
+// partEntry is one tuple, by table position, in a partition's max-heap,
+// keyed by the distance to the partition centroid.
 type partEntry struct {
-	tuple *dataset.Tuple
-	dist  float64
+	pos  int
+	dist float64
 }
 
 // maxHeap orders entries by descending distance (the top is the tuple
@@ -69,6 +69,23 @@ func Partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand)
 // sequential heap assignment (driver side). The distributed cluster-time
 // model divides the former by the worker count.
 func PartitionTimed(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) ([]*dataset.Table, time.Duration, time.Duration, error) {
+	pos, distTime, heapTime, err := partition(tb, k, metric, rng)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	parts := make([]*dataset.Table, len(pos))
+	for p, part := range pos {
+		parts[p] = dataset.NewTable(tb.Schema)
+		for _, i := range part {
+			parts[p].Tuples = append(parts[p].Tuples, tb.Tuples[i].Clone())
+		}
+	}
+	return parts, distTime, heapTime, nil
+}
+
+// partition is PartitionTimed returning each part as the table positions of
+// its tuples, in the part's heap order.
+func partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) ([][]int, time.Duration, time.Duration, error) {
 	if k <= 0 {
 		return nil, 0, 0, fmt.Errorf("distributed: need k ≥ 1 parts, got %d", k)
 	}
@@ -88,7 +105,7 @@ func PartitionTimed(tb *dataset.Table, k int, metric distance.Metric, rng *rand.
 	for i := 0; i < k; i++ {
 		centroids[i] = tb.Tuples[perm[i]]
 		centroidIdx[perm[i]] = i
-		heaps[i] = maxHeap{{tuple: tb.Tuples[perm[i]], dist: 0}}
+		heaps[i] = maxHeap{{pos: perm[i], dist: 0}}
 	}
 
 	// Phase 1: the |T|×k distance matrix (map side).
@@ -122,65 +139,58 @@ func PartitionTimed(tb *dataset.Table, k int, metric distance.Metric, rng *rand.
 
 	// Phase 2: the sequential heap assignment (driver side).
 	heapStart := time.Now()
-	posOf := make(map[*dataset.Tuple]int, tb.Len())
-	for pos, t := range tb.Tuples {
-		posOf[t] = pos
-	}
-	dist := func(t *dataset.Tuple, part int) float64 {
-		return matrix[posOf[t]][part]
-	}
-	closestNotFull := func(t *dataset.Tuple) int {
+	closestNotFull := func(pos int) int {
 		best, bestD := -1, math.Inf(1)
 		for p := 0; p < k; p++ {
 			if len(heaps[p]) >= s {
 				continue
 			}
-			if d := dist(t, p); d < bestD {
+			if d := matrix[pos][p]; d < bestD {
 				best, bestD = p, d
 			}
 		}
 		return best
 	}
 
-	for pos, t := range tb.Tuples {
+	for pos := range tb.Tuples {
 		if _, isCentroid := centroidIdx[pos]; isCentroid {
 			continue
 		}
 		// Globally closest part.
 		best, bestD := 0, math.Inf(1)
 		for p := 0; p < k; p++ {
-			if d := dist(t, p); d < bestD {
+			if d := matrix[pos][p]; d < bestD {
 				best, bestD = p, d
 			}
 		}
 		if len(heaps[best]) < s {
-			heap.Push(&heaps[best], partEntry{tuple: t, dist: bestD})
+			heap.Push(&heaps[best], partEntry{pos: pos, dist: bestD})
 			continue
 		}
 		// Part full: evict the farthest resident if the newcomer is closer,
 		// re-homing the evictee; otherwise re-home the newcomer (Alg. 3,
 		// lines 10–14).
-		evict := t
+		evict := pos
 		if top := heaps[best][0]; bestD < top.dist {
-			evict = top.tuple
+			evict = top.pos
 			heap.Pop(&heaps[best])
-			heap.Push(&heaps[best], partEntry{tuple: t, dist: bestD})
+			heap.Push(&heaps[best], partEntry{pos: pos, dist: bestD})
 		}
 		p := closestNotFull(evict)
 		if p < 0 {
 			// All parts at capacity can only happen when |T| = k·s exactly
 			// and every slot is taken; capacity math makes this impossible
 			// for the last tuple, but guard anyway.
-			return nil, 0, 0, fmt.Errorf("distributed: no non-full part for tuple %d", evict.ID)
+			return nil, 0, 0, fmt.Errorf("distributed: no non-full part for tuple %d", tb.Tuples[evict].ID)
 		}
-		heap.Push(&heaps[p], partEntry{tuple: evict, dist: dist(evict, p)})
+		heap.Push(&heaps[p], partEntry{pos: evict, dist: matrix[evict][p]})
 	}
 
-	parts := make([]*dataset.Table, k)
-	for p := 0; p < k; p++ {
-		parts[p] = dataset.NewTable(tb.Schema)
-		for _, e := range heaps[p] {
-			parts[p].Tuples = append(parts[p].Tuples, e.tuple.Clone())
+	parts := make([][]int, k)
+	for p := range parts {
+		parts[p] = make([]int, len(heaps[p]))
+		for i, e := range heaps[p] {
+			parts[p][i] = e.pos
 		}
 	}
 	return parts, distTime, time.Since(heapStart), nil

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mlnclean/internal/core"
-	"mlnclean/internal/index"
 )
 
 // TestMessageGobRoundTrip: every protocol message survives the wire framing
@@ -22,15 +21,16 @@ func TestMessageGobRoundTrip(t *testing.T) {
 			Reason: []WirePattern{{Attr: "A", Const: "x"}},
 			Result: []WirePattern{{Attr: "B"}},
 		}}},
-		TupleBatch{Worker: 1, IDs: []int{3, 7}, Rows: [][]string{{"a", "b"}, {"c", "d"}}},
+		TupleBatch{Worker: 1, IDs: []int{3, 7}, Rows: []uint32{0, 1, 2, 1}, Delta: "abc", DeltaEnds: []int{1, 2, 3}},
 		StartStageI{Worker: 0},
-		WeightSummaries{Worker: 1, ElapsedNS: 42, Summaries: []index.PieceSummary{
-			{RuleID: "r1", Key: "a\x1fb", Count: 3, Weight: 0.75},
+		WeightSummaries{Worker: 1, ElapsedNS: 42, Rules: []RuleWeights{
+			{IDs: []uint32{0, 1, 2, 1}, Counts: []int{3, 1}, Weights: []float64{0.75, -0.5}},
+			{}, // a rule with no pieces
 		}},
-		MergedWeights{Worker: 3, Merged: []index.PieceSummary{{RuleID: "r2", Key: "k", Count: 1, Weight: 1}}},
+		MergedWeights{Worker: 3, Rules: []RuleWeights{{IDs: []uint32{4, 5}, Counts: []int{1}, Weights: []float64{1}}}},
 		FusionResult{Worker: 2, PartSize: 9, ElapsedNS: 7, Stats: core.Stats{Tuples: 9, RSCRepairs: 2},
 			Blocks: []WireFusionBlock{{Pieces: []WirePiece{
-				{Reason: []string{"a"}, Result: []string{"b"}, TupleIDs: []int{1, 4}, Weight: 0.5},
+				{Values: []uint32{0, 1}, TupleIDs: []int{1, 4}, Weight: 0.5},
 			}}}},
 	}
 	for _, m := range msgs {

@@ -45,8 +45,8 @@ type Piece struct {
 }
 
 // NewPiece interns the given reason/result values into dict and returns the
-// piece. The wire gather path and tests construct pieces this way; Build
-// mints them directly from encoded rows.
+// piece. Tests construct pieces this way; Build mints them directly from
+// encoded rows.
 func NewPiece(r *rules.Rule, dict *intern.Dict, reason, result []string) *Piece {
 	ids := make([]uint32, 0, len(reason)+len(result))
 	for _, v := range reason {
@@ -55,13 +55,14 @@ func NewPiece(r *rules.Rule, dict *intern.Dict, reason, result []string) *Piece 
 	for _, v := range result {
 		ids = append(ids, dict.Intern(v))
 	}
-	return newPieceIDs(r, dict, ids, len(reason))
+	return NewPieceIDs(r, dict, ids, len(reason))
 }
 
-// newPieceIDs claims ownership of ids (reason prefix of length nReason) and
-// mints the piece's sequence keys. Key minting mutates the dictionary, so
-// pieces are only created in serial phases (Build, the wire gather).
-func newPieceIDs(r *rules.Rule, dict *intern.Dict, ids []uint32, nReason int) *Piece {
+// NewPieceIDs claims ownership of ids — value IDs of dict, the reason prefix
+// of length nReason — and mints the piece's sequence keys. Key minting
+// mutates the dictionary, so pieces are only created in serial phases
+// (Build, the distributed gather).
+func NewPieceIDs(r *rules.Rule, dict *intern.Dict, ids []uint32, nReason int) *Piece {
 	return &Piece{
 		Rule:    r,
 		dict:    dict,
@@ -435,15 +436,15 @@ func (ix *Index) Assignments() []map[int]*Group {
 	return out
 }
 
-// PieceSummary is the serializable weight-exchange record of one piece: its
-// identity (rule + exact values, plus the joined display key), local support
-// count, and locally learned weight. The distributed Eq. 6 weight merge
-// reduces over these summaries instead of touching worker index state
-// directly, so the exchange can cross a process boundary.
+// PieceSummary is the string form of one piece's weight record: its
+// identity (rule + exact values, plus the joined display key), support
+// count, and learned weight. The delta engine's Weights and mlnserve's
+// repair trail read these; the distributed Eq. 6 exchange ships the same
+// record in value IDs instead.
 type PieceSummary struct {
 	RuleID string
-	// Key is the joined display form of Values (kept for logs and older
-	// cached vectors); Values is the authoritative identity.
+	// Key is the joined display form of Values; Values is the
+	// authoritative identity.
 	Key    string
 	Values []string
 	Count  int
@@ -484,80 +485,30 @@ func (b *Block) appendSummaries(out []PieceSummary) []PieceSummary {
 	return out
 }
 
-// CopySummaries returns an independent copy of a summary vector, including
-// each summary's Values slice: a vector handed to another goroutine is
-// copied so later mutation by one party cannot corrupt the other's view.
-func CopySummaries(ws []PieceSummary) []PieceSummary {
-	if ws == nil {
-		return nil
-	}
-	out := make([]PieceSummary, len(ws))
-	copy(out, ws)
-	for i := range out {
-		if out[i].Values != nil {
-			out[i].Values = append([]string(nil), out[i].Values...)
-		}
-	}
-	return out
-}
-
-// IdentityValues returns the summary's identity values, reconstructing them
-// from the joined key for vectors produced before Values existed.
-func (s *PieceSummary) IdentityValues() []string {
-	if s.Values != nil {
-		return s.Values
-	}
-	return dataset.SplitKey(s.Key)
-}
-
-// ApplyPieceWeights overwrites the weight of every piece matching a summary's
-// (rule, values) identity; pieces without a matching summary keep their local
-// weight. Counts are ignored — this is the write-back half of the Eq. 6
-// exchange. Matching resolves summary values through the index's dictionary
-// (lookup only): a summary naming values this index never saw cannot match
-// any piece and is skipped without growing the dictionary.
-func (ix *Index) ApplyPieceWeights(ws []PieceSummary) {
-	if len(ws) == 0 {
+// ApplyPieceWeights is the write-back half of the Eq. 6 exchange for block
+// bi: ids holds one run of value IDs per weight, each the length of the
+// rule's reason plus result in the index's dictionary, and every piece whose
+// values are run i takes weights[i]. Pieces without a matching run keep
+// their weight. Runs resolve through the dictionary's sequence keys (lookup
+// only), so a run no piece carries is skipped without growing the
+// dictionary. The caller keeps len(ids) = arity·len(weights).
+func (ix *Index) ApplyPieceWeights(bi int, ids []uint32, weights []float64) {
+	if len(weights) == 0 {
 		return
 	}
-	type identity struct {
-		rule string
-		kid  uint32
-	}
+	b := ix.Blocks[bi]
+	arity := len(ids) / len(weights)
 	d := ix.Dict()
-	merged := make(map[identity]float64, len(ws))
-	var ids []uint32
-	for i := range ws {
-		s := &ws[i]
-		vals := s.IdentityValues()
-		ids = ids[:0]
-		ok := true
-		for _, v := range vals {
-			id, found := d.Lookup(v)
-			if !found {
-				ok = false
-				break
-			}
-			ids = append(ids, id)
+	merged := make(map[uint32]float64, len(weights))
+	for i, w := range weights {
+		if kid, ok := d.LookupSeq(ids[i*arity : (i+1)*arity]); ok {
+			merged[kid] = w
 		}
-		if !ok {
-			continue
-		}
-		kid, found := d.LookupSeq(ids)
-		if !found {
-			continue
-		}
-		merged[identity{s.RuleID, kid}] = s.Weight
 	}
-	if len(merged) == 0 {
-		return
-	}
-	for _, b := range ix.Blocks {
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				if w, ok := merged[identity{b.Rule.ID, p.kid}]; ok {
-					p.Weight = w
-				}
+	for _, g := range b.Groups {
+		for _, p := range g.Pieces {
+			if w, ok := merged[p.kid]; ok {
+				p.Weight = w
 			}
 		}
 	}

@@ -349,24 +349,32 @@ func TestPieceSummariesRoundTrip(t *testing.T) {
 		seen[k] = true
 	}
 
-	// Overwrite one piece's weight via a summary; everything else keeps its
-	// weight, including pieces named by no summary.
-	target := sums[0]
-	target.Weight = 42
-	ix.ApplyPieceWeights([]PieceSummary{target, {RuleID: "nope", Key: "nope", Weight: 7}})
-	for _, b := range ix.Blocks {
+	// Overwrite one piece's weight through its value IDs; everything else
+	// keeps its weight, including pieces named by no run, and a run of
+	// values the dictionary never saw matches nothing and adds nothing.
+	target := ix.Blocks[0].Groups[0].Pieces[0]
+	n := ix.Dict().Len()
+	ids := append([]uint32(nil), target.ValueIDs()...)
+	for range target.ValueIDs() {
+		ids = append(ids, uint32(n))
+	}
+	ix.ApplyPieceWeights(0, ids, []float64{42, 7})
+	for bi, b := range ix.Blocks {
 		for _, g := range b.Groups {
 			for _, p := range g.Pieces {
 				got := p.Weight
-				if b.Rule.ID == target.RuleID && p.Key() == target.Key {
+				if p == target {
 					if got != 42 {
 						t.Errorf("target piece weight = %v, want 42", got)
 					}
 				} else if got == 42 || got == 7 {
-					t.Errorf("unmatched piece %s/%s weight overwritten to %v", b.Rule.ID, p.Key(), got)
+					t.Errorf("unmatched piece %d/%s weight overwritten to %v", bi, p.Key(), got)
 				}
 			}
 		}
 	}
-	ix.ApplyPieceWeights(nil) // no-op
+	if ix.Dict().Len() != n {
+		t.Errorf("dictionary grew from %d to %d values", n, ix.Dict().Len())
+	}
+	ix.ApplyPieceWeights(0, nil, nil) // no-op
 }

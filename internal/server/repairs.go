@@ -41,7 +41,7 @@ func computeRepairsTable(schema *dataset.Schema, dirty, repaired *dataset.Table,
 	weightOf := make(map[string]float64, len(weights))
 	for i := range weights {
 		s := &weights[i]
-		weightOf[s.RuleID+"\x1f"+dataset.JoinKey(s.IdentityValues())] = s.Weight
+		weightOf[s.RuleID+"\x1f"+dataset.JoinKey(s.Values)] = s.Weight
 	}
 	attrs := schema.Attrs()
 	var out []Repair
