@@ -226,18 +226,11 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		normalGroups = abnormalGroups[:1]
 		abnormalGroups = abnormalGroups[1:]
 		promotions = 1
-		promo := AGPMerge{
-			BlockIndex:   blockIdx,
-			RuleID:       b.Rule.ID,
-			SourceKey:    normalGroups[0].Key,
-			SourcePieces: len(normalGroups[0].Pieces),
-			Promoted:     true,
+		if tr != nil {
+			promo := agpRecord(blockIdx, b, normalGroups[0])
+			promo.Promoted = true
+			tr.addAGP(promo)
 		}
-		for _, p := range normalGroups[0].Pieces {
-			promo.SourceTuples = append(promo.SourceTuples, p.TupleIDs...)
-		}
-		sort.Ints(promo.SourceTuples)
-		tr.addAGP(promo)
 		if len(abnormalGroups) == 0 {
 			return
 		}
@@ -314,23 +307,37 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		}
 		abnormal++
 		abnormalPieces += len(src.Pieces)
-		merge := AGPMerge{
-			BlockIndex:   blockIdx,
-			RuleID:       b.Rule.ID,
-			SourceKey:    src.Key,
-			SourcePieces: len(src.Pieces),
+		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(ev, sids, targets[best].ids))
+		if tr != nil {
+			// Recorded before the merge moves src's pieces into its target.
+			merge := agpRecord(blockIdx, b, src)
+			if merged {
+				merge.TargetKey = targets[best].g.Key
+			}
+			tr.addAGP(merge)
 		}
-		for _, p := range src.Pieces {
-			merge.SourceTuples = append(merge.SourceTuples, p.TupleIDs...)
-		}
-		sort.Ints(merge.SourceTuples)
-		if best >= 0 && bestD <= mergeCap*float64(maxRuneLen(ev, sids, targets[best].ids)) {
-			merge.TargetKey = targets[best].g.Key
+		if merged {
 			b.MergeGroups(src, targets[best].g)
 		}
-		tr.addAGP(merge)
 	}
 	return abnormal, abnormalPieces, promotions, search.pairs, search.fullScans
+}
+
+// agpRecord is the trace entry of one abnormal-group decision about src,
+// without its outcome. Built only when tracing: it copies and sorts the
+// group's tuple lists.
+func agpRecord(blockIdx int, b *index.Block, src *index.Group) AGPMerge {
+	m := AGPMerge{
+		BlockIndex:   blockIdx,
+		RuleID:       b.Rule.ID,
+		SourceKey:    src.Key,
+		SourcePieces: len(src.Pieces),
+	}
+	for _, p := range src.Pieces {
+		m.SourceTuples = append(m.SourceTuples, p.TupleIDs...)
+	}
+	sort.Ints(m.SourceTuples)
+	return m
 }
 
 // maxRuneLen returns the larger total rune length of the two value-ID

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,6 +31,9 @@ import (
 //     same assignment, so its cached outcome is reused. Conflicted tuples
 //     are always re-fused — their outcome reads global candidate sets and
 //     attribute domain sizes, which any mutation may shift.
+//   - A re-fused tuple whose fused row did not move keeps its cached tuple,
+//     so successive Results share every tuple whose repaired values did not
+//     change, and the audit trail (Trail) is read off the cached ID rows.
 //
 // The correctness anchor is exact parity: after any mutation sequence,
 // Apply's Result is byte-identical to Clean over the same table (the
@@ -83,9 +87,9 @@ type deltaBlock struct {
 	// vers maps tuple ID → its version facts, for the cheap pre/post rebuild
 	// comparison that bounds re-fusion.
 	vers map[int]verInfo
-	// summaries is the block's post-stage-I piece summary run (the weight
-	// vector fragment used for repair attribution).
-	summaries []index.PieceSummary
+	// weights maps each post-stage-I piece's KeyID to its learned weight:
+	// the block's fragment of the weight vector repair attribution reads.
+	weights map[uint32]float64
 	// res is the block's contribution to the run Stats, kept so the whole
 	// Stats can be recomposed without touching clean blocks.
 	res blockResult
@@ -98,7 +102,8 @@ type deltaBlock struct {
 type tupleState struct {
 	// tuple is the fused (repaired) tuple and row its value IDs in the
 	// engine's dictionary. Both are written once by fuseOne and replaced
-	// wholesale on re-fuse, never edited, so Results can share them.
+	// wholesale when a re-fuse moves the row, never edited, so Results can
+	// share them.
 	tuple *dataset.Tuple
 	row   []uint32
 	// res is the fusion accounting; a conflicted tuple's fusion read global
@@ -129,7 +134,12 @@ type DeltaCleaner struct {
 	// engine every re-fusion reuses.
 	plan  *fusionPlan
 	fuser *fuser
-	fused map[int]*tupleState
+	fused map[int]tupleState
+	// scratch and scratchRow are what fuseOne fuses into; proj is Trail's
+	// projection buffer.
+	scratch    dataset.Tuple
+	scratchRow []uint32
+	proj       []uint32
 
 	loaded bool
 }
@@ -164,7 +174,7 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		dict:   dict,
 		pool:   distance.NewPool(opts.Metric, dict),
 		rowPos: make(map[int]int),
-		fused:  make(map[int]*tupleState),
+		fused:  make(map[int]tupleState),
 	}
 	posPerBlock := make([][]int, len(rs))
 	for ri, r := range rs {
@@ -401,13 +411,13 @@ func (d *DeltaCleaner) Table() *dataset.Table {
 	return tb
 }
 
-// Weights returns the current post-stage-I piece summaries, concatenated in
-// rule order — the weight vector repair attribution reads. Equal to the
-// summaries a from-scratch Clean of the same table exposes on its index.
+// Weights decodes the current post-stage-I piece summaries, concatenated in
+// rule order — the weight vector Trail attributes repairs against. Equal to
+// the summaries a from-scratch Clean of the same table exposes on its index.
 func (d *DeltaCleaner) Weights() []index.PieceSummary {
 	var out []index.PieceSummary
 	for _, db := range d.blocks {
-		out = append(out, db.summaries...)
+		out = append(out, db.block.PieceSummaries()...)
 	}
 	return out
 }
@@ -466,7 +476,6 @@ func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 	fold([]blockResult{res}, phaseAll, new(Stats))
 
 	db.block, db.res = b, res
-	db.summaries = b.PieceSummaries()
 	fb := fusionBlockOf(b)
 	d.plan.blocks[ri] = fb
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
@@ -474,16 +483,39 @@ func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 	for id, p := range fb.Versions {
 		db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
 	}
+	if db.weights == nil {
+		db.weights = make(map[uint32]float64, len(fb.Candidates))
+	}
+	clear(db.weights)
+	for _, p := range fb.Candidates {
+		db.weights[p.KeyID()] = p.Weight
+	}
 	return nil
 }
 
 // fuseOne re-runs fusion for one tuple against the current blocks and caches
-// the outcome.
+// the outcome. Fusion writes into the engine's scratch tuple and row: a tuple
+// whose fused row did not move keeps its cached tuple and row (the values are
+// the row's strings), and only one whose row moved gets fresh copies.
 func (d *DeltaCleaner) fuseOne(id int) {
 	pos := d.rowPos[id]
-	t := d.tuples[pos].Clone()
-	res := d.fuser.fuse(t, d.encRows[pos], nil)
-	d.fused[id] = &tupleState{tuple: t, row: d.fuser.fusedRow(d.encRows[pos], res), res: res}
+	dirtyRow := d.encRows[pos]
+	d.scratch.ID = id
+	d.scratch.Values = append(d.scratch.Values[:0], d.tuples[pos].Values...)
+	res := d.fuser.fuse(&d.scratch, dirtyRow, nil)
+	row := d.fuser.fusedRow(d.scratchRow, dirtyRow, res)
+	if res.changes > 0 {
+		d.scratchRow = row
+	}
+	if ts, ok := d.fused[id]; ok && slices.Equal(ts.row, row) {
+		ts.res = res
+		d.fused[id] = ts
+		return
+	}
+	if res.changes > 0 {
+		row = slices.Clone(row) // the cache must not hold the scratch buffer
+	}
+	d.fused[id] = tupleState{tuple: d.scratch.Clone(), row: row, res: res}
 }
 
 // ruleDirtyOnUpdate reports whether replacing old with new changes rule r's

@@ -281,6 +281,63 @@ func TestDeltaReuse(t *testing.T) {
 	}
 }
 
+// TestDeltaSharesUnchangedTuples: a version shares with the one before it
+// every tuple whose repaired values did not change — the same *Tuple, not a
+// copy, re-fused or not — and never edits a tuple an earlier version holds.
+func TestDeltaSharesUnchangedTuples(t *testing.T) {
+	dirty, rs := carDirty(t, 300, 5)
+	eng, err := NewDeltaCleaner(dirty.Schema, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := eng.Load(dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type seen struct {
+		tuple  *dataset.Tuple
+		values []string
+	}
+	rng := rand.New(rand.NewSource(5))
+	shared, refused := 0, 0
+	for step := 0; step < 12; step++ {
+		before := make(map[int]seen, prev.Repaired.Len())
+		for _, tp := range prev.Repaired.Tuples {
+			before[tp.ID] = seen{tp, append([]string(nil), tp.Values...)}
+		}
+		id := dirty.Tuples[rng.Intn(dirty.Len())].ID
+		vals := append([]string(nil), dirty.Tuples[rng.Intn(dirty.Len())].Values...)
+		res, ds, err := eng.Apply([]Mutation{{Op: DeltaPut, Row: id, Values: vals}})
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		refused += ds.RefusedTuples
+		for _, tp := range res.Repaired.Tuples {
+			old, ok := before[tp.ID]
+			if !ok {
+				t.Fatalf("step %d: tuple %d appeared from a PUT of a live row", step, tp.ID)
+			}
+			if !reflect.DeepEqual(old.tuple.Values, old.values) {
+				t.Fatalf("step %d: the previous version's tuple %d was edited to %v", step, tp.ID, old.tuple.Values)
+			}
+			switch unchanged := reflect.DeepEqual(tp.Values, old.values); {
+			case unchanged && tp != old.tuple:
+				t.Fatalf("step %d: tuple %d kept its values %v but is a fresh copy", step, tp.ID, tp.Values)
+			case !unchanged && tp == old.tuple:
+				t.Fatalf("step %d: tuple %d changed but is shared", step, tp.ID)
+			case unchanged:
+				shared++
+			}
+		}
+		prev = res
+	}
+	// Conflicted tuples re-fuse on every Apply, mostly to the row they had:
+	// the sharing must reach past the tuples Apply did not touch at all.
+	if refused <= 12 || shared == 0 {
+		t.Fatalf("%d tuples re-fused over 12 single-row PUTs, %d shared: the sequence does not exercise re-fused sharing", refused, shared)
+	}
+}
+
 // TestDeltaValidation: bad batches are rejected atomically, before any state
 // changes.
 func TestDeltaValidation(t *testing.T) {
@@ -323,4 +380,85 @@ func TestDeltaValidation(t *testing.T) {
 	if eng.Len() != dirty.Len() {
 		t.Fatalf("failed batches mutated state: %d tuples, want %d", eng.Len(), dirty.Len())
 	}
+}
+
+// serveMix draws n single-tuple mutations in the serving benchmark's mix: per
+// six, two single-cell corrections (an injected error set back to its clean
+// value), two whole-row replacements by another row's observation, one insert
+// at the next dense row and one delete.
+func serveMix(inj *errgen.Injection, n int, seed int64) []Mutation {
+	rng := rand.New(rand.NewSource(seed))
+	schema := inj.Dirty.Schema
+	rows := make(map[int][]string, inj.Dirty.Len())
+	var live []int
+	for _, tp := range inj.Dirty.Tuples {
+		rows[tp.ID] = tp.Values
+		live = append(live, tp.ID)
+	}
+	next := inj.Dirty.Len()
+	pick := func() int { return live[rng.Intn(len(live))] }
+	muts := make([]Mutation, 0, n)
+	for i := 0; len(muts) < n; i++ {
+		var m Mutation
+		switch "CRICRD"[i%6] {
+		case 'C':
+			e := inj.Errors[rng.Intn(len(inj.Errors))]
+			if rows[e.TupleID] == nil {
+				continue // deleted since
+			}
+			vals := append([]string(nil), rows[e.TupleID]...)
+			vals[schema.MustIndex(e.Attr)] = e.Clean
+			m = Mutation{Op: DeltaPut, Row: e.TupleID, Values: vals}
+		case 'R':
+			m = Mutation{Op: DeltaPut, Row: pick(), Values: rows[pick()]}
+		case 'I':
+			m = Mutation{Op: DeltaPut, Row: next, Values: rows[pick()]}
+			live = append(live, next)
+			next++
+		case 'D':
+			at := rng.Intn(len(live))
+			m = Mutation{Op: DeltaDelete, Row: live[at]}
+			live = append(live[:at], live[at+1:]...)
+		}
+		rows[m.Row] = m.Values
+		muts = append(muts, m)
+	}
+	return muts
+}
+
+// BenchmarkDeltaApply mints one served version per op on the serving
+// benchmark's shape (CAR 5k rows, 5 % errors, τ = 1), loaded once: one
+// mutation of serveMix applied, then the version's audit trail. ns/op and
+// allocs/op are per minted version; refused/op is the tuples re-fused.
+func BenchmarkDeltaApply(b *testing.B) {
+	const seed = 4200
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 5000, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: seed*1_000_003 + 17})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewDeltaCleaner(inj.Dirty.Schema, rs, Options{Tau: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Load(inj.Dirty); err != nil {
+		b.Fatal(err)
+	}
+	muts := serveMix(inj, b.N, seed)
+	refused, repairs := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, m := range muts {
+		_, ds, err := eng.Apply([]Mutation{m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		refused += ds.RefusedTuples
+		repairs += len(eng.Trail())
+	}
+	b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
+	b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
 }

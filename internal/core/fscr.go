@@ -457,7 +457,7 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 				totals[ci].add(res)
 				// Encoded rows are schema-wide even under a short tuple, whose
 				// padding must not take part in row identity.
-				rows[i] = f.fusedRow(enc.Rows[i], res)[:len(t.Values)]
+				rows[i] = f.fusedRow(nil, enc.Rows[i], res)[:len(t.Values)]
 			}
 		}(ci)
 	}
@@ -610,13 +610,14 @@ func (f *fuser) fuse(t *dataset.Tuple, dirtyRow []uint32, trace *[]FusionOutcome
 }
 
 // fusedRow is the repaired ID row of the tuple fuse just returned res for:
-// dirtyRow itself when fusion changed no cell, else a copy with the winning
-// IDs applied — every one of them a piece value, so already in the dictionary.
-func (f *fuser) fusedRow(dirtyRow []uint32, res fuseResult) []uint32 {
+// dirtyRow itself when fusion changed no cell, else a copy, written over buf
+// (nil for a fresh row), with the winning IDs applied — every one of them a
+// piece value, so already in the dictionary.
+func (f *fuser) fusedRow(buf, dirtyRow []uint32, res fuseResult) []uint32 {
 	if res.changes == 0 {
 		return dirtyRow
 	}
-	row := slices.Clone(dirtyRow)
+	row := append(buf[:0], dirtyRow...)
 	for pos, id := range f.best {
 		if id != unsetID {
 			row[pos] = id

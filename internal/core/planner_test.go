@@ -200,12 +200,12 @@ func TestRSCWinnerZeroZ(t *testing.T) {
 	light := mk(2, 1.0)
 	g := &index.Group{Key: "BOAZ", Pieces: []*index.Piece{light, heavy}}
 	ev := distance.NewEvaluator(distance.Levenshtein{}, d)
-	if got := rscWinner(g, ev); got != heavy {
+	if got := rscWinner(g, ev, make([]float64, 4)); got != heavy {
 		t.Errorf("z==0 winner = %+v, want the higher-weight piece", got)
 	}
 	// Same outcome with the slice order flipped.
 	g.Pieces = []*index.Piece{heavy, light}
-	if got := rscWinner(g, ev); got != heavy {
+	if got := rscWinner(g, ev, make([]float64, 4)); got != heavy {
 		t.Errorf("z==0 winner after permutation = %+v, want the higher-weight piece", got)
 	}
 }

@@ -19,29 +19,37 @@ import (
 // ends with exactly one piece. Ties break by higher weight, then higher
 // count, then ascending key. Pairwise distances run over interned value IDs
 // through the block's evaluator (memoized, symmetric). Returns the number
-// of pieces rewritten.
+// of pieces rewritten; tr, when non-nil, records each rewrite — the records
+// (decoded values, copied tuple lists) are built only then.
 func rsc(blockIdx int, b *index.Block, ev *distance.Evaluator, tr *Trace) int {
 	repairs := 0
+	var dist []float64 // rscWinner's n×n distances, reused across groups
 	for _, g := range b.Groups {
-		if len(g.Pieces) <= 1 {
+		n := len(g.Pieces)
+		if n <= 1 {
 			continue // ideal state: one and only one γ (§5.1.2)
 		}
-		winner := rscWinner(g, ev)
+		if cap(dist) < n*n {
+			dist = make([]float64, n*n)
+		}
+		winner := rscWinner(g, ev, dist[:n*n])
 		// Rewrite all losing pieces to the winner.
 		for _, p := range g.Pieces {
 			if p == winner {
 				continue
 			}
 			repairs++
-			tr.addRSC(RSCRepair{
-				BlockIndex: blockIdx,
-				RuleID:     b.Rule.ID,
-				GroupKey:   g.Key,
-				Attrs:      b.Rule.Attrs(),
-				Old:        p.Values(),
-				New:        winner.Values(),
-				Tuples:     append([]int{}, p.TupleIDs...),
-			})
+			if tr != nil {
+				tr.addRSC(RSCRepair{
+					BlockIndex: blockIdx,
+					RuleID:     b.Rule.ID,
+					GroupKey:   g.Key,
+					Attrs:      b.Rule.Attrs(),
+					Old:        p.Values(),
+					New:        winner.Values(),
+					Tuples:     append([]int{}, p.TupleIDs...),
+				})
+			}
 			winner.TupleIDs = append(winner.TupleIDs, p.TupleIDs...)
 		}
 		sort.Ints(winner.TupleIDs)
@@ -50,23 +58,16 @@ func rsc(blockIdx int, b *index.Block, ev *distance.Evaluator, tr *Trace) int {
 	return repairs
 }
 
-// rscWinner computes reliability scores and returns the winning piece.
-func rscWinner(g *index.Group, ev *distance.Evaluator) *index.Piece {
+// rscWinner computes reliability scores and returns the winning piece. d is
+// scratch for the group's pairwise distances, row-major n×n.
+func rscWinner(g *index.Group, ev *distance.Evaluator, d []float64) *index.Piece {
 	n := len(g.Pieces)
-	// Pairwise raw distances over value IDs.
-	d := make([][]float64, n)
-	vals := make([][]uint32, n)
-	for i, p := range g.Pieces {
-		vals[i] = p.ValueIDs()
-	}
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
+	// Pairwise raw distances over value IDs; the diagonal is never read.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dist := ev.Values(vals[i], vals[j])
-			d[i][j] = dist
-			d[j][i] = dist
+			dist := ev.Values(g.Pieces[i].ValueIDs(), g.Pieces[j].ValueIDs())
+			d[i*n+j] = dist
+			d[j*n+i] = dist
 		}
 	}
 	// Z normalizes n(γ)·d into [0,1] across the group's ordered pairs.
@@ -77,7 +78,7 @@ func rscWinner(g *index.Group, ev *distance.Evaluator) *index.Piece {
 			if i == j {
 				continue
 			}
-			if v := ni * d[i][j]; v > z {
+			if v := ni * d[i*n+j]; v > z {
 				z = v
 			}
 		}
@@ -93,7 +94,7 @@ func rscWinner(g *index.Group, ev *distance.Evaluator) *index.Piece {
 			}
 			dist := 0.0
 			if z > 0 {
-				dist = ni * d[i][j] / z
+				dist = ni * d[i*n+j] / z
 			}
 			if dist < minDist {
 				minDist = dist

@@ -232,7 +232,7 @@ func (s *Session) catchUpLocked() error {
 		s.versions = append(s.versions, &versionEntry{
 			clean:   res.Clean,
 			stats:   res.Stats,
-			repairs: computeRepairsTable(s.schema, s.delta.Table(), res.Repaired, s.rules, s.delta.Weights()),
+			repairs: s.delta.Trail(),
 			tuples:  s.delta.Len(),
 			delta:   ds,
 		})

@@ -269,7 +269,7 @@ func (s *Session) loadEngine() (*versionEntry, error) {
 	return &versionEntry{
 		clean:   res.Clean,
 		stats:   res.Stats,
-		repairs: computeRepairsTable(s.schema, base, res.Repaired, s.rules, s.delta.Weights()),
+		repairs: s.delta.Trail(),
 		tuples:  base.Len(),
 	}, nil
 }
