@@ -56,22 +56,14 @@ type agpTarget struct {
 // the plain scan over all targets.
 //
 // The classes come from per-position postings over the targets' value IDs,
-// built when the first source searches: a rebuild whose sources all reuse a
-// memoized decision never pays for them.
+// built once before any source searches, and only when one will: a rebuild
+// whose sources all reuse a memoized decision never pays for them. The
+// targets and postings are read-only from then on, so any number of
+// searchers share them, each with its own evaluator and scratch.
 type agpSearch struct {
-	ev      *distance.Evaluator
 	targets []agpTarget
-
-	built bool
-	arity int          // the targets' common γ⋆ arity; −1 when they differ
-	post  []agpPosting // arity runs of len(targets), each sorted by (id, target)
-	// shared[t] counts the positions at which target t holds the current
-	// source's value; touched lists the targets with a non-zero count.
-	shared  []int32
-	touched []int32
-
-	pairs     int // γ⋆ pairs measured
-	fullScans int // sources that went on to the targets sharing nothing
+	arity   int          // the targets' common γ⋆ arity; −1 when they differ
+	post    []agpPosting // arity runs of len(targets), each sorted by (id, target)
 }
 
 type agpPosting struct {
@@ -80,9 +72,7 @@ type agpPosting struct {
 }
 
 func (s *agpSearch) build() {
-	s.built = true
 	n := len(s.targets)
-	s.shared = make([]int32, n)
 	s.arity = len(s.targets[0].ids)
 	for i := range s.targets {
 		if len(s.targets[i].ids) != s.arity {
@@ -102,12 +92,26 @@ func (s *agpSearch) build() {
 	}
 }
 
+// agpSearcher is one participant's view of a shared agpSearch: its own
+// evaluator, scratch and cost counters.
+type agpSearcher struct {
+	*agpSearch
+	ev *distance.Evaluator
+	// shared[t] counts the positions at which target t holds the current
+	// source's value; touched lists the targets with a non-zero count.
+	shared  []int32
+	touched []int32
+
+	pairs     int // γ⋆ pairs measured
+	fullScans int // sources that went on to the targets sharing nothing
+}
+
 // challenge measures target i against the running best and returns the
 // better of the two. Strictly nearer wins; an exact distance tie falls to
 // the explicit key comparison, never to the order targets are measured in.
 // The bounded evaluator returns a distance equal to its bound exactly (it
 // only clips strictly past it), so clipping cannot hide a tie.
-func (s *agpSearch) challenge(sids []uint32, i, best int, bestD float64) (int, float64) {
+func (s *agpSearcher) challenge(sids []uint32, i, best int, bestD float64) (int, float64) {
 	s.pairs++
 	d := s.ev.ValuesBounded(sids, s.targets[i].ids, bestD)
 	if d < bestD || (d == bestD && best >= 0 && s.targets[i].g.Key < s.targets[best].g.Key) {
@@ -118,7 +122,7 @@ func (s *agpSearch) challenge(sids []uint32, i, best int, bestD float64) (int, f
 
 // nearest returns the (distance, key) minimum over all targets: the source's
 // nearest target, ties to the smaller group key, and its distance.
-func (s *agpSearch) nearest(sids []uint32) (best int, bestD float64) {
+func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 	best, bestD = -1, math.Inf(1)
 	k, n := len(sids), len(s.targets)
 	// δ: what any one differing attribute of this source costs at least.
@@ -129,13 +133,8 @@ func (s *agpSearch) nearest(sids []uint32) (best int, bestD float64) {
 			delta = min(delta, s.ev.MinDistinct(id))
 		}
 	}
-	if delta > 0 {
-		if !s.built {
-			s.build()
-		}
-		if k != s.arity {
-			delta = 0
-		}
+	if k != s.arity {
+		delta = 0
 	}
 	if delta > 0 {
 		for p, id := range sids {
@@ -161,7 +160,6 @@ func (s *agpSearch) nearest(sids []uint32) (best int, bestD float64) {
 		}
 		s.fullScans++
 		for i := 0; i < n; i++ {
-			// (shared does not exist until a source with a bound built it.)
 			if len(s.touched) == 0 || s.shared[i] == 0 {
 				best, bestD = s.challenge(sids, i, best, bestD)
 			}
@@ -182,17 +180,23 @@ func (s *agpSearch) nearest(sids []uint32) (best int, bestD float64) {
 // so merging remains well-defined.
 //
 // The nearest-group search runs entirely over interned value IDs through
-// the block's distance evaluator: agpSearch measures only the targets that
+// the crew's distance evaluators: agpSearch measures only the targets that
 // can still win, per-pair results are memoized symmetrically (γ⋆ values
 // repeat across sources) and the per-pair DP is bounded by the running
 // best, so hopeless targets abandon early. A non-nil memo further reduces
 // repeat rebuilds to the changed targets only.
 //
+// Each source's search is one crew item. A search reads only the targets'
+// γ⋆ value IDs, taken before the first merge, and their group keys, while a
+// merge only moves a source's pieces into a normal group; so every search
+// sees what it would have seen in the serial loop, and the owner then
+// merges, memoizes and traces in source order.
+//
 // Returns the number of abnormal groups detected, the total γ count inside
 // them (#dag), the number of promotions (0 or 1), and what the search cost:
 // γ⋆ pairs measured and sources that had to scan the targets they share no
 // value with.
-func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
+func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
 	var prev agpMemo // what the previous rebuild left, if it searched
 	if memo != nil {
 		prev, *memo = *memo, agpMemo{}
@@ -244,7 +248,7 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		star := g.Star()
 		targets[i] = agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()}
 	}
-	search := agpSearch{ev: ev, targets: targets}
+	search := agpSearch{targets: targets}
 
 	// With the previous rebuild's memo, work out which targets moved since
 	// (added, removed, or different γ⋆) and index the rest.
@@ -283,31 +287,76 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 		}
 	}
 
-	for _, src := range abnormalGroups {
+	// Each source's γ⋆, and whether a cached decision can stand in for its
+	// search.
+	type decision struct {
+		star  *index.Piece
+		reuse bool
+		best  int
+		d     float64 // distance of the best target
+	}
+	decided := make([]decision, len(abnormalGroups))
+	searching := false
+	for i, src := range abnormalGroups {
 		star := src.Star()
 		if star == nil {
 			continue
 		}
-		sids := star.ValueIDs()
-		var best int
-		var bestD float64 // distance of the best target
+		decided[i].star = star
 		if e, ok := reusable[src.Key]; ok && e.srcKid == star.KeyID() && !changed[e.key] {
-			// Every unchanged target lost to the cached decision last
-			// rebuild; only the moved ones can challenge it. (A key that
-			// did not move is a key of this rebuild, so the lookup hits.)
-			best, bestD = targetIdx[e.key], e.d
-			for _, i := range changedIdx {
-				best, bestD = search.challenge(sids, i, best, bestD)
-			}
-		} else {
-			best, bestD = search.nearest(sids)
+			// A key that did not move is a key of this rebuild, so the
+			// targetIdx lookup hits.
+			decided[i] = decision{star: star, reuse: true, best: targetIdx[e.key], d: e.d}
 		}
+		searching = searching || !decided[i].reuse
+	}
+	if searching {
+		search.build()
+	}
+	searchers := make([]*agpSearcher, c.size)
+	c.each(len(abnormalGroups), func(p, i int, ev *distance.Evaluator) {
+		dc := &decided[i]
+		if dc.star == nil {
+			return
+		}
+		s := searchers[p]
+		if s == nil {
+			s = &agpSearcher{agpSearch: &search, ev: ev}
+			if searching {
+				s.shared = make([]int32, len(targets))
+			}
+			searchers[p] = s
+		}
+		sids := dc.star.ValueIDs()
+		if !dc.reuse {
+			dc.best, dc.d = s.nearest(sids)
+			return
+		}
+		// Every unchanged target lost to the cached decision last rebuild;
+		// only the moved ones can challenge it.
+		for _, t := range changedIdx {
+			dc.best, dc.d = s.challenge(sids, t, dc.best, dc.d)
+		}
+	})
+	for _, s := range searchers {
+		if s != nil {
+			pairs += s.pairs
+			fullScans += s.fullScans
+		}
+	}
+
+	for i, src := range abnormalGroups {
+		dc := decided[i]
+		if dc.star == nil {
+			continue
+		}
+		sids, best, bestD := dc.star.ValueIDs(), dc.best, dc.d
 		if memo != nil && promotions == 0 && best >= 0 {
-			memo.best[src.Key] = agpBest{srcKid: star.KeyID(), key: targets[best].g.Key, d: bestD}
+			memo.best[src.Key] = agpBest{srcKid: dc.star.KeyID(), key: targets[best].g.Key, d: bestD}
 		}
 		abnormal++
 		abnormalPieces += len(src.Pieces)
-		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(ev, sids, targets[best].ids))
+		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(c.ev, sids, targets[best].ids))
 		if tr != nil {
 			// Recorded before the merge moves src's pieces into its target.
 			merge := agpRecord(blockIdx, b, src)
@@ -320,7 +369,7 @@ func agp(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap
 			b.MergeGroups(src, targets[best].g)
 		}
 	}
-	return abnormal, abnormalPieces, promotions, search.pairs, search.fullScans
+	return abnormal, abnormalPieces, promotions, pairs, fullScans
 }
 
 // agpRecord is the trace entry of one abnormal-group decision about src,

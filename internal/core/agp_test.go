@@ -131,7 +131,8 @@ func blockShape(b *index.Block) []string {
 type agpCost struct{ sources, pairs, fullScans int }
 
 // checkAGPAgainstScan builds rule r's block over tb twice (same dictionary,
-// so key IDs are comparable), runs agp on one and refAGPScan on the other,
+// so key IDs are comparable), runs agp on one — on a crew of three — and
+// refAGPScan on the other,
 // and fails on any difference in counters, trace, resulting block or — when
 // no group was promoted, so the memo records them — per-source decisions.
 // memo is agp's cross-rebuild cache; nil takes a throwaway one.
@@ -143,7 +144,10 @@ func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *in
 		memo = &agpMemo{}
 	}
 	gotTr, wantTr := &Trace{}, &Trace{}
-	ab, abP, promo, pairs, fullScans := agp(3, got, tau, distance.NewEvaluator(metric, dict), mergeCap, memo, gotTr)
+	// Two parked helpers: the searches run spread over three evaluators.
+	c, stop := helpedCrew(metric, dict, 2)
+	defer stop()
+	ab, abP, promo, pairs, fullScans := agp(3, got, tau, c, mergeCap, memo, gotTr)
 	wab, wabP, wpromo, decisions := refAGPScan(3, want, tau, distance.NewEvaluator(metric, dict), mergeCap, wantTr)
 	if ab != wab || abP != wabP || promo != wpromo {
 		t.Fatalf("%s: counters (%d, %d, %d), scan (%d, %d, %d)", label, ab, abP, promo, wab, wabP, wpromo)
@@ -531,7 +535,7 @@ func BenchmarkAGPBlock(b *testing.B) {
 		sources, pairs, fullScans = 0, 0, 0
 		ev := distance.NewEvaluator(opts.Metric, ix.Dict())
 		for bi, blk := range ix.Blocks {
-			ab, _, _, p, f := agp(bi, blk, opts.Tau, ev, opts.MergeCapRatio, nil, nil)
+			ab, _, _, p, f := agp(bi, blk, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, nil)
 			sources, pairs, fullScans = sources+ab, pairs+p, fullScans+f
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -23,8 +24,9 @@ import (
 //     of untouched rules are byte-identical and reused as-is.
 //   - Dirty blocks are rebuilt by the single-block scan (index.BuildBlockFor
 //     — the scan a full build runs, so identical content) and re-cleaned by
-//     the same runBlock the batch drivers schedule (AGP → weight learning →
-//     RSC), so per-block results cannot drift from a from-scratch run.
+//     the same runBlock on the same pool the batch drivers schedule (AGP →
+//     weight learning → RSC), so per-block results cannot drift from a
+//     from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity + learned weight, both fixed-width) before and after
 //     the rebuild: a tuple whose versions are bit-identical fuses to the
@@ -129,7 +131,7 @@ type DeltaCleaner struct {
 	rowPos  map[int]int // tuple ID → position in tuples/encRows
 
 	blocks []*deltaBlock
-	// plan is the fusion context the blocks feed: cleanBlock refreshes its
+	// plan is the fusion context the blocks feed: adopt refreshes its
 	// block entries, Load/Apply its domain sizes. fuser is the one search
 	// engine every re-fusion reuses.
 	plan  *fusionPlan
@@ -220,12 +222,13 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 	d.reindex()
 
 	d.blocks = make([]*deltaBlock, len(d.rs))
+	all := make([]int, len(d.rs))
 	for ri, r := range d.rs {
-		db := &deltaBlock{rule: r}
-		if err := d.cleanBlock(ri, db); err != nil {
-			return nil, err
-		}
-		d.blocks[ri] = db
+		d.blocks[ri] = &deltaBlock{rule: r, memo: &agpMemo{}}
+		all[ri] = ri
+	}
+	if err := d.cleanBlocks(all); err != nil {
+		return nil, err
 	}
 	d.plan.countDomains(d.encRows)
 	for _, t := range d.tuples {
@@ -296,27 +299,30 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 
 	// Rebuild the dirty blocks and mark every tuple whose version facts moved.
 	ds := &DeltaStats{}
+	var rebuilt []int
+	var oldVers []map[int]verInfo
 	for ri, isDirty := range dirty {
-		if !isDirty {
-			ds.ReusedBlocks++
-			continue
+		if isDirty {
+			rebuilt = append(rebuilt, ri)
+			oldVers = append(oldVers, d.blocks[ri].vers)
 		}
-		ds.DirtyBlocks++
-		db := d.blocks[ri]
-		oldVers := db.vers
-		if err := d.cleanBlock(ri, db); err != nil {
-			// Learn errors are a function of the options alone, so a Load that
-			// succeeded cannot fail here; surface it anyway rather than serve
-			// a half-updated result.
-			return nil, nil, err
-		}
-		for id, v := range db.vers {
-			if ov, ok := oldVers[id]; !ok || ov != v {
+	}
+	ds.DirtyBlocks, ds.ReusedBlocks = len(rebuilt), len(d.rs)-len(rebuilt)
+	if err := d.cleanBlocks(rebuilt); err != nil {
+		// Learn errors are a function of the options alone, so a Load that
+		// succeeded cannot fail here; surface it anyway rather than serve a
+		// half-updated result.
+		return nil, nil, err
+	}
+	for k, ri := range rebuilt {
+		vers := d.blocks[ri].vers
+		for id, v := range vers {
+			if ov, ok := oldVers[k][id]; !ok || ov != v {
 				refuse[id] = struct{}{}
 			}
 		}
-		for id := range oldVers {
-			if _, ok := db.vers[id]; !ok {
+		for id := range oldVers[k] {
+			if _, ok := vers[id]; !ok {
 				refuse[id] = struct{}{}
 			}
 		}
@@ -457,24 +463,45 @@ func (d *DeltaCleaner) view() *dataset.Table {
 	return &dataset.Table{Schema: d.schema, Tuples: d.tuples}
 }
 
-// cleanBlock (re)builds rule ri's block over the current table and runs the
-// per-block stage-I pipeline on it, refreshing every cache the block feeds.
-func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
-	enc := &dataset.Encoded{Dict: d.dict, Rows: d.encRows}
-	b := index.BuildBlockFor(d.view(), enc, d.rs[ri])
-	if db.memo == nil {
-		db.memo = &agpMemo{}
+// cleanBlocks (re)builds the blocks of rules ris (ascending) over the
+// current table and cleans them through the stage-I pool, each with its AGP
+// memo, refreshing every cache a block feeds. Building mints dictionary
+// keys, so it stays on this goroutine and in rule order, exactly as a batch
+// clean's block iterator builds.
+func (d *DeltaCleaner) cleanBlocks(ris []int) error {
+	if len(ris) == 0 {
+		return nil // a mutation that dirtied no block observes no stage
 	}
-	ev := d.pool.Get()
-	res := runBlock(ri, b, ev, d.opts, phaseAll, db.memo)
-	d.pool.Put(ev)
-	if res.err != nil {
-		return res.err
+	enc := &dataset.Encoded{Dict: d.dict, Rows: d.encRows}
+	next := 0
+	build := func() (int, *index.Block, bool) {
+		if next == len(ris) {
+			return 0, nil, false
+		}
+		next++
+		return next - 1, index.BuildBlockFor(d.view(), enc, d.rs[ris[next-1]]), true
+	}
+	results, err := schedule(context.Background(), d.pool, d.opts.workers(), len(ris), build, func(k int, b *index.Block, c crew) blockResult {
+		ri := ris[k]
+		res := runBlock(ri, b, c, d.opts, phaseAll, d.blocks[ri].memo)
+		if res.err == nil {
+			d.adopt(ri, b, res)
+		}
+		return res
+	})
+	if err != nil {
+		return err
 	}
 	// Only the instruments are wanted here: assemble recomposes the Stats
 	// from every block's res, rebuilt or not.
-	fold([]blockResult{res}, phaseAll, new(Stats))
+	fold(results, phaseAll, new(Stats))
+	return nil
+}
 
+// adopt makes b rule ri's cleaned block. It writes only that block's own
+// slots, so the pool's workers adopt their blocks side by side.
+func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
+	db := d.blocks[ri]
 	db.block, db.res = b, res
 	fb := fusionBlockOf(b)
 	d.plan.blocks[ri] = fb
@@ -490,7 +517,6 @@ func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 	for _, p := range fb.Candidates {
 		db.weights[p.KeyID()] = p.Weight
 	}
-	return nil
 }
 
 // fuseOne re-runs fusion for one tuple against the current blocks and caches

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mlnclean/internal/dataset"
@@ -422,44 +422,42 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	pl := planFusion(dict, repaired.Schema, enc.Rows, blocks, opts)
 	rows = make([][]uint32, len(enc.Rows))
 
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	if par < 1 {
-		par = 1
-	}
-	chunk := (len(repaired.Tuples) + par - 1) / par
-	if chunk < 1 {
-		chunk = 1
-	}
-	nChunks := (len(repaired.Tuples) + chunk - 1) / chunk
-	// Each chunk sums into its own slot and (when tracing) records into its
-	// own slice; appending those in chunk order keeps Trace.FSCR in tuple
-	// order however the goroutines were scheduled.
+	// Tuples cost very different amounts (a conflicted one searches), so
+	// fixed shares would leave a goroutine idle behind the costliest: each
+	// goroutine instead claims the next of about 8 chunks per goroutine. A
+	// chunk sums into its own slot and (when tracing) records into its own
+	// slice; appending those in chunk order keeps Trace.FSCR in tuple order
+	// however the chunks were claimed.
+	par := opts.workers()
+	n := len(repaired.Tuples)
+	chunk := max(1, n/(8*par))
+	nChunks := (n + chunk - 1) / chunk
 	totals := make([]fuseResult, nChunks)
 	outcomes := make([][]FusionOutcome, nChunks)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for ci := 0; ci < nChunks; ci++ {
+	for range min(par, nChunks) {
 		wg.Add(1)
-		go func(ci int) {
+		go func() {
 			defer wg.Done()
-			lo := ci * chunk
-			hi := min(lo+chunk, len(repaired.Tuples))
 			f := newFuser(pl)
-			var trace *[]FusionOutcome
-			if opts.Trace != nil {
-				trace = &outcomes[ci]
+			for ci := int(next.Add(1) - 1); ci < nChunks; ci = int(next.Add(1) - 1) {
+				var trace *[]FusionOutcome
+				if opts.Trace != nil {
+					trace = &outcomes[ci]
+				}
+				var total fuseResult
+				for i := ci * chunk; i < min(n, (ci+1)*chunk); i++ {
+					t := repaired.Tuples[i]
+					res := f.fuse(t, enc.Rows[i], trace)
+					total.add(res)
+					// Encoded rows are schema-wide even under a short tuple,
+					// whose padding must not take part in row identity.
+					rows[i] = f.fusedRow(nil, enc.Rows[i], res)[:len(t.Values)]
+				}
+				totals[ci] = total
 			}
-			for i := lo; i < hi; i++ {
-				t := repaired.Tuples[i]
-				res := f.fuse(t, enc.Rows[i], trace)
-				totals[ci].add(res)
-				// Encoded rows are schema-wide even under a short tuple, whose
-				// padding must not take part in row identity.
-				rows[i] = f.fusedRow(nil, enc.Rows[i], res)[:len(t.Values)]
-			}
-		}(ci)
+		}()
 	}
 	wg.Wait()
 	var total fuseResult

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+
+	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
 	"mlnclean/internal/mln"
 )
@@ -12,7 +14,12 @@ import (
 // optimization of the grouped likelihood — competing γs are the ones inside
 // the same group. Weights are written into Piece.Weight. Returns the number
 // of Newton iterations performed.
-func learnBlockWeights(b *index.Block) (int, error) {
+//
+// The learner's chunks of groups are crew items, four per participant so a
+// worker that goes idle halfway through a pass still finds some unclaimed;
+// every chunk count learns the same bits and sweeps as often in total
+// (mln.LearnWeights).
+func learnBlockWeights(b *index.Block, c crew) (int, error) {
 	n := 0
 	for _, g := range b.Groups {
 		n += len(g.Pieces)
@@ -36,7 +43,9 @@ func learnBlockWeights(b *index.Block) (int, error) {
 		groups = append(groups, members[first:len(counts)])
 	}
 	priors := mln.PriorWeights(counts)
-	weights, iters, err := mln.LearnWeights(groups, counts, priors)
+	weights, iters, err := mln.LearnWeights(groups, counts, priors, 4*c.size, func(n int, item func(int)) {
+		c.each(n, func(_, i int, _ *distance.Evaluator) { item(i) })
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -13,7 +13,7 @@ import (
 // accumulate into the same series, which is what a per-node scrape wants.
 var (
 	mStageAGP = obs.Default().Histogram("mlnclean_core_stage_seconds",
-		"Busy time of one stage-I phase summed over the blocks of one driver call; for fscr, wall time of one fusion pass.", obs.DefBuckets, obs.L("stage", "agp"))
+		"Wall time of one stage-I phase on each block's owner, summed over the blocks of one driver call; for fscr, wall time of one fusion pass.", obs.DefBuckets, obs.L("stage", "agp"))
 	mStageLearn = obs.Default().Histogram("mlnclean_core_stage_seconds",
 		"", obs.DefBuckets, obs.L("stage", "learn"))
 	mStageRSC = obs.Default().Histogram("mlnclean_core_stage_seconds",

@@ -38,8 +38,11 @@ type Options struct {
 	// to the best fusion found so far — Stats.FusionTruncated counts the
 	// tuples this happened to. Default 4096.
 	MaxFusionStates int
-	// Parallelism bounds the goroutines used for block-level stage-I
-	// cleaning. Default: number of CPUs.
+	// Parallelism is how many goroutines stage I and FSCR each run on:
+	// stage I's pool workers, which clean one block each and, with no block
+	// of their own, help the blocks still running, and the FSCR goroutines
+	// that claim chunks of tuples. Output does not depend on it. Default:
+	// number of CPUs.
 	Parallelism int
 	// MinimalityPrior is the assumed prior cell-error rate ε used by FSCR to
 	// weight candidate fusions by the likelihood of the observed tuple:

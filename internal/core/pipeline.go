@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mlnclean/internal/dataset"
@@ -22,7 +23,14 @@ import (
 //	CleanEncoded            iterator (lazy, rule order)   AGP|Learn|RSC
 //	StreamAGPLearn (worker) iterator                      AGP|Learn
 //	StageAGP/Learn/RSC      built index (rule order)      one phase each
-//	DeltaCleaner.cleanBlock one rebuilt block, no pool    AGP|Learn|RSC
+//	DeltaCleaner.Load/Apply its dirty blocks, rebuilt     AGP|Learn|RSC
+//
+// Inside a block, each phase's independent work — AGP's per-source searches,
+// the learner's chunks, RSC's per-group winners — is a list of items that
+// the pool's idle workers claim alongside the block's owner (crew.each);
+// the owner then applies everything order-dependent (merges, rewrites, memo
+// and trace records) in item order, so output does not depend on who ran
+// which item either.
 //
 // The distributed protocol (§6) differs from the solo one only by the Eq. 6
 // weight merge between learning and RSC, which is why its worker runs two
@@ -55,7 +63,8 @@ const (
 )
 
 // blockResult is what one runBlock call did to one block: the counters the
-// phases report, the busy time each took, and the learner's error if any.
+// phases report, the owner's wall time each took, and the learner's error
+// if any.
 type blockResult struct {
 	abnormal, abnormalPieces, promotions int
 	agpPairs, agpFullScans               int
@@ -64,11 +73,12 @@ type blockResult struct {
 	err                                  error
 }
 
-// runBlock runs the requested phases on one block, in pipeline order, with
-// the caller's evaluator. memo is the DeltaCleaner's cross-rebuild AGP cache;
+// runBlock runs the requested phases on one block, in pipeline order, on
+// the caller's crew. memo is the DeltaCleaner's cross-rebuild AGP cache;
 // batch drivers pass nil. It observes mlnclean_core_block_seconds once and
-// holds mlnclean_mem_blocks_inflight up for as long as it runs.
-func runBlock(bi int, b *index.Block, ev *distance.Evaluator, opts Options, ph phases, memo *agpMemo) (r blockResult) {
+// holds mlnclean_mem_blocks_inflight up for as long as it runs. The phase
+// times are the owner's wall time, helpers included.
+func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *agpMemo) (r blockResult) {
 	mBlocksInFlight.Add(1)
 	defer mBlocksInFlight.Add(-1)
 	start := time.Now()
@@ -80,17 +90,17 @@ func runBlock(bi int, b *index.Block, ev *distance.Evaluator, opts Options, ph p
 		return d
 	}
 	if ph&phaseAGP != 0 {
-		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, memo, opts.Trace)
+		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, memo, opts.Trace)
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
-		if r.learnIters, r.err = learnBlockWeights(b); r.err != nil {
+		if r.learnIters, r.err = learnBlockWeights(b, c); r.err != nil {
 			return r
 		}
 		r.learn = lap()
 	}
 	if ph&phaseRSC != 0 {
-		r.repairs = rsc(bi, b, ev, opts.Trace)
+		r.repairs = rsc(bi, b, c, opts.Trace)
 		r.rsc = lap()
 	}
 	mBlockSeconds.ObserveDuration(t.Sub(start))
@@ -115,41 +125,62 @@ func builtBlocks(ix *index.Index) blockSource {
 	}
 }
 
-// schedule drains the source through a bounded worker set and returns one
+// workers is how many goroutines a stage-I pool or an FSCR pass runs on.
+func (o Options) workers() int {
+	if o.Parallelism <= 0 {
+		return runtime.NumCPU()
+	}
+	return o.Parallelism
+}
+
+// schedule drains the source through a pool of par workers and returns one
 // result per block, indexed by block. Each worker keeps one pooled distance
 // evaluator for its whole lifetime. The queue bounds how far a lazy source
 // runs ahead: at most par blocks queued plus par being cleaned exist with
 // their full piece sets. Blocks not yet started when ctx is cancelled are
 // skipped, and of all the errors the one with the lowest block index is
 // returned — independent of the order the pool happened to run them in.
-func schedule(ctx context.Context, dict *intern.Dict, n int, next blockSource, opts Options, run func(bi int, b *index.Block, ev *distance.Evaluator) blockResult) ([]blockResult, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	par = max(1, min(par, n))
+//
+// A worker with no block of its own helps the blocks still running: it
+// waits on the queue and on the pool's assist channel at once, and a
+// running block's phases offer their items there (crew.each). So par
+// workers start however few blocks there are, and none leaves before the
+// last block is done.
+func schedule(ctx context.Context, pool *distance.Pool, par, n int, next blockSource, run func(bi int, b *index.Block, c crew) blockResult) ([]blockResult, error) {
 	results := make([]blockResult, n)
-	pool := distance.NewPool(opts.Metric, dict)
-	defer recordPoolStats(pool)
-
 	type work struct {
 		bi int
 		b  *index.Block
 	}
 	queue := make(chan work, par)
-	var wg sync.WaitGroup
-	wg.Add(par)
+	assist := make(chan *job)
+	quit := make(chan struct{})
+	var blocks, workers sync.WaitGroup
+	workers.Add(par)
 	for w := 0; w < par; w++ {
 		go func() {
-			defer wg.Done()
-			ev := pool.Get()
-			defer pool.Put(ev)
-			for wk := range queue {
-				if err := ctx.Err(); err != nil {
-					results[wk.bi].err = err
-					continue
+			defer workers.Done()
+			c := crew{ev: pool.Get(), assist: assist, size: par}
+			defer pool.Put(c.ev)
+			q := queue
+			for {
+				select {
+				case wk, ok := <-q:
+					if !ok {
+						q = nil // drained: stay to help the blocks still running
+						continue
+					}
+					if err := ctx.Err(); err != nil {
+						results[wk.bi].err = err
+					} else {
+						results[wk.bi] = run(wk.bi, wk.b, c)
+					}
+					blocks.Done()
+				case j := <-assist:
+					j.help(c.ev)
+				case <-quit:
+					return
 				}
-				results[wk.bi] = run(wk.bi, wk.b, ev)
 			}
 		}()
 	}
@@ -158,10 +189,13 @@ func schedule(ctx context.Context, dict *intern.Dict, n int, next blockSource, o
 		if !ok {
 			break
 		}
+		blocks.Add(1)
 		queue <- work{bi, b}
 	}
 	close(queue)
-	wg.Wait()
+	blocks.Wait()
+	close(quit)
+	workers.Wait()
 	for i := range results {
 		if err := results[i].err; err != nil {
 			return nil, err
@@ -170,10 +204,72 @@ func schedule(ctx context.Context, dict *intern.Dict, n int, next blockSource, o
 	return results, ctx.Err()
 }
 
+// crew is what one block's phases run on: the pool worker that owns the
+// block, plus whichever of the pool's other workers are idle while a phase
+// runs. A crew of size 1, or one without an assist channel, is the owner
+// alone running the same code.
+type crew struct {
+	ev     *distance.Evaluator // the owner's
+	assist chan *job           // where idle workers wait for a job
+	size   int                 // participants at most: the pool's worker count
+}
+
+// job is one phase's n independent items, open to idle workers while its
+// owner works through them.
+type job struct {
+	n      int
+	next   atomic.Int64   // the next unclaimed item
+	joined atomic.Int32   // helpers so far; helper k is participant k
+	done   sync.WaitGroup // one count per item, released once it has run
+	item   func(p, i int, ev *distance.Evaluator)
+}
+
+func (j *job) claim() int { return int(j.next.Add(1) - 1) }
+
+// work runs items as participant p until none is left to claim.
+func (j *job) work(p int, ev *distance.Evaluator) {
+	for i := j.claim(); i < j.n; i = j.claim() {
+		j.item(p, i, ev)
+		j.done.Done()
+	}
+}
+
+// help joins j as its next participant. A job taken after its owner claimed
+// the last item has nothing left, and help returns at once.
+func (j *job) help(ev *distance.Evaluator) { j.work(int(j.joined.Add(1)), ev) }
+
+// each runs item(p, i, ev) once for every i in [0, n) and returns when all
+// have run. The owner is participant 0 and works with its own evaluator; a
+// helper is participant 1 … size−1 and brings its own. Items run in any
+// order and concurrently, so item writes only into per-item or
+// per-participant slots; the caller applies anything order-dependent
+// afterwards, in item order.
+func (c crew) each(n int, item func(p, i int, ev *distance.Evaluator)) {
+	j := &job{n: n, item: item}
+	j.done.Add(n)
+	offered := 0
+	for i := j.claim(); i < n; i = j.claim() {
+		// While more than the item in hand is left, offer the job once per
+		// item: a worker parked in the pool's select takes it, and with
+		// every worker busy the send falls through at once.
+		if offered < c.size-1 && i+1 < n {
+			select {
+			case c.assist <- j:
+				offered++
+			default:
+			}
+		}
+		item(0, i, c.ev)
+		j.done.Done()
+	}
+	j.done.Wait()
+}
+
 // fold adds the blocks' counters to st and to the process-wide instruments,
 // and observes each requested phase's mlnclean_core_stage_seconds once: the
-// phase's busy time summed over the blocks of this driver call (not the wall
-// time of the call — blocks run in parallel).
+// phase's wall time on each block's owner, summed over the blocks of this
+// driver call (not the wall time of the call — blocks run in parallel — and
+// not its CPU time — helpers work inside the owner's phase).
 func fold(results []blockResult, ph phases, st *Stats) {
 	var agpTime, learnTime, rscTime time.Duration
 	for i := range results {
@@ -214,8 +310,10 @@ func (s *Stats) addBlock(r *blockResult) {
 // stageI is the batch driver: schedule runBlock with the phase mask over the
 // source's n blocks and fold the results into st.
 func stageI(ctx context.Context, dict *intern.Dict, n int, next blockSource, opts Options, ph phases, st *Stats) error {
-	results, err := schedule(ctx, dict, n, next, opts, func(bi int, b *index.Block, ev *distance.Evaluator) blockResult {
-		return runBlock(bi, b, ev, opts, ph, nil)
+	pool := distance.NewPool(opts.Metric, dict)
+	defer recordPoolStats(pool)
+	results, err := schedule(ctx, pool, opts.workers(), n, next, func(bi int, b *index.Block, c crew) blockResult {
+		return runBlock(bi, b, c, opts, ph, nil)
 	})
 	if err != nil {
 		return err

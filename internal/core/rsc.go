@@ -18,21 +18,33 @@ import (
 // is declared clean and every other piece is rewritten to it, so each group
 // ends with exactly one piece. Ties break by higher weight, then higher
 // count, then ascending key. Pairwise distances run over interned value IDs
-// through the block's evaluator (memoized, symmetric). Returns the number
+// through the crew's evaluators (memoized, symmetric). Returns the number
 // of pieces rewritten; tr, when non-nil, records each rewrite — the records
 // (decoded values, copied tuple lists) are built only then.
-func rsc(blockIdx int, b *index.Block, ev *distance.Evaluator, tr *Trace) int {
-	repairs := 0
-	var dist []float64 // rscWinner's n×n distances, reused across groups
+//
+// A group's winner reads only that group's pieces, so each contested group
+// is one crew item; the owner then rewrites in group order.
+func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
+	var contested []*index.Group
+	widest := 0
 	for _, g := range b.Groups {
-		n := len(g.Pieces)
-		if n <= 1 {
-			continue // ideal state: one and only one γ (§5.1.2)
+		if len(g.Pieces) > 1 { // one and only one γ is the ideal state (§5.1.2)
+			contested = append(contested, g)
+			widest = max(widest, len(g.Pieces))
 		}
-		if cap(dist) < n*n {
-			dist = make([]float64, n*n)
+	}
+	winners := make([]*index.Piece, len(contested))
+	dists := make([][]float64, c.size) // each participant's n×n scratch
+	c.each(len(contested), func(p, i int, ev *distance.Evaluator) {
+		if dists[p] == nil {
+			dists[p] = make([]float64, widest*widest)
 		}
-		winner := rscWinner(g, ev, dist[:n*n])
+		n := len(contested[i].Pieces)
+		winners[i] = rscWinner(contested[i], ev, dists[p][:n*n])
+	})
+	repairs := 0
+	for i, g := range contested {
+		winner := winners[i]
 		// Rewrite all losing pieces to the winner.
 		for _, p := range g.Pieces {
 			if p == winner {

@@ -5,10 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
+	"mlnclean/internal/errgen"
 	"mlnclean/internal/index"
 	"mlnclean/internal/intern"
 	"mlnclean/internal/rules"
@@ -54,20 +61,81 @@ var schedSources = map[string]schedSource{
 	},
 }
 
+// runSchedule runs schedule over a fresh evaluator pool on dict.
+func runSchedule(ctx context.Context, dict *intern.Dict, par, n int, next blockSource, run func(int, *index.Block, crew) blockResult) ([]blockResult, error) {
+	return schedule(ctx, distance.NewPool(distance.Levenshtein{}, dict), par, n, next, run)
+}
+
+// soloCrew is a block's crew outside any pool: its owner alone.
+func soloCrew(ev *distance.Evaluator) crew { return crew{ev: ev, size: 1} }
+
+// helpedCrew is a crew of 1+helpers participants, each with its own
+// evaluator, whose helpers are parked on the assist channel, as idle pool
+// workers are; stop releases them.
+func helpedCrew(metric distance.Metric, dict *intern.Dict, helpers int) (c crew, stop func()) {
+	c = crew{ev: distance.NewEvaluator(metric, dict), assist: make(chan *job), size: 1 + helpers}
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	for range helpers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hev := distance.NewEvaluator(metric, dict)
+			for {
+				select {
+				case j := <-c.assist:
+					j.help(hev)
+				case <-quit:
+					return
+				}
+			}
+		}()
+	}
+	return c, func() { close(quit); wg.Wait() }
+}
+
+// helpedJob is a block's phase as the helper tests run it: n items, each
+// recording who ran it and a value computed from its index alone, slow
+// enough (a short sleep) for idle workers to take the job. It returns
+// whether anyone but the owner ran an item.
+func helpedJob(t *testing.T, c crew, n int, out []int) (helped bool) {
+	t.Helper()
+	ran := make([]int32, n)
+	who := make([]int, n)
+	c.each(n, func(p, i int, ev *distance.Evaluator) {
+		if ev == nil || p < 0 || p >= c.size {
+			t.Errorf("item %d ran as participant %d of %d with evaluator %v", i, p, c.size, ev)
+		}
+		atomic.AddInt32(&ran[i], 1)
+		who[i] = p
+		time.Sleep(20 * time.Microsecond)
+		out[i] = i*i + 7
+	})
+	for i, r := range ran {
+		if r != 1 {
+			t.Errorf("item %d ran %d times", i, r)
+		}
+		helped = helped || who[i] != 0
+	}
+	return helped
+}
+
 // TestSchedule runs the scheduler's contract against both block sources:
 // every block is visited exactly once whatever the parallelism; of several
 // failing blocks the lowest block index's error is reported, independent of
 // the order the pool ran them in; and a context cancelled mid-run skips the
-// blocks not yet started and returns the context's error.
+// blocks not yet started and returns the context's error. It holds with
+// more workers than blocks, where the idle ones help the blocks still
+// running, and no worker outlives schedule.
 func TestSchedule(t *testing.T) {
 	for name, open := range schedSources {
 		t.Run(name+"/visits-all", func(t *testing.T) {
 			for _, par := range []int{1, 2, 7, 64} {
 				dict, n, next := open(t, 9)
 				visited := make([]int, n)
-				results, err := schedule(context.Background(), dict, n, next, Options{Parallelism: par}, func(bi int, b *index.Block, ev *distance.Evaluator) blockResult {
-					if b == nil || ev == nil {
-						t.Errorf("par=%d: block %d ran without a block or an evaluator", par, bi)
+				results, err := runSchedule(context.Background(), dict, par, n, next, func(bi int, b *index.Block, c crew) blockResult {
+					if b == nil || c.ev == nil || c.size != par {
+						t.Errorf("par=%d: block %d ran without a block or an evaluator, or on a crew of %d", par, bi, c.size)
 					}
 					visited[bi]++ // distinct bi per call; each index written once
 					return blockResult{repairs: bi}
@@ -82,10 +150,40 @@ func TestSchedule(t *testing.T) {
 				}
 			}
 		})
+		t.Run(name+"/helpers-give-identical-items", func(t *testing.T) {
+			const items = 300
+			var want []int
+			helped := false
+			for _, par := range []int{1, 2, 3, 4} {
+				// One block, so every worker but its owner is idle.
+				dict, n, next := open(t, 1)
+				out := make([]int, items)
+				_, err := runSchedule(context.Background(), dict, par, n, next, func(_ int, _ *index.Block, c crew) blockResult {
+					h := helpedJob(t, c, items, out)
+					if h && par == 1 {
+						t.Errorf("par=1: an item ran on a helper")
+					}
+					helped = helped || h
+					return blockResult{}
+				})
+				if err != nil {
+					t.Fatalf("par=%d: %v", par, err)
+				}
+				if want == nil {
+					want = out
+				} else if !slices.Equal(out, want) {
+					t.Errorf("par=%d: items differ from par=1", par)
+				}
+			}
+			if !helped {
+				t.Error("no idle worker ever took an item: the pool lends nothing")
+			}
+		})
 		t.Run(name+"/first-error-wins", func(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				dict, n, next := open(t, 16)
-				_, err := schedule(context.Background(), dict, n, next, Options{Parallelism: par}, func(bi int, _ *index.Block, _ *distance.Evaluator) blockResult {
+				_, err := runSchedule(context.Background(), dict, par, n, next, func(bi int, _ *index.Block, c crew) blockResult {
+					helpedJob(t, c, 20, make([]int, 20))
 					if bi >= 3 {
 						return blockResult{err: fmt.Errorf("block %d failed", bi)}
 					}
@@ -97,24 +195,93 @@ func TestSchedule(t *testing.T) {
 			}
 		})
 		t.Run(name+"/cancel-skips", func(t *testing.T) {
-			dict, n, next := open(t, 32)
-			ctx, cancel := context.WithCancel(context.Background())
-			ran := 0
-			_, err := schedule(ctx, dict, n, next, Options{Parallelism: 1}, func(int, *index.Block, *distance.Evaluator) blockResult {
-				ran++
-				if ran == 2 {
-					cancel()
+			for _, par := range []int{1, 3} {
+				dict, n, next := open(t, 32)
+				ctx, cancel := context.WithCancel(context.Background())
+				var ran atomic.Int32
+				_, err := runSchedule(ctx, dict, par, n, next, func(_ int, _ *index.Block, c crew) blockResult {
+					second := ran.Add(1) == 2
+					c.each(10, func(_, i int, _ *distance.Evaluator) {
+						if second && i == 5 {
+							// Cancel from inside an item, while helpers may be
+							// running the job's other items.
+							cancel()
+						}
+						time.Sleep(20 * time.Microsecond)
+					})
+					return blockResult{}
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
 				}
-				return blockResult{}
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
+				if int(ran.Load()) >= n {
+					t.Errorf("par=%d: ran all %d blocks despite cancellation", par, n)
+				}
 			}
-			if ran >= n {
-				t.Errorf("ran all %d blocks despite cancellation", ran)
+		})
+		t.Run(name+"/no-worker-outlives-schedule", func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for _, par := range []int{2, 4, 16} {
+				dict, n, next := open(t, 3)
+				_, err := runSchedule(context.Background(), dict, par, n, next, func(_ int, _ *index.Block, c crew) blockResult {
+					// Items too quick for a helper to find anything left:
+					// most offered jobs are stale by the time one is taken.
+					for range 50 {
+						c.each(3, func(int, int, *distance.Evaluator) {})
+					}
+					return blockResult{}
+				})
+				if err != nil {
+					t.Fatalf("par=%d: %v", par, err)
+				}
+			}
+			// A worker is counted until it has returned, shortly after its
+			// last Done; give the stragglers a moment.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > base {
+				t.Errorf("%d goroutines after schedule returned, %d before", got, base)
 			}
 		})
 	}
+}
+
+// BenchmarkStageISkewed runs stage I (AGP → learn → RSC) with Parallelism 2
+// over the benchmark's solo-car shape (CAR 30k rows, 5 % errors, τ = 2),
+// where one of the three blocks holds two thirds of the abnormal groups:
+// ns/op and allocs/op are per pass over the blocks. The table is generated
+// and encoded once; rebuilding the index each op consumes is outside the
+// timer.
+func BenchmarkStageISkewed(b *testing.B) {
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 30000, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: 43})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := dataset.Encode(inj.Dirty, intern.NewDict())
+	opts := Options{Tau: 2, Parallelism: 2}.withDefaults()
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		ix, err := index.BuildConfigured(inj.Dirty, rs, index.BuildConfig{Encoded: enc})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = Stats{}
+		b.StartTimer()
+		if err := stageI(context.Background(), ix.Dict(), len(ix.Blocks), builtBlocks(ix), opts, phaseAll, &st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.AbnormalGroups), "abnormal/op")
+	b.ReportMetric(float64(st.LearnIterations), "sweeps/op")
 }
 
 // --- AGP promotion trace + stats ----------------------------------------

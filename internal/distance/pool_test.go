@@ -40,6 +40,11 @@ func TestPoolReuseIsExact(t *testing.T) {
 			t.Fatalf("values at %d: pooled %v, fresh %v", i, got, want)
 		}
 	}
+	// Under the race detector sync.Pool drops Puts at random, so the second
+	// Get may miss; the exactness checks above hold either way.
+	if raceEnabled {
+		return
+	}
 	hits, misses := pool.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)

@@ -196,9 +196,10 @@ func (ex *Executor) workerFailed(p int, err error) {
 }
 
 // workerCoreOpts derives the per-worker pipeline options: τ scaled to
-// partition-local group sizes, and the block-level parallelism budget split
-// across the k concurrent workers so the pool doesn't oversubscribe the
-// host.
+// partition-local group sizes, and a default parallelism budget split
+// across the k concurrent workers so their pools don't oversubscribe the
+// host. An explicit Parallelism is not divided: each worker's stage-I pool
+// gets that many goroutines, whose idle ones help the worker's own blocks.
 func workerCoreOpts(o core.Options, workers int) core.Options {
 	o = workerTauOpts(o, workers)
 	if o.Parallelism <= 0 {

@@ -51,9 +51,10 @@ func haiLearnInputs(tb testing.TB) (groups [][][]int, counts [][]float64) {
 
 var sinkWeights []float64
 
-// BenchmarkLearnWeights learns every block of the HAI table: ns/op is per
-// pass over the blocks, ns/update that divided by the single-weight Newton
-// updates the pass made (sweeps × members of the groups that learn).
+// BenchmarkLearnWeights learns every block of the HAI table as one chunk on
+// the caller: ns/op is per pass over the blocks, ns/update that divided by
+// the single-weight Newton updates the pass made (sweeps × members of the
+// groups that learn).
 func BenchmarkLearnWeights(b *testing.B) {
 	groups, counts := haiLearnInputs(b)
 	priors := make([][]float64, len(counts))
@@ -66,7 +67,7 @@ func BenchmarkLearnWeights(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		updates, sweeps = 0, 0
 		for bi := range groups {
-			w, iters, err := mln.LearnWeights(groups[bi], counts[bi], priors[bi])
+			w, iters, err := mln.LearnWeights(groups[bi], counts[bi], priors[bi], 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

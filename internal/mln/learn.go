@@ -52,47 +52,51 @@ const (
 // priors w⁰ = c(γ)/Σc. groups must partition 0..len(counts)-1; indices may
 // appear in at most one group. Returns the learned weights and the number
 // of sweeps performed (maxIters when the tolerance was never reached).
-func LearnWeights(groups [][]int, counts []float64, init []float64) (weights []float64, iterations int, err error) {
+//
+// The groups that learn are cut into `chunks` contiguous runs of about equal
+// member counts, and each is one item of each (nil runs the items in order
+// on the caller). Groups share nothing but the stop test, so a chunk sweeps
+// on its own and only the stop sweep is agreed between them — the weights
+// and the sweep count are the same bits for every chunk count and every
+// way each runs its items.
+func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, iterations int, err error) {
+	weights, iterations, _, err = learnWeights(groups, counts, init, chunks, each)
+	return weights, iterations, err
+}
+
+// Each runs item(i) once for every i in [0, n) and returns when all have
+// returned. The items may run concurrently.
+type Each func(n int, item func(i int))
+
+// learnWeights is LearnWeights that also reports how many passes over the
+// chunks it took to agree on the stop sweep.
+func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, iterations, passes int, err error) {
 	n := len(counts)
 	if len(init) != n {
-		return nil, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
+		return nil, 0, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
 	}
 	seen := make([]bool, n)
 	for _, g := range groups {
 		for _, i := range g {
 			if i < 0 || i >= n {
-				return nil, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
+				return nil, 0, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
 			}
 			if seen[i] {
-				return nil, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
+				return nil, 0, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
 			}
 			seen[i] = true
 		}
 	}
 	for i, c := range counts {
 		if c < 0 {
-			return nil, 0, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
+			return nil, 0, 0, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
 		}
 	}
 
-	w := make([]float64, n)
-	copy(w, init)
-
-	// The softmax state of every group that learns, kept across updates and
-	// across sweeps: ex[j] = exp(w[j] − top) for each member j, top the
-	// group's largest weight, pre the sum of the terms before the member
-	// being updated. A group's weights are written only by its own updates
-	// (the partition check above), so between two of them exactly one term
-	// changes — unless the largest weight moved, which rebases all of them.
-	// Either way every term is what a from-scratch softmax over the current
-	// weights computes (same operands) and z adds them up in member order,
-	// so the learned weights do not depend on the reuse.
-	type groupState struct {
-		members         []int
-		total, top, pre float64
-	}
+	l := &learner{counts: counts, init: init, w: make([]float64, n), ex: make([]float64, n)}
+	copy(l.w, init)
 	live := make([]groupState, 0, len(groups))
-	ex := make([]float64, n)
+	members := 0
 	for _, g := range groups {
 		if len(g) < 2 {
 			// A singleton group's softmax is degenerate (p=1); only the
@@ -106,77 +110,158 @@ func LearnWeights(groups [][]int, counts []float64, init []float64) (weights []f
 		if total == 0 {
 			continue
 		}
-		top := maxWeight(w, g)
-		expTerms(ex, w, g, top)
+		top := maxWeight(l.w, g)
+		expTerms(l.ex, l.w, g, top)
 		live = append(live, groupState{members: g, total: total, top: top})
+		members += len(g)
 	}
-	// Longest first: the groups that have a k-th member are then a prefix.
-	slices.SortFunc(live, func(a, b groupState) int { return cmp.Compare(len(b.members), len(a.members)) })
 
-	for iterations < maxIters {
-		iterations++
-		maxDelta := 0.0
-		// Coordinate-descent Newton: each single-weight update sees its
-		// group's current distribution. Updating all weights of a group from
-		// one stale distribution makes opposing steps compound (the softmax
-		// is shift-invariant) and the sweep oscillates. Within a group the
-		// updates run in member order; across groups nothing is shared but
-		// maxDelta, so a sweep updates the k-th member of every group before
-		// any (k+1)-th: one update is a single chain of dependent
-		// exp/add/divide, and neighbours from different groups overlap.
-		active := len(live)
-		for k := 0; active > 0; k++ {
-			for active > 0 && len(live[active-1].members) <= k {
-				active--
-			}
-			for gi := range live[:active] {
-				g := &live[gi]
-				i := g.members[k]
-				if k == 0 {
-					g.pre = 0
-				}
-				z := g.pre
-				for _, j := range g.members[k:] {
-					z += ex[j]
-				}
-				p := ex[i] / z
-				grad := counts[i] - g.total*p - (w[i]-init[i])*invSigma2
-				hess := g.total*p*(1-p) + invSigma2 + damping
-				step := grad / hess
-				if step > maxStep {
-					step = maxStep
-				} else if step < -maxStep {
-					step = -maxStep
-				}
-				wasTop := w[i] == g.top
-				w[i] += step
-				if d := math.Abs(step); d > maxDelta {
-					maxDelta = d
-				}
-				top := g.top
-				if w[i] > top {
-					top = w[i]
-				} else if wasTop {
-					top = maxWeight(w, g.members)
-				}
-				if top == g.top {
-					ex[i] = math.Exp(w[i] - top)
-					g.pre += ex[i]
-					continue
-				}
-				g.top = top
-				expTerms(ex, w, g.members, top)
-				g.pre = 0
-				for _, j := range g.members[:k+1] {
-					g.pre += ex[j]
-				}
-			}
+	// Contiguous runs of groups touch contiguous stretches of w and ex when
+	// the caller numbers candidates group by group, as a block does, so two
+	// chunks running side by side share at most the cache lines at a seam.
+	parts := make([]chunk, max(chunks, 1))
+	at, cum := 0, 0
+	for k := range parts {
+		from := at
+		for at < len(live) && cum*len(parts) < members*(k+1) {
+			cum += len(live[at].members)
+			at++
 		}
-		if maxDelta < tolerance {
-			break
+		parts[k] = chunk{live: live[from:at], last: math.Inf(1)}
+		// Longest first: the groups that have a k-th member are then a prefix.
+		slices.SortFunc(parts[k].live, func(a, b groupState) int { return cmp.Compare(len(b.members), len(a.members)) })
+	}
+	if each == nil {
+		each = func(n int, item func(int)) {
+			for i := range n {
+				item(i)
+			}
 		}
 	}
-	return w, iterations, nil
+
+	// The serial loop stops after the first sweep whose largest step, over
+	// every group, is under tolerance: the first sweep at which every chunk's
+	// own largest step is. So each chunk's first such sweep at or after a
+	// lower bound on that stop is again a lower bound, and the largest of them
+	// is the stop itself once every chunk is under tolerance there.
+	stop := 1
+	for {
+		passes++
+		each(len(parts), func(k int) { l.run(&parts[k], stop) })
+		next := stop
+		for k := range parts {
+			next = max(next, parts[k].sweeps)
+		}
+		agreed := true
+		for k := range parts {
+			agreed = agreed && parts[k].sweeps == next
+		}
+		if agreed {
+			return l.w, next, passes, nil
+		}
+		stop = next
+	}
+}
+
+// learner is one LearnWeights call's shared state. Chunks write disjoint
+// elements of w and ex: their groups partition the candidates.
+type learner struct {
+	counts, init []float64
+	w, ex        []float64
+}
+
+// groupState is the softmax state of one group that learns, kept across
+// updates and across sweeps: ex[j] = exp(w[j] − top) for each member j, top
+// the group's largest weight, pre the sum of the terms before the member
+// being updated. A group's weights are written only by its own updates (the
+// partition check), so between two of them exactly one term changes —
+// unless the largest weight moved, which rebases all of them. Either way
+// every term is what a from-scratch softmax over the current weights
+// computes (same operands) and z adds them up in member order, so the
+// learned weights do not depend on the reuse.
+type groupState struct {
+	members         []int
+	total, top, pre float64
+}
+
+// chunk is a run of groups that sweeps on its own: sweeps done so far, and
+// the largest step of the last one.
+type chunk struct {
+	live   []groupState
+	sweeps int
+	last   float64
+}
+
+// run sweeps c up to sweep `stop`, then on while its largest step is not
+// under tolerance, never past the sweep bound.
+func (l *learner) run(c *chunk, stop int) {
+	for c.sweeps < maxIters && (c.sweeps < stop || c.last >= tolerance) {
+		c.last = l.sweep(c.live)
+		c.sweeps++
+	}
+}
+
+// sweep updates every weight of the groups once and returns the largest
+// absolute step.
+func (l *learner) sweep(live []groupState) (maxDelta float64) {
+	counts, init, w, ex := l.counts, l.init, l.w, l.ex
+	// Coordinate-descent Newton: each single-weight update sees its group's
+	// current distribution. Updating all weights of a group from one stale
+	// distribution makes opposing steps compound (the softmax is
+	// shift-invariant) and the sweep oscillates. Within a group the updates
+	// run in member order; across groups nothing is shared but maxDelta, so
+	// a sweep updates the k-th member of every group before any (k+1)-th:
+	// one update is a single chain of dependent exp/add/divide, and
+	// neighbours from different groups overlap.
+	active := len(live)
+	for k := 0; active > 0; k++ {
+		for active > 0 && len(live[active-1].members) <= k {
+			active--
+		}
+		for gi := range live[:active] {
+			g := &live[gi]
+			i := g.members[k]
+			if k == 0 {
+				g.pre = 0
+			}
+			z := g.pre
+			for _, j := range g.members[k:] {
+				z += ex[j]
+			}
+			p := ex[i] / z
+			grad := counts[i] - g.total*p - (w[i]-init[i])*invSigma2
+			hess := g.total*p*(1-p) + invSigma2 + damping
+			step := grad / hess
+			if step > maxStep {
+				step = maxStep
+			} else if step < -maxStep {
+				step = -maxStep
+			}
+			wasTop := w[i] == g.top
+			w[i] += step
+			if d := math.Abs(step); d > maxDelta {
+				maxDelta = d
+			}
+			top := g.top
+			if w[i] > top {
+				top = w[i]
+			} else if wasTop {
+				top = maxWeight(w, g.members)
+			}
+			if top == g.top {
+				ex[i] = math.Exp(w[i] - top)
+				g.pre += ex[i]
+				continue
+			}
+			g.top = top
+			expTerms(ex, w, g.members, top)
+			g.pre = 0
+			for _, j := range g.members[:k+1] {
+				g.pre += ex[j]
+			}
+		}
+	}
+	return maxDelta
 }
 
 // expTerms sets ex[j] = exp(w[j] − top) for every j of idx: the terms of the

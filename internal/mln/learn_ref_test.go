@@ -3,6 +3,8 @@ package mln
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -74,25 +76,51 @@ func refSoftmaxInto(dst []float64, w []float64, idx []int) {
 	}
 }
 
+// eachOn returns an Each that runs the items on `participants` goroutines,
+// each claiming the next unclaimed item until none is left.
+func eachOn(participants int) Each {
+	return func(n int, item func(int)) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range participants {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+					item(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // checkAgainstRef fails unless LearnWeights returns the reference's sweep
-// count and, bit for bit, its weights. It returns the sweep count.
-func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
+// count and, bit for bit, its weights, for every chunk count from 1 to 5
+// run by 1, 2 or 3 participants. It returns the sweep count and the most
+// passes any chunk count took to agree on it.
+func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) (iters, passes int) {
 	t.Helper()
 	want, wantIters := refLearnWeights(groups, counts, init)
-	got, iters, err := LearnWeights(groups, counts, init)
-	if err != nil {
-		t.Fatalf("LearnWeights: %v", err)
-	}
-	if iters != wantIters {
-		t.Fatalf("sweeps = %d, reference %d", iters, wantIters)
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("weight %d = %x (%v), reference %x (%v)", i,
-				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+	for chunks := 1; chunks <= 5; chunks++ {
+		for participants := 1; participants <= 3; participants++ {
+			got, it, ps, err := learnWeights(groups, counts, init, chunks, eachOn(participants))
+			if err != nil {
+				t.Fatalf("LearnWeights: %v", err)
+			}
+			if it != wantIters {
+				t.Fatalf("%d chunks on %d participants: sweeps = %d, reference %d", chunks, participants, it, wantIters)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d chunks on %d participants: weight %d = %x (%v), reference %x (%v)", chunks, participants, i,
+						math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+				}
+			}
+			passes = max(passes, ps)
 		}
 	}
-	return iters
+	return wantIters, passes
 }
 
 func TestLearnWeightsMatchesReferenceCases(t *testing.T) {
@@ -102,6 +130,10 @@ func TestLearnWeightsMatchesReferenceCases(t *testing.T) {
 		counts []float64
 		init   []float64 // nil: the Eq. 4 priors
 		capped bool      // must run into the sweep bound unconverged
+		// A chunk's largest step must rise back above tolerance after its
+		// first sub-tolerance sweep, so agreeing on the stop takes more than
+		// one pass after the first.
+		rises bool
 	}{
 		{name: "tied maxima", groups: [][]int{{0, 1, 2}}, counts: []float64{5, 5, 1}, init: []float64{0.7, 0.7, 0.1}},
 		// The largest weight belongs to the least supported member: its first
@@ -114,6 +146,14 @@ func TestLearnWeightsMatchesReferenceCases(t *testing.T) {
 		{name: "interleaved members", groups: [][]int{{4, 0, 2}, {3, 1}}, counts: []float64{1, 8, 2, 1, 30}},
 		{name: "signed zero weights", groups: [][]int{{0, 1}}, counts: []float64{2, 1}, init: []float64{math.Copysign(0, -1), 0}},
 		{name: "sweep cap", groups: [][]int{{0, 1, 2, 3, 4, 5}}, counts: []float64{4000, 900, 70, 5, 1, 1}, capped: true},
+		{name: "sweep cap beside a converging group", groups: [][]int{{0, 1, 2, 3, 4, 5}, {6, 7}},
+			counts: []float64{4000, 900, 70, 5, 1, 1, 3, 2}, capped: true},
+		// A support so large that rounding in counts[i] − total·p leaves a
+		// step noise near tolerance: the group's largest step is under it at
+		// sweeps 78–79, over it at 80–81 and under again at 82, while the
+		// other group first gets under at 80.
+		{name: "step rises after a sub-tolerance sweep", groups: [][]int{{0, 1}, {2, 3}},
+			counts: []float64{0, 4.7385474302e+10, 7, 10}, init: []float64{0, 1, 7.0 / 17, 10.0 / 17}, rises: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,9 +161,14 @@ func TestLearnWeightsMatchesReferenceCases(t *testing.T) {
 			if init == nil {
 				init = PriorWeights(tc.counts)
 			}
-			iters := checkAgainstRef(t, tc.groups, tc.counts, init)
+			// With more chunks than groups that learn, some chunks hold none:
+			// every single-group case covers an empty chunk.
+			iters, passes := checkAgainstRef(t, tc.groups, tc.counts, init)
 			if tc.capped && iters != maxIters {
 				t.Errorf("converged in %d sweeps; the case is meant to hit the %d-sweep bound", iters, maxIters)
+			}
+			if tc.rises && passes <= 2 {
+				t.Errorf("agreed on sweep %d in %d passes; the case is meant to need more than two", iters, passes)
 			}
 		})
 	}

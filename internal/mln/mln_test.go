@@ -19,7 +19,7 @@ func TestPriorWeights(t *testing.T) {
 func TestLearnWeightsMonotone(t *testing.T) {
 	// Within a group, higher support must learn a higher weight.
 	counts := []float64{8, 1}
-	w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts))
+	w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts), 1, nil)
 	if err != nil {
 		t.Fatalf("LearnWeights: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestLearnWeightsMonotoneProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		ca, cb := float64(a%50)+1, float64(b%50)+1
 		counts := []float64{ca, cb}
-		w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts))
+		w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts), 1, nil)
 		if err != nil {
 			return false
 		}
@@ -56,16 +56,16 @@ func TestLearnWeightsMonotoneProperty(t *testing.T) {
 }
 
 func TestLearnWeightsValidation(t *testing.T) {
-	if _, _, err := LearnWeights([][]int{{0}}, []float64{1}, []float64{1, 2}); err == nil {
+	if _, _, err := LearnWeights([][]int{{0}}, []float64{1}, []float64{1, 2}, 1, nil); err == nil {
 		t.Error("init length mismatch should fail")
 	}
-	if _, _, err := LearnWeights([][]int{{0, 0}}, []float64{1, 1}, []float64{0, 0}); err == nil {
+	if _, _, err := LearnWeights([][]int{{0, 0}}, []float64{1, 1}, []float64{0, 0}, 1, nil); err == nil {
 		t.Error("duplicate group membership should fail")
 	}
-	if _, _, err := LearnWeights([][]int{{5}}, []float64{1}, []float64{0}); err == nil {
+	if _, _, err := LearnWeights([][]int{{5}}, []float64{1}, []float64{0}, 1, nil); err == nil {
 		t.Error("out-of-range index should fail")
 	}
-	if _, _, err := LearnWeights([][]int{{0}}, []float64{-1}, []float64{0}); err == nil {
+	if _, _, err := LearnWeights([][]int{{0}}, []float64{-1}, []float64{0}, 1, nil); err == nil {
 		t.Error("negative count should fail")
 	}
 }
@@ -73,7 +73,7 @@ func TestLearnWeightsValidation(t *testing.T) {
 func TestLearnWeightsSingletonGroupKeepsPrior(t *testing.T) {
 	counts := []float64{7}
 	init := []float64{0.42}
-	w, _, err := LearnWeights([][]int{{0}}, counts, init)
+	w, _, err := LearnWeights([][]int{{0}}, counts, init, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLearnWeightsSingletonGroupKeepsPrior(t *testing.T) {
 
 func TestLearnWeightsConverges(t *testing.T) {
 	counts := []float64{10, 5, 1}
-	_, iters, err := LearnWeights([][]int{{0, 1, 2}}, counts, PriorWeights(counts))
+	_, iters, err := LearnWeights([][]int{{0, 1, 2}}, counts, PriorWeights(counts), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
