@@ -190,9 +190,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Metric == nil || o.Metric.Name() != "levenshtein" {
 		t.Error("default metric should be levenshtein")
 	}
-	if o.MaxFusionStates != 4096 {
-		t.Errorf("default MaxFusionStates = %d", o.MaxFusionStates)
-	}
 	if o.MinimalityPrior != 0.05 {
 		t.Errorf("default MinimalityPrior = %v", o.MinimalityPrior)
 	}
@@ -276,10 +273,10 @@ func TestCleanDeterministic(t *testing.T) {
 }
 
 func TestFusionBlockExports(t *testing.T) {
-	// RunFSCR with empty blocks is a no-op clone.
+	// FSCR with empty blocks is a no-op clone.
 	tb := dataset.NewTable(dataset.MustSchema("A"))
 	tb.MustAppend("x")
-	out := RunFSCR(tb, nil, Options{}, nil)
+	out := RunFSCREncoded(tb, nil, nil, Options{}, nil)
 	if d := out.Diff(tb); len(d) != 0 {
 		t.Error("no-block FSCR changed data")
 	}

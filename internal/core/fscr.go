@@ -190,6 +190,15 @@ func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, boo
 // the consumed set is one bit per version in a uint64 mask.
 const maxComponentVersions = 64
 
+// maxFusionStates caps the FSCR permutation search per conflicted component
+// of a tuple: rules that share no attribute (directly or through other
+// rules) cannot conflict, so a tuple's versions are fused one such component
+// at a time and each search gets the full cap. The recursion of Alg. 2 is
+// O(m!·m); the memoized search never revisits a (consumed-set, assignment)
+// state and aborts at the cap, falling back to the best fusion found so far
+// — Stats.FusionTruncated counts the tuples this happened to.
+const maxFusionStates = 4096
+
 // FusionWidthError reports a rule set FSCR cannot search: more than
 // maxComponentVersions rules are linked through shared attributes, so one
 // tuple's conflicted component could outgrow the search's version mask.
@@ -319,7 +328,7 @@ func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]in
 		candidates:  make([]*blockCands, len(posPerBlock)),
 		domainSize:  make([]int, schema.Len()),
 		penalty:     opts.changePenalty(),
-		maxStates:   opts.MaxFusionStates,
+		maxStates:   maxFusionStates,
 	}
 	pl.compOf, pl.compAttrs = fusionComponents(posPerBlock, schema.Len())
 	return pl
@@ -371,8 +380,8 @@ func planFusion(dict *intern.Dict, schema *dataset.Schema, rows [][]uint32, bloc
 	return pl
 }
 
-// RunFSCR fuses each tuple's per-block cleaned versions into the single
-// assignment with the maximal fusion score (the product of the merged
+// RunFSCREncoded fuses each tuple's per-block cleaned versions into the
+// single assignment with the maximal fusion score (the product of the merged
 // pieces' weights, Eq. 5, combined with the minimality/observation prior),
 // resolving conflicts by substituting the highest-weight non-conflicting
 // piece from the conflicting block. The repaired table (same tuple IDs as
@@ -380,17 +389,13 @@ func planFusion(dict *intern.Dict, schema *dataset.Schema, rows [][]uint32, bloc
 // truncation counts, and opts.Trace records per-tuple fusion outcomes in
 // tuple order. Tuples fuse independently and run in parallel.
 //
+// enc is the dirty table's encoded rows in the pieces' dictionary, when the
+// caller already holds them (the stand-alone pipeline reuses the index's
+// encoding); a nil or foreign-dictionary enc is re-encoded.
+//
 // A tuple with more than 64 versions in one conflicted component cannot be
 // searched and is counted as both a failure and a truncation; callers that
 // take rule sets from outside run CheckFusionWidth first.
-func RunFSCR(dirty *dataset.Table, blocks []*FusionBlock, opts Options, st *Stats) *dataset.Table {
-	return RunFSCREncoded(dirty, nil, blocks, opts, st)
-}
-
-// RunFSCREncoded is RunFSCR for callers that already hold the dirty table's
-// encoded rows in the pieces' dictionary (the stand-alone pipeline reuses
-// the index's encoding; the distributed gather reuses the rows its executor
-// interned before shipping). A nil or foreign-dictionary enc is re-encoded.
 func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) *dataset.Table {
 	repaired, _ := runFSCR(dirty, enc, blocks, opts, st)
 	return repaired
@@ -415,8 +420,9 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	if enc == nil || enc.Dict != dict || len(enc.Rows) != len(dirty.Tuples) {
 		// Encode the observed (dirty) rows into the pieces' dictionary before
 		// the parallel loop — the only phase that may grow the dictionary.
-		// (RunFSCR callers pass no encoding; every pipeline, the distributed
-		// gather included, hands over rows already in the pieces' dictionary.)
+		// (Only direct callers pass no encoding; every pipeline, the
+		// distributed gather included, hands over rows already in the pieces'
+		// dictionary.)
 		enc = dataset.Encode(dirty, dict)
 	}
 	pl := planFusion(dict, repaired.Schema, enc.Rows, blocks, opts)
@@ -476,7 +482,7 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 
 // fuseResult is one tuple's fusion accounting (or a sum of them): cells
 // changed, and 0/1 flags for "every order failed", "the search hit
-// MaxFusionStates" and "some versions conflicted".
+// maxFusionStates" and "some versions conflicted".
 type fuseResult struct {
 	changes, failed, truncated, conflicted int
 }

@@ -76,7 +76,8 @@ func (x *fx) fuser(versions []version, cands []*blockCands, maxStates int) *fuse
 	for _, v := range versions {
 		posPerBlock[v.blockIdx] = v.pos
 	}
-	pl := newFusionPlan(x.dict, x.schema, posPerBlock, Options{MaxFusionStates: maxStates, MinimalityPrior: 0.5})
+	pl := newFusionPlan(x.dict, x.schema, posPerBlock, Options{MinimalityPrior: 0.5})
+	pl.maxStates = maxStates
 	copy(pl.candidates, cands)
 	f := newFuser(pl)
 	for _, v := range versions {
@@ -272,7 +273,7 @@ func capFixture(groups int) (*fx, []version, []*blockCands) {
 	return x, versions, cands
 }
 
-// TestFuserStateCap: the permutation search respects MaxFusionStates, flags
+// TestFuserStateCap: the permutation search respects its state cap, flags
 // the tuple as truncated when it bites, and applies the cap to each
 // conflicted component on its own.
 func TestFuserStateCap(t *testing.T) {
@@ -343,7 +344,7 @@ func chainBlocks(n int, conflict bool) (*dataset.Table, []*rules.Rule, []*Fusion
 // TestFusionWidthGuard: a rule set linking more than 64 rules into one
 // component is refused with a typed error by every entry point that takes
 // rules, instead of wrapping the version mask and reporting every conflicted
-// tuple as a fusion failure; RunFSCR itself degrades visibly.
+// tuple as a fusion failure; FSCR itself degrades visibly.
 func TestFusionWidthGuard(t *testing.T) {
 	tb, rs, blocks := chainBlocks(70, true)
 	var werr *FusionWidthError
@@ -360,21 +361,21 @@ func TestFusionWidthGuard(t *testing.T) {
 	// Direct callers: a conflicted over-wide tuple is a counted failure and
 	// truncation and keeps its values.
 	var st Stats
-	out := RunFSCR(tb, blocks, Options{}, &st)
+	out := RunFSCREncoded(tb, nil, blocks, Options{}, &st)
 	if st.FusionFailures != 1 || st.FusionTruncated != 1 || len(out.Diff(tb)) != 0 {
 		t.Errorf("over-wide conflicted tuple: %+v, diff %v", st, out.Diff(tb))
 	}
 	// The widest searchable chain still completes a conflicted fusion...
 	tb64, _, blocks64 := chainBlocks(maxComponentVersions, true)
 	st = Stats{}
-	RunFSCR(tb64, blocks64, Options{MaxFusionStates: 1 << 12}, &st)
+	RunFSCREncoded(tb64, nil, blocks64, Options{}, &st)
 	if st.FusionTruncated != 1 {
 		t.Errorf("64-version conflicted chain should exhaust the state cap: %+v", st)
 	}
 	// ...and agreeing versions never need the mask, however many there are.
 	tbOK, _, blocksOK := chainBlocks(70, false)
 	st = Stats{}
-	RunFSCR(tbOK, blocksOK, Options{}, &st)
+	RunFSCREncoded(tbOK, nil, blocksOK, Options{}, &st)
 	if st.FusionFailures != 0 || st.FusionTruncated != 0 {
 		t.Errorf("70 agreeing versions: %+v", st)
 	}

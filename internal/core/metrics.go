@@ -45,7 +45,7 @@ var (
 	mFSCRConflicts = obs.Default().Counter("mlnclean_core_fscr_conflicts_total",
 		"Tuples whose every fusion order conflicted out.")
 	mFSCRTruncated = obs.Default().Counter("mlnclean_core_fscr_truncated_total",
-		"Tuples whose fusion search hit MaxFusionStates in some component.")
+		"Tuples whose fusion search hit the state cap in some component.")
 	mDuplicatesRemoved = obs.Default().Counter("mlnclean_core_duplicates_removed_total",
 		"Duplicate tuples eliminated after fusion.")
 

@@ -29,15 +29,6 @@ type Options struct {
 	// ablation-mergecap experiment. Default 0.4; values ≥ 1 restore the
 	// paper's unconditional merge.
 	MergeCapRatio float64
-	// MaxFusionStates caps the FSCR permutation search per conflicted
-	// component of a tuple: rules that share no attribute (directly or
-	// through other rules) cannot conflict, so a tuple's versions are fused
-	// one such component at a time and each search gets the full cap. The
-	// recursion of Alg. 2 is O(m!·m); the memoized search never revisits a
-	// (consumed-set, assignment) state and aborts at the cap, falling back
-	// to the best fusion found so far — Stats.FusionTruncated counts the
-	// tuples this happened to. Default 4096.
-	MaxFusionStates int
 	// Parallelism is how many goroutines stage I and FSCR each run on:
 	// stage I's pool workers, which clean one block each and, with no block
 	// of their own, help the blocks still running, and the FSCR goroutines
@@ -78,9 +69,6 @@ func (o Options) withDefaults() Options {
 	if o.Metric == nil {
 		o.Metric = distance.Levenshtein{}
 	}
-	if o.MaxFusionStates <= 0 {
-		o.MaxFusionStates = 4096
-	}
 	if o.MergeCapRatio <= 0 {
 		o.MergeCapRatio = 0.4
 	}
@@ -117,7 +105,7 @@ type Stats struct {
 	RSCRepairs        int // pieces rewritten by RSC
 	FSCRCellChanges   int // cells changed during fusion (vs dirty input)
 	FusionFailures    int // tuples whose every fusion order conflicted out
-	FusionTruncated   int // tuples whose fusion search hit MaxFusionStates
+	FusionTruncated   int // tuples whose fusion search hit maxFusionStates
 	DuplicatesRemoved int
 	LearnIterations   int
 }

@@ -42,21 +42,24 @@ type Result struct {
 	Repaired *dataset.Table
 	// PartSizes lists the tuples per worker partition.
 	PartSizes []int
-	// WorkerTimes holds each worker's measured stage-I+II time. Workers run
-	// concurrently, so these include whatever contention the host's cores
-	// impose; ClusterTime stays the hardware-independent model on top.
+	// WorkerTimes holds each worker's measured time for both of its phases.
+	// Workers run concurrently, so these include whatever contention the
+	// host's cores impose; ClusterTime stays the hardware-independent model
+	// on top.
 	WorkerTimes []time.Duration
 	// WorkerStageITimes/WorkerStageIITimes break WorkerTimes into its two
-	// measured phases (index build + AGP + learning vs RSC + local FSCR), so
-	// callers can reproduce the per-phase runtime tables without re-running.
+	// measured phases (index build + AGP + learning vs applying the merged
+	// weights + RSC), so callers can reproduce the per-phase runtime tables
+	// without re-running. A worker fuses nothing: FSCR runs once, in the
+	// gather, and GatherTime holds it.
 	WorkerStageITimes  []time.Duration
 	WorkerStageIITimes []time.Duration
 	// PartitionDistTime is the map-side distance-matrix phase of Alg. 3;
 	// PartitionHeapTime is its sequential driver-side heap assignment.
 	PartitionDistTime time.Duration
 	PartitionHeapTime time.Duration
-	// GatherTime covers the weight merge plus the global conflict
-	// resolution and deduplication.
+	// GatherTime covers the weight merge plus the run's one stage II: the
+	// global conflict resolution and deduplication.
 	GatherTime time.Duration
 	// WallTime is the measured end-to-end wall-clock time of the concurrent
 	// run (partitioning through gather). Unlike ClusterTime it depends on
@@ -86,8 +89,9 @@ type Result struct {
 // max(worker) is measured under whatever contention the host imposes: on a
 // host with at least k free cores the model approximates the paper's
 // Fig. 15 / Table 6 scaling shape, on smaller hosts it understates the
-// ideal-cluster speedup. WallTime is the measured concurrent counterpart.
-// See README › Deviations from the paper.
+// ideal-cluster speedup. Stage II (FSCR + deduplication) runs once, in the
+// gather, and is charged as gather/k. WallTime is the measured concurrent
+// counterpart. See README › Deviations from the paper.
 func (r *Result) ClusterTime() time.Duration {
 	var maxW time.Duration
 	for _, w := range r.WorkerTimes {
@@ -102,12 +106,12 @@ func (r *Result) ClusterTime() time.Duration {
 	return r.PartitionDistTime/k + r.PartitionHeapTime + maxW + r.GatherTime/k
 }
 
-// Clean runs distributed MLNClean (§6): partition with Algorithm 3, clean
-// every part with the stand-alone pipeline concurrently on the executor's
-// worker pool — interleaving the Eq. 6 weight merge between weight learning
-// and RSC — and gather the parts, resolving cross-part conflicts with a
-// global FSCR pass and removing duplicates exactly like the stand-alone
-// cleaner.
+// Clean runs distributed MLNClean (§6): partition with Algorithm 3, take
+// every part through stage I and RSC concurrently on the executor's worker
+// pool — interleaving the Eq. 6 weight merge between weight learning and
+// RSC — and gather the parts into the run's one stage II, resolving
+// conflicts with a global FSCR pass and removing duplicates exactly like the
+// stand-alone cleaner.
 func Clean(dirty *dataset.Table, rs []*rules.Rule, opts Options) (*Result, error) {
 	return CleanContext(context.Background(), dirty, rs, opts)
 }

@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -35,7 +36,7 @@ func TestPartitionCompleteAndBalanced(t *testing.T) {
 		rows := int(rowsRaw%60) + 1
 		k := int(kRaw%6) + 1
 		tb := randomTable(seed, rows)
-		parts, err := Partition(tb, k, distance.Levenshtein{}, rand.New(rand.NewSource(seed)))
+		parts, _, _, err := partition(tb, k, distance.Levenshtein{}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
@@ -45,11 +46,11 @@ func TestPartitionCompleteAndBalanced(t *testing.T) {
 		capacity := (rows + k - 1) / k
 		var ids []int
 		for _, p := range parts {
-			if p.Len() > capacity {
+			if len(p) > capacity {
 				return false
 			}
-			for _, tp := range p.Tuples {
-				ids = append(ids, tp.ID)
+			for _, pos := range p {
+				ids = append(ids, tb.Tuples[pos].ID)
 			}
 		}
 		if len(ids) != rows {
@@ -70,15 +71,15 @@ func TestPartitionCompleteAndBalanced(t *testing.T) {
 
 func TestPartitionValidation(t *testing.T) {
 	tb := randomTable(1, 10)
-	if _, err := Partition(tb, 0, distance.Levenshtein{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, _, _, err := partition(tb, 0, distance.Levenshtein{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("k=0 should fail")
 	}
 	empty := dataset.NewTable(tb.Schema)
-	if _, err := Partition(empty, 2, distance.Levenshtein{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, _, _, err := partition(empty, 2, distance.Levenshtein{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("empty table should fail")
 	}
 	// k larger than |T| clamps.
-	parts, err := Partition(tb, 50, distance.Levenshtein{}, rand.New(rand.NewSource(1)))
+	parts, _, _, err := partition(tb, 50, distance.Levenshtein{}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +90,10 @@ func TestPartitionValidation(t *testing.T) {
 
 func TestPartitionDeterminism(t *testing.T) {
 	tb := randomTable(3, 40)
-	a, _ := Partition(tb, 4, distance.Levenshtein{}, rand.New(rand.NewSource(9)))
-	b, _ := Partition(tb, 4, distance.Levenshtein{}, rand.New(rand.NewSource(9)))
-	for i := range a {
-		if d := a[i].Diff(b[i]); len(d) != 0 {
-			t.Fatalf("part %d differs across identical seeds", i)
-		}
+	a, _, _, _ := partition(tb, 4, distance.Levenshtein{}, rand.New(rand.NewSource(9)))
+	b, _, _, _ := partition(tb, 4, distance.Levenshtein{}, rand.New(rand.NewSource(9)))
+	if len(a) != 4 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("parts differ across identical seeds: %v vs %v", a, b)
 	}
 }
 
@@ -300,6 +299,34 @@ func TestDistributedMatchesStandaloneQuality(t *testing.T) {
 	t.Logf("stand-alone F1 = %.3f, distributed F1 = %.3f", qs.F1, qd.F1)
 	if qd.F1 < qs.F1-0.15 {
 		t.Errorf("distributed F1 %.3f too far below stand-alone %.3f", qd.F1, qs.F1)
+	}
+}
+
+// TestTracedCleanFusesEachTupleOnce: stage II runs once per run, in the
+// gather, so a traced Clean records one fusion outcome per tuple, in tuple
+// order, however many workers took part.
+func TestTracedCleanFusesEachTupleOnce(t *testing.T) {
+	truth, rs, err := datagen.HAI(datagen.HAIConfig{Providers: 60, Measures: 10, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3} {
+		tr := &core.Trace{}
+		if _, err := Clean(inj.Dirty, rs, Options{Workers: k, Seed: 1, Core: core.Options{Tau: 2, Trace: tr}}); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.FSCR) != inj.Dirty.Len() {
+			t.Fatalf("k=%d: %d fusion outcomes for %d tuples", k, len(tr.FSCR), inj.Dirty.Len())
+		}
+		for i, fo := range tr.FSCR {
+			if want := inj.Dirty.Tuples[i].ID; fo.TupleID != want {
+				t.Fatalf("k=%d: outcome %d is tuple %d, want %d", k, i, fo.TupleID, want)
+			}
+		}
 	}
 }
 

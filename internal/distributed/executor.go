@@ -21,12 +21,12 @@ import (
 )
 
 // Executor is the concurrent distributed runtime: k logical partitions, each
-// cleaned by its own worker goroutine running the stand-alone stage-I/II
-// pipeline, coordinated exclusively through a Transport. Worker slot w serves
-// partition w for the whole run. The coordinator streams partition batches
-// down, reduces the workers' Eq. 6 piece summaries, broadcasts the merged
-// weights, and gathers the workers' fusion blocks for the global
-// conflict-resolution pass.
+// taken through stage I (index, AGP, weight learning) and RSC by its own
+// worker goroutine, coordinated exclusively through a Transport. Worker slot
+// w serves partition w for the whole run. The coordinator streams partition
+// batches down, reduces the workers' Eq. 6 piece summaries, broadcasts the
+// merged weights, and gathers the workers' post-RSC blocks for the run's one
+// stage II: FSCR over every tuple, then deduplication.
 //
 // Failure handling: nothing is re-run. A worker error, a worker goroutine
 // that exits before its final reply, a cancelled context and a send that
@@ -476,8 +476,8 @@ func (ex *Executor) Close() {
 }
 
 // finish drives the two-phase protocol to completion: stage I on every
-// worker, the Eq. 6 reduce + broadcast, stage II on every worker, then the
-// global gather (FSCR over the original dirty tuples + deduplication).
+// worker, the Eq. 6 reduce + broadcast, RSC on every worker, then the
+// gather's stage II (FSCR over the original dirty tuples + deduplication).
 func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	defer ex.shutdown()
 	for w := 0; w < ex.k; w++ {
@@ -554,17 +554,17 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	res.RunID = ex.opts.Core.RunID
 
 	// Gather (§6: "conflicts and duplicates are eliminated in the same way
-	// to stand-alone MLNClean"): run a global conflict resolution over the
-	// union of all workers' blocks and deduplicate. The global FSCR fuses
-	// from the ORIGINAL dirty tuples — the union blocks already carry every
-	// worker's stage-I repairs, and fusing from the per-part FSCR outputs
-	// would move the observation baseline of the minimality prior, letting
-	// compounding double-fusions through. The per-part FSCR outputs remain
-	// what each worker would ship alone (and what WorkerTimes measures); the
-	// run's fusion and duplicate counters come from this pass alone, the one
-	// whose table is returned.
+	// to stand-alone MLNClean"): the run's one stage II, over the union of
+	// all workers' blocks. FSCR fuses from the ORIGINAL dirty tuples — the
+	// union blocks already carry every worker's stage-I and RSC repairs — so
+	// the minimality prior's observation baseline is the input, as in the
+	// stand-alone cleaner. The run's fusion and duplicate counters come from
+	// this pass.
 	t0 = time.Now()
-	blocks := unionWireBlocks(frs, ex.rs, ex.dict)
+	blocks, err := unionWireBlocks(frs, ex.rs, ex.dict)
+	if err != nil {
+		return nil, ex.fail(err)
+	}
 	// The gather rows were interned before shipping; hand them to FSCR
 	// instead of re-encoding the whole dataset on the finish path.
 	res.Repaired, res.Clean, _ = core.StageII(dirty, ex.senc.Encoded(), blocks, ex.opts.Core, &res.Stats)
@@ -670,8 +670,9 @@ type workerLink interface {
 // workerMain is worker slot w's receive loop, driven entirely by transport
 // messages: set up on Init, ingest partition batches through an incremental
 // dictionary encoder, run stage I on StartStageI, apply the merged weights
-// and run stage II on MergedWeights, then exit. It returns nil once its
-// final reply is sent, and the reason for any other exit.
+// and run RSC on MergedWeights, ship the post-RSC blocks, then exit. It
+// returns nil once its final reply is sent, and the reason for any other
+// exit.
 //
 // Ingest is bounded: each TupleBatch is translated into the worker's own
 // value IDs on arrival (the partition table's values alias the delta
@@ -756,12 +757,7 @@ func workerMain(ctx context.Context, tr workerLink, w int, opts core.Options) er
 				tr.ToCoordinator(FusionResult{Worker: w, Err: err.Error()})
 				return err
 			}
-			// The local FSCR output is what this worker would ship alone; the
-			// coordinator re-derives the final table globally, so the local
-			// pass contributes its (timed) cost, as on the real cluster, and
-			// nothing else: its fusion counters describe a table nobody is
-			// handed, so they stay out of the shipped Stats.
-			core.RunFSCREncoded(tb, ix.Encoded(), core.FusionBlocksFromIndex(ix), opts, nil)
+			// The gather fuses every tuple once, from the pieces shipped here.
 			return tr.ToCoordinator(FusionResult{
 				Worker:    w,
 				PartSize:  tb.Len(),
@@ -830,8 +826,11 @@ func reducePieceWeights(perWorker [][]RuleWeights, rs []*rules.Rule, dict *inter
 // merged weight). Wire pieces name values by dict's IDs, the dictionary the
 // gather FSCR's dirty rows are encoded in, and each becomes a piece as is;
 // the blocks were checked on receipt. Workers are folded in index order so
-// candidate order is deterministic regardless of message arrival order.
-func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict) []*core.FusionBlock {
+// candidate order is deterministic regardless of message arrival order. A
+// tuple lives in one partition and in one piece of each of its worker's
+// blocks, so a tuple ID that two pieces of one block claim — on one worker or
+// across two — is a protocol error.
+func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict) ([]*core.FusionBlock, error) {
 	blocks := make([]*core.FusionBlock, len(rs))
 	seen := make([]map[uint32]struct{}, len(rs))
 	for ri, r := range rs {
@@ -850,10 +849,14 @@ func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict) []
 					fb.Candidates = append(fb.Candidates, p)
 				}
 				for _, id := range wp.TupleIDs {
-					fb.Versions[id] = p
+					// A repeated ID leaves the map's size unchanged.
+					n := len(fb.Versions)
+					if fb.Versions[id] = p; len(fb.Versions) == n {
+						return nil, fmt.Errorf("distributed: protocol: block %d: tuple %d claimed by two pieces", bi, id)
+					}
 				}
 			}
 		}
 	}
-	return blocks
+	return blocks, nil
 }

@@ -1,17 +1,17 @@
 // Package distributed implements the Spark variant of MLNClean (§6) as a
 // concurrent worker-pool executor: the heap-based balanced data partitioner
-// of Algorithm 3 (plus a streaming relaxation for batched ingest),
-// per-worker stand-alone cleaning on dedicated goroutines, the cross-worker
-// weight adjustment of Eq. 6 as a reduce over worker-emitted piece
-// summaries, and a global gather step that resolves conflicts and removes
-// duplicates the same way the stand-alone pipeline does. All
+// of Algorithm 3 (plus a streaming relaxation for batched ingest), per-worker
+// stage I and RSC on dedicated goroutines, the cross-worker weight
+// adjustment of Eq. 6 as a reduce over worker-emitted piece summaries, and a
+// global gather step that runs stage II once — resolving conflicts and
+// removing duplicates the same way the stand-alone pipeline does. All
 // coordinator↔worker traffic crosses a pluggable Transport whose messages
 // are plain serializable data, so an RPC transport can replace the
 // in-process one without touching the pipeline.
 //
 // Substitution note (see README › Deviations from the paper): the paper
 // deploys on an 11-node Spark cluster; here each "worker" is a goroutine
-// running the stand-alone pipeline over its partition. Reported cluster
+// running stage I and RSC over its partition. Reported cluster
 // time uses the ideal-cluster model max(worker times) + partition + gather,
 // which approximates the scaling shape of Fig. 15 / Table 6 when the host
 // has at least k free cores (see Result.ClusterTime); Result.WallTime is the
@@ -54,37 +54,17 @@ func (h *maxHeap) Pop() interface{} {
 	return x
 }
 
-// Partition splits the table into k balanced parts using Algorithm 3:
+// partition splits the table into k balanced parts using Algorithm 3:
 // random centroids, capacity s = ⌈|T|/k⌉ per part, max-heap eviction when a
 // closer tuple arrives at a full part. The tuple-to-centroid distance is
-// the attribute-wise metric distance. Deterministic given rng.
-func Partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) ([]*dataset.Table, error) {
-	parts, _, _, err := PartitionTimed(tb, k, metric, rng)
-	return parts, err
-}
-
-// PartitionTimed is Partition, additionally reporting the two phase
-// durations of the algorithm: the tuple×centroid distance computation
-// (embarrassingly parallel — the map side on a real cluster) and the
-// sequential heap assignment (driver side). The distributed cluster-time
-// model divides the former by the worker count.
-func PartitionTimed(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) ([]*dataset.Table, time.Duration, time.Duration, error) {
-	pos, distTime, heapTime, err := partition(tb, k, metric, rng)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	parts := make([]*dataset.Table, len(pos))
-	for p, part := range pos {
-		parts[p] = dataset.NewTable(tb.Schema)
-		for _, i := range part {
-			parts[p].Tuples = append(parts[p].Tuples, tb.Tuples[i].Clone())
-		}
-	}
-	return parts, distTime, heapTime, nil
-}
-
-// partition is PartitionTimed returning each part as the table positions of
-// its tuples, in the part's heap order.
+// the attribute-wise metric distance. Deterministic given rng. Each part is
+// the table positions of its tuples, in the part's heap order.
+//
+// It also reports the two phase durations of the algorithm: the
+// tuple×centroid distance computation (embarrassingly parallel — the map
+// side on a real cluster) and the sequential heap assignment (driver side).
+// The distributed cluster-time model divides the former by the worker
+// count.
 func partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) ([][]int, time.Duration, time.Duration, error) {
 	if k <= 0 {
 		return nil, 0, 0, fmt.Errorf("distributed: need k ≥ 1 parts, got %d", k)

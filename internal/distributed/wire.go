@@ -32,10 +32,11 @@ import (
 //	StartStageI     partition complete → worker builds its index, runs
 //	                AGP + weight learning, replies with WeightSummaries (↑)
 //	MergedWeights   the Eq. 6 reduce result → worker applies it, runs
-//	                RSC + its local FSCR, replies with FusionResult (↑)
-//	                and terminates
+//	                RSC, replies with FusionResult (↑) and terminates
 //
-// Nothing is re-sent: a worker that fails ends the run (see Executor).
+// The coordinator then runs stage II once, over the union of the
+// FusionResults' blocks. Nothing is re-sent: a worker that fails ends the
+// run (see Executor).
 type Message interface{ isMessage() }
 
 // Init bootstraps worker Worker with the table schema and the rule set; the
@@ -96,7 +97,8 @@ type MergedWeights struct {
 
 // FusionResult is the worker's final reply: its post-RSC blocks (the
 // candidate pieces the global gather fuses over), its pipeline stats, and
-// the measured RSC + local-FSCR time. A non-empty Err aborts the run.
+// the measured time to apply the merged weights and run RSC. Each tuple ID
+// appears in at most one piece of a block. A non-empty Err aborts the run.
 type FusionResult struct {
 	Worker    int
 	PartSize  int

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mlnclean/internal/core"
+	"mlnclean/internal/intern"
 	"mlnclean/internal/rules"
 )
 
@@ -157,9 +158,10 @@ func (t *tamperReplies) CoordinatorRecv() (Message, error) {
 
 // TestCoordinatorRejectsMalformedReplies: a worker reply naming a value ID
 // the coordinator's dictionary does not hold, a piece whose value count is
-// not its rule's arity, or a reply whose rule or block count is not the
-// rule count ends the run with a protocol error — no panic, no out-of-range
-// index, no surplus block dropped in silence.
+// not its rule's arity, a reply whose rule or block count is not the rule
+// count, or a block in which two pieces claim one tuple ends the run with a
+// protocol error — no panic, no out-of-range index, no surplus block or
+// repeated claim dropped in silence.
 func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 	rs := rules.MustParseStrings("FD: A -> B")
 	dirty := randomTable(5, 40)
@@ -227,6 +229,12 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 				return p
 			}),
 			"block 0: piece of 1 values, rule has 2"},
+		{"a piece sent twice",
+			blocks(func(bs []WireFusionBlock) []WireFusionBlock {
+				bs[0].Pieces = append(append([]WirePiece(nil), bs[0].Pieces...), bs[0].Pieces[0])
+				return bs
+			}),
+			"claimed by two pieces"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,5 +247,23 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 				t.Fatalf("Clean = %v, want a protocol error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestUnionRejectsTupleClaimedAcrossWorkers: a tuple lives in one partition,
+// so two workers whose blocks both claim it disagree with the run.
+func TestUnionRejectsTupleClaimedAcrossWorkers(t *testing.T) {
+	rs := rules.MustParseStrings("FD: A -> B")
+	dict := intern.NewDict()
+	a, b, c := dict.Intern("a"), dict.Intern("b"), dict.Intern("c")
+	reply := func(w int, values ...uint32) FusionResult {
+		return FusionResult{Worker: w, Blocks: []WireFusionBlock{{Pieces: []WirePiece{{Values: values, TupleIDs: []int{7}, Weight: 1}}}}}
+	}
+	if _, err := unionWireBlocks([]FusionResult{reply(0, a, b)}, rs, dict); err != nil {
+		t.Fatalf("one claim: %v", err)
+	}
+	_, err := unionWireBlocks([]FusionResult{reply(0, a, b), reply(1, a, c)}, rs, dict)
+	if err == nil || !strings.Contains(err.Error(), "distributed: protocol: block 0: tuple 7 claimed by two pieces") {
+		t.Fatalf("unionWireBlocks = %v, want a protocol error for tuple 7", err)
 	}
 }
