@@ -2,7 +2,6 @@ package distance
 
 import (
 	"math"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -22,19 +21,13 @@ func intBound(f float64) int {
 	return int(f)
 }
 
-// editScratch holds the reusable state of one edit-distance computation: the
-// two DP rows, the rune buffers non-ASCII inputs decode into, and the
-// bit-parallel kernel's per-byte match table (all zero between calls).
+// editScratch holds the reusable state of one edit-distance kernel: the two
+// DP rows and the bit-parallel kernel's per-byte match table (all zero
+// between calls).
 type editScratch struct {
-	rows   []int
-	ra, rb []rune
-	peq    [128]uint64
+	rows []int
+	peq  [128]uint64
 }
-
-var editPool = sync.Pool{New: func() interface{} { return &editScratch{} }}
-
-func getScratch() *editScratch  { return editPool.Get().(*editScratch) }
-func putScratch(s *editScratch) { editPool.Put(s) }
 
 // grow returns a row buffer of length 2·(n+1) backed by the scratch.
 func (s *editScratch) grow(n int) []int {
@@ -55,45 +48,8 @@ func isASCII(s string) bool {
 	return true
 }
 
-// EditDistanceBounded computes the Levenshtein distance between a and b if
-// it is ≤ maxDist, and returns maxDist+1 otherwise. It prunes with the
-// length-difference lower bound and abandons a row once every entry exceeds
-// the bound, making nearest-neighbour scans (AGP's nearest-normal-group
-// search) cheap when the running best is small. Like EditDistance it is
-// allocation-free in steady state: scratch rows are pooled and all-ASCII
-// inputs are compared byte-wise without rune decoding.
-func EditDistanceBounded(a, b string, maxDist int) int {
-	if maxDist < 0 {
-		return 0
-	}
-	if a == b {
-		return 0
-	}
-	if maxDist > maxEditBound {
-		maxDist = maxEditBound
-	}
-	s := getScratch()
-	d := editCore(a, b, maxDist, s)
-	putScratch(s)
-	return d
-}
-
-// editCore runs the bounded two-row DP using the scratch's buffers. maxDist
-// must be ≥ 0; the result is exact when ≤ maxDist and maxDist+1 otherwise.
-// Callers have already excluded a == b.
-func editCore(a, b string, maxDist int, s *editScratch) int {
-	if isASCII(a) && isASCII(b) {
-		return editBytes(a, b, maxDist, s)
-	}
-	s.ra = appendRunes(s.ra[:0], a)
-	s.rb = appendRunes(s.rb[:0], b)
-	d, rows := runesDP(s.ra, s.rb, maxDist, s.rows)
-	s.rows = rows
-	return d
-}
-
-// runesDP is the bounded two-row Levenshtein DP over rune slices, shared by
-// the string entry points and the interned Evaluator. rows is scratch space
+// runesDP is the bounded two-row Levenshtein DP over rune slices, for
+// operands that are not both ASCII. rows is scratch space
 // (grown as needed and returned); the result is exact when ≤ maxDist and
 // maxDist+1 otherwise.
 func runesDP(ra, rb []rune, maxDist int, rows []int) (int, []int) {
@@ -140,7 +96,7 @@ func runesDP(ra, rb []rune, maxDist int, rows []int) (int, []int) {
 // DP column lives in one machine word.
 const maxBitParallel = 64
 
-// editBytes is editCore's fast path for all-ASCII inputs: bytes are runes,
+// editBytes is the edit distance of two all-ASCII inputs: bytes are runes,
 // so the kernels index the strings directly with no decode step. A shorter
 // operand of at most 64 bytes runs the bit-parallel kernel; longer ones keep
 // the row DP. Both honour the same contract, so the split is invisible.
@@ -246,40 +202,4 @@ func appendRunes(dst []rune, s string) []rune {
 		dst = append(dst, r)
 	}
 	return dst
-}
-
-// ValuesBounded returns the attribute-wise summed distance between value
-// slices, abandoning the computation (returning a value > bound) as soon as
-// the partial sum exceeds bound. For the Levenshtein metric the per-field
-// computation itself is also bounded.
-func ValuesBounded(m Metric, a, b []string, bound float64) float64 {
-	_, isLev := m.(Levenshtein)
-	var sum float64
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if isLev {
-			sum += float64(EditDistanceBounded(a[i], b[i], intBound(bound-sum)))
-		} else {
-			sum += m.Distance(a[i], b[i])
-		}
-		if sum > bound {
-			return sum
-		}
-	}
-	for i := n; i < len(a); i++ {
-		sum += m.Distance(a[i], "")
-		if sum > bound {
-			return sum
-		}
-	}
-	for i := n; i < len(b); i++ {
-		sum += m.Distance("", b[i])
-		if sum > bound {
-			return sum
-		}
-	}
-	return sum
 }

@@ -1,7 +1,9 @@
 // Package distance implements the string distance metrics MLNClean relies
 // on: Levenshtein edit distance (the paper's default, §7.1) and cosine
 // distance over character bigrams (§7.3.3). Both satisfy the Metric
-// interface; pieces-of-data (γ) distances are computed attribute-wise.
+// interface. Every stage measures through one engine, the Evaluator, over
+// interned value IDs; pieces-of-data (γ) distances are computed
+// attribute-wise.
 package distance
 
 import (
@@ -13,57 +15,35 @@ import (
 
 // Metric is a string distance. Distance must be symmetric, non-negative, and
 // zero iff the two strings compare equal under the metric's notion of
-// equality (for both provided metrics: exact string equality).
+// equality (for both provided metrics: exact string equality). The pipeline
+// measures through an Evaluator, which runs the built-in metrics on its own
+// per-ID forms and calls Distance only for any other metric.
 type Metric interface {
 	// Name identifies the metric ("levenshtein", "cosine").
 	Name() string
 	// Distance returns the raw distance between a and b.
 	Distance(a, b string) float64
-	// Normalized returns a distance scaled into [0, 1].
-	Normalized(a, b string) float64
 }
 
 // Levenshtein is the classic edit distance (insert/delete/substitute, unit
-// costs). Normalized divides by max(len(a), len(b)).
+// costs) over runes.
 type Levenshtein struct{}
 
 // Name implements Metric.
 func (Levenshtein) Name() string { return "levenshtein" }
 
-// Distance implements Metric. Runs in O(len(a)·len(b)) time and O(min(len))
-// space.
+// Distance implements Metric with the Evaluator's kernels: byte-wise for
+// all-ASCII operands, the rune row DP otherwise.
 func (Levenshtein) Distance(a, b string) float64 {
-	return float64(EditDistance(a, b))
-}
-
-// Normalized implements Metric.
-func (Levenshtein) Normalized(a, b string) float64 {
 	if a == b {
 		return 0
 	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
+	if isASCII(a) && isASCII(b) {
+		var s editScratch
+		return float64(editBytes(a, b, maxEditBound, &s))
 	}
-	if m == 0 {
-		return 0
-	}
-	return float64(EditDistance(a, b)) / float64(m)
-}
-
-// EditDistance computes the Levenshtein edit distance between a and b over
-// runes, using the standard two-row dynamic program. The DP rows and rune
-// buffers come from a scratch pool and all-ASCII inputs skip rune decoding
-// entirely, so steady-state calls allocate nothing.
-func EditDistance(a, b string) int {
-	if a == b {
-		return 0
-	}
-	s := getScratch()
-	d := editCore(a, b, maxEditBound, s)
-	putScratch(s)
-	return d
+	d, _ := runesDP(appendRunes(nil, a), appendRunes(nil, b), maxEditBound, nil)
+	return float64(d)
 }
 
 func min3(a, b, c int) int {
@@ -88,55 +68,36 @@ type Cosine struct{}
 func (Cosine) Name() string { return "cosine" }
 
 // Distance implements Metric; cosine distance is already in [0, 1].
-func (Cosine) Distance(a, b string) float64 { return cosineDistance(a, b) }
-
-// Normalized implements Metric.
-func (Cosine) Normalized(a, b string) float64 { return cosineDistance(a, b) }
-
-func bigrams(s string) map[string]float64 {
-	v := make(map[string]float64)
-	r := []rune(s)
-	if len(r) == 0 {
-		return v
-	}
-	if len(r) == 1 {
-		v["\x00"+string(r[0])]++
-		return v
-	}
-	for i := 0; i+1 < len(r); i++ {
-		v[string(r[i:i+2])]++
-	}
-	return v
-}
-
-func cosineDistance(a, b string) float64 {
+func (Cosine) Distance(a, b string) float64 {
 	if a == b {
 		return 0
 	}
-	va, vb := bigrams(a), bigrams(b)
-	if len(va) == 0 || len(vb) == 0 {
-		return 1
-	}
-	var dot, na, nb float64
-	for g, x := range va {
-		na += x * x
-		if y, ok := vb[g]; ok {
-			dot += x * y
-		}
-	}
-	for _, y := range vb {
-		nb += y * y
-	}
-	return cosineFromParts(dot, na, nb)
+	ga, na2 := bigramVector(a)
+	gb, nb2 := bigramVector(b)
+	return cosineGrams(ga, na2, gb, nb2)
 }
 
-// cosineFromParts finishes a cosine distance from the dot product and the
-// squared norms. Bigram counts are small integers, so all three inputs are
-// exactly representable and the result does not depend on summation order —
-// the map-based and sorted-vector paths agree bit for bit.
-func cosineFromParts(dot, na2, nb2 float64) float64 {
-	if na2 == 0 || nb2 == 0 {
+// cosineGrams is 1 − cos over two sorted bigram vectors and their squared
+// norms. Bigram counts are small integers, so the dot product and both norms
+// are exactly representable and the result does not depend on summation
+// order.
+func cosineGrams(ga []gram, na2 float64, gb []gram, nb2 float64) float64 {
+	if len(ga) == 0 || len(gb) == 0 {
 		return 1
+	}
+	var dot float64
+	i, j := 0, 0
+	for i < len(ga) && j < len(gb) {
+		switch {
+		case ga[i].g == gb[j].g:
+			dot += ga[i].n * gb[j].n
+			i++
+			j++
+		case ga[i].g < gb[j].g:
+			i++
+		default:
+			j++
+		}
 	}
 	sim := dot / (math.Sqrt(na2) * math.Sqrt(nb2))
 	if sim > 1 {
@@ -150,9 +111,9 @@ func cosineFromParts(dot, na2, nb2 float64) float64 {
 }
 
 // bigramVector builds the sorted character-bigram frequency vector of s and
-// its squared norm: the Evaluator's precomputed per-ID form of bigrams().
-// Each bigram packs its two runes into a uint64; single-rune strings get the
-// same NUL-sentinel gram the map form uses.
+// its squared norm, the form the Evaluator precomputes per ID. Each bigram
+// packs its two runes into a uint64; a single-rune string gets one gram of
+// that rune after a NUL sentinel.
 func bigramVector(s string) ([]gram, float64) {
 	r := []rune(s)
 	if len(r) == 0 {
@@ -196,28 +157,4 @@ func ByName(name string) (Metric, error) {
 	default:
 		return nil, fmt.Errorf("distance: unknown metric %q (want levenshtein or cosine)", name)
 	}
-}
-
-// Values returns the attribute-wise sum of metric distances between two
-// equal-length value slices. This is the γ-to-γ distance used by AGP and RSC
-// (Def. 2): each attribute contributes independently, so a one-character typo
-// in one field costs the same regardless of the other fields.
-func Values(m Metric, a, b []string) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += m.Distance(a[i], b[i])
-	}
-	// Unpaired attributes (length mismatch between pieces from different
-	// rules) each cost the distance from the empty string.
-	for i := n; i < len(a); i++ {
-		sum += m.Distance(a[i], "")
-	}
-	for i := n; i < len(b); i++ {
-		sum += m.Distance("", b[i])
-	}
-	return sum
 }

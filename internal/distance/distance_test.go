@@ -6,7 +6,82 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mlnclean/internal/intern"
 )
+
+// refEdit is the textbook full-matrix Levenshtein DP over runes: the oracle
+// every kernel and entry point must match.
+func refEdit(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	d := make([][]int, len(ra)+1)
+	for i := range d {
+		d[i] = make([]int, len(rb)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+		}
+	}
+	return d[len(ra)][len(rb)]
+}
+
+// refCosine is cosine distance over bigram frequency maps, as the metric was
+// first written: the oracle for the sorted-vector form.
+func refCosine(a, b string) float64 {
+	if a == b {
+		return 0
+	}
+	grams := func(s string) map[string]float64 {
+		v := make(map[string]float64)
+		r := []rune(s)
+		if len(r) == 1 {
+			v["\x00"+string(r[0])]++
+		}
+		for i := 0; i+1 < len(r); i++ {
+			v[string(r[i:i+2])]++
+		}
+		return v
+	}
+	va, vb := grams(a), grams(b)
+	if len(va) == 0 || len(vb) == 0 {
+		return 1
+	}
+	var dot, na, nb float64
+	for g, x := range va {
+		na += x * x
+		dot += x * vb[g]
+	}
+	for _, y := range vb {
+		nb += y * y
+	}
+	return max(0, 1-min(1, dot/(math.Sqrt(na)*math.Sqrt(nb))))
+}
+
+// refDistance is the oracle for a built-in metric's Distance.
+func refDistance(m Metric, a, b string) float64 {
+	if _, ok := m.(Cosine); ok {
+		return refCosine(a, b)
+	}
+	return float64(refEdit(a, b))
+}
+
+// internAll interns values into dict and returns their IDs.
+func internAll(dict *intern.Dict, vals ...string) []uint32 {
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		ids[i] = dict.Intern(v)
+	}
+	return ids
+}
 
 func TestEditDistanceKnownValues(t *testing.T) {
 	cases := []struct {
@@ -25,32 +100,40 @@ func TestEditDistanceKnownValues(t *testing.T) {
 		{"日本語", "日本", 1}, // runes, not bytes
 	}
 	for _, c := range cases {
-		if got := EditDistance(c.a, c.b); got != c.want {
-			t.Errorf("EditDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := (Levenshtein{}).Distance(c.a, c.b); got != float64(c.want) {
+			t.Errorf("Levenshtein(%q,%q) = %v, want %d", c.a, c.b, got, c.want)
+		}
+		if got := refEdit(c.a, c.b); got != c.want {
+			t.Errorf("refEdit(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestEditDistanceProperties(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
+	lev := func(a, b string) int { return int((Levenshtein{}).Distance(a, b)) }
+	oracle := func(a, b string) bool { return lev(a, b) == refEdit(a, b) }
+	if err := quick.Check(oracle, cfg); err != nil {
+		t.Errorf("oracle: %v", err)
+	}
 	symmetry := func(a, b string) bool {
-		return EditDistance(a, b) == EditDistance(b, a)
+		return lev(a, b) == lev(b, a)
 	}
 	if err := quick.Check(symmetry, cfg); err != nil {
 		t.Errorf("symmetry: %v", err)
 	}
-	identity := func(a string) bool { return EditDistance(a, a) == 0 }
+	identity := func(a string) bool { return lev(a, a) == 0 }
 	if err := quick.Check(identity, cfg); err != nil {
 		t.Errorf("identity: %v", err)
 	}
 	triangle := func(a, b, c string) bool {
-		return EditDistance(a, c) <= EditDistance(a, b)+EditDistance(b, c)
+		return lev(a, c) <= lev(a, b)+lev(b, c)
 	}
 	if err := quick.Check(triangle, cfg); err != nil {
 		t.Errorf("triangle inequality: %v", err)
 	}
 	lengthBound := func(a, b string) bool {
-		d := EditDistance(a, b)
+		d := lev(a, b)
 		la, lb := len([]rune(a)), len([]rune(b))
 		diff := la - lb
 		if diff < 0 {
@@ -67,11 +150,16 @@ func TestEditDistanceProperties(t *testing.T) {
 	}
 }
 
+// TestEditDistanceBoundedAgreesWithExact: the evaluator's bounded distance
+// is exact at or under the bound and past it otherwise.
 func TestEditDistanceBoundedAgreesWithExact(t *testing.T) {
+	dict := intern.NewDict()
+	e := NewEvaluator(Levenshtein{}, dict)
 	f := func(a, b string, bound uint8) bool {
-		maxD := int(bound % 16)
-		exact := EditDistance(a, b)
-		got := EditDistanceBounded(a, b, maxD)
+		maxD := float64(bound % 16)
+		ids := internAll(dict, a, b)
+		exact := float64(refEdit(a, b))
+		got := e.PairBounded(ids[0], ids[1], maxD)
 		if exact <= maxD {
 			return got == exact
 		}
@@ -82,26 +170,28 @@ func TestEditDistanceBoundedAgreesWithExact(t *testing.T) {
 	}
 }
 
-// checkEditKernels pits every kernel that can take the pair against the rune
-// row DP, under the "exact when ≤ bound, bound+1 otherwise" contract.
+// checkEditKernels pits every kernel that can take the pair, and the
+// entry points above them, against the textbook DP, under the "exact when ≤
+// bound, bound+1 otherwise" contract.
 func checkEditKernels(t testing.TB, a, b string, bound int) {
 	t.Helper()
 	var s editScratch
-	ra, rb := []rune(a), []rune(b)
-	exact, _ := runesDP(ra, rb, maxEditBound, nil)
+	exact := refEdit(a, b)
 	want := lenOrBound(exact, bound)
-	if got := EditDistanceBounded(a, b, bound); got != want {
-		t.Fatalf("EditDistanceBounded(%q,%q,%d) = %d, want %d", a, b, bound, got, want)
+	if got := (Levenshtein{}).Distance(a, b); got != float64(exact) {
+		t.Fatalf("Levenshtein(%q,%q) = %v, want %d", a, b, got, exact)
 	}
-	if got := EditDistance(a, b); got != exact {
-		t.Fatalf("EditDistance(%q,%q) = %d, want %d", a, b, got, exact)
+	dict := intern.NewDict()
+	ids := internAll(dict, a, b)
+	if got := NewEvaluator(Levenshtein{}, dict).PairBounded(ids[0], ids[1], float64(bound)); got != float64(want) {
+		t.Fatalf("PairBounded(%q,%q,%d) = %v, want %d", a, b, bound, got, want)
+	}
+	if got, _ := runesDP([]rune(a), []rune(b), bound, nil); got != want {
+		t.Fatalf("runesDP(%q,%q,%d) = %d, want %d", a, b, bound, got, want)
 	}
 	if !isASCII(a) || !isASCII(b) {
-		// Mixed or non-ASCII pairs must take the rune path: their bytes are
-		// not runes, and the bit-parallel match table has no row for them.
-		if got := editCore(a, b, bound, &s); got != want {
-			t.Fatalf("editCore(%q,%q,%d) = %d, want %d", a, b, bound, got, want)
-		}
+		// Mixed or non-ASCII pairs take the rune path: their bytes are not
+		// runes, and the bit-parallel match table has no row for them.
 		return
 	}
 	long, short := a, b
@@ -178,26 +268,6 @@ func TestEditKernelsAgree(t *testing.T) {
 	}
 }
 
-func TestLevenshteinNormalized(t *testing.T) {
-	l := Levenshtein{}
-	if got := l.Normalized("abc", "abc"); got != 0 {
-		t.Errorf("Normalized equal = %v", got)
-	}
-	if got := l.Normalized("abc", "xyz"); got != 1 {
-		t.Errorf("Normalized disjoint = %v", got)
-	}
-	if got := l.Normalized("", ""); got != 0 {
-		t.Errorf("Normalized empty = %v", got)
-	}
-	f := func(a, b string) bool {
-		v := l.Normalized(a, b)
-		return v >= 0 && v <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCosineDistance(t *testing.T) {
 	c := Cosine{}
 	if got := c.Distance("abc", "abc"); got != 0 {
@@ -212,7 +282,7 @@ func TestCosineDistance(t *testing.T) {
 		t.Errorf("anagram-profile distance too large: %v", got)
 	}
 	// Levenshtein keeps them apart — the Table 5 contrast.
-	if EditDistance("ababab", "bababa") == 0 {
+	if (Levenshtein{}).Distance("ababab", "bababa") == 0 {
 		t.Error("Levenshtein should distinguish the pair")
 	}
 	inRange := func(a, b string) bool {
@@ -225,6 +295,15 @@ func TestCosineDistance(t *testing.T) {
 	sym := func(a, b string) bool { return c.Distance(a, b) == c.Distance(b, a) }
 	if err := quick.Check(sym, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	oracle := func(a, b string) bool { return c.Distance(a, b) == refCosine(a, b) }
+	if err := quick.Check(oracle, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for _, p := range [][2]string{{"ab", "ab"}, {"", "a"}, {"a", "ab"}, {"münchen", "munchen"}, {"aaaa", "aa"}} {
+		if got, want := c.Distance(p[0], p[1]), refCosine(p[0], p[1]); got != want {
+			t.Errorf("Cosine(%q,%q) = %v, want %v", p[0], p[1], got, want)
+		}
 	}
 }
 
@@ -263,26 +342,36 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestValues: the γ-to-γ distance sums its attributes, and an unpaired
+// attribute costs its distance from the empty string.
 func TestValues(t *testing.T) {
-	l := Levenshtein{}
-	if got := Values(l, []string{"ab", "cd"}, []string{"ab", "ce"}); got != 1 {
+	dict := intern.NewDict()
+	e := NewEvaluator(Levenshtein{}, dict)
+	if got := e.Values(internAll(dict, "ab", "cd"), internAll(dict, "ab", "ce")); got != 1 {
 		t.Errorf("Values = %v, want 1", got)
 	}
-	// Length mismatch: unpaired fields cost their distance from "".
-	if got := Values(l, []string{"ab"}, []string{"ab", "xyz"}); got != 3 {
+	if got := e.Values(internAll(dict, "ab"), internAll(dict, "ab", "xyz")); got != 3 {
 		t.Errorf("Values mismatched = %v, want 3", got)
 	}
-	if got := Values(l, nil, nil); got != 0 {
+	if got := e.Values(nil, nil); got != 0 {
 		t.Errorf("Values empty = %v", got)
 	}
 }
 
 func TestValuesBoundedConsistent(t *testing.T) {
-	l := Levenshtein{}
+	dict := intern.NewDict()
+	e := NewEvaluator(Levenshtein{}, dict)
 	f := func(a, b [3]string, bound uint8) bool {
 		limit := float64(bound % 8)
-		exact := Values(l, a[:], b[:])
-		got := ValuesBounded(l, a[:], b[:], limit)
+		ai, bi := internAll(dict, a[:]...), internAll(dict, b[:]...)
+		var exact float64
+		for i := range a {
+			exact += float64(refEdit(a[i], b[i]))
+		}
+		if e.Values(ai, bi) != exact {
+			return false
+		}
+		got := e.ValuesBounded(ai, bi, limit)
 		if exact <= limit {
 			return got == exact
 		}
@@ -294,11 +383,12 @@ func TestValuesBoundedConsistent(t *testing.T) {
 }
 
 func TestValuesBoundedInfinity(t *testing.T) {
-	l := Levenshtein{}
-	a := []string{"3347938701", "AL"}
-	b := []string{"2567638410", "AL"}
-	exact := Values(l, a, b)
-	if got := ValuesBounded(l, a, b, math.Inf(1)); got != exact {
+	dict := intern.NewDict()
+	e := NewEvaluator(Levenshtein{}, dict)
+	a := internAll(dict, "3347938701", "AL")
+	b := internAll(dict, "2567638410", "AL")
+	exact := e.Values(a, b)
+	if got := e.ValuesBounded(a, b, math.Inf(1)); got != exact {
 		t.Errorf("unbounded ValuesBounded = %v, want %v", got, exact)
 	}
 }

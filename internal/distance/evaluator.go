@@ -155,9 +155,9 @@ func (e *Evaluator) Pair(a, b uint32) float64 {
 }
 
 // Exact is Pair without the memo, neither read nor filled: for a caller
-// that keeps each result in a table of its own (the streaming partitioner's
-// per-value centroid distances) and would only leave entries behind that
-// nobody looks up again.
+// that keeps each result in a table of its own (the partitioners' per-value
+// centroid distances) and would only leave entries behind that nobody looks
+// up again.
 func (e *Evaluator) Exact(a, b uint32) float64 {
 	if a == b {
 		return 0
@@ -225,36 +225,19 @@ func (e *Evaluator) runesOf(id uint32, in *idInfo) []rune {
 	return x.runes
 }
 
-// cosine computes 1 − cos over the prepared sorted bigram vectors. Counts
-// are small integers, so dot products and norms are exact and the result is
-// bit-identical to the map-based cosineDistance.
+// cosine computes 1 − cos over the prepared sorted bigram vectors, as
+// Cosine.Distance does over freshly built ones.
 func (e *Evaluator) cosine(a, b uint32) float64 {
 	xa, xb := e.prep(a).ext, e.prep(b).ext
-	if len(xa.grams) == 0 || len(xb.grams) == 0 {
-		return 1
-	}
-	var dot float64
-	ga, gb := xa.grams, xb.grams
-	i, j := 0, 0
-	for i < len(ga) && j < len(gb) {
-		switch {
-		case ga[i].g == gb[j].g:
-			dot += ga[i].n * gb[j].n
-			i++
-			j++
-		case ga[i].g < gb[j].g:
-			i++
-		default:
-			j++
-		}
-	}
-	return cosineFromParts(dot, xa.norm2, xb.norm2)
+	return cosineGrams(xa.grams, xa.norm2, xb.grams, xb.norm2)
 }
 
 // ValuesBounded is the γ-to-γ distance over ID slices: the attribute-wise
 // sum with early exit past bound, per-pair memoization, and (for
-// Levenshtein) per-pair bounded DP. Semantically identical to
-// ValuesBounded over the decoded strings.
+// Levenshtein) per-pair bounded DP. Each attribute contributes
+// independently, so a one-character typo in one field costs the same
+// regardless of the other fields; an unpaired attribute (pieces of different
+// widths) costs its value's distance from the empty string.
 func (e *Evaluator) ValuesBounded(a, b []uint32, bound float64) float64 {
 	var sum float64
 	n := len(a)

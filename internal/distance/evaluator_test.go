@@ -63,8 +63,9 @@ func TestMinDistinctIsALowerBound(t *testing.T) {
 }
 
 // TestEvaluatorMatchesMetric asserts the interned evaluator agrees exactly
-// with the string Metric implementations — bit for bit, including bounded
-// early exits staying on the correct side of the bound.
+// with the reference implementations and with the Metric's own Distance —
+// bit for bit, including bounded early exits staying on the correct side of
+// the bound.
 func TestEvaluatorMatchesMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := randomValues(rng, 60)
@@ -78,7 +79,10 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 			e := NewEvaluator(m, dict)
 			for i := range vals {
 				for j := range vals {
-					want := m.Distance(vals[i], vals[j])
+					want := refDistance(m, vals[i], vals[j])
+					if got := m.Distance(vals[i], vals[j]); got != want {
+						t.Fatalf("%s.Distance(%q,%q) = %v, want %v", m.Name(), vals[i], vals[j], got, want)
+					}
 					if got := e.Pair(ids[i], ids[j]); got != want {
 						t.Fatalf("Pair(%q,%q) = %v, want %v", vals[i], vals[j], got, want)
 					}
@@ -94,7 +98,7 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 			fresh := NewEvaluator(m, dict)
 			for i := range vals {
 				for j := range vals {
-					if got, want := fresh.Exact(ids[i], ids[j]), m.Distance(vals[i], vals[j]); got != want {
+					if got, want := fresh.Exact(ids[i], ids[j]), refDistance(m, vals[i], vals[j]); got != want {
 						t.Fatalf("Exact(%q,%q) = %v, want %v", vals[i], vals[j], got, want)
 					}
 				}
@@ -134,7 +138,7 @@ func TestEvaluatorSlotSize(t *testing.T) {
 }
 
 // TestEvaluatorValuesBounded cross-checks the slice distance (with bounds)
-// against the string implementation on random γ pairs of varying width.
+// against the reference sum over strings on random γ pairs of varying width.
 func TestEvaluatorValuesBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vals := randomValues(rng, 40)
@@ -160,7 +164,17 @@ func TestEvaluatorValuesBounded(t *testing.T) {
 					k := rng.Intn(len(vals))
 					b[i], bi[i] = vals[k], ids[k]
 				}
-				exact := Values(m, a, b)
+				var exact float64
+				for i := 0; i < max(na, nb); i++ {
+					x, y := "", ""
+					if i < na {
+						x = a[i]
+					}
+					if i < nb {
+						y = b[i]
+					}
+					exact += refDistance(m, x, y)
+				}
 				if got := e.Values(ai, bi); got != exact {
 					t.Fatalf("Values(%v,%v) = %v, want %v", a, b, got, exact)
 				}
@@ -206,22 +220,25 @@ func TestEvaluatorLateInterning(t *testing.T) {
 	}
 }
 
-// TestBoundedAllocFree asserts the pooled scratch keeps the public
-// edit-distance entry points allocation-free in steady state.
+// TestBoundedAllocFree asserts the evaluator's kernel scratch keeps exact
+// and bounded edit distance allocation-free in steady state, on the
+// bit-parallel, byte-DP and rune paths alike.
 func TestBoundedAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	a, b := "saint-étienne hospital", "saint-etienne hospitals"
-	// Warm the pool.
-	EditDistance(a, b)
-	EditDistanceBounded(a, b, 3)
-	allocs := testing.AllocsPerRun(200, func() {
-		EditDistance(a, b)
-		EditDistanceBounded(a, b, 3)
-		EditDistanceBounded("BIRMINGHAM", "BIRMINGHAN", 2)
-	})
-	if allocs > 0 {
+	dict := intern.NewDict()
+	ids := internAll(dict, "saint-étienne hospital", "saint-etienne hospitals",
+		"BIRMINGHAM", "BIRMINGHAN", strings.Repeat("ab", 40), strings.Repeat("ba", 41))
+	e := NewEvaluator(Levenshtein{}, dict)
+	run := func() {
+		for i := 0; i < len(ids); i += 2 {
+			e.Exact(ids[i], ids[i+1])
+			e.PairBounded(ids[i], ids[i+1], 2)
+		}
+	}
+	run() // warm: per-ID forms, DP rows, memo
+	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
 		t.Errorf("edit distance allocates %v per run, want 0", allocs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"mlnclean/internal/core"
@@ -127,24 +126,23 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 	}
 	start := time.Now()
 
-	rng := rand.New(rand.NewSource(opts.Seed))
-	parts, distTime, heapTime, err := partition(dirty, opts.Workers, metricOf(opts.Core), rng)
-	if err != nil {
-		return nil, err
-	}
-
-	ex, err := newExecutor(ctx, dirty.Schema, rs, opts, len(parts))
+	ex, err := newExecutor(ctx, dirty.Schema, rs, opts, min(opts.Workers, dirty.Len()))
 	if err != nil {
 		return nil, err
 	}
 	// The table goes through the executor's encoder, as streamed tuples do:
-	// parts ship as rows of its value IDs, and the gather fuses from them.
+	// Algorithm 3 measures over its value IDs, parts ship as rows of them,
+	// and the gather fuses from them.
 	for _, t := range dirty.Tuples {
 		if _, err := ex.senc.AppendID(t.ID, t.Values); err != nil {
 			return nil, ex.fail(err)
 		}
 	}
 	rows := ex.senc.Encoded().Rows
+	parts, distTime, heapTime, err := partition(rows, ex.k, ex.ev, ex.rng)
+	if err != nil {
+		return nil, ex.fail(err)
+	}
 	for w, part := range parts {
 		ids := make([]int, len(part))
 		partRows := make([][]uint32, len(part))

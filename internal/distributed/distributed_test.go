@@ -1,6 +1,9 @@
 package distributed
 
 import (
+	"container/heap"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -29,6 +32,14 @@ func randomTable(seed int64, rows int) *dataset.Table {
 	return tb
 }
 
+// partitionTable runs Algorithm 3 on a table the way Clean does: its rows
+// encoded into a fresh dictionary, distances measured over the value IDs.
+func partitionTable(tb *dataset.Table, k int, metric distance.Metric, seed int64) ([][]int, error) {
+	enc := dataset.Encode(tb, nil)
+	parts, _, _, err := partition(enc.Rows, k, distance.NewEvaluator(metric, enc.Dict), rand.New(rand.NewSource(seed)))
+	return parts, err
+}
+
 // TestPartitionCompleteAndBalanced: every tuple lands in exactly one part
 // and no part exceeds ⌈|T|/k⌉.
 func TestPartitionCompleteAndBalanced(t *testing.T) {
@@ -36,7 +47,7 @@ func TestPartitionCompleteAndBalanced(t *testing.T) {
 		rows := int(rowsRaw%60) + 1
 		k := int(kRaw%6) + 1
 		tb := randomTable(seed, rows)
-		parts, _, _, err := partition(tb, k, distance.Levenshtein{}, rand.New(rand.NewSource(seed)))
+		parts, err := partitionTable(tb, k, distance.Levenshtein{}, seed)
 		if err != nil {
 			return false
 		}
@@ -71,15 +82,15 @@ func TestPartitionCompleteAndBalanced(t *testing.T) {
 
 func TestPartitionValidation(t *testing.T) {
 	tb := randomTable(1, 10)
-	if _, _, _, err := partition(tb, 0, distance.Levenshtein{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := partitionTable(tb, 0, distance.Levenshtein{}, 1); err == nil {
 		t.Error("k=0 should fail")
 	}
 	empty := dataset.NewTable(tb.Schema)
-	if _, _, _, err := partition(empty, 2, distance.Levenshtein{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := partitionTable(empty, 2, distance.Levenshtein{}, 1); err == nil {
 		t.Error("empty table should fail")
 	}
 	// k larger than |T| clamps.
-	parts, _, _, err := partition(tb, 50, distance.Levenshtein{}, rand.New(rand.NewSource(1)))
+	parts, err := partitionTable(tb, 50, distance.Levenshtein{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +101,125 @@ func TestPartitionValidation(t *testing.T) {
 
 func TestPartitionDeterminism(t *testing.T) {
 	tb := randomTable(3, 40)
-	a, _, _, _ := partition(tb, 4, distance.Levenshtein{}, rand.New(rand.NewSource(9)))
-	b, _, _, _ := partition(tb, 4, distance.Levenshtein{}, rand.New(rand.NewSource(9)))
+	a, _ := partitionTable(tb, 4, distance.Levenshtein{}, 9)
+	b, _ := partitionTable(tb, 4, distance.Levenshtein{}, 9)
 	if len(a) != 4 || !reflect.DeepEqual(a, b) {
 		t.Fatalf("parts differ across identical seeds: %v vs %v", a, b)
+	}
+}
+
+// refPartition is Algorithm 3 as it stood over strings — a |T|×k matrix of
+// attribute-wise metric.Distance sums, one per (tuple, centroid) — kept as
+// the oracle partition must match part for part.
+func refPartition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) [][]int {
+	n := tb.Len()
+	k = min(k, n)
+	s := (n + k - 1) / k
+	perm := rng.Perm(n)
+	centroid := make(map[int]bool, k)
+	heaps := make([]maxHeap, k)
+	for i := 0; i < k; i++ {
+		centroid[perm[i]] = true
+		heaps[i] = maxHeap{{pos: perm[i]}}
+	}
+	matrix := make([][]float64, n)
+	for pos, tu := range tb.Tuples {
+		matrix[pos] = make([]float64, k)
+		for p := range matrix[pos] {
+			for j, v := range tu.Values {
+				matrix[pos][p] += metric.Distance(v, tb.Tuples[perm[p]].Values[j])
+			}
+		}
+	}
+	closest := func(pos int, full bool) int {
+		best, bestD := -1, math.Inf(1)
+		for p := 0; p < k; p++ {
+			if (full || len(heaps[p]) < s) && matrix[pos][p] < bestD {
+				best, bestD = p, matrix[pos][p]
+			}
+		}
+		return best
+	}
+	for pos := range tb.Tuples {
+		if centroid[pos] {
+			continue
+		}
+		best := closest(pos, true)
+		if len(heaps[best]) < s {
+			heap.Push(&heaps[best], partEntry{pos: pos, dist: matrix[pos][best]})
+			continue
+		}
+		evict := pos
+		if top := heaps[best][0]; matrix[pos][best] < top.dist {
+			evict = top.pos
+			heap.Pop(&heaps[best])
+			heap.Push(&heaps[best], partEntry{pos: pos, dist: matrix[pos][best]})
+		}
+		p := closest(evict, false)
+		heap.Push(&heaps[p], partEntry{pos: evict, dist: matrix[evict][p]})
+	}
+	parts := make([][]int, k)
+	for p, h := range heaps {
+		for _, e := range h {
+			parts[p] = append(parts[p], e.pos)
+		}
+	}
+	return parts
+}
+
+// TestPartitionMatchesStringOracle: Algorithm 3 over value IDs splits every
+// table exactly as the string matrix did — same parts, same heap order —
+// under Levenshtein, cosine and a fractional custom metric, on random tables
+// whose values recur across columns (the centroid table's memoized
+// fallback), with empty, non-ASCII, invalid UTF-8 and U+FFFD values, k up to
+// past |T|, and on HAI. The pool has no value as far off as jitter's "boom":
+// past valuesBound the ID form stops adding, as Evaluator.Values does, where
+// the string matrix did not.
+func TestPartitionMatchesStringOracle(t *testing.T) {
+	pool := []string{"", "a", "ab", "abc", "abd", "b", "ba", "x1", "x2",
+		"é", "ée", "日本", "日本語", "a\xff", "a\uFFFD", "\uFFFD", "naïve", "naive"}
+	metrics := []distance.Metric{distance.Levenshtein{}, distance.Cosine{}, jitter{}}
+	tables := 300
+	if testing.Short() {
+		tables = 60
+	}
+	check := func(label string, tb *dataset.Table, k int, metric distance.Metric, seed int64) {
+		t.Helper()
+		got, err := partitionTable(tb, k, metric, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if want := refPartition(tb, k, metric, rand.New(rand.NewSource(seed))); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: parts\n got %v\nwant %v", label, got, want)
+		}
+	}
+	for s := 0; s < tables; s++ {
+		rng := rand.New(rand.NewSource(int64(s)))
+		metric := metrics[s%len(metrics)]
+		width := 2 + rng.Intn(4)
+		attrs := make([]string, width)
+		for j := range attrs {
+			attrs[j] = fmt.Sprintf("A%d", j)
+		}
+		tb := dataset.NewTable(dataset.MustSchema(attrs...))
+		for i, n := 0, 1+rng.Intn(50); i < n; i++ {
+			row := make([]string, width)
+			for j := range row {
+				if rng.Intn(4) == 0 {
+					row[j] = fmt.Sprintf("c%d-%d", j, rng.Intn(6)) // column-private values
+				} else {
+					row[j] = pool[rng.Intn(len(pool))]
+				}
+			}
+			tb.MustAppend(row...)
+		}
+		for _, k := range []int{1, 2, 3, 5, 8} {
+			check(fmt.Sprintf("table %d (%s, %d×%d) k=%d", s, metric.Name(), tb.Len(), width, k), tb, k, metric, int64(s))
+		}
+	}
+	_, hai, _ := equivalenceFixture(t)
+	for _, k := range []int{2, 4, 8} {
+		check(fmt.Sprintf("hai k=%d", k), hai, k, distance.Levenshtein{}, 1)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -56,23 +55,14 @@ type Executor struct {
 	// the run's value-ID space: batches ship rows in it and workers answer
 	// in it. Partitions are never materialized coordinator-side — batches
 	// ship as they arrive.
-	senc      *dataset.StreamEncoder
-	dict      *intern.Dict
-	ev        *distance.Evaluator
-	centroids [][]uint32
-	loads     []int
-	shipped   int      // gather tuples already assigned and shipped
-	sent      [][]bool // per worker: sent[w][id] once id's string went to w
-	fresh     []uint32 // tupleBatch's scratch: the batch's first-sent IDs
-
-	// The streaming partitioner's distance table. Centroids are fixed once
-	// drawn, so the distance from a value to centroid w's cell in the value's
-	// own column is a function of (value ID, w): centDist holds k slots per
-	// value ID, measured when the ID is first met, and centHome the column
-	// (+1) they were measured against. A value met again in another column is
-	// the evaluator's business (Pair, memoized).
-	centHome []int32
-	centDist []float64
+	senc    *dataset.StreamEncoder
+	dict    *intern.Dict
+	ev      *distance.Evaluator
+	cent    *centroidTable // the streaming partitioner's; nil until drawn
+	loads   []int
+	shipped int      // gather tuples already assigned and shipped
+	sent    [][]bool // per worker: sent[w][id] once id's string went to w
+	fresh   []uint32 // tupleBatch's scratch: the batch's first-sent IDs
 
 	distTime   time.Duration
 	assignTime time.Duration
@@ -255,7 +245,7 @@ func (ex *Executor) flush() error {
 	if err := ex.accepting(); err != nil {
 		return err
 	}
-	if ex.centroids == nil && ex.senc.Table().Len() < ex.k {
+	if ex.cent == nil && ex.senc.Table().Len() < ex.k {
 		return nil // keep buffering until k centroid candidates exist
 	}
 	return ex.assignAndShip()
@@ -268,25 +258,22 @@ func (ex *Executor) assignAndShip() error {
 	if ex.shipped >= len(rows) {
 		return nil
 	}
-	if ex.centroids == nil {
+	if ex.cent == nil {
 		// Draw centroids from the tuples seen so far (the streaming analogue
 		// of Algorithm 3's random distinct centroids).
 		n := len(rows)
-		kk := ex.k
-		if kk > n {
-			kk = n
-		}
+		kk := min(ex.k, n)
 		perm := ex.rng.Perm(n)
-		ex.centroids = make([][]uint32, ex.k)
+		ex.cent = &centroidTable{ev: ex.ev, centroids: make([][]uint32, ex.k)}
 		for i := 0; i < kk; i++ {
-			ex.centroids[i] = rows[perm[i]]
+			ex.cent.centroids[i] = rows[perm[i]]
 		}
 		for i := kk; i < ex.k; i++ {
-			ex.centroids[i] = ex.centroids[0] // degenerate: fewer tuples than workers
+			ex.cent.centroids[i] = ex.cent.centroids[0] // degenerate: fewer tuples than workers
 		}
 	}
 	t0 := time.Now()
-	dists := ex.centroidDistances(rows[ex.shipped:])
+	dists := ex.cent.distances(rows[ex.shipped:])
 	t1 := time.Now()
 	ex.distTime += t1.Sub(t0)
 	ids := make([][]int, ex.k)
@@ -317,51 +304,6 @@ func (ex *Executor) assignAndShip() error {
 		}
 	}
 	return nil
-}
-
-// valuesBound is where Evaluator.Values stops summing; centroidDistances
-// stops there too, so a custom metric's huge distance yields the same bits.
-const valuesBound = math.MaxInt32
-
-// centroidDistances returns each row's distance to every centroid, k per
-// row: bit for bit ev.Values(row, centroid) — the same exact per-cell
-// distances summed in attribute order — read from the distance table.
-func (ex *Executor) centroidDistances(rows [][]uint32) []float64 {
-	k := ex.k
-	dists := make([]float64, len(rows)*k)
-	out := dists
-	if n := ex.dict.Len(); n > len(ex.centHome) {
-		n = max(n, 2*len(ex.centHome))
-		ex.centHome = append(make([]int32, 0, n), ex.centHome...)[:n]
-		ex.centDist = append(make([]float64, 0, n*k), ex.centDist...)[:n*k]
-	}
-	for _, row := range rows {
-		for j, id := range row {
-			if ex.centHome[id] != 0 {
-				continue
-			}
-			ex.centHome[id] = int32(j) + 1
-			for w, c := range ex.centroids {
-				ex.centDist[int(id)*k+w] = ex.ev.Exact(id, c[j])
-			}
-		}
-		for w, c := range ex.centroids {
-			var sum float64
-			for j, id := range row {
-				if ex.centHome[id] == int32(j)+1 {
-					sum += ex.centDist[int(id)*k+w]
-				} else {
-					sum += ex.ev.Pair(id, c[j])
-				}
-				if sum > valuesBound {
-					break
-				}
-			}
-			out[w] = sum
-		}
-		out = out[k:]
-	}
-	return dists
 }
 
 // shipBatched sends partition p's assignment — the tuples' IDs and encoded

@@ -23,16 +23,72 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
-	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
 )
 
-// partEntry is one tuple, by table position, in a partition's max-heap,
-// keyed by the distance to the partition centroid.
+// centroidTable is both partitioners' distance engine: the distance from a
+// row to each of k centroid rows, the attribute-wise metric distance of
+// Def. 2 over value IDs. Centroids never move once drawn, so the distance
+// from a value to centroid w's cell in the value's own column is a function
+// of (value ID, w): dist holds k slots per value ID, measured when the ID is
+// first met, and home the column (+1) they were measured against. A value
+// met again in another column is the evaluator's business (Pair, memoized).
+type centroidTable struct {
+	ev        *distance.Evaluator
+	centroids [][]uint32
+	home      []int32
+	dist      []float64
+}
+
+// valuesBound is where Evaluator.Values stops summing; distances stops there
+// too, so a custom metric's huge distance yields the same bits.
+const valuesBound = math.MaxInt32
+
+// distances returns each row's distance to every centroid, k per row: bit
+// for bit ev.Values(row, centroid) — the same exact per-cell distances summed
+// in attribute order — read from the table.
+func (c *centroidTable) distances(rows [][]uint32) []float64 {
+	k := len(c.centroids)
+	dists := make([]float64, len(rows)*k)
+	out := dists
+	if n := c.ev.Dict().Len(); n > len(c.home) {
+		n = max(n, 2*len(c.home))
+		c.home = append(make([]int32, 0, n), c.home...)[:n]
+		c.dist = append(make([]float64, 0, n*k), c.dist...)[:n*k]
+	}
+	for _, row := range rows {
+		for j, id := range row {
+			if c.home[id] != 0 {
+				continue
+			}
+			c.home[id] = int32(j) + 1
+			for w, cr := range c.centroids {
+				c.dist[int(id)*k+w] = c.ev.Exact(id, cr[j])
+			}
+		}
+		for w, cr := range c.centroids {
+			var sum float64
+			for j, id := range row {
+				if c.home[id] == int32(j)+1 {
+					sum += c.dist[int(id)*k+w]
+				} else {
+					sum += c.ev.Pair(id, cr[j])
+				}
+				if sum > valuesBound {
+					break
+				}
+			}
+			out[w] = sum
+		}
+		out = out[k:]
+	}
+	return dists
+}
+
+// partEntry is one tuple, by row position, in a partition's max-heap, keyed
+// by the distance to the partition centroid.
 type partEntry struct {
 	pos  int
 	dist float64
@@ -54,68 +110,43 @@ func (h *maxHeap) Pop() interface{} {
 	return x
 }
 
-// partition splits the table into k balanced parts using Algorithm 3:
-// random centroids, capacity s = ⌈|T|/k⌉ per part, max-heap eviction when a
-// closer tuple arrives at a full part. The tuple-to-centroid distance is
-// the attribute-wise metric distance. Deterministic given rng. Each part is
-// the table positions of its tuples, in the part's heap order.
+// partition splits a table's encoded rows into k balanced parts using
+// Algorithm 3: random centroids, capacity s = ⌈|T|/k⌉ per part, max-heap
+// eviction when a closer tuple arrives at a full part. The tuple-to-centroid
+// distance is ev's attribute-wise metric distance, from a centroidTable.
+// Deterministic given rng. Each part is the row positions of its tuples, in
+// the part's heap order.
 //
 // It also reports the two phase durations of the algorithm: the
-// tuple×centroid distance computation (embarrassingly parallel — the map
-// side on a real cluster) and the sequential heap assignment (driver side).
-// The distributed cluster-time model divides the former by the worker
-// count.
-func partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand) ([][]int, time.Duration, time.Duration, error) {
+// tuple×centroid distance computation (the map side on a real cluster) and
+// the sequential heap assignment (driver side). The distributed cluster-time
+// model divides the former by the worker count.
+func partition(rows [][]uint32, k int, ev *distance.Evaluator, rng *rand.Rand) ([][]int, time.Duration, time.Duration, error) {
 	if k <= 0 {
 		return nil, 0, 0, fmt.Errorf("distributed: need k ≥ 1 parts, got %d", k)
 	}
-	if tb.Len() == 0 {
+	n := len(rows)
+	if n == 0 {
 		return nil, 0, 0, fmt.Errorf("distributed: empty table")
 	}
-	if k > tb.Len() {
-		k = tb.Len()
-	}
-	s := (tb.Len() + k - 1) / k // ⌈|T|/k⌉
+	k = min(k, n)
+	s := (n + k - 1) / k // ⌈|T|/k⌉
 
 	// Random distinct centroids.
-	perm := rng.Perm(tb.Len())
-	centroidIdx := make(map[int]int, k) // tuple position → part
-	centroids := make([]*dataset.Tuple, k)
+	perm := rng.Perm(n)
+	isCentroid := make([]bool, n)
+	table := &centroidTable{ev: ev, centroids: make([][]uint32, k)}
 	heaps := make([]maxHeap, k)
 	for i := 0; i < k; i++ {
-		centroids[i] = tb.Tuples[perm[i]]
-		centroidIdx[perm[i]] = i
+		table.centroids[i] = rows[perm[i]]
+		isCentroid[perm[i]] = true
 		heaps[i] = maxHeap{{pos: perm[i], dist: 0}}
 	}
 
 	// Phase 1: the |T|×k distance matrix (map side).
 	distStart := time.Now()
-	matrix := make([][]float64, tb.Len())
-	var wg sync.WaitGroup
-	workers := runtime.NumCPU()
-	chunk := (tb.Len() + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < tb.Len(); lo += chunk {
-		hi := lo + chunk
-		if hi > tb.Len() {
-			hi = tb.Len()
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for pos := lo; pos < hi; pos++ {
-				row := make([]float64, k)
-				for p := 0; p < k; p++ {
-					row[p] = distance.Values(metric, tb.Tuples[pos].Values, centroids[p].Values)
-				}
-				matrix[pos] = row
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	distTime := time.Since(distStart)
+	matrix := table.distances(rows)
+	d := func(pos, p int) float64 { return matrix[pos*k+p] }
 
 	// Phase 2: the sequential heap assignment (driver side).
 	heapStart := time.Now()
@@ -125,22 +156,22 @@ func partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand)
 			if len(heaps[p]) >= s {
 				continue
 			}
-			if d := matrix[pos][p]; d < bestD {
-				best, bestD = p, d
+			if dp := d(pos, p); dp < bestD {
+				best, bestD = p, dp
 			}
 		}
 		return best
 	}
 
-	for pos := range tb.Tuples {
-		if _, isCentroid := centroidIdx[pos]; isCentroid {
+	for pos := range rows {
+		if isCentroid[pos] {
 			continue
 		}
 		// Globally closest part.
 		best, bestD := 0, math.Inf(1)
 		for p := 0; p < k; p++ {
-			if d := matrix[pos][p]; d < bestD {
-				best, bestD = p, d
+			if dp := d(pos, p); dp < bestD {
+				best, bestD = p, dp
 			}
 		}
 		if len(heaps[best]) < s {
@@ -161,9 +192,9 @@ func partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand)
 			// All parts at capacity can only happen when |T| = k·s exactly
 			// and every slot is taken; capacity math makes this impossible
 			// for the last tuple, but guard anyway.
-			return nil, 0, 0, fmt.Errorf("distributed: no non-full part for tuple %d", tb.Tuples[evict].ID)
+			return nil, 0, 0, fmt.Errorf("distributed: no non-full part for row %d", evict)
 		}
-		heap.Push(&heaps[p], partEntry{pos: evict, dist: matrix[evict][p]})
+		heap.Push(&heaps[p], partEntry{pos: evict, dist: d(evict, p)})
 	}
 
 	parts := make([][]int, k)
@@ -173,5 +204,5 @@ func partition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Rand)
 			parts[p][i] = e.pos
 		}
 	}
-	return parts, distTime, time.Since(heapStart), nil
+	return parts, heapStart.Sub(distStart), time.Since(heapStart), nil
 }
