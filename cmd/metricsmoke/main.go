@@ -48,9 +48,8 @@ var requiredPrefixes = []string{
 // session's clean is the delta engine's Load, which runs the block pipeline
 // itself (core.Clean is the stand-alone CLI entry point), so the core family
 // is checked through the loads counter and the stage histogram, not the
-// cleans counter. It builds its blocks one rule at a time and keeps one
-// evaluator pool for the session's life, so neither a whole-index build nor
-// a pool miss is counted for it.
+// cleans counter. It builds its blocks one rule at a time, so no
+// whole-index build is counted for it.
 var mustGrow = []string{
 	"mlnserve_sessions_created_total",
 	"mlnserve_cleans_completed_total",

@@ -24,7 +24,7 @@ import (
 //     of untouched rules are byte-identical and reused as-is.
 //   - Dirty blocks are rebuilt by the single-block scan (index.BuildBlockFor
 //     — the scan a full build runs, so identical content) and re-cleaned by
-//     the same runBlock on the same pool the batch drivers schedule (AGP →
+//     the same runBlock on the same scheduler the batch drivers use (AGP →
 //     weight learning → RSC), so per-block results cannot drift from a
 //     from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
@@ -121,7 +121,9 @@ type DeltaCleaner struct {
 	rs     []*rules.Rule
 	opts   Options
 	dict   *intern.Dict
-	pool   *distance.Pool
+	// evs are the scheduler's evaluators, one per worker, kept across Load
+	// and Apply: their memos hold exact distances only, and are capped.
+	evs []*distance.Evaluator
 
 	// The current dirty table in ascending tuple-ID order, plus its encoded
 	// companion. Rows are engine-owned copies; encRows are individually
@@ -174,7 +176,7 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		rs:     rs,
 		opts:   opts,
 		dict:   dict,
-		pool:   distance.NewPool(opts.Metric, dict),
+		evs:    newEvaluators(opts.Metric, dict, opts.workers()),
 		rowPos: make(map[int]int),
 		fused:  make(map[int]tupleState),
 	}
@@ -481,7 +483,7 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 		next++
 		return next - 1, index.BuildBlockFor(d.view(), enc, d.rs[ris[next-1]]), true
 	}
-	results, err := schedule(context.Background(), d.pool, d.opts.workers(), len(ris), build, func(k int, b *index.Block, c crew) blockResult {
+	results, err := schedule(context.Background(), d.evs, len(ris), build, func(k int, b *index.Block, c crew) blockResult {
 		ri := ris[k]
 		res := runBlock(ri, b, c, d.opts, phaseAll, d.blocks[ri].memo)
 		if res.err == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 
-	"mlnclean/internal/distance"
 	"mlnclean/internal/obs"
 )
 
@@ -68,12 +67,8 @@ var (
 		"Wall time of one incremental mutation batch, mutation to new result.", obs.DefBuckets)
 
 	// The mlnclean_mem_* family makes the pipeline's memory behavior
-	// observable live: how many blocks are being cleaned, how often the
-	// evaluator pool recycles, and the process's live heap.
-	mPoolHits = obs.Default().Counter("mlnclean_mem_pool_hits_total",
-		"Distance-evaluator checkouts served by a recycled evaluator.")
-	mPoolMisses = obs.Default().Counter("mlnclean_mem_pool_misses_total",
-		"Distance-evaluator checkouts that constructed a fresh evaluator.")
+	// observable live: how many blocks are being cleaned and the process's
+	// live heap.
 	mBlocksInFlight = obs.Default().Gauge("mlnclean_mem_blocks_inflight",
 		"Blocks inside the stage-I block pipeline (runBlock) right now.")
 )
@@ -86,12 +81,4 @@ func init() {
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		})
-}
-
-// recordPoolStats folds one evaluator pool's hit/miss counts into the
-// process-wide mem family after a scheduler run finishes with it.
-func recordPoolStats(p *distance.Pool) {
-	h, m := p.Stats()
-	mPoolHits.Add(h)
-	mPoolMisses.Add(m)
 }

@@ -48,9 +48,10 @@ import (
 // is built.
 //
 // Output does not depend on the driver: blocks are built and handed to the
-// pool in rule order either way, the phases are block-independent, and
-// cross-block evaluator reuse only ever returns exact memoized distances
-// (see distance.Pool).
+// pool in rule order either way, the phases are block-independent, and an
+// evaluator reused across blocks only ever returns exact memoized distances
+// (its memo holds nothing else, and emptying it when full forgets only what
+// it would compute again).
 
 // phases is the set of per-block phases a driver asks runBlock for.
 type phases uint8
@@ -133,11 +134,21 @@ func (o Options) workers() int {
 	return o.Parallelism
 }
 
-// schedule drains the source through a pool of par workers and returns one
-// result per block, indexed by block. Each worker keeps one pooled distance
-// evaluator for its whole lifetime. The queue bounds how far a lazy source
-// runs ahead: at most par blocks queued plus par being cleaned exist with
-// their full piece sets. Blocks not yet started when ctx is cancelled are
+// newEvaluators returns n fresh evaluators for the metric over dict: one per
+// stage-I worker.
+func newEvaluators(m distance.Metric, dict *intern.Dict, n int) []*distance.Evaluator {
+	evs := make([]*distance.Evaluator, n)
+	for i := range evs {
+		evs[i] = distance.NewEvaluator(m, dict)
+	}
+	return evs
+}
+
+// schedule drains the source through a pool of par = len(evs) workers and
+// returns one result per block, indexed by block. Worker w runs on evs[w]
+// for its whole lifetime. The queue bounds how far a lazy source runs ahead:
+// at most par blocks queued plus par being cleaned exist with their full
+// piece sets. Blocks not yet started when ctx is cancelled are
 // skipped, and of all the errors the one with the lowest block index is
 // returned — independent of the order the pool happened to run them in.
 //
@@ -146,7 +157,8 @@ func (o Options) workers() int {
 // running block's phases offer their items there (crew.each). So par
 // workers start however few blocks there are, and none leaves before the
 // last block is done.
-func schedule(ctx context.Context, pool *distance.Pool, par, n int, next blockSource, run func(bi int, b *index.Block, c crew) blockResult) ([]blockResult, error) {
+func schedule(ctx context.Context, evs []*distance.Evaluator, n int, next blockSource, run func(bi int, b *index.Block, c crew) blockResult) ([]blockResult, error) {
+	par := len(evs)
 	results := make([]blockResult, n)
 	type work struct {
 		bi int
@@ -157,11 +169,10 @@ func schedule(ctx context.Context, pool *distance.Pool, par, n int, next blockSo
 	quit := make(chan struct{})
 	var blocks, workers sync.WaitGroup
 	workers.Add(par)
-	for w := 0; w < par; w++ {
+	for _, ev := range evs {
 		go func() {
 			defer workers.Done()
-			c := crew{ev: pool.Get(), assist: assist, size: par}
-			defer pool.Put(c.ev)
+			c := crew{ev: ev, assist: assist, size: par}
 			q := queue
 			for {
 				select {
@@ -310,9 +321,7 @@ func (s *Stats) addBlock(r *blockResult) {
 // stageI is the batch driver: schedule runBlock with the phase mask over the
 // source's n blocks and fold the results into st.
 func stageI(ctx context.Context, dict *intern.Dict, n int, next blockSource, opts Options, ph phases, st *Stats) error {
-	pool := distance.NewPool(opts.Metric, dict)
-	defer recordPoolStats(pool)
-	results, err := schedule(ctx, pool, opts.workers(), n, next, func(bi int, b *index.Block, c crew) blockResult {
+	results, err := schedule(ctx, newEvaluators(opts.Metric, dict, opts.workers()), n, next, func(bi int, b *index.Block, c crew) blockResult {
 		return runBlock(bi, b, c, opts, ph, nil)
 	})
 	if err != nil {

@@ -16,11 +16,14 @@ import (
 //	dist(γi, γ⋆) = n(γi)·d(γi, γ⋆) / Z,  Z = max over ordered pairs of n·d
 //
 // is declared clean and every other piece is rewritten to it, so each group
-// ends with exactly one piece. Ties break by higher weight, then higher
-// count, then ascending key. Pairwise distances run over interned value IDs
-// through the crew's evaluators (memoized, symmetric). Returns the number
-// of pieces rewritten; tr, when non-nil, records each rewrite — the records
-// (decoded values, copied tuple lists) are built only then.
+// ends with exactly one piece. Z is one positive constant per group, so it
+// cancels from the argmax: the winner maximizes n(γi)·NNᵢ·wᵢ, where NNᵢ is
+// the distance from γi to its nearest other piece. Z = 0 means every NN is 0,
+// and every score is 0 with or without it. Ties break by higher weight, then
+// higher count, then ascending key. Distances run over interned value IDs
+// through the crew's evaluators. Returns the number of pieces rewritten; tr,
+// when non-nil, records each rewrite — the records (decoded values, copied
+// tuple lists) are built only then.
 //
 // A group's winner reads only that group's pieces, so each contested group
 // is one crew item; the owner then rewrites in group order.
@@ -34,13 +37,12 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 		}
 	}
 	winners := make([]*index.Piece, len(contested))
-	dists := make([][]float64, c.size) // each participant's n×n scratch
+	nns := make([][]float64, c.size) // each participant's NN scratch
 	c.each(len(contested), func(p, i int, ev *distance.Evaluator) {
-		if dists[p] == nil {
-			dists[p] = make([]float64, widest*widest)
+		if nns[p] == nil {
+			nns[p] = make([]float64, widest)
 		}
-		n := len(contested[i].Pieces)
-		winners[i] = rscWinner(contested[i], ev, dists[p][:n*n])
+		winners[i] = rscWinner(contested[i], ev, nns[p][:len(contested[i].Pieces)])
 	})
 	repairs := 0
 	for i, g := range contested {
@@ -70,49 +72,26 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 	return repairs
 }
 
-// rscWinner computes reliability scores and returns the winning piece. d is
-// scratch for the group's pairwise distances, row-major n×n.
-func rscWinner(g *index.Group, ev *distance.Evaluator, d []float64) *index.Piece {
-	n := len(g.Pieces)
-	// Pairwise raw distances over value IDs; the diagonal is never read.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dist := ev.Values(g.Pieces[i].ValueIDs(), g.Pieces[j].ValueIDs())
-			d[i*n+j] = dist
-			d[j*n+i] = dist
-		}
+// rscWinner computes reliability scores and returns the winning piece. nn is
+// scratch for each piece's nearest-neighbour distance. One pass over the
+// pairs measures each against the larger of its two running NNs: the
+// evaluator is exact at its bound and only clips strictly past it, and a
+// distance past both NNs lowers neither.
+func rscWinner(g *index.Group, ev *distance.Evaluator, nn []float64) *index.Piece {
+	for i := range nn {
+		nn[i] = math.Inf(1)
 	}
-	// Z normalizes n(γ)·d into [0,1] across the group's ordered pairs.
-	var z float64
 	for i, p := range g.Pieces {
-		ni := float64(p.Count())
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if v := ni * d[i*n+j]; v > z {
-				z = v
-			}
+		ids := p.ValueIDs()
+		for j := i + 1; j < len(g.Pieces); j++ {
+			d := ev.ValuesBounded(ids, g.Pieces[j].ValueIDs(), max(nn[i], nn[j]))
+			nn[i], nn[j] = min(nn[i], d), min(nn[j], d)
 		}
 	}
 	var winner *index.Piece
 	bestScore := math.Inf(-1)
 	for i, p := range g.Pieces {
-		minDist := math.Inf(1)
-		ni := float64(p.Count())
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			dist := 0.0
-			if z > 0 {
-				dist = ni * d[i*n+j] / z
-			}
-			if dist < minDist {
-				minDist = dist
-			}
-		}
-		score := minDist * p.Weight
+		score := float64(p.Count()) * nn[i] * p.Weight
 		if winner == nil || score > bestScore ||
 			(score == bestScore && betterTie(p, winner)) {
 			bestScore = score

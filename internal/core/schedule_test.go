@@ -61,9 +61,9 @@ var schedSources = map[string]schedSource{
 	},
 }
 
-// runSchedule runs schedule over a fresh evaluator pool on dict.
+// runSchedule runs schedule on par fresh evaluators over dict.
 func runSchedule(ctx context.Context, dict *intern.Dict, par, n int, next blockSource, run func(int, *index.Block, crew) blockResult) ([]blockResult, error) {
-	return schedule(ctx, distance.NewPool(distance.Levenshtein{}, dict), par, n, next, run)
+	return schedule(ctx, newEvaluators(distance.Levenshtein{}, dict, par), n, next, run)
 }
 
 // soloCrew is a block's crew outside any pool: its owner alone.
@@ -348,15 +348,16 @@ func TestAGPNoPromotionOnNormalBlocks(t *testing.T) {
 	}
 }
 
-// --- rscWinner degenerate Z ---------------------------------------------
+// --- rscWinner with every distance zero --------------------------------
 
-// TestRSCWinnerZeroZ: when every pairwise distance in a group is zero, Z is
-// zero and all reliability scores collapse to 0 — the winner must then fall
-// to the deterministic tie-break (higher weight first), not to slice order.
-func TestRSCWinnerZeroZ(t *testing.T) {
+// TestRSCWinnerAllDistancesZero: when every pairwise distance in a group is
+// zero, every nearest-neighbour distance is 0 and all reliability scores
+// collapse to 0 — the winner must then fall to the deterministic tie-break
+// (higher weight first), not to slice order.
+func TestRSCWinnerAllDistancesZero(t *testing.T) {
 	d := intern.NewDict()
 	r := rules.MustParseStrings("FD: CT -> ST")[0]
-	// Identical values → all pairwise distances are 0 → z == 0.
+	// Identical values → all pairwise distances are 0.
 	mk := func(id int, w float64) *index.Piece {
 		p := index.NewPiece(r, d, []string{"BOAZ"}, []string{"AL"})
 		p.TupleIDs = []int{id}
@@ -367,13 +368,13 @@ func TestRSCWinnerZeroZ(t *testing.T) {
 	light := mk(2, 1.0)
 	g := &index.Group{Key: "BOAZ", Pieces: []*index.Piece{light, heavy}}
 	ev := distance.NewEvaluator(distance.Levenshtein{}, d)
-	if got := rscWinner(g, ev, make([]float64, 4)); got != heavy {
-		t.Errorf("z==0 winner = %+v, want the higher-weight piece", got)
+	if got := rscWinner(g, ev, make([]float64, 2)); got != heavy {
+		t.Errorf("all-zero winner = %+v, want the higher-weight piece", got)
 	}
 	// Same outcome with the slice order flipped.
 	g.Pieces = []*index.Piece{heavy, light}
-	if got := rscWinner(g, ev, make([]float64, 4)); got != heavy {
-		t.Errorf("z==0 winner after permutation = %+v, want the higher-weight piece", got)
+	if got := rscWinner(g, ev, make([]float64, 2)); got != heavy {
+		t.Errorf("all-zero winner after permutation = %+v, want the higher-weight piece", got)
 	}
 }
 

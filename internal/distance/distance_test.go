@@ -347,14 +347,15 @@ func TestByName(t *testing.T) {
 func TestValues(t *testing.T) {
 	dict := intern.NewDict()
 	e := NewEvaluator(Levenshtein{}, dict)
-	if got := e.Values(internAll(dict, "ab", "cd"), internAll(dict, "ab", "ce")); got != 1 {
-		t.Errorf("Values = %v, want 1", got)
+	inf := math.Inf(1)
+	if got := e.ValuesBounded(internAll(dict, "ab", "cd"), internAll(dict, "ab", "ce"), inf); got != 1 {
+		t.Errorf("ValuesBounded = %v, want 1", got)
 	}
-	if got := e.Values(internAll(dict, "ab"), internAll(dict, "ab", "xyz")); got != 3 {
-		t.Errorf("Values mismatched = %v, want 3", got)
+	if got := e.ValuesBounded(internAll(dict, "ab"), internAll(dict, "ab", "xyz"), inf); got != 3 {
+		t.Errorf("ValuesBounded mismatched = %v, want 3", got)
 	}
-	if got := e.Values(nil, nil); got != 0 {
-		t.Errorf("Values empty = %v", got)
+	if got := e.ValuesBounded(nil, nil, inf); got != 0 {
+		t.Errorf("ValuesBounded empty = %v", got)
 	}
 }
 
@@ -368,7 +369,7 @@ func TestValuesBoundedConsistent(t *testing.T) {
 		for i := range a {
 			exact += float64(refEdit(a[i], b[i]))
 		}
-		if e.Values(ai, bi) != exact {
+		if e.ValuesBounded(ai, bi, math.Inf(1)) != exact {
 			return false
 		}
 		got := e.ValuesBounded(ai, bi, limit)
@@ -382,12 +383,13 @@ func TestValuesBoundedConsistent(t *testing.T) {
 	}
 }
 
+// TestValuesBoundedInfinity: an infinite bound is no bound — the exact sum.
 func TestValuesBoundedInfinity(t *testing.T) {
 	dict := intern.NewDict()
 	e := NewEvaluator(Levenshtein{}, dict)
 	a := internAll(dict, "3347938701", "AL")
 	b := internAll(dict, "2567638410", "AL")
-	exact := e.Values(a, b)
+	exact := float64(refEdit("3347938701", "2567638410"))
 	if got := e.ValuesBounded(a, b, math.Inf(1)); got != exact {
 		t.Errorf("unbounded ValuesBounded = %v, want %v", got, exact)
 	}

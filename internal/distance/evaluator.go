@@ -10,8 +10,8 @@ import (
 // Evaluator computes metric distances over interned value IDs: the
 // γ-to-γ distance of Def. 2 without ever re-materializing strings on the
 // hot path. It memoizes exact pair distances under a symmetric key (AGP's
-// nearest-group search and RSC's pairwise matrices revisit the same γ⋆
-// value pairs constantly) and precomputes per-ID derived data lazily: rune
+// nearest-group searches revisit the same γ⋆ value pairs constantly), at
+// most memoCap of them, and precomputes per-ID derived data lazily: rune
 // buffers for Levenshtein (with an ASCII marker so pure-byte values never
 // decode at all) and sorted bigram frequency vectors for cosine.
 //
@@ -26,6 +26,13 @@ type Evaluator struct {
 	info []idInfo
 	edit editScratch // Levenshtein kernel scratch, kept across calls
 }
+
+// memoCap bounds the memo: a full memo is emptied before its next insert.
+// A memo only ever saves recomputing an exact distance, so emptying it
+// changes no result; the cap keeps an evaluator that a wide RSC group or a
+// long-lived delta engine feeds at a fixed size instead of one entry per
+// pair it ever measured.
+const memoCap = 1 << 16
 
 const (
 	kindLev = iota
@@ -150,8 +157,17 @@ func (e *Evaluator) Pair(a, b uint32) float64 {
 		return d
 	}
 	d := e.compute(a, b, maxEditBound)
-	e.memo[k] = d
+	e.remember(k, d)
 	return d
+}
+
+// remember memoizes the exact distance d under key k, emptying a full memo
+// first.
+func (e *Evaluator) remember(k uint64, d float64) {
+	if len(e.memo) >= memoCap {
+		clear(e.memo)
+	}
+	e.memo[k] = d
 }
 
 // Exact is Pair without the memo, neither read nor filled: for a caller
@@ -178,13 +194,13 @@ func (e *Evaluator) PairBounded(a, b uint32, bound float64) float64 {
 	}
 	if e.kind != kindLev {
 		d := e.compute(a, b, 0)
-		e.memo[k] = d
+		e.remember(k, d)
 		return d
 	}
 	cap := intBound(bound)
 	d := e.compute(a, b, cap)
 	if d <= float64(cap) {
-		e.memo[k] = d
+		e.remember(k, d)
 	}
 	return d
 }
@@ -263,11 +279,6 @@ func (e *Evaluator) ValuesBounded(a, b []uint32, bound float64) float64 {
 		}
 	}
 	return sum
-}
-
-// Values is ValuesBounded without a bound: the exact γ-to-γ distance.
-func (e *Evaluator) Values(a, b []uint32) float64 {
-	return e.ValuesBounded(a, b, maxEditBound)
 }
 
 // distanceToEmpty mirrors m.Distance(v, "") for the built-in metrics

@@ -2,6 +2,7 @@ package distance
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -175,8 +176,8 @@ func TestEvaluatorValuesBounded(t *testing.T) {
 					}
 					exact += refDistance(m, x, y)
 				}
-				if got := e.Values(ai, bi); got != exact {
-					t.Fatalf("Values(%v,%v) = %v, want %v", a, b, got, exact)
+				if got := e.ValuesBounded(ai, bi, math.Inf(1)); got != exact {
+					t.Fatalf("unbounded ValuesBounded(%v,%v) = %v, want %v", a, b, got, exact)
 				}
 				bound := float64(rng.Intn(10))
 				got := e.ValuesBounded(ai, bi, bound)
@@ -240,6 +241,105 @@ func TestBoundedAllocFree(t *testing.T) {
 	run() // warm: per-ID forms, DP rows, memo
 	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
 		t.Errorf("edit distance allocates %v per run, want 0", allocs)
+	}
+}
+
+// memoFixture interns n distinct ASCII values, enough for n(n−1)/2 pairs.
+func memoFixture(n int) (*intern.Dict, []uint32) {
+	dict := intern.NewDict()
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = dict.Intern(fmt.Sprintf("value-%04d", i*7%n))
+	}
+	return dict, ids
+}
+
+// TestEvaluatorReuseIsExact: an evaluator kept across blocks, warm or with a
+// memo that has just hit memoCap and been emptied, returns bit for bit the
+// distances a fresh one does, and agrees with it on which side of a bound a
+// pair falls. The stage-I workers and the delta engine keep theirs for
+// their whole lifetime, so block-to-block reuse must not change a
+// comparison.
+func TestEvaluatorReuseIsExact(t *testing.T) {
+	dict, ids := memoFixture(400)
+	for _, m := range []Metric{Levenshtein{}, Cosine{}} {
+		t.Run(m.Name(), func(t *testing.T) {
+			warm := NewEvaluator(m, dict)
+			for i := 1; i < len(ids); i++ {
+				warm.Pair(ids[0], ids[i])
+				warm.PairBounded(ids[i-1], ids[i], 3)
+			}
+			capped := NewEvaluator(m, dict)
+			filled := false
+			for i := 0; i < len(ids) && !filled; i++ {
+				for j := i + 1; j < len(ids); j++ {
+					if len(capped.memo) == memoCap {
+						capped.Pair(ids[i], ids[j])
+						filled = true
+						break
+					}
+					capped.Pair(ids[i], ids[j])
+				}
+			}
+			if !filled || len(capped.memo) != 1 {
+				t.Fatalf("memo holds %d entries after passing the cap, want 1 (filled %v)", len(capped.memo), filled)
+			}
+			bits := math.Float64bits
+			for _, ev := range []*Evaluator{warm, capped} {
+				for i := 1; i < len(ids); i++ {
+					a, b := ids[:i], ids[1:i+1]
+					if got, want := ev.Pair(ids[0], ids[i]), NewEvaluator(m, dict).Pair(ids[0], ids[i]); bits(got) != bits(want) {
+						t.Fatalf("Pair(%d,%d): reused %v, fresh %v", ids[0], ids[i], got, want)
+					}
+					got, want := ev.ValuesBounded(a, b, math.Inf(1)), NewEvaluator(m, dict).ValuesBounded(a, b, math.Inf(1))
+					if bits(got) != bits(want) {
+						t.Fatalf("ValuesBounded at %d: reused %v, fresh %v", i, got, want)
+					}
+					bound := float64(i % 5)
+					gotB, wantB := ev.PairBounded(ids[i-1], ids[i], bound), NewEvaluator(m, dict).PairBounded(ids[i-1], ids[i], bound)
+					if (gotB <= bound) != (wantB <= bound) || (wantB <= bound && bits(gotB) != bits(wantB)) {
+						t.Fatalf("PairBounded(%d,%d,%v): reused %v, fresh %v", ids[i-1], ids[i], bound, gotB, wantB)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWarmEvaluatorAllocFree: reusing an evaluator across blocks whose pairs
+// are memoized allocates nothing, and neither does one whose memo keeps
+// running past memoCap: emptying the memo keeps its storage.
+func TestWarmEvaluatorAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful unraced")
+	}
+	dict, ids := memoFixture(64)
+	ev := NewEvaluator(Levenshtein{}, dict)
+	block := func() {
+		for i := 1; i < len(ids); i++ {
+			ev.Pair(ids[0], ids[i])
+		}
+	}
+	block()
+	if allocs := testing.AllocsPerRun(50, block); allocs > 0 {
+		t.Errorf("a warm evaluator allocates %.1f per block, want 0", allocs)
+	}
+
+	dict, ids = memoFixture(600) // 179,700 pairs: the memo empties twice a pass
+	ev = NewEvaluator(Levenshtein{}, dict)
+	pass := func() {
+		for i := range ids {
+			for j := i + 1; j < len(ids); j++ {
+				ev.Pair(ids[i], ids[j])
+			}
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(2, pass); allocs > 0 {
+		t.Errorf("an evaluator cycling its memo allocates %.1f per pass, want 0", allocs)
+	}
+	if n := len(ev.memo); n > memoCap {
+		t.Errorf("memo holds %d entries, cap %d", n, memoCap)
 	}
 }
 

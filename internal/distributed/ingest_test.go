@@ -18,7 +18,7 @@ import (
 )
 
 // refAssign is the streaming partitioner as it stood before the executor's
-// distance table — one Evaluator.Values per (tuple, centroid), its own
+// distance table — one Evaluator.ValuesBounded per (tuple, centroid), its own
 // interning loop — kept as the oracle Submit must match: the same centroids,
 // the same assignment of every tuple, the same batches in the same order.
 type refAssign struct {
@@ -90,7 +90,7 @@ func (r *refAssign) assignAndShip() {
 		t := r.tuples[r.shipped]
 		row := r.gatherIDs[r.shipped]
 		for w := 0; w < r.k; w++ {
-			dists[w] = r.ev.Values(row, r.centroids[w])
+			dists[w] = r.ev.ValuesBounded(row, r.centroids[w], valuesBound)
 		}
 		capacity := (r.shipped + r.k) / r.k
 		best := -1
@@ -210,8 +210,8 @@ func checkAgainstRef(t *testing.T, label string, ex *Executor, log *shipLog, ref
 	for i, row := range ex.senc.Encoded().Rows {
 		got := ex.cent.distances([][]uint32{row})
 		for w, c := range centroids {
-			if want := fresh.Values(row, c); math.Float64bits(got[w]) != math.Float64bits(want) {
-				t.Fatalf("%s: tuple %d centroid %d: distance %v (%#x), Values %v (%#x)",
+			if want := fresh.ValuesBounded(row, c, valuesBound); math.Float64bits(got[w]) != math.Float64bits(want) {
+				t.Fatalf("%s: tuple %d centroid %d: distance %v (%#x), ValuesBounded %v (%#x)",
 					label, i, w, got[w], math.Float64bits(got[w]), want, math.Float64bits(want))
 			}
 		}
@@ -220,7 +220,7 @@ func checkAgainstRef(t *testing.T, label string, ex *Executor, log *shipLog, ref
 
 // jitter is a custom metric whose distances are fractions (so the order of
 // a sum shows in its last bits) and, for one value, far past the bound where
-// Evaluator.Values stops summing.
+// a row's distance stops summing.
 type jitter struct{}
 
 func (jitter) Name() string { return "jitter" }
@@ -241,7 +241,7 @@ func (jitter) Distance(a, b string) float64 {
 }
 
 // TestCentroidColumnMatchesValues: the executor's distance table gives every
-// tuple the k distances Evaluator.Values gives it, to the bit, and Submit
+// tuple the k distances Evaluator.ValuesBounded gives it, to the bit, and Submit
 // ships what the old loop shipped — on random streams whose values recur
 // across columns (the table's fallback), with empty, non-ASCII, invalid
 // UTF-8 and U+FFFD values, random batch boundaries, and fewer tuples than
@@ -358,16 +358,26 @@ func TestPartitionerMemoBounded(t *testing.T) {
 			}
 		}
 	}
-	memoLen := func(ev *distance.Evaluator) int {
-		return reflect.ValueOf(ev).Elem().FieldByName("memo").Len()
+	// The old loop memoized one entry per distinct (value, centroid cell)
+	// pair it measured; count those directly, since the evaluator's capped
+	// memo forgets them.
+	old := make(map[[2]uint32]bool)
+	for _, row := range ref.gatherIDs {
+		for _, c := range ref.centroids {
+			for j, id := range row {
+				if id != c[j] {
+					old[[2]uint32{min(id, c[j]), max(id, c[j])}] = true
+				}
+			}
+		}
 	}
-	got, old := memoLen(ex.ev), memoLen(ref.ev)
-	t.Logf("distinct values %d, shared-column (column, value) pairs %d; memo: %d entries, old loop %d", ex.dict.Len(), shared, got, old)
+	got := reflect.ValueOf(ex.ev).Elem().FieldByName("memo").Len()
+	t.Logf("distinct values %d, shared-column (column, value) pairs %d; memo: %d entries, old loop %d pairs", ex.dict.Len(), shared, got, len(old))
 	if got > k*shared {
 		t.Errorf("partitioner memo holds %d pairs, want ≤ k·shared = %d", got, k*shared)
 	}
-	if old < ex.dict.Len() {
-		t.Errorf("oracle memo holds %d pairs for %d distinct values: the comparison is vacuous", old, ex.dict.Len())
+	if len(old) < ex.dict.Len() {
+		t.Errorf("the old loop measures %d pairs for %d distinct values: the comparison is vacuous", len(old), ex.dict.Len())
 	}
 }
 

@@ -42,13 +42,14 @@ type centroidTable struct {
 	dist      []float64
 }
 
-// valuesBound is where Evaluator.Values stops summing; distances stops there
-// too, so a custom metric's huge distance yields the same bits.
+// valuesBound is where a row's distance stops summing, as ValuesBounded
+// does at this bound, so a custom metric's huge distance yields the same bits
+// on every path.
 const valuesBound = math.MaxInt32
 
 // distances returns each row's distance to every centroid, k per row: bit
-// for bit ev.Values(row, centroid) — the same exact per-cell distances summed
-// in attribute order — read from the table.
+// for bit ev.ValuesBounded(row, centroid, valuesBound) — the same exact
+// per-cell distances summed in attribute order — read from the table.
 func (c *centroidTable) distances(rows [][]uint32) []float64 {
 	k := len(c.centroids)
 	dists := make([]float64, len(rows)*k)
