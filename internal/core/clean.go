@@ -9,10 +9,11 @@ import (
 	"mlnclean/internal/rules"
 )
 
-// Result is the output of a cleaning run. Results are read-only: Clean
-// shares its tuples with Repaired (and a DeltaCleaner's successive Results
-// share the tuples no mutation re-fused), so a caller that wants to edit one
-// clones it first.
+// Result is the output of a cleaning run. Results are read-only: Repaired
+// and Clean share every tuple fusion left unchanged with the input table,
+// Clean shares its tuples with Repaired, and a DeltaCleaner's successive
+// Results share the tuples no mutation re-fused, so a caller that wants to
+// edit one clones it first.
 type Result struct {
 	// Clean is the final cleaned dataset (duplicates removed unless
 	// Options.KeepDuplicates): the surviving tuples of Repaired themselves,
@@ -20,7 +21,8 @@ type Result struct {
 	Clean *dataset.Table
 	// Repaired is the cleaned table before duplicate elimination; it has
 	// exactly the input's tuple IDs, which evaluation code diffs against
-	// ground truth.
+	// ground truth. A tuple fusion left unchanged is the input's own; a
+	// tuple it changed is a fresh one.
 	Repaired *dataset.Table
 	// Duplicates lists the removed duplicate sets (representative first).
 	Duplicates [][]int
@@ -89,11 +91,12 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 // duplicates are eliminated in the same way"): FSCR fuses every tuple's
 // versions starting from its dirty row, then exact duplicates are removed
 // unless opts.KeepDuplicates. It returns the repaired table (input tuple IDs
-// preserved), the deduplicated table — whose tuples are the repaired table's
-// — and the duplicate sets, and adds the fusion and duplicate counters to st.
-// enc follows RunFSCREncoded's contract. From FSCR's search to the row set
-// the tail works on value IDs; the only strings touched are the repaired
-// table's cells.
+// preserved, and the input's own tuple wherever fusion changed nothing), the
+// deduplicated table — whose tuples are the repaired table's — and the
+// duplicate sets, and adds the fusion and duplicate counters to st. enc
+// follows RunFSCREncoded's contract. From FSCR's search to the row set the
+// tail works on value IDs; the only strings written are the changed tuples'
+// cells.
 func StageII(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) (repaired, clean *dataset.Table, dups [][]int) {
 	repaired, rows := runFSCR(dirty, enc, blocks, opts, st)
 	switch {

@@ -273,12 +273,20 @@ func TestCleanDeterministic(t *testing.T) {
 }
 
 func TestFusionBlockExports(t *testing.T) {
-	// FSCR with empty blocks is a no-op clone.
+	// FSCR with no blocks changes nothing, and shares the input's tuples as
+	// every other run shares those fusion leaves alone.
 	tb := dataset.NewTable(dataset.MustSchema("A"))
 	tb.MustAppend("x")
 	out := RunFSCREncoded(tb, nil, nil, Options{}, nil)
 	if d := out.Diff(tb); len(d) != 0 {
 		t.Error("no-block FSCR changed data")
+	}
+	if out.Tuples[0] != tb.Tuples[0] {
+		t.Error("no-block FSCR copied a tuple it left unchanged")
+	}
+	out.Tuples[0] = nil
+	if tb.Tuples[0] == nil {
+		t.Error("the repaired table's tuple slice is the input's")
 	}
 }
 

@@ -35,25 +35,23 @@ func Dedup(tb *dataset.Table) (*dataset.Table, [][]int) {
 	return dedupRows(tb, rows, hashWords)
 }
 
-// dupHit records that row dup repeats the earlier row first.
-type dupHit struct{ first, dup int32 }
-
 // dedupRows is the one duplicate elimination: rows[i] is tb.Tuples[i] as
 // value IDs of any one dictionary, and two tuples are duplicates iff their
 // rows are equal word for word (so rows of unequal length never are). The
 // rows seen so far live in an open-addressing set of row indices keyed by
 // hash; a probe hit is confirmed by comparing the rows, so hash only decides
 // how far a probe walks. Survivors are tb's tuples, in table order; sets are
-// ordered by their representative, members in table order.
+// ordered by their representative, members in table order. Each array is
+// allocated once, and none grows by appending.
 func dedupRows(tb *dataset.Table, rows [][]uint32, hash func([]uint32) uint64) (*dataset.Table, [][]int) {
 	size := 16
 	for size < 2*len(rows) {
 		size *= 2
 	}
 	mask := uint64(size - 1)
-	slots := make([]int32, size) // index + 1 of the first row with this content; 0 = empty
+	slots := make([]int32, size)        // index + 1 of the first row with this content; 0 = empty
+	repeats := make([]int32, len(rows)) // index + 1 of the earlier row a row repeats; 0 = none
 	clean := &dataset.Table{Schema: tb.Schema, Tuples: make([]*dataset.Tuple, 0, len(rows))}
-	var hits []dupHit
 	for i, row := range rows {
 		for s := hash(row) & mask; ; s = (s + 1) & mask {
 			first := slots[s]
@@ -63,23 +61,45 @@ func dedupRows(tb *dataset.Table, rows [][]uint32, hash func([]uint32) uint64) (
 				break
 			}
 			if slices.Equal(rows[first-1], row) {
-				hits = append(hits, dupHit{first: first - 1, dup: int32(i)})
+				repeats[i] = first
 				break
 			}
 		}
 	}
-	// hits are in table order; a stable sort by representative groups each
-	// set's members without disturbing that order.
-	slices.SortStableFunc(hits, func(a, b dupHit) int { return int(a.first - b.first) })
-	flat := make([]int, 0, 2*len(hits)) // every set's IDs back to back; sets ≤ hits
-	var dups [][]int
-	for i := 0; i < len(hits); {
-		first, start := hits[i].first, len(flat)
-		flat = append(flat, tb.Tuples[first].ID)
-		for ; i < len(hits) && hits[i].first == first; i++ {
-			flat = append(flat, tb.Tuples[hits[i].dup].ID)
+	dupRows := len(rows) - len(clean.Tuples)
+	if dupRows == 0 {
+		return clean, nil
+	}
+	// The set is done with: its first len(rows) slots count each
+	// representative's repeats, then hold where its next member goes.
+	count := slots[:len(rows)]
+	clear(count)
+	sets := 0
+	for _, r := range repeats {
+		if r != 0 {
+			if count[r-1] == 0 {
+				sets++
+			}
+			count[r-1]++
 		}
+	}
+	flat := make([]int, 0, sets+dupRows) // every set's IDs back to back
+	dups := make([][]int, 0, sets)
+	for i, n := range count {
+		if n == 0 {
+			continue
+		}
+		start := len(flat)
+		flat = append(flat, tb.Tuples[i].ID)
+		count[i] = int32(len(flat))
+		flat = flat[:len(flat)+int(n)]
 		dups = append(dups, flat[start:len(flat):len(flat)])
+	}
+	for i, r := range repeats {
+		if r != 0 {
+			flat[count[r-1]] = tb.Tuples[i].ID
+			count[r-1]++
+		}
 	}
 	return clean, dups
 }

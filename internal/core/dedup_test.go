@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
@@ -210,11 +212,14 @@ func stageIIInputs(tb testing.TB, rows, copies int) (*dataset.Table, *dataset.En
 	return dirty, ix.Encoded(), FusionBlocksFromIndex(ix), opts
 }
 
-// TestStageIIAllocs: stage II allocates per table (the clone's arrays, the
-// row set, append growth), per piece (the fusion plan's candidate postings)
-// and per tuple whose fusion changed a cell (its new ID row) — not per row.
+// TestStageIIAllocs: stage II allocates per table (the repaired table's
+// tuple and row slices, the row set, append growth), per piece (the fusion
+// plan's candidate postings) and per slab of changed tuples — not per row.
 // Four copies of a table hold four times the rows; what StageII allocates
-// beyond its plan must stay within the changed tuples plus a constant.
+// beyond its plan must stay within the changed tuples plus a constant. In
+// bytes, it must stay below the dirty table's values (rows × width string
+// headers), which copying the table alone would exceed: stage II copies only
+// the tuples fusion changes.
 func TestStageIIAllocs(t *testing.T) {
 	const fixed = 100
 	for _, copies := range []int{1, 4} {
@@ -233,7 +238,7 @@ func TestStageIIAllocs(t *testing.T) {
 			t.Fatal("fusion changed no tuple: the table does not exercise FSCR")
 		}
 		total := testing.AllocsPerRun(5, func() { StageII(dirty, enc, blocks, opts, new(Stats)) })
-		plan := testing.AllocsPerRun(5, func() { planFusion(enc.Dict, dirty.Schema, enc.Rows, blocks, opts) })
+		plan := testing.AllocsPerRun(5, func() { planFusion(enc.Dict, dirty, enc.Rows, blocks, opts) })
 		t.Logf("%d rows, %d changed tuples: %.0f allocations, %.0f of them the plan's", dirty.Len(), changed, total, plan)
 		if total-plan > float64(changed+fixed) {
 			t.Errorf("%d rows: StageII allocates %.0f times beyond its plan, want ≤ %d changed tuples + %d",
@@ -242,7 +247,29 @@ func TestStageIIAllocs(t *testing.T) {
 		if changed+fixed > dirty.Len()/2 {
 			t.Errorf("bound of %d is no tighter than the table's %d rows: the test proves nothing", changed+fixed, dirty.Len())
 		}
+		beyond := allocBytes(func() { StageII(dirty, enc, blocks, opts, new(Stats)) }) -
+			allocBytes(func() { planFusion(enc.Dict, dirty, enc.Rows, blocks, opts) })
+		values := dirty.Len() * dirty.Schema.Len() * int(unsafe.Sizeof(""))
+		t.Logf("%d rows: %.0f bytes beyond the plan, the table's values take %d", dirty.Len(), beyond, values)
+		if beyond >= float64(values) {
+			t.Errorf("%d rows: StageII allocates %.0f bytes beyond its plan, want below the table's %d value bytes",
+				dirty.Len(), beyond, values)
+		}
 	}
+}
+
+// allocBytes is the heap bytes one call of f allocates, averaged over a few
+// calls after a warm-up one.
+func allocBytes(f func()) float64 {
+	const runs = 3
+	f() // warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // cleanAliasesRepaired asserts the Result contract: every tuple of Clean is

@@ -139,9 +139,8 @@ type DeltaCleaner struct {
 	plan  *fusionPlan
 	fuser *fuser
 	fused map[int]tupleState
-	// scratch and scratchRow are what fuseOne fuses into; proj is Trail's
+	// scratchRow is what fuseOne builds a fused row in; proj is Trail's
 	// projection buffer.
-	scratch    dataset.Tuple
 	scratchRow []uint32
 	proj       []uint32
 
@@ -260,8 +259,11 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 
 	// Fold the batch into the table, collecting the dirtied rules and the
 	// mutated tuple IDs. Each mutation sees the state its predecessors left.
+	// An insert or delete shifts table positions, which every block's
+	// version index is keyed by.
 	dirty := make([]bool, len(d.rs))
 	refuse := make(map[int]struct{})
+	shifted := false
 	for _, m := range muts {
 		pos, exists := d.rowPos[m.Row]
 		switch m.Op {
@@ -283,6 +285,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 					}
 				}
 				d.insertAt(m.Row, vals)
+				shifted = true
 			}
 			refuse[m.Row] = struct{}{}
 		case DeltaDelete:
@@ -296,6 +299,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 			d.encRows = append(d.encRows[:pos], d.encRows[pos+1:]...)
 			d.reindex()
 			delete(d.fused, m.Row)
+			shifted = true
 		}
 	}
 
@@ -315,6 +319,13 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		// succeeded cannot fail here; surface it anyway rather than serve a
 		// half-updated result.
 		return nil, nil, err
+	}
+	if shifted {
+		for ri, isDirty := range dirty {
+			if !isDirty {
+				d.placeVersions(ri) // rebuilt blocks were placed when adopted
+			}
+		}
 	}
 	for k, ri := range rebuilt {
 		vers := d.blocks[ri].vers
@@ -405,8 +416,14 @@ func (d *DeltaCleaner) Len() int { return len(d.tuples) }
 
 // Has reports whether the tuple ID is live.
 func (d *DeltaCleaner) Has(row int) bool {
-	_, ok := d.rowPos[row]
+	_, ok := d.posOf(row)
 	return ok
+}
+
+// posOf is the position of the live tuple with the given ID.
+func (d *DeltaCleaner) posOf(id int) (int, bool) {
+	pos, ok := d.rowPos[id]
+	return pos, ok
 }
 
 // Table materializes the current dirty table (ascending tuple-ID order, IDs
@@ -508,9 +525,16 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	fb := fusionBlockOf(b)
 	d.plan.blocks[ri] = fb
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
-	db.vers = make(map[int]verInfo, len(fb.Versions))
-	for id, p := range fb.Versions {
-		db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
+	d.placeVersions(ri)
+	covered := 0
+	for _, p := range fb.Pieces {
+		covered += len(p.TupleIDs)
+	}
+	db.vers = make(map[int]verInfo, covered)
+	for _, p := range fb.Pieces {
+		for _, id := range p.TupleIDs {
+			db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
+		}
 	}
 	if db.weights == nil {
 		db.weights = make(map[uint32]float64, len(fb.Candidates))
@@ -521,29 +545,46 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	}
 }
 
+// placeVersions refills rule ri's version index over the current table
+// positions, reusing its array.
+func (d *DeltaCleaner) placeVersions(ri int) {
+	at := d.plan.versionOf[ri]
+	if n := len(d.tuples); cap(at) < n {
+		at = make([]uint32, n)
+	} else {
+		at = at[:n]
+		clear(at)
+	}
+	d.plan.placeVersions(ri, at, d.posOf)
+}
+
 // fuseOne re-runs fusion for one tuple against the current blocks and caches
-// the outcome. Fusion writes into the engine's scratch tuple and row: a tuple
+// the outcome. The fused row is built in the engine's scratch row: a tuple
 // whose fused row did not move keeps its cached tuple and row (the values are
-// the row's strings), and only one whose row moved gets fresh copies.
+// the row's strings), and only one whose row moved gets a fresh tuple. An
+// unchanged tuple's shares the engine tuple's values, which a mutation
+// replaces and never edits.
 func (d *DeltaCleaner) fuseOne(id int) {
 	pos := d.rowPos[id]
-	dirtyRow := d.encRows[pos]
-	d.scratch.ID = id
-	d.scratch.Values = append(d.scratch.Values[:0], d.tuples[pos].Values...)
-	res := d.fuser.fuse(&d.scratch, dirtyRow, nil)
-	row := d.fuser.fusedRow(d.scratchRow, dirtyRow, res)
+	t, dirtyRow := d.tuples[pos], d.encRows[pos]
+	res := d.fuser.fuse(t, pos, dirtyRow, nil)
+	row := dirtyRow
 	if res.changes > 0 {
-		d.scratchRow = row
+		d.scratchRow = d.fuser.appendFused(d.scratchRow[:0], dirtyRow)
+		row = d.scratchRow
 	}
 	if ts, ok := d.fused[id]; ok && slices.Equal(ts.row, row) {
 		ts.res = res
 		d.fused[id] = ts
 		return
 	}
+	fused := &dataset.Tuple{ID: id, Values: t.Values}
 	if res.changes > 0 {
 		row = slices.Clone(row) // the cache must not hold the scratch buffer
+		fused.Values = make([]string, len(t.Values))
+		repairedValues(fused.Values, t.Values, row, dirtyRow, d.dict)
 	}
-	d.fused[id] = tupleState{tuple: d.scratch.Clone(), row: row, res: res}
+	d.fused[id] = tupleState{tuple: fused, row: row, res: res}
 }
 
 // ruleDirtyOnUpdate reports whether replacing old with new changes rule r's

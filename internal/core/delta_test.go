@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -336,6 +337,40 @@ func TestDeltaSharesUnchangedTuples(t *testing.T) {
 	if refused <= 12 || shared == 0 {
 		t.Fatalf("%d tuples re-fused over 12 single-row PUTs, %d shared: the sequence does not exercise re-fused sharing", refused, shared)
 	}
+}
+
+// TestDeltaHugeRowID: tuple IDs are names, so a bare engine takes row
+// 1<<40 as it takes any other — the result matches a from-scratch clean of
+// the same table, and nothing the Apply allocates is sized by the ID.
+func TestDeltaHugeRowID(t *testing.T) {
+	dirty, rs := carDirty(t, 200, 3)
+	eng, err := NewDeltaCleaner(dirty.Schema, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load(dirty); err != nil {
+		t.Fatal(err)
+	}
+	vals := append([]string(nil), dirty.Tuples[17].Values...)
+	vals[1] = vals[1] + "x"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, _, err := eng.Apply([]Mutation{{Op: DeltaPut, Row: 1 << 40, Values: vals}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("inserting row 1<<40 allocated %d bytes, want at most %d", got, bound)
+	}
+	assertParity(t, "insert 1<<40", res, eng.Weights(), eng.Table(), rs, Options{})
+	// A delete below the huge row shifts its position.
+	res, _, err = eng.Apply([]Mutation{{Op: DeltaDelete, Row: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, "delete 0", res, eng.Weights(), eng.Table(), rs, Options{})
 }
 
 // TestDeltaValidation: bad batches are rejected atomically, before any state

@@ -48,29 +48,27 @@ func newAssignment(width int) assignment {
 	return a
 }
 
-// FusionBlock is one block's stage-I output as consumed by FSCR: the winner
-// piece covering each tuple, plus the block's candidate pieces used for
-// conflict replacement. The distributed gather step builds these from the
-// union of all workers' blocks to run a global conflict resolution. All
-// pieces of all blocks must share one dictionary.
+// FusionBlock is one block's stage-I output as consumed by FSCR: the
+// block's cleaned pieces, each naming the tuples it is the version of, plus
+// the candidate pieces used for conflict replacement. The distributed gather
+// step builds these from the union of all workers' blocks to run a global
+// conflict resolution. All pieces of all blocks must share one dictionary.
 type FusionBlock struct {
-	Rule       *rules.Rule
-	Attrs      []string
-	Versions   map[int]*index.Piece
+	Rule  *rules.Rule
+	Attrs []string
+	// Pieces hold the block's versions: a tuple's version is the piece whose
+	// TupleIDs name it, and no tuple is named twice.
+	Pieces []*index.Piece
+	// Candidates are the pieces conflict replacement draws from, one per
+	// identity. A stand-alone clean's are its Pieces; the gather's drop the
+	// repeats of a piece several workers hold.
 	Candidates []*index.Piece
 }
 
 // fusionBlockOf is one cleaned block's stage-I output as FSCR input.
 func fusionBlockOf(b *index.Block) *FusionBlock {
-	fb := &FusionBlock{Rule: b.Rule, Attrs: b.Rule.Attrs(), Versions: make(map[int]*index.Piece)}
-	for _, g := range b.Groups {
-		for _, p := range g.Pieces {
-			fb.Candidates = append(fb.Candidates, p)
-			for _, id := range p.TupleIDs {
-				fb.Versions[id] = p
-			}
-		}
-	}
+	fb := &FusionBlock{Rule: b.Rule, Attrs: b.Rule.Attrs(), Pieces: b.Pieces()}
+	fb.Candidates = fb.Pieces
 	return fb
 }
 
@@ -291,16 +289,21 @@ func fusionComponents(posPerBlock [][]int, width int) (compOf []int, compAttrs [
 }
 
 // fusionPlan is what every fusion of one run reads and none writes: the
-// blocks with their schema positions and replacement candidates, the
-// observation model's domain sizes, and the component partition. One plan
-// serves all of a run's fusers (DeltaCleaner: all of its re-fusions, with
-// blocks, candidates and domainSize refreshed in place between Applies).
+// blocks with their schema positions, replacement candidates and version
+// indexes, the observation model's domain sizes, and the component
+// partition. One plan serves all of a run's fusers (DeltaCleaner: all of its
+// re-fusions, with blocks, candidates, version indexes and domainSize
+// refreshed in place between Applies).
 type fusionPlan struct {
 	dict        *intern.Dict
 	schema      *dataset.Schema
 	blocks      []*FusionBlock
 	posPerBlock [][]int
 	candidates  []*blockCands
+	// versionOf[bi][i] is 1 + the index in blocks[bi].Pieces of the version
+	// of the tuple at table position i, or 0 when block bi has none: a flat
+	// index per block, sized by the table, never by its tuple IDs.
+	versionOf [][]uint32
 	// domainSize holds distinct-value counts per schema position, for the
 	// observation model: a replacement error lands on one specific value out
 	// of |domain|−1 alternatives, so changing a large-domain cell (e.g.
@@ -326,6 +329,7 @@ func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]in
 		blocks:      make([]*FusionBlock, len(posPerBlock)),
 		posPerBlock: posPerBlock,
 		candidates:  make([]*blockCands, len(posPerBlock)),
+		versionOf:   make([][]uint32, len(posPerBlock)),
 		domainSize:  make([]int, schema.Len()),
 		penalty:     opts.changePenalty(),
 		maxStates:   maxFusionStates,
@@ -360,22 +364,41 @@ func (pl *fusionPlan) countDomains(rows [][]uint32) {
 	}
 }
 
-// planFusion builds the plan of one whole-table run over blocks, whose
-// pieces and the encoded rows share dict.
-func planFusion(dict *intern.Dict, schema *dataset.Schema, rows [][]uint32, blocks []*FusionBlock, opts Options) *fusionPlan {
+// placeVersions fills at, block bi's zeroed version index (one slot per
+// table position), from its pieces' TupleIDs; posOf maps a tuple ID to its
+// position, and an ID it does not know is skipped.
+func (pl *fusionPlan) placeVersions(bi int, at []uint32, posOf func(id int) (int, bool)) {
+	for k, p := range pl.blocks[bi].Pieces {
+		for _, id := range p.TupleIDs {
+			if i, ok := posOf(id); ok {
+				at[i] = uint32(k) + 1
+			}
+		}
+	}
+	pl.versionOf[bi] = at
+}
+
+// planFusion builds the plan of one whole-table run of tb over blocks, whose
+// pieces and tb's encoded rows share dict. Every block's version index is
+// carved from one array.
+func planFusion(dict *intern.Dict, tb *dataset.Table, rows [][]uint32, blocks []*FusionBlock, opts Options) *fusionPlan {
 	posPerBlock := make([][]int, len(blocks))
 	for bi, fb := range blocks {
 		pos := make([]int, len(fb.Attrs))
 		for i, a := range fb.Attrs {
-			pos[i] = schema.MustIndex(a)
+			pos[i] = tb.Schema.MustIndex(a)
 		}
 		posPerBlock[bi] = pos
 	}
-	pl := newFusionPlan(dict, schema, posPerBlock, opts)
+	pl := newFusionPlan(dict, tb.Schema, posPerBlock, opts)
 	pl.countDomains(rows)
+	n := len(tb.Tuples)
+	at := make([]uint32, len(blocks)*n)
+	posOf := tb.Positions().Of
 	for bi, fb := range blocks {
 		pl.blocks[bi] = fb
 		pl.candidates[bi] = buildBlockCands(fb, posPerBlock[bi])
+		pl.placeVersions(bi, at[bi*n:(bi+1)*n:(bi+1)*n], posOf)
 	}
 	return pl
 }
@@ -385,7 +408,10 @@ func planFusion(dict *intern.Dict, schema *dataset.Schema, rows [][]uint32, bloc
 // pieces' weights, Eq. 5, combined with the minimality/observation prior),
 // resolving conflicts by substituting the highest-weight non-conflicting
 // piece from the conflicting block. The repaired table (same tuple IDs as
-// the input) is returned; st (optional) accumulates cell-change, failure and
+// the input) is returned: it holds the input's own tuple for every tuple
+// fusion left unchanged and a fresh one for every tuple it changed, and the
+// input is not modified. Tuple IDs must be unique; they need not be
+// positions. st (optional) accumulates cell-change, failure and
 // truncation counts, and opts.Trace records per-tuple fusion outcomes in
 // tuple order. Tuples fuse independently and run in parallel.
 //
@@ -412,7 +438,9 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	if st == nil {
 		st = &Stats{}
 	}
-	repaired = dirty.Clone()
+	// Copy on write: the repaired table starts as the input's own tuples, and
+	// only a tuple fusion changes is replaced, by one carved from a slab.
+	repaired = &dataset.Table{Schema: dirty.Schema, Tuples: slices.Clone(dirty.Tuples)}
 	dict := fusionDict(blocks)
 	if dict == nil {
 		return repaired, nil // no pieces anywhere: nothing to fuse
@@ -425,7 +453,7 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 		// dictionary.)
 		enc = dataset.Encode(dirty, dict)
 	}
-	pl := planFusion(dict, repaired.Schema, enc.Rows, blocks, opts)
+	pl := planFusion(dict, dirty, enc.Rows, blocks, opts)
 	rows = make([][]uint32, len(enc.Rows))
 
 	// Tuples cost very different amounts (a conflicted one searches), so
@@ -433,9 +461,11 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	// goroutine instead claims the next of about 8 chunks per goroutine. A
 	// chunk sums into its own slot and (when tracing) records into its own
 	// slice; appending those in chunk order keeps Trace.FSCR in tuple order
-	// however the chunks were claimed.
+	// however the chunks were claimed. Chunks write disjoint slots of
+	// repaired and rows, and each carves its changed tuples from its own
+	// slabs.
 	par := opts.workers()
-	n := len(repaired.Tuples)
+	n := len(dirty.Tuples)
 	chunk := max(1, n/(8*par))
 	nChunks := (n + chunk - 1) / chunk
 	totals := make([]fuseResult, nChunks)
@@ -447,20 +477,29 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 		go func() {
 			defer wg.Done()
 			f := newFuser(pl)
+			var changed changedTuples
 			for ci := int(next.Add(1) - 1); ci < nChunks; ci = int(next.Add(1) - 1) {
 				var trace *[]FusionOutcome
 				if opts.Trace != nil {
 					trace = &outcomes[ci]
 				}
 				var total fuseResult
+				changed.reset()
 				for i := ci * chunk; i < min(n, (ci+1)*chunk); i++ {
-					t := repaired.Tuples[i]
-					res := f.fuse(t, enc.Rows[i], trace)
+					t, dirtyRow := dirty.Tuples[i], enc.Rows[i]
+					res := f.fuse(t, i, dirtyRow, trace)
 					total.add(res)
-					// Encoded rows are schema-wide even under a short tuple,
-					// whose padding must not take part in row identity.
-					rows[i] = f.fusedRow(nil, enc.Rows[i], res)[:len(t.Values)]
+					if res.changes == 0 {
+						// Encoded rows are schema-wide even under a short
+						// tuple, whose padding must not take part in row
+						// identity.
+						rows[i] = dirtyRow[:len(t.Values)]
+						continue
+					}
+					changed.at = append(changed.at, i)
+					changed.ids = f.appendFused(changed.ids, dirtyRow)
 				}
+				changed.carve(dirty, enc.Rows, dict, repaired, rows)
 				totals[ci] = total
 			}
 		}()
@@ -478,6 +517,57 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	mFSCRConflicts.Add(int64(total.failed))
 	mFSCRTruncated.Add(int64(total.truncated))
 	return repaired, rows
+}
+
+// changedTuples collects the tuples one chunk's fusion changed — their
+// positions, and their fused ID rows back to back — so that carve can copy
+// them out of slabs sized to the chunk: a changed tuple costs no allocation
+// of its own, and nothing is allocated for an unchanged one. One collector
+// serves one goroutine, which reuses its buffers chunk after chunk.
+type changedTuples struct {
+	at  []int
+	ids []uint32
+}
+
+func (c *changedTuples) reset() {
+	c.at, c.ids = c.at[:0], c.ids[:0]
+}
+
+// carve gives every collected tuple its repaired copy in repaired and its
+// fused ID row in rows, carved from three slabs: tuples, values, ID rows.
+func (c *changedTuples) carve(dirty *dataset.Table, dirtyRows [][]uint32, dict *intern.Dict, repaired *dataset.Table, rows [][]uint32) {
+	if len(c.at) == 0 {
+		return
+	}
+	nv := 0
+	for _, i := range c.at {
+		nv += len(dirty.Tuples[i].Values)
+	}
+	tuples := make([]dataset.Tuple, len(c.at))
+	vals := make([]string, nv)
+	ids := slices.Clone(c.ids)
+	for k, i := range c.at {
+		t, dirtyRow := dirty.Tuples[i], dirtyRows[i]
+		row := ids[:len(dirtyRow):len(dirtyRow)]
+		ids = ids[len(dirtyRow):]
+		tuples[k] = dataset.Tuple{ID: t.ID, Values: vals[:len(t.Values):len(t.Values)]}
+		vals = vals[len(t.Values):]
+		repairedValues(tuples[k].Values, t.Values, row, dirtyRow, dict)
+		repaired.Tuples[i] = &tuples[k]
+		rows[i] = row[:len(t.Values)]
+	}
+}
+
+// repairedValues writes the values of a repaired ID row into vals: the
+// observed value where the row kept the observed ID, else the dictionary's.
+func repairedValues(vals, observed []string, row, dirtyRow []uint32, dict *intern.Dict) {
+	for pos := range vals {
+		if row[pos] == dirtyRow[pos] {
+			vals[pos] = observed[pos]
+		} else {
+			vals[pos] = dict.Value(row[pos])
+		}
+	}
 }
 
 // fuseResult is one tuple's fusion accounting (or a sum of them): cells
@@ -542,17 +632,19 @@ func newFuser(pl *fusionPlan) *fuser {
 	}
 }
 
-// fuse runs the fusion for one tuple, applying the winning assignment in
-// place. dirtyRow is the tuple's observed values as IDs in the blocks'
+// fuse runs the fusion for tuple t, at table position at, leaving the
+// winning assignment in f.best; t is only read, and appendFused applies the
+// result. dirtyRow is the tuple's observed values as IDs in the blocks'
 // dictionary. trace, when non-nil, is appended the tuple's outcome — built
 // only then, since it costs attribute-name slices and two sorts.
-func (f *fuser) fuse(t *dataset.Tuple, dirtyRow []uint32, trace *[]FusionOutcome) fuseResult {
+func (f *fuser) fuse(t *dataset.Tuple, at int, dirtyRow []uint32, trace *[]FusionOutcome) fuseResult {
 	f.versions = f.versions[:0]
 	for bi, fb := range f.blocks {
-		p, ok := fb.Versions[t.ID]
-		if !ok {
+		k := f.versionOf[bi][at]
+		if k == 0 {
 			continue
 		}
+		p := fb.Pieces[k-1]
 		f.versions = append(f.versions, version{
 			blockIdx: bi,
 			comp:     f.compOf[bi],
@@ -599,11 +691,9 @@ func (f *fuser) fuse(t *dataset.Tuple, dirtyRow []uint32, trace *[]FusionOutcome
 		if id == unsetID || dirtyRow[pos] == id {
 			continue
 		}
-		val := f.dict.Value(id)
 		if out != nil {
-			out.Changed = append(out.Changed, CellChange{Attr: f.schema.Attr(pos), Old: t.Values[pos], New: val})
+			out.Changed = append(out.Changed, CellChange{Attr: f.schema.Attr(pos), Old: t.Values[pos], New: f.dict.Value(id)})
 		}
-		t.Values[pos] = val
 		res.changes++
 	}
 	if out != nil {
@@ -613,21 +703,18 @@ func (f *fuser) fuse(t *dataset.Tuple, dirtyRow []uint32, trace *[]FusionOutcome
 	return res
 }
 
-// fusedRow is the repaired ID row of the tuple fuse just returned res for:
-// dirtyRow itself when fusion changed no cell, else a copy, written over buf
-// (nil for a fresh row), with the winning IDs applied — every one of them a
-// piece value, so already in the dictionary.
-func (f *fuser) fusedRow(buf, dirtyRow []uint32, res fuseResult) []uint32 {
-	if res.changes == 0 {
-		return dirtyRow
-	}
-	row := append(buf[:0], dirtyRow...)
+// appendFused appends to dst the repaired ID row of the tuple fuse just
+// changed: dirtyRow with the winning IDs applied — every one of them a piece
+// value, so already in the dictionary.
+func (f *fuser) appendFused(dst, dirtyRow []uint32) []uint32 {
+	at := len(dst)
+	dst = append(dst, dirtyRow...)
 	for pos, id := range f.best {
 		if id != unsetID {
-			row[pos] = id
+			dst[at+pos] = id
 		}
 	}
-	return row
+	return dst
 }
 
 // run fuses f.versions component by component into f.best and returns the

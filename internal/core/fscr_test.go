@@ -334,7 +334,7 @@ func chainBlocks(n int, conflict bool) (*dataset.Table, []*rules.Rule, []*Fusion
 		rs = append(rs, r)
 		blocks = append(blocks, &FusionBlock{
 			Rule: r, Attrs: r.Attrs(),
-			Versions:   map[int]*index.Piece{0: p},
+			Pieces:     []*index.Piece{p},
 			Candidates: []*index.Piece{p},
 		})
 	}
@@ -740,7 +740,7 @@ func haiFusion(tb testing.TB) (*dataset.Table, *dataset.Encoded, *fusionPlan) {
 		}
 	}
 	enc := ix.Encoded()
-	return inj.Dirty.Clone(), enc, planFusion(ix.Dict(), inj.Dirty.Schema, enc.Rows, FusionBlocksFromIndex(ix), opts)
+	return inj.Dirty.Clone(), enc, planFusion(ix.Dict(), inj.Dirty, enc.Rows, FusionBlocksFromIndex(ix), opts)
 }
 
 // TestFuseTupleAllocFree: a warm fuser fuses the costliest conflicted
@@ -750,7 +750,7 @@ func TestFuseTupleAllocFree(t *testing.T) {
 	f := newFuser(pl)
 	worst, worstStates := -1, 0
 	for i, tu := range dirty.Tuples {
-		res := f.fuse(tu, enc.Rows[i], nil)
+		res := f.fuse(tu, i, enc.Rows[i], nil)
 		if res.conflicted != 0 && len(f.versions) == 7 && f.states > worstStates {
 			worst, worstStates = i, f.states
 		}
@@ -759,7 +759,7 @@ func TestFuseTupleAllocFree(t *testing.T) {
 		t.Fatalf("no expensive conflicted 7-version tuple found (best: %d states)", worstStates)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		f.fuse(dirty.Tuples[worst], enc.Rows[worst], nil)
+		f.fuse(dirty.Tuples[worst], worst, enc.Rows[worst], nil)
 	})
 	if allocs > 0 {
 		t.Errorf("warm fuse of a %d-state tuple allocates %v times, want 0", worstStates, allocs)
@@ -779,7 +779,7 @@ func BenchmarkFSCRFuse(b *testing.B) {
 		for i, tu := range dirty.Tuples {
 			// HAI has one multi-rule component, so a conflicted tuple ran
 			// exactly one search and f.states is the tuple's state count.
-			if res := f.fuse(tu, enc.Rows[i], nil); res.conflicted != 0 {
+			if res := f.fuse(tu, i, enc.Rows[i], nil); res.conflicted != 0 {
 				states += f.states
 				searches++
 			}
@@ -804,4 +804,111 @@ func BenchmarkStageIITail(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.FSCRCellChanges), "cells/op")
 	b.ReportMetric(float64(st.DuplicatesRemoved), "dups/op")
+}
+
+// TestRepairedSharesUnchangedTuples: stage II copies on write. On a traced
+// HAI clean every tuple fusion left alone is the input's own *Tuple, every
+// tuple it changed is a fresh one, and the input is not edited.
+func TestRepairedSharesUnchangedTuples(t *testing.T) {
+	truth, rs, err := datagen.HAI(datagen.HAIConfig{Providers: 300, Measures: 14, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.15, ReplacementRatio: 0.5, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := inj.Dirty
+	snapshot := dirty.Clone()
+	trace := &Trace{}
+	res, err := Clean(dirty, rs, Options{Tau: 10, Trace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := dirty.Diff(snapshot); len(d) != 0 {
+		t.Fatalf("the clean edited %d input cells, first %+v", len(d), d[0])
+	}
+	shared, fresh := 0, 0
+	for i, r := range res.Repaired.Tuples {
+		in := dirty.Tuples[i]
+		switch unchanged := reflect.DeepEqual(r.Values, in.Values); {
+		case unchanged && r != in:
+			t.Fatalf("tuple %d kept its values but is a copy", in.ID)
+		case !unchanged && r == in:
+			t.Fatalf("tuple %d changed but is the input's", in.ID)
+		case unchanged:
+			shared++
+		default:
+			fresh++
+		}
+	}
+	traced := 0
+	for _, o := range trace.FSCR {
+		if len(o.Changed) > 0 {
+			traced++
+		}
+	}
+	t.Logf("%d tuples: %d shared with the input, %d fresh", dirty.Len(), shared, fresh)
+	if shared == 0 || fresh == 0 {
+		t.Fatalf("%d shared, %d fresh: the table does not exercise both paths", shared, fresh)
+	}
+	if traced != fresh {
+		t.Errorf("the trace records %d changed tuples, the repaired table holds %d fresh ones", traced, fresh)
+	}
+}
+
+// TestCleanNonPositionalIDs: tuple IDs are names, not positions. A table
+// whose IDs are sparse, or sparse and permuted, is repaired exactly as the
+// same rows under positional IDs.
+func TestCleanNonPositionalIDs(t *testing.T) {
+	dirty, rs := carDirty(t, 400, 11)
+	want, err := Clean(dirty, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.FSCRCellChanges == 0 || len(want.Duplicates) == 0 {
+		t.Fatalf("%d cells changed, %d duplicate sets: the table does not exercise stage II",
+			want.Stats.FSCRCellChanges, len(want.Duplicates))
+	}
+	perm := rand.New(rand.NewSource(11)).Perm(dirty.Len())
+	for _, tc := range []struct {
+		name string
+		id   func(pos int) int
+	}{
+		{"sparse", func(pos int) int { return 1000 + 7*pos }},
+		{"sparse and permuted", func(pos int) int { return 1000 + 7*perm[pos] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			renamed := dataset.NewTable(dirty.Schema)
+			newID := make(map[int]int, dirty.Len())
+			for i, tu := range dirty.Tuples {
+				newID[tu.ID] = tc.id(i)
+				renamed.Tuples = append(renamed.Tuples, &dataset.Tuple{ID: tc.id(i), Values: tu.Values})
+			}
+			got, err := Clean(renamed, rs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want.Repaired.Tuples {
+				g := got.Repaired.Tuples[i]
+				if g.ID != newID[w.ID] || !reflect.DeepEqual(g.Values, w.Values) {
+					t.Fatalf("row %d: got ID=%d %v, want ID=%d %v", i, g.ID, g.Values, newID[w.ID], w.Values)
+				}
+			}
+			if got.Clean.Len() != want.Clean.Len() || len(got.Duplicates) != len(want.Duplicates) {
+				t.Fatalf("%d clean rows and %d duplicate sets, want %d and %d",
+					got.Clean.Len(), len(got.Duplicates), want.Clean.Len(), len(want.Duplicates))
+			}
+			for si, set := range want.Duplicates {
+				for mi, id := range set {
+					if mi >= len(got.Duplicates[si]) || got.Duplicates[si][mi] != newID[id] {
+						t.Fatalf("duplicate sets: got %v, want %v renamed", got.Duplicates, want.Duplicates)
+					}
+				}
+			}
+			if got.Stats != want.Stats {
+				t.Fatalf("stats: got %+v, want %+v", got.Stats, want.Stats)
+			}
+		})
+	}
 }

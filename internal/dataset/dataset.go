@@ -170,6 +170,39 @@ func (tb *Table) ByID(id int) *Tuple {
 	return nil
 }
 
+// Positions maps a table's tuple IDs to their positions in Tuples.
+type Positions struct {
+	n  int
+	at map[int]int // nil when every tuple's ID is its position
+}
+
+// Positions indexes tb's tuple IDs by position. When every tuple's ID is its
+// position — as Append, the CSV readers and a StreamEncoder assign them —
+// the mapping is the identity and no map is built; otherwise one map is,
+// keeping the last position of a repeated ID.
+func (tb *Table) Positions() Positions {
+	for i, t := range tb.Tuples {
+		if t.ID != i {
+			at := make(map[int]int, len(tb.Tuples))
+			for j, u := range tb.Tuples {
+				at[u.ID] = j
+			}
+			return Positions{n: len(tb.Tuples), at: at}
+		}
+	}
+	return Positions{n: len(tb.Tuples)}
+}
+
+// Of returns the position of the tuple with the given ID; ok is false when
+// the table holds no such tuple.
+func (p Positions) Of(id int) (pos int, ok bool) {
+	if p.at == nil {
+		return id, id >= 0 && id < p.n
+	}
+	pos, ok = p.at[id]
+	return pos, ok
+}
+
 // Clone returns a deep copy of the table sharing the (immutable) schema. The
 // copy's tuples and values are carved from one exactly-sized array each, so
 // a clone costs the same few allocations whatever the row count; appending to

@@ -228,3 +228,30 @@ func TestTupleCloneIndependence(t *testing.T) {
 		t.Error("Tuple.Clone must keep ID")
 	}
 }
+
+// TestPositions: positional IDs map through the identity, any other naming
+// through one map, and an ID the table lacks is reported absent.
+func TestPositions(t *testing.T) {
+	tb := NewTable(MustSchema("A"))
+	for _, v := range []string{"x", "y", "z"} {
+		tb.MustAppend(v)
+	}
+	if p := tb.Positions(); p.at != nil {
+		t.Fatal("positional IDs built a map")
+	}
+	tb.Tuples[0].ID, tb.Tuples[2].ID = 1<<40, 5
+	p := tb.Positions()
+	for _, c := range []struct{ id, pos int }{{1 << 40, 0}, {1, 1}, {5, 2}} {
+		if got, ok := p.Of(c.id); !ok || got != c.pos {
+			t.Errorf("Of(%d) = %d, %v, want %d", c.id, got, ok, c.pos)
+		}
+	}
+	for _, id := range []int{-1, 0, 2, 3} {
+		if _, ok := p.Of(id); ok {
+			t.Errorf("Of(%d) found a tuple the table lacks", id)
+		}
+	}
+	if _, ok := NewTable(MustSchema("A")).Positions().Of(0); ok {
+		t.Error("an empty table holds tuple 0")
+	}
+}

@@ -503,7 +503,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 	// stand-alone cleaner. The run's fusion and duplicate counters come from
 	// this pass.
 	t0 = time.Now()
-	blocks, err := unionWireBlocks(frs, ex.rs, ex.dict)
+	blocks, err := unionWireBlocks(frs, ex.rs, ex.dict, dirty)
 	if err != nil {
 		return nil, ex.fail(err)
 	}
@@ -763,42 +763,47 @@ func reducePieceWeights(perWorker [][]RuleWeights, rs []*rules.Rule, dict *inter
 }
 
 // unionWireBlocks builds global FSCR inputs from every worker's shipped
-// blocks: per rule, the tuple→piece assignments of all workers plus the
-// union of their candidate pieces (deduplicated by identity, keeping the
-// merged weight). Wire pieces name values by dict's IDs, the dictionary the
-// gather FSCR's dirty rows are encoded in, and each becomes a piece as is;
-// the blocks were checked on receipt. Workers are folded in index order so
-// candidate order is deterministic regardless of message arrival order. A
-// tuple lives in one partition and in one piece of each of its worker's
-// blocks, so a tuple ID that two pieces of one block claim — on one worker or
-// across two — is a protocol error.
-func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict) ([]*core.FusionBlock, error) {
+// blocks: per rule, every worker's pieces — each the version of the tuples
+// it names — plus the union of their candidate pieces (deduplicated by
+// identity, keeping the merged weight). Wire pieces name values by dict's
+// IDs, the dictionary the gather FSCR's dirty rows are encoded in, and each
+// becomes a piece as is; the blocks were checked on receipt. Workers are
+// folded in index order so candidate order is deterministic regardless of
+// message arrival order. A piece may only name tuples of dirty, the table
+// the coordinator shipped, and a tuple lives in one partition and in one
+// piece of each of its worker's blocks, so a tuple ID that two pieces of one
+// block claim — on one worker or across two — is a protocol error.
+func unionWireBlocks(frs []FusionResult, rs []*rules.Rule, dict *intern.Dict, dirty *dataset.Table) ([]*core.FusionBlock, error) {
 	blocks := make([]*core.FusionBlock, len(rs))
-	seen := make([]map[uint32]struct{}, len(rs))
-	for ri, r := range rs {
-		blocks[ri] = &core.FusionBlock{Rule: r, Attrs: r.Attrs(), Versions: make(map[int]*index.Piece)}
-		seen[ri] = make(map[uint32]struct{})
-	}
-	for _, fr := range frs {
-		for bi, wb := range fr.Blocks {
-			fb := blocks[bi]
-			for _, wp := range wb.Pieces {
-				p := index.NewPieceIDs(rs[bi], dict, wp.Values, len(rs[bi].Reason))
+	posOf := dirty.Positions().Of
+	claimed := make([]int32, dirty.Len()) // 1 + the last block that claimed each position
+	seen := make(map[uint32]struct{})
+	for bi, r := range rs {
+		fb := &core.FusionBlock{Rule: r, Attrs: r.Attrs()}
+		clear(seen)
+		for _, fr := range frs {
+			for _, wp := range fr.Blocks[bi].Pieces {
+				p := index.NewPieceIDs(r, dict, wp.Values, len(r.Reason))
 				p.TupleIDs = wp.TupleIDs
 				p.Weight = wp.Weight
-				if _, dup := seen[bi][p.KeyID()]; !dup {
-					seen[bi][p.KeyID()] = struct{}{}
+				fb.Pieces = append(fb.Pieces, p)
+				if _, dup := seen[p.KeyID()]; !dup {
+					seen[p.KeyID()] = struct{}{}
 					fb.Candidates = append(fb.Candidates, p)
 				}
 				for _, id := range wp.TupleIDs {
-					// A repeated ID leaves the map's size unchanged.
-					n := len(fb.Versions)
-					if fb.Versions[id] = p; len(fb.Versions) == n {
+					at, ok := posOf(id)
+					if !ok {
+						return nil, fmt.Errorf("distributed: protocol: block %d: tuple %d was never shipped", bi, id)
+					}
+					if claimed[at] == int32(bi)+1 {
 						return nil, fmt.Errorf("distributed: protocol: block %d: tuple %d claimed by two pieces", bi, id)
 					}
+					claimed[at] = int32(bi) + 1
 				}
 			}
 		}
+		blocks[bi] = fb
 	}
 	return blocks, nil
 }

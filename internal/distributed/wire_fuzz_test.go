@@ -235,6 +235,12 @@ func TestCoordinatorRejectsMalformedReplies(t *testing.T) {
 				return bs
 			}),
 			"claimed by two pieces"},
+		{"a piece naming a tuple never shipped",
+			firstPiece(func(p WirePiece) WirePiece {
+				p.TupleIDs = append(append([]int(nil), p.TupleIDs...), dirty.Len())
+				return p
+			}),
+			"block 0: tuple 40 was never shipped"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,10 +265,11 @@ func TestUnionRejectsTupleClaimedAcrossWorkers(t *testing.T) {
 	reply := func(w int, values ...uint32) FusionResult {
 		return FusionResult{Worker: w, Blocks: []WireFusionBlock{{Pieces: []WirePiece{{Values: values, TupleIDs: []int{7}, Weight: 1}}}}}
 	}
-	if _, err := unionWireBlocks([]FusionResult{reply(0, a, b)}, rs, dict); err != nil {
+	dirty := randomTable(8, 40)
+	if _, err := unionWireBlocks([]FusionResult{reply(0, a, b)}, rs, dict, dirty); err != nil {
 		t.Fatalf("one claim: %v", err)
 	}
-	_, err := unionWireBlocks([]FusionResult{reply(0, a, b), reply(1, a, c)}, rs, dict)
+	_, err := unionWireBlocks([]FusionResult{reply(0, a, b), reply(1, a, c)}, rs, dict, dirty)
 	if err == nil || !strings.Contains(err.Error(), "distributed: protocol: block 0: tuple 7 claimed by two pieces") {
 		t.Fatalf("unionWireBlocks = %v, want a protocol error for tuple 7", err)
 	}
