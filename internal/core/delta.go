@@ -176,7 +176,6 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		opts:   opts,
 		dict:   dict,
 		evs:    newEvaluators(opts.Metric, dict, opts.workers()),
-		rowPos: make(map[int]int),
 		fused:  make(map[int]tupleState),
 	}
 	posPerBlock := make([][]int, len(rs))
@@ -220,7 +219,8 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 		}
 		d.encRows = append(d.encRows, d.encode(t.Values))
 	}
-	d.reindex()
+	d.rowPos = make(map[int]int, len(d.tuples))
+	d.reposition(0)
 
 	d.blocks = make([]*deltaBlock, len(d.rs))
 	all := make([]int, len(d.rs))
@@ -297,7 +297,8 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 			}
 			d.tuples = append(d.tuples[:pos], d.tuples[pos+1:]...)
 			d.encRows = append(d.encRows[:pos], d.encRows[pos+1:]...)
-			d.reindex()
+			delete(d.rowPos, m.Row)
+			d.reposition(pos)
 			delete(d.fused, m.Row)
 			shifted = true
 		}
@@ -456,11 +457,11 @@ func (d *DeltaCleaner) encode(vals []string) []uint32 {
 	return row
 }
 
-// reindex rebuilds the ID → position map after structural changes.
-func (d *DeltaCleaner) reindex() {
-	d.rowPos = make(map[int]int, len(d.tuples))
-	for i, t := range d.tuples {
-		d.rowPos[t.ID] = i
+// reposition records the positions of the tuples from position from on,
+// the ones an insert or delete at from has shifted.
+func (d *DeltaCleaner) reposition(from int) {
+	for i, t := range d.tuples[from:] {
+		d.rowPos[t.ID] = from + i
 	}
 }
 
@@ -474,7 +475,7 @@ func (d *DeltaCleaner) insertAt(row int, vals []string) {
 	d.encRows = append(d.encRows, nil)
 	copy(d.encRows[at+1:], d.encRows[at:])
 	d.encRows[at] = d.encode(vals)
-	d.reindex()
+	d.reposition(at)
 }
 
 // view is the engine table as a dataset.Table header (shared tuples, no copy).

@@ -99,7 +99,6 @@ type candEntry struct {
 	ids    []uint32
 	weight float64
 	kid    uint32
-	key    string // display key; orders equal-weight candidates
 }
 
 // blockCands pre-indexes a block's candidates for the replacement search:
@@ -118,13 +117,14 @@ func buildBlockCands(fb *FusionBlock, pos []int) *blockCands {
 	bc := &blockCands{pos: pos}
 	bc.all = make([]candEntry, 0, len(fb.Candidates))
 	for _, p := range fb.Candidates {
-		bc.all = append(bc.all, candEntry{ids: p.ValueIDs(), weight: p.Weight, kid: p.KeyID(), key: p.Key()})
+		bc.all = append(bc.all, candEntry{ids: p.ValueIDs(), weight: p.Weight, kid: p.KeyID()})
 	}
 	sort.Slice(bc.all, func(i, j int) bool {
 		if bc.all[i].weight != bc.all[j].weight {
 			return bc.all[i].weight > bc.all[j].weight
 		}
-		return bc.all[i].key < bc.all[j].key
+		// Equal weights order by display key, compared without decoding.
+		return index.CompareKeys(fb.Candidates[0].Dict(), bc.all[i].ids, bc.all[j].ids) < 0
 	})
 	bc.byVal = make([]map[uint32][]int32, len(bc.pos))
 	for i := range bc.pos {

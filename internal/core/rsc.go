@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
@@ -47,7 +46,8 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 	repairs := 0
 	for i, g := range contested {
 		winner := winners[i]
-		// Rewrite all losing pieces to the winner.
+		// Rewrite all losing pieces to the winner, recording each before the
+		// collapse hands its tuples over.
 		for _, p := range g.Pieces {
 			if p == winner {
 				continue
@@ -64,10 +64,8 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 					Tuples:     append([]int{}, p.TupleIDs...),
 				})
 			}
-			winner.TupleIDs = append(winner.TupleIDs, p.TupleIDs...)
 		}
-		sort.Ints(winner.TupleIDs)
-		g.Pieces = []*index.Piece{winner}
+		b.CollapseGroup(g, winner)
 	}
 	return repairs
 }
@@ -110,5 +108,5 @@ func betterTie(p, cur *index.Piece) bool {
 	if p.Count() != cur.Count() {
 		return p.Count() > cur.Count()
 	}
-	return p.Key() < cur.Key()
+	return index.CompareKeys(p.Dict(), p.ValueIDs(), cur.ValueIDs()) < 0
 }

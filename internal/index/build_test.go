@@ -1,0 +1,468 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"mlnclean/internal/datagen"
+	"mlnclean/internal/dataset"
+	"mlnclean/internal/errgen"
+	"mlnclean/internal/intern"
+	"mlnclean/internal/rules"
+)
+
+// refBuildBlockFor is the one-pass builder BuildBlockFor replaced, kept as
+// its oracle: every group, piece and tuple list grown by append, in row
+// order, with the same dictionary calls in the same order.
+func refBuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Block {
+	b := &Block{Rule: r}
+	d := enc.Dict
+	pl := planRule(r, tb.Schema, d)
+	gMap := make(map[uint32]*Group)
+	pMap := make(map[[2]uint32]*Piece)
+	for ti, t := range tb.Tuples {
+		row := enc.Rows[ti]
+		if !pl.appliesTo(row) {
+			continue
+		}
+		gk := row[pl.reasonPos[0]]
+		for _, pos := range pl.reasonPos[1:] {
+			gk = d.Fold(gk, row[pos])
+		}
+		rk := row[pl.resultPos[0]]
+		for _, pos := range pl.resultPos[1:] {
+			rk = d.Fold(rk, row[pos])
+		}
+		p, ok := pMap[[2]uint32{gk, rk}]
+		if !ok {
+			nReason := len(pl.reasonPos)
+			var ids []uint32
+			for _, pos := range pl.reasonPos {
+				ids = append(ids, row[pos])
+			}
+			for _, pos := range pl.resultPos {
+				ids = append(ids, row[pos])
+			}
+			p = &Piece{Rule: r, dict: d, ids: ids, nReason: nReason, kid: d.Extend(gk, ids[nReason:])}
+			pMap[[2]uint32{gk, rk}] = p
+			g, ok := gMap[gk]
+			if !ok {
+				g = &Group{Key: dataset.JoinKey(p.Reason()), id: gk}
+				gMap[gk] = g
+				b.Groups = append(b.Groups, g)
+			}
+			g.Pieces = append(g.Pieces, p)
+		}
+		p.TupleIDs = append(p.TupleIDs, t.ID)
+	}
+	return b
+}
+
+// dirtyTable generates one of the benchmark's datasets, about rows long,
+// with 10 % errors.
+func dirtyTable(t testing.TB, name string, rows int) (*dataset.Table, []*rules.Rule) {
+	t.Helper()
+	var (
+		truth *dataset.Table
+		rs    []*rules.Rule
+		err   error
+	)
+	switch name {
+	case "HAI":
+		truth, rs, err = datagen.HAI(datagen.HAIConfig{Providers: rows / 14, Measures: 14, Seed: 7})
+	case "CAR":
+		truth, rs, err = datagen.CAR(datagen.CARConfig{Rows: rows, Seed: 7})
+	case "TPCH":
+		truth, rs, err = datagen.TPCH(datagen.TPCHConfig{Rows: rows, Seed: 7})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.1, ReplacementRatio: 0.5, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj.Dirty, rs
+}
+
+// nextNode is the ID the dictionary gives its next sequence node: two
+// dictionaries that interned the same values agree on it iff they hold the
+// same number of nodes.
+func nextNode(d *intern.Dict) uint32 {
+	probe := d.Intern("\x00next-node-probe")
+	return d.Seq([]uint32{probe, probe, probe})
+}
+
+// blockDiff compares a block with the oracle's, field by field.
+func blockDiff(got, want *Block) error {
+	if len(got.Groups) != len(want.Groups) {
+		return fmt.Errorf("rule %s: %d groups, oracle %d", got.Rule.ID, len(got.Groups), len(want.Groups))
+	}
+	for gi, g := range got.Groups {
+		w := want.Groups[gi]
+		if g.Key != w.Key || g.KeyID() != w.KeyID() || len(g.Pieces) != len(w.Pieces) {
+			return fmt.Errorf("rule %s group %d: key %q/%d with %d pieces, oracle %q/%d with %d",
+				got.Rule.ID, gi, g.Key, g.KeyID(), len(g.Pieces), w.Key, w.KeyID(), len(w.Pieces))
+		}
+		for pi, p := range g.Pieces {
+			q := w.Pieces[pi]
+			if p.Key() != q.Key() || p.KeyID() != q.KeyID() || p.nReason != q.nReason ||
+				!slices.Equal(p.ValueIDs(), q.ValueIDs()) || !slices.Equal(p.TupleIDs, q.TupleIDs) {
+				return fmt.Errorf("rule %s group %d piece %d: %q/%d ids %v tuples %v, oracle %q/%d ids %v tuples %v",
+					got.Rule.ID, gi, pi, p.Key(), p.KeyID(), p.ValueIDs(), p.TupleIDs,
+					q.Key(), q.KeyID(), q.ValueIDs(), q.TupleIDs)
+			}
+		}
+	}
+	return nil
+}
+
+// TestBuildBlockMatchesOracle: the two-pass build yields the one-pass
+// builder's block exactly — group and piece order, display and sequence
+// keys, value IDs, tuple lists — and leaves the dictionary with the same
+// nodes, on every benchmark dataset and on CFD-constant, multi-attribute,
+// separator-swallowing and never-matching rules.
+func TestBuildBlockMatchesOracle(t *testing.T) {
+	type fixture struct {
+		tb *dataset.Table
+		rs []*rules.Rule
+	}
+	fixtures := map[string]fixture{}
+	for _, name := range []string{"HAI", "CAR", "TPCH"} {
+		tb, rs := dirtyTable(t, name, 4200)
+		fixtures[name] = fixture{tb, rs}
+	}
+	fixtures["planned"] = fixture{plannedTable(t), append(plannedRules(t), rules.MustParseStrings(
+		"CFD: HN=NOBODY, CT -> PN", // a constant no row carries
+		"CFD: HN=ELIZA, CT=BOAZ -> PN=2567688400",
+		"FD: HN, CT -> ST, PN",
+	)...)}
+	collide := dataset.NewTable(dataset.MustSchema("A", "B", "C"))
+	for _, row := range [][]string{
+		{"x" + sep + "y", "z", "c1"}, {"x", "y" + sep + "z", "c2"}, {"", "", ""},
+		{"x", "y" + sep + "z", "c1"}, {"", sep, "c"}, {"x" + sep + "y", "z", "c1"},
+	} {
+		collide.MustAppend(row...)
+	}
+	fixtures["collide"] = fixture{collide, rules.MustParseStrings("FD: A, B -> C", "FD: C -> A, B")}
+
+	for name, f := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			got, want := dataset.Encode(f.tb, nil), dataset.Encode(f.tb, nil)
+			for _, r := range f.rs {
+				if err := r.Validate(f.tb.Schema); err != nil {
+					t.Fatal(err)
+				}
+				b := BuildBlockFor(f.tb, got, r)
+				if err := blockDiff(b, refBuildBlockFor(f.tb, want, r)); err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range b.Groups {
+					if cap(g.Pieces) != len(g.Pieces) || cap(g.span) != len(g.span) || len(g.span) != g.TupleCount() {
+						t.Fatalf("rule %s group %q: pieces %d/%d, span %d/%d for %d tuples",
+							r.ID, g.Key, len(g.Pieces), cap(g.Pieces), len(g.span), cap(g.span), g.TupleCount())
+					}
+					for _, p := range g.Pieces {
+						if cap(p.TupleIDs) != len(p.TupleIDs) || cap(p.ids) != len(p.ids) {
+							t.Fatalf("rule %s piece %q: a carved slice has spare capacity", r.ID, p.Key())
+						}
+					}
+				}
+			}
+			if g, w := nextNode(got.Dict), nextNode(want.Dict); g != w {
+				t.Errorf("dictionary's next node %d, oracle's %d", g, w)
+			}
+		})
+	}
+}
+
+// TestConcurrentBuilds: builders on separate dictionaries share the scratch
+// pool, as executor workers do, and each still builds the oracle's blocks,
+// whatever size of table the pooled scratch last served.
+func TestConcurrentBuilds(t *testing.T) {
+	type fixture struct {
+		tb  *dataset.Table
+		rs  []*rules.Rule
+		ref []*Block
+	}
+	var fixtures []fixture
+	for _, name := range []string{"HAI", "CAR"} {
+		tb, rs := dirtyTable(t, name, 2000)
+		enc := dataset.Encode(tb, nil)
+		f := fixture{tb: tb, rs: rs}
+		for _, r := range rs {
+			f.ref = append(f.ref, refBuildBlockFor(tb, enc, r))
+		}
+		fixtures = append(fixtures, f)
+	}
+	const workers = 4
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				f := fixtures[(w+round)%len(fixtures)]
+				enc := dataset.Encode(f.tb, nil)
+				for i, r := range f.rs {
+					if err := blockDiff(BuildBlockFor(f.tb, enc, r), f.ref[i]); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("builder %d: %v", w, err)
+		}
+	}
+}
+
+// TestBuildBlockAllocs: on a warm dictionary and scratch pool, building a
+// block allocates each piece once and a constant number of slabs besides.
+// Collapsing its contested groups in their build spans allocates nothing,
+// and after merges a block's collapses allocate its two new slabs at most.
+func TestBuildBlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	tb, rs := dirtyTable(t, "HAI", 4200)
+	enc := dataset.Encode(tb, nil)
+	pieces := 0
+	for _, r := range rs {
+		for _, g := range BuildBlockFor(tb, enc, r).Groups {
+			pieces += len(g.Pieces)
+		}
+	}
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, r := range rs {
+			BuildBlockFor(tb, enc, r)
+		}
+	})
+	const perBlock = 12
+	t.Logf("%d blocks, %d pieces: %.0f allocations", len(rs), pieces, allocs)
+	if limit := float64(pieces + perBlock*len(rs)); allocs > limit {
+		t.Errorf("building %d blocks of %d pieces allocates %.0f times, want at most %.0f",
+			len(rs), pieces, allocs, limit)
+	}
+
+	for _, merge := range []bool{false, true} {
+		var copies [runs + 1][]*Block
+		for k := range copies {
+			for _, r := range rs {
+				b := BuildBlockFor(tb, enc, r)
+				if merge && len(b.Groups) > 2 {
+					b.MergeGroups(b.Groups[2], b.Groups[0])
+				}
+				copies[k] = append(copies[k], b)
+			}
+		}
+		k, collapsed := 0, 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			collapsed = 0
+			for _, b := range copies[k] {
+				for _, g := range b.Groups {
+					if len(g.Pieces) > 1 {
+						b.CollapseGroup(g, g.Pieces[len(g.Pieces)-1])
+						collapsed++
+					}
+				}
+			}
+			k++
+		})
+		limit := 0
+		if merge {
+			limit = 2 * len(rs)
+		}
+		if collapsed == 0 || allocs > float64(limit) {
+			t.Errorf("merged %v: collapsing %d groups allocates %.0f times, want at most %d", merge, collapsed, allocs, limit)
+		}
+	}
+}
+
+// groupSnapshot is a deep copy of what a group shows: its key, and each
+// piece's identity and tuple list.
+func groupSnapshot(g *Group) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%q:", g.Key)
+	for _, p := range g.Pieces {
+		fmt.Fprintf(&sb, " %d%v", p.KeyID(), p.TupleIDs)
+	}
+	return sb.String()
+}
+
+// TestBlockEditsDoNotAlias: groups share their block's slabs, so every edit
+// of one group — a merge, a collapse in or out of its build span, an append
+// to a list — must leave every other group as it was.
+func TestBlockEditsDoNotAlias(t *testing.T) {
+	tb, rs := dirtyTable(t, "HAI", 4200)
+	enc := dataset.Encode(tb, nil)
+	var b *Block
+	for _, r := range rs {
+		if c := BuildBlockFor(tb, enc, r); b == nil || len(c.Groups) > len(b.Groups) {
+			b = c
+		}
+	}
+	var contested []*Group
+	for _, g := range b.Groups {
+		if len(g.Pieces) > 1 {
+			contested = append(contested, g)
+		}
+	}
+	if len(contested) < 4 {
+		t.Fatalf("fixture has %d contested groups, want 4", len(contested))
+	}
+	var before map[*Group]string
+	snap := func() {
+		before = map[*Group]string{}
+		for _, g := range b.Groups {
+			before[g] = groupSnapshot(g)
+		}
+	}
+	check := func(step string, edited ...*Group) {
+		t.Helper()
+		for _, g := range b.Groups {
+			if slices.Contains(edited, g) {
+				continue
+			}
+			if got := groupSnapshot(g); got != before[g] {
+				t.Fatalf("%s changed group %q: %s, was %s", step, g.Key, got, before[g])
+			}
+		}
+	}
+	// Appending to a carved list copies it.
+	h := contested[3]
+	snap()
+	h.Pieces[0].TupleIDs = append(h.Pieces[0].TupleIDs, -1)
+	h.Pieces = append(h.Pieces, &Piece{TupleIDs: []int{-2}})
+	check("append", h)
+
+	snap()
+	src, dst := contested[0], contested[1]
+	want := append(slices.Clone(dst.Pieces), src.Pieces...)
+	b.MergeGroups(src, dst)
+	if !slices.Equal(dst.Pieces, want) || src.Pieces != nil || slices.Contains(b.Groups, src) {
+		t.Fatalf("merge: dst holds %d pieces, want %d; src keeps %d", len(dst.Pieces), len(want), len(src.Pieces))
+	}
+	check("MergeGroups", dst)
+
+	// dst lost its span: the collapse re-lays the block's lists first.
+	snap()
+	tuples := collapsed(dst)
+	winner := dst.Pieces[len(dst.Pieces)-1]
+	b.CollapseGroup(dst, winner)
+	if len(dst.Pieces) != 1 || dst.Pieces[0] != winner || !slices.Equal(winner.TupleIDs, tuples) {
+		t.Fatalf("collapse after merge: %d pieces, winner tuples %v, want %v", len(dst.Pieces), winner.TupleIDs, tuples)
+	}
+	check("CollapseGroup after a merge", dst)
+
+	// Every group has its span again: sorted in place.
+	g := contested[2]
+	snap()
+	tuples = collapsed(g)
+	winner = g.Pieces[1]
+	losers := slices.DeleteFunc(slices.Clone(g.Pieces), func(p *Piece) bool { return p == winner })
+	span := g.span
+	b.CollapseGroup(g, winner)
+	if len(g.Pieces) != 1 || g.Pieces[0] != winner || !slices.Equal(winner.TupleIDs, tuples) ||
+		&winner.TupleIDs[0] != &span[0] {
+		t.Fatalf("collapse in span: %d pieces, winner tuples %v, want %v in the span", len(g.Pieces), winner.TupleIDs, tuples)
+	}
+	for _, p := range losers {
+		if p.TupleIDs != nil {
+			t.Errorf("loser %q keeps tuples %v", p.Key(), p.TupleIDs)
+		}
+	}
+	check("CollapseGroup in span", g)
+
+}
+
+// collapsed is the tuple list a collapse of g must leave its winner.
+func collapsed(g *Group) []int {
+	var out []int
+	for _, p := range g.Pieces {
+		out = append(out, p.TupleIDs...)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestCompareKeysMatchesJoinKey: CompareKeys orders value sequences exactly
+// as strings.Compare orders their joins, separator bytes inside values,
+// empty values, empty sequences and prefixes included.
+func TestCompareKeysMatchesJoinKey(t *testing.T) {
+	d := intern.NewDict()
+	alphabet := []string{"", "a", "b", "ab", "a" + sep, sep + "b", "a" + sep + "b", sep, sep + sep, "\x1e", " ", "é", "aé"}
+	seq := func(vals ...string) []uint32 {
+		ids := make([]uint32, len(vals))
+		for i, v := range vals {
+			ids[i] = d.Intern(v)
+		}
+		return ids
+	}
+	check := func(a, b []string) {
+		t.Helper()
+		want := strings.Compare(dataset.JoinKey(a), dataset.JoinKey(b))
+		if got := CompareKeys(d, seq(a...), seq(b...)); got != want {
+			t.Fatalf("CompareKeys(%q, %q) = %d, want %d", a, b, got, want)
+		}
+	}
+	check(nil, nil)
+	check([]string{""}, nil)
+	check([]string{"a"}, []string{"a", ""})
+	check([]string{"a" + sep + "b"}, []string{"a", "b"})
+	check([]string{"", ""}, []string{sep})
+	check([]string{"a", "b"}, []string{"a", "bc"})
+	check([]string{"a", "b"}, []string{"a" + sep + "c"})
+	rng := rand.New(rand.NewSource(1))
+	draw := func() []string {
+		out := make([]string, rng.Intn(5))
+		for i := range out {
+			out[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return out
+	}
+	for range 20000 {
+		a, b := draw(), draw()
+		check(a, b)
+		check(a, a)
+	}
+}
+
+// BenchmarkBuildBlock builds every block of a dirty table (10 % errors) per
+// op: HAI at 300×14 and CAR at the benchmark's 30k rows.
+func BenchmarkBuildBlock(b *testing.B) {
+	for _, name := range []string{"HAI", "CAR"} {
+		b.Run(name, func(b *testing.B) {
+			rows := 4200
+			if name == "CAR" {
+				rows = 30000
+			}
+			tb, rs := dirtyTable(b, name, rows)
+			enc := dataset.Encode(tb, nil)
+			pieces := 0
+			for _, r := range rs {
+				for _, g := range BuildBlockFor(tb, enc, r).Groups {
+					pieces += len(g.Pieces)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				for _, r := range rs {
+					BuildBlockFor(tb, enc, r)
+				}
+			}
+			b.ReportMetric(float64(pieces), "pieces/op")
+		})
+	}
+}

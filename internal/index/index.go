@@ -13,7 +13,10 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/intern"
@@ -105,8 +108,56 @@ func (p *Piece) Count() int { return len(p.TupleIDs) }
 func (p *Piece) KeyID() uint32 { return p.kid }
 
 // Key renders the piece's identity as a joined display string (traces, wire
-// summaries, tie-breaking). Not collision-free — see dataset.JoinKey.
+// summaries). Not collision-free — see dataset.JoinKey. Tie-breaks order
+// pieces with CompareKeys, which decodes nothing.
 func (p *Piece) Key() string { return dataset.JoinKey(p.Values()) }
+
+// keySep is dataset.JoinKey's separator.
+var keySep = dataset.JoinKey([]string{"", ""})
+
+// CompareKeys orders two value-ID sequences of d by their joined display
+// keys: it returns exactly strings.Compare(dataset.JoinKey(decoded a),
+// dataset.JoinKey(decoded b)), walking both joins segment by segment through
+// the dictionary without building either. Candidate and γ⋆ tie-breaks use
+// it, so ties order as they always have, separator bytes inside values
+// included.
+func CompareKeys(d *intern.Dict, a, b []uint32) int {
+	ca, cb := keyCursor{d: d, ids: a}, keyCursor{d: d, ids: b}
+	for {
+		ca.fill()
+		cb.fill()
+		if len(ca.seg) == 0 || len(cb.seg) == 0 {
+			return min(len(ca.seg), 1) - min(len(cb.seg), 1)
+		}
+		n := min(len(ca.seg), len(cb.seg))
+		if c := strings.Compare(ca.seg[:n], cb.seg[:n]); c != 0 {
+			return c
+		}
+		ca.seg, cb.seg = ca.seg[n:], cb.seg[n:]
+	}
+}
+
+// keyCursor reads the join of ids as its segments: value 0, separator,
+// value 1, …, value n−1. seg is what is left of the current segment.
+type keyCursor struct {
+	d    *intern.Dict
+	ids  []uint32
+	next int // segments taken so far
+	seg  string
+}
+
+// fill moves on to the next non-empty segment once seg is spent; seg stays
+// empty only when the join is exhausted.
+func (c *keyCursor) fill() {
+	for len(c.seg) == 0 && c.next < 2*len(c.ids)-1 {
+		if c.next%2 == 0 {
+			c.seg = c.d.Value(c.ids[c.next/2])
+		} else {
+			c.seg = keySep
+		}
+		c.next++
+	}
+}
 
 // GroupKey renders the native group key as a display string.
 func (p *Piece) GroupKey() string { return dataset.JoinKey(p.Reason()) }
@@ -134,6 +185,10 @@ type Group struct {
 	Pieces []*Piece
 
 	id uint32
+	// span is the group's stretch of its block's tuple slab: every piece's
+	// list, back to back. An operation that moves tuples between groups or
+	// lists drops it (nil).
+	span []int
 }
 
 // KeyID is the group's fixed-width reason-sequence identity.
@@ -154,7 +209,7 @@ func (g *Group) Star() *Piece {
 	var best *Piece
 	for _, p := range g.Pieces {
 		if best == nil || p.Count() > best.Count() ||
-			(p.Count() == best.Count() && p.Key() < best.Key()) {
+			(p.Count() == best.Count() && CompareKeys(p.dict, p.ids, best.ids) < 0) {
 			best = p
 		}
 	}
@@ -199,8 +254,13 @@ func (b *Block) removeGroup(g *Group) {
 
 // MergeGroups folds group src into group dst, concatenating piece lists
 // (piece identities are compared by their fixed-width keys) and removing
-// src from the block.
+// src from the block. A built block's lists are carved from shared slabs
+// with no spare capacity, so an append copies rather than overwrite a
+// neighbour. The slots a merge vacates — src's list, and dst's old list
+// when an append moves it — are cleared, so the slabs keep alive no piece
+// the block dropped.
 func (b *Block) MergeGroups(src, dst *Group) {
+	src.span, dst.span = nil, nil
 	for _, p := range src.Pieces {
 		merged := false
 		for _, q := range dst.Pieces {
@@ -211,11 +271,68 @@ func (b *Block) MergeGroups(src, dst *Group) {
 				break
 			}
 		}
-		if !merged {
-			dst.Pieces = append(dst.Pieces, p)
+		if merged {
+			continue
+		}
+		grown := append(dst.Pieces, p)
+		if len(dst.Pieces) == cap(dst.Pieces) {
+			clear(dst.Pieces)
+		}
+		dst.Pieces = grown
+	}
+	clear(src.Pieces)
+	src.Pieces = nil
+	b.removeGroup(src)
+}
+
+// CollapseGroup is RSC's rewrite (§5.1.2): every piece of g, a group of b,
+// is rewritten to winner, which takes the group's tuples in ascending order
+// and becomes its only piece. The group's span holds exactly its tuples: it
+// is sorted in place and becomes winner's list. The losers give up their
+// lists and their slots are cleared. A group AGP merged into has no span;
+// the first such collapse re-lays the whole block first (relay), so a block
+// allocates for its collapses at most once.
+func (b *Block) CollapseGroup(g *Group, winner *Piece) {
+	if g.span == nil || len(g.span) != g.TupleCount() {
+		b.relay()
+	}
+	sort.Ints(g.span)
+	winner.TupleIDs = g.span
+	for _, p := range g.Pieces {
+		if p != winner {
+			p.TupleIDs = nil
 		}
 	}
-	b.removeGroup(src)
+	clear(g.Pieces)
+	g.Pieces[0] = winner
+	g.Pieces = g.Pieces[:1:1]
+}
+
+// relay copies every group's piece list and tuple lists, back to back in
+// group and piece order, into two new slabs, and gives every group its span
+// again. Merges scatter a group's lists over the old slabs and grow piece
+// lists past them; all of that is garbage once every list has moved.
+func (b *Block) relay() {
+	nTuples, nPieces := 0, 0
+	for _, g := range b.Groups {
+		nTuples += g.TupleCount()
+		nPieces += len(g.Pieces)
+	}
+	tuples := make([]int, nTuples)
+	slots := make([]*Piece, nPieces)
+	at, pieceAt := 0, 0
+	for _, g := range b.Groups {
+		start := at
+		for _, p := range g.Pieces {
+			end := at + copy(tuples[at:], p.TupleIDs)
+			p.TupleIDs = tuples[at:end:end]
+			at = end
+		}
+		g.span = tuples[start:at:at]
+		n := copy(slots[pieceAt:], g.Pieces)
+		g.Pieces = slots[pieceAt : pieceAt+n : pieceAt+n]
+		pieceAt += n
+	}
 }
 
 // Pieces returns all pieces of the block in deterministic order (group
@@ -251,7 +368,7 @@ type Index struct {
 }
 
 // ScanChoice reports how one block was built. Scan is always "full-scan":
-// every block is one pass over all rows.
+// every block is built by scanning all rows.
 type ScanChoice struct {
 	RuleID string
 	Scan   string
@@ -340,7 +457,8 @@ type BuildConfig struct {
 // Build constructs the MLN index over the table for the rule set: one block
 // per rule (O(|B|·|T|), §4), one group per distinct reason key, one piece
 // per distinct reason+result combination. The table is dictionary-encoded
-// into a fresh dictionary first, and each block is one pass over all rows.
+// into a fresh dictionary first, and each block is built by BuildBlockFor
+// from a scan of all rows.
 func Build(tb *dataset.Table, rs []*rules.Rule) (*Index, error) {
 	return BuildConfigured(tb, rs, BuildConfig{})
 }
@@ -360,25 +478,87 @@ func BuildConfigured(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Ind
 	}
 }
 
-// BuildBlockFor builds one rule's block over the table in one pass over the
-// rows: groups in first-sight order, pieces in first-sight order within their
-// group, tuple lists in row order. enc must be row-aligned with tb and the
-// block is encoded into enc's dictionary. A BlockIterator builds every block
-// this way; the incremental delta engine calls it directly to re-derive only
-// the blocks a mutation dirtied.
+// BuildBlockFor builds one rule's block over the table: groups in
+// first-sight order, pieces in first-sight order within their group, tuple
+// lists in row order. enc must be row-aligned with tb and the block is
+// encoded into enc's dictionary. A BlockIterator builds every block this
+// way; the incremental delta engine calls it directly to re-derive only the
+// blocks a mutation dirtied.
+//
+// The build makes two passes over the rows. The first finds every group and
+// piece and mints their sequence keys, in row order, and counts each one's
+// support. The second carves the block from one allocation per kind: value
+// IDs, tuple lists, groups, piece lists, and the display keys of
+// multi-attribute reasons (a one-attribute key is the dictionary's own
+// string). Only the pieces are allocated one by one, so that a piece RSC
+// discards is freed. Tuple lists are laid out group by group, so a group's
+// lists are one contiguous span of the slab, which CollapseGroup sorts in
+// place. Every carved slice has cap == len: an append copies instead of
+// overwriting a neighbour. The passes' working set is pooled.
 func BuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Block {
-	b := &Block{Rule: r}
-	d := enc.Dict
-	pl := planRule(r, tb.Schema, d)
-	gMap := make(map[uint32]*Group)
+	pl := planRule(r, tb.Schema, enc.Dict)
+	s := scratchPool.Get().(*buildScratch)
+	defer s.release()
+	s.scan(enc, &pl)
+	return s.carve(tb, enc, r, &pl)
+}
+
+// buildScratch is BuildBlockFor's working set. It holds key IDs, ordinals
+// and counts only, so the pool retains nothing of a block.
+type buildScratch struct {
 	// Pieces are probed on (reason fold, result fold): for the common
-	// single-reason/single-result rule shape that is one map access per
-	// tuple with zero sequence-node minting; the dictionary-global sequence
-	// keys are minted only when a piece is first seen.
-	pMap := make(map[[2]uint32]*Piece, len(tb.Tuples)/4+8)
-	for ti, t := range tb.Tuples {
-		row := enc.Rows[ti]
+	// single-reason/single-result rule shape that is one map access per row
+	// with zero sequence-node minting; the dictionary-global sequence keys
+	// are minted only when a piece is first seen.
+	pMap     map[[2]uint32]int32
+	gMap     map[uint32]int32
+	rowPiece []int32 // per row: its piece's ordinal, or -1 where the rule does not apply
+	pieces   []pieceScan
+	groups   []groupScan
+	res      []uint32 // result IDs of the piece being minted
+}
+
+// pieceScan is one piece as the first pass finds it. Counts and offsets
+// are int32 like the row ordinals: the pool keeps the largest block's
+// scratch alive between builds.
+type pieceScan struct {
+	kid   uint32
+	group int32
+	row   int32 // first supporting row
+	n     int32 // support
+	at    int32 // the second pass's write cursor into the tuple slab
+}
+
+// groupScan is one group as the first pass finds it; the second pass keeps
+// its slab cursors here.
+type groupScan struct {
+	kid              uint32
+	row              int32 // first row
+	pieces, tuples   int32
+	keyLen           int32
+	pieceAt, tupleAt int32
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &buildScratch{pMap: make(map[[2]uint32]int32), gMap: make(map[uint32]int32)}
+}}
+
+func (s *buildScratch) release() {
+	clear(s.pMap)
+	clear(s.gMap)
+	s.pieces, s.groups = s.pieces[:0], s.groups[:0]
+	scratchPool.Put(s)
+}
+
+// scan is the first pass. It mints sequence keys in row order — Fold on
+// every row, Extend when a piece is first seen — so key IDs do not depend
+// on how the second pass lays the block out.
+func (s *buildScratch) scan(enc *dataset.Encoded, pl *rulePlan) {
+	d := enc.Dict
+	s.rowPiece = slices.Grow(s.rowPiece[:0], len(enc.Rows))[:len(enc.Rows)]
+	for ti, row := range enc.Rows {
 		if !pl.appliesTo(row) {
+			s.rowPiece[ti] = -1
 			continue
 		}
 		gk := row[pl.reasonPos[0]]
@@ -389,34 +569,133 @@ func BuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Bloc
 		for _, pos := range pl.resultPos[1:] {
 			rk = d.Fold(rk, row[pos])
 		}
-		p, ok := pMap[[2]uint32{gk, rk}]
+		o, ok := s.pMap[[2]uint32{gk, rk}]
 		if !ok {
-			p = pl.newPiece(r, d, row, gk)
-			pMap[[2]uint32{gk, rk}] = p
-			g, ok := gMap[gk]
+			o = int32(len(s.pieces))
+			s.pMap[[2]uint32{gk, rk}] = o
+			g, ok := s.gMap[gk]
 			if !ok {
-				g = &Group{Key: dataset.JoinKey(p.Reason()), id: gk}
-				gMap[gk] = g
-				b.Groups = append(b.Groups, g)
+				g = int32(len(s.groups))
+				s.gMap[gk] = g
+				s.groups = append(s.groups, groupScan{kid: gk, row: int32(ti)})
 			}
-			g.Pieces = append(g.Pieces, p)
+			s.groups[g].pieces++
+			s.res = s.res[:0]
+			for _, pos := range pl.resultPos {
+				s.res = append(s.res, row[pos])
+			}
+			s.pieces = append(s.pieces, pieceScan{kid: d.Extend(gk, s.res), group: g, row: int32(ti)})
 		}
-		p.TupleIDs = append(p.TupleIDs, t.ID)
+		s.pieces[o].n++
+		s.groups[s.pieces[o].group].tuples++
+		s.rowPiece[ti] = o
+	}
+}
+
+// carve is the second pass: it lays the scanned block out in its slabs and
+// fills the tuple lists in row order.
+func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule, pl *rulePlan) *Block {
+	if len(s.groups) == 0 {
+		return &Block{Rule: r}
+	}
+	d := enc.Dict
+	nReason := len(pl.reasonPos)
+	arity := nReason + len(pl.resultPos)
+	nTuples := 0
+	for _, g := range s.groups {
+		nTuples += int(g.tuples)
+	}
+	tuples := make([]int, nTuples)
+	slots := make([]*Piece, len(s.pieces))
+	ids := make([]uint32, len(s.pieces)*arity)
+	groups := make([]Group, len(s.groups))
+	b := &Block{Rule: r, Groups: make([]*Group, len(s.groups))}
+	keys := s.joinKeys(enc, pl)
+	var pieceAt, tupleAt int32
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		key := ""
+		if nReason == 1 {
+			key = d.Value(enc.Rows[g.row][pl.reasonPos[0]])
+		} else {
+			key, keys = keys[:g.keyLen], keys[g.keyLen:]
+		}
+		groups[gi] = Group{
+			Key:    key,
+			Pieces: slots[pieceAt : pieceAt+g.pieces : pieceAt+g.pieces],
+			id:     g.kid,
+			span:   tuples[tupleAt : tupleAt+g.tuples : tupleAt+g.tuples],
+		}
+		b.Groups[gi] = &groups[gi]
+		g.pieceAt, g.tupleAt = pieceAt, tupleAt
+		pieceAt += g.pieces
+		tupleAt += g.tuples
+	}
+	// Taken in first-sight order, each group's pieces come in their own
+	// first-sight order: each takes its group's next piece slot and the next
+	// stretch of its span.
+	for pi := range s.pieces {
+		ps := &s.pieces[pi]
+		g := &s.groups[ps.group]
+		v := ids[pi*arity : (pi+1)*arity : (pi+1)*arity]
+		row := enc.Rows[ps.row]
+		for i, pos := range pl.reasonPos {
+			v[i] = row[pos]
+		}
+		for i, pos := range pl.resultPos {
+			v[nReason+i] = row[pos]
+		}
+		ps.at = g.tupleAt
+		g.tupleAt += ps.n
+		slots[g.pieceAt] = &Piece{
+			Rule:     r,
+			TupleIDs: tuples[ps.at : ps.at+ps.n : ps.at+ps.n],
+			dict:     d,
+			ids:      v,
+			nReason:  nReason,
+			kid:      ps.kid,
+		}
+		g.pieceAt++
+	}
+	for ti, o := range s.rowPiece {
+		if o >= 0 {
+			ps := &s.pieces[o]
+			tuples[ps.at] = tb.Tuples[ti].ID
+			ps.at++
+		}
 	}
 	return b
 }
 
-// newPiece mints the piece of an encoded row whose reason fold is gk.
-func (pl *rulePlan) newPiece(r *rules.Rule, d *intern.Dict, row []uint32, gk uint32) *Piece {
-	nReason := len(pl.reasonPos)
-	ids := make([]uint32, 0, nReason+len(pl.resultPos))
-	for _, pos := range pl.reasonPos {
-		ids = append(ids, row[pos])
+// joinKeys returns the display keys of a multi-attribute reason's groups
+// back to back in one string, each equal to dataset.JoinKey of the group's
+// reason values, and records their lengths. A one-attribute rule needs none.
+func (s *buildScratch) joinKeys(enc *dataset.Encoded, pl *rulePlan) string {
+	if len(pl.reasonPos) == 1 {
+		return ""
 	}
-	for _, pos := range pl.resultPos {
-		ids = append(ids, row[pos])
+	d := enc.Dict
+	total := 0
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		n := len(keySep) * (len(pl.reasonPos) - 1)
+		for _, pos := range pl.reasonPos {
+			n += len(d.Value(enc.Rows[g.row][pos]))
+		}
+		g.keyLen = int32(n)
+		total += n
 	}
-	return &Piece{Rule: r, dict: d, ids: ids, nReason: nReason, kid: d.Extend(gk, ids[nReason:])}
+	var sb strings.Builder
+	sb.Grow(total)
+	for _, g := range s.groups {
+		for i, pos := range pl.reasonPos {
+			if i > 0 {
+				sb.WriteString(keySep)
+			}
+			sb.WriteString(d.Value(enc.Rows[g.row][pos]))
+		}
+	}
+	return sb.String()
 }
 
 // Assignments maps every covered tuple ID to its current group, per block.

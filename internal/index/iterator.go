@@ -1,8 +1,9 @@
 // Block iteration: the streaming decomposition of Build. A BlockIterator
-// yields one rule's block at a time, each built by one pass over the encoded
-// rows. Memory while iterating is bounded by the dictionary, the encoded
-// rows and the blocks built so far — never by all blocks' build-time probe
-// maps at once.
+// yields one rule's block at a time, each built by BuildBlockFor's two
+// passes over the encoded rows into the block's own slabs. Memory while
+// iterating is bounded by the dictionary, the encoded rows and the blocks
+// built so far, plus one build's working set (probe maps and per-row
+// ordinals), which is pooled and reused from block to block.
 package index
 
 import (
@@ -22,7 +23,8 @@ import (
 // already yielded may be processed on other goroutines while Next builds
 // the following one: building reads the encoded rows and mutates only the
 // dictionary's sequence-key structures, which stage-I/II consumers never
-// touch (they only decode values).
+// touch (they only decode values), and its own pooled scratch. A yielded
+// block shares no memory with the next one.
 type BlockIterator struct {
 	ix       *Index
 	rs       []*rules.Rule
