@@ -43,9 +43,9 @@ import (
 // the dictionary's sequence-key tables (group/piece key minting — the
 // producer is the only writer), while the phases never mint keys — AGP
 // merges by comparing existing key IDs, learning touches only weights, and
-// RSC rewrites by discarding losing pieces. Workers read only the
-// dictionary's value table, which is append-complete before the first block
-// is built.
+// RSC copies each group's winner into new slabs (index.Block.Collapse),
+// keys included. Workers read only the dictionary's value table, which is
+// append-complete before the first block is built.
 //
 // Output does not depend on the driver: blocks are built and handed to the
 // pool in rule order either way, the phases are block-independent, and an

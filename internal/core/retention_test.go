@@ -7,26 +7,34 @@ import (
 	"time"
 
 	"mlnclean/internal/distance"
-	"mlnclean/internal/index"
 )
 
-// TestStageIRetainsNoDroppedPiece: a block's pieces share its slabs — piece
-// lists, tuple lists, value IDs — which live as long as the block. Stage I
-// drops pieces (AGP folds identical pieces together, RSC discards every
-// loser), and the slabs must not keep one of them alive: once stage I is
-// done, every piece left in no group is collected while the index is still
-// reachable.
+// TestStageIRetainsNoDroppedPiece: a block is built into slabs — groups,
+// piece lists, pieces, tuple lists, value IDs — and stage I drops pieces
+// (AGP folds identical pieces together, RSC discards every loser). RSC's
+// collapse re-lays each block into slabs of its own, so once stage I is done
+// every build slab is collected while the index is still reachable: none of
+// them keeps a dropped piece alive. A finalizer on each slab's first element
+// tracks it.
 func TestStageIRetainsNoDroppedPiece(t *testing.T) {
 	ix, opts := stageIFixture(t)
 	var freed atomic.Int64
-	built := 0
+	slabs := 0
+	track := func(ptr any) {
+		slabs++
+		runtime.SetFinalizer(ptr, func(any) { freed.Add(1) })
+	}
 	for _, b := range ix.Blocks {
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				built++
-				runtime.SetFinalizer(p, func(*index.Piece) { freed.Add(1) })
-			}
+		if len(b.Groups) == 0 {
+			continue
 		}
+		g := b.Groups[0]
+		p := g.Pieces[0]
+		track(g)
+		track(&g.Pieces[0])
+		track(p)
+		track(&p.TupleIDs[0])
+		track(&p.ValueIDs()[0])
 	}
 	ev := distance.NewEvaluator(opts.Metric, ix.Dict())
 	for bi, b := range ix.Blocks {
@@ -34,17 +42,15 @@ func TestStageIRetainsNoDroppedPiece(t *testing.T) {
 			t.Fatal(r.err)
 		}
 	}
-	kept := ix.Stats().Pieces
-	want := int64(built - kept)
-	if want < 100 {
-		t.Fatalf("stage I dropped %d of %d pieces, want a fixture that drops at least 100", want, built)
+	if slabs < 5*3 {
+		t.Fatalf("tracked %d slabs, want a fixture of at least 3 blocks", slabs)
 	}
-	for i := 0; i < 100 && freed.Load() < want; i++ {
+	for i := 0; i < 100 && freed.Load() < int64(slabs); i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
 	}
-	if got := freed.Load(); got != want {
-		t.Errorf("%d of the %d pieces stage I dropped were collected", got, want)
+	if got := freed.Load(); got != int64(slabs) {
+		t.Errorf("%d of the %d build slabs were collected after stage I", got, slabs)
 	}
 	runtime.KeepAlive(ix)
 }

@@ -25,27 +25,32 @@ import (
 // tuple lists) are built only then.
 //
 // A group's winner reads only that group's pieces, so each contested group
-// is one crew item; the owner then rewrites in group order.
+// is one crew item; the owner then records the rewrites in group order and
+// collapses the block once (index.Block.Collapse), which ends its build
+// layout.
 func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
-	var contested []*index.Group
+	winners := make([]*index.Piece, len(b.Groups))
+	var contested []int
 	widest := 0
-	for _, g := range b.Groups {
+	for i, g := range b.Groups {
 		if len(g.Pieces) > 1 { // one and only one γ is the ideal state (§5.1.2)
-			contested = append(contested, g)
+			contested = append(contested, i)
 			widest = max(widest, len(g.Pieces))
+		} else {
+			winners[i] = g.Pieces[0]
 		}
 	}
-	winners := make([]*index.Piece, len(contested))
 	nns := make([][]float64, c.size) // each participant's NN scratch
 	c.each(len(contested), func(p, i int, ev *distance.Evaluator) {
 		if nns[p] == nil {
 			nns[p] = make([]float64, widest)
 		}
-		winners[i] = rscWinner(contested[i], ev, nns[p][:len(contested[i].Pieces)])
+		g := b.Groups[contested[i]]
+		winners[contested[i]] = rscWinner(g, ev, nns[p][:len(g.Pieces)])
 	})
 	repairs := 0
-	for i, g := range contested {
-		winner := winners[i]
+	for _, gi := range contested {
+		g, winner := b.Groups[gi], winners[gi]
 		// Rewrite all losing pieces to the winner, recording each before the
 		// collapse hands its tuples over.
 		for _, p := range g.Pieces {
@@ -65,8 +70,8 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 				})
 			}
 		}
-		b.CollapseGroup(g, winner)
 	}
+	b.Collapse(winners)
 	return repairs
 }
 

@@ -162,9 +162,8 @@ func TestBuildBlockMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, g := range b.Groups {
-					if cap(g.Pieces) != len(g.Pieces) || cap(g.span) != len(g.span) || len(g.span) != g.TupleCount() {
-						t.Fatalf("rule %s group %q: pieces %d/%d, span %d/%d for %d tuples",
-							r.ID, g.Key, len(g.Pieces), cap(g.Pieces), len(g.span), cap(g.span), g.TupleCount())
+					if cap(g.Pieces) != len(g.Pieces) {
+						t.Fatalf("rule %s group %q: pieces %d/%d", r.ID, g.Key, len(g.Pieces), cap(g.Pieces))
 					}
 					for _, p := range g.Pieces {
 						if cap(p.TupleIDs) != len(p.TupleIDs) || cap(p.ids) != len(p.ids) {
@@ -227,21 +226,15 @@ func TestConcurrentBuilds(t *testing.T) {
 }
 
 // TestBuildBlockAllocs: on a warm dictionary and scratch pool, building a
-// block allocates each piece once and a constant number of slabs besides.
-// Collapsing its contested groups in their build spans allocates nothing,
-// and after merges a block's collapses allocate its two new slabs at most.
+// block allocates a constant number of slabs, however many pieces it holds,
+// and collapsing it allocates a fixed number more, whether or not merges
+// moved its lists first.
 func TestBuildBlockAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled scratch at random")
 	}
 	tb, rs := dirtyTable(t, "HAI", 4200)
 	enc := dataset.Encode(tb, nil)
-	pieces := 0
-	for _, r := range rs {
-		for _, g := range BuildBlockFor(tb, enc, r).Groups {
-			pieces += len(g.Pieces)
-		}
-	}
 	const runs = 5
 	allocs := testing.AllocsPerRun(runs, func() {
 		for _, r := range rs {
@@ -249,42 +242,38 @@ func TestBuildBlockAllocs(t *testing.T) {
 		}
 	})
 	const perBlock = 12
-	t.Logf("%d blocks, %d pieces: %.0f allocations", len(rs), pieces, allocs)
-	if limit := float64(pieces + perBlock*len(rs)); allocs > limit {
-		t.Errorf("building %d blocks of %d pieces allocates %.0f times, want at most %.0f",
-			len(rs), pieces, allocs, limit)
+	t.Logf("%d blocks: %.0f allocations", len(rs), allocs)
+	if limit := float64(perBlock * len(rs)); allocs > limit {
+		t.Errorf("building %d blocks allocates %.0f times, want at most %.0f", len(rs), allocs, limit)
 	}
 
+	const perCollapse = 6
 	for _, merge := range []bool{false, true} {
 		var copies [runs + 1][]*Block
+		var winners [runs + 1][][]*Piece
 		for k := range copies {
 			for _, r := range rs {
 				b := BuildBlockFor(tb, enc, r)
 				if merge && len(b.Groups) > 2 {
 					b.MergeGroups(b.Groups[2], b.Groups[0])
 				}
+				w := make([]*Piece, len(b.Groups))
+				for i, g := range b.Groups {
+					w[i] = g.Pieces[len(g.Pieces)-1]
+				}
 				copies[k] = append(copies[k], b)
+				winners[k] = append(winners[k], w)
 			}
 		}
-		k, collapsed := 0, 0
+		k := 0
 		allocs := testing.AllocsPerRun(runs, func() {
-			collapsed = 0
-			for _, b := range copies[k] {
-				for _, g := range b.Groups {
-					if len(g.Pieces) > 1 {
-						b.CollapseGroup(g, g.Pieces[len(g.Pieces)-1])
-						collapsed++
-					}
-				}
+			for i, b := range copies[k] {
+				b.Collapse(winners[k][i])
 			}
 			k++
 		})
-		limit := 0
-		if merge {
-			limit = 2 * len(rs)
-		}
-		if collapsed == 0 || allocs > float64(limit) {
-			t.Errorf("merged %v: collapsing %d groups allocates %.0f times, want at most %d", merge, collapsed, allocs, limit)
+		if want := float64(perCollapse * len(rs)); allocs != want {
+			t.Errorf("merged %v: collapsing %d blocks allocates %.0f times, want %.0f", merge, len(rs), allocs, want)
 		}
 	}
 }
@@ -295,14 +284,16 @@ func groupSnapshot(g *Group) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%q:", g.Key)
 	for _, p := range g.Pieces {
-		fmt.Fprintf(&sb, " %d%v", p.KeyID(), p.TupleIDs)
+		fmt.Fprintf(&sb, " %d%v%v", p.KeyID(), p.ValueIDs(), p.TupleIDs)
 	}
 	return sb.String()
 }
 
 // TestBlockEditsDoNotAlias: groups share their block's slabs, so every edit
-// of one group — a merge, a collapse in or out of its build span, an append
-// to a list — must leave every other group as it was.
+// of one group — a merge, an append to a list — must leave every other group
+// as it was. Collapse leaves each group its winner alone, holding the
+// group's tuples, and shares nothing with the build slabs: writing into them
+// afterwards changes nothing in the collapsed block.
 func TestBlockEditsDoNotAlias(t *testing.T) {
 	tb, rs := dirtyTable(t, "HAI", 4200)
 	enc := dataset.Encode(tb, nil)
@@ -343,7 +334,7 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 	h := contested[3]
 	snap()
 	h.Pieces[0].TupleIDs = append(h.Pieces[0].TupleIDs, -1)
-	h.Pieces = append(h.Pieces, &Piece{TupleIDs: []int{-2}})
+	h.Pieces = append(h.Pieces, &Piece{TupleIDs: []int{-2}, ids: slices.Clone(h.Pieces[0].ids)})
 	check("append", h)
 
 	snap()
@@ -355,44 +346,70 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 	}
 	check("MergeGroups", dst)
 
-	// dst lost its span: the collapse re-lays the block's lists first.
-	snap()
-	tuples := collapsed(dst)
-	winner := dst.Pieces[len(dst.Pieces)-1]
-	b.CollapseGroup(dst, winner)
-	if len(dst.Pieces) != 1 || dst.Pieces[0] != winner || !slices.Equal(winner.TupleIDs, tuples) {
-		t.Fatalf("collapse after merge: %d pieces, winner tuples %v, want %v", len(dst.Pieces), winner.TupleIDs, tuples)
+	// One collapse: a merged group, one whose lists were appended to, and
+	// groups still in their build layout alike.
+	old := slices.Clone(b.Groups)
+	winners := make([]*Piece, len(old))
+	wantTuples := make([][]int, len(old))
+	for i, g := range old {
+		winners[i] = g.Pieces[len(g.Pieces)/2]
+		wantTuples[i] = collapsed(g)
 	}
-	check("CollapseGroup after a merge", dst)
-
-	// Every group has its span again: sorted in place.
-	g := contested[2]
-	snap()
-	tuples = collapsed(g)
-	winner = g.Pieces[1]
-	losers := slices.DeleteFunc(slices.Clone(g.Pieces), func(p *Piece) bool { return p == winner })
-	span := g.span
-	b.CollapseGroup(g, winner)
-	if len(g.Pieces) != 1 || g.Pieces[0] != winner || !slices.Equal(winner.TupleIDs, tuples) ||
-		&winner.TupleIDs[0] != &span[0] {
-		t.Fatalf("collapse in span: %d pieces, winner tuples %v, want %v in the span", len(g.Pieces), winner.TupleIDs, tuples)
+	b.Collapse(winners)
+	if len(b.Groups) != len(old) {
+		t.Fatalf("collapse: %d groups, want %d", len(b.Groups), len(old))
 	}
-	for _, p := range losers {
-		if p.TupleIDs != nil {
-			t.Errorf("loser %q keeps tuples %v", p.Key(), p.TupleIDs)
+	after := make([]string, len(b.Groups))
+	for i, g := range b.Groups {
+		w := winners[i]
+		if g.Key != old[i].Key || g.KeyID() != old[i].KeyID() || len(g.Pieces) != 1 {
+			t.Fatalf("collapse: group %d is %q/%d with %d pieces, want %q/%d with 1",
+				i, g.Key, g.KeyID(), len(g.Pieces), old[i].Key, old[i].KeyID())
+		}
+		p := g.Pieces[0]
+		if p.KeyID() != w.KeyID() || p.Weight != w.Weight || !slices.Equal(p.ValueIDs(), w.ValueIDs()) ||
+			!slices.Equal(p.TupleIDs, wantTuples[i]) {
+			t.Fatalf("collapse: group %q keeps %d%v%v, want %d%v%v",
+				g.Key, p.KeyID(), p.ValueIDs(), p.TupleIDs, w.KeyID(), w.ValueIDs(), wantTuples[i])
+		}
+		if len(old[i].Pieces) > 1 && !slices.IsSorted(p.TupleIDs) {
+			t.Fatalf("collapse: contested group %q keeps unsorted tuples %v", g.Key, p.TupleIDs)
+		}
+		after[i] = groupSnapshot(g)
+	}
+	// Scribble over everything the build layout held.
+	for _, g := range old {
+		for _, p := range g.Pieces {
+			for i := range p.TupleIDs {
+				p.TupleIDs[i] = -3
+			}
+			for i := range p.ids {
+				p.ids[i] = 0
+			}
+			p.Weight = -1
+		}
+		for i := range g.Pieces {
+			g.Pieces[i] = nil
+		}
+		g.Key = "scribbled"
+	}
+	for i, g := range b.Groups {
+		if got := groupSnapshot(g); got != after[i] {
+			t.Fatalf("writing into the build slabs changed collapsed group %d: %s, was %s", i, got, after[i])
 		}
 	}
-	check("CollapseGroup in span", g)
-
 }
 
-// collapsed is the tuple list a collapse of g must leave its winner.
+// collapsed is the tuple list a collapse of g must leave its winner: the
+// group's tuples, sorted where it holds several pieces.
 func collapsed(g *Group) []int {
 	var out []int
 	for _, p := range g.Pieces {
 		out = append(out, p.TupleIDs...)
 	}
-	slices.Sort(out)
+	if len(g.Pieces) > 1 {
+		slices.Sort(out)
+	}
 	return out
 }
 

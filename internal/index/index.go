@@ -185,10 +185,6 @@ type Group struct {
 	Pieces []*Piece
 
 	id uint32
-	// span is the group's stretch of its block's tuple slab: every piece's
-	// list, back to back. An operation that moves tuples between groups or
-	// lists drops it (nil).
-	span []int
 }
 
 // KeyID is the group's fixed-width reason-sequence identity.
@@ -235,13 +231,6 @@ func (b *Block) Group(key string) *Group {
 	return nil
 }
 
-// RemoveGroup deletes the group with the given display key (first match).
-func (b *Block) RemoveGroup(key string) {
-	if g := b.Group(key); g != nil {
-		b.removeGroup(g)
-	}
-}
-
 // removeGroup deletes the group by identity.
 func (b *Block) removeGroup(g *Group) {
 	for i, h := range b.Groups {
@@ -256,11 +245,9 @@ func (b *Block) removeGroup(g *Group) {
 // (piece identities are compared by their fixed-width keys) and removing
 // src from the block. A built block's lists are carved from shared slabs
 // with no spare capacity, so an append copies rather than overwrite a
-// neighbour. The slots a merge vacates — src's list, and dst's old list
-// when an append moves it — are cleared, so the slabs keep alive no piece
-// the block dropped.
+// neighbour. What a merge leaves behind in the build slabs is garbage once
+// RSC compacts the block (Collapse).
 func (b *Block) MergeGroups(src, dst *Group) {
-	src.span, dst.span = nil, nil
 	for _, p := range src.Pieces {
 		merged := false
 		for _, q := range dst.Pieces {
@@ -271,68 +258,54 @@ func (b *Block) MergeGroups(src, dst *Group) {
 				break
 			}
 		}
-		if merged {
-			continue
+		if !merged {
+			dst.Pieces = append(dst.Pieces, p)
 		}
-		grown := append(dst.Pieces, p)
-		if len(dst.Pieces) == cap(dst.Pieces) {
-			clear(dst.Pieces)
-		}
-		dst.Pieces = grown
 	}
-	clear(src.Pieces)
 	src.Pieces = nil
 	b.removeGroup(src)
 }
 
-// CollapseGroup is RSC's rewrite (§5.1.2): every piece of g, a group of b,
-// is rewritten to winner, which takes the group's tuples in ascending order
-// and becomes its only piece. The group's span holds exactly its tuples: it
-// is sorted in place and becomes winner's list. The losers give up their
-// lists and their slots are cleared. A group AGP merged into has no span;
-// the first such collapse re-lays the whole block first (relay), so a block
-// allocates for its collapses at most once.
-func (b *Block) CollapseGroup(g *Group, winner *Piece) {
-	if g.span == nil || len(g.span) != g.TupleCount() {
-		b.relay()
-	}
-	sort.Ints(g.span)
-	winner.TupleIDs = g.span
-	for _, p := range g.Pieces {
-		if p != winner {
-			p.TupleIDs = nil
-		}
-	}
-	clear(g.Pieces)
-	g.Pieces[0] = winner
-	g.Pieces = g.Pieces[:1:1]
-}
-
-// relay copies every group's piece list and tuple lists, back to back in
-// group and piece order, into two new slabs, and gives every group its span
-// again. Merges scatter a group's lists over the old slabs and grow piece
-// lists past them; all of that is garbage once every list has moved.
-func (b *Block) relay() {
-	nTuples, nPieces := 0, 0
-	for _, g := range b.Groups {
+// Collapse is RSC's rewrite (§5.1.2) and the end of the block's build
+// layout: group i keeps only winners[i], which takes all of the group's
+// tuples — in ascending order where the group held several pieces. The
+// block is re-laid into new slabs, one allocation per kind, so nothing of
+// the build layout (the pieces RSC discards, the lists AGP's merges left
+// behind) outlives the call. Groups, pieces and their lists are copies:
+// pointers taken before the call do not see the collapsed block.
+func (b *Block) Collapse(winners []*Piece) {
+	nTuples, nIDs := 0, 0
+	for i, g := range b.Groups {
 		nTuples += g.TupleCount()
-		nPieces += len(g.Pieces)
+		nIDs += len(winners[i].ids)
 	}
-	tuples := make([]int, nTuples)
-	slots := make([]*Piece, nPieces)
-	at, pieceAt := 0, 0
-	for _, g := range b.Groups {
-		start := at
+	ptrs := make([]*Group, len(b.Groups))
+	groups := make([]Group, len(b.Groups))
+	slots := make([]*Piece, len(b.Groups))
+	pieces := make([]Piece, len(b.Groups))
+	ids := make([]uint32, 0, nIDs)
+	tuples := make([]int, 0, nTuples)
+	for i, g := range b.Groups {
+		at := len(tuples)
 		for _, p := range g.Pieces {
-			end := at + copy(tuples[at:], p.TupleIDs)
-			p.TupleIDs = tuples[at:end:end]
-			at = end
+			tuples = append(tuples, p.TupleIDs...)
 		}
-		g.span = tuples[start:at:at]
-		n := copy(slots[pieceAt:], g.Pieces)
-		g.Pieces = slots[pieceAt : pieceAt+n : pieceAt+n]
-		pieceAt += n
+		list := tuples[at:len(tuples):len(tuples)]
+		if len(g.Pieces) > 1 {
+			sort.Ints(list)
+		}
+		at = len(ids)
+		ids = append(ids, winners[i].ids...)
+		pieces[i] = *winners[i]
+		pieces[i].TupleIDs = list
+		pieces[i].ids = ids[at:len(ids):len(ids)]
+		slots[i] = &pieces[i]
+		groups[i] = Group{Key: g.Key, Pieces: slots[i : i+1 : i+1], id: g.id}
+		ptrs[i] = &groups[i]
 	}
+	// A new slice, not a copy into the old one: removeGroup leaves a stale
+	// pointer past the end of the old backing array.
+	b.Groups = ptrs
 }
 
 // Pieces returns all pieces of the block in deterministic order (group
@@ -343,21 +316,6 @@ func (b *Block) Pieces() []*Piece {
 		out = append(out, g.Pieces...)
 	}
 	return out
-}
-
-// TupleGroup returns the group currently containing the piece that covers
-// tuple id, or nil. O(block) — use Index.Assignments for bulk mapping.
-func (b *Block) TupleGroup(id int) *Group {
-	for _, g := range b.Groups {
-		for _, p := range g.Pieces {
-			for _, tid := range p.TupleIDs {
-				if tid == id {
-					return g
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Index is the full two-layer MLN index.
@@ -488,13 +446,12 @@ func BuildConfigured(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Ind
 // The build makes two passes over the rows. The first finds every group and
 // piece and mints their sequence keys, in row order, and counts each one's
 // support. The second carves the block from one allocation per kind: value
-// IDs, tuple lists, groups, piece lists, and the display keys of
+// IDs, tuple lists, pieces, groups, piece lists, and the display keys of
 // multi-attribute reasons (a one-attribute key is the dictionary's own
-// string). Only the pieces are allocated one by one, so that a piece RSC
-// discards is freed. Tuple lists are laid out group by group, so a group's
-// lists are one contiguous span of the slab, which CollapseGroup sorts in
-// place. Every carved slice has cap == len: an append copies instead of
-// overwriting a neighbour. The passes' working set is pooled.
+// string). Every carved slice has cap == len: an append copies instead of
+// overwriting a neighbour. This build layout lasts until RSC, whose
+// Block.Collapse re-lays the block and leaves the build slabs to the
+// collector whole. The passes' working set is pooled.
 func BuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Block {
 	pl := planRule(r, tb.Schema, enc.Dict)
 	s := scratchPool.Get().(*buildScratch)
@@ -606,6 +563,7 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 		nTuples += int(g.tuples)
 	}
 	tuples := make([]int, nTuples)
+	pieces := make([]Piece, len(s.pieces))
 	slots := make([]*Piece, len(s.pieces))
 	ids := make([]uint32, len(s.pieces)*arity)
 	groups := make([]Group, len(s.groups))
@@ -624,7 +582,6 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 			Key:    key,
 			Pieces: slots[pieceAt : pieceAt+g.pieces : pieceAt+g.pieces],
 			id:     g.kid,
-			span:   tuples[tupleAt : tupleAt+g.tuples : tupleAt+g.tuples],
 		}
 		b.Groups[gi] = &groups[gi]
 		g.pieceAt, g.tupleAt = pieceAt, tupleAt
@@ -633,7 +590,7 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 	}
 	// Taken in first-sight order, each group's pieces come in their own
 	// first-sight order: each takes its group's next piece slot and the next
-	// stretch of its span.
+	// stretch of the group's tuples.
 	for pi := range s.pieces {
 		ps := &s.pieces[pi]
 		g := &s.groups[ps.group]
@@ -647,7 +604,7 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 		}
 		ps.at = g.tupleAt
 		g.tupleAt += ps.n
-		slots[g.pieceAt] = &Piece{
+		pieces[pi] = Piece{
 			Rule:     r,
 			TupleIDs: tuples[ps.at : ps.at+ps.n : ps.at+ps.n],
 			dict:     d,
@@ -655,6 +612,7 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 			nReason:  nReason,
 			kid:      ps.kid,
 		}
+		slots[g.pieceAt] = &pieces[pi]
 		g.pieceAt++
 	}
 	for ti, o := range s.rowPiece {
@@ -696,23 +654,6 @@ func (s *buildScratch) joinKeys(enc *dataset.Encoded, pl *rulePlan) string {
 		}
 	}
 	return sb.String()
-}
-
-// Assignments maps every covered tuple ID to its current group, per block.
-func (ix *Index) Assignments() []map[int]*Group {
-	out := make([]map[int]*Group, len(ix.Blocks))
-	for bi, b := range ix.Blocks {
-		m := make(map[int]*Group)
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				for _, id := range p.TupleIDs {
-					m[id] = g
-				}
-			}
-		}
-		out[bi] = m
-	}
-	return out
 }
 
 // PieceSummary is the string form of one piece's weight record: its

@@ -276,40 +276,6 @@ func TestMergeGroupsCombinesIdenticalPieces(t *testing.T) {
 	}
 }
 
-func TestRemoveGroupMissing(t *testing.T) {
-	ix, _ := Build(sampleTable(t), sampleRules(t))
-	b := ix.Blocks[0]
-	n := len(b.Groups)
-	b.RemoveGroup("not-there")
-	if len(b.Groups) != n {
-		t.Error("RemoveGroup of missing key changed the block")
-	}
-}
-
-func TestAssignments(t *testing.T) {
-	tb := sampleTable(t)
-	ix, _ := Build(tb, sampleRules(t))
-	as := ix.Assignments()
-	if len(as) != 3 {
-		t.Fatalf("assignment maps = %d", len(as))
-	}
-	// t2 (ELIZA DOTHAN) is in the CFD block; t0 is not.
-	if as[2][2] == nil {
-		t.Error("t2 missing from CFD block assignment")
-	}
-	if as[2][0] != nil {
-		t.Error("t0 wrongly assigned in CFD block")
-	}
-	// Every assignment's group must actually contain the tuple.
-	for bi, m := range as {
-		for id, g := range m {
-			if got := ix.Blocks[bi].TupleGroup(id); got != g {
-				t.Errorf("block %d tuple %d: TupleGroup mismatch", bi, id)
-			}
-		}
-	}
-}
-
 func TestIndexTableAccessor(t *testing.T) {
 	tb := sampleTable(t)
 	ix, _ := Build(tb, sampleRules(t))
