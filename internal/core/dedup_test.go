@@ -158,7 +158,8 @@ func TestDedupRowsSetsDoNotShareCapacity(t *testing.T) {
 
 // TestStageIIShortTuple: encoded rows are schema-wide, and a short tuple's
 // padding is value ID 0 — the table's first value. The padding must not make
-// the short tuple a duplicate of the full row it is a prefix of.
+// the short tuple a duplicate of the full row it is a prefix of. A wide tuple
+// is rejected.
 func TestStageIIShortTuple(t *testing.T) {
 	tb := dataset.NewTable(dataset.MustSchema("A", "B", "C"))
 	tb.MustAppend("x", "y", "x")
@@ -170,6 +171,11 @@ func TestStageIIShortTuple(t *testing.T) {
 	}
 	if want := [][]int{{0, 1}}; !reflect.DeepEqual(res.Duplicates, want) || res.Clean.Len() != 2 {
 		t.Errorf("duplicates = %v with %d clean rows, want %v with 2", res.Duplicates, res.Clean.Len(), want)
+	}
+	// A tuple wider than the schema is an error, not a panic.
+	tb.Tuples[2].Values = []string{"x", "y", "x", "w"}
+	if _, err := Clean(tb, rules.MustParseStrings("FD: A -> B"), Options{Tau: 0, TauSet: true}); err == nil {
+		t.Error("Clean accepted a tuple wider than its schema")
 	}
 }
 
@@ -370,12 +376,15 @@ func TestDeltaDedupStateBounded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		if len(eng.fused) != len(rows) {
-			t.Fatalf("step %d: engine caches %d fused tuples for %d live ones", step, len(eng.fused), len(rows))
+		if n := len(eng.tuples); n != len(rows) || len(eng.fusedTuples) != n || len(eng.fusedRows) != n || len(eng.fuseRes) != n {
+			t.Fatalf("step %d: engine caches %d tuples, %d fused tuples, %d fused rows and %d outcomes for %d live ones",
+				step, n, len(eng.fusedTuples), len(eng.fusedRows), len(eng.fuseRes), len(rows))
 		}
-		for id, ts := range eng.fused {
-			if _, live := rows[id]; !live || len(ts.row) != width {
-				t.Fatalf("step %d: tuple %d: live=%v, fused row holds %d IDs, want %d", step, id, live, len(ts.row), width)
+		for i, row := range eng.fusedRows {
+			id := eng.tuples[i].ID
+			if _, live := rows[id]; !live || eng.fusedTuples[i].ID != id || len(row) != width {
+				t.Fatalf("step %d: position %d: tuple %d live=%v, fused tuple %d, fused row holds %d IDs, want %d",
+					step, i, id, live, eng.fusedTuples[i].ID, len(row), width)
 			}
 		}
 		sawDups = sawDups || len(res.Duplicates) > 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -29,13 +30,17 @@ import (
 //     from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity + learned weight, both fixed-width) before and after
-//     the rebuild: a tuple whose versions are bit-identical fuses to the
-//     same assignment, so its cached outcome is reused. Conflicted tuples
-//     are always re-fused — their outcome reads global candidate sets and
+//     the rebuild, position by position: a dirty block's old version index
+//     is re-placed at the current positions first, as the clean blocks'
+//     are. A tuple whose versions are bit-identical fuses to the same
+//     assignment, so its cached outcome is reused. Conflicted tuples are
+//     always re-fused — their outcome reads global candidate sets and
 //     attribute domain sizes, which any mutation may shift.
-//   - A re-fused tuple whose fused row did not move keeps its cached tuple,
-//     so successive Results share every tuple whose repaired values did not
-//     change, and the audit trail (Trail) is read off the cached ID rows.
+//   - Every per-tuple cache is a slice parallel to the table, in its
+//     ascending-ID order; an ID is found by binary search. A re-fused tuple
+//     whose fused row did not move keeps its cached tuple, so successive
+//     Results share every tuple whose repaired values did not change, and
+//     the audit trail (Trail) is read off the cached ID rows.
 //
 // The correctness anchor is exact parity: after any mutation sequence,
 // Apply's Result is byte-identical to Clean over the same table (the
@@ -74,21 +79,14 @@ type DeltaStats struct {
 	Wall time.Duration
 }
 
-// verInfo is a tuple's stage-I version in one block, reduced to the two
-// fixed-width facts fusion consumes: the piece's sequence identity (which
-// determines its exact value IDs) and its learned weight.
-type verInfo struct {
-	kid    uint32
-	weight float64
-}
-
 // deltaBlock caches one rule's cleaned state.
 type deltaBlock struct {
 	rule  *rules.Rule
 	block *index.Block // post AGP + learn + RSC
-	// vers maps tuple ID → its version facts, for the cheap pre/post rebuild
-	// comparison that bounds re-fusion.
-	vers map[int]verInfo
+	// oldVers is, during an Apply that rebuilds the block, its version index
+	// from before the rebuild at the current table positions; otherwise a
+	// spare array for the next rebuild's old index.
+	oldVers []uint32
 	// weights maps each post-stage-I piece's KeyID to its learned weight:
 	// the block's fragment of the weight vector repair attribution reads.
 	weights map[uint32]float64
@@ -98,19 +96,6 @@ type deltaBlock struct {
 	// memo carries AGP nearest-target decisions across rebuilds of this
 	// block, so a re-clean only re-scores against the groups that moved.
 	memo *agpMemo
-}
-
-// tupleState is one tuple's cached fusion outcome.
-type tupleState struct {
-	// tuple is the fused (repaired) tuple and row its value IDs in the
-	// engine's dictionary. Both are written once by fuseOne and replaced
-	// wholesale when a re-fuse moves the row, never edited, so Results can
-	// share them.
-	tuple *dataset.Tuple
-	row   []uint32
-	// res is the fusion accounting; a conflicted tuple's fusion read global
-	// state (candidates, domain sizes) and must re-run on every Apply.
-	res fuseResult
 }
 
 // DeltaCleaner incrementally re-cleans a mutating table. It is not safe for
@@ -126,11 +111,22 @@ type DeltaCleaner struct {
 	evs []*distance.Evaluator
 
 	// The current dirty table in ascending tuple-ID order, plus its encoded
-	// companion. Rows are engine-owned copies; encRows are individually
-	// allocated so inserts and deletes never fight a shared backing array.
+	// companion. Rows are engine-owned copies; every encoded row has
+	// cap == len, so splicing encRows or replacing a row on PUT never writes
+	// into a neighbour.
 	tuples  []*dataset.Tuple
 	encRows [][]uint32
-	rowPos  map[int]int // tuple ID → position in tuples/encRows
+	// Each tuple's cached fusion outcome, parallel to tuples: the fused
+	// (repaired) tuple and its value IDs, written by fuseOne and replaced
+	// wholesale when a re-fuse moves the row, never edited, so Results can
+	// share them; and the fusion accounting — a conflicted tuple's fusion
+	// read global state (candidates, domain sizes) and re-runs on every
+	// Apply.
+	fusedTuples []*dataset.Tuple
+	fusedRows   [][]uint32
+	fuseRes     []fuseResult
+	// refuse marks, per position, the tuples an Apply re-fuses.
+	refuse []bool
 
 	blocks []*deltaBlock
 	// plan is the fusion context the blocks feed: adopt refreshes its
@@ -138,7 +134,6 @@ type DeltaCleaner struct {
 	// engine every re-fusion reuses.
 	plan  *fusionPlan
 	fuser *fuser
-	fused map[int]tupleState
 	// scratchRow is what fuseOne builds a fused row in; proj is Trail's
 	// projection buffer.
 	scratchRow []uint32
@@ -176,7 +171,6 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		opts:   opts,
 		dict:   dict,
 		evs:    newEvaluators(opts.Metric, dict, opts.workers()),
-		fused:  make(map[int]tupleState),
 	}
 	posPerBlock := make([][]int, len(rs))
 	for ri, r := range rs {
@@ -194,9 +188,9 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 
 // Load seeds the engine with a full clean of tb: every block is built and
 // cleaned, every tuple fused, and the result returned. Tuple IDs must be
-// unique; rows are adopted in ascending-ID order (the engine's canonical
-// table order, which Apply preserves across inserts and deletes). tb is not
-// retained or modified.
+// unique and every tuple must be schema-wide; rows are adopted in
+// ascending-ID order (the engine's canonical table order, which Apply
+// preserves across inserts and deletes). tb is not retained or modified.
 func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 	if d.loaded {
 		return nil, fmt.Errorf("core: delta: already loaded")
@@ -207,20 +201,21 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 	if tb.Schema.Len() != d.schema.Len() {
 		return nil, fmt.Errorf("core: delta: schema width mismatch")
 	}
-	d.tuples = make([]*dataset.Tuple, 0, tb.Len())
-	d.encRows = make([][]uint32, 0, tb.Len())
 	for _, t := range tb.Tuples {
-		d.tuples = append(d.tuples, t.Clone())
-	}
-	sort.SliceStable(d.tuples, func(i, j int) bool { return d.tuples[i].ID < d.tuples[j].ID })
-	for i, t := range d.tuples {
-		if i > 0 && d.tuples[i-1].ID == t.ID {
-			return nil, fmt.Errorf("core: delta: duplicate tuple id %d", t.ID)
+		if len(t.Values) != d.schema.Len() {
+			return nil, fmt.Errorf("core: delta: tuple %d has %d values, schema has %d", t.ID, len(t.Values), d.schema.Len())
 		}
-		d.encRows = append(d.encRows, d.encode(t.Values))
 	}
-	d.rowPos = make(map[int]int, len(d.tuples))
-	d.reposition(0)
+	d.tuples = tb.Clone().Tuples
+	sort.SliceStable(d.tuples, func(i, j int) bool { return d.tuples[i].ID < d.tuples[j].ID })
+	for i := 1; i < len(d.tuples); i++ {
+		if d.tuples[i-1].ID == d.tuples[i].ID {
+			return nil, fmt.Errorf("core: delta: duplicate tuple id %d", d.tuples[i].ID)
+		}
+	}
+	d.encRows = dataset.Encode(d.view(), d.dict).Rows
+	n := len(d.tuples)
+	d.fusedTuples, d.fusedRows, d.fuseRes = make([]*dataset.Tuple, n), make([][]uint32, n), make([]fuseResult, n)
 
 	d.blocks = make([]*deltaBlock, len(d.rs))
 	all := make([]int, len(d.rs))
@@ -232,8 +227,8 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 		return nil, err
 	}
 	d.plan.countDomains(d.encRows)
-	for _, t := range d.tuples {
-		d.fuseOne(t.ID)
+	for i := range d.tuples {
+		d.fuseOne(i)
 	}
 	d.loaded = true
 	mDeltaLoads.Inc()
@@ -257,61 +252,75 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		return nil, nil, err
 	}
 
-	// Fold the batch into the table, collecting the dirtied rules and the
-	// mutated tuple IDs. Each mutation sees the state its predecessors left.
-	// An insert or delete shifts table positions, which every block's
-	// version index is keyed by.
+	// Fold the batch into the table, collecting the dirtied rules. Each
+	// mutation sees the state its predecessors left. An insert or delete
+	// splices every per-position slice and shifts the positions after it,
+	// which every block's version index is keyed by.
 	dirty := make([]bool, len(d.rs))
-	refuse := make(map[int]struct{})
 	shifted := false
 	for _, m := range muts {
-		pos, exists := d.rowPos[m.Row]
-		switch m.Op {
-		case DeltaPut:
-			vals := append([]string(nil), m.Values...)
-			if exists {
-				old := d.tuples[pos].Values
-				for ri, r := range d.rs {
-					if d.ruleDirtyOnUpdate(r, ri, old, vals) {
-						dirty[ri] = true
-					}
-				}
-				d.tuples[pos].Values = vals
-				d.encRows[pos] = d.encode(vals)
-			} else {
-				for ri, r := range d.rs {
-					if r.AppliesToValues(d.schema, vals) {
-						dirty[ri] = true
-					}
-				}
-				d.insertAt(m.Row, vals)
-				shifted = true
-			}
-			refuse[m.Row] = struct{}{}
-		case DeltaDelete:
-			old := d.tuples[pos].Values
-			for ri, r := range d.rs {
-				if r.AppliesToValues(d.schema, old) {
-					dirty[ri] = true
-				}
-			}
-			d.tuples = append(d.tuples[:pos], d.tuples[pos+1:]...)
-			d.encRows = append(d.encRows[:pos], d.encRows[pos+1:]...)
-			delete(d.rowPos, m.Row)
-			d.reposition(pos)
-			delete(d.fused, m.Row)
+		pos, exists := d.posOf(m.Row)
+		if m.Op == DeltaDelete {
+			d.markApplying(dirty, d.tuples[pos].Values)
+			d.tuples = slices.Delete(d.tuples, pos, pos+1)
+			d.encRows = slices.Delete(d.encRows, pos, pos+1)
+			d.fusedTuples = slices.Delete(d.fusedTuples, pos, pos+1)
+			d.fusedRows = slices.Delete(d.fusedRows, pos, pos+1)
+			d.fuseRes = slices.Delete(d.fuseRes, pos, pos+1)
 			shifted = true
+			continue
+		}
+		vals := slices.Clone(m.Values)
+		if !exists {
+			d.markApplying(dirty, vals)
+			d.tuples = slices.Insert(d.tuples, pos, &dataset.Tuple{ID: m.Row, Values: vals})
+			d.encRows = slices.Insert(d.encRows, pos, d.encode(vals))
+			d.fusedTuples = slices.Insert(d.fusedTuples, pos, nil)
+			d.fusedRows = slices.Insert(d.fusedRows, pos, nil)
+			d.fuseRes = slices.Insert(d.fuseRes, pos, fuseResult{})
+			shifted = true
+			continue
+		}
+		old := d.tuples[pos].Values
+		for ri, r := range d.rs {
+			if d.ruleDirtyOnUpdate(r, ri, old, vals) {
+				dirty[ri] = true
+			}
+		}
+		d.tuples[pos].Values = vals
+		d.encRows[pos] = d.encode(vals)
+	}
+
+	// Mark the live tuples the batch put, and the conflicted ones: those read
+	// global candidate sets and domain sizes, which any mutation may have
+	// shifted.
+	d.refuse = append(d.refuse[:0], make([]bool, len(d.tuples))...)
+	for _, m := range muts {
+		if pos, live := d.posOf(m.Row); live && m.Op == DeltaPut {
+			d.refuse[pos] = true
+		}
+	}
+	for i, r := range d.fuseRes {
+		if r.conflicted != 0 {
+			d.refuse[i] = true
 		}
 	}
 
-	// Rebuild the dirty blocks and mark every tuple whose version facts moved.
+	// A shifted batch re-places every block's version index at the current
+	// positions. A dirty block's old index is then set aside, with its
+	// pieces, and adopt places the rebuilt one in the spare array.
 	ds := &DeltaStats{}
 	var rebuilt []int
-	var oldVers []map[int]verInfo
+	var oldPieces [][]*index.Piece
 	for ri, isDirty := range dirty {
+		if shifted {
+			d.placeVersions(ri)
+		}
 		if isDirty {
+			db := d.blocks[ri]
 			rebuilt = append(rebuilt, ri)
-			oldVers = append(oldVers, d.blocks[ri].vers)
+			oldPieces = append(oldPieces, d.plan.blocks[ri].Pieces)
+			db.oldVers, d.plan.versionOf[ri] = d.plan.versionOf[ri], db.oldVers
 		}
 	}
 	ds.DirtyBlocks, ds.ReusedBlocks = len(rebuilt), len(d.rs)-len(rebuilt)
@@ -321,47 +330,26 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		// half-updated result.
 		return nil, nil, err
 	}
-	if shifted {
-		for ri, isDirty := range dirty {
-			if !isDirty {
-				d.placeVersions(ri) // rebuilt blocks were placed when adopted
-			}
-		}
-	}
+	// Mark every position whose version moved in a rebuilt block: another
+	// piece or weight, or a version on one side only.
 	for k, ri := range rebuilt {
-		vers := d.blocks[ri].vers
-		for id, v := range vers {
-			if ov, ok := oldVers[k][id]; !ok || ov != v {
-				refuse[id] = struct{}{}
+		was, now, at := oldPieces[k], d.plan.blocks[ri].Pieces, d.plan.versionOf[ri]
+		for i, a := range d.blocks[ri].oldVers {
+			b := at[i]
+			if (a == 0) != (b == 0) || a != 0 && (was[a-1].KeyID() != now[b-1].KeyID() || was[a-1].Weight != now[b-1].Weight) {
+				d.refuse[i] = true
 			}
-		}
-		for id := range oldVers[k] {
-			if _, ok := vers[id]; !ok {
-				refuse[id] = struct{}{}
-			}
-		}
-	}
-	// Conflicted tuples read global candidate sets and domain sizes, both of
-	// which any mutation may have shifted — always re-fuse them.
-	for id, ts := range d.fused {
-		if ts.res.conflicted != 0 {
-			refuse[id] = struct{}{}
 		}
 	}
 	d.plan.countDomains(d.encRows)
 
-	ids := make([]int, 0, len(refuse))
-	for id := range refuse {
-		if _, live := d.rowPos[id]; live {
-			ids = append(ids, id)
+	for i, re := range d.refuse {
+		if re {
+			d.fuseOne(i)
+			ds.RefusedTuples++
 		}
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		d.fuseOne(id)
-	}
-	ds.RefusedTuples = len(ids)
-	ds.ReusedTuples = len(d.tuples) - len(ids)
+	ds.ReusedTuples = len(d.tuples) - ds.RefusedTuples
 	ds.Wall = time.Since(t0)
 
 	mDeltaApplies.Inc()
@@ -384,7 +372,7 @@ func (d *DeltaCleaner) validate(muts []Mutation) error {
 		}
 		exists, known := present[m.Row]
 		if !known {
-			_, exists = d.rowPos[m.Row]
+			exists = d.Has(m.Row)
 		}
 		switch m.Op {
 		case DeltaPut:
@@ -421,21 +409,15 @@ func (d *DeltaCleaner) Has(row int) bool {
 	return ok
 }
 
-// posOf is the position of the live tuple with the given ID.
+// posOf is the position of the live tuple with the given ID, or where it
+// would be inserted.
 func (d *DeltaCleaner) posOf(id int) (int, bool) {
-	pos, ok := d.rowPos[id]
-	return pos, ok
+	return slices.BinarySearchFunc(d.tuples, id, func(t *dataset.Tuple, id int) int { return cmp.Compare(t.ID, id) })
 }
 
 // Table materializes the current dirty table (ascending tuple-ID order, IDs
 // preserved). The copy is independent of engine state.
-func (d *DeltaCleaner) Table() *dataset.Table {
-	tb := dataset.NewTable(d.schema)
-	for _, t := range d.tuples {
-		tb.Tuples = append(tb.Tuples, t.Clone())
-	}
-	return tb
-}
+func (d *DeltaCleaner) Table() *dataset.Table { return d.view().Clone() }
 
 // Weights decodes the current post-stage-I piece summaries, concatenated in
 // rule order — the weight vector Trail attributes repairs against. Equal to
@@ -455,27 +437,6 @@ func (d *DeltaCleaner) encode(vals []string) []uint32 {
 		row[i] = d.dict.Intern(v)
 	}
 	return row
-}
-
-// reposition records the positions of the tuples from position from on,
-// the ones an insert or delete at from has shifted.
-func (d *DeltaCleaner) reposition(from int) {
-	for i, t := range d.tuples[from:] {
-		d.rowPos[t.ID] = from + i
-	}
-}
-
-// insertAt places a new tuple at its ascending-ID position.
-func (d *DeltaCleaner) insertAt(row int, vals []string) {
-	at := sort.Search(len(d.tuples), func(i int) bool { return d.tuples[i].ID > row })
-	t := &dataset.Tuple{ID: row, Values: vals}
-	d.tuples = append(d.tuples, nil)
-	copy(d.tuples[at+1:], d.tuples[at:])
-	d.tuples[at] = t
-	d.encRows = append(d.encRows, nil)
-	copy(d.encRows[at+1:], d.encRows[at:])
-	d.encRows[at] = d.encode(vals)
-	d.reposition(at)
 }
 
 // view is the engine table as a dataset.Table header (shared tuples, no copy).
@@ -527,16 +488,6 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	d.plan.blocks[ri] = fb
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
 	d.placeVersions(ri)
-	covered := 0
-	for _, p := range fb.Pieces {
-		covered += len(p.TupleIDs)
-	}
-	db.vers = make(map[int]verInfo, covered)
-	for _, p := range fb.Pieces {
-		for _, id := range p.TupleIDs {
-			db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
-		}
-	}
 	if db.weights == nil {
 		db.weights = make(map[uint32]float64, len(fb.Candidates))
 	}
@@ -547,45 +498,45 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 }
 
 // placeVersions refills rule ri's version index over the current table
-// positions, reusing its array.
+// positions from its current pieces, reusing its array.
 func (d *DeltaCleaner) placeVersions(ri int) {
-	at := d.plan.versionOf[ri]
-	if n := len(d.tuples); cap(at) < n {
-		at = make([]uint32, n)
-	} else {
-		at = at[:n]
-		clear(at)
-	}
-	d.plan.placeVersions(ri, at, d.posOf)
+	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.posOf)
 }
 
-// fuseOne re-runs fusion for one tuple against the current blocks and caches
-// the outcome. The fused row is built in the engine's scratch row: a tuple
-// whose fused row did not move keeps its cached tuple and row (the values are
-// the row's strings), and only one whose row moved gets a fresh tuple. An
-// unchanged tuple's shares the engine tuple's values, which a mutation
-// replaces and never edits.
-func (d *DeltaCleaner) fuseOne(id int) {
-	pos := d.rowPos[id]
-	t, dirtyRow := d.tuples[pos], d.encRows[pos]
-	res := d.fuser.fuse(t, pos, dirtyRow, nil)
+// fuseOne re-runs fusion for the tuple at position i against the current
+// blocks and caches the outcome. The fused row is built in the engine's
+// scratch row: a tuple whose fused row did not move keeps its cached tuple
+// and row (the values are the row's strings), and only one whose row moved
+// gets a fresh tuple. An unchanged tuple's shares the engine tuple's values,
+// which a mutation replaces and never edits.
+func (d *DeltaCleaner) fuseOne(i int) {
+	t, dirtyRow := d.tuples[i], d.encRows[i]
+	res := d.fuser.fuse(t, i, dirtyRow, nil)
+	d.fuseRes[i] = res
 	row := dirtyRow
 	if res.changes > 0 {
 		d.scratchRow = d.fuser.appendFused(d.scratchRow[:0], dirtyRow)
 		row = d.scratchRow
 	}
-	if ts, ok := d.fused[id]; ok && slices.Equal(ts.row, row) {
-		ts.res = res
-		d.fused[id] = ts
+	if slices.Equal(d.fusedRows[i], row) { // never for a new tuple's nil row
 		return
 	}
-	fused := &dataset.Tuple{ID: id, Values: t.Values}
+	fused := &dataset.Tuple{ID: t.ID, Values: t.Values}
 	if res.changes > 0 {
 		row = slices.Clone(row) // the cache must not hold the scratch buffer
 		fused.Values = make([]string, len(t.Values))
 		repairedValues(fused.Values, t.Values, row, dirtyRow, d.dict)
 	}
-	d.fused[id] = tupleState{tuple: fused, row: row, res: res}
+	d.fusedTuples[i], d.fusedRows[i] = fused, row
+}
+
+// markApplying marks dirty every rule that applies to a row of values.
+func (d *DeltaCleaner) markApplying(dirty []bool, vals []string) {
+	for ri, r := range d.rs {
+		if r.AppliesToValues(d.schema, vals) {
+			dirty[ri] = true
+		}
+	}
 }
 
 // ruleDirtyOnUpdate reports whether replacing old with new changes rule r's
@@ -618,17 +569,14 @@ func (d *DeltaCleaner) assemble() *Result {
 		st.Groups += len(db.block.Groups)
 		st.addBlock(&db.res)
 	}
-	// Results share the cached fused tuples (see tupleState): callers treat
+	// Results share the cached fused tuples (see fusedTuples): callers treat
 	// Results as immutable — the serving layer re-serializes them verbatim —
 	// so sharing is safe and saves a full table copy per version.
-	repaired := &dataset.Table{Schema: d.schema, Tuples: make([]*dataset.Tuple, len(d.tuples))}
-	rows := make([][]uint32, len(d.tuples))
-	for i, t := range d.tuples {
-		ts := d.fused[t.ID]
-		st.FSCRCellChanges += ts.res.changes
-		st.FusionFailures += ts.res.failed
-		st.FusionTruncated += ts.res.truncated
-		repaired.Tuples[i], rows[i] = ts.tuple, ts.row
+	repaired := &dataset.Table{Schema: d.schema, Tuples: slices.Clone(d.fusedTuples)}
+	for _, r := range d.fuseRes {
+		st.FSCRCellChanges += r.changes
+		st.FusionFailures += r.failed
+		st.FusionTruncated += r.truncated
 	}
 	res := &Result{Repaired: repaired, Stats: st}
 	if d.opts.KeepDuplicates {
@@ -636,7 +584,7 @@ func (d *DeltaCleaner) assemble() *Result {
 		return res
 	}
 	// repaired is in ascending tuple-ID order, as a from-scratch pass sees it.
-	res.Clean, res.Duplicates = dedupRows(repaired, rows, hashWords)
+	res.Clean, res.Duplicates = dedupRows(repaired, d.fusedRows, hashWords)
 	for _, ids := range res.Duplicates {
 		res.Stats.DuplicatesRemoved += len(ids) - 1
 	}

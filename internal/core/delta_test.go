@@ -140,6 +140,8 @@ func TestDeltaLoadParity(t *testing.T) {
 // TestDeltaMutationSequenceParity is the randomized anchor: K seeded
 // inserts, updates, and deletes applied incrementally, each checked
 // byte-identical against a from-scratch full re-clean of the same table.
+// Parity cannot see over-refusing, so each step also pins how many tuples
+// re-fused to the count the tuple-ID definition of the re-fusion set gives.
 func TestDeltaMutationSequenceParity(t *testing.T) {
 	for _, seed := range deltaSeeds(t) {
 		seed := seed
@@ -218,6 +220,13 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 						rows[id] = append([]string(nil), vals...)
 					}
 				}
+				before := versionFacts(eng)
+				var conflicted []int
+				for i, r := range eng.fuseRes {
+					if r.conflicted != 0 {
+						conflicted = append(conflicted, eng.tuples[i].ID)
+					}
+				}
 				res, ds, err := eng.Apply(muts)
 				if err != nil {
 					t.Fatalf("step %d: Apply(%v): %v", step, muts, err)
@@ -228,11 +237,71 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 				if ds.RefusedTuples+ds.ReusedTuples != eng.Len() {
 					t.Fatalf("step %d: tuples don't partition: %+v", step, ds)
 				}
+				if want := wantRefused(muts, before, versionFacts(eng), conflicted, rows); ds.RefusedTuples != want {
+					t.Fatalf("step %d: %d tuples re-fused, want %d", step, ds.RefusedTuples, want)
+				}
 				assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(),
 					refTable(schema, rows), rs, Options{})
 			}
 		})
 	}
+}
+
+// versionFact is a tuple's version in one block, reduced to what fusion
+// reads of it: the piece's identity and its learned weight.
+type versionFact struct {
+	kid    uint32
+	weight float64
+}
+
+// versionFacts maps, per block, every tuple ID holding a version to its
+// facts.
+func versionFacts(eng *DeltaCleaner) []map[int]versionFact {
+	out := make([]map[int]versionFact, len(eng.plan.blocks))
+	for bi, fb := range eng.plan.blocks {
+		out[bi] = make(map[int]versionFact)
+		for _, p := range fb.Pieces {
+			for _, id := range p.TupleIDs {
+				out[bi][id] = versionFact{p.KeyID(), p.Weight}
+			}
+		}
+	}
+	return out
+}
+
+// wantRefused counts the tuples an Apply of muts must re-fuse, by ID: the
+// live ones the batch put, whose version in some block moved (another piece
+// or weight, or a version before or after only), or whose previous fusion
+// was conflicted.
+func wantRefused(muts []Mutation, before, after []map[int]versionFact, conflicted []int, live map[int][]string) int {
+	want := make(map[int]bool)
+	for _, m := range muts {
+		if m.Op == DeltaPut {
+			want[m.Row] = true
+		}
+	}
+	for _, id := range conflicted {
+		want[id] = true
+	}
+	for bi := range after {
+		for id, v := range after[bi] {
+			if ov, ok := before[bi][id]; !ok || ov != v {
+				want[id] = true
+			}
+		}
+		for id := range before[bi] {
+			if _, ok := after[bi][id]; !ok {
+				want[id] = true
+			}
+		}
+	}
+	n := 0
+	for id := range want {
+		if _, ok := live[id]; ok {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDeltaReuse pins the point of the tentpole: a single-cell update on an
@@ -414,6 +483,18 @@ func TestDeltaValidation(t *testing.T) {
 	// State unchanged: a no-op-equivalent re-clean still matches.
 	if eng.Len() != dirty.Len() {
 		t.Fatalf("failed batches mutated state: %d tuples, want %d", eng.Len(), dirty.Len())
+	}
+	// Load takes only schema-wide tuples, as Apply takes only schema-wide PUTs.
+	for name, width := range map[string]int{"short": 1, "wide": dirty.Schema.Len() + 1} {
+		tb := dirty.Clone()
+		tb.Tuples[7].Values = make([]string, width)
+		fresh, err := NewDeltaCleaner(dirty.Schema, rs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Load(tb); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tuple %d", tb.Tuples[7].ID)) {
+			t.Errorf("%s tuple: Load error %v, want one naming tuple %d", name, err, tb.Tuples[7].ID)
+		}
 	}
 }
 

@@ -30,8 +30,8 @@ type Repair struct {
 // Nil when fusion changed no cell.
 func (d *DeltaCleaner) Trail() []Repair {
 	n := 0
-	for i, t := range d.tuples {
-		dirty, fixed := d.encRows[i], d.fused[t.ID].row
+	for i, fixed := range d.fusedRows {
+		dirty := d.encRows[i]
 		for p, id := range fixed {
 			if id != dirty[p] {
 				n++
@@ -43,7 +43,7 @@ func (d *DeltaCleaner) Trail() []Repair {
 	}
 	out := make([]Repair, 0, n)
 	for i, t := range d.tuples {
-		dirty, fixed := d.encRows[i], d.fused[t.ID].row
+		dirty, fixed := d.encRows[i], d.fusedRows[i]
 		for p, id := range fixed {
 			if id == dirty[p] {
 				continue

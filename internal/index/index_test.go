@@ -139,6 +139,18 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(tb, rules.MustParseStrings("FD: CT -> Missing")); err == nil {
 		t.Error("schema mismatch should fail")
 	}
+	// A tuple may be shorter than the schema (its encoded row is padded),
+	// never wider.
+	short := sampleTable(t)
+	short.Tuples[1].Values = short.Tuples[1].Values[:2]
+	if _, err := Build(short, sampleRules(t)); err != nil {
+		t.Errorf("short tuple: %v", err)
+	}
+	wide := sampleTable(t)
+	wide.Tuples[1].Values = append(wide.Tuples[1].Values, "extra")
+	if _, err := Build(wide, sampleRules(t)); err == nil || !strings.Contains(err.Error(), "tuple 1 has 5 values") {
+		t.Errorf("wide tuple: error %v, want one naming tuple 1", err)
+	}
 }
 
 func TestPieceAccessors(t *testing.T) {
