@@ -20,9 +20,13 @@ import (
 // refAGPScan is AGP with the nearest-group search it had before agpSearch:
 // every abnormal group measured against every normal group, in index order,
 // no memo. It is the oracle agp must match — the same merges into the block,
-// the same trace, and (decisions) the same target and distance per source.
-func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, tr *Trace) (abnormal, abnormalPieces, promotions int, decisions map[string]agpBest) {
-	decisions = make(map[string]agpBest)
+// the same trace, and (decisions, by group KeyID) the same target and
+// distance per source. Groups order by their reasons under CompareKeys.
+func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, tr *Trace) (abnormal, abnormalPieces, promotions int, decisions map[uint32]agpBest) {
+	decisions = make(map[uint32]agpBest)
+	less := func(g, h *index.Group) bool {
+		return index.CompareKeys(g.Dict(), g.ReasonIDs(), h.ReasonIDs()) < 0
+	}
 	if len(b.Groups) <= 1 {
 		return
 	}
@@ -43,7 +47,7 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 			if ti != tj {
 				return ti > tj
 			}
-			return abnormalGroups[i].Key < abnormalGroups[j].Key
+			return less(abnormalGroups[i], abnormalGroups[j])
 		})
 		normalGroups = abnormalGroups[:1]
 		abnormalGroups = abnormalGroups[1:]
@@ -51,7 +55,7 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 		promo := AGPMerge{
 			BlockIndex:   blockIdx,
 			RuleID:       b.Rule.ID,
-			SourceKey:    normalGroups[0].Key,
+			SourceKey:    normalGroups[0].Key(),
 			SourcePieces: len(normalGroups[0].Pieces),
 			Promoted:     true,
 		}
@@ -64,7 +68,7 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 			return
 		}
 	}
-	sort.Slice(abnormalGroups, func(i, j int) bool { return abnormalGroups[i].Key < abnormalGroups[j].Key })
+	sort.Slice(abnormalGroups, func(i, j int) bool { return less(abnormalGroups[i], abnormalGroups[j]) })
 
 	type target struct {
 		g   *index.Group
@@ -84,20 +88,20 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 		bestD := math.Inf(1)
 		for i := range targets {
 			d := ev.ValuesBounded(sids, targets[i].ids, bestD)
-			if d < bestD || (d == bestD && best >= 0 && targets[i].g.Key < targets[best].g.Key) {
+			if d < bestD || (d == bestD && best >= 0 && less(targets[i].g, targets[best].g)) {
 				bestD = d
 				best = i
 			}
 		}
 		if best >= 0 {
-			decisions[src.Key] = agpBest{srcKid: star.KeyID(), key: targets[best].g.Key, d: bestD}
+			decisions[src.KeyID()] = agpBest{srcKid: star.KeyID(), target: targets[best].g.KeyID(), d: bestD}
 		}
 		abnormal++
 		abnormalPieces += len(src.Pieces)
 		merge := AGPMerge{
 			BlockIndex:   blockIdx,
 			RuleID:       b.Rule.ID,
-			SourceKey:    src.Key,
+			SourceKey:    src.Key(),
 			SourcePieces: len(src.Pieces),
 		}
 		for _, p := range src.Pieces {
@@ -105,7 +109,7 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 		}
 		sort.Ints(merge.SourceTuples)
 		if best >= 0 && bestD <= mergeCap*float64(maxRuneLen(ev, sids, targets[best].ids)) {
-			merge.TargetKey = targets[best].g.Key
+			merge.TargetKey = targets[best].g.Key()
 			b.MergeGroups(src, targets[best].g)
 		}
 		tr.addAGP(merge)
@@ -114,11 +118,11 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 }
 
 // blockShape flattens a block to what AGP can change about it: the groups in
-// order, each with its pieces' identities and tuple lists.
+// order, each with its reason and its pieces' identities and tuple lists.
 func blockShape(b *index.Block) []string {
 	var out []string
 	for _, g := range b.Groups {
-		s := g.Key + ":"
+		s := fmt.Sprint(g.ReasonIDs(), ":")
 		for _, p := range g.Pieces {
 			s += fmt.Sprintf(" %d%v", p.KeyID(), p.TupleIDs)
 		}
@@ -163,7 +167,7 @@ func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *in
 			// The distance is a sum of small integers (or of cosine terms
 			// added in one fixed attribute order), so == is exact.
 			if g := memo.best[src]; g != w {
-				t.Fatalf("%s: source %q decided %+v, scan %+v", label, src, g, w)
+				t.Fatalf("%s: source %d decided %+v, scan %+v", label, src, g, w)
 			}
 		}
 		if len(memo.best) != len(decisions) {
@@ -171,6 +175,16 @@ func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *in
 		}
 	}
 	return agpCost{sources: ab, pairs: pairs, fullScans: fullScans}
+}
+
+// seqOf is the sequence key of vals in d: the KeyID of a group whose
+// reason they are.
+func seqOf(d *intern.Dict, vals ...string) uint32 {
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		ids[i] = d.Intern(v)
+	}
+	return d.Seq(ids)
 }
 
 // agpTable builds a table whose rows are the given value tuples, each
@@ -191,12 +205,12 @@ func agpTable(attrs []string, rows [][]string, times []int) *dataset.Table {
 // (bb, bb, cc) and every other row is a normal group (τ = 1, two tuples).
 func TestAGPSearchAdversarial(t *testing.T) {
 	src := []string{"bb", "bb", "cc"}
-	key := func(a, b string) string { return dataset.JoinKey([]string{a, b}) }
+	reason := func(a, b string) []string { return []string{a, b} }
 	cases := []struct {
 		name      string
 		metric    distance.Metric
 		targets   [][]string
-		want      string // merge target's group key
+		want      []string // merge target's reason
 		pairs     int
 		fullScans int
 	}{
@@ -209,7 +223,7 @@ func TestAGPSearchAdversarial(t *testing.T) {
 				{"zz", "bz", "cc"}, // shares C; 2 + 1 + 0 = 3
 				{"ab", "ab", "cd"}, // shares nothing; 1 + 1 + 1 = 3
 			},
-			want: key("ab", "ab"), pairs: 2, fullScans: 1,
+			want: reason("ab", "ab"), pairs: 2, fullScans: 1,
 		},
 		{
 			// Same shape one class up: bestD == k−m == 2 on entering m = 1.
@@ -219,7 +233,7 @@ func TestAGPSearchAdversarial(t *testing.T) {
 				{"ab", "ab", "cc"}, // shares C; 1 + 1 = 2
 				{"qq", "qq", "qq"}, // shares nothing; 6 — never measured
 			},
-			want: key("ab", "ab"), pairs: 2, fullScans: 0,
+			want: reason("ab", "ab"), pairs: 2, fullScans: 0,
 		},
 		{
 			// bestD one under the boundary: 1 < 2, so class 1 is not entered.
@@ -229,7 +243,7 @@ func TestAGPSearchAdversarial(t *testing.T) {
 				{"ab", "ab", "cc"}, // shares C; 2 — never measured
 				{"ab", "ac", "cd"}, // shares nothing; 3 — never measured
 			},
-			want: key("bz", "bb"), pairs: 1, fullScans: 0,
+			want: reason("bz", "bb"), pairs: 1, fullScans: 0,
 		},
 		{
 			// bestD == 2 after class 1 is under class 0's bound of 3.
@@ -238,7 +252,7 @@ func TestAGPSearchAdversarial(t *testing.T) {
 				{"ab", "ab", "cc"}, // shares C; 2
 				{"ab", "ac", "cd"}, // shares nothing; 3 — never measured
 			},
-			want: key("ab", "ab"), pairs: 1, fullScans: 0,
+			want: reason("ab", "ab"), pairs: 1, fullScans: 0,
 		},
 		{
 			name: "all-distinct values fall back to the scan",
@@ -247,7 +261,7 @@ func TestAGPSearchAdversarial(t *testing.T) {
 				{"xb", "yb", "zc"}, // 3, larger key
 				{"qq", "qq", "qq"}, // 6
 			},
-			want: key("ab", "ab"), pairs: 3, fullScans: 1,
+			want: reason("ab", "ab"), pairs: 3, fullScans: 1,
 		},
 		{
 			// δ = 0: shared values say nothing about the rest, every target
@@ -259,7 +273,7 @@ func TestAGPSearchAdversarial(t *testing.T) {
 				{"ab", "ab", "cc"},
 				{"qq", "qq", "qq"},
 			},
-			want: key("bz", "bb"), pairs: 3, fullScans: 1,
+			want: reason("bz", "bb"), pairs: 3, fullScans: 1,
 		},
 	}
 	rule := rules.MustParseStrings("FD: A, B -> C")[0]
@@ -273,11 +287,11 @@ func TestAGPSearchAdversarial(t *testing.T) {
 			for _, tg := range tc.targets {
 				rows, times = append(rows, tg), append(times, 2)
 			}
-			memo := &agpMemo{}
+			memo, dict := &agpMemo{}, intern.NewDict()
 			cost := checkAGPAgainstScan(t, tc.name, agpTable([]string{"A", "B", "C"}, rows, times),
-				intern.NewDict(), rule, 1, metric, 1e9, memo)
-			if got := memo.best[key(src[0], src[1])].key; got != tc.want {
-				t.Errorf("merged into %q, want %q", got, tc.want)
+				dict, rule, 1, metric, 1e9, memo)
+			if got, want := memo.best[seqOf(dict, src[:2]...)].target, seqOf(dict, tc.want...); got != want {
+				t.Errorf("merged into group %d, want %d (%q)", got, want, tc.want)
 			}
 			if cost.pairs != tc.pairs || cost.fullScans != tc.fullScans {
 				t.Errorf("measured %d pairs, %d full scans; want %d, %d", cost.pairs, cost.fullScans, tc.pairs, tc.fullScans)
@@ -296,11 +310,11 @@ func TestAGPSearchLossyDecoding(t *testing.T) {
 		{"y\xff", "v"}, // shares B; 1 + 0
 		{"x\xfe", "w"}, // shares nothing; 0 + 1
 	}, []int{1, 2, 2})
-	memo := &agpMemo{}
-	cost := checkAGPAgainstScan(t, "lossy", tb, intern.NewDict(), rules.MustParseStrings("FD: A -> B")[0],
+	memo, dict := &agpMemo{}, intern.NewDict()
+	cost := checkAGPAgainstScan(t, "lossy", tb, dict, rules.MustParseStrings("FD: A -> B")[0],
 		1, distance.Levenshtein{}, 1e9, memo)
-	if got, want := memo.best["x\xff"].key, "x\xfe"; got != want {
-		t.Errorf("merged into %q, want %q", got, want)
+	if got, want := memo.best[seqOf(dict, "x\xff")].target, seqOf(dict, "x\xfe"); got != want {
+		t.Errorf("merged into group %d, want %d", got, want)
 	}
 	if cost.fullScans != 1 {
 		t.Errorf("full scans = %d, want 1", cost.fullScans)

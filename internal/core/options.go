@@ -53,10 +53,6 @@ type Options struct {
 	// Trace, when non-nil, collects the per-phase decisions needed by the
 	// component metrics of §7.3 (Precision/Recall-A/R/F, #dag).
 	Trace *Trace
-	// RunID is an opaque correlation tag the distributed executor stamps on
-	// its workers' options so one clean's log lines join across coordinator
-	// and workers. It must never influence the cleaning outcome.
-	RunID string
 }
 
 func (o Options) withDefaults() Options {

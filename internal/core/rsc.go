@@ -62,7 +62,7 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 				tr.addRSC(RSCRepair{
 					BlockIndex: blockIdx,
 					RuleID:     b.Rule.ID,
-					GroupKey:   g.Key,
+					GroupKey:   g.Key(),
 					Attrs:      b.Rule.Attrs(),
 					Old:        p.Values(),
 					New:        winner.Values(),

@@ -366,7 +366,7 @@ func TestRSCWinnerAllDistancesZero(t *testing.T) {
 	}
 	heavy := mk(1, 2.5)
 	light := mk(2, 1.0)
-	g := &index.Group{Key: "BOAZ", Pieces: []*index.Piece{light, heavy}}
+	g := &index.Group{Pieces: []*index.Piece{light, heavy}}
 	ev := distance.NewEvaluator(distance.Levenshtein{}, d)
 	if got := rscWinner(g, ev, make([]float64, 2)); got != heavy {
 		t.Errorf("all-zero winner = %+v, want the higher-weight piece", got)

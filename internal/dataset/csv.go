@@ -18,19 +18,7 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := NewTable(s.Schema())
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			return tb, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tb.Append(rec...); err != nil {
-			return nil, fmt.Errorf("dataset: CSV line %d: %w", s.Line(), err)
-		}
-	}
+	return ReadAll(s)
 }
 
 // raggedRowError describes a row whose width disagrees with the header.

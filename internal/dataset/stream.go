@@ -82,9 +82,6 @@ func (s *CSVStream) Next() ([]string, error) {
 	return rec, nil
 }
 
-// Line returns the CSV line number of the most recently returned row.
-func (s *CSVStream) Line() int { return s.line }
-
 // fileStream closes its file once the stream is drained or errors.
 type fileStream struct {
 	*CSVStream

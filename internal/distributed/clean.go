@@ -72,8 +72,7 @@ type Result struct {
 	WorkersLost int
 	// Stats aggregates the worker pipelines' stats.
 	Stats core.Stats
-	// RunID is the correlation tag the executor minted for the run; the
-	// coordinator's and the workers' log lines carry it.
+	// RunID is a fresh tag the executor minted for the run.
 	RunID string
 }
 

@@ -49,6 +49,7 @@ type Executor struct {
 	k      int
 	tr     Transport
 	rng    *rand.Rand
+	runID  string // Result.RunID
 
 	// senc accumulates every tuple of the run and its dictionary-encoded
 	// row; the global FSCR fuses from these original dirty values. dict is
@@ -118,11 +119,9 @@ func newExecutor(ctx context.Context, schema *dataset.Schema, rs []*rules.Rule, 
 		factory = NewChanTransport
 	}
 	dict := intern.NewDict()
-	// The run ID rides inside the core options so the workers' log lines
-	// carry it too.
-	opts.Core.RunID = obs.NewRunID()
 	ex := &Executor{
 		ctx:       ctx,
+		runID:     obs.NewRunID(),
 		schema:    schema,
 		rs:        rs,
 		opts:      opts,
@@ -493,7 +492,7 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 		mWorkerStageI.ObserveDuration(res.WorkerStageITimes[w])
 		mWorkerStageII.ObserveDuration(res.WorkerStageIITimes[w])
 	}
-	res.RunID = ex.opts.Core.RunID
+	res.RunID = ex.runID
 
 	// Gather (§6: "conflicts and duplicates are eliminated in the same way
 	// to stand-alone MLNClean"): the run's one stage II, over the union of

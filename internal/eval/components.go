@@ -75,7 +75,7 @@ func AGPQualityFromTrace(tr *core.Trace, truth, dirty *dataset.Table, rs []*rule
 			for _, p := range g.Pieces {
 				ids = append(ids, p.TupleIDs...)
 			}
-			if g.Key != trueReasonKey(truth, b.Rule, ids) {
+			if g.Key() != trueReasonKey(truth, b.Rule, ids) {
 				q.Real++
 			}
 		}

@@ -51,7 +51,7 @@ func refBuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *B
 			pMap[[2]uint32{gk, rk}] = p
 			g, ok := gMap[gk]
 			if !ok {
-				g = &Group{Key: dataset.JoinKey(p.Reason()), id: gk}
+				g = &Group{dict: d, reason: ids[:nReason], id: gk}
 				gMap[gk] = g
 				b.Groups = append(b.Groups, g)
 			}
@@ -104,9 +104,9 @@ func blockDiff(got, want *Block) error {
 	}
 	for gi, g := range got.Groups {
 		w := want.Groups[gi]
-		if g.Key != w.Key || g.KeyID() != w.KeyID() || len(g.Pieces) != len(w.Pieces) {
-			return fmt.Errorf("rule %s group %d: key %q/%d with %d pieces, oracle %q/%d with %d",
-				got.Rule.ID, gi, g.Key, g.KeyID(), len(g.Pieces), w.Key, w.KeyID(), len(w.Pieces))
+		if !slices.Equal(g.ReasonIDs(), w.ReasonIDs()) || g.KeyID() != w.KeyID() || len(g.Pieces) != len(w.Pieces) {
+			return fmt.Errorf("rule %s group %d: reason %v/%d with %d pieces, oracle %v/%d with %d",
+				got.Rule.ID, gi, g.ReasonIDs(), g.KeyID(), len(g.Pieces), w.ReasonIDs(), w.KeyID(), len(w.Pieces))
 		}
 		for pi, p := range g.Pieces {
 			q := w.Pieces[pi]
@@ -162,8 +162,9 @@ func TestBuildBlockMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, g := range b.Groups {
-					if cap(g.Pieces) != len(g.Pieces) {
-						t.Fatalf("rule %s group %q: pieces %d/%d", r.ID, g.Key, len(g.Pieces), cap(g.Pieces))
+					if cap(g.Pieces) != len(g.Pieces) || cap(g.reason) != len(g.reason) {
+						t.Fatalf("rule %s group %q: pieces %d/%d, reason %d/%d", r.ID, g.Key(),
+							len(g.Pieces), cap(g.Pieces), len(g.reason), cap(g.reason))
 					}
 					for _, p := range g.Pieces {
 						if cap(p.TupleIDs) != len(p.TupleIDs) || cap(p.ids) != len(p.ids) {
@@ -278,11 +279,11 @@ func TestBuildBlockAllocs(t *testing.T) {
 	}
 }
 
-// groupSnapshot is a deep copy of what a group shows: its key, and each
+// groupSnapshot is a deep copy of what a group shows: its reason, and each
 // piece's identity and tuple list.
 func groupSnapshot(g *Group) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%q:", g.Key)
+	fmt.Fprintf(&sb, "%v:", g.ReasonIDs())
 	for _, p := range g.Pieces {
 		fmt.Fprintf(&sb, " %d%v%v", p.KeyID(), p.ValueIDs(), p.TupleIDs)
 	}
@@ -326,7 +327,7 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 				continue
 			}
 			if got := groupSnapshot(g); got != before[g] {
-				t.Fatalf("%s changed group %q: %s, was %s", step, g.Key, got, before[g])
+				t.Fatalf("%s changed group %q: %s, was %s", step, g.Key(), got, before[g])
 			}
 		}
 	}
@@ -362,18 +363,18 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 	after := make([]string, len(b.Groups))
 	for i, g := range b.Groups {
 		w := winners[i]
-		if g.Key != old[i].Key || g.KeyID() != old[i].KeyID() || len(g.Pieces) != 1 {
-			t.Fatalf("collapse: group %d is %q/%d with %d pieces, want %q/%d with 1",
-				i, g.Key, g.KeyID(), len(g.Pieces), old[i].Key, old[i].KeyID())
+		if !slices.Equal(g.ReasonIDs(), old[i].ReasonIDs()) || g.KeyID() != old[i].KeyID() || len(g.Pieces) != 1 {
+			t.Fatalf("collapse: group %d is %v/%d with %d pieces, want %v/%d with 1",
+				i, g.ReasonIDs(), g.KeyID(), len(g.Pieces), old[i].ReasonIDs(), old[i].KeyID())
 		}
 		p := g.Pieces[0]
 		if p.KeyID() != w.KeyID() || p.Weight != w.Weight || !slices.Equal(p.ValueIDs(), w.ValueIDs()) ||
 			!slices.Equal(p.TupleIDs, wantTuples[i]) {
 			t.Fatalf("collapse: group %q keeps %d%v%v, want %d%v%v",
-				g.Key, p.KeyID(), p.ValueIDs(), p.TupleIDs, w.KeyID(), w.ValueIDs(), wantTuples[i])
+				g.Key(), p.KeyID(), p.ValueIDs(), p.TupleIDs, w.KeyID(), w.ValueIDs(), wantTuples[i])
 		}
 		if len(old[i].Pieces) > 1 && !slices.IsSorted(p.TupleIDs) {
-			t.Fatalf("collapse: contested group %q keeps unsorted tuples %v", g.Key, p.TupleIDs)
+			t.Fatalf("collapse: contested group %q keeps unsorted tuples %v", g.Key(), p.TupleIDs)
 		}
 		after[i] = groupSnapshot(g)
 	}
@@ -391,7 +392,9 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 		for i := range g.Pieces {
 			g.Pieces[i] = nil
 		}
-		g.Key = "scribbled"
+		for i := range g.reason {
+			g.reason[i] = 0
+		}
 	}
 	for i, g := range b.Groups {
 		if got := groupSnapshot(g); got != after[i] {
@@ -413,9 +416,11 @@ func collapsed(g *Group) []int {
 	return out
 }
 
-// TestCompareKeysMatchesJoinKey: CompareKeys orders value sequences exactly
-// as strings.Compare orders their joins, separator bytes inside values,
-// empty values, empty sequences and prefixes included.
+// TestCompareKeysMatchesJoinKey: CompareKeys orders value sequences as
+// strings.Compare orders their joins wherever the joins differ, separator
+// bytes inside values, empty values, empty sequences and prefixes included.
+// It is a total order: it returns 0 only for equal sequences, and two
+// distinct sequences that join alike compare value by value.
 func TestCompareKeysMatchesJoinKey(t *testing.T) {
 	d := intern.NewDict()
 	alphabet := []string{"", "a", "b", "ab", "a" + sep, sep + "b", "a" + sep + "b", sep, sep + sep, "\x1e", " ", "é", "aé"}
@@ -429,6 +434,9 @@ func TestCompareKeysMatchesJoinKey(t *testing.T) {
 	check := func(a, b []string) {
 		t.Helper()
 		want := strings.Compare(dataset.JoinKey(a), dataset.JoinKey(b))
+		if want == 0 {
+			want = slices.Compare(a, b)
+		}
 		if got := CompareKeys(d, seq(a...), seq(b...)); got != want {
 			t.Fatalf("CompareKeys(%q, %q) = %d, want %d", a, b, got, want)
 		}
@@ -448,10 +456,18 @@ func TestCompareKeysMatchesJoinKey(t *testing.T) {
 		}
 		return out
 	}
+	collisions := 0
 	for range 20000 {
 		a, b := draw(), draw()
 		check(a, b)
+		check(b, a)
 		check(a, a)
+		if dataset.JoinKey(a) == dataset.JoinKey(b) && !slices.Equal(a, b) {
+			collisions++
+		}
+	}
+	if collisions == 0 {
+		t.Error("no two distinct draws joined alike: the grid does not exercise the value-by-value order")
 	}
 }
 

@@ -115,19 +115,24 @@ func (p *Piece) Key() string { return dataset.JoinKey(p.Values()) }
 // keySep is dataset.JoinKey's separator.
 var keySep = dataset.JoinKey([]string{"", ""})
 
-// CompareKeys orders two value-ID sequences of d by their joined display
-// keys: it returns exactly strings.Compare(dataset.JoinKey(decoded a),
+// CompareKeys is the total order on value-ID sequences of d that every
+// tie-break uses: groups, γ⋆ and RSC candidates. Where the joined display
+// keys differ it returns strings.Compare(dataset.JoinKey(decoded a),
 // dataset.JoinKey(decoded b)), walking both joins segment by segment through
-// the dictionary without building either. Candidate and γ⋆ tie-breaks use
-// it, so ties order as they always have, separator bytes inside values
-// included.
+// the dictionary without building either, so ties order as they always
+// have. Two distinct sequences that join alike (a value holds the
+// separator) are then compared value by value, so only equal sequences
+// compare 0.
 func CompareKeys(d *intern.Dict, a, b []uint32) int {
 	ca, cb := keyCursor{d: d, ids: a}, keyCursor{d: d, ids: b}
 	for {
 		ca.fill()
 		cb.fill()
 		if len(ca.seg) == 0 || len(cb.seg) == 0 {
-			return min(len(ca.seg), 1) - min(len(cb.seg), 1)
+			if c := min(len(ca.seg), 1) - min(len(cb.seg), 1); c != 0 {
+				return c
+			}
+			return slices.CompareFunc(a, b, func(x, y uint32) int { return strings.Compare(d.Value(x), d.Value(y)) })
 		}
 		n := min(len(ca.seg), len(cb.seg))
 		if c := strings.Compare(ca.seg[:n], cb.seg[:n]); c != 0 {
@@ -179,16 +184,34 @@ func (p *Piece) String() string {
 // Group is the second index layer: the pieces sharing one reason-part key.
 // After AGP merging a group may also hold pieces whose native key differs.
 type Group struct {
-	// Key is the display form of the reason key (traces, eval, tests);
-	// group identity on the hot path is the fixed-width id.
-	Key    string
 	Pieces []*Piece
 
-	id uint32
+	dict   *intern.Dict
+	reason []uint32 // the reason's value IDs
+	id     uint32   // sequence key of reason
 }
 
-// KeyID is the group's fixed-width reason-sequence identity.
+// KeyID is the group's fixed-width reason-sequence identity. It is the
+// same across rebuilds over one dictionary.
 func (g *Group) KeyID() uint32 { return g.id }
+
+// Dict returns the dictionary the group's IDs live in.
+func (g *Group) Dict() *intern.Dict { return g.dict }
+
+// ReasonIDs returns the value IDs of the group's reason, the sequence
+// KeyID stands for; CompareKeys orders groups by them. Callers must not
+// mutate the slice.
+func (g *Group) ReasonIDs() []uint32 { return g.reason }
+
+// Key renders the reason as a joined display string (traces, evaluation,
+// tests). Not collision-free — see dataset.JoinKey; nothing decides on it.
+func (g *Group) Key() string {
+	vals := make([]string, len(g.reason))
+	for i, id := range g.reason {
+		vals[i] = g.dict.Value(id)
+	}
+	return dataset.JoinKey(vals)
+}
 
 // TupleCount sums the supporting tuples of all pieces.
 func (g *Group) TupleCount() int {
@@ -224,7 +247,7 @@ type Block struct {
 // convenience (tests, examples); the hot path resolves groups by KeyID.
 func (b *Block) Group(key string) *Group {
 	for _, g := range b.Groups {
-		if g.Key == key {
+		if g.Key() == key {
 			return g
 		}
 	}
@@ -277,7 +300,7 @@ func (b *Block) Collapse(winners []*Piece) {
 	nTuples, nIDs := 0, 0
 	for i, g := range b.Groups {
 		nTuples += g.TupleCount()
-		nIDs += len(winners[i].ids)
+		nIDs += len(g.reason) + len(winners[i].ids)
 	}
 	ptrs := make([]*Group, len(b.Groups))
 	groups := make([]Group, len(b.Groups))
@@ -295,12 +318,15 @@ func (b *Block) Collapse(winners []*Piece) {
 			sort.Ints(list)
 		}
 		at = len(ids)
+		ids = append(ids, g.reason...)
+		reason := ids[at:len(ids):len(ids)]
+		at = len(ids)
 		ids = append(ids, winners[i].ids...)
 		pieces[i] = *winners[i]
 		pieces[i].TupleIDs = list
 		pieces[i].ids = ids[at:len(ids):len(ids)]
 		slots[i] = &pieces[i]
-		groups[i] = Group{Key: g.Key, Pieces: slots[i : i+1 : i+1], id: g.id}
+		groups[i] = Group{Pieces: slots[i : i+1 : i+1], dict: g.dict, reason: reason, id: g.id}
 		ptrs[i] = &groups[i]
 	}
 	// A new slice, not a copy into the old one: removeGroup leaves a stale
@@ -446,12 +472,11 @@ func BuildConfigured(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Ind
 // The build makes two passes over the rows. The first finds every group and
 // piece and mints their sequence keys, in row order, and counts each one's
 // support. The second carves the block from one allocation per kind: value
-// IDs, tuple lists, pieces, groups, piece lists, and the display keys of
-// multi-attribute reasons (a one-attribute key is the dictionary's own
-// string). Every carved slice has cap == len: an append copies instead of
-// overwriting a neighbour. This build layout lasts until RSC, whose
-// Block.Collapse re-lays the block and leaves the build slabs to the
-// collector whole. The passes' working set is pooled.
+// IDs, tuple lists, pieces, groups and piece lists; a group's reason IDs are
+// its first piece's reason prefix. Every carved slice has cap == len: an
+// append copies instead of overwriting a neighbour. This build layout lasts
+// until RSC, whose Block.Collapse re-lays the block and leaves the build
+// slabs to the collector whole. The passes' working set is pooled.
 func BuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Block {
 	pl := planRule(r, tb.Schema, enc.Dict)
 	s := scratchPool.Get().(*buildScratch)
@@ -490,9 +515,7 @@ type pieceScan struct {
 // its slab cursors here.
 type groupScan struct {
 	kid              uint32
-	row              int32 // first row
 	pieces, tuples   int32
-	keyLen           int32
 	pieceAt, tupleAt int32
 }
 
@@ -534,7 +557,7 @@ func (s *buildScratch) scan(enc *dataset.Encoded, pl *rulePlan) {
 			if !ok {
 				g = int32(len(s.groups))
 				s.gMap[gk] = g
-				s.groups = append(s.groups, groupScan{kid: gk, row: int32(ti)})
+				s.groups = append(s.groups, groupScan{kid: gk})
 			}
 			s.groups[g].pieces++
 			s.res = s.res[:0]
@@ -568,19 +591,12 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 	ids := make([]uint32, len(s.pieces)*arity)
 	groups := make([]Group, len(s.groups))
 	b := &Block{Rule: r, Groups: make([]*Group, len(s.groups))}
-	keys := s.joinKeys(enc, pl)
 	var pieceAt, tupleAt int32
 	for gi := range s.groups {
 		g := &s.groups[gi]
-		key := ""
-		if nReason == 1 {
-			key = d.Value(enc.Rows[g.row][pl.reasonPos[0]])
-		} else {
-			key, keys = keys[:g.keyLen], keys[g.keyLen:]
-		}
 		groups[gi] = Group{
-			Key:    key,
 			Pieces: slots[pieceAt : pieceAt+g.pieces : pieceAt+g.pieces],
+			dict:   d,
 			id:     g.kid,
 		}
 		b.Groups[gi] = &groups[gi]
@@ -601,6 +617,9 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 		}
 		for i, pos := range pl.resultPos {
 			v[nReason+i] = row[pos]
+		}
+		if groups[ps.group].reason == nil {
+			groups[ps.group].reason = v[:nReason:nReason]
 		}
 		ps.at = g.tupleAt
 		g.tupleAt += ps.n
@@ -623,37 +642,6 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 		}
 	}
 	return b
-}
-
-// joinKeys returns the display keys of a multi-attribute reason's groups
-// back to back in one string, each equal to dataset.JoinKey of the group's
-// reason values, and records their lengths. A one-attribute rule needs none.
-func (s *buildScratch) joinKeys(enc *dataset.Encoded, pl *rulePlan) string {
-	if len(pl.reasonPos) == 1 {
-		return ""
-	}
-	d := enc.Dict
-	total := 0
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		n := len(keySep) * (len(pl.reasonPos) - 1)
-		for _, pos := range pl.reasonPos {
-			n += len(d.Value(enc.Rows[g.row][pos]))
-		}
-		g.keyLen = int32(n)
-		total += n
-	}
-	var sb strings.Builder
-	sb.Grow(total)
-	for _, g := range s.groups {
-		for i, pos := range pl.reasonPos {
-			if i > 0 {
-				sb.WriteString(keySep)
-			}
-			sb.WriteString(d.Value(enc.Rows[g.row][pos]))
-		}
-	}
-	return sb.String()
 }
 
 // PieceSummary is the string form of one piece's weight record: its

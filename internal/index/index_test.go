@@ -44,7 +44,7 @@ func dumpIndex(ix *Index) string {
 	for bi, b := range ix.Blocks {
 		fmt.Fprintf(&sb, "block %d rule %s\n", bi, b.Rule.ID)
 		for gi, g := range b.Groups {
-			fmt.Fprintf(&sb, "  group %d key=%q\n", gi, g.Key)
+			fmt.Fprintf(&sb, "  group %d key=%q\n", gi, g.Key())
 			for pi, p := range g.Pieces {
 				fmt.Fprintf(&sb, "    piece %d key=%q tuples=%v\n", pi, p.Key(), p.TupleIDs)
 			}
@@ -170,7 +170,7 @@ func TestPieceAccessors(t *testing.T) {
 	if star.Count() != 2 {
 		t.Errorf("γ⋆ count = %d", star.Count())
 	}
-	if star.GroupKey() != g.Key {
+	if star.GroupKey() != g.Key() {
 		t.Errorf("GroupKey = %q", star.GroupKey())
 	}
 	if g.TupleCount() != 3 {
@@ -225,7 +225,7 @@ func TestIndexPartitionProperty(t *testing.T) {
 		total := 0
 		for _, g := range ix.Blocks[0].Groups {
 			for _, p := range g.Pieces {
-				if p.GroupKey() != g.Key {
+				if p.GroupKey() != g.Key() {
 					return false
 				}
 				total += len(p.TupleIDs)
@@ -280,7 +280,7 @@ func TestMergeGroupsCombinesIdenticalPieces(t *testing.T) {
 	g := b2.Groups[0]
 	dup := NewPiece(rs[0], ix2.Dict(), []string{"x"}, []string{"1"})
 	dup.TupleIDs = []int{9}
-	clone := &Group{Key: "other", Pieces: []*Piece{dup}}
+	clone := &Group{Pieces: []*Piece{dup}}
 	b2.Groups = append(b2.Groups, clone)
 	b2.MergeGroups(clone, g)
 	if len(g.Pieces) != 1 || g.Pieces[0].Count() != 2 {

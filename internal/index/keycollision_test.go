@@ -38,8 +38,8 @@ func TestBuildSeparatesCollidingReasonKeys(t *testing.T) {
 	}
 	// The display keys DO collide — that is exactly the documented limit of
 	// the joined form.
-	if g0.Key != g1.Key {
-		t.Errorf("expected display keys to collide (documenting the class): %q vs %q", g0.Key, g1.Key)
+	if g0.Key() != g1.Key() {
+		t.Errorf("expected display keys to collide (documenting the class): %q vs %q", g0.Key(), g1.Key())
 	}
 	if st := ix.Stats(); st.Pieces != 2 {
 		t.Errorf("pieces = %d, want 2", st.Pieces)

@@ -9,11 +9,10 @@ import (
 	"strings"
 )
 
-// NewRunID returns a fresh 16-hex-char correlation ID. Run IDs tag log
-// lines, WAL session records, and wire options so a clean can be traced
-// across coordinator, workers, and recovery replays. They are opaque and
-// random: nothing in the pipeline may branch on one (the parity suites
-// enforce that outcomes are run-ID independent).
+// NewRunID returns a fresh 16-hex-char correlation ID. A served session's
+// run ID tags its log lines and WAL records, so it survives recovery
+// replays; a distributed run reports its own in Result.RunID. They are
+// opaque and random: nothing in the pipeline may branch on one.
 func NewRunID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -346,9 +346,6 @@ type ManagerConfig struct {
 	// (default 256). Smaller is tighter disk usage, larger is fewer
 	// compaction pauses.
 	SnapshotEvery int
-	// WALSegmentSize overrides the log's segment rotation size (default 4
-	// MiB); mainly for tests.
-	WALSegmentSize int64
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
@@ -419,7 +416,6 @@ func (m *Manager) Recovery() *RecoverySummary { return m.rec }
 // count against MaxSessions (they were admitted before the restart).
 func (m *Manager) replay(fs wal.FS) error {
 	lg, rec, err := wal.Open(fs, wal.Options{
-		SegmentSize: m.cfg.WALSegmentSize,
 		Validate: func(p []byte) error {
 			_, err := decodeRecord(p)
 			return err

@@ -22,9 +22,8 @@ type File interface {
 // crash-simulating, fault-injecting filesystem (MemFS) for the real one
 // (DirFS). Names are bare file names; the FS owns the directory.
 type FS interface {
-	// OpenAppend opens name for appending, creating it when absent, and
-	// reports its current size.
-	OpenAppend(name string) (File, int64, error)
+	// OpenAppend opens name for appending, creating it when absent.
+	OpenAppend(name string) (File, error)
 	// ReadFile returns the full contents of name.
 	ReadFile(name string) ([]byte, error)
 	// WriteFile atomically replaces name with data, durably (write to a
@@ -56,17 +55,12 @@ func DirFS(dir string) (FS, error) {
 
 type osFile struct{ *os.File }
 
-func (fs *dirFS) OpenAppend(name string) (File, int64, error) {
+func (fs *dirFS) OpenAppend(name string) (File, error) {
 	f, err := os.OpenFile(filepath.Join(fs.dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return osFile{f}, st.Size(), nil
+	return osFile{f}, nil
 }
 
 func (fs *dirFS) ReadFile(name string) ([]byte, error) {

@@ -155,18 +155,16 @@ type memHandle struct {
 	gen  int
 }
 
-func (m *MemFS) OpenAppend(name string) (File, int64, error) {
+func (m *MemFS) OpenAppend(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.dead {
-		return nil, 0, errMemFSDead
+		return nil, errMemFSDead
 	}
-	f := m.files[name]
-	if f == nil {
-		f = &memFile{}
-		m.files[name] = f
+	if m.files[name] == nil {
+		m.files[name] = &memFile{}
 	}
-	return &memHandle{fs: m, name: name, gen: m.gen}, int64(len(f.durable) + len(f.volatile)), nil
+	return &memHandle{fs: m, name: name, gen: m.gen}, nil
 }
 
 func (h *memHandle) file() (*memFile, error) {

@@ -13,8 +13,6 @@ var (
 		"Acknowledged WAL appends.")
 	mAppendBytes = obs.Default().Counter("mlnclean_wal_append_bytes_total",
 		"Framed bytes written by acknowledged appends.")
-	mRotations = obs.Default().Counter("mlnclean_wal_rotations_total",
-		"Segment rotations.")
 	mCompactions = obs.Default().Counter("mlnclean_wal_compactions_total",
 		"Completed snapshot/compaction cycles.")
 	mOpens = obs.Default().Counter("mlnclean_wal_opens_total",

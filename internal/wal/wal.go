@@ -13,6 +13,10 @@
 //	wal-00000003.snap  snapshot: one frame holding the state covering
 //	                   every segment with sequence ≤ 3
 //
+// A log appends to one segment until Compact starts the next, so a live
+// directory holds one segment past its snapshot; replay still reads any run
+// of consecutive segments.
+//
 // A frame is [uint32 length | uint32 CRC32(payload) | payload], both fields
 // little-endian. Replay loads the newest decodable snapshot, then the
 // segments after it in sequence order; the first partial, corrupt, or
@@ -82,22 +86,11 @@ func DecodeRecord(b []byte) (payload []byte, n int, err error) {
 
 // Options tune a Log.
 type Options struct {
-	// SegmentSize rotates the active segment once it exceeds this many
-	// bytes (default 4 MiB). Compaction removes whole segments, so smaller
-	// segments mean tighter space reuse at the cost of more files.
-	SegmentSize int64
 	// Validate, when non-nil, vets every replayed record payload; a payload
 	// it rejects truncates the log at that frame, exactly like a checksum
 	// mismatch. Callers pass their record decoder so a frame that is
 	// intact on disk but undecodable upstream still cuts the log cleanly.
 	Validate func(payload []byte) error
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentSize <= 0 {
-		o.SegmentSize = 4 << 20
-	}
-	return o
 }
 
 // Recovery reports what Open found and salvaged.
@@ -125,12 +118,10 @@ func (r *Recovery) Truncated() bool { return r.TruncatedBytes > 0 }
 // after a failure it cannot reason about.
 type Log struct {
 	fs FS
-	o  Options
 
 	mu     sync.Mutex
 	f      File
 	seq    int // active segment sequence number
-	size   int64
 	buf    []byte
 	broken error
 	closed bool
@@ -165,7 +156,6 @@ func parseName(name string) (seq int, snap, ok bool) {
 // even when the tail had to be truncated; only unusable directories (I/O
 // errors on intact files) fail.
 func Open(fs FS, o Options) (*Log, *Recovery, error) {
-	o = o.withDefaults()
 	names, err := fs.List()
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: list: %w", err)
@@ -262,7 +252,7 @@ func Open(fs FS, o Options) (*Log, *Recovery, error) {
 			"replayed_records", len(rec.Records),
 			"segments", rec.Segments)
 	}
-	l := &Log{fs: fs, o: o, seq: lastSeq}
+	l := &Log{fs: fs, seq: lastSeq}
 	if l.seq <= snapSeq {
 		// A crash between snapshot write and the first post-compaction
 		// append leaves no segment newer than the snapshot; appending into
@@ -272,11 +262,9 @@ func Open(fs FS, o Options) (*Log, *Recovery, error) {
 	if l.seq == 0 {
 		l.seq = 1
 	}
-	f, size, err := fs.OpenAppend(segName(l.seq))
-	if err != nil {
+	if l.f, err = fs.OpenAppend(segName(l.seq)); err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	l.f, l.size = f, size
 	return l, rec, nil
 }
 
@@ -296,12 +284,6 @@ func (l *Log) Append(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
-	if l.size > 0 && l.size+int64(len(payload))+frameHeader > l.o.SegmentSize {
-		if err := l.rotateLocked(l.seq + 1); err != nil {
-			l.broken = err
-			return err
-		}
-	}
 	l.buf = AppendFrame(l.buf[:0], payload)
 	if n, err := l.f.Write(l.buf); err != nil {
 		l.broken = fmt.Errorf("wal: append (wrote %d of %d bytes): %w", n, len(l.buf), err)
@@ -313,7 +295,6 @@ func (l *Log) Append(payload []byte) error {
 		return l.broken
 	}
 	mFsyncSeconds.ObserveSince(ts)
-	l.size += int64(len(l.buf))
 	mAppends.Inc()
 	mAppendBytes.Add(int64(len(l.buf)))
 	mAppendSeconds.ObserveSince(t0)
@@ -328,12 +309,11 @@ func (l *Log) rotateLocked(seq int) error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
-	f, size, err := l.fs.OpenAppend(segName(seq))
+	f, err := l.fs.OpenAppend(segName(seq))
 	if err != nil {
 		return fmt.Errorf("wal: open segment %d: %w", seq, err)
 	}
-	l.f, l.seq, l.size = f, seq, size
-	mRotations.Inc()
+	l.f, l.seq = f, seq
 	return nil
 }
 

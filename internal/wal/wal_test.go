@@ -80,28 +80,29 @@ func TestWALAppendReplayRoundtrip(t *testing.T) {
 	checkRecords(t, r2.Records, want...)
 }
 
+// TestWALRotationAndCompaction: a directory holding several consecutive
+// segments (an older log rotated by size) replays them in order, and
+// compaction then folds them all into one snapshot.
 func TestWALRotationAndCompaction(t *testing.T) {
 	fs := NewMemFS(FaultPlan{})
-	o := Options{SegmentSize: 128}
-	l, _ := mustOpen(t, fs, o)
+	o := Options{}
 	var want [][]byte
-	for i := 0; i < 40; i++ {
-		p := rec(i)
-		if err := l.Append(p); err != nil {
-			t.Fatalf("append: %v", err)
+	for seq := 1; seq <= 4; seq++ {
+		var seg []byte
+		for i := 0; i < 10; i++ {
+			p := rec(len(want))
+			seg = AppendFrame(seg, p)
+			want = append(want, p)
 		}
-		want = append(want, p)
+		if err := fs.WriteFile(segName(seq), seg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	names, _ := fs.List()
-	if len(names) < 3 {
-		t.Fatalf("expected multiple segments at SegmentSize=128, got %v", names)
-	}
-	l.Close()
 
 	l2, r2 := mustOpen(t, fs, o)
 	checkRecords(t, r2.Records, want...)
-	if r2.Segments < 3 {
-		t.Fatalf("replayed %d segments, want several", r2.Segments)
+	if r2.Segments != 4 {
+		t.Fatalf("replayed %d segments, want 4", r2.Segments)
 	}
 
 	// Compact: everything so far collapses into the snapshot; only records
@@ -110,9 +111,9 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	if err := l2.Compact(snap); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	names, _ = fs.List()
+	names, _ := fs.List()
 	for _, n := range names {
-		if seq, isSnap, ok := parseName(n); ok && !isSnap && seq <= 3 {
+		if seq, isSnap, ok := parseName(n); ok && !isSnap && seq <= 4 {
 			t.Fatalf("compaction left covered segment %s (files: %v)", n, names)
 		}
 	}
@@ -340,7 +341,7 @@ func TestWALDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := mustOpen(t, fs, Options{SegmentSize: 256})
+	l, _ := mustOpen(t, fs, Options{})
 	var want [][]byte
 	for i := 0; i < 20; i++ {
 		p := rec(i)
@@ -363,7 +364,7 @@ func TestWALDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, r2 := mustOpen(t, fs2, Options{SegmentSize: 256})
+	l2, r2 := mustOpen(t, fs2, Options{})
 	defer l2.Close()
 	if !bytes.Equal(r2.Snapshot, []byte("on-disk-state")) {
 		t.Fatalf("snapshot = %q", r2.Snapshot)
