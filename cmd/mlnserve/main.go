@@ -15,12 +15,16 @@
 // resolved listen address on startup, so scripted runs (CI smokes, local
 // walkthroughs) never collide with an already-taken port.
 //
-// -data-dir enables durability: every session mutation is written to a
-// write-ahead log under the directory before it is acknowledged, and a
-// restart on the same directory replays it — sessions resume, interrupted
-// cleans restart, completed results re-serve byte-identically. The recovery
-// summary (sessions replayed / tombstoned / truncated bytes) is logged on
-// startup; graceful shutdown flushes and fsyncs the log before exit.
+// -data-dir enables durability: every session input (create, tuple batch,
+// clean start and completion marker, tuple mutation, rollback, close) is
+// written to a write-ahead log under the directory before it is
+// acknowledged. A restart on the same directory replays it: sessions resume,
+// interrupted cleans restart, and each done session's engine loads its
+// logged tuples and replays its mutations, so every result version
+// re-serves byte-identically. The recovery summary (sessions replayed /
+// tombstoned / failed, truncated bytes) is logged on startup, and each
+// session that could not be restored is logged at warn with its error;
+// graceful shutdown flushes and fsyncs the log before exit.
 //
 // Observability: GET /metrics on the main address serves the process-wide
 // Prometheus exposition (HTTP, session, core-stage, delta-engine, and WAL
@@ -98,7 +102,7 @@ func run(addr, debugAddr string, cfg server.ManagerConfig) error {
 	if rec := srv.Recovery(); rec != nil {
 		slog.Info("mlnserve: recovered write-ahead log", "dir", cfg.DataDir,
 			"sessions_replayed", rec.SessionsReplayed, "sessions_tombstoned", rec.SessionsTombstoned,
-			"cleans_restarted", rec.CleansRestarted,
+			"sessions_failed", rec.SessionsFailed, "cleans_restarted", rec.CleansRestarted,
 			"records", rec.Records, "truncated_bytes", rec.TruncatedBytes)
 	}
 	httpSrv := &http.Server{

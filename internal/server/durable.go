@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"mlnclean/internal/core"
 	"mlnclean/internal/wal"
 )
 
@@ -15,7 +14,11 @@ import (
 // mutation is acknowledged to the client. On restart the manager replays
 // snapshot + records into a replayState and rebuilds the live world from it:
 // open sessions get their logged batches back, interrupted cleans restart,
-// and completed results re-serve byte-identically without cleaning anything.
+// and a done session's engine is loaded from its batches and replays its
+// mutations. The log holds only what sessions were given — requests, tuples,
+// mutations — and markers of what happened to them; every result version,
+// the first included, is re-derived by the deterministic engine, so it
+// re-serves byte-identically without ever being stored.
 //
 // Fields a record or the create request once had (the executor's workers,
 // plan, seed, ...) are still in old logs: gob matches fields by name and skips
@@ -50,36 +53,25 @@ type recBatch struct {
 // manager restarts it from the logged batches.
 type recCleanStart struct{ ID string }
 
-// recCleanDone is the completed run, denormalized to exactly what the
-// result and repairs endpoints serve, so a restart re-serves both
-// byte-identically without recomputing anything. One record, so a crash
-// keeps the result and its audit trail or neither.
+// recCleanDone marks the run completed; replay re-derives its result and
+// audit trail by loading the engine from the logged batches. WallMS is the
+// only thing about the run the engine cannot reproduce. Older builds logged
+// the result table, stats and trail here too; gob skips those fields.
 type recCleanDone struct {
 	ID     string
-	Attrs  []string
-	Rows   [][]string
-	IDs    []int
-	Stats  core.Stats
 	WallMS int64
-	// Repairs is the run's ordered audit trail. Logs written before the
-	// completion became one record decode it nil and carry the trail in a
-	// recRepairs that follows.
-	Repairs []Repair
 }
 
-// recRepairs is the audit trail as older builds logged it: a second record
-// after recCleanDone. No longer written; still folded on replay.
-type recRepairs struct {
-	ID      string
-	Repairs []Repair
-}
-
-// recWeights is the learned weight vector older builds logged for a model
-// cache that no longer exists. Never written and ignored by apply, but it
-// must stay registered: decodeRecord is the log's Validate hook, so an
-// unknown record kind would truncate an old log at its first weight vector
-// and drop every session logged after it. gob skips the fields.
-type recWeights struct{}
+// recRepairs (the audit trail, logged after recCleanDone by older builds) and
+// recWeights (the learned weight vector, logged for a model cache that no
+// longer exists) are never written and ignored by apply, but must stay
+// registered: decodeRecord is the log's Validate hook, so an unknown record
+// kind would truncate an old log at its first such record and drop every
+// session logged after it. gob skips the fields.
+type (
+	recRepairs struct{}
+	recWeights struct{}
+)
 
 // recMutation is one acknowledged tuple mutation (PUT or DELETE of a row)
 // against a done session. Replay re-applies the sequence through the delta
@@ -149,10 +141,9 @@ type sessSnap struct {
 	Batches    [][][]string
 	Cleaning   bool
 	Done       *recCleanDone
-	Repairs    []Repair
 	RolledBack bool
 	// Mutations is the acknowledged tuple-mutation sequence (old snapshots
-	// decode it empty). Result versions are recomputed from it on demand.
+	// decode it empty). Replay recomputes every result version from it.
 	Mutations []recMutation
 }
 
@@ -195,16 +186,8 @@ func (st *replayState) apply(rec Record) {
 		}
 	case recCleanDone:
 		if s := st.Sessions[r.ID]; s != nil {
-			done := r
-			// The trail lives in sessSnap.Repairs (where old snapshots and
-			// recRepairs put it), not twice in the snapshot.
-			s.Repairs, done.Repairs = r.Repairs, nil
-			s.Done = &done
+			s.Done = &r
 			s.Cleaning = false
-		}
-	case recRepairs:
-		if s := st.Sessions[r.ID]; s != nil {
-			s.Repairs = r.Repairs
 		}
 	case recMutation:
 		if s := st.Sessions[r.ID]; s != nil {
@@ -317,7 +300,8 @@ type RecoverySummary struct {
 	// and replay therefore did not resurrect.
 	SessionsTombstoned int `json:"sessions_tombstoned"`
 	// SessionsFailed counts logged sessions that could not be rebuilt (e.g.
-	// rules this build's parser or fusion-width check rejects).
+	// rules this build's parser or fusion-width check rejects, or logged
+	// tuples the engine cannot load); each is logged at Warn.
 	SessionsFailed int `json:"sessions_failed,omitempty"`
 	// CleansRestarted counts interrupted runs replay started over.
 	CleansRestarted int `json:"cleans_restarted"`
@@ -329,8 +313,8 @@ type RecoverySummary struct {
 }
 
 func (r *RecoverySummary) String() string {
-	return fmt.Sprintf("sessions replayed=%d tombstoned=%d cleans restarted=%d records=%d truncated bytes=%d",
-		r.SessionsReplayed, r.SessionsTombstoned, r.CleansRestarted, r.Records, r.TruncatedBytes)
+	return fmt.Sprintf("sessions replayed=%d tombstoned=%d failed=%d cleans restarted=%d records=%d truncated bytes=%d",
+		r.SessionsReplayed, r.SessionsTombstoned, r.SessionsFailed, r.CleansRestarted, r.Records, r.TruncatedBytes)
 }
 
 // openWAL opens (or disables) durability for a manager config: an injected

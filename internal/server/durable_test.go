@@ -480,6 +480,29 @@ func TestCleanCompletionAtomic(t *testing.T) {
 		t.Fatal("hospital run produced no repairs to audit")
 	}
 
+	// The completion is a marker, not the result: the log grows by the same
+	// few bytes however large the table. frameLen is how much one record
+	// grows a log.
+	const segment, maxCompletion = "wal-00000001.log", 128
+	frameLen := func(r Record) int64 {
+		t.Helper()
+		fs := wal.NewMemFS(wal.FaultPlan{})
+		lg, _, err := wal.Open(fs, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lg.Close()
+		frame, err := encodeRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fs.DurableLen(segment)
+		if err := lg.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+		return fs.DurableLen(segment) - before
+	}
+
 	const life = 6 // syncs in the session's life; life+1 never fires (control)
 	for at := 1; at <= life+1; at++ {
 		t.Run(fmt.Sprintf("sync=%d", at), func(t *testing.T) {
@@ -490,7 +513,20 @@ func TestCleanCompletionAtomic(t *testing.T) {
 			c1 := &client{t: t, base: ts1.URL}
 
 			const id = "s-000001"
-			driveUnderFault(c1, req, id, batches)
+			if at > life {
+				// The control makes driveUnderFault's calls one at a time, to
+				// read the log's length before the clean.
+				createSession(c1, req)
+				submitBatches(c1, id, batches)
+				before := fs.DurableLen(segment)
+				startClean(c1, id)
+				pollDone(c1, id)
+				if grew := fs.DurableLen(segment) - before - frameLen(recCleanStart{ID: id}); grew >= maxCompletion {
+					t.Errorf("the completion grew the log by %d bytes, want under %d", grew, maxCompletion)
+				}
+			} else {
+				driveUnderFault(c1, req, id, batches)
+			}
 			ts1.Close()
 			fs.Crash()
 			srv1.Shutdown()
@@ -1041,5 +1077,92 @@ func TestCreateUnknownMetric(t *testing.T) {
 	}
 	if reflect.DeepEqual(cleanedAs("cosine"), lev) {
 		t.Error("cosine and Levenshtein clean the fixture identically; the comparison above proves nothing")
+	}
+}
+
+// TestRestoreFailureVisible: a logged session the engine cannot rebuild —
+// here a done session whose logged batch holds a row of the wrong width —
+// fails its restore alone. The other done session in the log is re-derived
+// and serves what a session never restarted serves, with the logged wall
+// time; the failed one answers 404, is counted in SessionsFailed and the
+// summary's string, and is logged with its id.
+func TestRestoreFailureVisible(t *testing.T) {
+	dirty, _, rulesText := hospitalFixture(t)
+	batches := splitRows(dirty, 2)
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Tau: 2}
+
+	ref := newTestServer(t, ManagerConfig{})
+	defer ref.Shutdown()
+	tsRef := httptest.NewServer(ref)
+	defer tsRef.Close()
+	cRef := &client{t: t, base: tsRef.URL}
+	refID := createSession(cRef, req).ID
+	resumeSession(cRef, refID, batches)
+	wantRes, wantTrail := getResult(cRef, refID), getRepairs(cRef, refID)
+
+	const good, bad, wallMS = "s-000001", "s-000002", 42
+	badRows := [][]string{batches[0][0], append(append([]string(nil), batches[0][1]...), "extra")}
+	var recs []Record
+	for _, s := range []struct {
+		id      string
+		batches [][][]string
+	}{{good, batches}, {bad, [][][]string{badRows}}} {
+		recs = append(recs, recCreate{ID: s.id, Req: req, Created: 1700000000000000000})
+		for _, rows := range s.batches {
+			recs = append(recs, recBatch{ID: s.id, Rows: rows})
+		}
+		recs = append(recs, recCleanStart{ID: s.id}, recCleanDone{ID: s.id, WallMS: wallMS})
+	}
+	fs := wal.NewMemFS(wal.FaultPlan{})
+	lg, _, err := wal.Open(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		frame, err := encodeRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lg.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	events := make(sessionLog, 256)
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(events))
+	srv := newTestServer(t, ManagerConfig{WALFS: fs})
+	defer srv.Shutdown()
+	rec := srv.Recovery()
+	if rec.SessionsReplayed != 1 || rec.SessionsFailed != 1 || rec.CleansRestarted != 0 {
+		t.Fatalf("recovery = %+v, want one session replayed, one failed, no clean restarted", rec)
+	}
+	if !strings.Contains(rec.String(), "failed=1") {
+		t.Errorf("recovery summary %q does not report the failed session", rec.String())
+	}
+	logged := false
+	for len(events) > 0 {
+		logged = logged || <-events == "server: session not restored "+bad
+	}
+	if !logged {
+		t.Errorf("the failed restore of %s was not logged", bad)
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := &client{t: t, base: ts.URL}
+	res := getResult(c, good)
+	assertSameClean(t, "restored session", res, wantRes)
+	if res.WallMS != wallMS {
+		t.Errorf("restored session serves wall_ms %d, want the logged %d", res.WallMS, wallMS)
+	}
+	if trail := getRepairs(c, good); !reflect.DeepEqual(trail.Repairs, wantTrail.Repairs) {
+		t.Errorf("restored session serves %d repairs, want the reference trail of %d", len(trail.Repairs), len(wantTrail.Repairs))
+	}
+	if code := c.do("GET", "/v1/sessions/"+bad, nil, nil); code != http.StatusNotFound {
+		t.Errorf("unrestorable session %s: status %d, want 404", bad, code)
 	}
 }

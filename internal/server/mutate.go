@@ -15,11 +15,12 @@ import (
 // next version. Version N+1 is the cleaned table after the first N
 // mutations, and — the delta engine being parity-anchored to core.Clean —
 // every version, 1 included, is byte-identical to a from-scratch clean of its
-// input table: a pure function of (rules, options, tuples). Of the versions
-// only the first is logged (so a done session re-serves without cleaning);
-// the mutation log is durable, and the loaded engine, the dense-id
-// high-water mark and versions ≥ 2 are rebuilt deterministically on first use
-// after a restart, so every acknowledged version re-serves byte-identically.
+// input table: a pure function of (rules, options, tuples). No version is
+// logged, only its inputs: the batches and the mutation log are durable, and
+// a restart loads the engine from the batches and replays the mutations, so
+// every acknowledged version — version 1 included — re-serves
+// byte-identically. A done session in memory always holds a loaded engine
+// current with its mutation log.
 
 // versionEntry is one materialized result version.
 type versionEntry struct {
@@ -33,50 +34,14 @@ type versionEntry struct {
 	wallMS int64
 }
 
-// record denormalizes version 1 into its WAL record: exactly what the result
-// and repairs endpoints serve.
-func (v *versionEntry) record(id string) recCleanDone {
-	rows, ids := rowsAndIDs(v.clean)
-	return recCleanDone{
-		ID:      id,
-		Attrs:   v.clean.Schema.Attrs(),
-		Rows:    rows,
-		IDs:     ids,
-		Stats:   v.stats,
-		WallMS:  v.wallMS,
-		Repairs: v.repairs,
-	}
-}
-
-// rowsAndIDs is a table as the wire and the log carry it: each tuple's values
-// (shared, not copied) and its id.
+// rowsAndIDs is a table as the wire carries it: each tuple's values (shared,
+// not copied) and its id.
 func rowsAndIDs(tb *dataset.Table) ([][]string, []int) {
 	rows, ids := make([][]string, tb.Len()), make([]int, tb.Len())
 	for i, t := range tb.Tuples {
 		rows[i], ids[i] = t.Values, t.ID
 	}
 	return rows, ids
-}
-
-// versionFromRecord rebuilds version 1 from its log record; repairs is the
-// trail as the replay fold holds it, tuples the session's streamed row count.
-func versionFromRecord(rec *recCleanDone, repairs []Repair, tuples int) (*versionEntry, error) {
-	schema, err := dataset.NewSchema(rec.Attrs...)
-	if err != nil {
-		return nil, err
-	}
-	if len(rec.Rows) != len(rec.IDs) {
-		return nil, fmt.Errorf("server: result record: %d rows, %d ids", len(rec.Rows), len(rec.IDs))
-	}
-	tb := dataset.NewTable(schema)
-	for i, row := range rec.Rows {
-		t, err := tb.Append(row...)
-		if err != nil {
-			return nil, err
-		}
-		t.ID = rec.IDs[i]
-	}
-	return &versionEntry{clean: tb, stats: rec.Stats, repairs: repairs, tuples: tuples, wallMS: rec.WallMS}, nil
 }
 
 // mutOps are the recMutation op names.
@@ -104,9 +69,6 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntr
 	}
 	if s.rolled != nil {
 		return 0, nil, fmt.Errorf("server: session %s is rolled back, cannot mutate tuples", s.ID)
-	}
-	if err := s.ensureDeltaLocked(); err != nil {
-		return 0, nil, err
 	}
 	switch op {
 	case mutPut:
@@ -142,9 +104,12 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntr
 	s.mutLog = append(s.mutLog, rec)
 	if err := s.catchUpLocked(); err != nil {
 		// The mutation is durable but the engine rejected it — a bug, since
-		// validation above mirrors the engine's. Fail loudly rather than serve
-		// a version log the replay cannot reproduce.
-		return 0, nil, fmt.Errorf("server: session %s: apply acknowledged mutation: %w", s.ID, err)
+		// validation above mirrors the engine's. The session fails rather
+		// than serve a version log its engine is not current with; a restart
+		// fails its restore the same way.
+		s.state = StateFailed
+		s.runErr = fmt.Errorf("server: session %s: apply acknowledged mutation: %w", s.ID, err)
+		return 0, nil, s.runErr
 	}
 	s.lastUsed = time.Now()
 	version := len(s.versions)
@@ -184,32 +149,13 @@ func (s *Session) Versioned(v int) (*versionEntry, error) {
 		return nil, fmt.Errorf("%w: session %s has no result version %d (latest %d)",
 			ErrNotFound, s.ID, v, 1+len(s.mutLog))
 	}
-	if v > 1 {
-		if err := s.ensureDeltaLocked(); err != nil {
-			return nil, err
-		}
-	}
 	s.lastUsed = time.Now()
 	return s.versions[v-1], nil
 }
 
-// ensureDeltaLocked brings the engine current with the mutation log. In a
-// session cleaned by this process that is a no-op (Mutate keeps it current).
-// After a restart it is where the engine is loaded — one full clean of the
-// logged batches, its result discarded: version 1 stays the logged record —
-// and every logged mutation replayed; the engine is deterministic, so the
-// acknowledged versions come back byte-identical. Caller holds s.mu.
-func (s *Session) ensureDeltaLocked() error {
-	if !s.loaded {
-		if _, err := s.loadEngine(); err != nil {
-			return fmt.Errorf("server: session %s: load delta engine: %w", s.ID, err)
-		}
-	}
-	return s.catchUpLocked()
-}
-
-// catchUpLocked materializes one version per unapplied mutation-log record.
-// Caller holds s.mu; the engine is loaded.
+// catchUpLocked materializes one version per unapplied mutation-log record:
+// the one just acknowledged by Mutate, or the whole log on restore. Caller
+// holds s.mu (or owns the unpublished session); the engine is loaded.
 func (s *Session) catchUpLocked() error {
 	for len(s.versions) <= len(s.mutLog) {
 		rec := s.mutLog[len(s.versions)-1]

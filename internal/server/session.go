@@ -98,11 +98,9 @@ type Session struct {
 	wal       *walStore      // nil when durability is off
 
 	// delta is built (empty) at create, so a rule set it cannot run fails the
-	// create; loaded says it holds the table. A done session restored from the
-	// WAL serves version 1 off the logged record and loads lazily, on the
-	// first call that needs the engine (ensureDeltaLocked).
-	delta  *core.DeltaCleaner
-	loaded bool
+	// create. The clean loads it; a done session restored from the WAL is
+	// loaded from its logged batches before it is published.
+	delta *core.DeltaCleaner
 	// nextRow is the dense-id high-water mark: one past the largest row id
 	// ever stored (not max(live id)+1), the only fresh id a PUT may insert at.
 	nextRow int
@@ -236,13 +234,13 @@ func (s *Session) runClean() {
 		slog.Warn("server: clean failed", "session", s.ID, "run", s.runID, "err", err)
 		return
 	}
-	// Log the completion — result and trail in one record, so a crash keeps
-	// both or neither — before the done state becomes observable: a poller
-	// that saw "done" must find the result after a crash. A completion that
-	// could not be logged is still served from memory; after a restart the
-	// clean runs again from the logged batches and reproduces the same bytes.
+	// Log the completion marker before the done state becomes observable: a
+	// poller that saw "done" must find the session done after a crash. A
+	// completion that could not be logged is still served from memory; after
+	// a restart the clean runs again from the logged batches and reproduces
+	// the same bytes.
 	v1.wallMS = wall.Milliseconds()
-	if err := s.wal.append(v1.record(s.ID)); err != nil {
+	if err := s.wal.append(recCleanDone{ID: s.ID, WallMS: v1.wallMS}); err != nil {
 		slog.Warn("server: clean completion not logged", "session", s.ID, "run", s.runID, "err", err)
 	}
 	s.state = StateDone
@@ -255,7 +253,8 @@ func (s *Session) runClean() {
 
 // loadEngine runs the one full clean of a session's life — DeltaCleaner.Load
 // over the streamed tuples, rows numbered by stream position — and returns
-// it as version 1. The caller holds s.mu or is the session's clean.
+// it as version 1. The caller holds s.mu, is the session's clean, or is the
+// restore of a session not yet published.
 func (s *Session) loadEngine() (*versionEntry, error) {
 	base, err := preRepairTable(s.schema, s.batches)
 	if err != nil {
@@ -265,7 +264,7 @@ func (s *Session) loadEngine() (*versionEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.loaded, s.nextRow = true, base.Len()
+	s.nextRow = base.Len()
 	return &versionEntry{
 		clean:   res.Clean,
 		stats:   res.Stats,
@@ -335,9 +334,10 @@ type ManagerConfig struct {
 	DefaultWorkers int
 	// DataDir enables durability: every session mutation is written to a
 	// write-ahead log under this directory before it is acknowledged, and a
-	// restart on the same directory replays it — sessions rebuilt, completed
-	// results re-served byte-identically. Empty (and WALFS nil) means
-	// in-memory only, the pre-durability behavior.
+	// restart on the same directory replays it — sessions rebuilt, each done
+	// session's engine loaded from its logged tuples and its mutations
+	// replayed, so every result version re-serves byte-identically. Empty
+	// (and WALFS nil) means in-memory only, the pre-durability behavior.
 	DataDir string
 	// WALFS overrides the log's filesystem (tests inject the fault-injecting
 	// crash-simulating wal.MemFS). Takes precedence over DataDir.
@@ -449,6 +449,7 @@ func (m *Manager) replay(fs wal.FS) error {
 		s, err := m.restore(id, st.Sessions[id])
 		if err != nil {
 			sum.SessionsFailed++
+			slog.Warn("server: session not restored", "session", id, "err", err)
 			continue
 		}
 		m.sessions[id] = s
@@ -475,8 +476,10 @@ func (m *Manager) replay(fs wal.FS) error {
 }
 
 // restore rebuilds one session from its folded log state. An open or
-// mid-clean session needs only its batches; a done one serves version 1 off
-// the logged record, whatever engine wrote it.
+// mid-clean session needs only its batches. A done one is rebuilt the way it
+// was served: the engine loads the batches (version 1, with the logged wall
+// time) and replays the mutation log (every later version). Any error fails
+// the restore.
 func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 	s, err := newSession(snap.RunID, snap.Req)
 	if err != nil {
@@ -495,12 +498,16 @@ func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 		}
 	}
 	if snap.Done != nil {
-		v1, err := versionFromRecord(snap.Done, snap.Repairs, s.tuples)
+		v1, err := s.loadEngine()
 		if err != nil {
 			return nil, err
 		}
+		v1.wallMS = snap.Done.WallMS
 		s.state = StateDone
 		s.versions = []*versionEntry{v1}
+		if err := s.catchUpLocked(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
