@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -30,17 +29,20 @@ import (
 //     from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity + learned weight, both fixed-width) before and after
-//     the rebuild, position by position: a dirty block's old version index
-//     is re-placed at the current positions first, as the clean blocks'
-//     are. A tuple whose versions are bit-identical fuses to the same
-//     assignment, so its cached outcome is reused. Conflicted tuples are
-//     always re-fused — their outcome reads global candidate sets and
-//     attribute domain sizes, which any mutation may shift.
+//     the rebuild, position by position. An insert or delete splices every
+//     block's version index as it splices the table, which keeps it exact:
+//     a clean block holds no version of the row, and a dirty block's
+//     spliced index is its old one at the current positions. A tuple whose
+//     versions are bit-identical fuses to the same assignment, so its
+//     cached outcome is reused. Conflicted tuples are always re-fused —
+//     their outcome reads global candidate sets and attribute domain sizes,
+//     which any mutation may shift.
 //   - Every per-tuple cache is a slice parallel to the table, in its
-//     ascending-ID order; an ID is found by binary search. A re-fused tuple
-//     whose fused row did not move keeps its cached tuple, so successive
-//     Results share every tuple whose repaired values did not change, and
-//     the audit trail (Trail) is read off the cached ID rows.
+//     ascending-ID order; an ID is found by binary search over a flat slice
+//     of the IDs. A re-fused tuple whose fused row did not move keeps its
+//     cached tuple, so successive Results share every tuple whose repaired
+//     values did not change, and the audit trail (Trail) is read off the
+//     cached ID rows.
 //
 // The correctness anchor is exact parity: after any mutation sequence,
 // Apply's Result is byte-identical to Clean over the same table (the
@@ -111,11 +113,12 @@ type DeltaCleaner struct {
 	evs []*distance.Evaluator
 
 	// The current dirty table in ascending tuple-ID order, plus its encoded
-	// companion. Rows are engine-owned copies; every encoded row has
-	// cap == len, so splicing encRows or replacing a row on PUT never writes
-	// into a neighbour.
+	// companion and their IDs. Rows are engine-owned copies; every encoded
+	// row has cap == len, so splicing encRows or replacing a row on PUT never
+	// writes into a neighbour.
 	tuples  []*dataset.Tuple
 	encRows [][]uint32
+	ids     []int
 	// Each tuple's cached fusion outcome, parallel to tuples: the fused
 	// (repaired) tuple and its value IDs, written by fuseOne and replaced
 	// wholesale when a re-fuse moves the row, never edited, so Results can
@@ -215,6 +218,10 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 	}
 	d.encRows = dataset.Encode(d.view(), d.dict).Rows
 	n := len(d.tuples)
+	d.ids = make([]int, n)
+	for i, t := range d.tuples {
+		d.ids[i] = t.ID
+	}
 	d.fusedTuples, d.fusedRows, d.fuseRes = make([]*dataset.Tuple, n), make([][]uint32, n), make([]fuseResult, n)
 
 	d.blocks = make([]*deltaBlock, len(d.rs))
@@ -254,20 +261,23 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 
 	// Fold the batch into the table, collecting the dirtied rules. Each
 	// mutation sees the state its predecessors left. An insert or delete
-	// splices every per-position slice and shifts the positions after it,
-	// which every block's version index is keyed by.
+	// splices every per-position slice, every block's version index
+	// included.
 	dirty := make([]bool, len(d.rs))
-	shifted := false
+	vers := d.plan.versionOf
 	for _, m := range muts {
 		pos, exists := d.posOf(m.Row)
 		if m.Op == DeltaDelete {
 			d.markApplying(dirty, d.tuples[pos].Values)
 			d.tuples = slices.Delete(d.tuples, pos, pos+1)
 			d.encRows = slices.Delete(d.encRows, pos, pos+1)
+			d.ids = slices.Delete(d.ids, pos, pos+1)
 			d.fusedTuples = slices.Delete(d.fusedTuples, pos, pos+1)
 			d.fusedRows = slices.Delete(d.fusedRows, pos, pos+1)
 			d.fuseRes = slices.Delete(d.fuseRes, pos, pos+1)
-			shifted = true
+			for ri := range vers {
+				vers[ri] = slices.Delete(vers[ri], pos, pos+1)
+			}
 			continue
 		}
 		vals := slices.Clone(m.Values)
@@ -275,10 +285,13 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 			d.markApplying(dirty, vals)
 			d.tuples = slices.Insert(d.tuples, pos, &dataset.Tuple{ID: m.Row, Values: vals})
 			d.encRows = slices.Insert(d.encRows, pos, d.encode(vals))
+			d.ids = slices.Insert(d.ids, pos, m.Row)
 			d.fusedTuples = slices.Insert(d.fusedTuples, pos, nil)
 			d.fusedRows = slices.Insert(d.fusedRows, pos, nil)
 			d.fuseRes = slices.Insert(d.fuseRes, pos, fuseResult{})
-			shifted = true
+			for ri := range vers {
+				vers[ri] = slices.Insert(vers[ri], pos, 0)
+			}
 			continue
 		}
 		old := d.tuples[pos].Values
@@ -306,21 +319,17 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		}
 	}
 
-	// A shifted batch re-places every block's version index at the current
-	// positions. A dirty block's old index is then set aside, with its
-	// pieces, and adopt places the rebuilt one in the spare array.
+	// A dirty block's old index is set aside, with its pieces, and adopt
+	// places the rebuilt one in the spare array.
 	ds := &DeltaStats{}
 	var rebuilt []int
 	var oldPieces [][]*index.Piece
 	for ri, isDirty := range dirty {
-		if shifted {
-			d.placeVersions(ri)
-		}
 		if isDirty {
 			db := d.blocks[ri]
 			rebuilt = append(rebuilt, ri)
 			oldPieces = append(oldPieces, d.plan.blocks[ri].Pieces)
-			db.oldVers, d.plan.versionOf[ri] = d.plan.versionOf[ri], db.oldVers
+			db.oldVers, vers[ri] = vers[ri], db.oldVers
 		}
 	}
 	ds.DirtyBlocks, ds.ReusedBlocks = len(rebuilt), len(d.rs)-len(rebuilt)
@@ -333,7 +342,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 	// Mark every position whose version moved in a rebuilt block: another
 	// piece or weight, or a version on one side only.
 	for k, ri := range rebuilt {
-		was, now, at := oldPieces[k], d.plan.blocks[ri].Pieces, d.plan.versionOf[ri]
+		was, now, at := oldPieces[k], d.plan.blocks[ri].Pieces, vers[ri]
 		for i, a := range d.blocks[ri].oldVers {
 			b := at[i]
 			if (a == 0) != (b == 0) || a != 0 && (was[a-1].KeyID() != now[b-1].KeyID() || was[a-1].Weight != now[b-1].Weight) {
@@ -412,7 +421,7 @@ func (d *DeltaCleaner) Has(row int) bool {
 // posOf is the position of the live tuple with the given ID, or where it
 // would be inserted.
 func (d *DeltaCleaner) posOf(id int) (int, bool) {
-	return slices.BinarySearchFunc(d.tuples, id, func(t *dataset.Tuple, id int) int { return cmp.Compare(t.ID, id) })
+	return slices.BinarySearch(d.ids, id)
 }
 
 // Table materializes the current dirty table (ascending tuple-ID order, IDs
@@ -487,7 +496,9 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	fb := fusionBlockOf(b)
 	d.plan.blocks[ri] = fb
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
-	d.placeVersions(ri)
+	// The version index is placed again over the current positions, in its
+	// own array.
+	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.posOf)
 	if db.weights == nil {
 		db.weights = make(map[uint32]float64, len(fb.Candidates))
 	}
@@ -495,12 +506,6 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	for _, p := range fb.Candidates {
 		db.weights[p.KeyID()] = p.Weight
 	}
-}
-
-// placeVersions refills rule ri's version index over the current table
-// positions from its current pieces, reusing its array.
-func (d *DeltaCleaner) placeVersions(ri int) {
-	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.posOf)
 }
 
 // fuseOne re-runs fusion for the tuple at position i against the current

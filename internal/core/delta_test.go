@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -440,6 +442,120 @@ func TestDeltaHugeRowID(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertParity(t, "delete 0", res, eng.Weights(), eng.Table(), rs, Options{})
+}
+
+// placedVersions is block bi's version index placed from scratch at the
+// engine's current positions: the walk Apply once re-ran on every block
+// after each insert or delete, each tuple ID found by a binary search over
+// the tuples themselves.
+func placedVersions(eng *DeltaCleaner, bi int) []uint32 {
+	at := make([]uint32, len(eng.tuples))
+	for k, p := range eng.plan.blocks[bi].Pieces {
+		for _, id := range p.TupleIDs {
+			if i, ok := slices.BinarySearchFunc(eng.tuples, id, func(t *dataset.Tuple, id int) int { return cmp.Compare(t.ID, id) }); ok {
+				at[i] = uint32(k) + 1
+			}
+		}
+	}
+	return at
+}
+
+// TestDeltaVersionIndexIsPlacement: Apply splices every block's version
+// index on an insert or delete instead of placing it again, so after every
+// Apply each index must equal a from-scratch placement of the block's
+// pieces — across inserts, deletes, a delete and re-insert of one ID inside
+// one batch, and rows far past the dense IDs. Every other row is made an
+// acura, so the rows the CFD's block holds sit throughout the table, and an
+// insert or delete of any other row leaves that block clean and shifts them.
+func TestDeltaVersionIndexIsPlacement(t *testing.T) {
+	dirty, rs := carDirty(t, 150, 11)
+	for i, tp := range dirty.Tuples {
+		if i%2 == 0 {
+			tp.Values[dirty.Schema.MustIndex("Make")] = "acura"
+		}
+	}
+	eng, err := NewDeltaCleaner(dirty.Schema, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load(dirty); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	live := make(map[int][]string, dirty.Len())
+	for _, tp := range dirty.Tuples {
+		live[tp.ID] = tp.Values
+	}
+	pick := func() int {
+		ids := make([]int, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		return ids[rng.Intn(len(ids))]
+	}
+	next, huge := dirty.Len(), 1<<40
+	kinds := make(map[string]int)
+	for step := 0; step < 16; step++ {
+		var muts []Mutation
+		for n := 1 + rng.Intn(4); len(muts) < n; {
+			switch k := rng.Intn(5); {
+			case k == 0 && len(live) > 8:
+				id := pick()
+				muts = append(muts, Mutation{Op: DeltaDelete, Row: id})
+				delete(live, id)
+				kinds["delete"]++
+			case k == 1:
+				id := next
+				if rng.Intn(3) == 0 {
+					id, huge = huge, huge+1+rng.Intn(1<<20)
+					kinds["huge"]++
+				} else {
+					next++
+				}
+				vals := live[pick()]
+				muts = append(muts, Mutation{Op: DeltaPut, Row: id, Values: vals})
+				live[id] = vals
+				kinds["insert"]++
+			case k == 2:
+				// Delete and re-insert one ID in the same batch, with another
+				// row's values.
+				id, vals := pick(), live[pick()]
+				muts = append(muts, Mutation{Op: DeltaDelete, Row: id}, Mutation{Op: DeltaPut, Row: id, Values: vals})
+				live[id] = vals
+				kinds["delete+reinsert"]++
+			default:
+				id := pick()
+				vals := slices.Clone(live[id])
+				vals[rng.Intn(len(vals))] = live[pick()][rng.Intn(len(vals))]
+				muts = append(muts, Mutation{Op: DeltaPut, Row: id, Values: vals})
+				live[id] = vals
+				kinds["update"]++
+			}
+		}
+		if _, _, err := eng.Apply(muts); err != nil {
+			t.Fatalf("step %d: Apply(%v): %v", step, muts, err)
+		}
+		if len(eng.ids) != len(eng.tuples) {
+			t.Fatalf("step %d: %d IDs for %d tuples", step, len(eng.ids), len(eng.tuples))
+		}
+		for i, tp := range eng.tuples {
+			if eng.ids[i] != tp.ID {
+				t.Fatalf("step %d: position %d holds ID %d, tuple %d", step, i, eng.ids[i], tp.ID)
+			}
+		}
+		for bi := range eng.plan.blocks {
+			if got, want := eng.plan.versionOf[bi], placedVersions(eng, bi); !slices.Equal(got, want) {
+				t.Fatalf("step %d: block %d's version index is not its placement:\n got %v\nwant %v", step, bi, got, want)
+			}
+		}
+	}
+	for _, k := range []string{"delete", "insert", "huge", "delete+reinsert", "update"} {
+		if kinds[k] == 0 {
+			t.Errorf("the sequence made no %s", k)
+		}
+	}
+	assertParity(t, "last step", eng.assemble(), eng.Weights(), eng.Table(), rs, Options{})
 }
 
 // TestDeltaValidation: bad batches are rejected atomically, before any state

@@ -366,7 +366,9 @@ func (pl *fusionPlan) countDomains(rows [][]uint32) {
 
 // placeVersions fills at, block bi's zeroed version index (one slot per
 // table position), from its pieces' TupleIDs; posOf maps a tuple ID to its
-// position, and an ID it does not know is skipped.
+// position, and an ID it does not know is skipped. It runs once per block
+// of a whole-table run, and once per rebuild of a DeltaCleaner block: an
+// insert or delete splices the engine's indexes instead.
 func (pl *fusionPlan) placeVersions(bi int, at []uint32, posOf func(id int) (int, bool)) {
 	for k, p := range pl.blocks[bi].Pieces {
 		for _, id := range p.TupleIDs {

@@ -2,6 +2,8 @@ package mln_test
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"mlnclean/internal/core"
@@ -51,15 +53,46 @@ func haiLearnInputs(tb testing.TB) (groups [][][]int, counts [][]float64) {
 
 var sinkWeights []float64
 
+// swept counts, in one block's groups, the members of the groups the
+// learner sweeps and the groups that learn but share another's weights: a
+// group learns when it has two members or more and some support, and the
+// first group of each distinct (count, prior) sequence is the one swept.
+func swept(groups [][]int, counts, priors []float64) (members, shared int) {
+	seen := make(map[string]bool)
+	for _, g := range groups {
+		total := 0.0
+		var key []byte
+		for _, i := range g {
+			total += counts[i]
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(counts[i]))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(priors[i]))
+		}
+		switch {
+		case len(g) < 2 || total == 0:
+		case seen[string(key)]:
+			shared++
+		default:
+			seen[string(key)] = true
+			members += len(g)
+		}
+	}
+	return members, shared
+}
+
 // BenchmarkLearnWeights learns every block of the HAI table as one chunk on
 // the caller: ns/op is per pass over the blocks, ns/update that divided by
 // the single-weight Newton updates the pass made (sweeps × members of the
-// groups that learn).
+// groups swept), and shared_groups/op the groups that took another's
+// weights instead of learning their own.
 func BenchmarkLearnWeights(b *testing.B) {
 	groups, counts := haiLearnInputs(b)
 	priors := make([][]float64, len(counts))
+	members := make([]int, len(counts))
+	shared := 0
 	for i := range counts {
 		priors[i] = mln.PriorWeights(counts[i])
+		m, s := swept(groups[i], counts[i], priors[i])
+		members[i], shared = m, shared+s
 	}
 	updates, sweeps := 0, 0
 	b.ReportAllocs()
@@ -73,14 +106,11 @@ func BenchmarkLearnWeights(b *testing.B) {
 			}
 			sinkWeights = w
 			sweeps += iters
-			for _, g := range groups[bi] {
-				if len(g) > 1 {
-					updates += iters * len(g)
-				}
-			}
+			updates += iters * members[bi]
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(updates), "ns/update")
 	b.ReportMetric(float64(updates), "updates/op")
 	b.ReportMetric(float64(sweeps), "sweeps/op")
+	b.ReportMetric(float64(shared), "shared_groups/op")
 }

@@ -58,7 +58,9 @@ const (
 // on the caller). Groups share nothing but the stop test, so a chunk sweeps
 // on its own and only the stop sweep is agreed between them — the weights
 // and the sweep count are the same bits for every chunk count and every
-// way each runs its items.
+// way each runs its items. Groups whose members' supports and initial
+// weights are equal, member for member, are learned once and share the
+// result, which is the weight each would learn on its own.
 func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, iterations int, err error) {
 	weights, iterations, _, err = learnWeights(groups, counts, init, chunks, each)
 	return weights, iterations, err
@@ -75,16 +77,22 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 	if len(init) != n {
 		return nil, 0, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
 	}
-	seen := make([]bool, n)
+	// ex marks the candidates the partition check has seen: a sweep reads
+	// only the terms of the groups that learn, and each is set first.
+	l := &learner{counts: counts, init: init, w: make([]float64, n), ex: make([]float64, n)}
+	learning := 0
 	for _, g := range groups {
 		for _, i := range g {
 			if i < 0 || i >= n {
 				return nil, 0, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
 			}
-			if seen[i] {
+			if l.ex[i] != 0 {
 				return nil, 0, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
 			}
-			seen[i] = true
+			l.ex[i] = 1
+		}
+		if _, ok := learns(g, counts); ok {
+			learning++
 		}
 	}
 	for i, c := range counts {
@@ -93,32 +101,49 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 		}
 	}
 
-	l := &learner{counts: counts, init: init, w: make([]float64, n), ex: make([]float64, n)}
 	copy(l.w, init)
-	live := make([]groupState, 0, len(groups))
+
+	// A group's trajectory reads nothing but its members' counts and initial
+	// weights and, through the stop test, the sweep count. So groups whose
+	// (count, init) sequences are equal bit for bit learn the same bits:
+	// order the groups that learn by that sequence, sweep the first of each
+	// run of equals, and copy its weights to the rest once the stop sweep is
+	// agreed. A copy is marked in the order itself, as ^(its group index).
+	order := make([]int, 0, learning)
+	for gi, g := range groups {
+		if _, ok := learns(g, counts); ok {
+			order = append(order, gi)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(l.compareSupport(groups[a], groups[b]), cmp.Compare(a, b))
+	})
+	distinct := len(order)
+	for k := len(order) - 1; k > 0; k-- {
+		if l.compareSupport(groups[order[k]], groups[order[k-1]]) == 0 {
+			order[k] = ^order[k]
+			distinct--
+		}
+	}
+	live := make([]groupState, 0, distinct)
 	members := 0
-	for _, g := range groups {
-		if len(g) < 2 {
-			// A singleton group's softmax is degenerate (p=1); only the
-			// prior acts, so the weight stays at its prior centre.
+	for _, gi := range order {
+		if gi < 0 {
 			continue
 		}
-		total := 0.0
-		for _, i := range g {
-			total += counts[i]
-		}
-		if total == 0 {
-			continue
-		}
+		g := groups[gi]
+		total, _ := learns(g, counts)
 		top := maxWeight(l.w, g)
 		expTerms(l.ex, l.w, g, top)
 		live = append(live, groupState{members: g, total: total, top: top})
 		members += len(g)
 	}
+	// Back in candidate order: contiguous runs of groups touch contiguous
+	// stretches of w and ex when the caller numbers candidates group by
+	// group, as a block does, so two chunks running side by side share at
+	// most the cache lines at a seam.
+	slices.SortFunc(live, func(a, b groupState) int { return cmp.Compare(a.members[0], b.members[0]) })
 
-	// Contiguous runs of groups touch contiguous stretches of w and ex when
-	// the caller numbers candidates group by group, as a block does, so two
-	// chunks running side by side share at most the cache lines at a seam.
 	parts := make([]chunk, max(chunks, 1))
 	at, cum := 0, 0
 	for k := range parts {
@@ -157,10 +182,50 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 			agreed = agreed && parts[k].sweeps == next
 		}
 		if agreed {
+			from := 0
+			for _, gi := range order {
+				if gi >= 0 {
+					from = gi
+					continue
+				}
+				for k, i := range groups[from] {
+					l.w[groups[^gi][k]] = l.w[i]
+				}
+			}
 			return l.w, next, passes, nil
 		}
 		stop = next
 	}
+}
+
+// learns returns the support of group g and whether the group learns: a
+// singleton's softmax is degenerate (p=1), and a group without support has
+// only the prior acting on it, so either's weights stay at the prior centre.
+func learns(g []int, counts []float64) (total float64, ok bool) {
+	if len(g) < 2 {
+		return 0, false
+	}
+	for _, i := range g {
+		total += counts[i]
+	}
+	return total, total != 0
+}
+
+// compareSupport orders groups by size, then member by member by the bits
+// of the count and of the initial weight. Groups it calls equal learn the
+// same weights, member for member.
+func (l *learner) compareSupport(a, b []int) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	for k, i := range a {
+		j := b[k]
+		if c := cmp.Or(cmp.Compare(math.Float64bits(l.counts[i]), math.Float64bits(l.counts[j])),
+			cmp.Compare(math.Float64bits(l.init[i]), math.Float64bits(l.init[j]))); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // learner is one LearnWeights call's shared state. Chunks write disjoint

@@ -211,3 +211,76 @@ func TestLearnWeightsMatchesReferenceRandom(t *testing.T) {
 		checkAgainstRef(t, groups, counts, init)
 	}
 }
+
+// TestLearnWeightsDuplicateGroups: groups whose members' counts and initial
+// weights are equal, in order, learn once and share the weights. Every case
+// must still match the reference, which learns each copy on its own.
+func TestLearnWeightsDuplicateGroups(t *testing.T) {
+	// groupsOf numbers the candidates group by group: one group per count
+	// vector, with the matching initial weights (nil: the Eq. 4 priors).
+	groupsOf := func(counts, inits [][]float64) (groups [][]int, c, init []float64) {
+		for gi, gc := range counts {
+			var g []int
+			for k, x := range gc {
+				g = append(g, len(c))
+				c = append(c, x)
+				if inits != nil {
+					init = append(init, inits[gi][k])
+				}
+			}
+			groups = append(groups, g)
+		}
+		if inits == nil {
+			init = PriorWeights(c)
+		}
+		return groups, c, init
+	}
+	repeat := func(n int, v []float64) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	capped := []float64{4000, 900, 70, 5, 1, 1}
+	var seams [][]float64
+	for i := range 10 {
+		// Ten distinct groups of 2–6 members, each followed by two groups
+		// that recur all along the list — or, after the first and the sixth,
+		// by two copies of that group — so every chunk count cuts copies
+		// away from their originals.
+		g := make([]float64, 2+i%5)
+		for k := range g {
+			g[k] = float64(1 + (i*7+k*3)%11)
+		}
+		seams = append(seams, g, []float64{1, 3}, []float64{1, 5, 1, 3, 2, 6})
+		if i == 0 || i == 5 {
+			seams[len(seams)-2], seams[len(seams)-1] = g, g
+		}
+	}
+	mixed := [][]float64{{0, 0}, {7}, {0, 0, 0}, {3, 1}, {7}, {0, 0}, {3, 1}, {0, 0, 0}, {2}}
+
+	cases := []struct {
+		name          string
+		counts, inits [][]float64
+		capped        bool
+	}{
+		{name: "many identical groups", counts: repeat(40, []float64{5, 2, 1})},
+		{name: "identical groups beside distinct ones", counts: append(repeat(6, []float64{9, 9, 1, 4}), []float64{9, 9, 4, 1}, []float64{9, 9, 1}, []float64{9, 9, 1, 4, 0})},
+		{name: "equal counts, different init",
+			counts: repeat(5, []float64{3, 1, 2}),
+			inits:  [][]float64{{0.5, 0.1, 0.2}, {0.5, 0.1, 0.2}, {0.5, 0.2, 0.1}, {0, 0, 0}, {math.Copysign(0, -1), 0, 0}}},
+		{name: "duplicates across chunk seams", counts: seams},
+		{name: "duplicates of a capped group", counts: [][]float64{capped, {3, 2}, capped, capped, {3, 2}}, capped: true},
+		{name: "zero-count duplicates and singletons", counts: mixed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			groups, counts, init := groupsOf(tc.counts, tc.inits)
+			iters, _ := checkAgainstRef(t, groups, counts, init)
+			if tc.capped && iters != maxIters {
+				t.Errorf("converged in %d sweeps; the case is meant to hit the %d-sweep bound", iters, maxIters)
+			}
+		})
+	}
+}
