@@ -25,9 +25,9 @@ import (
 // exactly. Groups are named by their KeyID, which one dictionary keeps
 // across rebuilds. Batch callers pass nil and search every source.
 //
-// It stays because it pays: BenchmarkDeltaApply runs 10.4–10.6 ms/op with
-// it and 14.9–15.7 without, with the same refused and repair counts (three
-// alternating pairs, 2-core Xeon).
+// It stays because it pays: BenchmarkDeltaApply runs 8.5–8.8 ms/op with it
+// and 13.3–13.5 without, with the same refused and repair counts (three
+// alternating pairs of 300 ops, 2-core Xeon).
 type agpMemo struct {
 	// targets maps a normal group's KeyID to its γ⋆ piece KeyID, which
 	// fixes the target's value IDs.

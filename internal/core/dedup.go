@@ -37,45 +37,72 @@ func Dedup(tb *dataset.Table) (*dataset.Table, [][]int) {
 
 // dedupRows is the one duplicate elimination: rows[i] is tb.Tuples[i] as
 // value IDs of any one dictionary, and two tuples are duplicates iff their
-// rows are equal word for word (so rows of unequal length never are). The
-// rows seen so far live in an open-addressing set of row indices keyed by
-// hash; a probe hit is confirmed by comparing the rows, so hash only decides
-// how far a probe walks. Survivors are tb's tuples, in table order; sets are
-// ordered by their representative, members in table order. Each array is
-// allocated once, and none grows by appending.
+// rows are equal word for word (so rows of unequal length never are).
+// Survivors are tb's tuples, in table order; sets are ordered by their
+// representative, members in table order. Each array is allocated once, and
+// none grows by appending.
 func dedupRows(tb *dataset.Table, rows [][]uint32, hash func([]uint32) uint64) (*dataset.Table, [][]int) {
+	var s dedupScratch
+	dupRows := s.mark(rows, hash)
+	clean := &dataset.Table{Schema: tb.Schema, Tuples: make([]*dataset.Tuple, 0, len(rows)-dupRows)}
+	for i, r := range s.repeats {
+		if r == 0 {
+			clean.Tuples = append(clean.Tuples, tb.Tuples[i])
+		}
+	}
+	if dupRows == 0 {
+		return clean, nil
+	}
+	return clean, s.group(tb.Tuples, dupRows)
+}
+
+// dedupScratch holds duplicate elimination's probe arrays. The batch path
+// uses one per call; the delta engine keeps one across Apply calls.
+type dedupScratch struct {
+	slots   []int32 // index + 1 of the first row with this content; 0 = empty
+	repeats []int32 // index + 1 of the earlier row a row repeats; 0 = none
+}
+
+// mark probes every row against the rows before it and returns how many
+// repeat an earlier one. The rows seen so far live in an open-addressing set
+// of row indices keyed by hash; a probe hit is confirmed by comparing the
+// rows, so hash only decides how far a probe walks.
+func (s *dedupScratch) mark(rows [][]uint32, hash func([]uint32) uint64) int {
 	size := 16
 	for size < 2*len(rows) {
 		size *= 2
 	}
 	mask := uint64(size - 1)
-	slots := make([]int32, size)        // index + 1 of the first row with this content; 0 = empty
-	repeats := make([]int32, len(rows)) // index + 1 of the earlier row a row repeats; 0 = none
-	clean := &dataset.Table{Schema: tb.Schema, Tuples: make([]*dataset.Tuple, 0, len(rows))}
+	s.slots, s.repeats = zeroed(s.slots, size), zeroed(s.repeats, len(rows))
+	dupRows := 0
 	for i, row := range rows {
-		for s := hash(row) & mask; ; s = (s + 1) & mask {
-			first := slots[s]
+		for h := hash(row) & mask; ; h = (h + 1) & mask {
+			first := s.slots[h]
 			if first == 0 {
-				slots[s] = int32(i) + 1
-				clean.Tuples = append(clean.Tuples, tb.Tuples[i])
+				s.slots[h] = int32(i) + 1
 				break
 			}
 			if slices.Equal(rows[first-1], row) {
-				repeats[i] = first
+				s.repeats[i] = first
+				dupRows++
 				break
 			}
 		}
 	}
-	dupRows := len(rows) - len(clean.Tuples)
-	if dupRows == 0 {
-		return clean, nil
-	}
-	// The set is done with: its first len(rows) slots count each
+	return dupRows
+}
+
+// group gathers the rows mark found repeated into duplicate sets of tuple
+// IDs (tuples[i] is row i's tuple): representative first, sets ordered by
+// representative, members in table order, every set's IDs back to back in
+// one array.
+func (s *dedupScratch) group(tuples []*dataset.Tuple, dupRows int) [][]int {
+	// The probe set is done with: its first len(repeats) slots count each
 	// representative's repeats, then hold where its next member goes.
-	count := slots[:len(rows)]
+	count := s.slots[:len(s.repeats)]
 	clear(count)
 	sets := 0
-	for _, r := range repeats {
+	for _, r := range s.repeats {
 		if r != 0 {
 			if count[r-1] == 0 {
 				sets++
@@ -83,23 +110,34 @@ func dedupRows(tb *dataset.Table, rows [][]uint32, hash func([]uint32) uint64) (
 			count[r-1]++
 		}
 	}
-	flat := make([]int, 0, sets+dupRows) // every set's IDs back to back
+	flat := make([]int, 0, sets+dupRows)
 	dups := make([][]int, 0, sets)
 	for i, n := range count {
 		if n == 0 {
 			continue
 		}
 		start := len(flat)
-		flat = append(flat, tb.Tuples[i].ID)
+		flat = append(flat, tuples[i].ID)
 		count[i] = int32(len(flat))
 		flat = flat[:len(flat)+int(n)]
 		dups = append(dups, flat[start:len(flat):len(flat)])
 	}
-	for i, r := range repeats {
+	for i, r := range s.repeats {
 		if r != 0 {
-			flat[count[r-1]] = tb.Tuples[i].ID
+			flat[count[r-1]] = tuples[i].ID
 			count[r-1]++
 		}
 	}
-	return clean, dups
+	return dups
+}
+
+// zeroed is buf resized to n zeroes, reusing its array when it is large
+// enough.
+func zeroed(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -40,14 +41,20 @@ import (
 //   - Every per-tuple cache is a slice parallel to the table, in its
 //     ascending-ID order; an ID is found by binary search over a flat slice
 //     of the IDs. A re-fused tuple whose fused row did not move keeps its
-//     cached tuple, so successive Results share every tuple whose repaired
-//     values did not change, and the audit trail (Trail) is read off the
-//     cached ID rows.
+//     cached tuple.
+//   - Each Load and Apply mints an immutable Version (version.go): row
+//     chunks by tuple-ID range holding the fused tuples and the repaired
+//     cells on value IDs, each block's weight vector, and the duplicate
+//     sets. A mint rebuilds only the chunks whose rows a mutation touched or
+//     whose fused row moved, and shares every other chunk, every weight
+//     vector of a block it did not rebuild, and unchanged duplicate sets
+//     with the version before. A trail's rules and weights are resolved when
+//     it is read.
 //
-// The correctness anchor is exact parity: after any mutation sequence,
-// Apply's Result is byte-identical to Clean over the same table (the
-// randomized suite in delta_test.go asserts it, and the serving layer's
-// versioned results are built on it).
+// The correctness anchor is exact parity: after any mutation sequence, the
+// minted version's Result is byte-identical to Clean over the same table
+// (the randomized suite in delta_test.go asserts it, and the serving
+// layer's versioned results are built on it).
 
 // DeltaOp is a mutation kind.
 type DeltaOp int
@@ -89,9 +96,11 @@ type deltaBlock struct {
 	// from before the rebuild at the current table positions; otherwise a
 	// spare array for the next rebuild's old index.
 	oldVers []uint32
-	// weights maps each post-stage-I piece's KeyID to its learned weight:
-	// the block's fragment of the weight vector repair attribution reads.
-	weights map[uint32]float64
+	// weights is the block's fragment of the weight vector repair
+	// attribution reads. Every rebuild allocates new arrays (the keys only
+	// when the pieces changed), because the versions minted since the last
+	// rebuild hold these and they are never written again.
+	weights blockWeights
 	// res is the block's contribution to the run Stats, kept so the whole
 	// Stats can be recomposed without touching clean blocks.
 	res blockResult
@@ -137,10 +146,15 @@ type DeltaCleaner struct {
 	// engine every re-fusion reuses.
 	plan  *fusionPlan
 	fuser *fuser
-	// scratchRow is what fuseOne builds a fused row in; proj is Trail's
-	// projection buffer.
+	// scratchRow is what fuseOne builds a fused row in.
 	scratchRow []uint32
-	proj       []uint32
+
+	// cur is the last minted version, the parent of the next; touched holds
+	// the keys of the chunks the next mint rebuilds, and dedup the probe
+	// arrays every mint reuses.
+	cur     *Version
+	touched []int
+	dedup   dedupScratch
 
 	loaded bool
 }
@@ -189,12 +203,21 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 	return d, nil
 }
 
-// Load seeds the engine with a full clean of tb: every block is built and
-// cleaned, every tuple fused, and the result returned. Tuple IDs must be
+// Load is LoadVersion, materialized as Clean's Result of tb.
+func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
+	v, err := d.LoadVersion(tb)
+	if err != nil {
+		return nil, err
+	}
+	return v.Result(), nil
+}
+
+// LoadVersion seeds the engine with a full clean of tb: every block is built
+// and cleaned, every tuple fused, and version 1 minted. Tuple IDs must be
 // unique and every tuple must be schema-wide; rows are adopted in
 // ascending-ID order (the engine's canonical table order, which Apply
 // preserves across inserts and deletes). tb is not retained or modified.
-func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
+func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	if d.loaded {
 		return nil, fmt.Errorf("core: delta: already loaded")
 	}
@@ -239,15 +262,25 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 	}
 	d.loaded = true
 	mDeltaLoads.Inc()
-	return d.assemble(), nil
+	return d.mint(), nil
 }
 
-// Apply folds a mutation batch into the table and re-cleans incrementally,
-// returning the new full result (byte-identical to a from-scratch Clean of
-// the mutated table) plus the delta accounting. On a validation error the
-// engine state is unchanged; mutations are validated up front, then applied
-// as one batch.
+// Apply is ApplyVersion, with the version materialized as Clean's Result of
+// the mutated table.
 func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
+	v, ds, err := d.ApplyVersion(muts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.Result(), ds, nil
+}
+
+// ApplyVersion folds a mutation batch into the table, re-cleans
+// incrementally and mints the next version (byte-identical to a
+// from-scratch Clean of the mutated table), returned with the delta
+// accounting. On a validation error the engine state is unchanged;
+// mutations are validated up front, then applied as one batch.
+func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, error) {
 	t0 := time.Now()
 	if !d.loaded {
 		return nil, nil, fmt.Errorf("core: delta: not loaded")
@@ -266,6 +299,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 	dirty := make([]bool, len(d.rs))
 	vers := d.plan.versionOf
 	for _, m := range muts {
+		d.touch(m.Row)
 		pos, exists := d.posOf(m.Row)
 		if m.Op == DeltaDelete {
 			d.markApplying(dirty, d.tuples[pos].Values)
@@ -367,7 +401,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 	mDeltaRefusedTuples.Add(int64(ds.RefusedTuples))
 	mDeltaReusedTuples.Add(int64(ds.ReusedTuples))
 	mDeltaSeconds.ObserveDuration(ds.Wall)
-	return d.assemble(), ds, nil
+	return d.mint(), ds, nil
 }
 
 // validate checks a whole batch against the state each mutation will see,
@@ -482,7 +516,7 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 	if err != nil {
 		return err
 	}
-	// Only the instruments are wanted here: assemble recomposes the Stats
+	// Only the instruments are wanted here: mint recomposes the Stats
 	// from every block's res, rebuilt or not.
 	fold(results, phaseAll, new(Stats))
 	return nil
@@ -499,13 +533,23 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	// The version index is placed again over the current positions, in its
 	// own array.
 	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.posOf)
-	if db.weights == nil {
-		db.weights = make(map[uint32]float64, len(fb.Candidates))
+	// Keys are distinct: RSC leaves one piece per group, and groups differ
+	// in their reason.
+	// A rebuild that kept the block's pieces keeps its key array, which no
+	// version writes.
+	ps := slices.Clone(fb.Candidates)
+	slices.SortFunc(ps, func(a, b *index.Piece) int { return cmp.Compare(a.KeyID(), b.KeyID()) })
+	w := blockWeights{keys: db.weights.keys, weights: make([]float64, len(ps))}
+	if !slices.EqualFunc(ps, w.keys, func(p *index.Piece, k uint32) bool { return p.KeyID() == k }) {
+		w.keys = make([]uint32, len(ps))
+		for i, p := range ps {
+			w.keys[i] = p.KeyID()
+		}
 	}
-	clear(db.weights)
-	for _, p := range fb.Candidates {
-		db.weights[p.KeyID()] = p.Weight
+	for i, p := range ps {
+		w.weights[i] = p.Weight
 	}
+	db.weights = w
 }
 
 // fuseOne re-runs fusion for the tuple at position i against the current
@@ -526,6 +570,7 @@ func (d *DeltaCleaner) fuseOne(i int) {
 	if slices.Equal(d.fusedRows[i], row) { // never for a new tuple's nil row
 		return
 	}
+	d.touch(t.ID)
 	fused := &dataset.Tuple{ID: t.ID, Values: t.Values}
 	if res.changes > 0 {
 		row = slices.Clone(row) // the cache must not hold the scratch buffer
@@ -562,36 +607,4 @@ func (d *DeltaCleaner) ruleDirtyOnUpdate(r *rules.Rule, ri int, old, new []strin
 		}
 	}
 	return false
-}
-
-// assemble recomposes the full Result from the per-block and per-tuple
-// caches: the repaired table in ascending-ID order, duplicate elimination,
-// and the Stats a from-scratch run would report. Result.Index is nil — the
-// engine is the index's keeper across mutations.
-func (d *DeltaCleaner) assemble() *Result {
-	st := Stats{Tuples: len(d.tuples), Blocks: len(d.blocks)}
-	for _, db := range d.blocks {
-		st.Groups += len(db.block.Groups)
-		st.addBlock(&db.res)
-	}
-	// Results share the cached fused tuples (see fusedTuples): callers treat
-	// Results as immutable — the serving layer re-serializes them verbatim —
-	// so sharing is safe and saves a full table copy per version.
-	repaired := &dataset.Table{Schema: d.schema, Tuples: slices.Clone(d.fusedTuples)}
-	for _, r := range d.fuseRes {
-		st.FSCRCellChanges += r.changes
-		st.FusionFailures += r.failed
-		st.FusionTruncated += r.truncated
-	}
-	res := &Result{Repaired: repaired, Stats: st}
-	if d.opts.KeepDuplicates {
-		res.Clean = &dataset.Table{Schema: d.schema, Tuples: repaired.Tuples}
-		return res
-	}
-	// repaired is in ascending tuple-ID order, as a from-scratch pass sees it.
-	res.Clean, res.Duplicates = dedupRows(repaired, d.fusedRows, hashWords)
-	for _, ids := range res.Duplicates {
-		res.Stats.DuplicatesRemoved += len(ids) - 1
-	}
-	return res
 }

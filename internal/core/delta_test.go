@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
@@ -555,7 +558,7 @@ func TestDeltaVersionIndexIsPlacement(t *testing.T) {
 			t.Errorf("the sequence made no %s", k)
 		}
 	}
-	assertParity(t, "last step", eng.assemble(), eng.Weights(), eng.Table(), rs, Options{})
+	assertParity(t, "last step", eng.cur.Result(), eng.Weights(), eng.Table(), rs, Options{})
 }
 
 // TestDeltaValidation: bad batches are rejected atomically, before any state
@@ -658,39 +661,318 @@ func serveMix(inj *errgen.Injection, n int, seed int64) []Mutation {
 	return muts
 }
 
-// BenchmarkDeltaApply mints one served version per op on the serving
-// benchmark's shape (CAR 5k rows, 5 % errors, τ = 1), loaded once: one
-// mutation of serveMix applied, then the version's audit trail. ns/op and
-// allocs/op are per minted version; refused/op is the tuples re-fused.
-func BenchmarkDeltaApply(b *testing.B) {
+// benchShape is the serving benchmark's session, loaded: CAR 5k rows, 5 %
+// errors, τ = 1.
+func benchShape(tb testing.TB) (*DeltaCleaner, *Version, *errgen.Injection) {
+	tb.Helper()
 	const seed = 4200
 	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 5000, Seed: seed})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: seed*1_000_003 + 17})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := NewDeltaCleaner(inj.Dirty.Schema, rs, Options{Tau: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, err := eng.Load(inj.Dirty); err != nil {
-		b.Fatal(err)
+	v, err := eng.LoadVersion(inj.Dirty)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	muts := serveMix(inj, b.N, seed)
-	refused, repairs := 0, 0
+	return eng, v, inj
+}
+
+// ownedBytes counts what version v holds that its parent does not share:
+// its own header arrays, and every row chunk, weight vector and duplicate
+// set it does not take from the parent.
+func ownedBytes(v, parent *Version) int {
+	n := int(unsafe.Sizeof(*v)) + cap(v.chunks)*int(unsafe.Sizeof(v.chunks[0])) + cap(v.weights)*int(unsafe.Sizeof(v.weights[0]))
+	for _, c := range v.chunks {
+		if !slices.Contains(parent.chunks, c) {
+			n += int(unsafe.Sizeof(*c)) + cap(c.tuples)*int(unsafe.Sizeof(c.tuples[0])) + cap(c.trail)*int(unsafe.Sizeof(trailCell{}))
+		}
+	}
+	for bi, ws := range v.weights {
+		if was := parent.weights[bi].keys; len(ws.keys) > 0 && (len(was) == 0 || &ws.keys[0] != &was[0]) {
+			n += cap(ws.keys) * int(unsafe.Sizeof(ws.keys[0]))
+		}
+		if was := parent.weights[bi].weights; len(ws.weights) > 0 && (len(was) == 0 || &ws.weights[0] != &was[0]) {
+			n += cap(ws.weights) * int(unsafe.Sizeof(ws.weights[0]))
+		}
+	}
+	if len(v.dups) > 0 && (len(parent.dups) == 0 || &v.dups[0] != &parent.dups[0]) {
+		n += cap(v.dups) * int(unsafe.Sizeof(v.dups[0]))
+		for _, set := range v.dups {
+			n += len(set) * int(unsafe.Sizeof(0))
+		}
+	}
+	return n
+}
+
+// TestDeltaVersionOwnedBytes: a served version costs what changed, not the
+// table. On the serving benchmark's session, the versions of 48 mutations of
+// its mix own 16 KiB each at most on average.
+func TestDeltaVersionOwnedBytes(t *testing.T) {
+	eng, prev, inj := benchShape(t)
+	const versions, bound = 48, 16 << 10
+	total := 0
+	for _, m := range serveMix(inj, versions, 4200) {
+		v, _, err := eng.ApplyVersion([]Mutation{m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += ownedBytes(v, prev)
+		prev = v
+	}
+	if mean := total / versions; mean > bound {
+		t.Fatalf("a version owns %d bytes on average, want at most %d", mean, bound)
+	} else {
+		t.Logf("a version owns %d bytes on average", mean)
+	}
+}
+
+// BenchmarkDeltaApply mints one served version per op on the serving
+// benchmark's shape (benchShape), loaded once: one mutation of serveMix
+// applied, then the version's whole audit trail resolved. ns/op and
+// allocs/op are per minted version; refused/op is the tuples re-fused, and
+// owned_B/op the bytes the version does not share with its parent.
+func BenchmarkDeltaApply(b *testing.B) {
+	eng, prev, inj := benchShape(b)
+	muts := serveMix(inj, b.N, 4200)
+	refused, repairs, owned := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, m := range muts {
-		_, ds, err := eng.Apply([]Mutation{m})
+		v, ds, err := eng.ApplyVersion([]Mutation{m})
 		if err != nil {
 			b.Fatal(err)
 		}
 		refused += ds.RefusedTuples
-		repairs += len(eng.Trail())
+		repairs += len(v.Trail())
+		owned += ownedBytes(v, prev)
+		prev = v
 	}
 	b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
 	b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
+	b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
+}
+
+// versionBytes is everything a version serves, as bytes: its materialized
+// Result (both tables, duplicate sets, Stats) and its whole audit trail.
+func versionBytes(t *testing.T, v *Version) []byte {
+	t.Helper()
+	type tuple struct {
+		ID     int
+		Values []string
+	}
+	rows := func(tb *dataset.Table) []tuple {
+		out := make([]tuple, len(tb.Tuples))
+		for i, tp := range tb.Tuples {
+			out[i] = tuple{tp.ID, tp.Values}
+		}
+		return out
+	}
+	res := v.Result()
+	b, err := json.Marshal(struct {
+		Repaired, Clean []tuple
+		Duplicates      [][]int
+		Stats           Stats
+		Trail           []Repair
+	}{rows(res.Repaired), rows(res.Clean), res.Duplicates, res.Stats, v.Trail()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDeltaVersionsImmutable: versions share row chunks and weight vectors,
+// and a later Apply must never change what an earlier version serves. Every
+// version, after every later Apply, must give the bytes it gave when minted:
+// through the serving mix, and through batches at chunk edges (IDs 255, 256,
+// 511), a delete that empties a chunk, ID 1<<40, and a delete then re-insert
+// of one ID in one batch.
+func TestDeltaVersionsImmutable(t *testing.T) {
+	const seed = 11
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 600, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.08, ReplacementRatio: 0.5, Seed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewDeltaCleaner(inj.Dirty.Schema, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := eng.LoadVersion(inj.Dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions, minted := []*Version{v}, [][]byte{versionBytes(t, v)}
+	rows := make(map[int][]string, inj.Dirty.Len())
+	for _, tp := range inj.Dirty.Tuples {
+		rows[tp.ID] = tp.Values
+	}
+	rng := rand.New(rand.NewSource(seed))
+	someValues := func() []string {
+		vals := slices.Clone(inj.Dirty.Tuples[rng.Intn(inj.Dirty.Len())].Values)
+		vals[rng.Intn(len(vals))] = fmt.Sprintf("v%d", rng.Intn(4))
+		return vals
+	}
+	// toggle deletes a live ID and puts a dead one.
+	toggle := func(id int) Mutation {
+		if rows[id] != nil {
+			return Mutation{Op: DeltaDelete, Row: id}
+		}
+		return Mutation{Op: DeltaPut, Row: id, Values: someValues()}
+	}
+	shared := 0
+	apply := func(label string, muts ...Mutation) {
+		t.Helper()
+		v, _, err := eng.ApplyVersion(muts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, m := range muts {
+			if m.Op == DeltaDelete {
+				delete(rows, m.Row)
+			} else {
+				rows[m.Row] = m.Values
+			}
+		}
+		for _, c := range v.chunks {
+			if slices.Contains(versions[len(versions)-1].chunks, c) {
+				shared++
+			}
+		}
+		versions, minted = append(versions, v), append(minted, versionBytes(t, v))
+		for i, old := range versions[:len(versions)-1] {
+			if got := versionBytes(t, old); !bytes.Equal(got, minted[i]) {
+				t.Fatalf("%s: version %d changed:\n got %s\nwant %s", label, i+1, got, minted[i])
+			}
+		}
+	}
+
+	for i, m := range serveMix(inj, 12, seed) {
+		apply(fmt.Sprintf("serve mix %d", i), m)
+	}
+	apply("edges 255, 256", toggle(255), toggle(256))
+	apply("edges 255, 511", toggle(255), Mutation{Op: DeltaPut, Row: 511, Values: someValues()})
+	apply("edges 511, 256", toggle(511), toggle(256))
+	apply("insert 1<<40", Mutation{Op: DeltaPut, Row: 1 << 40, Values: someValues()})
+	apply("delete 1<<40, emptying its chunk", Mutation{Op: DeltaDelete, Row: 1 << 40})
+	var chunk2 []Mutation
+	for id := range rows {
+		if id/chunkWidth == 2 {
+			chunk2 = append(chunk2, Mutation{Op: DeltaDelete, Row: id})
+		}
+	}
+	apply("delete all of chunk 2", chunk2...)
+	apply("delete then re-insert 300", Mutation{Op: DeltaDelete, Row: 300}, Mutation{Op: DeltaPut, Row: 300, Values: someValues()})
+	for step := 0; step < 8; step++ {
+		var muts []Mutation
+		for n := 1 + rng.Intn(3); len(muts) < n; {
+			id := []int{0, 254, 255, 256, 257, 510, 511, 512, 767, 768}[rng.Intn(10)]
+			if slices.ContainsFunc(muts, func(m Mutation) bool { return m.Row == id }) {
+				continue
+			}
+			if rng.Intn(2) == 0 && rows[id] != nil {
+				muts = append(muts, Mutation{Op: DeltaPut, Row: id, Values: someValues()})
+			} else {
+				muts = append(muts, toggle(id))
+			}
+		}
+		apply(fmt.Sprintf("random batch %d", step), muts...)
+	}
+	if shared == 0 {
+		t.Fatal("no version shared a chunk with its parent")
+	}
+	last := versions[len(versions)-1]
+	assertParity(t, "last version", last.Result(), eng.Weights(), eng.Table(), rs, Options{})
+	// A window of the trail is that window of the whole trail, across chunk
+	// boundaries and past the end.
+	trail := last.Trail()
+	if len(last.chunks) < 3 || len(last.chunks[0].trail) == 0 {
+		t.Fatalf("the last version has %d chunks: its trail windows cross no boundary", len(last.chunks))
+	}
+	for from := 0; from <= len(trail)+1; from++ {
+		for _, n := range []int{0, 1, 2, 7, len(last.chunks[0].trail) + 1, len(trail)} {
+			got, want := last.Repairs(from, from+n), trail[min(from, len(trail)):min(from+n, len(trail))]
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("Repairs(%d, %d) = %v, want %v", from, from+n, got, want)
+			}
+		}
+	}
+}
+
+// TestDeltaTrailLaterInternedSequence: a version resolves its trail's rules
+// and weights when read, through a dictionary later rebuilds keep interning
+// into. Tuple 6's B is repaired by FD A -> B. Its dirty B is not the CFD's
+// constant, so the CFD's block holds no version of it, and the repaired
+// row's projection onto the CFD (b1, a1, c5) is interned by no block: at
+// mint time only the FD explains the repair. A later batch deletes the
+// (a1, b1, c1) rows and inserts copies of the repaired row, so (b1, a1, c5)
+// becomes the CFD block's uncontested piece and outweighs the FD's: against
+// the later weights the CFD explains the repair. The old version must keep
+// its mint-time rule and weight.
+func TestDeltaTrailLaterInternedSequence(t *testing.T) {
+	rs := rules.MustParseStrings("CFD: B=b1, A -> C", "FD: A -> B")
+	tb := dataset.NewTable(dataset.MustSchema("A", "B", "C"))
+	for range 6 {
+		tb.MustAppend("a1", "b1", "c1")
+	}
+	tb.MustAppend("a1", "bx", "c5")
+	for range 5 {
+		tb.MustAppend("a2", "b2", "c2")
+	}
+	eng, err := NewDeltaCleaner(tb.Schema, rs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := eng.LoadVersion(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minted := old.Trail()
+	at := slices.IndexFunc(minted, func(r Repair) bool { return r.Tuple == 6 && r.Attr == "B" })
+	if at < 0 || minted[at].New != "b1" || minted[at].Rule != rs[1].ID {
+		t.Fatalf("version 1's trail %v: want tuple 6's B repaired to b1 by %s", minted, rs[1].ID)
+	}
+	seq := func() []uint32 {
+		ids := make([]uint32, 3)
+		for i, v := range []string{"b1", "a1", "c5"} {
+			ids[i], _ = eng.dict.Lookup(v)
+		}
+		return ids
+	}
+	if _, ok := eng.dict.LookupSeq(seq()); ok {
+		t.Fatal("(b1, a1, c5) was interned at mint time: the fixture exercises nothing")
+	}
+
+	var muts []Mutation
+	for id := range 6 {
+		muts = append(muts, Mutation{Op: DeltaDelete, Row: id})
+	}
+	for id := tb.Len(); id < tb.Len()+8; id++ {
+		muts = append(muts, Mutation{Op: DeltaPut, Row: id, Values: []string{"a1", "b1", "c5"}})
+	}
+	now, _, err := eng.ApplyVersion(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := old.Trail(); !reflect.DeepEqual(got, minted) {
+		t.Fatalf("version 1's trail changed after a later insert:\n got %v\nwant %v", got, minted)
+	}
+	kid, ok := eng.dict.LookupSeq(seq())
+	if !ok || !slices.Contains(now.weights[0].keys, kid) {
+		t.Fatal("(b1, a1, c5) is not a piece of the CFD's block after the inserts: the fixture exercises nothing")
+	}
+	row := []uint32{seq()[1], seq()[0], seq()[2]}
+	if rule, _, _ := now.attribute(row, 1, nil); rule != rs[0].ID {
+		t.Fatalf("against the later version's weights the repair is %q's, want %q's: the fixture exercises nothing", rule, rs[0].ID)
+	}
 }

@@ -24,66 +24,43 @@ type Repair struct {
 
 // Trail returns the current version's audit trail: one Repair per cell whose
 // repaired value differs from the dirty one, over the pre-dedup repaired
-// table. It compares each tuple's encoded dirty row with its cached fused
-// row, so the rows are walked in ascending-ID and schema order and no sort
-// is needed; Old and New are the dictionary's strings, shared, not copied.
-// Nil when fusion changed no cell.
+// table, in ascending-ID and schema order. Old and New are the dictionary's
+// strings, shared, not copied. Nil when fusion changed no cell or nothing is
+// loaded.
 func (d *DeltaCleaner) Trail() []Repair {
-	n := 0
-	for i, fixed := range d.fusedRows {
-		dirty := d.encRows[i]
-		for p, id := range fixed {
-			if id != dirty[p] {
-				n++
-			}
-		}
-	}
-	if n == 0 {
+	if d.cur == nil {
 		return nil
 	}
-	out := make([]Repair, 0, n)
-	for i, t := range d.tuples {
-		dirty, fixed := d.encRows[i], d.fusedRows[i]
-		for p, id := range fixed {
-			if id == dirty[p] {
-				continue
-			}
-			rule, weight := d.attribute(fixed, p)
-			out = append(out, Repair{
-				Tuple: t.ID, Attr: d.schema.Attr(p),
-				Old: d.dict.Value(dirty[p]), New: d.dict.Value(id),
-				Rule: rule, Weight: weight,
-			})
-		}
-	}
-	return out
+	return d.cur.Trail()
 }
 
-// attribute finds the rule whose weighted piece the repaired row now
-// satisfies at schema position p: for each block touching p, the row's
-// projection onto the rule's attributes resolves (lookup only) to a sequence
-// key, which names a piece of that block when the block's weight map has it.
-func (d *DeltaCleaner) attribute(row []uint32, p int) (string, float64) {
+// attribute finds the rule whose weighted piece the repaired row satisfies
+// at schema position p: for each block touching p, the row's projection
+// onto the rule's attributes resolves (lookup only) to a sequence key, which
+// names a piece of that block when the block's weight vector in this version
+// has it. proj is scratch, returned for reuse.
+func (v *Version) attribute(row []uint32, p int, proj []uint32) (string, float64, []uint32) {
 	bestRule, bestWeight, found := "", 0.0, false
-	for ri, pos := range d.plan.posPerBlock {
+	for bi, pos := range v.eng.plan.posPerBlock {
 		if !slices.Contains(pos, p) {
 			continue
 		}
-		d.proj = d.proj[:0]
+		proj = proj[:0]
 		for _, q := range pos {
-			d.proj = append(d.proj, row[q])
+			proj = append(proj, row[q])
 		}
-		kid, ok := d.dict.LookupSeq(d.proj)
+		kid, ok := v.eng.dict.LookupSeq(proj)
 		if !ok {
 			continue
 		}
-		w, ok := d.blocks[ri].weights[kid]
+		at, ok := slices.BinarySearch(v.weights[bi].keys, kid)
 		if !ok {
 			continue
 		}
-		if id := d.rs[ri].ID; !found || w > bestWeight || (w == bestWeight && id < bestRule) {
+		w := v.weights[bi].weights[at]
+		if id := v.eng.rs[bi].ID; !found || w > bestWeight || (w == bestWeight && id < bestRule) {
 			bestRule, bestWeight, found = id, w, true
 		}
 	}
-	return bestRule, bestWeight
+	return bestRule, bestWeight, proj
 }

@@ -22,12 +22,14 @@ import (
 // byte-identically. A done session in memory always holds a loaded engine
 // current with its mutation log.
 
-// versionEntry is one materialized result version.
+// versionEntry is one result version. The engine's Version shares every row
+// chunk the mutation did not touch with the version before it, so a version
+// costs what changed, not the table; a result body builds its rows and IDs
+// from it per request, and a repairs page resolves only its own entries,
+// under the session lock (resolution reads the engine's dictionary, which
+// the next mutation appends to).
 type versionEntry struct {
-	clean   *dataset.Table
-	stats   core.Stats
-	repairs []Repair
-	tuples  int // live rows in the version's input table
+	ver *core.Version
 	// delta is the Apply that minted the version; nil on version 1, which
 	// carries the clean's wall time instead.
 	delta  *core.DeltaStats
@@ -153,7 +155,16 @@ func (s *Session) Versioned(v int) (*versionEntry, error) {
 	return s.versions[v-1], nil
 }
 
-// catchUpLocked materializes one version per unapplied mutation-log record:
+// RepairPage resolves the entries [from, to) of a version's audit trail,
+// clamped to it, under the session lock: resolution reads the engine's
+// dictionary, which a concurrent mutation appends to.
+func (s *Session) RepairPage(entry *versionEntry, from, to int) []Repair {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return entry.ver.Repairs(from, to)
+}
+
+// catchUpLocked mints one version per unapplied mutation-log record:
 // the one just acknowledged by Mutate, or the whole log on restore. Caller
 // holds s.mu (or owns the unpublished session); the engine is loaded.
 func (s *Session) catchUpLocked() error {
@@ -168,20 +179,14 @@ func (s *Session) catchUpLocked() error {
 		default:
 			return fmt.Errorf("server: session %s: unknown logged mutation op %q", s.ID, rec.Op)
 		}
-		res, ds, err := s.delta.Apply([]core.Mutation{mut})
+		ver, ds, err := s.delta.ApplyVersion([]core.Mutation{mut})
 		if err != nil {
 			return err
 		}
 		if rec.Op == mutPut && rec.Row >= s.nextRow {
 			s.nextRow = rec.Row + 1
 		}
-		s.versions = append(s.versions, &versionEntry{
-			clean:   res.Clean,
-			stats:   res.Stats,
-			repairs: s.delta.Trail(),
-			tuples:  s.delta.Len(),
-			delta:   ds,
-		})
+		s.versions = append(s.versions, &versionEntry{ver: ver, delta: ds})
 	}
 	return nil
 }

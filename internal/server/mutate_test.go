@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mlnclean/internal/core"
@@ -530,5 +531,181 @@ func TestRepairsPagination(t *testing.T) {
 	}
 	if len(beyond.Repairs) != 0 || beyond.Total != full.Total || beyond.NextCursor != 0 {
 		t.Fatalf("cursor past end: %+v", beyond)
+	}
+
+	// A limit whose sum with the cursor overflows is a page to the end.
+	tail := func(version int) {
+		t.Helper()
+		var page RepairsResponse
+		path := fmt.Sprintf("/v1/sessions/%s/repairs?version=%d&limit=9223372036854775807&cursor=1", info.ID, version)
+		if code := c.do("GET", path, nil, &page); code != http.StatusOK {
+			t.Fatalf("version %d, limit MaxInt64 at cursor 1: status %d", version, code)
+		}
+		if page.Total != full.Total || page.NextCursor != 0 || !reflect.DeepEqual(page.Repairs, full.Repairs[1:]) {
+			t.Fatalf("version %d, limit MaxInt64 at cursor 1: total %d, next %d, %d repairs; want the trail's %d after the first",
+				version, page.Total, page.NextCursor, len(page.Repairs), full.Total-1)
+		}
+	}
+	tail(1)
+
+	// Version 1's pages are the same once a mutation has minted version 2.
+	vals := append([]string(nil), dirty.Tuples[1].Values...)
+	if code := c.do("PUT", fmt.Sprintf("/v1/sessions/%s/tuples/0", info.ID), MutateRequest{Values: vals}, nil); code != http.StatusOK {
+		t.Fatalf("PUT row 0: status %d", code)
+	}
+	var page RepairsResponse
+	if code := c.do("GET", fmt.Sprintf("/v1/sessions/%s/repairs?version=1&limit=3&cursor=2", info.ID), nil, &page); code != http.StatusOK {
+		t.Fatalf("version 1 page after a mutation: status %d", code)
+	}
+	wantNext := 5
+	if full.Total <= wantNext {
+		wantNext = 0
+	}
+	if page.Version != 1 || page.Total != full.Total || page.NextCursor != wantNext ||
+		!reflect.DeepEqual(page.Repairs, full.Repairs[2:min(5, full.Total)]) {
+		t.Fatalf("version 1 page after a mutation: %+v, want repairs 2-4 of %d", page, full.Total)
+	}
+	tail(1)
+}
+
+// TestServeOldVersionsDuringMutations: result bodies and repairs pages of
+// versions already minted are read while mutations mint new ones. A version
+// shares row chunks with the versions after it and resolves its trail
+// through the engine's dictionary, which each mutation appends to; every
+// body must equal the one served right after that version was minted. Run
+// it under -race: it guards the unlocked dictionary.
+func TestServeOldVersionsDuringMutations(t *testing.T) {
+	dirty, _, rulesText := carFixture(t, 300, 9)
+	srv := newTestServer(t, ManagerConfig{})
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := &client{t: t, base: ts.URL}
+	info := createSession(c, CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs()})
+	submitBatches(c, info.ID, splitRows(dirty, 2))
+	startClean(c, info.ID)
+	pollDone(c, info.ID)
+
+	get := func(path string) ([]byte, error) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, b)
+		}
+		return b, err
+	}
+	paths := func(v int) []string {
+		base := fmt.Sprintf("/v1/sessions/%s/", info.ID)
+		return []string{
+			fmt.Sprintf("%sresult?version=%d", base, v),
+			fmt.Sprintf("%srepairs?version=%d", base, v),
+			fmt.Sprintf("%srepairs?version=%d&limit=7&cursor=5", base, v),
+		}
+	}
+	// minted[v-1] holds version v's bodies, read right after it was minted.
+	var mu sync.Mutex
+	var minted [][][]byte
+	record := func(v int) error {
+		var bodies [][]byte
+		for _, p := range paths(v) {
+			b, err := get(p)
+			if err != nil {
+				return err
+			}
+			bodies = append(bodies, b)
+		}
+		mu.Lock()
+		minted = append(minted, bodies)
+		mu.Unlock()
+		return nil
+	}
+	if err := record(1); err != nil {
+		t.Fatal(err)
+	}
+
+	const steps = 24
+	rng := rand.New(rand.NewSource(9))
+	var muts []string // method and row, one per step
+	live, next := dirty.Len(), dirty.Len()
+	for step := 0; step < steps; step++ {
+		switch step % 3 {
+		case 0:
+			muts = append(muts, fmt.Sprintf("PUT %d", next))
+			next++
+			live++
+		case 1:
+			muts = append(muts, fmt.Sprintf("PUT %d", rng.Intn(live)))
+		default:
+			muts = append(muts, fmt.Sprintf("DELETE %d", step)) // a distinct original row each time
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for step, m := range muts {
+			var method string
+			var row int
+			fmt.Sscan(m, &method, &row)
+			var body io.Reader
+			if method == "PUT" {
+				// A value no row had: the engine's dictionary grows while
+				// the reads resolve trails through it.
+				vals := append([]string(nil), dirty.Tuples[rng.Intn(dirty.Len())].Values...)
+				vals[rng.Intn(len(vals))] = fmt.Sprintf("novel-%d", step)
+				b, _ := json.Marshal(MutateRequest{Values: vals})
+				body = bytes.NewReader(b)
+			}
+			req, _ := http.NewRequest(method, fmt.Sprintf("%s/v1/sessions/%s/tuples/%d", ts.URL, info.ID, row), body)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				done <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				done <- fmt.Errorf("step %d: %s: status %d", step, m, resp.StatusCode)
+				return
+			}
+			if err := record(step + 2); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+
+	reads := 0
+	for finished := false; !finished; {
+		select {
+		case err, open := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = !open
+		default:
+		}
+		mu.Lock()
+		n := len(minted)
+		mu.Unlock()
+		v := 1 + reads%n
+		for i, p := range paths(v) {
+			b, err := get(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			want := minted[v-1][i]
+			mu.Unlock()
+			if !bytes.Equal(b, want) {
+				t.Fatalf("%s while mutating:\n got %s\nwant %s", p, b, want)
+			}
+		}
+		reads++
+	}
+	if len(minted) != 1+steps || reads < steps {
+		t.Fatalf("%d versions minted, %d reads: the reads did not overlap the mutations", len(minted), reads)
 	}
 }

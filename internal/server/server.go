@@ -341,9 +341,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	// A rolled-back session has no mutations: v is 1 and it serves the
 	// restored table in the clean's place.
-	serve, rolled := entry.clean, false
-	if tb := sess.Restored(); tb != nil {
-		serve, rolled = tb, true
+	serve, rolled := sess.Restored(), true
+	if serve == nil {
+		serve, rolled = entry.ver.Result().Clean, false
 	}
 	rows, ids := rowsAndIDs(serve)
 	writeJSON(w, http.StatusOK, ResultResponse{
@@ -351,7 +351,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Attrs:      serve.Schema.Attrs(),
 		Rows:       rows,
 		IDs:        ids,
-		Stats:      entry.stats,
+		Stats:      entry.ver.Stats(),
 		WallMS:     entry.wallMS,
 		RolledBack: rolled,
 		Delta:      deltaSummary(entry.delta),
@@ -411,20 +411,19 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) {
 		writeSessionError(w, err)
 		return
 	}
-	reps := entry.repairs
-	resp := RepairsResponse{Session: sess.ID, Version: v, Total: len(reps), RolledBack: sess.Restored() != nil}
+	total := entry.ver.TrailLen()
+	resp := RepairsResponse{Session: sess.ID, Version: v, Total: total, RolledBack: sess.Restored() != nil}
 	// Window the trail: cursor past the end is an empty page, not an error
 	// (the client walked off the tail); a full page that ends short of the
-	// total links the next one.
-	if cursor > len(reps) {
-		cursor = len(reps)
-	}
-	end := len(reps)
-	if limit > 0 && cursor+limit < end {
+	// total links the next one. The limit is compared with what is left, so
+	// no sum of client integers can overflow.
+	cursor = min(cursor, total)
+	end := total
+	if limit > 0 && limit < total-cursor {
 		end = cursor + limit
 		resp.NextCursor = end
 	}
-	resp.Repairs = reps[cursor:end]
+	resp.Repairs = sess.RepairPage(entry, cursor, end)
 	if resp.Repairs == nil {
 		resp.Repairs = []Repair{} // a clean table has an empty trail, not a null one
 	}
@@ -505,8 +504,8 @@ func (s *Server) finishMutate(w http.ResponseWriter, sess *Session, op string, r
 		Version: version,
 		Op:      op,
 		Row:     row,
-		Tuples:  entry.tuples,
-		Repairs: len(entry.repairs),
+		Tuples:  entry.ver.Stats().Tuples,
+		Repairs: entry.ver.TrailLen(),
 		Delta:   deltaSummary(entry.delta),
 		WallMS:  entry.delta.Wall.Milliseconds(),
 	})

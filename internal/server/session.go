@@ -148,7 +148,7 @@ func (s *Session) Info() SessionInfo {
 		LastUsedAt: s.lastUsed,
 	}
 	if s.state == StateDone {
-		info.Repairs = len(s.versions[0].repairs)
+		info.Repairs = s.versions[0].ver.TrailLen()
 		info.Versions = 1 + len(s.mutLog)
 	}
 	if s.runErr != nil {
@@ -247,7 +247,7 @@ func (s *Session) runClean() {
 	s.versions = []*versionEntry{v1}
 	mCleansDone.Inc()
 	slog.Info("server: clean done",
-		"session", s.ID, "run", s.runID, "rows", v1.clean.Len(), "repairs", len(v1.repairs),
+		"session", s.ID, "run", s.runID, "rows", v1.ver.Stats().Tuples-v1.ver.Stats().DuplicatesRemoved, "repairs", v1.ver.TrailLen(),
 		"wall", wall.Round(time.Millisecond))
 }
 
@@ -260,17 +260,12 @@ func (s *Session) loadEngine() (*versionEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.delta.Load(base)
+	ver, err := s.delta.LoadVersion(base)
 	if err != nil {
 		return nil, err
 	}
 	s.nextRow = base.Len()
-	return &versionEntry{
-		clean:   res.Clean,
-		stats:   res.Stats,
-		repairs: s.delta.Trail(),
-		tuples:  base.Len(),
-	}, nil
+	return &versionEntry{ver: ver}, nil
 }
 
 // Rollback restores the pre-repair table from the session's logged batches:
@@ -282,7 +277,7 @@ func (s *Session) Rollback() (*dataset.Table, int, error) {
 	if s.state != StateDone {
 		return nil, 0, fmt.Errorf("server: session %s is %s, cannot roll back", s.ID, s.state)
 	}
-	reverted := len(s.versions[0].repairs)
+	reverted := s.versions[0].ver.TrailLen()
 	if s.rolled != nil {
 		return s.rolled, reverted, nil
 	}
