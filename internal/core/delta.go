@@ -29,15 +29,16 @@ import (
 //     weight learning → RSC), so per-block results cannot drift from a
 //     from-scratch run.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
-//     (piece identity + learned weight, both fixed-width) before and after
-//     the rebuild, position by position. An insert or delete splices every
-//     block's version index as it splices the table, which keeps it exact:
-//     a clean block holds no version of the row, and a dirty block's
-//     spliced index is its old one at the current positions. A tuple whose
-//     versions are bit-identical fuses to the same assignment, so its
-//     cached outcome is reused. Conflicted tuples are always re-fused —
-//     their outcome reads global candidate sets and attribute domain sizes,
-//     which any mutation may shift.
+//     (piece identity, fixed-width) before and after the rebuild, position
+//     by position. An insert or delete splices every block's version index
+//     as it splices the table, which keeps it exact: a clean block holds no
+//     version of the row, and a dirty block's spliced index is its old one
+//     at the current positions. A tuple without a conflict fuses to the
+//     union of its versions, which reads no weight, so a tuple whose pieces
+//     are the same fuses to the same assignment and its cached outcome is
+//     reused. Conflicted tuples are always re-fused — their outcome reads
+//     weights, global candidate sets and attribute domain sizes, which any
+//     mutation may shift.
 //   - Every per-tuple cache is a slice parallel to the table, in its
 //     ascending-ID order; an ID is found by binary search over a flat slice
 //     of the IDs. A re-fused tuple whose fused row did not move keeps its
@@ -374,12 +375,14 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		return nil, nil, err
 	}
 	// Mark every position whose version moved in a rebuilt block: another
-	// piece or weight, or a version on one side only.
+	// piece, or a version on one side only. A weight alone cannot change a
+	// tuple without a conflict (fusion reads weights only into the trace's
+	// score), and conflicted tuples are marked above.
 	for k, ri := range rebuilt {
 		was, now, at := oldPieces[k], d.plan.blocks[ri].Pieces, vers[ri]
 		for i, a := range d.blocks[ri].oldVers {
 			b := at[i]
-			if (a == 0) != (b == 0) || a != 0 && (was[a-1].KeyID() != now[b-1].KeyID() || was[a-1].Weight != now[b-1].Weight) {
+			if (a == 0) != (b == 0) || a != 0 && was[a-1].KeyID() != now[b-1].KeyID() {
 				d.refuse[i] = true
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -252,11 +253,11 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 	}
 }
 
-// versionFact is a tuple's version in one block, reduced to what fusion
-// reads of it: the piece's identity and its learned weight.
+// versionFact is a tuple's version in one block, reduced to what can change
+// the fusion of a tuple without a conflict: the piece's identity. (Its
+// weight reaches only a conflicted tuple, and those are re-fused anyway.)
 type versionFact struct {
-	kid    uint32
-	weight float64
+	kid uint32
 }
 
 // versionFacts maps, per block, every tuple ID holding a version to its
@@ -267,7 +268,7 @@ func versionFacts(eng *DeltaCleaner) []map[int]versionFact {
 		out[bi] = make(map[int]versionFact)
 		for _, p := range fb.Pieces {
 			for _, id := range p.TupleIDs {
-				out[bi][id] = versionFact{p.KeyID(), p.Weight}
+				out[bi][id] = versionFact{p.KeyID()}
 			}
 		}
 	}
@@ -275,9 +276,9 @@ func versionFacts(eng *DeltaCleaner) []map[int]versionFact {
 }
 
 // wantRefused counts the tuples an Apply of muts must re-fuse, by ID: the
-// live ones the batch put, whose version in some block moved (another piece
-// or weight, or a version before or after only), or whose previous fusion
-// was conflicted.
+// live ones the batch put, whose version in some block moved (another
+// piece, or a version before or after only), or whose previous fusion was
+// conflicted.
 func wantRefused(muts []Mutation, before, after []map[int]versionFact, conflicted []int, live map[int][]string) int {
 	want := make(map[int]bool)
 	for _, m := range muts {
@@ -665,8 +666,14 @@ func serveMix(inj *errgen.Injection, n int, seed int64) []Mutation {
 // errors, τ = 1.
 func benchShape(tb testing.TB) (*DeltaCleaner, *Version, *errgen.Injection) {
 	tb.Helper()
+	return carSession(tb, 5000)
+}
+
+// carSession is the serving benchmark's session at another row count.
+func carSession(tb testing.TB, rows int) (*DeltaCleaner, *Version, *errgen.Injection) {
+	tb.Helper()
 	const seed = 4200
-	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 5000, Seed: seed})
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: rows, Seed: seed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -710,6 +717,105 @@ func ownedBytes(v, parent *Version) int {
 		}
 	}
 	return n
+}
+
+// learnedGroup is one group as weight learning saw and left it: its pieces'
+// (KeyID, count) pairs in member order, and their learned weights.
+type learnedGroup struct {
+	pieces  [][2]int
+	weights []float64
+}
+
+// learnedGroups re-derives, for every block of the engine's current table,
+// what an Apply hands RSC: the block rebuilt and run through AGP and weight
+// learning, its groups by KeyID, and its Σc — the normaliser of every Eq. 4
+// prior in it.
+func learnedGroups(t *testing.T, eng *DeltaCleaner) ([]map[uint32]learnedGroup, []int) {
+	t.Helper()
+	enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
+	groups, sums := make([]map[uint32]learnedGroup, len(eng.rs)), make([]int, len(eng.rs))
+	for ri, r := range eng.rs {
+		b := index.BuildBlockFor(eng.view(), enc, r)
+		agp(ri, b, eng.opts.Tau, soloCrew(eng.evs[0]), eng.opts.MergeCapRatio, nil, nil)
+		if _, err := learnBlockWeights(b, soloCrew(eng.evs[0])); err != nil {
+			t.Fatal(err)
+		}
+		groups[ri] = make(map[uint32]learnedGroup, len(b.Groups))
+		for _, g := range b.Groups {
+			var lg learnedGroup
+			for _, p := range g.Pieces {
+				lg.pieces = append(lg.pieces, [2]int{int(p.KeyID()), p.Count()})
+				lg.weights = append(lg.weights, p.Weight)
+				sums[ri] += p.Count()
+			}
+			groups[ri][g.KeyID()] = lg
+		}
+	}
+	return groups, sums
+}
+
+// TestDeltaUpdateKeepsUntouchedGroupWeights: a weight is a function of its
+// own group. Through the updates of the serving mix, in every block an
+// update rebuilt without moving its Σc, every group whose in-order (KeyID,
+// count) sequence is unchanged learns each piece's weight bit for bit again,
+// and the engine serves its RSC winner's weight unchanged — the weight the
+// re-derived learning gives that piece. The session is small (CAR 600), so
+// no block's slowest group sits at the sweep bound on every version: a stop
+// shared across the block would move these weights.
+func TestDeltaUpdateKeepsUntouchedGroupWeights(t *testing.T) {
+	eng, _, inj := carSession(t, 600)
+	before, sums := learnedGroups(t, eng)
+	served := func(ri int) map[uint32]*index.Piece {
+		out := make(map[uint32]*index.Piece)
+		for _, g := range eng.blocks[ri].block.Groups {
+			out[g.KeyID()] = g.Pieces[0] // one winner per group after RSC
+		}
+		return out
+	}
+	kept, updates := 0, 0
+	for _, m := range serveMix(inj, 60, 4200) {
+		if m.Op != DeltaPut || !eng.Has(m.Row) {
+			continue // inserts and deletes move Σc in every block they touch
+		}
+		updates++
+		was := make([]map[uint32]*index.Piece, len(eng.rs))
+		blocks := make([]*index.Block, len(eng.rs))
+		for ri := range eng.rs {
+			was[ri], blocks[ri] = served(ri), eng.blocks[ri].block
+		}
+		if _, _, err := eng.Apply([]Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
+		after, afterSums := learnedGroups(t, eng)
+		for ri := range eng.rs {
+			if eng.blocks[ri].block == blocks[ri] || afterSums[ri] != sums[ri] {
+				continue
+			}
+			now := served(ri)
+			for kid, g := range after[ri] {
+				old, ok := before[ri][kid]
+				if !ok || !slices.Equal(old.pieces, g.pieces) {
+					continue
+				}
+				kept++
+				for k, w := range g.weights {
+					if math.Float64bits(w) != math.Float64bits(old.weights[k]) {
+						t.Fatalf("update %d, block %d, group %d: piece %d weight %v, was %v", updates, ri, kid, g.pieces[k][0], w, old.weights[k])
+					}
+				}
+				p, q := now[kid], was[ri][kid]
+				at := slices.IndexFunc(g.pieces, func(pc [2]int) bool { return uint32(pc[0]) == p.KeyID() })
+				if p.KeyID() != q.KeyID() || math.Float64bits(p.Weight) != math.Float64bits(q.Weight) || at < 0 || math.Float64bits(p.Weight) != math.Float64bits(g.weights[at]) {
+					t.Fatalf("update %d, block %d, group %d: serves piece %d at %v, was piece %d at %v", updates, ri, kid, p.KeyID(), p.Weight, q.KeyID(), q.Weight)
+				}
+			}
+		}
+		before, sums = after, afterSums
+	}
+	if kept == 0 {
+		t.Fatalf("%d updates left no group unchanged in a rebuilt block: nothing was checked", updates)
+	}
+	t.Logf("%d updates: %d unchanged groups in rebuilt blocks kept their weights", updates, kept)
 }
 
 // TestDeltaVersionOwnedBytes: a served version costs what changed, not the

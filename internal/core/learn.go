@@ -12,13 +12,14 @@ import (
 // (§5.1.2): each distinct γ is a ground MLN rule whose prior weight is
 // c(γ)/Σc (Eq. 4) and whose learned weight comes from diagonal-Newton
 // optimization of the grouped likelihood — competing γs are the ones inside
-// the same group. Weights are written into Piece.Weight. Returns the number
-// of Newton iterations performed.
+// the same group. Weights are written into Piece.Weight. Returns the most
+// Newton sweeps any of the block's groups made.
 //
 // The learner's chunks of groups are crew items, four per participant so a
-// worker that goes idle halfway through a pass still finds some unclaimed;
-// every chunk count learns the same bits and sweeps as often in total
-// (mln.LearnWeights).
+// worker that goes idle halfway through still finds some unclaimed; each
+// group sweeps until its own step is under tolerance, so every chunk count
+// learns the same bits and a group's weights are the same whatever else its
+// block holds (mln.LearnWeights).
 func learnBlockWeights(b *index.Block, c crew) (int, error) {
 	n := 0
 	for _, g := range b.Groups {

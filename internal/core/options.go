@@ -103,7 +103,9 @@ type Stats struct {
 	FusionFailures    int // tuples whose every fusion order conflicted out
 	FusionTruncated   int // tuples whose fusion search hit maxFusionStates
 	DuplicatesRemoved int
-	LearnIterations   int
+	// LearnIterations is, per block, the most Newton sweeps any of its
+	// groups made (each group stops on its own step), summed over blocks.
+	LearnIterations int
 }
 
 // Add folds another run's counters into s. Blocks is kept at the maximum

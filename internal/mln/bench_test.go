@@ -53,11 +53,12 @@ func haiLearnInputs(tb testing.TB) (groups [][][]int, counts [][]float64) {
 
 var sinkWeights []float64
 
-// swept counts, in one block's groups, the members of the groups the
-// learner sweeps and the groups that learn but share another's weights: a
-// group learns when it has two members or more and some support, and the
-// first group of each distinct (count, prior) sequence is the one swept.
-func swept(groups [][]int, counts, priors []float64) (members, shared int) {
+// swept counts, in one block's groups, the single-weight Newton updates the
+// learner makes and the groups that learn but share another's weights: a
+// group learns when it has two members or more and some support, the first
+// group of each distinct (count, prior) sequence is the one swept, and it
+// sweeps as often as it does learned alone — sweeps × its members updates.
+func swept(tb testing.TB, groups [][]int, counts, priors []float64) (updates, shared int) {
 	seen := make(map[string]bool)
 	for _, g := range groups {
 		total := 0.0
@@ -73,32 +74,36 @@ func swept(groups [][]int, counts, priors []float64) (members, shared int) {
 			shared++
 		default:
 			seen[string(key)] = true
-			members += len(g)
+			_, sweeps, err := mln.LearnWeights([][]int{g}, counts, priors, 1, nil)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			updates += sweeps * len(g)
 		}
 	}
-	return members, shared
+	return updates, shared
 }
 
 // BenchmarkLearnWeights learns every block of the HAI table as one chunk on
 // the caller: ns/op is per pass over the blocks, ns/update that divided by
-// the single-weight Newton updates the pass made (sweeps × members of the
-// groups swept), and shared_groups/op the groups that took another's
-// weights instead of learning their own.
+// the single-weight Newton updates the pass made (each group swept its own
+// sweep count × its members), sweeps/op the blocks' sweep counts summed, and
+// shared_groups/op the groups that took another's weights instead of
+// learning their own.
 func BenchmarkLearnWeights(b *testing.B) {
 	groups, counts := haiLearnInputs(b)
 	priors := make([][]float64, len(counts))
-	members := make([]int, len(counts))
-	shared := 0
+	updates, shared := 0, 0
 	for i := range counts {
 		priors[i] = mln.PriorWeights(counts[i])
-		m, s := swept(groups[i], counts[i], priors[i])
-		members[i], shared = m, shared+s
+		u, s := swept(b, groups[i], counts[i], priors[i])
+		updates, shared = updates+u, shared+s
 	}
-	updates, sweeps := 0, 0
+	sweeps := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		updates, sweeps = 0, 0
+		sweeps = 0
 		for bi := range groups {
 			w, iters, err := mln.LearnWeights(groups[bi], counts[bi], priors[bi], 1, nil)
 			if err != nil {
@@ -106,7 +111,6 @@ func BenchmarkLearnWeights(b *testing.B) {
 			}
 			sinkWeights = w
 			sweeps += iters
-			updates += iters * members[bi]
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(updates), "ns/update")

@@ -50,32 +50,22 @@ const (
 //
 // init supplies the starting (and prior-centre) weights; pass the Eq. 4
 // priors w⁰ = c(γ)/Σc. groups must partition 0..len(counts)-1; indices may
-// appear in at most one group. Returns the learned weights and the number
-// of sweeps performed (maxIters when the tolerance was never reached).
+// appear in at most one group. Returns the learned weights and the most
+// sweeps any group that learns made (maxIters when one never reached the
+// tolerance, 0 when none learns).
 //
 // The groups that learn are cut into `chunks` contiguous runs of about equal
 // member counts, and each is one item of each (nil runs the items in order
-// on the caller). Groups share nothing but the stop test, so a chunk sweeps
-// on its own and only the stop sweep is agreed between them — the weights
-// and the sweep count are the same bits for every chunk count and every
-// way each runs its items. Groups whose members' supports and initial
-// weights are equal, member for member, are learned once and share the
-// result, which is the weight each would learn on its own.
+// on the caller). Groups share nothing: each sweeps until its own largest
+// step is under tolerance or it reaches maxIters, so a group's weights are a
+// function of its own (count, init) sequence alone — the same bits for every
+// chunk count, every way each runs its items, and every other group beside
+// it. Groups whose members' supports and initial weights are equal, member
+// for member, are learned once and share the result.
 func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, iterations int, err error) {
-	weights, iterations, _, err = learnWeights(groups, counts, init, chunks, each)
-	return weights, iterations, err
-}
-
-// Each runs item(i) once for every i in [0, n) and returns when all have
-// returned. The items may run concurrently.
-type Each func(n int, item func(i int))
-
-// learnWeights is LearnWeights that also reports how many passes over the
-// chunks it took to agree on the stop sweep.
-func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, iterations, passes int, err error) {
 	n := len(counts)
 	if len(init) != n {
-		return nil, 0, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
+		return nil, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
 	}
 	// ex marks the candidates the partition check has seen: a sweep reads
 	// only the terms of the groups that learn, and each is set first.
@@ -84,10 +74,10 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 	for _, g := range groups {
 		for _, i := range g {
 			if i < 0 || i >= n {
-				return nil, 0, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
+				return nil, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
 			}
 			if l.ex[i] != 0 {
-				return nil, 0, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
+				return nil, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
 			}
 			l.ex[i] = 1
 		}
@@ -97,18 +87,17 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 	}
 	for i, c := range counts {
 		if c < 0 {
-			return nil, 0, 0, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
+			return nil, 0, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
 		}
 	}
 
 	copy(l.w, init)
 
 	// A group's trajectory reads nothing but its members' counts and initial
-	// weights and, through the stop test, the sweep count. So groups whose
-	// (count, init) sequences are equal bit for bit learn the same bits:
-	// order the groups that learn by that sequence, sweep the first of each
-	// run of equals, and copy its weights to the rest once the stop sweep is
-	// agreed. A copy is marked in the order itself, as ^(its group index).
+	// weights. So groups whose (count, init) sequences are equal bit for bit
+	// learn the same bits: order the groups that learn by that sequence,
+	// sweep the first of each run of equals, and copy its weights to the
+	// rest. A copy is marked in the order itself, as ^(its group index).
 	order := make([]int, 0, learning)
 	for gi, g := range groups {
 		if _, ok := learns(g, counts); ok {
@@ -144,7 +133,7 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 	// most the cache lines at a seam.
 	slices.SortFunc(live, func(a, b groupState) int { return cmp.Compare(a.members[0], b.members[0]) })
 
-	parts := make([]chunk, max(chunks, 1))
+	parts := make([][]groupState, max(chunks, 1))
 	at, cum := 0, 0
 	for k := range parts {
 		from := at
@@ -152,9 +141,9 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 			cum += len(live[at].members)
 			at++
 		}
-		parts[k] = chunk{live: live[from:at], last: math.Inf(1)}
+		parts[k] = live[from:at]
 		// Longest first: the groups that have a k-th member are then a prefix.
-		slices.SortFunc(parts[k].live, func(a, b groupState) int { return cmp.Compare(len(b.members), len(a.members)) })
+		slices.SortFunc(parts[k], func(a, b groupState) int { return cmp.Compare(len(b.members), len(a.members)) })
 	}
 	if each == nil {
 		each = func(n int, item func(int)) {
@@ -163,40 +152,25 @@ func learnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 			}
 		}
 	}
+	sweeps := make([]int, len(parts))
+	each(len(parts), func(k int) { sweeps[k] = l.run(parts[k]) })
 
-	// The serial loop stops after the first sweep whose largest step, over
-	// every group, is under tolerance: the first sweep at which every chunk's
-	// own largest step is. So each chunk's first such sweep at or after a
-	// lower bound on that stop is again a lower bound, and the largest of them
-	// is the stop itself once every chunk is under tolerance there.
-	stop := 1
-	for {
-		passes++
-		each(len(parts), func(k int) { l.run(&parts[k], stop) })
-		next := stop
-		for k := range parts {
-			next = max(next, parts[k].sweeps)
+	from := 0
+	for _, gi := range order {
+		if gi >= 0 {
+			from = gi
+			continue
 		}
-		agreed := true
-		for k := range parts {
-			agreed = agreed && parts[k].sweeps == next
+		for k, i := range groups[from] {
+			l.w[groups[^gi][k]] = l.w[i]
 		}
-		if agreed {
-			from := 0
-			for _, gi := range order {
-				if gi >= 0 {
-					from = gi
-					continue
-				}
-				for k, i := range groups[from] {
-					l.w[groups[^gi][k]] = l.w[i]
-				}
-			}
-			return l.w, next, passes, nil
-		}
-		stop = next
 	}
+	return l.w, slices.Max(sweeps), nil
 }
+
+// Each runs item(i) once for every i in [0, n) and returns when all have
+// returned. The items may run concurrently.
+type Each func(n int, item func(i int))
 
 // learns returns the support of group g and whether the group learns: a
 // singleton's softmax is degenerate (p=1), and a group without support has
@@ -238,46 +212,42 @@ type learner struct {
 // groupState is the softmax state of one group that learns, kept across
 // updates and across sweeps: ex[j] = exp(w[j] − top) for each member j, top
 // the group's largest weight, pre the sum of the terms before the member
-// being updated. A group's weights are written only by its own updates (the
-// partition check), so between two of them exactly one term changes —
-// unless the largest weight moved, which rebases all of them. Either way
-// every term is what a from-scratch softmax over the current weights
-// computes (same operands) and z adds them up in member order, so the
-// learned weights do not depend on the reuse.
+// being updated, and last the largest absolute step of its latest sweep. A
+// group's weights are written only by its own updates (the partition
+// check), so between two of them exactly one term changes — unless the
+// largest weight moved, which rebases all of them. Either way every term is
+// what a from-scratch softmax over the current weights computes (same
+// operands) and z adds them up in member order, so the learned weights do
+// not depend on the reuse.
 type groupState struct {
-	members         []int
-	total, top, pre float64
+	members               []int
+	total, top, pre, last float64
 }
 
-// chunk is a run of groups that sweeps on its own: sweeps done so far, and
-// the largest step of the last one.
-type chunk struct {
-	live   []groupState
-	sweeps int
-	last   float64
-}
-
-// run sweeps c up to sweep `stop`, then on while its largest step is not
-// under tolerance, never past the sweep bound.
-func (l *learner) run(c *chunk, stop int) {
-	for c.sweeps < maxIters && (c.sweeps < stop || c.last >= tolerance) {
-		c.last = l.sweep(c.live)
-		c.sweeps++
+// run sweeps the groups of one chunk, longest first, dropping each once its
+// largest step is under tolerance, and stops when none is left or at the
+// sweep bound. It returns the sweeps it made: the most of any of its groups.
+func (l *learner) run(live []groupState) (sweeps int) {
+	for ; len(live) > 0 && sweeps < maxIters; sweeps++ {
+		l.sweep(live)
+		// Stable, so the groups that have a k-th member stay a prefix.
+		live = slices.DeleteFunc(live, func(g groupState) bool { return g.last < tolerance })
 	}
+	return sweeps
 }
 
-// sweep updates every weight of the groups once and returns the largest
-// absolute step.
-func (l *learner) sweep(live []groupState) (maxDelta float64) {
+// sweep updates every weight of the groups once and records each group's
+// largest absolute step in its last.
+func (l *learner) sweep(live []groupState) {
 	counts, init, w, ex := l.counts, l.init, l.w, l.ex
 	// Coordinate-descent Newton: each single-weight update sees its group's
 	// current distribution. Updating all weights of a group from one stale
 	// distribution makes opposing steps compound (the softmax is
 	// shift-invariant) and the sweep oscillates. Within a group the updates
-	// run in member order; across groups nothing is shared but maxDelta, so
-	// a sweep updates the k-th member of every group before any (k+1)-th:
-	// one update is a single chain of dependent exp/add/divide, and
-	// neighbours from different groups overlap.
+	// run in member order; across groups nothing is shared, so a sweep
+	// updates the k-th member of every group before any (k+1)-th: one update
+	// is a single chain of dependent exp/add/divide, and neighbours from
+	// different groups overlap.
 	active := len(live)
 	for k := 0; active > 0; k++ {
 		for active > 0 && len(live[active-1].members) <= k {
@@ -287,7 +257,7 @@ func (l *learner) sweep(live []groupState) (maxDelta float64) {
 			g := &live[gi]
 			i := g.members[k]
 			if k == 0 {
-				g.pre = 0
+				g.pre, g.last = 0, 0
 			}
 			z := g.pre
 			for _, j := range g.members[k:] {
@@ -304,9 +274,7 @@ func (l *learner) sweep(live []groupState) (maxDelta float64) {
 			}
 			wasTop := w[i] == g.top
 			w[i] += step
-			if d := math.Abs(step); d > maxDelta {
-				maxDelta = d
-			}
+			g.last = max(g.last, math.Abs(step))
 			top := g.top
 			if w[i] > top {
 				top = w[i]
@@ -326,7 +294,6 @@ func (l *learner) sweep(live []groupState) (maxDelta float64) {
 			}
 		}
 	}
-	return maxDelta
 }
 
 // expTerms sets ex[j] = exp(w[j] − top) for every j of idx: the terms of the
