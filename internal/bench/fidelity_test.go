@@ -32,14 +32,12 @@ const (
 	paperBand = 0.05
 )
 
-// Run-to-run spread of a margin. MLNClean's cells repeat exactly (fixed
-// seeds); the HoloClean baseline's F1 moves by up to ≈ 0.007 between runs
-// of one build, and wall-time ratios by tens of percent on a loaded box. A
-// margin within its noise of a bound is read as on neither side of it.
-const (
-	holoNoise = 0.01
-	timeNoise = 0.5
-)
+// Run-to-run spread of a wall-time ratio: tens of percent on a loaded box.
+// A margin within its noise of a bound is read as on neither side of it.
+// Every accuracy cell repeats exactly, so its margin has no noise: the
+// seeds are fixed, and the HoloClean baseline trains its attributes in
+// sorted order.
+const timeNoise = 0.5
 
 // knownGaps is every shape the reproduction misses at default scale, with
 // the margin measured (ROADMAP item 1: step 2 diagnoses them, step 3 closes
@@ -135,9 +133,9 @@ func paperShapes(t *testing.T, reps map[string]*Report) []shape {
 		// Fig. 6: MLNClean F1 above HoloClean at every rate; both decline
 		// mildly; MLNClean faster.
 		mc, hc := col("fig6-"+ds, 1), col("fig6-"+ds, 2)
-		add("fig6-"+ds+": MLNClean above HoloClean", slices.Min(sub(mc, hc)), holoNoise)
+		add("fig6-"+ds+": MLNClean above HoloClean", slices.Min(sub(mc, hc)), 0)
 		add("fig6-"+ds+": MLNClean declines mildly", mildDecline(mc), 0)
-		add("fig6-"+ds+": HoloClean declines mildly", mildDecline(hc), holoNoise)
+		add("fig6-"+ds+": HoloClean declines mildly", mildDecline(hc), 0)
 		add("fig6-"+ds+": MLNClean faster", slices.Min(ratio(secs("fig6-"+ds, 4), secs("fig6-"+ds, 3)))-1, timeNoise)
 
 		// Fig. 7: MLNClean flat in Rret (the HoloClean halves follow the
@@ -190,9 +188,9 @@ func paperShapes(t *testing.T, reps map[string]*Report) []shape {
 	// Fig. 7: HoloClean rises with Rret on sparse CAR (all-typos worst),
 	// flatter on dense HAI.
 	car, hai := col("fig7-car", 2), col("fig7-hai", 2)
-	add("fig7-car: HoloClean rises with Rret", car[len(car)-1]-car[0], holoNoise)
-	add("fig7-car: HoloClean worst on all typos", slices.Min(car[1:])-car[0], holoNoise)
-	add("fig7-hai: HoloClean flatter than on CAR", spread(car)-spread(hai), holoNoise)
+	add("fig7-car: HoloClean rises with Rret", car[len(car)-1]-car[0], 0)
+	add("fig7-car: HoloClean worst on all typos", slices.Min(car[1:])-car[0], 0)
+	add("fig7-hai: HoloClean flatter than on CAR", spread(car)-spread(hai), 0)
 
 	// Fig. 15: F1 stays high with < 3 % drop across the sweep; runtime grows
 	// with error rate.

@@ -499,11 +499,11 @@ func TestDeltaAGPMemoBounded(t *testing.T) {
 			if db.memo == nil {
 				continue
 			}
-			if n := len(db.memo.best); n > db.res.abnormal {
+			if n := len(db.memo.agp.best); n > db.res.abnormal {
 				t.Fatalf("step %d: rule %d memo holds %d decisions, its last rebuild had %d abnormal groups",
 					step, ri, n, db.res.abnormal)
 			}
-			seen = max(seen, len(db.memo.best))
+			seen = max(seen, len(db.memo.agp.best))
 		}
 		if step%20 == 19 {
 			assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(), refTable(dirty.Schema, rows), rs, Options{})

@@ -28,6 +28,16 @@ import (
 //     the same runBlock on the same scheduler the batch drivers use (AGP →
 //     weight learning → RSC), so per-block results cannot drift from a
 //     from-scratch run.
+//   - Each block keeps two memos across its rebuilds. The AGP memo
+//     (agpMemo) keeps each abnormal group's nearest-target decision, so a
+//     rebuild re-scores sources only against the targets that moved. The
+//     learn memo (learnMemo) keeps each learning group's final piece
+//     weights and sweep count with its in-order (count, prior) bits, so a
+//     rebuild learns only the groups whose sequence moved: an update that
+//     keeps the block's Σc re-learns just the groups it touched, while an
+//     insert or delete moves every prior and re-learns the block. Both
+//     hold the last rebuild's state only, and both give the bits a
+//     from-scratch run computes.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity, fixed-width) before and after the rebuild, position
 //     by position. An insert or delete splices every block's version index
@@ -41,7 +51,9 @@ import (
 //     mutation may shift.
 //   - Every per-tuple cache is a slice parallel to the table, in its
 //     ascending-ID order; an ID is found by binary search over a flat slice
-//     of the IDs. A re-fused tuple whose fused row did not move keeps its
+//     of the IDs, and a rebuilt block's version index is placed by a walk
+//     that gallops forward through that slice along each piece's ascending
+//     tuple IDs. A re-fused tuple whose fused row did not move keeps its
 //     cached tuple.
 //   - Each Load and Apply mints an immutable Version (version.go): row
 //     chunks by tuple-ID range holding the fused tuples and the repaired
@@ -105,9 +117,16 @@ type deltaBlock struct {
 	// res is the block's contribution to the run Stats, kept so the whole
 	// Stats can be recomposed without touching clean blocks.
 	res blockResult
-	// memo carries AGP nearest-target decisions across rebuilds of this
-	// block, so a re-clean only re-scores against the groups that moved.
-	memo *agpMemo
+	// memo carries AGP nearest-target decisions and learned group weights
+	// across rebuilds of this block, so a re-clean only re-scores against
+	// the groups that moved and only re-learns the groups that changed.
+	memo *blockMemo
+}
+
+// blockMemo is what one block's rebuild leaves the next.
+type blockMemo struct {
+	agp   agpMemo
+	learn learnMemo
 }
 
 // DeltaCleaner incrementally re-cleans a mutating table. It is not safe for
@@ -251,7 +270,7 @@ func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	d.blocks = make([]*deltaBlock, len(d.rs))
 	all := make([]int, len(d.rs))
 	for ri, r := range d.rs {
-		d.blocks[ri] = &deltaBlock{rule: r, memo: &agpMemo{}}
+		d.blocks[ri] = &deltaBlock{rule: r, memo: &blockMemo{}}
 		all[ri] = ri
 	}
 	if err := d.cleanBlocks(all); err != nil {
@@ -461,6 +480,31 @@ func (d *DeltaCleaner) posOf(id int) (int, bool) {
 	return slices.BinarySearch(d.ids, id)
 }
 
+// walkPos is posOf for a walk over ascending runs of tuple IDs, as each
+// piece's TupleIDs are: it gallops forward from the position it found last,
+// and starts again from the front when an ID goes down.
+func (d *DeltaCleaner) walkPos() func(id int) (int, bool) {
+	ids := d.ids
+	from, last := 0, 0
+	return func(id int) (int, bool) {
+		if id < last {
+			from = 0
+		}
+		last = id
+		// Every ID before from is below id; the stride doubles until one at
+		// hi is not.
+		hi, step := from, 1
+		for hi < len(ids) && ids[hi] < id {
+			from = hi + 1
+			hi += step
+			step *= 2
+		}
+		i, ok := slices.BinarySearch(ids[from:min(hi+1, len(ids))], id)
+		from += i
+		return from, ok
+	}
+}
+
 // Table materializes the current dirty table (ascending tuple-ID order, IDs
 // preserved). The copy is independent of engine state.
 func (d *DeltaCleaner) Table() *dataset.Table { return d.view().Clone() }
@@ -535,7 +579,7 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
 	// The version index is placed again over the current positions, in its
 	// own array.
-	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.posOf)
+	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.walkPos())
 	// Keys are distinct: RSC leaves one piece per group, and groups differ
 	// in their reason.
 	// A rebuild that kept the block's pieces keeps its key array, which no

@@ -737,7 +737,7 @@ func learnedGroups(t *testing.T, eng *DeltaCleaner) ([]map[uint32]learnedGroup, 
 	for ri, r := range eng.rs {
 		b := index.BuildBlockFor(eng.view(), enc, r)
 		agp(ri, b, eng.opts.Tau, soloCrew(eng.evs[0]), eng.opts.MergeCapRatio, nil, nil)
-		if _, err := learnBlockWeights(b, soloCrew(eng.evs[0])); err != nil {
+		if _, err := learnBlockWeights(b, soloCrew(eng.evs[0]), nil); err != nil {
 			t.Fatal(err)
 		}
 		groups[ri] = make(map[uint32]learnedGroup, len(b.Groups))
@@ -818,6 +818,127 @@ func TestDeltaUpdateKeepsUntouchedGroupWeights(t *testing.T) {
 	t.Logf("%d updates: %d unchanged groups in rebuilt blocks kept their weights", updates, kept)
 }
 
+// rebuiltBlocks lists the rules whose blocks differ from was, the blocks
+// before an Apply.
+func rebuiltBlocks(eng *DeltaCleaner, was []*index.Block) []int {
+	var out []int
+	for ri, db := range eng.blocks {
+		if db.block != was[ri] {
+			out = append(out, ri)
+		}
+	}
+	return out
+}
+
+// blocksOf is the engine's current block of every rule.
+func blocksOf(eng *DeltaCleaner, into []*index.Block) []*index.Block {
+	into = into[:0]
+	for _, db := range eng.blocks {
+		into = append(into, db.block)
+	}
+	return into
+}
+
+// TestDeltaLearnMemoExact: the learn memo gives the bits a learn without it
+// gives. Through the serving mix on CAR 600, after every ApplyVersion, each
+// rebuilt block is built afresh from the engine's table and run through AGP
+// and a memo-free learnBlockWeights: the block's LearnIterations, every
+// learning group's final piece weights as the memo keeps them, and each
+// served RSC winner's weight must equal what that learn gives, bit for bit;
+// each group's kept sweep count must equal what a learn with a cold memo
+// records for it. An update that rebuilds a block must find some group in
+// the memo; an insert or delete moves its blocks' Σc, and with it every
+// prior, so it must find none.
+func TestDeltaLearnMemoExact(t *testing.T) {
+	eng, _, inj := carSession(t, 600)
+	c := soloCrew(eng.evs[0])
+	var was []*index.Block
+	updates, hitUpdates, others := 0, 0, 0
+	for step, m := range serveMix(inj, 90, 4200) {
+		update := m.Op == DeltaPut && eng.Has(m.Row)
+		was = blocksOf(eng, was)
+		if _, _, err := eng.ApplyVersion([]Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
+		enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
+		rebuilt := rebuiltBlocks(eng, was)
+		hits := 0
+		for _, ri := range rebuilt {
+			db := eng.blocks[ri]
+			b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
+			agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
+			// A cold memo learns every group, as a learn without one does;
+			// it records each group's sweeps.
+			cold := &learnMemo{}
+			if _, err := learnBlockWeights(b, c, cold); err != nil {
+				t.Fatal(err)
+			}
+			iters, err := learnBlockWeights(b, c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.res.learnIters != iters {
+				t.Fatalf("step %d, block %d: LearnIterations %d, a learn without the memo %d", step, ri, db.res.learnIters, iters)
+			}
+			kept := &db.memo.learn.last
+			learning := 0
+			winners := make(map[uint32]*index.Piece)
+			for _, g := range db.block.Groups {
+				winners[g.KeyID()] = g.Pieces[0]
+			}
+			for _, g := range b.Groups {
+				if w := winners[g.KeyID()]; w != nil {
+					at := slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == w.KeyID() })
+					if at < 0 || math.Float64bits(w.Weight) != math.Float64bits(g.Pieces[at].Weight) {
+						t.Fatalf("step %d, block %d, group %d: serves piece %d at %v, not a learned weight of the group", step, ri, g.KeyID(), w.KeyID(), w.Weight)
+					}
+				}
+				if len(g.Pieces) < 2 {
+					continue
+				}
+				learning++
+				e, ok := kept.entry[g.KeyID()]
+				if !ok {
+					t.Fatalf("step %d, block %d: the memo does not hold learning group %d", step, ri, g.KeyID())
+				}
+				ws := kept.weights[kept.at[e]:kept.at[e+1]]
+				if len(ws) != len(g.Pieces) {
+					t.Fatalf("step %d, block %d, group %d: the memo holds %d weights for %d pieces", step, ri, g.KeyID(), len(ws), len(g.Pieces))
+				}
+				for k, p := range g.Pieces {
+					if math.Float64bits(ws[k]) != math.Float64bits(p.Weight) {
+						t.Fatalf("step %d, block %d, group %d: piece %d weight %v, a learn without the memo %v", step, ri, g.KeyID(), k, ws[k], p.Weight)
+					}
+				}
+				if got, want := kept.sweeps[e], cold.last.sweeps[cold.last.entry[g.KeyID()]]; got != want {
+					t.Fatalf("step %d, block %d, group %d: the memo keeps %d sweeps, a cold learn %d", step, ri, g.KeyID(), got, want)
+				}
+			}
+			if len(kept.entry) != learning || len(kept.sweeps) != learning {
+				t.Fatalf("step %d, block %d: the memo holds %d groups, the block has %d learning groups", step, ri, len(kept.sweeps), learning)
+			}
+			hits += learning - db.memo.learn.relearned
+		}
+		switch {
+		case update && len(rebuilt) == 0:
+			// The row's projections did not move: nothing was rebuilt.
+		case update:
+			updates++
+			if hits > 0 {
+				hitUpdates++
+			}
+		case hits > 0:
+			t.Fatalf("step %d: an insert or delete found %d groups in the memo", step, hits)
+		default:
+			others++
+		}
+	}
+	if hitUpdates < updates || updates == 0 || others == 0 {
+		t.Fatalf("%d of %d updates that rebuilt a block found a group in the memo, over %d inserts and deletes", hitUpdates, updates, others)
+	}
+	t.Logf("%d updates that rebuilt a block, each found groups in the memo; %d inserts and deletes found none", updates, others)
+}
+
 // TestDeltaVersionOwnedBytes: a served version costs what changed, not the
 // table. On the serving benchmark's session, the versions of 48 mutations of
 // its mix own 16 KiB each at most on average.
@@ -843,18 +964,27 @@ func TestDeltaVersionOwnedBytes(t *testing.T) {
 // BenchmarkDeltaApply mints one served version per op on the serving
 // benchmark's shape (benchShape), loaded once: one mutation of serveMix
 // applied, then the version's whole audit trail resolved. ns/op and
-// allocs/op are per minted version; refused/op is the tuples re-fused, and
-// owned_B/op the bytes the version does not share with its parent.
+// allocs/op are per minted version; refused/op is the tuples re-fused,
+// owned_B/op the bytes the version does not share with its parent, and
+// relearned/op the groups the rebuilt blocks sent to the learner rather than
+// take from their learn memos.
 func BenchmarkDeltaApply(b *testing.B) {
 	eng, prev, inj := benchShape(b)
 	muts := serveMix(inj, b.N, 4200)
-	refused, repairs, owned := 0, 0, 0
+	refused, repairs, owned, relearned := 0, 0, 0, 0
+	was := blocksOf(eng, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, m := range muts {
+		was = blocksOf(eng, was)
 		v, ds, err := eng.ApplyVersion([]Mutation{m})
 		if err != nil {
 			b.Fatal(err)
+		}
+		for ri, db := range eng.blocks {
+			if db.block != was[ri] {
+				relearned += db.memo.learn.relearned
+			}
 		}
 		refused += ds.RefusedTuples
 		repairs += len(v.Trail())
@@ -864,6 +994,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 	b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
 	b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
 	b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
+	b.ReportMetric(float64(relearned)/float64(b.N), "relearned/op")
 }
 
 // versionBytes is everything a version serves, as bytes: its materialized

@@ -75,11 +75,17 @@ type blockResult struct {
 }
 
 // runBlock runs the requested phases on one block, in pipeline order, on
-// the caller's crew. memo is the DeltaCleaner's cross-rebuild AGP cache;
-// batch drivers pass nil. It observes mlnclean_core_block_seconds once and
-// holds mlnclean_mem_blocks_inflight up for as long as it runs. The phase
-// times are the owner's wall time, helpers included.
-func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *agpMemo) (r blockResult) {
+// the caller's crew. memo is what the DeltaCleaner carries across a block's
+// rebuilds; batch drivers pass nil. It observes
+// mlnclean_core_block_seconds once and holds mlnclean_mem_blocks_inflight
+// up for as long as it runs. The phase times are the owner's wall time,
+// helpers included.
+func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blockMemo) (r blockResult) {
+	var agpM *agpMemo
+	var learnM *learnMemo
+	if memo != nil {
+		agpM, learnM = &memo.agp, &memo.learn
+	}
 	mBlocksInFlight.Add(1)
 	defer mBlocksInFlight.Add(-1)
 	start := time.Now()
@@ -91,11 +97,11 @@ func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *agp
 		return d
 	}
 	if ph&phaseAGP != 0 {
-		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, memo, opts.Trace)
+		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, agpM, opts.Trace)
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
-		if r.learnIters, r.err = learnBlockWeights(b, c); r.err != nil {
+		if r.learnIters, r.err = learnBlockWeights(b, c, learnM); r.err != nil {
 			return r
 		}
 		r.learn = lap()

@@ -2,11 +2,14 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
+	"mlnclean/internal/index"
 )
 
 // TestStageIRetainsNoDroppedPiece: a block is built into slabs — groups,
@@ -53,4 +56,62 @@ func TestStageIRetainsNoDroppedPiece(t *testing.T) {
 		t.Errorf("%d of the %d build slabs were collected after stage I", got, slabs)
 	}
 	runtime.KeepAlive(ix)
+}
+
+// learnMemoCaps is the capacity of every array a block's learn memo holds,
+// the two tables' in ascending order (every rebuild swaps them).
+func learnMemoCaps(m *learnMemo) []int {
+	var tables [][]int
+	for _, t := range []*learnTable{&m.last, &m.next} {
+		tables = append(tables, []int{cap(t.at), cap(t.counts), cap(t.priors), cap(t.weights), cap(t.sweeps)})
+	}
+	slices.SortFunc(tables, slices.Compare)
+	out := []int{cap(m.hit), cap(m.inputs.members), cap(m.inputs.counts), cap(m.inputs.groups)}
+	return append(append(out, tables[0]...), tables[1]...)
+}
+
+// TestDeltaLearnMemoBounded: a long-lived engine's learn memos hold the
+// learning groups of each block's last rebuild and nothing older. Through
+// 300 mutations of the serving mix on CAR 600, each block's memo holds
+// exactly the learning groups (two or more pieces) a fresh build of the
+// current table gives that block, and over the second half of the run none
+// of its arrays grows.
+func TestDeltaLearnMemoBounded(t *testing.T) {
+	eng, _, inj := carSession(t, 600)
+	c := soloCrew(eng.evs[0])
+	const steps = 300
+	var half [][]int
+	for step, m := range serveMix(inj, steps, 4200) {
+		if _, _, err := eng.ApplyVersion([]Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
+		if step%50 == 49 {
+			enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
+			for ri, db := range eng.blocks {
+				b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
+				agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
+				learning := 0
+				for _, g := range b.Groups {
+					if len(g.Pieces) > 1 {
+						learning++
+					}
+				}
+				kept := &db.memo.learn.last
+				if len(kept.entry) != learning || len(kept.sweeps) != learning || len(kept.at) != learning+1 {
+					t.Fatalf("step %d, block %d: the memo holds %d groups (%d keys), the block has %d learning groups",
+						step, ri, len(kept.sweeps), len(kept.entry), learning)
+				}
+			}
+		}
+		if step == steps/2-1 {
+			for _, db := range eng.blocks {
+				half = append(half, learnMemoCaps(&db.memo.learn))
+			}
+		}
+	}
+	for ri, db := range eng.blocks {
+		if now := learnMemoCaps(&db.memo.learn); !slices.Equal(now, half[ri]) {
+			t.Errorf("block %d: the memo's arrays grew over the last %d mutations: %v, then %v", ri, steps/2, half[ri], now)
+		}
+	}
 }

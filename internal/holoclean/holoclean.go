@@ -20,8 +20,10 @@ package holoclean
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -118,9 +120,11 @@ func Repair(dirty *dataset.Table, rs []*rules.Rule, noisy []errgen.Cell, opts Op
 		return res, nil
 	}
 
-	// Train one weight vector per noisy attribute on clean cells.
+	// Train one weight vector per noisy attribute on clean cells, in sorted
+	// attribute order: every attribute draws its sample from the one rng, so
+	// the order fixes which sample each gets.
 	weights := make(map[string][]float64, len(noisyAttrs))
-	for attr := range noisyAttrs {
+	for _, attr := range slices.Sorted(maps.Keys(noisyAttrs)) {
 		weights[attr] = m.train(attr, o, rng)
 	}
 

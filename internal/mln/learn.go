@@ -49,10 +49,10 @@ const (
 // g_i = counts[i] − C_g·p_i − (w_i−w⁰_i)/σ² and H_ii = −C_g·p_i(1−p_i) − 1/σ².
 //
 // init supplies the starting (and prior-centre) weights; pass the Eq. 4
-// priors w⁰ = c(γ)/Σc. groups must partition 0..len(counts)-1; indices may
-// appear in at most one group. Returns the learned weights and the most
-// sweeps any group that learns made (maxIters when one never reached the
-// tolerance, 0 when none learns).
+// priors w⁰ = c(γ)/Σc. Indices may appear in at most one group; a candidate
+// in none keeps its initial weight. Returns the learned weights and, per
+// group, the sweeps it made (maxIters when it never reached the tolerance,
+// 0 when it does not learn).
 //
 // The groups that learn are cut into `chunks` contiguous runs of about equal
 // member counts, and each is one item of each (nil runs the items in order
@@ -62,22 +62,22 @@ const (
 // chunk count, every way each runs its items, and every other group beside
 // it. Groups whose members' supports and initial weights are equal, member
 // for member, are learned once and share the result.
-func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, iterations int, err error) {
+func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, sweeps []int, err error) {
 	n := len(counts)
 	if len(init) != n {
-		return nil, 0, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
+		return nil, nil, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
 	}
 	// ex marks the candidates the partition check has seen: a sweep reads
 	// only the terms of the groups that learn, and each is set first.
-	l := &learner{counts: counts, init: init, w: make([]float64, n), ex: make([]float64, n)}
+	l := &learner{counts: counts, init: init, w: make([]float64, n), ex: make([]float64, n), sweeps: make([]int, len(groups))}
 	learning := 0
 	for _, g := range groups {
 		for _, i := range g {
 			if i < 0 || i >= n {
-				return nil, 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
+				return nil, nil, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
 			}
 			if l.ex[i] != 0 {
-				return nil, 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
+				return nil, nil, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
 			}
 			l.ex[i] = 1
 		}
@@ -87,7 +87,7 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 	}
 	for i, c := range counts {
 		if c < 0 {
-			return nil, 0, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
+			return nil, nil, fmt.Errorf("mln: negative count %g for candidate %d", c, i)
 		}
 	}
 
@@ -124,7 +124,7 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 		total, _ := learns(g, counts)
 		top := maxWeight(l.w, g)
 		expTerms(l.ex, l.w, g, top)
-		live = append(live, groupState{members: g, total: total, top: top})
+		live = append(live, groupState{members: g, group: gi, total: total, top: top})
 		members += len(g)
 	}
 	// Back in candidate order: contiguous runs of groups touch contiguous
@@ -152,8 +152,7 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 			}
 		}
 	}
-	sweeps := make([]int, len(parts))
-	each(len(parts), func(k int) { sweeps[k] = l.run(parts[k]) })
+	each(len(parts), func(k int) { l.run(parts[k]) })
 
 	from := 0
 	for _, gi := range order {
@@ -164,8 +163,9 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 		for k, i := range groups[from] {
 			l.w[groups[^gi][k]] = l.w[i]
 		}
+		l.sweeps[^gi] = l.sweeps[from]
 	}
-	return l.w, slices.Max(sweeps), nil
+	return l.w, l.sweeps, nil
 }
 
 // Each runs item(i) once for every i in [0, n) and returns when all have
@@ -203,37 +203,45 @@ func (l *learner) compareSupport(a, b []int) int {
 }
 
 // learner is one LearnWeights call's shared state. Chunks write disjoint
-// elements of w and ex: their groups partition the candidates.
+// elements of w and ex, their groups partitioning the candidates, and of
+// sweeps, one per group.
 type learner struct {
 	counts, init []float64
 	w, ex        []float64
+	sweeps       []int
 }
 
 // groupState is the softmax state of one group that learns, kept across
 // updates and across sweeps: ex[j] = exp(w[j] − top) for each member j, top
 // the group's largest weight, pre the sum of the terms before the member
-// being updated, and last the largest absolute step of its latest sweep. A
-// group's weights are written only by its own updates (the partition
-// check), so between two of them exactly one term changes — unless the
-// largest weight moved, which rebases all of them. Either way every term is
-// what a from-scratch softmax over the current weights computes (same
-// operands) and z adds them up in member order, so the learned weights do
-// not depend on the reuse.
+// being updated, last the largest absolute step of its latest sweep, and
+// group its index in LearnWeights' groups. A group's weights are written
+// only by its own updates (the partition check), so between two of them
+// exactly one term changes — unless the largest weight moved, which rebases
+// all of them. Either way every term is what a from-scratch softmax over
+// the current weights computes (same operands) and z adds them up in member
+// order, so the learned weights do not depend on the reuse.
 type groupState struct {
 	members               []int
+	group                 int
 	total, top, pre, last float64
 }
 
 // run sweeps the groups of one chunk, longest first, dropping each once its
-// largest step is under tolerance, and stops when none is left or at the
-// sweep bound. It returns the sweeps it made: the most of any of its groups.
-func (l *learner) run(live []groupState) (sweeps int) {
-	for ; len(live) > 0 && sweeps < maxIters; sweeps++ {
+// largest step is under tolerance or at the sweep bound, and records the
+// sweeps each made.
+func (l *learner) run(live []groupState) {
+	for sweeps := 1; len(live) > 0; sweeps++ {
 		l.sweep(live)
 		// Stable, so the groups that have a k-th member stay a prefix.
-		live = slices.DeleteFunc(live, func(g groupState) bool { return g.last < tolerance })
+		live = slices.DeleteFunc(live, func(g groupState) bool {
+			if g.last < tolerance || sweeps == maxIters {
+				l.sweeps[g.group] = sweeps
+				return true
+			}
+			return false
+		})
 	}
-	return sweeps
 }
 
 // sweep updates every weight of the groups once and records each group's

@@ -3,6 +3,7 @@ package mln
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,12 +14,13 @@ import (
 // from-scratch softmax over the whole group before every single-weight
 // update, sweeping until the group's own largest step is under tolerance or
 // the sweep bound. It is the oracle LearnWeights must match bit for bit, and
-// it returns the largest sweep count of any group. Inputs are assumed valid.
-func refLearnWeights(groups [][]int, counts []float64, init []float64) ([]float64, int) {
+// it returns each group's sweep count (0 for one that does not learn).
+// Inputs are assumed valid.
+func refLearnWeights(groups [][]int, counts []float64, init []float64) ([]float64, []int) {
 	w := make([]float64, len(counts))
 	copy(w, init)
-	iterations := 0
-	for _, g := range groups {
+	iterations := make([]int, len(groups))
+	for gi, g := range groups {
 		if len(g) < 2 {
 			continue
 		}
@@ -54,7 +56,7 @@ func refLearnWeights(groups [][]int, counts []float64, init []float64) ([]float6
 				break
 			}
 		}
-		iterations = max(iterations, sweeps)
+		iterations[gi] = sweeps
 	}
 	return w, iterations
 }
@@ -95,21 +97,23 @@ func eachOn(participants int) Each {
 	}
 }
 
-// checkAgainstRef fails unless LearnWeights returns the reference's sweep
-// count and, bit for bit, its weights, for every chunk count from 1 to 5
-// run by 1, 2 or 3 participants, and unless every group that learns gets
-// the same bits when it is learned alone. It returns the sweep count.
+// checkAgainstRef fails unless LearnWeights returns the reference's weights
+// bit for bit and each group's sweep count, for every chunk count from 1 to
+// 5 run by 1, 2 or 3 participants, and unless every group gets the same
+// bits and sweeps when it is learned alone — a group learned once and
+// copied to its duplicates included, as the reference learns every copy. It
+// returns the most sweeps any group made.
 func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
 	t.Helper()
-	want, wantIters := refLearnWeights(groups, counts, init)
+	want, wantSweeps := refLearnWeights(groups, counts, init)
 	for chunks := 1; chunks <= 5; chunks++ {
 		for participants := 1; participants <= 3; participants++ {
-			got, it, err := LearnWeights(groups, counts, init, chunks, eachOn(participants))
+			got, sweeps, err := LearnWeights(groups, counts, init, chunks, eachOn(participants))
 			if err != nil {
 				t.Fatalf("LearnWeights: %v", err)
 			}
-			if it != wantIters {
-				t.Fatalf("%d chunks on %d participants: sweeps = %d, reference %d", chunks, participants, it, wantIters)
+			if !slices.Equal(sweeps, wantSweeps) {
+				t.Fatalf("%d chunks on %d participants: sweeps %v, reference %v", chunks, participants, sweeps, wantSweeps)
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -120,9 +124,12 @@ func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
 		}
 	}
 	for gi, g := range groups {
-		alone, _, err := LearnWeights([][]int{g}, counts, init, 1, nil)
+		alone, sweeps, err := LearnWeights([][]int{g}, counts, init, 1, nil)
 		if err != nil {
 			t.Fatalf("LearnWeights: %v", err)
+		}
+		if sweeps[0] != wantSweeps[gi] {
+			t.Fatalf("group %d learned alone: %d sweeps, among the others %d", gi, sweeps[0], wantSweeps[gi])
 		}
 		for _, i := range g {
 			if math.Float64bits(alone[i]) != math.Float64bits(want[i]) {
@@ -131,7 +138,7 @@ func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
 			}
 		}
 	}
-	return wantIters
+	return slices.Max(append(wantSweeps, 0))
 }
 
 func TestLearnWeightsMatchesReferenceCases(t *testing.T) {

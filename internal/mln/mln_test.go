@@ -88,7 +88,7 @@ func TestLearnWeightsConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iters >= maxIters {
+	if iters[0] >= maxIters {
 		t.Errorf("learner hit the %d-sweep bound without converging", maxIters)
 	}
 }
