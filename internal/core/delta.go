@@ -12,6 +12,7 @@ import (
 	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
 	"mlnclean/internal/intern"
+	"mlnclean/internal/mln"
 	"mlnclean/internal/rules"
 )
 
@@ -31,12 +32,11 @@ import (
 //   - Each block keeps two memos across its rebuilds. The AGP memo
 //     (agpMemo) keeps each abnormal group's nearest-target decision, so a
 //     rebuild re-scores sources only against the targets that moved. The
-//     learn memo (learnMemo) keeps each learning group's final piece
-//     weights and sweep count with its in-order (count, prior) bits, so a
-//     rebuild learns only the groups whose sequence moved: an update that
-//     keeps the block's Σc re-learns just the groups it touched, while an
-//     insert or delete moves every prior and re-learns the block. Both
-//     hold the last rebuild's state only, and both give the bits a
+//     learner's (mln.Memo) keeps the last rebuild's distinct (count, prior)
+//     sequences with their probabilities and sweeps, so a rebuild sweeps
+//     only the sequences it has not seen: an update that keeps the block's
+//     Σc re-learns just the groups it touched, while an insert or delete
+//     moves every prior and re-learns the block. Both give the bits a
 //     from-scratch run computes.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity, fixed-width) before and after the rebuild, position
@@ -123,10 +123,12 @@ type deltaBlock struct {
 	memo *blockMemo
 }
 
-// blockMemo is what one block's rebuild leaves the next.
+// blockMemo is what one block's rebuild leaves the next, and the arrays it
+// builds the learner's inputs in.
 type blockMemo struct {
-	agp   agpMemo
-	learn learnMemo
+	agp    agpMemo
+	learn  mln.Memo
+	inputs learnInputs
 }
 
 // DeltaCleaner incrementally re-cleans a mutating table. It is not safe for

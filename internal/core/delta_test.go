@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -20,6 +21,7 @@ import (
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/index"
+	"mlnclean/internal/mln"
 	"mlnclean/internal/obs"
 	"mlnclean/internal/rules"
 )
@@ -839,16 +841,61 @@ func blocksOf(eng *DeltaCleaner, into []*index.Block) []*index.Block {
 	return into
 }
 
+// sameLearnMemo fails unless got holds what want holds, entry by entry and
+// bit for bit: each distinct learning group's (count, prior) sequence, its
+// probabilities and its sweeps.
+func sameLearnMemo(t *testing.T, step, ri int, got, want *mln.Memo) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("step %d, block %d: the memo holds %d groups, a fresh build has %d distinct learning groups", step, ri, got.Len(), want.Len())
+	}
+	for e := range want.Len() {
+		gc, gi, gp, gs := got.Group(e)
+		wc, wi, wp, ws := want.Group(e)
+		if !bitsEqual(gc, wc) || !bitsEqual(gi, wi) {
+			t.Fatalf("step %d, block %d: memo group %d has counts %v, priors %v; a fresh build's %v, %v", step, ri, e, gc, gi, wc, wi)
+		}
+		if !bitsEqual(gp, wp) || gs != ws {
+			t.Fatalf("step %d, block %d: memo group %d learned %v in %d sweeps; a fresh build %v in %d", step, ri, e, gp, gs, wp, ws)
+		}
+	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// freshLearnMemo builds rule ri's block afresh from the engine's table, runs
+// AGP on it and learns it with a cold memo, which sweeps every distinct
+// learning group and keeps each with its probabilities and sweeps.
+func freshLearnMemo(t *testing.T, eng *DeltaCleaner, ri int, c crew) (*index.Block, *mln.Memo) {
+	t.Helper()
+	enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
+	b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
+	agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
+	cold := &blockMemo{}
+	if _, err := learnBlockWeights(b, c, cold); err != nil {
+		t.Fatal(err)
+	}
+	if cold.learn.Swept() != cold.learn.Len() {
+		t.Fatalf("block %d: a cold memo swept %d of %d groups", ri, cold.learn.Swept(), cold.learn.Len())
+	}
+	return b, &cold.learn
+}
+
 // TestDeltaLearnMemoExact: the learn memo gives the bits a learn without it
 // gives. Through the serving mix on CAR 600, after every ApplyVersion, each
 // rebuilt block is built afresh from the engine's table and run through AGP
-// and a memo-free learnBlockWeights: the block's LearnIterations, every
-// learning group's final piece weights as the memo keeps them, and each
-// served RSC winner's weight must equal what that learn gives, bit for bit;
-// each group's kept sweep count must equal what a learn with a cold memo
-// records for it. An update that rebuilds a block must find some group in
-// the memo; an insert or delete moves its blocks' Σc, and with it every
-// prior, so it must find none.
+// and a memo-free learnBlockWeights: the block's LearnIterations, and each
+// served RSC winner's weight, must equal what that learn gives, bit for bit.
+// The block's memo must hold what a cold memo keeps from the same fresh
+// build — every distinct learning group's (count, prior) bits, the
+// probabilities the learner returned for them and their sweeps — and every
+// learning group's piece weights must be its memo entry's probabilities,
+// floored. An update that rebuilds a block must find some group in the
+// memo; an insert or delete moves its blocks' Σc, and with it every prior,
+// so it must find none.
 func TestDeltaLearnMemoExact(t *testing.T) {
 	eng, _, inj := carSession(t, 600)
 	c := soloCrew(eng.evs[0])
@@ -860,19 +907,13 @@ func TestDeltaLearnMemoExact(t *testing.T) {
 		if _, _, err := eng.ApplyVersion([]Mutation{m}); err != nil {
 			t.Fatal(err)
 		}
-		enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
 		rebuilt := rebuiltBlocks(eng, was)
 		hits := 0
 		for _, ri := range rebuilt {
 			db := eng.blocks[ri]
-			b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
-			agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
-			// A cold memo learns every group, as a learn without one does;
-			// it records each group's sweeps.
-			cold := &learnMemo{}
-			if _, err := learnBlockWeights(b, c, cold); err != nil {
-				t.Fatal(err)
-			}
+			b, cold := freshLearnMemo(t, eng, ri, c)
+			memo := &db.memo.learn
+			sameLearnMemo(t, step, ri, memo, cold)
 			iters, err := learnBlockWeights(b, c, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -880,44 +921,46 @@ func TestDeltaLearnMemoExact(t *testing.T) {
 			if db.res.learnIters != iters {
 				t.Fatalf("step %d, block %d: LearnIterations %d, a learn without the memo %d", step, ri, db.res.learnIters, iters)
 			}
-			kept := &db.memo.learn.last
-			learning := 0
+			entry := make(map[string]int, memo.Len())
+			for e := range memo.Len() {
+				counts, priors, _, _ := memo.Group(e)
+				entry[seqKey(counts, priors)] = e
+			}
 			winners := make(map[uint32]*index.Piece)
 			for _, g := range db.block.Groups {
 				winners[g.KeyID()] = g.Pieces[0]
 			}
+			counts := make([]float64, 0, len(b.Groups))
 			for _, g := range b.Groups {
+				for _, p := range g.Pieces {
+					counts = append(counts, float64(p.Count()))
+				}
+			}
+			priors, at := mln.PriorWeights(counts), 0
+			for _, g := range b.Groups {
+				from := at
+				at += len(g.Pieces)
 				if w := winners[g.KeyID()]; w != nil {
-					at := slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == w.KeyID() })
-					if at < 0 || math.Float64bits(w.Weight) != math.Float64bits(g.Pieces[at].Weight) {
+					k := slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == w.KeyID() })
+					if k < 0 || math.Float64bits(w.Weight) != math.Float64bits(g.Pieces[k].Weight) {
 						t.Fatalf("step %d, block %d, group %d: serves piece %d at %v, not a learned weight of the group", step, ri, g.KeyID(), w.KeyID(), w.Weight)
 					}
 				}
 				if len(g.Pieces) < 2 {
 					continue
 				}
-				learning++
-				e, ok := kept.entry[g.KeyID()]
+				e, ok := entry[seqKey(counts[from:at], priors[from:at])]
 				if !ok {
 					t.Fatalf("step %d, block %d: the memo does not hold learning group %d", step, ri, g.KeyID())
 				}
-				ws := kept.weights[kept.at[e]:kept.at[e+1]]
-				if len(ws) != len(g.Pieces) {
-					t.Fatalf("step %d, block %d, group %d: the memo holds %d weights for %d pieces", step, ri, g.KeyID(), len(ws), len(g.Pieces))
-				}
+				_, _, probs, _ := memo.Group(e)
 				for k, p := range g.Pieces {
-					if math.Float64bits(ws[k]) != math.Float64bits(p.Weight) {
-						t.Fatalf("step %d, block %d, group %d: piece %d weight %v, a learn without the memo %v", step, ri, g.KeyID(), k, ws[k], p.Weight)
+					if math.Float64bits(max(probs[k], minPieceWeight)) != math.Float64bits(p.Weight) {
+						t.Fatalf("step %d, block %d, group %d: piece %d weight %v, the memo's probability %v", step, ri, g.KeyID(), k, p.Weight, probs[k])
 					}
 				}
-				if got, want := kept.sweeps[e], cold.last.sweeps[cold.last.entry[g.KeyID()]]; got != want {
-					t.Fatalf("step %d, block %d, group %d: the memo keeps %d sweeps, a cold learn %d", step, ri, g.KeyID(), got, want)
-				}
 			}
-			if len(kept.entry) != learning || len(kept.sweeps) != learning {
-				t.Fatalf("step %d, block %d: the memo holds %d groups, the block has %d learning groups", step, ri, len(kept.sweeps), learning)
-			}
-			hits += learning - db.memo.learn.relearned
+			hits += memo.Len() - memo.Swept()
 		}
 		switch {
 		case update && len(rebuilt) == 0:
@@ -937,6 +980,16 @@ func TestDeltaLearnMemoExact(t *testing.T) {
 		t.Fatalf("%d of %d updates that rebuilt a block found a group in the memo, over %d inserts and deletes", hitUpdates, updates, others)
 	}
 	t.Logf("%d updates that rebuilt a block, each found groups in the memo; %d inserts and deletes found none", updates, others)
+}
+
+// seqKey is a group's in-order (count, prior) bits, as a map key.
+func seqKey(counts, priors []float64) string {
+	key := make([]byte, 0, 16*len(counts))
+	for k := range counts {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(counts[k]))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(priors[k]))
+	}
+	return string(key)
 }
 
 // TestDeltaVersionOwnedBytes: a served version costs what changed, not the
@@ -966,8 +1019,8 @@ func TestDeltaVersionOwnedBytes(t *testing.T) {
 // applied, then the version's whole audit trail resolved. ns/op and
 // allocs/op are per minted version; refused/op is the tuples re-fused,
 // owned_B/op the bytes the version does not share with its parent, and
-// relearned/op the groups the rebuilt blocks sent to the learner rather than
-// take from their learn memos.
+// relearned/op the distinct groups the rebuilt blocks' learners swept rather
+// than took from their memos.
 func BenchmarkDeltaApply(b *testing.B) {
 	eng, prev, inj := benchShape(b)
 	muts := serveMix(inj, b.N, 4200)
@@ -983,7 +1036,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 		}
 		for ri, db := range eng.blocks {
 			if db.block != was[ri] {
-				relearned += db.memo.learn.relearned
+				relearned += db.memo.learn.Swept()
 			}
 		}
 		refused += ds.RefusedTuples

@@ -82,9 +82,8 @@ type blockResult struct {
 // helpers included.
 func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blockMemo) (r blockResult) {
 	var agpM *agpMemo
-	var learnM *learnMemo
 	if memo != nil {
-		agpM, learnM = &memo.agp, &memo.learn
+		agpM = &memo.agp
 	}
 	mBlocksInFlight.Add(1)
 	defer mBlocksInFlight.Add(-1)
@@ -101,7 +100,7 @@ func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blo
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
-		if r.learnIters, r.err = learnBlockWeights(b, c, learnM); r.err != nil {
+		if r.learnIters, r.err = learnBlockWeights(b, c, memo); r.err != nil {
 			return r
 		}
 		r.learn = lap()

@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
-	"mlnclean/internal/index"
 )
 
 // TestStageIRetainsNoDroppedPiece: a block is built into slabs — groups,
@@ -58,24 +56,20 @@ func TestStageIRetainsNoDroppedPiece(t *testing.T) {
 	runtime.KeepAlive(ix)
 }
 
-// learnMemoCaps is the capacity of every array a block's learn memo holds,
-// the two tables' in ascending order (every rebuild swaps them).
-func learnMemoCaps(m *learnMemo) []int {
-	var tables [][]int
-	for _, t := range []*learnTable{&m.last, &m.next} {
-		tables = append(tables, []int{cap(t.at), cap(t.counts), cap(t.priors), cap(t.weights), cap(t.sweeps)})
-	}
-	slices.SortFunc(tables, slices.Compare)
-	out := []int{cap(m.hit), cap(m.inputs.members), cap(m.inputs.counts), cap(m.inputs.groups)}
-	return append(append(out, tables[0]...), tables[1]...)
+// learnMemoBytes is the capacity of every array a block's learn memo and
+// learner inputs hold; nothing shrinks them, so it grows exactly when one
+// of them does.
+func learnMemoBytes(m *blockMemo) []int {
+	return []int{m.learn.Bytes(), cap(m.inputs.members), cap(m.inputs.counts), cap(m.inputs.groups)}
 }
 
 // TestDeltaLearnMemoBounded: a long-lived engine's learn memos hold the
 // learning groups of each block's last rebuild and nothing older. Through
 // 300 mutations of the serving mix on CAR 600, each block's memo holds
-// exactly the learning groups (two or more pieces) a fresh build of the
-// current table gives that block, and over the second half of the run none
-// of its arrays grows.
+// exactly the distinct (count, prior) sequences of the learning groups a
+// fresh build of the current table gives that block, with the bits a cold
+// memo learns for them, and over the second half of the run none of its
+// arrays grows.
 func TestDeltaLearnMemoBounded(t *testing.T) {
 	eng, _, inj := carSession(t, 600)
 	c := soloCrew(eng.evs[0])
@@ -86,31 +80,19 @@ func TestDeltaLearnMemoBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if step%50 == 49 {
-			enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
 			for ri, db := range eng.blocks {
-				b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
-				agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
-				learning := 0
-				for _, g := range b.Groups {
-					if len(g.Pieces) > 1 {
-						learning++
-					}
-				}
-				kept := &db.memo.learn.last
-				if len(kept.entry) != learning || len(kept.sweeps) != learning || len(kept.at) != learning+1 {
-					t.Fatalf("step %d, block %d: the memo holds %d groups (%d keys), the block has %d learning groups",
-						step, ri, len(kept.sweeps), len(kept.entry), learning)
-				}
+				_, cold := freshLearnMemo(t, eng, ri, c)
+				sameLearnMemo(t, step, ri, &db.memo.learn, cold)
 			}
 		}
 		if step == steps/2-1 {
 			for _, db := range eng.blocks {
-				half = append(half, learnMemoCaps(&db.memo.learn))
+				half = append(half, learnMemoBytes(db.memo))
 			}
 		}
 	}
 	for ri, db := range eng.blocks {
-		if now := learnMemoCaps(&db.memo.learn); !slices.Equal(now, half[ri]) {
+		if now := learnMemoBytes(db.memo); !slices.Equal(now, half[ri]) {
 			t.Errorf("block %d: the memo's arrays grew over the last %d mutations: %v, then %v", ri, steps/2, half[ri], now)
 		}
 	}

@@ -75,7 +75,7 @@ func swept(tb testing.TB, groups [][]int, counts, priors []float64) (updates, sh
 			shared++
 		default:
 			seen[string(key)] = true
-			_, sweeps, err := mln.LearnWeights([][]int{g}, counts, priors, 1, nil)
+			_, sweeps, err := mln.LearnWeights([][]int{g}, counts, priors, 1, nil, nil)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func BenchmarkLearnWeights(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		sweeps = 0
 		for bi := range groups {
-			w, iters, err := mln.LearnWeights(groups[bi], counts[bi], priors[bi], 1, nil)
+			w, iters, err := mln.LearnWeights(groups[bi], counts[bi], priors[bi], 1, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // The diagonal-Newton learner's settings. They are constants because no
@@ -35,7 +36,8 @@ const (
 
 // LearnWeights fits ground-clause weights by maximizing the grouped softmax
 // log-likelihood with a damped diagonal-Newton update — the optimizer family
-// Tuffy uses for MLN weight learning.
+// Tuffy uses for MLN weight learning — and returns each candidate's in-group
+// probability under the learned weights.
 //
 // The model: candidates are partitioned into groups (in MLNClean, one group
 // per MLN-index group, candidates = its distinct γs). Within group g the
@@ -49,28 +51,38 @@ const (
 // g_i = counts[i] − C_g·p_i − (w_i−w⁰_i)/σ² and H_ii = −C_g·p_i(1−p_i) − 1/σ².
 //
 // init supplies the starting (and prior-centre) weights; pass the Eq. 4
-// priors w⁰ = c(γ)/Σc. Indices may appear in at most one group; a candidate
-// in none keeps its initial weight. Returns the learned weights and, per
-// group, the sweeps it made (maxIters when it never reached the tolerance,
-// 0 when it does not learn).
+// priors w⁰ = c(γ)/Σc. Indices may appear in at most one group. Returns each
+// candidate's softmax_g(w)_i over its group's learned weights, the
+// probability that the γ is clean under its rule (§3): 1 for a singleton and
+// a candidate in no group, and over the initial weights for a group without
+// support. Also returns, per group, the sweeps it made (maxIters when it
+// never reached the tolerance, 0 when it does not learn).
 //
 // The groups that learn are cut into `chunks` contiguous runs of about equal
 // member counts, and each is one item of each (nil runs the items in order
 // on the caller). Groups share nothing: each sweeps until its own largest
-// step is under tolerance or it reaches maxIters, so a group's weights are a
-// function of its own (count, init) sequence alone — the same bits for every
-// chunk count, every way each runs its items, and every other group beside
-// it. Groups whose members' supports and initial weights are equal, member
-// for member, are learned once and share the result.
-func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each) (weights []float64, sweeps []int, err error) {
+// step is under tolerance or it reaches maxIters, so a group's result is a
+// function of its own (count, init) sequence alone, whatever the chunks, the
+// way each runs them, or the groups beside it. So a group equal to another,
+// member for member, copies its result: an earlier group's of the call, or
+// a group's of memo's last call. memo (nil: none) keeps the call's distinct
+// groups and scratch for the next; with one, the returned slices are the
+// memo's until its next call.
+func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, each Each, memo *Memo) (probs []float64, sweeps []int, err error) {
 	n := len(counts)
 	if len(init) != n {
 		return nil, nil, fmt.Errorf("mln: init has %d weights for %d candidates", len(init), n)
 	}
+	keep := memo != nil
+	if !keep {
+		memo = new(Memo)
+	}
 	// ex marks the candidates the partition check has seen: a sweep reads
 	// only the terms of the groups that learn, and each is set first.
-	l := &learner{counts: counts, init: init, w: make([]float64, n), ex: make([]float64, n), sweeps: make([]int, len(groups))}
-	learning := 0
+	l := &learner{counts: counts, init: init, w: resized(memo.w, n), ex: resized(memo.ex, n), sweeps: resized(memo.sweeps, len(groups))}
+	memo.w, memo.ex, memo.sweeps = l.w, l.ex, l.sweeps
+	clear(l.ex)
+	clear(l.sweeps)
 	for _, g := range groups {
 		for _, i := range g {
 			if i < 0 || i >= n {
@@ -81,9 +93,6 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 			}
 			l.ex[i] = 1
 		}
-		if _, ok := learns(g, counts); ok {
-			learning++
-		}
 	}
 	for i, c := range counts {
 		if c < 0 {
@@ -91,19 +100,31 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 		}
 	}
 
-	copy(l.w, init)
-
-	// A group's trajectory reads nothing but its members' counts and initial
-	// weights. So groups whose (count, init) sequences are equal bit for bit
-	// learn the same bits: order the groups that learn by that sequence,
-	// sweep the first of each run of equals, and copy its weights to the
-	// rest. A copy is marked in the order itself, as ^(its group index).
-	order := make([]int, 0, learning)
+	// w holds the weights while a group learns and its probabilities once it
+	// stops; a group that does not learn is done here. Then the groups that
+	// learn are ordered by their (count, init) sequence, so equal groups are
+	// neighbours: the first of each run of equals is learned and the rest
+	// copy it, each copy marked in the order itself, as ^(its group index).
+	// The memo keeps its groups in the same order, so one walk alongside
+	// finds the firsts it holds, and only the others are swept.
+	for i := range l.w {
+		l.w[i] = 1
+	}
+	order := slices.Grow(memo.order[:0], len(groups))
 	for gi, g := range groups {
+		if len(g) < 2 {
+			continue
+		}
+		for _, i := range g {
+			l.w[i] = init[i]
+		}
 		if _, ok := learns(g, counts); ok {
 			order = append(order, gi)
+		} else {
+			softmax(l.w, l.ex, g)
 		}
 	}
+	memo.order = order
 	slices.SortFunc(order, func(a, b int) int {
 		return cmp.Or(l.compareSupport(groups[a], groups[b]), cmp.Compare(a, b))
 	})
@@ -114,26 +135,39 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 			distinct--
 		}
 	}
-	live := make([]groupState, 0, distinct)
-	members := 0
+	last := &memo.last
+	live := slices.Grow(memo.live[:0], distinct)
+	members, e := 0, 0
 	for _, gi := range order {
 		if gi < 0 {
 			continue
 		}
 		g := groups[gi]
-		total, _ := learns(g, counts)
+		for e < len(last.sweeps) && l.compareEntry(last, e, g) < 0 {
+			e++
+		}
+		if e < len(last.sweeps) && l.compareEntry(last, e, g) == 0 {
+			ps := last.probs[last.at[e]:last.at[e+1]]
+			for k, i := range g {
+				l.w[i] = ps[k]
+			}
+			l.sweeps[gi] = last.sweeps[e]
+			continue
+		}
 		top := maxWeight(l.w, g)
 		expTerms(l.ex, l.w, g, top)
+		total, _ := learns(g, counts)
 		live = append(live, groupState{members: g, group: gi, total: total, top: top})
 		members += len(g)
 	}
+	memo.swept = len(live)
 	// Back in candidate order: contiguous runs of groups touch contiguous
 	// stretches of w and ex when the caller numbers candidates group by
 	// group, as a block does, so two chunks running side by side share at
 	// most the cache lines at a seam.
 	slices.SortFunc(live, func(a, b groupState) int { return cmp.Compare(a.members[0], b.members[0]) })
 
-	parts := make([][]groupState, max(chunks, 1))
+	parts := resized(memo.parts, max(chunks, 1))
 	at, cum := 0, 0
 	for k := range parts {
 		from := at
@@ -153,11 +187,22 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 		}
 	}
 	each(len(parts), func(k int) { l.run(parts[k]) })
+	// The scratch keeps no caller's groups alive.
+	clear(live)
+	clear(parts)
+	memo.live, memo.parts = live, parts
 
+	next := &memo.next
+	if keep {
+		next.reset()
+	}
 	from := 0
 	for _, gi := range order {
 		if gi >= 0 {
 			from = gi
+			if keep {
+				next.add(groups[gi], counts, init, l.w, l.sweeps[gi])
+			}
 			continue
 		}
 		for k, i := range groups[from] {
@@ -165,7 +210,86 @@ func LearnWeights(groups [][]int, counts []float64, init []float64, chunks int, 
 		}
 		l.sweeps[^gi] = l.sweeps[from]
 	}
+	memo.last, memo.next = memo.next, memo.last
 	return l.w, l.sweeps, nil
+}
+
+// Memo carries one caller's distinct learning groups from one LearnWeights
+// call to the next: each group's (count, init) sequence with its
+// probabilities and sweeps, in the order LearnWeights sorts groups by, so a
+// group equal in content to one of the last call — whichever group that was
+// — costs a copy. It also keeps every call's scratch. It holds the last
+// call's groups and nothing older: each call fills the spare of two flat
+// tables and they swap, so a memo allocates nothing once its arrays fit the
+// caller's input. The zero Memo is empty and ready to use; a Memo is not
+// safe for concurrent calls.
+type Memo struct {
+	last, next memoTable
+	// swept is how many distinct groups the last call swept.
+	swept  int
+	w, ex  []float64
+	sweeps []int
+	order  []int
+	live   []groupState
+	parts  [][]groupState
+}
+
+// memoTable is one call's distinct learning groups. Entry e's members are
+// at[e] … at[e+1]−1 of counts, init and probs.
+type memoTable struct {
+	at                  []int
+	counts, init, probs []float64
+	sweeps              []int
+}
+
+// reset empties the table.
+func (t *memoTable) reset() {
+	t.at = append(t.at[:0], 0)
+	t.counts, t.init, t.probs, t.sweeps = t.counts[:0], t.init[:0], t.probs[:0], t.sweeps[:0]
+}
+
+// add appends group g: its members' counts, initial weights and
+// probabilities, and its sweeps.
+func (t *memoTable) add(g []int, counts, init, probs []float64, sweeps int) {
+	for _, i := range g {
+		t.counts = append(t.counts, counts[i])
+		t.init = append(t.init, init[i])
+		t.probs = append(t.probs, probs[i])
+	}
+	t.sweeps = append(t.sweeps, sweeps)
+	t.at = append(t.at, len(t.counts))
+}
+
+// Len returns how many distinct learning groups the memo holds: those of
+// its last call.
+func (m *Memo) Len() int { return len(m.last.sweeps) }
+
+// Group returns the memo's e-th group, 0 ≤ e < Len(): its members' counts
+// and initial weights, the probabilities learned for them, and its sweeps.
+// The slices are the memo's.
+func (m *Memo) Group(e int) (counts, init, probs []float64, sweeps int) {
+	t := &m.last
+	from, to := t.at[e], t.at[e+1]
+	return t.counts[from:to], t.init[from:to], t.probs[from:to], t.sweeps[e]
+}
+
+// Swept returns how many distinct groups the last call swept rather than
+// took from the memo.
+func (m *Memo) Swept() int { return m.swept }
+
+// Bytes returns the capacity of the memo's arrays, in bytes. Nothing ever
+// shrinks them, so it grows exactly when one of them does.
+func (m *Memo) Bytes() int {
+	n := 8*(cap(m.w)+cap(m.ex)+cap(m.sweeps)+cap(m.order)) + int(unsafe.Sizeof(groupState{}))*cap(m.live) + 24*cap(m.parts)
+	for _, t := range []*memoTable{&m.last, &m.next} {
+		n += 8 * (cap(t.at) + cap(t.sweeps) + cap(t.counts) + cap(t.init) + cap(t.probs))
+	}
+	return n
+}
+
+// resized returns s at length n, reusing its array when it fits.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Each runs item(i) once for every i in [0, n) and returns when all have
@@ -194,17 +318,37 @@ func (l *learner) compareSupport(a, b []int) int {
 	}
 	for k, i := range a {
 		j := b[k]
-		if c := cmp.Or(cmp.Compare(math.Float64bits(l.counts[i]), math.Float64bits(l.counts[j])),
-			cmp.Compare(math.Float64bits(l.init[i]), math.Float64bits(l.init[j]))); c != 0 {
+		if c := compareMember(l.counts[i], l.init[i], l.counts[j], l.init[j]); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
+// compareEntry is compareSupport between entry e of t and group g.
+func (l *learner) compareEntry(t *memoTable, e int, g []int) int {
+	from, to := t.at[e], t.at[e+1]
+	if c := cmp.Compare(to-from, len(g)); c != 0 {
+		return c
+	}
+	for k, i := range g {
+		if c := compareMember(t.counts[from+k], t.init[from+k], l.counts[i], l.init[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// compareMember orders two members by the bits of their count, then of
+// their initial weight.
+func compareMember(c1, w1, c2, w2 float64) int {
+	return cmp.Or(cmp.Compare(math.Float64bits(c1), math.Float64bits(c2)), cmp.Compare(math.Float64bits(w1), math.Float64bits(w2)))
+}
+
 // learner is one LearnWeights call's shared state. Chunks write disjoint
 // elements of w and ex, their groups partitioning the candidates, and of
-// sweeps, one per group.
+// sweeps, one per group. w holds a group's weights until it stops, then its
+// probabilities.
 type learner struct {
 	counts, init []float64
 	w, ex        []float64
@@ -229,7 +373,7 @@ type groupState struct {
 
 // run sweeps the groups of one chunk, longest first, dropping each once its
 // largest step is under tolerance or at the sweep bound, and records the
-// sweeps each made.
+// sweeps each made and its probabilities.
 func (l *learner) run(live []groupState) {
 	for sweeps := 1; len(live) > 0; sweeps++ {
 		l.sweep(live)
@@ -237,6 +381,7 @@ func (l *learner) run(live []groupState) {
 		live = slices.DeleteFunc(live, func(g groupState) bool {
 			if g.last < tolerance || sweeps == maxIters {
 				l.sweeps[g.group] = sweeps
+				softmax(l.w, l.ex, g.members)
 				return true
 			}
 			return false
@@ -309,6 +454,20 @@ func (l *learner) sweep(live []groupState) {
 func expTerms(ex, w []float64, idx []int, top float64) {
 	for _, j := range idx {
 		ex[j] = math.Exp(w[j] - top)
+	}
+}
+
+// softmax replaces the weights w of group g by their in-group softmax
+// probabilities, shifted by the group's largest weight for range, its terms
+// added up in member order. It overwrites the group's ex.
+func softmax(w, ex []float64, g []int) {
+	expTerms(ex, w, g, maxWeight(w, g))
+	var z float64
+	for _, j := range g {
+		z += ex[j]
+	}
+	for _, j := range g {
+		w[j] = ex[j] / z
 	}
 }
 

@@ -1,6 +1,7 @@
 package mln
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -78,6 +79,27 @@ func refSoftmaxInto(dst []float64, w []float64, idx []int) {
 	}
 }
 
+// refProbs is the reference's weights w as LearnWeights returns them: per
+// group of two or more, the in-group softmax of refSoftmaxInto; 1 for a
+// singleton and for a candidate in no group.
+func refProbs(groups [][]int, w []float64) []float64 {
+	probs := make([]float64, len(w))
+	for i := range probs {
+		probs[i] = 1
+	}
+	for _, g := range groups {
+		if len(g) < 2 {
+			continue
+		}
+		p := make([]float64, len(g))
+		refSoftmaxInto(p, w, g)
+		for k, i := range g {
+			probs[i] = p[k]
+		}
+	}
+	return probs
+}
+
 // eachOn returns an Each that runs the items on `participants` goroutines,
 // each claiming the next unclaimed item until none is left.
 func eachOn(participants int) Each {
@@ -97,18 +119,19 @@ func eachOn(participants int) Each {
 	}
 }
 
-// checkAgainstRef fails unless LearnWeights returns the reference's weights
-// bit for bit and each group's sweep count, for every chunk count from 1 to
+// checkAgainstRef fails unless LearnWeights returns the in-group softmax of
+// the reference's weights (refProbs) bit for bit and each group's sweep count, for every chunk count from 1 to
 // 5 run by 1, 2 or 3 participants, and unless every group gets the same
 // bits and sweeps when it is learned alone — a group learned once and
 // copied to its duplicates included, as the reference learns every copy. It
 // returns the most sweeps any group made.
 func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
 	t.Helper()
-	want, wantSweeps := refLearnWeights(groups, counts, init)
+	ref, wantSweeps := refLearnWeights(groups, counts, init)
+	want := refProbs(groups, ref)
 	for chunks := 1; chunks <= 5; chunks++ {
 		for participants := 1; participants <= 3; participants++ {
-			got, sweeps, err := LearnWeights(groups, counts, init, chunks, eachOn(participants))
+			got, sweeps, err := LearnWeights(groups, counts, init, chunks, eachOn(participants), nil)
 			if err != nil {
 				t.Fatalf("LearnWeights: %v", err)
 			}
@@ -117,14 +140,14 @@ func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%d chunks on %d participants: weight %d = %x (%v), reference %x (%v)", chunks, participants, i,
+					t.Fatalf("%d chunks on %d participants: probability %d = %x (%v), reference %x (%v)", chunks, participants, i,
 						math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 				}
 			}
 		}
 	}
 	for gi, g := range groups {
-		alone, sweeps, err := LearnWeights([][]int{g}, counts, init, 1, nil)
+		alone, sweeps, err := LearnWeights([][]int{g}, counts, init, 1, nil, nil)
 		if err != nil {
 			t.Fatalf("LearnWeights: %v", err)
 		}
@@ -133,7 +156,7 @@ func checkAgainstRef(t *testing.T, groups [][]int, counts, init []float64) int {
 		}
 		for _, i := range g {
 			if math.Float64bits(alone[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("group %d learned alone: weight %d = %x (%v), among the others %x (%v)", gi, i,
+				t.Fatalf("group %d learned alone: probability %d = %x (%v), among the others %x (%v)", gi, i,
 					math.Float64bits(alone[i]), alone[i], math.Float64bits(want[i]), want[i])
 			}
 		}
@@ -293,5 +316,160 @@ func TestLearnWeightsDuplicateGroups(t *testing.T) {
 				t.Errorf("converged in %d sweeps; the case is meant to hit the %d-sweep bound", iters, maxIters)
 			}
 		})
+	}
+}
+
+// TestLearnWeightsMemoRandom carries one Memo across random calls, each at
+// 1–5 chunks on 1–3 participants, drawing its groups from a pool that
+// recurs from call to call: a group at the sweep cap, groups with equal
+// counts and other priors, a singleton, a group without support, and random
+// groups that join the pool. Every call must give the bits and per-group
+// sweeps of a call without a memo, must sweep exactly the distinct
+// sequences the last call did not learn, and must leave the memo holding
+// exactly its own distinct learning groups with their results. The groups
+// land on shuffled candidates, so a recalled group is most often a
+// different group, on other candidates, than the one the memo learned it
+// from.
+func TestLearnWeightsMemoRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	type shape struct{ counts, init []float64 }
+	key := func(counts, init []float64) string {
+		b := make([]byte, 0, 16*len(counts))
+		for k := range counts {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(counts[k]))
+			if init != nil {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(init[k]))
+			}
+		}
+		return string(b)
+	}
+	capped := []float64{4000, 900, 70, 5, 1, 1}
+	pool := []shape{
+		{capped, PriorWeights(capped)},
+		{[]float64{3, 1, 2}, []float64{0.5, 0.1, 0.2}},
+		{[]float64{3, 1, 2}, []float64{0.5, 0.2, 0.1}},
+		{[]float64{3, 1, 2}, []float64{0, 0, math.Copysign(0, -1)}},
+		{[]float64{7}, []float64{0.3}},
+		{[]float64{0, 0}, []float64{0.1, 0.4}},
+		{[]float64{5, 2}, []float64{5.0 / 7, 2.0 / 7}},
+	}
+	fixed := len(pool)
+	cappedKey := key(pool[0].counts, pool[0].init)
+	var memo Memo
+	last := map[string][]int{} // the last call's distinct learning sequences → first group's candidates
+	lastCounts := map[string]bool{}
+	var moved, dupRecalled, otherPriors, cappedRecalled, idle int
+	for call := range 300 {
+		var shapes []shape
+		for range 2 + rng.Intn(10) {
+			if rng.Intn(3) > 0 {
+				shapes = append(shapes, pool[rng.Intn(len(pool))])
+				continue
+			}
+			size := 1 + rng.Intn(5)
+			s := shape{make([]float64, size), make([]float64, size)}
+			for k := range size {
+				s.counts[k], s.init[k] = float64(rng.Intn(6)), float64(rng.Intn(4))/4
+			}
+			shapes = append(shapes, s)
+			if len(pool) < 24 {
+				pool = append(pool, s)
+			} else {
+				pool[fixed+rng.Intn(len(pool)-fixed)] = s
+			}
+		}
+		n := 0
+		for _, s := range shapes {
+			n += len(s.counts)
+		}
+		perm := rng.Perm(n)
+		counts, init := make([]float64, n), make([]float64, n)
+		groups := make([][]int, len(shapes))
+		at := 0
+		for gi, s := range shapes {
+			groups[gi] = perm[at : at+len(s.counts)]
+			for k, i := range groups[gi] {
+				counts[i], init[i] = s.counts[k], s.init[k]
+			}
+			at += len(s.counts)
+		}
+		chunks, participants := 1+rng.Intn(5), 1+rng.Intn(3)
+		got, sweeps, err := LearnWeights(groups, counts, init, chunks, eachOn(participants), &memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSweeps, err := LearnWeights(groups, counts, init, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sweeps, wantSweeps) {
+			t.Fatalf("call %d, %d chunks on %d participants: sweeps %v, without a memo %v", call, chunks, participants, sweeps, wantSweeps)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("call %d, %d chunks on %d participants: probability %d = %v, without a memo %v", call, chunks, participants, i, got[i], want[i])
+			}
+		}
+
+		now := map[string]int{} // distinct learning sequence → its first group
+		nowCounts := map[string]bool{}
+		swept := 0
+		for gi, s := range shapes {
+			if _, ok := learns(groups[gi], counts); !ok {
+				idle++
+				continue
+			}
+			k := key(s.counts, s.init)
+			if _, ok := now[k]; ok {
+				if _, recalled := last[k]; recalled {
+					dupRecalled++
+				}
+				continue
+			}
+			now[k] = gi
+			nowCounts[key(s.counts, nil)] = true
+			switch was, ok := last[k]; {
+			case !ok:
+				swept++
+				if lastCounts[key(s.counts, nil)] {
+					otherPriors++
+				}
+			case !slices.Equal(was, groups[gi]):
+				moved++
+				if k == cappedKey {
+					cappedRecalled++
+				}
+			}
+		}
+		if memo.Swept() != swept {
+			t.Fatalf("call %d: swept %d groups, %d distinct sequences were not in the memo", call, memo.Swept(), swept)
+		}
+		if memo.Len() != len(now) {
+			t.Fatalf("call %d: the memo holds %d groups, the call has %d distinct learning sequences", call, memo.Len(), len(now))
+		}
+		for e := range memo.Len() {
+			c, w0, probs, sw := memo.Group(e)
+			gi, ok := now[key(c, w0)]
+			if !ok {
+				t.Fatalf("call %d: the memo holds counts %v, init %v, not a learning group of the call", call, c, w0)
+			}
+			if sw != wantSweeps[gi] {
+				t.Fatalf("call %d: the memo keeps %d sweeps for group %d, a call without it %d", call, sw, gi, wantSweeps[gi])
+			}
+			for k, i := range groups[gi] {
+				if math.Float64bits(probs[k]) != math.Float64bits(want[i]) {
+					t.Fatalf("call %d: the memo keeps probability %v for member %d of group %d, a call without it %v", call, probs[k], k, gi, want[i])
+				}
+			}
+		}
+		last, lastCounts = map[string][]int{}, nowCounts
+		for k, gi := range now {
+			last[k] = slices.Clone(groups[gi])
+		}
+	}
+	t.Logf("%d groups recalled onto other candidates (%d at the sweep cap), %d duplicates of a recalled group, %d equal counts with other priors swept, %d singletons or groups without support",
+		moved, cappedRecalled, dupRecalled, otherPriors, idle)
+	if moved == 0 || cappedRecalled == 0 || dupRecalled == 0 || otherPriors == 0 || idle == 0 {
+		t.Fatal("a case the test is meant to cover never came up")
 	}
 }

@@ -19,17 +19,16 @@ func TestPriorWeights(t *testing.T) {
 func TestLearnWeightsMonotone(t *testing.T) {
 	// Within a group, higher support must learn a higher weight.
 	counts := []float64{8, 1}
-	w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts), 1, nil)
+	w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts), 1, nil, nil)
 	if err != nil {
 		t.Fatalf("LearnWeights: %v", err)
 	}
 	if w[0] <= w[1] {
 		t.Errorf("weights not monotone in counts: %v", w)
 	}
-	// Softmax of learned weights approaches the count proportions.
-	p0 := math.Exp(w[0]) / (math.Exp(w[0]) + math.Exp(w[1]))
-	if math.Abs(p0-8.0/9.0) > 0.05 {
-		t.Errorf("softmax probability %.3f, want ≈ %.3f", p0, 8.0/9.0)
+	// The in-group probability approaches the count proportions.
+	if math.Abs(w[0]-8.0/9.0) > 0.05 {
+		t.Errorf("softmax probability %.3f, want ≈ %.3f", w[0], 8.0/9.0)
 	}
 }
 
@@ -37,7 +36,7 @@ func TestLearnWeightsMonotoneProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		ca, cb := float64(a%50)+1, float64(b%50)+1
 		counts := []float64{ca, cb}
-		w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts), 1, nil)
+		w, _, err := LearnWeights([][]int{{0, 1}}, counts, PriorWeights(counts), 1, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -56,35 +55,37 @@ func TestLearnWeightsMonotoneProperty(t *testing.T) {
 }
 
 func TestLearnWeightsValidation(t *testing.T) {
-	if _, _, err := LearnWeights([][]int{{0}}, []float64{1}, []float64{1, 2}, 1, nil); err == nil {
+	if _, _, err := LearnWeights([][]int{{0}}, []float64{1}, []float64{1, 2}, 1, nil, nil); err == nil {
 		t.Error("init length mismatch should fail")
 	}
-	if _, _, err := LearnWeights([][]int{{0, 0}}, []float64{1, 1}, []float64{0, 0}, 1, nil); err == nil {
+	if _, _, err := LearnWeights([][]int{{0, 0}}, []float64{1, 1}, []float64{0, 0}, 1, nil, nil); err == nil {
 		t.Error("duplicate group membership should fail")
 	}
-	if _, _, err := LearnWeights([][]int{{5}}, []float64{1}, []float64{0}, 1, nil); err == nil {
+	if _, _, err := LearnWeights([][]int{{5}}, []float64{1}, []float64{0}, 1, nil, nil); err == nil {
 		t.Error("out-of-range index should fail")
 	}
-	if _, _, err := LearnWeights([][]int{{0}}, []float64{-1}, []float64{0}, 1, nil); err == nil {
+	if _, _, err := LearnWeights([][]int{{0}}, []float64{-1}, []float64{0}, 1, nil, nil); err == nil {
 		t.Error("negative count should fail")
 	}
 }
 
-func TestLearnWeightsSingletonGroupKeepsPrior(t *testing.T) {
-	counts := []float64{7}
-	init := []float64{0.42}
-	w, _, err := LearnWeights([][]int{{0}}, counts, init, 1, nil)
+// TestLearnWeightsSingletonGroupIsCertain: a singleton competes with
+// nothing, whatever its initial weight, and so does a candidate in no group.
+func TestLearnWeightsSingletonGroupIsCertain(t *testing.T) {
+	counts := []float64{7, 3}
+	init := []float64{0.42, 0.3}
+	w, sweeps, err := LearnWeights([][]int{{0}}, counts, init, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w[0] != 0.42 {
-		t.Errorf("singleton group weight moved: %v", w[0])
+	if w[0] != 1 || w[1] != 1 || sweeps[0] != 0 {
+		t.Errorf("singleton probability %v, uncovered %v, %d sweeps; want 1, 1, 0", w[0], w[1], sweeps[0])
 	}
 }
 
 func TestLearnWeightsConverges(t *testing.T) {
 	counts := []float64{10, 5, 1}
-	_, iters, err := LearnWeights([][]int{{0, 1, 2}}, counts, PriorWeights(counts), 1, nil)
+	_, iters, err := LearnWeights([][]int{{0, 1, 2}}, counts, PriorWeights(counts), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
