@@ -43,10 +43,10 @@ const timeNoise = 0.5
 // the margin measured (ROADMAP item 1: step 2 diagnoses them, step 3 closes
 // or explains each).
 var knownGaps = map[string]float64{
-	"fig6-car: MLNClean declines mildly":              -0.158,
+	"fig6-car: MLNClean declines mildly":              -0.160,
 	"fig6-car: HoloClean declines mildly":             -0.008,
-	"fig6-hai: MLNClean above HoloClean":              -0.039,
-	"fig6-hai: MLNClean declines mildly":              -0.253,
+	"fig6-hai: MLNClean above HoloClean":              -0.042,
+	"fig6-hai: MLNClean declines mildly":              -0.256,
 	"fig6-hai: HoloClean declines mildly":             -0.045,
 	"fig7-car: MLNClean flat in Rret":                 -0.238,
 	"fig7-car: HoloClean worst on all typos":          -0.001,
@@ -59,12 +59,12 @@ var knownGaps = map[string]float64{
 	"fig11-hai: F1 peaks at the tuned τ":              -0.004,
 	"fig13-car: precision −≈10% over the sweep":       -0.189,
 	"fig13-car: recall −≈1% over the sweep":           -0.304,
-	"fig13-hai: precision −≈10% over the sweep":       -0.022,
-	"fig13-hai: recall −≈1% over the sweep":           -0.119,
-	"fig14-car: no significant fluctuation":           -0.192,
-	"fig14-hai: no significant fluctuation":           -0.337,
-	"fig14-hai: FSCR recall at least RSC's":           -0.008,
-	"fig15-hai: F1 drops under 3% over the sweep":     -0.336,
+	"fig13-hai: precision −≈10% over the sweep":       -0.024,
+	"fig13-hai: recall −≈1% over the sweep":           -0.120,
+	"fig14-car: no significant fluctuation":           -0.193,
+	"fig14-hai: no significant fluctuation":           -0.341,
+	"fig14-hai: FSCR recall at least RSC's":           -0.010,
+	"fig15-hai: F1 drops under 3% over the sweep":     -0.335,
 	"fig15-tpch: F1 drops under 3% over the sweep":    -0.276,
 	"table5-car: Levenshtein F1 near the paper's":     -0.103,
 	"table5-hai: Levenshtein wins":                    -0.001,

@@ -12,7 +12,6 @@ import (
 	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
 	"mlnclean/internal/intern"
-	"mlnclean/internal/mln"
 	"mlnclean/internal/rules"
 )
 
@@ -29,15 +28,11 @@ import (
 //     the same runBlock on the same scheduler the batch drivers use (AGP →
 //     weight learning → RSC), so per-block results cannot drift from a
 //     from-scratch run.
-//   - Each block keeps two memos across its rebuilds. The AGP memo
-//     (agpMemo) keeps each abnormal group's nearest-target decision, so a
-//     rebuild re-scores sources only against the targets that moved. The
-//     learner's (mln.Memo) keeps the last rebuild's distinct (count, prior)
-//     sequences with their probabilities and sweeps, so a rebuild sweeps
-//     only the sequences it has not seen: an update that keeps the block's
-//     Σc re-learns just the groups it touched, while an insert or delete
-//     moves every prior and re-learns the block. Both give the bits a
-//     from-scratch run computes.
+//   - Each block keeps its AGP memo (agpMemo) across its rebuilds: each
+//     abnormal group's nearest-target decision, so a rebuild re-scores
+//     sources only against the targets that moved. Weight learning keeps
+//     nothing: a rebuilt block solves every group again, a handful of
+//     Newton steps each, with the bits a from-scratch run computes.
 //   - Re-fusion is bounded by comparing each tuple's per-block version
 //     (piece identity, fixed-width) before and after the rebuild, position
 //     by position. An insert or delete splices every block's version index
@@ -117,9 +112,8 @@ type deltaBlock struct {
 	// res is the block's contribution to the run Stats, kept so the whole
 	// Stats can be recomposed without touching clean blocks.
 	res blockResult
-	// memo carries AGP nearest-target decisions and learned group weights
-	// across rebuilds of this block, so a re-clean only re-scores against
-	// the groups that moved and only re-learns the groups that changed.
+	// memo carries AGP nearest-target decisions across rebuilds of this
+	// block, so a re-clean only re-scores against the groups that moved.
 	memo *blockMemo
 }
 
@@ -127,7 +121,6 @@ type deltaBlock struct {
 // builds the learner's inputs in.
 type blockMemo struct {
 	agp    agpMemo
-	learn  mln.Memo
 	inputs learnInputs
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -21,7 +20,6 @@ import (
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/index"
-	"mlnclean/internal/mln"
 	"mlnclean/internal/obs"
 	"mlnclean/internal/rules"
 )
@@ -739,7 +737,7 @@ func learnedGroups(t *testing.T, eng *DeltaCleaner) ([]map[uint32]learnedGroup, 
 	for ri, r := range eng.rs {
 		b := index.BuildBlockFor(eng.view(), enc, r)
 		agp(ri, b, eng.opts.Tau, soloCrew(eng.evs[0]), eng.opts.MergeCapRatio, nil, nil)
-		if _, err := learnBlockWeights(b, soloCrew(eng.evs[0]), nil); err != nil {
+		if _, err := learnBlockWeights(b, nil); err != nil {
 			t.Fatal(err)
 		}
 		groups[ri] = make(map[uint32]learnedGroup, len(b.Groups))
@@ -841,66 +839,17 @@ func blocksOf(eng *DeltaCleaner, into []*index.Block) []*index.Block {
 	return into
 }
 
-// sameLearnMemo fails unless got holds what want holds, entry by entry and
-// bit for bit: each distinct learning group's (count, prior) sequence, its
-// probabilities and its sweeps.
-func sameLearnMemo(t *testing.T, step, ri int, got, want *mln.Memo) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("step %d, block %d: the memo holds %d groups, a fresh build has %d distinct learning groups", step, ri, got.Len(), want.Len())
-	}
-	for e := range want.Len() {
-		gc, gi, gp, gs := got.Group(e)
-		wc, wi, wp, ws := want.Group(e)
-		if !bitsEqual(gc, wc) || !bitsEqual(gi, wi) {
-			t.Fatalf("step %d, block %d: memo group %d has counts %v, priors %v; a fresh build's %v, %v", step, ri, e, gc, gi, wc, wi)
-		}
-		if !bitsEqual(gp, wp) || gs != ws {
-			t.Fatalf("step %d, block %d: memo group %d learned %v in %d sweeps; a fresh build %v in %d", step, ri, e, gp, gs, wp, ws)
-		}
-	}
-}
-
-// bitsEqual reports whether a and b hold the same float64 bits.
-func bitsEqual(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
-// freshLearnMemo builds rule ri's block afresh from the engine's table, runs
-// AGP on it and learns it with a cold memo, which sweeps every distinct
-// learning group and keeps each with its probabilities and sweeps.
-func freshLearnMemo(t *testing.T, eng *DeltaCleaner, ri int, c crew) (*index.Block, *mln.Memo) {
-	t.Helper()
-	enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
-	b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
-	agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
-	cold := &blockMemo{}
-	if _, err := learnBlockWeights(b, c, cold); err != nil {
-		t.Fatal(err)
-	}
-	if cold.learn.Swept() != cold.learn.Len() {
-		t.Fatalf("block %d: a cold memo swept %d of %d groups", ri, cold.learn.Swept(), cold.learn.Len())
-	}
-	return b, &cold.learn
-}
-
-// TestDeltaLearnMemoExact: the learn memo gives the bits a learn without it
-// gives. Through the serving mix on CAR 600, after every ApplyVersion, each
+// TestDeltaRelearnMatchesFresh: a rebuilt block learns what a fresh build
+// learns. Through the serving mix on CAR 600, after every ApplyVersion, each
 // rebuilt block is built afresh from the engine's table and run through AGP
-// and a memo-free learnBlockWeights: the block's LearnIterations, and each
-// served RSC winner's weight, must equal what that learn gives, bit for bit.
-// The block's memo must hold what a cold memo keeps from the same fresh
-// build — every distinct learning group's (count, prior) bits, the
-// probabilities the learner returned for them and their sweeps — and every
-// learning group's piece weights must be its memo entry's probabilities,
-// floored. An update that rebuilds a block must find some group in the
-// memo; an insert or delete moves its blocks' Σc, and with it every prior,
-// so it must find none.
-func TestDeltaLearnMemoExact(t *testing.T) {
+// and learnBlockWeights: the block's LearnIterations must equal the fresh
+// learn's, and each served RSC winner's weight the fresh weight of the same
+// piece, bit for bit. Updates, inserts and deletes must all come up.
+func TestDeltaRelearnMatchesFresh(t *testing.T) {
 	eng, _, inj := carSession(t, 600)
 	c := soloCrew(eng.evs[0])
 	var was []*index.Block
-	updates, hitUpdates, others := 0, 0, 0
+	updates, others, checked := 0, 0, 0
 	for step, m := range serveMix(inj, 90, 4200) {
 		update := m.Op == DeltaPut && eng.Has(m.Row)
 		was = blocksOf(eng, was)
@@ -908,88 +857,43 @@ func TestDeltaLearnMemoExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		rebuilt := rebuiltBlocks(eng, was)
-		hits := 0
+		enc := &dataset.Encoded{Dict: eng.dict, Rows: eng.encRows}
 		for _, ri := range rebuilt {
 			db := eng.blocks[ri]
-			b, cold := freshLearnMemo(t, eng, ri, c)
-			memo := &db.memo.learn
-			sameLearnMemo(t, step, ri, memo, cold)
-			iters, err := learnBlockWeights(b, c, nil)
+			b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
+			agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
+			iters, err := learnBlockWeights(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if db.res.learnIters != iters {
-				t.Fatalf("step %d, block %d: LearnIterations %d, a learn without the memo %d", step, ri, db.res.learnIters, iters)
+				t.Fatalf("step %d, block %d: LearnIterations %d, a fresh learn %d", step, ri, db.res.learnIters, iters)
 			}
-			entry := make(map[string]int, memo.Len())
-			for e := range memo.Len() {
-				counts, priors, _, _ := memo.Group(e)
-				entry[seqKey(counts, priors)] = e
+			fresh := make(map[uint32]*index.Group, len(b.Groups))
+			for _, g := range b.Groups {
+				fresh[g.KeyID()] = g
 			}
-			winners := make(map[uint32]*index.Piece)
 			for _, g := range db.block.Groups {
-				winners[g.KeyID()] = g.Pieces[0]
+				w := g.Pieces[0] // one winner per group after RSC
+				k := slices.IndexFunc(fresh[g.KeyID()].Pieces, func(p *index.Piece) bool { return p.KeyID() == w.KeyID() })
+				if k < 0 || math.Float64bits(w.Weight) != math.Float64bits(fresh[g.KeyID()].Pieces[k].Weight) {
+					t.Fatalf("step %d, block %d, group %d: serves piece %d at %v, not the fresh learn's weight", step, ri, g.KeyID(), w.KeyID(), w.Weight)
+				}
+				checked++
 			}
-			counts := make([]float64, 0, len(b.Groups))
-			for _, g := range b.Groups {
-				for _, p := range g.Pieces {
-					counts = append(counts, float64(p.Count()))
-				}
-			}
-			priors, at := mln.PriorWeights(counts), 0
-			for _, g := range b.Groups {
-				from := at
-				at += len(g.Pieces)
-				if w := winners[g.KeyID()]; w != nil {
-					k := slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == w.KeyID() })
-					if k < 0 || math.Float64bits(w.Weight) != math.Float64bits(g.Pieces[k].Weight) {
-						t.Fatalf("step %d, block %d, group %d: serves piece %d at %v, not a learned weight of the group", step, ri, g.KeyID(), w.KeyID(), w.Weight)
-					}
-				}
-				if len(g.Pieces) < 2 {
-					continue
-				}
-				e, ok := entry[seqKey(counts[from:at], priors[from:at])]
-				if !ok {
-					t.Fatalf("step %d, block %d: the memo does not hold learning group %d", step, ri, g.KeyID())
-				}
-				_, _, probs, _ := memo.Group(e)
-				for k, p := range g.Pieces {
-					if math.Float64bits(max(probs[k], minPieceWeight)) != math.Float64bits(p.Weight) {
-						t.Fatalf("step %d, block %d, group %d: piece %d weight %v, the memo's probability %v", step, ri, g.KeyID(), k, p.Weight, probs[k])
-					}
-				}
-			}
-			hits += memo.Len() - memo.Swept()
 		}
 		switch {
-		case update && len(rebuilt) == 0:
-			// The row's projections did not move: nothing was rebuilt.
+		case len(rebuilt) == 0:
 		case update:
 			updates++
-			if hits > 0 {
-				hitUpdates++
-			}
-		case hits > 0:
-			t.Fatalf("step %d: an insert or delete found %d groups in the memo", step, hits)
 		default:
 			others++
 		}
 	}
-	if hitUpdates < updates || updates == 0 || others == 0 {
-		t.Fatalf("%d of %d updates that rebuilt a block found a group in the memo, over %d inserts and deletes", hitUpdates, updates, others)
+	if updates == 0 || others == 0 {
+		t.Fatalf("%d updates and %d inserts or deletes rebuilt a block: a case never came up", updates, others)
 	}
-	t.Logf("%d updates that rebuilt a block, each found groups in the memo; %d inserts and deletes found none", updates, others)
-}
-
-// seqKey is a group's in-order (count, prior) bits, as a map key.
-func seqKey(counts, priors []float64) string {
-	key := make([]byte, 0, 16*len(counts))
-	for k := range counts {
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(counts[k]))
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(priors[k]))
-	}
-	return string(key)
+	t.Logf("%d updates and %d inserts or deletes rebuilt blocks; %d served winners checked", updates, others, checked)
 }
 
 // TestDeltaVersionOwnedBytes: a served version costs what changed, not the
@@ -1018,26 +922,17 @@ func TestDeltaVersionOwnedBytes(t *testing.T) {
 // benchmark's shape (benchShape), loaded once: one mutation of serveMix
 // applied, then the version's whole audit trail resolved. ns/op and
 // allocs/op are per minted version; refused/op is the tuples re-fused,
-// owned_B/op the bytes the version does not share with its parent, and
-// relearned/op the distinct groups the rebuilt blocks' learners swept rather
-// than took from their memos.
+// and owned_B/op the bytes the version does not share with its parent.
 func BenchmarkDeltaApply(b *testing.B) {
 	eng, prev, inj := benchShape(b)
 	muts := serveMix(inj, b.N, 4200)
-	refused, repairs, owned, relearned := 0, 0, 0, 0
-	was := blocksOf(eng, nil)
+	refused, repairs, owned := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, m := range muts {
-		was = blocksOf(eng, was)
 		v, ds, err := eng.ApplyVersion([]Mutation{m})
 		if err != nil {
 			b.Fatal(err)
-		}
-		for ri, db := range eng.blocks {
-			if db.block != was[ri] {
-				relearned += db.memo.learn.Swept()
-			}
 		}
 		refused += ds.RefusedTuples
 		repairs += len(v.Trail())
@@ -1047,7 +942,6 @@ func BenchmarkDeltaApply(b *testing.B) {
 	b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
 	b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
 	b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
-	b.ReportMetric(float64(relearned)/float64(b.N), "relearned/op")
 }
 
 // versionBytes is everything a version serves, as bytes: its materialized

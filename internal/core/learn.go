@@ -3,34 +3,28 @@ package core
 import (
 	"slices"
 
-	"mlnclean/internal/distance"
 	"mlnclean/internal/index"
 	"mlnclean/internal/mln"
 )
 
 // learnBlockWeights learns the MLN weight of every piece in the block
 // (§5.1.2): each distinct γ is a ground MLN rule whose prior weight is
-// c(γ)/Σc (Eq. 4) and whose learned weight comes from diagonal-Newton
-// optimization of the grouped likelihood — competing γs are the ones inside
-// the same group. Returns the most Newton sweeps any of the block's groups
-// made.
+// c(γ)/Σc (Eq. 4) and whose learned weight maximizes the grouped likelihood
+// — competing γs are the ones inside the same group. Returns the most
+// Newton steps on t any of the block's groups took (mln.LearnWeights).
 //
-// The learned Newton weights live in log space (ln Pr(γ) = w − ln Z, Eq. 3).
-// The paper uses the weight as "the probability of the attribute values
-// w.r.t. this ground MLN rule being clean" (§3), and the fusion score
-// multiplies weights across blocks (Eq. 5), so Piece.Weight is the in-group
-// softmax probability mln.LearnWeights returns, floored at minPieceWeight;
-// an uncontested γ (singleton group) gets 1.
+// The learned weights live in log space (ln Pr(γ) = w − ln Z, Eq. 3). The
+// paper uses the weight as "the probability of the attribute values w.r.t.
+// this ground MLN rule being clean" (§3), and the fusion score multiplies
+// weights across blocks (Eq. 5), so Piece.Weight is the in-group softmax
+// probability mln.LearnWeights returns, floored at minPieceWeight; an
+// uncontested γ (singleton group) gets 1.
 //
-// The learner's chunks of groups are crew items, four per participant so a
-// worker that goes idle halfway through still finds some unclaimed. memo is
-// the DeltaCleaner's (nil for batch drivers): the learner's memo, which
-// takes a group of the block's last rebuild instead of learning it again,
-// and the arrays the learner's inputs are built in.
-func learnBlockWeights(b *index.Block, c crew, memo *blockMemo) (int, error) {
-	in, lm := &learnInputs{}, (*mln.Memo)(nil)
-	if memo != nil {
-		in, lm = &memo.inputs, &memo.learn
+// in holds the arrays the learner's inputs are built in: the
+// DeltaCleaner's, kept across a block's rebuilds, or nil for batch drivers.
+func learnBlockWeights(b *index.Block, in *learnInputs) (int, error) {
+	if in == nil {
+		in = &learnInputs{}
 	}
 	n := 0
 	for _, g := range b.Groups {
@@ -54,10 +48,9 @@ func learnBlockWeights(b *index.Block, c crew, memo *blockMemo) (int, error) {
 			counts = append(counts, float64(p.Count()))
 		}
 	}
-	in.members, in.counts, in.groups = members, counts, groups
-	probs, sweeps, err := mln.LearnWeights(groups, counts, mln.PriorWeights(counts), 4*c.size, func(n int, item func(int)) {
-		c.each(n, func(_, i int, _ *distance.Evaluator) { item(i) })
-	}, lm)
+	probs := slices.Grow(in.probs[:0], n)[:n]
+	in.members, in.counts, in.groups, in.probs = members, counts, groups, probs
+	steps, err := mln.LearnWeights(groups, counts, probs)
 	if err != nil {
 		return 0, err
 	}
@@ -68,18 +61,16 @@ func learnBlockWeights(b *index.Block, c crew, memo *blockMemo) (int, error) {
 			i++
 		}
 	}
-	if len(sweeps) == 0 {
-		return 0, nil
-	}
-	return slices.Max(sweeps), nil
+	return steps, nil
 }
 
-// learnInputs is what learnBlockWeights builds mln.LearnWeights' inputs in:
-// members[i] = i, each candidate's count, and the groups as runs of members.
+// learnInputs is what learnBlockWeights builds mln.LearnWeights' inputs and
+// output in: members[i] = i, each candidate's count, the groups as runs of
+// members, and each candidate's probability.
 type learnInputs struct {
-	members []int
-	counts  []float64
-	groups  [][]int
+	members       []int
+	counts, probs []float64
+	groups        [][]int
 }
 
 // minPieceWeight is the positive floor applied to learned piece weights so

@@ -38,7 +38,7 @@ var (
 	mRSCRewrites = obs.Default().Counter("mlnclean_core_rsc_rewrites_total",
 		"Pieces rewritten by reliability-score cleaning.")
 	mLearnIterations = obs.Default().Counter("mlnclean_core_learn_iterations_total",
-		"Newton sweeps learning MLN weights: per block, the most any of its groups made.")
+		"Newton steps learning MLN weights: per block, the most steps on t that any of its groups took.")
 	mFSCRCellChanges = obs.Default().Counter("mlnclean_core_fscr_cell_changes_total",
 		"Cells changed by fusion-score conflict resolution.")
 	mFSCRConflicts = obs.Default().Counter("mlnclean_core_fscr_conflicts_total",

@@ -103,8 +103,9 @@ type Stats struct {
 	FusionFailures    int // tuples whose every fusion order conflicted out
 	FusionTruncated   int // tuples whose fusion search hit maxFusionStates
 	DuplicatesRemoved int
-	// LearnIterations is, per block, the most Newton sweeps any of its
-	// groups made (each group stops on its own step), summed over blocks.
+	// LearnIterations is, per block, the most Newton steps on t that any
+	// of its groups took in its exact solve (mln.LearnWeights), summed over
+	// blocks.
 	LearnIterations int
 }
 

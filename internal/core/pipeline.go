@@ -25,12 +25,12 @@ import (
 //	StageAGP/Learn/RSC      built index (rule order)      one phase each
 //	DeltaCleaner.Load/Apply its dirty blocks, rebuilt     AGP|Learn|RSC
 //
-// Inside a block, each phase's independent work — AGP's per-source searches,
-// the learner's chunks, RSC's per-group winners — is a list of items that
-// the pool's idle workers claim alongside the block's owner (crew.each);
-// the owner then applies everything order-dependent (merges, rewrites, memo
-// and trace records) in item order, so output does not depend on who ran
-// which item either.
+// Inside a block, AGP's per-source searches and RSC's per-group winners are
+// lists of independent items that the pool's idle workers claim alongside
+// the block's owner (crew.each); learning, a handful of Newton steps per
+// group, runs on the owner. The owner then applies everything
+// order-dependent (merges, rewrites, memo and trace records) in item order,
+// so output does not depend on who ran which item either.
 //
 // The distributed protocol (§6) differs from the solo one only by the Eq. 6
 // weight merge between learning and RSC, which is why its worker runs two
@@ -82,8 +82,9 @@ type blockResult struct {
 // helpers included.
 func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blockMemo) (r blockResult) {
 	var agpM *agpMemo
+	var in *learnInputs
 	if memo != nil {
-		agpM = &memo.agp
+		agpM, in = &memo.agp, &memo.inputs
 	}
 	mBlocksInFlight.Add(1)
 	defer mBlocksInFlight.Add(-1)
@@ -100,7 +101,7 @@ func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blo
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
-		if r.learnIters, r.err = learnBlockWeights(b, c, memo); r.err != nil {
+		if r.learnIters, r.err = learnBlockWeights(b, in); r.err != nil {
 			return r
 		}
 		r.learn = lap()

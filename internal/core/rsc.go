@@ -18,11 +18,11 @@ import (
 // ends with exactly one piece. Z is one positive constant per group, so it
 // cancels from the argmax: the winner maximizes n(γi)·NNᵢ·wᵢ, where NNᵢ is
 // the distance from γi to its nearest other piece. Z = 0 means every NN is 0,
-// and every score is 0 with or without it. Ties break by higher weight, then
-// higher count, then ascending key. Distances run over interned value IDs
-// through the crew's evaluators. Returns the number of pieces rewritten; tr,
-// when non-nil, records each rewrite — the records (decoded values, copied
-// tuple lists) are built only then.
+// and every score is 0 with or without it. Ties break by higher count, then
+// ascending key. Distances run over interned value IDs through the crew's
+// evaluators. Returns the number of pieces rewritten; tr, when non-nil,
+// records each rewrite — the records (decoded values, copied tuple lists)
+// are built only then.
 //
 // A group's winner reads only that group's pieces, so each contested group
 // is one crew item; the owner then records the rewrites in group order and
@@ -104,12 +104,10 @@ func rscWinner(g *index.Group, ev *distance.Evaluator, nn []float64) *index.Piec
 	return winner
 }
 
-// betterTie breaks r-score ties: higher weight, then higher support count,
-// then ascending key (full determinism).
+// betterTie breaks r-score ties: higher support count, then ascending key
+// (full determinism). Within a group the learned weight rises strictly with
+// the count, so a weight comparison would decide nothing the count does not.
 func betterTie(p, cur *index.Piece) bool {
-	if p.Weight != cur.Weight {
-		return p.Weight > cur.Weight
-	}
 	if p.Count() != cur.Count() {
 		return p.Count() > cur.Count()
 	}

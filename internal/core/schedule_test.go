@@ -281,7 +281,7 @@ func BenchmarkStageISkewed(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(st.AbnormalGroups), "abnormal/op")
-	b.ReportMetric(float64(st.LearnIterations), "sweeps/op")
+	b.ReportMetric(float64(st.LearnIterations), "steps/op")
 }
 
 // --- AGP promotion trace + stats ----------------------------------------
@@ -353,28 +353,29 @@ func TestAGPNoPromotionOnNormalBlocks(t *testing.T) {
 // TestRSCWinnerAllDistancesZero: when every pairwise distance in a group is
 // zero, every nearest-neighbour distance is 0 and all reliability scores
 // collapse to 0 — the winner must then fall to the deterministic tie-break
-// (higher weight first), not to slice order.
+// (higher count first), not to slice order. The better-supported piece also
+// carries the higher weight, as the learner gives it.
 func TestRSCWinnerAllDistancesZero(t *testing.T) {
 	d := intern.NewDict()
 	r := rules.MustParseStrings("FD: CT -> ST")[0]
 	// Identical values → all pairwise distances are 0.
-	mk := func(id int, w float64) *index.Piece {
+	mk := func(ids []int, w float64) *index.Piece {
 		p := index.NewPiece(r, d, []string{"BOAZ"}, []string{"AL"})
-		p.TupleIDs = []int{id}
+		p.TupleIDs = ids
 		p.Weight = w
 		return p
 	}
-	heavy := mk(1, 2.5)
-	light := mk(2, 1.0)
+	heavy := mk([]int{1, 3}, 0.6)
+	light := mk([]int{2}, 0.4)
 	g := &index.Group{Pieces: []*index.Piece{light, heavy}}
 	ev := distance.NewEvaluator(distance.Levenshtein{}, d)
 	if got := rscWinner(g, ev, make([]float64, 2)); got != heavy {
-		t.Errorf("all-zero winner = %+v, want the higher-weight piece", got)
+		t.Errorf("all-zero winner = %+v, want the better-supported piece", got)
 	}
 	// Same outcome with the slice order flipped.
 	g.Pieces = []*index.Piece{heavy, light}
 	if got := rscWinner(g, ev, make([]float64, 2)); got != heavy {
-		t.Errorf("all-zero winner after permutation = %+v, want the higher-weight piece", got)
+		t.Errorf("all-zero winner after permutation = %+v, want the better-supported piece", got)
 	}
 }
 

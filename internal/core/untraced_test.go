@@ -40,7 +40,7 @@ func blockCopies(t *testing.T, ix *index.Index, opts Options, ev *distance.Evalu
 			c := index.BuildBlockFor(ix.Table(), ix.Encoded(), b.Rule)
 			if forRSC {
 				agp(bi, c, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, nil)
-				if _, err := learnBlockWeights(c, soloCrew(ev), nil); err != nil {
+				if _, err := learnBlockWeights(c, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -87,7 +87,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 	for bi, b := range traced {
 		ab, _, pr, _, _ := agp(bi, b, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, tr)
 		abnormal, promotions = abnormal+ab, promotions+pr
-		if _, err := learnBlockWeights(b, soloCrew(ev), nil); err != nil {
+		if _, err := learnBlockWeights(b, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, g := range b.Groups {

@@ -99,7 +99,7 @@ func TestComponentQualityPinned(t *testing.T) {
 	got := fmt.Sprintf("AGP %+v\nRSC %+v\nFSCR %+v\nentries %d/%d/%d", agp, rsc, fscr, len(tr.AGP), len(tr.RSC), len(tr.FSCR))
 	const want = `AGP {Precision:0.9351230425055929 Recall:0.9146608315098468 Detected:447 Correct:418 Real:457 DetectedPieces:457}
 RSC {Precision:0.6981566820276498 Recall:0.6913861950941244 Repaired:1736 Correct:1212 Erroneous:1753}
-FSCR {Precision:0.6944444444444444 Recall:0.7630208333333334 ConflictCorrect:200 ConflictErroneous:288 Correct:879 Erroneous:1152}
+FSCR {Precision:0.6920415224913494 Recall:0.7630208333333334 ConflictCorrect:200 ConflictErroneous:289 Correct:879 Erroneous:1152}
 entries 447/1736/960`
 	if got != want {
 		t.Errorf("component metrics moved:\ngot\n%s\nwant\n%s", got, want)
