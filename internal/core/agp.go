@@ -10,11 +10,11 @@ import (
 	"mlnclean/internal/index"
 )
 
-// agpMemo carries nearest-target decisions across successive rebuilds of
+// agpMemo carries nearest-target decisions across successive re-cleans of
 // the same rule block (the DeltaCleaner's case: one mutation dirties a
 // block whose group structure barely moves). It holds what the immediately
-// preceding rebuild decided and nothing older: every rebuild empties it and
-// only one that goes on to search fills it again, so a rebuild a source sat
+// preceding re-clean decided and nothing older: every re-clean empties it and
+// only one that goes on to search fills it again, so a re-clean a source sat
 // out leaves no decision for it and a session fed ever-new typos does not
 // grow it. A source's cached decision is reusable when its γ⋆ is
 // bit-identical (same piece KeyID ⇒ same value IDs ⇒ same distances) and its
@@ -23,7 +23,7 @@ import (
 // and the (distance, reason) minimum does not depend on the order targets are
 // measured in, so challenging the delta reproduces the full search's choice
 // exactly. Groups are named by their KeyID, which one dictionary keeps
-// across rebuilds. Batch callers pass nil and search every source.
+// across re-cleans. Batch callers pass nil and search every source.
 //
 // It stays because it pays: BenchmarkDeltaApply runs 8.5–8.8 ms/op with it
 // and 13.3–13.5 without, with the same refused and repair counts (three
@@ -61,7 +61,7 @@ type agpTarget struct {
 // the plain scan over all targets.
 //
 // The classes come from per-position postings over the targets' value IDs,
-// built once before any source searches, and only when one will: a rebuild
+// built once before any source searches, and only when one will: a re-clean
 // whose sources all reuse a memoized decision never pays for them. The
 // targets and postings are read-only from then on, so any number of
 // searchers share them, each with its own evaluator and scratch.
@@ -191,7 +191,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 // can still win, per-pair results are memoized symmetrically (γ⋆ values
 // repeat across sources) and the per-pair DP is bounded by the running
 // best, so hopeless targets abandon early. A non-nil memo further reduces
-// repeat rebuilds to the changed targets only.
+// repeat re-cleans to the changed targets only.
 //
 // Each source's search is one crew item. A search reads only the targets'
 // γ⋆ value IDs, taken before the first merge, and their reasons, while a
@@ -204,7 +204,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 // γ⋆ pairs measured and sources that had to scan the targets they share no
 // value with.
 func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
-	var prev agpMemo // what the previous rebuild left, if it searched
+	var prev agpMemo // what the previous re-clean left, if it searched
 	if memo != nil {
 		prev, *memo = *memo, agpMemo{}
 	}
@@ -253,11 +253,11 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 	}
 	search := agpSearch{targets: targets}
 
-	// With the previous rebuild's memo, work out which targets moved since
+	// With the previous re-clean's memo, work out which targets moved since
 	// (added, removed, or different γ⋆) and index the rest.
 	var changed map[uint32]bool
 	var targetIdx map[uint32]int
-	var reusable map[uint32]agpBest // the previous rebuild's decisions
+	var reusable map[uint32]agpBest // the previous re-clean's decisions
 	if memo != nil && promotions == 0 {
 		memo.targets = make(map[uint32]uint32, len(targets))
 		memo.best = make(map[uint32]agpBest, len(abnormalGroups))
@@ -307,7 +307,7 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 		}
 		decided[i].star = star
 		if e, ok := reusable[src.KeyID()]; ok && e.srcKid == star.KeyID() && !changed[e.target] {
-			// A target that did not move is a target of this rebuild, so
+			// A target that did not move is a target of this re-clean, so
 			// the targetIdx lookup hits.
 			decided[i] = decision{star: star, reuse: true, best: targetIdx[e.target], d: e.d}
 		}
@@ -335,7 +335,7 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 			dc.best, dc.d = s.nearest(sids)
 			return
 		}
-		// Every unchanged target lost to the cached decision last rebuild;
+		// Every unchanged target lost to the cached decision last re-clean;
 		// only the moved ones can challenge it.
 		for _, t := range changedIdx {
 			dc.best, dc.d = s.challenge(sids, t, dc.best, dc.d)

@@ -23,22 +23,6 @@ func TestCleanEmptyTableFails(t *testing.T) {
 	}
 }
 
-// TestCleanIdempotentOnCleanData: cleaning data that satisfies every rule
-// changes nothing.
-func TestCleanIdempotentOnCleanData(t *testing.T) {
-	truth, rs, err := datagen.HAI(datagen.HAIConfig{Providers: 40, Measures: 5, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Clean(truth, rs, Options{Tau: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := res.Repaired.Diff(truth); len(d) != 0 {
-		t.Errorf("clean input was modified: %d cells, first %+v", len(d), d[0])
-	}
-}
-
 // TestCleanStability: cleaning the cleaner's own output again changes
 // nothing further (a fixed point).
 func TestCleanStability(t *testing.T) {

@@ -19,43 +19,53 @@ import (
 // cleaned state — per-rule stage-I blocks, their fusion inputs, and every
 // tuple's fused outcome — and re-cleans only what a mutation touches:
 //
-//   - Dirty-rule detection: a rule's block depends, per row, on whether the
-//     rule applies and on the row's projection onto the rule's attributes.
-//     A mutation dirties exactly the rules for which either changed; blocks
-//     of untouched rules are byte-identical and reused as-is.
-//   - Dirty blocks are rebuilt by the single-block scan (index.BuildBlockFor
-//     — the scan a full build runs, so identical content) and re-cleaned by
-//     the same runBlock on the same scheduler the batch drivers use (AGP →
-//     weight learning → RSC), so per-block results cannot drift from a
-//     from-scratch run.
-//   - Each block keeps its AGP memo (agpMemo) across its rebuilds: each
-//     abnormal group's nearest-target decision, so a rebuild re-scores
-//     sources only against the targets that moved. Weight learning keeps
-//     nothing: a rebuilt block solves every group again, a handful of
-//     Newton steps each, with the bits a from-scratch run computes.
-//   - Re-fusion is bounded by comparing each tuple's per-block version
-//     (piece identity, fixed-width) before and after the rebuild, position
-//     by position. An insert or delete splices every block's version index
-//     as it splices the table, which keeps it exact: a clean block holds no
-//     version of the row, and a dirty block's spliced index is its old one
-//     at the current positions. A tuple without a conflict fuses to the
-//     union of its versions, which reads no weight, so a tuple whose pieces
-//     are the same fuses to the same assignment and its cached outcome is
-//     reused. Conflicted tuples are always re-fused — their outcome reads
-//     weights, global candidate sets and attribute domain sizes, which any
-//     mutation may shift.
+//   - Block edits: every block is built once, at Load, by the single-block
+//     scan (index.BuildBlockFor) into an index.BlockEditor that keeps it as
+//     the build lays it out, before stage I. A mutation moves the row's
+//     tuple ID between the pieces of every kept block whose rule applies to
+//     the row before or after, minting a key only for a new piece, so a kept
+//     block is always the block the scan would build for the current table
+//     (TestDeltaBlockEditMatchesBuild checks it after every step). A rule
+//     is dirty when the edit changed its block: the rule's membership
+//     flipped, or a member's projection onto the rule's attributes moved.
+//     Blocks of untouched rules are byte-identical and reused as-is.
+//   - A dirty block is re-cleaned as a copy of the kept one (new headers
+//     over its lists, which stage I cannot reach) by the same runBlock on
+//     the same scheduler the batch drivers use (AGP → weight learning →
+//     RSC), so per-block results cannot drift from a from-scratch run.
+//   - Each block keeps its AGP memo (agpMemo) across its re-cleans: each
+//     abnormal group's nearest-target decision, so a re-clean re-scores
+//     sources only against the targets that moved. Weight learning and RSC
+//     keep nothing: a re-cleaned block solves every group again, a handful
+//     of Newton steps each, with the bits a from-scratch run computes, and
+//     picks every winner again.
+//   - Re-fusion is bounded by each tuple's per-block version (piece
+//     identity, fixed-width). Each RSC winner holds a slot in the block's
+//     version table, which the block's version index names by table
+//     position; a winner keeps its slot across re-cleans, and only the
+//     tuples of winners new, gone or with another tuple list are placed
+//     again (place). Those are the positions whose version can have moved,
+//     and the only ones marked for re-fusion by the block. An insert or
+//     delete splices every block's version index as it splices the table,
+//     which keeps it exact: a clean block holds no version of the row, and
+//     a dirty block's spliced index is its old one at the current
+//     positions. A tuple without a conflict fuses to the union of its
+//     versions, which reads no weight, so a tuple whose pieces are the same
+//     fuses to the same assignment and its cached outcome is reused.
+//     Conflicted tuples are always re-fused — their outcome reads weights,
+//     global candidate sets and attribute domain sizes, which any mutation
+//     may shift.
 //   - Every per-tuple cache is a slice parallel to the table, in its
 //     ascending-ID order; an ID is found by binary search over a flat slice
-//     of the IDs, and a rebuilt block's version index is placed by a walk
-//     that gallops forward through that slice along each piece's ascending
-//     tuple IDs. A re-fused tuple whose fused row did not move keeps its
-//     cached tuple.
+//     of the IDs, galloping forward along a piece's ascending tuple IDs
+//     when a group's tuples are placed. A re-fused tuple whose fused row
+//     did not move keeps its cached tuple.
 //   - Each Load and Apply mints an immutable Version (version.go): row
 //     chunks by tuple-ID range holding the fused tuples and the repaired
 //     cells on value IDs, each block's weight vector, and the duplicate
 //     sets. A mint rebuilds only the chunks whose rows a mutation touched or
 //     whose fused row moved, and shares every other chunk, every weight
-//     vector of a block it did not rebuild, and unchanged duplicate sets
+//     vector of a block it did not re-clean, and unchanged duplicate sets
 //     with the version before. A trail's rules and weights are resolved when
 //     it is read.
 //
@@ -85,7 +95,7 @@ type Mutation struct {
 // DeltaStats reports how much work one Apply actually did versus reused.
 type DeltaStats struct {
 	// DirtyBlocks / ReusedBlocks partition the rule blocks: dirty ones were
-	// rebuilt and re-cleaned, reused ones served their cached stage-I state.
+	// edited and re-cleaned, reused ones served their cached stage-I state.
 	DirtyBlocks  int
 	ReusedBlocks int
 	// RefusedTuples / ReusedTuples partition the surviving tuples: refused
@@ -98,26 +108,34 @@ type DeltaStats struct {
 
 // deltaBlock caches one rule's cleaned state.
 type deltaBlock struct {
-	rule  *rules.Rule
+	rule *rules.Rule
+	// kept is the block as the build lays it out for the current table,
+	// before stage I: every Apply edits it in place, and stage I cleans a
+	// copy of it.
+	kept  *index.BlockEditor
 	block *index.Block // post AGP + learn + RSC
-	// oldVers is, during an Apply that rebuilds the block, its version index
-	// from before the rebuild at the current table positions; otherwise a
-	// spare array for the next rebuild's old index.
-	oldVers []uint32
+	// slotOf names each of the block's RSC winners, by piece KeyID, by its
+	// slot in the fusion block's Pieces: the slot the version index holds
+	// for every tuple of its group. A winner keeps its slot across
+	// re-cleans, so only the tuples of a group that moved are placed again.
+	slotOf map[uint32]uint32
+	// moved lists the table positions whose version in this block the last
+	// re-clean moved.
+	moved []int
 	// weights is the block's fragment of the weight vector repair
-	// attribution reads. Every rebuild allocates new arrays (the keys only
+	// attribution reads. Every re-clean allocates new arrays (the keys only
 	// when the pieces changed), because the versions minted since the last
-	// rebuild hold these and they are never written again.
+	// one hold these and they are never written again.
 	weights blockWeights
 	// res is the block's contribution to the run Stats, kept so the whole
 	// Stats can be recomposed without touching clean blocks.
 	res blockResult
-	// memo carries AGP nearest-target decisions across rebuilds of this
+	// memo carries AGP nearest-target decisions across re-cleans of this
 	// block, so a re-clean only re-scores against the groups that moved.
 	memo *blockMemo
 }
 
-// blockMemo is what one block's rebuild leaves the next, and the arrays it
+// blockMemo is what one block's re-clean leaves the next, and the arrays it
 // builds the learner's inputs in.
 type blockMemo struct {
 	agp    agpMemo
@@ -137,16 +155,19 @@ type DeltaCleaner struct {
 	evs []*distance.Evaluator
 
 	// The current dirty table in ascending tuple-ID order, plus its encoded
-	// companion and their IDs. Rows are engine-owned copies; every encoded
-	// row has cap == len, so splicing encRows or replacing a row on PUT never
-	// writes into a neighbour.
+	// companion and their IDs. Rows are engine-owned copies; a PUT replaces
+	// a tuple and its encoded row, never edits them, since versions share
+	// them. Every encoded row has cap == len, so splicing encRows never
+	// writes into a neighbour. These and every other slice parallel to the
+	// table grow by a sixteenth when an insert finds them full (insertAt).
 	tuples  []*dataset.Tuple
 	encRows [][]uint32
 	ids     []int
 	// Each tuple's cached fusion outcome, parallel to tuples: the fused
 	// (repaired) tuple and its value IDs, written by fuseOne and replaced
 	// wholesale when a re-fuse moves the row, never edited, so Results can
-	// share them; and the fusion accounting — a conflicted tuple's fusion
+	// share them (an unchanged tuple's are the engine's own tuple and row);
+	// and the fusion accounting — a conflicted tuple's fusion
 	// read global state (candidates, domain sizes) and re-runs on every
 	// Apply.
 	fusedTuples []*dataset.Tuple
@@ -265,7 +286,9 @@ func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	d.blocks = make([]*deltaBlock, len(d.rs))
 	all := make([]int, len(d.rs))
 	for ri, r := range d.rs {
-		d.blocks[ri] = &deltaBlock{rule: r, memo: &blockMemo{}}
+		d.blocks[ri] = &deltaBlock{rule: r, slotOf: make(map[uint32]uint32), memo: &blockMemo{}}
+		d.plan.blocks[ri] = &FusionBlock{Rule: r, Attrs: r.Attrs()}
+		d.plan.versionOf[ri] = make([]uint32, n)
 		all[ri] = ri
 	}
 	if err := d.cleanBlocks(all); err != nil {
@@ -307,56 +330,75 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		return nil, nil, err
 	}
 
-	// Fold the batch into the table, collecting the dirtied rules. Each
-	// mutation sees the state its predecessors left. An insert or delete
-	// splices every per-position slice, every block's version index
-	// included.
+	// Fold the batch into the table and every kept block, collecting the
+	// rules whose blocks changed. Each mutation sees the state its
+	// predecessors left. An insert or delete splices every per-position
+	// slice, every block's version index included, so each index stays the
+	// old placement at the current positions.
 	dirty := make([]bool, len(d.rs))
 	vers := d.plan.versionOf
+	// gone holds, per ID the batch deleted, its versions in every block, so
+	// a re-put of the ID in the same batch splices them back: the old
+	// winners still list it, and place compares against them.
+	var gone map[int][]uint32
 	for _, m := range muts {
 		d.touch(m.Row)
 		pos, exists := d.posOf(m.Row)
+		var from []uint32
+		if exists {
+			from = d.encRows[pos]
+		}
 		if m.Op == DeltaDelete {
-			d.markApplying(dirty, d.tuples[pos].Values)
+			d.edit(dirty, m.Row, from, nil)
 			d.tuples = slices.Delete(d.tuples, pos, pos+1)
 			d.encRows = slices.Delete(d.encRows, pos, pos+1)
 			d.ids = slices.Delete(d.ids, pos, pos+1)
 			d.fusedTuples = slices.Delete(d.fusedTuples, pos, pos+1)
 			d.fusedRows = slices.Delete(d.fusedRows, pos, pos+1)
 			d.fuseRes = slices.Delete(d.fuseRes, pos, pos+1)
+			was := make([]uint32, len(vers))
 			for ri := range vers {
+				was[ri] = vers[ri][pos]
 				vers[ri] = slices.Delete(vers[ri], pos, pos+1)
 			}
+			if gone == nil {
+				gone = make(map[int][]uint32)
+			}
+			gone[m.Row] = was
 			continue
 		}
 		vals := slices.Clone(m.Values)
-		if !exists {
-			d.markApplying(dirty, vals)
-			d.tuples = slices.Insert(d.tuples, pos, &dataset.Tuple{ID: m.Row, Values: vals})
-			d.encRows = slices.Insert(d.encRows, pos, d.encode(vals))
-			d.ids = slices.Insert(d.ids, pos, m.Row)
-			d.fusedTuples = slices.Insert(d.fusedTuples, pos, nil)
-			d.fusedRows = slices.Insert(d.fusedRows, pos, nil)
-			d.fuseRes = slices.Insert(d.fuseRes, pos, fuseResult{})
-			for ri := range vers {
-				vers[ri] = slices.Insert(vers[ri], pos, 0)
-			}
+		row := d.encode(vals)
+		d.edit(dirty, m.Row, from, row)
+		if exists {
+			d.tuples[pos] = &dataset.Tuple{ID: m.Row, Values: vals}
+			d.encRows[pos] = row
 			continue
 		}
-		old := d.tuples[pos].Values
-		for ri, r := range d.rs {
-			if d.ruleDirtyOnUpdate(r, ri, old, vals) {
-				dirty[ri] = true
+		d.tuples = insertAt(d.tuples, pos, &dataset.Tuple{ID: m.Row, Values: vals})
+		d.encRows = insertAt(d.encRows, pos, row)
+		d.ids = insertAt(d.ids, pos, m.Row)
+		d.fusedTuples = insertAt(d.fusedTuples, pos, nil)
+		d.fusedRows = insertAt(d.fusedRows, pos, nil)
+		d.fuseRes = insertAt(d.fuseRes, pos, fuseResult{})
+		was := gone[m.Row] // nil for an ID new to the old winners
+		for ri := range vers {
+			var v uint32
+			if was != nil {
+				v = was[ri]
 			}
+			vers[ri] = insertAt(vers[ri], pos, v)
 		}
-		d.tuples[pos].Values = vals
-		d.encRows[pos] = d.encode(vals)
 	}
 
 	// Mark the live tuples the batch put, and the conflicted ones: those read
 	// global candidate sets and domain sizes, which any mutation may have
 	// shifted.
-	d.refuse = append(d.refuse[:0], make([]bool, len(d.tuples))...)
+	if n := len(d.tuples); cap(d.refuse) < n {
+		d.refuse = make([]bool, n, n+n/16)
+	}
+	d.refuse = d.refuse[:len(d.tuples)]
+	clear(d.refuse) // one buffer for every Apply
 	for _, m := range muts {
 		if pos, live := d.posOf(m.Row); live && m.Op == DeltaPut {
 			d.refuse[pos] = true
@@ -368,37 +410,27 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		}
 	}
 
-	// A dirty block's old index is set aside, with its pieces, and adopt
-	// places the rebuilt one in the spare array.
 	ds := &DeltaStats{}
-	var rebuilt []int
-	var oldPieces [][]*index.Piece
+	var edited []int
 	for ri, isDirty := range dirty {
 		if isDirty {
-			db := d.blocks[ri]
-			rebuilt = append(rebuilt, ri)
-			oldPieces = append(oldPieces, d.plan.blocks[ri].Pieces)
-			db.oldVers, vers[ri] = vers[ri], db.oldVers
+			edited = append(edited, ri)
 		}
 	}
-	ds.DirtyBlocks, ds.ReusedBlocks = len(rebuilt), len(d.rs)-len(rebuilt)
-	if err := d.cleanBlocks(rebuilt); err != nil {
+	ds.DirtyBlocks, ds.ReusedBlocks = len(edited), len(d.rs)-len(edited)
+	if err := d.cleanBlocks(edited); err != nil {
 		// Learn errors are a function of the options alone, so a Load that
 		// succeeded cannot fail here; surface it anyway rather than serve a
 		// half-updated result.
 		return nil, nil, err
 	}
-	// Mark every position whose version moved in a rebuilt block: another
+	// Mark every position whose version a re-cleaned block moved: another
 	// piece, or a version on one side only. A weight alone cannot change a
 	// tuple without a conflict (fusion reads weights only into the trace's
 	// score), and conflicted tuples are marked above.
-	for k, ri := range rebuilt {
-		was, now, at := oldPieces[k], d.plan.blocks[ri].Pieces, vers[ri]
-		for i, a := range d.blocks[ri].oldVers {
-			b := at[i]
-			if (a == 0) != (b == 0) || a != 0 && was[a-1].KeyID() != now[b-1].KeyID() {
-				d.refuse[i] = true
-			}
+	for _, ri := range edited {
+		for _, i := range d.blocks[ri].moved {
+			d.refuse[i] = true
 		}
 	}
 	d.plan.countDomains(d.encRows)
@@ -529,11 +561,12 @@ func (d *DeltaCleaner) view() *dataset.Table {
 	return &dataset.Table{Schema: d.schema, Tuples: d.tuples}
 }
 
-// cleanBlocks (re)builds the blocks of rules ris (ascending) over the
-// current table and cleans them through the stage-I pool, each with its AGP
-// memo, refreshing every cache a block feeds. Building mints dictionary
-// keys, so it stays on this goroutine and in rule order, exactly as a batch
-// clean's block iterator builds.
+// cleanBlocks cleans the blocks of rules ris (ascending) through the
+// stage-I pool, each a copy of its kept block with its AGP memo, and
+// refreshes every cache a block feeds. A block is built, the first time,
+// into the editor that keeps it: building mints dictionary keys, so it stays
+// on this goroutine and in rule order, exactly as a batch clean's block
+// iterator builds.
 func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 	if len(ris) == 0 {
 		return nil // a mutation that dirtied no block observes no stage
@@ -544,8 +577,12 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 		if next == len(ris) {
 			return 0, nil, false
 		}
+		db := d.blocks[ris[next]]
+		if db.kept == nil {
+			db.kept = index.NewBlockEditor(d.view(), enc, db.rule)
+		}
 		next++
-		return next - 1, index.BuildBlockFor(d.view(), enc, d.rs[ris[next-1]]), true
+		return next - 1, db.kept.Copy(), true
 	}
 	results, err := schedule(context.Background(), d.evs, len(ris), build, func(k int, b *index.Block, c crew) blockResult {
 		ri := ris[k]
@@ -559,7 +596,7 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 		return err
 	}
 	// Only the instruments are wanted here: mint recomposes the Stats
-	// from every block's res, rebuilt or not.
+	// from every block's res, re-cleaned or not.
 	fold(results, phaseAll, new(Stats))
 	return nil
 }
@@ -569,15 +606,13 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	db := d.blocks[ri]
 	db.block, db.res = b, res
-	fb := fusionBlockOf(b)
-	d.plan.blocks[ri] = fb
+	fb := d.plan.blocks[ri]
+	d.place(db, fb, d.plan.versionOf[ri], b)
+	fb.Candidates = fb.Pieces
 	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
-	// The version index is placed again over the current positions, in its
-	// own array.
-	d.plan.placeVersions(ri, append(d.plan.versionOf[ri][:0], make([]uint32, len(d.tuples))...), d.walkPos())
 	// Keys are distinct: RSC leaves one piece per group, and groups differ
 	// in their reason.
-	// A rebuild that kept the block's pieces keeps its key array, which no
+	// A re-clean that kept the block's pieces keeps its key array, which no
 	// version writes.
 	ps := slices.Clone(fb.Candidates)
 	slices.SortFunc(ps, func(a, b *index.Piece) int { return cmp.Compare(a.KeyID(), b.KeyID()) })
@@ -594,12 +629,125 @@ func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
 	db.weights = w
 }
 
+// place brings the block's version index at, and fb.Pieces, the slots it
+// names, from the block's last cleaned winners to b's, and lists in
+// db.moved the positions whose version moved. A winner whose piece KeyID
+// held a slot keeps it, and its tuples that were there keep their entries:
+// only the tuples a group lost or gained, and those of a piece new or gone,
+// are placed. An emptied slot is refilled by a new winner, or else by the
+// last slot's winner, whose tuples are placed again in it, so the slots
+// stay dense. Versions are compared by identity: a winner that kept its
+// slot takes it over whatever its weight, and a tuple whose version keeps
+// its piece has not moved.
+func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *index.Block) {
+	posOf := d.walkPos()
+	moved := db.moved[:0]
+	var free []uint32
+	slots := fb.Pieces
+	live := make([]bool, len(slots), len(slots)+len(b.Groups))
+	var fresh []*index.Piece
+	var gained []int // positions, then the slot they take
+	// Load fuses every tuple: it lists no positions.
+	mark := func(i int) {
+		if d.loaded {
+			moved = append(moved, i)
+		}
+	}
+	drop := func(id int, s uint32) {
+		if i, ok := posOf(id); ok && at[i] == s+1 {
+			at[i] = 0
+			mark(i)
+		}
+	}
+	for _, g := range b.Groups {
+		w := g.Pieces[0] // one winner per group after RSC
+		s, ok := db.slotOf[w.KeyID()]
+		if !ok {
+			fresh = append(fresh, w)
+			continue
+		}
+		live[s] = true
+		was, now := slots[s].TupleIDs, w.TupleIDs
+		slots[s] = w
+		if slices.Equal(was, now) {
+			continue
+		}
+		// Both lists ascend: walk them together.
+		for len(was) > 0 || len(now) > 0 {
+			switch {
+			case len(now) == 0 || len(was) > 0 && was[0] < now[0]:
+				drop(was[0], s)
+				was = was[1:]
+			case len(was) == 0 || now[0] < was[0]:
+				if i, ok := posOf(now[0]); ok {
+					gained = append(gained, i, int(s))
+				}
+				now = now[1:]
+			default:
+				was, now = was[1:], now[1:]
+			}
+		}
+	}
+	for s, p := range slots {
+		if !live[s] {
+			delete(db.slotOf, p.KeyID())
+			for _, id := range p.TupleIDs {
+				drop(id, uint32(s))
+			}
+			free = append(free, uint32(s))
+		}
+	}
+	for k := 0; k < len(gained); k += 2 {
+		at[gained[k]] = uint32(gained[k+1]) + 1
+		mark(gained[k])
+	}
+	for _, w := range fresh {
+		var s uint32
+		if len(free) > 0 {
+			s, free = free[0], free[1:]
+			slots[s], live[s] = w, true
+		} else {
+			s = uint32(len(slots))
+			slots, live = append(slots, w), append(live, true)
+		}
+		db.slotOf[w.KeyID()] = s
+		for _, id := range w.TupleIDs {
+			if i, ok := posOf(id); ok {
+				at[i] = s + 1
+				mark(i)
+			}
+		}
+	}
+	// Fill the slots still empty from the end, so the slots stay dense.
+	for len(free) > 0 {
+		last := len(slots) - 1
+		if live[last] {
+			s := free[0]
+			free = free[1:]
+			w := slots[last]
+			slots[s], live[s] = w, true
+			db.slotOf[w.KeyID()] = s
+			for _, id := range w.TupleIDs {
+				if i, ok := posOf(id); ok {
+					at[i] = s + 1
+				}
+			}
+		} else {
+			free = free[:len(free)-1] // the last free slot is the last slot
+		}
+		slots[last] = nil
+		slots = slots[:last]
+	}
+	fb.Pieces = slots
+	db.moved = moved
+}
+
 // fuseOne re-runs fusion for the tuple at position i against the current
 // blocks and caches the outcome. The fused row is built in the engine's
 // scratch row: a tuple whose fused row did not move keeps its cached tuple
 // and row (the values are the row's strings), and only one whose row moved
-// gets a fresh tuple. An unchanged tuple's shares the engine tuple's values,
-// which a mutation replaces and never edits.
+// gets a fresh tuple. An unchanged tuple's is the engine's tuple, which a
+// mutation replaces and never edits.
 func (d *DeltaCleaner) fuseOne(i int) {
 	t, dirtyRow := d.tuples[i], d.encRows[i]
 	res := d.fuser.fuse(t, i, dirtyRow, nil)
@@ -613,40 +761,32 @@ func (d *DeltaCleaner) fuseOne(i int) {
 		return
 	}
 	d.touch(t.ID)
-	fused := &dataset.Tuple{ID: t.ID, Values: t.Values}
+	fused := t
 	if res.changes > 0 {
 		row = slices.Clone(row) // the cache must not hold the scratch buffer
-		fused.Values = make([]string, len(t.Values))
+		fused = &dataset.Tuple{ID: t.ID, Values: make([]string, len(t.Values))}
 		repairedValues(fused.Values, t.Values, row, dirtyRow, d.dict)
 	}
 	d.fusedTuples[i], d.fusedRows[i] = fused, row
 }
 
-// markApplying marks dirty every rule that applies to a row of values.
-func (d *DeltaCleaner) markApplying(dirty []bool, vals []string) {
-	for ri, r := range d.rs {
-		if r.AppliesToValues(d.schema, vals) {
+// insertAt is slices.Insert of one element, except that a full slice grows
+// by a sixteenth of its length rather than by append's factor: the slices
+// parallel to the table are as long as the table, and an insert should not
+// leave a quarter of each unused.
+func insertAt[S ~[]E, E any](s S, i int, v E) S {
+	if len(s) == cap(s) {
+		s = append(make(S, 0, len(s)+len(s)/16+1), s...)
+	}
+	return slices.Insert(s, i, v)
+}
+
+// edit moves tuple id from encoded row from to row to (nil: no row) in every
+// kept block, and marks dirty the rules whose blocks it changed.
+func (d *DeltaCleaner) edit(dirty []bool, id int, from, to []uint32) {
+	for ri, db := range d.blocks {
+		if db.kept.Move(id, from, to) {
 			dirty[ri] = true
 		}
 	}
-}
-
-// ruleDirtyOnUpdate reports whether replacing old with new changes rule r's
-// block: membership flipped, or a member's projection onto the rule's
-// attributes moved.
-func (d *DeltaCleaner) ruleDirtyOnUpdate(r *rules.Rule, ri int, old, new []string) bool {
-	oldIn := r.AppliesToValues(d.schema, old)
-	newIn := r.AppliesToValues(d.schema, new)
-	if oldIn != newIn {
-		return true
-	}
-	if !oldIn {
-		return false
-	}
-	for _, p := range d.plan.posPerBlock[ri] {
-		if old[p] != new[p] {
-			return true
-		}
-	}
-	return false
 }

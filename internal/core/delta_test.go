@@ -919,29 +919,87 @@ func TestDeltaVersionOwnedBytes(t *testing.T) {
 }
 
 // BenchmarkDeltaApply mints one served version per op on the serving
-// benchmark's shape (benchShape), loaded once: one mutation of serveMix
-// applied, then the version's whole audit trail resolved. ns/op and
-// allocs/op are per minted version; refused/op is the tuples re-fused,
-// and owned_B/op the bytes the version does not share with its parent.
+// benchmark's shape (benchShape), loaded once: one mutation applied, then
+// the version's whole audit trail resolved. mix draws the mutations from
+// serveMix; update, insert and delete each take one kind alone (kindMix).
+// ns/op and allocs/op are per minted version; refused/op is the tuples
+// re-fused, and owned_B/op the bytes the version does not share with its
+// parent.
 func BenchmarkDeltaApply(b *testing.B) {
-	eng, prev, inj := benchShape(b)
-	muts := serveMix(inj, b.N, 4200)
-	refused, repairs, owned := 0, 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, m := range muts {
-		v, ds, err := eng.ApplyVersion([]Mutation{m})
-		if err != nil {
-			b.Fatal(err)
-		}
-		refused += ds.RefusedTuples
-		repairs += len(v.Trail())
-		owned += ownedBytes(v, prev)
-		prev = v
+	for _, kind := range []string{"mix", "update", "insert", "delete"} {
+		b.Run(kind, func(b *testing.B) {
+			eng, prev, inj := benchShape(b)
+			var muts []Mutation
+			if kind == "mix" {
+				muts = serveMix(inj, b.N, 4200)
+			} else {
+				muts = kindMix(b, inj, kind, b.N, 4200)
+			}
+			refused, repairs, owned := 0, 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, m := range muts {
+				v, ds, err := eng.ApplyVersion([]Mutation{m})
+				if err != nil {
+					b.Fatal(err)
+				}
+				refused += ds.RefusedTuples
+				repairs += len(v.Trail())
+				owned += ownedBytes(v, prev)
+				prev = v
+			}
+			b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
+			b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
+			b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
+		})
 	}
-	b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
-	b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
-	b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
+}
+
+// kindMix draws n mutations of one kind of serveMix's: "update" alternates
+// its single-cell corrections and whole-row replacements, "insert" adds rows
+// at the next dense IDs with another row's values, and "delete" removes live
+// rows, at most half the table.
+func kindMix(tb testing.TB, inj *errgen.Injection, kind string, n int, seed int64) []Mutation {
+	tb.Helper()
+	if kind == "delete" && n > inj.Dirty.Len()/2 {
+		tb.Fatalf("%d deletes would drain more than half of %d rows", n, inj.Dirty.Len())
+	}
+	rng := rand.New(rand.NewSource(seed))
+	schema := inj.Dirty.Schema
+	rows := make(map[int][]string, inj.Dirty.Len())
+	var live []int
+	for _, tp := range inj.Dirty.Tuples {
+		rows[tp.ID] = tp.Values
+		live = append(live, tp.ID)
+	}
+	next := inj.Dirty.Len()
+	pick := func() int { return live[rng.Intn(len(live))] }
+	muts := make([]Mutation, 0, n)
+	for i := 0; len(muts) < n; i++ {
+		var m Mutation
+		switch {
+		case kind == "update" && i%2 == 0:
+			e := inj.Errors[rng.Intn(len(inj.Errors))]
+			vals := append([]string(nil), rows[e.TupleID]...)
+			vals[schema.MustIndex(e.Attr)] = e.Clean
+			m = Mutation{Op: DeltaPut, Row: e.TupleID, Values: vals}
+		case kind == "update":
+			m = Mutation{Op: DeltaPut, Row: pick(), Values: rows[pick()]}
+		case kind == "insert":
+			m = Mutation{Op: DeltaPut, Row: next, Values: rows[pick()]}
+			live = append(live, next)
+			next++
+		case kind == "delete":
+			at := rng.Intn(len(live))
+			m = Mutation{Op: DeltaDelete, Row: live[at]}
+			live = append(live[:at], live[at+1:]...)
+		default:
+			tb.Fatalf("unknown mutation kind %q", kind)
+		}
+		rows[m.Row] = m.Values
+		muts = append(muts, m)
+	}
+	return muts
 }
 
 // versionBytes is everything a version serves, as bytes: its materialized

@@ -367,8 +367,8 @@ func (pl *fusionPlan) countDomains(rows [][]uint32) {
 // placeVersions fills at, block bi's zeroed version index (one slot per
 // table position), from its pieces' TupleIDs; posOf maps a tuple ID to its
 // position, and an ID it does not know is skipped. It runs once per block
-// of a whole-table run, and once per rebuild of a DeltaCleaner block: an
-// insert or delete splices the engine's indexes instead.
+// of a whole-table run; a DeltaCleaner places only the groups that moved
+// (DeltaCleaner.place).
 func (pl *fusionPlan) placeVersions(bi int, at []uint32, posOf func(id int) (int, bool)) {
 	for k, p := range pl.blocks[bi].Pieces {
 		for _, id := range p.TupleIDs {
@@ -512,9 +512,9 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 		total.add(totals[ci])
 		opts.Trace.addFusions(outcomes[ci])
 	}
-	st.FSCRCellChanges += total.changes
-	st.FusionFailures += total.failed
-	st.FusionTruncated += total.truncated
+	st.FSCRCellChanges += int(total.changes)
+	st.FusionFailures += int(total.failed)
+	st.FusionTruncated += int(total.truncated)
 	mFSCRCellChanges.Add(int64(total.changes))
 	mFSCRConflicts.Add(int64(total.failed))
 	mFSCRTruncated.Add(int64(total.truncated))
@@ -574,9 +574,11 @@ func repairedValues(vals, observed []string, row, dirtyRow []uint32, dict *inter
 
 // fuseResult is one tuple's fusion accounting (or a sum of them): cells
 // changed, and 0/1 flags for "every order failed", "the search hit
-// maxFusionStates" and "some versions conflicted".
+// maxFusionStates" and "some versions conflicted". The delta engine keeps
+// one per tuple, so the fields are 32 bits wide: a fused table holds fewer
+// than 2³¹ cells.
 type fuseResult struct {
-	changes, failed, truncated, conflicted int
+	changes, failed, truncated, conflicted int32
 }
 
 func (r *fuseResult) add(o fuseResult) {

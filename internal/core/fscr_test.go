@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
@@ -378,6 +379,77 @@ func TestFusionWidthGuard(t *testing.T) {
 	RunFSCREncoded(tbOK, nil, blocksOK, Options{}, &st)
 	if st.FusionFailures != 0 || st.FusionTruncated != 0 {
 		t.Errorf("70 agreeing versions: %+v", st)
+	}
+}
+
+// TestFusionCapEndToEnd: a fusion component as wide as the search takes —
+// 64 rules "FD: A<i> -> A<i+1>" chained into one — with tuples whose
+// versions disagree on A1, cleaned end to end. The search stops at its
+// 4,096-state cap, on Clean and on a DeltaCleaner whose Apply re-fuses the
+// capped tuples (conflicted tuples re-fuse on every Apply); the Apply's
+// version equals Clean of the same table, and neither takes long.
+func TestFusionCapEndToEnd(t *testing.T) {
+	n := maxComponentVersions
+	attrs := make([]string, n+1)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("A%d", i)
+	}
+	schema := dataset.MustSchema(attrs...)
+	var rs []*rules.Rule
+	for i := 0; i < n; i++ {
+		rs = append(rs, rules.MustParseStrings(fmt.Sprintf("FD: A%d -> A%d", i, i+1))[0])
+	}
+	row := func(a1 string) []string {
+		vals := make([]string, n+1)
+		for i := range vals {
+			vals[i] = "v"
+		}
+		vals[1] = a1
+		return vals
+	}
+	// Block 0 holds (v, v) for most tuples and (v, w) for a few: RSC keeps
+	// (v, v), so their version there says A1 = v. Block 1 holds them in a
+	// normal group of their own, whose version says A1 = w.
+	tb := dataset.NewTable(schema)
+	for i := 0; i < 20; i++ {
+		tb.MustAppend(row("v")...)
+	}
+	tb.MustAppend(row("w")...)
+	tb.MustAppend(row("w")...)
+	opts := Options{Tau: 1}
+
+	start := time.Now()
+	want, err := Clean(tb, rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.FusionTruncated == 0 {
+		t.Fatalf("Clean: no fusion hit the state cap: %+v", want.Stats)
+	}
+	eng, err := NewDeltaCleaner(schema, rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load(tb); err != nil {
+		t.Fatal(err)
+	}
+	// A third (v, w) tuple: the two capped tuples are conflicted, and re-fuse.
+	grown := tb.Clone()
+	grown.MustAppend(row("w")...)
+	id := grown.Tuples[grown.Len()-1].ID
+	got, ds, err := eng.Apply([]Mutation{{Op: DeltaPut, Row: id, Values: row("w")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.RefusedTuples < 3 {
+		t.Errorf("the Apply re-fused %d tuples, want the 3 conflicted ones at least", ds.RefusedTuples)
+	}
+	if got.Stats.FusionTruncated < 3 {
+		t.Errorf("Apply: %d fusions hit the state cap, want 3: %+v", got.Stats.FusionTruncated, got.Stats)
+	}
+	assertParity(t, "capped Apply", got, eng.Weights(), grown, rs, opts)
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("two capped cleans took %v, want under 5 s", wall)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // uncontested γ (singleton group) gets 1.
 //
 // in holds the arrays the learner's inputs are built in: the
-// DeltaCleaner's, kept across a block's rebuilds, or nil for batch drivers.
+// DeltaCleaner's, kept across a block's re-cleans, or nil for batch drivers.
 func learnBlockWeights(b *index.Block, in *learnInputs) (int, error) {
 	if in == nil {
 		in = &learnInputs{}

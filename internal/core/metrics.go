@@ -56,7 +56,7 @@ var (
 	mDeltaApplies = obs.Default().Counter("mlnclean_core_delta_applies_total",
 		"Incremental mutation batches applied.")
 	mDeltaDirtyBlocks = obs.Default().Counter("mlnclean_core_delta_dirty_blocks_total",
-		"Rule blocks rebuilt and re-cleaned by incremental applies.")
+		"Rule blocks edited and re-cleaned by incremental applies.")
 	mDeltaReusedBlocks = obs.Default().Counter("mlnclean_core_delta_reused_blocks_total",
 		"Rule blocks served from cache by incremental applies.")
 	mDeltaRefusedTuples = obs.Default().Counter("mlnclean_core_delta_refused_tuples_total",

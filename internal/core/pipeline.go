@@ -23,7 +23,7 @@ import (
 //	CleanEncoded            iterator (lazy, rule order)   AGP|Learn|RSC
 //	StreamAGPLearn (worker) iterator                      AGP|Learn
 //	StageAGP/Learn/RSC      built index (rule order)      one phase each
-//	DeltaCleaner.Load/Apply its dirty blocks, rebuilt     AGP|Learn|RSC
+//	DeltaCleaner.Load/Apply copies of its edited blocks   AGP|Learn|RSC
 //
 // Inside a block, AGP's per-source searches and RSC's per-group winners are
 // lists of independent items that the pool's idle workers claim alongside
@@ -76,7 +76,7 @@ type blockResult struct {
 
 // runBlock runs the requested phases on one block, in pipeline order, on
 // the caller's crew. memo is what the DeltaCleaner carries across a block's
-// rebuilds; batch drivers pass nil. It observes
+// re-cleans; batch drivers pass nil. It observes
 // mlnclean_core_block_seconds once and holds mlnclean_mem_blocks_inflight
 // up for as long as it runs. The phase times are the owner's wall time,
 // helpers included.

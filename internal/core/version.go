@@ -12,7 +12,7 @@ import (
 // and a version minted by Apply rebuilds only the chunks whose rows the
 // mutation or the re-fusion touched, taking every other chunk pointer from
 // its parent. Repair attribution reads weights, which drift with every
-// rebuild of a block, so a chunk keeps repaired cells on value IDs only and
+// re-clean of a block, so a chunk keeps repaired cells on value IDs only and
 // a version keeps each block's weight vector: a rule and a weight are
 // resolved when the trail is read.
 
@@ -44,9 +44,9 @@ type trailCell struct {
 // blockWeights is one block's fragment of the weight vector repair
 // attribution reads: its post-stage-I pieces' sequence keys, ascending, and
 // their learned weights, in two parallel arrays (12 bytes a piece, where a
-// struct of both would be padded to 16). Every rebuild of the block
+// struct of both would be padded to 16). Every re-clean of the block
 // allocates new weights, and new keys unless its pieces are the same, so
-// versions share them until the next rebuild.
+// versions share them until the next re-clean.
 type blockWeights struct {
 	keys    []uint32
 	weights []float64
@@ -160,9 +160,9 @@ func (d *DeltaCleaner) mint() *Version {
 		v.weights[bi] = db.weights
 	}
 	for _, r := range d.fuseRes {
-		v.stats.FSCRCellChanges += r.changes
-		v.stats.FusionFailures += r.failed
-		v.stats.FusionTruncated += r.truncated
+		v.stats.FSCRCellChanges += int(r.changes)
+		v.stats.FusionFailures += int(r.failed)
+		v.stats.FusionTruncated += int(r.truncated)
 	}
 
 	var parent *Version

@@ -499,3 +499,152 @@ func BenchmarkBuildBlock(b *testing.B) {
 		})
 	}
 }
+
+// TestBlockEditorMatchesBuild: a kept block edited row by row is the block
+// BuildBlockFor lays out for the edited table, on the rule shapes the serving
+// datasets lack: multi-attribute reasons and results, CFDs with one or two
+// constants, one constant no row carries until an edit brings it in, and
+// values that swallow the display separator. Random updates (another row's
+// values, or one of its cells), inserts above the highest and below the
+// lowest ID, and deletes; after each, every kept block must equal the build,
+// and the copy stage I cleans must equal the kept block and leave it as it
+// was when its lists are appended to.
+func TestBlockEditorMatchesBuild(t *testing.T) {
+	type fixture struct {
+		tb *dataset.Table
+		rs []*rules.Rule
+	}
+	car, carRules := dirtyTable(t, "CAR", 300)
+	collide := dataset.NewTable(dataset.MustSchema("A", "B", "C"))
+	for _, row := range [][]string{
+		{"x" + sep + "y", "z", "c1"}, {"x", "y" + sep + "z", "c2"}, {"", "", ""},
+		{"x", "y" + sep + "z", "c1"}, {"", sep, "c"}, {"x" + sep + "y", "z", "c1"},
+	} {
+		collide.MustAppend(row...)
+	}
+	fixtures := map[string]fixture{
+		"CAR": {car, carRules},
+		"planned": {plannedTable(t), append(plannedRules(t), rules.MustParseStrings(
+			"CFD: HN=NOBODY, CT -> PN",
+			"CFD: HN=ELIZA, CT=BOAZ -> PN=2567688400",
+			"FD: HN, CT -> ST, PN",
+		)...)},
+		"collide": {collide, rules.MustParseStrings("FD: A, B -> C", "FD: C -> A, B")},
+	}
+	for name, f := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(46))
+			enc := dataset.Encode(f.tb, nil)
+			d := enc.Dict
+			eds := make([]*BlockEditor, len(f.rs))
+			for ri, r := range f.rs {
+				eds[ri] = NewBlockEditor(f.tb, enc, r)
+			}
+			vals := make(map[int][]string, f.tb.Len())
+			for _, tp := range f.tb.Tuples {
+				vals[tp.ID] = tp.Values
+			}
+			// Every value of the table; and every rule constant, at its
+			// attribute.
+			var pool []string
+			for _, tp := range f.tb.Tuples {
+				pool = append(pool, tp.Values...)
+			}
+			type cell struct {
+				pos int
+				val string
+			}
+			var consts []cell
+			for _, r := range f.rs {
+				for _, p := range append(slices.Clone(r.Reason), r.Result...) {
+					if p.Const != "" {
+						consts = append(consts, cell{f.tb.Schema.MustIndex(p.Attr), p.Const})
+					}
+				}
+			}
+			encode := func(v []string) []uint32 {
+				if v == nil {
+					return nil
+				}
+				row := make([]uint32, len(v))
+				for i, s := range v {
+					row[i] = d.Intern(s)
+				}
+				return row
+			}
+			live := func() []int {
+				ids := make([]int, 0, len(vals))
+				for id := range vals {
+					ids = append(ids, id)
+				}
+				slices.Sort(ids)
+				return ids
+			}
+			width := f.tb.Schema.Len()
+			for step := 0; step < 200; step++ {
+				ids := live()
+				id := ids[rng.Intn(len(ids))]
+				to := slices.Clone(vals[ids[rng.Intn(len(ids))]])
+				switch k := rng.Intn(6); {
+				case k == 0 && len(ids) > 2:
+					to = nil // delete
+				case k == 1:
+					id = ids[len(ids)-1] + 1 + rng.Intn(3) // insert above
+				case k == 2 && ids[0] > 0:
+					id = rng.Intn(ids[0]) // insert below
+				case k == 3:
+					to = slices.Clone(vals[id])
+					to[rng.Intn(width)] = pool[rng.Intn(len(pool))]
+				case k == 4 && len(consts) > 0:
+					c := consts[rng.Intn(len(consts))]
+					to = slices.Clone(vals[id])
+					to[c.pos] = c.val
+				}
+				from := vals[id]
+				for _, e := range eds {
+					e.Move(id, encode(from), encode(to))
+				}
+				if to == nil {
+					delete(vals, id)
+				} else {
+					vals[id] = to
+				}
+				cur := dataset.NewTable(f.tb.Schema)
+				for _, id := range live() {
+					cur.Tuples = append(cur.Tuples, &dataset.Tuple{ID: id, Values: vals[id]})
+				}
+				curEnc := dataset.Encode(cur, d)
+				for ri, r := range f.rs {
+					if err := blockDiff(eds[ri].Block(), BuildBlockFor(cur, curEnc, r)); err != nil {
+						t.Fatalf("step %d (tuple %d to %q): %v", step, id, to, err)
+					}
+				}
+			}
+			for _, e := range eds {
+				kept := e.Block()
+				before := make([]string, len(kept.Groups))
+				for gi, g := range kept.Groups {
+					before[gi] = groupSnapshot(g)
+				}
+				c := e.Copy()
+				if err := blockDiff(c, kept); err != nil {
+					t.Fatalf("the copy is not the kept block: %v", err)
+				}
+				for _, g := range c.Groups {
+					for _, p := range g.Pieces {
+						// As AGP merges: append, then sort.
+						p.TupleIDs = append(p.TupleIDs, -1)
+						slices.Sort(p.TupleIDs)
+						p.Weight = 1
+					}
+					g.Pieces = append(g.Pieces, g.Pieces[0])
+				}
+				for gi, g := range kept.Groups {
+					if got := groupSnapshot(g); got != before[gi] {
+						t.Fatalf("editing the copy changed kept group %d: %s, was %s", gi, got, before[gi])
+					}
+				}
+			}
+		})
+	}
+}

@@ -386,11 +386,14 @@ func (ix *Index) Encoded() *dataset.Encoded { return ix.enc }
 
 // rulePlan precompiles one rule against the schema and dictionary: attribute
 // positions and (for CFDs) the interned constants of its reason patterns.
+// consts counts the constant patterns, constIDs only those the dictionary
+// held when the plan was taken.
 type rulePlan struct {
 	reasonPos []int
 	resultPos []int
 	cfd       bool
 	hasConst  bool
+	consts    int
 	constPos  []int
 	constIDs  []uint32
 }
@@ -402,6 +405,7 @@ func planRule(r *rules.Rule, schema *dataset.Schema, dict *intern.Dict) rulePlan
 		pl.reasonPos = append(pl.reasonPos, pos)
 		if pl.cfd && p.Const != "" {
 			pl.hasConst = true
+			pl.consts++
 			// A constant absent from the dictionary matches no tuple of this
 			// table; the pattern is simply omitted from the match list.
 			if id, ok := dict.Lookup(p.Const); ok {
@@ -466,8 +470,7 @@ func BuildConfigured(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Ind
 // first-sight order, pieces in first-sight order within their group, tuple
 // lists in row order. enc must be row-aligned with tb and the block is
 // encoded into enc's dictionary. A BlockIterator builds every block this
-// way; the incremental delta engine calls it directly to re-derive only the
-// blocks a mutation dirtied.
+// way, and so does a BlockEditor, once, before it edits the block in place.
 //
 // The build makes two passes over the rows. The first finds every group and
 // piece and mints their sequence keys, in row order, and counts each one's
@@ -476,7 +479,8 @@ func BuildConfigured(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Ind
 // its first piece's reason prefix. Every carved slice has cap == len: an
 // append copies instead of overwriting a neighbour. This build layout lasts
 // until RSC, whose Block.Collapse re-lays the block and leaves the build
-// slabs to the collector whole. The passes' working set is pooled.
+// slabs to the collector whole, or, in a BlockEditor, for as long as the
+// editor keeps the block. The passes' working set is pooled.
 func BuildBlockFor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Block {
 	pl := planRule(r, tb.Schema, enc.Dict)
 	s := scratchPool.Get().(*buildScratch)
