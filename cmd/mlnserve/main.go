@@ -20,8 +20,8 @@
 // written to a write-ahead log under the directory before it is
 // acknowledged. A restart on the same directory replays it: sessions resume,
 // interrupted cleans restart, and each done session's engine loads its
-// logged tuples and replays its mutations, so every result version
-// re-serves byte-identically. The recovery summary (sessions replayed /
+// logged tuples with its mutations folded in, once, so every result version
+// re-serves byte-identically (an older one is rebuilt when it is read). The recovery summary (sessions replayed /
 // tombstoned / failed, truncated bytes) is logged on startup, and each
 // session that could not be restored is logged at warn with its error;
 // graceful shutdown flushes and fsyncs the log before exit.

@@ -14,11 +14,14 @@ import (
 // mutation is acknowledged to the client. On restart the manager replays
 // snapshot + records into a replayState and rebuilds the live world from it:
 // open sessions get their logged batches back, interrupted cleans restart,
-// and a done session's engine is loaded from its batches and replays its
-// mutations. The log holds only what sessions were given — requests, tuples,
-// mutations — and markers of what happened to them; every result version,
-// the first included, is re-derived by the deterministic engine, so it
-// re-serves byte-identically without ever being stored.
+// and a done session's batches and mutations are folded into its latest
+// table, which its engine loads once — one full clean per done session, not
+// one Apply per logged mutation. The log holds only what sessions were given
+// — requests, tuples, mutations — and markers of what happened to them; every
+// result version, the first included, is a function of a log prefix and is
+// re-derived by the deterministic engine, so it re-serves byte-identically
+// without ever being stored. An older version read after a restart costs one
+// full clean of its own folded table.
 //
 // Fields a record or the create request once had (the executor's workers,
 // plan, seed, ...) are still in old logs: gob matches fields by name and skips
@@ -53,10 +56,10 @@ type recBatch struct {
 // manager restarts it from the logged batches.
 type recCleanStart struct{ ID string }
 
-// recCleanDone marks the run completed; replay re-derives its result and
-// audit trail by loading the engine from the logged batches. WallMS is the
-// only thing about the run the engine cannot reproduce. Older builds logged
-// the result table, stats and trail here too; gob skips those fields.
+// recCleanDone marks the run completed; replay re-derives its versions by
+// loading the engine with the folded log. WallMS is the only thing about the
+// run the engine cannot reproduce. Older builds logged the result table,
+// stats and trail here too; gob skips those fields.
 type recCleanDone struct {
 	ID     string
 	WallMS int64
@@ -74,10 +77,10 @@ type (
 )
 
 // recMutation is one acknowledged tuple mutation (PUT or DELETE of a row)
-// against a done session. Replay re-applies the sequence through the delta
-// engine, which is deterministic, so every result version re-serves
-// byte-identically after a restart without persisting the versions
-// themselves.
+// against a done session. Replay folds the sequence into the session's table
+// (foldTable) and loads that once; the engine is deterministic, so every
+// result version — the latest loaded, an older one rebuilt from the fold cut
+// at it — re-serves byte-identically without the versions being persisted.
 type recMutation struct {
 	ID     string
 	Op     string // "put" | "delete"
@@ -143,7 +146,8 @@ type sessSnap struct {
 	Done       *recCleanDone
 	RolledBack bool
 	// Mutations is the acknowledged tuple-mutation sequence (old snapshots
-	// decode it empty). Replay recomputes every result version from it.
+	// decode it empty). Replay folds it with Batches into the table the
+	// engine loads once; any result version is a prefix of it.
 	Mutations []recMutation
 }
 

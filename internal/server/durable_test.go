@@ -776,14 +776,14 @@ func TestRollbackGoldenParity(t *testing.T) {
 	s := createSession(c, req)
 	submitBatches(c, s.ID, batches)
 	startClean(c, s.ID)
-	info := pollDone(c, s.ID)
+	pollDone(c, s.ID)
 
 	reps := getRepairs(c, s.ID)
 	if len(reps.Repairs) == 0 {
 		t.Fatal("hospital run produced no repairs")
 	}
-	if info.Repairs != len(reps.Repairs) {
-		t.Errorf("status reports %d repairs, trail has %d", info.Repairs, len(reps.Repairs))
+	if reps.Total != len(reps.Repairs) {
+		t.Errorf("repairs report a total of %d, trail has %d", reps.Total, len(reps.Repairs))
 	}
 	attrIdx := make(map[string]int)
 	for i, a := range dirty.Schema.Attrs() {

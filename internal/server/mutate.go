@@ -15,26 +15,19 @@ import (
 // next version. Version N+1 is the cleaned table after the first N
 // mutations, and — the delta engine being parity-anchored to core.Clean —
 // every version, 1 included, is byte-identical to a from-scratch clean of its
-// input table: a pure function of (rules, options, tuples). No version is
-// logged, only its inputs: the batches and the mutation log are durable, and
-// a restart loads the engine from the batches and replays the mutations, so
-// every acknowledged version — version 1 included — re-serves
-// byte-identically. A done session in memory always holds a loaded engine
-// current with its mutation log.
-
-// versionEntry is one result version. The engine's Version shares every row
-// chunk the mutation did not touch with the version before it, so a version
-// costs what changed, not the table; a result body builds its rows and IDs
-// from it per request, and a repairs page resolves only its own entries,
-// under the session lock (resolution reads the engine's dictionary, which
-// the next mutation appends to).
-type versionEntry struct {
-	ver *core.Version
-	// delta is the Apply that minted the version; nil on version 1, which
-	// carries the clean's wall time instead.
-	delta  *core.DeltaStats
-	wallMS int64
-}
+// input table: a pure function of (rules, options, tuples), so of a prefix
+// of the session's log. Only that log is durable — batches and mutations —
+// and a restart folds it into the latest table and loads the engine with it
+// once, leaving only the latest version resident. An older version read
+// after a restart costs one full clean of its folded table, on an engine of
+// its own, and is not kept. A done session in memory always holds a loaded
+// engine current with its mutation log.
+//
+// An engine Version shares every row chunk its mutation did not touch with
+// the version before it, so it costs what changed; a result body builds its
+// rows and IDs from it per request, and a repairs page resolves only its own
+// entries, under the session lock (resolution reads the engine's dictionary,
+// which the next mutation appends to).
 
 // rowsAndIDs is a table as the wire carries it: each tuple's values (shared,
 // not copied) and its id.
@@ -54,28 +47,29 @@ const (
 
 // Mutate applies one tuple mutation to a done session: validates it against
 // the current table, logs it (the durability point), folds it into the delta
-// engine, and returns the new version number and its entry.
+// engine, and returns the new version number, the version and the Apply's
+// reuse accounting.
 //
 // Error mapping: ErrInvalid for semantically bad input (arity, out-of-range
 // row), ErrNotFound for deleting an absent row, ErrDurability when the WAL
 // rejected the record, and plain errors for state conflicts (not done, rolled
 // back, table would empty).
-func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntry, error) {
+func (s *Session) Mutate(op string, row int, values []string) (int, *core.Version, *core.DeltaStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, nil, ErrNotFound
+		return 0, nil, nil, ErrNotFound
 	}
 	if s.state != StateDone {
-		return 0, nil, fmt.Errorf("server: session %s is %s, cannot mutate tuples", s.ID, s.state)
+		return 0, nil, nil, fmt.Errorf("server: session %s is %s, cannot mutate tuples", s.ID, s.state)
 	}
 	if s.rolled != nil {
-		return 0, nil, fmt.Errorf("server: session %s is rolled back, cannot mutate tuples", s.ID)
+		return 0, nil, nil, fmt.Errorf("server: session %s is rolled back, cannot mutate tuples", s.ID)
 	}
 	switch op {
 	case mutPut:
 		if len(values) != s.schema.Len() {
-			return 0, nil, fmt.Errorf("%w: row %d has %d values, schema has %d",
+			return 0, nil, nil, fmt.Errorf("%w: row %d has %d values, schema has %d",
 				ErrInvalid, row, len(values), s.schema.Len())
 		}
 		// Any live row may be replaced; the only insertable fresh id is the
@@ -83,45 +77,48 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntr
 		// id cannot silently grow the table. This is an API policy — the
 		// engine itself accepts any non-negative row.
 		if row < 0 || row > s.nextRow {
-			return 0, nil, fmt.Errorf("%w: row %d out of range [0, %d]", ErrInvalid, row, s.nextRow)
+			return 0, nil, nil, fmt.Errorf("%w: row %d out of range [0, %d]", ErrInvalid, row, s.nextRow)
 		}
 	case mutDelete:
 		if !s.delta.Has(row) {
-			return 0, nil, fmt.Errorf("%w: session %s has no row %d", ErrNotFound, s.ID, row)
+			return 0, nil, nil, fmt.Errorf("%w: session %s has no row %d", ErrNotFound, s.ID, row)
 		}
 		if s.delta.Len() == 1 {
-			return 0, nil, fmt.Errorf("server: session %s: deleting row %d would empty the table", s.ID, row)
+			return 0, nil, nil, fmt.Errorf("server: session %s: deleting row %d would empty the table", s.ID, row)
 		}
 	default:
-		return 0, nil, fmt.Errorf("%w: unknown mutation op %q", ErrInvalid, op)
+		return 0, nil, nil, fmt.Errorf("%w: unknown mutation op %q", ErrInvalid, op)
 	}
 
 	rec := recMutation{ID: s.ID, Op: op, Row: row}
+	mut := core.Mutation{Op: core.DeltaDelete, Row: row}
 	if op == mutPut {
 		rec.Values = append([]string(nil), values...)
+		mut = core.Mutation{Op: core.DeltaPut, Row: row, Values: rec.Values}
 	}
 	if err := s.wal.append(rec); err != nil {
-		return 0, nil, fmt.Errorf("%w: session %s: %v", ErrDurability, s.ID, err)
+		return 0, nil, nil, fmt.Errorf("%w: session %s: %v", ErrDurability, s.ID, err)
 	}
 	s.mutLog = append(s.mutLog, rec)
-	if err := s.catchUpLocked(); err != nil {
+	ver, ds, err := s.delta.ApplyVersion([]core.Mutation{mut})
+	if err != nil {
 		// The mutation is durable but the engine rejected it — a bug, since
 		// validation above mirrors the engine's. The session fails rather
 		// than serve a version log its engine is not current with; a restart
 		// fails its restore the same way.
 		s.state = StateFailed
 		s.runErr = fmt.Errorf("server: session %s: apply acknowledged mutation: %w", s.ID, err)
-		return 0, nil, s.runErr
+		return 0, nil, nil, s.runErr
 	}
+	s.versions = append(s.versions, ver)
+	s.nextRow = max(s.nextRow, row+1)
 	s.lastUsed = time.Now()
-	version := len(s.versions)
-	entry := s.versions[version-1]
 	mMutations.Inc()
 	slog.Info("server: tuple mutation applied",
-		"session", s.ID, "run", s.runID, "op", op, "row", row, "version", version,
-		"dirty_blocks", entry.delta.DirtyBlocks, "reused_blocks", entry.delta.ReusedBlocks,
-		"refused_tuples", entry.delta.RefusedTuples, "reused_tuples", entry.delta.ReusedTuples)
-	return version, entry, nil
+		"session", s.ID, "run", s.runID, "op", op, "row", row, "version", len(s.versions),
+		"dirty_blocks", ds.DirtyBlocks, "reused_blocks", ds.ReusedBlocks,
+		"refused_tuples", ds.RefusedTuples, "reused_tuples", ds.ReusedTuples)
+	return len(s.versions), ver, ds, nil
 }
 
 // LatestVersion is the newest result version the session serves (0 until
@@ -135,58 +132,59 @@ func (s *Session) LatestVersion() int {
 	return 1 + len(s.mutLog)
 }
 
-// Versioned returns result version v; ErrNotFound past the newest version,
-// the run's error for a failed session.
-func (s *Session) Versioned(v int) (*versionEntry, error) {
+// Versioned returns result version v and, for version 1, the clean's wall
+// time; ErrNotFound past the newest version, the run's error for a failed
+// session. A version not resident since a restart is rebuilt by one full
+// clean of its folded table on a fresh engine, and not kept.
+func (s *Session) Versioned(v int) (*core.Version, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.state {
 	case StateDone:
 	case StateFailed:
-		return nil, s.runErr
+		return nil, 0, s.runErr
 	default:
-		return nil, fmt.Errorf("server: session %s is %s, result not ready", s.ID, s.state)
+		return nil, 0, fmt.Errorf("server: session %s is %s, result not ready", s.ID, s.state)
 	}
-	if v < 1 || v > 1+len(s.mutLog) {
-		return nil, fmt.Errorf("%w: session %s has no result version %d (latest %d)",
-			ErrNotFound, s.ID, v, 1+len(s.mutLog))
+	if v < 1 || v > len(s.versions) {
+		return nil, 0, fmt.Errorf("%w: session %s has no result version %d (latest %d)",
+			ErrNotFound, s.ID, v, len(s.versions))
 	}
 	s.lastUsed = time.Now()
-	return s.versions[v-1], nil
+	var wallMS int64
+	if v == 1 {
+		wallMS = s.wallMS
+	}
+	if ver := s.versions[v-1]; ver != nil {
+		return ver, wallMS, nil
+	}
+	eng, err := core.NewDeltaCleaner(s.schema, s.rules, s.opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	ver, _, err := s.loadEngine(eng, v-1)
+	return ver, wallMS, err
 }
 
 // RepairPage resolves the entries [from, to) of a version's audit trail,
 // clamped to it, under the session lock: resolution reads the engine's
 // dictionary, which a concurrent mutation appends to.
-func (s *Session) RepairPage(entry *versionEntry, from, to int) []Repair {
+func (s *Session) RepairPage(ver *core.Version, from, to int) []Repair {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return entry.ver.Repairs(from, to)
+	return ver.Repairs(from, to)
 }
 
-// catchUpLocked mints one version per unapplied mutation-log record:
-// the one just acknowledged by Mutate, or the whole log on restore. Caller
-// holds s.mu (or owns the unpublished session); the engine is loaded.
-func (s *Session) catchUpLocked() error {
-	for len(s.versions) <= len(s.mutLog) {
-		rec := s.mutLog[len(s.versions)-1]
-		var mut core.Mutation
-		switch rec.Op {
-		case mutPut:
-			mut = core.Mutation{Op: core.DeltaPut, Row: rec.Row, Values: rec.Values}
-		case mutDelete:
-			mut = core.Mutation{Op: core.DeltaDelete, Row: rec.Row}
-		default:
-			return fmt.Errorf("server: session %s: unknown logged mutation op %q", s.ID, rec.Op)
-		}
-		ver, ds, err := s.delta.ApplyVersion([]core.Mutation{mut})
-		if err != nil {
-			return err
-		}
-		if rec.Op == mutPut && rec.Row >= s.nextRow {
-			s.nextRow = rec.Row + 1
-		}
-		s.versions = append(s.versions, &versionEntry{ver: ver, delta: ds})
+// loadEngine loads eng with the session's table after its first n logged
+// mutations — one full clean, rows numbered by stream position — and returns
+// the version it mints and the table's dense-ID high-water mark. The caller
+// holds s.mu, is the session's clean, or is the restore of a session not yet
+// published.
+func (s *Session) loadEngine(eng *core.DeltaCleaner, n int) (*core.Version, int, error) {
+	tb, nextRow, err := foldTable(s.schema, s.batches, s.mutLog[:n])
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil
+	ver, err := eng.LoadVersion(tb)
+	return ver, nextRow, err
 }

@@ -13,17 +13,31 @@ import (
 // exactly on value IDs; the server only stores and pages it.
 type Repair = core.Repair
 
-// preRepairTable rebuilds the session's original streamed input — the
-// pre-repair table rollback restores — from the logged batches. Tuple IDs
-// are stream positions, matching the repaired table's.
-func preRepairTable(schema *dataset.Schema, batches [][][]string) (*dataset.Table, error) {
-	tb := dataset.NewTable(schema)
+// foldTable is a session's input table after the logged batches and the
+// mutations muts, in ascending-ID order: rows are numbered by stream
+// position, each PUT replaces or inserts its row by ID and each DELETE drops
+// it. With no mutations it is the pre-repair table rollback restores. nextRow
+// is one past the largest row ID ever stored, deleted ones included. Rows are
+// shared with the log, which is never written; the engine checks widths.
+func foldTable(schema *dataset.Schema, batches [][][]string, muts []recMutation) (tb *dataset.Table, nextRow int, err error) {
+	var rows [][]string // by ID; nil for a deleted row
 	for _, b := range batches {
-		for _, row := range b {
-			if _, err := tb.Append(row...); err != nil {
-				return nil, fmt.Errorf("server: rebuild pre-repair table: %w", err)
-			}
+		rows = append(rows, b...)
+	}
+	for _, m := range muts {
+		if m.Row < 0 || (m.Op != mutPut && m.Op != mutDelete) {
+			return nil, 0, fmt.Errorf("server: fold logged mutation: %s of row %d", m.Op, m.Row)
+		}
+		if m.Row >= len(rows) {
+			rows = append(rows, make([][]string, m.Row+1-len(rows))...)
+		}
+		rows[m.Row] = m.Values // nil for a delete
+	}
+	tb = dataset.NewTable(schema)
+	for id, row := range rows {
+		if row != nil {
+			tb.Tuples = append(tb.Tuples, &dataset.Tuple{ID: id, Values: row})
 		}
 	}
-	return tb, nil
+	return tb, len(rows), nil
 }

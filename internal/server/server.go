@@ -46,8 +46,9 @@ import (
 // mutation mints the next version. GET result/repairs serve the latest
 // version by default and any older one via ?version=N — versions are
 // immutable and re-serve byte-identically, including after a restart on the
-// same data directory (the mutation log is replayed through the
-// deterministic delta engine).
+// same data directory: a version is a function of a prefix of the session's
+// log, so a restart loads the latest one from the folded log, and an older
+// one is rebuilt, by one full clean, when it is read.
 //
 // Durability: with ManagerConfig.DataDir set, every mutation above is
 // written to a write-ahead log before the 2xx goes out, and a restart on the
@@ -278,9 +279,6 @@ type ResultResponse struct {
 	// RolledBack marks that the session's repairs were reverted: Rows/IDs
 	// are the original streamed values, not the cleaned output.
 	RolledBack bool `json:"rolled_back,omitempty"`
-	// Delta reports how much of version N-1's work this version reused;
-	// absent on version 1.
-	Delta *DeltaSummary `json:"delta,omitempty"`
 }
 
 // DeltaSummary is the wire form of one incremental re-clean's accounting.
@@ -289,18 +287,6 @@ type DeltaSummary struct {
 	ReusedBlocks  int `json:"reused_blocks"`
 	RefusedTuples int `json:"refused_tuples"`
 	ReusedTuples  int `json:"reused_tuples"`
-}
-
-func deltaSummary(d *core.DeltaStats) *DeltaSummary {
-	if d == nil {
-		return nil
-	}
-	return &DeltaSummary{
-		DirtyBlocks:   d.DirtyBlocks,
-		ReusedBlocks:  d.ReusedBlocks,
-		RefusedTuples: d.RefusedTuples,
-		ReusedTuples:  d.ReusedTuples,
-	}
 }
 
 // version resolves the ?version query parameter against a session: absent
@@ -334,7 +320,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	entry, err := sess.Versioned(v)
+	ver, wallMS, err := sess.Versioned(v)
 	if err != nil {
 		writeSessionError(w, err)
 		return
@@ -343,7 +329,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	// restored table in the clean's place.
 	serve, rolled := sess.Restored(), true
 	if serve == nil {
-		serve, rolled = entry.ver.Result().Clean, false
+		serve, rolled = ver.Result().Clean, false
 	}
 	rows, ids := rowsAndIDs(serve)
 	writeJSON(w, http.StatusOK, ResultResponse{
@@ -351,10 +337,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		Attrs:      serve.Schema.Attrs(),
 		Rows:       rows,
 		IDs:        ids,
-		Stats:      entry.ver.Stats(),
-		WallMS:     entry.wallMS,
+		Stats:      ver.Stats(),
+		WallMS:     wallMS,
 		RolledBack: rolled,
-		Delta:      deltaSummary(entry.delta),
 	})
 }
 
@@ -406,12 +391,12 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	entry, err := sess.Versioned(v)
+	ver, _, err := sess.Versioned(v)
 	if err != nil {
 		writeSessionError(w, err)
 		return
 	}
-	total := entry.ver.TrailLen()
+	total := ver.TrailLen()
 	resp := RepairsResponse{Session: sess.ID, Version: v, Total: total, RolledBack: sess.Restored() != nil}
 	// Window the trail: cursor past the end is an empty page, not an error
 	// (the client walked off the tail); a full page that ends short of the
@@ -423,7 +408,7 @@ func (s *Server) handleRepairs(w http.ResponseWriter, r *http.Request) {
 		end = cursor + limit
 		resp.NextCursor = end
 	}
-	resp.Repairs = sess.RepairPage(entry, cursor, end)
+	resp.Repairs = sess.RepairPage(ver, cursor, end)
 	if resp.Repairs == nil {
 		resp.Repairs = []Repair{} // a clean table has an empty trail, not a null one
 	}
@@ -494,7 +479,7 @@ func (s *Server) handleTupleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) finishMutate(w http.ResponseWriter, sess *Session, op string, row int, values []string) {
-	version, entry, err := sess.Mutate(op, row, values)
+	version, ver, ds, err := sess.Mutate(op, row, values)
 	if err != nil {
 		writeSessionError(w, err)
 		return
@@ -504,10 +489,15 @@ func (s *Server) finishMutate(w http.ResponseWriter, sess *Session, op string, r
 		Version: version,
 		Op:      op,
 		Row:     row,
-		Tuples:  entry.ver.Stats().Tuples,
-		Repairs: entry.ver.TrailLen(),
-		Delta:   deltaSummary(entry.delta),
-		WallMS:  entry.delta.Wall.Milliseconds(),
+		Tuples:  ver.Stats().Tuples,
+		Repairs: ver.TrailLen(),
+		Delta: &DeltaSummary{
+			DirtyBlocks:   ds.DirtyBlocks,
+			ReusedBlocks:  ds.ReusedBlocks,
+			RefusedTuples: ds.RefusedTuples,
+			ReusedTuples:  ds.ReusedTuples,
+		},
+		WallMS: ds.Wall.Milliseconds(),
 	})
 }
 

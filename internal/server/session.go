@@ -99,31 +99,35 @@ type Session struct {
 
 	// delta is built (empty) at create, so a rule set it cannot run fails the
 	// create. The clean loads it; a done session restored from the WAL is
-	// loaded from its logged batches before it is published.
+	// loaded with its folded log before it is published. opts are the
+	// options it runs under, for an engine that rebuilds an old version.
 	delta *core.DeltaCleaner
+	opts  core.Options
 	// nextRow is the dense-id high-water mark: one past the largest row id
 	// ever stored (not max(live id)+1), the only fresh id a PUT may insert at.
 	nextRow int
 	// mutLog is the durable mutation sequence (restored from the WAL).
 	// versions[i] serves result version i+1: entry 0 is the clean, entry i the
-	// table after the first i mutations — rebuilt from batches + mutLog after
-	// a restart, byte-identically, because the engine is deterministic.
+	// table after the first i mutations. After a restart only the latest is
+	// resident, loaded from the folded log; a nil entry is rebuilt on read
+	// (Versioned), byte-identically, because the engine is deterministic.
 	mutLog   []recMutation
-	versions []*versionEntry
+	versions []*core.Version
+	// wallMS is the clean's wall time, which version 1 serves.
+	wallMS int64
 }
 
-// SessionInfo is a session's externally visible status snapshot.
+// SessionInfo is a session's externally visible status snapshot. It carries
+// no repair count: version 1's is the total of GET repairs?version=1.
 type SessionInfo struct {
 	ID string `json:"id"`
 	// RunID is the correlation tag the session's log lines carry; stable
 	// across restarts of a durable server.
-	RunID     string       `json:"run_id"`
-	State     SessionState `json:"state"`
-	RulesHash string       `json:"rules_hash"`
-	Tuples    int          `json:"tuples"`
-	// Repairs is the length of version 1's audit trail.
-	Repairs    int  `json:"repairs,omitempty"`
-	RolledBack bool `json:"rolled_back,omitempty"`
+	RunID      string       `json:"run_id"`
+	State      SessionState `json:"state"`
+	RulesHash  string       `json:"rules_hash"`
+	Tuples     int          `json:"tuples"`
+	RolledBack bool         `json:"rolled_back,omitempty"`
 	// Versions is the number of result versions the session serves: 1 for
 	// the clean, plus one per applied tuple mutation. Zero until the session
 	// is done.
@@ -148,7 +152,6 @@ func (s *Session) Info() SessionInfo {
 		LastUsedAt: s.lastUsed,
 	}
 	if s.state == StateDone {
-		info.Repairs = s.versions[0].ver.TrailLen()
 		info.Versions = 1 + len(s.mutLog)
 	}
 	if s.runErr != nil {
@@ -216,7 +219,7 @@ func (s *Session) Clean() error {
 // and publish the result as version 1.
 func (s *Session) runClean() {
 	t0 := time.Now()
-	v1, err := s.loadEngine()
+	v1, nextRow, err := s.loadEngine(s.delta, 0)
 	wall := time.Since(t0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,33 +242,17 @@ func (s *Session) runClean() {
 	// completion that could not be logged is still served from memory; after
 	// a restart the clean runs again from the logged batches and reproduces
 	// the same bytes.
-	v1.wallMS = wall.Milliseconds()
-	if err := s.wal.append(recCleanDone{ID: s.ID, WallMS: v1.wallMS}); err != nil {
+	s.wallMS = wall.Milliseconds()
+	if err := s.wal.append(recCleanDone{ID: s.ID, WallMS: s.wallMS}); err != nil {
 		slog.Warn("server: clean completion not logged", "session", s.ID, "run", s.runID, "err", err)
 	}
 	s.state = StateDone
-	s.versions = []*versionEntry{v1}
+	s.versions = []*core.Version{v1}
+	s.nextRow = nextRow
 	mCleansDone.Inc()
 	slog.Info("server: clean done",
-		"session", s.ID, "run", s.runID, "rows", v1.ver.Stats().Tuples-v1.ver.Stats().DuplicatesRemoved, "repairs", v1.ver.TrailLen(),
+		"session", s.ID, "run", s.runID, "rows", v1.Stats().Tuples-v1.Stats().DuplicatesRemoved, "repairs", v1.TrailLen(),
 		"wall", wall.Round(time.Millisecond))
-}
-
-// loadEngine runs the one full clean of a session's life — DeltaCleaner.Load
-// over the streamed tuples, rows numbered by stream position — and returns
-// it as version 1. The caller holds s.mu, is the session's clean, or is the
-// restore of a session not yet published.
-func (s *Session) loadEngine() (*versionEntry, error) {
-	base, err := preRepairTable(s.schema, s.batches)
-	if err != nil {
-		return nil, err
-	}
-	ver, err := s.delta.LoadVersion(base)
-	if err != nil {
-		return nil, err
-	}
-	s.nextRow = base.Len()
-	return &versionEntry{ver: ver}, nil
 }
 
 // Rollback restores the pre-repair table from the session's logged batches:
@@ -277,16 +264,17 @@ func (s *Session) Rollback() (*dataset.Table, int, error) {
 	if s.state != StateDone {
 		return nil, 0, fmt.Errorf("server: session %s is %s, cannot roll back", s.ID, s.state)
 	}
-	reverted := s.versions[0].ver.TrailLen()
-	if s.rolled != nil {
-		return s.rolled, reverted, nil
-	}
 	if len(s.mutLog) > 0 {
 		// The audit trail rollback restores predates the mutations; reverting
 		// it under them would serve a table no version ever described.
 		return nil, 0, fmt.Errorf("server: session %s has %d tuple mutations, cannot roll back", s.ID, len(s.mutLog))
 	}
-	tb, err := preRepairTable(s.schema, s.batches)
+	// With no mutations, version 1 is the latest, so it is resident.
+	reverted := s.versions[0].TrailLen()
+	if s.rolled != nil {
+		return s.rolled, reverted, nil
+	}
+	tb, _, err := foldTable(s.schema, s.batches, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -330,8 +318,10 @@ type ManagerConfig struct {
 	// DataDir enables durability: every session mutation is written to a
 	// write-ahead log under this directory before it is acknowledged, and a
 	// restart on the same directory replays it — sessions rebuilt, each done
-	// session's engine loaded from its logged tuples and its mutations
-	// replayed, so every result version re-serves byte-identically. Empty
+	// session's logged tuples and mutations folded into its latest table and
+	// loaded once, so a restart costs one full clean per done session
+	// whatever its age. Every result version re-serves byte-identically; an
+	// older one read after a restart costs one full clean of its table. Empty
 	// (and WALFS nil) means in-memory only, the pre-durability behavior.
 	DataDir string
 	// WALFS overrides the log's filesystem (tests inject the fault-injecting
@@ -410,9 +400,15 @@ func (m *Manager) Recovery() *RecoverySummary { return m.rec }
 // live world. Sessions restore in creation order; restored sessions do not
 // count against MaxSessions (they were admitted before the restart).
 func (m *Manager) replay(fs wal.FS) error {
+	// The Validate hook decodes every surviving record, in log order, and
+	// truncates at the first it cannot: what it decoded is the tail to fold.
+	var tail []Record
 	lg, rec, err := wal.Open(fs, wal.Options{
 		Validate: func(p []byte) error {
-			_, err := decodeRecord(p)
+			r, err := decodeRecord(p)
+			if err == nil {
+				tail = append(tail, r)
+			}
 			return err
 		},
 	})
@@ -426,11 +422,7 @@ func (m *Manager) replay(fs wal.FS) error {
 			return err
 		}
 	}
-	for _, p := range rec.Records {
-		r, err := decodeRecord(p)
-		if err != nil {
-			continue // unreachable: the Validate hook truncated these
-		}
+	for _, r := range tail {
 		st.apply(r)
 	}
 	sum := &RecoverySummary{
@@ -471,10 +463,10 @@ func (m *Manager) replay(fs wal.FS) error {
 }
 
 // restore rebuilds one session from its folded log state. An open or
-// mid-clean session needs only its batches. A done one is rebuilt the way it
-// was served: the engine loads the batches (version 1, with the logged wall
-// time) and replays the mutation log (every later version). Any error fails
-// the restore.
+// mid-clean session needs only its batches. A done one loads its engine once
+// with the batches and every logged mutation folded into its latest table:
+// that version is resident, every older one is rebuilt on read (Versioned),
+// and version 1 keeps the logged wall time. Any error fails the restore.
 func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 	s, err := newSession(snap.RunID, snap.Req)
 	if err != nil {
@@ -488,21 +480,18 @@ func (m *Manager) restore(id string, snap *sessSnap) (*Session, error) {
 		s.tuples += len(b)
 	}
 	if snap.RolledBack {
-		if s.rolled, err = preRepairTable(s.schema, snap.Batches); err != nil {
+		if s.rolled, _, err = foldTable(s.schema, snap.Batches, nil); err != nil {
 			return nil, err
 		}
 	}
 	if snap.Done != nil {
-		v1, err := s.loadEngine()
+		latest, nextRow, err := s.loadEngine(s.delta, len(s.mutLog))
 		if err != nil {
 			return nil, err
 		}
-		v1.wallMS = snap.Done.WallMS
-		s.state = StateDone
-		s.versions = []*versionEntry{v1}
-		if err := s.catchUpLocked(); err != nil {
-			return nil, err
-		}
+		s.state, s.wallMS, s.nextRow = StateDone, snap.Done.WallMS, nextRow
+		s.versions = make([]*core.Version, 1+len(s.mutLog))
+		s.versions[len(s.mutLog)] = latest
 	}
 	return s, nil
 }
@@ -523,11 +512,12 @@ func newSession(runID string, req CreateRequest) (*Session, error) {
 	}
 	// The request's pipeline knobs that shape outcomes: τ, metric, duplicate
 	// handling. Every version is core.Clean of its table under these.
-	eng, err := core.NewDeltaCleaner(schema, rs, core.Options{
+	opts := core.Options{
 		Tau:            req.Tau,
 		Metric:         metricFor(req.Metric),
 		KeepDuplicates: req.KeepDuplicates,
-	})
+	}
+	eng, err := core.NewDeltaCleaner(schema, rs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -544,6 +534,7 @@ func newSession(runID string, req CreateRequest) (*Session, error) {
 		created:   now,
 		lastUsed:  now,
 		delta:     eng,
+		opts:      opts,
 	}, nil
 }
 

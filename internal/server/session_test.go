@@ -139,7 +139,7 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err := s.Clean(); err == nil {
 		t.Error("second clean should fail")
 	}
-	if _, err := s.Versioned(1); err != nil {
+	if _, _, err := s.Versioned(1); err != nil {
 		t.Fatalf("result = %v", err)
 	}
 }
