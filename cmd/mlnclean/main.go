@@ -5,13 +5,10 @@
 //
 //	mlnclean -input dirty.csv -rules rules.txt -output clean.csv [flags]
 //
-// With -workers N (N > 1) the distributed executor of §6 cleans the table
-// on a concurrent worker pool: Algorithm 3 partitioning in its online form
-// (the CSV streams through it), per-worker cleaning with the Eq. 6 weight
-// merge, and a global gather. -transport
-// selects how coordinator and workers exchange messages (chan: in-process
-// channels; gob: every message round-trips through its serialized wire
-// form; http: the gob framing over a real loopback HTTP listener).
+// With -workers N (N > 1) the distributed variant of §6 cleans the table:
+// Algorithm 3 partitioning in its online form (the CSV streams through it),
+// every part cleaned on its own goroutine with the Eq. 6 weight merge, and a
+// global gather.
 //
 // The rule file holds one constraint per line (see internal/rules):
 //
@@ -42,7 +39,6 @@ type runConfig struct {
 	keepDups                 bool
 	verbose                  bool
 	workers                  int
-	transport                string
 	batchSize                int
 	seed                     int64
 }
@@ -52,13 +48,12 @@ func main() {
 	flag.StringVar(&cfg.input, "input", "", "dirty CSV file (required)")
 	flag.StringVar(&cfg.rulesPath, "rules", "", "rule file, one constraint per line (required)")
 	flag.StringVar(&cfg.output, "output", "", "cleaned CSV file (default stdout)")
-	flag.IntVar(&cfg.tau, "tau", 1, "AGP abnormal-group threshold τ")
+	flag.IntVar(&cfg.tau, "tau", 1, "AGP abnormal-group threshold τ (0 disables AGP)")
 	flag.StringVar(&cfg.metricName, "metric", "levenshtein", "distance metric: levenshtein|cosine")
 	flag.BoolVar(&cfg.keepDups, "keep-duplicates", false, "skip duplicate elimination")
 	flag.BoolVar(&cfg.verbose, "v", false, "print pipeline statistics to stderr")
-	flag.IntVar(&cfg.workers, "workers", 1, "worker count; > 1 runs the distributed executor (§6)")
-	flag.StringVar(&cfg.transport, "transport", "chan", "distributed transport: chan|gob|http")
-	flag.IntVar(&cfg.batchSize, "batch", 1024, "tuples per distributed partition shipment")
+	flag.IntVar(&cfg.workers, "workers", 1, "worker count; > 1 runs the distributed variant (§6)")
+	flag.IntVar(&cfg.batchSize, "batch", 1024, "rows the distributed online partitioner reads between assignments")
 	flag.Int64Var(&cfg.seed, "seed", 1, "partition centroid seed (distributed only)")
 	flag.Parse()
 	if cfg.input == "" || cfg.rulesPath == "" {
@@ -76,6 +71,9 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
+	if cfg.tau < 0 {
+		return fmt.Errorf("-tau must be ≥ 0, got %d", cfg.tau)
+	}
 	rf, err := os.Open(cfg.rulesPath)
 	if err != nil {
 		return err
@@ -85,8 +83,10 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
+	// The flag defaults to 1, so -tau 0 is asked for: it disables AGP.
 	coreOpts := core.Options{
 		Tau:            cfg.tau,
+		TauSet:         true,
 		Metric:         metric,
 		KeepDuplicates: cfg.keepDups,
 	}
@@ -96,19 +96,14 @@ func run(cfg runConfig) error {
 		stats core.Stats
 	)
 	if cfg.workers > 1 {
-		factory, err := distributed.TransportByName(cfg.transport)
-		if err != nil {
-			return err
-		}
 		dopts := distributed.Options{
 			Workers:   cfg.workers,
 			Seed:      cfg.seed,
 			Core:      coreOpts,
-			Transport: factory,
 			BatchSize: cfg.batchSize,
 		}
-		// Stream the CSV straight into the executor's online partitioner —
-		// the raw table is never held here.
+		// Stream the CSV straight into the online partitioner — the raw
+		// table is never held here.
 		stream, err := dataset.StreamCSVFile(cfg.input)
 		if err != nil {
 			return err
@@ -120,8 +115,8 @@ func run(cfg runConfig) error {
 		clean = res.Clean
 		stats = res.Stats
 		if cfg.verbose {
-			fmt.Fprintf(os.Stderr, "distributed: %d workers (%s transport), parts=%v, wall=%v, modeled cluster=%v\n",
-				res.Workers, cfg.transport, res.PartSizes,
+			fmt.Fprintf(os.Stderr, "distributed: %d workers, parts=%v, wall=%v, modeled cluster=%v\n",
+				res.Workers, res.PartSizes,
 				res.WallTime.Round(time.Millisecond), res.ClusterTime().Round(time.Millisecond))
 		}
 	} else {

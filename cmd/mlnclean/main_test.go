@@ -1,12 +1,18 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mlnclean/internal/core"
+	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
+	"mlnclean/internal/distributed"
+	"mlnclean/internal/errgen"
+	"mlnclean/internal/rules"
 )
 
 // TestRunEndToEnd drives the CLI's run function over the paper's Table 1
@@ -86,7 +92,7 @@ func TestRunDeterministic(t *testing.T) {
 		cfg := runConfig{
 			input: input, rulesPath: rulesPath, output: out,
 			tau: 1, metricName: "levenshtein",
-			workers: workers, transport: "chan", batchSize: 2, seed: 1,
+			workers: workers, batchSize: 2, seed: 1,
 		}
 		if err := run(cfg); err != nil {
 			t.Fatalf("run (workers=%d): %v", workers, err)
@@ -130,12 +136,13 @@ func TestRunKeepDuplicates(t *testing.T) {
 	}
 }
 
-// TestRunDistributed drives the CLI through the distributed executor, once
-// per transport, and checks both clean the sample identically.
+// TestRunDistributed drives the CLI through the distributed variant and
+// checks it writes what distributed.CleanStream cleans from the same file.
 func TestRunDistributed(t *testing.T) {
 	dir := t.TempDir()
 	input := filepath.Join(dir, "dirty.csv")
 	rulesPath := filepath.Join(dir, "rules.txt")
+	output := filepath.Join(dir, "clean.csv")
 
 	tb := dataset.NewTable(dataset.MustSchema("HN", "CT", "ST", "PN"))
 	tb.MustAppend("ALABAMA", "DOTHAN", "AL", "3347938701")
@@ -156,33 +163,104 @@ func TestRunDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outputs := make(map[string]*dataset.Table)
-	for _, transport := range []string{"chan", "gob"} {
-		output := filepath.Join(dir, "clean-"+transport+".csv")
-		cfg := runConfig{
-			input: input, rulesPath: rulesPath, output: output,
-			tau: 1, metricName: "levenshtein",
-			workers: 2, transport: transport, batchSize: 2, seed: 1,
-		}
+	cfg := runConfig{
+		input: input, rulesPath: rulesPath, output: output,
+		tau: 1, metricName: "levenshtein",
+		workers: 2, batchSize: 2, seed: 1,
+	}
+	if err := run(cfg); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	clean, err := dataset.ReadCSVFile(output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Len() == 0 || clean.Len() >= tb.Len() {
+		t.Errorf("cleaned tuples = %d, want deduplicated subset", clean.Len())
+	}
+	stream, err := dataset.StreamCSVFile(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := distributed.CleanStream(context.Background(), stream, rules.MustParseStrings(strings.Split(rulesText, "\n")...),
+		distributed.Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 1}, BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Len() != res.Clean.Len() || len(clean.Diff(res.Clean)) != 0 {
+		t.Error("the CLI cleaned the sample differently from distributed.CleanStream")
+	}
+}
+
+// TestRunTau: -tau 0 disables AGP — the CLI writes what core.Clean writes at
+// τ = 0 — which on a 1,992-tuple HAI table is not what τ = 1 cleans, on the
+// solo and the distributed path alike; a negative -tau is rejected.
+func TestRunTau(t *testing.T) {
+	truth, rs, err := datagen.HAI(datagen.HAIConfig{Rows: 2000, Providers: 2000 / 12, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.1, ReplacementRatio: 0.5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	input := filepath.Join(dir, "dirty.csv")
+	rulesPath := filepath.Join(dir, "rules.txt")
+	output := filepath.Join(dir, "clean.csv")
+	if err := inj.Dirty.WriteCSVFile(input); err != nil {
+		t.Fatal(err)
+	}
+	// datagen.HAIRules, as rule-file lines.
+	rulesText := strings.Join([]string{
+		"FD: PhoneNumber -> ZIPCode",
+		"FD: PhoneNumber -> State",
+		"FD: ZIPCode -> City",
+		"FD: MeasureID -> MeasureName",
+		"FD: ZIPCode -> CountyName",
+		"FD: ProviderID -> City, PhoneNumber",
+		"DC: not(PhoneNumber(t)=PhoneNumber(t') and State(t)!=State(t'))",
+	}, "\n")
+	if err := os.WriteFile(rulesPath, []byte(rulesText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	render := func(tau, workers int) string {
+		t.Helper()
+		cfg := runConfig{input: input, rulesPath: rulesPath, output: output, tau: tau, metricName: "levenshtein", workers: workers, batchSize: 1024, seed: 1}
 		if err := run(cfg); err != nil {
-			t.Fatalf("run (%s): %v", transport, err)
+			t.Fatalf("run (tau=%d, workers=%d): %v", tau, workers, err)
 		}
-		clean, err := dataset.ReadCSVFile(output)
+		b, err := os.ReadFile(output)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if clean.Len() == 0 || clean.Len() >= tb.Len() {
-			t.Errorf("%s: cleaned tuples = %d, want deduplicated subset", transport, clean.Len())
-		}
-		outputs[transport] = clean
-	}
-	if a, b := outputs["chan"], outputs["gob"]; a.Len() != b.Len() || len(a.Diff(b)) != 0 {
-		t.Error("chan and gob transports cleaned the sample differently")
+		return string(b)
 	}
 
-	cfg := runConfig{input: input, rulesPath: rulesPath, tau: 1, metricName: "levenshtein", workers: 2, transport: "carrier-pigeon"}
-	if err := run(cfg); err == nil {
-		t.Error("unknown transport should fail")
+	want, err := core.Clean(inj.Dirty, rs, core.Options{Tau: 0, TauSet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.AbnormalGroups != 0 {
+		t.Fatalf("core.Clean at τ = 0 found %d abnormal groups", want.Stats.AbnormalGroups)
+	}
+	var buf strings.Builder
+	if err := want.Clean.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(0, 1); got != buf.String() {
+		t.Error("-tau 0 does not write what core.Clean writes at τ = 0")
+	}
+	if render(1, 1) == buf.String() {
+		t.Error("-tau 1 writes what τ = 0 writes: the fixture cannot tell τ = 0 from the default")
+	}
+	if render(0, 2) == render(1, 2) {
+		t.Error("-tau 0 and -tau 1 write the same table with -workers 2")
+	}
+
+	cfg := runConfig{input: input, rulesPath: rulesPath, tau: -1, metricName: "levenshtein", workers: 1}
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "-tau") {
+		t.Errorf("run with -tau -1 = %v, want an error naming -tau", err)
 	}
 }
 

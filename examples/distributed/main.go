@@ -1,12 +1,13 @@
 // Distributed: run MLNClean's Spark-style variant (§6) over a TPC-H
-// projection on the concurrent executor — Algorithm 3 partitioning,
-// per-worker stage I and RSC on a goroutine pool with the Eq. 6 weight merge
-// exchanged over the transport, and stage II once, in the gather — sweeping
-// the worker count as in Table 6, then streaming the same table through the
-// batched Submit path.
+// projection — Algorithm 3 partitioning, stage I and RSC for every part on
+// its own goroutine with the Eq. 6 weight merge between them, and stage II
+// once, in the gather — sweeping the worker count as in Table 6, then
+// streaming the same table as CSV through CleanStream's online partitioner.
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -55,37 +56,29 @@ func main() {
 		}
 	}
 
-	// Streaming ingest: the same table fed through Executor.Submit in
-	// batches — partitions are assigned online and shipped over the
-	// transport as they arrive, never materialized up front.
-	ex, err := distributed.NewExecutor(inj.Dirty.Schema, rs, distributed.Options{
-		Workers: 4,
-		Seed:    1,
-		Core:    core.Options{Tau: 2},
-	})
+	// Streaming ingest: the same table read back from CSV by CleanStream,
+	// which assigns parts online every batchRows rows — the table is never
+	// held before it is partitioned.
+	var csv bytes.Buffer
+	if err := inj.Dirty.WriteCSV(&csv); err != nil {
+		log.Fatal(err)
+	}
+	stream, err := dataset.StreamCSV(&csv)
 	if err != nil {
 		log.Fatal(err)
 	}
 	const batchRows = 1000
-	for lo := 0; lo < inj.Dirty.Len(); lo += batchRows {
-		hi := lo + batchRows
-		if hi > inj.Dirty.Len() {
-			hi = inj.Dirty.Len()
-		}
-		batch := dataset.NewTable(inj.Dirty.Schema)
-		for _, t := range inj.Dirty.Tuples[lo:hi] {
-			batch.MustAppend(t.Values...)
-		}
-		if err := ex.Submit(batch); err != nil {
-			log.Fatal(err)
-		}
-	}
-	res, err := ex.Run()
+	res, err := distributed.CleanStream(context.Background(), stream, rs, distributed.Options{
+		Workers:   4,
+		Seed:      1,
+		Core:      core.Options{Tau: 2},
+		BatchSize: batchRows,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	q := eval.RepairQuality(truth, inj.Dirty, res.Repaired)
-	fmt.Printf("\nstreaming Submit (4 workers, %d-row batches): wall=%v F1=%.3f parts=%v\n",
+	fmt.Printf("\nstreaming CleanStream (4 workers, %d-row batches): wall=%v F1=%.3f parts=%v\n",
 		batchRows, res.WallTime.Round(time.Millisecond), q.F1, res.PartSizes)
 
 	fmt.Println("\n→ wall time is the measured concurrent run on this host; cluster")

@@ -35,7 +35,7 @@ func AblationMinimality(sc Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		without, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau, MinimalityPrior: 0, MinimalityPriorSet: true})
+		without, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau, MinimalityPrior: 0.5})
 		if err != nil {
 			return nil, err
 		}

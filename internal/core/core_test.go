@@ -185,8 +185,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o2.Tau != 0 {
 		t.Errorf("TauSet zero overridden: %d", o2.Tau)
 	}
-	// Disabled minimality prior.
-	o3 := Options{MinimalityPrior: 0, MinimalityPriorSet: true}.withDefaults()
+	// Disabled minimality prior: ε = 0.5 costs a change nothing.
+	o3 := Options{MinimalityPrior: 0.5}.withDefaults()
 	if o3.changePenalty() != 1 {
 		t.Errorf("disabled prior penalty = %v", o3.changePenalty())
 	}

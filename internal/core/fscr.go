@@ -211,7 +211,7 @@ func (e *FusionWidthError) Error() string {
 
 // CheckFusionWidth returns a *FusionWidthError when rs links more rules into
 // one attribute-connected component than the fusion search can order. Clean,
-// NewDeltaCleaner and the distributed executor call it before any work;
+// NewDeltaCleaner and the distributed entry points call it before any work;
 // attributes the schema lacks are left for rule validation to report.
 func CheckFusionWidth(schema *dataset.Schema, rs []*rules.Rule) error {
 	posPerRule := make([][]int, len(rs))

@@ -45,9 +45,6 @@ type Options struct {
 	// change then costs nothing); default 0.05, the enterprise error rate
 	// the paper cites (§7.1).
 	MinimalityPrior float64
-	// MinimalityPriorSet honours a zero MinimalityPrior (treated as 0.05
-	// otherwise).
-	MinimalityPriorSet bool
 	// KeepDuplicates skips the final duplicate-elimination step.
 	KeepDuplicates bool
 	// Trace, when non-nil, collects the per-phase decisions needed by the
@@ -68,11 +65,8 @@ func (o Options) withDefaults() Options {
 	if o.MergeCapRatio <= 0 {
 		o.MergeCapRatio = 0.4
 	}
-	if o.MinimalityPrior <= 0 && !o.MinimalityPriorSet {
+	if o.MinimalityPrior <= 0 {
 		o.MinimalityPrior = 0.05
-	}
-	if o.MinimalityPrior < 0 {
-		o.MinimalityPrior = 0
 	}
 	if o.MinimalityPrior > 0.5 {
 		o.MinimalityPrior = 0.5
@@ -81,8 +75,8 @@ func (o Options) withDefaults() Options {
 }
 
 // changePenalty is the multiplicative cost of one changed cell under the
-// minimality prior: ε/(1−ε). A prior of 0 disables minimality (factor 1)
-// only via MinimalityPriorSet; 0.5 also yields factor 1.
+// minimality prior: ε/(1−ε). A prior of 0.5 disables minimality (factor 1
+// exactly), as does an unset prior on options that skipped withDefaults.
 func (o Options) changePenalty() float64 {
 	if o.MinimalityPrior <= 0 {
 		return 1

@@ -32,9 +32,9 @@ import (
 // order-dependent (merges, rewrites, memo and trace records) in item order,
 // so output does not depend on who ran which item either.
 //
-// The distributed protocol (§6) differs from the solo one only by the Eq. 6
-// weight merge between learning and RSC, which is why its worker runs two
-// masks over the same blocks instead of one.
+// The distributed run (§6) differs from the solo one only by the Eq. 6
+// weight merge between learning and RSC, which is why each of its parts runs
+// two masks over the same blocks instead of one.
 //
 // Pulling blocks from an index.BlockIterator overlaps building with
 // cleaning: a serial producer builds block i+1 while workers clean block i,
@@ -359,9 +359,9 @@ func streamStage(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded
 
 // StreamAGPLearn is the distributed worker's stage I: the index is built
 // block by block with AGP and weight learning run on each block as it
-// appears. RSC is NOT run — the distributed protocol puts the Eq. 6 weight
-// merge between learning and RSC, so the worker calls StageRSC once the
-// merged weights have arrived. Output is byte-identical to BuildConfigured
+// appears. RSC is NOT run — the distributed run puts the Eq. 6 weight merge
+// between learning and RSC, so each part calls StageRSC once the merged
+// weights are in. Output is byte-identical to BuildConfigured
 // followed by StageAGP and StageLearn.
 func StreamAGPLearn(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, st *Stats) (*index.Index, error) {
 	return streamStage(ctx, dirty, enc, rs, opts.withDefaults(), phaseAGP|phaseLearn, st)

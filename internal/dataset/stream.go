@@ -176,9 +176,8 @@ func (se *StreamEncoder) Append(values []string) (*Tuple, error) {
 	return se.AppendID(len(se.tb.Tuples), values)
 }
 
-// AppendID is Append with a caller-supplied tuple ID: the distributed
-// workers preserve the coordinator's global tuple IDs across the wire while
-// still ingesting batches through the encoder.
+// AppendID is Append with a caller-supplied tuple ID: a distributed run
+// encodes a table under its own tuple IDs this way.
 func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
 	if len(values) != se.schema.Len() {
 		return nil, fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(values), se.schema.Len())
@@ -195,7 +194,7 @@ func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
 // AppendEncoded is AppendID for a row already encoded in the encoder's
 // dictionary: the IDs are copied, and the tuple's values alias the
 // dictionary's strings as AppendID's do. Every ID must be below Dict().Len().
-// The distributed workers ingest the coordinator's ID rows this way, after
+// A distributed run's parts take the run's ID rows this way, after
 // translating them into their own dictionary.
 func (se *StreamEncoder) AppendEncoded(id int, ids []uint32) (*Tuple, error) {
 	if len(ids) != se.schema.Len() {

@@ -4,41 +4,86 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mlnclean/internal/core"
 	"mlnclean/internal/dataset"
+	"mlnclean/internal/distance"
+	"mlnclean/internal/rules"
 )
 
-// TestExecutorContextCancel: cancelling the executor's context aborts the
-// run promptly with the context's error and releases the worker goroutines
-// (the run returns instead of hanging on the transport).
+// rowStream is a RowStream over a table's rows that calls at(n) before
+// handing out row n (and at(len) before io.EOF), so a test can act at a
+// chosen point of the stream.
+type rowStream struct {
+	tb *dataset.Table
+	n  int
+	at func(n int)
+}
+
+func (s *rowStream) Schema() *dataset.Schema { return s.tb.Schema }
+
+func (s *rowStream) Next() ([]string, error) {
+	if s.at != nil {
+		s.at(s.n)
+	}
+	if s.n == s.tb.Len() {
+		return nil, io.EOF
+	}
+	s.n++
+	return s.tb.Tuples[s.n-1].Values, nil
+}
+
+// noLeak fails t if the goroutines running when it was called are not all
+// that remain once the returned check runs: a returned run must have waited
+// for every part.
+func noLeak(t *testing.T) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines running after the run returned, %d before", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// TestExecutorContextCancel: cancelling a run's context aborts it promptly
+// with the context's error and leaves no goroutine of it running — before
+// the stream is read, mid-stream, and mid-run.
 func TestExecutorContextCancel(t *testing.T) {
 	_, dirty, rs := equivalenceFixture(t)
+	opts := Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 2}, BatchSize: 4}
 
 	t.Run("before run", func(t *testing.T) {
+		check := noLeak(t)
 		ctx, cancel := context.WithCancel(context.Background())
-		ex, err := NewExecutorContext(ctx, dirty.Schema, rs, Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ex.Submit(dirty); err != nil {
-			t.Fatal(err)
-		}
 		cancel()
-		if _, err := ex.Run(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Run after cancel = %v, want context.Canceled", err)
+		if _, err := CleanStream(ctx, &rowStream{tb: dirty}, rs, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("CleanStream with a cancelled ctx = %v, want context.Canceled", err)
 		}
+		if _, err := CleanContext(ctx, dirty, rs, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("CleanContext with a cancelled ctx = %v, want context.Canceled", err)
+		}
+		check()
 	})
 
 	t.Run("mid run", func(t *testing.T) {
+		check := noLeak(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := CleanContext(ctx, dirty, rs, Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 2}})
+			_, err := CleanContext(ctx, dirty, rs, opts)
 			done <- err
 		}()
 		// Cancel while the run is (very likely) in flight; whichever side
@@ -54,27 +99,26 @@ func TestExecutorContextCancel(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("cancelled run did not return")
 		}
+		check()
 	})
 
 	t.Run("abandoned executor", func(t *testing.T) {
+		// The caller walks away mid-stream: the next flush sees the
+		// cancelled context and the stream is read no further.
+		check := noLeak(t)
 		ctx, cancel := context.WithCancel(context.Background())
-		ex, err := NewExecutorContext(ctx, dirty.Schema, rs, Options{Workers: 4, Seed: 1, Core: core.Options{Tau: 2}})
-		if err != nil {
-			t.Fatal(err)
+		s := &rowStream{tb: dirty, at: func(n int) {
+			if n == 8 {
+				cancel()
+			}
+		}}
+		if _, err := CleanStream(ctx, s, rs, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("CleanStream cancelled mid-stream = %v, want context.Canceled", err)
 		}
-		batch := dataset.NewTable(dirty.Schema)
-		for _, tp := range dirty.Tuples[:8] {
-			batch.MustAppend(tp.Values...)
+		if s.n > 8+opts.BatchSize {
+			t.Errorf("read %d rows, want at most one batch past the cancel at row 8", s.n)
 		}
-		if err := ex.Submit(batch); err != nil {
-			t.Fatal(err)
-		}
-		// The caller walks away: cancellation alone must tear the transport
-		// down so the worker goroutines drain without Run or Close.
-		cancel()
-		if err := ex.Submit(batch); err == nil {
-			t.Error("submit after cancel succeeded")
-		}
+		check()
 	})
 }
 
@@ -89,133 +133,83 @@ func TestCoreCleanContextCancel(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterTransportClose: a transport torn down under a live
-// executor fails the next Submit with the transport error instead of
-// blocking, and the executor stays failed afterwards.
-func TestSubmitAfterTransportClose(t *testing.T) {
-	_, dirty, rs := equivalenceFixture(t)
-	var tr Transport
-	opts := Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 2}}
-	opts.Transport = func(k int) Transport {
-		tr = NewChanTransport(k)
-		return tr
-	}
-	ex, err := NewExecutor(dirty.Schema, rs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := dataset.NewTable(dirty.Schema)
-	for _, tp := range dirty.Tuples[:16] {
-		batch.MustAppend(tp.Values...)
-	}
-	if err := ex.Submit(batch); err != nil {
-		t.Fatal(err)
-	}
-	tr.Close()
-	if err := ex.Submit(batch); !errors.Is(err, errTransportClosed) {
-		t.Fatalf("Submit after transport close = %v, want %v", err, errTransportClosed)
-	}
-	// The failure is sticky: later calls report the recorded error.
-	if err := ex.Submit(batch); !errors.Is(err, errTransportClosed) {
-		t.Fatalf("second Submit after transport close = %v, want %v", err, errTransportClosed)
-	}
-	if _, err := ex.Run(); !errors.Is(err, errTransportClosed) {
-		t.Fatalf("Run after transport close = %v, want %v", err, errTransportClosed)
-	}
+// cancelMetric is Levenshtein that, once armed, cancels the run's context
+// at its first measurement.
+type cancelMetric struct {
+	armed  atomic.Bool
+	once   sync.Once
+	cancel context.CancelFunc
+	fired  chan struct{}
 }
 
-// gatherSignalTransport flags the moment the coordinator enters its gather
-// receive loop, so a test can cancel mid-gather deterministically.
-type gatherSignalTransport struct {
-	Transport
-	entered chan struct{}
-}
+func (m *cancelMetric) Name() string { return "cancel-levenshtein" }
 
-func (t *gatherSignalTransport) CoordinatorRecv() (Message, error) {
-	select {
-	case <-t.entered:
-	default:
-		close(t.entered)
+func (m *cancelMetric) Distance(a, b string) float64 {
+	if m.armed.Load() {
+		m.once.Do(func() {
+			m.cancel()
+			close(m.fired)
+		})
 	}
-	return t.Transport.CoordinatorRecv()
+	return distance.Levenshtein{}.Distance(a, b)
 }
 
 // TestCleanContextCancelMidGather: cancelling the run's context while the
-// coordinator is blocked gathering worker replies aborts promptly with
-// context.Canceled — the watcher tears the transport down under the gather
-// loop.
+// parts are cleaning aborts promptly with context.Canceled, and every part's
+// goroutine has returned by then. The metric is armed once the stream is
+// drained — the last flush has assigned every row, so the partitioner
+// measures nothing more — and so fires in the parts' stage I.
 func TestCleanContextCancelMidGather(t *testing.T) {
 	_, dirty, rs := equivalenceFixture(t)
-	sig := &gatherSignalTransport{entered: make(chan struct{})}
-	opts := Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 2}}
-	opts.Transport = func(k int) Transport {
-		sig.Transport = NewChanTransport(k)
-		return sig
+	if dirty.Len()%64 != 0 {
+		t.Fatalf("fixture has %d rows; the last flush must fall on EOF", dirty.Len())
 	}
+	check := noLeak(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	m := &cancelMetric{cancel: cancel, fired: make(chan struct{})}
+	s := &rowStream{tb: dirty, at: func(n int) {
+		if n == dirty.Len() {
+			m.armed.Store(true)
+		}
+	}}
+	opts := Options{Workers: 2, Seed: 1, Core: core.Options{Tau: 2, Metric: m}, BatchSize: 64}
 	done := make(chan error, 1)
 	go func() {
-		_, err := CleanContext(ctx, dirty, rs, opts)
+		_, err := CleanStream(ctx, s, rs, opts)
 		done <- err
 	}()
 	select {
-	case <-sig.entered:
-	case <-time.After(30 * time.Second):
-		t.Fatal("coordinator never entered gather")
-	}
-	cancel()
-	select {
 	case err := <-done:
+		select {
+		case <-m.fired:
+		default:
+			t.Fatalf("the parts measured no distance (run returned %v): the test cancels nothing", err)
+		}
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("CleanContext cancelled mid-gather = %v, want context.Canceled", err)
+			t.Fatalf("CleanStream cancelled mid-run = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled mid-gather run did not return")
+		t.Fatal("cancelled mid-run did not return")
 	}
+	check()
 }
 
-var errReplyLost = errors.New("reply lost")
-
-// failFirstReply fails worker slot's first reply to the coordinator, as a
-// transport call failing under a worker would.
-type failFirstReply struct {
-	Transport
-	slot   int
-	failed atomic.Bool
-}
-
-func (t *failFirstReply) ToCoordinator(m Message) error {
-	if w, _, ok := replyFrom(m); ok && w == t.slot && t.failed.CompareAndSwap(false, true) {
-		return errReplyLost
-	}
-	return t.Transport.ToCoordinator(m)
-}
-
-// TestWorkerExitAbortsRun: a worker goroutine that exits before its final
-// reply ends the run with its error, naming its partition, instead of
-// leaving the coordinator blocked in gather.
+// TestWorkerExitAbortsRun: a part whose stage fails ends the run with that
+// error, naming the first failing part, once every part's goroutine has
+// returned. A rule naming an attribute the table lacks passes the run's own
+// checks and fails every part's index build.
 func TestWorkerExitAbortsRun(t *testing.T) {
-	_, dirty, rs := equivalenceFixture(t)
+	_, dirty, _ := equivalenceFixture(t)
+	rs := rules.MustParseStrings("FD: ProviderID -> NoSuchAttr")
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			opts := Options{Workers: k, Seed: 1, Core: core.Options{Tau: 2}}
-			opts.Transport = func(n int) Transport {
-				return &failFirstReply{Transport: NewChanTransport(n), slot: 1}
+			check := noLeak(t)
+			_, err := Clean(dirty, rs, Options{Workers: k, Seed: 1, Core: core.Options{Tau: 2}})
+			if err == nil || !strings.Contains(err.Error(), "part 0") || !strings.Contains(err.Error(), "NoSuchAttr") {
+				t.Fatalf("Clean with a failing part = %v, want part 0's error naming NoSuchAttr", err)
 			}
-			done := make(chan error, 1)
-			go func() {
-				_, err := Clean(dirty, rs, opts)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err == nil || !strings.Contains(err.Error(), "partition 1") || !errors.Is(err, errReplyLost) {
-					t.Fatalf("Clean with a failed worker = %v, want partition 1's %q", err, errReplyLost)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("run with a failed worker did not return")
-			}
+			check()
 		})
 	}
 }

@@ -23,12 +23,12 @@ type Options struct {
 	// SkipWeightMerge disables the Eq. 6 cross-worker weight adjustment
 	// (for the ablation bench).
 	SkipWeightMerge bool
-	// Transport builds the coordinator↔worker transport; nil uses the
-	// in-process channel transport. NewGobTransport round-trips every
-	// message through its serialized wire form; NewHTTPTransport moves it
-	// over loopback HTTP.
-	Transport TransportFactory
-	// BatchSize is the tuple count per partition shipment (default 1024).
+	// Transport is accepted and never read; ROADMAP 25 (a) deletes it.
+	Transport string
+	// BatchSize is how many streamed tuples CleanStream's online
+	// partitioner reads between two assignments (default 1024). Its
+	// centroids are drawn at the first of these flushes, so the cadence is
+	// part of the partition.
 	BatchSize int
 }
 
@@ -49,7 +49,7 @@ type Result struct {
 	// WorkerStageITimes/WorkerStageIITimes break WorkerTimes into its two
 	// measured phases (index build + AGP + learning vs applying the merged
 	// weights + RSC), so callers can reproduce the per-phase runtime tables
-	// without re-running. A worker fuses nothing: FSCR runs once, in the
+	// without re-running. A part fuses nothing: FSCR runs once, in the
 	// gather, and GatherTime holds it.
 	WorkerStageITimes  []time.Duration
 	WorkerStageIITimes []time.Duration
@@ -66,13 +66,13 @@ type Result struct {
 	WallTime time.Duration
 	// Workers is the worker count the run used.
 	Workers int
-	// WorkersLost is always 0: a worker that fails ends the run with an
-	// error, so a returned Result lost none. It stays for callers that still
-	// read it.
+	// WorkersLost is always 0: a part that fails ends the run with an
+	// error, so a returned Result lost none. It stays only because the
+	// repository benchmark reads it; ROADMAP 25 (a) deletes it.
 	WorkersLost int
 	// Stats aggregates the worker pipelines' stats.
 	Stats core.Stats
-	// RunID is a fresh tag the executor minted for the run.
+	// RunID is a fresh tag minted for the run.
 	RunID string
 }
 
@@ -105,17 +105,16 @@ func (r *Result) ClusterTime() time.Duration {
 }
 
 // Clean runs distributed MLNClean (§6): partition with Algorithm 3, take
-// every part through stage I and RSC concurrently on the executor's worker
-// pool — interleaving the Eq. 6 weight merge between weight learning and
-// RSC — and gather the parts into the run's one stage II, resolving
-// conflicts with a global FSCR pass and removing duplicates exactly like the
-// stand-alone cleaner.
+// every part through stage I and RSC concurrently — interleaving the Eq. 6
+// weight merge between weight learning and RSC — and gather the parts into
+// the run's one stage II, resolving conflicts with a global FSCR pass and
+// removing duplicates exactly like the stand-alone cleaner.
 func Clean(dirty *dataset.Table, rs []*rules.Rule, opts Options) (*Result, error) {
 	return CleanContext(context.Background(), dirty, rs, opts)
 }
 
 // CleanContext is Clean bounded by a context: cancelling ctx aborts the run
-// promptly, tearing down the transport and releasing the worker goroutines.
+// promptly with ctx's error, once every part's goroutine has returned.
 func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, opts Options) (*Result, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -125,40 +124,20 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 	}
 	start := time.Now()
 
-	ex, err := newExecutor(ctx, dirty.Schema, rs, opts, min(opts.Workers, dirty.Len()))
+	c, err := newCoordinator(dirty.Schema, rs, opts, min(opts.Workers, dirty.Len()))
 	if err != nil {
 		return nil, err
 	}
-	// The table goes through the executor's encoder, as streamed tuples do:
-	// Algorithm 3 measures over its value IDs, parts ship as rows of them,
-	// and the gather fuses from them.
-	for _, t := range dirty.Tuples {
-		if _, err := ex.senc.AppendID(t.ID, t.Values); err != nil {
-			return nil, ex.fail(err)
-		}
-	}
-	rows := ex.senc.Encoded().Rows
-	parts, distTime, heapTime, err := partition(rows, ex.k, ex.ev, ex.rng)
+	distTime, heapTime, err := c.partitionTable(dirty)
 	if err != nil {
-		return nil, ex.fail(err)
+		return nil, err
 	}
-	for w, part := range parts {
-		ids := make([]int, len(part))
-		partRows := make([][]uint32, len(part))
-		for i, pos := range part {
-			ids[i], partRows[i] = dirty.Tuples[pos].ID, rows[pos]
-		}
-		if err := ex.shipBatched(w, ids, partRows); err != nil {
-			return nil, err
-		}
-	}
-
 	res := &Result{
-		Workers:           len(parts),
+		Workers:           c.k,
 		PartitionDistTime: distTime,
 		PartitionHeapTime: heapTime,
 	}
-	res, err = ex.finish(dirty, res)
+	res, err = c.finish(ctx, dirty, res)
 	if err != nil {
 		return nil, err
 	}
@@ -167,50 +146,71 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 }
 
 // CleanStream runs distributed MLNClean over a row stream: tuples are read
-// in Options.BatchSize chunks and fed through Submit's online partitioner
-// (the streaming relaxation of Algorithm 3), so the coordinator never holds
-// the raw table — only the interned gather copy every run keeps for the
-// global FSCR pass — and workers receive their partitions incrementally.
-// Deterministic given the seed and the stream's row order; note the online
-// partitioner may split the table differently than Clean's exact Algorithm 3,
-// so the two entry points are separately deterministic, not interchangeable.
+// in Options.BatchSize chunks and fed to the online partitioner (the
+// streaming relaxation of Algorithm 3, stream.go), so the raw table is never
+// held — only the interned copy every run keeps for the global FSCR pass.
+// Tuples are IDed sequentially in stream order. Deterministic given the seed
+// and the stream's row order; note the online partitioner may split the
+// table differently than Clean's exact Algorithm 3, so the two entry points
+// are separately deterministic, not interchangeable.
 func CleanStream(ctx context.Context, stream dataset.RowStream, rs []*rules.Rule, opts Options) (*Result, error) {
 	start := time.Now()
+	if opts.Workers <= 0 {
+		opts.Workers = 4
+	}
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
 		batchSize = 1024
 	}
-	ex, err := NewExecutorContext(ctx, stream.Schema(), rs, opts)
+	c, err := newCoordinator(stream.Schema(), rs, opts, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	// Rows go straight into the executor's encoder; a flush every batchSize
-	// rows is a Submit of that batch without the table in between (Run
-	// flushes the tail).
 	for n := 1; ; n++ {
 		row, err := stream.Next()
 		if err == io.EOF {
 			break
 		}
 		if err == nil {
-			_, err = ex.senc.Append(row)
+			_, err = c.senc.Append(row)
 		}
 		if err != nil {
-			ex.Close()
 			return nil, err
 		}
 		if n%batchSize == 0 {
-			if err := ex.flush(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			c.flush()
 		}
 	}
-	res, err := ex.Run()
+	if c.senc.Table().Len() == 0 {
+		return nil, fmt.Errorf("distributed: empty input table")
+	}
+	c.assign()
+	res := &Result{
+		Workers:           c.k,
+		PartitionDistTime: c.distTime,
+		PartitionHeapTime: c.assignTime,
+	}
+	res, err = c.finish(ctx, c.senc.Table(), res)
 	if err != nil {
 		return nil, err
 	}
 	res.WallTime = time.Since(start)
 	return res, nil
+}
+
+// TransportByName accepts the transport names "", "chan", "gob" and "http"
+// and rejects any other. The name is accepted and never read; ROADMAP
+// 25 (a) deletes it.
+func TransportByName(name string) (string, error) {
+	switch name {
+	case "", "chan", "gob", "http":
+		return name, nil
+	default:
+		return "", fmt.Errorf("distributed: unknown transport %q (chan|gob|http)", name)
+	}
 }
 
 // workerTauOpts scales the AGP threshold to partition-local group sizes: a

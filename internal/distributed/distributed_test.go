@@ -223,11 +223,11 @@ func TestPartitionMatchesStringOracle(t *testing.T) {
 	}
 }
 
-// mergeWeights applies Eq. 6 across a set of worker indexes: every piece
+// mergeWeights applies Eq. 6 across a set of part indexes: every piece
 // with the same rule and the same values gets the support-weighted mean of
-// its per-part learned weights. It is the in-process composition of the
-// executor's exchange — each index's values mapped to one coordinator
-// dictionary, summaries extracted, reduced, applied.
+// its per-part learned weights. It is finish's exchange in miniature — each
+// index's values mapped to one run dictionary, summaries extracted,
+// reduced, applied.
 func mergeWeights(t *testing.T, indexes []*index.Index) {
 	t.Helper()
 	var rs []*rules.Rule
@@ -236,9 +236,9 @@ func mergeWeights(t *testing.T, indexes []*index.Index) {
 	}
 	dict := intern.NewDict()
 	wds := make([]*workerDict, len(indexes))
-	per := make([][]RuleWeights, len(indexes))
+	per := make([][]ruleWeights, len(indexes))
 	for w, ix := range indexes {
-		wd := &workerDict{dict: ix.Dict()}
+		wd := &workerDict{}
 		for l := 0; l < ix.Dict().Len(); l++ {
 			c := dict.Intern(ix.Dict().Value(uint32(l)))
 			if n := int(c) + 1; n > len(wd.local) {
@@ -251,9 +251,7 @@ func mergeWeights(t *testing.T, indexes []*index.Index) {
 	}
 	merged := reducePieceWeights(per, rs, dict)
 	for w, ix := range indexes {
-		if err := wds[w].applyWeights(ix, merged); err != nil {
-			t.Fatal(err)
-		}
+		wds[w].applyWeights(ix, merged)
 	}
 }
 
@@ -520,5 +518,18 @@ func TestClusterTimeModel(t *testing.T) {
 	want := 100*time.Millisecond + 10*time.Millisecond + 80*time.Millisecond + 10*time.Millisecond
 	if got := r.ClusterTime(); got != want {
 		t.Errorf("ClusterTime = %v, want %v", got, want)
+	}
+}
+
+// TestTransportByName: the shim accepts the four names it always took and
+// rejects any other.
+func TestTransportByName(t *testing.T) {
+	for _, name := range []string{"", "chan", "gob", "http"} {
+		if _, err := TransportByName(name); err != nil {
+			t.Errorf("TransportByName(%q) = %v", name, err)
+		}
+	}
+	if _, err := TransportByName("carrier-pigeon"); err == nil {
+		t.Error("unknown transport name accepted")
 	}
 }

@@ -108,31 +108,15 @@ func TestStreamOneWorkerMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestExecutorSubmitStreaming: batched ingest through Submit preserves every
-// tuple, keeps partitions balanced under the running capacity, is
-// deterministic, and cleans with quality comparable to the whole-table path.
+// TestExecutorSubmitStreaming: streamed ingest through CleanStream's online
+// partitioner preserves every tuple, IDs them in stream order, keeps parts
+// balanced under the running capacity, is deterministic, and cleans with
+// quality comparable to the whole-table path.
 func TestExecutorSubmitStreaming(t *testing.T) {
 	truth, dirty, rs := equivalenceFixture(t)
 
 	run := func() *Result {
-		ex, err := NewExecutor(dirty.Schema, rs, Options{Workers: 4, Seed: 1, Core: core.Options{Tau: 2}, BatchSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Feed the table in three uneven batches.
-		bounds := []int{dirty.Len() / 5, dirty.Len() / 2, dirty.Len()}
-		lo := 0
-		for _, hi := range bounds {
-			batch := dataset.NewTable(dirty.Schema)
-			for _, tp := range dirty.Tuples[lo:hi] {
-				batch.MustAppend(tp.Values...)
-			}
-			if err := ex.Submit(batch); err != nil {
-				t.Fatal(err)
-			}
-			lo = hi
-		}
-		res, err := ex.Run()
+		res, err := CleanStream(context.Background(), &rowStream{tb: dirty}, rs, Options{Workers: 4, Seed: 1, Core: core.Options{Tau: 2}, BatchSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +129,7 @@ func TestExecutorSubmitStreaming(t *testing.T) {
 	}
 	for i, tp := range res.Repaired.Tuples {
 		if tp.ID != i {
-			t.Fatalf("tuple %d has ID %d, want sequential re-IDs", i, tp.ID)
+			t.Fatalf("tuple %d has ID %d, want sequential IDs", i, tp.ID)
 		}
 	}
 	total, maxPart := 0, 0
@@ -173,85 +157,66 @@ func TestExecutorSubmitStreaming(t *testing.T) {
 	}
 }
 
-// TestExecutorMoreWorkersThanTuples: workers beyond the tuple count receive
-// empty partitions and the run still completes.
+// TestExecutorMoreWorkersThanTuples: parts beyond the tuple count stay
+// empty and the run still completes.
 func TestExecutorMoreWorkersThanTuples(t *testing.T) {
 	rs := rules.MustParseStrings("FD: A -> B")
 	tb := dataset.NewTable(dataset.MustSchema("A", "B"))
 	for _, row := range [][]string{{"x", "1"}, {"x", "1"}, {"x", "2"}, {"y", "3"}, {"z", "4"}} {
 		tb.MustAppend(row...)
 	}
-	ex, err := NewExecutor(tb.Schema, rs, Options{Workers: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Submit(tb); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Run()
+	res, err := CleanStream(context.Background(), &rowStream{tb: tb}, rs, Options{Workers: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Repaired.Len() != tb.Len() {
 		t.Errorf("repaired %d tuples, want %d", res.Repaired.Len(), tb.Len())
 	}
+	if len(res.PartSizes) != 8 {
+		t.Errorf("%d parts, want 8", len(res.PartSizes))
+	}
 }
 
-// TestExecutorMisuse: schema mismatches and post-Run submissions fail
-// cleanly, and an empty run reports an error.
+// badStream yields one row of the wrong width after a good one.
+type badStream struct{ n int }
+
+func (s *badStream) Schema() *dataset.Schema { return dataset.MustSchema("A", "B") }
+func (s *badStream) Next() ([]string, error) {
+	s.n++
+	if s.n == 1 {
+		return []string{"x", "1"}, nil
+	}
+	return []string{"v"}, nil
+}
+
+// TestExecutorMisuse: an empty stream, a nil schema, an empty rule set and
+// a ragged row each fail CleanStream cleanly, and a two-row stream runs.
 func TestExecutorMisuse(t *testing.T) {
 	rs := rules.MustParseStrings("FD: A -> B")
 	schema := dataset.MustSchema("A", "B")
+	ctx := context.Background()
 
-	ex, err := NewExecutor(schema, rs, Options{Workers: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Run(); err == nil {
+	if _, err := CleanStream(ctx, &rowStream{tb: dataset.NewTable(schema)}, rs, Options{Workers: 2, Seed: 1}); err == nil {
 		t.Error("empty run should fail")
 	}
-	if err := ex.Submit(dataset.NewTable(schema)); err == nil {
-		t.Error("submit after run should fail")
-	}
-
-	ex2, err := NewExecutor(schema, rs, Options{Workers: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := dataset.NewTable(dataset.MustSchema("X"))
-	bad.MustAppend("v")
-	if err := ex2.Submit(bad); err == nil {
-		t.Error("mismatched batch schema should fail")
+	if _, err := CleanStream(ctx, &rowStream{tb: &dataset.Table{}}, rs, Options{}); err == nil {
+		t.Error("nil schema should fail")
 	}
 	tb := dataset.NewTable(schema)
 	tb.MustAppend("x", "1")
 	tb.MustAppend("x", "2")
-	if err := ex2.Submit(tb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex2.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := NewExecutor(nil, rs, Options{}); err == nil {
-		t.Error("nil schema should fail")
-	}
-	if _, err := NewExecutor(schema, nil, Options{}); err == nil {
+	if _, err := CleanStream(ctx, &rowStream{tb: tb}, nil, Options{}); err == nil {
 		t.Error("empty rule set should fail")
 	}
-
-	// Close releases an abandoned executor; Run and Submit fail afterwards.
-	ex3, err := NewExecutor(schema, rs, Options{Workers: 2, Seed: 1})
+	if _, err := CleanStream(ctx, &badStream{}, rs, Options{Workers: 2, Seed: 1}); err == nil {
+		t.Error("ragged row should fail")
+	}
+	res, err := CleanStream(ctx, &rowStream{tb: tb}, rs, Options{Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex3.Close()
-	ex3.Close() // idempotent
-	if err := ex3.Submit(tb); err == nil {
-		t.Error("submit after close should fail")
-	}
-	if _, err := ex3.Run(); err == nil {
-		t.Error("run after close should fail")
+	if res.Repaired.Len() != 2 {
+		t.Errorf("repaired %d tuples, want 2", res.Repaired.Len())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"mlnclean/internal/core"
 	"mlnclean/internal/datagen"
@@ -17,10 +16,10 @@ import (
 	"mlnclean/internal/rules"
 )
 
-// refAssign is the streaming partitioner as it stood before the executor's
+// refAssign is the streaming partitioner as it stood before the centroid
 // distance table — one Evaluator.ValuesBounded per (tuple, centroid), its own
-// interning loop — kept as the oracle Submit must match: the same centroids,
-// the same assignment of every tuple, the same batches in the same order.
+// interning loop — kept as the oracle the online partitioner must match: the
+// same centroids, the same assignment of every tuple, in the same order.
 type refAssign struct {
 	k         int
 	dict      *intern.Dict
@@ -31,10 +30,10 @@ type refAssign struct {
 	centroids [][]uint32
 	loads     []int
 	shipped   int
-	parts     [][]refBatch // per partition, one entry per shipment
+	parts     []refBatch // per partition, its tuples in assignment order
 }
 
-// refBatch is one shipment of the oracle: tuple IDs and their values.
+// refBatch is a run of the oracle's tuples: their IDs and values.
 type refBatch struct {
 	IDs  []int
 	Rows [][]string
@@ -44,7 +43,7 @@ func newRefAssign(k int, metric distance.Metric, seed int64) *refAssign {
 	dict := intern.NewDict()
 	return &refAssign{
 		k: k, dict: dict, ev: distance.NewEvaluator(metric, dict),
-		rng: rand.New(rand.NewSource(seed)), loads: make([]int, k), parts: make([][]refBatch, k),
+		rng: rand.New(rand.NewSource(seed)), loads: make([]int, k), parts: make([]refBatch, k),
 	}
 }
 
@@ -62,10 +61,10 @@ func (r *refAssign) submit(rows [][]string) {
 	if len(rows) == 0 || (r.centroids == nil && len(r.tuples) < r.k) {
 		return
 	}
-	r.assignAndShip()
+	r.assign()
 }
 
-func (r *refAssign) assignAndShip() {
+func (r *refAssign) assign() {
 	if r.shipped >= len(r.tuples) {
 		return
 	}
@@ -84,7 +83,6 @@ func (r *refAssign) assignAndShip() {
 			r.centroids[i] = r.centroids[0]
 		}
 	}
-	batches := make([]refBatch, r.k)
 	dists := make([]float64, r.k)
 	for ; r.shipped < len(r.tuples); r.shipped++ {
 		t := r.tuples[r.shipped]
@@ -103,114 +101,68 @@ func (r *refAssign) assignAndShip() {
 			}
 		}
 		r.loads[best]++
-		batches[best].IDs = append(batches[best].IDs, t.ID)
-		batches[best].Rows = append(batches[best].Rows, t.Values)
-	}
-	for p := range batches {
-		if len(batches[p].IDs) > 0 {
-			r.parts[p] = append(r.parts[p], batches[p])
-		}
+		r.parts[best].IDs = append(r.parts[best].IDs, t.ID)
+		r.parts[best].Rows = append(r.parts[best].Rows, t.Values)
 	}
 }
 
-// shipLog records every TupleBatch the coordinator sends, per worker slot.
-// The oracle counts shipments, not BatchSize chunks: every shipment in these
-// tests is under the 1,024-row default, so each one is a single chunk.
-type shipLog struct {
-	Transport
-	sent [][]TupleBatch
-}
-
-func (t *shipLog) ToWorkerDeadline(w int, m Message, d time.Duration) error {
-	if b, ok := m.(TupleBatch); ok {
-		t.sent[w] = append(t.sent[w], b)
-	}
-	return t.Transport.ToWorkerDeadline(w, m, d)
-}
-
-// loggedExecutor is NewExecutor on a chan transport wrapped in a shipLog.
-func loggedExecutor(t *testing.T, schema *dataset.Schema, rs []*rules.Rule, opts Options) (*Executor, *shipLog) {
+// streamCoordinator is the coordinator CleanStream runs on: opts.Workers
+// parts, no rows yet.
+func streamCoordinator(t testing.TB, schema *dataset.Schema, rs []*rules.Rule, opts Options) *coordinator {
 	t.Helper()
-	log := &shipLog{}
-	opts.Transport = func(k int) Transport {
-		log.Transport, log.sent = NewChanTransport(k), make([][]TupleBatch, k)
-		return log
-	}
-	ex, err := NewExecutor(schema, rs, opts)
+	c, err := newCoordinator(schema, rs, opts, opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ex, log
+	return c
 }
 
-// decodeShipment reads a TupleBatch back into values through the
-// coordinator's dictionary, and checks its delta: the strings of the value
-// IDs the partition meets for the first time, in the order it meets them.
-// sent holds the IDs the partition was shipped before.
-func decodeShipment(t *testing.T, label string, dict *intern.Dict, width int, b TupleBatch, sent map[uint32]bool) [][]string {
+// submit appends rows to c's encoder and flushes them, as CleanStream does
+// at the end of each batch.
+func submit(t testing.TB, c *coordinator, rows [][]string) {
 	t.Helper()
-	if len(b.Rows) != len(b.IDs)*width {
-		t.Fatalf("%s: %d value IDs for %d tuples of %d values", label, len(b.Rows), len(b.IDs), width)
-	}
-	rows := make([][]string, len(b.IDs))
-	var delta []string
-	for i := range rows {
-		for _, id := range b.Rows[i*width : (i+1)*width] {
-			rows[i] = append(rows[i], dict.Value(id))
-			if !sent[id] {
-				sent[id] = true
-				delta = append(delta, dict.Value(id))
-			}
+	for _, row := range rows {
+		if _, err := c.senc.Append(row); err != nil {
+			t.Fatal(err)
 		}
 	}
-	var got []string
-	start := 0
-	for _, end := range b.DeltaEnds {
-		got = append(got, b.Delta[start:end])
-		start = end
-	}
-	if !reflect.DeepEqual(got, delta) || start != len(b.Delta) {
-		t.Fatalf("%s: delta %q (%d bytes), want %q", label, got, len(b.Delta), delta)
-	}
-	return rows
+	c.flush()
 }
 
-// checkAgainstRef compares what the executor shipped, decoded through its
-// dictionary, and every gathered tuple's centroid distances, with the
-// oracle's.
-func checkAgainstRef(t *testing.T, label string, ex *Executor, log *shipLog, ref *refAssign, metric distance.Metric) {
+// checkAgainstRef compares each part's tuples, decoded through the run's
+// dictionary, and every tuple's centroid distances, with the oracle's.
+func checkAgainstRef(t *testing.T, label string, c *coordinator, ref *refAssign, metric distance.Metric) {
 	t.Helper()
-	if !reflect.DeepEqual(ex.loads, ref.loads) {
-		t.Fatalf("%s: loads %v, oracle %v", label, ex.loads, ref.loads)
+	if !reflect.DeepEqual(c.loads, ref.loads) {
+		t.Fatalf("%s: loads %v, oracle %v", label, c.loads, ref.loads)
 	}
 	var centroids [][]uint32
-	if ex.cent != nil {
-		centroids = ex.cent.centroids
+	if c.cent != nil {
+		centroids = c.cent.centroids
 	}
 	if !reflect.DeepEqual(centroids, ref.centroids) {
 		t.Fatalf("%s: centroids %v, oracle %v", label, centroids, ref.centroids)
 	}
-	for p, sent := range log.sent {
-		if len(sent) != len(ref.parts[p]) {
-			t.Fatalf("%s: partition %d got %d shipments, oracle %d", label, p, len(sent), len(ref.parts[p]))
-		}
-		seen := make(map[uint32]bool)
-		for i, b := range sent {
-			want := ref.parts[p][i]
-			rows := decodeShipment(t, label, ex.dict, ex.schema.Len(), b, seen)
-			if !reflect.DeepEqual(b.IDs, want.IDs) || !reflect.DeepEqual(rows, want.Rows) {
-				t.Fatalf("%s: partition %d shipment %d:\n got %v %q\nwant %v %q", label, p, i, b.IDs, rows, want.IDs, want.Rows)
+	for p, in := range c.parts {
+		want := ref.parts[p]
+		rows := make([][]string, len(in.rows))
+		for i, row := range in.rows {
+			for _, id := range row {
+				rows[i] = append(rows[i], c.dict.Value(id))
 			}
+		}
+		if len(in.ids) != len(want.IDs) || (len(in.ids) > 0 && (!reflect.DeepEqual(in.ids, want.IDs) || !reflect.DeepEqual(rows, want.Rows))) {
+			t.Fatalf("%s: partition %d:\n got %v %q\nwant %v %q", label, p, in.ids, rows, want.IDs, want.Rows)
 		}
 	}
 	if centroids == nil {
 		return
 	}
-	fresh := distance.NewEvaluator(metric, ex.dict)
-	for i, row := range ex.senc.Encoded().Rows {
-		got := ex.cent.distances([][]uint32{row})
-		for w, c := range centroids {
-			if want := fresh.ValuesBounded(row, c, valuesBound); math.Float64bits(got[w]) != math.Float64bits(want) {
+	fresh := distance.NewEvaluator(metric, c.dict)
+	for i, row := range c.senc.Encoded().Rows {
+		got := c.cent.distances([][]uint32{row})
+		for w, cr := range centroids {
+			if want := fresh.ValuesBounded(row, cr, valuesBound); math.Float64bits(got[w]) != math.Float64bits(want) {
 				t.Fatalf("%s: tuple %d centroid %d: distance %v (%#x), ValuesBounded %v (%#x)",
 					label, i, w, got[w], math.Float64bits(got[w]), want, math.Float64bits(want))
 			}
@@ -240,12 +192,12 @@ func (jitter) Distance(a, b string) float64 {
 	return d
 }
 
-// TestCentroidColumnMatchesValues: the executor's distance table gives every
-// tuple the k distances Evaluator.ValuesBounded gives it, to the bit, and Submit
-// ships what the old loop shipped — on random streams whose values recur
+// TestCentroidColumnMatchesValues: the online partitioner's distance table
+// gives every tuple the k distances Evaluator.ValuesBounded gives it, to the
+// bit, and assigns what the old loop assigned — on random streams whose values recur
 // across columns (the table's fallback), with empty, non-ASCII, invalid
-// UTF-8 and U+FFFD values, random batch boundaries, and fewer tuples than
-// workers.
+// UTF-8 and U+FFFD values, random flush boundaries, and fewer tuples than
+// parts.
 func TestCentroidColumnMatchesValues(t *testing.T) {
 	pool := []string{"", "a", "ab", "abc", "abd", "b", "ba", "x1", "x2", "boom",
 		"é", "ée", "日本", "日本語", "a\xff", "a\uFFFD", "\uFFFD", "naïve", "naive"}
@@ -278,29 +230,20 @@ func TestCentroidColumnMatchesValues(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 3, 5} {
 			label := fmt.Sprintf("stream %d (%s, %d×%d) k=%d", s, metric.Name(), n, width, k)
-			ex, log := loggedExecutor(t, schema, rs, Options{Workers: k, Seed: int64(s), Core: core.Options{Metric: metric}})
+			c := streamCoordinator(t, schema, rs, Options{Workers: k, Seed: int64(s), Core: core.Options{Metric: metric}})
 			ref := newRefAssign(k, metric, int64(s))
 			cut := rand.New(rand.NewSource(int64(s)*31 + int64(k)))
 			for lo := 0; lo < n; {
 				hi := min(n, lo+1+cut.Intn(12))
-				batch := dataset.NewTable(schema)
-				for _, row := range rows[lo:hi] {
-					batch.MustAppend(row...)
-				}
-				if err := ex.Submit(batch); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
+				submit(t, c, rows[lo:hi])
 				ref.submit(rows[lo:hi])
 				lo = hi
 			}
-			// What Run does first: tuples still buffered because fewer than
-			// k arrived are assigned now.
-			if err := ex.assignAndShip(); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			ref.assignAndShip()
-			checkAgainstRef(t, label, ex, log, ref, metric)
-			ex.Close()
+			// What CleanStream does at EOF: tuples still buffered because
+			// fewer than k arrived are assigned now.
+			c.assign()
+			ref.assign()
+			checkAgainstRef(t, label, c, ref, metric)
 		}
 	}
 }
@@ -318,12 +261,17 @@ func tpchRows(tb testing.TB) (*dataset.Table, []*rules.Rule) {
 	return inj.Dirty, rs
 }
 
-// submitBatches feeds dirty through Submit in size-row batches.
-func submitBatches(tb testing.TB, ex *Executor, dirty *dataset.Table, size int) {
+// submitBatches feeds dirty to c in size-row batches, the oracle too when
+// ref is not nil.
+func submitBatches(tb testing.TB, c *coordinator, ref *refAssign, dirty *dataset.Table, size int) {
 	for lo := 0; lo < dirty.Len(); lo += size {
-		batch := &dataset.Table{Schema: dirty.Schema, Tuples: dirty.Tuples[lo:min(lo+size, dirty.Len())]}
-		if err := ex.Submit(batch); err != nil {
-			tb.Fatal(err)
+		var rows [][]string
+		for _, tp := range dirty.Tuples[lo:min(lo+size, dirty.Len())] {
+			rows = append(rows, tp.Values)
+		}
+		submit(tb, c, rows)
+		if ref != nil {
+			ref.submit(rows)
 		}
 	}
 }
@@ -335,24 +283,16 @@ func submitBatches(tb testing.TB, ex *Executor, dirty *dataset.Table, size int) 
 func TestPartitionerMemoBounded(t *testing.T) {
 	dirty, rs := tpchRows(t)
 	const k = 2
-	ex, log := loggedExecutor(t, dirty.Schema, rs, Options{Workers: k, Seed: 1})
-	defer ex.Close()
+	c := streamCoordinator(t, dirty.Schema, rs, Options{Workers: k, Seed: 1})
 	ref := newRefAssign(k, distance.Levenshtein{}, 1)
-	submitBatches(t, ex, dirty, 1024)
-	for lo := 0; lo < dirty.Len(); lo += 1024 {
-		var rows [][]string
-		for _, tp := range dirty.Tuples[lo:min(lo+1024, dirty.Len())] {
-			rows = append(rows, tp.Values)
-		}
-		ref.submit(rows)
-	}
-	checkAgainstRef(t, "tpch", ex, log, ref, distance.Levenshtein{})
+	submitBatches(t, c, ref, dirty, 1024)
+	checkAgainstRef(t, "tpch", c, ref, distance.Levenshtein{})
 
 	shared := 0 // value IDs seen in a column other than their home
 	seen := make(map[[2]uint32]bool)
-	for _, row := range ex.senc.Encoded().Rows {
+	for _, row := range c.senc.Encoded().Rows {
 		for j, id := range row {
-			if ex.cent.home[id] != int32(j)+1 && !seen[[2]uint32{uint32(j), id}] {
+			if c.cent.home[id] != int32(j)+1 && !seen[[2]uint32{uint32(j), id}] {
 				seen[[2]uint32{uint32(j), id}] = true
 				shared++
 			}
@@ -371,32 +311,25 @@ func TestPartitionerMemoBounded(t *testing.T) {
 			}
 		}
 	}
-	got := reflect.ValueOf(ex.ev).Elem().FieldByName("memo").Len()
-	t.Logf("distinct values %d, shared-column (column, value) pairs %d; memo: %d entries, old loop %d pairs", ex.dict.Len(), shared, got, len(old))
+	got := reflect.ValueOf(c.ev).Elem().FieldByName("memo").Len()
+	t.Logf("distinct values %d, shared-column (column, value) pairs %d; memo: %d entries, old loop %d pairs", c.dict.Len(), shared, got, len(old))
 	if got > k*shared {
 		t.Errorf("partitioner memo holds %d pairs, want ≤ k·shared = %d", got, k*shared)
 	}
-	if len(old) < ex.dict.Len() {
-		t.Errorf("the old loop measures %d pairs for %d distinct values: the comparison is vacuous", len(old), ex.dict.Len())
+	if len(old) < c.dict.Len() {
+		t.Errorf("the old loop measures %d pairs for %d distinct values: the comparison is vacuous", len(old), c.dict.Len())
 	}
 }
 
-// BenchmarkSubmitTPCH is the coordinator's ingest in isolation: the 12k-row
-// TPC-H table through Submit in 1,024-row batches on the chan transport,
-// the workers decoding what is shipped.
+// BenchmarkSubmitTPCH is CleanStream's ingest in isolation: the 12k-row
+// TPC-H table encoded and assigned by the online partitioner in 1,024-row
+// batches, 2 parts.
 func BenchmarkSubmitTPCH(b *testing.B) {
 	dirty, rs := tpchRows(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := NewExecutor(dirty.Schema, rs, Options{Workers: 2, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		submitBatches(b, ex, dirty, 1024)
-		b.StopTimer()
-		ex.Close()
-		b.StartTimer()
+		submitBatches(b, streamCoordinator(b, dirty.Schema, rs, Options{Workers: 2, Seed: 1}), nil, dirty, 1024)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dirty.Len()), "ns/row")
 }
@@ -418,48 +351,35 @@ func BenchmarkPartitionTPCH(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dirty.Len()), "ns/row")
 }
 
-// stringIngest is a worker's ingest as it was before the ID wire: the
+// stringIngest is a part's ingest as it was before value IDs: the
 // partition's rows, by value, through StreamEncoder.AppendID into a fresh
 // dictionary.
-func stringIngest(t *testing.T, schema *dataset.Schema, batches []refBatch) *dataset.StreamEncoder {
+func stringIngest(t *testing.T, schema *dataset.Schema, b refBatch) *dataset.StreamEncoder {
 	t.Helper()
 	senc := dataset.NewStreamEncoder(schema, nil)
-	for _, b := range batches {
-		for i, row := range b.Rows {
-			if _, err := senc.AppendID(b.IDs[i], row); err != nil {
-				t.Fatal(err)
-			}
+	for i, row := range b.Rows {
+		if _, err := senc.AppendID(b.IDs[i], row); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return senc
 }
 
-// checkWorkerIngest feeds partition p's recorded shipments, each through the
-// gob framing, to the worker's ingest and compares the dictionary, table
-// and encoded rows it builds with want's, ID for ID.
-func checkWorkerIngest(t *testing.T, label string, schema *dataset.Schema, sent []TupleBatch, want *dataset.StreamEncoder) {
+// checkWorkerIngest builds part p's table the way finish does and compares
+// the dictionary, table and encoded rows with want's, ID for ID.
+func checkWorkerIngest(t *testing.T, label string, c *coordinator, p int, want *dataset.StreamEncoder) {
 	t.Helper()
-	wd := newWorkerDict()
-	got := dataset.NewStreamEncoder(schema, wd.dict)
-	for _, b := range sent {
-		frame, err := EncodeMessage(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := DecodeMessage(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wd.ingest(got, m.(TupleBatch)); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-	}
+	wd := c.ingest(c.parts[p])
+	got := wd.senc
 	if got.Dict().Len() != want.Dict().Len() {
 		t.Fatalf("%s: %d local values, string ingest %d", label, got.Dict().Len(), want.Dict().Len())
 	}
 	for i := 0; i < want.Dict().Len(); i++ {
 		if g, w := got.Dict().Value(uint32(i)), want.Dict().Value(uint32(i)); g != w {
 			t.Fatalf("%s: local ID %d is %q, string ingest %q", label, i, g, w)
+		}
+		if g, w := c.dict.Value(wd.coord[i]), want.Dict().Value(uint32(i)); g != w {
+			t.Fatalf("%s: local ID %d maps to run ID %d, %q; string ingest %q", label, i, wd.coord[i], g, w)
 		}
 	}
 	if !reflect.DeepEqual(got.Encoded().Rows, want.Encoded().Rows) {
@@ -475,11 +395,11 @@ func checkWorkerIngest(t *testing.T, label string, schema *dataset.Schema, sent 
 	}
 }
 
-// TestWorkerLocalIDsMatchStringIngest: a worker ingesting its partition off
-// the ID wire mints exactly the local IDs — and so builds exactly the
+// TestWorkerLocalIDsMatchStringIngest: a part ingesting its rows from the
+// run's value IDs mints exactly the local IDs — and so builds exactly the
 // dictionary, table and encoded rows — that encoding the same partition
-// rows by value does, for both entry points (Clean's Algorithm 3 and
-// Submit's online partitioner), k ∈ {1, 2, 4}, on HAI and TPC-H.
+// rows by value does, for both partitioners (Clean's Algorithm 3 and
+// CleanStream's online one), k ∈ {1, 2, 4}, on HAI and TPC-H.
 func TestWorkerLocalIDsMatchStringIngest(t *testing.T) {
 	_, hai, haiRules := equivalenceFixture(t)
 	tpch, tpchRules := tpchRows(t)
@@ -492,33 +412,23 @@ func TestWorkerLocalIDsMatchStringIngest(t *testing.T) {
 			continue
 		}
 		for _, k := range []int{1, 2, 4} {
-			// Submit: the online partitioner's shipments, against the
-			// oracle's partition rows.
-			label := fmt.Sprintf("%s submit k=%d", ds.name, k)
-			ex, log := loggedExecutor(t, ds.dirty.Schema, ds.rs, Options{Workers: k, Seed: 1})
+			// The online partitioner, against the oracle's partition rows.
+			label := fmt.Sprintf("%s stream k=%d", ds.name, k)
+			c := streamCoordinator(t, ds.dirty.Schema, ds.rs, Options{Workers: k, Seed: 1})
 			ref := newRefAssign(k, distance.Levenshtein{}, 1)
-			submitBatches(t, ex, ds.dirty, 1024)
-			for lo := 0; lo < ds.dirty.Len(); lo += 1024 {
-				var rows [][]string
-				for _, tp := range ds.dirty.Tuples[lo:min(lo+1024, ds.dirty.Len())] {
-					rows = append(rows, tp.Values)
-				}
-				ref.submit(rows)
-			}
-			checkAgainstRef(t, label, ex, log, ref, distance.Levenshtein{})
-			ex.Close()
-			for p := range log.sent {
-				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), ds.dirty.Schema, log.sent[p], stringIngest(t, ds.dirty.Schema, ref.parts[p]))
+			submitBatches(t, c, ref, ds.dirty, 1024)
+			checkAgainstRef(t, label, c, ref, distance.Levenshtein{})
+			for p := range c.parts {
+				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), c, p, stringIngest(t, ds.dirty.Schema, ref.parts[p]))
 			}
 
-			// Clean: Algorithm 3's parts, in heap order.
+			// Algorithm 3's parts, in heap order.
 			label = fmt.Sprintf("%s clean k=%d", ds.name, k)
-			log = &shipLog{}
-			opts := Options{Workers: k, Seed: 1, Transport: func(n int) Transport {
-				log.Transport, log.sent = NewChanTransport(n), make([][]TupleBatch, n)
-				return log
-			}}
-			if _, err := Clean(ds.dirty, ds.rs, opts); err != nil {
+			c, err := newCoordinator(ds.dirty.Schema, ds.rs, Options{Workers: k, Seed: 1}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.partitionTable(ds.dirty); err != nil {
 				t.Fatal(err)
 			}
 			parts, err := partitionTable(ds.dirty, k, distance.Levenshtein{}, 1)
@@ -531,55 +441,8 @@ func TestWorkerLocalIDsMatchStringIngest(t *testing.T) {
 					b.IDs = append(b.IDs, ds.dirty.Tuples[pos].ID)
 					b.Rows = append(b.Rows, ds.dirty.Tuples[pos].Values)
 				}
-				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), ds.dirty.Schema, log.sent[p], stringIngest(t, ds.dirty.Schema, []refBatch{b}))
+				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), c, p, stringIngest(t, ds.dirty.Schema, b))
 			}
 		}
 	}
-}
-
-// BenchmarkWireRoundTrip is the wire codec alone: one partition's share of
-// the 12k-row TPC-H table (2 workers, 1,024-row shipments) — its
-// TupleBatches and its FusionResult — each through EncodeMessage and
-// DecodeMessage. wire-B/op is the frames' total size.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	dirty, rs := tpchRows(b)
-	log := &shipLog{}
-	var msgs []Message
-	opts := Options{Workers: 2, Seed: 1, Transport: func(k int) Transport {
-		log.Transport, log.sent = NewChanTransport(k), make([][]TupleBatch, k)
-		return &tamperReplies{Transport: log, tamper: func(m Message) Message {
-			if fr, ok := m.(FusionResult); ok && fr.Worker == 0 {
-				msgs = append(msgs, fr)
-			}
-			return m
-		}}
-	}}
-	ex, err := NewExecutor(dirty.Schema, rs, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	submitBatches(b, ex, dirty, 1024)
-	if _, err := ex.Run(); err != nil {
-		b.Fatal(err)
-	}
-	for _, tb := range log.sent[0] {
-		msgs = append(msgs, tb)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	size := 0
-	for i := 0; i < b.N; i++ {
-		size = 0
-		for _, m := range msgs {
-			frame, err := EncodeMessage(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := DecodeMessage(frame); err != nil {
-				b.Fatal(err)
-			}
-			size += len(frame)
-		}
-	}
-	b.ReportMetric(float64(size), "wire-B/op")
 }

@@ -34,35 +34,22 @@ import (
 
 // Options configures the baseline.
 type Options struct {
-	// TopK bounds the frequency-based candidate set per cell (default 12).
-	TopK int
-	// Epochs is the number of SGD passes over the clean training cells
-	// (default 3).
-	Epochs int
-	// LearningRate is the SGD step size (default 0.1).
-	LearningRate float64
-	// TrainSample caps the number of clean training cells per attribute
-	// (default 2000) to keep training time proportional to data size.
-	TrainSample int
 	// Seed makes training-sample selection deterministic.
 	Seed int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.TopK <= 0 {
-		o.TopK = 12
-	}
-	if o.Epochs <= 0 {
-		o.Epochs = 3
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.1
-	}
-	if o.TrainSample <= 0 {
-		o.TrainSample = 2000
-	}
-	return o
-}
+// The baseline's fixed training settings.
+const (
+	// topK bounds the frequency-based candidate set per cell.
+	topK = 12
+	// epochs is the number of SGD passes over the clean training cells.
+	epochs = 3
+	// learningRate is the SGD step size.
+	learningRate = 0.1
+	// trainSample caps the number of clean training cells per attribute, to
+	// keep training time proportional to data size.
+	trainSample = 2000
+)
 
 // Result is the baseline's output.
 type Result struct {
@@ -94,13 +81,12 @@ const (
 // Repair runs the baseline on the dirty table. noisy lists the cells the
 // (perfect) detector flagged; rules supply the repair signals.
 func Repair(dirty *dataset.Table, rs []*rules.Rule, noisy []errgen.Cell, opts Options) (*Result, error) {
-	o := opts.withDefaults()
 	for _, r := range rs {
 		if err := r.Validate(dirty.Schema); err != nil {
 			return nil, err
 		}
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 	repaired := dirty.Clone()
 
 	noisySet := make(map[errgen.Cell]bool, len(noisy))
@@ -125,7 +111,7 @@ func Repair(dirty *dataset.Table, rs []*rules.Rule, noisy []errgen.Cell, opts Op
 	// the order fixes which sample each gets.
 	weights := make(map[string][]float64, len(noisyAttrs))
 	for _, attr := range slices.Sorted(maps.Keys(noisyAttrs)) {
-		weights[attr] = m.train(attr, o, rng)
+		weights[attr] = m.train(attr, rng)
 	}
 
 	// Infer each noisy cell independently (HoloClean's per-value unit).
@@ -134,7 +120,7 @@ func Repair(dirty *dataset.Table, rs []*rules.Rule, noisy []errgen.Cell, opts Op
 		if t == nil {
 			continue
 		}
-		best, scored := m.infer(t, c.Attr, weights[c.Attr], o)
+		best, scored := m.infer(t, c.Attr, weights[c.Attr])
 		res.CandidatesScored += scored
 		if best != "" && best != repaired.Cell(t, c.Attr) {
 			repaired.SetCell(t, c.Attr, best)
@@ -283,9 +269,9 @@ func (m *model) anyNoisy(t *dataset.Tuple, attrs []string) bool {
 }
 
 // candidates returns the repair candidates for tuple t's attr cell: values
-// co-occurring with the tuple's rule contexts, the attribute's top-K
+// co-occurring with the tuple's rule contexts, the attribute's k most
 // frequent clean values, and the observed value itself.
-func (m *model) candidates(t *dataset.Tuple, attr string, topK int) []string {
+func (m *model) candidates(t *dataset.Tuple, attr string, k int) []string {
 	seen := make(map[string]bool)
 	var out []string
 	add := func(v string) {
@@ -317,7 +303,7 @@ func (m *model) candidates(t *dataset.Tuple, attr string, topK int) []string {
 		}
 	}
 	for i, v := range m.topValues[attr] {
-		if i >= topK {
+		if i >= k {
 			break
 		}
 		add(v)
@@ -390,7 +376,7 @@ func (m *model) features(t *dataset.Tuple, attr, v string) [featureCount]float64
 // train fits the attribute's weight vector by SGD on clean cells: each
 // clean cell is a training example whose label is its observed value among
 // its candidate set (softmax cross-entropy).
-func (m *model) train(attr string, o Options, rng *rand.Rand) []float64 {
+func (m *model) train(attr string, rng *rand.Rand) []float64 {
 	w := make([]float64, featureCount)
 	w[fCooccur], w[fFrequency] = 1, 0.5 // warm start speeds convergence
 
@@ -403,8 +389,8 @@ func (m *model) train(attr string, o Options, rng *rand.Rand) []float64 {
 	if len(examples) == 0 {
 		return w
 	}
-	if len(examples) > o.TrainSample {
-		idx := rng.Perm(len(examples))[:o.TrainSample]
+	if len(examples) > trainSample {
+		idx := rng.Perm(len(examples))[:trainSample]
 		sort.Ints(idx)
 		sampled := make([]*dataset.Tuple, len(idx))
 		for i, k := range idx {
@@ -413,10 +399,10 @@ func (m *model) train(attr string, o Options, rng *rand.Rand) []float64 {
 		examples = sampled
 	}
 
-	for epoch := 0; epoch < o.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for _, t := range examples {
 			observed := m.dirty.Cell(t, attr)
-			cands := m.candidates(t, attr, o.TopK)
+			cands := m.candidates(t, attr, topK)
 			if len(cands) < 2 {
 				continue
 			}
@@ -453,7 +439,7 @@ func (m *model) train(attr string, o Options, rng *rand.Rand) []float64 {
 					g += 1
 				}
 				for k := 0; k < featureCount; k++ {
-					w[k] += o.LearningRate * g * feats[i][k]
+					w[k] += learningRate * g * feats[i][k]
 				}
 			}
 		}
@@ -463,9 +449,9 @@ func (m *model) train(attr string, o Options, rng *rand.Rand) []float64 {
 
 // infer scores the candidates of a noisy cell and returns the argmax plus
 // the number of candidates evaluated.
-func (m *model) infer(t *dataset.Tuple, attr string, w []float64, o Options) (string, int) {
+func (m *model) infer(t *dataset.Tuple, attr string, w []float64) (string, int) {
 	observed := m.dirty.Cell(t, attr)
-	cands := m.candidates(t, attr, o.TopK)
+	cands := m.candidates(t, attr, topK)
 	best, bestScore := observed, math.Inf(-1)
 	for _, v := range cands {
 		feats := m.features(t, attr, v)

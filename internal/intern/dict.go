@@ -9,8 +9,8 @@
 // the 0x1f byte).
 //
 // A Dict is NOT safe for concurrent mutation. The pipeline confines writes
-// to serial phases (table encoding, index construction, wire-piece
-// interning); the parallel stage-I/II loops only read.
+// to serial phases (table encoding, index construction, the distributed
+// gather's piece interning); the parallel stage-I/II loops only read.
 package intern
 
 // pairTag marks sequence nodes: value IDs live below 1<<31, pair nodes

@@ -1080,6 +1080,52 @@ func TestCreateUnknownMetric(t *testing.T) {
 	}
 }
 
+// TestCreateNegativeTau: a create asking for τ < 0 is 422 invalid and logs
+// nothing; a create record logged before that check existed still restores.
+func TestCreateNegativeTau(t *testing.T) {
+	dirty, _, rulesText := hospitalFixture(t)
+	req := CreateRequest{Rules: rulesText, Attrs: dirty.Schema.Attrs(), Tau: -3}
+	fs := wal.NewMemFS(wal.FaultPlan{})
+	srv := newTestServer(t, ManagerConfig{WALFS: fs})
+	ts := httptest.NewServer(srv)
+	c := &client{t: t, base: ts.URL}
+	code, env := doEnvelope(c, "POST", "/v1/sessions", req)
+	if code != http.StatusUnprocessableEntity || env.Error.Code != codeInvalid || !strings.Contains(env.Error.Message, "tau") {
+		t.Fatalf("create with tau %d: status %d, %+v; want 422 invalid naming tau", req.Tau, code, env)
+	}
+	if _, err := srv.Manager().Create(req); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Manager.Create with tau %d = %v, want ErrInvalid", req.Tau, err)
+	}
+	ts.Close()
+	srv.Shutdown()
+	srv = newTestServer(t, ManagerConfig{WALFS: fs})
+	if rec := srv.Recovery(); rec.Records != 0 || rec.SessionsReplayed != 0 {
+		t.Fatalf("recovery after a rejected create = %+v, want an empty log", rec)
+	}
+	srv.Shutdown()
+
+	fs = wal.NewMemFS(wal.FaultPlan{})
+	lg, _, err := wal.Open(fs, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := encodeRecord(recCreate{ID: "s-000001", Req: req, Created: 1700000000000000000, RunID: "run-old"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Append(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv = newTestServer(t, ManagerConfig{WALFS: fs})
+	defer srv.Shutdown()
+	if rec := srv.Recovery(); rec.SessionsReplayed != 1 || rec.SessionsFailed != 0 {
+		t.Fatalf("recovery of a logged tau %d create = %+v, want it replayed", req.Tau, rec)
+	}
+}
+
 // TestRestoreFailureVisible: a logged session the engine cannot rebuild —
 // here a done session whose logged batch holds a row of the wrong width —
 // fails its restore alone. The other done session in the log is re-derived

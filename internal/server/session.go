@@ -546,6 +546,11 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	if _, err := distance.ByName(req.Metric); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
+	// Checked here and not in newSession, like the metric: a create logged
+	// before the check still replays (as τ = 1, the default).
+	if req.Tau < 0 {
+		return nil, fmt.Errorf("%w: tau must be ≥ 0, got %d", ErrInvalid, req.Tau)
+	}
 	s, err := newSession("", req)
 	if err != nil {
 		return nil, err
