@@ -67,6 +67,9 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 	if dirty == nil || dirty.Len() == 0 {
 		return nil, fmt.Errorf("core: empty input table")
 	}
+	if id, ok := dirty.RepeatedID(); ok {
+		return nil, fmt.Errorf("core: duplicate tuple id %d", id)
+	}
 	if err := CheckFusionWidth(dirty.Schema, rs); err != nil {
 		return nil, err
 	}

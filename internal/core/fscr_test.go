@@ -984,3 +984,40 @@ func TestCleanNonPositionalIDs(t *testing.T) {
 		})
 	}
 }
+
+// repeatedIDTable is five rows under FD A -> B whose last two share tuple
+// ID 3: x,1 three times, then x,2 and y,3. With unique IDs and τ = 0, RSC
+// repairs x,2 to x,1; under the repeated ID the x,2 tuple's version would be
+// lost to the y,3 tuple's.
+func repeatedIDTable(t *testing.T) (*dataset.Table, []*rules.Rule) {
+	t.Helper()
+	tb := dataset.NewTable(dataset.MustSchema("A", "B"))
+	for _, row := range [][]string{{"x", "1"}, {"x", "1"}, {"x", "1"}, {"x", "2"}, {"y", "3"}} {
+		tb.MustAppend(row...)
+	}
+	return tb, rules.MustParseStrings("FD: A -> B")
+}
+
+// TestCleanRejectsRepeatedIDs: Clean and CleanEncoded refuse a table that
+// repeats a tuple ID, naming the ID, as a DeltaCleaner's Load does; with the
+// IDs made unique the same rows clean.
+func TestCleanRejectsRepeatedIDs(t *testing.T) {
+	tb, rs := repeatedIDTable(t)
+	opts := Options{Tau: 0, TauSet: true}
+	res, err := Clean(tb, rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Repaired.Tuples[3].Values[1]; got != "1" {
+		t.Fatalf("unique IDs: x,2 repaired to x,%s, want x,1", got)
+	}
+	tb.Tuples[4].ID = 3
+	const want = "core: duplicate tuple id 3"
+	if _, err := Clean(tb, rs, opts); err == nil || err.Error() != want {
+		t.Errorf("Clean: error %v, want %q", err, want)
+	}
+	enc := dataset.Encode(tb, nil)
+	if _, err := CleanEncoded(context.Background(), tb, enc, rs, opts); err == nil || err.Error() != want {
+		t.Errorf("CleanEncoded: error %v, want %q", err, want)
+	}
+}

@@ -179,7 +179,7 @@ type Positions struct {
 // Positions indexes tb's tuple IDs by position. When every tuple's ID is its
 // position — as Append, the CSV readers and a StreamEncoder assign them —
 // the mapping is the identity and no map is built; otherwise one map is,
-// keeping the last position of a repeated ID.
+// keeping the last position of a repeated ID (RepeatedID finds one).
 func (tb *Table) Positions() Positions {
 	for i, t := range tb.Tuples {
 		if t.ID != i {
@@ -191,6 +191,24 @@ func (tb *Table) Positions() Positions {
 		}
 	}
 	return Positions{n: len(tb.Tuples)}
+}
+
+// RepeatedID returns a tuple ID that tb holds more than once; ok is false
+// when every ID is unique. A table whose IDs are its positions is checked
+// without a map.
+func (tb *Table) RepeatedID() (id int, ok bool) {
+	p := tb.Positions()
+	if len(p.at) == 0 || len(p.at) == p.n {
+		return 0, false
+	}
+	// Positions kept each ID's last position: the first tuple that is not
+	// at its ID's position is an earlier copy.
+	for i, t := range tb.Tuples {
+		if p.at[t.ID] != i {
+			return t.ID, true
+		}
+	}
+	return 0, false
 }
 
 // Of returns the position of the tuple with the given ID; ok is false when

@@ -255,3 +255,30 @@ func TestPositions(t *testing.T) {
 		t.Error("an empty table holds tuple 0")
 	}
 }
+
+// TestRepeatedID: positional and unique non-positional IDs pass, and a
+// repeat is named wherever it sits.
+func TestRepeatedID(t *testing.T) {
+	tb := NewTable(MustSchema("A"))
+	for _, v := range []string{"w", "x", "y", "z"} {
+		tb.MustAppend(v)
+	}
+	for _, c := range []struct {
+		ids  []int
+		want int
+		ok   bool
+	}{
+		{[]int{0, 1, 2, 3}, 0, false},
+		{[]int{9, 1, 5, 0}, 0, false},
+		{[]int{0, 1, 2, 2}, 2, true},
+		{[]int{7, 1, 7, 3}, 7, true},
+		{[]int{5, 5, 5, 5}, 5, true},
+	} {
+		for i, id := range c.ids {
+			tb.Tuples[i].ID = id
+		}
+		if got, ok := tb.RepeatedID(); got != c.want || ok != c.ok {
+			t.Errorf("IDs %v: RepeatedID = %d, %v, want %d, %v", c.ids, got, ok, c.want, c.ok)
+		}
+	}
+}

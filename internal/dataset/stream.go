@@ -144,7 +144,9 @@ const (
 // yields a bit-identical Encoded. Unlike ReadCSV+Encode, the raw strings are
 // never duplicated: each tuple's values alias the dictionary's canonical
 // strings, so a table ingested through the encoder holds one copy of every
-// distinct value.
+// distinct value. A distributed run holds its whole table in one encoder;
+// its parts clean views of that table and those rows, in forks of the
+// encoder's dictionary.
 type StreamEncoder struct {
 	schema *Schema
 	dict   *intern.Dict
@@ -187,28 +189,6 @@ func (se *StreamEncoder) AppendID(id int, values []string) (*Tuple, error) {
 		row[j] = se.dict.Intern(v)
 		// The canonical interned string: identical bytes, shared backing.
 		t.Values[j] = se.dict.Value(row[j])
-	}
-	return t, nil
-}
-
-// AppendEncoded is AppendID for a row already encoded in the encoder's
-// dictionary: the IDs are copied, and the tuple's values alias the
-// dictionary's strings as AppendID's do. Every ID must be below Dict().Len().
-// A distributed run's parts take the run's ID rows this way, after
-// translating them into their own dictionary.
-func (se *StreamEncoder) AppendEncoded(id int, ids []uint32) (*Tuple, error) {
-	if len(ids) != se.schema.Len() {
-		return nil, fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(ids), se.schema.Len())
-	}
-	for _, vid := range ids {
-		if int(vid) >= se.dict.Len() {
-			return nil, fmt.Errorf("dataset: value ID %d is not in the dictionary (%d values)", vid, se.dict.Len())
-		}
-	}
-	t, row := se.next(id)
-	copy(row, ids)
-	for j, vid := range ids {
-		t.Values[j] = se.dict.Value(vid)
 	}
 	return t, nil
 }

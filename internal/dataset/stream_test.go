@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 const streamFixture = "\xEF\xBB\xBFCity,State,Zip\n" +
@@ -189,42 +188,5 @@ func TestStreamEncoderChunkBoundaries(t *testing.T) {
 				t.Fatalf("n=%d: appending to a neighbour rewrote tuple %d: %v %v", n, i, tu.Values, gotEnc.Rows[i])
 			}
 		}
-	}
-}
-
-// TestStreamEncoderAppendEncoded: a row appended by ID lands in the table and
-// its encoding exactly as the same row appended by value, its values alias
-// the dictionary, and a row of the wrong width or naming an ID the
-// dictionary does not hold is refused without appending anything.
-func TestStreamEncoderAppendEncoded(t *testing.T) {
-	schema := MustSchema("A", "B")
-	byVal := NewStreamEncoder(schema, nil)
-	if _, err := byVal.AppendID(7, []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	byID := NewStreamEncoder(schema, nil)
-	byID.Dict().Intern("x")
-	byID.Dict().Intern("y")
-	row := []uint32{0, 1}
-	tu, err := byID.AppendEncoded(7, row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row[0] = 1 // the encoder copied the caller's row
-	if !reflect.DeepEqual(byID.Table().Tuples[0], byVal.Table().Tuples[0]) ||
-		!reflect.DeepEqual(byID.Encoded().Rows, byVal.Encoded().Rows) {
-		t.Fatalf("AppendEncoded built %+v %v, AppendID %+v %v",
-			byID.Table().Tuples[0], byID.Encoded().Rows, byVal.Table().Tuples[0], byVal.Encoded().Rows)
-	}
-	if unsafe.StringData(tu.Values[1]) != unsafe.StringData(byID.Dict().Value(1)) {
-		t.Error("tuple values do not alias the dictionary's strings")
-	}
-	for _, bad := range [][]uint32{{0}, {0, 1, 1}, {0, 2}} {
-		if _, err := byID.AppendEncoded(8, bad); err == nil {
-			t.Errorf("AppendEncoded(%v) succeeded", bad)
-		}
-	}
-	if byID.Table().Len() != 1 || len(byID.Encoded().Rows) != 1 {
-		t.Errorf("refused rows were appended: %d tuples, %d rows", byID.Table().Len(), len(byID.Encoded().Rows))
 	}
 }

@@ -122,6 +122,9 @@ func CleanContext(ctx context.Context, dirty *dataset.Table, rs []*rules.Rule, o
 	if dirty == nil || dirty.Len() == 0 {
 		return nil, fmt.Errorf("distributed: empty input table")
 	}
+	if id, ok := dirty.RepeatedID(); ok {
+		return nil, fmt.Errorf("distributed: duplicate tuple id %d", id)
+	}
 	start := time.Now()
 
 	c, err := newCoordinator(dirty.Schema, rs, opts, min(opts.Workers, dirty.Len()))

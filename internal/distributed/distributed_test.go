@@ -223,63 +223,50 @@ func TestPartitionMatchesStringOracle(t *testing.T) {
 	}
 }
 
-// mergeWeights applies Eq. 6 across a set of part indexes: every piece
-// with the same rule and the same values gets the support-weighted mean of
-// its per-part learned weights. It is finish's exchange in miniature — each
-// index's values mapped to one run dictionary, summaries extracted,
-// reduced, applied.
-func mergeWeights(t *testing.T, indexes []*index.Index) {
+// forkIndexes builds one part index per support n, each over n copies of
+// the tuple (k, v) in a fork of one run dictionary, and gives part i's
+// piece weight ws[i].
+func forkIndexes(t *testing.T, ns []int, ws []float64) ([]*index.Index, *intern.Dict) {
 	t.Helper()
-	var rs []*rules.Rule
-	for _, b := range indexes[0].Blocks {
-		rs = append(rs, b.Rule)
-	}
+	r := rules.MustParseStrings("FD: A -> B")[0]
+	schema := dataset.MustSchema("A", "B")
 	dict := intern.NewDict()
-	wds := make([]*workerDict, len(indexes))
-	per := make([][]ruleWeights, len(indexes))
-	for w, ix := range indexes {
-		wd := &workerDict{}
-		for l := 0; l < ix.Dict().Len(); l++ {
-			c := dict.Intern(ix.Dict().Value(uint32(l)))
-			if n := int(c) + 1; n > len(wd.local) {
-				wd.local = append(wd.local, make([]uint32, n-len(wd.local))...)
-			}
-			wd.local[c] = uint32(l) + 1
-			wd.coord = append(wd.coord, c)
+	row := []uint32{dict.Intern("k"), dict.Intern("v")}
+	ixs := make([]*index.Index, len(ns))
+	for i, n := range ns {
+		tb := &dataset.Table{Schema: schema}
+		enc := &dataset.Encoded{Dict: dict.Fork()}
+		for id := range n {
+			tb.Tuples = append(tb.Tuples, &dataset.Tuple{ID: id, Values: []string{"k", "v"}})
+			enc.Rows = append(enc.Rows, row)
 		}
-		wds[w], per[w] = wd, wd.summaries(ix)
+		ix, err := index.BuildConfigured(tb, []*rules.Rule{r}, index.BuildConfig{Encoded: enc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Blocks[0].Groups[0].Pieces[0].Weight = ws[i]
+		ixs[i] = ix
 	}
-	merged := reducePieceWeights(per, rs, dict)
-	for w, ix := range indexes {
-		wds[w].applyWeights(ix, merged)
-	}
+	return ixs, dict
 }
 
 func TestMergeWeightsEq6(t *testing.T) {
 	// Two "workers" hold the same γ with different weights and supports:
-	// the merged weight is the support-weighted mean (Eq. 6).
-	r := rules.MustParseStrings("FD: A -> B")[0]
-	mk := func(n int, w float64) *index.Index {
-		tb := dataset.NewTable(dataset.MustSchema("A", "B"))
-		for i := 0; i < n; i++ {
-			tb.MustAppend("k", "v")
-		}
-		ix, err := index.Build(tb, []*rules.Rule{r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.Blocks[0].Groups[0].Pieces[0].Weight = w
-		return ix
-	}
-	ix1 := mk(3, 0.9) // n=3, w=0.9
-	ix2 := mk(1, 0.1) // n=1, w=0.1
-	mergeWeights(t, []*index.Index{ix1, ix2})
+	// the merged weight is the support-weighted mean (Eq. 6). One part
+	// alone keeps its learned weight, bit for bit.
+	ixs, dict := forkIndexes(t, []int{3, 1}, []float64{0.9, 0.1})
+	mergeWeights(ixs, dict)
 	want := (3*0.9 + 1*0.1) / 4
-	for _, ix := range []*index.Index{ix1, ix2} {
+	for _, ix := range ixs {
 		got := ix.Blocks[0].Groups[0].Pieces[0].Weight
 		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("merged weight = %v, want %v", got, want)
 		}
+	}
+	solo, dict := forkIndexes(t, []int{3}, []float64{0.1 + 0.2})
+	mergeWeights(solo, dict)
+	if got := solo[0].Blocks[0].Groups[0].Pieces[0].Weight; got != 0.1+0.2 {
+		t.Errorf("one part's weight = %v, want %v as learned", got, 0.1+0.2)
 	}
 }
 
@@ -355,26 +342,13 @@ func TestDedupProperties(t *testing.T) {
 // weights, the merged weight is exactly the hand-computed Eq. 6
 // support-weighted mean, on both workers' indexes.
 func TestMergeWeightsProperty(t *testing.T) {
-	r := rules.MustParseStrings("FD: A -> B")[0]
-	mk := func(n int, w float64) *index.Index {
-		tb := dataset.NewTable(dataset.MustSchema("A", "B"))
-		for i := 0; i < n; i++ {
-			tb.MustAppend("k", "v")
-		}
-		ix, err := index.Build(tb, []*rules.Rule{r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix.Blocks[0].Groups[0].Pieces[0].Weight = w
-		return ix
-	}
 	f := func(n1Raw, n2Raw uint8, w1Raw, w2Raw uint16) bool {
 		n1, n2 := int(n1Raw%40)+1, int(n2Raw%40)+1
 		w1, w2 := float64(w1Raw)/65535, float64(w2Raw)/65535
-		ix1, ix2 := mk(n1, w1), mk(n2, w2)
-		mergeWeights(t, []*index.Index{ix1, ix2})
+		ixs, dict := forkIndexes(t, []int{n1, n2}, []float64{w1, w2})
+		mergeWeights(ixs, dict)
 		want := (float64(n1)*w1 + float64(n2)*w2) / float64(n1+n2)
-		for _, ix := range []*index.Index{ix1, ix2} {
+		for _, ix := range ixs {
 			got := ix.Blocks[0].Groups[0].Pieces[0].Weight
 			if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 				return false
@@ -489,6 +463,29 @@ func TestCleanAliasesRepaired(t *testing.T) {
 func TestDistributedValidation(t *testing.T) {
 	if _, err := Clean(nil, nil, Options{}); err == nil {
 		t.Error("nil table should fail")
+	}
+}
+
+// TestCleanRejectsRepeatedIDs: Clean refuses a table that repeats a tuple
+// ID, naming the ID, at any worker count; the same rows under unique IDs
+// clean.
+func TestCleanRejectsRepeatedIDs(t *testing.T) {
+	tb := dataset.NewTable(dataset.MustSchema("A", "B"))
+	for _, row := range [][]string{{"x", "1"}, {"x", "1"}, {"x", "1"}, {"x", "2"}, {"y", "3"}} {
+		tb.MustAppend(row...)
+	}
+	rs := rules.MustParseStrings("FD: A -> B")
+	for _, k := range []int{1, 2} {
+		opts := Options{Workers: k, Seed: 1, Core: core.Options{Tau: 0, TauSet: true}}
+		tb.Tuples[4].ID = 4
+		if _, err := Clean(tb, rs, opts); err != nil {
+			t.Fatalf("k=%d, unique IDs: %v", k, err)
+		}
+		tb.Tuples[4].ID = 3
+		const want = "distributed: duplicate tuple id 3"
+		if _, err := Clean(tb, rs, opts); err == nil || err.Error() != want {
+			t.Errorf("k=%d: error %v, want %q", k, err, want)
+		}
 	}
 }
 

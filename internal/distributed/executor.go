@@ -22,12 +22,14 @@ import (
 // tuples. Clean fills the parts with Algorithm 3, CleanStream with the
 // online partitioner (stream.go); finish then cleans them.
 //
-// Each part is cleaned by its own goroutine, in two calls with one barrier
-// between them: stage I (index, AGP, weight learning), then — once every
-// part's Eq. 6 summaries are reduced into merged weights — RSC under those
-// weights. The union of the parts' blocks goes to the run's one stage II:
-// FSCR over every tuple, then deduplication. Nothing is re-run: a part that
-// fails, or a cancelled context, ends the run with an error.
+// A part is a view of the run: its tuples are the run's, its rows the
+// run's encoded rows, and it cleans in a Fork of the run's dictionary. Each
+// part is cleaned by its own goroutine, in two calls with one barrier
+// between them: stage I (index, AGP, weight learning), then — once Eq. 6
+// has merged the parts' weights in place — RSC under those weights. The
+// union of the parts' blocks goes to the run's one stage II: FSCR over
+// every tuple, then deduplication. Nothing is re-run: a part that fails, or
+// a cancelled context, ends the run with an error.
 type coordinator struct {
 	schema *dataset.Schema
 	rs     []*rules.Rule
@@ -36,9 +38,8 @@ type coordinator struct {
 	rng    *rand.Rand
 
 	// senc holds every tuple of the run and its encoded row, in dict — the
-	// run's value-ID space, in which parts take their rows and hand back
-	// their summaries and blocks. Stage II fuses from these original dirty
-	// values.
+	// one value-ID space every part cleans in. Stage II fuses from these
+	// original dirty values.
 	senc      *dataset.StreamEncoder
 	dict      *intern.Dict
 	ev        *distance.Evaluator
@@ -53,15 +54,15 @@ type coordinator struct {
 	assignTime time.Duration
 }
 
-// partInput is one part's tuples in assignment order: their IDs and rows in
-// the run's value IDs.
+// partInput is one part's tuples in assignment order and their rows in the
+// run's value IDs, both the run's own.
 type partInput struct {
-	ids  []int
-	rows [][]uint32
+	tuples []*dataset.Tuple
+	rows   [][]uint32
 }
 
-func (p *partInput) add(id int, row []uint32) {
-	p.ids = append(p.ids, id)
+func (p *partInput) add(t *dataset.Tuple, row []uint32) {
+	p.tuples = append(p.tuples, t)
 	p.rows = append(p.rows, row)
 }
 
@@ -100,14 +101,14 @@ func (c *coordinator) partitionTable(dirty *dataset.Table) (distTime, heapTime t
 			return 0, 0, err
 		}
 	}
-	rows := c.senc.Encoded().Rows
+	tuples, rows := c.senc.Table().Tuples, c.senc.Encoded().Rows
 	parts, distTime, heapTime, err := partition(rows, c.k, c.ev, c.rng)
 	if err != nil {
 		return 0, 0, err
 	}
 	for w, part := range parts {
 		for _, pos := range part {
-			c.parts[w].add(dirty.Tuples[pos].ID, rows[pos])
+			c.parts[w].add(tuples[pos], rows[pos])
 		}
 	}
 	return distTime, heapTime, nil
@@ -130,13 +131,10 @@ func workerCoreOpts(o core.Options, workers int) core.Options {
 	return o
 }
 
-// part is one partition's cleaning state. It cleans in a dictionary of its
-// own, because building a block mints sequence keys into it.
+// part is one partition's cleaning state.
 type part struct {
-	wd      *workerDict
 	ix      *index.Index
 	stats   core.Stats
-	sums    []ruleWeights
 	stageI  time.Duration
 	stageII time.Duration
 }
@@ -166,8 +164,8 @@ func eachPart(ctx context.Context, k int, fn func(w int) error) error {
 	return nil
 }
 
-// finish cleans the parts: stage I on every part, the Eq. 6 reduce over
-// their summaries, RSC on every part under the merged weights, then the
+// finish cleans the parts: stage I on every part, the Eq. 6 merge of their
+// weights, RSC on every part under the merged weights, then the
 // run's stage II over the union of their blocks (FSCR over the original
 // dirty tuples + deduplication).
 func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Result) (*Result, error) {
@@ -178,16 +176,19 @@ func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Res
 	opts := workerCoreOpts(c.opts.Core, c.k)
 	parts := make([]part, c.k)
 	err := eachPart(ctx, c.k, func(w int) error {
-		p := &parts[w]
-		p.wd = c.ingest(c.parts[w])
+		p, in := &parts[w], c.parts[w]
 		t0 := time.Now()
-		tb := p.wd.senc.Table()
+		// Building a block mints sequence keys, so each part mints into a
+		// fork of the run's dictionary; the run interns nothing until the
+		// gather.
+		tb := &dataset.Table{Schema: c.schema, Tuples: in.tuples}
+		enc := &dataset.Encoded{Dict: c.dict.Fork(), Rows: in.rows}
 		p.stats.Tuples = tb.Len()
-		ix, err := core.StreamAGPLearn(ctx, tb, p.wd.senc.Encoded(), c.rs, opts, &p.stats)
+		ix, err := core.StreamAGPLearn(ctx, tb, enc, c.rs, opts, &p.stats)
 		if err != nil {
 			return err
 		}
-		p.ix, p.sums = ix, p.wd.summaries(ix)
+		p.ix = ix
 		p.stageI = time.Since(t0)
 		return nil
 	})
@@ -195,24 +196,19 @@ func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Res
 		return nil, err
 	}
 
-	// Eq. 6: reduce the parts' piece summaries to support-weighted mean
-	// weights — w(γ) = Σ nᵢ·wᵢ / Σ nᵢ — so sparse local evidence borrows
-	// support from the other parts.
 	t0 := time.Now()
-	var merged []ruleWeights
 	if !c.opts.SkipWeightMerge {
-		per := make([][]ruleWeights, c.k)
+		ixs := make([]*index.Index, c.k)
 		for w := range parts {
-			per[w] = parts[w].sums
+			ixs[w] = parts[w].ix
 		}
-		merged = reducePieceWeights(per, c.rs, c.dict)
+		mergeWeights(ixs, c.dict)
 	}
 	res.GatherTime += time.Since(t0)
 
 	err = eachPart(ctx, c.k, func(w int) error {
 		p := &parts[w]
 		t0 := time.Now()
-		p.wd.applyWeights(p.ix, merged)
 		if err := core.StageRSC(ctx, p.ix, opts, &p.stats); err != nil {
 			return err
 		}
@@ -255,98 +251,67 @@ func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Res
 	return res, nil
 }
 
-// ruleWeights is one rule's pieces in columns, the Eq. 6 summary a part
-// hands the reduce and the reduce hands back: piece i's values, reason then
-// result, are IDs[i·a : (i+1)·a] for the rule's arity a, in the run's value
-// IDs; Counts[i] is its support and Weights[i] its weight.
-type ruleWeights struct {
-	IDs     []uint32
-	Counts  []int
-	Weights []float64
-}
-
-// arity is the number of values of one of r's pieces: reason then result.
-func arity(r *rules.Rule) int { return len(r.Reason) + len(r.Result) }
-
-// reducePieceWeights is the coordinator half of Eq. 6: per rule, fold every
-// part's pieces (in part order, for deterministic float accumulation) into
-// support-weighted mean weights, keyed on the pieces' value-ID sequences in
-// dict and emitted in first-seen order.
-func reducePieceWeights(perWorker [][]ruleWeights, rs []*rules.Rule, dict *intern.Dict) []ruleWeights {
-	// A single part's pieces are already the merged vector; returning them
-	// verbatim keeps k=1 bit-identical to the stand-alone pipeline
-	// ((n·w)/n can differ from w in the last ulp).
-	if len(perWorker) == 1 {
-		return perWorker[0]
+// mergeWeights is Eq. 6 over the parts' indexes — the same rules, each
+// index in a fork of dict: per rule, every piece takes the support-weighted
+// mean w(γ) = Σ nᵢ·wᵢ / Σ nᵢ of the weights its values carry across the
+// parts, so sparse local evidence borrows support from the other parts.
+// Parts fold in part order, so the float sums are deterministic. A single
+// part's pieces already hold the merged weights and keep their bits
+// ((n·w)/n can differ from w in the last ulp). Minting the pieces' keys
+// mutates dict, so this runs on one goroutine.
+func mergeWeights(ixs []*index.Index, dict *intern.Dict) {
+	if len(ixs) == 1 {
+		return
 	}
-	out := make([]ruleWeights, len(rs))
 	at := make(map[uint32]int)
-	for ri, r := range rs {
-		a := arity(r)
+	var sumNW, sumN []float64
+	var pieces []*index.Piece
+	var slot []int
+	for bi := range ixs[0].Blocks {
 		clear(at)
-		var ids []uint32
-		var sumNW, sumN []float64
-		for _, ws := range perWorker {
-			rw := &ws[ri]
-			for i, w := range rw.Weights {
-				piece := rw.IDs[i*a : (i+1)*a]
-				key := dict.Seq(piece)
-				j, ok := at[key]
-				if !ok {
-					j = len(sumN)
-					at[key] = j
-					ids = append(ids, piece...)
-					sumNW = append(sumNW, 0)
-					sumN = append(sumN, 0)
+		sumNW, sumN, pieces, slot = sumNW[:0], sumN[:0], pieces[:0], slot[:0]
+		for _, ix := range ixs {
+			for _, g := range ix.Blocks[bi].Groups {
+				for _, p := range g.Pieces {
+					key := dict.Seq(p.ValueIDs())
+					j, ok := at[key]
+					if !ok {
+						j = len(sumN)
+						at[key] = j
+						sumNW, sumN = append(sumNW, 0), append(sumN, 0)
+					}
+					n := float64(p.Count())
+					sumNW[j] += n * p.Weight
+					sumN[j] += n
+					pieces, slot = append(pieces, p), append(slot, j)
 				}
-				n := float64(rw.Counts[i])
-				sumNW[j] += n * w
-				sumN[j] += n
 			}
 		}
-		// Pieces without support are dropped; ids compacts in place.
-		m := ruleWeights{IDs: ids[:0], Counts: make([]int, 0, len(sumN)), Weights: make([]float64, 0, len(sumN))}
-		for j, n := range sumN {
-			if n <= 0 {
-				continue
+		// A piece without support anywhere keeps its learned weight.
+		for i, p := range pieces {
+			if n := sumN[slot[i]]; n > 0 {
+				p.Weight = sumNW[slot[i]] / n
 			}
-			m.IDs = append(m.IDs, ids[j*a:(j+1)*a]...)
-			m.Counts = append(m.Counts, int(n))
-			m.Weights = append(m.Weights, sumNW[j]/n)
 		}
-		out[ri] = m
 	}
-	return out
 }
 
 // unionBlocks builds stage II's inputs from every part's post-RSC blocks:
 // per rule, every part's pieces — each the version of the tuples it names —
-// with their values in the run's value IDs, plus the union of their
-// candidate pieces (deduplicated by identity, keeping the merged weight).
-// Parts are folded in part order, so candidate order is deterministic.
-// Minting the pieces' keys mutates dict, so this runs on one goroutine.
+// re-keyed in the run's dictionary, plus the union of their candidate
+// pieces (deduplicated by identity, keeping the merged weight). Parts are
+// folded in part order, so candidate order is deterministic. Minting the
+// pieces' keys mutates dict, so this runs on one goroutine.
 func (c *coordinator) unionBlocks(parts []part) []*core.FusionBlock {
 	blocks := make([]*core.FusionBlock, len(c.rs))
 	seen := make(map[uint32]struct{})
 	for bi, r := range c.rs {
 		fb := &core.FusionBlock{Rule: r, Attrs: r.Attrs()}
 		clear(seen)
-		a := arity(r)
 		for _, pt := range parts {
-			b := pt.ix.Blocks[bi]
-			n := 0
-			for _, g := range b.Groups {
-				n += len(g.Pieces)
-			}
-			vals := make([]uint32, n*a)
-			for _, g := range b.Groups {
+			for _, g := range pt.ix.Blocks[bi].Groups {
 				for _, lp := range g.Pieces {
-					v := vals[:a:a]
-					vals = vals[a:]
-					for i, id := range lp.ValueIDs() {
-						v[i] = pt.wd.coord[id]
-					}
-					p := index.NewPieceIDs(r, c.dict, v, len(r.Reason))
+					p := index.NewPieceIDs(r, c.dict, lp.ValueIDs(), len(r.Reason))
 					p.TupleIDs = lp.TupleIDs
 					p.Weight = lp.Weight
 					fb.Pieces = append(fb.Pieces, p)
@@ -360,91 +325,4 @@ func (c *coordinator) unionBlocks(parts []part) []*core.FusionBlock {
 		blocks[bi] = fb
 	}
 	return blocks
-}
-
-// workerDict is a part's end of the ID translation: its own dictionary,
-// minted in the row-major first-sight order of the part's rows — so local
-// IDs are the ones encoding the part's rows by value would assign — the
-// part's table encoded into it, and the two translations between the run's
-// and the part's value IDs.
-type workerDict struct {
-	senc  *dataset.StreamEncoder
-	local []uint32 // run ID → local ID + 1; 0 until the part meets it
-	coord []uint32 // local ID → run ID
-}
-
-// ingest builds part in's table in a dictionary of its own. It only reads
-// the run's dictionary, so parts ingest concurrently.
-func (c *coordinator) ingest(in partInput) *workerDict {
-	wd := &workerDict{local: make([]uint32, c.dict.Len())}
-	local := intern.NewDict()
-	wd.senc = dataset.NewStreamEncoder(c.schema, local)
-	row := make([]uint32, c.schema.Len())
-	for i, id := range in.ids {
-		for j, v := range in.rows[i] {
-			if wd.local[v] == 0 {
-				wd.local[v] = local.Intern(c.dict.Value(v)) + 1
-				wd.coord = append(wd.coord, v)
-			}
-			row[j] = wd.local[v] - 1
-		}
-		// The row has the schema's width and id is the run's tuple ID, unique
-		// within the run, so the append cannot fail.
-		wd.senc.AppendEncoded(id, row)
-	}
-	return wd
-}
-
-// summaries is the part's Eq. 6 record: every piece of ix in
-// block/group/piece order, its values in the run's IDs.
-func (wd *workerDict) summaries(ix *index.Index) []ruleWeights {
-	out := make([]ruleWeights, len(ix.Blocks))
-	for bi, b := range ix.Blocks {
-		n := 0
-		for _, g := range b.Groups {
-			n += len(g.Pieces)
-		}
-		rw := ruleWeights{
-			IDs:     make([]uint32, 0, n*arity(b.Rule)),
-			Counts:  make([]int, 0, n),
-			Weights: make([]float64, 0, n),
-		}
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				for _, id := range p.ValueIDs() {
-					rw.IDs = append(rw.IDs, wd.coord[id])
-				}
-				rw.Counts = append(rw.Counts, p.Count())
-				rw.Weights = append(rw.Weights, p.Weight)
-			}
-		}
-		out[bi] = rw
-	}
-	return out
-}
-
-// applyWeights writes the merged Eq. 6 weights into ix. A merged piece
-// naming a value this part never met is no piece of its index and is
-// skipped. No merged weights (SkipWeightMerge) leave ix as learned.
-func (wd *workerDict) applyWeights(ix *index.Index, merged []ruleWeights) {
-	var ids []uint32
-	var weights []float64
-	for bi := range merged {
-		rw := &merged[bi]
-		a := arity(ix.Blocks[bi].Rule)
-		ids, weights = ids[:0], weights[:0]
-	piece:
-		for i, w := range rw.Weights {
-			n := len(ids)
-			for _, c := range rw.IDs[i*a : (i+1)*a] {
-				if int(c) >= len(wd.local) || wd.local[c] == 0 {
-					ids = ids[:n]
-					continue piece
-				}
-				ids = append(ids, wd.local[c]-1)
-			}
-			weights = append(weights, w)
-		}
-		ix.ApplyPieceWeights(bi, ids, weights)
-	}
 }

@@ -76,7 +76,10 @@ func readGolden(t *testing.T) map[string]string {
 // BatchSize and at 64 — on HAI and TPC-H at k ∈ {1, 2, 4, 8}, plus one run
 // without the Eq. 6 merge, to digests taken before the executor lost its
 // message protocol. The digests are never regenerated: a run that moves
-// one of them changed the algorithm's output.
+// one of them changed the algorithm's output. The grid runs at the default
+// Core.Parallelism and again at 1 and 3 against the same digests: the parts
+// build concurrently over one value space, and scheduling must not reach
+// the output.
 func TestDistributedOutputGolden(t *testing.T) {
 	want := readGolden(t)
 	_, hai, haiRules := equivalenceFixture(t)
@@ -87,16 +90,17 @@ func TestDistributedOutputGolden(t *testing.T) {
 		rs    []*rules.Rule
 	}{{"hai", hai, haiRules}, {"tpch", tpch, tpchRules}}
 
-	check := func(name string, res *Result, err error) {
+	check := func(name string, par int, res *Result, err error) {
 		t.Helper()
+		label := fmt.Sprintf("%s (Parallelism %d)", name, par)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		got := goldenDigest(t, res)
 		if w, ok := want[name]; !ok {
-			t.Errorf("%s: no golden digest (got %s)", name, got)
+			t.Errorf("%s: no golden digest (got %s)", label, got)
 		} else if got != w {
-			t.Errorf("%s: digest %s, golden %s", name, got, w)
+			t.Errorf("%s: digest %s, golden %s", label, got, w)
 		}
 	}
 	stream := func(tb *dataset.Table) dataset.RowStream {
@@ -110,18 +114,20 @@ func TestDistributedOutputGolden(t *testing.T) {
 		}
 		return s
 	}
-	for _, in := range inputs {
-		for _, k := range []int{1, 2, 4, 8} {
-			opts := Options{Workers: k, Seed: 1, Core: core.Options{Tau: 2}}
-			res, err := Clean(in.dirty, in.rs, opts)
-			check(fmt.Sprintf("%s/clean/k=%d", in.name, k), res, err)
-			for _, bs := range []int{0, 64} {
-				opts.BatchSize = bs
-				res, err := CleanStream(context.Background(), stream(in.dirty), in.rs, opts)
-				check(fmt.Sprintf("%s/stream/batch=%d/k=%d", in.name, bs, k), res, err)
+	for _, par := range []int{0, 1, 3} {
+		for _, in := range inputs {
+			for _, k := range []int{1, 2, 4, 8} {
+				opts := Options{Workers: k, Seed: 1, Core: core.Options{Tau: 2, Parallelism: par}}
+				res, err := Clean(in.dirty, in.rs, opts)
+				check(fmt.Sprintf("%s/clean/k=%d", in.name, k), par, res, err)
+				for _, bs := range []int{0, 64} {
+					opts.BatchSize = bs
+					res, err := CleanStream(context.Background(), stream(in.dirty), in.rs, opts)
+					check(fmt.Sprintf("%s/stream/batch=%d/k=%d", in.name, bs, k), par, res, err)
+				}
 			}
 		}
+		res, err := Clean(hai, haiRules, Options{Workers: 4, Seed: 1, Core: core.Options{Tau: 2, Parallelism: par}, SkipWeightMerge: true})
+		check("hai/clean/skip-merge/k=4", par, res, err)
 	}
-	res, err := Clean(hai, haiRules, Options{Workers: 4, Seed: 1, Core: core.Options{Tau: 2}, SkipWeightMerge: true})
-	check("hai/clean/skip-merge/k=4", res, err)
 }

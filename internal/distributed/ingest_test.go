@@ -145,14 +145,19 @@ func checkAgainstRef(t *testing.T, label string, c *coordinator, ref *refAssign,
 	}
 	for p, in := range c.parts {
 		want := ref.parts[p]
+		ids := make([]int, len(in.tuples))
 		rows := make([][]string, len(in.rows))
 		for i, row := range in.rows {
+			ids[i] = in.tuples[i].ID
 			for _, id := range row {
 				rows[i] = append(rows[i], c.dict.Value(id))
 			}
+			if !reflect.DeepEqual(rows[i], in.tuples[i].Values) {
+				t.Fatalf("%s: partition %d: tuple %d is %q, its row %q", label, p, ids[i], in.tuples[i].Values, rows[i])
+			}
 		}
-		if len(in.ids) != len(want.IDs) || (len(in.ids) > 0 && (!reflect.DeepEqual(in.ids, want.IDs) || !reflect.DeepEqual(rows, want.Rows))) {
-			t.Fatalf("%s: partition %d:\n got %v %q\nwant %v %q", label, p, in.ids, rows, want.IDs, want.Rows)
+		if len(ids) != len(want.IDs) || (len(ids) > 0 && (!reflect.DeepEqual(ids, want.IDs) || !reflect.DeepEqual(rows, want.Rows))) {
+			t.Fatalf("%s: partition %d:\n got %v %q\nwant %v %q", label, p, ids, rows, want.IDs, want.Rows)
 		}
 	}
 	if centroids == nil {
@@ -349,100 +354,4 @@ func BenchmarkPartitionTPCH(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dirty.Len()), "ns/row")
-}
-
-// stringIngest is a part's ingest as it was before value IDs: the
-// partition's rows, by value, through StreamEncoder.AppendID into a fresh
-// dictionary.
-func stringIngest(t *testing.T, schema *dataset.Schema, b refBatch) *dataset.StreamEncoder {
-	t.Helper()
-	senc := dataset.NewStreamEncoder(schema, nil)
-	for i, row := range b.Rows {
-		if _, err := senc.AppendID(b.IDs[i], row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return senc
-}
-
-// checkWorkerIngest builds part p's table the way finish does and compares
-// the dictionary, table and encoded rows with want's, ID for ID.
-func checkWorkerIngest(t *testing.T, label string, c *coordinator, p int, want *dataset.StreamEncoder) {
-	t.Helper()
-	wd := c.ingest(c.parts[p])
-	got := wd.senc
-	if got.Dict().Len() != want.Dict().Len() {
-		t.Fatalf("%s: %d local values, string ingest %d", label, got.Dict().Len(), want.Dict().Len())
-	}
-	for i := 0; i < want.Dict().Len(); i++ {
-		if g, w := got.Dict().Value(uint32(i)), want.Dict().Value(uint32(i)); g != w {
-			t.Fatalf("%s: local ID %d is %q, string ingest %q", label, i, g, w)
-		}
-		if g, w := c.dict.Value(wd.coord[i]), want.Dict().Value(uint32(i)); g != w {
-			t.Fatalf("%s: local ID %d maps to run ID %d, %q; string ingest %q", label, i, wd.coord[i], g, w)
-		}
-	}
-	if !reflect.DeepEqual(got.Encoded().Rows, want.Encoded().Rows) {
-		t.Fatalf("%s: encoded rows differ from string ingest", label)
-	}
-	if d := got.Table().Diff(want.Table()); got.Table().Len() != want.Table().Len() || len(d) != 0 {
-		t.Fatalf("%s: table differs from string ingest", label)
-	}
-	for i, tu := range got.Table().Tuples {
-		if tu.ID != want.Table().Tuples[i].ID {
-			t.Fatalf("%s: tuple %d has ID %d, string ingest %d", label, i, tu.ID, want.Table().Tuples[i].ID)
-		}
-	}
-}
-
-// TestWorkerLocalIDsMatchStringIngest: a part ingesting its rows from the
-// run's value IDs mints exactly the local IDs — and so builds exactly the
-// dictionary, table and encoded rows — that encoding the same partition
-// rows by value does, for both partitioners (Clean's Algorithm 3 and
-// CleanStream's online one), k ∈ {1, 2, 4}, on HAI and TPC-H.
-func TestWorkerLocalIDsMatchStringIngest(t *testing.T) {
-	_, hai, haiRules := equivalenceFixture(t)
-	tpch, tpchRules := tpchRows(t)
-	for _, ds := range []struct {
-		name  string
-		dirty *dataset.Table
-		rs    []*rules.Rule
-	}{{"hai", hai, haiRules}, {"tpch", tpch, tpchRules}} {
-		if testing.Short() && ds.name == "tpch" {
-			continue
-		}
-		for _, k := range []int{1, 2, 4} {
-			// The online partitioner, against the oracle's partition rows.
-			label := fmt.Sprintf("%s stream k=%d", ds.name, k)
-			c := streamCoordinator(t, ds.dirty.Schema, ds.rs, Options{Workers: k, Seed: 1})
-			ref := newRefAssign(k, distance.Levenshtein{}, 1)
-			submitBatches(t, c, ref, ds.dirty, 1024)
-			checkAgainstRef(t, label, c, ref, distance.Levenshtein{})
-			for p := range c.parts {
-				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), c, p, stringIngest(t, ds.dirty.Schema, ref.parts[p]))
-			}
-
-			// Algorithm 3's parts, in heap order.
-			label = fmt.Sprintf("%s clean k=%d", ds.name, k)
-			c, err := newCoordinator(ds.dirty.Schema, ds.rs, Options{Workers: k, Seed: 1}, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := c.partitionTable(ds.dirty); err != nil {
-				t.Fatal(err)
-			}
-			parts, err := partitionTable(ds.dirty, k, distance.Levenshtein{}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p, part := range parts {
-				var b refBatch
-				for _, pos := range part {
-					b.IDs = append(b.IDs, ds.dirty.Tuples[pos].ID)
-					b.Rows = append(b.Rows, ds.dirty.Tuples[pos].Values)
-				}
-				checkWorkerIngest(t, fmt.Sprintf("%s partition %d", label, p), c, p, stringIngest(t, ds.dirty.Schema, b))
-			}
-		}
-	}
 }

@@ -1,11 +1,11 @@
 // Package distributed implements the Spark variant of MLNClean (§6) in one
 // process: the heap-based balanced data partitioner of Algorithm 3 (plus a
 // streaming relaxation for CleanStream), stage I and RSC for every part on a
-// goroutine of its own, the cross-part weight adjustment of Eq. 6 as a pure
-// reduce over the parts' piece summaries, and a global gather step that runs
-// stage II once — resolving conflicts and removing duplicates the same way
-// the stand-alone pipeline does. Coordinator and parts share nothing but
-// function calls and the run's read-only dictionary.
+// goroutine of its own, the cross-part weight adjustment of Eq. 6 merged in
+// place into the parts' pieces, and a global gather step that runs stage II
+// once — resolving conflicts and removing duplicates the same way the
+// stand-alone pipeline does. A part is a view of the run: the run's tuples,
+// the run's encoded rows, and a fork of the run's dictionary.
 //
 // Substitution note (see README › Deviations from the paper): the paper
 // deploys on an 11-node Spark cluster; here each "worker" is a goroutine

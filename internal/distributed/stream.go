@@ -58,7 +58,7 @@ func (c *coordinator) assign() {
 			}
 		}
 		c.loads[best]++
-		c.parts[best].add(tuples[c.assigned].ID, rows[c.assigned])
+		c.parts[best].add(tuples[c.assigned], rows[c.assigned])
 	}
 	c.assignTime += time.Since(t1)
 }

@@ -651,8 +651,7 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 // PieceSummary is the string form of one piece's weight record: its
 // identity (rule + exact values, plus the joined display key), support
 // count, and learned weight. The delta engine's Weights and mlnserve's
-// repair trail read these; the distributed Eq. 6 exchange ships the same
-// record in value IDs instead.
+// repair trail read these.
 type PieceSummary struct {
 	RuleID string
 	// Key is the joined display form of Values; Values is the
@@ -695,35 +694,6 @@ func (b *Block) appendSummaries(out []PieceSummary) []PieceSummary {
 		}
 	}
 	return out
-}
-
-// ApplyPieceWeights is the write-back half of the Eq. 6 exchange for block
-// bi: ids holds one run of value IDs per weight, each the length of the
-// rule's reason plus result in the index's dictionary, and every piece whose
-// values are run i takes weights[i]. Pieces without a matching run keep
-// their weight. Runs resolve through the dictionary's sequence keys (lookup
-// only), so a run no piece carries is skipped without growing the
-// dictionary. The caller keeps len(ids) = arity·len(weights).
-func (ix *Index) ApplyPieceWeights(bi int, ids []uint32, weights []float64) {
-	if len(weights) == 0 {
-		return
-	}
-	b := ix.Blocks[bi]
-	arity := len(ids) / len(weights)
-	d := ix.Dict()
-	merged := make(map[uint32]float64, len(weights))
-	for i, w := range weights {
-		if kid, ok := d.LookupSeq(ids[i*arity : (i+1)*arity]); ok {
-			merged[kid] = w
-		}
-	}
-	for _, g := range b.Groups {
-		for _, p := range g.Pieces {
-			if w, ok := merged[p.kid]; ok {
-				p.Weight = w
-			}
-		}
-	}
 }
 
 // Stats summarizes index shape.

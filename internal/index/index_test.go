@@ -297,8 +297,7 @@ func TestIndexTableAccessor(t *testing.T) {
 }
 
 // TestPieceSummariesRoundTrip: summaries report every piece's identity,
-// support and weight, and ApplyPieceWeights writes matching weights back
-// while leaving unmatched pieces alone.
+// support and weight, one per piece.
 func TestPieceSummariesRoundTrip(t *testing.T) {
 	tb := sampleTable(t)
 	ix, _ := Build(tb, sampleRules(t))
@@ -326,33 +325,4 @@ func TestPieceSummariesRoundTrip(t *testing.T) {
 		}
 		seen[k] = true
 	}
-
-	// Overwrite one piece's weight through its value IDs; everything else
-	// keeps its weight, including pieces named by no run, and a run of
-	// values the dictionary never saw matches nothing and adds nothing.
-	target := ix.Blocks[0].Groups[0].Pieces[0]
-	n := ix.Dict().Len()
-	ids := append([]uint32(nil), target.ValueIDs()...)
-	for range target.ValueIDs() {
-		ids = append(ids, uint32(n))
-	}
-	ix.ApplyPieceWeights(0, ids, []float64{42, 7})
-	for bi, b := range ix.Blocks {
-		for _, g := range b.Groups {
-			for _, p := range g.Pieces {
-				got := p.Weight
-				if p == target {
-					if got != 42 {
-						t.Errorf("target piece weight = %v, want 42", got)
-					}
-				} else if got == 42 || got == 7 {
-					t.Errorf("unmatched piece %d/%s weight overwritten to %v", bi, p.Key(), got)
-				}
-			}
-		}
-	}
-	if ix.Dict().Len() != n {
-		t.Errorf("dictionary grew from %d to %d values", n, ix.Dict().Len())
-	}
-	ix.ApplyPieceWeights(0, nil, nil) // no-op
 }

@@ -10,7 +10,10 @@
 //
 // A Dict is NOT safe for concurrent mutation. The pipeline confines writes
 // to serial phases (table encoding, index construction, the distributed
-// gather's piece interning); the parallel stage-I/II loops only read.
+// gather's piece interning); the parallel stage-I/II loops only read. A
+// distributed run's parts build their indexes concurrently over one run's
+// values, each in a Fork: the values are shared read-only and each fork
+// mints sequence keys into a pair table of its own.
 package intern
 
 // pairTag marks sequence nodes: value IDs live below 1<<31, pair nodes
@@ -24,6 +27,8 @@ type Dict struct {
 	ids   map[string]uint32
 	vals  []string
 	pairs map[[2]uint32]uint32
+	// fork is set on a Fork, whose ids and vals are its parent's, read only.
+	fork bool
 }
 
 // NewDict creates an empty dictionary.
@@ -39,6 +44,9 @@ func (d *Dict) Intern(s string) uint32 {
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
+	if d.fork {
+		panic("intern: a fork cannot intern a value its parent lacks")
+	}
 	id := uint32(len(d.vals))
 	if id >= pairTag {
 		// Value IDs and pair nodes must stay in disjoint ranges or sequence
@@ -48,6 +56,15 @@ func (d *Dict) Intern(s string) uint32 {
 	d.ids[s] = id
 	d.vals = append(d.vals, s)
 	return id
+}
+
+// Fork returns a dictionary over d's values, with d's value IDs, that mints
+// sequence keys into a pair table of its own, so any number of forks may
+// build indexes over d's rows concurrently. A fork's sequence keys mean
+// nothing in d or in another fork. Interning a value d lacks panics, and d
+// must intern nothing while its forks are in use.
+func (d *Dict) Fork() *Dict {
+	return &Dict{ids: d.ids, vals: d.vals, pairs: make(map[[2]uint32]uint32), fork: true}
 }
 
 // Lookup returns the ID of s without inserting.

@@ -3,6 +3,7 @@ package intern
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -94,6 +95,123 @@ func TestSeqRandomizedInjective(t *testing.T) {
 			}
 		} else {
 			byKey[k] = repr
+		}
+	}
+}
+
+// forkParent is a dictionary with values and minted pairs, as a run's is
+// once its rows are encoded.
+func forkParent() (*Dict, []uint32) {
+	d := NewDict()
+	ids := make([]uint32, 50)
+	for i := range ids {
+		ids[i] = d.Intern(fmt.Sprintf("v%d", i))
+	}
+	d.Seq(ids[:3])
+	return d, ids
+}
+
+// TestForkReadsParent: a fork holds every parent value under the parent's
+// ID, and finds each by value.
+func TestForkReadsParent(t *testing.T) {
+	d, ids := forkParent()
+	f := d.Fork()
+	if f.Len() != d.Len() {
+		t.Fatalf("fork Len = %d, parent %d", f.Len(), d.Len())
+	}
+	for _, id := range ids {
+		if f.Value(id) != d.Value(id) {
+			t.Errorf("fork Value(%d) = %q, parent %q", id, f.Value(id), d.Value(id))
+		}
+		if got, ok := f.Lookup(d.Value(id)); !ok || got != id {
+			t.Errorf("fork Lookup(%q) = %d,%v want %d,true", d.Value(id), got, ok, id)
+		}
+	}
+}
+
+// TestForkMintsOwnPairs: a fork's sequence keys are injective on its own
+// and leave the parent's pair table as it was.
+func TestForkMintsOwnPairs(t *testing.T) {
+	d, ids := forkParent()
+	before := len(d.pairs)
+	f := d.Fork()
+	keys := make(map[uint32][2]uint32)
+	for _, a := range ids[:10] {
+		for _, b := range ids[:10] {
+			k := f.Seq([]uint32{a, b})
+			if prev, dup := keys[k]; dup {
+				t.Fatalf("fork keys of %v and %v collide", prev, [2]uint32{a, b})
+			}
+			keys[k] = [2]uint32{a, b}
+			if k2, ok := f.LookupSeq([]uint32{a, b}); !ok || k2 != k {
+				t.Fatalf("fork LookupSeq(%d,%d) = %d,%v want %d,true", a, b, k2, ok, k)
+			}
+		}
+	}
+	if len(d.pairs) != before {
+		t.Errorf("parent pair table grew from %d to %d", before, len(d.pairs))
+	}
+	if _, ok := d.LookupSeq([]uint32{ids[9], ids[8]}); ok {
+		t.Error("a fork-minted sequence is visible in the parent")
+	}
+}
+
+// TestForkIntern: interning a parent value on a fork returns the parent's
+// ID; interning a value the parent lacks panics and adds nothing.
+func TestForkIntern(t *testing.T) {
+	d, ids := forkParent()
+	f := d.Fork()
+	if got := f.Intern("v7"); got != ids[7] {
+		t.Errorf("fork Intern(v7) = %d, parent ID %d", got, ids[7])
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("fork Intern of a new value did not panic")
+			}
+		}()
+		f.Intern("new")
+	}()
+	if _, ok := d.Lookup("new"); ok || d.Len() != len(ids) || f.Len() != len(ids) {
+		t.Errorf("a refused Intern grew the values: parent %d, fork %d, want %d", d.Len(), f.Len(), len(ids))
+	}
+}
+
+// TestForkConcurrent: k forks of one dictionary read its values and mint
+// keys at once (run under -race), and each fork's keys still tell its
+// sequences apart.
+func TestForkConcurrent(t *testing.T) {
+	d, ids := forkParent()
+	const k = 4
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for w := range k {
+		f := d.Fork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			seen := make(map[uint32]string)
+			for range 2000 {
+				seq := make([]uint32, rng.Intn(3)+1)
+				repr := ""
+				for j := range seq {
+					seq[j] = f.Intern(d.Value(ids[rng.Intn(len(ids))]))
+					repr += "|" + f.Value(seq[j])
+				}
+				key := f.Seq(seq)
+				if prev, ok := seen[key]; ok && prev != repr {
+					errs[w] = fmt.Errorf("fork %d: %q and %q share key %d", w, prev, repr, key)
+					return
+				}
+				seen[key] = repr
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }
