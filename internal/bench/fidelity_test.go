@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mlnclean/internal/core"
 )
 
 // The fidelity ratchet: every "paper shape:" note in figures.go and every
@@ -72,6 +74,22 @@ var knownGaps = map[string]float64{
 	"table6: slight accuracy fluctuation":             -0.074,
 }
 
+// secondPass is, per dataset and error rate, how many cells a second clean
+// of the repaired table changes (default scale, tuned τ, Rret 0.5): a clean
+// is not a fixed point at high error rates, because its own output exposes
+// groups and conflicts the first pass left (ROADMAP item 1, step 2). The
+// lines are one-sided: a count may shrink, and must not grow. Pairs not
+// listed change nothing.
+var secondPass = map[string]int{
+	"hai 30%": 909,
+	"car 5%":  7,
+	"car 15%": 66,
+	"car 30%": 170,
+}
+
+// secondPassRates are the error rates secondPass is read at.
+var secondPassRates = []float64{0.05, 0.15, 0.30}
+
 // shape is one paper-shape assertion: its margin (≥ 0 holds) and that
 // margin's run-to-run noise.
 type shape struct {
@@ -114,6 +132,52 @@ func TestPaperShapesRatchet(t *testing.T) {
 			t.Errorf("%s: gap closed, margin %.4f (noise %.3g): delete it from knownGaps", s.name, s.margin, s.noise)
 		default:
 			t.Logf("%-52s %8.4f", s.name, s.margin)
+		}
+	}
+	checkSecondPass(t)
+}
+
+// checkSecondPass cleans each dataset's dirty table at each of
+// secondPassRates twice, the second time from the first's repaired table,
+// and holds the cells the second pass changes to secondPass.
+func checkSecondPass(t *testing.T) {
+	t.Helper()
+	for _, name := range []string{"hai", "car", "tpch"} {
+		ds, err := Default.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rate := range secondPassRates {
+			inj, err := injectFor(ds, Default, rate, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.Options{Tau: ds.Tau}
+			first, err := core.Clean(inj.Dirty, ds.Rules, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := core.Clean(first.Repaired, ds.Rules, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := 0
+			for i, tp := range first.Repaired.Tuples {
+				for j, v := range tp.Values {
+					if second.Repaired.Tuples[i].Values[j] != v {
+						changed++
+					}
+				}
+			}
+			key := fmt.Sprintf("%s %.0f%%", name, rate*100)
+			switch rec := secondPass[key]; {
+			case changed > rec:
+				t.Errorf("second pass %s: %d cells changed, %d recorded: a second clean of the repaired table must not find more", key, changed, rec)
+			case changed < rec:
+				t.Logf("second pass %-8s %5d cells changed, %d recorded: lower the record", key, changed, rec)
+			default:
+				t.Logf("second pass %-8s %5d cells changed", key, changed)
+			}
 		}
 	}
 }

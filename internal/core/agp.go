@@ -25,9 +25,11 @@ import (
 // exactly. Groups are named by their KeyID, which one dictionary keeps
 // across re-cleans. Batch callers pass nil and search every source.
 //
-// It stays because it pays: BenchmarkDeltaApply runs 8.5–8.8 ms/op with it
-// and 13.3–13.5 without, with the same refused and repair counts (three
-// alternating pairs of 300 ops, 2-core Xeon).
+// The DeltaCleaner also reads the decisions, merged or past the merge cap,
+// to tell which groups after AGP a re-clean must redo (deltaBlock.redo).
+// The reuse pays: BenchmarkDeltaApply/mix runs 1.90–1.94 ms/op with it and
+// 5.44–6.14 with every source searched again, with the same refused and
+// repair counts (three alternating pairs of 400 ops, 2-core Xeon).
 type agpMemo struct {
 	// targets maps a normal group's KeyID to its γ⋆ piece KeyID, which
 	// fixes the target's value IDs.
@@ -39,6 +41,7 @@ type agpBest struct {
 	srcKid uint32
 	target uint32 // best target's group KeyID
 	d      float64
+	merged bool // within the merge cap: the source merges into target
 }
 
 // agpTarget is one normal group and its γ⋆, taken once per block.
@@ -179,12 +182,57 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 	return best, bestD
 }
 
-// agp runs Abnormal Group Processing (§5.1.1) on one block: groups whose
-// related-tuple count is ≤ τ are abnormal; each abnormal group is merged
-// into its nearest normal group, where the distance between two groups is
-// the distance between their γ⋆ pieces (the piece related to the most
-// tuples). If the block has no normal group, the largest group is promoted
-// so merging remains well-defined.
+// agpPlan is what AGP decided about one block before any merge: which
+// groups merge into which, the block's Σc and what the decisions cost.
+type agpPlan struct {
+	// into[i] is the index, among the block's groups, of the group group i
+	// merges into, or −1 for a group that stays: a normal or promoted
+	// group, or an abnormal one past the merge cap. Nil when none merges.
+	into []int32
+	// merges lists the (target, source) index pairs of into, by target,
+	// then by source index.
+	merges [][2]int32
+	// total is the block's Σc: its tuples, the Eq. 4 normaliser.
+	total int
+
+	abnormal, abnormalPieces, promotions, pairs, fullScans int
+}
+
+// stays reports whether group i is a group of the block after AGP.
+func (p *agpPlan) stays(i int) bool { return p.into == nil || p.into[i] < 0 }
+
+// sources returns the merges into target t, given that the merges into
+// every target before t have been passed: at is where the search starts and
+// where the next one starts.
+func (p *agpPlan) sources(t int, at *int) [][2]int32 {
+	for *at < len(p.merges) && int(p.merges[*at][0]) < t {
+		*at++
+	}
+	from := *at
+	for *at < len(p.merges) && int(p.merges[*at][0]) == t {
+		*at++
+	}
+	return p.merges[from:*at]
+}
+
+// agp runs Abnormal Group Processing (§5.1.1) on one block: agpDecide, then
+// agpMerge. Returns the number of abnormal groups detected, the total γ
+// count inside them (#dag), the number of promotions (0 or 1), and what the
+// search cost: γ⋆ pairs measured and sources that had to scan the targets
+// they share no value with.
+func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
+	p := agpDecide(blockIdx, b, tau, c, mergeCap, memo, tr)
+	agpMerge(b, &p)
+	return p.abnormal, p.abnormalPieces, p.promotions, p.pairs, p.fullScans
+}
+
+// agpDecide is AGP's decision on one block, which it reads and does not
+// write: groups whose related-tuple count is ≤ τ are abnormal; each
+// abnormal group is to merge into its nearest normal group, where the
+// distance between two groups is the distance between their γ⋆ pieces (the
+// piece related to the most tuples), unless that distance is past the
+// merge cap. If the block has no normal group, the largest group is
+// promoted so merging remains well-defined.
 //
 // The nearest-group search runs entirely over interned value IDs through
 // the crew's distance evaluators: agpSearch measures only the targets that
@@ -193,61 +241,59 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 // best, so hopeless targets abandon early. A non-nil memo further reduces
 // repeat re-cleans to the changed targets only.
 //
-// Each source's search is one crew item. A search reads only the targets'
-// γ⋆ value IDs, taken before the first merge, and their reasons, while a
-// merge only moves a source's pieces into a normal group; so every search
-// sees what it would have seen in the serial loop, and the owner then
-// merges, memoizes and traces in source order.
-//
-// Returns the number of abnormal groups detected, the total γ count inside
-// them (#dag), the number of promotions (0 or 1), and what the search cost:
-// γ⋆ pairs measured and sources that had to scan the targets they share no
-// value with.
-func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
+// Each source's search is one crew item, and reads only the targets' γ⋆
+// value IDs and reasons. No decision depends on another, so they are taken
+// in block order; a trace records them in the order of the sources'
+// reasons, which only a traced run sorts for.
+func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (p agpPlan) {
 	var prev agpMemo // what the previous re-clean left, if it searched
 	if memo != nil {
 		prev, *memo = *memo, agpMemo{}
 	}
-	if len(b.Groups) <= 1 {
-		return
-	}
-	var abnormalGroups, normalGroups []*index.Group
-	for _, g := range b.Groups {
-		if g.TupleCount() <= tau {
-			abnormalGroups = append(abnormalGroups, g)
+	var sources, normal []int32
+	for i, g := range b.Groups {
+		n := g.TupleCount()
+		p.total += n
+		if n <= tau {
+			sources = append(sources, int32(i))
 		} else {
-			normalGroups = append(normalGroups, g)
+			normal = append(normal, int32(i))
 		}
 	}
-	if len(abnormalGroups) == 0 {
-		return
+	if len(b.Groups) <= 1 || len(sources) == 0 {
+		return p
 	}
-	if len(normalGroups) == 0 {
+	if len(normal) == 0 {
 		// Promote the largest abnormal group (ties: the smaller reason) to
 		// normal so every other group has a merge target, and record the
 		// promotion — repair audits must see that this block was degenerate
 		// and which group the others were measured against.
-		slices.SortFunc(abnormalGroups, func(a, b *index.Group) int {
-			return cmp.Or(cmp.Compare(b.TupleCount(), a.TupleCount()), compareGroups(a, b))
-		})
-		normalGroups = abnormalGroups[:1]
-		abnormalGroups = abnormalGroups[1:]
-		promotions = 1
+		top := 0
+		for k, i := range sources {
+			a, t := b.Groups[i], b.Groups[sources[top]]
+			if c := cmp.Compare(a.TupleCount(), t.TupleCount()); c > 0 || c == 0 && k != top && compareGroups(a, t) < 0 {
+				top = k
+			}
+		}
+		normal = []int32{sources[top]}
+		sources = slices.Delete(sources, top, top+1)
+		p.promotions = 1
 		if tr != nil {
-			promo := agpRecord(blockIdx, b, normalGroups[0])
+			promo := agpRecord(blockIdx, b, b.Groups[normal[0]])
 			promo.Promoted = true
 			tr.addAGP(promo)
 		}
-		if len(abnormalGroups) == 0 {
-			return
+		if len(sources) == 0 {
+			return p
 		}
 	}
+	if tr != nil {
+		slices.SortFunc(sources, func(x, y int32) int { return compareGroups(b.Groups[x], b.Groups[y]) })
+	}
 
-	// Deterministic processing order.
-	slices.SortFunc(abnormalGroups, compareGroups)
-
-	targets := make([]agpTarget, len(normalGroups))
-	for i, g := range normalGroups {
+	targets := make([]agpTarget, len(normal))
+	for i, gi := range normal {
+		g := b.Groups[gi]
 		star := g.Star()
 		targets[i] = agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()}
 	}
@@ -258,9 +304,9 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 	var changed map[uint32]bool
 	var targetIdx map[uint32]int
 	var reusable map[uint32]agpBest // the previous re-clean's decisions
-	if memo != nil && promotions == 0 {
+	if memo != nil && p.promotions == 0 {
 		memo.targets = make(map[uint32]uint32, len(targets))
-		memo.best = make(map[uint32]agpBest, len(abnormalGroups))
+		memo.best = make(map[uint32]agpBest, len(sources))
 		targetIdx = make(map[uint32]int, len(targets))
 		for i := range targets {
 			memo.targets[targets[i].g.KeyID()] = targets[i].kid
@@ -298,37 +344,38 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 		best  int
 		d     float64 // distance of the best target
 	}
-	decided := make([]decision, len(abnormalGroups))
+	decided := make([]decision, len(sources))
 	searching := false
-	for i, src := range abnormalGroups {
+	for k, si := range sources {
+		src := b.Groups[si]
 		star := src.Star()
 		if star == nil {
 			continue
 		}
-		decided[i].star = star
+		decided[k].star = star
 		if e, ok := reusable[src.KeyID()]; ok && e.srcKid == star.KeyID() && !changed[e.target] {
 			// A target that did not move is a target of this re-clean, so
 			// the targetIdx lookup hits.
-			decided[i] = decision{star: star, reuse: true, best: targetIdx[e.target], d: e.d}
+			decided[k] = decision{star: star, reuse: true, best: targetIdx[e.target], d: e.d}
 		}
-		searching = searching || !decided[i].reuse
+		searching = searching || !decided[k].reuse
 	}
 	if searching {
 		search.build()
 	}
 	searchers := make([]*agpSearcher, c.size)
-	c.each(len(abnormalGroups), func(p, i int, ev *distance.Evaluator) {
-		dc := &decided[i]
+	c.each(len(sources), func(w, k int, ev *distance.Evaluator) {
+		dc := &decided[k]
 		if dc.star == nil {
 			return
 		}
-		s := searchers[p]
+		s := searchers[w]
 		if s == nil {
 			s = &agpSearcher{agpSearch: &search, ev: ev}
 			if searching {
 				s.shared = make([]int32, len(targets))
 			}
-			searchers[p] = s
+			searchers[w] = s
 		}
 		sids := dc.star.ValueIDs()
 		if !dc.reuse {
@@ -343,25 +390,26 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 	})
 	for _, s := range searchers {
 		if s != nil {
-			pairs += s.pairs
-			fullScans += s.fullScans
+			p.pairs += s.pairs
+			p.fullScans += s.fullScans
 		}
 	}
 
-	for i, src := range abnormalGroups {
-		dc := decided[i]
+	n := 0 // merges
+	for k, si := range sources {
+		dc := decided[k]
 		if dc.star == nil {
 			continue
 		}
+		src := b.Groups[si]
 		sids, best, bestD := dc.star.ValueIDs(), dc.best, dc.d
-		if memo != nil && promotions == 0 && best >= 0 {
-			memo.best[src.KeyID()] = agpBest{srcKid: dc.star.KeyID(), target: targets[best].g.KeyID(), d: bestD}
-		}
-		abnormal++
-		abnormalPieces += len(src.Pieces)
 		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(c.ev, sids, targets[best].ids))
+		if memo != nil && p.promotions == 0 && best >= 0 {
+			memo.best[src.KeyID()] = agpBest{srcKid: dc.star.KeyID(), target: targets[best].g.KeyID(), d: bestD, merged: merged}
+		}
+		p.abnormal++
+		p.abnormalPieces += len(src.Pieces)
 		if tr != nil {
-			// Recorded before the merge moves src's pieces into its target.
 			merge := agpRecord(blockIdx, b, src)
 			if merged {
 				merge.TargetKey = targets[best].g.Key()
@@ -369,10 +417,70 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 			tr.addAGP(merge)
 		}
 		if merged {
-			b.MergeGroups(src, targets[best].g)
+			if p.into == nil {
+				p.into = make([]int32, len(b.Groups))
+				for i := range p.into {
+					p.into[i] = -1
+				}
+			}
+			p.into[si] = normal[best]
+			n++
 		}
 	}
-	return abnormal, abnormalPieces, promotions, pairs, fullScans
+	if n > 0 {
+		// Counted by target, then laid out in group order: each target's
+		// sources ascend.
+		at := make([]int32, len(b.Groups)+1)
+		for _, t := range p.into {
+			if t >= 0 {
+				at[t+1]++
+			}
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		p.merges = make([][2]int32, n)
+		for i, t := range p.into {
+			if t >= 0 {
+				p.merges[at[t]] = [2]int32{t, int32(i)}
+				at[t]++
+			}
+		}
+	}
+	return p
+}
+
+// agpMerge carries out the plan on the block it was decided on: each
+// target takes its sources' pieces (foldInto), then the emptied sources
+// leave the block in one pass. A merge moves only a source's pieces into
+// its target, so targets are merged independently of one another.
+func agpMerge(b *index.Block, p *agpPlan) {
+	if len(p.merges) == 0 {
+		return
+	}
+	var srcs []*index.Group
+	for at := 0; at < len(p.merges); {
+		t := int(p.merges[at][0])
+		srcs = srcs[:0]
+		for _, e := range p.sources(t, &at) {
+			srcs = append(srcs, b.Groups[e[1]])
+		}
+		foldInto(b, b.Groups[t], srcs)
+	}
+	b.DropEmpty()
+}
+
+// foldInto merges the sources of one target into dst in the order of their
+// reasons (compareGroups), the order the paper's serial pass over every
+// abnormal group would reach them in, so only the sources of one target
+// are ever sorted against each other.
+func foldInto(b *index.Block, dst *index.Group, srcs []*index.Group) {
+	if len(srcs) > 1 {
+		slices.SortFunc(srcs, compareGroups)
+	}
+	for _, src := range srcs {
+		b.MergeGroups(src, dst)
+	}
 }
 
 // agpRecord is the trace entry of one abnormal-group decision about src,

@@ -19,7 +19,8 @@ import (
 
 // refAGPScan is AGP with the nearest-group search it had before agpSearch:
 // every abnormal group measured against every normal group, in index order,
-// no memo. It is the oracle agp must match — the same merges into the block,
+// no memo, merging each source as it is decided, in the order of all the
+// sources' reasons. It is the oracle agp must match — the same merges into the block,
 // the same trace, and (decisions, by group KeyID) the same target and
 // distance per source. Groups order by their reasons under CompareKeys.
 func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, mergeCap float64, tr *Trace) (abnormal, abnormalPieces, promotions int, decisions map[uint32]agpBest) {
@@ -93,8 +94,9 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 				best = i
 			}
 		}
+		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(ev, sids, targets[best].ids))
 		if best >= 0 {
-			decisions[src.KeyID()] = agpBest{srcKid: star.KeyID(), target: targets[best].g.KeyID(), d: bestD}
+			decisions[src.KeyID()] = agpBest{srcKid: star.KeyID(), target: targets[best].g.KeyID(), d: bestD, merged: merged}
 		}
 		abnormal++
 		abnormalPieces += len(src.Pieces)
@@ -108,12 +110,13 @@ func refAGPScan(blockIdx int, b *index.Block, tau int, ev *distance.Evaluator, m
 			merge.SourceTuples = append(merge.SourceTuples, p.TupleIDs...)
 		}
 		sort.Ints(merge.SourceTuples)
-		if best >= 0 && bestD <= mergeCap*float64(maxRuneLen(ev, sids, targets[best].ids)) {
+		if merged {
 			merge.TargetKey = targets[best].g.Key()
 			b.MergeGroups(src, targets[best].g)
 		}
 		tr.addAGP(merge)
 	}
+	b.DropEmpty()
 	return abnormal, abnormalPieces, promotions, decisions
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -276,4 +277,217 @@ func TestDeltaBlockEditEdges(t *testing.T) {
 	if n := members(eng.blocks[cfd].kept.Block()); n != 1 {
 		t.Fatalf("the CFD's block holds %d tuples, want the one acura", n)
 	}
+}
+
+// recleanMatchesFull fails unless every block the engine serves is what
+// stage I makes of a copy of its kept block from scratch — runBlock with no
+// memo, every group learned and picked: the same groups in the same order,
+// with the same KeyIDs, each one RSC winner with the same value IDs, weight
+// bits and tuple list, and the same counters.
+func recleanMatchesFull(t *testing.T, label string, eng *DeltaCleaner) {
+	t.Helper()
+	for ri, db := range eng.blocks {
+		kept := db.kept.Block()
+		want := &index.Block{Rule: kept.Rule, Groups: index.CopyGroups(kept.Groups)}
+		res := runBlock(ri, want, soloCrew(eng.evs[0]), eng.opts, phaseAll)
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		got := db.res
+		if g, w := [5]int{got.abnormal, got.abnormalPieces, got.promotions, got.learnIters, got.repairs},
+			[5]int{res.abnormal, res.abnormalPieces, res.promotions, res.learnIters, res.repairs}; g != w {
+			t.Fatalf("%s: block %d (%s): abnormal, #dag, promotions, learn steps, repairs %v, from scratch %v", label, ri, eng.rs[ri].ID, g, w)
+		}
+		if len(db.block.Groups) != len(want.Groups) {
+			t.Fatalf("%s: block %d: %d groups, from scratch %d", label, ri, len(db.block.Groups), len(want.Groups))
+		}
+		for gi, g := range db.block.Groups {
+			w := want.Groups[gi]
+			if len(g.Pieces) != 1 {
+				t.Fatalf("%s: block %d group %d holds %d pieces after RSC", label, ri, gi, len(g.Pieces))
+			}
+			p, q := g.Pieces[0], w.Pieces[0]
+			if g.KeyID() != w.KeyID() || p.KeyID() != q.KeyID() || !slices.Equal(p.ValueIDs(), q.ValueIDs()) ||
+				math.Float64bits(p.Weight) != math.Float64bits(q.Weight) || !slices.Equal(p.TupleIDs, q.TupleIDs) {
+				t.Fatalf("%s: block %d group %d: key %d winner %d%v at %v over %v; from scratch key %d winner %d%v at %v over %v",
+					label, ri, gi, g.KeyID(), p.KeyID(), p.ValueIDs(), p.Weight, p.TupleIDs, w.KeyID(), q.KeyID(), q.ValueIDs(), q.Weight, q.TupleIDs)
+			}
+		}
+	}
+}
+
+// TestDeltaGroupReuseMatchesFull: a re-clean redoes only the groups its
+// edit reached and reuses every other group the last re-clean left; the
+// block must still be what stage I makes of the kept block from scratch.
+// After every mutation of the serving mix on CAR and HAI, and on CAR at
+// τ = 0, every block is checked against a from-scratch runBlock over a
+// copy of its kept block (recleanMatchesFull). Then the edges the mix may
+// not reach, each checked the same way and against Clean: an update that
+// flips the CFD's membership; a batch that deletes an ID and puts it
+// again; a normal group falling to τ, so its sources re-target another
+// group its edit did not touch; a decision crossing the merge cap both
+// ways without its source being touched; and a block with no normal group,
+// into and out of its promotion.
+func TestDeltaGroupReuseMatchesFull(t *testing.T) {
+	mix := func(t *testing.T, eng *DeltaCleaner, inj *errgen.Injection, steps int) {
+		recleanMatchesFull(t, "load", eng)
+		reused := 0
+		for step, m := range serveMix(inj, steps, 4200) {
+			was := blocksOf(eng, nil)
+			if _, _, err := eng.ApplyVersion([]Mutation{m}); err != nil {
+				t.Fatal(err)
+			}
+			recleanMatchesFull(t, fmt.Sprintf("step %d (%+v)", step, m), eng)
+			for _, ri := range rebuiltBlocks(eng, was) {
+				if db := eng.blocks[ri]; db.res.regrouped < len(db.block.Groups) {
+					reused++
+				}
+			}
+		}
+		if reused == 0 {
+			t.Fatal("no re-clean reused a group: the mix never took the partial path")
+		}
+		t.Logf("%d re-cleans reused groups", reused)
+	}
+	t.Run("CAR", func(t *testing.T) {
+		eng, _, inj := carSession(t, 600)
+		mix(t, eng, inj, 300)
+	})
+	t.Run("HAI", func(t *testing.T) {
+		eng, inj := haiSession(t, 420)
+		mix(t, eng, inj, 300)
+	})
+	t.Run("CAR τ=0", func(t *testing.T) {
+		base, _, inj := carSession(t, 600)
+		eng, err := NewDeltaCleaner(inj.Dirty.Schema, base.rs, Options{Tau: 0, TauSet: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.LoadVersion(inj.Dirty); err != nil {
+			t.Fatal(err)
+		}
+		mix(t, eng, inj, 90)
+	})
+	t.Run("CAR edges", func(t *testing.T) {
+		eng, _, _ := carSession(t, 300)
+		apply := func(label string, muts ...Mutation) {
+			t.Helper()
+			res, _, err := eng.Apply(muts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			recleanMatchesFull(t, label, eng)
+			assertParity(t, label, res, eng.Weights(), eng.Table(), eng.rs, eng.opts)
+		}
+		row := func(id int) []string {
+			pos, _ := eng.posOf(id)
+			return slices.Clone(eng.tuples[pos].Values)
+		}
+		makePos := eng.schema.MustIndex("Make")
+		for _, in := range []bool{true, false} {
+			at := slices.IndexFunc(eng.tuples, func(tp *dataset.Tuple) bool { return (tp.Values[makePos] == "acura") != in })
+			id := eng.ids[at]
+			v := row(id)
+			v[makePos] = map[bool]string{true: "acura", false: "honda"}[in]
+			apply(fmt.Sprintf("flip tuple %d's CFD membership to %v", id, in), Mutation{Op: DeltaPut, Row: id, Values: v})
+		}
+		id := eng.ids[len(eng.ids)/3]
+		apply("delete and put one ID in one batch", Mutation{Op: DeltaDelete, Row: id}, Mutation{Op: DeltaPut, Row: id, Values: row(eng.ids[0])})
+		id = eng.ids[len(eng.ids)/2]
+		apply("delete and put one ID back as it was", Mutation{Op: DeltaDelete, Row: id}, Mutation{Op: DeltaPut, Row: id, Values: row(id)})
+	})
+	t.Run("AGP edges", func(t *testing.T) {
+		rule := rules.MustParseStrings("FD: A -> B")
+		load := func(rows ...[]string) *DeltaCleaner {
+			t.Helper()
+			tb := dataset.NewTable(dataset.MustSchema("A", "B"))
+			for _, r := range rows {
+				tb.MustAppend(r...)
+			}
+			eng, err := NewDeltaCleaner(tb.Schema, rule, Options{Tau: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Load(tb); err != nil {
+				t.Fatal(err)
+			}
+			recleanMatchesFull(t, "load", eng)
+			return eng
+		}
+		rep := func(n int, r ...string) [][]string {
+			out := make([][]string, n)
+			for i := range out {
+				out[i] = r
+			}
+			return out
+		}
+		apply := func(eng *DeltaCleaner, label string, partial bool, muts ...Mutation) {
+			t.Helper()
+			res, _, err := eng.Apply(muts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			recleanMatchesFull(t, label, eng)
+			assertParity(t, label, res, eng.Weights(), eng.Table(), eng.rs, eng.opts)
+			if db := eng.blocks[0]; partial != (db.res.regrouped < len(db.block.Groups)) {
+				t.Fatalf("%s: redid %d of %d groups, want a partial re-clean: %v", label, db.res.regrouped, len(db.block.Groups), partial)
+			}
+		}
+		decision := func(eng *DeltaCleaner, a string) agpBest {
+			t.Helper()
+			e, ok := eng.blocks[0].memo.agp.best[seqOf(eng.dict, a)]
+			if !ok {
+				t.Fatalf("group %q is no source", a)
+			}
+			return e
+		}
+		put := func(id int, a, b string) Mutation { return Mutation{Op: DeltaPut, Row: id, Values: []string{a, b}} }
+
+		// pariz merges into paris (a tie with parix, to the smaller
+		// reason). Tuple 1 leaves paris, which falls to τ: pariz and paris
+		// merge into parix, which no move touched.
+		rows := append(rep(2, "paris", "1"), rep(2, "parix", "1")...)
+		rows = append(rows, []string{"pariz", "1"})
+		rows = append(rows, rep(3, "london", "2")...)
+		eng := load(append(rows, rep(3, "qqqqqq", "9")...)...)
+		if e := decision(eng, "pariz"); !e.merged || e.target != seqOf(eng.dict, "paris") {
+			t.Fatalf("pariz decided %+v, want a merge into paris", e)
+		}
+		apply(eng, "a normal group falls to τ", true, put(1, "london", "2"))
+		for _, a := range []string{"pariz", "paris"} {
+			if e := decision(eng, a); !e.merged || e.target != seqOf(eng.dict, "parix") {
+				t.Fatalf("%s decided %+v, want a merge into parix", a, e)
+			}
+		}
+
+		// abcd merges into abce, one edit away; three updates make abce's
+		// γ⋆ (abce, zzzz), past the cap from (abcd, y), and three more
+		// bring it back. abcd itself is never touched.
+		rows = append([][]string{{"abcd", "y"}}, rep(2, "abce", "y")...)
+		rows = append(rows, rep(6, "qqqq", "w")...)
+		eng = load(append(rows, rep(3, "mmmmmm", "5")...)...)
+		for _, over := range []bool{true, false} {
+			b, a := "zzzz", "abce"
+			if !over {
+				a, b = "qqqq", "w"
+			}
+			apply(eng, fmt.Sprintf("a decision crosses the merge cap (over: %v)", over), true, put(3, a, b), put(4, a, b), put(5, a, b))
+			if e := decision(eng, "abcd"); e.merged == over {
+				t.Fatalf("over the cap %v: abcd decided %+v", over, e)
+			}
+		}
+
+		// Three groups of one tuple: none is normal, and a is promoted.
+		// An update makes a normal and empties c (Σc holds), and another
+		// brings c back and the promotion with it.
+		eng = load([]string{"a", "1"}, []string{"b", "1"}, []string{"c", "2"})
+		if eng.blocks[0].res.promotions != 1 {
+			t.Fatal("the block of lone tuples promoted no group")
+		}
+		apply(eng, "out of a promotion", false, put(2, "a", "1"))
+		apply(eng, "into a promotion", false, put(2, "c", "2"))
+		if eng.blocks[0].res.promotions != 1 {
+			t.Fatal("the block of lone tuples promoted no group")
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"time"
+	"unsafe"
 
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
@@ -29,16 +30,25 @@ import (
 //     is dirty when the edit changed its block: the rule's membership
 //     flipped, or a member's projection onto the rule's attributes moved.
 //     Blocks of untouched rules are byte-identical and reused as-is.
-//   - A dirty block is re-cleaned as a copy of the kept one (new headers
-//     over its lists, which stage I cannot reach) by the same runBlock on
-//     the same scheduler the batch drivers use (AGP → weight learning →
-//     RSC), so per-block results cannot drift from a from-scratch run.
+//   - A dirty block is re-cleaned group by group (reclean), on the same
+//     scheduler and with the same phase code the batch drivers use (AGP →
+//     weight learning → RSC). AGP decides on the kept block without writing
+//     it. A group after AGP is redone — copied out of the kept block (new
+//     headers over its lists, which stage I cannot reach), merged, learned
+//     with the block's Σc, given its RSC winner and collapsed — only when a
+//     group it holds now or held at the last re-clean was touched by the
+//     edits since (index.BlockEditor.Touched), or when one of its sources'
+//     merge decisions moved. Every other group is the collapsed group the
+//     last re-clean left, reused by pointer: its pieces and Σc are the
+//     same, so it would learn the same bits and pick the same winner. An
+//     insert, a delete or a membership flip moves Σc, and every group of
+//     the block is redone, through the same code.
 //   - Each block keeps its AGP memo (agpMemo) across its re-cleans: each
 //     abnormal group's nearest-target decision, so a re-clean re-scores
-//     sources only against the targets that moved. Weight learning and RSC
-//     keep nothing: a re-cleaned block solves every group again, a handful
-//     of Newton steps each, with the bits a from-scratch run computes, and
-//     picks every winner again.
+//     sources only against the targets that moved, and compares the merges
+//     it decides with the last ones. Besides it, a block keeps only two
+//     small ints per group — its Newton steps and its pieces before RSC —
+//     so a reused group still counts in LearnIterations and RSCRepairs.
 //   - Re-fusion is bounded by each tuple's per-block version (piece
 //     identity, fixed-width). Each RSC winner holds a slot in the block's
 //     version table, which the block's version index names by table
@@ -114,6 +124,18 @@ type deltaBlock struct {
 	// copy of it.
 	kept  *index.BlockEditor
 	block *index.Block // post AGP + learn + RSC
+	// steps and pieces hold, per group of block, the Newton steps its
+	// weights took and the pieces it held before RSC kept one: what a group
+	// a re-clean reuses adds to the block's LearnIterations and RSCRepairs.
+	steps, pieces []int32
+	// total is the block's Σc at the last re-clean: while it holds, every
+	// group whose pieces are the same learns the same weights.
+	total int
+	// laid is what the re-cleans since the last one that laid out every
+	// group laid out, and full what that one laid out, in bytes: reused
+	// groups keep the slabs they were laid out in alive, so once laid
+	// passes half of full every group is laid out again.
+	laid, full int
 	// slotOf names each of the block's RSC winners, by piece KeyID, by its
 	// slot in the fusion block's Pieces: the slot the version index holds
 	// for every tuple of its group. A winner keeps its slot across
@@ -131,7 +153,8 @@ type deltaBlock struct {
 	// Stats can be recomposed without touching clean blocks.
 	res blockResult
 	// memo carries AGP nearest-target decisions across re-cleans of this
-	// block, so a re-clean only re-scores against the groups that moved.
+	// block, so a re-clean only re-scores against the groups that moved,
+	// and tells it which groups merged where the last time.
 	memo *blockMemo
 }
 
@@ -561,12 +584,11 @@ func (d *DeltaCleaner) view() *dataset.Table {
 	return &dataset.Table{Schema: d.schema, Tuples: d.tuples}
 }
 
-// cleanBlocks cleans the blocks of rules ris (ascending) through the
-// stage-I pool, each a copy of its kept block with its AGP memo, and
-// refreshes every cache a block feeds. A block is built, the first time,
-// into the editor that keeps it: building mints dictionary keys, so it stays
-// on this goroutine and in rule order, exactly as a batch clean's block
-// iterator builds.
+// cleanBlocks re-cleans the blocks of rules ris (ascending) through the
+// stage-I pool (reclean) and refreshes every cache a block feeds. A block
+// is built, the first time, into the editor that keeps it: building mints
+// dictionary keys, so it stays on this goroutine and in rule order, exactly
+// as a batch clean's block iterator builds.
 func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 	if len(ris) == 0 {
 		return nil // a mutation that dirtied no block observes no stage
@@ -582,13 +604,13 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 			db.kept = index.NewBlockEditor(d.view(), enc, db.rule)
 		}
 		next++
-		return next - 1, db.kept.Copy(), true
+		return next - 1, db.kept.Block(), true
 	}
-	results, err := schedule(context.Background(), d.evs, len(ris), build, func(k int, b *index.Block, c crew) blockResult {
+	results, err := schedule(context.Background(), d.evs, len(ris), build, func(k int, _ *index.Block, c crew) blockResult {
 		ri := ris[k]
-		res := runBlock(ri, b, c, d.opts, phaseAll, d.blocks[ri].memo)
+		res := d.reclean(ri, c)
 		if res.err == nil {
-			d.adopt(ri, b, res)
+			d.adopt(ri, res)
 		}
 		return res
 	})
@@ -601,11 +623,216 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 	return nil
 }
 
-// adopt makes b rule ri's cleaned block. It writes only that block's own
-// slots, so the pool's workers adopt their blocks side by side.
-func (d *DeltaCleaner) adopt(ri int, b *index.Block, res blockResult) {
+// reclean is stage I (AGP → weight learning → RSC) for rule ri's block on
+// the crew, redoing only the groups whose outcome can have moved. AGP
+// decides on the kept block, which it does not write (agpDecide). A group
+// after AGP — a group that stays, with the sources merged into it — is
+// redone when a group it holds now, or held at the last re-clean, was
+// touched since (index.BlockEditor.Touched), or when one of its sources'
+// decisions moved (redo). A redone group is copied out of the kept block,
+// merged, learned with the block's Σc, given its RSC winner and collapsed;
+// every other group is the collapsed group the last re-clean left, whose
+// pieces, counts and Σc are the same, so it would learn the same bits and
+// pick the same winner. The groups keep the kept block's order, less the
+// merged sources, as agp over a copy of the kept block leaves them.
+//
+// Load, and a re-clean that moves the block's Σc (an insert, a delete, a
+// rule's membership flip) or meets a promotion, redo every group: the same
+// code, with nothing reused.
+func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 	db := d.blocks[ri]
-	db.block, db.res = b, res
+	kept := db.kept.Block()
+	mBlocksInFlight.Add(1)
+	defer mBlocksInFlight.Add(-1)
+	start := time.Now()
+	t := start
+	lap := func() time.Duration {
+		now := time.Now()
+		dt := now.Sub(t)
+		t = now
+		return dt
+	}
+	prev := db.memo.agp.best // agpDecide replaces the map
+	p := agpDecide(ri, kept, d.opts.Tau, c, d.opts.MergeCapRatio, &db.memo.agp, nil)
+	r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = p.abnormal, p.abnormalPieces, p.promotions, p.pairs, p.fullScans
+	redo := db.redo(&p, prev)
+	db.kept.ClearTouched()
+	redone := func(g *index.Group) bool { return redo == nil || redo[g.KeyID()] }
+
+	// Copy out each redone group and its sources, then merge them.
+	n := len(kept.Groups) - len(p.merges) // groups after AGP
+	var need []*index.Group
+	if redo == nil {
+		need = make([]*index.Group, 0, len(kept.Groups))
+	}
+	at, m := 0, 0 // m: groups redone
+	for i, g := range kept.Groups {
+		if p.stays(i) && redone(g) {
+			m++
+			need = append(need, g)
+			for _, e := range p.sources(i, &at) {
+				need = append(need, kept.Groups[e[1]])
+			}
+		}
+	}
+	copies := index.CopyGroups(need)
+	work := &index.Block{Rule: kept.Rule, Groups: make([]*index.Group, 0, m)}
+	k := 0
+	at = 0
+	for i, g := range kept.Groups {
+		if p.stays(i) && redone(g) {
+			dst, srcs := copies[k], len(p.sources(i, &at))
+			foldInto(work, dst, copies[k+1:k+1+srcs])
+			work.Groups = append(work.Groups, dst)
+			k += 1 + srcs
+		}
+	}
+	pre := make([]int32, len(work.Groups))
+	for i, g := range work.Groups {
+		pre[i] = int32(len(g.Pieces))
+	}
+	r.agp = lap()
+	in := &db.memo.inputs
+	if _, r.err = learnGroups(work.Groups, in, p.total); r.err != nil {
+		return r
+	}
+	r.learn = lap()
+	rsc(ri, work, c, nil)
+	r.regrouped = len(work.Groups)
+
+	// Lay the block out: redone groups as collapsed just now, the others
+	// as the last re-clean left them.
+	b := &index.Block{Rule: kept.Rule, Groups: make([]*index.Group, 0, n)}
+	steps, pieces := make([]int32, 0, n), make([]int32, 0, n)
+	old := db.lookup()
+	k = 0
+	contested := 0
+	for i, g := range kept.Groups {
+		switch {
+		case !p.stays(i):
+			continue
+		case redone(g):
+			st := int32(0)
+			if pre[k] > 1 {
+				st = int32(in.steps[contested])
+				contested++
+			}
+			b.Groups, steps, pieces = append(b.Groups, work.Groups[k]), append(steps, st), append(pieces, pre[k])
+			k++
+		default:
+			o := old(g.KeyID())
+			b.Groups, steps, pieces = append(b.Groups, db.block.Groups[o]), append(steps, db.steps[o]), append(pieces, db.pieces[o])
+		}
+	}
+	for i := range steps {
+		r.learnIters = max(r.learnIters, int(steps[i]))
+		r.repairs += int(pieces[i]) - 1
+	}
+	laid := laidBytes(work.Groups)
+	if redo == nil {
+		db.full, db.laid = laid, 0
+	} else if db.laid += laid; 2*db.laid > db.full {
+		winners := make([]*index.Piece, len(b.Groups))
+		for i, g := range b.Groups {
+			winners[i] = g.Pieces[0]
+		}
+		b.Collapse(winners)
+		db.full, db.laid = laidBytes(b.Groups), 0
+	}
+	db.block, db.steps, db.pieces, db.total = b, steps, pieces, p.total
+	r.rsc = lap()
+	mBlockSeconds.ObserveDuration(t.Sub(start))
+	return r
+}
+
+// redo returns the KeyIDs of the groups after AGP that the re-clean must
+// redo, given the decisions the last re-clean took (prev) and this one's
+// (in the memo), or nil when it redoes every group: at Load, when Σc
+// moved, or around a promotion, which the memo does not record. A group
+// after AGP is named by the group that stays; a merged source belongs to
+// its target's. Every group a move touched since is marked in the group it
+// belonged to then and in the one it belongs to now, and so is every
+// source whose decision moved: merged or not, and into which target.
+func (db *deltaBlock) redo(p *agpPlan, prev map[uint32]agpBest) map[uint32]bool {
+	if db.block == nil || p.total != db.total || p.promotions > 0 || db.res.promotions > 0 {
+		return nil
+	}
+	now := db.memo.agp.best
+	owner := func(best map[uint32]agpBest, k uint32) uint32 {
+		if e, ok := best[k]; ok && e.merged {
+			return e.target
+		}
+		return k
+	}
+	redo := make(map[uint32]bool)
+	mark := func(k uint32) {
+		redo[owner(prev, k)] = true
+		redo[owner(now, k)] = true
+	}
+	for _, k := range db.kept.Touched() {
+		mark(k)
+	}
+	for k, e := range now {
+		if was, ok := prev[k]; !ok || was.merged != e.merged || e.merged && was.target != e.target {
+			mark(k)
+		}
+	}
+	for k := range prev {
+		if _, ok := now[k]; !ok {
+			mark(k)
+		}
+	}
+	return redo
+}
+
+// lookup returns a function that finds the group with the given KeyID in
+// the block the last re-clean left, by its index. Asked in the order of the
+// kept block, it mostly finds each group right after the last one found;
+// it indexes the block by KeyID only when that fails.
+func (db *deltaBlock) lookup() func(kid uint32) int {
+	next := 0
+	var at map[uint32]int
+	return func(kid uint32) int {
+		gs := db.block.Groups
+		if next < len(gs) && gs[next].KeyID() == kid {
+			next++
+			return next - 1
+		}
+		if at == nil {
+			at = make(map[uint32]int, len(gs))
+			for i, g := range gs {
+				at[g.KeyID()] = i
+			}
+		}
+		i, ok := at[kid]
+		if !ok {
+			panic(fmt.Sprintf("core: delta: group %d of rule %s is reused but was not cleaned", kid, db.rule.ID))
+		}
+		next = i + 1
+		return i
+	}
+}
+
+// laidBytes is what Collapse lays out for the groups: per group its
+// header, piece slot and piece, its reason and winner value IDs, and its
+// tuple list.
+func laidBytes(gs []*index.Group) int {
+	n := 0
+	for _, g := range gs {
+		p := g.Pieces[0]
+		n += int(unsafe.Sizeof(index.Group{})+unsafe.Sizeof(index.Piece{})+unsafe.Sizeof(p)) +
+			4*(len(g.ReasonIDs())+len(p.ValueIDs())) + 8*len(p.TupleIDs)
+	}
+	return n
+}
+
+// adopt makes the block reclean left rule ri's cleaned block. It writes
+// only that block's own slots, so the pool's workers adopt their blocks
+// side by side.
+func (d *DeltaCleaner) adopt(ri int, res blockResult) {
+	db := d.blocks[ri]
+	b := db.block
+	db.res = res
 	fb := d.plan.blocks[ri]
 	d.place(db, fb, d.plan.versionOf[ri], b)
 	fb.Candidates = fb.Pieces
@@ -669,8 +896,8 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		live[s] = true
 		was, now := slots[s].TupleIDs, w.TupleIDs
 		slots[s] = w
-		if slices.Equal(was, now) {
-			continue
+		if len(was) == len(now) && (len(was) == 0 || &was[0] == &now[0]) || slices.Equal(was, now) {
+			continue // a reused group's list is the same slice
 		}
 		// Both lists ascend: walk them together.
 		for len(was) > 0 || len(now) > 0 {

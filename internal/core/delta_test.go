@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -818,6 +819,56 @@ func TestDeltaUpdateKeepsUntouchedGroupWeights(t *testing.T) {
 	t.Logf("%d updates: %d unchanged groups in rebuilt blocks kept their weights", updates, kept)
 }
 
+// TestDeltaUpdateRegroupsWhatItReached: a re-clean's work is what its edit
+// reached, counted in groups. On CAR 600, updates each move one tuple
+// between two pieces of its group in FD: Make, Type -> Doors — one group
+// touched, the rule's Σc unchanged — and only that block is dirty. Where
+// no AGP decision of the block moved, the re-clean learns and picks at
+// most 3 groups, of hundreds.
+func TestDeltaUpdateRegroupsWhatItReached(t *testing.T) {
+	eng, _, _ := carSession(t, 600)
+	ri := slices.IndexFunc(eng.rs, func(r *rules.Rule) bool { return r.Kind == rules.FD && r.ResultAttrs()[0] == "Doors" })
+	if ri < 0 {
+		t.Fatal("CAR has no rule FD: Make, Type -> Doors")
+	}
+	makePos, doorsPos := eng.schema.MustIndex("Make"), eng.schema.MustIndex("Doors")
+	decisions := func() map[uint32]agpBest { return maps.Clone(eng.blocks[ri].memo.agp.best) }
+	checked, most := 0, 0
+	for _, g := range eng.blocks[ri].kept.Block().Groups {
+		if len(g.Pieces) < 2 || checked == 20 {
+			continue
+		}
+		id, doors := g.Pieces[0].TupleIDs[0], g.Pieces[1].Result()[0]
+		pos, _ := eng.posOf(id)
+		vals := slices.Clone(eng.tuples[pos].Values)
+		if vals[makePos] == "acura" {
+			continue // the CFD's block holds the tuple too
+		}
+		vals[doorsPos] = doors
+		was := decisions()
+		_, ds, err := eng.ApplyVersion([]Mutation{{Op: DeltaPut, Row: id, Values: vals}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.DirtyBlocks != 1 {
+			t.Fatalf("moving tuple %d's Doors dirtied %d blocks, want 1", id, ds.DirtyBlocks)
+		}
+		if !maps.Equal(was, decisions()) {
+			continue
+		}
+		checked++
+		db := eng.blocks[ri]
+		if n := db.res.regrouped; n < 1 || n > 3 {
+			t.Fatalf("moving tuple %d within its group re-cleaned %d of %d groups, want 1 to 3", id, n, len(db.block.Groups))
+		}
+		most = max(most, db.res.regrouped)
+	}
+	if checked == 0 {
+		t.Fatal("no update left every AGP decision in place: nothing was checked")
+	}
+	t.Logf("%d updates re-cleaned %d groups at most, of %d", checked, most, len(eng.blocks[ri].block.Groups))
+}
+
 // rebuiltBlocks lists the rules whose blocks differ from was, the blocks
 // before an Apply.
 func rebuiltBlocks(eng *DeltaCleaner, was []*index.Block) []int {
@@ -923,8 +974,9 @@ func TestDeltaVersionOwnedBytes(t *testing.T) {
 // the version's whole audit trail resolved. mix draws the mutations from
 // serveMix; update, insert and delete each take one kind alone (kindMix).
 // ns/op and allocs/op are per minted version; refused/op is the tuples
-// re-fused, and owned_B/op the bytes the version does not share with its
-// parent.
+// re-fused, owned_B/op the bytes the version does not share with its
+// parent, and regrouped/op the groups the re-cleaned blocks learned and
+// gave an RSC winner.
 func BenchmarkDeltaApply(b *testing.B) {
 	for _, kind := range []string{"mix", "update", "insert", "delete"} {
 		b.Run(kind, func(b *testing.B) {
@@ -935,13 +987,18 @@ func BenchmarkDeltaApply(b *testing.B) {
 			} else {
 				muts = kindMix(b, inj, kind, b.N, 4200)
 			}
-			refused, repairs, owned := 0, 0, 0
+			refused, repairs, owned, regrouped := 0, 0, 0, 0
+			var was []*index.Block
 			b.ReportAllocs()
 			b.ResetTimer()
 			for _, m := range muts {
+				was = blocksOf(eng, was)
 				v, ds, err := eng.ApplyVersion([]Mutation{m})
 				if err != nil {
 					b.Fatal(err)
+				}
+				for _, ri := range rebuiltBlocks(eng, was) {
+					regrouped += eng.blocks[ri].res.regrouped
 				}
 				refused += ds.RefusedTuples
 				repairs += len(v.Trail())
@@ -951,6 +1008,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 			b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
 			b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
 			b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
+			b.ReportMetric(float64(regrouped)/float64(b.N), "regrouped/op")
 		})
 	}
 }

@@ -23,11 +23,23 @@ import (
 // in holds the arrays the learner's inputs are built in: the
 // DeltaCleaner's, kept across a block's re-cleans, or nil for batch drivers.
 func learnBlockWeights(b *index.Block, in *learnInputs) (int, error) {
+	total := 0
+	for _, g := range b.Groups {
+		total += g.TupleCount()
+	}
+	return learnGroups(b.Groups, in, total)
+}
+
+// learnGroups is learnBlockWeights over some of a block's groups, whose
+// Σc is total: each group learns the bits it learns in the whole block.
+// in.steps[k] is then the Newton steps of the k-th group of more than one
+// piece.
+func learnGroups(gs []*index.Group, in *learnInputs, total int) (int, error) {
 	if in == nil {
 		in = &learnInputs{}
 	}
 	n := 0
-	for _, g := range b.Groups {
+	for _, g := range gs {
 		n += len(g.Pieces)
 	}
 	// Candidates are numbered group by group, so each group's competing γs
@@ -37,8 +49,8 @@ func learnBlockWeights(b *index.Block, in *learnInputs) (int, error) {
 		members = append(members, i)
 	}
 	counts := slices.Grow(in.counts[:0], n)
-	groups := slices.Grow(in.groups[:0], len(b.Groups))
-	for _, g := range b.Groups {
+	groups := slices.Grow(in.groups[:0], len(gs))
+	for _, g := range gs {
 		// A singleton competes with nothing: left out of every group, the
 		// learner gives it 1.
 		if len(g.Pieces) > 1 {
@@ -49,28 +61,30 @@ func learnBlockWeights(b *index.Block, in *learnInputs) (int, error) {
 		}
 	}
 	probs := slices.Grow(in.probs[:0], n)[:n]
-	in.members, in.counts, in.groups, in.probs = members, counts, groups, probs
-	steps, err := mln.LearnWeights(groups, counts, probs)
+	steps := slices.Grow(in.steps[:0], len(groups))[:len(groups)]
+	in.members, in.counts, in.groups, in.probs, in.steps = members, counts, groups, probs, steps
+	most, err := mln.LearnGroups(groups, counts, probs, float64(total), steps)
 	if err != nil {
 		return 0, err
 	}
 	i := 0
-	for _, g := range b.Groups {
+	for _, g := range gs {
 		for _, p := range g.Pieces {
 			p.Weight = max(probs[i], minPieceWeight)
 			i++
 		}
 	}
-	return steps, nil
+	return most, nil
 }
 
-// learnInputs is what learnBlockWeights builds mln.LearnWeights' inputs and
+// learnInputs is what learnGroups builds mln.LearnGroups' inputs and
 // output in: members[i] = i, each candidate's count, the groups as runs of
-// members, and each candidate's probability.
+// members, each candidate's probability and each group's Newton steps.
 type learnInputs struct {
 	members       []int
 	counts, probs []float64
 	groups        [][]int
+	steps         []int
 }
 
 // minPieceWeight is the positive floor applied to learned piece weights so

@@ -20,7 +20,7 @@ var (
 	mStageFSCR = obs.Default().Histogram("mlnclean_core_stage_seconds",
 		"", obs.DefBuckets, obs.L("stage", "fscr"))
 	mBlockSeconds = obs.Default().Histogram("mlnclean_core_block_seconds",
-		"Time one block spent in its stage-I phases, one observation per runBlock call.", obs.DefBuckets)
+		"Time one block spent in its stage-I phases, one observation per runBlock or delta re-clean call.", obs.DefBuckets)
 	mCleans = obs.Default().Counter("mlnclean_core_cleans_total",
 		"Completed end-to-end cleaning runs.")
 	mTuples = obs.Default().Counter("mlnclean_core_tuples_total",
@@ -70,7 +70,7 @@ var (
 	// observable live: how many blocks are being cleaned and the process's
 	// live heap.
 	mBlocksInFlight = obs.Default().Gauge("mlnclean_mem_blocks_inflight",
-		"Blocks inside the stage-I block pipeline (runBlock) right now.")
+		"Blocks inside the stage-I block pipeline (runBlock or a delta re-clean) right now.")
 )
 
 func init() {

@@ -15,15 +15,21 @@ import (
 )
 
 // The one stage-I block pipeline (Alg. 1, per block: AGP → weight learning →
-// RSC). runBlock is the only caller of the three phases, schedule the only
-// goroutine pool that runs it, fold the only place its results reach Stats
-// and the mlnclean_core_* instruments. Every execution path is a driver that
-// picks a block source and a phase mask:
+// RSC). runBlock and DeltaCleaner.reclean are the only callers of the three
+// phases, schedule the only goroutine pool that runs them, fold the only
+// place their results reach Stats and the mlnclean_core_* instruments. Every
+// execution path is a driver that picks a block source and a phase mask:
 //
 //	CleanEncoded            iterator (lazy, rule order)   AGP|Learn|RSC
 //	StreamAGPLearn (worker) iterator                      AGP|Learn
 //	StageAGP/Learn/RSC      built index (rule order)      one phase each
-//	DeltaCleaner.Load/Apply copies of its edited blocks   AGP|Learn|RSC
+//	DeltaCleaner.Load/Apply its edited blocks (reclean)   AGP|Learn|RSC
+//
+// AGP is a decision (agpDecide), which reads a block, and a merge
+// (agpMerge), which writes it. runBlock merges in place; reclean decides on
+// the block the delta engine keeps and merges, learns and picks only the
+// groups whose outcome can have moved, each copied out of it, and reuses
+// the rest of the block its last re-clean left.
 //
 // Inside a block, AGP's per-source searches and RSC's per-group winners are
 // lists of independent items that the pool's idle workers claim alongside
@@ -65,27 +71,23 @@ const (
 
 // blockResult is what one runBlock call did to one block: the counters the
 // phases report, the owner's wall time each took, and the learner's error
-// if any.
+// if any. regrouped counts the groups learned and given an RSC winner:
+// every group of the block in a batch run, the redone ones in a delta
+// re-clean (DeltaCleaner.reclean).
 type blockResult struct {
 	abnormal, abnormalPieces, promotions int
 	agpPairs, agpFullScans               int
-	learnIters, repairs                  int
+	learnIters, repairs, regrouped       int
 	agp, learn, rsc                      time.Duration
 	err                                  error
 }
 
 // runBlock runs the requested phases on one block, in pipeline order, on
-// the caller's crew. memo is what the DeltaCleaner carries across a block's
-// re-cleans; batch drivers pass nil. It observes
-// mlnclean_core_block_seconds once and holds mlnclean_mem_blocks_inflight
-// up for as long as it runs. The phase times are the owner's wall time,
-// helpers included.
-func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blockMemo) (r blockResult) {
-	var agpM *agpMemo
-	var in *learnInputs
-	if memo != nil {
-		agpM, in = &memo.agp, &memo.inputs
-	}
+// the caller's crew: the batch drivers' stage I, which merges the block in
+// place. It observes mlnclean_core_block_seconds once and holds
+// mlnclean_mem_blocks_inflight up for as long as it runs. The phase times
+// are the owner's wall time, helpers included.
+func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases) (r blockResult) {
 	mBlocksInFlight.Add(1)
 	defer mBlocksInFlight.Add(-1)
 	start := time.Now()
@@ -97,16 +99,17 @@ func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases, memo *blo
 		return d
 	}
 	if ph&phaseAGP != 0 {
-		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, agpM, opts.Trace)
+		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, nil, opts.Trace)
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
-		if r.learnIters, r.err = learnBlockWeights(b, in); r.err != nil {
+		if r.learnIters, r.err = learnBlockWeights(b, nil); r.err != nil {
 			return r
 		}
 		r.learn = lap()
 	}
 	if ph&phaseRSC != 0 {
+		r.regrouped = len(b.Groups)
 		r.repairs = rsc(bi, b, c, opts.Trace)
 		r.rsc = lap()
 	}
@@ -328,7 +331,7 @@ func (s *Stats) addBlock(r *blockResult) {
 // source's n blocks and fold the results into st.
 func stageI(ctx context.Context, dict *intern.Dict, n int, next blockSource, opts Options, ph phases, st *Stats) error {
 	results, err := schedule(ctx, newEvaluators(opts.Metric, dict, opts.workers()), n, next, func(bi int, b *index.Block, c crew) blockResult {
-		return runBlock(bi, b, c, opts, ph, nil)
+		return runBlock(bi, b, c, opts, ph)
 	})
 	if err != nil {
 		return err

@@ -257,6 +257,7 @@ func TestBuildBlockAllocs(t *testing.T) {
 				b := BuildBlockFor(tb, enc, r)
 				if merge && len(b.Groups) > 2 {
 					b.MergeGroups(b.Groups[2], b.Groups[0])
+					b.DropEmpty()
 				}
 				w := make([]*Piece, len(b.Groups))
 				for i, g := range b.Groups {
@@ -342,6 +343,7 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 	src, dst := contested[0], contested[1]
 	want := append(slices.Clone(dst.Pieces), src.Pieces...)
 	b.MergeGroups(src, dst)
+	b.DropEmpty()
 	if !slices.Equal(dst.Pieces, want) || src.Pieces != nil || slices.Contains(b.Groups, src) {
 		t.Fatalf("merge: dst holds %d pieces, want %d; src keeps %d", len(dst.Pieces), len(want), len(src.Pieces))
 	}
@@ -580,6 +582,21 @@ func TestBlockEditorMatchesBuild(t *testing.T) {
 				slices.Sort(ids)
 				return ids
 			}
+			// Each block's groups by KeyID, as of its editor's last
+			// ClearTouched: every group Touched does not list must still
+			// hold what it held then, and a group made or emptied since
+			// must be listed.
+			settled := make([]map[uint32]string, len(eds))
+			settle := func() {
+				for ri, e := range eds {
+					e.ClearTouched()
+					settled[ri] = make(map[uint32]string)
+					for _, g := range e.Block().Groups {
+						settled[ri][g.KeyID()] = groupSnapshot(g)
+					}
+				}
+			}
+			settle()
 			width := f.tb.Schema.Len()
 			for step := 0; step < 200; step++ {
 				ids := live()
@@ -618,6 +635,22 @@ func TestBlockEditorMatchesBuild(t *testing.T) {
 					if err := blockDiff(eds[ri].Block(), BuildBlockFor(cur, curEnc, r)); err != nil {
 						t.Fatalf("step %d (tuple %d to %q): %v", step, id, to, err)
 					}
+					touched := eds[ri].Touched()
+					now := make(map[uint32]bool)
+					for _, g := range eds[ri].Block().Groups {
+						now[g.KeyID()] = true
+						if was, ok := settled[ri][g.KeyID()]; (!ok || was != groupSnapshot(g)) && !slices.Contains(touched, g.KeyID()) {
+							t.Fatalf("step %d, rule %s: group %q changed or was made, and Touched %v omits it", step, r.ID, g.Key(), touched)
+						}
+					}
+					for k := range settled[ri] {
+						if !now[k] && !slices.Contains(touched, k) {
+							t.Fatalf("step %d, rule %s: group %d was emptied, and Touched %v omits it", step, r.ID, k, touched)
+						}
+					}
+				}
+				if step%3 == 2 {
+					settle()
 				}
 			}
 			for _, e := range eds {
@@ -626,7 +659,7 @@ func TestBlockEditorMatchesBuild(t *testing.T) {
 				for gi, g := range kept.Groups {
 					before[gi] = groupSnapshot(g)
 				}
-				c := e.Copy()
+				c := &Block{Rule: kept.Rule, Groups: CopyGroups(kept.Groups)}
 				if err := blockDiff(c, kept); err != nil {
 					t.Fatalf("the copy is not the kept block: %v", err)
 				}

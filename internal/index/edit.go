@@ -23,7 +23,9 @@ import (
 // the build's, not always the same slice.
 //
 // The kept block is never handed to stage I, which rewrites what it is
-// given: Copy gives stage I a block of its own over the same lists.
+// given: CopyGroups gives stage I groups of its own over the same lists.
+// The editor also records which groups its moves touched (Touched), so a
+// re-clean can tell the groups whose outcome cannot have moved.
 type BlockEditor struct {
 	b      Block
 	dict   *intern.Dict
@@ -33,6 +35,10 @@ type BlockEditor struct {
 	pl     rulePlan
 	groups map[uint32]*Group // by group KeyID
 	res    []uint32          // the result IDs of the row being keyed
+	// touched lists the KeyIDs of the groups whose pieces gained or lost a
+	// tuple since ClearTouched, made and emptied groups included, in move
+	// order and possibly repeated.
+	touched []uint32
 }
 
 // NewBlockEditor builds rule r's block over tb (BuildBlockFor) and keeps it
@@ -55,6 +61,17 @@ func NewBlockEditor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Blo
 // Block is the kept block. It is the editor's own: callers read it and
 // write nothing into it.
 func (e *BlockEditor) Block() *Block { return &e.b }
+
+// Touched lists the KeyIDs of the groups whose pieces gained or lost a
+// tuple since the last ClearTouched, groups made or emptied included; a
+// KeyID may repeat. Every other group of the block holds the pieces, in the
+// same order with the same tuple lists, that it held then. The slice is the
+// editor's, valid until the next Move.
+func (e *BlockEditor) Touched() []uint32 { return e.touched }
+
+// ClearTouched empties the touched list: the caller has taken the block as
+// it stands.
+func (e *BlockEditor) ClearTouched() { e.touched = e.touched[:0] }
 
 // Move edits tuple id's encoded row from `from` to `to`; a nil row is no
 // row, so Move(id, nil, to) inserts the tuple and Move(id, from, nil)
@@ -155,6 +172,7 @@ func piece(g *Group, kid uint32) *Piece {
 // remove takes tuple id out of the piece row names.
 func (e *BlockEditor) remove(id int, row []uint32) {
 	gk, kid := e.keys(row)
+	e.touched = append(e.touched, gk)
 	g := e.groups[gk]
 	p := piece(g, kid)
 	if p == nil {
@@ -186,6 +204,7 @@ func (e *BlockEditor) remove(id int, row []uint32) {
 // group, when it is new.
 func (e *BlockEditor) add(id int, row []uint32) {
 	gk, kid := e.keys(row)
+	e.touched = append(e.touched, gk)
 	g := e.groups[gk]
 	if p := piece(g, kid); p != nil {
 		gi, pi := find(e.b.Groups, groupFirst(g), groupFirst), find(g.Pieces, pieceFirst(p), pieceFirst)
@@ -226,21 +245,21 @@ func (e *BlockEditor) add(id int, row []uint32) {
 	}
 }
 
-// Copy is a block stage I may rewrite: its own block, group and piece
-// headers, over the kept value IDs and tuple lists. Each list is handed
-// over with cap == len, so the appends AGP's merges make copy it, and the
-// sort after one sorts the copy; nothing reaches the kept block.
-func (e *BlockEditor) Copy() *Block {
-	groups := make([]Group, len(e.b.Groups))
-	ptrs := make([]*Group, len(e.b.Groups))
+// CopyGroups gives each of gs, in order, new group and piece headers over
+// the same value IDs and tuple lists. Each list is handed over with
+// cap == len, so the appends AGP's merges make copy it, and the sort after
+// one sorts the copy; nothing reaches the groups copied.
+func CopyGroups(gs []*Group) []*Group {
+	groups := make([]Group, len(gs))
+	ptrs := make([]*Group, len(gs))
 	n := 0
-	for _, g := range e.b.Groups {
+	for _, g := range gs {
 		n += len(g.Pieces)
 	}
 	pieces := make([]Piece, n)
 	slots := make([]*Piece, n)
 	k := 0
-	for i, g := range e.b.Groups {
+	for i, g := range gs {
 		from := k
 		for _, p := range g.Pieces {
 			pieces[k] = *p
@@ -251,5 +270,5 @@ func (e *BlockEditor) Copy() *Block {
 		groups[i] = Group{Pieces: slots[from:k:k], dict: g.dict, reason: g.reason, id: g.id}
 		ptrs[i] = &groups[i]
 	}
-	return &Block{Rule: e.b.Rule, Groups: ptrs}
+	return ptrs
 }

@@ -254,19 +254,10 @@ func (b *Block) Group(key string) *Group {
 	return nil
 }
 
-// removeGroup deletes the group by identity.
-func (b *Block) removeGroup(g *Group) {
-	for i, h := range b.Groups {
-		if h == g {
-			b.Groups = append(b.Groups[:i], b.Groups[i+1:]...)
-			return
-		}
-	}
-}
-
 // MergeGroups folds group src into group dst, concatenating piece lists
-// (piece identities are compared by their fixed-width keys) and removing
-// src from the block. A built block's lists are carved from shared slabs
+// (piece identities are compared by their fixed-width keys), and leaves src
+// empty in the block: DropEmpty removes every group a pass of merges
+// emptied in one sweep. A built block's lists are carved from shared slabs
 // with no spare capacity, so an append copies rather than overwrite a
 // neighbour. What a merge leaves behind in the build slabs is garbage once
 // RSC compacts the block (Collapse).
@@ -286,7 +277,19 @@ func (b *Block) MergeGroups(src, dst *Group) {
 		}
 	}
 	src.Pieces = nil
-	b.removeGroup(src)
+}
+
+// DropEmpty removes the groups without pieces — the sources MergeGroups
+// emptied — keeping the others in order.
+func (b *Block) DropEmpty() {
+	kept := b.Groups[:0]
+	for _, g := range b.Groups {
+		if len(g.Pieces) > 0 {
+			kept = append(kept, g)
+		}
+	}
+	clear(b.Groups[len(kept):]) // no stale pointer past the end
+	b.Groups = kept
 }
 
 // Collapse is RSC's rewrite (§5.1.2) and the end of the block's build
@@ -329,8 +332,6 @@ func (b *Block) Collapse(winners []*Piece) {
 		groups[i] = Group{Pieces: slots[i : i+1 : i+1], dict: g.dict, reason: reason, id: g.id}
 		ptrs[i] = &groups[i]
 	}
-	// A new slice, not a copy into the old one: removeGroup leaves a stale
-	// pointer past the end of the old backing array.
 	b.Groups = ptrs
 }
 

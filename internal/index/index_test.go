@@ -247,6 +247,10 @@ func TestMergeGroups(t *testing.T) {
 	srcPieces := len(src.Pieces)
 	dstPieces := len(dst.Pieces)
 	b.MergeGroups(src, dst)
+	if len(src.Pieces) != 0 || len(b.Groups) != before {
+		t.Errorf("before DropEmpty: source keeps %d pieces, %d groups", len(src.Pieces), len(b.Groups))
+	}
+	b.DropEmpty()
 	if len(b.Groups) != before-1 {
 		t.Errorf("groups after merge = %d", len(b.Groups))
 	}

@@ -52,9 +52,38 @@ const (
 // prior centre, the uniform 1/|g|. len(probs) must be len(counts); after
 // an error its contents are unspecified.
 func LearnWeights(groups [][]int, counts, probs []float64) (steps int, err error) {
-	n := len(counts)
-	if len(probs) != n {
-		return 0, fmt.Errorf("mln: %d probabilities for %d candidates", len(probs), n)
+	total, err := check(counts, probs)
+	if err != nil {
+		return 0, err
+	}
+	return solveGroups(groups, counts, probs, total, nil)
+}
+
+// LearnGroups is LearnWeights over some of a block's groups: counts holds
+// their candidates only, and total is the block's Σc, the Eq. 4 normaliser,
+// which must be finite and at least the candidates' sum. A group learns the
+// same bits here as in LearnWeights over the whole block. When steps is
+// non-nil, steps[g] receives group g's Newton steps on t; it must be at
+// least len(groups) long.
+func LearnGroups(groups [][]int, counts, probs []float64, total float64, steps []int) (int, error) {
+	sum, err := check(counts, probs)
+	if err != nil {
+		return 0, err
+	}
+	if !(total >= sum) || math.IsInf(total, 1) {
+		return 0, fmt.Errorf("mln: block total %g is not a finite number of at least the candidates' %g", total, sum)
+	}
+	if steps != nil && len(steps) < len(groups) {
+		return 0, fmt.Errorf("mln: %d step counts for %d groups", len(steps), len(groups))
+	}
+	return solveGroups(groups, counts, probs, total, steps)
+}
+
+// check validates the counts and the probabilities' length and returns the
+// counts' sum.
+func check(counts, probs []float64) (float64, error) {
+	if len(probs) != len(counts) {
+		return 0, fmt.Errorf("mln: %d probabilities for %d candidates", len(probs), len(counts))
 	}
 	var total float64
 	for i, c := range counts {
@@ -63,6 +92,12 @@ func LearnWeights(groups [][]int, counts, probs []float64) (steps int, err error
 		}
 		total += c
 	}
+	return total, nil
+}
+
+// solveGroups is LearnWeights' and LearnGroups' solve over validated counts.
+func solveGroups(groups [][]int, counts, probs []float64, total float64, steps []int) (most int, err error) {
+	n := len(counts)
 	// −1 marks a candidate the partition check has seen: every group's
 	// members are written again below.
 	for i := range probs {
@@ -79,10 +114,14 @@ func LearnWeights(groups [][]int, counts, probs []float64) (steps int, err error
 			probs[i] = -1
 		}
 	}
-	for _, g := range groups {
-		steps = max(steps, solve(g, counts, probs, total))
+	for gi, g := range groups {
+		s := solve(g, counts, probs, total)
+		if steps != nil {
+			steps[gi] = s
+		}
+		most = max(most, s)
 	}
-	return steps, nil
+	return most, nil
 }
 
 // solve writes group g's in-group probabilities into probs and returns the

@@ -216,3 +216,63 @@ func TestLearnWeightsConverges(t *testing.T) {
 		t.Errorf("the solve took %d steps", steps)
 	}
 }
+
+// TestLearnGroupsMatchesWholeBlock: a group learned alone with its block's
+// Σc gets the bits LearnWeights gives it over the whole block, and reports
+// the Newton steps its own solve took; a total under the candidates' sum is
+// refused.
+func TestLearnGroupsMatchesWholeBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for round := 0; round < 40; round++ {
+		var groups [][]int
+		var counts []float64
+		for g := 0; g < 1+rng.Intn(12); g++ {
+			members := make([]int, 1+rng.Intn(6))
+			for k := range members {
+				members[k] = len(counts)
+				counts = append(counts, float64(rng.Intn(40)))
+			}
+			groups = append(groups, members)
+		}
+		var total float64
+		for _, c := range counts {
+			total += c
+		}
+		whole := make([]float64, len(counts))
+		most, err := LearnWeights(groups, counts, whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for gi, g := range groups {
+			// The group's candidates alone, renumbered from 0.
+			sub, local := make([]float64, len(g)), make([]int, len(g))
+			for k, i := range g {
+				sub[k], local[k] = counts[i], k
+			}
+			probs, steps := make([]float64, len(g)), make([]int, 1)
+			n, err := LearnGroups([][]int{local}, sub, probs, total, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != steps[0] {
+				t.Fatalf("round %d, group %d: returned %d steps, wrote %d", round, gi, n, steps[0])
+			}
+			got = max(got, n)
+			for k, i := range g {
+				if math.Float64bits(probs[k]) != math.Float64bits(whole[i]) {
+					t.Fatalf("round %d, group %d member %d: %v alone, %v in the block", round, gi, k, probs[k], whole[i])
+				}
+			}
+		}
+		if got != most {
+			t.Fatalf("round %d: the groups' most steps %d, LearnWeights %d", round, got, most)
+		}
+	}
+	if _, err := LearnGroups([][]int{{0, 1}}, []float64{2, 3}, make([]float64, 2), 4, nil); err == nil {
+		t.Error("a total under the candidates' sum was accepted")
+	}
+	if _, err := LearnGroups([][]int{{0, 1}}, []float64{2, 3}, make([]float64, 2), math.Inf(1), nil); err == nil {
+		t.Error("an infinite total was accepted")
+	}
+}
