@@ -1,0 +1,76 @@
+package bench
+
+import (
+	"math"
+	"testing"
+
+	"mlnclean/internal/core"
+	"mlnclean/internal/dataset"
+	"mlnclean/internal/errgen"
+	"mlnclean/internal/eval"
+	"mlnclean/internal/holoclean"
+)
+
+// TestLedgerReproducesRepairQuality: the cell ledger's totals are
+// RepairQuality's reading, bit for bit, on every fig6 cell: both datasets at
+// default scale, every rate of ErrorSweep, MLNClean and HoloClean as Fig6
+// runs them. MLNClean runs as a DeltaCleaner loaded with the dirty table,
+// whose version is Clean's result byte for byte (TestDeltaLoadParity and the
+// parity suites in internal/core) and carries the audit trail the ledger
+// attributes changed cells by.
+func TestLedgerReproducesRepairQuality(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale experiment run")
+	}
+	sc := Default
+	for _, name := range []string{"car", "hai"} {
+		ds, err := sc.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rate := range ErrorSweep {
+			inj, err := injectFor(ds, sc, rate, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := core.NewDeltaCleaner(inj.Dirty.Schema, ds.Rules, core.Options{Tau: ds.Tau})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := eng.LoadVersion(inj.Dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledgerMatches(t, name+" MLNClean", rate, ds.Truth, inj, v.Result().Repaired, v.Trail())
+			hc, err := holoclean.Repair(inj.Dirty, ds.Rules, inj.NoisyCells(), holoclean.Options{Seed: sc.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ledgerMatches(t, name+" HoloClean", rate, ds.Truth, inj, hc.Repaired, nil)
+		}
+	}
+}
+
+// ledgerMatches fails unless the ledger of repaired holds every cell once,
+// and its totals give RepairQuality's counts and ratios bit for bit.
+func ledgerMatches(t *testing.T, label string, rate float64, truth *dataset.Table, inj *errgen.Injection, repaired *dataset.Table, trail []core.Repair) {
+	t.Helper()
+	l := eval.CellLedger(truth, inj.Dirty, repaired, inj.Errors, trail)
+	got, want := l.Quality(), eval.RepairQuality(truth, inj.Dirty, repaired)
+	same := got.Correct == want.Correct && got.Updated == want.Updated && got.Erroneous == want.Erroneous
+	for _, p := range [][2]float64{{got.Precision, want.Precision}, {got.Recall, want.Recall}, {got.F1, want.F1}} {
+		same = same && math.Float64bits(p[0]) == math.Float64bits(p[1])
+	}
+	if !same {
+		t.Fatalf("%s %.0f%%: the ledger reads %+v, RepairQuality %+v", label, 100*rate, got, want)
+	}
+	cells := 0
+	for _, n := range l {
+		cells += n
+	}
+	if want := inj.Dirty.Len() * inj.Dirty.Schema.Len(); cells != want {
+		t.Fatalf("%s %.0f%%: the ledger holds %d cells, the table %d", label, 100*rate, cells, want)
+	}
+	t.Logf("%s %.0f%%: fixed %d, missed %d, wrong fix %d, broken %d; F1 %.3f", label, 100*rate,
+		l.Count(eval.Fixed), l.Count(eval.Missed), l.Count(eval.WrongFix), l.Count(eval.Broken), got.F1)
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"mlnclean/internal/dataset"
@@ -56,8 +57,8 @@ func dedupRows(tb *dataset.Table, rows [][]uint32, hash func([]uint32) uint64) (
 	return clean, s.group(tb.Tuples, dupRows)
 }
 
-// dedupScratch holds duplicate elimination's probe arrays. The batch path
-// uses one per call; the delta engine keeps one across Apply calls.
+// dedupScratch holds duplicate elimination's probe arrays, one per call (the
+// delta engine keeps a dupIndex across Apply calls instead).
 type dedupScratch struct {
 	slots   []int32 // index + 1 of the first row with this content; 0 = empty
 	repeats []int32 // index + 1 of the earlier row a row repeats; 0 = none
@@ -140,4 +141,141 @@ func zeroed(buf []int32, n int) []int32 {
 	buf = buf[:n]
 	clear(buf)
 	return buf
+}
+
+// dupIndex is the delta engine's duplicate elimination, kept across
+// Applies: every live tuple's ID filed under the hash of its fused row. A
+// mutation re-files only the rows whose fused row moved and the rows it
+// inserted or deleted, and the next mint regroups only the hashes whose rows
+// moved (sets).
+type dupIndex struct {
+	// one maps a hash that one live row holds to its tuple ID, and a hash
+	// several rows share to −1: those rows are in many.
+	one  map[uint64]int
+	many map[uint64]*dupClass
+	// moved lists the hashes whose rows moved since the last sets, and gone
+	// the sets of the classes that have dissolved since.
+	moved []uint64
+	gone  [][]int
+}
+
+// dupClass is the rows that share one hash: their tuple IDs, ascending, and
+// the duplicate sets among them as of the last sets.
+type dupClass struct {
+	ids  []int
+	sets [][]int
+}
+
+func newDupIndex(n int) *dupIndex {
+	return &dupIndex{one: make(map[uint64]int, n), many: make(map[uint64]*dupClass)}
+}
+
+// add files tuple id under its fused row's hash h.
+func (x *dupIndex) add(id int, h uint64) {
+	first, ok := x.one[h]
+	switch {
+	case !ok:
+		x.one[h] = id
+		return
+	case first >= 0:
+		x.one[h] = -1
+		x.many[h] = &dupClass{ids: []int{min(first, id), max(first, id)}}
+	default:
+		c := x.many[h]
+		at, _ := slices.BinarySearch(c.ids, id)
+		c.ids = slices.Insert(c.ids, at, id)
+	}
+	x.moved = append(x.moved, h)
+}
+
+// remove takes tuple id out from under hash h, which add filed it under.
+func (x *dupIndex) remove(id int, h uint64) {
+	if x.one[h] >= 0 {
+		delete(x.one, h)
+		return
+	}
+	c := x.many[h]
+	at, _ := slices.BinarySearch(c.ids, id)
+	c.ids = slices.Delete(c.ids, at, at+1)
+	if len(c.ids) == 1 {
+		x.one[h] = c.ids[0]
+		delete(x.many, h)
+		x.gone = append(x.gone, c.sets...)
+	}
+	x.moved = append(x.moved, h)
+}
+
+// sets returns the duplicate sets of the live rows (rowOf gives a tuple's
+// fused row): representative first, sets ordered by representative,
+// members ascending. was is the last sets returned: only the classes whose
+// rows moved since are regrouped, their old sets are taken out of was and
+// their new ones merged in, and was itself is returned when the sets taken
+// out and put in are the same.
+func (x *dupIndex) sets(rowOf func(id int) []uint32, was [][]int) [][]int {
+	slices.Sort(x.moved)
+	out, in := x.gone, [][]int(nil)
+	for _, h := range slices.Compact(x.moved) {
+		if c := x.many[h]; c != nil {
+			if sets := c.regroup(rowOf); !slices.EqualFunc(sets, c.sets, slices.Equal) {
+				out, in = append(out, c.sets...), append(in, sets...)
+				c.sets = sets
+			}
+		}
+	}
+	x.moved, x.gone = x.moved[:0], nil
+	byRep := func(a, b []int) int { return cmp.Compare(a[0], b[0]) }
+	slices.SortFunc(out, byRep)
+	slices.SortFunc(in, byRep)
+	if slices.EqualFunc(out, in, slices.Equal) {
+		return was
+	}
+	// Both was and in ascend by representative, out is a part of was, and
+	// no two sets share a representative.
+	dups := make([][]int, 0, len(was)-len(out)+len(in))
+	for _, set := range was {
+		if len(out) > 0 && out[0][0] == set[0] {
+			out = out[1:]
+			continue
+		}
+		for len(in) > 0 && in[0][0] < set[0] {
+			dups, in = append(dups, in[0]), in[1:]
+		}
+		dups = append(dups, set)
+	}
+	if dups = append(dups, in...); len(dups) == 0 {
+		return nil
+	}
+	return dups
+}
+
+// regroup splits the class into the sets of rows that are equal word for
+// word: new arrays, since versions hold the last ones. Rows that only share
+// the hash stay apart.
+func (c *dupClass) regroup(rowOf func(id int) []uint32) [][]int {
+	var sets [][]int
+	for rest := c.ids; len(rest) > 1; {
+		row := rowOf(rest[0])
+		set, other := []int{rest[0]}, []int(nil)
+		for _, id := range rest[1:] {
+			if slices.Equal(rowOf(id), row) {
+				set = append(set, id)
+			} else {
+				other = append(other, id)
+			}
+		}
+		if len(set) > 1 {
+			sets = append(sets, set)
+		}
+		rest = other
+	}
+	return sets
+}
+
+// entries counts the tuple IDs the index files: one per live tuple.
+func (x *dupIndex) entries() int {
+	n := len(x.one) - len(x.many)
+	for _, c := range x.many {
+		n += len(c.ids)
+	}
+	return n
 }

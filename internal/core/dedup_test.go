@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -334,8 +335,10 @@ func TestCleanAliasesRepaired(t *testing.T) {
 
 // TestDeltaDedupStateBounded: a long-lived engine fed a fresh typo per
 // mutation, with duplicate rows inserted and deleted along the way, keeps
-// exactly one fused ID row per live tuple and nothing else for duplicate
-// elimination, while every result stays identical to a from-scratch clean.
+// exactly one fused ID row and one duplicate-index entry per live tuple,
+// read keys for exactly the live conflicted tuples, and a domain count for
+// exactly the values the live rows hold, while every result stays identical
+// to a from-scratch clean.
 func TestDeltaDedupStateBounded(t *testing.T) {
 	dirty, rs := carDirty(t, 120, 13)
 	eng, err := NewDeltaCleaner(dirty.Schema, rs, Options{})
@@ -385,6 +388,31 @@ func TestDeltaDedupStateBounded(t *testing.T) {
 			if _, live := rows[id]; !live || eng.fusedTuples[i].ID != id || len(row) != width {
 				t.Fatalf("step %d: position %d: tuple %d live=%v, fused tuple %d, fused row holds %d IDs, want %d",
 					step, i, id, live, eng.fusedTuples[i].ID, len(row), width)
+			}
+		}
+		conflicted := 0
+		for i, r := range eng.fuseRes {
+			if _, ok := eng.reads[eng.ids[i]]; ok != (r.conflicted != 0) {
+				t.Fatalf("step %d: tuple %d conflicted=%d holds read keys=%v", step, eng.ids[i], r.conflicted, ok)
+			}
+			conflicted += int(r.conflicted)
+		}
+		if len(eng.reads) != conflicted {
+			t.Fatalf("step %d: read keys held for %d tuples, %d live ones are conflicted", step, len(eng.reads), conflicted)
+		}
+		if n := eng.dups.entries(); n != len(rows) {
+			t.Fatalf("step %d: the duplicate index files %d tuples, %d are live", step, n, len(rows))
+		}
+		for p, counts := range eng.plan.counts {
+			if counts == nil {
+				continue
+			}
+			want := make(map[uint32]int32)
+			for _, row := range eng.encRows {
+				want[row[p]]++
+			}
+			if !maps.Equal(counts, want) {
+				t.Fatalf("step %d: position %d counts %d values, the live rows hold %d", step, p, len(counts), len(want))
 			}
 		}
 		sawDups = sawDups || len(res.Duplicates) > 0

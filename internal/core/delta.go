@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -62,9 +63,17 @@ import (
 //     positions. A tuple without a conflict fuses to the union of its
 //     versions, which reads no weight, so a tuple whose pieces are the same
 //     fuses to the same assignment and its cached outcome is reused.
-//     Conflicted tuples are always re-fused — their outcome reads weights,
-//     global candidate sets and attribute domain sizes, which any mutation
-//     may shift.
+//   - A conflicted tuple's search also reads its versions' weights, the
+//     replacement candidates of the posting lists it scans, and the domain
+//     sizes its prior divides by. Its fusion records those reads (the
+//     posting keys and positions, fuser.reads), and it is re-fused only
+//     when one of them moved (readMoved): a version reweighted, a candidate
+//     new, gone or reweighted on a posting list it scanned (place lists
+//     them), or a domain size. Each block's candidate index is patched slot
+//     by slot as place moves its winners, and rebuilt only when the block's
+//     Σc moved, which moves every weight; the domain sizes come from counts
+//     per value ID, moved row by row. TestDeltaSkippedFusionsMatchFresh
+//     fuses every tuple left alone afresh after each step.
 //   - Every per-tuple cache is a slice parallel to the table, in its
 //     ascending-ID order; an ID is found by binary search over a flat slice
 //     of the IDs, galloping forward along a piece's ascending tuple IDs
@@ -76,8 +85,10 @@ import (
 //     sets. A mint rebuilds only the chunks whose rows a mutation touched or
 //     whose fused row moved, and shares every other chunk, every weight
 //     vector of a block it did not re-clean, and unchanged duplicate sets
-//     with the version before. A trail's rules and weights are resolved when
-//     it is read.
+//     with the version before. The duplicate sets come from an index of
+//     every live tuple by its fused row's hash (dupIndex), to which only the
+//     rows that moved are filed again. A trail's rules and weights are
+//     resolved when it is read.
 //
 // The correctness anchor is exact parity: after any mutation sequence, the
 // minted version's Result is byte-identical to Clean over the same table
@@ -144,6 +155,14 @@ type deltaBlock struct {
 	// moved lists the table positions whose version in this block the last
 	// re-clean moved.
 	moved []int
+	// whole says the last re-clean redid every group (redo), and so built
+	// the candidate index again and may have moved every weight. Otherwise
+	// changed holds the posting keys (attribute index << 32 | value ID) of
+	// the candidates it made new, gone or reweighted, ascending, and
+	// reweighted marks, by slot, the winners it kept at another weight.
+	whole      bool
+	changed    []uint64
+	reweighted []bool
 	// weights is the block's fragment of the weight vector repair
 	// attribution reads. Every re-clean allocates new arrays (the keys only
 	// when the pieces changed), because the versions minted since the last
@@ -190,14 +209,19 @@ type DeltaCleaner struct {
 	// (repaired) tuple and its value IDs, written by fuseOne and replaced
 	// wholesale when a re-fuse moves the row, never edited, so Results can
 	// share them (an unchanged tuple's are the engine's own tuple and row);
-	// and the fusion accounting — a conflicted tuple's fusion
-	// read global state (candidates, domain sizes) and re-runs on every
-	// Apply.
+	// and the fusion accounting.
 	fusedTuples []*dataset.Tuple
 	fusedRows   [][]uint32
 	fuseRes     []fuseResult
+	// reads holds, by tuple ID, each conflicted tuple's read keys (readKey),
+	// ascending: what besides its versions its last fusion read, and so
+	// what must move before it is fused again. A map, not a slice parallel
+	// to the table: a few percent of the tuples are conflicted.
+	reads map[int][]uint64
 	// refuse marks, per position, the tuples an Apply re-fuses.
 	refuse []bool
+	// domWas is the plan's domain sizes before the Apply in progress.
+	domWas []int
 
 	blocks []*deltaBlock
 	// plan is the fusion context the blocks feed: adopt refreshes its
@@ -209,11 +233,11 @@ type DeltaCleaner struct {
 	scratchRow []uint32
 
 	// cur is the last minted version, the parent of the next; touched holds
-	// the keys of the chunks the next mint rebuilds, and dedup the probe
-	// arrays every mint reuses.
+	// the keys of the chunks the next mint rebuilds, and dups files every
+	// live tuple under its fused row (nil when duplicates are kept).
 	cur     *Version
 	touched []int
-	dedup   dedupScratch
+	dups    *dupIndex
 
 	loaded bool
 }
@@ -259,6 +283,7 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 	}
 	d.plan = newFusionPlan(dict, schema, posPerBlock, opts)
 	d.fuser = newFuser(d.plan)
+	d.fuser.record = true
 	return d, nil
 }
 
@@ -304,7 +329,10 @@ func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	for i, t := range d.tuples {
 		d.ids[i] = t.ID
 	}
-	d.fusedTuples, d.fusedRows, d.fuseRes = make([]*dataset.Tuple, n), make([][]uint32, n), make([]fuseResult, n)
+	d.fusedTuples, d.fusedRows, d.fuseRes, d.reads = make([]*dataset.Tuple, n), make([][]uint32, n), make([]fuseResult, n), make(map[int][]uint64)
+	if !d.opts.KeepDuplicates {
+		d.dups = newDupIndex(n)
+	}
 
 	d.blocks = make([]*deltaBlock, len(d.rs))
 	all := make([]int, len(d.rs))
@@ -317,7 +345,9 @@ func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	if err := d.cleanBlocks(all); err != nil {
 		return nil, err
 	}
-	d.plan.countDomains(d.encRows)
+	for _, row := range d.encRows {
+		d.plan.countRow(row, 1)
+	}
 	for i := range d.tuples {
 		d.fuseOne(i)
 	}
@@ -364,6 +394,7 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 	// a re-put of the ID in the same batch splices them back: the old
 	// winners still list it, and place compares against them.
 	var gone map[int][]uint32
+	d.domWas = append(d.domWas[:0], d.plan.domainSize...)
 	for _, m := range muts {
 		d.touch(m.Row)
 		pos, exists := d.posOf(m.Row)
@@ -371,14 +402,21 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		if exists {
 			from = d.encRows[pos]
 		}
+		if exists {
+			d.plan.countRow(from, -1)
+		}
 		if m.Op == DeltaDelete {
 			d.edit(dirty, m.Row, from, nil)
+			if d.dups != nil && d.fusedRows[pos] != nil { // nil: put in this batch
+				d.dups.remove(m.Row, hashWords(d.fusedRows[pos]))
+			}
 			d.tuples = slices.Delete(d.tuples, pos, pos+1)
 			d.encRows = slices.Delete(d.encRows, pos, pos+1)
 			d.ids = slices.Delete(d.ids, pos, pos+1)
 			d.fusedTuples = slices.Delete(d.fusedTuples, pos, pos+1)
 			d.fusedRows = slices.Delete(d.fusedRows, pos, pos+1)
 			d.fuseRes = slices.Delete(d.fuseRes, pos, pos+1)
+			delete(d.reads, m.Row)
 			was := make([]uint32, len(vers))
 			for ri := range vers {
 				was[ri] = vers[ri][pos]
@@ -392,6 +430,7 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		}
 		vals := slices.Clone(m.Values)
 		row := d.encode(vals)
+		d.plan.countRow(row, 1)
 		d.edit(dirty, m.Row, from, row)
 		if exists {
 			d.tuples[pos] = &dataset.Tuple{ID: m.Row, Values: vals}
@@ -414,9 +453,7 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		}
 	}
 
-	// Mark the live tuples the batch put, and the conflicted ones: those read
-	// global candidate sets and domain sizes, which any mutation may have
-	// shifted.
+	// Mark the live tuples the batch put.
 	if n := len(d.tuples); cap(d.refuse) < n {
 		d.refuse = make([]bool, n, n+n/16)
 	}
@@ -425,11 +462,6 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 	for _, m := range muts {
 		if pos, live := d.posOf(m.Row); live && m.Op == DeltaPut {
 			d.refuse[pos] = true
-		}
-	}
-	for i, r := range d.fuseRes {
-		if r.conflicted != 0 {
-			d.refuse[i] = true
 		}
 	}
 
@@ -450,13 +482,18 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 	// Mark every position whose version a re-cleaned block moved: another
 	// piece, or a version on one side only. A weight alone cannot change a
 	// tuple without a conflict (fusion reads weights only into the trace's
-	// score), and conflicted tuples are marked above.
+	// score). A conflicted tuple's search also read weights, candidates and
+	// domain sizes: it is marked when one of those moved (readMoved).
 	for _, ri := range edited {
 		for _, i := range d.blocks[ri].moved {
 			d.refuse[i] = true
 		}
 	}
-	d.plan.countDomains(d.encRows)
+	for i, r := range d.fuseRes {
+		if r.conflicted != 0 && !d.refuse[i] && d.readMoved(i, dirty) {
+			d.refuse[i] = true
+		}
+	}
 
 	for i, re := range d.refuse {
 		if re {
@@ -656,6 +693,7 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 	p := agpDecide(ri, kept, d.opts.Tau, c, d.opts.MergeCapRatio, &db.memo.agp, nil)
 	r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = p.abnormal, p.abnormalPieces, p.promotions, p.pairs, p.fullScans
 	redo := db.redo(&p, prev)
+	db.whole = redo == nil
 	db.kept.ClearTouched()
 	redone := func(g *index.Group) bool { return redo == nil || redo[g.KeyID()] }
 
@@ -828,15 +866,25 @@ func laidBytes(gs []*index.Group) int {
 
 // adopt makes the block reclean left rule ri's cleaned block. It writes
 // only that block's own slots, so the pool's workers adopt their blocks
-// side by side.
+// side by side. A re-clean that redid every group (db.whole) builds the
+// block's candidate index again; any other patches it where place moves a
+// slot.
 func (d *DeltaCleaner) adopt(ri int, res blockResult) {
 	db := d.blocks[ri]
 	b := db.block
 	db.res = res
 	fb := d.plan.blocks[ri]
-	d.place(db, fb, d.plan.versionOf[ri], b)
+	var bc *blockCands
+	if !db.whole {
+		bc = d.plan.candidates[ri]
+	}
+	d.place(db, fb, d.plan.versionOf[ri], b, bc)
 	fb.Candidates = fb.Pieces
-	d.plan.candidates[ri] = buildBlockCands(fb, d.plan.posPerBlock[ri])
+	if bc == nil {
+		bc = buildBlockCands(fb, d.plan.posPerBlock[ri])
+		bc.dict = d.dict // a block without pieces names no dictionary
+		d.plan.candidates[ri] = bc
+	}
 	// Keys are distinct: RSC leaves one piece per group, and groups differ
 	// in their reason.
 	// A re-clean that kept the block's pieces keeps its key array, which no
@@ -866,12 +914,26 @@ func (d *DeltaCleaner) adopt(ri int, res blockResult) {
 // stay dense. Versions are compared by identity: a winner that kept its
 // slot takes it over whatever its weight, and a tuple whose version keeps
 // its piece has not moved.
-func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *index.Block) {
+//
+// As a candidate, a winner has changed when it is new, gone, or kept its
+// slot at another weight: place lists the posting keys of every changed
+// candidate in db.changed and marks the reweighted slots in db.reweighted,
+// and files every slot it moves in bc, the block's candidate index, unless
+// bc is nil.
+func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *index.Block, bc *blockCands) {
 	posOf := d.walkPos()
 	moved := db.moved[:0]
 	var free []uint32
 	slots := fb.Pieces
 	live := make([]bool, len(slots), len(slots)+len(b.Groups))
+	db.reweighted = slices.Grow(db.reweighted[:0], len(slots)+len(b.Groups))[:len(slots)]
+	clear(db.reweighted)
+	db.changed = db.changed[:0]
+	changed := func(ids []uint32) {
+		for i, v := range ids {
+			db.changed = append(db.changed, uint64(i)<<32|uint64(v))
+		}
+	}
 	var fresh []*index.Piece
 	var gained []int // positions, then the slot they take
 	// Load fuses every tuple: it lists no positions.
@@ -895,6 +957,18 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		}
 		live[s] = true
 		was, now := slots[s].TupleIDs, w.TupleIDs
+		if bc != nil {
+			if math.Float64bits(slots[s].Weight) != math.Float64bits(w.Weight) {
+				bc.remove(int32(s))
+				bc.put(int32(s), candOf(w))
+				changed(w.ValueIDs())
+				db.reweighted[s] = true
+			} else {
+				// The same candidate, perhaps laid out anew: file the new
+				// layout's IDs so the old layout can be collected.
+				bc.ents[s].ids = w.ValueIDs()
+			}
+		}
 		slots[s] = w
 		if len(was) == len(now) && (len(was) == 0 || &was[0] == &now[0]) || slices.Equal(was, now) {
 			continue // a reused group's list is the same slice
@@ -921,6 +995,10 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 			for _, id := range p.TupleIDs {
 				drop(id, uint32(s))
 			}
+			if bc != nil {
+				bc.remove(int32(s))
+				changed(p.ValueIDs())
+			}
 			free = append(free, uint32(s))
 		}
 	}
@@ -936,6 +1014,11 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		} else {
 			s = uint32(len(slots))
 			slots, live = append(slots, w), append(live, true)
+			db.reweighted = append(db.reweighted, false)
+		}
+		if bc != nil {
+			bc.put(int32(s), candOf(w))
+			changed(w.ValueIDs())
 		}
 		db.slotOf[w.KeyID()] = s
 		for _, id := range w.TupleIDs {
@@ -954,6 +1037,12 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 			w := slots[last]
 			slots[s], live[s] = w, true
 			db.slotOf[w.KeyID()] = s
+			db.reweighted[s] = db.reweighted[last]
+			if bc != nil {
+				e := bc.ents[last]
+				bc.remove(int32(last))
+				bc.put(int32(s), e)
+			}
 			for _, id := range w.TupleIDs {
 				if i, ok := posOf(id); ok {
 					at[i] = s + 1
@@ -965,8 +1054,49 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		slots[last] = nil
 		slots = slots[:last]
 	}
+	if bc != nil {
+		clear(bc.ents[len(slots):]) // unfiled: hold no layout alive
+		bc.ents = bc.ents[:len(slots)]
+	}
+	db.reweighted = db.reweighted[:len(slots)]
+	slices.Sort(db.changed)
+	db.changed = slices.Compact(db.changed)
 	fb.Pieces = slots
 	db.moved = moved
+}
+
+// readMoved reports whether the Apply in progress, which re-cleaned the
+// blocks marked dirty, moved something the last fusion of the conflicted
+// tuple at position i read: the weight of one of its versions, a candidate
+// (new, gone or reweighted) on a posting list one of its replacement
+// searches scanned, or a domain size its prior read. If none moved, the
+// search would explore the same states and find the same fusion.
+func (d *DeltaCleaner) readMoved(i int, dirty []bool) bool {
+	for bi, db := range d.blocks {
+		if s := d.plan.versionOf[bi][i]; dirty[bi] && s != 0 && (db.whole || db.reweighted[s-1]) {
+			return true
+		}
+	}
+	for _, k := range d.reads[d.ids[i]] {
+		bi, attr := int(k>>48), int(k>>32&0xFFFF)
+		if bi == domainRead {
+			if d.plan.domainSize[attr] != d.domWas[attr] {
+				return true
+			}
+			continue
+		}
+		db := d.blocks[bi]
+		switch {
+		case !dirty[bi]:
+		case db.whole, attr == anyAttr && len(db.changed) > 0:
+			return true
+		default:
+			if _, hit := slices.BinarySearch(db.changed, k&(1<<48-1)); hit {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // fuseOne re-runs fusion for the tuple at position i against the current
@@ -979,6 +1109,11 @@ func (d *DeltaCleaner) fuseOne(i int) {
 	t, dirtyRow := d.tuples[i], d.encRows[i]
 	res := d.fuser.fuse(t, i, dirtyRow, nil)
 	d.fuseRes[i] = res
+	if res.conflicted != 0 {
+		d.reads[t.ID] = append(d.reads[t.ID][:0], d.fuser.readKeys()...)
+	} else {
+		delete(d.reads, t.ID)
+	}
 	row := dirtyRow
 	if res.changes > 0 {
 		d.scratchRow = d.fuser.appendFused(d.scratchRow[:0], dirtyRow)
@@ -993,6 +1128,12 @@ func (d *DeltaCleaner) fuseOne(i int) {
 		row = slices.Clone(row) // the cache must not hold the scratch buffer
 		fused = &dataset.Tuple{ID: t.ID, Values: make([]string, len(t.Values))}
 		repairedValues(fused.Values, t.Values, row, dirtyRow, d.dict)
+	}
+	if d.dups != nil {
+		if was := d.fusedRows[i]; was != nil {
+			d.dups.remove(t.ID, hashWords(was))
+		}
+		d.dups.add(t.ID, hashWords(row))
 	}
 	d.fusedTuples[i], d.fusedRows[i] = fused, row
 }

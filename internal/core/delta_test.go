@@ -147,8 +147,11 @@ func TestDeltaLoadParity(t *testing.T) {
 // TestDeltaMutationSequenceParity is the randomized anchor: K seeded
 // inserts, updates, and deletes applied incrementally, each checked
 // byte-identical against a from-scratch full re-clean of the same table.
-// Parity cannot see over-refusing, so each step also pins how many tuples
-// re-fused to the count the tuple-ID definition of the re-fusion set gives.
+// Parity cannot see over-refusing, so each step also bounds how many tuples
+// re-fused by the tuple-ID definitions of the re-fusion set: at least the
+// tuples the batch put or whose version moved, at most those plus every
+// tuple whose last fusion was conflicted. Every tuple left alone must fuse
+// afresh to its cached outcome (skippedFusionsMatchFresh).
 func TestDeltaMutationSequenceParity(t *testing.T) {
 	for _, seed := range deltaSeeds(t) {
 		seed := seed
@@ -244,9 +247,11 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 				if ds.RefusedTuples+ds.ReusedTuples != eng.Len() {
 					t.Fatalf("step %d: tuples don't partition: %+v", step, ds)
 				}
-				if want := wantRefused(muts, before, versionFacts(eng), conflicted, rows); ds.RefusedTuples != want {
-					t.Fatalf("step %d: %d tuples re-fused, want %d", step, ds.RefusedTuples, want)
+				after := versionFacts(eng)
+				if lo, hi := wantRefused(muts, before, after, nil, rows), wantRefused(muts, before, after, conflicted, rows); ds.RefusedTuples < lo || ds.RefusedTuples > hi {
+					t.Fatalf("step %d: %d tuples re-fused, want %d to %d", step, ds.RefusedTuples, lo, hi)
 				}
+				skippedFusionsMatchFresh(t, fmt.Sprintf("step %d", step), eng)
 				assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(),
 					refTable(schema, rows), rs, Options{})
 			}
@@ -256,7 +261,8 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 
 // versionFact is a tuple's version in one block, reduced to what can change
 // the fusion of a tuple without a conflict: the piece's identity. (Its
-// weight reaches only a conflicted tuple, and those are re-fused anyway.)
+// weight reaches only a conflicted tuple, which wantRefused's upper bound
+// counts whole.)
 type versionFact struct {
 	kid uint32
 }
@@ -276,10 +282,11 @@ func versionFacts(eng *DeltaCleaner) []map[int]versionFact {
 	return out
 }
 
-// wantRefused counts the tuples an Apply of muts must re-fuse, by ID: the
-// live ones the batch put, whose version in some block moved (another
-// piece, or a version before or after only), or whose previous fusion was
-// conflicted.
+// wantRefused counts the tuples an Apply of muts re-fuses under the rule
+// that re-fuses every conflicted tuple, by ID: the live ones the batch put,
+// whose version in some block moved (another piece, or a version before or
+// after only), or whose previous fusion was conflicted (of the IDs
+// conflicted lists; nil gives the count without them).
 func wantRefused(muts []Mutation, before, after []map[int]versionFact, conflicted []int, live map[int][]string) int {
 	want := make(map[int]bool)
 	for _, m := range muts {
@@ -309,6 +316,153 @@ func wantRefused(muts []Mutation, before, after []map[int]versionFact, conflicte
 		}
 	}
 	return n
+}
+
+// skippedFusionsMatchFresh is the oracle of the re-fusion rule: after an
+// Apply, every tuple it did not re-fuse must fuse, by a new fuser over the
+// engine's plan, to its cached outcome and fused row bit for bit. The plan's
+// patched parts are first held to what a build from scratch gives: every
+// block's candidate index to buildBlockCands over its pieces, and the domain
+// sizes to countDomains over the table. It returns how many of the tuples
+// it checked were conflicted.
+func skippedFusionsMatchFresh(t *testing.T, label string, eng *DeltaCleaner) int {
+	t.Helper()
+	pl := eng.plan
+	fresh := &fusionPlan{dict: pl.dict, compAttrs: pl.compAttrs, domainSize: make([]int, len(pl.domainSize))}
+	fresh.countDomains(eng.encRows)
+	if !slices.Equal(fresh.domainSize, pl.domainSize) {
+		t.Fatalf("%s: domain sizes %v, counted afresh %v", label, pl.domainSize, fresh.domainSize)
+	}
+	for bi, fb := range pl.blocks {
+		got, want := pl.candidates[bi], buildBlockCands(fb, pl.posPerBlock[bi])
+		same := len(got.ents) == len(want.ents) && slices.Equal(got.order, want.order) && reflect.DeepEqual(got.byVal, want.byVal)
+		for s := range want.ents {
+			g, w := got.ents[s], want.ents[s]
+			same = same && g.kid == w.kid && math.Float64bits(g.weight) == math.Float64bits(w.weight) && slices.Equal(g.ids, w.ids)
+		}
+		if !same {
+			t.Fatalf("%s: block %d's candidate index is not the one its %d pieces build", label, bi, len(fb.Pieces))
+		}
+	}
+	f := newFuser(pl)
+	conflicted := 0
+	for i, tp := range eng.tuples {
+		if eng.refuse[i] {
+			continue
+		}
+		row := eng.encRows[i]
+		res := f.fuse(tp, i, row, nil)
+		if res.changes > 0 {
+			row = f.appendFused(nil, row)
+		}
+		if res != eng.fuseRes[i] || !slices.Equal(row, eng.fusedRows[i]) {
+			t.Fatalf("%s: tuple %d was not re-fused but fuses afresh to %+v %v, cached %+v %v",
+				label, tp.ID, res, row, eng.fuseRes[i], eng.fusedRows[i])
+		}
+		if res.conflicted != 0 {
+			conflicted++
+		}
+	}
+	return conflicted
+}
+
+// TestDeltaSkippedFusionsMatchFresh: a conflicted tuple is re-fused only
+// when something its search read moved, and every tuple left alone must
+// fuse afresh to what it cached (skippedFusionsMatchFresh), through the
+// serving mix on CAR and on HAI. Conflicted tuples must be left alone along
+// the way, or the rule is not exercised.
+func TestDeltaSkippedFusionsMatchFresh(t *testing.T) {
+	for _, name := range []string{"CAR", "HAI"} {
+		t.Run(name, func(t *testing.T) {
+			var eng *DeltaCleaner
+			var inj *errgen.Injection
+			if name == "CAR" {
+				eng, _, inj = carSession(t, 600)
+			} else {
+				eng, inj = haiSession(t, 420)
+			}
+			skipped, refused := 0, 0
+			const steps = 300
+			for step, m := range serveMix(inj, steps, 4200) {
+				_, ds, err := eng.ApplyVersion([]Mutation{m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				skipped += skippedFusionsMatchFresh(t, fmt.Sprintf("step %d (%+v)", step, m), eng)
+				refused += ds.RefusedTuples
+			}
+			if skipped == 0 {
+				t.Fatalf("%d steps left no conflicted tuple alone: the rule is not exercised", steps)
+			}
+			t.Logf("%d steps: %d tuples re-fused, %d conflicted ones left alone and checked", steps, refused, skipped)
+		})
+	}
+	t.Run("domain", func(t *testing.T) { domainDecidesFusion(t) })
+}
+
+// domainDecidesFusion builds a table whose one conflicted tuple, T =
+// (a, b1, c), chooses between two fusions only by domain sizes: its
+// versions (a, x) under FD: A -> B and (c, y) under FD: C -> B disagree on
+// B, and the two orders end in (a, x, c2) and (a2, y, c), whose pieces and
+// weights mirror each other. One changes C and the other A, so the fusion
+// changes the attribute whose domain is larger. Filler rows hold 10 more A
+// values and 5 more C values under B = z, which T's searches never scan. A
+// batch that moves the filler rows onto one A value shrinks A's domain from
+// 12 to 3 and must turn T's fusion over, though nothing else T read moved.
+func domainDecidesFusion(t *testing.T) {
+	schema, err := dataset.NewSchema("A", "B", "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rules.MustParseStrings("FD: A -> B", "FD: C -> B")
+	tb := dataset.NewTable(schema)
+	add := func(vals ...string) {
+		tb.Tuples = append(tb.Tuples, &dataset.Tuple{ID: len(tb.Tuples), Values: vals})
+	}
+	add("a", "b1", "c") // T
+	for range 3 {
+		add("a", "x", "c2")
+		add("a2", "y", "c")
+	}
+	var filler []*dataset.Tuple
+	for i := range 20 {
+		add(fmt.Sprintf("f%d", i/2), "z", fmt.Sprintf("g%d", i/4))
+		filler = append(filler, tb.Tuples[len(tb.Tuples)-1])
+	}
+	eng, err := NewDeltaCleaner(schema, rs, Options{Tau: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load(tb); err != nil {
+		t.Fatal(err)
+	}
+	var merge, back []Mutation
+	for _, tp := range filler {
+		merge = append(merge, Mutation{Op: DeltaPut, Row: tp.ID, Values: []string{"f0", "z", tp.Values[2]}})
+		back = append(back, Mutation{Op: DeltaPut, Row: tp.ID, Values: tp.Values})
+	}
+	fused := func() string { return strings.Join(eng.fusedTuples[0].Values, ",") }
+	if got := fused(); got != "a,x,c2" {
+		t.Fatalf("T fuses to %s on load, want a,x,c2", got)
+	}
+	for round, batch := range [][]Mutation{merge, back, merge} {
+		res, _, err := eng.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skippedFusionsMatchFresh(t, fmt.Sprintf("batch %d", round), eng)
+		if eng.fuseRes[0].conflicted == 0 {
+			t.Fatalf("batch %d: T is not conflicted", round)
+		}
+		assertParity(t, fmt.Sprintf("batch %d", round), res, eng.Weights(), eng.Table(), rs, Options{Tau: 1})
+		want := "a2,y,c" // A's domain is the smaller now
+		if round == 1 {
+			want = "a,x,c2"
+		}
+		if got := fused(); got != want {
+			t.Fatalf("batch %d: T fuses to %s with domains %v, want %s", round, got, eng.plan.domainSize, want)
+		}
+	}
 }
 
 // TestDeltaReuse pins the point of the tentpole: a single-cell update on an
@@ -1010,6 +1164,32 @@ func BenchmarkDeltaApply(b *testing.B) {
 			b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
 			b.ReportMetric(float64(regrouped)/float64(b.N), "regrouped/op")
 		})
+	}
+}
+
+// BenchmarkDeltaApplyScale is BenchmarkDeltaApply's update and insert on
+// the serving benchmark's CAR session at 5k and at 30k rows (carSession):
+// what one minted version costs as the table grows. refused/op is the
+// tuples re-fused.
+func BenchmarkDeltaApplyScale(b *testing.B) {
+	for _, rows := range []int{5000, 30000} {
+		for _, kind := range []string{"update", "insert"} {
+			b.Run(fmt.Sprintf("%s/%dk", kind, rows/1000), func(b *testing.B) {
+				eng, _, inj := carSession(b, rows)
+				muts := kindMix(b, inj, kind, b.N, 4200)
+				refused := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for _, m := range muts {
+					_, ds, err := eng.ApplyVersion([]Mutation{m})
+					if err != nil {
+						b.Fatal(err)
+					}
+					refused += ds.RefusedTuples
+				}
+				b.ReportMetric(float64(refused)/float64(b.N), "refused/op")
+			})
+		}
 	}
 }
 

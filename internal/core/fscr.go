@@ -101,37 +101,39 @@ type candEntry struct {
 	kid    uint32
 }
 
-// blockCands pre-indexes a block's candidates for the replacement search:
-// candidates sorted best-first plus per-attribute posting lists, so a
+// blockCands pre-indexes a block's candidates for the replacement search.
+// Each candidate is filed under its index in the block's Candidates (for the
+// delta engine, its fusion slot): order lists them best first — weight
+// descending, then CompareKeys over their value IDs, a total order, since
+// the candidates' identities differ — and byVal[i][id] lists, in the same
+// order, the candidates whose i-th attribute carries value ID id, so a
 // conflicted merge scans only the candidates matching one pinned value
-// instead of the whole block.
+// instead of the whole block. The delta engine patches the index a slot at
+// a time (remove, put) instead of building it again.
 type blockCands struct {
-	pos []int // schema positions of the block's attrs
-	all []candEntry
-	// byVal[i][id] lists indices into all (ascending = best first) of
-	// candidates whose i-th attribute carries value ID id.
+	pos   []int // schema positions of the block's attrs
+	dict  *intern.Dict
+	ents  []candEntry // by slot
+	order []int32     // slots, best first
 	byVal []map[uint32][]int32
 }
 
 func buildBlockCands(fb *FusionBlock, pos []int) *blockCands {
-	bc := &blockCands{pos: pos}
-	bc.all = make([]candEntry, 0, len(fb.Candidates))
-	for _, p := range fb.Candidates {
-		bc.all = append(bc.all, candEntry{ids: p.ValueIDs(), weight: p.Weight, kid: p.KeyID()})
+	bc := &blockCands{pos: pos, ents: make([]candEntry, len(fb.Candidates)), order: make([]int32, len(fb.Candidates))}
+	for s, p := range fb.Candidates {
+		bc.ents[s] = candOf(p)
+		bc.order[s] = int32(s)
 	}
-	sort.Slice(bc.all, func(i, j int) bool {
-		if bc.all[i].weight != bc.all[j].weight {
-			return bc.all[i].weight > bc.all[j].weight
-		}
-		// Equal weights order by display key, compared without decoding.
-		return index.CompareKeys(fb.Candidates[0].Dict(), bc.all[i].ids, bc.all[j].ids) < 0
-	})
+	if len(fb.Candidates) > 0 {
+		bc.dict = fb.Candidates[0].Dict()
+	}
+	slices.SortFunc(bc.order, func(a, b int32) int { return bc.compare(&bc.ents[a], &bc.ents[b]) })
 	bc.byVal = make([]map[uint32][]int32, len(bc.pos))
 	for i := range bc.pos {
 		m := make(map[uint32][]int32)
-		for ci, c := range bc.all {
-			if i < len(c.ids) {
-				m[c.ids[i]] = append(m[c.ids[i]], int32(ci))
+		for _, s := range bc.order {
+			if ids := bc.ents[s].ids; i < len(ids) {
+				m[ids[i]] = append(m[ids[i]], s)
 			}
 		}
 		bc.byVal[i] = m
@@ -139,12 +141,70 @@ func buildBlockCands(fb *FusionBlock, pos []int) *blockCands {
 	return bc
 }
 
+func candOf(p *index.Piece) candEntry {
+	return candEntry{ids: p.ValueIDs(), weight: p.Weight, kid: p.KeyID()}
+}
+
+// compare orders candidates best first: by weight, descending, then by
+// display key, compared without decoding.
+func (bc *blockCands) compare(a, b *candEntry) int {
+	if a.weight != b.weight {
+		if a.weight > b.weight {
+			return -1
+		}
+		return 1
+	}
+	return index.CompareKeys(bc.dict, a.ids, b.ids)
+}
+
+// where is the index in list, a best-first slot list, at which e is or
+// would be filed.
+func (bc *blockCands) where(list []int32, e *candEntry) int {
+	at, _ := slices.BinarySearchFunc(list, e, func(s int32, e *candEntry) int { return bc.compare(&bc.ents[s], e) })
+	return at
+}
+
+// remove takes slot s out of the order and its postings. ents[s] must still
+// hold the entry it was filed with.
+func (bc *blockCands) remove(s int32) {
+	e := &bc.ents[s]
+	at := bc.where(bc.order, e)
+	bc.order = slices.Delete(bc.order, at, at+1)
+	for i, v := range e.ids {
+		m := bc.byVal[i]
+		at := bc.where(m[v], e)
+		if l := slices.Delete(m[v], at, at+1); len(l) == 0 {
+			delete(m, v)
+		} else {
+			m[v] = l
+		}
+	}
+}
+
+// put files e under slot s, which is unfiled (removed, or one past the last
+// slot).
+func (bc *blockCands) put(s int32, e candEntry) {
+	if int(s) == len(bc.ents) {
+		bc.ents = append(bc.ents, e)
+	} else {
+		bc.ents[s] = e
+	}
+	bc.order = slices.Insert(bc.order, bc.where(bc.order, &e), s)
+	for i, v := range e.ids {
+		l := bc.byVal[i][v]
+		bc.byVal[i][v] = slices.Insert(l, bc.where(l, &e), s)
+	}
+}
+
 // find returns the best candidate compatible with merged, excluding the
-// candidate identified by excludeKid. Compatibility: the candidate agrees
-// with merged on every attribute of this block merged pins.
-func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, bool) {
+// candidate identified by excludeKid, and the attribute whose posting list
+// it scanned (-1: the whole block, when merged pins none of the block's
+// attributes). Compatibility: the candidate agrees with merged on every
+// attribute of this block merged pins, so every compatible candidate is on
+// the list scanned, and the answer depends on that list's candidates only.
+func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, bool, int) {
 	// Choose the shortest posting list among pinned attributes.
-	bestList := -1
+	on := -1
 	var list []int32
 	for i, p := range bc.pos {
 		v := merged[p]
@@ -152,36 +212,31 @@ func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, boo
 			continue
 		}
 		l := bc.byVal[i][v]
-		if bestList == -1 || len(l) < len(list) {
-			bestList = i
+		if on == -1 || len(l) < len(list) {
+			on = i
 			list = l
 		}
 	}
-	check := func(c candEntry) bool {
+	if on < 0 {
+		list = bc.order
+	}
+	for _, s := range list {
+		c := &bc.ents[s]
 		if c.kid == excludeKid {
-			return false
+			continue
 		}
+		ok := true
 		for i, p := range bc.pos {
 			if v := merged[p]; v != unsetID && c.ids[i] != v {
-				return false
+				ok = false
+				break
 			}
 		}
-		return true
-	}
-	if bestList >= 0 {
-		for _, i := range list {
-			if c := bc.all[i]; check(c) {
-				return c, true
-			}
-		}
-		return candEntry{}, false
-	}
-	for _, c := range bc.all {
-		if check(c) {
-			return c, true
+		if ok {
+			return *c, true, on
 		}
 	}
-	return candEntry{}, false
+	return candEntry{}, false, on
 }
 
 // maxComponentVersions bounds the versions one conflicted search can order:
@@ -304,14 +359,19 @@ type fusionPlan struct {
 	// of the tuple at table position i, or 0 when block bi has none: a flat
 	// index per block, sized by the table, never by its tuple IDs.
 	versionOf [][]uint32
-	// domainSize holds distinct-value counts per schema position, for the
-	// observation model: a replacement error lands on one specific value out
-	// of |domain|−1 alternatives, so changing a large-domain cell (e.g.
-	// Model) explains the observed tuple less well than changing a
-	// small-domain cell (e.g. Make) — exactly the asymmetry that
-	// disambiguates which side of a version conflict was corrupted. penalty
-	// is the per-changed-cell factor ε/(1−ε) of the minimality prior.
+	// domainSize holds distinct-value counts per schema position any block
+	// touches, for the observation model: a replacement error lands on one
+	// specific value out of |domain|−1 alternatives, so changing a
+	// large-domain cell (e.g. Model) explains the observed tuple less well
+	// than changing a small-domain cell (e.g. Make) — exactly the asymmetry
+	// that disambiguates which side of a version conflict was corrupted. A
+	// whole-table run counts it once (countDomains); the delta engine keeps
+	// counts, the live rows per value ID at each such position, and moves
+	// them row by row (countRow), so a position's size moves only when a
+	// value's count crosses zero. penalty is the per-changed-cell factor
+	// ε/(1−ε) of the minimality prior.
 	domainSize []int
+	counts     []map[uint32]int32
 	penalty    float64
 	maxStates  int
 	compOf     []int
@@ -360,6 +420,30 @@ func (pl *fusionPlan) countDomains(rows [][]uint32) {
 				}
 			}
 			pl.domainSize[p] = n
+		}
+	}
+}
+
+// countRow adds row to counts, by = 1, or takes it out, by = −1, and
+// brings domainSize up to date. The first call makes the counts.
+func (pl *fusionPlan) countRow(row []uint32, by int32) {
+	if pl.counts == nil {
+		pl.counts = make([]map[uint32]int32, len(pl.domainSize))
+		for _, attrs := range pl.compAttrs {
+			for _, p := range attrs {
+				pl.counts[p] = make(map[uint32]int32)
+			}
+		}
+	}
+	for _, attrs := range pl.compAttrs {
+		for _, p := range attrs {
+			m, id := pl.counts[p], row[p]
+			if n := m[id] + by; n == 0 {
+				delete(m, id)
+			} else {
+				m[id] = n
+			}
+			pl.domainSize[p] = len(m)
 		}
 	}
 }
@@ -624,6 +708,45 @@ type fuser struct {
 	bestRaw float64
 	found   bool
 	visited stateTable
+
+	// record says the fuser keeps reads, what its searches read (the delta
+	// engine's fuser only; batch fusers leave it off): one readKey per
+	// posting list a replacement search scanned and per position whose
+	// domain size the prior read, deduplicated by readKeys.
+	record bool
+	reads  []uint64
+}
+
+// A read key names one input a conflicted search read: the posting list of
+// attribute attr's value v in block b's candidate index (attr anyAttr: the
+// whole block's order), or, with block domainRead, position attr's domain
+// size. Keys order by block, then attribute, then value.
+const (
+	domainRead = 1<<16 - 1
+	anyAttr    = 1<<16 - 1
+)
+
+func readKey(block, attr int, v uint32) uint64 {
+	return uint64(block)<<48 | uint64(attr)<<32 | uint64(v)
+}
+
+// note records read key k. The list is compacted as it grows, so a long
+// search keeps it as short as its distinct reads.
+func (f *fuser) note(k uint64) {
+	if n := len(f.reads); n > 0 && f.reads[n-1] == k {
+		return
+	}
+	if n := len(f.reads); n >= 256 && n == cap(f.reads) {
+		f.reads = f.readKeys()
+	}
+	f.reads = append(f.reads, k)
+}
+
+// readKeys is the reads of the last fuse, ascending and distinct, in the
+// fuser's buffer.
+func (f *fuser) readKeys() []uint64 {
+	slices.Sort(f.reads)
+	return slices.Compact(f.reads)
 }
 
 func newFuser(pl *fusionPlan) *fuser {
@@ -668,6 +791,7 @@ func (f *fuser) fuse(t *dataset.Tuple, at int, dirtyRow []uint32, trace *[]Fusio
 		out = &(*trace)[len(*trace)-1]
 	}
 	f.dirtyRow = dirtyRow
+	f.reads = f.reads[:0]
 	raw, ok := f.run()
 	var res fuseResult
 	if f.truncated {
@@ -855,6 +979,9 @@ func (f *fuser) penalized(raw float64) float64 {
 			continue
 		}
 		out *= f.penalty
+		if f.record {
+			f.note(readKey(domainRead, pos, 0))
+		}
 		if n := f.domainSize[pos]; n > 2 {
 			out /= float64(n - 1)
 		}
@@ -893,7 +1020,14 @@ func (f *fuser) extend(fscore float64, mask uint64) {
 		if f.conflicts(vj.pos, ids) {
 			// Replacement: highest-weight piece from block Bj that does not
 			// conflict with the fusion so far.
-			repl, ok := f.candidates[vj.blockIdx].find(f.merged, vj.kid)
+			repl, ok, on := f.candidates[vj.blockIdx].find(f.merged, vj.kid)
+			if f.record {
+				if on < 0 {
+					f.note(readKey(vj.blockIdx, anyAttr, 0))
+				} else {
+					f.note(readKey(vj.blockIdx, on, f.merged[vj.pos[on]]))
+				}
+			}
 			if !ok {
 				// A CFD version is conditional: when the fusion so far
 				// contradicts the pattern constants, the rule simply no

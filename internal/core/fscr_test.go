@@ -221,8 +221,8 @@ func TestFuserCFDVacuousSkip(t *testing.T) {
 	}
 }
 
-// TestBlockCandsFind: find must honour every pinned attribute and skip the
-// excluded candidate.
+// TestBlockCandsFind: find must honour every pinned attribute, skip the
+// excluded candidate, and name the posting list it scanned.
 func TestBlockCandsFind(t *testing.T) {
 	x := newFx("A", "B")
 	r := rules.MustParseStrings("FD: A -> B")[0]
@@ -232,23 +232,23 @@ func TestBlockCandsFind(t *testing.T) {
 	bc := buildBlockCands(&FusionBlock{Rule: r, Attrs: r.Attrs(), Candidates: []*index.Piece{p1, p2, p3}}, x.pos(r))
 	dec := func(c candEntry, i int) string { return x.dict.Value(c.ids[i]) }
 	// Pin A=x: the best x-candidate is {x,1}.
-	got, ok := bc.find(x.assign(map[string]string{"A": "x"}), unsetID)
-	if !ok || dec(got, 1) != "1" {
-		t.Fatalf("find = %v, %v", got, ok)
+	got, ok, on := bc.find(x.assign(map[string]string{"A": "x"}), unsetID)
+	if !ok || dec(got, 1) != "1" || on != 0 {
+		t.Fatalf("find = %v, %v on attribute %d", got, ok, on)
 	}
 	// Excluding {x,1} yields {x,2}.
-	got, ok = bc.find(x.assign(map[string]string{"A": "x"}), p1.KeyID())
+	got, ok, _ = bc.find(x.assign(map[string]string{"A": "x"}), p1.KeyID())
 	if !ok || dec(got, 1) != "2" {
 		t.Fatalf("find with exclusion = %v, %v", got, ok)
 	}
 	// Pinning both attrs to an absent combination fails.
-	if _, ok := bc.find(x.assign(map[string]string{"A": "x", "B": "3"}), unsetID); ok {
+	if _, ok, _ := bc.find(x.assign(map[string]string{"A": "x", "B": "3"}), unsetID); ok {
 		t.Error("impossible pin should fail")
 	}
 	// No pinned attrs: global best.
-	got, ok = bc.find(x.assign(nil), unsetID)
-	if !ok || dec(got, 0) != "y" {
-		t.Fatalf("unpinned find = %v, %v", got, ok)
+	got, ok, on = bc.find(x.assign(nil), unsetID)
+	if !ok || dec(got, 0) != "y" || on != -1 {
+		t.Fatalf("unpinned find = %v, %v on attribute %d", got, ok, on)
 	}
 }
 
@@ -611,7 +611,7 @@ func (f *refFuser) extend(merged assignment, fscore float64, mask int) {
 			}
 		}
 		if conflict {
-			repl, ok := f.candidates[vj.blockIdx].find(merged, vj.kid)
+			repl, ok, _ := f.candidates[vj.blockIdx].find(merged, vj.kid)
 			if !ok {
 				if f.cfdVacuous(vj, merged) {
 					f.extend(merged, fscore, mask|1<<uint(j))

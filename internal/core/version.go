@@ -149,8 +149,9 @@ func (v *Version) Repairs(from, to int) []Repair {
 
 // mint builds the engine's next version. The chunks of the keys in touched
 // are rebuilt from the engine's caches, and every other chunk is the
-// current version's; so are the duplicate sets when dedup found the same
-// ones. Load mints version 1 the same way, every chunk touched.
+// current version's; so are the duplicate sets when no row that shares its
+// hash with another moved, or they came out the same. Load mints version 1
+// the same way, every chunk touched.
 func (d *DeltaCleaner) mint() *Version {
 	v := &Version{eng: d, stats: Stats{Tuples: len(d.tuples), Blocks: len(d.blocks)}}
 	v.weights = make([]blockWeights, len(d.blocks))
@@ -190,15 +191,15 @@ func (d *DeltaCleaner) mint() *Version {
 		v.repairs += len(c.trail)
 	}
 
-	if !d.opts.KeepDuplicates {
-		// The fused rows are in ascending tuple-ID order, as a from-scratch
-		// pass sees them.
-		if dupRows := d.dedup.mark(d.fusedRows, hashWords); dupRows > 0 {
-			v.dups = d.dedup.group(d.fusedTuples, dupRows)
-			if parent != nil && slices.EqualFunc(v.dups, parent.dups, slices.Equal) {
-				v.dups = parent.dups
-			}
+	if d.dups != nil {
+		var was [][]int
+		if parent != nil {
+			was = parent.dups
 		}
+		v.dups = d.dups.sets(func(id int) []uint32 {
+			i, _ := d.posOf(id)
+			return d.fusedRows[i]
+		}, was)
 		for _, set := range v.dups {
 			v.stats.DuplicatesRemoved += len(set) - 1
 		}

@@ -1,8 +1,7 @@
 // Package wal is the durable storage layer under mlnserve: an append-only,
 // checksummed, length-prefixed segment log with periodic snapshot/compaction.
-// Callers append opaque payloads (the serving layer gob-encodes its records,
-// reusing the wire-framing discipline of internal/distributed) and replay
-// them after a restart; the log guarantees that everything acknowledged
+// Callers append opaque payloads (the serving layer gob-encodes its
+// records) and replay them after a restart; the log guarantees that everything acknowledged
 // before a crash is replayed byte-identically, and that a torn, short, or
 // bit-flipped tail — the crash left mid-write — truncates cleanly at the
 // first corrupt frame instead of panicking or feeding garbage downstream.
