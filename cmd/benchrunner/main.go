@@ -1,6 +1,6 @@
 // Command benchrunner regenerates the paper's tables and figures as text
-// reports (-list prints the experiment index; README › Deviations from the
-// paper says where the reproduction departs from the paper's setup).
+// reports (-list prints the experiment index; where the reproduction departs
+// from the paper's setup is in README › Deviations from the paper).
 //
 // Usage:
 //

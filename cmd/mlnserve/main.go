@@ -28,14 +28,15 @@
 //
 // Observability: GET /metrics on the main address serves the process-wide
 // Prometheus exposition (HTTP, session, core-stage, delta-engine, and WAL
-// families — see the README's Observability section). -debug-addr starts a
+// families; see README › Observability). -debug-addr starts a
 // second loopback-intended listener serving net/http/pprof (profiles, heap,
 // goroutine dumps); it is off by default and should never face the network.
 // Logs are structured (log/slog): -log-format picks text or json,
 // -log-level one of debug, info, warn, error. Every session line carries the
 // session id and its run id.
 //
-// Walkthrough (see the README's Serving section for the full curl script):
+// Walkthrough (a longer one is in README › Command-line tools; every route
+// is in API.md):
 //
 //	curl -s localhost:7700/v1/sessions -d '{"rules":"FD: CT -> ST","attrs":["CT","ST"]}'
 //	curl -s localhost:7700/v1/sessions/s-000001/tuples -d '{"rows":[["BOAZ","AL"],["BOAZ","AI"]]}'

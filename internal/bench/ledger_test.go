@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,7 +18,8 @@ import (
 // runs them. MLNClean runs as a DeltaCleaner loaded with the dirty table,
 // whose version is Clean's result byte for byte (TestDeltaLoadParity and the
 // parity suites in internal/core) and carries the audit trail the ledger
-// attributes changed cells by.
+// attributes changed cells by. MLNClean's broken clean cells are held to
+// brokenCells.
 func TestLedgerReproducesRepairQuality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale experiment run")
@@ -41,7 +43,14 @@ func TestLedgerReproducesRepairQuality(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ledgerMatches(t, name+" MLNClean", rate, ds.Truth, inj, v.Result().Repaired, v.Trail())
+			l := ledgerMatches(t, name+" MLNClean", rate, ds.Truth, inj, v.Result().Repaired, v.Trail())
+			key := fmt.Sprintf("%s %.0f%%", name, rate*100)
+			switch broken, rec := l.Count(eval.Broken), brokenCells[key]; {
+			case broken > rec:
+				t.Errorf("broken cells %s: %d, %d recorded: a clean must not break more clean cells", key, broken, rec)
+			case broken < rec:
+				t.Logf("broken cells %s: %d, %d recorded: lower the record", key, broken, rec)
+			}
 			hc, err := holoclean.Repair(inj.Dirty, ds.Rules, inj.NoisyCells(), holoclean.Options{Seed: sc.Seed})
 			if err != nil {
 				t.Fatal(err)
@@ -51,9 +60,30 @@ func TestLedgerReproducesRepairQuality(t *testing.T) {
 	}
 }
 
+// brokenCells is, per dataset and error rate of ErrorSweep, how many clean
+// cells MLNClean rewrites to a wrong value (default scale, tuned τ, Rret
+// 0.5). At high rates they outnumber the wrong fixes, most of them in tuples
+// that carry another error (ROADMAP item 27). The lines are one-sided: a
+// count may shrink, and must not grow.
+var brokenCells = map[string]int{
+	"car 5%":  81,
+	"car 10%": 173,
+	"car 15%": 384,
+	"car 20%": 542,
+	"car 25%": 779,
+	"car 30%": 883,
+	"hai 5%":  107,
+	"hai 10%": 193,
+	"hai 15%": 409,
+	"hai 20%": 645,
+	"hai 25%": 1788,
+	"hai 30%": 2900,
+}
+
 // ledgerMatches fails unless the ledger of repaired holds every cell once,
-// and its totals give RepairQuality's counts and ratios bit for bit.
-func ledgerMatches(t *testing.T, label string, rate float64, truth *dataset.Table, inj *errgen.Injection, repaired *dataset.Table, trail []core.Repair) {
+// and its totals give RepairQuality's counts and ratios bit for bit. It
+// returns the ledger.
+func ledgerMatches(t *testing.T, label string, rate float64, truth *dataset.Table, inj *errgen.Injection, repaired *dataset.Table, trail []core.Repair) eval.Ledger {
 	t.Helper()
 	l := eval.CellLedger(truth, inj.Dirty, repaired, inj.Errors, trail)
 	got, want := l.Quality(), eval.RepairQuality(truth, inj.Dirty, repaired)
@@ -73,4 +103,5 @@ func ledgerMatches(t *testing.T, label string, rate float64, truth *dataset.Tabl
 	}
 	t.Logf("%s %.0f%%: fixed %d, missed %d, wrong fix %d, broken %d; F1 %.3f", label, 100*rate,
 		l.Count(eval.Fixed), l.Count(eval.Missed), l.Count(eval.WrongFix), l.Count(eval.Broken), got.F1)
+	return l
 }

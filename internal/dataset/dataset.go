@@ -283,8 +283,10 @@ func (tb *Table) ValueCounts(attr string) map[string]int {
 // ambiguous ({"a\x1fb"} and {"a","b"} collide), so joined keys must never
 // decide pipeline identity. The cleaning hot path keys pieces, groups, and
 // duplicates on interned ID sequences (internal/intern), which are immune;
-// joined keys survive only in traces, evaluation, and wire summaries, where
-// they are compared against other joins of the same shape.
+// joined keys survive only in traces (core.Trace), evaluation
+// (internal/eval), and the piece summaries the delta parity tests compare
+// (index.PieceSummary), where they are compared against other joins of the
+// same shape.
 const keySep = "\x1f"
 
 // Key returns a composite display key for tuple t over attrs.

@@ -8,7 +8,8 @@
 // a dense uint32 ID (internal/intern) when the index is built, and pieces
 // and groups are keyed on hash-consed ID-sequence keys — fixed-width map
 // probes instead of joined strings, immune to separator collisions. String
-// forms survive as accessors for display, traces, evaluation, and the wire.
+// forms survive as accessors for display, traces, evaluation, and the piece
+// summaries the delta parity tests compare.
 package index
 
 import (
@@ -107,8 +108,8 @@ func (p *Piece) Count() int { return len(p.TupleIDs) }
 // value-identical iff their KeyIDs are equal.
 func (p *Piece) KeyID() uint32 { return p.kid }
 
-// Key renders the piece's identity as a joined display string (traces, wire
-// summaries). Not collision-free — see dataset.JoinKey. Tie-breaks order
+// Key renders the piece's identity as a joined display string (traces,
+// evaluation). Not collision-free — see dataset.JoinKey. Tie-breaks order
 // pieces with CompareKeys, which decodes nothing.
 func (p *Piece) Key() string { return dataset.JoinKey(p.Values()) }
 
@@ -651,8 +652,9 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 
 // PieceSummary is the string form of one piece's weight record: its
 // identity (rule + exact values, plus the joined display key), support
-// count, and learned weight. The delta engine's Weights and mlnserve's
-// repair trail read these.
+// count, and learned weight. Only tests read these: the delta parity suites
+// compare the engine's weights (DeltaCleaner.Weights) with a fresh clean's,
+// and the repair-trail oracle attributes repairs by them.
 type PieceSummary struct {
 	RuleID string
 	// Key is the joined display form of Values; Values is the

@@ -126,8 +126,8 @@ func TestLabeledHistogramExposition(t *testing.T) {
 }
 
 // TestQuantileBounds verifies the interpolation estimate always lands inside
-// the bucket containing the true quantile — the accuracy contract the README
-// documents.
+// the bucket containing the true quantile — the accuracy contract
+// Histogram.Quantile documents.
 func TestQuantileBounds(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q_seconds", "", []float64{0.01, 0.1, 1, 10})
