@@ -10,31 +10,32 @@ import (
 	"mlnclean/internal/index"
 )
 
-// agpMemo carries nearest-target decisions across successive re-cleans of
-// the same rule block (the DeltaCleaner's case: one mutation dirties a
-// block whose group structure barely moves). It holds what the immediately
-// preceding re-clean decided and nothing older: every re-clean empties it and
-// only one that goes on to search fills it again, so a re-clean a source sat
-// out leaves no decision for it and a session fed ever-new typos does not
-// grow it. A source's cached decision is reusable when its γ⋆ is
-// bit-identical (same piece KeyID ⇒ same value IDs ⇒ same distances) and its
-// best target survived unchanged. It then only has to beat the targets that
-// were added or changed since — every unchanged target already lost to it,
-// and the (distance, reason) minimum does not depend on the order targets are
-// measured in, so challenging the delta reproduces the full search's choice
-// exactly. Groups are named by their KeyID, which one dictionary keeps
-// across re-cleans. Batch callers pass nil and search every source.
+// agpMemo is AGP's state for one block of the delta engine, kept across
+// its re-cleans (agpMemo.decide): the block's normal groups as search
+// targets, each with its γ⋆ and, once a source has searched them, their
+// postings; and each abnormal group's decision. A re-clean reclassifies
+// only the groups its edits touched (index.BlockEditor.Touched): every
+// other group holds the same pieces, so it keeps its class, its γ⋆ and, as
+// a source, its decision, unless the targets moved. A source's decision
+// stands for its search while its γ⋆ is bit-identical (same piece KeyID ⇒
+// same value IDs ⇒ same distances) and its best target survived unchanged:
+// it then only has to beat the targets added or given a new γ⋆ since —
+// every other target already lost to it, and the (distance, reason)
+// minimum does not depend on the order targets are measured in, so
+// challenging the delta reproduces the full search's choice exactly.
+// Groups are named by their KeyID, which one dictionary keeps across
+// re-cleans. Batch callers run agpDecide, which keeps nothing.
 //
-// The DeltaCleaner also reads the decisions, merged or past the merge cap,
-// to tell which groups after AGP a re-clean must redo (deltaBlock.redo).
-// The reuse pays: BenchmarkDeltaApply/mix runs 1.90–1.94 ms/op with it and
-// 5.44–6.14 with every source searched again, with the same refused and
-// repair counts (three alternating pairs of 400 ops, 2-core Xeon).
+// The decisions also tell the DeltaCleaner which groups after AGP a
+// re-clean must redo (agpPlan.reached).
 type agpMemo struct {
-	// targets maps a normal group's KeyID to its γ⋆ piece KeyID, which
-	// fixes the target's value IDs.
-	targets map[uint32]uint32
-	best    map[uint32]agpBest // abnormal group's KeyID → decision
+	search agpSearch
+	at     map[uint32]int32   // a target's group KeyID → its index in search.targets
+	best   map[uint32]agpBest // abnormal group's KeyID → decision
+	// kept says the state describes the block as the last re-clean left
+	// it; a promotion, or a block with no normal group, drops it.
+	kept bool
+	keys []uint32 // the touched KeyIDs of the re-clean in progress
 }
 
 type agpBest struct {
@@ -44,7 +45,15 @@ type agpBest struct {
 	merged bool // within the merge cap: the source merges into target
 }
 
-// agpTarget is one normal group and its γ⋆, taken once per block.
+// owner is the group after AGP that the decision puts source k in.
+func (e agpBest) owner(k uint32) uint32 {
+	if e.merged {
+		return e.target
+	}
+	return k
+}
+
+// agpTarget is one normal group and its γ⋆.
 type agpTarget struct {
 	g   *index.Group
 	kid uint32   // γ⋆'s piece KeyID
@@ -64,14 +73,16 @@ type agpTarget struct {
 // the plain scan over all targets.
 //
 // The classes come from per-position postings over the targets' value IDs,
-// built once before any source searches, and only when one will: a re-clean
-// whose sources all reuse a memoized decision never pays for them. The
-// targets and postings are read-only from then on, so any number of
-// searchers share them, each with its own evaluator and scratch.
+// built before the first source searches, and only when one will: a
+// re-clean whose sources all reuse a memoized decision never pays for them.
+// The delta engine keeps them across re-cleans and files or unfiles only
+// the targets that moved. The targets and postings are read-only while
+// sources search, so any number of searchers share them, each with its own
+// evaluator and scratch.
 type agpSearch struct {
 	targets []agpTarget
-	arity   int          // the targets' common γ⋆ arity; −1 when they differ
-	post    []agpPosting // arity runs of len(targets), each sorted by (id, target)
+	arity   int            // the targets' common γ⋆ arity; −1 when they differ
+	post    [][]agpPosting // one run per position, sorted by id; nil until built
 }
 
 type agpPosting struct {
@@ -80,7 +91,6 @@ type agpPosting struct {
 }
 
 func (s *agpSearch) build() {
-	n := len(s.targets)
 	s.arity = len(s.targets[0].ids)
 	for i := range s.targets {
 		if len(s.targets[i].ids) != s.arity {
@@ -88,15 +98,58 @@ func (s *agpSearch) build() {
 			return
 		}
 	}
-	s.post = make([]agpPosting, s.arity*n)
-	for p := 0; p < s.arity; p++ {
-		run := s.post[p*n : (p+1)*n]
+	n := len(s.targets)
+	slab := make([]agpPosting, s.arity*n)
+	s.post = make([][]agpPosting, s.arity)
+	for p := range s.post {
+		run := slab[p*n : (p+1)*n : (p+1)*n]
 		for i := range s.targets {
 			run[i] = agpPosting{id: s.targets[i].ids[p], target: int32(i)}
 		}
 		slices.SortFunc(run, func(a, b agpPosting) int {
 			return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.target, b.target))
 		})
+		s.post[p] = run
+	}
+}
+
+// posting is where target t's posting for value id sits in run, which
+// holds it.
+func posting(run []agpPosting, id uint32, t int32) int {
+	i, _ := slices.BinarySearchFunc(run, id, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
+	for run[i].target != t {
+		i++
+	}
+	return i
+}
+
+// file adds target t's postings, once they are built. A γ⋆ of another
+// arity drops them, to be built again by the next search (which finds the
+// arities ragged and searches without them).
+func (s *agpSearch) file(t int32) {
+	if s.post == nil {
+		return
+	}
+	ids := s.targets[t].ids
+	if len(ids) != s.arity {
+		s.post = nil
+		return
+	}
+	for p, id := range ids {
+		run := s.post[p]
+		i, _ := slices.BinarySearchFunc(run, id+1, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
+		s.post[p] = slices.Insert(run, i, agpPosting{id: id, target: t})
+	}
+}
+
+// unfile takes target t's postings out.
+func (s *agpSearch) unfile(t int32) {
+	if s.post == nil {
+		return
+	}
+	for p, id := range s.targets[t].ids {
+		i := posting(s.post[p], id, t)
+		s.post[p] = slices.Delete(s.post[p], i, i+1)
 	}
 }
 
@@ -148,7 +201,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 	}
 	if delta > 0 {
 		for p, id := range sids {
-			run := s.post[p*n : (p+1)*n]
+			run := s.post[p]
 			at, _ := slices.BinarySearchFunc(run, id, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
 			for ; at < n && run[at].id == id; at++ {
 				t := run[at].target
@@ -194,6 +247,13 @@ type agpPlan struct {
 	merges [][2]int32
 	// total is the block's Σc: its tuples, the Eq. 4 normaliser.
 	total int
+	// reached lists, for agpMemo.decide, the KeyIDs of the groups after AGP
+	// a touched group or a moved decision belonged to at the last re-clean
+	// or belongs to now, possibly repeated. whole says no decision of the
+	// last re-clean was kept, so nothing can be compared with it: every
+	// group after AGP is new.
+	reached []uint32
+	whole   bool
 
 	abnormal, abnormalPieces, promotions, pairs, fullScans int
 }
@@ -215,13 +275,49 @@ func (p *agpPlan) sources(t int, at *int) [][2]int32 {
 	return p.merges[from:*at]
 }
 
+// merge records that group src merges into group t, both indices into a
+// block of n groups.
+func (p *agpPlan) merge(n int, src, t int32) {
+	if p.into == nil {
+		p.into = make([]int32, n)
+		for i := range p.into {
+			p.into[i] = -1
+		}
+	}
+	p.into[src] = t
+}
+
+// lay lays merges out from into: counted by target, then in group order,
+// so each target's sources ascend.
+func (p *agpPlan) lay() {
+	if p.into == nil {
+		return
+	}
+	at := make([]int32, len(p.into)+1)
+	for _, t := range p.into {
+		if t >= 0 {
+			at[t+1]++
+		}
+	}
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	p.merges = make([][2]int32, at[len(at)-1])
+	for i, t := range p.into {
+		if t >= 0 {
+			p.merges[at[t]] = [2]int32{t, int32(i)}
+			at[t]++
+		}
+	}
+}
+
 // agp runs Abnormal Group Processing (§5.1.1) on one block: agpDecide, then
 // agpMerge. Returns the number of abnormal groups detected, the total γ
 // count inside them (#dag), the number of promotions (0 or 1), and what the
 // search cost: γ⋆ pairs measured and sources that had to scan the targets
 // they share no value with.
-func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
-	p := agpDecide(blockIdx, b, tau, c, mergeCap, memo, tr)
+func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
+	p := agpDecide(blockIdx, b, tau, c, mergeCap, tr)
 	agpMerge(b, &p)
 	return p.abnormal, p.abnormalPieces, p.promotions, p.pairs, p.fullScans
 }
@@ -238,18 +334,14 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *
 // the crew's distance evaluators: agpSearch measures only the targets that
 // can still win, per-pair results are memoized symmetrically (γ⋆ values
 // repeat across sources) and the per-pair DP is bounded by the running
-// best, so hopeless targets abandon early. A non-nil memo further reduces
-// repeat re-cleans to the changed targets only.
+// best, so hopeless targets abandon early. The delta engine decides with
+// agpMemo.decide instead, which re-decides only what its edits moved.
 //
 // Each source's search is one crew item, and reads only the targets' γ⋆
 // value IDs and reasons. No decision depends on another, so they are taken
 // in block order; a trace records them in the order of the sources'
 // reasons, which only a traced run sorts for.
-func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, memo *agpMemo, tr *Trace) (p agpPlan) {
-	var prev agpMemo // what the previous re-clean left, if it searched
-	if memo != nil {
-		prev, *memo = *memo, agpMemo{}
-	}
+func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, tr *Trace) (p agpPlan) {
 	var sources, normal []int32
 	for i, g := range b.Groups {
 		n := g.TupleCount()
@@ -298,104 +390,26 @@ func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, 
 		targets[i] = agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()}
 	}
 	search := agpSearch{targets: targets}
-
-	// With the previous re-clean's memo, work out which targets moved since
-	// (added, removed, or different γ⋆) and index the rest.
-	var changed map[uint32]bool
-	var targetIdx map[uint32]int
-	var reusable map[uint32]agpBest // the previous re-clean's decisions
-	if memo != nil && p.promotions == 0 {
-		memo.targets = make(map[uint32]uint32, len(targets))
-		memo.best = make(map[uint32]agpBest, len(sources))
-		targetIdx = make(map[uint32]int, len(targets))
-		for i := range targets {
-			memo.targets[targets[i].g.KeyID()] = targets[i].kid
-			targetIdx[targets[i].g.KeyID()] = i
-		}
-		if prev.targets != nil {
-			reusable = prev.best
-			changed = make(map[uint32]bool)
-			for k, kid := range memo.targets {
-				if was, ok := prev.targets[k]; !ok || was != kid {
-					changed[k] = true
-				}
-			}
-			for k := range prev.targets {
-				if _, ok := memo.targets[k]; !ok {
-					changed[k] = true // removed: any decision pointing here rescans
-				}
-			}
-		}
-	}
-	// Indices of moved targets, in scan order — sources with a reusable
-	// decision measure only these.
-	var changedIdx []int
-	for i := range targets {
-		if changed[targets[i].g.KeyID()] {
-			changedIdx = append(changedIdx, i)
-		}
-	}
-
-	// Each source's γ⋆, and whether a cached decision can stand in for its
-	// search.
+	search.build()
 	type decision struct {
-		star  *index.Piece
-		reuse bool
-		best  int
-		d     float64 // distance of the best target
+		star *index.Piece
+		best int
+		d    float64 // distance of the best target
 	}
 	decided := make([]decision, len(sources))
-	searching := false
-	for k, si := range sources {
-		src := b.Groups[si]
-		star := src.Star()
-		if star == nil {
-			continue
-		}
-		decided[k].star = star
-		if e, ok := reusable[src.KeyID()]; ok && e.srcKid == star.KeyID() && !changed[e.target] {
-			// A target that did not move is a target of this re-clean, so
-			// the targetIdx lookup hits.
-			decided[k] = decision{star: star, reuse: true, best: targetIdx[e.target], d: e.d}
-		}
-		searching = searching || !decided[k].reuse
-	}
-	if searching {
-		search.build()
-	}
 	searchers := make([]*agpSearcher, c.size)
 	c.each(len(sources), func(w, k int, ev *distance.Evaluator) {
 		dc := &decided[k]
-		if dc.star == nil {
+		if dc.star = b.Groups[sources[k]].Star(); dc.star == nil {
 			return
 		}
-		s := searchers[w]
-		if s == nil {
-			s = &agpSearcher{agpSearch: &search, ev: ev}
-			if searching {
-				s.shared = make([]int32, len(targets))
-			}
-			searchers[w] = s
+		if searchers[w] == nil {
+			searchers[w] = &agpSearcher{agpSearch: &search, ev: ev, shared: make([]int32, len(targets))}
 		}
-		sids := dc.star.ValueIDs()
-		if !dc.reuse {
-			dc.best, dc.d = s.nearest(sids)
-			return
-		}
-		// Every unchanged target lost to the cached decision last re-clean;
-		// only the moved ones can challenge it.
-		for _, t := range changedIdx {
-			dc.best, dc.d = s.challenge(sids, t, dc.best, dc.d)
-		}
+		dc.best, dc.d = searchers[w].nearest(dc.star.ValueIDs())
 	})
-	for _, s := range searchers {
-		if s != nil {
-			p.pairs += s.pairs
-			p.fullScans += s.fullScans
-		}
-	}
+	p.count(searchers)
 
-	n := 0 // merges
 	for k, si := range sources {
 		dc := decided[k]
 		if dc.star == nil {
@@ -404,9 +418,6 @@ func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, 
 		src := b.Groups[si]
 		sids, best, bestD := dc.star.ValueIDs(), dc.best, dc.d
 		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(c.ev, sids, targets[best].ids))
-		if memo != nil && p.promotions == 0 && best >= 0 {
-			memo.best[src.KeyID()] = agpBest{srcKid: dc.star.KeyID(), target: targets[best].g.KeyID(), d: bestD, merged: merged}
-		}
 		p.abnormal++
 		p.abnormalPieces += len(src.Pieces)
 		if tr != nil {
@@ -417,37 +428,210 @@ func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, 
 			tr.addAGP(merge)
 		}
 		if merged {
-			if p.into == nil {
-				p.into = make([]int32, len(b.Groups))
-				for i := range p.into {
-					p.into[i] = -1
-				}
-			}
-			p.into[si] = normal[best]
-			n++
+			p.merge(len(b.Groups), si, normal[best])
 		}
 	}
-	if n > 0 {
-		// Counted by target, then laid out in group order: each target's
-		// sources ascend.
-		at := make([]int32, len(b.Groups)+1)
-		for _, t := range p.into {
-			if t >= 0 {
-				at[t+1]++
-			}
-		}
-		for i := 1; i < len(at); i++ {
-			at[i] += at[i-1]
-		}
-		p.merges = make([][2]int32, n)
-		for i, t := range p.into {
-			if t >= 0 {
-				p.merges[at[t]] = [2]int32{t, int32(i)}
-				at[t]++
-			}
-		}
-	}
+	p.lay()
 	return p
+}
+
+// count adds what the searchers measured to the plan's costs.
+func (p *agpPlan) count(searchers []*agpSearcher) {
+	for _, s := range searchers {
+		if s != nil {
+			p.pairs += s.pairs
+			p.fullScans += s.fullScans
+		}
+	}
+}
+
+// decide is agpDecide on the delta engine's kept block, which it does not
+// write, re-deciding only what the edits since the last re-clean moved.
+// Only the groups the editor touched are classified again: a group above τ
+// is a target, and its γ⋆ is taken again; any other is a source. Σc is the
+// editor's count of the block's tuples. A source
+// is decided again when it was touched, when its target is gone or has a
+// new γ⋆ (a full search), or when a target is new or has a new γ⋆ (its
+// decision challenged by those targets alone). The plan lists in reached
+// the groups after AGP that the touched groups and the moved decisions
+// belonged to, then and now. With no state kept, every group is new to it
+// and the plan is whole; a block without a normal group falls to
+// agpDecide, which promotes one, and keeps no state.
+func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, mergeCap float64) (p agpPlan) {
+	b := e.Block()
+	keys := m.keys[:0]
+	if m.kept {
+		keys = append(keys, e.Touched()...)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+	} else {
+		m.search, m.at, m.best = agpSearch{}, make(map[uint32]int32), make(map[uint32]agpBest)
+		for _, g := range b.Groups {
+			keys = append(keys, g.KeyID())
+		}
+		p.whole = true
+	}
+	m.keys = keys
+
+	// Reclassify the touched groups. fresh names the targets new or with a
+	// new γ⋆, stale those gone or with a new γ⋆.
+	var fresh, stale, srcs []uint32
+	for _, k := range keys {
+		p.reached = append(p.reached, m.best[k].owner(k))
+		g := e.Group(k)
+		t, was := m.at[k]
+		if g != nil && g.TupleCount() > tau {
+			delete(m.best, k)
+			star := g.Star()
+			switch {
+			case !was:
+				m.at[k] = int32(len(m.search.targets))
+				m.search.targets = append(m.search.targets, agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()})
+				m.search.file(int32(len(m.search.targets) - 1))
+				fresh = append(fresh, k)
+			case m.search.targets[t].kid != star.KeyID():
+				m.search.unfile(t)
+				m.search.targets[t] = agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()}
+				m.search.file(t)
+				fresh, stale = append(fresh, k), append(stale, k)
+			default:
+				m.search.targets[t].g = g
+			}
+			continue
+		}
+		if was {
+			m.drop(k, t)
+			stale = append(stale, k)
+		}
+		if g == nil {
+			delete(m.best, k)
+		} else {
+			srcs = append(srcs, k)
+		}
+	}
+	if len(m.search.targets) == 0 {
+		m.kept, m.search, m.at, m.best = false, agpSearch{}, nil, nil
+		p = agpDecide(blockIdx, b, tau, c, mergeCap, nil)
+		p.whole = true
+		return p
+	}
+
+	// The sources to decide again, and whether a cached decision stands in
+	// for each one's search.
+	type job struct {
+		k     uint32
+		star  *index.Piece
+		reuse bool
+		best  int
+		d     float64
+	}
+	var jobs []job
+	add := func(k uint32) {
+		j := job{k: k, star: e.Group(k).Star()}
+		if was, ok := m.best[k]; ok && was.srcKid == j.star.KeyID() && !slices.Contains(stale, was.target) {
+			j.reuse, j.best, j.d = true, int(m.at[was.target]), was.d
+		}
+		jobs = append(jobs, j)
+	}
+	for _, k := range srcs {
+		add(k)
+	}
+	if len(fresh) > 0 || len(stale) > 0 {
+		for k, was := range m.best {
+			if _, hit := slices.BinarySearch(keys, k); !hit && (len(fresh) > 0 || slices.Contains(stale, was.target)) {
+				add(k)
+			}
+		}
+	}
+	searching := false
+	for _, j := range jobs {
+		searching = searching || !j.reuse
+	}
+	if searching && m.search.post == nil {
+		m.search.build()
+	}
+	challengers := make([]int, len(fresh))
+	for i, k := range fresh {
+		challengers[i] = int(m.at[k])
+	}
+	searchers := make([]*agpSearcher, c.size)
+	c.each(len(jobs), func(w, k int, ev *distance.Evaluator) {
+		j := &jobs[k]
+		s := searchers[w]
+		if s == nil {
+			s = &agpSearcher{agpSearch: &m.search, ev: ev}
+			if searching {
+				s.shared = make([]int32, len(m.search.targets))
+			}
+			searchers[w] = s
+		}
+		sids := j.star.ValueIDs()
+		if !j.reuse {
+			j.best, j.d = s.nearest(sids)
+			return
+		}
+		// Every target but the fresh ones lost to the cached decision.
+		for _, t := range challengers {
+			j.best, j.d = s.challenge(sids, t, j.best, j.d)
+		}
+	})
+	p.count(searchers)
+	for _, j := range jobs {
+		tg := &m.search.targets[j.best]
+		sids := j.star.ValueIDs()
+		now := agpBest{srcKid: j.star.KeyID(), target: tg.g.KeyID(), d: j.d,
+			merged: j.d <= mergeCap*float64(maxRuneLen(c.ev, sids, tg.ids))}
+		if was, ok := m.best[j.k]; !ok || was.merged != now.merged || now.merged && was.target != now.target {
+			p.reached = append(p.reached, was.owner(j.k), now.owner(j.k))
+		}
+		m.best[j.k] = now
+	}
+	for _, k := range keys {
+		p.reached = append(p.reached, m.best[k].owner(k))
+	}
+	m.kept = true
+
+	// Lay the decisions out over the block's groups: each target's index,
+	// then each merged source's. Every group not a target is a source.
+	p.total = e.Len()
+	at := make([]int32, len(m.search.targets))
+	var merged [][2]int32 // (source index, target's index in targets)
+	for i, g := range b.Groups {
+		if t, ok := m.at[g.KeyID()]; ok {
+			at[t] = int32(i)
+			continue
+		}
+		p.abnormal++
+		p.abnormalPieces += len(g.Pieces)
+		if d := m.best[g.KeyID()]; d.merged {
+			merged = append(merged, [2]int32{int32(i), m.at[d.target]})
+		}
+	}
+	for _, e := range merged {
+		p.merge(len(b.Groups), e[0], at[e[1]])
+	}
+	p.lay()
+	return p
+}
+
+// drop takes target t, group k, out of the search: the last target takes
+// its index.
+func (m *agpMemo) drop(k uint32, t int32) {
+	s := &m.search
+	s.unfile(t)
+	last := int32(len(s.targets) - 1)
+	if t != last {
+		if s.post != nil {
+			for p, id := range s.targets[last].ids {
+				s.post[p][posting(s.post[p], id, last)].target = t
+			}
+		}
+		s.targets[t] = s.targets[last]
+		m.at[s.targets[t].g.KeyID()] = t
+	}
+	s.targets[last] = agpTarget{}
+	s.targets = s.targets[:last]
+	delete(m.at, k)
 }
 
 // agpMerge carries out the plan on the block it was decided on: each

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,24 +138,54 @@ func blockShape(b *index.Block) []string {
 // agpCost is what one agp call measured.
 type agpCost struct{ sources, pairs, fullScans int }
 
+// keptAGP is one block kept by an editor across edits of its table, with
+// the delta engine's AGP state over it, the way a DeltaCleaner keeps each
+// rule's block.
+type keptAGP struct {
+	e    *index.BlockEditor
+	memo agpMemo
+	rows map[int][]uint32 // each tuple's row as the editor last took it
+}
+
+// sync brings the editor to tb, whose tuple IDs ascend and whose tuples
+// are only ever rewritten or appended: every new or rewritten row is moved
+// into it.
+func (k *keptAGP) sync(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) {
+	if k.e == nil {
+		k.e, k.rows = index.NewBlockEditor(tb, enc, r), make(map[int][]uint32)
+		for i, tp := range tb.Tuples {
+			k.rows[tp.ID] = enc.Rows[i]
+		}
+		return
+	}
+	for i, tp := range tb.Tuples {
+		was, ok := k.rows[tp.ID]
+		if row := enc.Rows[i]; !ok || !slices.Equal(was, row) {
+			k.e.Move(tp.ID, was, row)
+			k.rows[tp.ID] = row
+		}
+	}
+}
+
 // checkAGPAgainstScan builds rule r's block over tb twice (same dictionary,
 // so key IDs are comparable), runs agp on one — on a crew of three — and
-// refAGPScan on the other,
-// and fails on any difference in counters, trace, resulting block or — when
-// no group was promoted, so the memo records them — per-source decisions.
-// memo is agp's cross-rebuild cache; nil takes a throwaway one.
-func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *intern.Dict, r *rules.Rule, tau int, metric distance.Metric, mergeCap float64, memo *agpMemo) agpCost {
+// refAGPScan on the other, and fails on any difference in counters, trace
+// or resulting block. Then the delta engine's decision (agpMemo.decide) on
+// ks, brought to tb, must give the same counters and, merged into a copy
+// of the kept block, the same block; and, when no group was promoted, so
+// the memo records them, the same per-source decisions. ks carries the
+// kept block and its AGP state across calls; nil takes a throwaway one,
+// whose decision must also measure what agp measured. The costs returned
+// are the delta decision's.
+func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *intern.Dict, r *rules.Rule, tau int, metric distance.Metric, mergeCap float64, ks *keptAGP) agpCost {
 	t.Helper()
 	enc := dataset.Encode(tb, dict)
 	got, want := index.BuildBlockFor(tb, enc, r), index.BuildBlockFor(tb, enc, r)
-	if memo == nil {
-		memo = &agpMemo{}
-	}
 	gotTr, wantTr := &Trace{}, &Trace{}
 	// Two parked helpers: the searches run spread over three evaluators.
 	c, stop := helpedCrew(metric, dict, 2)
 	defer stop()
-	ab, abP, promo, pairs, fullScans := agp(3, got, tau, c, mergeCap, memo, gotTr)
+	ab, abP, promo, pairs, fullScans := agp(3, got, tau, c, mergeCap, gotTr)
 	wab, wabP, wpromo, decisions := refAGPScan(3, want, tau, distance.NewEvaluator(metric, dict), mergeCap, wantTr)
 	if ab != wab || abP != wabP || promo != wpromo {
 		t.Fatalf("%s: counters (%d, %d, %d), scan (%d, %d, %d)", label, ab, abP, promo, wab, wabP, wpromo)
@@ -165,19 +196,38 @@ func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *in
 	if g, w := blockShape(got), blockShape(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: block diverges:\ngot  %q\nscan %q", label, g, w)
 	}
+
+	fresh := ks == nil
+	if fresh {
+		ks = &keptAGP{}
+	}
+	ks.sync(tb, enc, r)
+	p := ks.memo.decide(3, ks.e, tau, c, mergeCap)
+	ks.e.ClearTouched()
+	if p.abnormal != wab || p.abnormalPieces != wabP || p.promotions != wpromo {
+		t.Fatalf("%s: delta counters (%d, %d, %d), scan (%d, %d, %d)", label, p.abnormal, p.abnormalPieces, p.promotions, wab, wabP, wpromo)
+	}
+	if fresh && (p.pairs != pairs || p.fullScans != fullScans) {
+		t.Fatalf("%s: a fresh delta decision measured %d pairs and %d full scans, agp %d and %d", label, p.pairs, p.fullScans, pairs, fullScans)
+	}
+	merged := &index.Block{Rule: r, Groups: index.CopyGroups(ks.e.Block().Groups)}
+	agpMerge(merged, &p)
+	if g, w := blockShape(merged), blockShape(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: the delta decision's block diverges:\ngot  %q\nscan %q", label, g, w)
+	}
 	if promo == 0 && ab > 0 {
 		for src, w := range decisions {
 			// The distance is a sum of small integers (or of cosine terms
 			// added in one fixed attribute order), so == is exact.
-			if g := memo.best[src]; g != w {
+			if g := ks.memo.best[src]; g != w {
 				t.Fatalf("%s: source %d decided %+v, scan %+v", label, src, g, w)
 			}
 		}
-		if len(memo.best) != len(decisions) {
-			t.Fatalf("%s: memo holds %d decisions, scan made %d", label, len(memo.best), len(decisions))
+		if len(ks.memo.best) != len(decisions) {
+			t.Fatalf("%s: memo holds %d decisions, scan made %d", label, len(ks.memo.best), len(decisions))
 		}
 	}
-	return agpCost{sources: ab, pairs: pairs, fullScans: fullScans}
+	return agpCost{sources: ab, pairs: p.pairs, fullScans: p.fullScans}
 }
 
 // seqOf is the sequence key of vals in d: the KeyID of a group whose
@@ -290,10 +340,10 @@ func TestAGPSearchAdversarial(t *testing.T) {
 			for _, tg := range tc.targets {
 				rows, times = append(rows, tg), append(times, 2)
 			}
-			memo, dict := &agpMemo{}, intern.NewDict()
+			ks, dict := &keptAGP{}, intern.NewDict()
 			cost := checkAGPAgainstScan(t, tc.name, agpTable([]string{"A", "B", "C"}, rows, times),
-				dict, rule, 1, metric, 1e9, memo)
-			if got, want := memo.best[seqOf(dict, src[:2]...)].target, seqOf(dict, tc.want...); got != want {
+				dict, rule, 1, metric, 1e9, ks)
+			if got, want := ks.memo.best[seqOf(dict, src[:2]...)].target, seqOf(dict, tc.want...); got != want {
 				t.Errorf("merged into group %d, want %d (%q)", got, want, tc.want)
 			}
 			if cost.pairs != tc.pairs || cost.fullScans != tc.fullScans {
@@ -313,10 +363,10 @@ func TestAGPSearchLossyDecoding(t *testing.T) {
 		{"y\xff", "v"}, // shares B; 1 + 0
 		{"x\xfe", "w"}, // shares nothing; 0 + 1
 	}, []int{1, 2, 2})
-	memo, dict := &agpMemo{}, intern.NewDict()
+	ks, dict := &keptAGP{}, intern.NewDict()
 	cost := checkAGPAgainstScan(t, "lossy", tb, dict, rules.MustParseStrings("FD: A -> B")[0],
-		1, distance.Levenshtein{}, 1e9, memo)
-	if got, want := memo.best[seqOf(dict, "x\xff")].target, seqOf(dict, "x\xfe"); got != want {
+		1, distance.Levenshtein{}, 1e9, ks)
+	if got, want := ks.memo.best[seqOf(dict, "x\xff")].target, seqOf(dict, "x\xfe"); got != want {
 		t.Errorf("merged into group %d, want %d", got, want)
 	}
 	if cost.fullScans != 1 {
@@ -428,11 +478,11 @@ func TestAGPSearchMatchesScanRandom(t *testing.T) {
 	}
 }
 
-// TestAGPMemoRebuildSequence drives one block through a sequence of rebuilds
-// with a persistent memo, the way a DeltaCleaner does: every rebuild mixes
-// sources with a reusable decision, targets that moved, and new sources, and
-// each must equal a from-scratch scan. The memo never holds more than the
-// rebuild's own sources.
+// TestAGPMemoRebuildSequence drives one kept block through a sequence of
+// edits with a persistent AGP state, the way a DeltaCleaner does: every
+// re-clean mixes sources with a reusable decision, targets that moved, and
+// new sources, and each must equal a from-scratch scan. The memo never
+// holds more than the re-clean's own sources.
 func TestAGPMemoRebuildSequence(t *testing.T) {
 	attrs := []string{"A", "B", "C"}
 	rule := rules.MustParseStrings("FD: A, B -> C")[0]
@@ -440,7 +490,7 @@ func TestAGPMemoRebuildSequence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tb := randomAGPTable(rng, attrs)
 		dict := intern.NewDict()
-		memo := &agpMemo{}
+		ks := &keptAGP{}
 		reused := 0
 		for step := 0; step < 25; step++ {
 			// One mutation: rewrite a cell, or append a tuple that is a
@@ -454,9 +504,9 @@ func TestAGPMemoRebuildSequence(t *testing.T) {
 				tb.Tuples[row].Values = vals
 			}
 			label := fmt.Sprintf("seed %d step %d", seed, step)
-			cost := checkAGPAgainstScan(t, label, tb, dict, rule, 1, distance.Levenshtein{}, 1e9, memo)
-			if len(memo.best) > cost.sources {
-				t.Fatalf("%s: memo holds %d decisions for %d sources", label, len(memo.best), cost.sources)
+			cost := checkAGPAgainstScan(t, label, tb, dict, rule, 1, distance.Levenshtein{}, 1e9, ks)
+			if len(ks.memo.best) > cost.sources {
+				t.Fatalf("%s: memo holds %d decisions for %d sources", label, len(ks.memo.best), cost.sources)
 			}
 			if cost.sources > 0 && cost.fullScans == 0 && cost.pairs < cost.sources {
 				reused++ // some source measured nothing at all: a pure reuse
@@ -552,7 +602,7 @@ func BenchmarkAGPBlock(b *testing.B) {
 		sources, pairs, fullScans = 0, 0, 0
 		ev := distance.NewEvaluator(opts.Metric, ix.Dict())
 		for bi, blk := range ix.Blocks {
-			ab, _, _, p, f := agp(bi, blk, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, nil)
+			ab, _, _, p, f := agp(bi, blk, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil)
 			sources, pairs, fullScans = sources+ab, pairs+p, fullScans+f
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"mlnclean/internal/datagen"
@@ -331,23 +332,34 @@ func recleanMatchesFull(t *testing.T, label string, eng *DeltaCleaner) {
 func TestDeltaGroupReuseMatchesFull(t *testing.T) {
 	mix := func(t *testing.T, eng *DeltaCleaner, inj *errgen.Injection, steps int) {
 		recleanMatchesFull(t, "load", eng)
-		reused := 0
+		reused, reweighed := 0, 0
+		totals := make([]int, len(eng.blocks))
 		for step, m := range serveMix(inj, steps, 4200) {
 			was := blocksOf(eng, nil)
+			for ri, db := range eng.blocks {
+				totals[ri] = db.total
+			}
 			if _, _, err := eng.ApplyVersion([]Mutation{m}); err != nil {
 				t.Fatal(err)
 			}
 			recleanMatchesFull(t, fmt.Sprintf("step %d (%+v)", step, m), eng)
 			for _, ri := range rebuiltBlocks(eng, was) {
-				if db := eng.blocks[ri]; db.res.regrouped < len(db.block.Groups) {
+				db := eng.blocks[ri]
+				if db.res.regrouped < len(db.block.Groups) {
 					reused++
+				}
+				if db.total != totals[ri] && db.res.regrouped > db.res.recollapsed {
+					reweighed++
 				}
 			}
 		}
 		if reused == 0 {
 			t.Fatal("no re-clean reused a group: the mix never took the partial path")
 		}
-		t.Logf("%d re-cleans reused groups", reused)
+		if reweighed == 0 {
+			t.Fatal("no re-clean that moved Σc reweighed a group: the mix never took the reweigh path")
+		}
+		t.Logf("%d re-cleans reused groups, %d of them reweighed groups after Σc moved", reused, reweighed)
 	}
 	t.Run("CAR", func(t *testing.T) {
 		eng, _, inj := carSession(t, 600)
@@ -474,6 +486,43 @@ func TestDeltaGroupReuseMatchesFull(t *testing.T) {
 			apply(eng, fmt.Sprintf("a decision crosses the merge cap (over: %v)", over), true, put(3, a, b), put(4, a, b), put(5, a, b))
 			if e := decision(eng, "abcd"); e.merged == over {
 				t.Fatalf("over the cap %v: abcd decided %+v", over, e)
+			}
+		}
+
+		// Σc alone flips an RSC winner. In group g, aaa (two tuples) and
+		// bbb are 3 apart and z×11 (one tuple) is 11 from both, so aaa
+		// scores 2·3·p and z×11 scores 11·p′. The Eq. 4 priors move p/p′
+		// through 11/6 as Σc goes from 11 to 12. An insert and then a
+		// delete of a filler row move Σc across that point; g is never
+		// touched, so it is reweighed, finds its winner moved and is redone,
+		// beside the filler's group, while hhhh is reused.
+		z := strings.Repeat("z", 11)
+		rows = append(rep(2, "g", "aaa"), []string{"g", z}, []string{"g", "bbb"})
+		rows = append(rows, rep(2, "hhhh", "2")...)
+		eng = load(append(rows, rep(5, "ffff", "1")...)...)
+		winner := func() string {
+			t.Helper()
+			g := eng.blocks[0].block.Groups[0]
+			if g.Key() != "g" {
+				t.Fatalf("the block's first group is %q, want g", g.Key())
+			}
+			return g.Pieces[0].Result()[0]
+		}
+		for _, c := range []struct {
+			label string
+			m     Mutation
+			want  string
+		}{
+			{"Σc 11 → 12 flips g's winner", put(20, "ffff", "1"), z},
+			{"Σc 12 → 11 flips it back", Mutation{Op: DeltaDelete, Row: 20}, "aaa"},
+		} {
+			before := winner()
+			apply(eng, c.label, true, c.m)
+			if got := winner(); got == before || got != c.want {
+				t.Fatalf("%s: g's winner %s, was %s; want %s", c.label, got, before, c.want)
+			}
+			if db := eng.blocks[0]; db.res.recollapsed != 2 {
+				t.Fatalf("%s: %d groups redone, want g and the filler's", c.label, db.res.recollapsed)
 			}
 		}
 

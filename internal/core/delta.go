@@ -39,17 +39,23 @@ import (
 //     with the block's Σc, given its RSC winner and collapsed — only when a
 //     group it holds now or held at the last re-clean was touched by the
 //     edits since (index.BlockEditor.Touched), or when one of its sources'
-//     merge decisions moved. Every other group is the collapsed group the
-//     last re-clean left, reused by pointer: its pieces and Σc are the
-//     same, so it would learn the same bits and pick the same winner. An
-//     insert, a delete or a membership flip moves Σc, and every group of
-//     the block is redone, through the same code.
-//   - Each block keeps its AGP memo (agpMemo) across its re-cleans: each
-//     abnormal group's nearest-target decision, so a re-clean re-scores
-//     sources only against the targets that moved, and compares the merges
-//     it decides with the last ones. Besides it, a block keeps only two
-//     small ints per group — its Newton steps and its pieces before RSC —
-//     so a reused group still counts in LearnIterations and RSCRepairs.
+//     merge decisions moved. Every other group holds the same pieces. While
+//     Σc holds, it is the collapsed group the last re-clean left, reused by
+//     pointer: it would learn the same bits and pick the same winner. An
+//     insert, a delete or a membership flip moves Σc, the Eq. 4 normaliser
+//     of every prior in the block, and only the learning reads it: each
+//     such group of several pieces is reweighed — learned again over the
+//     counts its pick keeps, its winner re-picked from the pick's RSC
+//     distances, and given new headers with the new weight — and redone
+//     only when its winner moved.
+//   - Each block keeps its AGP state (agpMemo) across its re-cleans: its
+//     normal groups as search targets with their postings, and each
+//     abnormal group's nearest-target decision. A re-clean classifies only
+//     the touched groups again, re-scores sources only against the targets
+//     that moved, and lists the groups whose merges moved. Besides it, a
+//     block keeps per group its Newton steps and, for a group of several
+//     pieces, its pick (counts, RSC distances and winner), so a reused
+//     group still counts in LearnIterations and RSCRepairs.
 //   - Re-fusion is bounded by each tuple's per-block version (piece
 //     identity, fixed-width). Each RSC winner holds a slot in the block's
 //     version table, which the block's version index names by table
@@ -135,10 +141,13 @@ type deltaBlock struct {
 	// copy of it.
 	kept  *index.BlockEditor
 	block *index.Block // post AGP + learn + RSC
-	// steps and pieces hold, per group of block, the Newton steps its
-	// weights took and the pieces it held before RSC kept one: what a group
-	// a re-clean reuses adds to the block's LearnIterations and RSCRepairs.
-	steps, pieces []int32
+	// steps and picks hold, per group of block, the Newton steps its
+	// weights took and, for a group that held several pieces before RSC,
+	// its pick (nil for one piece): what a group a re-clean reuses adds to
+	// the block's LearnIterations and RSCRepairs, and what it is reweighed
+	// by when Σc moves.
+	steps []int32
+	picks []*pick
 	// total is the block's Σc at the last re-clean: while it holds, every
 	// group whose pieces are the same learns the same weights.
 	total int
@@ -155,8 +164,9 @@ type deltaBlock struct {
 	// moved lists the table positions whose version in this block the last
 	// re-clean moved.
 	moved []int
-	// whole says the last re-clean redid every group (redo), and so built
-	// the candidate index again and may have moved every weight. Otherwise
+	// whole says the last re-clean redid every group (redo) or moved Σc, and
+	// so may have moved every weight: adopt builds the candidate index
+	// again. Otherwise
 	// changed holds the posting keys (attribute index << 32 | value ID) of
 	// the candidates it made new, gone or reweighted, ascending, and
 	// reweighted marks, by slot, the winners it kept at another weight.
@@ -218,8 +228,15 @@ type DeltaCleaner struct {
 	// what must move before it is fused again. A map, not a slice parallel
 	// to the table: a few percent of the tuples are conflicted.
 	reads map[int][]uint64
-	// refuse marks, per position, the tuples an Apply re-fuses.
-	refuse []bool
+	// conflicted lists, ascending, the positions of the tuples whose last
+	// fusion met a conflict, spliced as the table is; sums totals every
+	// tuple's fusion accounting, moved as each tuple is fused or deleted.
+	conflicted []int
+	sums       fuseSums
+	// refuse marks, per position, the tuples the Apply in progress re-fuses,
+	// and refusing lists them: every mark is cleared before Apply returns.
+	refuse   []bool
+	refusing []int
 	// domWas is the plan's domain sizes before the Apply in progress.
 	domWas []int
 
@@ -415,7 +432,9 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 			d.ids = slices.Delete(d.ids, pos, pos+1)
 			d.fusedTuples = slices.Delete(d.fusedTuples, pos, pos+1)
 			d.fusedRows = slices.Delete(d.fusedRows, pos, pos+1)
+			d.sums.add(d.fuseRes[pos], -1)
 			d.fuseRes = slices.Delete(d.fuseRes, pos, pos+1)
+			d.conflicted = splice(d.conflicted, pos, -1)
 			delete(d.reads, m.Row)
 			was := make([]uint32, len(vers))
 			for ri := range vers {
@@ -443,6 +462,7 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		d.fusedTuples = insertAt(d.fusedTuples, pos, nil)
 		d.fusedRows = insertAt(d.fusedRows, pos, nil)
 		d.fuseRes = insertAt(d.fuseRes, pos, fuseResult{})
+		d.conflicted = splice(d.conflicted, pos, 1)
 		was := gone[m.Row] // nil for an ID new to the old winners
 		for ri := range vers {
 			var v uint32
@@ -450,18 +470,6 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 				v = was[ri]
 			}
 			vers[ri] = insertAt(vers[ri], pos, v)
-		}
-	}
-
-	// Mark the live tuples the batch put.
-	if n := len(d.tuples); cap(d.refuse) < n {
-		d.refuse = make([]bool, n, n+n/16)
-	}
-	d.refuse = d.refuse[:len(d.tuples)]
-	clear(d.refuse) // one buffer for every Apply
-	for _, m := range muts {
-		if pos, live := d.posOf(m.Row); live && m.Op == DeltaPut {
-			d.refuse[pos] = true
 		}
 	}
 
@@ -479,6 +487,17 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		// half-updated result.
 		return nil, nil, err
 	}
+	// Mark the live tuples the batch put. No position is marked between
+	// Applies, so the marks only need the table's length.
+	if n := len(d.tuples); cap(d.refuse) < n {
+		d.refuse = slices.Grow(d.refuse[:0], n+n/16)
+	}
+	d.refuse = d.refuse[:len(d.tuples)]
+	for _, m := range muts {
+		if pos, live := d.posOf(m.Row); live && m.Op == DeltaPut {
+			d.mark(pos)
+		}
+	}
 	// Mark every position whose version a re-cleaned block moved: another
 	// piece, or a version on one side only. A weight alone cannot change a
 	// tuple without a conflict (fusion reads weights only into the trace's
@@ -486,31 +505,62 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 	// domain sizes: it is marked when one of those moved (readMoved).
 	for _, ri := range edited {
 		for _, i := range d.blocks[ri].moved {
-			d.refuse[i] = true
+			d.mark(i)
 		}
 	}
-	for i, r := range d.fuseRes {
-		if r.conflicted != 0 && !d.refuse[i] && d.readMoved(i, dirty) {
-			d.refuse[i] = true
+	for _, i := range d.conflicted {
+		if !d.refuse[i] && d.readMoved(i, dirty) {
+			d.mark(i)
 		}
 	}
 
-	for i, re := range d.refuse {
-		if re {
-			d.fuseOne(i)
-			ds.RefusedTuples++
-		}
+	slices.Sort(d.refusing)
+	for _, i := range d.refusing {
+		d.fuseOne(i)
+		d.refuse[i] = false
 	}
-	ds.ReusedTuples = len(d.tuples) - ds.RefusedTuples
+	ds.RefusedTuples, ds.ReusedTuples = len(d.refusing), len(d.tuples)-len(d.refusing)
+	d.refusing = d.refusing[:0]
 	ds.Wall = time.Since(t0)
 
-	mDeltaApplies.Inc()
 	mDeltaDirtyBlocks.Add(int64(ds.DirtyBlocks))
 	mDeltaReusedBlocks.Add(int64(ds.ReusedBlocks))
 	mDeltaRefusedTuples.Add(int64(ds.RefusedTuples))
 	mDeltaReusedTuples.Add(int64(ds.ReusedTuples))
 	mDeltaSeconds.ObserveDuration(ds.Wall)
 	return d.mint(), ds, nil
+}
+
+// mark marks the tuple at position i for re-fusion.
+func (d *DeltaCleaner) mark(i int) {
+	if !d.refuse[i] {
+		d.refuse[i] = true
+		d.refusing = append(d.refusing, i)
+	}
+}
+
+// splice moves the ascending positions ps as the table moves when a tuple
+// is inserted at position pos (by 1) or deleted from it (by −1): a deleted
+// tuple's position leaves ps.
+func splice(ps []int, pos, by int) []int {
+	i, hit := slices.BinarySearch(ps, pos)
+	if hit && by < 0 {
+		ps = slices.Delete(ps, i, i+1)
+	}
+	for j := i; j < len(ps); j++ {
+		ps[j] += by
+	}
+	return ps
+}
+
+// fuseSums totals the fusion accounting of every tuple of the table.
+type fuseSums struct{ changes, failed, truncated int }
+
+// add adds r's accounting to the totals, times sign.
+func (s *fuseSums) add(r fuseResult, sign int) {
+	s.changes += sign * int(r.changes)
+	s.failed += sign * int(r.failed)
+	s.truncated += sign * int(r.truncated)
 }
 
 // validate checks a whole batch against the state each mutation will see,
@@ -662,19 +712,24 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 
 // reclean is stage I (AGP → weight learning → RSC) for rule ri's block on
 // the crew, redoing only the groups whose outcome can have moved. AGP
-// decides on the kept block, which it does not write (agpDecide). A group
-// after AGP — a group that stays, with the sources merged into it — is
-// redone when a group it holds now, or held at the last re-clean, was
+// decides on the kept block, which it does not write (agpMemo.decide). A
+// group after AGP — a group that stays, with the sources merged into it —
+// is redone when a group it holds now, or held at the last re-clean, was
 // touched since (index.BlockEditor.Touched), or when one of its sources'
 // decisions moved (redo). A redone group is copied out of the kept block,
-// merged, learned with the block's Σc, given its RSC winner and collapsed;
-// every other group is the collapsed group the last re-clean left, whose
-// pieces, counts and Σc are the same, so it would learn the same bits and
-// pick the same winner. The groups keep the kept block's order, less the
-// merged sources, as agp over a copy of the kept block leaves them.
+// merged, learned with the block's Σc, given its RSC winner and collapsed.
+// Every other group holds the pieces, with the same counts, that it held
+// at the last re-clean. While Σc holds, it is the collapsed group the last
+// re-clean left, which would learn the same bits and pick the same winner.
+// When Σc moved (an insert, a delete, a rule's membership flip), each such
+// group of several pieces is reweighed instead (reweigh): learned again
+// over the counts its pick keeps, with its winner re-picked from the
+// pick's distances, and redone only if the winner moved; every group kept
+// gets new headers over its lists. The groups keep
+// the kept block's order, less the merged sources, as agp over a copy of
+// the kept block leaves them.
 //
-// Load, and a re-clean that moves the block's Σc (an insert, a delete, a
-// rule's membership flip) or meets a promotion, redo every group: the same
+// Load, and a re-clean that meets a promotion, redo every group: the same
 // code, with nothing reused.
 func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 	db := d.blocks[ri]
@@ -689,12 +744,20 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 		t = now
 		return dt
 	}
-	prev := db.memo.agp.best // agpDecide replaces the map
-	p := agpDecide(ri, kept, d.opts.Tau, c, d.opts.MergeCapRatio, &db.memo.agp, nil)
+	p := db.memo.agp.decide(ri, db.kept, d.opts.Tau, c, d.opts.MergeCapRatio)
 	r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = p.abnormal, p.abnormalPieces, p.promotions, p.pairs, p.fullScans
-	redo := db.redo(&p, prev)
-	db.whole = redo == nil
 	db.kept.ClearTouched()
+	redo := db.redo(&p)
+	r.agp = lap()
+	in := &db.memo.inputs
+	var rw []reweighed
+	if redo != nil && p.total != db.total {
+		if rw, r.err = db.reweigh(kept, &p, redo, in); r.err != nil {
+			return r
+		}
+	}
+	r.learn = lap()
+	db.whole = redo == nil || p.total != db.total
 	redone := func(g *index.Group) bool { return redo == nil || redo[g.KeyID()] }
 
 	// Copy out each redone group and its sources, then merge them.
@@ -725,23 +788,23 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 			k += 1 + srcs
 		}
 	}
-	pre := make([]int32, len(work.Groups))
-	for i, g := range work.Groups {
-		pre[i] = int32(len(g.Pieces))
-	}
-	r.agp = lap()
-	in := &db.memo.inputs
+	r.agp += lap()
 	if _, r.err = learnGroups(work.Groups, in, p.total); r.err != nil {
 		return r
 	}
-	r.learn = lap()
-	rsc(ri, work, c, nil)
-	r.regrouped = len(work.Groups)
+	r.learn += lap()
+	pre := work.Groups // RSC collapses work: these keep their pieces
+	nn, picks := newPicks(pre)
+	rsc(ri, work, c, nil, nn)
+	keepPicks(pre, work.Groups, picks)
+	r.recollapsed = len(work.Groups)
+	r.regrouped = r.recollapsed
 
-	// Lay the block out: redone groups as collapsed just now, the others
-	// as the last re-clean left them.
+	// Lay the block out: redone groups as collapsed just now, reweighed
+	// groups under their new headers, the others as the last re-clean left
+	// them.
 	b := &index.Block{Rule: kept.Rule, Groups: make([]*index.Group, 0, n)}
-	steps, pieces := make([]int32, 0, n), make([]int32, 0, n)
+	steps, held := make([]int32, 0, n), make([]*pick, 0, n)
 	old := db.lookup()
 	k = 0
 	contested := 0
@@ -750,21 +813,30 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 		case !p.stays(i):
 			continue
 		case redone(g):
-			st := int32(0)
-			if pre[k] > 1 {
-				st = int32(in.steps[contested])
+			st, pk := int32(0), (*pick)(nil)
+			if len(pre[k].Pieces) > 1 {
+				st, pk = int32(in.steps[contested]), picks[contested]
 				contested++
 			}
-			b.Groups, steps, pieces = append(b.Groups, work.Groups[k]), append(steps, st), append(pieces, pre[k])
+			b.Groups, steps, held = append(b.Groups, work.Groups[k]), append(steps, st), append(held, pk)
 			k++
+		case len(rw) > 0 && rw[0].kid == g.KeyID():
+			pk := db.picks[rw[0].o]
+			if pk != nil {
+				r.regrouped++
+			}
+			b.Groups, steps, held = append(b.Groups, rw[0].g), append(steps, rw[0].steps), append(held, pk)
+			rw = rw[1:]
 		default:
 			o := old(g.KeyID())
-			b.Groups, steps, pieces = append(b.Groups, db.block.Groups[o]), append(steps, db.steps[o]), append(pieces, db.pieces[o])
+			b.Groups, steps, held = append(b.Groups, db.block.Groups[o]), append(steps, db.steps[o]), append(held, db.picks[o])
 		}
 	}
 	for i := range steps {
 		r.learnIters = max(r.learnIters, int(steps[i]))
-		r.repairs += int(pieces[i]) - 1
+		if held[i] != nil {
+			r.repairs += len(held[i].counts) - 1
+		}
 	}
 	laid := laidBytes(work.Groups)
 	if redo == nil {
@@ -777,64 +849,192 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 		b.Collapse(winners)
 		db.full, db.laid = laidBytes(b.Groups), 0
 	}
-	db.block, db.steps, db.pieces, db.total = b, steps, pieces, p.total
+	db.block, db.steps, db.picks, db.total = b, steps, held, p.total
 	r.rsc = lap()
 	mBlockSeconds.ObserveDuration(t.Sub(start))
 	return r
 }
 
 // redo returns the KeyIDs of the groups after AGP that the re-clean must
-// redo, given the decisions the last re-clean took (prev) and this one's
-// (in the memo), or nil when it redoes every group: at Load, when Σc
-// moved, or around a promotion, which the memo does not record. A group
+// redo, or nil when it redoes every group: at Load, and around a
+// promotion, after which AGP keeps no decision (agpPlan.whole). A group
 // after AGP is named by the group that stays; a merged source belongs to
 // its target's. Every group a move touched since is marked in the group it
 // belonged to then and in the one it belongs to now, and so is every
-// source whose decision moved: merged or not, and into which target.
-func (db *deltaBlock) redo(p *agpPlan, prev map[uint32]agpBest) map[uint32]bool {
-	if db.block == nil || p.total != db.total || p.promotions > 0 || db.res.promotions > 0 {
+// source whose decision moved: merged or not, and into which target
+// (agpPlan.reached).
+func (db *deltaBlock) redo(p *agpPlan) map[uint32]bool {
+	if db.block == nil || p.whole {
 		return nil
 	}
-	now := db.memo.agp.best
-	owner := func(best map[uint32]agpBest, k uint32) uint32 {
-		if e, ok := best[k]; ok && e.merged {
-			return e.target
-		}
-		return k
-	}
-	redo := make(map[uint32]bool)
-	mark := func(k uint32) {
-		redo[owner(prev, k)] = true
-		redo[owner(now, k)] = true
-	}
-	for _, k := range db.kept.Touched() {
-		mark(k)
-	}
-	for k, e := range now {
-		if was, ok := prev[k]; !ok || was.merged != e.merged || e.merged && was.target != e.target {
-			mark(k)
-		}
-	}
-	for k := range prev {
-		if _, ok := now[k]; !ok {
-			mark(k)
-		}
+	redo := make(map[uint32]bool, len(p.reached))
+	for _, k := range p.reached {
+		redo[k] = true
 	}
 	return redo
 }
 
+// A pick is what a contested group's RSC leaves the re-cleans after it:
+// its pieces' counts in learn order, each piece's nearest-neighbour
+// distance, which piece won, and, per piece, whether the winner wins a
+// score tie against it (betterTie). None of it reads a weight, so while
+// the group holds the same pieces it learns its weights with any Σc, and
+// re-picks its winner as the argmax of count·NN·p, from its pick alone.
+type pick struct {
+	counts, nn []float64
+	beats      []bool
+	win        int
+}
+
+// holds reports whether the pick's winner still wins under the
+// probabilities probs, in learn order: as rscWinner scores each piece, no
+// other scores higher, or as high without losing the tie.
+func (pk *pick) holds(probs []float64) bool {
+	score := func(j int) float64 { return pk.counts[j] * pk.nn[j] * max(probs[j], minPieceWeight) }
+	top := score(pk.win)
+	for j := range pk.counts {
+		if s := score(j); j != pk.win && (s > top || s == top && !pk.beats[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// newPicks lays out, for the contested ones among the groups, RSC's
+// distance rows (nn, by group, nil for an uncontested one) and their picks,
+// in group order, with the counts filled in.
+func newPicks(gs []*index.Group) ([][]float64, []*pick) {
+	ng, np := 0, 0
+	for _, g := range gs {
+		if len(g.Pieces) > 1 {
+			ng++
+			np += len(g.Pieces)
+		}
+	}
+	if ng == 0 {
+		return nil, nil
+	}
+	nn := make([][]float64, len(gs))
+	vals, beats := make([]float64, 2*np), make([]bool, np)
+	slab, picks := make([]pick, ng), make([]*pick, ng)
+	k := 0
+	for i, g := range gs {
+		if len(g.Pieces) < 2 {
+			continue
+		}
+		w := len(g.Pieces)
+		pk := &slab[k]
+		pk.counts, pk.nn, pk.beats = vals[:w:w], vals[np:np+w:np+w], beats[:w:w]
+		vals, beats = vals[w:], beats[w:]
+		for j, p := range g.Pieces {
+			pk.counts[j] = float64(p.Count())
+		}
+		nn[i], picks[k] = pk.nn, pk
+		k++
+	}
+	return nn, picks
+}
+
+// keepPicks completes the picks of the contested groups among pre, as RSC
+// found them, with the winners RSC kept in won.
+func keepPicks(pre, won []*index.Group, picks []*pick) {
+	k := 0
+	for i, g := range pre {
+		if len(g.Pieces) < 2 {
+			continue
+		}
+		pk, kid := picks[k], won[i].Pieces[0].KeyID()
+		k++
+		pk.win = slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == kid })
+		for j, p := range g.Pieces {
+			pk.beats[j] = j != pk.win && betterTie(g.Pieces[pk.win], p)
+		}
+	}
+}
+
+// reweighed is a group after AGP that a re-clean kept but gave new
+// headers: its KeyID, its index in the block the last re-clean left, its
+// new headers and the Newton steps its weights took.
+type reweighed struct {
+	kid   uint32
+	o     int
+	g     *index.Group
+	steps int32
+}
+
+// reweigh learns again, with the block's new Σc, every group after AGP of
+// several pieces that the re-clean does not redo, over the counts its pick
+// keeps. One whose winner moved (pick.holds) is added to redo. Every other
+// group the re-clean does not redo gets new headers over its lists
+// (index.Reweigh): a contested one with its winner's new weight, one of a
+// single piece with its weight, which Σc does not move. No piece the last
+// re-clean left is written, and none of its headers stays referenced, so
+// the slabs it laid them out in hold only the lists still in use. Returns
+// the groups given new headers, in the kept block's order.
+func (db *deltaBlock) reweigh(kept *index.Block, p *agpPlan, redo map[uint32]bool, in *learnInputs) ([]reweighed, error) {
+	old := db.lookup()
+	var rw []reweighed
+	np, ng := 0, 0
+	for i, g := range kept.Groups {
+		if !p.stays(i) || redo[g.KeyID()] {
+			continue
+		}
+		o := old(g.KeyID())
+		rw = append(rw, reweighed{kid: g.KeyID(), o: o})
+		if pk := db.picks[o]; pk != nil {
+			np, ng = np+len(pk.counts), ng+1
+		}
+	}
+	in.reset(np, ng)
+	for _, e := range rw {
+		if pk := db.picks[e.o]; pk != nil {
+			in.counts = append(in.counts, pk.counts...)
+			in.group(len(pk.counts))
+		}
+	}
+	if _, err := in.solve(p.total); err != nil {
+		return nil, err
+	}
+	held := rw[:0]
+	gs, ws := make([]*index.Group, 0, len(rw)), make([]float64, 0, len(rw))
+	at, k := 0, 0
+	for _, e := range rw {
+		g := db.block.Groups[e.o]
+		w := g.Pieces[0].Weight
+		if pk := db.picks[e.o]; pk != nil {
+			probs := in.probs[at : at+len(pk.counts)]
+			at += len(pk.counts)
+			k++
+			if !pk.holds(probs) {
+				redo[e.kid] = true
+				continue
+			}
+			e.steps, w = int32(in.steps[k-1]), max(probs[pk.win], minPieceWeight)
+		}
+		held = append(held, e)
+		gs, ws = append(gs, g), append(ws, w)
+	}
+	for k, g := range index.Reweigh(gs, ws) {
+		held[k].g = g
+	}
+	return held, nil
+}
+
 // lookup returns a function that finds the group with the given KeyID in
 // the block the last re-clean left, by its index. Asked in the order of the
-// kept block, it mostly finds each group right after the last one found;
-// it indexes the block by KeyID only when that fails.
+// kept block, it mostly finds each group at most a few places after the
+// last one found, past the groups redone since; it indexes the block by
+// KeyID only when that fails.
 func (db *deltaBlock) lookup() func(kid uint32) int {
 	next := 0
 	var at map[uint32]int
 	return func(kid uint32) int {
 		gs := db.block.Groups
-		if next < len(gs) && gs[next].KeyID() == kid {
-			next++
-			return next - 1
+		for i := next; i < min(next+lookAhead, len(gs)); i++ {
+			if gs[i].KeyID() == kid {
+				next = i + 1
+				return i
+			}
 		}
 		if at == nil {
 			at = make(map[uint32]int, len(gs))
@@ -850,6 +1050,10 @@ func (db *deltaBlock) lookup() func(kid uint32) int {
 		return i
 	}
 }
+
+// lookAhead is how far past the last group found lookup looks before it
+// indexes the block.
+const lookAhead = 8
 
 // laidBytes is what Collapse lays out for the groups: per group its
 // header, piece slot and piece, its reason and winner value IDs, and its
@@ -1108,6 +1312,16 @@ func (d *DeltaCleaner) readMoved(i int, dirty []bool) bool {
 func (d *DeltaCleaner) fuseOne(i int) {
 	t, dirtyRow := d.tuples[i], d.encRows[i]
 	res := d.fuser.fuse(t, i, dirtyRow, nil)
+	was := d.fuseRes[i]
+	d.sums.add(was, -1)
+	d.sums.add(res, 1)
+	if at, in := slices.BinarySearch(d.conflicted, i); in != (res.conflicted != 0) {
+		if in {
+			d.conflicted = slices.Delete(d.conflicted, at, at+1)
+		} else {
+			d.conflicted = slices.Insert(d.conflicted, at, i)
+		}
+	}
 	d.fuseRes[i] = res
 	if res.conflicted != 0 {
 		d.reads[t.ID] = append(d.reads[t.ID][:0], d.fuser.readKeys()...)

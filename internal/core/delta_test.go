@@ -891,7 +891,7 @@ func learnedGroups(t *testing.T, eng *DeltaCleaner) ([]map[uint32]learnedGroup, 
 	groups, sums := make([]map[uint32]learnedGroup, len(eng.rs)), make([]int, len(eng.rs))
 	for ri, r := range eng.rs {
 		b := index.BuildBlockFor(eng.view(), enc, r)
-		agp(ri, b, eng.opts.Tau, soloCrew(eng.evs[0]), eng.opts.MergeCapRatio, nil, nil)
+		agp(ri, b, eng.opts.Tau, soloCrew(eng.evs[0]), eng.opts.MergeCapRatio, nil)
 		if _, err := learnBlockWeights(b, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -1066,7 +1066,7 @@ func TestDeltaRelearnMatchesFresh(t *testing.T) {
 		for _, ri := range rebuilt {
 			db := eng.blocks[ri]
 			b := index.BuildBlockFor(eng.view(), enc, eng.rs[ri])
-			agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil, nil)
+			agp(ri, b, eng.opts.Tau, c, eng.opts.MergeCapRatio, nil)
 			iters, err := learnBlockWeights(b, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -1129,8 +1129,9 @@ func TestDeltaVersionOwnedBytes(t *testing.T) {
 // serveMix; update, insert and delete each take one kind alone (kindMix).
 // ns/op and allocs/op are per minted version; refused/op is the tuples
 // re-fused, owned_B/op the bytes the version does not share with its
-// parent, and regrouped/op the groups the re-cleaned blocks learned and
-// gave an RSC winner.
+// parent, regrouped/op the groups the re-cleaned blocks learned and gave
+// an RSC winner, and recollapsed/op those of them copied, merged, RSC'd
+// and collapsed: the rest were only reweighed.
 func BenchmarkDeltaApply(b *testing.B) {
 	for _, kind := range []string{"mix", "update", "insert", "delete"} {
 		b.Run(kind, func(b *testing.B) {
@@ -1141,7 +1142,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 			} else {
 				muts = kindMix(b, inj, kind, b.N, 4200)
 			}
-			refused, repairs, owned, regrouped := 0, 0, 0, 0
+			refused, repairs, owned, regrouped, recollapsed := 0, 0, 0, 0, 0
 			var was []*index.Block
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -1153,6 +1154,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 				}
 				for _, ri := range rebuiltBlocks(eng, was) {
 					regrouped += eng.blocks[ri].res.regrouped
+					recollapsed += eng.blocks[ri].res.recollapsed
 				}
 				refused += ds.RefusedTuples
 				repairs += len(v.Trail())
@@ -1163,17 +1165,18 @@ func BenchmarkDeltaApply(b *testing.B) {
 			b.ReportMetric(float64(repairs)/float64(b.N), "repairs/op")
 			b.ReportMetric(float64(owned)/float64(b.N), "owned_B/op")
 			b.ReportMetric(float64(regrouped)/float64(b.N), "regrouped/op")
+			b.ReportMetric(float64(recollapsed)/float64(b.N), "recollapsed/op")
 		})
 	}
 }
 
-// BenchmarkDeltaApplyScale is BenchmarkDeltaApply's update and insert on
-// the serving benchmark's CAR session at 5k and at 30k rows (carSession):
-// what one minted version costs as the table grows. refused/op is the
-// tuples re-fused.
+// BenchmarkDeltaApplyScale is BenchmarkDeltaApply's update, insert and
+// delete on the serving benchmark's CAR session at 5k and at 30k rows
+// (carSession): what one minted version costs as the table grows.
+// refused/op is the tuples re-fused.
 func BenchmarkDeltaApplyScale(b *testing.B) {
 	for _, rows := range []int{5000, 30000} {
-		for _, kind := range []string{"update", "insert"} {
+		for _, kind := range []string{"update", "insert", "delete"} {
 			b.Run(fmt.Sprintf("%s/%dk", kind, rows/1000), func(b *testing.B) {
 				eng, _, inj := carSession(b, rows)
 				muts := kindMix(b, inj, kind, b.N, 4200)

@@ -42,35 +42,21 @@ func learnGroups(gs []*index.Group, in *learnInputs, total int) (int, error) {
 	for _, g := range gs {
 		n += len(g.Pieces)
 	}
-	// Candidates are numbered group by group, so each group's competing γs
-	// are one run of consecutive indices: a sub-slice of members[i] = i.
-	members := slices.Grow(in.members, max(n-len(in.members), 0))
-	for i := len(members); i < n; i++ {
-		members = append(members, i)
-	}
-	counts := slices.Grow(in.counts[:0], n)
-	groups := slices.Grow(in.groups[:0], len(gs))
+	in.reset(n, len(gs))
 	for _, g := range gs {
-		// A singleton competes with nothing: left out of every group, the
-		// learner gives it 1.
-		if len(g.Pieces) > 1 {
-			groups = append(groups, members[len(counts):len(counts)+len(g.Pieces)])
-		}
 		for _, p := range g.Pieces {
-			counts = append(counts, float64(p.Count()))
+			in.counts = append(in.counts, float64(p.Count()))
 		}
+		in.group(len(g.Pieces))
 	}
-	probs := slices.Grow(in.probs[:0], n)[:n]
-	steps := slices.Grow(in.steps[:0], len(groups))[:len(groups)]
-	in.members, in.counts, in.groups, in.probs, in.steps = members, counts, groups, probs, steps
-	most, err := mln.LearnGroups(groups, counts, probs, float64(total), steps)
+	most, err := in.solve(total)
 	if err != nil {
 		return 0, err
 	}
 	i := 0
 	for _, g := range gs {
 		for _, p := range g.Pieces {
-			p.Weight = max(probs[i], minPieceWeight)
+			p.Weight = max(in.probs[i], minPieceWeight)
 			i++
 		}
 	}
@@ -85,6 +71,34 @@ type learnInputs struct {
 	counts, probs []float64
 	groups        [][]int
 	steps         []int
+}
+
+// reset empties the inputs for n candidates in at most g groups.
+func (in *learnInputs) reset(n, g int) {
+	in.members = slices.Grow(in.members, max(n-len(in.members), 0))
+	for i := len(in.members); i < n; i++ {
+		in.members = append(in.members, i)
+	}
+	in.counts, in.groups = slices.Grow(in.counts[:0], n), slices.Grow(in.groups[:0], g)
+}
+
+// group makes the last k counts one group. Candidates are numbered group by
+// group, so each group's competing γs are one run of consecutive indices:
+// a sub-slice of members[i] = i. A singleton competes with nothing: left
+// out of every group, the learner gives it 1.
+func (in *learnInputs) group(k int) {
+	if n := len(in.counts); k > 1 {
+		in.groups = append(in.groups, in.members[n-k:n])
+	}
+}
+
+// solve learns the groups with Σc total: probs[i] is then candidate i's
+// probability and steps[k] the k-th group's Newton steps.
+func (in *learnInputs) solve(total int) (int, error) {
+	n := len(in.counts)
+	in.probs = slices.Grow(in.probs[:0], n)[:n]
+	in.steps = slices.Grow(in.steps[:0], len(in.groups))[:len(in.groups)]
+	return mln.LearnGroups(in.groups, in.counts, in.probs, float64(total), in.steps)
 }
 
 // minPieceWeight is the positive floor applied to learned piece weights so

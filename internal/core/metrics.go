@@ -53,8 +53,6 @@ var (
 	// and tuples, so the reuse ratio is readable straight off a scrape.
 	mDeltaLoads = obs.Default().Counter("mlnclean_core_delta_loads_total",
 		"Full-clean seeds of an incremental delta engine.")
-	mDeltaApplies = obs.Default().Counter("mlnclean_core_delta_applies_total",
-		"Incremental mutation batches applied.")
 	mDeltaDirtyBlocks = obs.Default().Counter("mlnclean_core_delta_dirty_blocks_total",
 		"Rule blocks edited and re-cleaned by incremental applies.")
 	mDeltaReusedBlocks = obs.Default().Counter("mlnclean_core_delta_reused_blocks_total",
@@ -64,7 +62,7 @@ var (
 	mDeltaReusedTuples = obs.Default().Counter("mlnclean_core_delta_reused_tuples_total",
 		"Tuples whose cached fusion outcome incremental applies reused.")
 	mDeltaSeconds = obs.Default().Histogram("mlnclean_core_delta_apply_seconds",
-		"Wall time of one incremental mutation batch, mutation to new result.", obs.DefBuckets)
+		"Wall time of one incremental mutation batch, mutation to new result; its count is the batches applied.", obs.DefBuckets)
 
 	// The mlnclean_mem_* family makes the pipeline's memory behavior
 	// observable live: how many blocks are being cleaned and the process's

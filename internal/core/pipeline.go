@@ -72,12 +72,15 @@ const (
 // blockResult is what one runBlock call did to one block: the counters the
 // phases report, the owner's wall time each took, and the learner's error
 // if any. regrouped counts the groups learned and given an RSC winner:
-// every group of the block in a batch run, the redone ones in a delta
-// re-clean (DeltaCleaner.reclean).
+// every group of the block in a batch run; in a delta re-clean
+// (DeltaCleaner.reclean), the redone groups and the reweighed ones.
+// recollapsed counts the redone groups alone: copied, merged, learned,
+// RSC'd and collapsed.
 type blockResult struct {
 	abnormal, abnormalPieces, promotions int
 	agpPairs, agpFullScans               int
-	learnIters, repairs, regrouped       int
+	learnIters, repairs                  int
+	regrouped, recollapsed               int
 	agp, learn, rsc                      time.Duration
 	err                                  error
 }
@@ -99,7 +102,7 @@ func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases) (r blockR
 		return d
 	}
 	if ph&phaseAGP != 0 {
-		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, nil, opts.Trace)
+		r.abnormal, r.abnormalPieces, r.promotions, r.agpPairs, r.agpFullScans = agp(bi, b, opts.Tau, c, opts.MergeCapRatio, opts.Trace)
 		r.agp = lap()
 	}
 	if ph&phaseLearn != 0 {
@@ -109,8 +112,8 @@ func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases) (r blockR
 		r.learn = lap()
 	}
 	if ph&phaseRSC != 0 {
-		r.regrouped = len(b.Groups)
-		r.repairs = rsc(bi, b, c, opts.Trace)
+		r.regrouped, r.recollapsed = len(b.Groups), len(b.Groups)
+		r.repairs = rsc(bi, b, c, opts.Trace, nil)
 		r.rsc = lap()
 	}
 	mBlockSeconds.ObserveDuration(t.Sub(start))

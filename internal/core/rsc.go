@@ -27,8 +27,9 @@ import (
 // A group's winner reads only that group's pieces, so each contested group
 // is one crew item; the owner then records the rewrites in group order and
 // collapses the block once (index.Block.Collapse), which ends its build
-// layout.
-func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
+// layout. When nn is non-nil, nn[i] is where contested group i's
+// nearest-neighbour distances go, one per piece.
+func rsc(blockIdx int, b *index.Block, c crew, tr *Trace, nn [][]float64) int {
 	winners := make([]*index.Piece, len(b.Groups))
 	var contested []int
 	widest := 0
@@ -42,10 +43,14 @@ func rsc(blockIdx int, b *index.Block, c crew, tr *Trace) int {
 	}
 	nns := make([][]float64, c.size) // each participant's NN scratch
 	c.each(len(contested), func(p, i int, ev *distance.Evaluator) {
+		g := b.Groups[contested[i]]
+		if nn != nil {
+			winners[contested[i]] = rscWinner(g, ev, nn[contested[i]])
+			return
+		}
 		if nns[p] == nil {
 			nns[p] = make([]float64, widest)
 		}
-		g := b.Groups[contested[i]]
 		winners[contested[i]] = rscWinner(g, ev, nns[p][:len(g.Pieces)])
 	})
 	repairs := 0

@@ -39,7 +39,7 @@ func blockCopies(t *testing.T, ix *index.Index, opts Options, ev *distance.Evalu
 		for bi, b := range ix.Blocks {
 			c := index.BuildBlockFor(ix.Table(), ix.Encoded(), b.Rule)
 			if forRSC {
-				agp(bi, c, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, nil)
+				agp(bi, c, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil)
 				if _, err := learnBlockWeights(c, nil); err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +66,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 	k := 0
 	agpAllocs := testing.AllocsPerRun(runs, func() {
 		for bi, b := range agpIn[k] {
-			agp(bi, b, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, nil)
+			agp(bi, b, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil)
 		}
 		k++
 	})
@@ -74,7 +74,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 	k = 0
 	rscAllocs := testing.AllocsPerRun(runs, func() {
 		for bi, b := range rscIn[k] {
-			rsc(bi, b, soloCrew(ev), nil)
+			rsc(bi, b, soloCrew(ev), nil, nil)
 		}
 		k++
 	})
@@ -85,7 +85,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 	tr := &Trace{}
 	abnormal, promotions, contested, rewrites := 0, 0, 0, 0
 	for bi, b := range traced {
-		ab, _, pr, _, _ := agp(bi, b, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil, tr)
+		ab, _, pr, _, _ := agp(bi, b, opts.Tau, soloCrew(ev), opts.MergeCapRatio, tr)
 		abnormal, promotions = abnormal+ab, promotions+pr
 		if _, err := learnBlockWeights(b, nil); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 				contested++
 			}
 		}
-		rewrites += rsc(bi, b, soloCrew(ev), tr)
+		rewrites += rsc(bi, b, soloCrew(ev), tr, nil)
 	}
 	if abnormal < 50 || contested < 50 {
 		t.Fatalf("fixture not contested: %d abnormal groups, %d contested groups", abnormal, contested)

@@ -160,11 +160,7 @@ func (d *DeltaCleaner) mint() *Version {
 		v.stats.addBlock(&db.res)
 		v.weights[bi] = db.weights
 	}
-	for _, r := range d.fuseRes {
-		v.stats.FSCRCellChanges += int(r.changes)
-		v.stats.FusionFailures += int(r.failed)
-		v.stats.FusionTruncated += int(r.truncated)
-	}
+	v.stats.FSCRCellChanges, v.stats.FusionFailures, v.stats.FusionTruncated = d.sums.changes, d.sums.failed, d.sums.truncated
 
 	var parent *Version
 	var was []*rowChunk

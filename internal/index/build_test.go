@@ -632,8 +632,16 @@ func TestBlockEditorMatchesBuild(t *testing.T) {
 				}
 				curEnc := dataset.Encode(cur, d)
 				for ri, r := range f.rs {
-					if err := blockDiff(eds[ri].Block(), BuildBlockFor(cur, curEnc, r)); err != nil {
+					want := BuildBlockFor(cur, curEnc, r)
+					if err := blockDiff(eds[ri].Block(), want); err != nil {
 						t.Fatalf("step %d (tuple %d to %q): %v", step, id, to, err)
+					}
+					n := 0
+					for _, g := range want.Groups {
+						n += g.TupleCount()
+					}
+					if eds[ri].Len() != n {
+						t.Fatalf("step %d, rule %s: the editor counts %d tuples, the block holds %d", step, r.ID, eds[ri].Len(), n)
 					}
 					touched := eds[ri].Touched()
 					now := make(map[uint32]bool)

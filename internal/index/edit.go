@@ -34,6 +34,7 @@ type BlockEditor struct {
 	// rule is missing from it: one interned since matches rows.
 	pl     rulePlan
 	groups map[uint32]*Group // by group KeyID
+	n      int               // the tuples in the block
 	res    []uint32          // the result IDs of the row being keyed
 	// touched lists the KeyIDs of the groups whose pieces gained or lost a
 	// tuple since ClearTouched, made and emptied groups included, in move
@@ -54,13 +55,20 @@ func NewBlockEditor(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) *Blo
 	}
 	for _, g := range e.b.Groups {
 		e.groups[g.id] = g
+		e.n += g.TupleCount()
 	}
 	return e
 }
 
+// Len is the number of tuples in the kept block.
+func (e *BlockEditor) Len() int { return e.n }
+
 // Block is the kept block. It is the editor's own: callers read it and
 // write nothing into it.
 func (e *BlockEditor) Block() *Block { return &e.b }
+
+// Group is the kept block's group with the given KeyID, or nil.
+func (e *BlockEditor) Group(kid uint32) *Group { return e.groups[kid] }
 
 // Touched lists the KeyIDs of the groups whose pieces gained or lost a
 // tuple since the last ClearTouched, groups made or emptied included; a
@@ -185,6 +193,7 @@ func (e *BlockEditor) remove(id int, row []uint32) {
 		panic(fmt.Sprintf("index: block editor: tuple %d is not in its piece of rule %s", id, e.b.Rule.ID))
 	}
 	p.TupleIDs = slices.Delete(p.TupleIDs, i, i+1)
+	e.n--
 	switch {
 	case len(p.TupleIDs) == 0:
 		g.Pieces = slices.Delete(g.Pieces, pi, pi+1)
@@ -205,6 +214,7 @@ func (e *BlockEditor) remove(id int, row []uint32) {
 func (e *BlockEditor) add(id int, row []uint32) {
 	gk, kid := e.keys(row)
 	e.touched = append(e.touched, gk)
+	e.n++
 	g := e.groups[gk]
 	if p := piece(g, kid); p != nil {
 		gi, pi := find(e.b.Groups, groupFirst(g), groupFirst), find(g.Pieces, pieceFirst(p), pieceFirst)

@@ -295,11 +295,13 @@ func (b *Block) DropEmpty() {
 
 // Collapse is RSC's rewrite (§5.1.2) and the end of the block's build
 // layout: group i keeps only winners[i], which takes all of the group's
-// tuples — in ascending order where the group held several pieces. The
-// block is re-laid into new slabs, one allocation per kind, so nothing of
-// the build layout (the pieces RSC discards, the lists AGP's merges left
-// behind) outlives the call. Groups, pieces and their lists are copies:
-// pointers taken before the call do not see the collapsed block.
+// tuples — in ascending order where the group held several pieces. Every
+// piece's list ascends, so a group's lists are merged straight into the
+// tuple slab (mergeRuns). The block is re-laid into new slabs, one
+// allocation per kind, so nothing of the build layout (the pieces RSC
+// discards, the lists AGP's merges left behind) outlives the call. Groups,
+// pieces and their lists are copies: pointers taken before the call do not
+// see the collapsed block.
 func (b *Block) Collapse(winners []*Piece) {
 	nTuples, nIDs := 0, 0
 	for i, g := range b.Groups {
@@ -314,13 +316,8 @@ func (b *Block) Collapse(winners []*Piece) {
 	tuples := make([]int, 0, nTuples)
 	for i, g := range b.Groups {
 		at := len(tuples)
-		for _, p := range g.Pieces {
-			tuples = append(tuples, p.TupleIDs...)
-		}
+		tuples = mergeRuns(tuples, g.Pieces)
 		list := tuples[at:len(tuples):len(tuples)]
-		if len(g.Pieces) > 1 {
-			sort.Ints(list)
-		}
 		at = len(ids)
 		ids = append(ids, g.reason...)
 		reason := ids[at:len(ids):len(ids)]
@@ -334,6 +331,67 @@ func (b *Block) Collapse(winners []*Piece) {
 		ptrs[i] = &groups[i]
 	}
 	b.Groups = ptrs
+}
+
+// mergeRuns appends the union of the pieces' tuple lists, which share no
+// ID, to dst, within dst's capacity: in ascending order when there are
+// several. Each list after the first is merged in (mergeRun). A group of
+// more than mergeWays pieces is sorted instead, so a wide group does not
+// pay a merge pass per piece, and so is one whose merge does not come out
+// ascending: a list out of order, which neither the build nor an editor
+// leaves.
+func mergeRuns(dst []int, ps []*Piece) []int {
+	at := len(dst)
+	for k, p := range ps {
+		if k == 0 || len(ps) > mergeWays {
+			dst = append(dst, p.TupleIDs...)
+		} else {
+			dst = mergeRun(dst, at, p.TupleIDs)
+		}
+	}
+	if len(ps) > mergeWays || len(ps) > 1 && !slices.IsSorted(dst[at:]) {
+		sort.Ints(dst[at:])
+	}
+	return dst
+}
+
+// mergeRun merges the ascending run into dst[at:], ascending, within dst's
+// capacity: from the back, moving only the IDs above the run's.
+func mergeRun(dst []int, at int, run []int) []int {
+	i, end := len(dst)-1, len(dst)+len(run)
+	dst = dst[:end]
+	for j := len(run) - 1; j >= 0; end-- {
+		if i >= at && dst[i] > run[j] {
+			dst[end-1] = dst[i]
+			i--
+		} else {
+			dst[end-1] = run[j]
+			j--
+		}
+	}
+	return dst
+}
+
+// mergeWays is the most pieces whose lists mergeRuns merges.
+const mergeWays = 8
+
+// Reweigh gives each of gs, groups of one piece as Collapse leaves them,
+// new group and piece headers over the same reason, value IDs and tuple
+// list, the piece weighing ws[i]. Nothing reaches the groups given, so a
+// version that holds their pieces keeps their weights.
+func Reweigh(gs []*Group, ws []float64) []*Group {
+	groups := make([]Group, len(gs))
+	pieces := make([]Piece, len(gs))
+	slots := make([]*Piece, len(gs))
+	ptrs := make([]*Group, len(gs))
+	for i, g := range gs {
+		pieces[i] = *g.Pieces[0]
+		pieces[i].Weight = ws[i]
+		slots[i] = &pieces[i]
+		groups[i] = Group{Pieces: slots[i : i+1 : i+1], dict: g.dict, reason: g.reason, id: g.id}
+		ptrs[i] = &groups[i]
+	}
+	return ptrs
 }
 
 // Pieces returns all pieces of the block in deterministic order (group

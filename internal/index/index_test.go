@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -328,5 +329,49 @@ func TestPieceSummariesRoundTrip(t *testing.T) {
 			t.Errorf("duplicate summary identity %s", k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestMergeRunsMatchesSort: Collapse's merge of a group's ascending tuple
+// lists gives what sorting their concatenation gives, for groups of one to
+// a dozen pieces (past mergeWays, it sorts), with the lists interleaved,
+// nested and empty in every way a random split makes them; and each merge
+// step (mergeRun) keeps the merged prefix ascending on its own.
+func TestMergeRunsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for round := 0; round < 2000; round++ {
+		k := 1 + rng.Intn(12)
+		ids := rng.Perm(1 + rng.Intn(40))
+		ps := make([]*Piece, k)
+		for i := range ps {
+			ps[i] = &Piece{}
+		}
+		for _, id := range ids {
+			p := ps[rng.Intn(k)]
+			p.TupleIDs = append(p.TupleIDs, id)
+		}
+		var want []int
+		for _, p := range ps {
+			slices.Sort(p.TupleIDs)
+			want = append(want, p.TupleIDs...)
+		}
+		if k > 1 {
+			slices.Sort(want)
+		}
+		// A list already in the slab stays as it is.
+		dst := make([]int, 1, 1+len(ids))
+		dst[0] = -1
+		if got := mergeRuns(dst, ps); got[0] != -1 || !slices.Equal(got[1:], want) {
+			t.Fatalf("round %d: %d pieces merge to %v, want %v", round, k, got, want)
+		}
+		dst = append(dst[:1], ps[0].TupleIDs...)
+		for i, p := range ps[1:] {
+			if dst = mergeRun(dst, 1, p.TupleIDs); dst[0] != -1 || !slices.IsSorted(dst[1:]) {
+				t.Fatalf("round %d: merging piece %d gives %v", round, i+1, dst)
+			}
+		}
+		if !slices.Equal(dst[1:], want) {
+			t.Fatalf("round %d: merging one piece at a time gives %v, want %v", round, dst[1:], want)
+		}
 	}
 }

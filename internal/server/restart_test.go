@@ -24,10 +24,10 @@ import (
 // number of logged mutations, and only the latest version is resident after
 // it.
 
-// deltaCounts reads the engine's Load and Apply counters.
+// deltaCounts reads the engine's Load and Apply counts.
 func deltaCounts() (loads, applies int64) {
 	return obs.Default().Counter("mlnclean_core_delta_loads_total", "").Value(),
-		obs.Default().Counter("mlnclean_core_delta_applies_total", "").Value()
+		obs.Default().Histogram("mlnclean_core_delta_apply_seconds", "", obs.DefBuckets).Count()
 }
 
 // TestRestartLoadsOnce restores a session with 54 logged mutations, the last
