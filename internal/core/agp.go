@@ -35,7 +35,7 @@ type agpMemo struct {
 	// kept says the state describes the block as the last re-clean left
 	// it; a promotion, or a block with no normal group, drops it.
 	kept bool
-	keys []uint32 // the touched KeyIDs of the re-clean in progress
+	keys []uint32 // the touched KeyIDs of the re-clean in progress, unless it is whole
 }
 
 type agpBest struct {
@@ -416,23 +416,40 @@ func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, 
 			continue
 		}
 		src := b.Groups[si]
-		sids, best, bestD := dc.star.ValueIDs(), dc.best, dc.d
-		merged := best >= 0 && bestD <= mergeCap*float64(maxRuneLen(c.ev, sids, targets[best].ids))
-		p.abnormal++
-		p.abnormalPieces += len(src.Pieces)
+		d := search.judge(c.ev, dc.star, dc.best, dc.d, mergeCap)
+		p.source(src)
 		if tr != nil {
 			merge := agpRecord(blockIdx, b, src)
-			if merged {
-				merge.TargetKey = targets[best].g.Key()
+			if d.merged {
+				merge.TargetKey = targets[dc.best].g.Key()
 			}
 			tr.addAGP(merge)
 		}
-		if merged {
-			p.merge(len(b.Groups), si, normal[best])
+		if d.merged {
+			p.merge(len(b.Groups), si, normal[dc.best])
 		}
 	}
 	p.lay()
 	return p
+}
+
+// judge is the decision on a source whose γ⋆ is star, given its nearest
+// target best (−1 for none) at distance d: it merges into that target when
+// d is within mergeCap times the longer γ⋆'s length in runes.
+func (s *agpSearch) judge(ev *distance.Evaluator, star *index.Piece, best int, d, mergeCap float64) agpBest {
+	e := agpBest{srcKid: star.KeyID(), d: d}
+	if best >= 0 {
+		t := &s.targets[best]
+		e.target = t.g.KeyID()
+		e.merged = d <= mergeCap*float64(maxRuneLen(ev, star.ValueIDs(), t.ids))
+	}
+	return e
+}
+
+// source counts abnormal group g in the plan's counters.
+func (p *agpPlan) source(g *index.Group) {
+	p.abnormal++
+	p.abnormalPieces += len(g.Pieces)
 }
 
 // count adds what the searchers measured to the plan's costs.
@@ -459,19 +476,33 @@ func (p *agpPlan) count(searchers []*agpSearcher) {
 // agpDecide, which promotes one, and keeps no state.
 func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, mergeCap float64) (p agpPlan) {
 	b := e.Block()
-	keys := m.keys[:0]
+	var keys []uint32
 	if m.kept {
-		keys = append(keys, e.Touched()...)
+		keys = append(m.keys[:0], e.Touched()...)
 		slices.Sort(keys)
 		keys = slices.Compact(keys)
+		m.keys = keys
 	} else {
 		m.search, m.at, m.best = agpSearch{}, make(map[uint32]int32), make(map[uint32]agpBest)
-		for _, g := range b.Groups {
-			keys = append(keys, g.KeyID())
+		keys = make([]uint32, len(b.Groups))
+		for i, g := range b.Groups {
+			keys[i] = g.KeyID()
 		}
 		p.whole = true
 	}
-	m.keys = keys
+	// The targets are kept across re-cleans: make room for the new ones
+	// exactly.
+	added := 0
+	for _, k := range keys {
+		if _, was := m.at[k]; !was {
+			if g := e.Group(k); g != nil && g.TupleCount() > tau {
+				added++
+			}
+		}
+	}
+	if ts := m.search.targets; added > cap(ts)-len(ts) {
+		m.search.targets = append(make([]agpTarget, 0, len(ts)+added), ts...)
+	}
 
 	// Reclassify the touched groups. fresh names the targets new or with a
 	// new γ⋆, stale those gone or with a new γ⋆.
@@ -577,10 +608,7 @@ func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, me
 	})
 	p.count(searchers)
 	for _, j := range jobs {
-		tg := &m.search.targets[j.best]
-		sids := j.star.ValueIDs()
-		now := agpBest{srcKid: j.star.KeyID(), target: tg.g.KeyID(), d: j.d,
-			merged: j.d <= mergeCap*float64(maxRuneLen(c.ev, sids, tg.ids))}
+		now := m.search.judge(c.ev, j.star, j.best, j.d, mergeCap)
 		if was, ok := m.best[j.k]; !ok || was.merged != now.merged || now.merged && was.target != now.target {
 			p.reached = append(p.reached, was.owner(j.k), now.owner(j.k))
 		}
@@ -601,8 +629,7 @@ func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, me
 			at[t] = int32(i)
 			continue
 		}
-		p.abnormal++
-		p.abnormalPieces += len(g.Pieces)
+		p.source(g)
 		if d := m.best[g.KeyID()]; d.merged {
 			merged = append(merged, [2]int32{int32(i), m.at[d.target]})
 		}

@@ -174,9 +174,10 @@ func (k *keptAGP) sync(tb *dataset.Table, enc *dataset.Encoded, r *rules.Rule) {
 // ks, brought to tb, must give the same counters and, merged into a copy
 // of the kept block, the same block; and, when no group was promoted, so
 // the memo records them, the same per-source decisions. ks carries the
-// kept block and its AGP state across calls; nil takes a throwaway one,
-// whose decision must also measure what agp measured. The costs returned
-// are the delta decision's.
+// kept block and its AGP state across calls; nil takes a throwaway one. A
+// state not yet synced decides from scratch, so its decision must also
+// measure the pairs and full scans agp measured. The costs returned are the
+// delta decision's.
 func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *intern.Dict, r *rules.Rule, tau int, metric distance.Metric, mergeCap float64, ks *keptAGP) agpCost {
 	t.Helper()
 	enc := dataset.Encode(tb, dict)
@@ -197,10 +198,10 @@ func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *in
 		t.Fatalf("%s: block diverges:\ngot  %q\nscan %q", label, g, w)
 	}
 
-	fresh := ks == nil
-	if fresh {
+	if ks == nil {
 		ks = &keptAGP{}
 	}
+	fresh := ks.e == nil
 	ks.sync(tb, enc, r)
 	p := ks.memo.decide(3, ks.e, tau, c, mergeCap)
 	ks.e.ClearTouched()

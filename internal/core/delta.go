@@ -147,7 +147,7 @@ type deltaBlock struct {
 	// the block's LearnIterations and RSCRepairs, and what it is reweighed
 	// by when Σc moves.
 	steps []int32
-	picks []*pick
+	picks []pick
 	// total is the block's Σc at the last re-clean: while it holds, every
 	// group whose pieces are the same learns the same weights.
 	total int
@@ -804,7 +804,7 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 	// groups under their new headers, the others as the last re-clean left
 	// them.
 	b := &index.Block{Rule: kept.Rule, Groups: make([]*index.Group, 0, n)}
-	steps, held := make([]int32, 0, n), make([]*pick, 0, n)
+	steps, held := make([]int32, 0, n), make([]pick, 0, n)
 	old := db.lookup()
 	k = 0
 	contested := 0
@@ -813,7 +813,7 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 		case !p.stays(i):
 			continue
 		case redone(g):
-			st, pk := int32(0), (*pick)(nil)
+			st, pk := int32(0), pick(nil)
 			if len(pre[k].Pieces) > 1 {
 				st, pk = int32(in.steps[contested]), picks[contested]
 				contested++
@@ -835,7 +835,7 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 	for i := range steps {
 		r.learnIters = max(r.learnIters, int(steps[i]))
 		if held[i] != nil {
-			r.repairs += len(held[i].counts) - 1
+			r.repairs += held[i].width() - 1
 		}
 	}
 	laid := laidBytes(work.Groups)
@@ -874,36 +874,44 @@ func (db *deltaBlock) redo(p *agpPlan) map[uint32]bool {
 	return redo
 }
 
-// A pick is what a contested group's RSC leaves the re-cleans after it:
-// its pieces' counts in learn order, each piece's nearest-neighbour
-// distance, which piece won, and, per piece, whether the winner wins a
-// score tie against it (betterTie). None of it reads a weight, so while
-// the group holds the same pieces it learns its weights with any Σc, and
-// re-picks its winner as the argmax of count·NN·p, from its pick alone.
-type pick struct {
-	counts, nn []float64
-	beats      []bool
-	win        int
-}
+// A pick is what a contested group's RSC leaves the re-cleans after it, in
+// one slice: the index of the piece that won, then each piece's
+// nearest-neighbour distance, then each piece's count, pieces in learn
+// order. A count is negative where its piece, not the winner, would win a
+// score tie with the winner (betterTie). None of it reads a weight, so
+// while the group holds the same pieces it learns its weights with any Σc,
+// and re-picks its winner as the argmax of count·NN·p, from its pick alone.
+type pick []float64
+
+// width is how many pieces the group held.
+func (pk pick) width() int { return len(pk) / 2 }
+
+// win is the index of the piece that won.
+func (pk pick) win() int { return int(pk[0]) }
+
+// count is piece j's count.
+func (pk pick) count(j int) float64 { return math.Abs(pk[1+pk.width()+j]) }
 
 // holds reports whether the pick's winner still wins under the
 // probabilities probs, in learn order: as rscWinner scores each piece, no
-// other scores higher, or as high without losing the tie.
-func (pk *pick) holds(probs []float64) bool {
-	score := func(j int) float64 { return pk.counts[j] * pk.nn[j] * max(probs[j], minPieceWeight) }
-	top := score(pk.win)
-	for j := range pk.counts {
-		if s := score(j); j != pk.win && (s > top || s == top && !pk.beats[j]) {
+// other scores higher, or as high and winning the tie.
+func (pk pick) holds(probs []float64) bool {
+	w, win := pk.width(), pk.win()
+	nn, counts := pk[1:1+w], pk[1+w:]
+	score := func(j int) float64 { return math.Abs(counts[j]) * nn[j] * max(probs[j], minPieceWeight) }
+	top := score(win)
+	for j, c := range counts {
+		if s := score(j); j != win && (s > top || s == top && c < 0) {
 			return false
 		}
 	}
 	return true
 }
 
-// newPicks lays out, for the contested ones among the groups, RSC's
-// distance rows (nn, by group, nil for an uncontested one) and their picks,
-// in group order, with the counts filled in.
-func newPicks(gs []*index.Group) ([][]float64, []*pick) {
+// newPicks lays out, for the contested ones among the groups, their picks
+// in group order, with the counts filled in, in one slab, and RSC's
+// distance rows (nn, by group, nil for an uncontested one) inside them.
+func newPicks(gs []*index.Group) ([][]float64, []pick) {
 	ng, np := 0, 0
 	for _, g := range gs {
 		if len(g.Pieces) > 1 {
@@ -915,21 +923,19 @@ func newPicks(gs []*index.Group) ([][]float64, []*pick) {
 		return nil, nil
 	}
 	nn := make([][]float64, len(gs))
-	vals, beats := make([]float64, 2*np), make([]bool, np)
-	slab, picks := make([]pick, ng), make([]*pick, ng)
+	vals, picks := make([]float64, ng+2*np), make([]pick, ng)
 	k := 0
 	for i, g := range gs {
 		if len(g.Pieces) < 2 {
 			continue
 		}
 		w := len(g.Pieces)
-		pk := &slab[k]
-		pk.counts, pk.nn, pk.beats = vals[:w:w], vals[np:np+w:np+w], beats[:w:w]
-		vals, beats = vals[w:], beats[w:]
+		pk := pick(vals[: 1+2*w : 1+2*w])
+		vals = vals[1+2*w:]
 		for j, p := range g.Pieces {
-			pk.counts[j] = float64(p.Count())
+			pk[1+w+j] = float64(p.Count())
 		}
-		nn[i], picks[k] = pk.nn, pk
+		nn[i], picks[k] = pk[1:1+w], pk
 		k++
 	}
 	return nn, picks
@@ -937,7 +943,7 @@ func newPicks(gs []*index.Group) ([][]float64, []*pick) {
 
 // keepPicks completes the picks of the contested groups among pre, as RSC
 // found them, with the winners RSC kept in won.
-func keepPicks(pre, won []*index.Group, picks []*pick) {
+func keepPicks(pre, won []*index.Group, picks []pick) {
 	k := 0
 	for i, g := range pre {
 		if len(g.Pieces) < 2 {
@@ -945,9 +951,12 @@ func keepPicks(pre, won []*index.Group, picks []*pick) {
 		}
 		pk, kid := picks[k], won[i].Pieces[0].KeyID()
 		k++
-		pk.win = slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == kid })
+		win := slices.IndexFunc(g.Pieces, func(p *index.Piece) bool { return p.KeyID() == kid })
+		pk[0] = float64(win)
 		for j, p := range g.Pieces {
-			pk.beats[j] = j != pk.win && betterTie(g.Pieces[pk.win], p)
+			if j != win && !betterTie(g.Pieces[win], p) {
+				pk[1+len(g.Pieces)+j] = -pk[1+len(g.Pieces)+j]
+			}
 		}
 	}
 }
@@ -982,14 +991,16 @@ func (db *deltaBlock) reweigh(kept *index.Block, p *agpPlan, redo map[uint32]boo
 		o := old(g.KeyID())
 		rw = append(rw, reweighed{kid: g.KeyID(), o: o})
 		if pk := db.picks[o]; pk != nil {
-			np, ng = np+len(pk.counts), ng+1
+			np, ng = np+pk.width(), ng+1
 		}
 	}
 	in.reset(np, ng)
 	for _, e := range rw {
 		if pk := db.picks[e.o]; pk != nil {
-			in.counts = append(in.counts, pk.counts...)
-			in.group(len(pk.counts))
+			for j := range pk.width() {
+				in.counts = append(in.counts, pk.count(j))
+			}
+			in.group(pk.width())
 		}
 	}
 	if _, err := in.solve(p.total); err != nil {
@@ -1002,14 +1013,14 @@ func (db *deltaBlock) reweigh(kept *index.Block, p *agpPlan, redo map[uint32]boo
 		g := db.block.Groups[e.o]
 		w := g.Pieces[0].Weight
 		if pk := db.picks[e.o]; pk != nil {
-			probs := in.probs[at : at+len(pk.counts)]
-			at += len(pk.counts)
+			probs := in.probs[at : at+pk.width()]
+			at += pk.width()
 			k++
 			if !pk.holds(probs) {
 				redo[e.kid] = true
 				continue
 			}
-			e.steps, w = int32(in.steps[k-1]), max(probs[pk.win], minPieceWeight)
+			e.steps, w = int32(in.steps[k-1]), max(probs[pk.win()], minPieceWeight)
 		}
 		held = append(held, e)
 		gs, ws = append(gs, g), append(ws, w)
@@ -1021,22 +1032,24 @@ func (db *deltaBlock) reweigh(kept *index.Block, p *agpPlan, redo map[uint32]boo
 }
 
 // lookup returns a function that finds the group with the given KeyID in
-// the block the last re-clean left, by its index. Asked in the order of the
-// kept block, it mostly finds each group at most a few places after the
-// last one found, past the groups redone since; it indexes the block by
-// KeyID only when that fails.
+// the block the last re-clean left, by its index. A re-clean asks in the
+// order of the kept block, which the block the last re-clean left shares,
+// so each group lies past the last one found, beyond only groups redone or
+// gone since, and walking forward passes each group once. A walk that runs
+// off the end finds the order moved: from then on it indexes the block by
+// KeyID.
 func (db *deltaBlock) lookup() func(kid uint32) int {
 	next := 0
 	var at map[uint32]int
 	return func(kid uint32) int {
 		gs := db.block.Groups
-		for i := next; i < min(next+lookAhead, len(gs)); i++ {
-			if gs[i].KeyID() == kid {
-				next = i + 1
-				return i
-			}
-		}
 		if at == nil {
+			for i := next; i < len(gs); i++ {
+				if gs[i].KeyID() == kid {
+					next = i + 1
+					return i
+				}
+			}
 			at = make(map[uint32]int, len(gs))
 			for i, g := range gs {
 				at[g.KeyID()] = i
@@ -1046,14 +1059,9 @@ func (db *deltaBlock) lookup() func(kid uint32) int {
 		if !ok {
 			panic(fmt.Sprintf("core: delta: group %d of rule %s is reused but was not cleaned", kid, db.rule.ID))
 		}
-		next = i + 1
 		return i
 	}
 }
-
-// lookAhead is how far past the last group found lookup looks before it
-// indexes the block.
-const lookAhead = 8
 
 // laidBytes is what Collapse lays out for the groups: per group its
 // header, piece slot and piece, its reason and winner value IDs, and its

@@ -379,6 +379,59 @@ func TestRSCWinnerAllDistancesZero(t *testing.T) {
 	}
 }
 
+// TestPickHoldsMatchesRSC: a pick's winner holds under new probabilities
+// exactly when rscWinner, scoring the same pieces at those weights, picks
+// it again. Counts and probabilities are drawn from {1, 2} and {¼, ½}, so
+// scores often tie exactly and the tie falls to betterTie, which the pick
+// keeps in the sign of each count.
+func TestPickHoldsMatchesRSC(t *testing.T) {
+	d := intern.NewDict()
+	r := rules.MustParseStrings("FD: CT -> ST")[0]
+	ev := distance.NewEvaluator(distance.Levenshtein{}, d)
+	rng := rand.New(rand.NewSource(53))
+	vals := []string{"AL", "AK", "AZ", "ALA", "AR"}
+	ties := 0
+	for round := 0; round < 3000; round++ {
+		g := &index.Group{}
+		for _, j := range rng.Perm(len(vals))[:2+rng.Intn(3)] {
+			p := index.NewPiece(r, d, []string{"BOAZ"}, []string{vals[j]})
+			p.TupleIDs = make([]int, 1+rng.Intn(2))
+			g.Pieces = append(g.Pieces, p)
+		}
+		weigh := func() []float64 {
+			probs := make([]float64, len(g.Pieces))
+			for j, p := range g.Pieces {
+				probs[j] = []float64{0.25, 0.5}[rng.Intn(2)]
+				p.Weight = max(probs[j], minPieceWeight)
+			}
+			return probs
+		}
+		weigh()
+		nn, picks := newPicks([]*index.Group{g})
+		was := rscWinner(g, ev, nn[0])
+		keepPicks([]*index.Group{g}, []*index.Group{{Pieces: []*index.Piece{was}}}, picks)
+		probs := weigh()
+		score := make([]float64, len(g.Pieces))
+		now := rscWinner(g, ev, score)
+		for j, p := range g.Pieces {
+			score[j] = float64(p.Count()) * score[j] * p.Weight
+		}
+		w := slices.Index(g.Pieces, was)
+		for j := range score {
+			if j != w && score[j] == score[w] {
+				ties++
+				break
+			}
+		}
+		if got := picks[0].holds(probs); got != (now == was) {
+			t.Fatalf("round %d: pick of %d pieces holds = %v, RSC picks %q again = %v", round, len(g.Pieces), got, was.Values(), now == was)
+		}
+	}
+	if ties < 300 {
+		t.Fatalf("only %d rounds tie the old winner's score, want 300", ties)
+	}
+}
+
 // --- permuted-order determinism -----------------------------------------
 
 // permuteIndex shuffles group order within every block and piece order

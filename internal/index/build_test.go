@@ -332,11 +332,12 @@ func TestBlockEditsDoNotAlias(t *testing.T) {
 			}
 		}
 	}
-	// Appending to a carved list copies it.
+	// Appending to a carved list copies it. The IDs appended lie past every
+	// tuple's, so each list still ascends, as Collapse requires.
 	h := contested[3]
 	snap()
-	h.Pieces[0].TupleIDs = append(h.Pieces[0].TupleIDs, -1)
-	h.Pieces = append(h.Pieces, &Piece{TupleIDs: []int{-2}, ids: slices.Clone(h.Pieces[0].ids)})
+	h.Pieces[0].TupleIDs = append(h.Pieces[0].TupleIDs, len(tb.Tuples))
+	h.Pieces = append(h.Pieces, &Piece{TupleIDs: []int{len(tb.Tuples) + 1}, ids: slices.Clone(h.Pieces[0].ids)})
 	check("append", h)
 
 	snap()

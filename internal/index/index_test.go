@@ -334,7 +334,7 @@ func TestPieceSummariesRoundTrip(t *testing.T) {
 
 // TestMergeRunsMatchesSort: Collapse's merge of a group's ascending tuple
 // lists gives what sorting their concatenation gives, for groups of one to
-// a dozen pieces (past mergeWays, it sorts), with the lists interleaved,
+// a dozen pieces, with the lists interleaved,
 // nested and empty in every way a random split makes them; and each merge
 // step (mergeRun) keeps the merged prefix ascending on its own.
 func TestMergeRunsMatchesSort(t *testing.T) {
