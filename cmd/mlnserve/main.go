@@ -104,7 +104,7 @@ func run(addr, debugAddr string, cfg server.ManagerConfig) error {
 		slog.Info("mlnserve: recovered write-ahead log", "dir", cfg.DataDir,
 			"sessions_replayed", rec.SessionsReplayed, "sessions_tombstoned", rec.SessionsTombstoned,
 			"sessions_failed", rec.SessionsFailed, "cleans_restarted", rec.CleansRestarted,
-			"records", rec.Records, "truncated_bytes", rec.TruncatedBytes)
+			"records", rec.Records, "truncated_bytes", rec.TruncatedBytes, "wall_ms", rec.WallMS)
 	}
 	httpSrv := &http.Server{
 		Handler: srv,

@@ -72,17 +72,32 @@ type agpTarget struct {
 // ragged arity; a best no better than k·δ) every class is entered, which is
 // the plain scan over all targets.
 //
+// Targets repeat their values heavily (on CAR, 483 targets of FD: Model,
+// Type → Make hold 222 / 31 / 27 distinct values), so where the bound holds
+// (δ = 1: Levenshtein, whose distances are exact integers) a source measures
+// each distinct target value once, into a table per position, and sums a
+// target from its tables (agpSearcher.tabled) instead of measuring the
+// target whole. The distinct values per position (vals, ascending) and each
+// target's index among them (at) are read off the sorted postings.
+//
 // The classes come from per-position postings over the targets' value IDs,
 // built before the first source searches, and only when one will: a
 // re-clean whose sources all reuse a memoized decision never pays for them.
 // The delta engine keeps them across re-cleans and files or unfiles only
-// the targets that moved. The targets and postings are read-only while
-// sources search, so any number of searchers share them, each with its own
-// evaluator and scratch.
+// the targets that moved; a move drops the value lists, which the next
+// search derives again from the postings (ready). The targets, postings and
+// value lists are read-only while sources search, so any number of
+// searchers share them, each with its own evaluator, tables and scratch.
 type agpSearch struct {
 	targets []agpTarget
 	arity   int            // the targets' common γ⋆ arity; −1 when they differ
 	post    [][]agpPosting // one run per position, sorted by id; nil until built
+	// vals holds each position's distinct target values, ascending, one
+	// position after another; at[t·arity+p] is the index in vals of target
+	// t's value at p; order lists the positions by ascending count of
+	// distinct values. All three live in slab; nil vals means not derived.
+	vals, at, order []uint32
+	slab            []uint32
 }
 
 type agpPosting struct {
@@ -111,6 +126,55 @@ func (s *agpSearch) build() {
 		})
 		s.post[p] = run
 	}
+	s.tabulate()
+}
+
+// tabulate derives vals, at and order from the postings, reusing the slab.
+func (s *agpSearch) tabulate() {
+	k, n := s.arity, len(s.targets)
+	d := 0
+	for _, run := range s.post {
+		for i := range run {
+			if i == 0 || run[i].id != run[i-1].id {
+				d++
+			}
+		}
+	}
+	need := 2*k + k*n + d
+	if cap(s.slab) < need {
+		s.slab = make([]uint32, need)
+	}
+	slab := s.slab[:need]
+	order, first, at, vals := slab[:k], slab[k:2*k], slab[2*k:2*k+k*n], slab[2*k+k*n:]
+	j := uint32(0)
+	for p, run := range s.post {
+		order[p], first[p] = uint32(p), j
+		for i, e := range run {
+			if i == 0 || e.id != run[i-1].id {
+				vals[j] = e.id
+				j++
+			}
+			at[int(e.target)*k+p] = j - 1
+		}
+	}
+	distinct := func(p uint32) uint32 {
+		if int(p) == k-1 {
+			return j - first[p]
+		}
+		return first[p+1] - first[p]
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Or(cmp.Compare(distinct(a), distinct(b)), cmp.Compare(a, b)) })
+	s.vals, s.at, s.order = vals, at, order
+}
+
+// ready makes the search ready for a source to search: it builds the
+// postings, or derives the value lists again after a target moved.
+func (s *agpSearch) ready() {
+	if s.post == nil {
+		s.build()
+	} else if s.vals == nil {
+		s.tabulate()
+	}
 }
 
 // posting is where target t's posting for value id sits in run, which
@@ -130,6 +194,7 @@ func (s *agpSearch) file(t int32) {
 	if s.post == nil {
 		return
 	}
+	s.vals = nil
 	ids := s.targets[t].ids
 	if len(ids) != s.arity {
 		s.post = nil
@@ -147,6 +212,7 @@ func (s *agpSearch) unfile(t int32) {
 	if s.post == nil {
 		return
 	}
+	s.vals = nil
 	for p, id := range s.targets[t].ids {
 		i := posting(s.post[p], id, t)
 		s.post[p] = slices.Delete(s.post[p], i, i+1)
@@ -154,7 +220,7 @@ func (s *agpSearch) unfile(t int32) {
 }
 
 // agpSearcher is one participant's view of a shared agpSearch: its own
-// evaluator, scratch and cost counters.
+// evaluator, tables, scratch and cost counters.
 type agpSearcher struct {
 	*agpSearch
 	ev *distance.Evaluator
@@ -162,24 +228,73 @@ type agpSearcher struct {
 	// source's value; touched lists the targets with a non-zero count.
 	shared  []int32
 	touched []int32
+	// dist[j] is the current source's distance to vals[j] at its position,
+	// or −1 while unmeasured; filled lists the j measured.
+	dist   []float64
+	filled []int32
 
-	pairs     int // γ⋆ pairs measured
+	pairs     int // γ⋆ pairs judged
 	fullScans int // sources that went on to the targets sharing nothing
+	dists     int // table entries measured
+}
+
+// searcher returns a searcher over s with room for its targets and tables.
+func (s *agpSearch) searcher(ev *distance.Evaluator) *agpSearcher {
+	n, d := len(s.targets), len(s.vals)
+	scratch := make([]int32, n+d)
+	dist := make([]float64, d)
+	for j := range dist {
+		dist[j] = -1
+	}
+	return &agpSearcher{agpSearch: s, ev: ev, shared: scratch[:n:n], dist: dist, filled: scratch[n : n : n+d]}
 }
 
 // challenge measures target i against the running best and returns the
-// better of the two. Strictly nearer wins; an exact distance tie falls to
-// the smaller reason under CompareKeys, never to the order targets are
-// measured in.
-// The bounded evaluator returns a distance equal to its bound exactly (it
-// only clips strictly past it), so clipping cannot hide a tie.
+// better of the two. The bounded evaluator returns a distance equal to its
+// bound exactly (it only clips strictly past it), so clipping cannot hide a
+// tie.
 func (s *agpSearcher) challenge(sids []uint32, i, best int, bestD float64) (int, float64) {
 	s.pairs++
-	d := s.ev.ValuesBounded(sids, s.targets[i].ids, bestD)
+	return s.better(i, s.ev.ValuesBounded(sids, s.targets[i].ids, bestD), best, bestD)
+}
+
+// better judges target i at distance d against the running best. Strictly
+// nearer wins; an exact distance tie falls to the smaller reason under
+// CompareKeys, never to the order targets are measured in.
+func (s *agpSearcher) better(i int, d float64, best int, bestD float64) (int, float64) {
 	if d < bestD || (d == bestD && best >= 0 && compareGroups(s.targets[i].g, s.targets[best].g) < 0) {
 		return i, d
 	}
 	return best, bestD
+}
+
+// tabled is challenge summed from the source's tables, positions with the
+// fewest distinct values first, dropping the target once the partial sum
+// passes the best. An entry is measured the first time a target needs it,
+// capped at the running best and past the evaluator's memo (the table is
+// this source's memo): one clipped past that cap stays past every later
+// best, which only falls, so it drops every target that holds it. A target
+// that survives has every entry exact, and Levenshtein distances are
+// integers, so its sum is the same float in any order: it is judged on the
+// distance challenge would see.
+func (s *agpSearcher) tabled(sids []uint32, i, best int, bestD float64) (int, float64) {
+	s.pairs++
+	at := s.at[i*s.arity : (i+1)*s.arity]
+	d := 0.0
+	for _, p := range s.order {
+		j := at[p]
+		e := s.dist[j]
+		if e < 0 {
+			e = s.ev.Bounded(sids[p], s.vals[j], bestD)
+			s.dist[j] = e
+			s.filled = append(s.filled, int32(j))
+			s.dists++
+		}
+		if d += e; d > bestD {
+			return best, bestD
+		}
+	}
+	return s.better(i, d, best, bestD)
 }
 
 // nearest returns the (distance, reason) minimum over all targets: the
@@ -199,7 +314,11 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 	if k != s.arity {
 		delta = 0
 	}
+	measure := s.challenge
 	if delta > 0 {
+		if s.vals != nil {
+			measure = s.tabled
+		}
 		for p, id := range sids {
 			run := s.post[p]
 			at, _ := slices.BinarySearchFunc(run, id, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
@@ -216,7 +335,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 		if m > 0 {
 			for _, t := range s.touched {
 				if s.shared[t] == int32(m) {
-					best, bestD = s.challenge(sids, int(t), best, bestD)
+					best, bestD = measure(sids, int(t), best, bestD)
 				}
 			}
 			continue
@@ -224,7 +343,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 		s.fullScans++
 		for i := 0; i < n; i++ {
 			if len(s.touched) == 0 || s.shared[i] == 0 {
-				best, bestD = s.challenge(sids, i, best, bestD)
+				best, bestD = measure(sids, i, best, bestD)
 			}
 		}
 	}
@@ -232,6 +351,10 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 		s.shared[t] = 0
 	}
 	s.touched = s.touched[:0]
+	for _, j := range s.filled {
+		s.dist[j] = -1
+	}
+	s.filled = s.filled[:0]
 	return best, bestD
 }
 
@@ -255,7 +378,7 @@ type agpPlan struct {
 	reached []uint32
 	whole   bool
 
-	abnormal, abnormalPieces, promotions, pairs, fullScans int
+	abnormal, abnormalPieces, promotions, pairs, fullScans, dists int
 }
 
 // stays reports whether group i is a group of the block after AGP.
@@ -314,7 +437,7 @@ func (p *agpPlan) lay() {
 // agp runs Abnormal Group Processing (§5.1.1) on one block: agpDecide, then
 // agpMerge. Returns the number of abnormal groups detected, the total γ
 // count inside them (#dag), the number of promotions (0 or 1), and what the
-// search cost: γ⋆ pairs measured and sources that had to scan the targets
+// search cost: γ⋆ pairs judged and sources that had to scan the targets
 // they share no value with.
 func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, tr *Trace) (abnormal, abnormalPieces, promotions, pairs, fullScans int) {
 	p := agpDecide(blockIdx, b, tau, c, mergeCap, tr)
@@ -404,7 +527,7 @@ func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, 
 			return
 		}
 		if searchers[w] == nil {
-			searchers[w] = &agpSearcher{agpSearch: &search, ev: ev, shared: make([]int32, len(targets))}
+			searchers[w] = search.searcher(ev)
 		}
 		dc.best, dc.d = searchers[w].nearest(dc.star.ValueIDs())
 	})
@@ -458,6 +581,7 @@ func (p *agpPlan) count(searchers []*agpSearcher) {
 		if s != nil {
 			p.pairs += s.pairs
 			p.fullScans += s.fullScans
+			p.dists += s.dists
 		}
 	}
 }
@@ -578,8 +702,8 @@ func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, me
 	for _, j := range jobs {
 		searching = searching || !j.reuse
 	}
-	if searching && m.search.post == nil {
-		m.search.build()
+	if searching {
+		m.search.ready()
 	}
 	challengers := make([]int, len(fresh))
 	for i, k := range fresh {
@@ -590,9 +714,10 @@ func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, me
 		j := &jobs[k]
 		s := searchers[w]
 		if s == nil {
-			s = &agpSearcher{agpSearch: &m.search, ev: ev}
 			if searching {
-				s.shared = make([]int32, len(m.search.targets))
+				s = m.search.searcher(ev)
+			} else {
+				s = &agpSearcher{agpSearch: &m.search, ev: ev}
 			}
 			searchers[w] = s
 		}

@@ -479,6 +479,136 @@ func TestAGPSearchMatchesScanRandom(t *testing.T) {
 	}
 }
 
+// TestAGPTableSearchMatchesScan: a search through the per-position
+// distance tables returns what the class search returns when it challenges
+// every target of every class it enters — the same target at the
+// bit-identical distance, after the same pairs and full scans — and both
+// return the exhaustive scan's (distance, reason) minimum. Each position
+// draws from two to four values, so targets repeat values heavily and
+// distances tie, which only compareGroups settles; some values hold U+FFFD
+// (δ = 0 for a source holding one), some rounds give a target a γ⋆ of
+// another arity or run cosine, and between searches a kept agpMemo's targets
+// move through file, unfile and drop, as the delta engine moves them.
+func TestAGPTableSearchMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	words := []string{"a", "b", "ab", "ba", "abc", "cab", "bca", "\xff", "\ufffd"}
+	rule := rules.MustParseStrings("FD: R -> V")[0]
+	var searches, tabled, ties int
+	for round := 0; round < 150; round++ {
+		dict := intern.NewDict()
+		var metric distance.Metric = distance.Levenshtein{}
+		if round%5 == 4 {
+			metric = distance.Cosine{}
+		}
+		// Groups with distinct reasons to hang the targets on, in no order.
+		rows := make([][]string, 48)
+		for i := range rows {
+			rows[i] = []string{fmt.Sprintf("g%02d", i), "v"}
+		}
+		tb := agpTable([]string{"R", "V"}, rows, slices.Repeat([]int{1}, len(rows)))
+		groups := index.BuildBlockFor(tb, dataset.Encode(tb, dict), rule).Groups
+		rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
+		k := 1 + rng.Intn(4)
+		pool := make([][]uint32, k+1)
+		for p := range pool {
+			for range 2 + rng.Intn(3) {
+				w := words[rng.Intn(7)]
+				if rng.Intn(15) == 0 {
+					w = words[7+rng.Intn(2)]
+				}
+				pool[p] = append(pool[p], dict.Intern(w))
+			}
+		}
+		draw := func(width int) []uint32 {
+			ids := make([]uint32, width)
+			for p := range ids {
+				ids[p] = pool[p][rng.Intn(len(pool[p]))]
+			}
+			return ids
+		}
+		gamma := func() []uint32 {
+			if round%7 == 6 && rng.Intn(4) == 0 {
+				return draw(k + 1 - 2*rng.Intn(2)) // ragged: one wider or narrower
+			}
+			return draw(k)
+		}
+
+		m := agpMemo{at: make(map[uint32]int32)}
+		next := 0
+		add := func() {
+			g := groups[next]
+			next++
+			m.at[g.KeyID()] = int32(len(m.search.targets))
+			m.search.targets = append(m.search.targets, agpTarget{g: g, ids: gamma()})
+			m.search.file(int32(len(m.search.targets) - 1))
+		}
+		for n := 4 + rng.Intn(len(groups)/2); next < n; {
+			add()
+		}
+		for step := 0; step < 8; step++ {
+			if step > 0 {
+				switch t := int32(rng.Intn(len(m.search.targets))); {
+				case rng.Intn(3) == 0 && next < len(groups):
+					add()
+				case rng.Intn(2) == 0 && len(m.search.targets) > 1:
+					m.drop(m.search.targets[t].g.KeyID(), t)
+				default:
+					m.search.unfile(t)
+					m.search.targets[t].ids = gamma()
+					m.search.file(t)
+				}
+			}
+			m.search.ready()
+			plain := m.search
+			plain.vals = nil
+			ts := m.search.searcher(distance.NewEvaluator(metric, dict))
+			ps := plain.searcher(distance.NewEvaluator(metric, dict))
+			ev, dists := distance.NewEvaluator(metric, dict), 0
+			for range 12 {
+				sids := draw(k)
+				got, gotD := ts.nearest(sids)
+				want, wantD := ps.nearest(sids)
+				if got != want || math.Float64bits(gotD) != math.Float64bits(wantD) {
+					t.Fatalf("round %d step %d: source %v: tables found target %d at %v, the class scan %d at %v",
+						round, step, sids, got, gotD, want, wantD)
+				}
+				// The exhaustive scan in target order; settled says a later
+				// target took the minimum on its reason alone.
+				best, bestD, settled := -1, math.Inf(1), false
+				for i, tg := range m.search.targets {
+					d := ev.ValuesBounded(sids, tg.ids, math.Inf(1))
+					switch {
+					case d < bestD:
+						best, bestD, settled = i, d, false
+					case d == bestD && compareGroups(tg.g, m.search.targets[best].g) < 0:
+						best, settled = i, true
+					}
+				}
+				if best != want || bestD != wantD {
+					t.Fatalf("round %d step %d: source %v: class scan found target %d at %v, the exhaustive scan %d at %v",
+						round, step, sids, want, wantD, best, bestD)
+				}
+				if settled && ts.dists > dists {
+					ties++
+				}
+				dists = ts.dists
+			}
+			if ts.pairs != ps.pairs || ts.fullScans != ps.fullScans {
+				t.Fatalf("round %d step %d: tables judged %d pairs with %d full scans, the class scan %d with %d",
+					round, step, ts.pairs, ts.fullScans, ps.pairs, ps.fullScans)
+			}
+			if ts.dists > 0 {
+				tabled++
+			}
+			searches++
+		}
+	}
+	t.Logf("%d of %d searcher sets used the tables; %d sources through them had a tie only a reason settled", tabled, searches, ties)
+	if ties < 100 || tabled < searches/2 {
+		t.Errorf("the grid must exercise the tables and the ties in them")
+	}
+}
+
 // TestAGPMemoRebuildSequence drives one kept block through a sequence of
 // edits with a persistent AGP state, the way a DeltaCleaner does: every
 // re-clean mixes sources with a reusable decision, targets that moved, and
@@ -577,7 +707,26 @@ func haiBlocks(tb testing.TB) *index.Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.15, ReplacementRatio: 0.5, Seed: seed*1_000_003 + 17})
+	return laneBlocks(tb, truth, rs, 0.15, seed)
+}
+
+// carBlocks builds the index of the benchmark's solo-car lane 0 at seed 42:
+// CAR 30,000 rows, 5 % errors.
+func carBlocks(tb testing.TB) *index.Index {
+	tb.Helper()
+	const seed = 4200
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: 30000, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return laneBlocks(tb, truth, rs, 0.05, seed)
+}
+
+// laneBlocks injects errors into truth as the benchmark's lane of that seed
+// does and indexes the dirty table.
+func laneBlocks(tb testing.TB, truth *dataset.Table, rs []*rules.Rule, rate float64, seed int64) *index.Index {
+	tb.Helper()
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: rate, ReplacementRatio: 0.5, Seed: seed*1_000_003 + 17})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -588,26 +737,39 @@ func haiBlocks(tb testing.TB) *index.Index {
 	return ix
 }
 
-// BenchmarkAGPBlock runs AGP (τ = 3) over every block of the HAI 300×14
-// table with one cold evaluator, as one worker of a clean would: ns/op is per
-// pass over the table, pairs/op and fullscans/op what the search measured.
-// Rebuilding the index AGP consumed is outside the timer.
+// BenchmarkAGPBlock runs AGP over every block of a benchmark lane's table
+// with one cold evaluator, as one worker of a clean would: hai is solo-hai's
+// HAI 300×14 at τ = 3, car solo-car's CAR 30k at τ = 2. ns/op is per pass
+// over the table; pairs/op counts the γ⋆ pairs judged, fullscans/op the
+// sources that reached the targets sharing nothing with them, and dists/op
+// the distances the per-position tables measured. Rebuilding the index AGP
+// consumed is outside the timer.
 func BenchmarkAGPBlock(b *testing.B) {
-	opts := Options{Tau: 3}.withDefaults()
-	var sources, pairs, fullScans int
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
-		b.StopTimer()
-		ix := haiBlocks(b)
-		b.StartTimer()
-		sources, pairs, fullScans = 0, 0, 0
-		ev := distance.NewEvaluator(opts.Metric, ix.Dict())
-		for bi, blk := range ix.Blocks {
-			ab, _, _, p, f := agp(bi, blk, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil)
-			sources, pairs, fullScans = sources+ab, pairs+p, fullScans+f
-		}
+	for _, lane := range []struct {
+		name   string
+		tau    int
+		blocks func(testing.TB) *index.Index
+	}{{"hai", 3, haiBlocks}, {"car", 2, carBlocks}} {
+		b.Run(lane.name, func(b *testing.B) {
+			opts := Options{Tau: lane.tau}.withDefaults()
+			var sources, pairs, fullScans, dists int
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				ix := lane.blocks(b)
+				b.StartTimer()
+				sources, pairs, fullScans, dists = 0, 0, 0, 0
+				ev := distance.NewEvaluator(opts.Metric, ix.Dict())
+				for bi, blk := range ix.Blocks {
+					p := agpDecide(bi, blk, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil)
+					agpMerge(blk, &p)
+					sources, pairs, fullScans, dists = sources+p.abnormal, pairs+p.pairs, fullScans+p.fullScans, dists+p.dists
+				}
+			}
+			b.ReportMetric(float64(sources), "sources/op")
+			b.ReportMetric(float64(pairs), "pairs/op")
+			b.ReportMetric(float64(fullScans), "fullscans/op")
+			b.ReportMetric(float64(dists), "dists/op")
+		})
 	}
-	b.ReportMetric(float64(sources), "sources/op")
-	b.ReportMetric(float64(pairs), "pairs/op")
-	b.ReportMetric(float64(fullScans), "fullscans/op")
 }

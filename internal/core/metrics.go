@@ -32,7 +32,7 @@ var (
 	mAGPPromotions = obs.Default().Counter("mlnclean_core_agp_promotions_total",
 		"Abnormal groups promoted to normal (no merge target).")
 	mAGPPairs = obs.Default().Counter("mlnclean_core_agp_pairs_total",
-		"γ⋆ pairs AGP's nearest-group search measured.")
+		"γ⋆ pairs AGP's nearest-group search judged; a pair summed from a source's distance tables may run no distance kernel.")
 	mAGPFullScans = obs.Default().Counter("mlnclean_core_agp_full_scans_total",
 		"Abnormal groups whose search had to go on to the normal groups they share no value with.")
 	mRSCRewrites = obs.Default().Counter("mlnclean_core_rsc_rewrites_total",

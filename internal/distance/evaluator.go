@@ -181,6 +181,19 @@ func (e *Evaluator) Exact(a, b uint32) float64 {
 	return e.compute(a, b, maxEditBound)
 }
 
+// Bounded is PairBounded without the memo, neither read nor filled: for
+// AGP's per-source distance tables, which measure each value pair once per
+// source and would fill the memo with pairs only that source looks up.
+func (e *Evaluator) Bounded(a, b uint32, bound float64) float64 {
+	if a == b {
+		return 0
+	}
+	if e.kind != kindLev {
+		return e.compute(a, b, 0)
+	}
+	return e.compute(a, b, intBound(bound))
+}
+
 // PairBounded returns the exact distance when it is ≤ bound, and some value
 // > bound otherwise (Levenshtein abandons the DP early; other metrics always
 // compute exactly). Only exact results are memoized.

@@ -104,8 +104,19 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 					}
 				}
 			}
+			// Bounded is PairBounded's contract without the memo: exact up
+			// to its bound, past it otherwise.
+			for i := range vals {
+				for j := range vals {
+					bound := float64(rng.Intn(6))
+					got, want := fresh.Bounded(ids[i], ids[j], bound), refDistance(m, vals[i], vals[j])
+					if want <= bound && got != want || want > bound && got <= bound {
+						t.Fatalf("Bounded(%q,%q,%v) = %v, exact %v", vals[i], vals[j], bound, got, want)
+					}
+				}
+			}
 			if len(fresh.memo) != 0 {
-				t.Errorf("Exact left %d memo entries", len(fresh.memo))
+				t.Errorf("Exact and Bounded left %d memo entries", len(fresh.memo))
 			}
 		})
 	}
@@ -235,6 +246,7 @@ func TestBoundedAllocFree(t *testing.T) {
 	run := func() {
 		for i := 0; i < len(ids); i += 2 {
 			e.Exact(ids[i], ids[i+1])
+			e.Bounded(ids[i], ids[i+1], 2)
 			e.PairBounded(ids[i], ids[i+1], 2)
 		}
 	}

@@ -314,11 +314,15 @@ type RecoverySummary struct {
 	// TruncatedBytes is the corrupt/torn tail recovery cut off, zero for a
 	// clean shutdown.
 	TruncatedBytes int64 `json:"truncated_bytes"`
+	// WallMS is the replay's wall time in milliseconds: opening and folding
+	// the log, and rebuilding every session it restored (one Load per done
+	// session). Interrupted cleans it restarted run after it, as any clean.
+	WallMS float64 `json:"wall_ms"`
 }
 
 func (r *RecoverySummary) String() string {
-	return fmt.Sprintf("sessions replayed=%d tombstoned=%d failed=%d cleans restarted=%d records=%d truncated bytes=%d",
-		r.SessionsReplayed, r.SessionsTombstoned, r.SessionsFailed, r.CleansRestarted, r.Records, r.TruncatedBytes)
+	return fmt.Sprintf("sessions replayed=%d tombstoned=%d failed=%d cleans restarted=%d records=%d truncated bytes=%d wall=%.1fms",
+		r.SessionsReplayed, r.SessionsTombstoned, r.SessionsFailed, r.CleansRestarted, r.Records, r.TruncatedBytes, r.WallMS)
 }
 
 // openWAL opens (or disables) durability for a manager config: an injected

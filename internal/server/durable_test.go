@@ -237,6 +237,9 @@ func TestServeRestartEndToEnd(t *testing.T) {
 	if rec.SessionsReplayed != 2 || rec.SessionsTombstoned != 1 || rec.CleansRestarted != 0 {
 		t.Fatalf("recovery = %+v, want 2 replayed / 1 tombstoned / 0 restarted cleans", rec)
 	}
+	if rec.WallMS <= 0 {
+		t.Errorf("recovery = %+v: a replay that rebuilt two sessions took no wall time", rec)
+	}
 	if rec.TruncatedBytes != 0 {
 		t.Fatalf("graceful shutdown left %d truncated bytes", rec.TruncatedBytes)
 	}
@@ -276,8 +279,8 @@ func TestServeRestartEndToEnd(t *testing.T) {
 	if code := c2.do("GET", "/v1/stats", nil, &stats); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
-	if stats.Recovery == nil || stats.Recovery.SessionsReplayed != 2 {
-		t.Errorf("stats recovery = %+v, want the startup summary", stats.Recovery)
+	if stats.Recovery == nil || stats.Recovery.SessionsReplayed != 2 || stats.Recovery.WallMS != rec.WallMS {
+		t.Errorf("stats recovery = %+v, want the startup summary %+v", stats.Recovery, rec)
 	}
 
 	// Double close after replay: the first wins, the second is a clean 404.

@@ -400,6 +400,7 @@ func (m *Manager) Recovery() *RecoverySummary { return m.rec }
 // live world. Sessions restore in creation order; restored sessions do not
 // count against MaxSessions (they were admitted before the restart).
 func (m *Manager) replay(fs wal.FS) error {
+	t0 := time.Now()
 	// The Validate hook decodes every surviving record, in log order, and
 	// truncates at the first it cannot: what it decoded is the tail to fold.
 	var tail []Record
@@ -459,6 +460,7 @@ func (m *Manager) replay(fs wal.FS) error {
 			sum.CleansRestarted++
 		}
 	}
+	sum.WallMS = float64(time.Since(t0).Microseconds()) / 1000
 	return nil
 }
 
