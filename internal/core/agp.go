@@ -68,34 +68,33 @@ type agpTarget struct {
 // the class of every target the source shares nothing with — and the search
 // stops before a class whose lower bound (k−m)·δ the running best is already
 // strictly under: nothing left can win, or even tie into the key comparison.
-// Where the bound says nothing (δ = 0: cosine or a custom metric; targets of
-// ragged arity; a best no better than k·δ) every class is entered, which is
-// the plain scan over all targets.
+// Where the bound says nothing (δ = 0: cosine, a custom metric or a source
+// value holding U+FFFD; a best no better than k·δ) every class is entered,
+// which is the plain scan over all targets.
 //
 // Targets repeat their values heavily (on CAR, 483 targets of FD: Model,
-// Type → Make hold 222 / 31 / 27 distinct values), so where the bound holds
-// (δ = 1: Levenshtein, whose distances are exact integers) a source measures
-// each distinct target value once, into a table per position, and sums a
-// target from its tables (agpSearcher.tabled) instead of measuring the
-// target whole. The distinct values per position (vals, ascending) and each
-// target's index among them (at) are read off the sorted postings.
+// Type → Make hold 222 / 31 / 27 distinct values), so a source measures each
+// distinct target value once, into a table per position, and sums every
+// target it judges from its tables (agpSearcher.tabled) instead of
+// measuring the target whole. The distinct values per position (vals,
+// ascending) and each target's index among them (at) are read off the
+// sorted postings. Every piece of a rule's block has the rule's arity, so
+// every γ⋆, a source's or a target's, has the same positions.
 //
-// The classes come from per-position postings over the targets' value IDs,
-// built before the first source searches, and only when one will: a
-// re-clean whose sources all reuse a memoized decision never pays for them.
-// The delta engine keeps them across re-cleans and files or unfiles only
-// the targets that moved; a move drops the value lists, which the next
-// search derives again from the postings (ready). The targets, postings and
-// value lists are read-only while sources search, so any number of
-// searchers share them, each with its own evaluator, tables and scratch.
+// The postings are built before the first source is decided (ready). The
+// delta engine keeps them across re-cleans and files or unfiles only the
+// targets that moved; a move drops the value lists, which the next decision
+// derives again from the postings. The targets, postings and value lists
+// are read-only while sources are decided (run), so any number of searchers
+// share them, each with its own evaluator, tables and scratch.
 type agpSearch struct {
 	targets []agpTarget
-	arity   int            // the targets' common γ⋆ arity; −1 when they differ
+	arity   int            // every γ⋆'s arity
 	post    [][]agpPosting // one run per position, sorted by id; nil until built
 	// vals holds each position's distinct target values, ascending, one
 	// position after another; at[t·arity+p] is the index in vals of target
-	// t's value at p; order lists the positions by ascending count of
-	// distinct values. All three live in slab; nil vals means not derived.
+	// t's value at p; order lists the positions in the order a table sum
+	// adds them. All three live in slab; nil vals means not derived.
 	vals, at, order []uint32
 	slab            []uint32
 }
@@ -105,14 +104,8 @@ type agpPosting struct {
 	target int32
 }
 
-func (s *agpSearch) build() {
+func (s *agpSearch) build(integral bool) {
 	s.arity = len(s.targets[0].ids)
-	for i := range s.targets {
-		if len(s.targets[i].ids) != s.arity {
-			s.arity = -1
-			return
-		}
-	}
 	n := len(s.targets)
 	slab := make([]agpPosting, s.arity*n)
 	s.post = make([][]agpPosting, s.arity)
@@ -126,11 +119,16 @@ func (s *agpSearch) build() {
 		})
 		s.post[p] = run
 	}
-	s.tabulate()
+	s.tabulate(integral)
 }
 
 // tabulate derives vals, at and order from the postings, reusing the slab.
-func (s *agpSearch) tabulate() {
+// Where every distance is an exact integer (integral), a sum is the same
+// float in any order, and order lists the positions with the fewest
+// distinct values first, so a target that loses is dropped after the
+// fewest distances; under any other metric it is position order, the order
+// every distance of one pair of γ⋆s is summed in.
+func (s *agpSearch) tabulate(integral bool) {
 	k, n := s.arity, len(s.targets)
 	d := 0
 	for _, run := range s.post {
@@ -163,17 +161,19 @@ func (s *agpSearch) tabulate() {
 		}
 		return first[p+1] - first[p]
 	}
-	slices.SortFunc(order, func(a, b uint32) int { return cmp.Or(cmp.Compare(distinct(a), distinct(b)), cmp.Compare(a, b)) })
+	if integral {
+		slices.SortFunc(order, func(a, b uint32) int { return cmp.Or(cmp.Compare(distinct(a), distinct(b)), cmp.Compare(a, b)) })
+	}
 	s.vals, s.at, s.order = vals, at, order
 }
 
-// ready makes the search ready for a source to search: it builds the
+// ready makes the search ready for sources to be decided: it builds the
 // postings, or derives the value lists again after a target moved.
-func (s *agpSearch) ready() {
+func (s *agpSearch) ready(integral bool) {
 	if s.post == nil {
-		s.build()
+		s.build(integral)
 	} else if s.vals == nil {
-		s.tabulate()
+		s.tabulate(integral)
 	}
 }
 
@@ -187,20 +187,13 @@ func posting(run []agpPosting, id uint32, t int32) int {
 	return i
 }
 
-// file adds target t's postings, once they are built. A γ⋆ of another
-// arity drops them, to be built again by the next search (which finds the
-// arities ragged and searches without them).
+// file adds target t's postings, once they are built.
 func (s *agpSearch) file(t int32) {
 	if s.post == nil {
 		return
 	}
 	s.vals = nil
-	ids := s.targets[t].ids
-	if len(ids) != s.arity {
-		s.post = nil
-		return
-	}
-	for p, id := range ids {
+	for p, id := range s.targets[t].ids {
 		run := s.post[p]
 		i, _ := slices.BinarySearchFunc(run, id+1, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
 		s.post[p] = slices.Insert(run, i, agpPosting{id: id, target: t})
@@ -249,34 +242,18 @@ func (s *agpSearch) searcher(ev *distance.Evaluator) *agpSearcher {
 	return &agpSearcher{agpSearch: s, ev: ev, shared: scratch[:n:n], dist: dist, filled: scratch[n : n : n+d]}
 }
 
-// challenge measures target i against the running best and returns the
-// better of the two. The bounded evaluator returns a distance equal to its
-// bound exactly (it only clips strictly past it), so clipping cannot hide a
-// tie.
-func (s *agpSearcher) challenge(sids []uint32, i, best int, bestD float64) (int, float64) {
-	s.pairs++
-	return s.better(i, s.ev.ValuesBounded(sids, s.targets[i].ids, bestD), best, bestD)
-}
-
-// better judges target i at distance d against the running best. Strictly
-// nearer wins; an exact distance tie falls to the smaller reason under
-// CompareKeys, never to the order targets are measured in.
-func (s *agpSearcher) better(i int, d float64, best int, bestD float64) (int, float64) {
-	if d < bestD || (d == bestD && best >= 0 && compareGroups(s.targets[i].g, s.targets[best].g) < 0) {
-		return i, d
-	}
-	return best, bestD
-}
-
-// tabled is challenge summed from the source's tables, positions with the
-// fewest distinct values first, dropping the target once the partial sum
-// passes the best. An entry is measured the first time a target needs it,
-// capped at the running best and past the evaluator's memo (the table is
-// this source's memo): one clipped past that cap stays past every later
-// best, which only falls, so it drops every target that holds it. A target
-// that survives has every entry exact, and Levenshtein distances are
-// integers, so its sum is the same float in any order: it is judged on the
-// distance challenge would see.
+// tabled judges target i against the running best and returns the better
+// of the two: its distance is summed from the source's tables in the
+// search's order, and the target is dropped once the partial sum passes the
+// best. An entry is measured the first time a target needs it, capped at
+// the running best and past the evaluator's memo (the table is this
+// source's memo): one clipped past that cap stays past every later best,
+// which only falls, so it drops every target that holds it. A target that
+// survives has every entry exact, summed in position order or, where
+// distances are integers, in an order that gives the same float, so it is
+// judged on its exact γ⋆ distance. Strictly nearer wins; an exact distance
+// tie falls to the smaller reason under CompareKeys, never to the order
+// targets are measured in.
 func (s *agpSearcher) tabled(sids []uint32, i, best int, bestD float64) (int, float64) {
 	s.pairs++
 	at := s.at[i*s.arity : (i+1)*s.arity]
@@ -294,7 +271,22 @@ func (s *agpSearcher) tabled(sids []uint32, i, best int, bestD float64) (int, fl
 			return best, bestD
 		}
 	}
-	return s.better(i, d, best, bestD)
+	if d < bestD || (d == bestD && best >= 0 && compareGroups(s.targets[i].g, s.targets[best].g) < 0) {
+		return i, d
+	}
+	return best, bestD
+}
+
+// reset empties the tables and class counts for the next source.
+func (s *agpSearcher) reset() {
+	for _, t := range s.touched {
+		s.shared[t] = 0
+	}
+	s.touched = s.touched[:0]
+	for _, j := range s.filled {
+		s.dist[j] = -1
+	}
+	s.filled = s.filled[:0]
 }
 
 // nearest returns the (distance, reason) minimum over all targets: the
@@ -311,14 +303,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 			delta = min(delta, s.ev.MinDistinct(id))
 		}
 	}
-	if k != s.arity {
-		delta = 0
-	}
-	measure := s.challenge
 	if delta > 0 {
-		if s.vals != nil {
-			measure = s.tabled
-		}
 		for p, id := range sids {
 			run := s.post[p]
 			at, _ := slices.BinarySearchFunc(run, id, func(e agpPosting, id uint32) int { return cmp.Compare(e.id, id) })
@@ -335,7 +320,7 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 		if m > 0 {
 			for _, t := range s.touched {
 				if s.shared[t] == int32(m) {
-					best, bestD = measure(sids, int(t), best, bestD)
+					best, bestD = s.tabled(sids, int(t), best, bestD)
 				}
 			}
 			continue
@@ -343,19 +328,55 @@ func (s *agpSearcher) nearest(sids []uint32) (best int, bestD float64) {
 		s.fullScans++
 		for i := 0; i < n; i++ {
 			if len(s.touched) == 0 || s.shared[i] == 0 {
-				best, bestD = measure(sids, i, best, bestD)
+				best, bestD = s.tabled(sids, i, best, bestD)
 			}
 		}
 	}
-	for _, t := range s.touched {
-		s.shared[t] = 0
-	}
-	s.touched = s.touched[:0]
-	for _, j := range s.filled {
-		s.dist[j] = -1
-	}
-	s.filled = s.filled[:0]
+	s.reset()
 	return best, bestD
+}
+
+// agpJob is one source to decide: its γ⋆ and, when best is not −1, a kept
+// decision (best target, distance d) that only the challengers may beat.
+// run leaves the decision in best and d.
+type agpJob struct {
+	star *index.Piece
+	best int
+	d    float64
+}
+
+// run decides every job, each one crew item: a job without a kept decision
+// searches all targets (nearest); one with a kept decision is challenged by
+// the targets challengers lists alone, every other target having lost to
+// it, and needs no searcher when there are none. It returns the searchers,
+// whose counters say what the decisions measured.
+func (s *agpSearch) run(c crew, jobs []agpJob, challengers []int) []*agpSearcher {
+	searchers := make([]*agpSearcher, c.size)
+	if len(jobs) == 0 {
+		return searchers
+	}
+	s.ready(c.ev.Integral())
+	c.each(len(jobs), func(w, k int, ev *distance.Evaluator) {
+		j := &jobs[k]
+		if j.best >= 0 && len(challengers) == 0 {
+			return
+		}
+		sr := searchers[w]
+		if sr == nil {
+			sr = s.searcher(ev)
+			searchers[w] = sr
+		}
+		sids := j.star.ValueIDs()
+		if j.best < 0 {
+			j.best, j.d = sr.nearest(sids)
+			return
+		}
+		for _, t := range challengers {
+			j.best, j.d = sr.tabled(sids, t, j.best, j.d)
+		}
+		sr.reset()
+	})
+	return searchers
 }
 
 // agpPlan is what AGP decided about one block before any merge: which
@@ -455,15 +476,15 @@ func agp(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, tr *Tr
 //
 // The nearest-group search runs entirely over interned value IDs through
 // the crew's distance evaluators: agpSearch measures only the targets that
-// can still win, per-pair results are memoized symmetrically (γ⋆ values
-// repeat across sources) and the per-pair DP is bounded by the running
-// best, so hopeless targets abandon early. The delta engine decides with
+// can still win, each distinct target value once per source (γ⋆ values
+// repeat across targets), and each distance is bounded by the running best,
+// so hopeless targets abandon early. The delta engine decides with
 // agpMemo.decide instead, which re-decides only what its edits moved.
 //
-// Each source's search is one crew item, and reads only the targets' γ⋆
-// value IDs and reasons. No decision depends on another, so they are taken
-// in block order; a trace records them in the order of the sources'
-// reasons, which only a traced run sorts for.
+// Each source's search is one crew item (agpSearch.run), and reads only
+// the targets' γ⋆ value IDs and reasons. No decision depends on another, so
+// they are taken in block order; a trace records them in the order of the
+// sources' reasons, which only a traced run sorts for.
 func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, tr *Trace) (p agpPlan) {
 	var sources, normal []int32
 	for i, g := range b.Groups {
@@ -513,31 +534,14 @@ func agpDecide(blockIdx int, b *index.Block, tau int, c crew, mergeCap float64, 
 		targets[i] = agpTarget{g: g, kid: star.KeyID(), ids: star.ValueIDs()}
 	}
 	search := agpSearch{targets: targets}
-	search.build()
-	type decision struct {
-		star *index.Piece
-		best int
-		d    float64 // distance of the best target
+	decided := make([]agpJob, len(sources))
+	for k, si := range sources {
+		decided[k] = agpJob{star: b.Groups[si].Star(), best: -1}
 	}
-	decided := make([]decision, len(sources))
-	searchers := make([]*agpSearcher, c.size)
-	c.each(len(sources), func(w, k int, ev *distance.Evaluator) {
-		dc := &decided[k]
-		if dc.star = b.Groups[sources[k]].Star(); dc.star == nil {
-			return
-		}
-		if searchers[w] == nil {
-			searchers[w] = search.searcher(ev)
-		}
-		dc.best, dc.d = searchers[w].nearest(dc.star.ValueIDs())
-	})
-	p.count(searchers)
+	p.count(search.run(c, decided, nil))
 
 	for k, si := range sources {
 		dc := decided[k]
-		if dc.star == nil {
-			continue
-		}
 		src := b.Groups[si]
 		d := search.judge(c.ev, dc.star, dc.best, dc.d, mergeCap)
 		p.source(src)
@@ -671,22 +675,16 @@ func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, me
 		return p
 	}
 
-	// The sources to decide again, and whether a cached decision stands in
-	// for each one's search.
-	type job struct {
-		k     uint32
-		star  *index.Piece
-		reuse bool
-		best  int
-		d     float64
-	}
-	var jobs []job
+	// The sources to decide again, by KeyID in jobKeys, and whether a cached
+	// decision stands in for each one's search.
+	var jobs []agpJob
+	var jobKeys []uint32
 	add := func(k uint32) {
-		j := job{k: k, star: e.Group(k).Star()}
+		j := agpJob{star: e.Group(k).Star(), best: -1}
 		if was, ok := m.best[k]; ok && was.srcKid == j.star.KeyID() && !slices.Contains(stale, was.target) {
-			j.reuse, j.best, j.d = true, int(m.at[was.target]), was.d
+			j.best, j.d = int(m.at[was.target]), was.d
 		}
-		jobs = append(jobs, j)
+		jobs, jobKeys = append(jobs, j), append(jobKeys, k)
 	}
 	for _, k := range srcs {
 		add(k)
@@ -698,46 +696,18 @@ func (m *agpMemo) decide(blockIdx int, e *index.BlockEditor, tau int, c crew, me
 			}
 		}
 	}
-	searching := false
-	for _, j := range jobs {
-		searching = searching || !j.reuse
-	}
-	if searching {
-		m.search.ready()
-	}
 	challengers := make([]int, len(fresh))
 	for i, k := range fresh {
 		challengers[i] = int(m.at[k])
 	}
-	searchers := make([]*agpSearcher, c.size)
-	c.each(len(jobs), func(w, k int, ev *distance.Evaluator) {
-		j := &jobs[k]
-		s := searchers[w]
-		if s == nil {
-			if searching {
-				s = m.search.searcher(ev)
-			} else {
-				s = &agpSearcher{agpSearch: &m.search, ev: ev}
-			}
-			searchers[w] = s
-		}
-		sids := j.star.ValueIDs()
-		if !j.reuse {
-			j.best, j.d = s.nearest(sids)
-			return
-		}
-		// Every target but the fresh ones lost to the cached decision.
-		for _, t := range challengers {
-			j.best, j.d = s.challenge(sids, t, j.best, j.d)
-		}
-	})
-	p.count(searchers)
-	for _, j := range jobs {
+	p.count(m.search.run(c, jobs, challengers))
+	for i, j := range jobs {
+		k := jobKeys[i]
 		now := m.search.judge(c.ev, j.star, j.best, j.d, mergeCap)
-		if was, ok := m.best[j.k]; !ok || was.merged != now.merged || now.merged && was.target != now.target {
-			p.reached = append(p.reached, was.owner(j.k), now.owner(j.k))
+		if was, ok := m.best[k]; !ok || was.merged != now.merged || now.merged && was.target != now.target {
+			p.reached = append(p.reached, was.owner(k), now.owner(k))
 		}
-		m.best[j.k] = now
+		m.best[k] = now
 	}
 	for _, k := range keys {
 		p.reached = append(p.reached, m.best[k].owner(k))

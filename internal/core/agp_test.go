@@ -479,26 +479,33 @@ func TestAGPSearchMatchesScanRandom(t *testing.T) {
 	}
 }
 
-// TestAGPTableSearchMatchesScan: a search through the per-position
-// distance tables returns what the class search returns when it challenges
-// every target of every class it enters — the same target at the
-// bit-identical distance, after the same pairs and full scans — and both
-// return the exhaustive scan's (distance, reason) minimum. Each position
-// draws from two to four values, so targets repeat values heavily and
-// distances tie, which only compareGroups settles; some values hold U+FFFD
-// (δ = 0 for a source holding one), some rounds give a target a γ⋆ of
-// another arity or run cosine, and between searches a kept agpMemo's targets
-// move through file, unfile and drop, as the delta engine moves them.
+// TestAGPTableSearchMatchesScan: the search through the per-position
+// distance tables returns the exhaustive scan's (distance, reason) minimum,
+// the same target at the bit-identical distance, both for a source that
+// searches every target and for a source whose kept decision only fresh
+// targets may challenge, as agpMemo.decide keeps one; both kinds run mixed
+// on one crew through agpSearch.run, so a searcher takes sources of either
+// kind one after another. Each position draws from two to four values, so
+// targets repeat values heavily and distances tie, which only compareGroups
+// settles; some values hold U+FFFD (δ = 0 for a source holding one), some
+// rounds run cosine, whose sums keep position order, and between runs a
+// kept agpMemo's targets move through file, unfile and drop, as the delta
+// engine moves them: a decision whose target moved is searched again, and
+// every other one is challenged by the targets added or given a new γ⋆.
 func TestAGPTableSearchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	words := []string{"a", "b", "ab", "ba", "abc", "cab", "bca", "\xff", "\ufffd"}
+	// Cosine words share bigrams in uneven counts, so their distances are
+	// irrational and a sum's rounding depends on its order.
+	cosWords := []string{"ab", "abc", "abab", "abcab", "bcab", "aab", "cabb", "\xff", "\ufffd"}
 	rule := rules.MustParseStrings("FD: R -> V")[0]
-	var searches, tabled, ties int
+	var sources, ties, cosine, lossy, won int
 	for round := 0; round < 150; round++ {
 		dict := intern.NewDict()
 		var metric distance.Metric = distance.Levenshtein{}
+		vocab := words
 		if round%5 == 4 {
-			metric = distance.Cosine{}
+			metric, vocab = distance.Cosine{}, cosWords
 		}
 		// Groups with distinct reasons to hang the targets on, in no order.
 		rows := make([][]string, 48)
@@ -509,103 +516,155 @@ func TestAGPTableSearchMatchesScan(t *testing.T) {
 		groups := index.BuildBlockFor(tb, dataset.Encode(tb, dict), rule).Groups
 		rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
 		k := 1 + rng.Intn(4)
-		pool := make([][]uint32, k+1)
+		if round%5 == 4 {
+			k = 3 + rng.Intn(2) // a sum of two is the same float in either order
+		}
+		pool := make([][]uint32, k)
 		for p := range pool {
 			for range 2 + rng.Intn(3) {
-				w := words[rng.Intn(7)]
+				w := vocab[rng.Intn(7)]
 				if rng.Intn(15) == 0 {
-					w = words[7+rng.Intn(2)]
+					w = vocab[7+rng.Intn(2)]
 				}
 				pool[p] = append(pool[p], dict.Intern(w))
 			}
 		}
-		draw := func(width int) []uint32 {
-			ids := make([]uint32, width)
+		draw := func() []uint32 {
+			ids := make([]uint32, k)
 			for p := range ids {
 				ids[p] = pool[p][rng.Intn(len(pool[p]))]
 			}
 			return ids
 		}
-		gamma := func() []uint32 {
-			if round%7 == 6 && rng.Intn(4) == 0 {
-				return draw(k + 1 - 2*rng.Intn(2)) // ragged: one wider or narrower
+		// A cosine source draws from all the words, so that it seldom
+		// matches a target at a position and sums several irrational
+		// distances.
+		source := draw
+		if round%5 == 4 {
+			source = func() []uint32 {
+				ids := make([]uint32, k)
+				for p := range ids {
+					ids[p] = dict.Intern(vocab[rng.Intn(len(vocab))])
+				}
+				return ids
 			}
-			return draw(k)
+		}
+		c, stop := soloCrew(distance.NewEvaluator(metric, dict)), func() {}
+		if round%4 == 1 {
+			c, stop = helpedCrew(metric, dict, 2)
 		}
 
+		// fresh and stale name, by group KeyID, the targets added or given
+		// a new γ⋆ and those dropped or given a new γ⋆ since the last run.
 		m := agpMemo{at: make(map[uint32]int32)}
+		fresh, stale := make(map[uint32]bool), make(map[uint32]bool)
 		next := 0
 		add := func() {
 			g := groups[next]
 			next++
 			m.at[g.KeyID()] = int32(len(m.search.targets))
-			m.search.targets = append(m.search.targets, agpTarget{g: g, ids: gamma()})
+			m.search.targets = append(m.search.targets, agpTarget{g: g, ids: draw()})
 			m.search.file(int32(len(m.search.targets) - 1))
+			fresh[g.KeyID()] = true
 		}
 		for n := 4 + rng.Intn(len(groups)/2); next < n; {
 			add()
 		}
+		type decision struct {
+			star   *index.Piece
+			target uint32 // the best target's group KeyID
+			d      float64
+		}
+		var kept []decision
+		ev := distance.NewEvaluator(metric, dict)
 		for step := 0; step < 8; step++ {
-			if step > 0 {
-				switch t := int32(rng.Intn(len(m.search.targets))); {
+			for range rng.Intn(3) {
+				t := int32(rng.Intn(len(m.search.targets)))
+				kid := m.search.targets[t].g.KeyID()
+				switch {
 				case rng.Intn(3) == 0 && next < len(groups):
 					add()
 				case rng.Intn(2) == 0 && len(m.search.targets) > 1:
-					m.drop(m.search.targets[t].g.KeyID(), t)
+					m.drop(kid, t)
+					stale[kid] = true
+					delete(fresh, kid)
 				default:
 					m.search.unfile(t)
-					m.search.targets[t].ids = gamma()
+					m.search.targets[t].ids = draw()
 					m.search.file(t)
+					fresh[kid], stale[kid] = true, true
 				}
 			}
-			m.search.ready()
-			plain := m.search
-			plain.vals = nil
-			ts := m.search.searcher(distance.NewEvaluator(metric, dict))
-			ps := plain.searcher(distance.NewEvaluator(metric, dict))
-			ev, dists := distance.NewEvaluator(metric, dict), 0
-			for range 12 {
-				sids := draw(k)
-				got, gotD := ts.nearest(sids)
-				want, wantD := ps.nearest(sids)
-				if got != want || math.Float64bits(gotD) != math.Float64bits(wantD) {
-					t.Fatalf("round %d step %d: source %v: tables found target %d at %v, the class scan %d at %v",
-						round, step, sids, got, gotD, want, wantD)
+			// The kept decisions, a new source searching after each.
+			var jobs []agpJob
+			for _, dc := range kept {
+				j := agpJob{star: dc.star, best: -1}
+				if !stale[dc.target] {
+					j.best, j.d = int(m.at[dc.target]), dc.d
 				}
+				jobs = append(jobs, j, agpJob{star: index.NewPieceIDs(rule, dict, source(), 1), best: -1})
+			}
+			for len(jobs) < 12 {
+				jobs = append(jobs, agpJob{star: index.NewPieceIDs(rule, dict, source(), 1), best: -1})
+			}
+			var challengers []int
+			for kid := range fresh {
+				challengers = append(challengers, int(m.at[kid]))
+			}
+			slices.Sort(challengers)
+			was := slices.Clone(jobs)
+			m.search.run(c, jobs, challengers)
+
+			kept = kept[:0]
+			for i, j := range jobs {
+				sids := j.star.ValueIDs()
 				// The exhaustive scan in target order; settled says a later
 				// target took the minimum on its reason alone.
 				best, bestD, settled := -1, math.Inf(1), false
-				for i, tg := range m.search.targets {
+				for ti, tg := range m.search.targets {
 					d := ev.ValuesBounded(sids, tg.ids, math.Inf(1))
 					switch {
 					case d < bestD:
-						best, bestD, settled = i, d, false
+						best, bestD, settled = ti, d, false
 					case d == bestD && compareGroups(tg.g, m.search.targets[best].g) < 0:
-						best, settled = i, true
+						best, settled = ti, true
 					}
 				}
-				if best != want || bestD != wantD {
-					t.Fatalf("round %d step %d: source %v: class scan found target %d at %v, the exhaustive scan %d at %v",
-						round, step, sids, want, wantD, best, bestD)
+				kind := "searched"
+				if was[i].best >= 0 {
+					kind = fmt.Sprintf("challenged by %d targets", len(challengers))
 				}
-				if settled && ts.dists > dists {
+				if j.best != best || math.Float64bits(j.d) != math.Float64bits(bestD) {
+					t.Fatalf("round %d step %d: source %v %s: tables found target %d at %v, the exhaustive scan %d at %v",
+						round, step, sids, kind, j.best, j.d, best, bestD)
+				}
+				sources++
+				if settled {
 					ties++
 				}
-				dists = ts.dists
+				if was[i].best >= 0 && len(challengers) > 0 {
+					if !ev.Integral() {
+						cosine++
+					} else if slices.ContainsFunc(sids, func(id uint32) bool { return ev.MinDistinct(id) == 0 }) {
+						lossy++
+					}
+					if was[i].best != j.best {
+						won++
+					}
+				}
+				if len(kept) < 12 {
+					kept = append(kept, decision{star: j.star, target: m.search.targets[j.best].g.KeyID(), d: j.d})
+				}
 			}
-			if ts.pairs != ps.pairs || ts.fullScans != ps.fullScans {
-				t.Fatalf("round %d step %d: tables judged %d pairs with %d full scans, the class scan %d with %d",
-					round, step, ts.pairs, ts.fullScans, ps.pairs, ps.fullScans)
-			}
-			if ts.dists > 0 {
-				tabled++
-			}
-			searches++
+			clear(fresh)
+			clear(stale)
 		}
+		stop()
 	}
-	t.Logf("%d of %d searcher sets used the tables; %d sources through them had a tie only a reason settled", tabled, searches, ties)
-	if ties < 100 || tabled < searches/2 {
-		t.Errorf("the grid must exercise the tables and the ties in them")
+	t.Logf("%d sources, %d with a tie only a reason settled; challenged: %d under cosine, %d holding U+FFFD, %d won by a challenger",
+		sources, ties, cosine, lossy, won)
+	if ties < 1000 || cosine < 200 || lossy < 100 || won < 100 {
+		t.Errorf("the grid must exercise ties, and challenges under cosine, with U+FFFD values and won by a challenger")
 	}
 }
 
@@ -739,19 +798,26 @@ func laneBlocks(tb testing.TB, truth *dataset.Table, rs []*rules.Rule, rate floa
 
 // BenchmarkAGPBlock runs AGP over every block of a benchmark lane's table
 // with one cold evaluator, as one worker of a clean would: hai is solo-hai's
-// HAI 300×14 at τ = 3, car solo-car's CAR 30k at τ = 2. ns/op is per pass
-// over the table; pairs/op counts the γ⋆ pairs judged, fullscans/op the
-// sources that reached the targets sharing nothing with them, and dists/op
-// the distances the per-position tables measured. Rebuilding the index AGP
-// consumed is outside the timer.
+// HAI 300×14 at τ = 3, car solo-car's CAR 30k at τ = 2, and car-cosine the
+// same CAR block under the cosine metric (Table 5), where no class can be
+// skipped and the tables sum in position order. ns/op is per pass over the
+// table; pairs/op counts the γ⋆ pairs judged, fullscans/op the sources that
+// reached the targets sharing nothing with them, and dists/op the distances
+// the per-position tables measured. Rebuilding the index AGP consumed is
+// outside the timer.
 func BenchmarkAGPBlock(b *testing.B) {
 	for _, lane := range []struct {
 		name   string
 		tau    int
 		blocks func(testing.TB) *index.Index
-	}{{"hai", 3, haiBlocks}, {"car", 2, carBlocks}} {
+		metric distance.Metric
+	}{
+		{"hai", 3, haiBlocks, distance.Levenshtein{}},
+		{"car", 2, carBlocks, distance.Levenshtein{}},
+		{"car-cosine", 2, carBlocks, distance.Cosine{}},
+	} {
 		b.Run(lane.name, func(b *testing.B) {
-			opts := Options{Tau: lane.tau}.withDefaults()
+			opts := Options{Tau: lane.tau, Metric: lane.metric}.withDefaults()
 			var sources, pairs, fullScans, dists int
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {

@@ -11,13 +11,13 @@ import (
 // (§5.1.2): each distinct γ is a ground MLN rule whose prior weight is
 // c(γ)/Σc (Eq. 4) and whose learned weight maximizes the grouped likelihood
 // — competing γs are the ones inside the same group. Returns the most
-// Newton steps on t any of the block's groups took (mln.LearnWeights).
+// Newton steps on t any of the block's groups took (mln.LearnGroups).
 //
 // The learned weights live in log space (ln Pr(γ) = w − ln Z, Eq. 3). The
 // paper uses the weight as "the probability of the attribute values w.r.t.
 // this ground MLN rule being clean" (§3), and the fusion score multiplies
 // weights across blocks (Eq. 5), so Piece.Weight is the in-group softmax
-// probability mln.LearnWeights returns, floored at minPieceWeight; an
+// probability mln.LearnGroups returns, floored at minPieceWeight; an
 // uncontested γ (singleton group) gets 1.
 //
 // in holds the arrays the learner's inputs are built in: the

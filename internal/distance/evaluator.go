@@ -139,6 +139,11 @@ func (e *Evaluator) MinDistinct(id uint32) float64 {
 	return 0
 }
 
+// Integral reports whether every distance the evaluator returns is an exact
+// integer (Levenshtein), so that a sum of its distances is the same float
+// in any order.
+func (e *Evaluator) Integral() bool { return e.kind == kindLev }
+
 func pairKey(a, b uint32) uint64 {
 	if a > b {
 		a, b = b, a
@@ -261,55 +266,19 @@ func (e *Evaluator) cosine(a, b uint32) float64 {
 	return cosineGrams(xa.grams, xa.norm2, xb.grams, xb.norm2)
 }
 
-// ValuesBounded is the γ-to-γ distance over ID slices: the attribute-wise
-// sum with early exit past bound, per-pair memoization, and (for
-// Levenshtein) per-pair bounded DP. Each attribute contributes
-// independently, so a one-character typo in one field costs the same
-// regardless of the other fields; an unpaired attribute (pieces of different
-// widths) costs its value's distance from the empty string.
+// ValuesBounded is the γ-to-γ distance over two ID slices of one width (the
+// pieces of one rule): the attribute-wise sum in position order with early
+// exit past bound, per-pair memoization, and (for Levenshtein) per-pair
+// bounded DP. Each attribute contributes independently, so a
+// one-character typo in one field costs the same regardless of the other
+// fields.
 func (e *Evaluator) ValuesBounded(a, b []uint32, bound float64) float64 {
 	var sum float64
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		sum += e.PairBounded(a[i], b[i], bound-sum)
-		if sum > bound {
-			return sum
-		}
-	}
-	for i := n; i < len(a); i++ {
-		sum += e.distanceToEmpty(a[i])
-		if sum > bound {
-			return sum
-		}
-	}
-	for i := n; i < len(b); i++ {
-		sum += e.distanceToEmpty(b[i])
+	for i, id := range a {
+		sum += e.PairBounded(id, b[i], bound-sum)
 		if sum > bound {
 			return sum
 		}
 	}
 	return sum
-}
-
-// distanceToEmpty mirrors m.Distance(v, "") for the built-in metrics
-// without materializing the empty-string pair.
-func (e *Evaluator) distanceToEmpty(id uint32) float64 {
-	s := e.dict.Value(id)
-	switch e.kind {
-	case kindLev:
-		if s == "" {
-			return 0
-		}
-		return float64(e.RuneLen(id))
-	case kindCos:
-		if s == "" {
-			return 0
-		}
-		return 1
-	default:
-		return e.m.Distance(s, "")
-	}
 }

@@ -150,7 +150,8 @@ func TestEvaluatorSlotSize(t *testing.T) {
 }
 
 // TestEvaluatorValuesBounded cross-checks the slice distance (with bounds)
-// against the reference sum over strings on random γ pairs of varying width.
+// against the reference sum over strings on random γ pairs of one width,
+// from one to four attributes.
 func TestEvaluatorValuesBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vals := randomValues(rng, 40)
@@ -163,29 +164,14 @@ func TestEvaluatorValuesBounded(t *testing.T) {
 			}
 			e := NewEvaluator(m, dict)
 			for trial := 0; trial < 400; trial++ {
-				na, nb := rng.Intn(4)+1, rng.Intn(4)+1
-				a := make([]string, na)
-				ai := make([]uint32, na)
-				for i := range a {
-					k := rng.Intn(len(vals))
-					a[i], ai[i] = vals[k], ids[k]
-				}
-				b := make([]string, nb)
-				bi := make([]uint32, nb)
-				for i := range b {
-					k := rng.Intn(len(vals))
-					b[i], bi[i] = vals[k], ids[k]
-				}
+				n := rng.Intn(4) + 1
+				a, b := make([]string, n), make([]string, n)
+				ai, bi := make([]uint32, n), make([]uint32, n)
 				var exact float64
-				for i := 0; i < max(na, nb); i++ {
-					x, y := "", ""
-					if i < na {
-						x = a[i]
-					}
-					if i < nb {
-						y = b[i]
-					}
-					exact += refDistance(m, x, y)
+				for i := range n {
+					x, y := rng.Intn(len(vals)), rng.Intn(len(vals))
+					a[i], ai[i], b[i], bi[i] = vals[x], ids[x], vals[y], ids[y]
+					exact += refDistance(m, a[i], b[i])
 				}
 				if got := e.ValuesBounded(ai, bi, math.Inf(1)); got != exact {
 					t.Fatalf("unbounded ValuesBounded(%v,%v) = %v, want %v", a, b, got, exact)

@@ -56,9 +56,12 @@ var sinkWeights []float64
 // steps on t of any group (Stats.LearnIterations) summed.
 func BenchmarkLearnWeights(b *testing.B) {
 	groups, counts := haiLearnInputs(b)
-	probs := make([][]float64, len(counts))
+	probs, totals := make([][]float64, len(counts)), make([]float64, len(counts))
 	for i := range counts {
 		probs[i] = make([]float64, len(counts[i]))
+		for _, c := range counts[i] {
+			totals[i] += c
+		}
 	}
 	steps := 0
 	b.ReportAllocs()
@@ -66,7 +69,7 @@ func BenchmarkLearnWeights(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		steps = 0
 		for bi := range groups {
-			s, err := mln.LearnWeights(groups[bi], counts[bi], probs[bi])
+			s, err := mln.LearnGroups(groups[bi], counts[bi], probs[bi], totals[bi], nil)
 			if err != nil {
 				b.Fatal(err)
 			}

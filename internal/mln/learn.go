@@ -23,18 +23,23 @@ const (
 	sigma2     = priorSigma * priorSigma
 )
 
-// LearnWeights learns the ground-clause weights of a block and writes each
-// candidate's in-group probability under them into probs, the probability
-// that the γ is clean under its rule (§3). It returns the most Newton steps
-// on t (below) that any group took.
+// LearnGroups learns the ground-clause weights of a block's groups, all of
+// them or some, and writes each candidate's in-group probability under them
+// into probs, the probability that the γ is clean under its rule (§3). It
+// returns the most Newton steps on t (below) that any group took; when
+// steps is non-nil, steps[g] receives group g's, and it must be at least
+// len(groups) long.
 //
 // The model: candidates are partitioned into groups (in MLNClean, one group
 // per MLN-index group, candidates = its distinct γs). Within group g the
 // probability of candidate i is softmax over the group's weights, matching
 // Eq. 2 restricted to the competing ground clauses (ln Pr(γ) = w − ln Z,
 // Eq. 3). counts[i] is the observed support cᵢ = c(γᵢ), and the prior
-// centre is the Eq. 4 weight w⁰ᵢ = cᵢ / Σⱼ cⱼ, normalised over every
-// candidate of the block. Each group maximizes
+// centre is the Eq. 4 weight w⁰ᵢ = cᵢ / total, where total is the block's
+// Σc over every candidate of the block, learned here or not: it must be
+// finite and at least the sum of counts, and a group learns the same bits
+// whichever other groups of its block are learned with it. Each group
+// maximizes
 //
 //	L(w) = Σᵢ cᵢ·log softmax(w)ᵢ − Σᵢ (wᵢ−w⁰ᵢ)²/(2σ²).
 //
@@ -51,24 +56,16 @@ const (
 // no group get 1, and a group without support, whose weights stay at the
 // prior centre, the uniform 1/|g|. len(probs) must be len(counts); after
 // an error its contents are unspecified.
-func LearnWeights(groups [][]int, counts, probs []float64) (steps int, err error) {
-	total, err := check(counts, probs)
-	if err != nil {
-		return 0, err
+func LearnGroups(groups [][]int, counts, probs []float64, total float64, steps []int) (most int, err error) {
+	if len(probs) != len(counts) {
+		return 0, fmt.Errorf("mln: %d probabilities for %d candidates", len(probs), len(counts))
 	}
-	return solveGroups(groups, counts, probs, total, nil)
-}
-
-// LearnGroups is LearnWeights over some of a block's groups: counts holds
-// their candidates only, and total is the block's Σc, the Eq. 4 normaliser,
-// which must be finite and at least the candidates' sum. A group learns the
-// same bits here as in LearnWeights over the whole block. When steps is
-// non-nil, steps[g] receives group g's Newton steps on t; it must be at
-// least len(groups) long.
-func LearnGroups(groups [][]int, counts, probs []float64, total float64, steps []int) (int, error) {
-	sum, err := check(counts, probs)
-	if err != nil {
-		return 0, err
+	var sum float64
+	for i, c := range counts {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return 0, fmt.Errorf("mln: count %g for candidate %d is not a finite non-negative number", c, i)
+		}
+		sum += c
 	}
 	if !(total >= sum) || math.IsInf(total, 1) {
 		return 0, fmt.Errorf("mln: block total %g is not a finite number of at least the candidates' %g", total, sum)
@@ -76,27 +73,6 @@ func LearnGroups(groups [][]int, counts, probs []float64, total float64, steps [
 	if steps != nil && len(steps) < len(groups) {
 		return 0, fmt.Errorf("mln: %d step counts for %d groups", len(steps), len(groups))
 	}
-	return solveGroups(groups, counts, probs, total, steps)
-}
-
-// check validates the counts and the probabilities' length and returns the
-// counts' sum.
-func check(counts, probs []float64) (float64, error) {
-	if len(probs) != len(counts) {
-		return 0, fmt.Errorf("mln: %d probabilities for %d candidates", len(probs), len(counts))
-	}
-	var total float64
-	for i, c := range counts {
-		if !(c >= 0) || math.IsInf(c, 1) {
-			return 0, fmt.Errorf("mln: count %g for candidate %d is not a finite non-negative number", c, i)
-		}
-		total += c
-	}
-	return total, nil
-}
-
-// solveGroups is LearnWeights' and LearnGroups' solve over validated counts.
-func solveGroups(groups [][]int, counts, probs []float64, total float64, steps []int) (most int, err error) {
 	n := len(counts)
 	// −1 marks a candidate the partition check has seen: every group's
 	// members are written again below.

@@ -17,11 +17,11 @@ const (
 	refMaxStep   = 2.0
 )
 
-// refLearnWeights maximizes the same objective as LearnWeights by
+// refLearnWeights maximizes the same objective as LearnGroups by
 // coordinate-descent Newton: group by group, a from-scratch softmax over the
 // whole group before every single-weight update, sweeping until the group's
 // own largest step is under refTolerance or the sweep bound. It is the
-// oracle LearnWeights must match to within 1e-6 on the groups it converges
+// oracle LearnGroups must match to within 1e-6 on the groups it converges
 // on, and it returns each group's sweep count (0 for one that does not
 // learn). Inputs are assumed valid.
 func refLearnWeights(groups [][]int, counts []float64, init []float64) ([]float64, []int) {
@@ -86,7 +86,7 @@ func refSoftmaxInto(dst []float64, w []float64, idx []int) {
 	}
 }
 
-// refProbs is the reference's weights w as LearnWeights returns them: per
+// refProbs is the reference's weights w as LearnGroups returns them: per
 // group of two or more, the in-group softmax of refSoftmaxInto; 1 for a
 // singleton and for a candidate in no group.
 func refProbs(groups [][]int, w []float64) []float64 {
@@ -123,14 +123,14 @@ func refPriors(counts []float64) []float64 {
 	return out
 }
 
-// learn runs LearnWeights and fails the test on an error or a solve of more
+// learn runs LearnGroups over a whole block and fails the test on an error or a solve of more
 // than 64 steps.
 func learn(t *testing.T, groups [][]int, counts []float64) []float64 {
 	t.Helper()
 	probs := make([]float64, len(counts))
-	steps, err := LearnWeights(groups, counts, probs)
+	steps, err := LearnGroups(groups, counts, probs, blockTotal(counts), nil)
 	if err != nil {
-		t.Fatalf("LearnWeights: %v", err)
+		t.Fatalf("LearnGroups: %v", err)
 	}
 	if steps > 64 {
 		t.Fatalf("a solve took %d steps", steps)
@@ -138,7 +138,7 @@ func learn(t *testing.T, groups [][]int, counts []float64) []float64 {
 	return probs
 }
 
-// checkAgainstRef fails unless LearnWeights returns, on every group the
+// checkAgainstRef fails unless LearnGroups returns, on every group the
 // reference converges on, the reference's probabilities to within 1e-6, and
 // unless every group gets the same bits when it is learned alone in a block
 // of the same Σc. It returns the most sweeps any group made in the

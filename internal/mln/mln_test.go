@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// blockTotal is the Σc of a block whose candidates counts holds, summed in
+// index order.
+func blockTotal(counts []float64) float64 {
+	var total float64
+	for _, c := range counts {
+		total += c
+	}
+	return total
+}
+
 // spread returns, for group g, the largest difference between two members'
 // kᵢ = σ²(cᵢ − C·pᵢ) + w⁰ᵢ − ln pᵢ, computed from the probabilities alone. At
 // the maximum of L every kᵢ is ln Z: wᵢ − w⁰ᵢ = σ²(cᵢ − C·pᵢ) and
@@ -90,7 +100,7 @@ func TestLearnWeightsStationary(t *testing.T) {
 			total += c
 		}
 		probs := make([]float64, len(counts))
-		steps, err := LearnWeights(groups, counts, probs)
+		steps, err := LearnGroups(groups, counts, probs, blockTotal(counts), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +164,7 @@ func TestLearnWeightsMonotoneProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		ca, cb := float64(a%50)+1, float64(b%50)+1
 		w := make([]float64, 2)
-		if _, err := LearnWeights([][]int{{0, 1}}, []float64{ca, cb}, w); err != nil {
+		if _, err := LearnGroups([][]int{{0, 1}}, []float64{ca, cb}, w, ca+cb, nil); err != nil {
 			return false
 		}
 		switch {
@@ -172,20 +182,20 @@ func TestLearnWeightsMonotoneProperty(t *testing.T) {
 }
 
 func TestLearnWeightsValidation(t *testing.T) {
-	if _, err := LearnWeights([][]int{{0}}, []float64{1}, make([]float64, 2)); err == nil {
+	if _, err := LearnGroups([][]int{{0}}, []float64{1}, make([]float64, 2), 1, nil); err == nil {
 		t.Error("probs length mismatch should fail")
 	}
-	if _, err := LearnWeights([][]int{{0, 0}}, []float64{1, 1}, make([]float64, 2)); err == nil {
+	if _, err := LearnGroups([][]int{{0, 0}}, []float64{1, 1}, make([]float64, 2), 2, nil); err == nil {
 		t.Error("duplicate group membership should fail")
 	}
-	if _, err := LearnWeights([][]int{{0}, {1, 0}}, []float64{1, 1}, make([]float64, 2)); err == nil {
+	if _, err := LearnGroups([][]int{{0}, {1, 0}}, []float64{1, 1}, make([]float64, 2), 2, nil); err == nil {
 		t.Error("membership in two groups should fail")
 	}
-	if _, err := LearnWeights([][]int{{5}}, []float64{1}, make([]float64, 1)); err == nil {
+	if _, err := LearnGroups([][]int{{5}}, []float64{1}, make([]float64, 1), 1, nil); err == nil {
 		t.Error("out-of-range index should fail")
 	}
 	for _, c := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := LearnWeights([][]int{{0, 1}}, []float64{c, 1}, make([]float64, 2)); err == nil {
+		if _, err := LearnGroups([][]int{{0, 1}}, []float64{c, 1}, make([]float64, 2), c+1, nil); err == nil {
 			t.Errorf("count %v should fail", c)
 		}
 	}
@@ -195,7 +205,7 @@ func TestLearnWeightsValidation(t *testing.T) {
 // nothing, and so does a candidate in no group.
 func TestLearnWeightsSingletonGroupIsCertain(t *testing.T) {
 	w := make([]float64, 2)
-	steps, err := LearnWeights([][]int{{0}}, []float64{7, 3}, w)
+	steps, err := LearnGroups([][]int{{0}}, []float64{7, 3}, w, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +218,7 @@ func TestLearnWeightsSingletonGroupIsCertain(t *testing.T) {
 // bound is a handful of steps for the solve.
 func TestLearnWeightsConverges(t *testing.T) {
 	w := make([]float64, 6)
-	steps, err := LearnWeights([][]int{{0, 1, 2, 3, 4, 5}}, []float64{4000, 900, 70, 5, 1, 1}, w)
+	steps, err := LearnGroups([][]int{{0, 1, 2, 3, 4, 5}}, []float64{4000, 900, 70, 5, 1, 1}, w, 4977, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +228,7 @@ func TestLearnWeightsConverges(t *testing.T) {
 }
 
 // TestLearnGroupsMatchesWholeBlock: a group learned alone with its block's
-// Σc gets the bits LearnWeights gives it over the whole block, and reports
+// Σc gets the bits LearnGroups gives it over the whole block, and reports
 // the Newton steps its own solve took; a total under the candidates' sum is
 // refused.
 func TestLearnGroupsMatchesWholeBlock(t *testing.T) {
@@ -239,7 +249,7 @@ func TestLearnGroupsMatchesWholeBlock(t *testing.T) {
 			total += c
 		}
 		whole := make([]float64, len(counts))
-		most, err := LearnWeights(groups, counts, whole)
+		most, err := LearnGroups(groups, counts, whole, blockTotal(counts), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +276,7 @@ func TestLearnGroupsMatchesWholeBlock(t *testing.T) {
 			}
 		}
 		if got != most {
-			t.Fatalf("round %d: the groups' most steps %d, LearnWeights %d", round, got, most)
+			t.Fatalf("round %d: the groups' most steps %d, the whole block's %d", round, got, most)
 		}
 	}
 	if _, err := LearnGroups([][]int{{0, 1}}, []float64{2, 3}, make([]float64, 2), 4, nil); err == nil {
