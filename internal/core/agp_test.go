@@ -749,7 +749,7 @@ func TestDeltaAGPMemoBounded(t *testing.T) {
 			seen = max(seen, len(db.memo.agp.best))
 		}
 		if step%20 == 19 {
-			assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(), refTable(dirty.Schema, rows), rs, Options{})
+			assertParity(t, fmt.Sprintf("step %d", step), res, blocksOf(eng, nil), refTable(dirty.Schema, rows), rs, Options{})
 		}
 	}
 	if seen == 0 {

@@ -142,7 +142,7 @@ func TestDeltaBlockEditMatchesBuild(t *testing.T) {
 			}
 			n, c := keptArrays(eng)
 			t.Logf("after %d mutations the kept blocks' arrays hold %d elements in a capacity of %d", steps, n, c)
-			assertParity(t, "last step", eng.cur.Result(), eng.Weights(), eng.Table(), eng.rs, eng.opts)
+			assertParity(t, "last step", eng.cur.Result(), blocksOf(eng, nil), eng.Table(), eng.rs, eng.opts)
 		})
 	}
 }
@@ -179,7 +179,7 @@ func TestDeltaBlockEditEdges(t *testing.T) {
 				t.Fatalf("%s: block %d's version index is not its placement", label, bi)
 			}
 		}
-		assertParity(t, label, res, eng.Weights(), eng.Table(), eng.rs, eng.opts)
+		assertParity(t, label, res, blocksOf(eng, nil), eng.Table(), eng.rs, eng.opts)
 	}
 	// A group of two pieces or more, whose piece k holds two tuples or more,
 	// in any block; and the FD block with the most groups.
@@ -389,7 +389,7 @@ func TestDeltaGroupReuseMatchesFull(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			recleanMatchesFull(t, label, eng)
-			assertParity(t, label, res, eng.Weights(), eng.Table(), eng.rs, eng.opts)
+			assertParity(t, label, res, blocksOf(eng, nil), eng.Table(), eng.rs, eng.opts)
 		}
 		row := func(id int) []string {
 			pos, _ := eng.posOf(id)
@@ -440,7 +440,7 @@ func TestDeltaGroupReuseMatchesFull(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			recleanMatchesFull(t, label, eng)
-			assertParity(t, label, res, eng.Weights(), eng.Table(), eng.rs, eng.opts)
+			assertParity(t, label, res, blocksOf(eng, nil), eng.Table(), eng.rs, eng.opts)
 			if db := eng.blocks[0]; partial != (db.res.regrouped < len(db.block.Groups)) {
 				t.Fatalf("%s: redid %d of %d groups, want a partial re-clean: %v", label, db.res.regrouped, len(db.block.Groups), partial)
 			}

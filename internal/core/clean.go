@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mlnclean/internal/dataset"
-	"mlnclean/internal/index"
 	"mlnclean/internal/rules"
 )
 
@@ -26,10 +25,6 @@ type Result struct {
 	Repaired *dataset.Table
 	// Duplicates lists the removed duplicate sets (representative first).
 	Duplicates [][]int
-	// Index is the MLN index in its post-stage-I state (one piece per
-	// group, weights learned); exposed for inspection and the distributed
-	// weight-merging path.
-	Index *index.Index
 	// Stats summarizes the run.
 	Stats Stats
 }
@@ -83,10 +78,8 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 	mCleans.Inc()
 	mTuples.Add(int64(dirty.Len()))
 
-	res := &Result{Index: ix}
-	res.Repaired, res.Clean, res.Duplicates = StageII(dirty, ix.Encoded(), FusionBlocksFromIndex(ix), opts, &st)
-	res.Stats = st
-	return res, nil
+	repaired, clean, dups := StageII(dirty, ix.Encoded(), FusionBlocksFromIndex(ix), opts, &st)
+	return &Result{Clean: clean, Repaired: repaired, Duplicates: dups, Stats: st}, nil
 }
 
 // StageII is the pipeline's second stage over stage-I output, shared by the

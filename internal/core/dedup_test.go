@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -13,7 +12,6 @@ import (
 	"mlnclean/internal/datagen"
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/errgen"
-	"mlnclean/internal/index"
 	"mlnclean/internal/intern"
 	"mlnclean/internal/rules"
 )
@@ -205,17 +203,7 @@ func stageIIInputs(tb testing.TB, rows, copies int) (*dataset.Table, *dataset.En
 		}
 	}
 	opts := Options{Tau: 2, Parallelism: 1}.withDefaults()
-	ix, err := index.Build(dirty, rs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctx := context.Background()
-	var st Stats
-	for _, stage := range []func(context.Context, *index.Index, Options, *Stats) error{StageAGP, StageLearn, StageRSC} {
-		if err := stage(ctx, ix, opts, &st); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	ix := stagedIndex(tb, dirty, rs, opts)
 	return dirty, ix.Encoded(), FusionBlocksFromIndex(ix), opts
 }
 
@@ -417,7 +405,7 @@ func TestDeltaDedupStateBounded(t *testing.T) {
 		}
 		sawDups = sawDups || len(res.Duplicates) > 0
 		if step%20 == 19 {
-			assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(), refTable(dirty.Schema, rows), rs, Options{})
+			assertParity(t, fmt.Sprintf("step %d", step), res, blocksOf(eng, nil), refTable(dirty.Schema, rows), rs, Options{})
 		}
 	}
 	if !sawDups {

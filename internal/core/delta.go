@@ -116,6 +116,9 @@ type Mutation struct {
 	Op  DeltaOp
 	Row int
 	// Values is the tuple's new values in schema order (ignored for delete).
+	// The engine keeps the slice as the tuple's values and never writes it,
+	// so the caller must not write it after Apply either; mutations may
+	// share it with each other and with the loaded table.
 	Values []string
 }
 
@@ -207,8 +210,9 @@ type DeltaCleaner struct {
 	evs []*distance.Evaluator
 
 	// The current dirty table in ascending tuple-ID order, plus its encoded
-	// companion and their IDs. Rows are engine-owned copies; a PUT replaces
-	// a tuple and its encoded row, never edits them, since versions share
+	// companion and their IDs. The tuples are the caller's, kept as handed
+	// to LoadVersion and ApplyVersion and never written: a PUT replaces a
+	// tuple and its encoded row, never edits them, since versions share
 	// them. Every encoded row has cap == len, so splicing encRows never
 	// writes into a neighbour. These and every other slice parallel to the
 	// table grow by a sixteenth when an insert finds them full (insertAt).
@@ -317,7 +321,9 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 // and cleaned, every tuple fused, and version 1 minted. Tuple IDs must be
 // unique and every tuple must be schema-wide; rows are adopted in
 // ascending-ID order (the engine's canonical table order, which Apply
-// preserves across inserts and deletes). tb is not retained or modified.
+// preserves across inserts and deletes). tb's tuples are retained, read-only,
+// as Clean's are: the engine sorts a copy of tb.Tuples, never tb's own, and
+// writes no tuple, so the caller must not write them either.
 func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	if d.loaded {
 		return nil, fmt.Errorf("core: delta: already loaded")
@@ -333,7 +339,7 @@ func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 			return nil, fmt.Errorf("core: delta: tuple %d has %d values, schema has %d", t.ID, len(t.Values), d.schema.Len())
 		}
 	}
-	d.tuples = tb.Clone().Tuples
+	d.tuples = slices.Clone(tb.Tuples)
 	sort.SliceStable(d.tuples, func(i, j int) bool { return d.tuples[i].ID < d.tuples[j].ID })
 	for i := 1; i < len(d.tuples); i++ {
 		if d.tuples[i-1].ID == d.tuples[i].ID {
@@ -447,16 +453,15 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 			gone[m.Row] = was
 			continue
 		}
-		vals := slices.Clone(m.Values)
-		row := d.encode(vals)
+		row := d.encode(m.Values)
 		d.plan.countRow(row, 1)
 		d.edit(dirty, m.Row, from, row)
 		if exists {
-			d.tuples[pos] = &dataset.Tuple{ID: m.Row, Values: vals}
+			d.tuples[pos] = &dataset.Tuple{ID: m.Row, Values: m.Values}
 			d.encRows[pos] = row
 			continue
 		}
-		d.tuples = insertAt(d.tuples, pos, &dataset.Tuple{ID: m.Row, Values: vals})
+		d.tuples = insertAt(d.tuples, pos, &dataset.Tuple{ID: m.Row, Values: m.Values})
 		d.encRows = insertAt(d.encRows, pos, row)
 		d.ids = insertAt(d.ids, pos, m.Row)
 		d.fusedTuples = insertAt(d.fusedTuples, pos, nil)
@@ -645,17 +650,6 @@ func (d *DeltaCleaner) walkPos() func(id int) (int, bool) {
 // Table materializes the current dirty table (ascending tuple-ID order, IDs
 // preserved). The copy is independent of engine state.
 func (d *DeltaCleaner) Table() *dataset.Table { return d.view().Clone() }
-
-// Weights decodes the current post-stage-I piece summaries, concatenated in
-// rule order — the weight vector Trail attributes repairs against. Equal to
-// the summaries a from-scratch Clean of the same table exposes on its index.
-func (d *DeltaCleaner) Weights() []index.PieceSummary {
-	var out []index.PieceSummary
-	for _, db := range d.blocks {
-		out = append(out, db.block.PieceSummaries()...)
-	}
-	return out
-}
 
 // encode interns one row into the engine's dictionary.
 func (d *DeltaCleaner) encode(vals []string) []uint32 {

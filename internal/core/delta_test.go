@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -70,11 +71,7 @@ func refTable(schema *dataset.Schema, rows map[int][]string) *dataset.Table {
 	for id := range rows {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; tiny n
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
+	slices.Sort(ids)
 	tb := dataset.NewTable(schema)
 	for _, id := range ids {
 		tb.Tuples = append(tb.Tuples, &dataset.Tuple{
@@ -98,17 +95,39 @@ func tablesEqual(t *testing.T, label string, got, want *dataset.Table) {
 	}
 }
 
-// weightMap keys summaries by rule and piece identity so ordering (which the
-// planner may vary on the full run) is irrelevant.
-func weightMap(ss []index.PieceSummary) map[string]string {
-	m := make(map[string]string, len(ss))
-	for _, s := range ss {
-		m[s.RuleID+"\x1f"+s.Key] = fmt.Sprintf("%d/%x", s.Count, s.Weight)
+// weightMap keys every piece's support and weight by rule and piece
+// identity, so block, group and piece order are irrelevant.
+func weightMap(bs []*index.Block) map[string]string {
+	m := make(map[string]string)
+	for _, b := range bs {
+		for _, p := range b.Pieces() {
+			m[b.Rule.ID+"\x1f"+p.Key()] = fmt.Sprintf("%d/%x", p.Count(), p.Weight)
+		}
 	}
 	return m
 }
 
-func assertParity(t *testing.T, label string, got *Result, gotW []index.PieceSummary, tb *dataset.Table, rs []*rules.Rule, opts Options) {
+// stagedIndex is a from-scratch stage I of dirty, one stage at a time over
+// a built index: its blocks hold one weighted winner per group.
+func stagedIndex(tb testing.TB, dirty *dataset.Table, rs []*rules.Rule, opts Options) *index.Index {
+	tb.Helper()
+	ix, err := index.Build(dirty, rs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var st Stats
+	for _, stage := range []func(context.Context, *index.Index, Options, *Stats) error{StageAGP, StageLearn, StageRSC} {
+		if err := stage(context.Background(), ix, opts, &st); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ix
+}
+
+// assertParity requires got to be Clean's Result of tb and, unless gotW is
+// nil, the blocks gotW (an engine's, after stage I) to carry the pieces,
+// supports and weights a from-scratch stage I of tb learns.
+func assertParity(t *testing.T, label string, got *Result, gotW []*index.Block, tb *dataset.Table, rs []*rules.Rule, opts Options) {
 	t.Helper()
 	want, err := Clean(tb, rs, opts)
 	if err != nil {
@@ -123,7 +142,7 @@ func assertParity(t *testing.T, label string, got *Result, gotW []index.PieceSum
 		t.Fatalf("%s: stats: got %+v, want %+v", label, got.Stats, want.Stats)
 	}
 	if gotW != nil {
-		gw, ww := weightMap(gotW), weightMap(want.Index.PieceSummaries())
+		gw, ww := weightMap(gotW), weightMap(stagedIndex(t, tb, rs, opts).Blocks)
 		if !reflect.DeepEqual(gw, ww) {
 			t.Fatalf("%s: piece weights diverge:\ngot  %v\nwant %v", label, gw, ww)
 		}
@@ -141,7 +160,7 @@ func TestDeltaLoadParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertParity(t, "load", res, eng.Weights(), dirty, rs, Options{})
+	assertParity(t, "load", res, blocksOf(eng, nil), dirty, rs, Options{})
 }
 
 // TestDeltaMutationSequenceParity is the randomized anchor: K seeded
@@ -252,7 +271,7 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 					t.Fatalf("step %d: %d tuples re-fused, want %d to %d", step, ds.RefusedTuples, lo, hi)
 				}
 				skippedFusionsMatchFresh(t, fmt.Sprintf("step %d", step), eng)
-				assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(),
+				assertParity(t, fmt.Sprintf("step %d", step), res, blocksOf(eng, nil),
 					refTable(schema, rows), rs, Options{})
 			}
 		})
@@ -454,7 +473,7 @@ func domainDecidesFusion(t *testing.T) {
 		if eng.fuseRes[0].conflicted == 0 {
 			t.Fatalf("batch %d: T is not conflicted", round)
 		}
-		assertParity(t, fmt.Sprintf("batch %d", round), res, eng.Weights(), eng.Table(), rs, Options{Tau: 1})
+		assertParity(t, fmt.Sprintf("batch %d", round), res, blocksOf(eng, nil), eng.Table(), rs, Options{Tau: 1})
 		want := "a2,y,c" // A's domain is the smaller now
 		if round == 1 {
 			want = "a,x,c2"
@@ -594,13 +613,13 @@ func TestDeltaHugeRowID(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Errorf("inserting row 1<<40 allocated %d bytes, want at most %d", got, bound)
 	}
-	assertParity(t, "insert 1<<40", res, eng.Weights(), eng.Table(), rs, Options{})
+	assertParity(t, "insert 1<<40", res, blocksOf(eng, nil), eng.Table(), rs, Options{})
 	// A delete below the huge row shifts its position.
 	res, _, err = eng.Apply([]Mutation{{Op: DeltaDelete, Row: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertParity(t, "delete 0", res, eng.Weights(), eng.Table(), rs, Options{})
+	assertParity(t, "delete 0", res, blocksOf(eng, nil), eng.Table(), rs, Options{})
 }
 
 // placedVersions is block bi's version index placed from scratch at the
@@ -714,7 +733,7 @@ func TestDeltaVersionIndexIsPlacement(t *testing.T) {
 			t.Errorf("the sequence made no %s", k)
 		}
 	}
-	assertParity(t, "last step", eng.cur.Result(), eng.Weights(), eng.Table(), rs, Options{})
+	assertParity(t, "last step", eng.cur.Result(), blocksOf(eng, nil), eng.Table(), rs, Options{})
 }
 
 // TestDeltaValidation: bad batches are rejected atomically, before any state
@@ -827,15 +846,7 @@ func benchShape(tb testing.TB) (*DeltaCleaner, *Version, *errgen.Injection) {
 // carSession is the serving benchmark's session at another row count.
 func carSession(tb testing.TB, rows int) (*DeltaCleaner, *Version, *errgen.Injection) {
 	tb.Helper()
-	const seed = 4200
-	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: rows, Seed: seed})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: seed*1_000_003 + 17})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	inj, rs := carSessionTable(tb, rows)
 	eng, err := NewDeltaCleaner(inj.Dirty.Schema, rs, Options{Tau: 1})
 	if err != nil {
 		tb.Fatal(err)
@@ -845,6 +856,22 @@ func carSession(tb testing.TB, rows int) (*DeltaCleaner, *Version, *errgen.Injec
 		tb.Fatal(err)
 	}
 	return eng, v, inj
+}
+
+// carSessionTable is carSession's dirty table and rules, not yet loaded; the
+// session cleans at τ = 1.
+func carSessionTable(tb testing.TB, rows int) (*errgen.Injection, []*rules.Rule) {
+	tb.Helper()
+	const seed = 4200
+	truth, rs, err := datagen.CAR(datagen.CARConfig{Rows: rows, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.05, ReplacementRatio: 0.5, Seed: seed*1_000_003 + 17})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return inj, rs
 }
 
 // ownedBytes counts what version v holds that its parent does not share:
@@ -1196,6 +1223,77 @@ func BenchmarkDeltaApplyScale(b *testing.B) {
 	}
 }
 
+// TestDeltaRefusedVsMoved counts, per mutation kind on carSession's 5k
+// table (200 mutations of kindMix's each), the tuples an Apply re-fuses
+// (DeltaStats.RefusedTuples) against the fused rows that actually moved (a
+// tuple's cached fused row replaced) and the rows inserted, and logs both:
+// the waste ROADMAP item 30 targets, as a number. A row moves only when its
+// tuple is re-fused, so moved and new rows never outnumber re-fused ones.
+func TestDeltaRefusedVsMoved(t *testing.T) {
+	const n = 200
+	for _, kind := range []string{"update", "insert", "delete"} {
+		eng, _, inj := carSession(t, 5000)
+		muts := kindMix(t, inj, kind, n, 4200)
+		last := make(map[int]*uint32, len(eng.ids))
+		for i, id := range eng.ids {
+			last[id] = &eng.fusedRows[i][0]
+		}
+		refused, moved, added := 0, 0, 0
+		for step, m := range muts {
+			_, ds, err := eng.ApplyVersion([]Mutation{m})
+			if err != nil {
+				t.Fatalf("%s step %d: %v", kind, step, err)
+			}
+			refused += ds.RefusedTuples
+			for i, id := range eng.ids {
+				row := &eng.fusedRows[i][0]
+				if was, ok := last[id]; !ok {
+					added++
+				} else if was != row {
+					moved++
+				}
+				last[id] = row
+			}
+		}
+		if refused == 0 || moved+added > refused {
+			t.Errorf("%s: %d tuples re-fused, %d fused rows moved, %d new", kind, refused, moved, added)
+		}
+		t.Logf("%s, 5k: %.1f tuples re-fused per mutation, %.2f fused rows moved, %.2f new rows",
+			kind, float64(refused)/n, float64(moved)/n, float64(added)/n)
+	}
+}
+
+// BenchmarkLoadVsClean prices a served session's first version against the
+// batch clean of the same table: Clean, and NewDeltaCleaner + LoadVersion,
+// on carSession's table at 5k and 30k rows (ROADMAP item 32 (a) asks a Load
+// to cost within 1.1× a Clean).
+func BenchmarkLoadVsClean(b *testing.B) {
+	opts := Options{Tau: 1}
+	for _, rows := range []int{5000, 30000} {
+		inj, rs := carSessionTable(b, rows)
+		b.Run(fmt.Sprintf("clean/%dk", rows/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := Clean(inj.Dirty, rs, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("load/%dk", rows/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				eng, err := NewDeltaCleaner(inj.Dirty.Schema, rs, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.LoadVersion(inj.Dirty); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // kindMix draws n mutations of one kind of serveMix's: "update" alternates
 // its single-cell corrections and whole-row replacements, "insert" adds rows
 // at the next dense IDs with another row's values, and "delete" removes live
@@ -1375,7 +1473,7 @@ func TestDeltaVersionsImmutable(t *testing.T) {
 		t.Fatal("no version shared a chunk with its parent")
 	}
 	last := versions[len(versions)-1]
-	assertParity(t, "last version", last.Result(), eng.Weights(), eng.Table(), rs, Options{})
+	assertParity(t, "last version", last.Result(), blocksOf(eng, nil), eng.Table(), rs, Options{})
 	// A window of the trail is that window of the whole trail, across chunk
 	// boundaries and past the end.
 	trail := last.Trail()

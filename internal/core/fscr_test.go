@@ -447,7 +447,7 @@ func TestFusionCapEndToEnd(t *testing.T) {
 	if got.Stats.FusionTruncated < 3 {
 		t.Errorf("Apply: %d fusions hit the state cap, want 3: %+v", got.Stats.FusionTruncated, got.Stats)
 	}
-	assertParity(t, "capped Apply", got, eng.Weights(), grown, rs, opts)
+	assertParity(t, "capped Apply", got, blocksOf(eng, nil), grown, rs, opts)
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("two capped cleans took %v, want under 5 s", wall)
 	}
@@ -800,17 +800,7 @@ func haiFusion(tb testing.TB) (*dataset.Table, *dataset.Encoded, *fusionPlan) {
 		tb.Fatal(err)
 	}
 	opts := Options{Tau: 10}.withDefaults()
-	ix, err := index.Build(inj.Dirty, rs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctx := context.Background()
-	var st Stats
-	for _, stage := range []func(context.Context, *index.Index, Options, *Stats) error{StageAGP, StageLearn, StageRSC} {
-		if err := stage(ctx, ix, opts, &st); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	ix := stagedIndex(tb, inj.Dirty, rs, opts)
 	enc := ix.Encoded()
 	return inj.Dirty.Clone(), enc, planFusion(ix.Dict(), inj.Dirty, enc.Rows, FusionBlocksFromIndex(ix), opts)
 }

@@ -19,7 +19,7 @@ import (
 // them keeps a dropped piece alive. A finalizer on each slab's first element
 // tracks it.
 func TestStageIRetainsNoDroppedPiece(t *testing.T) {
-	ix, opts := stageIFixture(t)
+	_, ix, opts := stageIFixture(t)
 	var freed atomic.Int64
 	slabs := 0
 	track := func(ptr any) {

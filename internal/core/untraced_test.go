@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"mlnclean/internal/datagen"
+	"mlnclean/internal/dataset"
 	"mlnclean/internal/distance"
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/index"
 )
 
 // stageIFixture is a contested HAI table (60 providers × 8 measures, 15 %
-// errors) indexed once, so that identical copies of its blocks can be built
-// on one dictionary and measured on one evaluator.
-func stageIFixture(t *testing.T) (*index.Index, Options) {
+// errors) and its index, built once, so that identical copies of its blocks
+// can be built on one dictionary and measured on one evaluator.
+func stageIFixture(t *testing.T) (*dataset.Table, *index.Index, Options) {
 	t.Helper()
 	truth, rs, err := datagen.HAI(datagen.HAIConfig{Providers: 60, Measures: 8, Seed: 7})
 	if err != nil {
@@ -27,17 +28,17 @@ func stageIFixture(t *testing.T) (*index.Index, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix, Options{Tau: 3}.withDefaults()
+	return inj.Dirty, ix, Options{Tau: 3}.withDefaults()
 }
 
-// blockCopies builds n fresh copies of every block of ix, each run through
-// AGP and weight learning when forRSC is set — RSC's input.
-func blockCopies(t *testing.T, ix *index.Index, opts Options, ev *distance.Evaluator, n int, forRSC bool) [][]*index.Block {
+// blockCopies builds n fresh copies of every block of ix, the index of tb,
+// each run through AGP and weight learning when forRSC is set — RSC's input.
+func blockCopies(t *testing.T, tb *dataset.Table, ix *index.Index, opts Options, ev *distance.Evaluator, n int, forRSC bool) [][]*index.Block {
 	t.Helper()
 	out := make([][]*index.Block, n)
 	for k := range out {
 		for bi, b := range ix.Blocks {
-			c := index.BuildBlockFor(ix.Table(), ix.Encoded(), b.Rule)
+			c := index.BuildBlockFor(tb, ix.Encoded(), b.Rule)
 			if forRSC {
 				agp(bi, c, opts.Tau, soloCrew(ev), opts.MergeCapRatio, nil)
 				if _, err := learnBlockWeights(c, nil); err != nil {
@@ -58,11 +59,11 @@ func blockCopies(t *testing.T, ix *index.Index, opts Options, ev *distance.Evalu
 // blocks must leave them in the same state and record one entry per
 // decision.
 func TestStageIUntracedAllocs(t *testing.T) {
-	ix, opts := stageIFixture(t)
+	tb, ix, opts := stageIFixture(t)
 	ev := distance.NewEvaluator(opts.Metric, ix.Dict())
 	const runs = 4
 
-	agpIn := blockCopies(t, ix, opts, ev, runs+1, false)
+	agpIn := blockCopies(t, tb, ix, opts, ev, runs+1, false)
 	k := 0
 	agpAllocs := testing.AllocsPerRun(runs, func() {
 		for bi, b := range agpIn[k] {
@@ -70,7 +71,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 		}
 		k++
 	})
-	rscIn := blockCopies(t, ix, opts, ev, runs+1, true)
+	rscIn := blockCopies(t, tb, ix, opts, ev, runs+1, true)
 	k = 0
 	rscAllocs := testing.AllocsPerRun(runs, func() {
 		for bi, b := range rscIn[k] {
@@ -81,7 +82,7 @@ func TestStageIUntracedAllocs(t *testing.T) {
 
 	// The traced reference over fresh copies: the decisions the bounds are
 	// stated in, and the block state an untraced run must reproduce.
-	traced := blockCopies(t, ix, opts, ev, 1, false)[0]
+	traced := blockCopies(t, tb, ix, opts, ev, 1, false)[0]
 	tr := &Trace{}
 	abnormal, promotions, contested, rewrites := 0, 0, 0, 0
 	for bi, b := range traced {

@@ -73,10 +73,10 @@ func (v *Version) Stats() Stats { return v.stats }
 // TrailLen is the length of the version's audit trail.
 func (v *Version) TrailLen() int { return v.repairs }
 
-// Result materializes the version as Clean's Result of the same table.
-// Result.Index is nil: the engine is the index's keeper across mutations.
-// The tuples and duplicate sets are the version's own, shared: callers treat
-// Results as immutable.
+// Result materializes the version as Clean's Result of the same table. A
+// tuple fusion left unchanged is the very tuple the engine was handed (by
+// LoadVersion, or as a Mutation's Values); the tuples and duplicate sets
+// are shared with the version: callers treat Results as immutable.
 func (v *Version) Result() *Result {
 	repaired := &dataset.Table{Schema: v.eng.schema, Tuples: make([]*dataset.Tuple, 0, v.stats.Tuples)}
 	for _, c := range v.chunks {

@@ -58,7 +58,7 @@ func TestWideGroupsParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertParity(t, shape, res, eng.Weights(), tb, rs, Options{})
+			assertParity(t, shape, res, blocksOf(eng, nil), tb, rs, Options{})
 			if st := res.Stats; st.RSCRepairs != n-1 {
 				t.Errorf("%d RSC repairs, want %d: the shape is not one group of %d pieces", st.RSCRepairs, n-1, n)
 			}

@@ -284,9 +284,8 @@ func (tb *Table) ValueCounts(attr string) map[string]int {
 // decide pipeline identity. The cleaning hot path keys pieces, groups, and
 // duplicates on interned ID sequences (internal/intern), which are immune;
 // joined keys survive only in traces (core.Trace), evaluation
-// (internal/eval), and the piece summaries the delta parity tests compare
-// (index.PieceSummary), where they are compared against other joins of the
-// same shape.
+// (internal/eval), and the piece keys the delta parity tests compare,
+// where they are compared against other joins of the same shape.
 const keySep = "\x1f"
 
 // Key returns a composite display key for tuple t over attrs.

@@ -399,7 +399,6 @@ func (b *Block) Pieces() []*Piece {
 // Index is the full two-layer MLN index.
 type Index struct {
 	Blocks []*Block
-	table  *dataset.Table
 	enc    *dataset.Encoded
 }
 
@@ -426,14 +425,11 @@ func (ix *Index) Plan() scanReport {
 	return r
 }
 
-// Table returns the dirty table the index was built over.
-func (ix *Index) Table() *dataset.Table { return ix.table }
-
 // Dict returns the value dictionary the index is encoded against.
 func (ix *Index) Dict() *intern.Dict { return ix.enc.Dict }
 
 // Encoded returns the dictionary-encoded rows of the indexed table,
-// row-aligned with Table().Tuples.
+// row-aligned with its tuples.
 func (ix *Index) Encoded() *dataset.Encoded { return ix.enc }
 
 // rulePlan precompiles one rule against the schema and dictionary: attribute
@@ -698,55 +694,6 @@ func (s *buildScratch) carve(tb *dataset.Table, enc *dataset.Encoded, r *rules.R
 		}
 	}
 	return b
-}
-
-// PieceSummary is the string form of one piece's weight record: its
-// identity (rule + exact values, plus the joined display key), support
-// count, and learned weight. Only tests read these: the delta parity suites
-// compare the engine's weights (DeltaCleaner.Weights) with a fresh clean's,
-// and the repair-trail oracle attributes repairs by them.
-type PieceSummary struct {
-	RuleID string
-	// Key is the joined display form of Values; Values is the
-	// authoritative identity.
-	Key    string
-	Values []string
-	Count  int
-	Weight float64
-}
-
-// PieceSummaries extracts one summary per piece in deterministic
-// block/group/piece order.
-func (ix *Index) PieceSummaries() []PieceSummary {
-	var out []PieceSummary
-	for _, b := range ix.Blocks {
-		out = b.appendSummaries(out)
-	}
-	return out
-}
-
-// PieceSummaries is Index.PieceSummaries for one block: the slice a full
-// index would contribute for it, in group/piece order.
-func (b *Block) PieceSummaries() []PieceSummary {
-	return b.appendSummaries(nil)
-}
-
-// appendSummaries appends the block's summaries to out, so the whole-index
-// vector is built in one slice instead of being copied together per block.
-func (b *Block) appendSummaries(out []PieceSummary) []PieceSummary {
-	for _, g := range b.Groups {
-		for _, p := range g.Pieces {
-			vals := p.Values()
-			out = append(out, PieceSummary{
-				RuleID: b.Rule.ID,
-				Key:    dataset.JoinKey(vals),
-				Values: vals,
-				Count:  p.Count(),
-				Weight: p.Weight,
-			})
-		}
-	}
-	return out
 }
 
 // Stats summarizes index shape.

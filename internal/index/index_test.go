@@ -293,45 +293,6 @@ func TestMergeGroupsCombinesIdenticalPieces(t *testing.T) {
 	}
 }
 
-func TestIndexTableAccessor(t *testing.T) {
-	tb := sampleTable(t)
-	ix, _ := Build(tb, sampleRules(t))
-	if ix.Table() != tb {
-		t.Error("Table accessor")
-	}
-}
-
-// TestPieceSummariesRoundTrip: summaries report every piece's identity,
-// support and weight, one per piece.
-func TestPieceSummariesRoundTrip(t *testing.T) {
-	tb := sampleTable(t)
-	ix, _ := Build(tb, sampleRules(t))
-	var want int
-	for _, b := range ix.Blocks {
-		for _, g := range b.Groups {
-			for pi, p := range g.Pieces {
-				p.Weight = float64(pi + 1)
-				want++
-			}
-		}
-	}
-	sums := ix.PieceSummaries()
-	if len(sums) != want {
-		t.Fatalf("summaries = %d, want %d", len(sums), want)
-	}
-	seen := make(map[string]bool)
-	for _, s := range sums {
-		if s.Count < 1 || s.RuleID == "" || s.Key == "" {
-			t.Errorf("bad summary %+v", s)
-		}
-		k := s.RuleID + "|" + s.Key
-		if seen[k] {
-			t.Errorf("duplicate summary identity %s", k)
-		}
-		seen[k] = true
-	}
-}
-
 // TestMergeRunsMatchesSort: Collapse's merge of a group's ascending tuple
 // lists gives what sorting their concatenation gives, for groups of one to
 // a dozen pieces, with the lists interleaved,

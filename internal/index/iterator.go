@@ -27,6 +27,7 @@ import (
 // block shares no memory with the next one.
 type BlockIterator struct {
 	ix       *Index
+	tb       *dataset.Table // the table the blocks are built over
 	rs       []*rules.Rule
 	next     int
 	building time.Duration
@@ -60,15 +61,16 @@ func NewBlockIterator(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Bl
 		enc = dataset.Encode(tb, nil)
 	}
 	it := &BlockIterator{
-		ix: &Index{table: tb, enc: enc, Blocks: make([]*Block, 0, len(rs))},
+		ix: &Index{enc: enc, Blocks: make([]*Block, 0, len(rs))},
+		tb: tb,
 		rs: rs,
 	}
 	it.building += time.Since(t0)
 	return it, nil
 }
 
-// Index returns the index under construction. Dictionary, table, and
-// encoded rows are valid immediately; Blocks holds the blocks yielded so
+// Index returns the index under construction. Dictionary and encoded rows
+// are valid immediately; Blocks holds the blocks yielded so
 // far. After the final Next the index is exactly BuildConfigured's.
 func (it *BlockIterator) Index() *Index { return it.ix }
 
@@ -84,7 +86,7 @@ func (it *BlockIterator) Next() (bi int, b *Block, ok bool) {
 	t0 := time.Now()
 	ri := it.next
 	it.next++
-	b = BuildBlockFor(it.ix.table, it.ix.enc, it.rs[ri])
+	b = BuildBlockFor(it.tb, it.ix.enc, it.rs[ri])
 	it.ix.Blocks = append(it.ix.Blocks, b)
 	it.building += time.Since(t0)
 	if it.next == len(it.rs) {

@@ -48,7 +48,8 @@ const (
 // Mutate applies one tuple mutation to a done session: validates it against
 // the current table, logs it (the durability point), folds it into the delta
 // engine, and returns the new version number, the version and the Apply's
-// reuse accounting.
+// reuse accounting. A put's values are logged and kept as given, as the
+// new tuple's values: the caller must not write them afterwards.
 //
 // Error mapping: ErrInvalid for semantically bad input (arity, out-of-range
 // row), ErrNotFound for deleting an absent row, ErrDurability when the WAL
@@ -93,8 +94,8 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *core.Versio
 	rec := recMutation{ID: s.ID, Op: op, Row: row}
 	mut := core.Mutation{Op: core.DeltaDelete, Row: row}
 	if op == mutPut {
-		rec.Values = append([]string(nil), values...)
-		mut = core.Mutation{Op: core.DeltaPut, Row: row, Values: rec.Values}
+		rec.Values = values
+		mut = core.Mutation{Op: core.DeltaPut, Row: row, Values: values}
 	}
 	if err := s.wal.append(rec); err != nil {
 		return 0, nil, nil, fmt.Errorf("%w: session %s: %v", ErrDurability, s.ID, err)

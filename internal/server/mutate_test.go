@@ -143,7 +143,7 @@ func assertVersionParity(t *testing.T, c *client, id string, version int, schema
 	if code := c.do("GET", fmt.Sprintf("/v1/sessions/%s/repairs?version=%d", id, version), nil, &reps); code != http.StatusOK {
 		t.Fatalf("repairs version %d: status %d", version, code)
 	}
-	wantReps := computeRepairsTable(schema, ref, want.Repaired, rs, want.Index.PieceSummaries())
+	wantReps := computeRepairsTable(schema, ref, want.Repaired, rs, stageIBlocks(t, ref, rs, core.Options{}))
 	if reps.Version != version || reps.Total != len(wantReps) {
 		t.Fatalf("repairs version %d: version=%d total=%d, want version=%d total=%d",
 			version, reps.Version, reps.Total, version, len(wantReps))

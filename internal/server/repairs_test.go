@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -15,21 +16,40 @@ import (
 	"mlnclean/internal/rules"
 )
 
+// stageIBlocks is a from-scratch stage I of tb, one stage at a time over a
+// built index: one weighted winner per group, the weight vector a version of
+// tb attributes its repairs against.
+func stageIBlocks(t *testing.T, tb *dataset.Table, rs []*rules.Rule, opts core.Options) []*index.Block {
+	t.Helper()
+	ix, err := index.BuildConfigured(tb, rs, index.BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st core.Stats
+	for _, stage := range []func(context.Context, *index.Index, core.Options, *core.Stats) error{core.StageAGP, core.StageLearn, core.StageRSC} {
+		if err := stage(context.Background(), ix, opts, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix.Blocks
+}
+
 // computeRepairsTable is the string oracle of a version's audit trail: it
 // diffs the version's input table against its repaired output (pre-dedup, so
 // both carry the same tuple IDs) and attributes each changed cell against the
-// version's weight vector by joined keys. The engine's Trail must reproduce
-// it wherever joined keys are unambiguous (no value holds the 0x1f
-// separator, rule IDs are distinct).
-func computeRepairsTable(schema *dataset.Schema, dirty, repaired *dataset.Table, rs []*rules.Rule, weights []index.PieceSummary) []Repair {
+// weights of the version's stage-I blocks by joined keys. The engine's Trail
+// must reproduce it wherever joined keys are unambiguous (no value holds the
+// 0x1f separator, rule IDs are distinct).
+func computeRepairsTable(schema *dataset.Schema, dirty, repaired *dataset.Table, rs []*rules.Rule, blocks []*index.Block) []Repair {
 	origRows := make(map[int][]string, dirty.Len())
 	for _, t := range dirty.Tuples {
 		origRows[t.ID] = t.Values
 	}
-	weightOf := make(map[string]float64, len(weights))
-	for i := range weights {
-		s := &weights[i]
-		weightOf[s.RuleID+"\x1f"+dataset.JoinKey(s.Values)] = s.Weight
+	weightOf := make(map[string]float64)
+	for _, b := range blocks {
+		for _, p := range b.Pieces() {
+			weightOf[b.Rule.ID+"\x1f"+p.Key()] = p.Weight
+		}
 	}
 	attrs := schema.Attrs()
 	var out []Repair
@@ -116,11 +136,13 @@ func TestDeltaTrailMatchesOracle(t *testing.T) {
 				for _, tp := range dirty.Tuples {
 					rows[tp.ID] = tp.Values
 				}
-				// The oracle diffs the mirrored input, not the engine's copy.
+				// The oracle diffs the mirrored input, and weighs against a
+				// fresh stage I of it, not the engine's blocks.
 				check := func(label string, res *core.Result) {
 					t.Helper()
 					got := eng.Trail()
-					want := computeRepairsTable(schema, mirrorTable(schema, rows), res.Repaired, rs, eng.Weights())
+					ref := mirrorTable(schema, rows)
+					want := computeRepairsTable(schema, ref, res.Repaired, rs, stageIBlocks(t, ref, rs, core.Options{Tau: fx.tau}))
 					if !reflect.DeepEqual(got, want) {
 						for i := range min(len(got), len(want)) {
 							if got[i] != want[i] {
@@ -209,14 +231,11 @@ func TestRepairAttributionIsExact(t *testing.T) {
 	}
 
 	// The weights of the two colliding pieces, read by exact values off an
-	// independent clean.
-	ref, err := core.Clean(dirty, rs, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// independent stage I.
+	ref := stageIBlocks(t, dirty, rs, core.Options{})
 	weightOf := func(vals ...string) float64 {
 		t.Helper()
-		for _, p := range ref.Index.Blocks[0].Pieces() {
+		for _, p := range ref[0].Pieces() {
 			if slices.Equal(p.Values(), vals) {
 				return p.Weight
 			}

@@ -161,7 +161,9 @@ func (s *Session) Info() SessionInfo {
 }
 
 // Submit appends one batch of rows to the session. Only valid while the
-// session is open.
+// session is open. The session logs and keeps rows as given, and its engine
+// adopts them as tuple values: the caller must not write rows or their
+// slices afterwards.
 func (s *Session) Submit(rows [][]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -171,19 +173,15 @@ func (s *Session) Submit(rows [][]string) error {
 	if s.state != StateOpen {
 		return fmt.Errorf("server: session %s is %s, not accepting tuples", s.ID, s.state)
 	}
-	// Copy the rows before logging/retaining: the client's decoder owns the
-	// originals.
-	kept := make([][]string, len(rows))
 	for i, row := range rows {
 		if len(row) != s.schema.Len() {
 			return fmt.Errorf("%w: batch row %d has %d values, schema has %d", ErrBadInput, i, len(row), s.schema.Len())
 		}
-		kept[i] = append([]string(nil), row...)
 	}
-	if err := s.wal.append(recBatch{ID: s.ID, Rows: kept}); err != nil {
+	if err := s.wal.append(recBatch{ID: s.ID, Rows: rows}); err != nil {
 		return fmt.Errorf("%w: session %s: %v", ErrDurability, s.ID, err)
 	}
-	s.batches = append(s.batches, kept)
+	s.batches = append(s.batches, rows)
 	s.tuples += len(rows)
 	s.lastUsed = time.Now()
 	return nil
