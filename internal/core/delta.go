@@ -72,14 +72,24 @@ import (
 //   - A conflicted tuple's search also reads its versions' weights, the
 //     replacement candidates of the posting lists it scans, and the domain
 //     sizes its prior divides by. Its fusion records those reads (the
-//     posting keys and positions, fuser.reads), and it is re-fused only
-//     when one of them moved (readMoved): a version reweighted, a candidate
-//     new, gone or reweighted on a posting list it scanned (place lists
-//     them), or a domain size. Each block's candidate index is patched slot
-//     by slot as place moves its winners, and rebuilt only when the block's
-//     Σc moved, which moves every weight; the domain sizes come from counts
-//     per value ID, moved row by row. TestDeltaSkippedFusionsMatchFresh
-//     fuses every tuple left alone afresh after each step.
+//     posting keys and positions, fuser.reads) and a slack (fuser.slack):
+//     how far, in log space, the decisions it took led their runners-up,
+//     the best order the best one with another assignment and each
+//     replacement pick the next compatible candidate. It is re-fused when a
+//     version or candidate it read is new or gone, or a domain size it read
+//     moved (readMoved). A weight that merely moved drifts: each Apply
+//     takes twice the largest drift among what the tuple read, summed over
+//     its blocks, out of its slack, which is kept across the Applies that
+//     leave the tuple alone, and the tuple is re-fused once none is left.
+//     A tie leaves no slack, except between weights of exactly 1, which
+//     uncontested winners hold and no Σc moves (a weight that leaves 1
+//     counts as a candidate gone). Each block's candidate index is patched
+//     slot by slot as place moves its winners; when Σc moved, which moves
+//     every contested weight, the weights are changed in place and the
+//     index resorted, and it is rebuilt only when every group was redone.
+//     The domain sizes come from counts per value ID, moved row by row.
+//     TestDeltaSkippedFusionsMatchFresh fuses every tuple left alone afresh
+//     after each step.
 //   - Every per-tuple cache is a slice parallel to the table, in its
 //     ascending-ID order; an ID is found by binary search over a flat slice
 //     of the IDs, galloping forward along a piece's ascending tuple IDs
@@ -167,15 +177,23 @@ type deltaBlock struct {
 	// moved lists the table positions whose version in this block the last
 	// re-clean moved.
 	moved []int
-	// whole says the last re-clean redid every group (redo) or moved Σc, and
-	// so may have moved every weight: adopt builds the candidate index
-	// again. Otherwise
-	// changed holds the posting keys (attribute index << 32 | value ID) of
-	// the candidates it made new, gone or reweighted, ascending, and
-	// reweighted marks, by slot, the winners it kept at another weight.
-	whole      bool
-	changed    []uint64
-	reweighted []bool
+	// whole says the last re-clean redid every group (redo): adopt builds
+	// the candidate index again, and every tuple that read the block is
+	// re-fused. Otherwise redone names the groups it redid, totalMoved says
+	// it moved Σc, and place records how far each candidate moved, as a
+	// drift (the distance in log space between its old and new weight;
+	// +Inf for a candidate new or gone, or one that left weight 1): drift
+	// by slot, changed by posting key (attribute index << 32 | value ID,
+	// ascending, distinct) for the candidates of the groups it redid and
+	// every new or gone one, and spread as the largest drift of any other,
+	// so a posting list's candidates moved by at most the larger of spread
+	// and its key's drift, and the block's by at most widest.
+	whole          bool
+	redone         map[uint32]bool
+	totalMoved     bool
+	drift          []float64
+	changed        []keyDrift
+	spread, widest float64
 	// weights is the block's fragment of the weight vector repair
 	// attribution reads. Every re-clean allocates new arrays (the keys only
 	// when the pieces changed), because the versions minted since the last
@@ -188,6 +206,27 @@ type deltaBlock struct {
 	// block, so a re-clean only re-scores against the groups that moved,
 	// and tells it which groups merged where the last time.
 	memo *blockMemo
+}
+
+// keyDrift is the largest drift (deltaBlock.drift) of a candidate filed
+// under a posting key.
+type keyDrift struct {
+	key   uint64
+	drift float64
+}
+
+// driftPad is added to every drift for the rounding of math.Log, whose
+// error is below an ulp of a weight's log (|ln w| ≤ ln 1e6, minPieceWeight).
+const driftPad = 1e-12
+
+// weightDrift is the drift of a weight moved from was to now (bits
+// differ): +Inf when it left 1, which the fusion searches take as fixed
+// (blockCands.margin, fuser.settle).
+func weightDrift(was, now float64) float64 {
+	if was == 1 {
+		return math.Inf(1)
+	}
+	return math.Abs(math.Log(now/was)) + driftPad
 }
 
 // blockMemo is what one block's re-clean leaves the next, and the arrays it
@@ -227,20 +266,25 @@ type DeltaCleaner struct {
 	fusedTuples []*dataset.Tuple
 	fusedRows   [][]uint32
 	fuseRes     []fuseResult
-	// reads holds, by tuple ID, each conflicted tuple's read keys (readKey),
-	// ascending: what besides its versions its last fusion read, and so
-	// what must move before it is fused again. A map, not a slice parallel
-	// to the table: a few percent of the tuples are conflicted.
-	reads map[int][]uint64
+	// reads holds, by tuple ID, each conflicted tuple's read set: what
+	// besides its versions its last fusion read, and how far that may still
+	// drift before the fusion could come out another way. A map, not a
+	// slice parallel to the table: a few percent of the tuples are
+	// conflicted.
+	reads map[int]readSet
 	// conflicted lists, ascending, the positions of the tuples whose last
 	// fusion met a conflict, spliced as the table is; sums totals every
 	// tuple's fusion accounting, moved as each tuple is fused or deleted.
 	conflicted []int
 	sums       fuseSums
 	// refuse marks, per position, the tuples the Apply in progress re-fuses,
-	// and refusing lists them: every mark is cleared before Apply returns.
+	// and refusing lists them: every mark is cleared before Apply returns,
+	// and refusing then lists the positions the last Apply re-fused. kept
+	// counts the conflicted tuples it left alone though something they read
+	// drifted: their slack paid for it (readMoved).
 	refuse   []bool
 	refusing []int
+	kept     int
 	// domWas is the plan's domain sizes before the Apply in progress.
 	domWas []int
 
@@ -261,6 +305,15 @@ type DeltaCleaner struct {
 	dups    *dupIndex
 
 	loaded bool
+}
+
+// readSet is what a conflicted tuple's last fusion read besides its
+// versions: its read keys (readKey), ascending, and the slack the fusion
+// left (fuser.slack), less twice the drift of what it read summed over the
+// Applies that left it alone since.
+type readSet struct {
+	keys  []uint64
+	slack float64
 }
 
 // NewDeltaCleaner prepares an engine for the schema and rule set. Options
@@ -352,7 +405,7 @@ func (d *DeltaCleaner) LoadVersion(tb *dataset.Table) (*Version, error) {
 	for i, t := range d.tuples {
 		d.ids[i] = t.ID
 	}
-	d.fusedTuples, d.fusedRows, d.fuseRes, d.reads = make([]*dataset.Tuple, n), make([][]uint32, n), make([]fuseResult, n), make(map[int][]uint64)
+	d.fusedTuples, d.fusedRows, d.fuseRes, d.reads = make([]*dataset.Tuple, n), make([][]uint32, n), make([]fuseResult, n), make(map[int]readSet)
 	if !d.opts.KeepDuplicates {
 		d.dups = newDupIndex(n)
 	}
@@ -498,6 +551,7 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		d.refuse = slices.Grow(d.refuse[:0], n+n/16)
 	}
 	d.refuse = d.refuse[:len(d.tuples)]
+	d.refusing, d.kept = d.refusing[:0], 0
 	for _, m := range muts {
 		if pos, live := d.posOf(m.Row); live && m.Op == DeltaPut {
 			d.mark(pos)
@@ -507,7 +561,8 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 	// piece, or a version on one side only. A weight alone cannot change a
 	// tuple without a conflict (fusion reads weights only into the trace's
 	// score). A conflicted tuple's search also read weights, candidates and
-	// domain sizes: it is marked when one of those moved (readMoved).
+	// domain sizes: it is marked when one of those moved further than its
+	// slack allows (readMoved).
 	for _, ri := range edited {
 		for _, i := range d.blocks[ri].moved {
 			d.mark(i)
@@ -525,7 +580,6 @@ func (d *DeltaCleaner) ApplyVersion(muts []Mutation) (*Version, *DeltaStats, err
 		d.refuse[i] = false
 	}
 	ds.RefusedTuples, ds.ReusedTuples = len(d.refusing), len(d.tuples)-len(d.refusing)
-	d.refusing = d.refusing[:0]
 	ds.Wall = time.Since(t0)
 
 	mDeltaDirtyBlocks.Add(int64(ds.DirtyBlocks))
@@ -751,7 +805,7 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 		}
 	}
 	r.learn = lap()
-	db.whole = redo == nil || p.total != db.total
+	db.whole, db.redone, db.totalMoved = redo == nil, redo, p.total != db.total
 	redone := func(g *index.Group) bool { return redo == nil || redo[g.KeyID()] }
 
 	// Copy out each redone group and its sources, then merge them.
@@ -1085,6 +1139,7 @@ func (d *DeltaCleaner) adopt(ri int, res blockResult) {
 		bc = d.plan.candidates[ri]
 	}
 	d.place(db, fb, d.plan.versionOf[ri], b, bc)
+	db.redone = nil // read by place alone
 	fb.Candidates = fb.Pieces
 	if bc == nil {
 		bc = buildBlockCands(fb, d.plan.posPerBlock[ri])
@@ -1122,26 +1177,29 @@ func (d *DeltaCleaner) adopt(ri int, res blockResult) {
 // its piece has not moved.
 //
 // As a candidate, a winner has changed when it is new, gone, or kept its
-// slot at another weight: place lists the posting keys of every changed
-// candidate in db.changed and marks the reweighted slots in db.reweighted,
-// and files every slot it moves in bc, the block's candidate index, unless
-// bc is nil.
+// slot at another weight: place records how far each moved (db.drift,
+// db.changed, db.spread, db.widest) and files every slot it moves in bc,
+// the block's candidate index, unless bc is nil. A reweighted slot is
+// taken out and filed again, except when Σc moved, which moves every
+// contested winner: then the weights are changed in place and the index
+// resorted, before any new winner is filed.
 func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *index.Block, bc *blockCands) {
 	posOf := d.walkPos()
 	moved := db.moved[:0]
 	var free []uint32
 	slots := fb.Pieces
 	live := make([]bool, len(slots), len(slots)+len(b.Groups))
-	db.reweighted = slices.Grow(db.reweighted[:0], len(slots)+len(b.Groups))[:len(slots)]
-	clear(db.reweighted)
-	db.changed = db.changed[:0]
-	changed := func(ids []uint32) {
+	db.drift = slices.Grow(db.drift[:0], len(slots)+len(b.Groups))[:len(slots)]
+	clear(db.drift)
+	db.changed, db.spread = db.changed[:0], 0
+	changed := func(ids []uint32, drift float64) {
 		for i, v := range ids {
-			db.changed = append(db.changed, uint64(i)<<32|uint64(v))
+			db.changed = append(db.changed, keyDrift{uint64(i)<<32 | uint64(v), drift})
 		}
 	}
 	var fresh []*index.Piece
-	var gained []int // positions, then the slot they take
+	var gained []int   // positions, then the slot they take
+	var resort []int32 // slots reweighted in place
 	// Load fuses every tuple: it lists no positions.
 	mark := func(i int) {
 		if d.loaded {
@@ -1165,10 +1223,19 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		was, now := slots[s].TupleIDs, w.TupleIDs
 		if bc != nil {
 			if math.Float64bits(slots[s].Weight) != math.Float64bits(w.Weight) {
-				bc.remove(int32(s))
-				bc.put(int32(s), candOf(w))
-				changed(w.ValueIDs())
-				db.reweighted[s] = true
+				dr := weightDrift(slots[s].Weight, w.Weight)
+				db.drift[s] = dr
+				if db.redone[g.KeyID()] || math.IsInf(dr, 1) {
+					changed(w.ValueIDs(), dr)
+				} else {
+					db.spread = max(db.spread, dr)
+				}
+				if db.totalMoved {
+					resort = append(resort, int32(s))
+				} else {
+					bc.remove(int32(s))
+					bc.put(int32(s), candOf(w))
+				}
 			} else {
 				// The same candidate, perhaps laid out anew: file the new
 				// layout's IDs so the old layout can be collected.
@@ -1203,10 +1270,16 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 			}
 			if bc != nil {
 				bc.remove(int32(s))
-				changed(p.ValueIDs())
+				changed(p.ValueIDs(), math.Inf(1))
 			}
 			free = append(free, uint32(s))
 		}
+	}
+	if len(resort) > 0 {
+		for _, s := range resort {
+			bc.ents[s] = candOf(slots[s])
+		}
+		bc.resort()
 	}
 	for k := 0; k < len(gained); k += 2 {
 		at[gained[k]] = uint32(gained[k+1]) + 1
@@ -1220,11 +1293,11 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		} else {
 			s = uint32(len(slots))
 			slots, live = append(slots, w), append(live, true)
-			db.reweighted = append(db.reweighted, false)
+			db.drift = append(db.drift, 0)
 		}
 		if bc != nil {
 			bc.put(int32(s), candOf(w))
-			changed(w.ValueIDs())
+			changed(w.ValueIDs(), math.Inf(1))
 		}
 		db.slotOf[w.KeyID()] = s
 		for _, id := range w.TupleIDs {
@@ -1243,7 +1316,7 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 			w := slots[last]
 			slots[s], live[s] = w, true
 			db.slotOf[w.KeyID()] = s
-			db.reweighted[s] = db.reweighted[last]
+			db.drift[s] = db.drift[last]
 			if bc != nil {
 				e := bc.ents[last]
 				bc.remove(int32(last))
@@ -1264,44 +1337,96 @@ func (d *DeltaCleaner) place(db *deltaBlock, fb *FusionBlock, at []uint32, b *in
 		clear(bc.ents[len(slots):]) // unfiled: hold no layout alive
 		bc.ents = bc.ents[:len(slots)]
 	}
-	db.reweighted = db.reweighted[:len(slots)]
-	slices.Sort(db.changed)
-	db.changed = slices.Compact(db.changed)
+	db.drift = db.drift[:len(slots)]
+	slices.SortFunc(db.changed, func(a, b keyDrift) int { return cmp.Compare(a.key, b.key) })
+	keys, widest := db.changed[:0], db.spread
+	for _, e := range db.changed {
+		widest = max(widest, e.drift)
+		if n := len(keys); n > 0 && keys[n-1].key == e.key {
+			keys[n-1].drift = max(keys[n-1].drift, e.drift)
+		} else {
+			keys = append(keys, e)
+		}
+	}
+	db.changed, db.widest = keys, widest
 	fb.Pieces = slots
 	db.moved = moved
 }
 
+// driftAt is how far the candidates filed under posting key k (attribute
+// index << 32 | value ID; attribute anyAttr: every candidate) moved at the
+// block's last re-clean, at most.
+func (db *deltaBlock) driftAt(k uint64) float64 {
+	if int(k>>32) == anyAttr {
+		return db.widest
+	}
+	lo, hi := 0, len(db.changed)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); db.changed[m].key < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(db.changed) && db.changed[lo].key == k {
+		return max(db.spread, db.changed[lo].drift)
+	}
+	return db.spread
+}
+
 // readMoved reports whether the Apply in progress, which re-cleaned the
-// blocks marked dirty, moved something the last fusion of the conflicted
-// tuple at position i read: the weight of one of its versions, a candidate
-// (new, gone or reweighted) on a posting list one of its replacement
-// searches scanned, or a domain size its prior read. If none moved, the
-// search would explore the same states and find the same fusion.
+// blocks marked dirty, may have changed what the last fusion of the
+// conflicted tuple at position i found. It has when a block every group of
+// which was redone holds one of its versions or a posting list one of its
+// replacement searches scanned, or when a domain size its prior read moved.
+// Else what it read moved by some drift: in each block, the largest drift
+// of its version and of the candidates on the lists it scanned. A version
+// or candidate new or gone drifts by +Inf. Each fusion score is a product
+// of one weight per block, so the drifts summed over the blocks bound how
+// far a score moved, and twice the sum how far a decision's lead shrank:
+// the tuple's slack pays for it, and the search would decide alike while
+// slack is left.
 func (d *DeltaCleaner) readMoved(i int, dirty []bool) bool {
+	id := d.ids[i]
+	rs := d.reads[id]
+	keys := rs.keys // ascending: by block, the domain reads last
+	sum := 0.0
 	for bi, db := range d.blocks {
-		if s := d.plan.versionOf[bi][i]; dirty[bi] && s != 0 && (db.whole || db.reweighted[s-1]) {
-			return true
+		n := 0
+		for n < len(keys) && int(keys[n]>>48) == bi {
+			n++
 		}
-	}
-	for _, k := range d.reads[d.ids[i]] {
-		bi, attr := int(k>>48), int(k>>32&0xFFFF)
-		if bi == domainRead {
-			if d.plan.domainSize[attr] != d.domWas[attr] {
-				return true
-			}
-			continue
-		}
-		db := d.blocks[bi]
+		read := keys[:n]
+		keys = keys[n:]
+		s := d.plan.versionOf[bi][i]
 		switch {
-		case !dirty[bi]:
-		case db.whole, attr == anyAttr && len(db.changed) > 0:
+		case !dirty[bi], s == 0 && len(read) == 0:
+			continue
+		case db.whole:
 			return true
-		default:
-			if _, hit := slices.BinarySearch(db.changed, k&(1<<48-1)); hit {
-				return true
-			}
+		}
+		x := 0.0
+		if s != 0 {
+			x = db.drift[s-1]
+		}
+		for _, k := range read {
+			x = max(x, db.driftAt(k&(1<<48-1)))
+		}
+		sum += x
+	}
+	for _, k := range keys {
+		if attr := int(k >> 32 & 0xFFFF); d.plan.domainSize[attr] != d.domWas[attr] {
+			return true
 		}
 	}
+	if sum == 0 {
+		return false
+	}
+	if rs.slack -= 2 * sum; !(rs.slack > 0) {
+		return true
+	}
+	d.reads[id] = rs
+	d.kept++
 	return false
 }
 
@@ -1326,7 +1451,8 @@ func (d *DeltaCleaner) fuseOne(i int) {
 	}
 	d.fuseRes[i] = res
 	if res.conflicted != 0 {
-		d.reads[t.ID] = append(d.reads[t.ID][:0], d.fuser.readKeys()...)
+		rs := d.reads[t.ID]
+		d.reads[t.ID] = readSet{keys: append(rs.keys[:0], d.fuser.readKeys()...), slack: d.fuser.slack}
 	} else {
 		delete(d.reads, t.ID)
 	}

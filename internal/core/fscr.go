@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -109,13 +111,16 @@ type candEntry struct {
 // order, the candidates whose i-th attribute carries value ID id, so a
 // conflicted merge scans only the candidates matching one pinned value
 // instead of the whole block. The delta engine patches the index a slot at
-// a time (remove, put) instead of building it again.
+// a time (remove, put) instead of building it again; when Σc moved, which
+// moves every contested weight, it changes the weights in place and
+// resorts.
 type blockCands struct {
 	pos   []int // schema positions of the block's attrs
 	dict  *intern.Dict
 	ents  []candEntry // by slot
 	order []int32     // slots, best first
 	byVal []map[uint32][]int32
+	rank  []int32 // resort's scratch: each slot's index in order
 }
 
 func buildBlockCands(fb *FusionBlock, pos []int) *blockCands {
@@ -203,9 +208,19 @@ func (bc *blockCands) put(s int32, e candEntry) {
 // attribute of this block merged pins, so every compatible candidate is on
 // the list scanned, and the answer depends on that list's candidates only.
 func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, bool, int) {
+	list, k, on := bc.locate(merged, excludeKid)
+	if k == len(list) {
+		return candEntry{}, false, on
+	}
+	return bc.ents[list[k]], true, on
+}
+
+// locate is find by position: the posting list it scans, the index in it
+// of the best compatible candidate (len(list): none) and the list's
+// attribute.
+func (bc *blockCands) locate(merged assignment, excludeKid uint32) (list []int32, k, on int) {
 	// Choose the shortest posting list among pinned attributes.
-	on := -1
-	var list []int32
+	on = -1
 	for i, p := range bc.pos {
 		v := merged[p]
 		if v == unsetID {
@@ -220,8 +235,14 @@ func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, boo
 	if on < 0 {
 		list = bc.order
 	}
-	for _, s := range list {
-		c := &bc.ents[s]
+	return list, bc.next(list, 0, merged, excludeKid), on
+}
+
+// next is the index in list, from k on, of the first candidate compatible
+// with merged other than excludeKid, or len(list).
+func (bc *blockCands) next(list []int32, k int, merged assignment, excludeKid uint32) int {
+	for ; k < len(list); k++ {
+		c := &bc.ents[list[k]]
 		if c.kid == excludeKid {
 			continue
 		}
@@ -233,10 +254,48 @@ func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, boo
 			}
 		}
 		if ok {
-			return *c, true, on
+			return k
 		}
 	}
-	return candEntry{}, false, on
+	return k
+}
+
+// margin is how far ahead list[k], the candidate a replacement search
+// picked, is of the next compatible candidate that could overtake it: the
+// ratio of their weights, +Inf when there is none, 1 for a tie. A pick of
+// weight exactly 1 passes over the compatible candidates of weight 1 after
+// it: 1 is an uncontested winner's weight, which no Σc moves (one that
+// leaves it counts as a candidate gone, DeltaCleaner.place), and
+// candidates of equal weight keep their key order.
+func (bc *blockCands) margin(list []int32, k int, merged assignment, excludeKid uint32) float64 {
+	w := bc.ents[list[k]].weight
+	for {
+		if k = bc.next(list, k+1, merged, excludeKid); k == len(list) {
+			return math.Inf(1)
+		}
+		if next := bc.ents[list[k]].weight; w != 1 || next != 1 {
+			return w / next
+		}
+	}
+}
+
+// resort puts order and every posting list back in best-first order after
+// the weights of some filed entries were changed in place. The lists are
+// sorted by each slot's rank in order, an integer compare.
+func (bc *blockCands) resort() {
+	slices.SortFunc(bc.order, func(a, b int32) int { return bc.compare(&bc.ents[a], &bc.ents[b]) })
+	bc.rank = slices.Grow(bc.rank[:0], len(bc.ents))[:len(bc.ents)]
+	for r, s := range bc.order {
+		bc.rank[s] = int32(r)
+	}
+	byRank := func(a, b int32) int { return cmp.Compare(bc.rank[a], bc.rank[b]) }
+	for _, m := range bc.byVal {
+		for _, l := range m {
+			if !slices.IsSortedFunc(l, byRank) {
+				slices.SortFunc(l, byRank)
+			}
+		}
+	}
 }
 
 // maxComponentVersions bounds the versions one conflicted search can order:
@@ -715,7 +774,25 @@ type fuser struct {
 	// domain size the prior read, deduplicated by readKeys.
 	record bool
 	reads  []uint64
+	// With record on, slack is, after a fuse, how far in log space the
+	// weights its searches read may drift before the fusion could come out
+	// another way: the smallest log ratio of a decision's winner to its
+	// runner-up, less slackEps, and 0 for a tie or a search that failed,
+	// was truncated or could have been (settle). margin is its running
+	// ratio over the fuse. Per search, runner is the best penalized score
+	// of a complete order with another assignment than best, and moving
+	// that of such an order whose raw score is not 1 (it read a weight
+	// below 1, which a Σc can move); bestMoving is moving for best's own
+	// assignment, and zero says some complete order scored 0.
+	slack, margin              float64
+	runner, moving, bestMoving float64
+	zero                       bool
 }
+
+// slackEps is what a recorded slack keeps back for rounding: each score is
+// a product of at most maxComponentVersions weights and one prior factor
+// per position, so its relative rounding error is below 1e-13.
+const slackEps = 1e-9
 
 // A read key names one input a conflicted search read: the posting list of
 // attribute attr's value v in block b's candidate index (attr anyAttr: the
@@ -792,7 +869,11 @@ func (f *fuser) fuse(t *dataset.Tuple, at int, dirtyRow []uint32, trace *[]Fusio
 	}
 	f.dirtyRow = dirtyRow
 	f.reads = f.reads[:0]
+	f.margin = math.Inf(1)
 	raw, ok := f.run()
+	if f.record {
+		f.slack = max(math.Log(f.margin)-slackEps, 0)
+	}
 	var res fuseResult
 	if f.truncated {
 		res.truncated = 1
@@ -875,6 +956,9 @@ func (f *fuser) run() (raw float64, ok bool) {
 			}
 			f.attrs = attrs
 			score = f.search()
+			if f.record {
+				f.settle()
+			}
 			if !f.found {
 				ok = false
 				continue // keep going: the trace lists every component's conflicts
@@ -915,6 +999,7 @@ func (f *fuser) union() (score float64, agreed bool) {
 func (f *fuser) search() float64 {
 	f.conflicted = true
 	f.states, f.bestF, f.bestRaw, f.found = 0, 0, 0, false
+	f.runner, f.moving, f.bestMoving, f.zero = 0, 0, 0, false
 	if len(f.comp) > maxComponentVersions {
 		f.truncated = true
 		return 0
@@ -993,7 +1078,11 @@ func (f *fuser) penalized(raw float64) float64 {
 // mask the consumed versions of f.comp.
 func (f *fuser) extend(fscore float64, mask uint64) {
 	if mask == f.full {
-		if p := f.penalized(fscore); p > f.bestF {
+		p := f.penalized(fscore)
+		if f.record {
+			f.rank(p, fscore)
+		}
+		if p > f.bestF {
 			f.bestF, f.bestRaw, f.found = p, fscore, true
 			for _, pos := range f.attrs {
 				f.best[pos] = f.merged[pos]
@@ -1020,15 +1109,19 @@ func (f *fuser) extend(fscore float64, mask uint64) {
 		if f.conflicts(vj.pos, ids) {
 			// Replacement: highest-weight piece from block Bj that does not
 			// conflict with the fusion so far.
-			repl, ok, on := f.candidates[vj.blockIdx].find(f.merged, vj.kid)
+			bc := f.candidates[vj.blockIdx]
+			list, k, on := bc.locate(f.merged, vj.kid)
 			if f.record {
 				if on < 0 {
 					f.note(readKey(vj.blockIdx, anyAttr, 0))
 				} else {
 					f.note(readKey(vj.blockIdx, on, f.merged[vj.pos[on]]))
 				}
+				if k < len(list) {
+					f.margin = min(f.margin, bc.margin(list, k, f.merged, vj.kid))
+				}
 			}
-			if !ok {
+			if k == len(list) {
 				// A CFD version is conditional: when the fusion so far
 				// contradicts the pattern constants, the rule simply no
 				// longer applies to the tuple, so the version is vacuous and
@@ -1041,12 +1134,86 @@ func (f *fuser) extend(fscore float64, mask uint64) {
 				}
 				continue // this order fails (f-score 0)
 			}
+			repl := &bc.ents[list[k]]
 			ids, weight = repl.ids, repl.weight
 		}
 		mark := f.absorb(vj.pos, ids)
 		f.extend(fscore*weight, mask|bit)
 		f.restore(vj.pos, mark)
 	}
+}
+
+// rank files the complete order just reached, of penalized score p and raw
+// score raw, against the best so far, before extend takes it or not: an
+// order with best's assignment can raise bestMoving, one that beats best
+// with another assignment makes best the runner-up, and any other raises
+// the runner-up. An order with best's assignment never counts as a
+// runner-up, except in moving, which is kept an upper bound: the order that
+// replaces best need not be counted out of it.
+func (f *fuser) rank(p, raw float64) {
+	move := 0.0
+	if raw != 1 {
+		move = p
+	}
+	f.zero = f.zero || p == 0
+	switch {
+	case f.found && f.sameAsBest():
+		f.bestMoving = max(f.bestMoving, move)
+	case p > f.bestF:
+		if f.found {
+			f.runner, f.moving = f.bestF, max(f.moving, f.bestMoving)
+		}
+		f.bestMoving = move
+	default:
+		f.runner, f.moving = max(f.runner, p), max(f.moving, move)
+	}
+}
+
+// sameAsBest reports whether the working fusion is best's assignment.
+func (f *fuser) sameAsBest() bool {
+	for _, pos := range f.attrs {
+		if f.merged[pos] != f.best[pos] {
+			return false
+		}
+	}
+	return true
+}
+
+// settle folds the search just run into margin: the ratio of best's score
+// to the runner-up's. With the weights a search read kept in order, every
+// state it reaches stays reachable, and what it returns is the first
+// complete order of the highest score, so the assignment holds while best
+// stays ahead of every order with another assignment. Best of raw score 1
+// read weight 1 only, which stays put (blockCands.margin), and so do the
+// scores of other such orders: it need stay ahead of moving only. A search
+// that failed, was truncated or could be (the orders' prefixes could number
+// maxStates), or met a score of 0, leaves a margin of 1.
+func (f *fuser) settle() {
+	runner := f.runner
+	if f.bestRaw == 1 {
+		runner = f.moving
+	}
+	switch {
+	case !f.found || f.truncated || f.zero || f.crowded(len(f.comp)):
+		f.margin = 1
+	case runner > 0:
+		f.margin = min(f.margin, f.bestF/runner)
+	}
+}
+
+// crowded reports whether a search over m versions could enter maxStates
+// states: one per order prefix of 1 to m−1 versions, at most. Below that
+// the search enters every state it reaches, whatever the scores, and only
+// how often it re-enters one depends on them.
+func (f *fuser) crowded(m int) bool {
+	n, t := 0, 1
+	for k := 1; k < m; k++ {
+		t *= m - k + 1
+		if n += t; n >= f.maxStates {
+			return true
+		}
+	}
+	return false
 }
 
 // cfdVacuous reports whether version v comes from a CFD whose constant
