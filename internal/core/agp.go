@@ -246,14 +246,13 @@ func (s *agpSearch) searcher(ev *distance.Evaluator) *agpSearcher {
 // of the two: its distance is summed from the source's tables in the
 // search's order, and the target is dropped once the partial sum passes the
 // best. An entry is measured the first time a target needs it, capped at
-// the running best and past the evaluator's memo (the table is this
-// source's memo): one clipped past that cap stays past every later best,
-// which only falls, so it drops every target that holds it. A target that
-// survives has every entry exact, summed in position order or, where
-// distances are integers, in an order that gives the same float, so it is
-// judged on its exact γ⋆ distance. Strictly nearer wins; an exact distance
-// tie falls to the smaller reason under CompareKeys, never to the order
-// targets are measured in.
+// the running best (the table is this source's memo): one clipped past that
+// cap stays past every later best, which only falls, so it drops every
+// target that holds it. A target that survives has every entry exact,
+// summed in position order or, where distances are integers, in an order
+// that gives the same float, so it is judged on its exact γ⋆ distance.
+// Strictly nearer wins; an exact distance tie falls to the smaller reason
+// under CompareKeys, never to the order targets are measured in.
 func (s *agpSearcher) tabled(sids []uint32, i, best int, bestD float64) (int, float64) {
 	s.pairs++
 	at := s.at[i*s.arity : (i+1)*s.arity]
@@ -262,7 +261,7 @@ func (s *agpSearcher) tabled(sids []uint32, i, best int, bestD float64) (int, fl
 		j := at[p]
 		e := s.dist[j]
 		if e < 0 {
-			e = s.ev.Bounded(sids[p], s.vals[j], bestD)
+			e = s.ev.PairBounded(sids[p], s.vals[j], bestD)
 			s.dist[j] = e
 			s.filled = append(s.filled, int32(j))
 			s.dists++

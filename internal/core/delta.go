@@ -245,7 +245,7 @@ type DeltaCleaner struct {
 	opts   Options
 	dict   *intern.Dict
 	// evs are the scheduler's evaluators, one per worker, kept across Load
-	// and Apply: their memos hold exact distances only, and are capped.
+	// and Apply: they keep per-value forms only, never a distance.
 	evs []*distance.Evaluator
 
 	// The current dirty table in ascending tuple-ID order, plus its encoded

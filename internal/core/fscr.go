@@ -435,10 +435,6 @@ type fusionPlan struct {
 	maxStates  int
 	compOf     []int
 	compAttrs  [][]int
-	// seen[id] == seenGen marks value id as counted for countDomains' current
-	// position; bumping the generation empties the set without a sweep.
-	seen    []uint32
-	seenGen uint32
 }
 
 func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]int, opts Options) *fusionPlan {
@@ -459,22 +455,18 @@ func newFusionPlan(dict *intern.Dict, schema *dataset.Schema, posPerBlock [][]in
 
 // countDomains refreshes domainSize from the encoded rows, over the
 // positions any block touches. Distinct IDs ≡ distinct values, and IDs are
-// dense below dict.Len(), so a position's count is one stamp per cell.
+// dense below dict.Len(), so a position's count is one stamp per cell:
+// seen[id] == gen marks value id as counted at the current position.
 func (pl *fusionPlan) countDomains(rows [][]uint32) {
-	if n := pl.dict.Len(); len(pl.seen) < n {
-		pl.seen = append(pl.seen, make([]uint32, n-len(pl.seen))...)
-	}
+	seen := make([]uint32, pl.dict.Len())
+	var gen uint32
 	for _, attrs := range pl.compAttrs {
 		for _, p := range attrs {
-			pl.seenGen++
-			if pl.seenGen == 0 { // wrapped: old stamps could alias the new generation
-				clear(pl.seen)
-				pl.seenGen = 1
-			}
+			gen++
 			n := 0
 			for _, row := range rows {
-				if id := row[p]; pl.seen[id] != pl.seenGen {
-					pl.seen[id] = pl.seenGen
+				if id := row[p]; seen[id] != gen {
+					seen[id] = gen
 					n++
 				}
 			}

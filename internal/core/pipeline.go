@@ -55,9 +55,8 @@ import (
 //
 // Output does not depend on the driver: blocks are built and handed to the
 // pool in rule order either way, the phases are block-independent, and an
-// evaluator reused across blocks only ever returns exact memoized distances
-// (its memo holds nothing else, and emptying it when full forgets only what
-// it would compute again).
+// evaluator keeps no distance between calls (only per-value forms), so
+// whichever worker's evaluator measures a pair returns the same bits.
 
 // phases is the set of per-block phases a driver asks runBlock for.
 type phases uint8

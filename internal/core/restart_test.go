@@ -19,8 +19,8 @@ import (
 // mutations after it, and every version it mints, the Load's included, must
 // serve the bytes the never-restarted engine's did: rows, IDs, duplicate
 // sets, Stats and the whole trail with its rules and weights. The two
-// engines' dictionaries, evaluator memos and AGP memos differ; their output
-// must not.
+// engines' dictionaries, evaluators and AGP memos differ; their output must
+// not.
 func TestDeltaLoadOfFoldMatchesApply(t *testing.T) {
 	const seed, n = 4200, 66
 	for _, tc := range []struct {

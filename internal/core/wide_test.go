@@ -67,10 +67,10 @@ func TestWideGroupsParity(t *testing.T) {
 }
 
 // TestWideGroupsAllocLinear: RSC's winner needs each piece's nearest
-// neighbour, not the group's n×n distance matrix, and the evaluator's memo
-// is capped, so the bytes a clean allocates grow with the pieces, not with
-// their pairs: 4× the rows may cost at most about 6× the bytes (the n×n
-// matrix and an uncapped memo cost about 16×). CI runs this under a
+// neighbour, not the group's n×n distance matrix, and the evaluator keeps
+// nothing per pair, so the bytes a clean allocates grow with the pieces, not
+// with their pairs: 4× the rows may cost at most about 6× the bytes (the n×n
+// matrix and an uncapped pair memo cost about 16×). CI runs this under a
 // GOMEMLIMIT that the quadratic version overruns at n = 4,000.
 func TestWideGroupsAllocLinear(t *testing.T) {
 	if testing.Short() {

@@ -9,11 +9,12 @@ import (
 
 // Evaluator computes metric distances over interned value IDs: the
 // γ-to-γ distance of Def. 2 without ever re-materializing strings on the
-// hot path. It memoizes exact pair distances under a symmetric key (AGP's
-// nearest-group searches revisit the same γ⋆ value pairs constantly), at
-// most memoCap of them, and precomputes per-ID derived data lazily: rune
-// buffers for Levenshtein (with an ASCII marker so pure-byte values never
-// decode at all) and sorted bigram frequency vectors for cosine.
+// hot path. It keeps nothing per pair: every call measures. What it keeps
+// is per ID, prepared lazily: rune buffers for Levenshtein (with an ASCII
+// marker so pure-byte values never decode at all) and sorted bigram
+// frequency vectors for cosine. A caller that looks a pair up again keeps
+// the distance itself (AGP's per-source tables, the partitioners' centroid
+// table).
 //
 // An Evaluator is NOT safe for concurrent use; the block-parallel stages
 // keep one per worker goroutine for the worker's lifetime. The dictionary is
@@ -22,17 +23,9 @@ type Evaluator struct {
 	m    Metric
 	dict *intern.Dict
 	kind int
-	memo map[uint64]float64
 	info []idInfo
 	edit editScratch // Levenshtein kernel scratch, kept across calls
 }
-
-// memoCap bounds the memo: a full memo is emptied before its next insert.
-// A memo only ever saves recomputing an exact distance, so emptying it
-// changes no result; the cap keeps an evaluator that a wide RSC group or a
-// long-lived delta engine feeds at a fixed size instead of one entry per
-// pair it ever measured.
-const memoCap = 1 << 16
 
 const (
 	kindLev = iota
@@ -75,7 +68,7 @@ type gram struct {
 
 // NewEvaluator creates an evaluator for the metric over the dictionary.
 func NewEvaluator(m Metric, dict *intern.Dict) *Evaluator {
-	e := &Evaluator{m: m, dict: dict, kind: kindOther, memo: make(map[uint64]float64)}
+	e := &Evaluator{m: m, dict: dict, kind: kindOther}
 	switch m.(type) {
 	case Levenshtein:
 		e.kind = kindLev
@@ -144,52 +137,18 @@ func (e *Evaluator) MinDistinct(id uint32) float64 {
 // in any order.
 func (e *Evaluator) Integral() bool { return e.kind == kindLev }
 
-func pairKey(a, b uint32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
-}
-
-// Pair returns the exact metric distance between two interned values,
-// memoized symmetrically.
+// Pair returns the exact metric distance between two interned values.
 func (e *Evaluator) Pair(a, b uint32) float64 {
-	if a == b {
-		return 0
-	}
-	k := pairKey(a, b)
-	if d, ok := e.memo[k]; ok {
-		return d
-	}
-	d := e.compute(a, b, maxEditBound)
-	e.remember(k, d)
-	return d
-}
-
-// remember memoizes the exact distance d under key k, emptying a full memo
-// first.
-func (e *Evaluator) remember(k uint64, d float64) {
-	if len(e.memo) >= memoCap {
-		clear(e.memo)
-	}
-	e.memo[k] = d
-}
-
-// Exact is Pair without the memo, neither read nor filled: for a caller
-// that keeps each result in a table of its own (the partitioners' per-value
-// centroid distances) and would only leave entries behind that nobody looks
-// up again.
-func (e *Evaluator) Exact(a, b uint32) float64 {
 	if a == b {
 		return 0
 	}
 	return e.compute(a, b, maxEditBound)
 }
 
-// Bounded is PairBounded without the memo, neither read nor filled: for
-// AGP's per-source distance tables, which measure each value pair once per
-// source and would fill the memo with pairs only that source looks up.
-func (e *Evaluator) Bounded(a, b uint32, bound float64) float64 {
+// PairBounded returns the exact distance when it is ≤ bound, and some value
+// > bound otherwise (Levenshtein abandons the DP early; other metrics always
+// compute exactly).
+func (e *Evaluator) PairBounded(a, b uint32, bound float64) float64 {
 	if a == b {
 		return 0
 	}
@@ -197,30 +156,6 @@ func (e *Evaluator) Bounded(a, b uint32, bound float64) float64 {
 		return e.compute(a, b, 0)
 	}
 	return e.compute(a, b, intBound(bound))
-}
-
-// PairBounded returns the exact distance when it is ≤ bound, and some value
-// > bound otherwise (Levenshtein abandons the DP early; other metrics always
-// compute exactly). Only exact results are memoized.
-func (e *Evaluator) PairBounded(a, b uint32, bound float64) float64 {
-	if a == b {
-		return 0
-	}
-	k := pairKey(a, b)
-	if d, ok := e.memo[k]; ok {
-		return d
-	}
-	if e.kind != kindLev {
-		d := e.compute(a, b, 0)
-		e.remember(k, d)
-		return d
-	}
-	cap := intBound(bound)
-	d := e.compute(a, b, cap)
-	if d <= float64(cap) {
-		e.remember(k, d)
-	}
-	return d
 }
 
 // compute dispatches on the metric kind. For Levenshtein maxDist caps the
@@ -268,10 +203,9 @@ func (e *Evaluator) cosine(a, b uint32) float64 {
 
 // ValuesBounded is the γ-to-γ distance over two ID slices of one width (the
 // pieces of one rule): the attribute-wise sum in position order with early
-// exit past bound, per-pair memoization, and (for Levenshtein) per-pair
-// bounded DP. Each attribute contributes independently, so a
-// one-character typo in one field costs the same regardless of the other
-// fields.
+// exit past bound and (for Levenshtein) per-pair bounded DP. Each attribute
+// contributes independently, so a one-character typo in one field costs the
+// same regardless of the other fields.
 func (e *Evaluator) ValuesBounded(a, b []uint32, bound float64) float64 {
 	var sum float64
 	for i, id := range a {

@@ -87,36 +87,23 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 					if got := e.Pair(ids[i], ids[j]); got != want {
 						t.Fatalf("Pair(%q,%q) = %v, want %v", vals[i], vals[j], got, want)
 					}
-					// Memoized second call.
 					if got := e.Pair(ids[j], ids[i]); got != want {
-						t.Fatalf("memoized Pair(%q,%q) asymmetric", vals[j], vals[i])
+						t.Fatalf("Pair(%q,%q) asymmetric", vals[j], vals[i])
 					}
 				}
 			}
-			// Exact is the same number without the memo: a fresh evaluator
-			// (so ASCII values meet their non-ASCII partners unprepared, in
-			// either order) answers alike and remembers nothing.
+			// PairBounded on a fresh evaluator (so ASCII values meet their
+			// non-ASCII partners unprepared, in either order) is exact up to
+			// its bound and past it otherwise.
 			fresh := NewEvaluator(m, dict)
 			for i := range vals {
 				for j := range vals {
-					if got, want := fresh.Exact(ids[i], ids[j]), refDistance(m, vals[i], vals[j]); got != want {
-						t.Fatalf("Exact(%q,%q) = %v, want %v", vals[i], vals[j], got, want)
-					}
-				}
-			}
-			// Bounded is PairBounded's contract without the memo: exact up
-			// to its bound, past it otherwise.
-			for i := range vals {
-				for j := range vals {
 					bound := float64(rng.Intn(6))
-					got, want := fresh.Bounded(ids[i], ids[j], bound), refDistance(m, vals[i], vals[j])
+					got, want := fresh.PairBounded(ids[i], ids[j], bound), refDistance(m, vals[i], vals[j])
 					if want <= bound && got != want || want > bound && got <= bound {
-						t.Fatalf("Bounded(%q,%q,%v) = %v, exact %v", vals[i], vals[j], bound, got, want)
+						t.Fatalf("PairBounded(%q,%q,%v) = %v, exact %v", vals[i], vals[j], bound, got, want)
 					}
 				}
-			}
-			if len(fresh.memo) != 0 {
-				t.Errorf("Exact and Bounded left %d memo entries", len(fresh.memo))
 			}
 		})
 	}
@@ -231,19 +218,18 @@ func TestBoundedAllocFree(t *testing.T) {
 	e := NewEvaluator(Levenshtein{}, dict)
 	run := func() {
 		for i := 0; i < len(ids); i += 2 {
-			e.Exact(ids[i], ids[i+1])
-			e.Bounded(ids[i], ids[i+1], 2)
+			e.Pair(ids[i], ids[i+1])
 			e.PairBounded(ids[i], ids[i+1], 2)
 		}
 	}
-	run() // warm: per-ID forms, DP rows, memo
+	run() // warm: per-ID forms, DP rows
 	if allocs := testing.AllocsPerRun(200, run); allocs > 0 {
 		t.Errorf("edit distance allocates %v per run, want 0", allocs)
 	}
 }
 
-// memoFixture interns n distinct ASCII values, enough for n(n−1)/2 pairs.
-func memoFixture(n int) (*intern.Dict, []uint32) {
+// pairFixture interns n distinct ASCII values, enough for n(n−1)/2 pairs.
+func pairFixture(n int) (*intern.Dict, []uint32) {
 	dict := intern.NewDict()
 	ids := make([]uint32, n)
 	for i := range ids {
@@ -252,14 +238,13 @@ func memoFixture(n int) (*intern.Dict, []uint32) {
 	return dict, ids
 }
 
-// TestEvaluatorReuseIsExact: an evaluator kept across blocks, warm or with a
-// memo that has just hit memoCap and been emptied, returns bit for bit the
-// distances a fresh one does, and agrees with it on which side of a bound a
-// pair falls. The stage-I workers and the delta engine keep theirs for
-// their whole lifetime, so block-to-block reuse must not change a
+// TestEvaluatorReuseIsExact: an evaluator kept across blocks returns bit for
+// bit the distances a fresh one does, and agrees with it on which side of a
+// bound a pair falls. The stage-I workers and the delta engine keep theirs
+// for their whole lifetime, so block-to-block reuse must not change a
 // comparison.
 func TestEvaluatorReuseIsExact(t *testing.T) {
-	dict, ids := memoFixture(400)
+	dict, ids := pairFixture(400)
 	for _, m := range []Metric{Levenshtein{}, Cosine{}} {
 		t.Run(m.Name(), func(t *testing.T) {
 			warm := NewEvaluator(m, dict)
@@ -267,51 +252,33 @@ func TestEvaluatorReuseIsExact(t *testing.T) {
 				warm.Pair(ids[0], ids[i])
 				warm.PairBounded(ids[i-1], ids[i], 3)
 			}
-			capped := NewEvaluator(m, dict)
-			filled := false
-			for i := 0; i < len(ids) && !filled; i++ {
-				for j := i + 1; j < len(ids); j++ {
-					if len(capped.memo) == memoCap {
-						capped.Pair(ids[i], ids[j])
-						filled = true
-						break
-					}
-					capped.Pair(ids[i], ids[j])
-				}
-			}
-			if !filled || len(capped.memo) != 1 {
-				t.Fatalf("memo holds %d entries after passing the cap, want 1 (filled %v)", len(capped.memo), filled)
-			}
 			bits := math.Float64bits
-			for _, ev := range []*Evaluator{warm, capped} {
-				for i := 1; i < len(ids); i++ {
-					a, b := ids[:i], ids[1:i+1]
-					if got, want := ev.Pair(ids[0], ids[i]), NewEvaluator(m, dict).Pair(ids[0], ids[i]); bits(got) != bits(want) {
-						t.Fatalf("Pair(%d,%d): reused %v, fresh %v", ids[0], ids[i], got, want)
-					}
-					got, want := ev.ValuesBounded(a, b, math.Inf(1)), NewEvaluator(m, dict).ValuesBounded(a, b, math.Inf(1))
-					if bits(got) != bits(want) {
-						t.Fatalf("ValuesBounded at %d: reused %v, fresh %v", i, got, want)
-					}
-					bound := float64(i % 5)
-					gotB, wantB := ev.PairBounded(ids[i-1], ids[i], bound), NewEvaluator(m, dict).PairBounded(ids[i-1], ids[i], bound)
-					if (gotB <= bound) != (wantB <= bound) || (wantB <= bound && bits(gotB) != bits(wantB)) {
-						t.Fatalf("PairBounded(%d,%d,%v): reused %v, fresh %v", ids[i-1], ids[i], bound, gotB, wantB)
-					}
+			for i := 1; i < len(ids); i++ {
+				a, b := ids[:i], ids[1:i+1]
+				if got, want := warm.Pair(ids[0], ids[i]), NewEvaluator(m, dict).Pair(ids[0], ids[i]); bits(got) != bits(want) {
+					t.Fatalf("Pair(%d,%d): reused %v, fresh %v", ids[0], ids[i], got, want)
+				}
+				got, want := warm.ValuesBounded(a, b, math.Inf(1)), NewEvaluator(m, dict).ValuesBounded(a, b, math.Inf(1))
+				if bits(got) != bits(want) {
+					t.Fatalf("ValuesBounded at %d: reused %v, fresh %v", i, got, want)
+				}
+				bound := float64(i % 5)
+				gotB, wantB := warm.PairBounded(ids[i-1], ids[i], bound), NewEvaluator(m, dict).PairBounded(ids[i-1], ids[i], bound)
+				if (gotB <= bound) != (wantB <= bound) || (wantB <= bound && bits(gotB) != bits(wantB)) {
+					t.Fatalf("PairBounded(%d,%d,%v): reused %v, fresh %v", ids[i-1], ids[i], bound, gotB, wantB)
 				}
 			}
 		})
 	}
 }
 
-// TestWarmEvaluatorAllocFree: reusing an evaluator across blocks whose pairs
-// are memoized allocates nothing, and neither does one whose memo keeps
-// running past memoCap: emptying the memo keeps its storage.
+// TestWarmEvaluatorAllocFree: reusing an evaluator across blocks allocates
+// nothing once the blocks' values are prepared.
 func TestWarmEvaluatorAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful unraced")
 	}
-	dict, ids := memoFixture(64)
+	dict, ids := pairFixture(64)
 	ev := NewEvaluator(Levenshtein{}, dict)
 	block := func() {
 		for i := 1; i < len(ids); i++ {
@@ -322,22 +289,45 @@ func TestWarmEvaluatorAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, block); allocs > 0 {
 		t.Errorf("a warm evaluator allocates %.1f per block, want 0", allocs)
 	}
+}
 
-	dict, ids = memoFixture(600) // 179,700 pairs: the memo empties twice a pass
-	ev = NewEvaluator(Levenshtein{}, dict)
-	pass := func() {
-		for i := range ids {
-			for j := i + 1; j < len(ids); j++ {
+// TestEvaluatorRetainsNoPairs: an evaluator keeps nothing per pair it
+// measures. Once its values are prepared, a first pass over 179,700
+// distinct pairs, through Pair and PairBounded alike, allocates nothing and
+// leaves the heap where it was (up to a few objects the runtime allocates
+// on its own meanwhile): a stage-I worker or a serving session keeps its
+// evaluators for its lifetime, so any per-pair state would grow with every
+// pair they ever measure, or sit at its cap.
+func TestEvaluatorRetainsNoPairs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful unraced")
+	}
+	dict, ids := pairFixture(600)
+	ev := NewEvaluator(Levenshtein{}, dict)
+	for _, id := range ids[1:] {
+		ev.Pair(ids[0], id) // prepare every value
+	}
+	pairs := 0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			if pairs++; pairs%2 == 0 {
 				ev.Pair(ids[i], ids[j])
+			} else {
+				ev.PairBounded(ids[i], ids[j], 20)
 			}
 		}
 	}
-	pass()
-	if allocs := testing.AllocsPerRun(2, pass); allocs > 0 {
-		t.Errorf("an evaluator cycling its memo allocates %.1f per pass, want 0", allocs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ev)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 16 {
+		t.Errorf("measuring %d pairs allocated %d objects, want none", pairs, allocs)
 	}
-	if n := len(ev.memo); n > memoCap {
-		t.Errorf("memo holds %d entries, cap %d", n, memoCap)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 64<<10 {
+		t.Errorf("measuring %d pairs left the heap %d bytes larger, want ≤ 64 KiB", pairs, grown)
 	}
 }
 

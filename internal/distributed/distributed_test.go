@@ -170,7 +170,7 @@ func refPartition(tb *dataset.Table, k int, metric distance.Metric, rng *rand.Ra
 // TestPartitionMatchesStringOracle: Algorithm 3 over value IDs splits every
 // table exactly as the string matrix did — same parts, same heap order —
 // under Levenshtein, cosine and a fractional custom metric, on random tables
-// whose values recur across columns (the centroid table's memoized
+// whose values recur across columns (the centroid table's Pair
 // fallback), with empty, non-ASCII, invalid UTF-8 and U+FFFD values, k up to
 // past |T|, and on HAI. The pool has no value as far off as jitter's "boom":
 // past valuesBound the ID form stops adding, as Evaluator.Values does, where

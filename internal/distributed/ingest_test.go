@@ -282,9 +282,10 @@ func submitBatches(tb testing.TB, c *coordinator, ref *refAssign, dirty *dataset
 }
 
 // TestPartitionerMemoBounded: streaming the 12k-row TPC-H table leaves the
-// partitioner's evaluator memo holding only the pairs of values met outside
-// their home column — not one entry per (distinct value, centroid cell) —
-// while shipping exactly what the old loop shipped.
+// partitioner holding k distances per distinct value — its centroid table,
+// grown at most to twice the dictionary — and nothing per pair it measured
+// (the evaluator keeps no pair), while shipping exactly what the old loop
+// shipped.
 func TestPartitionerMemoBounded(t *testing.T) {
 	dirty, rs := tpchRows(t)
 	const k = 2
@@ -293,19 +294,8 @@ func TestPartitionerMemoBounded(t *testing.T) {
 	submitBatches(t, c, ref, dirty, 1024)
 	checkAgainstRef(t, "tpch", c, ref, distance.Levenshtein{})
 
-	shared := 0 // value IDs seen in a column other than their home
-	seen := make(map[[2]uint32]bool)
-	for _, row := range c.senc.Encoded().Rows {
-		for j, id := range row {
-			if c.cent.home[id] != int32(j)+1 && !seen[[2]uint32{uint32(j), id}] {
-				seen[[2]uint32{uint32(j), id}] = true
-				shared++
-			}
-		}
-	}
 	// The old loop memoized one entry per distinct (value, centroid cell)
-	// pair it measured; count those directly, since the evaluator's capped
-	// memo forgets them.
+	// pair it measured; count those directly.
 	old := make(map[[2]uint32]bool)
 	for _, row := range ref.gatherIDs {
 		for _, c := range ref.centroids {
@@ -316,10 +306,10 @@ func TestPartitionerMemoBounded(t *testing.T) {
 			}
 		}
 	}
-	got := reflect.ValueOf(c.ev).Elem().FieldByName("memo").Len()
-	t.Logf("distinct values %d, shared-column (column, value) pairs %d; memo: %d entries, old loop %d pairs", c.dict.Len(), shared, got, len(old))
-	if got > k*shared {
-		t.Errorf("partitioner memo holds %d pairs, want ≤ k·shared = %d", got, k*shared)
+	got := len(c.cent.dist)
+	t.Logf("distinct values %d; centroid table: %d entries, old loop %d pairs", c.dict.Len(), got, len(old))
+	if got > 2*k*c.dict.Len() {
+		t.Errorf("centroid table holds %d distances, want ≤ 2·k·values = %d", got, 2*k*c.dict.Len())
 	}
 	if len(old) < c.dict.Len() {
 		t.Errorf("the old loop measures %d pairs for %d distinct values: the comparison is vacuous", len(old), c.dict.Len())

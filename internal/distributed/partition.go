@@ -32,7 +32,7 @@ import (
 // from a value to centroid w's cell in the value's own column is a function
 // of (value ID, w): dist holds k slots per value ID, measured when the ID is
 // first met, and home the column (+1) they were measured against. A value
-// met again in another column is the evaluator's business (Pair, memoized).
+// met again in another column is measured again each time (Pair).
 type centroidTable struct {
 	ev        *distance.Evaluator
 	centroids [][]uint32
@@ -64,7 +64,7 @@ func (c *centroidTable) distances(rows [][]uint32) []float64 {
 			}
 			c.home[id] = int32(j) + 1
 			for w, cr := range c.centroids {
-				c.dist[int(id)*k+w] = c.ev.Exact(id, cr[j])
+				c.dist[int(id)*k+w] = c.ev.Pair(id, cr[j])
 			}
 		}
 		for w, cr := range c.centroids {
