@@ -197,6 +197,17 @@ func checkAGPAgainstScan(t *testing.T, label string, tb *dataset.Table, dict *in
 	if g, w := blockShape(got), blockShape(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: block diverges:\ngot  %q\nscan %q", label, g, w)
 	}
+	// A merge appends the source's pieces (Block.MergeGroups): groups have
+	// distinct reasons, so no group ends up with one piece twice.
+	for _, g := range got.Groups {
+		seen := make(map[uint32]bool, len(g.Pieces))
+		for _, p := range g.Pieces {
+			if seen[p.KeyID()] {
+				t.Fatalf("%s: group %v holds two pieces of KeyID %d after agp", label, g.ReasonIDs(), p.KeyID())
+			}
+			seen[p.KeyID()] = true
+		}
+	}
 
 	if ks == nil {
 		ks = &keptAGP{}

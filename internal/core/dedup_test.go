@@ -155,21 +155,29 @@ func TestDedupRowsSetsDoNotShareCapacity(t *testing.T) {
 	}
 }
 
-// TestStageIIShortTuple: encoded rows are schema-wide, and a short tuple's
-// padding is value ID 0 — the table's first value. The padding must not make
-// the short tuple a duplicate of the full row it is a prefix of. A wide tuple
-// is rejected.
+// TestStageIIShortTuple: a tuple is exactly as wide as its schema. Encoded
+// rows are schema-wide, so a short tuple's missing cells would read as
+// value ID 0, the table's first value: Clean refuses a short tuple, as it
+// refuses a wide one, instead of cleaning its padding as data.
 func TestStageIIShortTuple(t *testing.T) {
 	tb := dataset.NewTable(dataset.MustSchema("A", "B", "C"))
 	tb.MustAppend("x", "y", "x")
 	tb.MustAppend("x", "y", "x")
 	tb.Tuples = append(tb.Tuples, &dataset.Tuple{ID: 2, Values: []string{"x", "y"}})
-	res, err := Clean(tb, rules.MustParseStrings("FD: A -> B"), Options{Tau: 0, TauSet: true})
-	if err != nil {
-		t.Fatal(err)
+	if res, err := Clean(tb, rules.MustParseStrings("FD: A -> B"), Options{Tau: 0, TauSet: true}); err == nil {
+		t.Errorf("Clean accepted a tuple narrower than its schema (%d duplicate sets)", len(res.Duplicates))
 	}
-	if want := [][]int{{0, 1}}; !reflect.DeepEqual(res.Duplicates, want) || res.Clean.Len() != 2 {
-		t.Errorf("duplicates = %v with %d clean rows, want %v with 2", res.Duplicates, res.Clean.Len(), want)
+	// Read as C = k, the short tuple's padding would tie k with z in group
+	// (a, b) and win the tie: tuples 2 and 3 would be rewritten to k.
+	padded := dataset.NewTable(dataset.MustSchema("A", "B", "C"))
+	padded.MustAppend("k", "v", "c1")
+	padded.MustAppend("a", "b", "k")
+	padded.MustAppend("a", "b", "z")
+	padded.MustAppend("a", "b", "z")
+	padded.Tuples = append(padded.Tuples, &dataset.Tuple{ID: 4, Values: []string{"a", "b"}})
+	if res, err := Clean(padded, rules.MustParseStrings("FD: A, B -> C"), Options{}); err == nil {
+		t.Errorf("Clean accepted a tuple narrower than its schema and repaired tuple 2 to %v, tuple 3 to %v",
+			res.Repaired.Tuples[2].Values, res.Repaired.Tuples[3].Values)
 	}
 	// A tuple wider than the schema is an error, not a panic.
 	tb.Tuples[2].Values = []string{"x", "y", "x", "w"}

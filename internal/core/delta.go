@@ -230,7 +230,7 @@ func weightDrift(was, now float64) float64 {
 }
 
 // blockMemo is what one block's re-clean leaves the next, and the arrays it
-// builds the learner's inputs in.
+// learns its groups in, one group at a time.
 type blockMemo struct {
 	agp    agpMemo
 	inputs learnInputs
@@ -861,12 +861,12 @@ func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 		case !p.stays(i):
 			continue
 		case redone(g):
-			st, pk := int32(0), pick(nil)
+			pk := pick(nil)
 			if len(pre[k].Pieces) > 1 {
-				st, pk = int32(in.steps[contested]), picks[contested]
+				pk = picks[contested]
 				contested++
 			}
-			b.Groups, steps, held = append(b.Groups, work.Groups[k]), append(steps, st), append(held, pk)
+			b.Groups, steps, held = append(b.Groups, work.Groups[k]), append(steps, int32(in.steps[k])), append(held, pk)
 			k++
 		case len(rw) > 0 && rw[0].kid == g.KeyID():
 			pk := db.picks[rw[0].o]
@@ -1021,57 +1021,43 @@ type reweighed struct {
 
 // reweigh learns again, with the block's new Σc, every group after AGP of
 // several pieces that the re-clean does not redo, over the counts its pick
-// keeps. One whose winner moved (pick.holds) is added to redo. Every other
-// group the re-clean does not redo gets new headers over its lists
-// (index.Reweigh): a contested one with its winner's new weight, one of a
-// single piece with its weight, which Σc does not move. No piece the last
-// re-clean left is written, and none of its headers stays referenced, so
-// the slabs it laid them out in hold only the lists still in use. Returns
-// the groups given new headers, in the kept block's order.
+// keeps, one group at a time. One whose winner moved (pick.holds) is added
+// to redo. Every other group the re-clean does not redo gets new headers
+// over its lists (index.Reweigh): a contested one with its winner's new
+// weight, one of a single piece with its weight, which Σc does not move.
+// No piece the last re-clean left is written, and none of its headers
+// stays referenced, so the slabs it laid them out in hold only the lists
+// still in use. Returns the groups given new headers, in the kept block's
+// order.
 func (db *deltaBlock) reweigh(kept *index.Block, p *agpPlan, redo map[uint32]bool, in *learnInputs) ([]reweighed, error) {
 	old := db.lookup()
-	var rw []reweighed
-	np, ng := 0, 0
+	n := len(kept.Groups) - len(p.merges) // groups after AGP
+	held := make([]reweighed, 0, n)
+	gs, ws := make([]*index.Group, 0, n), make([]float64, 0, n)
 	for i, g := range kept.Groups {
 		if !p.stays(i) || redo[g.KeyID()] {
 			continue
 		}
-		o := old(g.KeyID())
-		rw = append(rw, reweighed{kid: g.KeyID(), o: o})
-		if pk := db.picks[o]; pk != nil {
-			np, ng = np+pk.width(), ng+1
-		}
-	}
-	in.reset(np, ng)
-	for _, e := range rw {
+		e := reweighed{kid: g.KeyID(), o: old(g.KeyID())}
+		og := db.block.Groups[e.o]
+		w := og.Pieces[0].Weight
 		if pk := db.picks[e.o]; pk != nil {
+			in.counts = in.counts[:0]
 			for j := range pk.width() {
 				in.counts = append(in.counts, pk.count(j))
 			}
-			in.group(pk.width())
-		}
-	}
-	if _, err := in.solve(p.total); err != nil {
-		return nil, err
-	}
-	held := rw[:0]
-	gs, ws := make([]*index.Group, 0, len(rw)), make([]float64, 0, len(rw))
-	at, k := 0, 0
-	for _, e := range rw {
-		g := db.block.Groups[e.o]
-		w := g.Pieces[0].Weight
-		if pk := db.picks[e.o]; pk != nil {
-			probs := in.probs[at : at+pk.width()]
-			at += pk.width()
-			k++
-			if !pk.holds(probs) {
+			steps, err := in.learn(p.total)
+			if err != nil {
+				return nil, err
+			}
+			if !pk.holds(in.probs) {
 				redo[e.kid] = true
 				continue
 			}
-			e.steps, w = int32(in.steps[k-1]), max(probs[pk.win()], minPieceWeight)
+			e.steps, w = int32(steps), max(in.probs[pk.win()], minPieceWeight)
 		}
 		held = append(held, e)
-		gs, ws = append(gs, g), append(ws, w)
+		gs, ws = append(gs, og), append(ws, w)
 	}
 	for k, g := range index.Reweigh(gs, ws) {
 		held[k].g = g

@@ -548,7 +548,8 @@ func planFusion(dict *intern.Dict, tb *dataset.Table, rows [][]uint32, blocks []
 // the input) is returned: it holds the input's own tuple for every tuple
 // fusion left unchanged and a fresh one for every tuple it changed, and the
 // input is not modified. Tuple IDs must be unique; they need not be
-// positions. st (optional) accumulates cell-change, failure and
+// positions, and every tuple must be as wide as the schema, as
+// index.Build requires. st (optional) accumulates cell-change, failure and
 // truncation counts, and opts.Trace records per-tuple fusion outcomes in
 // tuple order. Tuples fuse independently and run in parallel.
 //
@@ -567,7 +568,7 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 // runFSCR is the one FSCR loop. Besides the repaired table it returns that
 // table's encoded rows in the pieces' dictionary, for duplicate elimination:
 // a tuple fusion left alone keeps its observed row, a changed tuple gets a
-// fresh one, and each row is as long as its tuple. rows is nil when no block
+// fresh one, and each row is as wide as the schema. rows is nil when no block
 // holds a piece (there is no dictionary to encode into).
 func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, opts Options, st *Stats) (repaired *dataset.Table, rows [][]uint32) {
 	opts = opts.withDefaults()
@@ -627,10 +628,7 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 					res := f.fuse(t, i, dirtyRow, trace)
 					total.add(res)
 					if res.changes == 0 {
-						// Encoded rows are schema-wide even under a short
-						// tuple, whose padding must not take part in row
-						// identity.
-						rows[i] = dirtyRow[:len(t.Values)]
+						rows[i] = dirtyRow
 						continue
 					}
 					changed.at = append(changed.at, i)
@@ -672,26 +670,21 @@ func (c *changedTuples) reset() {
 
 // carve gives every collected tuple its repaired copy in repaired and its
 // fused ID row in rows, carved from three slabs: tuples, values, ID rows.
+// Every tuple and row is as wide as the schema.
 func (c *changedTuples) carve(dirty *dataset.Table, dirtyRows [][]uint32, dict *intern.Dict, repaired *dataset.Table, rows [][]uint32) {
 	if len(c.at) == 0 {
 		return
 	}
-	nv := 0
-	for _, i := range c.at {
-		nv += len(dirty.Tuples[i].Values)
-	}
+	w := dirty.Schema.Len()
 	tuples := make([]dataset.Tuple, len(c.at))
-	vals := make([]string, nv)
+	vals := make([]string, len(c.at)*w)
 	ids := slices.Clone(c.ids)
 	for k, i := range c.at {
-		t, dirtyRow := dirty.Tuples[i], dirtyRows[i]
-		row := ids[:len(dirtyRow):len(dirtyRow)]
-		ids = ids[len(dirtyRow):]
-		tuples[k] = dataset.Tuple{ID: t.ID, Values: vals[:len(t.Values):len(t.Values)]}
-		vals = vals[len(t.Values):]
-		repairedValues(tuples[k].Values, t.Values, row, dirtyRow, dict)
+		t, row := dirty.Tuples[i], ids[k*w:(k+1)*w:(k+1)*w]
+		tuples[k] = dataset.Tuple{ID: t.ID, Values: vals[k*w : (k+1)*w : (k+1)*w]}
+		repairedValues(tuples[k].Values, t.Values, row, dirtyRows[i], dict)
 		repaired.Tuples[i] = &tuples[k]
-		rows[i] = row[:len(t.Values)]
+		rows[i] = row
 	}
 }
 

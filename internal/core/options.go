@@ -98,7 +98,7 @@ type Stats struct {
 	FusionTruncated   int // tuples whose fusion search hit maxFusionStates
 	DuplicatesRemoved int
 	// LearnIterations is, per block, the most Newton steps on t that any
-	// of its groups took in its exact solve (mln.LearnGroups), summed over
+	// of its groups took in its exact solve (mln.Learn), summed over
 	// blocks.
 	LearnIterations int
 }

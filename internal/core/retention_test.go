@@ -61,7 +61,7 @@ func TestStageIRetainsNoDroppedPiece(t *testing.T) {
 // hold; nothing shrinks them, so it grows exactly when one of them does.
 func learnInputsCaps(m *blockMemo) []int {
 	in := &m.inputs
-	return []int{cap(in.members), cap(in.counts), cap(in.probs), cap(in.groups), cap(in.steps)}
+	return []int{cap(in.counts), cap(in.probs), cap(in.steps)}
 }
 
 // TestDeltaLearnInputsBounded: the arrays a long-lived engine builds each

@@ -15,7 +15,6 @@ package index
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -255,28 +254,16 @@ func (b *Block) Group(key string) *Group {
 	return nil
 }
 
-// MergeGroups folds group src into group dst, concatenating piece lists
-// (piece identities are compared by their fixed-width keys), and leaves src
-// empty in the block: DropEmpty removes every group a pass of merges
-// emptied in one sweep. A built block's lists are carved from shared slabs
+// MergeGroups folds group src into group dst, appending src's pieces to
+// dst's, and leaves src empty in the block: DropEmpty removes every group a
+// pass of merges emptied in one sweep. A block's groups have distinct
+// reasons, and a piece's identity includes its reason, so no piece of src
+// is one of dst's. A built block's piece array is carved from a shared slab
 // with no spare capacity, so an append copies rather than overwrite a
 // neighbour. What a merge leaves behind in the build slabs is garbage once
 // RSC compacts the block (Collapse).
 func (b *Block) MergeGroups(src, dst *Group) {
-	for _, p := range src.Pieces {
-		merged := false
-		for _, q := range dst.Pieces {
-			if q.kid == p.kid {
-				q.TupleIDs = append(q.TupleIDs, p.TupleIDs...)
-				sort.Ints(q.TupleIDs)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			dst.Pieces = append(dst.Pieces, p)
-		}
-	}
+	dst.Pieces = append(dst.Pieces, src.Pieces...)
 	src.Pieces = nil
 }
 

@@ -140,12 +140,12 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(tb, rules.MustParseStrings("FD: CT -> Missing")); err == nil {
 		t.Error("schema mismatch should fail")
 	}
-	// A tuple may be shorter than the schema (its encoded row is padded),
-	// never wider.
+	// A tuple is exactly as wide as the schema: an encoded row is
+	// schema-wide, and padding would read as the table's first value.
 	short := sampleTable(t)
 	short.Tuples[1].Values = short.Tuples[1].Values[:2]
-	if _, err := Build(short, sampleRules(t)); err != nil {
-		t.Errorf("short tuple: %v", err)
+	if _, err := Build(short, sampleRules(t)); err == nil || !strings.Contains(err.Error(), "tuple 1 has 2 values") {
+		t.Errorf("short tuple: error %v, want one naming tuple 1", err)
 	}
 	wide := sampleTable(t)
 	wide.Tuples[1].Values = append(wide.Tuples[1].Values, "extra")
@@ -273,23 +273,10 @@ func TestMergeGroupsCombinesIdenticalPieces(t *testing.T) {
 	src := b.Group(dataset.JoinKey([]string{"y"}))
 	dst := b.Group(dataset.JoinKey([]string{"x"}))
 	b.MergeGroups(src, dst)
-	// Pieces differ ({x,1} vs {y,1}), so both survive.
+	// The groups' reasons differ, so their pieces do ({x,1} vs {y,1}): both
+	// survive.
 	if len(dst.Pieces) != 2 {
 		t.Errorf("pieces = %d, want 2", len(dst.Pieces))
-	}
-	// Merging a group with an identical-valued piece accumulates TupleIDs.
-	tb2 := dataset.NewTable(dataset.MustSchema("A", "B"))
-	tb2.MustAppend("x", "1")
-	ix2, _ := Build(tb2, rs)
-	b2 := ix2.Blocks[0]
-	g := b2.Groups[0]
-	dup := NewPiece(rs[0], ix2.Dict(), []string{"x"}, []string{"1"})
-	dup.TupleIDs = []int{9}
-	clone := &Group{Pieces: []*Piece{dup}}
-	b2.Groups = append(b2.Groups, clone)
-	b2.MergeGroups(clone, g)
-	if len(g.Pieces) != 1 || g.Pieces[0].Count() != 2 {
-		t.Errorf("identical pieces should merge: %v", g.Pieces)
 	}
 }
 

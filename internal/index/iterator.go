@@ -33,8 +33,8 @@ type BlockIterator struct {
 	building time.Duration
 }
 
-// NewBlockIterator validates the rules and the tuples' widths (a tuple may be
-// shorter than the schema, never wider) and dictionary-encodes the table (or
+// NewBlockIterator validates the rules and the tuples' widths (every tuple
+// is exactly as wide as the schema) and dictionary-encodes the table (or
 // adopts cfg.Encoded). No block is built yet; the partially populated index
 // is available via Index() immediately (its dictionary and encoded rows are
 // complete; Blocks grows as Next is called).
@@ -48,7 +48,7 @@ func NewBlockIterator(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Bl
 		}
 	}
 	for _, t := range tb.Tuples {
-		if len(t.Values) > tb.Schema.Len() {
+		if len(t.Values) != tb.Schema.Len() {
 			return nil, fmt.Errorf("index: tuple %d has %d values, schema has %d", t.ID, len(t.Values), tb.Schema.Len())
 		}
 	}

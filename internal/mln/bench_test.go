@@ -13,9 +13,8 @@ import (
 
 // haiLearnInputs returns, per rule block of the HAI 300×14 table at 15 %
 // errors after AGP at τ = 3 (the benchmark's solo-hai lane 0 at seed 42),
-// what a clean hands the learner: the groups as candidate-index runs and
-// every γ's support.
-func haiLearnInputs(tb testing.TB) (groups [][][]int, counts [][]float64) {
+// what a clean hands the learner: every group's γ supports.
+func haiLearnInputs(tb testing.TB) (blocks [][][]float64) {
 	tb.Helper()
 	const seed = 4200
 	truth, rs, err := datagen.HAI(datagen.HAIConfig{Providers: 300, Measures: 14, Seed: seed})
@@ -34,47 +33,53 @@ func haiLearnInputs(tb testing.TB) (groups [][][]int, counts [][]float64) {
 		tb.Fatal(err)
 	}
 	for _, blk := range ix.Blocks {
-		var bg [][]int
-		var bc []float64
+		var groups [][]float64
 		for _, g := range blk.Groups {
-			var idx []int
-			for _, p := range g.Pieces {
-				idx = append(idx, len(bc))
-				bc = append(bc, float64(p.Count()))
+			counts := make([]float64, len(g.Pieces))
+			for j, p := range g.Pieces {
+				counts[j] = float64(p.Count())
 			}
-			bg = append(bg, idx)
+			groups = append(groups, counts)
 		}
-		groups, counts = append(groups, bg), append(counts, bc)
+		blocks = append(blocks, groups)
 	}
-	return groups, counts
+	return blocks
 }
 
 var sinkWeights []float64
 
-// BenchmarkLearnWeights learns every block of the HAI table on the caller:
-// ns/op is per pass over the blocks, and steps/op the blocks' most Newton
-// steps on t of any group (Stats.LearnIterations) summed.
+// BenchmarkLearnWeights learns every group of every block of the HAI table
+// on the caller: ns/op is per pass over the blocks, and steps/op the
+// blocks' most Newton steps on t of any group (Stats.LearnIterations)
+// summed.
 func BenchmarkLearnWeights(b *testing.B) {
-	groups, counts := haiLearnInputs(b)
-	probs, totals := make([][]float64, len(counts)), make([]float64, len(counts))
-	for i := range counts {
-		probs[i] = make([]float64, len(counts[i]))
-		for _, c := range counts[i] {
-			totals[i] += c
+	blocks := haiLearnInputs(b)
+	totals, widest := make([]float64, len(blocks)), 0
+	for bi, groups := range blocks {
+		for _, counts := range groups {
+			widest = max(widest, len(counts))
+			for _, c := range counts {
+				totals[bi] += c
+			}
 		}
 	}
+	probs := make([]float64, widest)
 	steps := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		steps = 0
-		for bi := range groups {
-			s, err := mln.LearnGroups(groups[bi], counts[bi], probs[bi], totals[bi], nil)
-			if err != nil {
-				b.Fatal(err)
+		for bi, groups := range blocks {
+			most := 0
+			for _, counts := range groups {
+				s, err := mln.Learn(counts, probs[:len(counts)], totals[bi])
+				if err != nil {
+					b.Fatal(err)
+				}
+				most = max(most, s)
 			}
-			sinkWeights = probs[bi]
-			steps += s
+			sinkWeights = probs
+			steps += most
 		}
 	}
 	b.ReportMetric(float64(steps), "steps/op")

@@ -23,23 +23,20 @@ const (
 	sigma2     = priorSigma * priorSigma
 )
 
-// LearnGroups learns the ground-clause weights of a block's groups, all of
-// them or some, and writes each candidate's in-group probability under them
-// into probs, the probability that the γ is clean under its rule (§3). It
-// returns the most Newton steps on t (below) that any group took; when
-// steps is non-nil, steps[g] receives group g's, and it must be at least
-// len(groups) long.
+// Learn learns the ground-clause weights of one group and writes each
+// member's in-group probability under them into probs, the probability that
+// the γ is clean under its rule (§3). It returns the Newton steps on t
+// (below) the group took.
 //
-// The model: candidates are partitioned into groups (in MLNClean, one group
-// per MLN-index group, candidates = its distinct γs). Within group g the
-// probability of candidate i is softmax over the group's weights, matching
-// Eq. 2 restricted to the competing ground clauses (ln Pr(γ) = w − ln Z,
-// Eq. 3). counts[i] is the observed support cᵢ = c(γᵢ), and the prior
-// centre is the Eq. 4 weight w⁰ᵢ = cᵢ / total, where total is the block's
-// Σc over every candidate of the block, learned here or not: it must be
-// finite and at least the sum of counts, and a group learns the same bits
-// whichever other groups of its block are learned with it. Each group
-// maximizes
+// The model: the members of a group compete (in MLNClean, one group per
+// MLN-index group, members = its distinct γs). The probability of member i
+// is softmax over the group's weights, matching Eq. 2 restricted to the
+// competing ground clauses (ln Pr(γ) = w − ln Z, Eq. 3). counts[i] is the
+// observed support cᵢ = c(γᵢ), and the prior centre is the Eq. 4 weight
+// w⁰ᵢ = cᵢ / total, where total is the block's Σc over every γ of the
+// block: it must be finite and at least the group's support, and a group
+// learns the same bits whichever other groups of its block are learned.
+// The group maximizes
 //
 //	L(w) = Σᵢ cᵢ·log softmax(w)ᵢ − Σᵢ (wᵢ−w⁰ᵢ)²/(2σ²).
 //
@@ -52,77 +49,38 @@ const (
 // t₀ = ln(σ²·c_max) − w⁰_max lies at or above the root, so every step comes
 // down from above. Members with equal counts get equal bits.
 //
-// Indices may appear in at most one group. A singleton and a candidate in
-// no group get 1, and a group without support, whose weights stay at the
-// prior centre, the uniform 1/|g|. len(probs) must be len(counts); after
-// an error its contents are unspecified.
-func LearnGroups(groups [][]int, counts, probs []float64, total float64, steps []int) (most int, err error) {
+// A singleton gets 1, and a group without support, whose weights stay at
+// the prior centre, the uniform 1/|g|; neither takes a step. len(probs)
+// must be len(counts); after an error its contents are unspecified.
+func Learn(counts, probs []float64, total float64) (steps int, err error) {
 	if len(probs) != len(counts) {
-		return 0, fmt.Errorf("mln: %d probabilities for %d candidates", len(probs), len(counts))
+		return 0, fmt.Errorf("mln: %d probabilities for %d members", len(probs), len(counts))
 	}
-	var sum float64
+	var support, top float64
 	for i, c := range counts {
 		if !(c >= 0) || math.IsInf(c, 1) {
-			return 0, fmt.Errorf("mln: count %g for candidate %d is not a finite non-negative number", c, i)
+			return 0, fmt.Errorf("mln: count %g for member %d is not a finite non-negative number", c, i)
 		}
-		sum += c
+		support += c
+		top = max(top, c)
 	}
-	if !(total >= sum) || math.IsInf(total, 1) {
-		return 0, fmt.Errorf("mln: block total %g is not a finite number of at least the candidates' %g", total, sum)
+	if !(total >= support) || math.IsInf(total, 1) {
+		return 0, fmt.Errorf("mln: block total %g is not a finite number of at least the group's %g", total, support)
 	}
-	if steps != nil && len(steps) < len(groups) {
-		return 0, fmt.Errorf("mln: %d step counts for %d groups", len(steps), len(groups))
-	}
-	n := len(counts)
-	// −1 marks a candidate the partition check has seen: every group's
-	// members are written again below.
-	for i := range probs {
-		probs[i] = 1
-	}
-	for _, g := range groups {
-		for _, i := range g {
-			if i < 0 || i >= n {
-				return 0, fmt.Errorf("mln: group index %d out of range [0,%d)", i, n)
-			}
-			if probs[i] < 0 {
-				return 0, fmt.Errorf("mln: candidate %d appears in multiple groups", i)
-			}
-			probs[i] = -1
-		}
-	}
-	for gi, g := range groups {
-		s := solve(g, counts, probs, total)
-		if steps != nil {
-			steps[gi] = s
-		}
-		most = max(most, s)
-	}
-	return most, nil
-}
-
-// solve writes group g's in-group probabilities into probs and returns the
-// Newton steps on t it took (0 when the group does not learn). total is the
-// block's Σc, the Eq. 4 normaliser.
-func solve(g []int, counts, probs []float64, total float64) (steps int) {
-	var support, top float64
-	for _, i := range g {
-		support += counts[i]
-		top = max(top, counts[i])
-	}
-	if len(g) < 2 || support == 0 {
+	if len(counts) < 2 || support == 0 {
 		// A singleton's softmax is degenerate, and a group without support
 		// has only the prior acting on it: every w⁰ is 0.
-		for _, i := range g {
-			probs[i] = 1 / float64(len(g))
+		for i := range probs {
+			probs[i] = 1 / float64(len(probs))
 		}
-		return 0
+		return 0, nil
 	}
 	target := sigma2 * support
 	t := math.Log(sigma2*top) - top/total
 	// probs holds each member's ln W(e^{bᵢ+t}) at the latest t: above the
 	// root for any smaller t, so the start of the member's next solve.
-	for _, i := range g {
-		x := counts[i]/total + sigma2*counts[i] + t
+	for i, c := range counts {
+		x := c/total + sigma2*c + t
 		probs[i] = x
 		if x > 1 {
 			probs[i] = math.Log(x)
@@ -132,8 +90,8 @@ func solve(g []int, counts, probs []float64, total float64) (steps int) {
 		// F(t) = Σ W(e^{bᵢ+t}) − σ²C and F'(t) = Σ W/(1+W).
 		steps++
 		var sum, slope float64
-		for _, i := range g {
-			u, w := lnW(counts[i]/total+sigma2*counts[i]+t, probs[i])
+		for i, c := range counts {
+			u, w := lnW(c/total+sigma2*c+t, probs[i])
 			probs[i] = u
 			sum += w
 			slope += w / (1 + w)
@@ -146,14 +104,14 @@ func solve(g []int, counts, probs []float64, total float64) (steps int) {
 	}
 	// pᵢ = Wᵢ / ΣW: σ²C at the root, and 1 in the sum whatever the rounding.
 	var sum float64
-	for _, i := range g {
+	for i := range probs {
 		probs[i] = math.Exp(probs[i])
 		sum += probs[i]
 	}
-	for _, i := range g {
+	for i := range probs {
 		probs[i] /= sum
 	}
-	return steps
+	return steps, nil
 }
 
 // lnW returns u = ln W(eˣ), the root of eᵘ + u − x, and eᵘ, by Newton's
