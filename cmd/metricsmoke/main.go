@@ -2,11 +2,12 @@
 // mlnserve, it scrapes /metrics, drives one small cleaning session through
 // the API, scrapes again, and fails unless
 //
-//   - every required metric family is present,
+//   - every required metric family is present, by its exact name,
 //   - the exposition carries at least -min-series distinct series,
 //   - no counter or histogram series moved backwards between the scrapes,
-//   - the session's work actually surfaced (sessions-created, cleans-
-//     completed, and delta-loads counters strictly increased).
+//   - the session's work actually surfaced (the delta-loads counter, the
+//     AGP stage and WAL fsync histograms and the clean route's latency
+//     histogram strictly increased).
 //
 // Usage:
 //
@@ -31,31 +32,43 @@ import (
 	"time"
 )
 
-// requiredPrefixes are the metric families the exposition must span: one
-// entry per instrumented subsystem. Every family registers at package init,
-// so even an idle daemon must show all of them (at zero).
-var requiredPrefixes = []string{
-	"mlnserve_http_",
-	"mlnserve_sessions_",
-	"mlnserve_cleans_",
-	"mlnclean_core_",
-	"mlnclean_index_",
-	"mlnclean_wal_",
-	"mlnclean_mem_",
+// requiredFamilies are the metric families the exposition must carry: every
+// family mlnserve registers, each read by a recipe in README › Observability,
+// or by the repository benchmark. The core and WAL families register at package
+// init and the HTTP histogram as the routes register, so even an idle daemon
+// must show all of them (at zero).
+var requiredFamilies = []string{
+	"mlnserve_http_request_seconds",
+	"mlnclean_core_stage_seconds",
+	"mlnclean_core_block_seconds",
+	"mlnclean_core_agp_abnormal_groups_total",
+	"mlnclean_core_agp_pairs_total",
+	"mlnclean_core_agp_full_scans_total",
+	"mlnclean_core_fscr_conflicts_total",
+	"mlnclean_core_fscr_truncated_total",
+	"mlnclean_core_delta_loads_total",
+	"mlnclean_core_delta_dirty_blocks_total",
+	"mlnclean_core_delta_reused_blocks_total",
+	"mlnclean_core_delta_refused_tuples_total",
+	"mlnclean_core_delta_reused_tuples_total",
+	"mlnclean_core_delta_apply_seconds",
+	"mlnclean_wal_fsync_seconds",
+	"mlnclean_wal_append_bytes_total",
+	"mlnclean_wal_compactions_total",
+	"mlnclean_wal_recovery_records_total",
+	"mlnclean_wal_recovery_truncated_bytes_total",
 }
 
 // mustGrow are the series one driven session must strictly increase. A
 // session's clean is the delta engine's Load, which runs the block pipeline
-// itself (core.Clean is the stand-alone CLI entry point), so the core family
-// is checked through the loads counter and the stage histogram, not the
-// cleans counter. It builds its blocks one rule at a time, so no
-// whole-index build is counted for it.
+// itself, so the core family is checked through the loads counter and the
+// stage histogram. Every acknowledged WAL append is fsynced once, so the
+// fsync histogram's count moves once per append.
 var mustGrow = []string{
-	"mlnserve_sessions_created_total",
-	"mlnserve_cleans_completed_total",
 	"mlnclean_core_delta_loads_total",
 	`mlnclean_core_stage_seconds_count{stage="agp"}`,
-	"mlnclean_wal_appends_total",
+	"mlnclean_wal_fsync_seconds_count",
+	`mlnserve_http_request_seconds_count{route="clean"}`,
 }
 
 func main() {
@@ -93,16 +106,9 @@ func run(base string, minSeries int, wait time.Duration) error {
 	for k := range after.samples {
 		names[k] = true
 	}
-	for _, p := range requiredPrefixes {
-		found := false
-		for name := range after.types {
-			if strings.HasPrefix(name, p) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("no metric family with prefix %q", p)
+	for _, f := range requiredFamilies {
+		if after.types[f] == "" {
+			return fmt.Errorf("no metric family %q", f)
 		}
 	}
 	if len(names) < minSeries {
@@ -137,7 +143,7 @@ func run(base string, minSeries int, wait time.Duration) error {
 		}
 	}
 	fmt.Printf("metricsmoke: %d series, %d families ok, %d monotonic series checked\n",
-		len(names), len(requiredPrefixes), checked)
+		len(names), len(requiredFamilies), checked)
 	return nil
 }
 
@@ -227,8 +233,8 @@ func waitHealthy(base string, wait time.Duration) error {
 	}
 }
 
-// driveSession runs one tiny clean end to end: enough to move the http,
-// session, core and WAL families.
+// driveSession runs one tiny clean end to end: enough to move the HTTP,
+// core and WAL families.
 func driveSession(base string) error {
 	var sess struct {
 		ID string `json:"id"`

@@ -6,10 +6,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -125,6 +127,75 @@ func TestReadmeSeriesRegistered(t *testing.T) {
 	if cited == 0 {
 		t.Error("README.md cites no metric series: the scan is broken")
 	}
+}
+
+// TestRegisteredSeriesRead is TestReadmeSeriesRegistered reversed: every
+// series a non-test Go file registers is cited in a ### recipe under README ›
+// Observability, or read by a string literal in benchmark/*.go (the family
+// table alone does not count). A histogram's _bucket/_sum/_count series count
+// as the histogram; a pattern such as `mlnclean_core_delta_*` reads nothing.
+func TestRegisteredSeriesRead(t *testing.T) {
+	tr := loadTree(t)
+	read := map[string]bool{}
+	for _, span := range codeSpans(observabilityRecipes(t)) {
+		for _, name := range seriesRE.FindAllString(span, -1) {
+			read[name] = true
+		}
+	}
+	if len(read) == 0 {
+		t.Fatal("README › Observability recipes cite no series: the scan is broken")
+	}
+	for _, lit := range benchmarkStrings(t) {
+		read[lit] = true
+	}
+	for _, s := range slices.Sorted(maps.Keys(tr.series)) {
+		if !read[s] && !read[s+"_bucket"] && !read[s+"_sum"] && !read[s+"_count"] {
+			t.Errorf("series %s is registered, but no README › Observability recipe cites it and no benchmark/*.go string reads it", s)
+		}
+	}
+}
+
+// observabilityRecipes returns the prose of the ### sections under README ›
+// Observability.
+func observabilityRecipes(t *testing.T) string {
+	t.Helper()
+	prose, _ := readmeParts(t)
+	_, section, ok := strings.Cut(prose, "\n## Observability\n")
+	if !ok {
+		t.Fatal("README.md has no ## Observability section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	_, recipes, ok := strings.Cut(section, "\n### ")
+	if !ok {
+		t.Fatal("README › Observability has no ### recipe")
+	}
+	return recipes
+}
+
+// benchmarkStrings returns every string literal of benchmark/*.go.
+func benchmarkStrings(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("benchmark", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark/*.go file (%v)", err)
+	}
+	var out []string
+	fset := token.NewFileSet()
+	for _, p := range files {
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					out = append(out, s)
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // TestReadmePathsExist: every ./cmd/…, ./examples/… and internal/… path in
@@ -495,7 +566,7 @@ func (tr *tree) collectCitations(fset *token.FileSet, f *ast.File) {
 }
 
 // collectSeries records the name of every metric f registers: the string
-// literal first argument of a Counter, Gauge, GaugeFunc or Histogram call.
+// literal first argument of a Counter or Histogram call.
 func (tr *tree) collectSeries(f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -507,7 +578,7 @@ func (tr *tree) collectSeries(f *ast.File) {
 			return true
 		}
 		switch sel.Sel.Name {
-		case "Counter", "Gauge", "GaugeFunc", "Histogram":
+		case "Counter", "Histogram":
 			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if s, err := strconv.Unquote(lit.Value); err == nil {
 					tr.series[s] = true

@@ -193,8 +193,8 @@ func main() {
 }
 
 // scrapeMetrics pulls /metrics and prints a few series that tell the
-// mid-clean story: the cleaning gauge, the engine's load counter, and how
-// much stage work the process has accumulated.
+// mid-clean story: the engine's load counter, how much stage work the
+// process has accumulated, and how many requests the upload route served.
 func scrapeMetrics(base string) {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -208,11 +208,9 @@ func scrapeMetrics(base string) {
 	fmt.Println("  /metrics mid-clean:")
 	for _, line := range strings.Split(string(body), "\n") {
 		for _, prefix := range []string{
-			"mlnserve_sessions_live ",
-			"mlnserve_sessions_cleaning ",
-			"mlnserve_http_in_flight ",
 			"mlnclean_core_delta_loads_total ",
 			`mlnclean_core_stage_seconds_count{stage="agp"}`,
+			`mlnserve_http_request_seconds_count{route="tuples"}`,
 		} {
 			if strings.HasPrefix(line, prefix) {
 				fmt.Printf("    %s\n", line)

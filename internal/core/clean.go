@@ -75,9 +75,6 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 	if err != nil {
 		return nil, err
 	}
-	mCleans.Inc()
-	mTuples.Add(int64(dirty.Len()))
-
 	repaired, clean, dups := StageII(dirty, ix.Encoded(), FusionBlocksFromIndex(ix), opts, &st)
 	return &Result{Clean: clean, Repaired: repaired, Duplicates: dups, Stats: st}, nil
 }
@@ -108,6 +105,5 @@ func StageII(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 		removed += len(d) - 1
 	}
 	st.DuplicatesRemoved += removed
-	mDuplicatesRemoved.Add(int64(removed))
 	return repaired, clean, dups
 }

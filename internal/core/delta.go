@@ -782,8 +782,6 @@ func (d *DeltaCleaner) cleanBlocks(ris []int) error {
 func (d *DeltaCleaner) reclean(ri int, c crew) (r blockResult) {
 	db := d.blocks[ri]
 	kept := db.kept.Block()
-	mBlocksInFlight.Add(1)
-	defer mBlocksInFlight.Add(-1)
 	start := time.Now()
 	t := start
 	lap := func() time.Duration {

@@ -648,7 +648,6 @@ func runFSCR(dirty *dataset.Table, enc *dataset.Encoded, blocks []*FusionBlock, 
 	st.FSCRCellChanges += int(total.changes)
 	st.FusionFailures += int(total.failed)
 	st.FusionTruncated += int(total.truncated)
-	mFSCRCellChanges.Add(int64(total.changes))
 	mFSCRConflicts.Add(int64(total.failed))
 	mFSCRTruncated.Add(int64(total.truncated))
 	return repaired, rows

@@ -86,12 +86,9 @@ type blockResult struct {
 
 // runBlock runs the requested phases on one block, in pipeline order, on
 // the caller's crew: the batch drivers' stage I, which merges the block in
-// place. It observes mlnclean_core_block_seconds once and holds
-// mlnclean_mem_blocks_inflight up for as long as it runs. The phase times
+// place. It observes mlnclean_core_block_seconds once. The phase times
 // are the owner's wall time, helpers included.
 func runBlock(bi int, b *index.Block, c crew, opts Options, ph phases) (r blockResult) {
-	mBlocksInFlight.Add(1)
-	defer mBlocksInFlight.Add(-1)
 	start := time.Now()
 	t := start
 	lap := func() time.Duration {
@@ -298,13 +295,8 @@ func fold(results []blockResult, ph phases, st *Stats) {
 		r := &results[i]
 		st.addBlock(r)
 		mAbnormalGroups.Add(int64(r.abnormal))
-		mAGPPromotions.Add(int64(r.promotions))
-		// Every abnormal group is either merged away or promoted in place.
-		mAGPMerges.Add(int64(r.abnormal - r.promotions))
 		mAGPPairs.Add(int64(r.agpPairs))
 		mAGPFullScans.Add(int64(r.agpFullScans))
-		mLearnIterations.Add(int64(r.learnIters))
-		mRSCRewrites.Add(int64(r.repairs))
 		agpTime += r.agp
 		learnTime += r.learn
 		rscTime += r.rsc

@@ -40,11 +40,10 @@ type coordinator struct {
 	// senc holds every tuple of the run and its encoded row, in dict — the
 	// one value-ID space every part cleans in. Stage II fuses from these
 	// original dirty values.
-	senc      *dataset.StreamEncoder
-	dict      *intern.Dict
-	ev        *distance.Evaluator
-	parts     []partInput
-	createdAt time.Time
+	senc  *dataset.StreamEncoder
+	dict  *intern.Dict
+	ev    *distance.Evaluator
+	parts []partInput
 
 	// The online partitioner's state; cent is nil until drawn.
 	cent       *centroidTable
@@ -78,17 +77,16 @@ func newCoordinator(schema *dataset.Schema, rs []*rules.Rule, opts Options, k in
 	}
 	dict := intern.NewDict()
 	return &coordinator{
-		schema:    schema,
-		rs:        rs,
-		opts:      opts,
-		k:         k,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		senc:      dataset.NewStreamEncoder(schema, dict),
-		dict:      dict,
-		ev:        distance.NewEvaluator(metricOf(opts.Core), dict),
-		parts:     make([]partInput, k),
-		loads:     make([]int, k),
-		createdAt: time.Now(),
+		schema: schema,
+		rs:     rs,
+		opts:   opts,
+		k:      k,
+		rng:    rand.New(rand.NewSource(opts.Seed)),
+		senc:   dataset.NewStreamEncoder(schema, dict),
+		dict:   dict,
+		ev:     distance.NewEvaluator(metricOf(opts.Core), dict),
+		parts:  make([]partInput, k),
+		loads:  make([]int, k),
 	}, nil
 }
 
@@ -172,7 +170,6 @@ func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Res
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mIngestSeconds.ObserveSince(c.createdAt)
 	opts := workerCoreOpts(c.opts.Core, c.k)
 	parts := make([]part, c.k)
 	err := eachPart(ctx, c.k, func(w int) error {
@@ -229,8 +226,6 @@ func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Res
 		res.WorkerTimes[w] = p.stageI + p.stageII
 		res.PartSizes[w] = p.stats.Tuples
 		res.Stats.Add(p.stats)
-		mWorkerStageI.ObserveDuration(p.stageI)
-		mWorkerStageII.ObserveDuration(p.stageII)
 	}
 	res.RunID = obs.NewRunID()
 
@@ -245,9 +240,6 @@ func (c *coordinator) finish(ctx context.Context, dirty *dataset.Table, res *Res
 	blocks := c.unionBlocks(parts)
 	res.Repaired, res.Clean, _ = core.StageII(dirty, c.senc.Encoded(), blocks, c.opts.Core, &res.Stats)
 	res.GatherTime += time.Since(t0)
-	mRuns.Inc()
-	mRunSeconds.ObserveSince(c.createdAt)
-	mGatherSeconds.ObserveDuration(res.GatherTime)
 	return res, nil
 }
 

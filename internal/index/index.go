@@ -20,15 +20,7 @@ import (
 
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/intern"
-	"mlnclean/internal/obs"
 	"mlnclean/internal/rules"
-)
-
-var (
-	mBuildSeconds = obs.Default().Histogram("mlnclean_index_build_seconds",
-		"Wall time to dictionary-encode the table and build the two-layer MLN index.", obs.DefBuckets)
-	mBuilds = obs.Default().Counter("mlnclean_index_builds_total",
-		"MLN index constructions.")
 )
 
 // Piece is a γ: one distinct combination of a rule's reason+result values,

@@ -8,7 +8,6 @@ package index
 
 import (
 	"fmt"
-	"time"
 
 	"mlnclean/internal/dataset"
 	"mlnclean/internal/rules"
@@ -26,11 +25,10 @@ import (
 // touch (they only decode values), and its own pooled scratch. A yielded
 // block shares no memory with the next one.
 type BlockIterator struct {
-	ix       *Index
-	tb       *dataset.Table // the table the blocks are built over
-	rs       []*rules.Rule
-	next     int
-	building time.Duration
+	ix   *Index
+	tb   *dataset.Table // the table the blocks are built over
+	rs   []*rules.Rule
+	next int
 }
 
 // NewBlockIterator validates the rules and the tuples' widths (every tuple
@@ -52,7 +50,6 @@ func NewBlockIterator(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Bl
 			return nil, fmt.Errorf("index: tuple %d has %d values, schema has %d", t.ID, len(t.Values), tb.Schema.Len())
 		}
 	}
-	t0 := time.Now()
 	enc := cfg.Encoded
 	if enc != nil && len(enc.Rows) != len(tb.Tuples) {
 		return nil, fmt.Errorf("index: encoded rows (%d) misaligned with table (%d)", len(enc.Rows), len(tb.Tuples))
@@ -65,7 +62,6 @@ func NewBlockIterator(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Bl
 		tb: tb,
 		rs: rs,
 	}
-	it.building += time.Since(t0)
 	return it, nil
 }
 
@@ -83,18 +79,9 @@ func (it *BlockIterator) Next() (bi int, b *Block, ok bool) {
 	if it.next >= len(it.rs) {
 		return 0, nil, false
 	}
-	t0 := time.Now()
 	ri := it.next
 	it.next++
 	b = BuildBlockFor(it.tb, it.ix.enc, it.rs[ri])
 	it.ix.Blocks = append(it.ix.Blocks, b)
-	it.building += time.Since(t0)
-	if it.next == len(it.rs) {
-		// The iterator owns the build metrics: time actually spent encoding
-		// and building (excluding any interleaved consumer work), observed
-		// once when the final block is yielded.
-		mBuildSeconds.Observe(it.building.Seconds())
-		mBuilds.Inc()
-	}
 	return ri, b, true
 }

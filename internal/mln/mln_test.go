@@ -209,3 +209,57 @@ func TestLearnWeightsConverges(t *testing.T) {
 		t.Errorf("the solve took %d steps", steps)
 	}
 }
+
+// TestLearnDriftBound: moving a block's Σc moves every prior centre
+// w⁰ᵢ = cᵢ/Σc by cᵢ·|1/Σc − 1/Σc′|, and the optimum of the strictly concave
+// objective moves no further than its prior centre does (‖Δw‖₂ ≤ ‖Δw⁰‖₂).
+// So the log ratio of two members' probabilities, wᵢ − wⱼ, moves by at
+// most √2·‖c‖₂·|1/Σc − 1/Σc′|, up to the solve's rounding, and members with
+// equal counts stay tied. This is the bound that lets an insert or delete
+// skip learning a group whose pick margin exceeds it.
+func TestLearnDriftBound(t *testing.T) {
+	const eps = 1e-9
+	rng := rand.New(rand.NewSource(33))
+	worst := 0.0 // the largest move seen, as a share of its bound
+	for draw := 0; draw < 3000; draw++ {
+		counts := make([]float64, 2+rng.Intn(7))
+		span := []int{3, 20, 1000}[rng.Intn(3)] // a small span draws ties
+		var support, norm2 float64
+		for i := range counts {
+			counts[i] = float64(1 + rng.Intn(span))
+			support += counts[i]
+			norm2 += counts[i] * counts[i]
+		}
+		other := []float64{0, 1, 10, 1000, 1e5}
+		total := support + other[rng.Intn(len(other))]*rng.Float64()
+		total2 := support + other[rng.Intn(len(other))]*rng.Float64()
+		p, p2 := make([]float64, len(counts)), make([]float64, len(counts))
+		if _, err := Learn(counts, p, total); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Learn(counts, p2, total2); err != nil {
+			t.Fatal(err)
+		}
+		bound := math.Sqrt2 * math.Sqrt(norm2) * math.Abs(1/total-1/total2)
+		for i := range counts {
+			for j := range i {
+				if counts[i] == counts[j] {
+					if p[i] != p[j] || p2[i] != p2[j] {
+						t.Fatalf("counts %v: tied members %d and %d learn %v, %v at Σc %g and %v, %v at Σc′ %g",
+							counts, i, j, p[i], p[j], total, p2[i], p2[j], total2)
+					}
+					continue
+				}
+				move := math.Abs((math.Log(p2[i]) - math.Log(p2[j])) - (math.Log(p[i]) - math.Log(p[j])))
+				if move > bound+eps {
+					t.Fatalf("counts %v, Σc %g → %g: log ratio of members %d and %d moves %g, bound %g",
+						counts, total, total2, i, j, move, bound)
+				}
+				if bound > 0 {
+					worst = max(worst, move/bound)
+				}
+			}
+		}
+	}
+	t.Logf("the largest move is %.3f of its bound", worst)
+}

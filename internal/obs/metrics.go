@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability substrate: a named
-// metrics registry (atomic counters, gauges, fixed-bucket latency
-// histograms with quantile estimation) exposed in Prometheus text format,
-// plus the structured-logging and run-correlation helpers the daemons share.
+// metrics registry (atomic counters and fixed-bucket latency histograms)
+// exposed in Prometheus text format, plus the structured-logging and
+// run-correlation helpers the daemons share.
 //
 // Design constraints, in order:
 //
@@ -13,12 +13,15 @@
 //   - No dependencies beyond the standard library — the container bakes in
 //     no Prometheus client, and the exposition format is simple enough to
 //     emit directly.
-//   - One process-wide default registry: the pipeline packages (core,
-//     index, plan, distributed, wal, server) register their families at
-//     package init, so a scrape sees every registered series from the first
-//     request on, zero-valued until traffic arrives. CI's metrics smoke
-//     leans on this: "registered" is a static property, "moving" a runtime
-//     one, and both are checked.
+//   - One process-wide default registry: core and wal register their
+//     families at package init, and server registers one latency series per
+//     route as it registers the route, so a scrape sees every series from
+//     the first request on, zero-valued until traffic arrives. CI's metrics
+//     smoke leans on this: "registered" is a static property, "moving" a
+//     runtime one, and both are checked.
+//   - A series is registered only if something reads it: a recipe in
+//     README › Observability, or the repository benchmark (docs_test.go
+//     enforces this).
 package obs
 
 import (
@@ -58,24 +61,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down. All methods are safe for
-// concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// gaugeFunc samples its callback at scrape time. The callback is swappable
-// (latest registration wins) so a re-created owner — a test server over the
-// same process-wide registry — re-binds the series to its live state.
-type gaugeFunc struct{ fn atomic.Value }
-
 // Histogram is a fixed-bucket distribution: per-bucket atomic counts plus a
 // running sum and count. Buckets are cumulative upper bounds in ascending
 // order; an implicit +Inf bucket catches the rest. All methods are safe for
@@ -113,37 +98,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the bucket holding the target rank — the standard
-// histogram_quantile estimate. The estimate is bounded by the bucket's
-// edges: it is exact only up to bucket resolution. An empty histogram
-// returns 0; ranks landing in the +Inf bucket return the highest finite
-// bound (the estimate cannot exceed what the buckets resolve).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if cum+n < rank || n == 0 {
-			cum += n
-			continue
-		}
-		if i == len(h.bounds) {
-			return h.bounds[len(h.bounds)-1] // +Inf bucket: clamp
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		return lo + (h.bounds[i]-lo)*(rank-cum)/n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // DefBuckets are latency buckets from 1µs to 60s, roughly ×2.5 per step —
 // wide enough to hold both a sub-millisecond block clean and a multi-second
 // end-to-end run in one histogram shape.
@@ -154,36 +108,25 @@ var DefBuckets = []float64{
 	1, 2.5, 5, 10, 30, 60,
 }
 
-// SizeBuckets are byte-size buckets from 64 B to 16 MiB, ×4 per step (for
-// record and message sizes).
-var SizeBuckets = []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216}
-
 // metricKind tags a family's exposition TYPE.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
+	if k == kindCounter {
 		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "histogram"
 }
 
 // series is one registered instrument under a family.
 type series struct {
 	labels string // rendered {k="v",...} suffix, "" when unlabeled
 	c      *Counter
-	g      *Gauge
-	gf     *gaugeFunc
 	h      *Histogram
 }
 
@@ -249,7 +192,7 @@ func escapeLabel(v string) string {
 // first sight. Registering one name under two kinds is a programming error
 // and panics. init builds the series' instrument if it has none yet; it runs
 // under the registry lock, because two goroutines may register the same
-// series at once (servers started side by side bind the same gauges).
+// series at once (servers started side by side register the same routes).
 func (r *Registry) get(name, help string, kind metricKind, ls []Label, init func(*series)) *series {
 	suffix := renderLabels(ls)
 	r.mu.Lock()
@@ -279,26 +222,6 @@ func (r *Registry) Counter(name, help string, ls ...Label) *Counter {
 			s.c = &Counter{}
 		}
 	}).c
-}
-
-// Gauge returns the named gauge, registering it on first sight.
-func (r *Registry) Gauge(name, help string, ls ...Label) *Gauge {
-	return r.get(name, help, kindGauge, ls, func(s *series) {
-		if s.g == nil {
-			s.g = &Gauge{}
-		}
-	}).g
-}
-
-// GaugeFunc registers a gauge sampled from fn at scrape time. Re-registering
-// the same series replaces the callback (latest owner wins), so a restarted
-// subsystem re-binds the series to its live state.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, ls ...Label) {
-	r.get(name, help, kindGauge, ls, func(s *series) {
-		if s.gf == nil {
-			s.gf = &gaugeFunc{}
-		}
-	}).gf.fn.Store(fn)
 }
 
 // Histogram returns the named histogram over the given cumulative upper
@@ -384,16 +307,6 @@ func writeSeries(w io.Writer, name, labels string, s *series) error {
 	case s.c != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, fmtFloat(float64(s.c.Value())))
 		return err
-	case s.gf != nil:
-		v := 0.0
-		if fn, ok := s.gf.fn.Load().(func() float64); ok && fn != nil {
-			v = fn()
-		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, fmtFloat(v))
-		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, fmtFloat(float64(s.g.Value())))
-		return err
 	case s.h != nil:
 		h := s.h
 		cum := int64(0)
@@ -441,14 +354,11 @@ type Snapshot struct {
 	Name   string `json:"name"`
 	Labels string `json:"labels,omitempty"`
 	Type   string `json:"type"`
-	// Value is the counter or gauge value.
+	// Value is the counter's value.
 	Value float64 `json:"value,omitempty"`
-	// Count/Sum/P50/P90/P99 summarize a histogram.
+	// Count/Sum summarize a histogram.
 	Count int64   `json:"count,omitempty"`
 	Sum   float64 `json:"sum,omitempty"`
-	P50   float64 `json:"p50,omitempty"`
-	P90   float64 `json:"p90,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
 }
 
 // Snapshot captures every registered series, sorted by (name, labels).
@@ -461,18 +371,9 @@ func (r *Registry) Snapshot() []Snapshot {
 			switch {
 			case s.c != nil:
 				snap.Value = float64(s.c.Value())
-			case s.gf != nil:
-				if fn, ok := s.gf.fn.Load().(func() float64); ok && fn != nil {
-					snap.Value = fn()
-				}
-			case s.g != nil:
-				snap.Value = float64(s.g.Value())
 			case s.h != nil:
 				snap.Count = s.h.Count()
 				snap.Sum = s.h.Sum()
-				snap.P50 = s.h.Quantile(0.50)
-				snap.P90 = s.h.Quantile(0.90)
-				snap.P99 = s.h.Quantile(0.99)
 			}
 			out = append(out, snap)
 		}

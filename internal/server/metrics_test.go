@@ -10,7 +10,8 @@ import (
 
 // TestMetricsEndpoint drives one session end to end and then scrapes
 // /metrics and /v1/stats: the exposition must be valid Prometheus text
-// carrying the serving-layer families the run just exercised, the session
+// carrying the series the run just exercised and none of the removed ones
+// (no gauge of any kind), the session
 // must report a run id, and stats must expose uptime and build identity.
 func TestMetricsEndpoint(t *testing.T) {
 	dirty, _, rulesText := hospitalFixture(t)
@@ -46,19 +47,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	// order — presence and form are what this test pins.
 	for _, want := range []string{
 		`mlnserve_http_request_seconds_count{route="create"}`,
-		`mlnserve_http_responses_total{code="2xx"}`,
-		"mlnserve_http_in_flight",
-		"mlnserve_sessions_created_total",
-		"mlnserve_cleans_completed_total",
-		"mlnserve_sessions_live",
-		"mlnserve_uptime_seconds",
+		`mlnserve_http_request_seconds_count{route="clean"}`,
 		"mlnclean_core_stage_seconds_count",
 		"mlnclean_core_delta_loads_total",
 		"# TYPE mlnserve_http_request_seconds histogram",
-		"# HELP mlnserve_sessions_created_total",
+		"# HELP mlnclean_core_delta_loads_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition is missing %q", want)
+		}
+	}
+	// The serving layer keeps no session, clean or status-class counters and
+	// no gauges: GET /v1/stats reports sessions and uptime.
+	for _, gone := range []string{"mlnserve_sessions_", "mlnserve_cleans_", "mlnserve_http_responses_total", "mlnserve_uptime_seconds", " gauge\n"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still carries %q", gone)
 		}
 	}
 

@@ -114,7 +114,6 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *core.Versio
 	s.versions = append(s.versions, ver)
 	s.nextRow = max(s.nextRow, row+1)
 	s.lastUsed = time.Now()
-	mMutations.Inc()
 	slog.Info("server: tuple mutation applied",
 		"session", s.ID, "run", s.runID, "op", op, "row", row, "version", len(s.versions),
 		"dirty_blocks", ds.DirtyBlocks, "reused_blocks", ds.ReusedBlocks,

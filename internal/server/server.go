@@ -76,10 +76,17 @@ func New(cfg ManagerConfig) (*Server, error) {
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
-	// Every route registers through instrument, so each gets its own latency
-	// histogram series plus the shared status-class counters.
+	// Every route gets its own latency series, registered here because the
+	// mux cannot tell which pattern matched once it has dispatched; the hot
+	// path is then atomics only.
 	route := func(pattern, name string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, instrument(name, h))
+		hist := obs.Default().Histogram("mlnserve_http_request_seconds",
+			"HTTP request latency by route.", obs.DefBuckets, obs.L("route", name))
+		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			t0 := time.Now()
+			h(w, r)
+			hist.ObserveSince(t0)
+		})
 	}
 	route("POST /v1/sessions", "create", s.handleCreate)
 	route("GET /v1/sessions/{id}", "status", s.handleStatus)
@@ -98,7 +105,6 @@ func New(cfg ManagerConfig) (*Server, error) {
 	// The exposition endpoint itself is not instrumented: a scrape should
 	// not perturb the series it reads.
 	s.mux.Handle("GET /metrics", obs.Default().Handler())
-	bindGauges(s)
 	return s, nil
 }
 

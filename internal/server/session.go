@@ -206,7 +206,6 @@ func (s *Session) Clean() error {
 	}
 	s.state = StateCleaning
 	s.lastUsed = time.Now()
-	mCleansStarted.Inc()
 	slog.Info("server: clean started", "session", s.ID, "run", s.runID, "tuples", s.tuples)
 	go s.runClean()
 	return nil
@@ -231,7 +230,6 @@ func (s *Session) runClean() {
 	if err != nil {
 		s.state = StateFailed
 		s.runErr = err
-		mCleansFailed.Inc()
 		slog.Warn("server: clean failed", "session", s.ID, "run", s.runID, "err", err)
 		return
 	}
@@ -247,7 +245,6 @@ func (s *Session) runClean() {
 	s.state = StateDone
 	s.versions = []*core.Version{v1}
 	s.nextRow = nextRow
-	mCleansDone.Inc()
 	slog.Info("server: clean done",
 		"session", s.ID, "run", s.runID, "rows", v1.Stats().Tuples-v1.Stats().DuplicatesRemoved, "repairs", v1.TrailLen(),
 		"wall", wall.Round(time.Millisecond))
@@ -590,7 +587,6 @@ func (m *Manager) Create(req CreateRequest) (*Session, error) {
 	}
 	m.sessions[id] = s
 	m.mu.Unlock()
-	mSessionsCreated.Inc()
 	slog.Info("server: session created", "session", id, "run", s.runID, "rules_hash", s.rulesHash)
 	return s, nil
 }
@@ -630,7 +626,6 @@ func (m *Manager) Close(id string) error {
 		return ErrNotFound
 	}
 	s.close()
-	mSessionsClosed.Inc()
 	slog.Debug("server: session closed", "session", id, "run", s.runID)
 	return nil
 }
@@ -693,7 +688,6 @@ func (m *Manager) EvictIdle(now time.Time) int {
 		if live {
 			s.close()
 			evicted++
-			mSessionsEvicted.Inc()
 			slog.Info("server: session evicted idle", "session", s.ID, "run", s.runID)
 		}
 	}

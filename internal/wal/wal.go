@@ -242,7 +242,6 @@ func Open(fs FS, o Options) (*Log, *Recovery, error) {
 		lastSeq = sq
 	}
 
-	mOpens.Inc()
 	mRecoveryRecords.Add(int64(len(rec.Records)))
 	mRecoveryTruncated.Add(rec.TruncatedBytes)
 	if rec.Truncated() {
@@ -271,7 +270,6 @@ func Open(fs FS, o Options) (*Log, *Recovery, error) {
 // Append returns nil; on error the log is broken and the record must be
 // considered unacknowledged.
 func (l *Log) Append(payload []byte) error {
-	t0 := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken != nil {
@@ -294,9 +292,7 @@ func (l *Log) Append(payload []byte) error {
 		return l.broken
 	}
 	mFsyncSeconds.ObserveSince(ts)
-	mAppends.Inc()
 	mAppendBytes.Add(int64(len(l.buf)))
-	mAppendSeconds.ObserveSince(t0)
 	return nil
 }
 
@@ -321,7 +317,6 @@ func (l *Log) rotateLocked(seq int) error {
 // snapshots. After a crash at any point the log recovers either the old
 // snapshot + segments or the new snapshot — never a mix.
 func (l *Log) Compact(state []byte) error {
-	t0 := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken != nil {
@@ -354,7 +349,6 @@ func (l *Log) Compact(state []byte) error {
 		}
 	}
 	mCompactions.Inc()
-	mCompactSeconds.ObserveSince(t0)
 	return nil
 }
 
